@@ -9,12 +9,15 @@ twice — caches cold, then warmed exactly as ``run_figure12`` warms them —
 with a sampling tracer attached, aggregates the span breakdown per tier,
 and dumps the worst sampled request's full span tree as evidence.
 
-Output (``--output docs/evidence/fig12_starvation_trace.json`` is the
-checked-in copy):
+Output (``--output``, default ``fig12_trace.json`` in the working directory):
 
 * per-phase span-time breakdown by ``(tier, span name)``;
 * the worst cold-phase trace rendered as a nested span tree;
 * the summary table DR-7 quotes.
+
+``docs/evidence/fig12_starvation_trace.json`` stays as recorded at PR 10: it
+also holds a ``cold_sequential`` phase measured on the sequential read path
+that DESIGN.md DR-9 deleted, which this script can no longer reproduce.
 
 Usage::
 
@@ -43,13 +46,8 @@ from repro.workloads.social import SocialWorkloadGenerator  # noqa: E402
 
 def run_point(threads: int, requests: int, seed: int, warm: bool,
               sample_rate: float, user_count: int = 200,
-              seed_tweets: int = 1_000, batched: bool = True):
-    """One fig12-style point with a tracer attached; returns (sim, tracer).
-
-    ``batched=False`` turns off both halves of the batched read plane
-    (``batched_reads`` and ``prefetch_references``), reproducing the
-    pre-batching sequential-miss behaviour DR-7 diagnosed.
-    """
+              seed_tweets: int = 1_000):
+    """One fig12-style point with a tracer attached; returns (sim, tracer)."""
     from repro.apps.retwis import RetwisOnCloudburst
 
     generator = SocialWorkloadGenerator(user_count=user_count,
@@ -60,7 +58,7 @@ def run_point(threads: int, requests: int, seed: int, warm: bool,
     cluster = build_cluster_with_threads(
         threads, threads_per_vm=3, seed=seed + threads,
         consistency=ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL,
-        tracer=tracer, batched_reads=batched, prefetch_references=batched)
+        tracer=tracer)
     app = RetwisOnCloudburst(cluster)
     app.load_graph(graph)
     if warm:
@@ -151,21 +149,16 @@ def main(argv=None) -> int:
     parser.add_argument("--requests", type=int, default=800)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--sample-rate", type=float, default=0.25)
-    parser.add_argument("--output",
-                        default=str(REPO_ROOT / "docs" / "evidence" /
-                                    "fig12_starvation_trace.json"))
+    parser.add_argument("--output", default="fig12_trace.json")
     args = parser.parse_args(argv)
 
     phases = {}
     evidence = {}
-    for label, warm, batched in (("cold_sequential", False, False),
-                                 ("cold", False, True),
-                                 ("warm", True, True)):
+    for label, warm in (("cold", False), ("warm", True)):
         print(f"running {args.threads}-thread retwis point, "
-              f"{label.replace('_', ' ')} caches...", flush=True)
+              f"{label} caches...", flush=True)
         sim, tracer = run_point(args.threads, args.requests, args.seed,
-                                warm=warm, sample_rate=args.sample_rate,
-                                batched=batched)
+                                warm=warm, sample_rate=args.sample_rate)
         phases[label] = phase_report(sim, tracer)
         if label == "cold":
             evidence = worst_trace_tree(tracer)
@@ -174,37 +167,14 @@ def main(argv=None) -> int:
               f"mean invoke {phases[label]['mean_invoke_ms']}ms, "
               f"per-request {phases[label]['spans_per_request']}")
 
-    # DR-8's before/after tail breakdown: the same cold point with the
-    # batched read plane off (the DR-7 starvation shape) vs on.
-    before, after = phases["cold_sequential"], phases["cold"]
-    batching = {
-        "throughput_gain": round(after["requests_per_s"] /
-                                 max(before["requests_per_s"], 1e-9), 2),
-        "p99_before_ms": before["p99_ms"],
-        "p99_after_ms": after["p99_ms"],
-        "misses_per_request_before": before["spans_per_request"].get(
-            "cache/cache_miss", 0.0),
-        "misses_per_request_after": after["spans_per_request"].get(
-            "cache/cache_miss", 0.0),
-        "sequential_misses_per_request_before":
-            before["spans_per_request"].get("sequential_misses", 0.0),
-        "sequential_misses_per_request_after":
-            after["spans_per_request"].get("sequential_misses", 0.0),
-    }
-    print(f"  batching at the cold point: {batching['throughput_gain']}x "
-          f"throughput, p99 {batching['p99_before_ms']}ms -> "
-          f"{batching['p99_after_ms']}ms")
-
     payload = {
-        "what": "DR-7/DR-8 evidence: fig12 cold-cache starvation, span "
-                "breakdown at the same thread count — sequential misses "
-                "(read plane off) vs batched+prefetched vs warm",
+        "what": "fig12 cold-cache diagnosis (DR-7/DR-8): span breakdown at "
+                "the same thread count, cold vs warm caches",
         "threads": args.threads,
         "requests": args.requests,
         "seed": args.seed,
         "sample_rate": args.sample_rate,
         "phases": phases,
-        "batching_before_after": batching,
         "worst_cold_trace": evidence,
     }
     output = Path(args.output)

@@ -49,6 +49,8 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+#: Snapshot layout version; docs/BENCH_SCHEMA.md documents it and its history.
+SCHEMA_VERSION = 9
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.bench import (  # noqa: E402
@@ -514,7 +516,7 @@ def main(argv=None) -> int:
           f"{observability['tiers']} -> {observability['chrome_trace']}")
 
     payload = {
-        "schema": 9,
+        "schema": SCHEMA_VERSION,
         "seed": args.seed,
         "scale": scale_label,
         "observability": observability,

@@ -35,7 +35,6 @@ from ..sim import (
     format_table,
 )
 from ..sim.stats import build_throughput_curve
-from ..sim.timeline import PolicyFn
 
 
 def run_closed_loop(label: str, request_fn: Callable[[int], float],
@@ -83,8 +82,6 @@ class EngineLoadDriver:
     :class:`~repro.cloudburst.controlplane.ComputeControlPlane` and the full
     §4.4 loop (periodic metric publishes, KVS aggregation, scale decisions,
     pin migration) runs as recurring engine events alongside the workload.
-    The legacy ``policy=`` keyword survives as a deprecated shim that
-    constructs a control plane around the supplied policy function.
     """
 
     def __init__(self, cluster, request_fn: DriverRequestFn, *,
@@ -97,9 +94,6 @@ class EngineLoadDriver:
                  max_requests: Optional[int] = None,
                  max_duration_ms: float = float("inf"),
                  control_plane: Optional[ComputeControlPlane] = None,
-                 policy: Optional[PolicyFn] = None,
-                 policy_interval_ms: float = 5_000.0,
-                 min_threads: int = 1,
                  throughput_bucket_ms: float = 1_000.0,
                  record_charges: bool = True,
                  keep_latency_samples: bool = True,
@@ -112,21 +106,6 @@ class EngineLoadDriver:
             raise ValueError("an open-loop driver needs a positive arrival rate")
         if max_requests is None and max_duration_ms == float("inf") and stop_ms is None:
             raise ValueError("driver needs max_requests, max_duration_ms or stop_ms")
-        if policy is not None and control_plane is not None:
-            raise ValueError("pass either control_plane or the deprecated "
-                             "policy=, not both")
-        if policy is not None:
-            # Deprecated shim: wrap the bare policy fn in the real control
-            # plane (periodic publishes + KVS aggregation + actuation with
-            # pin migration) instead of running a harness-private loop.  The
-            # policy's own MonitoringConfig (if it carries one, as
-            # AutoscalingPolicy does) must govern actuation too — otherwise
-            # its max_vms ceiling would be ignored in favour of the default.
-            control_plane = ComputeControlPlane(
-                cluster, policy=policy,
-                config=getattr(policy, "config", None),
-                policy_interval_ms=policy_interval_ms,
-                min_threads=min_threads)
         if (control_plane is not None and control_plane.autoscaling
                 and max_duration_ms == float("inf")):
             raise ValueError("an autoscaling control plane needs a finite "
@@ -300,29 +279,6 @@ class EngineLoadDriver:
         bucket = int(end_ms // self.bucket_ms)
         self._completion_buckets[bucket] = self._completion_buckets.get(bucket, 0) + 1
         return end_ms
-
-    # -- autoscaling (deprecated shims) ------------------------------------
-    # The control loop lives in repro.cloudburst.controlplane now: metric
-    # publication, KVS aggregation and actuation (including §4.4 pin
-    # migration) all run as recurring engine events there.  These methods
-    # survive for older callers and delegate with no logic of their own.
-    def _shim_autoscaler(self):
-        if self.control_plane is None:
-            raise RuntimeError(
-                "this driver has no control plane: construct it with "
-                "control_plane= (or the deprecated policy=) — autoscaling "
-                "moved out of the harness into "
-                "repro.cloudburst.controlplane.ComputeControlPlane")
-        return self.control_plane.autoscaler
-
-    def _policy_tick(self) -> None:
-        self._shim_autoscaler().tick(self.engine.now_ms)
-
-    def _add_threads(self, count: int) -> None:
-        self._shim_autoscaler().add_capacity(count)
-
-    def _remove_threads(self, count: int) -> None:
-        self._shim_autoscaler().drain_capacity(count)
 
     def storage_report(self) -> Dict[str, float]:
         """What the run cost at the Anna tier (engine-attached storage nodes).

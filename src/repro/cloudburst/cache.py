@@ -68,20 +68,17 @@ class ExecutorCache:
 
     def __init__(self, cache_id: str, kvs: AnnaCluster,
                  latency_model: Optional[LatencyModel] = None,
-                 peer_registry: Optional[Dict[str, "ExecutorCache"]] = None,
-                 batched_reads: bool = True):
+                 peer_registry: Optional[Dict[str, "ExecutorCache"]] = None):
         self.cache_id = cache_id
         self.kvs = kvs
         self.latency_model = latency_model or kvs.latency_model
         self.closed = False
-        #: When False, :meth:`multi_get` degrades to the pre-batching
-        #: sequential loop (byte-identical charges), for ablations and the
-        #: determinism-parity tests.
-        self.batched_reads = batched_reads
         self._data: Dict[str, Lattice] = {}
         # Scheduler-driven reference prefetches that have not landed yet:
-        # key -> (virtual time the background fetch completes, value).
-        self._prefetch_inflight: Dict[str, Tuple[float, Lattice]] = {}
+        # key -> (virtual time the background fetch completes, value,
+        # issuing execution id).
+        self._prefetch_inflight: Dict[
+            str, Tuple[float, Lattice, Optional[str]]] = {}
         # Prefetched keys that landed in _data but were never read (candidates
         # for the wasted-prefetch counter at settle time).
         self._prefetched_unread: Set[str] = set()
@@ -116,55 +113,16 @@ class ExecutorCache:
             return None
         return LatticeEncapsulator.version_of(local)
 
-    def get(self, key: str, ctx: Optional[RequestContext] = None) -> Lattice:
-        """Return the locally cached value, charging one IPC round trip."""
-        local = self._data.get(key)
-        if local is None:
-            local = self._from_prefetch(key, ctx)
-        else:
-            self._note_prefetch_hit(key)
-        if local is None:
-            # A failed lookup is still a miss; not counting it inflated
-            # hit_rate for every caller that probes with get() before
-            # falling back to the KVS.
-            self.stats.misses += 1
-            raise KeyNotFoundError(key)
-        if ctx is not None:
-            self.latency_model.charge(ctx, "cache", "get", size_bytes=local.size_bytes())
-        self.stats.hits += 1
-        return local
-
     def get_or_fetch(self, key: str, ctx: Optional[RequestContext] = None) -> Lattice:
-        """Return ``key`` from the cache, fetching it from Anna on a miss.
-
-        The miss path delegates to the batched fetch machinery as a batch of
-        one, which :func:`repro.sim.run_overlapped` runs directly on ``ctx``
-        — same RNG draws, same charge log, byte-identical seeded timelines to
-        the historical single-key fetch.
-        """
-        local = self._data.get(key)
-        if local is None:
-            local = self._from_prefetch(key, ctx)
-        else:
-            self._note_prefetch_hit(key)
-        if local is not None:
-            if ctx is not None:
-                hit_span = None
-                if ctx.span is not None:
-                    hit_span = ctx.span.child("cache_hit", "cache", ctx.clock.now_ms,
-                                              node=self.cache_id).annotate("key", key)
-                self.latency_model.charge(ctx, "cache", "get", size_bytes=local.size_bytes())
-                if hit_span is not None:
-                    hit_span.finish(ctx.clock.now_ms)
-            self.stats.hits += 1
-            return local
-        value = self._fetch_misses([key], ctx, raise_missing=True)[key]
-        assert value is not None
+        """Single-key :meth:`multi_get` without cut repair; raises when absent."""
+        value = self.multi_get((key,), ctx, repair_cut=False)[key]
+        if value is None:
+            raise KeyNotFoundError(key)
         return value
 
-    def multi_get(self, keys, ctx: Optional[RequestContext] = None
-                  ) -> Dict[str, Optional[Lattice]]:
-        """Batched read: hits in one IPC round trip, misses fetched overlapped.
+    def multi_get(self, keys, ctx: Optional[RequestContext] = None,
+                  repair_cut: bool = True) -> Dict[str, Optional[Lattice]]:
+        """The cache's one read: hits in one IPC round trip, misses overlapped.
 
         The paper's caches serve a whole argument list's references without
         serialising a network round trip per key (§4.2).  This call:
@@ -172,45 +130,38 @@ class ExecutorCache:
         * partitions ``keys`` (duplicates collapsed, input order kept) into
           local hits and misses, promoting in-flight prefetches;
         * charges the hits as *one* ``cache.multi_get`` IPC round trip
-          carrying the batch, instead of one ``cache.get`` per key;
+          carrying the batch;
         * fetches every miss from Anna concurrently in virtual time — per-key
           queue/service charges still land on each storage node, but the
           caller pays ``(N-1) * dispatch + max(fetch latencies)``, not the
           sum (see :func:`repro.sim.run_overlapped`);
-        * repairs the causal cut over the whole batch in batched rounds,
-          fetching demanded dependencies through the same overlapped path.
+        * with ``repair_cut``, repairs the causal cut over the whole batch
+          (:meth:`ensure_causal_cut`).  The consistency protocol decides
+          this per read: levels that maintain no cut, and reads of a version
+          the session already pinned, pass False.
 
-        Missing keys map to ``None`` (charged exactly like a single-key
-        not-found read).  With ``batched_reads`` disabled this degrades to
-        the pre-batching sequential ``get_or_fetch`` loop, byte-identical to
-        the historical charge stream.
+        Missing keys map to ``None`` (they still pay the not-found round
+        trip).  A batch of one forks nothing and pays no dispatch: it is the
+        single-key read.
         """
-        unique = list(dict.fromkeys(keys))
-        if not self.batched_reads:
-            results: Dict[str, Optional[Lattice]] = {}
-            for key in unique:
-                try:
-                    results[key] = self.get_or_fetch(key, ctx)
-                except KeyNotFoundError:
-                    results[key] = None
-            return results
-        hits: List[Tuple[str, Lattice]] = []
+        results: Dict[str, Optional[Lattice]] = {}
         missing: List[str] = []
-        for key in unique:
+        hits: List[Lattice] = []
+        for key in keys:
+            if key in results:
+                continue
             local = self._data.get(key)
             if local is None:
                 local = self._from_prefetch(key, ctx)
             else:
                 self._note_prefetch_hit(key)
+            results[key] = local
             if local is None:
                 missing.append(key)
             else:
-                hits.append((key, local))
-        results = {}
+                hits.append(local)
         if hits:
-            for key, local in hits:
-                self.stats.hits += 1
-                results[key] = local
+            self.stats.hits += len(hits)
             if ctx is not None:
                 hit_span = None
                 if ctx.span is not None:
@@ -219,35 +170,36 @@ class ExecutorCache:
                         node=self.cache_id).annotate("batch", len(hits))
                 self.latency_model.charge(
                     ctx, "cache", "multi_get",
-                    size_bytes=sum(value.size_bytes() for _, value in hits))
+                    size_bytes=sum(value.size_bytes() for value in hits))
                 if len(hits) > 1:
                     # One IPC round trip amortises the per-get protocol
                     # overhead, but the cache still looks up and marshals
                     # every entry (deterministic per-key service time).
                     ctx.charge("cache", "multi_get_key",
-                               (len(hits) - 1) *
-                               self.latency_model.cost(
+                               (len(hits) - 1) * self.latency_model.cost(
                                    "cache", "multi_get_key").base_ms)
                 if hit_span is not None:
                     hit_span.finish(ctx.clock.now_ms)
         if missing:
             results.update(self._fetch_misses(missing, ctx))
-        found = [value for value in results.values() if value is not None]
-        self._ensure_causal_cut_batch(found, ctx)
-        # The cut repair may have merged a newer copy of a batch member into
-        # the cache (a fellow member depended on it); return the repaired
-        # local copies, which is what a sequential read-after-repair saw.
-        return {key: (self._data.get(key) if results.get(key) is not None
-                      else None) for key in unique}
+        if repair_cut:
+            self.ensure_causal_cut(
+                [value for value in results.values() if value is not None], ctx)
+            # The repair may have merged a newer copy of a batch member into
+            # the cache (a fellow member depended on it): return those.
+            for key, value in results.items():
+                if value is not None:
+                    results[key] = self._data[key]
+        return results
 
-    def _fetch_misses(self, keys: List[str], ctx: Optional[RequestContext],
-                      raise_missing: bool = False) -> Dict[str, Optional[Lattice]]:
+    def _fetch_misses(self, keys: List[str], ctx: Optional[RequestContext]
+                      ) -> Dict[str, Optional[Lattice]]:
         """Fetch cache misses from Anna with overlapped charging.
 
-        A batch of one runs directly on ``ctx`` (no fork, no dispatch charge)
-        and is the single-key miss path; larger batches fork a context per
-        key under a ``multi_get`` parent span, paying the serial per-key
-        dispatch cost plus the max fetch latency.
+        A batch of one runs directly on ``ctx`` (no fork, no dispatch
+        charge); larger batches fork a context per key under a ``multi_get``
+        parent span, paying the serial per-key dispatch cost plus the max
+        fetch latency.
         """
         parent_span = ctx.span if ctx is not None else None
         batch_span = None
@@ -257,14 +209,11 @@ class ExecutorCache:
                                                "misses", len(keys))
             ctx.span = batch_span
 
-        def run_one(key: str, branch: Optional[RequestContext]) -> Optional[Lattice]:
-            return self._fetch_one_miss(key, branch, raise_missing=raise_missing)
-
         def dispatch(parent: RequestContext) -> None:
             self.latency_model.charge(parent, "anna", "multi_get_dispatch")
 
         try:
-            values = run_overlapped(ctx, keys, run_one, dispatch)
+            values = run_overlapped(ctx, keys, self._fetch_one_miss, dispatch)
             if ctx is not None and len(keys) > 1:
                 # Overlap hides round-trip latency, not the VM's ingress
                 # link: responses beyond the largest still stream in
@@ -281,9 +230,9 @@ class ExecutorCache:
                 ctx.span = parent_span
         return dict(zip(keys, values))
 
-    def _fetch_one_miss(self, key: str, ctx: Optional[RequestContext],
-                        raise_missing: bool = False) -> Optional[Lattice]:
-        """One cold read from Anna: the historical ``get_or_fetch`` miss body."""
+    def _fetch_one_miss(self, key: str,
+                        ctx: Optional[RequestContext]) -> Optional[Lattice]:
+        """One cold read from Anna; a key Anna does not hold maps to None."""
         self.stats.misses += 1
         mark = len(ctx.charges) if ctx is not None else 0
         # On a miss the storage fetch nests under a cache_miss span, so trace
@@ -302,7 +251,7 @@ class ExecutorCache:
                 miss_span.annotate("error", True)
                 miss_span.finish(ctx.clock.now_ms)
                 ctx.span = parent_span
-            if raise_missing or not isinstance(exc, KeyNotFoundError):
+            if not isinstance(exc, KeyNotFoundError):
                 raise
             return None
         if ctx is not None:
@@ -474,7 +423,8 @@ class ExecutorCache:
             span.finish(ready_ms)
         if entry is None or self.closed:
             return  # already promoted by a read, or the VM left the cluster
-        self._store(key, entry[1])
+        _ready_ms, value, _epoch = entry
+        self._store(key, value)
         self._prefetched_unread.add(key)
 
     def _from_prefetch(self, key: str,
@@ -604,56 +554,23 @@ class ExecutorCache:
         return value
 
     # -- bolt-on causal cut maintenance (§5.3) ----------------------------------------
-    def ensure_causal_cut(self, lattice: Lattice,
+    def ensure_causal_cut(self, lattices: List[Lattice],
                           ctx: Optional[RequestContext] = None) -> None:
-        """Make the local cache a causal cut that includes ``lattice``.
+        """Make the local cache a causal cut that includes ``lattices``.
 
-        For every dependency ``l -> k`` of the given causally wrapped value,
+        For every dependency ``l -> k`` of the given causally wrapped values,
         the cache must hold a version of ``l`` that is concurrent with or
         newer than the dependency's vector clock; otherwise it fetches a fresh
         version from Anna.  This is the bolt-on causal consistency protocol
         ([9]) run at the cache layer.
 
-        The traversal is an iterative worklist with a visited set: dependency
-        chains of any depth are repaired (the old recursion silently stopped
-        after 8 hops) and cyclic dependency graphs terminate.  Dependencies
-        that cannot be resolved from the KVS are counted in
-        ``stats.causal_deps_unresolved`` instead of being dropped silently.
-        """
-        if not isinstance(lattice, CausalLattice):
-            return
-        worklist: List[Tuple[str, object]] = list(lattice.dependencies.items())
-        visited: Set[str] = set()
-        while worklist:
-            dep_key, dep_clock = worklist.pop()
-            if dep_key in visited:
-                continue
-            visited.add(dep_key)
-            local = self._data.get(dep_key)
-            if local is not None and isinstance(local, CausalLattice):
-                local_clock = local.vector_clock
-                if local_clock.dominates_or_equal(dep_clock) or \
-                        local_clock.concurrent_with(dep_clock):
-                    continue
-            # Local copy is missing or causally stale: fetch from the KVS.
-            fetched = self.kvs.get_or_none(dep_key, ctx)
-            if fetched is None:
-                self.stats.causal_deps_unresolved += 1
-                continue
-            self.stats.causal_dep_fetches += 1
-            self._store(dep_key, fetched)
-            if isinstance(fetched, CausalLattice):
-                worklist.extend(fetched.dependencies.items())
-
-    def _ensure_causal_cut_batch(self, lattices: List[Lattice],
-                                 ctx: Optional[RequestContext] = None) -> None:
-        """Repair the causal cut for a whole batch in batched fetch rounds.
-
-        Same fixpoint as :meth:`ensure_causal_cut` (visited set keyed by
-        dependency name, local copies satisfy concurrent-or-newer), but each
-        round collects every demanded dependency across the batch and fetches
-        them through :meth:`AnnaCluster.multi_get` — so dependency repair
-        overlaps in virtual time exactly like the primary reads.
+        The traversal is a worklist with a visited set keyed by dependency
+        name: chains of any depth are repaired and cyclic dependency graphs
+        terminate.  Each round collects every demanded dependency across the
+        batch and fetches them through :meth:`AnnaCluster.multi_get`, so
+        dependency repair overlaps in virtual time exactly like the primary
+        reads.  Dependencies that cannot be resolved from the KVS are counted
+        in ``stats.causal_deps_unresolved`` instead of being dropped silently.
         """
         worklist: List[Tuple[str, object]] = []
         for lattice in lattices:

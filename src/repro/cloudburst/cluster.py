@@ -58,7 +58,6 @@ class CloudburstCluster:
                  fault_timeout_ms: float = DEFAULT_FAULT_TIMEOUT_MS,
                  work_queue_bound: Optional[int] = DEFAULT_WORK_QUEUE_BOUND,
                  tracer=None,
-                 batched_reads: bool = True,
                  prefetch_references: bool = True):
         if executor_vms <= 0:
             raise ValueError("executor_vms must be positive")
@@ -73,13 +72,8 @@ class CloudburstCluster:
         self.overload_threshold = overload_threshold
         self.fault_timeout_ms = fault_timeout_ms
         self.work_queue_bound = work_queue_bound
-        #: Batched read plane (this PR's §4.2 read path): False reverts every
-        #: cache to the sequential single-key fetch loop, byte-identical to
-        #: the pre-batching charge stream (ablations / parity tests).
-        self.batched_reads = batched_reads
         #: Scheduler-driven DAG-reference prefetch (§4.2).  False disables
-        #: the placement-time cache warming; with both knobs off the cluster
-        #: reproduces the pre-PR timelines exactly.
+        #: the placement-time cache warming (the §4.2 ablation).
         self.prefetch_references = prefetch_references
         #: Shared discrete-event engine; None while running sequentially.
         self.engine: Optional[Engine] = None
@@ -156,7 +150,6 @@ class CloudburstCluster:
             consistency_level=self.consistency,
             cache_registry=self.cache_registry,
             work_queue_bound=self.work_queue_bound,
-            batched_reads=self.batched_reads,
         )
         vm.engine = self.engine
         self.vms.append(vm)

@@ -93,33 +93,26 @@ class SessionState:
 
 
 class ConsistencyProtocol:
-    """Base class: how a session reads and writes keys through a cache."""
+    """Base class: how a session reads and writes keys through a cache.
+
+    Every read is a :meth:`read_many`; :meth:`read` is the batch of one.
+    """
 
     level = ConsistencyLevel.LWW
 
     def read(self, cache: ExecutorCache, key: str, ctx: Optional[RequestContext],
              state: SessionState) -> Lattice:
-        raise NotImplementedError
+        """Read one key; raises :class:`KeyNotFoundError` when it is absent."""
+        found = self.read_many(cache, (key,), ctx, state)
+        if key not in found:
+            raise KeyNotFoundError(key)
+        return found[key]
 
     def read_many(self, cache: ExecutorCache, keys,
                   ctx: Optional[RequestContext],
                   state: SessionState) -> Dict[str, Lattice]:
-        """Read a batch of keys; missing keys are omitted from the result.
-
-        The base implementation is the historical sequential loop — one
-        :meth:`read` per key, in input order — which is also what every
-        override degrades to when the cache's ``batched_reads`` knob is off,
-        keeping seeded timelines byte-identical to the pre-batching code.
-        Protocols with a batched fast path override this to route through
-        :meth:`ExecutorCache.multi_get`.
-        """
-        found: Dict[str, Lattice] = {}
-        for key in dict.fromkeys(keys):
-            try:
-                found[key] = self.read(cache, key, ctx, state)
-            except KeyNotFoundError:
-                continue
-        return found
+        """Read a batch of keys; missing keys are omitted from the result."""
+        raise NotImplementedError
 
     def write(self, cache: ExecutorCache, key: str, lattice: Lattice,
               ctx: Optional[RequestContext], state: SessionState) -> Lattice:
@@ -135,49 +128,39 @@ class ConsistencyProtocol:
 
     # -- shared helpers ------------------------------------------------------------
     @staticmethod
-    def _record_read(state: SessionState, cache: ExecutorCache, key: str,
+    def _pin_version(state: SessionState, cache: ExecutorCache, key: str,
                      value: Lattice) -> None:
-        state.reads += 1
+        """Record the version of ``key`` the session now holds on ``cache``."""
         state.caches_involved.add(cache.cache_id)
         state.read_set[key] = ReadSetEntry(
-            key=key,
-            version=LatticeEncapsulator.version_of(value),
-            cache_id=cache.cache_id,
-        )
+            key, LatticeEncapsulator.version_of(value), cache.cache_id)
 
     @staticmethod
-    def _record_write(state: SessionState, cache: ExecutorCache, key: str,
-                      value: Lattice) -> None:
-        state.writes += 1
-        state.caches_involved.add(cache.cache_id)
-        state.read_set[key] = ReadSetEntry(
-            key=key,
-            version=LatticeEncapsulator.version_of(value),
-            cache_id=cache.cache_id,
-        )
+    def _track_dependencies(state: SessionState, cache: ExecutorCache,
+                            value: CausalLattice) -> None:
+        """Merge a causally wrapped value's dependency set into the session's."""
+        for dep_key, dep_clock in value.dependencies.items():
+            existing = state.dependencies.get(dep_key)
+            merged_clock = dep_clock if existing is None else existing.clock.merge(dep_clock)
+            state.dependencies[dep_key] = DependencyEntry(dep_key, merged_clock,
+                                                          cache.cache_id)
 
 
 class LWWProtocol(ConsistencyProtocol):
-    """Last-writer-wins: plain cache reads and writes, no session metadata."""
+    """Last-writer-wins: plain cache reads and writes, no session metadata.
+
+    No causal cut is maintained at this level, so reads never repair one.
+    """
 
     level = ConsistencyLevel.LWW
 
-    def read(self, cache, key, ctx, state):
-        value = cache.get_or_fetch(key, ctx)
-        state.reads += 1
-        state.caches_involved.add(cache.cache_id)
-        return value
-
     def read_many(self, cache, keys, ctx, state):
-        if not cache.batched_reads:
-            return super().read_many(cache, keys, ctx, state)
-        found = {}
-        for key, value in cache.multi_get(keys, ctx).items():
-            if value is None:
-                continue
-            state.reads += 1
+        found = {key: value for key, value
+                 in cache.multi_get(keys, ctx, repair_cut=False).items()
+                 if value is not None}
+        if found:
+            state.reads += len(found)
             state.caches_involved.add(cache.cache_id)
-            found[key] = value
         return found
 
     def write(self, cache, key, lattice, ctx, state):
@@ -191,70 +174,73 @@ class RepeatableReadProtocol(ConsistencyProtocol):
 
     level = ConsistencyLevel.DISTRIBUTED_SESSION_RR
 
-    def read(self, cache, key, ctx, state):
-        if key in state.read_set:
-            entry = state.read_set[key]
-            cache_version = cache.get_metadata(key)
-            if cache_version is None or cache_version != entry.version:
-                # Version mismatch: query the upstream cache that pinned the
-                # snapshot (Algorithm 1, line 5).  ``expected_version`` keeps
-                # the exact-version guarantee honest under concurrency: if the
-                # snapshot is gone, the upstream's live copy is only accepted
-                # when another session has not advanced it.
-                state.upstream_fetches += 1
-                try:
-                    value = cache.fetch_from_upstream(
-                        entry.cache_id, state.execution_id, key, ctx,
-                        expected_version=entry.version)
-                except ConsistencyError:
-                    # The upstream cache was drained (scale-down) or no longer
-                    # holds the pinned version.  The local cache re-pins every
-                    # constrained read (below), so its own snapshot — the
-                    # exact version — usually survives; only fall back to a
-                    # live read when that is gone too, rather than failing
-                    # the whole session mid-flight.
-                    value = cache.get_snapshot(state.execution_id, key)
-                    if value is None:
-                        value = cache.get_or_fetch(key, ctx)
-            else:
-                value = cache.get(key, ctx)
-            # The local cache now also holds the snapshot for later functions.
-            cache.create_snapshot(state.execution_id, key, value)
+    def read_many(self, cache, keys, ctx, state):
+        """One key at a time: each read pins, or must match, its own version."""
+        found = {}
+        for key in dict.fromkeys(keys):
+            entry = state.read_set.get(key)
+            try:
+                if entry is None:
+                    # First read of this key in the DAG: any available
+                    # version is fine (Algorithm 1, line 9); pin it as the
+                    # session's snapshot.
+                    value = cache.get_or_fetch(key, ctx)
+                    cache.create_snapshot(state.execution_id, key, value, ctx)
+                    self._pin_version(state, cache, key, value)
+                else:
+                    value = self._read_pinned(cache, entry, ctx, state)
+                    # The local cache now also holds the snapshot for later
+                    # functions.
+                    cache.create_snapshot(state.execution_id, key, value)
+                    state.caches_involved.add(cache.cache_id)
+            except KeyNotFoundError:
+                continue
             state.reads += 1
-            state.caches_involved.add(cache.cache_id)
-            return value
-        # First read of this key in the DAG: any available version is fine
-        # (Algorithm 1, line 9); pin it as the session's snapshot.
-        value = cache.get_or_fetch(key, ctx)
-        cache.create_snapshot(state.execution_id, key, value, ctx)
-        self._record_read(state, cache, key, value)
-        return value
+            found[key] = value
+        return found
+
+    @staticmethod
+    def _read_pinned(cache, entry: ReadSetEntry, ctx, state) -> Lattice:
+        """Serve the exact version the session pinned (Algorithm 1, line 5)."""
+        key = entry.key
+        cache_version = cache.get_metadata(key)
+        if cache_version is not None and cache_version == entry.version:
+            return cache.get_or_fetch(key, ctx)
+        # Version mismatch: query the upstream cache that pinned the snapshot.
+        # ``expected_version`` keeps the exact-version guarantee honest under
+        # concurrency: if the snapshot is gone, the upstream's live copy is
+        # only accepted when another session has not advanced it.
+        state.upstream_fetches += 1
+        try:
+            return cache.fetch_from_upstream(
+                entry.cache_id, state.execution_id, key, ctx,
+                expected_version=entry.version)
+        except ConsistencyError:
+            # The upstream cache was drained (scale-down) or no longer holds
+            # the pinned version.  The local cache re-pins every constrained
+            # read, so its own snapshot — the exact version — usually
+            # survives; only fall back to a live read when that is gone too,
+            # rather than failing the whole session mid-flight.
+            value = cache.get_snapshot(state.execution_id, key)
+            return value if value is not None else cache.get_or_fetch(key, ctx)
 
     def write(self, cache, key, lattice, ctx, state):
         merged = cache.put(key, lattice, ctx)
         # Later reads in the DAG must see this update (the RR invariant).
         cache.create_snapshot(state.execution_id, key, merged, overwrite=True)
-        self._record_write(state, cache, key, merged)
+        state.writes += 1
+        self._pin_version(state, cache, key, merged)
         return merged
 
 
-class SingleKeyCausalProtocol(ConsistencyProtocol):
-    """Causal ordering per key (vector clocks), no cross-key dependencies."""
+class SingleKeyCausalProtocol(LWWProtocol):
+    """Causal ordering per key (vector clocks), no cross-key dependencies.
+
+    The per-key ordering lives in the lattice merge; the session protocol is
+    LWW's.
+    """
 
     level = ConsistencyLevel.SINGLE_KEY_CAUSAL
-
-    def read(self, cache, key, ctx, state):
-        value = cache.get_or_fetch(key, ctx)
-        state.reads += 1
-        state.caches_involved.add(cache.cache_id)
-        return value
-
-    read_many = LWWProtocol.read_many
-
-    def write(self, cache, key, lattice, ctx, state):
-        state.writes += 1
-        state.caches_involved.add(cache.cache_id)
-        return cache.put(key, lattice, ctx)
 
 
 class MultiKeyCausalProtocol(ConsistencyProtocol):
@@ -262,44 +248,25 @@ class MultiKeyCausalProtocol(ConsistencyProtocol):
 
     level = ConsistencyLevel.MULTI_KEY_CAUSAL
 
-    def read(self, cache, key, ctx, state):
-        value = cache.get_or_fetch(key, ctx)
-        # Maintain the causal-cut property of the local cache ([9]).
-        cache.ensure_causal_cut(value, ctx)
-        state.reads += 1
-        state.caches_involved.add(cache.cache_id)
-        self._track_dependencies(state, cache, key, value)
-        return value
-
     def read_many(self, cache, keys, ctx, state):
-        if not cache.batched_reads:
-            return super().read_many(cache, keys, ctx, state)
-        # multi_get already repairs the causal cut over the whole batch.
+        # multi_get maintains the causal-cut property of the local cache ([9]).
         found = {}
         for key, value in cache.multi_get(keys, ctx).items():
             if value is None:
                 continue
             state.reads += 1
             state.caches_involved.add(cache.cache_id)
-            self._track_dependencies(state, cache, key, value)
+            if isinstance(value, CausalLattice):
+                self._pin_version(state, cache, key, value)
+                self._track_dependencies(state, cache, value)
             found[key] = value
         return found
 
     def write(self, cache, key, lattice, ctx, state):
         merged = cache.put(key, lattice, ctx)
-        self._record_write(state, cache, key, merged)
+        state.writes += 1
+        self._pin_version(state, cache, key, merged)
         return merged
-
-    @staticmethod
-    def _track_dependencies(state: SessionState, cache: ExecutorCache, key: str,
-                            value: Lattice) -> None:
-        if isinstance(value, CausalLattice):
-            state.read_set[key] = ReadSetEntry(key, value.vector_clock, cache.cache_id)
-            for dep_key, dep_clock in value.dependencies.items():
-                existing = state.dependencies.get(dep_key)
-                merged_clock = dep_clock if existing is None else existing.clock.merge(dep_clock)
-                state.dependencies[dep_key] = DependencyEntry(dep_key, merged_clock,
-                                                              cache.cache_id)
 
 
 class DistributedSessionCausalProtocol(ConsistencyProtocol):
@@ -307,47 +274,19 @@ class DistributedSessionCausalProtocol(ConsistencyProtocol):
 
     level = ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL
 
-    def read(self, cache, key, ctx, state):
-        if key in state.read_set or key in state.dependencies:
-            # The session constrains valid versions of this key: it must be
-            # concurrent with or newer than both the version read earlier in
-            # the DAG and any version the read set causally depends on.
-            required = None
-            upstream_cache_id = cache.cache_id
-            if key in state.read_set:
-                entry = state.read_set[key]
-                required = entry.version
-                upstream_cache_id = entry.cache_id
-            if key in state.dependencies:
-                dep = state.dependencies[key]
-                if required is None:
-                    required, upstream_cache_id = dep.clock, dep.cache_id
-                elif isinstance(required, VectorClock) and isinstance(dep.clock, VectorClock):
-                    required = required.merge(dep.clock)
-            value = self._read_constrained(cache, key, required, upstream_cache_id,
-                                           ctx, state)
-        else:
-            value = cache.get_or_fetch(key, ctx)
-            cache.ensure_causal_cut(value, ctx)
-        cache.create_snapshot(state.execution_id, key, value)
-        self._record_causal_read(state, cache, key, value)
-        return value
-
     def read_many(self, cache, keys, ctx, state):
-        """Batched session read: unconstrained keys in one overlapped batch.
+        """Session read: unconstrained keys in one overlapped batch.
 
         Keys the session already constrains (read earlier in the DAG or
-        present in the shipped dependency set) keep the one-at-a-time
+        present in the shipped dependency set) take the one-at-a-time
         Algorithm 2 path — each needs its own upstream-version resolution.
         Everything else goes through :meth:`ExecutorCache.multi_get`, whose
-        batched causal-cut repair covers the whole batch.  The batch is read
-        as of one logical instant: a dependency *discovered inside it* does
-        not retroactively constrain its fellow batch members (they were
-        already on the wire), which is exactly the semantics of the paper's
+        causal-cut repair covers the whole batch.  The batch is read as of
+        one logical instant: a dependency *discovered inside it* does not
+        retroactively constrain its fellow batch members (they were already
+        on the wire), which is exactly the semantics of the paper's
         asynchronous reference fetches.
         """
-        if not cache.batched_reads:
-            return super().read_many(cache, keys, ctx, state)
         unique = list(dict.fromkeys(keys))
         unconstrained = [key for key in unique
                          if key not in state.read_set
@@ -359,22 +298,43 @@ class DistributedSessionCausalProtocol(ConsistencyProtocol):
                 value = batch[key]
                 if value is None:
                     continue
-                cache.create_snapshot(state.execution_id, key, value)
-                self._record_causal_read(state, cache, key, value)
-                found[key] = value
             else:
                 try:
-                    found[key] = self.read(cache, key, ctx, state)
+                    value = self._read_constrained(cache, key, ctx, state)
                 except KeyNotFoundError:
                     continue
+            cache.create_snapshot(state.execution_id, key, value)
+            state.reads += 1
+            self._pin_version(state, cache, key, value)
+            if isinstance(value, CausalLattice):
+                self._track_dependencies(state, cache, value)
+            found[key] = value
         return found
 
-    def _read_constrained(self, cache: ExecutorCache, key: str, required,
-                          upstream_cache_id: str, ctx, state: SessionState) -> Lattice:
-        """Lines 2-14 of Algorithm 2: serve locally only if causally valid."""
-        cache_version = cache.get_metadata(key)
-        if _causally_valid(cache_version, required):
-            return cache.get(key, ctx)
+    @staticmethod
+    def _read_constrained(cache: ExecutorCache, key: str, ctx,
+                          state: SessionState) -> Lattice:
+        """Lines 2-14 of Algorithm 2: serve locally only if causally valid.
+
+        The session constrains valid versions of ``key``: it must be
+        concurrent with or newer than both the version read earlier in the
+        DAG and any version the read set causally depends on.  These reads
+        never repair the cut — the version is dictated by the session.
+        """
+        required = None
+        upstream_cache_id = cache.cache_id
+        if key in state.read_set:
+            entry = state.read_set[key]
+            required = entry.version
+            upstream_cache_id = entry.cache_id
+        if key in state.dependencies:
+            dep = state.dependencies[key]
+            if required is None:
+                required, upstream_cache_id = dep.clock, dep.cache_id
+            elif isinstance(required, VectorClock) and isinstance(dep.clock, VectorClock):
+                required = required.merge(dep.clock)
+        if _causally_valid(cache.get_metadata(key), required):
+            return cache.get_or_fetch(key, ctx)
         state.upstream_fetches += 1
         value: Optional[Lattice] = None
         try:
@@ -404,36 +364,9 @@ class DistributedSessionCausalProtocol(ConsistencyProtocol):
     def write(self, cache, key, lattice, ctx, state):
         merged = cache.put(key, lattice, ctx)
         cache.create_snapshot(state.execution_id, key, merged, overwrite=True)
-        self._record_causal_write(state, cache, key, merged)
-        return merged
-
-    # -- metadata tracking --------------------------------------------------------
-    @staticmethod
-    def _record_causal_read(state: SessionState, cache: ExecutorCache, key: str,
-                            value: Lattice) -> None:
-        state.reads += 1
-        state.caches_involved.add(cache.cache_id)
-        if isinstance(value, CausalLattice):
-            state.read_set[key] = ReadSetEntry(key, value.vector_clock, cache.cache_id)
-            for dep_key, dep_clock in value.dependencies.items():
-                existing = state.dependencies.get(dep_key)
-                merged_clock = dep_clock if existing is None else existing.clock.merge(dep_clock)
-                state.dependencies[dep_key] = DependencyEntry(dep_key, merged_clock,
-                                                              cache.cache_id)
-        else:
-            state.read_set[key] = ReadSetEntry(
-                key, LatticeEncapsulator.version_of(value), cache.cache_id)
-
-    @staticmethod
-    def _record_causal_write(state: SessionState, cache: ExecutorCache, key: str,
-                             value: Lattice) -> None:
         state.writes += 1
-        state.caches_involved.add(cache.cache_id)
-        if isinstance(value, CausalLattice):
-            state.read_set[key] = ReadSetEntry(key, value.vector_clock, cache.cache_id)
-        else:
-            state.read_set[key] = ReadSetEntry(
-                key, LatticeEncapsulator.version_of(value), cache.cache_id)
+        self._pin_version(state, cache, key, merged)
+        return merged
 
 
 def _causally_valid(cache_version, required) -> bool:
@@ -462,11 +395,6 @@ class ObservingProtocol(ConsistencyProtocol):
         self.inner = inner
         self.tracker = tracker
         self.level = inner.level
-
-    def read(self, cache, key, ctx, state):
-        value = self.inner.read(cache, key, ctx, state)
-        self.tracker.observe_read(state.execution_id, cache.cache_id, key, value)
-        return value
 
     def read_many(self, cache, keys, ctx, state):
         found = self.inner.read_many(cache, keys, ctx, state)

@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import SchedulingError
-from ..sim.timeline import PolicyFn
 from .monitoring import (
     SCHEDULER_METRICS_PREFIX,
     AutoscalingPolicy,
     MonitoringConfig,
+    PolicyFn,
 )
 
 

@@ -101,8 +101,7 @@ class UserLibrary:
 
         Missing keys are omitted from the result (a sequential loop of
         ``get`` would have raised per key; callers that looped with
-        try/except get the same keys either way).  With the cache's
-        ``batched_reads`` knob off this is charge-identical to that loop.
+        try/except get the same keys either way).
         """
         found = self._protocol.read_many(self._executor.cache, keys, self._ctx,
                                          self._state)
@@ -320,19 +319,11 @@ class ExecutorThread:
         references in one argument list, the protocol's ``read_many`` issues
         them as one overlapped batch, so the caller pays the per-key dispatch
         plus the slowest fetch rather than a full round trip per reference.
-        A single reference (the common case) keeps the one-key read path —
-        identical to a batch of one — and with ``batched_reads`` disabled the
-        batch degrades to the historical sequential loop.
         """
         resolved = list(args)
         ref_indices = [index for index, arg in enumerate(args)
                        if isinstance(arg, CloudburstReference)]
         if not ref_indices:
-            return resolved
-        if len(ref_indices) == 1:
-            index = ref_indices[0]
-            lattice = protocol.read(self.cache, args[index].key, ctx, state)
-            resolved[index] = LatticeEncapsulator.de_encapsulate(lattice)
             return resolved
         keys = [args[index].key for index in ref_indices]
         found = protocol.read_many(self.cache, keys, ctx, state)
@@ -375,8 +366,7 @@ class ExecutorVM:
                  compute_model: Optional[ComputeModel] = None,
                  consistency_level: ConsistencyLevel = ConsistencyLevel.LWW,
                  cache_registry: Optional[Dict[str, ExecutorCache]] = None,
-                 work_queue_bound: Optional[int] = DEFAULT_WORK_QUEUE_BOUND,
-                 batched_reads: bool = True):
+                 work_queue_bound: Optional[int] = DEFAULT_WORK_QUEUE_BOUND):
         if threads_per_vm <= 0:
             raise ValueError("threads_per_vm must be positive")
         self.vm_id = vm_id
@@ -386,8 +376,7 @@ class ExecutorVM:
         self.compute_model = compute_model or ComputeModel()
         self.consistency_level = consistency_level
         self.cache = ExecutorCache(f"cache-{vm_id}", kvs, self.latency_model,
-                                   peer_registry=cache_registry,
-                                   batched_reads=batched_reads)
+                                   peer_registry=cache_registry)
         self.threads: List[ExecutorThread] = []
         self.alive = True
         self.inflight = 0

@@ -20,7 +20,7 @@ policy function for the discrete-event simulation that regenerates Figure 7.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..errors import DagNotFoundError, SchedulingError
 from ..sim import AutoscalerDecision
@@ -29,6 +29,9 @@ from .executor import EXECUTOR_METRICS_PREFIX
 #: Anna key prefix under which schedulers publish their call statistics
 #: (§4.1: schedulers, like executors, report metrics through the KVS).
 SCHEDULER_METRICS_PREFIX = "__cloudburst_scheduler_metrics__/"
+
+#: Signature of an autoscaling policy: (now_ms, metrics) -> decision or None.
+PolicyFn = Callable[[float, Dict[str, float]], Optional[AutoscalerDecision]]
 
 
 @dataclass

@@ -22,21 +22,15 @@ from .latency import ComputeModel, DEFAULT_COSTS, LatencyModel, OperationCost
 from .overlap import ingress_overflow_ms, run_overlapped
 from .rng import RandomSource, ZipfGenerator
 from .stats import (
+    AutoscalerDecision,
     LatencyRecorder,
     LatencySummary,
+    SimulationResult,
     ThroughputPoint,
     format_table,
     mean,
     median,
     percentile,
-)
-from .timeline import (
-    AutoscalerDecision,
-    CapacityChange,
-    ClientGroup,
-    ClosedLoopSimulation,
-    SimulationResult,
-    run_fixed_capacity,
 )
 
 __all__ = [
@@ -69,9 +63,5 @@ __all__ = [
     "median",
     "percentile",
     "AutoscalerDecision",
-    "CapacityChange",
-    "ClientGroup",
-    "ClosedLoopSimulation",
     "SimulationResult",
-    "run_fixed_capacity",
 ]

@@ -1,13 +1,9 @@
 """The discrete-event engine shared by every layer of the reproduction.
 
-Historically this repo had *two* notions of simulated time: per-request
-:class:`~repro.sim.clock.SimClock` accounting on the real Cloudburst stack
-(scheduler -> executor -> cache -> Anna) and a standalone queueing simulation
-in :mod:`repro.sim.timeline` that modelled throughput experiments with
-synthetic service-time samplers.  This module unifies them: one event loop,
-one set of queueing primitives, used both by the queue-model simulation and —
-through the executor work queues and the benchmark load drivers — by the real
-request path itself.
+One event loop and one set of queueing primitives, used — through the
+executor work queues, the Anna storage nodes and the benchmark load drivers —
+by the real request path (scheduler -> executor -> cache -> Anna) itself;
+per-request :class:`~repro.sim.clock.SimClock` accounting rides on top.
 
 Pieces:
 
@@ -22,7 +18,7 @@ Pieces:
   what turns ``ExecutorVM.utilization()`` into a queueing signal instead of
   an instantaneous counter.
 * :class:`FifoQueue` — a multi-server FIFO queue with known service times
-  (the abstract capacity pool the timeline simulation uses).
+  (an abstract capacity pool).
 * :class:`ProcessorSharingQueue` — an egalitarian processor-sharing
   approximation for resources without FIFO semantics (e.g. a shared NIC).
 * :class:`ForkJoin` — fork/join bookkeeping for parallel DAG stages.

@@ -1,10 +1,10 @@
-"""Latency statistics shared by tests and benchmark harnesses."""
+"""Latency and throughput statistics shared by tests and benchmark harnesses."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 def percentile(values: Sequence[float], pct: float) -> float:
@@ -192,6 +192,37 @@ def build_throughput_curve(completion_buckets: Dict[int, int],
             allocated_nodes=max(1, math.ceil(capacity / per_node)),
         ))
     return curve
+
+
+@dataclass
+class AutoscalerDecision:
+    """What an autoscaling policy wants the cluster to do at one tick."""
+
+    add_threads: int = 0
+    remove_threads: int = 0
+    add_delay_ms: float = 0.0
+    note: str = ""
+    #: Scale-downs marked urgent (load disappeared entirely) skip the compute
+    #: control plane's grace period; ordinary low-utilization scale-downs must
+    #: repeat for a few consecutive ticks before they actuate.
+    urgent: bool = False
+
+
+@dataclass
+class SimulationResult:
+    """Everything a throughput experiment needs to report."""
+
+    latencies: LatencyRecorder
+    throughput_curve: List[ThroughputPoint]
+    completed_requests: int
+    duration_ms: float
+    capacity_timeline: List[Tuple[float, int]]
+
+    @property
+    def overall_throughput_per_s(self) -> float:
+        if self.duration_ms <= 0:
+            return 0.0
+        return self.completed_requests / (self.duration_ms / 1000.0)
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],

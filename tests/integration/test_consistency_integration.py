@@ -150,3 +150,50 @@ class TestAnomalyTrackingEndToEnd:
                 cluster.kvs.flush_updates()
         assert tracker.report.executions == 30
         assert tracker.report.single_key > 0
+
+
+class TestMixedLevelCluster:
+    """One rule for who repairs the causal cut, single-key or batched."""
+
+    @staticmethod
+    def _cached_after_read(session_level, batched):
+        cluster = CloudburstCluster(
+            executor_vms=1, threads_per_vm=1, seed=5,
+            consistency=ConsistencyLevel.MULTI_KEY_CAUSAL,
+            prefetch_references=False)
+        cloud = cluster.connect()
+
+        def write_pair(cloudburst):
+            cloudburst.put("dep", "d")
+            cloudburst.put("k", "v")  # causally after the session's "dep"
+
+        def read_one(cloudburst, key):
+            return cloudburst.get(key)
+
+        def read_batch(cloudburst, key):
+            return cloudburst.get_many([key])[key]
+
+        cloud.register(write_pair, name="write_pair")
+        cloud.register(read_one, name="read_one")
+        cloud.register(read_batch, name="read_batch")
+        cloud.call("write_pair", []).result()
+        assert "dep" in cluster.kvs.peek("k").dependencies
+        cache = cluster.vms[0].cache
+        cache.clear()
+        name = "read_batch" if batched else "read_one"
+        assert cloud.call(name, ["k"], consistency=session_level) \
+            .result().value == "v"
+        return cache.cached_keys()
+
+    def test_lww_and_sk_sessions_never_repair_the_cut(self):
+        # Regression: get(k) left ["k"] but get_many([k]) also pulled in
+        # "dep", because only the batched twin ran the cut repair.
+        for level in (ConsistencyLevel.LWW, ConsistencyLevel.SINGLE_KEY_CAUSAL):
+            for batched in (False, True):
+                assert self._cached_after_read(level, batched) == ["k"]
+
+    def test_mk_and_dsc_sessions_always_repair_the_cut(self):
+        for level in (ConsistencyLevel.MULTI_KEY_CAUSAL,
+                      ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL):
+            for batched in (False, True):
+                assert self._cached_after_read(level, batched) == ["dep", "k"]

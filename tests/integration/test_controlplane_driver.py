@@ -82,32 +82,6 @@ class TestControlPlaneLoop:
         for pins in scheduler.function_pins.values():
             assert set(pins) <= live_ids
 
-    def test_deprecated_policy_kwarg_builds_the_real_control_plane(self):
-        from repro.cloudburst.monitoring import AutoscalingPolicy
-
-        cluster, _ = _make_cluster(seed=23, executor_vms=2)
-        config = MonitoringConfig(vms_per_scale_up=1,
-                                  node_startup_delay_ms=2_000.0, max_vms=8)
-        driver = EngineLoadDriver(
-            cluster, _work_request, clients=20,
-            stop_ms=10_000.0, max_duration_ms=15_000.0,
-            policy=AutoscalingPolicy(config), policy_interval_ms=1_000.0,
-            min_threads=config.min_pinned_threads)
-        assert isinstance(driver.control_plane, ComputeControlPlane)
-        sim = driver.run()
-        capacities = [capacity for _, capacity in sim.capacity_timeline]
-        assert max(capacities) > 6
-        assert capacities[-1] == config.min_pinned_threads
-
-    def test_policy_and_control_plane_are_mutually_exclusive(self):
-        cluster, _ = _make_cluster(seed=3)
-        with pytest.raises(ValueError):
-            EngineLoadDriver(
-                cluster, _work_request, clients=1, max_requests=4,
-                max_duration_ms=5_000.0,
-                policy=lambda now, metrics: None,
-                control_plane=ComputeControlPlane(cluster))
-
     def test_autoscaling_control_plane_needs_finite_duration(self):
         cluster, _ = _make_cluster(seed=3)
         with pytest.raises(ValueError):

@@ -22,7 +22,8 @@ from repro.bench.harness import (
     run_engine_open_loop,
 )
 from repro.cloudburst import CloudburstCluster
-from repro.cloudburst.monitoring import AutoscalingPolicy, MonitoringConfig
+from repro.cloudburst.controlplane import ComputeControlPlane
+from repro.cloudburst.monitoring import MonitoringConfig
 
 
 def _make_cluster(seed=11, executor_vms=2, threads_per_vm=3):
@@ -159,8 +160,9 @@ class TestDriverAutoscaling:
         driver = EngineLoadDriver(
             cluster, _work_request, clients=20,
             stop_ms=10_000.0, max_duration_ms=15_000.0,
-            policy=AutoscalingPolicy(config), policy_interval_ms=1_000.0,
-            min_threads=config.min_pinned_threads)
+            control_plane=ComputeControlPlane(
+                cluster, config=config, policy_interval_ms=1_000.0,
+                min_threads=config.min_pinned_threads))
         sim = driver.run()
         capacities = [capacity for _, capacity in sim.capacity_timeline]
         assert capacities[0] == 6
@@ -180,7 +182,7 @@ class TestDriverAutoscaling:
         with pytest.raises(ValueError):
             EngineLoadDriver(cluster, lambda c, ctx, i: None, clients=1,
                              max_requests=10,
-                             policy=lambda now, metrics: None)
+                             control_plane=ComputeControlPlane(cluster))
 
 
 class TestBuildClusterWithThreads:

@@ -8,6 +8,7 @@ without re-running the (seconds-long) benchmark harnesses.
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -15,6 +16,14 @@ _SPEC = importlib.util.spec_from_file_location(
     "bench_run_all", REPO_ROOT / "benchmarks" / "run_all.py")
 run_all = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(run_all)
+
+
+def test_schema_doc_states_the_version_run_all_writes():
+    doc = (REPO_ROOT / "docs" / "BENCH_SCHEMA.md").read_text()
+    stated = re.search(r"current\s+schema \(\*\*(\d+)\*\*\)", doc)
+    assert stated, "docs/BENCH_SCHEMA.md no longer states the current schema"
+    assert int(stated.group(1)) == run_all.SCHEMA_VERSION
+    assert f"| {run_all.SCHEMA_VERSION} |" in doc, "no history row for it"
 
 
 def _stats(median_ms: float) -> dict:

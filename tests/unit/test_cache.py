@@ -30,9 +30,9 @@ def lww(value, clock=1.0, node="n"):
 
 
 class TestBasicDataPath:
-    def test_get_missing_raises(self, cache):
+    def test_get_or_fetch_missing_raises(self, cache):
         with pytest.raises(KeyNotFoundError):
-            cache.get("ghost")
+            cache.get_or_fetch("ghost")
 
     def test_get_or_fetch_miss_goes_to_anna(self, cache, anna):
         anna.put("k", lww("v"))
@@ -49,7 +49,7 @@ class TestBasicDataPath:
         ctx = RequestContext()
         cache.get_or_fetch("k", ctx)
         assert ctx.count("anna", "get") == 0
-        assert ctx.count("cache", "get") == 1
+        assert ctx.count("cache", "multi_get") == 1
         assert cache.stats.hits == 1
 
     def test_put_updates_local_and_writes_back_to_anna(self, cache, anna):
@@ -81,14 +81,14 @@ class TestBasicDataPath:
         cache.get_or_fetch("k")
         assert cache.stats.hit_rate == pytest.approx(0.5)
 
-    def test_get_miss_is_counted_before_raising(self, cache, anna):
-        # Regression: get() used to raise without touching stats.misses,
-        # inflating hit_rate for callers that probe the cache first.
+    def test_not_found_read_is_counted_as_a_miss(self, cache, anna):
+        # Regression: a failed lookup used to raise without touching
+        # stats.misses, inflating hit_rate.
         anna.put("k", lww("v"))
         cache.get_or_fetch("k")   # miss (fetched), then...
         cache.get_or_fetch("k")   # ...hit
         with pytest.raises(KeyNotFoundError):
-            cache.get("ghost")
+            cache.get_or_fetch("ghost")
         assert cache.stats.misses == 2
         assert cache.stats.hits == 1
         assert cache.stats.hit_rate == pytest.approx(1 / 3)
@@ -166,7 +166,7 @@ class TestCausalCut:
         anna.put("dep", dep)
         value = CausalLattice(VectorClock({"w": 2}), "value",
                               dependencies={"dep": VectorClock({"w": 1})})
-        cache.ensure_causal_cut(value)
+        cache.ensure_causal_cut([value])
         assert cache.contains("dep")
         assert cache.violates_causal_cut() == []
 
@@ -177,7 +177,7 @@ class TestCausalCut:
         anna.put("dep", fresh)
         value = CausalLattice(VectorClock({"x": 1}), "v",
                               dependencies={"dep": VectorClock({"w": 5})})
-        cache.ensure_causal_cut(value)
+        cache.ensure_causal_cut([value])
         assert cache.get_local("dep").vector_clock.dominates_or_equal(VectorClock({"w": 5}))
 
     def test_violates_causal_cut_detects_stale_dependency(self, cache):
@@ -187,7 +187,7 @@ class TestCausalCut:
         assert ("k", "dep") in cache.violates_causal_cut()
 
     def test_non_causal_values_are_ignored(self, cache):
-        cache.ensure_causal_cut(lww("x"))
+        cache.ensure_causal_cut([lww("x")])
         assert cache.violates_causal_cut() == []
 
     def test_violates_causal_cut_reports_missing_dependency(self, cache):
@@ -218,7 +218,7 @@ class TestCausalCut:
                 dependencies={f"dep-{i - 1}": clocks[i - 1]}))
         head = CausalLattice(VectorClock({"h": 1}), "head",
                              dependencies={f"dep-{depth - 1}": clocks[depth - 1]})
-        cache.ensure_causal_cut(head)
+        cache.ensure_causal_cut([head])
         assert all(cache.contains(f"dep-{i}") for i in range(depth))
         assert cache.violates_causal_cut() == []
         assert cache.stats.causal_dep_fetches == depth
@@ -230,13 +230,13 @@ class TestCausalCut:
                                     dependencies={"a": VectorClock({"w": 1})}))
         head = CausalLattice(VectorClock({"h": 1}), "head",
                              dependencies={"a": VectorClock({"w": 1})})
-        cache.ensure_causal_cut(head)  # must not loop forever
+        cache.ensure_causal_cut([head])  # must not loop forever
         assert cache.contains("a") and cache.contains("b")
 
     def test_ensure_causal_cut_counts_unresolved_dependencies(self, cache):
         head = CausalLattice(VectorClock({"h": 1}), "head",
                              dependencies={"nowhere": VectorClock({"w": 3})})
-        cache.ensure_causal_cut(head)
+        cache.ensure_causal_cut([head])
         assert cache.stats.causal_deps_unresolved == 1
         # And storing the head now reports the hole as a violation.
         cache._data["head"] = head

@@ -101,10 +101,10 @@ class TestDagCalls:
         assert future.get() == 9
         assert future.result().latency_ms > 0
 
-    def test_async_alias_stores_result_in_kvs(self, cloud):
+    def test_store_in_kvs_stores_dag_result(self, cloud):
         cloud.register(lambda x: x - 1, name="dec")
         cloud.register_dag("decrement", ["dec"])
-        future = cloud.call_dag_async("decrement", {"dec": [10]})
+        future = cloud.call_dag("decrement", {"dec": [10]}, store_in_kvs=True)
         assert future.get() == 9
         assert future.result_key is not None
         assert cloud.kvs.get_plain(future.result_key) == 9

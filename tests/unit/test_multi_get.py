@@ -8,10 +8,12 @@ The charge-model contracts under test:
 * per-key queue/service charges still land on each storage node, so replica
   queues stay honest under overlap (redirect/overload semantics identical to
   the single-key path);
-* a batch of one is byte-identical to the single-key path, and disabling
-  ``batched_reads`` reproduces the sequential loop exactly;
-* the causal-cut repair over a batch leaves the same locally-visible state
-  the sequential per-key repair would have (hypothesis property test).
+* a batch of one forks nothing and pays no dispatch: its Anna charges are
+  exactly those of a direct ``AnnaCluster.get`` (``read(k)`` against
+  ``read_many([k])`` per protocol is pinned in ``test_protocols.py``);
+* after a batch's causal-cut repair, no dependency reachable from the batch
+  violates the cut unless Anna could not resolve it (hypothesis property,
+  graded by ``violates_causal_cut`` rather than by a second implementation).
 """
 
 import pytest
@@ -20,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.anna import AnnaCluster, StorageServiceModel
 from repro.cloudburst import ExecutorCache
-from repro.errors import KeyNotFoundError
 from repro.lattices import (
     CausalLattice,
     LWWLattice,
@@ -45,9 +46,12 @@ def make_anna(**kwargs) -> AnnaCluster:
     return AnnaCluster(**kwargs)
 
 
-def make_cache(anna=None, **kwargs) -> ExecutorCache:
-    anna = anna or make_anna()
-    return ExecutorCache("cache-a", anna, peer_registry={}, **kwargs)
+def make_cache(anna=None) -> ExecutorCache:
+    return ExecutorCache("cache-a", anna or make_anna(), peer_registry={})
+
+
+def charge_log(ctx: RequestContext):
+    return [(r.service, r.operation, r.latency_ms) for r in ctx.charges]
 
 
 class TestHitMissPartition:
@@ -82,16 +86,14 @@ class TestHitMissPartition:
         assert list(result) == ["k"]
         assert ctx.count("anna", "get") == 1
 
-    def test_missing_key_maps_to_none_and_charges_like_single(self):
+    def test_missing_key_maps_to_none_and_pays_the_not_found_round_trip(self):
         cache = make_cache()
         batched = ctx_at()
         assert cache.multi_get(["ghost"], batched) == {"ghost": None}
-        single = ctx_at()
-        with pytest.raises(KeyNotFoundError):
-            cache.get_or_fetch("ghost", single)
-        charge_log = lambda c: [(r.service, r.operation, r.latency_ms)
-                                for r in c.charges]
-        assert charge_log(batched) == charge_log(single)
+        assert cache.stats.misses == 1 and cache.stats.hits == 0
+        direct = ctx_at()
+        assert make_anna().get_or_none("ghost", direct) is None
+        assert charge_log(batched) == charge_log(direct)
 
 
 class TestOverlapCharging:
@@ -179,48 +181,33 @@ class TestOverlapCharging:
         anna.detach_engine()
 
 
-class TestBatchOfOneParity:
-    def test_single_key_batch_matches_get_or_fetch(self):
-        model = LatencyModel()  # jitter on: RNG draws must align too
-        charge_logs = []
-        for use_batch in (False, True):
+class TestBatchOfOne:
+    def test_cold_batch_of_one_is_a_direct_anna_get_plus_one_ipc(self):
+        # Jitter on: the RNG draws must line up too.
+        logs = []
+        for through_cache in (True, False):
             anna = AnnaCluster(node_count=4, replication_factor=2,
                                latency_model=LatencyModel())
-            cache = ExecutorCache("cache-a", anna, peer_registry={})
             anna.put("k", lww("v"))
             ctx = ctx_at()
-            if use_batch:
+            if through_cache:
+                cache = ExecutorCache("cache-a", anna, peer_registry={})
                 assert cache.multi_get(["k"], ctx)["k"].reveal() == "v"
             else:
-                assert cache.get_or_fetch("k", ctx).reveal() == "v"
-            charge_logs.append([(r.service, r.operation, r.latency_ms)
-                                for r in ctx.charges])
-        assert charge_logs[0] == charge_logs[1]
+                anna.get("k", ctx)
+                anna.latency_model.charge(ctx, "cache", "get",
+                                          size_bytes=lww("v").size_bytes())
+            logs.append(charge_log(ctx))
+        assert logs[0] == logs[1]
 
-    def test_knob_off_matches_sequential_loop(self):
-        keys = [f"k{i}" for i in range(5)]
-        charge_logs = []
-        for batched in (False, None):  # None = hand-written loop
-            anna = AnnaCluster(node_count=4, replication_factor=2,
-                               latency_model=LatencyModel())
-            cache = ExecutorCache("cache-a", anna, peer_registry={},
-                                  batched_reads=batched if batched is not None
-                                  else True)
-            for key in keys:
-                anna.put(key, lww("v"))
-            ctx = ctx_at()
-            if batched is False:
-                cache.multi_get(list(keys) + ["ghost"], ctx)
-            else:
-                for key in keys:
-                    cache.get_or_fetch(key, ctx)
-                try:
-                    cache.get_or_fetch("ghost", ctx)
-                except KeyNotFoundError:
-                    pass
-            charge_logs.append([(r.service, r.operation, r.latency_ms)
-                                for r in ctx.charges])
-        assert charge_logs[0] == charge_logs[1]
+    def test_warm_batch_of_one_is_one_ipc_charge(self):
+        cache = make_cache()
+        cache.kvs.put("k", lww("v"))
+        cache.multi_get(["k"])
+        ctx = ctx_at()
+        assert cache.get_or_fetch("k", ctx).reveal() == "v"
+        assert [(r.service, r.operation) for r in ctx.charges] == [
+            ("cache", "multi_get")]
 
 
 class TestAnnaMultiGet:
@@ -245,8 +232,7 @@ class TestAnnaMultiGet:
                 anna.multi_get(["a"], ctx)
             else:
                 anna.get_or_none("a", ctx)
-            charge_logs.append([(r.service, r.operation, r.latency_ms)
-                                for r in ctx.charges])
+            charge_logs.append(charge_log(ctx))
         assert charge_logs[0] == charge_logs[1]
 
 
@@ -260,62 +246,65 @@ def _causal(value, clock_entries, deps=None):
     return CausalLattice(clock, value, dependencies=deps or {})
 
 
+GHOST = "ghost"  # a dependency target Anna never stored
+
+
 @st.composite
 def causal_stores(draw):
-    """A small KVS of causally versioned keys with random dependency edges."""
+    """A small KVS of causally versioned keys with random dependency edges.
+
+    Every dependency names a version Anna can satisfy (dominated by, equal
+    to or concurrent with the stored one) or the never-stored ``GHOST`` key,
+    and the cache starts with stale copies of some keys.  All dependents of
+    a key demand the same version of it: the repair walk visits each
+    dependency name once, so a weaker demand met locally would mask a
+    stronger one (a known gap, recorded in DESIGN.md DR-9, not this
+    property's subject).
+    """
     key_count = draw(st.integers(min_value=2, max_value=6))
     keys = [f"k{i}" for i in range(key_count)]
-    lattices = {}
+    stored, stale, demanded = {}, {}, {GHOST: VectorClock({"w0": 1})}
     for index, key in enumerate(keys):
-        clock = {f"w{draw(st.integers(0, 2))}": draw(st.integers(1, 3))}
-        deps = {}
+        writer, count = f"w{draw(st.integers(0, 2))}", draw(st.integers(1, 3))
         # Dependencies point only at earlier keys: the graph stays acyclic.
-        for dep_key in keys[:index]:
-            if draw(st.booleans()):
-                dep_clock = VectorClock()
-                for _ in range(draw(st.integers(1, 3))):
-                    dep_clock = dep_clock.increment(f"w{draw(st.integers(0, 2))}")
-                deps[dep_key] = dep_clock
-        lattices[key] = _causal(f"v-{key}", clock, deps)
+        deps = {dep_key: demanded[dep_key] for dep_key in keys[:index] + [GHOST]
+                if draw(st.booleans())}
+        stored[key] = _causal(f"v-{key}", {writer: count}, deps)
+        if count > 1 and draw(st.booleans()):
+            stale[key] = _causal(f"old-{key}", {writer: 1})
+        demanded[key] = VectorClock({
+            writer + draw(st.sampled_from(["", "-concurrent"])):
+            draw(st.integers(1, count))})
     batch = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=6))
-    return lattices, batch
+    return stored, stale, batch
 
 
 class TestCausalCutProperty:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(causal_stores())
-    def test_batched_cut_matches_sequential_cut(self, store):
-        """After multi_get, the local causal state equals the sequential one.
+    def test_batch_leaves_no_unexplained_cut_violation(self, store):
+        """After multi_get, every cut violation reachable from the batch is a
+        dependency Anna could not resolve — and each was counted."""
+        stored, stale, batch = store
+        anna = AnnaCluster(node_count=2, replication_factor=1,
+                           latency_model=LatencyModel(jitter_enabled=False))
+        for key, lattice in stored.items():
+            anna.put(key, lattice)
+        cache = ExecutorCache("cache-a", anna, peer_registry={})
+        for key, lattice in stale.items():
+            cache._store(key, lattice)
 
-        For every random store and batch: reading the batch through
-        ``multi_get`` must leave the cache holding versions that satisfy the
-        same causal cut as reading the keys one by one through the
-        single-key path (get_or_fetch + ensure_causal_cut), and resolve the
-        same dependency set.
-        """
-        lattices, batch = store
+        result = cache.multi_get(batch, ctx_at())
+        assert all(result[key] is cache.get_local(key) for key in batch)
 
-        def build(batched):
-            anna = AnnaCluster(node_count=2, replication_factor=1,
-                               latency_model=LatencyModel(jitter_enabled=False))
-            for key, lattice in lattices.items():
-                anna.put(key, lattice)
-            return ExecutorCache("cache-a", anna, peer_registry={},
-                                 batched_reads=batched)
-
-        batched_cache = build(True)
-        batched_cache.multi_get(batch, ctx_at())
-
-        sequential_cache = build(False)
-        for key in dict.fromkeys(batch):
-            value = sequential_cache.get_or_fetch(key, ctx_at())
-            sequential_cache.ensure_causal_cut(value, ctx_at())
-
-        for key in dict.fromkeys(batch):
-            expected = sequential_cache.get_local(key)
-            got = batched_cache.get_local(key)
-            assert got is not None
-            assert got.vector_clock.dominates_or_equal(expected.vector_clock)
-        # Both paths agree on what was resolvable.
-        assert (batched_cache.stats.causal_deps_unresolved == 0) == \
-            (sequential_cache.stats.causal_deps_unresolved == 0)
+        reachable, frontier = set(), list(dict.fromkeys(batch))
+        while frontier:
+            key = frontier.pop()
+            local = cache.get_local(key)
+            for dep_key in (local.dependencies if local is not None else ()):
+                if (key, dep_key) not in reachable:
+                    reachable.add((key, dep_key))
+                    frontier.append(dep_key)
+        violating = reachable & set(cache.violates_causal_cut())
+        assert {dep_key for _, dep_key in violating} <= {GHOST}
+        assert cache.stats.causal_deps_unresolved == (1 if violating else 0)

@@ -11,10 +11,12 @@ from repro.cloudburst.consistency.protocols import (
     ObservingProtocol,
     RepeatableReadProtocol,
     SessionState,
+    SingleKeyCausalProtocol,
     make_protocol,
 )
 from repro.lattices import CausalLattice, LWWLattice, Timestamp, VectorClock
-from repro.sim import LatencyModel, RequestContext
+from repro.errors import KeyNotFoundError
+from repro.sim import LatencyModel, RequestContext, SimClock
 
 
 @pytest.fixture
@@ -51,6 +53,66 @@ class TestMakeProtocol:
     def test_every_level_has_a_protocol(self):
         for level in ConsistencyLevel:
             assert make_protocol(level).level == level
+
+
+def _observing_lww():
+    class Recorder:
+        def observe_read(self, *event):
+            pass
+
+    return ObservingProtocol(LWWProtocol(), Recorder())
+
+
+class TestReadIsTheBatchOfOne:
+    """``read(k)`` and ``read_many([k])`` are one path, at every level."""
+
+    @staticmethod
+    def _read(protocol_factory, scenario, batched):
+        anna = AnnaCluster(node_count=2, replication_factor=1,
+                           latency_model=LatencyModel())  # jitter on, seeded
+        cache = ExecutorCache("cache-a", anna, peer_registry={})
+        protocol = protocol_factory()
+        if scenario != "missing":
+            if protocol.level.is_causal:
+                anna.put("dep", causal("dep-v", {"w": 1}))
+                anna.put("k", causal("k-v", {"w": 2},
+                                     deps={"dep": VectorClock({"w": 1})}))
+            else:
+                anna.put("k", lww("k-v"))
+        ctx = RequestContext(clock=SimClock(0.0))
+        if scenario == "hit":
+            cache.multi_get(["k"], repair_cut=False)
+        elif scenario == "prefetched":
+            cache.prefetch(["k"], now_ms=0.0, epoch="exec")
+            ctx.metadata[ExecutorCache.PREFETCH_EPOCH_KEY] = "exec"
+        state = SessionState.create(protocol.level, execution_id="exec")
+        if batched:
+            value = protocol.read_many(cache, ["k"], ctx, state).get("k")
+        else:
+            try:
+                value = protocol.read(cache, "k", ctx, state)
+            except KeyNotFoundError:
+                value = None
+        return (value, state, cache.stats, ctx.clock.now_ms,
+                [(c.service, c.operation, c.latency_ms) for c in ctx.charges],
+                cache.cached_keys())
+
+    @pytest.mark.parametrize("scenario", ["hit", "miss", "missing", "prefetched"])
+    @pytest.mark.parametrize("protocol_factory", [
+        LWWProtocol, RepeatableReadProtocol, SingleKeyCausalProtocol,
+        MultiKeyCausalProtocol, DistributedSessionCausalProtocol,
+        _observing_lww])
+    def test_single_and_batch_agree(self, protocol_factory, scenario):
+        single = self._read(protocol_factory, scenario, batched=False)
+        batch = self._read(protocol_factory, scenario, batched=True)
+        assert single == batch
+        value, state, stats, now_ms, _charges, _cached = single
+        if scenario == "missing":
+            assert value is None and state.reads == 0 and stats.misses == 1
+        else:
+            assert value.reveal() == "k-v" and state.reads == 1
+            assert now_ms > 0
+            assert stats.prefetch_hits == (scenario == "prefetched")
 
 
 class TestLWWProtocol:
