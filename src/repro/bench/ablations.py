@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..cloudburst import CloudburstCluster, CloudburstReference
+from ..cloudburst.policy import DEFAULT_PLACEMENT_POLICY, RANDOM_PLACEMENT_POLICY
 from ..sim import LatencyRecorder
 from ..workloads.arrays import LocalityWorkloadKeys, make_arrays, sum_arrays_with_library
 from .harness import ComparisonResult, run_closed_loop
@@ -34,7 +35,8 @@ def run_scheduling_ablation(requests: int = 200, size_label: str = "800KB",
     """Same reference-heavy workload with and without locality scheduling."""
     comparison = ComparisonResult(title="Ablation: locality-aware vs random scheduling")
     hit_rates: Dict[str, float] = {}
-    for label, locality in (("Locality scheduling", True), ("Random placement", False)):
+    for label, policy in (("Locality scheduling", DEFAULT_PLACEMENT_POLICY),
+                          ("Random placement", RANDOM_PLACEMENT_POLICY)):
         # Prefetch off: this ablation varies the *placement policy* alone.
         # With reference prefetching on, even random placement warms the
         # chosen cache before the invoke and the hit-rate signal vanishes.
@@ -47,7 +49,7 @@ def run_scheduling_ablation(requests: int = 200, size_label: str = "800KB",
             cloud.put(key, array)
         cloud.register(sum_arrays_with_library, name="sum_arrays")
         for scheduler in cluster.schedulers:
-            scheduler.locality_scheduling = locality
+            scheduler.placement_policy = policy
         references = [CloudburstReference(key) for key in keys.keys]
         cloud.call("sum_arrays", references)  # warm one cache
         comparison.add(run_closed_loop(

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..cloudburst.controlplane import ComputeControlPlane
 from ..cloudburst.references import CloudburstFuture
-from ..errors import StorageOverloadError
+from ..errors import DagExecutionError, StorageOverloadError
 from ..sim import (
     Engine,
     LatencyRecorder,
@@ -234,12 +234,13 @@ class EngineLoadDriver:
                              record_charges=self.record_charges)
         try:
             future = self.request_fn(self._client_for(client), ctx, index)
-        except StorageOverloadError:
-            # Every replica of some key pushed back: this request fails fast
-            # (its partial latency is discarded) and the closed loop retries
-            # from the virtual time the rejection happened at, so one
-            # saturated replica set degrades throughput instead of unwinding
-            # the whole run.
+        except (StorageOverloadError, DagExecutionError):
+            # Every replica of some key pushed back on a direct KVS access,
+            # or a synchronous invocation exhausted its §4.5 retries: this
+            # request fails (its partial latency is discarded) and the closed
+            # loop continues from the virtual time the failure happened at,
+            # so one saturated replica set degrades throughput instead of
+            # unwinding the whole run.
             self.inflight -= 1
             self.failed += 1
             return ctx.clock.now_ms

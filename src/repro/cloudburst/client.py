@@ -7,15 +7,18 @@ the paper's Table 1 API over whichever backend the cluster runs on:
 * ``register``/``register_dag``/``delete_dag`` manage functions and
   compositions on **every** scheduler the client knows about.
 * ``call``/``call_dag`` invoke them and always return a
-  :class:`~repro.cloudburst.references.CloudburstFuture`.  On the sequential
-  backend the invocation runs inline and the future arrives already
-  resolved; on an engine-attached cluster ``call_dag`` enqueues the DAG as
-  discrete engine events and returns *before* it executes — resolution is
-  delivered through ``future.add_done_callback`` or by ``future.get()``,
-  which advances virtual time until the result appears (with an optional
-  timeout).  Either way the future's payload is the same
-  :class:`~repro.cloudburst.scheduler.ExecutionResult`, so latency and
-  anomaly accounting do not depend on the backend.
+  :class:`~repro.cloudburst.references.CloudburstFuture`.  Every invocation
+  is one :class:`~repro.cloudburst.sessions.DagSession`; the backends differ
+  in who fires its events.  On the sequential backend (and for ``call`` on
+  both) the session is driven to completion inside the call and the future
+  arrives already resolved; on an engine-attached cluster ``call_dag``
+  enqueues the session on the shared engine and returns *before* it
+  executes — resolution is delivered through ``future.add_done_callback``
+  or by ``future.get()``, which advances virtual time until the result
+  appears (with an optional timeout).  Either way the future's payload is
+  the same :class:`~repro.cloudburst.scheduler.ExecutionResult`, built by
+  the same code, so latency and anomaly accounting do not depend on the
+  backend.
 """
 
 from __future__ import annotations
@@ -144,17 +147,11 @@ class CloudburstClient:
         clock starts at the engine's current virtual time.
         """
         scheduler = self._next_scheduler()
-        ctx = self._request_ctx(ctx)
-        if ctx is None and self.tracer is not None and self.tracer.enabled:
-            ctx = RequestContext()
-        root = self._start_root_span(ctx, f"call:{function_name}")
-        result = scheduler.call(function_name, args,
+        ctx, future, complete, _ = self._begin(ctx, f"call:{function_name}")
+        complete(scheduler.call(function_name, args,
                                 consistency=consistency or self.consistency,
-                                store_in_kvs=store_in_kvs, ctx=ctx)
-        if root is not None:
-            root.annotate("latency_ms", result.latency_ms)
-            root.finish(ctx.clock.now_ms if ctx is not None else root.start_ms)
-        return self._resolved_future(result)
+                                store_in_kvs=store_in_kvs, ctx=ctx))
+        return future
 
     def call_dag(self, dag_name: str,
                  function_args: Optional[Dict[str, Sequence[Any]]] = None,
@@ -163,38 +160,50 @@ class CloudburstClient:
                  ctx: Optional[RequestContext] = None) -> CloudburstFuture:
         """Invoke a registered DAG; returns a :class:`CloudburstFuture`.
 
-        Without an engine the DAG executes inline and the future arrives
-        already resolved.  With an engine attached the DAG is enqueued as
-        discrete engine events and this returns *before* anything executes:
-        resolve with ``future.get(timeout_ms=...)`` (advances virtual time)
-        or subscribe with ``future.add_done_callback`` — the only option from
-        inside an engine event.  A DAG that exhausts its §4.5 retries resolves
-        the future with the :class:`~repro.errors.DagExecutionError` instead
-        of unwinding the engine loop.
+        Without an engine the DAG runs to completion inside this call and the
+        future arrives already resolved.  With an engine attached the DAG is
+        enqueued as discrete engine events and this returns *before* anything
+        executes: resolve with ``future.get(timeout_ms=...)`` (advances
+        virtual time) or subscribe with ``future.add_done_callback`` — the
+        only option from inside an engine event.  On that backend a DAG that
+        exhausts its §4.5 retries resolves the future with the
+        :class:`~repro.errors.DagExecutionError` instead of unwinding the
+        engine loop.
         """
         scheduler = self._next_scheduler()
         level = consistency or self.consistency
         engine = self._engine()
+        ctx, future, complete, errored = self._begin(ctx, f"call_dag:{dag_name}")
         if engine is None:
-            if ctx is None and self.tracer is not None and self.tracer.enabled:
-                ctx = RequestContext()
-            root = self._start_root_span(ctx, f"call_dag:{dag_name}")
-            result = scheduler.call_dag(dag_name, function_args, consistency=level,
-                                        store_in_kvs=store_in_kvs, ctx=ctx)
-            if root is not None:
-                root.annotate("latency_ms", result.latency_ms)
-                root.finish(ctx.clock.now_ms)
-            return self._resolved_future(result)
+            complete(scheduler.call_dag(dag_name, function_args, consistency=level,
+                                        store_in_kvs=store_in_kvs, ctx=ctx))
+        else:
+            scheduler.call_dag(dag_name, function_args, consistency=level,
+                               store_in_kvs=store_in_kvs, ctx=ctx, engine=engine,
+                               on_complete=complete, on_error=errored)
+        return future
+
+    def _begin(self, ctx: Optional[RequestContext], name: str):
+        """Request context, root span and pending future of one invocation.
+
+        Returns ``(ctx, future, complete, errored)``; the backend calls one of
+        the two callbacks exactly once — in-line for synchronous work, from
+        the finishing engine event otherwise.
+        """
         ctx = self._request_ctx(ctx)
-        root = self._start_root_span(ctx, f"call_dag:{dag_name}")
-        future = CloudburstFuture(advance=self._advance_engine)
+        if ctx is None and self.tracer is not None and self.tracer.enabled:
+            ctx = RequestContext()
+        root = self._start_root_span(ctx, name)
+        future = CloudburstFuture(fetch=self._kvs_fetch,
+                                  advance=self._advance_engine)
 
         def complete(result: ExecutionResult) -> None:
             future.result_key = result.result_key
             if root is not None:
                 root.annotate("latency_ms", result.latency_ms)
                 root.finish(ctx.clock.now_ms)
-            self._record(result)
+            self.last_result = result
+            self.latencies.record(result.latency_ms)
             future._set_result(result)
 
         def errored(exc: BaseException) -> None:
@@ -203,10 +212,7 @@ class CloudburstClient:
                 root.finish(ctx.clock.now_ms)
             future._set_exception(exc)
 
-        scheduler.call_dag(dag_name, function_args, consistency=level,
-                           store_in_kvs=store_in_kvs, ctx=ctx, engine=engine,
-                           on_complete=complete, on_error=errored)
-        return future
+        return ctx, future, complete, errored
 
     # -- helpers -------------------------------------------------------------------------
     def reference(self, key: str) -> CloudburstReference:
@@ -218,10 +224,6 @@ class CloudburstClient:
         if self.last_result is None:
             raise ValueError("no request has been issued yet")
         return self.last_result.latency_ms
-
-    def _record(self, result: ExecutionResult) -> None:
-        self.last_result = result
-        self.latencies.record(result.latency_ms)
 
     def _engine(self):
         """The cluster's shared discrete-event engine, if one is attached."""
@@ -251,13 +253,6 @@ class CloudburstClient:
             # time instead of a fresh zero-based one.
             return RequestContext(clock=SimClock(engine.now_ms))
         return None
-
-    def _resolved_future(self, result: ExecutionResult) -> CloudburstFuture:
-        future = CloudburstFuture(result.result_key, self._kvs_fetch,
-                                  advance=self._advance_engine)
-        self._record(result)
-        future._set_result(result)
-        return future
 
     def _kvs_fetch(self, key: str) -> Tuple[bool, Any]:
         stored = self.kvs.get_or_none(key)

@@ -43,11 +43,6 @@ class PlacementPolicy:
     threads — usually, but not necessarily, from ``threads``.
     """
 
-    #: Whether the policy consults KVS references for locality.  The
-    #: scheduling ablation reads this through
-    #: ``Scheduler.locality_scheduling``.
-    uses_locality = True
-
     def pick(self, scheduler, threads: List, function_name: str,
              args: Sequence, restricted: bool,
              now_ms: Optional[float]):
@@ -97,8 +92,6 @@ class LocalityPlacementPolicy(PlacementPolicy):
     is the only signal consulted, never the caches' private state.
     """
 
-    uses_locality = True
-
     def pick(self, scheduler, threads, function_name, args, restricted, now_ms):
         references = extract_references(args)
         if references:
@@ -142,8 +135,6 @@ class RandomPlacementPolicy(PlacementPolicy):
     but never consults the key-to-cache index, so placement cannot follow
     data.
     """
-
-    uses_locality = False
 
     def pick(self, scheduler, threads, function_name, args, restricted, now_ms):
         return self.least_loaded(scheduler, threads, restricted, now_ms)

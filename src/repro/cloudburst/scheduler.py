@@ -14,47 +14,24 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..anna import AnnaCluster
-from ..errors import (
-    DagExecutionError,
-    ExecutorFailedError,
-    FunctionNotFoundError,
-    SchedulingError,
-    StorageOverloadError,
-)
+from ..errors import FunctionNotFoundError, SchedulingError
 from ..lattices import SetLattice
 from ..obs import LatencyHistogram
-from ..sim import ForkJoin, LatencyModel, RandomSource, RequestContext, SimClock
+from ..sim import Engine, LatencyModel, RandomSource, RequestContext, SimClock
 from .consistency.levels import ConsistencyLevel
 from .consistency.protocols import ObservingProtocol, SessionState, make_protocol
 from .dag import Dag, DagRegistry
 from .cache import ExecutorCache
 from .executor import ExecutorThread, ExecutorVM, FUNCTION_LIST_KEY, function_key
 from .references import extract_references
-from .sessions import DagSession, SessionJournal
-from .policy import (
-    DEFAULT_PLACEMENT_POLICY,
-    RANDOM_PLACEMENT_POLICY,
-    PlacementPolicy,
-)
+from .sessions import DagSession, ExecutionResult, SessionJournal
+from .policy import DEFAULT_PLACEMENT_POLICY, PlacementPolicy
 
 #: Executors above this utilization are avoided by the scheduling policy (§4.3).
 OVERLOAD_THRESHOLD = 0.70
 
 #: How long the platform waits before re-executing a DAG whose executor died (§4.5).
 DEFAULT_FAULT_TIMEOUT_MS = 5_000.0
-
-
-@dataclass
-class ExecutionResult:
-    """What a scheduler returns for one invocation (single function or DAG)."""
-
-    value: Any
-    latency_ms: float
-    execution_id: str
-    ctx: RequestContext
-    retries: int = 0
-    result_key: Optional[str] = None
-    session: Optional[SessionState] = None
 
 
 @dataclass
@@ -120,6 +97,8 @@ class Scheduler:
         self.functions: Dict[str, Callable] = {}
         #: function name -> executor thread ids the function is pinned on.
         self.function_pins: Dict[str, List[str]] = {}
+        #: function name -> the unregistered one-node DAG :meth:`call` runs.
+        self._call_dags: Dict[str, Dag] = {}
         self.anomaly_tracker = anomaly_tracker
         #: Request latencies this scheduler completed (virtual ms).  The
         #: control plane publishes its percentile summary to Anna on every
@@ -236,90 +215,31 @@ class Scheduler:
         by_id = {thread.thread_id: thread for thread in self._live_threads()}
         return [by_id[tid] for tid in self.function_pins.get(name, []) if tid in by_id]
 
-    # -- invocation: single functions ------------------------------------------------------
+    # -- invocation (§3: a request is a DAG; one function is the one-node case) ------------
     def call(self, function_name: str, args: Sequence[Any] = (),
              consistency: Optional[ConsistencyLevel] = None,
              store_in_kvs: bool = False,
              ctx: Optional[RequestContext] = None) -> ExecutionResult:
-        """Schedule and execute a single function invocation."""
-        if not self.alive:
-            raise SchedulingError(f"scheduler {self.scheduler_id!r} is down")
-        level = consistency or self.default_consistency
-        ctx = ctx or RequestContext()
-        root_span = ctx.span
-        start_ms = ctx.clock.now_ms
-        self.stats.record_function_call(function_name)
-        self.latency_model.charge(ctx, "cloudburst", "client_to_scheduler")
-        self.latency_model.charge(ctx, "cloudburst", "schedule")
-        if root_span is not None:
-            root_span.child("schedule", "scheduler", start_ms,
-                            node=self.scheduler_id).finish(ctx.clock.now_ms)
-        retries = 0
-        failed_span = None
-        while True:
-            # Each §4.5 attempt runs under a fresh session: reusing one state
-            # across retries leaked the failed attempt's snapshot pins and
-            # shadow reads into the retry's (different) execution.
-            state = SessionState.create(level)
-            protocol = self._make_protocol(level)
-            thread = self._pick_executor(function_name, args,
-                                         now_ms=ctx.clock.now_ms)
-            self._prefetch_placed_references(thread, args, ctx.clock.now_ms,
-                                             ctx, state)
-            self.latency_model.charge(ctx, "cloudburst", "scheduler_to_executor")
-            attempt_span = None
-            if root_span is not None:
-                attempt_span = root_span.child(
-                    f"attempt:{function_name}", "scheduler", ctx.clock.now_ms,
-                    node=self.scheduler_id).annotate(
-                        "execution_id", state.execution_id)
-                if failed_span is not None:
-                    # A retry supersedes the failed attempt; the failed span
-                    # is finished, so the edge is a link, not ancestry.
-                    attempt_span.link("retry_of", failed_span.span_id)
-                ctx.span = attempt_span
-            try:
-                value = self._run_on_thread(thread, function_name, args, ctx, state, protocol)
-                if attempt_span is not None:
-                    attempt_span.finish(ctx.clock.now_ms)
-                    ctx.span = root_span
-                break
-            except ExecutorFailedError:
-                # Release the failed attempt before retrying or raising —
-                # snapshots and shadow reads must never outlive the attempt
-                # that pinned them.
-                self._release_session(state, protocol)
-                if attempt_span is not None:
-                    attempt_span.annotate("error", "ExecutorFailedError")
-                    attempt_span.finish(ctx.clock.now_ms)
-                    failed_span = attempt_span
-                    ctx.span = root_span
-                retries += 1
-                if retries > self.max_retries:
-                    raise DagExecutionError(
-                        f"function {function_name!r} failed after {retries} attempts")
-                ctx.charge("cloudburst", "fault_timeout", self.fault_timeout_ms)
-        result_key = None
-        if store_in_kvs:
-            result_key = f"__cloudburst_results__/{state.execution_id}"
-            self.kvs.put_plain(result_key, value, ctx)
-        else:
-            self.latency_model.charge(ctx, "cloudburst", "result_to_client")
-        protocol.finalize(state, self._cache_registry())
-        self._complete_anomaly_tracking(state)
-        latency_ms = ctx.clock.now_ms - start_ms
-        self.latency_histogram.record(latency_ms)
-        return ExecutionResult(value=value, latency_ms=latency_ms,
-                               execution_id=state.execution_id, ctx=ctx,
-                               retries=retries, result_key=result_key, session=state)
+        """Schedule and execute a single function invocation.
 
-    # -- invocation: DAGs ---------------------------------------------------------------------
+        Runs as a one-function session driven to completion before this
+        returns, on either backend.  Unlike a registered DAG's functions, a
+        bare call is placed over every live thread, not only its pins.
+        """
+        dag = self._call_dags.get(function_name)
+        if dag is None:
+            dag = self._call_dags[function_name] = Dag(function_name, [function_name])
+        session = self._open_session(dag, {function_name: args}, consistency,
+                                     store_in_kvs, ctx, Engine(), use_pins=False)
+        self.stats.record_function_call(function_name)
+        return session.drive()
+
     def call_dag(self, dag_name: str, function_args: Optional[Dict[str, Sequence[Any]]] = None,
                  consistency: Optional[ConsistencyLevel] = None,
                  store_in_kvs: bool = False,
                  ctx: Optional[RequestContext] = None,
                  engine=None,
-                 on_complete: Optional[Callable[["ExecutionResult"], None]] = None,
+                 on_complete: Optional[Callable[[ExecutionResult], None]] = None,
                  on_error: Optional[Callable[[Exception], None]] = None):
         """Schedule and execute a registered DAG.
 
@@ -327,189 +247,83 @@ class Scheduler:
         upstream functions are automatically prepended to downstream argument
         lists (§3).
 
-        Without ``engine`` the DAG runs to completion inside this call and an
-        :class:`ExecutionResult` is returned.  With ``engine`` the execution
-        is decomposed into discrete events on that engine (each function fires
-        at its fork/join ready time, so concurrent sessions genuinely
-        interleave) and a :class:`~repro.cloudburst.sessions.DagSession` is
-        returned immediately;
-        completion is delivered to ``on_complete``/``on_error``.  The
-        event-per-function path is charge-for-charge identical to the inline
-        path — the single-client parity tests pin that.
+        Every execution is a :class:`~repro.cloudburst.sessions.DagSession`:
+        each function is an engine event fired at its fork/join ready time.
+        With ``engine`` the events go on that shared engine (so concurrent
+        sessions genuinely interleave), the session is returned immediately
+        and completion is delivered to ``on_complete``/``on_error``.  Without
+        one the session gets a private engine, is driven to completion inside
+        this call, and its :class:`ExecutionResult` is returned.
+        """
+        if engine is None and (on_complete is not None or on_error is not None):
+            raise ValueError(
+                "on_complete/on_error need an engine backend: without one the "
+                "DAG runs to completion and call_dag returns the result directly")
+        session = self._open_session(self.dag_registry.get(dag_name),
+                                     function_args or {}, consistency,
+                                     store_in_kvs, ctx, engine or Engine(),
+                                     on_complete, on_error)
+        self.dag_registry.record_call(dag_name)
+        self.stats.record_dag_call(dag_name)
+        return session if engine is not None else session.drive()
+
+    def _open_session(self, dag: Dag, function_args: Dict[str, Sequence[Any]],
+                      consistency: Optional[ConsistencyLevel], store_in_kvs: bool,
+                      ctx: Optional[RequestContext], engine: Engine,
+                      on_complete: Optional[Callable[[ExecutionResult], None]] = None,
+                      on_error: Optional[Callable[[Exception], None]] = None,
+                      use_pins: bool = True) -> DagSession:
+        """Charge the client→scheduler hop and start a journaled session.
+
+        The one entry every invocation takes.  The session is journaled
+        (:class:`SessionJournal`) before any of its functions is enqueued, so
+        a scheduler that crashes and restarts resumes the in-flight ones.
         """
         if not self.alive:
             raise SchedulingError(f"scheduler {self.scheduler_id!r} is down")
-        level = consistency or self.default_consistency
-        function_args = function_args or {}
-        if engine is not None:
-            return self._call_dag_on_engine(
-                dag_name, function_args, level, engine, ctx, store_in_kvs,
-                on_complete, on_error)
-        if on_complete is not None or on_error is not None:
-            raise ValueError(
-                "on_complete/on_error need an engine backend: without one the "
-                "DAG executes inline and call_dag returns the result directly")
-        ctx = ctx or RequestContext()
-        root_span = ctx.span
-        start_ms = ctx.clock.now_ms
-        dag = self.dag_registry.get(dag_name)
-        self.dag_registry.record_call(dag_name)
-        self.stats.record_dag_call(dag_name)
-        self.latency_model.charge(ctx, "cloudburst", "client_to_scheduler")
-        self.latency_model.charge(ctx, "cloudburst", "schedule")
-        if root_span is not None:
-            root_span.child("schedule", "scheduler", start_ms,
-                            node=self.scheduler_id).finish(ctx.clock.now_ms)
-        retries = 0
-        failed_span = None
-        while True:
-            state = SessionState.create(level)
-            protocol = self._make_protocol(level)
-            attempt_span = None
-            if root_span is not None:
-                attempt_span = root_span.child(
-                    f"attempt:{dag_name}", "scheduler", ctx.clock.now_ms,
-                    node=self.scheduler_id).annotate(
-                        "execution_id", state.execution_id)
-                if failed_span is not None:
-                    attempt_span.link("retry_of", failed_span.span_id)
-                ctx.span = attempt_span
-            try:
-                value = self._execute_dag(dag, function_args, ctx, state, protocol)
-                if attempt_span is not None:
-                    attempt_span.finish(ctx.clock.now_ms)
-                    ctx.span = root_span
-                break
-            except ExecutorFailedError:
-                # §4.5: if a machine fails mid-DAG, the whole DAG re-executes
-                # after a configurable timeout.  The failed attempt's session
-                # must be released first — its pinned snapshots and shadow
-                # reads would otherwise leak, since the retry runs under a
-                # fresh execution id.
-                self._release_session(state, protocol)
-                if attempt_span is not None:
-                    attempt_span.annotate("error", "ExecutorFailedError")
-                    attempt_span.finish(ctx.clock.now_ms)
-                    failed_span = attempt_span
-                    ctx.span = root_span
-                retries += 1
-                if retries > self.max_retries:
-                    raise DagExecutionError(
-                        f"DAG {dag_name!r} failed after {retries} attempts")
-                ctx.charge("cloudburst", "fault_timeout", self.fault_timeout_ms)
-        result_key = None
-        if store_in_kvs:
-            result_key = f"__cloudburst_results__/{state.execution_id}"
-            self.kvs.put_plain(result_key, value, ctx)
-        else:
-            self.latency_model.charge(ctx, "cloudburst", "result_to_client")
-        protocol.finalize(state, self._cache_registry())
-        self._complete_anomaly_tracking(state)
-        latency_ms = ctx.clock.now_ms - start_ms
-        self.latency_histogram.record(latency_ms)
-        return ExecutionResult(value=value, latency_ms=latency_ms,
-                               execution_id=state.execution_id, ctx=ctx,
-                               retries=retries, result_key=result_key, session=state)
-
-    def _call_dag_on_engine(self, dag_name: str,
-                            function_args: Dict[str, Sequence[Any]],
-                            level: ConsistencyLevel,
-                            engine,
-                            ctx: Optional[RequestContext],
-                            store_in_kvs: bool,
-                            on_complete: Optional[Callable[["ExecutionResult"], None]],
-                            on_error: Optional[Callable[[Exception], None]],
-                            ) -> DagSession:
-        """Schedule a DAG execution as discrete events on a shared engine.
-
-        The inline path runs a whole DAG to completion inside one Python
-        call, so even when two sessions' *virtual* times overlap their cache
-        and snapshot accesses can never actually interleave.  This path turns
-        every DAG function into its own engine event fired at the function's
-        fork/join ready time: many in-flight sessions genuinely interleave
-        their reads, writes, snapshot pins and update propagation on one
-        timeline — which is what the §6.2 consistency experiments need.  The
-        sink event finalizes the session (snapshot eviction, anomaly
-        accounting) and hands an :class:`ExecutionResult` to ``on_complete``.
-        If the DAG exhausts its §4.5 retries, the failure goes to
-        ``on_error`` when provided (so one poisoned session cannot abort a
-        whole multi-client driver run); without ``on_error`` the
-        :class:`DagExecutionError` propagates out of the engine loop,
-        matching the inline contract.
-
-        Every session opened here is journaled (:class:`SessionJournal`): a
-        scheduler that crashes and restarts resumes the in-flight ones.
-        """
         ctx = ctx or RequestContext(clock=SimClock(engine.now_ms))
         start_ms = ctx.clock.now_ms
-        dag = self.dag_registry.get(dag_name)
-        self.dag_registry.record_call(dag_name)
-        self.stats.record_dag_call(dag_name)
         self.latency_model.charge(ctx, "cloudburst", "client_to_scheduler")
         self.latency_model.charge(ctx, "cloudburst", "schedule")
         if ctx.span is not None:
             ctx.span.child("schedule", "scheduler", start_ms,
                            node=self.scheduler_id).finish(ctx.clock.now_ms)
         session = DagSession(self, dag, function_args, ctx, start_ms,
-                             level, engine, on_complete, on_error,
-                             store_in_kvs=store_in_kvs)
+                             consistency or self.default_consistency, engine,
+                             on_complete, on_error, store_in_kvs=store_in_kvs,
+                             use_pins=use_pins)
         session.start()
         return session
 
-    def _execute_dag(self, dag: Dag, function_args: Dict[str, Sequence[Any]],
-                     ctx: RequestContext, state: SessionState, protocol) -> Any:
-        """Run every DAG function in dependency order with fork/join timing.
+    def _dispatch_function(self, session: DagSession, name: str
+                           ) -> Tuple[Any, RequestContext, ExecutorThread]:
+        """Place and run one function of ``session`` at its fork/join ready time.
 
         Branch timing rides on the engine's :class:`~repro.sim.engine.ForkJoin`
-        primitive: each function forks a branch context at the moment its
-        upstream branches finish, executors are picked with the utilization
-        they will have *at that moment*, and the request joins at the slowest
-        sink.  Parallel stages therefore genuinely interleave — two siblings
-        forked at the same ready time queue against the same executor pool.
-        """
-        order = dag.topological_order()
-        results: Dict[str, Any] = {}
-        fork_join = ForkJoin(base_ms=ctx.clock.now_ms)
-        branches: List[RequestContext] = []
-        for name in order:
-            value, branch, _ = self._dispatch_function(dag, name, results, function_args,
-                                                       fork_join, ctx, state, protocol)
-            results[name] = value
-            fork_join.complete(name, branch.clock.now_ms)
-            branches.append(branch)
-        ctx.join(branches)
-        sinks = dag.sinks
-        if len(sinks) == 1:
-            return results[sinks[0]]
-        return {sink: results[sink] for sink in sinks}
-
-    def _dispatch_function(self, dag: Dag, name: str, results: Dict[str, Any],
-                           function_args: Dict[str, Sequence[Any]],
-                           fork_join: ForkJoin, ctx: RequestContext,
-                           state: SessionState, protocol
-                           ) -> Tuple[Any, RequestContext, ExecutorThread]:
-        """Place and run one DAG function at its fork/join ready time.
-
-        Shared by the sequential loop above and the engine-event path
-        (:class:`~repro.cloudburst.sessions.DagSession`) so the two stay
-        charge-for-charge identical — the single-client cross-check in the
-        consistency tests depends on that parity.  Returns
+        primitive: the function forks a branch context at the moment its
+        upstream branches finish and its executor is picked with the
+        utilization it will have *at that moment*, so two siblings forked at
+        the same ready time queue against the same executor pool.  Returns
         ``(value, branch_context, thread)``; the thread feeds the session
         journal's placement record.
         """
+        dag, ctx, state = session.dag, session.ctx, session.state
         upstream = dag.upstream_of(name)
-        ready_ms = fork_join.ready_at(upstream)
+        ready_ms = session.fork_join.ready_at(upstream)
+        args = ([session.results[u] for u in upstream]
+                + list(session.function_args.get(name, ())))
+        pinned = self.pinned_threads(name) if session.use_pins else None
+        thread = self._pick_executor(name, args, candidates=pinned,
+                                     now_ms=ready_ms)
+        # Before the fork: the prefetch stamps its epoch into ctx.metadata,
+        # and the branch must inherit it to pay its own prefetch_wait.
+        self._prefetch_placed_references(thread, args, ready_ms, ctx, state)
         branch = RequestContext(clock=SimClock(ready_ms),
                                 metadata=dict(ctx.metadata),
                                 record_charges=ctx.record_charges)
-        pinned = self.pinned_threads(name)
-        args = [results[u] for u in upstream] + list(function_args.get(name, ()))
-        thread = self._pick_executor(name, args, candidates=pinned or None,
-                                     now_ms=ready_ms)
-        self._prefetch_placed_references(thread, args, ready_ms, ctx, state)
         function_span = None
         if ctx.span is not None:
-            # One child span per DAG function, started at its fork/join ready
+            # One child span per function, started at its fork/join ready
             # time; the executor/cache/storage spans nest under it via the
             # branch context.
             function_span = ctx.span.child(
@@ -523,7 +337,8 @@ class Scheduler:
             self.latency_model.charge(branch, "cloudburst", "dag_trigger",
                                       size_bytes=state.metadata_bytes())
         try:
-            value = self._run_on_thread(thread, name, args, branch, state, protocol)
+            value = self._run_on_thread(thread, name, args, branch, state,
+                                        session.protocol)
         except Exception:
             if function_span is not None:
                 function_span.annotate("error", True)
@@ -574,25 +389,6 @@ class Scheduler:
         return value
 
     # -- scheduling policy (§4.3 "Scheduling Policy") ---------------------------------------
-    @property
-    def locality_scheduling(self) -> bool:
-        """Ablation switch, kept for compatibility: swaps the placement policy.
-
-        ``False`` installs :class:`~repro.cloudburst.policy.
-        RandomPlacementPolicy` (references ignored, backpressure kept);
-        ``True`` restores the locality-first default.
-        """
-        return self.placement_policy.uses_locality
-
-    @locality_scheduling.setter
-    def locality_scheduling(self, enabled: bool) -> None:
-        if bool(enabled) == self.placement_policy.uses_locality:
-            # Already in the requested mode: keep whatever policy is
-            # installed (a custom policy must survive redundant assignments).
-            return
-        self.placement_policy = (DEFAULT_PLACEMENT_POLICY if enabled
-                                 else RANDOM_PLACEMENT_POLICY)
-
     def _pick_executor(self, function_name: str, args: Sequence[Any],
                        candidates: Optional[List[ExecutorThread]] = None,
                        now_ms: Optional[float] = None) -> ExecutorThread:

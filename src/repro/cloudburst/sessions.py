@@ -1,28 +1,31 @@
-"""Durable DAG sessions (§4.5): journaled, recoverable in-flight state.
+"""DAG sessions (§3, §4.5): the one body every invocation runs in.
 
-The engine-backed DAG session used to keep all of its per-attempt state in
-closure variables inside the scheduler, which meant a scheduler crash simply
-*abandoned* every in-flight DAG: the caller's future never resolved and the
-dead attempt's snapshots and shadow reads leaked.  This module makes the
-session state explicit and serializable:
-
-* :class:`SessionJournal` — one per scheduler.  Sessions append status
-  transitions (attempt started, function scheduled/completed, attempt
-  failed, session closed) instead of mutating private closure state, so at
-  any instant the journal describes exactly which DAGs are in flight, which
-  functions of the current attempt have run, where they ran and which caches
-  hold the attempt's snapshots.  ``to_dict`` renders the whole journal as
-  plain JSON-compatible data — the fault bench uploads it as a CI artifact.
-
-* :class:`DagSession` — one in-flight DAG execution decomposed into engine
-  events (previously ``scheduler._EngineDagSession``).  On top of the normal
-  §4.5 retry machinery it supports externally injected attempt failures
+* :class:`DagSession` — one execution of a DAG (a single function is the
+  one-node case) decomposed into engine events.  It is the only place that
+  opens an attempt, dispatches functions at their fork/join ready time,
+  retries under §4.5, finalizes the consistency protocol and builds the
+  :class:`ExecutionResult`.  ``Scheduler.call_dag(engine=...)`` runs it on
+  the cluster's shared engine; ``Scheduler.call`` and an engine-less
+  ``call_dag`` run the same session on a private engine and drive it to
+  completion before returning (:meth:`DagSession.drive`).  On top of the
+  in-line retry it supports externally injected attempt failures
   (:meth:`DagSession.fail_attempt`, used by the fault plane when an executor
   VM dies mid-DAG) and crash recovery (:meth:`DagSession.recover_from_crash`,
   used by a restarted scheduler): the dead attempt's snapshots and shadow
-  reads are released through the existing ``_release_session`` /
-  ``abandon_execution`` path and the whole DAG re-executes, so a scheduler
-  restart leaves **zero** abandoned sessions.
+  reads are released through ``_release_session`` / ``abandon_execution``
+  and the whole DAG re-executes, so a scheduler restart leaves **zero**
+  abandoned sessions.
+
+* :class:`SessionJournal` — one per scheduler.  Sessions append status
+  transitions (attempt started, function scheduled/completed, attempt
+  failed, session closed) instead of mutating private state, so at any
+  instant the journal describes exactly which DAGs are in flight, which
+  functions of the current attempt have run, where they ran and which caches
+  hold the attempt's snapshots.  It is bounded by what recovery needs: a
+  session that completes on its first attempt is folded into a counter when
+  it closes; sessions with a retry, a recovery or a failure keep their full
+  record.  ``to_dict`` renders the journal as plain JSON-compatible data —
+  the fault bench uploads it as a CI artifact.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .consistency.protocols import SessionState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scheduler imports us)
     from .dag import Dag
-    from .scheduler import ExecutionResult, Scheduler
+    from .scheduler import Scheduler
 
 #: Session lifecycle states recorded in the journal.
 SESSION_RUNNING = "running"
@@ -53,6 +56,19 @@ ATTEMPT_ABANDONED = "abandoned"
 
 FUNCTION_SCHEDULED = "scheduled"
 FUNCTION_COMPLETED = "completed"
+
+
+@dataclass
+class ExecutionResult:
+    """What a scheduler returns for one invocation (single function or DAG)."""
+
+    value: Any
+    latency_ms: float
+    execution_id: str
+    ctx: RequestContext
+    retries: int = 0
+    result_key: Optional[str] = None
+    session: Optional[SessionState] = None
 
 
 @dataclass
@@ -143,13 +159,21 @@ class SessionJournal:
     reconstructible facts (topology name, args, per-attempt progress and
     resource holdings) — intermediate function results are not durable state,
     because §4.5 recovery re-executes the whole DAG anyway.
+
+    Every invocation is journaled, so the journal checkpoints: a session
+    that completes on its first attempt with no recovery has nothing left
+    that recovery or a fault post-mortem could need, and :meth:`close` folds
+    it into a counter instead of keeping its record.
     """
 
     def __init__(self, scheduler_id: str):
         self.scheduler_id = scheduler_id
+        #: In-flight records, plus closed ones with a retry, recovery or failure.
         self._records: Dict[str, SessionRecord] = {}
+        #: session id -> live session object, for in-flight sessions only.
         self._sessions: Dict[str, "DagSession"] = {}
         self._sequence = 0
+        self._clean_completions = 0
         #: Sessions resumed by a scheduler restart (monotonic, survives closes).
         self.recovered_sessions = 0
 
@@ -212,35 +236,44 @@ class SessionJournal:
         if attempt is not None and status == SESSION_COMPLETED:
             attempt.status = ATTEMPT_COMPLETED
         self._sessions.pop(record.session_id, None)
+        if (status == SESSION_COMPLETED and not record.retries
+                and not record.recoveries):
+            del self._records[record.session_id]
+            self._clean_completions += 1
 
     # -- queries -----------------------------------------------------------------------
     def record_for(self, session_id: str) -> SessionRecord:
         return self._records[session_id]
 
     def records(self) -> List[SessionRecord]:
+        """Every record the journal still holds (see :meth:`close`)."""
         return list(self._records.values())
 
     def in_flight(self) -> List[SessionRecord]:
-        return [record for record in self._records.values()
-                if record.status == SESSION_RUNNING]
+        return [self._records[session_id] for session_id in self._sessions]
 
     def in_flight_count(self) -> int:
-        return len(self.in_flight())
+        return len(self._sessions)
 
     def live_sessions(self) -> List["DagSession"]:
         """Live session objects for every in-flight record (recovery targets)."""
-        return [self._sessions[record.session_id] for record in self.in_flight()
-                if record.session_id in self._sessions]
+        return list(self._sessions.values())
 
     def counts(self) -> Dict[str, int]:
-        counts = {SESSION_RUNNING: 0, SESSION_COMPLETED: 0, SESSION_FAILED: 0}
+        """Totals over every session ever opened, checkpointed ones included."""
+        counts = {SESSION_RUNNING: 0, SESSION_COMPLETED: self._clean_completions,
+                  SESSION_FAILED: 0}
         for record in self._records.values():
             counts[record.status] = counts.get(record.status, 0) + 1
         counts["recovered"] = self.recovered_sessions
         return counts
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible dump of the whole journal (the CI fault artifact)."""
+        """JSON-compatible dump of the journal (the CI fault artifact).
+
+        ``counts`` covers every session; ``sessions`` lists the records still
+        held — in flight, or closed after a retry, recovery or failure.
+        """
         return {
             "scheduler_id": self.scheduler_id,
             "counts": self.counts(),
@@ -249,25 +282,29 @@ class SessionJournal:
 
 
 class DagSession:
-    """One in-flight DAG execution decomposed into engine events.
+    """One execution of a DAG, decomposed into engine events.
 
-    Mirrors :meth:`Scheduler._execute_dag` — same charges, same fork/join
-    timing, same consistency-protocol calls — but each function runs in its
-    own engine event at its ready time, so concurrent sessions interleave
-    their cache accesses in the order virtual time dictates.  Every status
+    Each function runs in its own engine event at its fork/join ready time,
+    so sessions sharing an engine interleave their cache accesses in the
+    order virtual time dictates; a session on a private engine
+    (:meth:`drive`) fires the same events back to back.  Every status
     transition is appended to the owning scheduler's
     :class:`SessionJournal`; failed attempts release their session state
     (snapshots, shadow reads) *before* anything can resolve the caller's
     future, and a crashed scheduler resumes the session from the journal on
     restart.
+
+    ``use_pins`` is the one input on which the public entry points differ: a
+    registered DAG's functions are placed on their pinned threads
+    (``call_dag``), a bare function over every live thread (``call``).
     """
 
     def __init__(self, scheduler: "Scheduler", dag: "Dag",
                  function_args: Dict[str, Sequence[Any]], ctx: RequestContext,
                  start_ms: float, level: ConsistencyLevel, engine,
-                 on_complete: Optional[Callable[["ExecutionResult"], None]],
+                 on_complete: Optional[Callable[[ExecutionResult], None]],
                  on_error: Optional[Callable[[Exception], None]] = None,
-                 store_in_kvs: bool = False):
+                 store_in_kvs: bool = False, use_pins: bool = True):
         self.scheduler = scheduler
         self.dag = dag
         self.function_args = function_args
@@ -278,8 +315,9 @@ class DagSession:
         self.on_complete = on_complete
         self.on_error = on_error
         self.store_in_kvs = store_in_kvs
+        self.use_pins = use_pins
         self.done = False
-        self.result: Optional["ExecutionResult"] = None
+        self.result: Optional[ExecutionResult] = None
         self.error: Optional[Exception] = None
         #: The request's root span (or None when untraced).  Each §4.5
         #: attempt gets its own child span under it; a superseded attempt is
@@ -304,6 +342,9 @@ class DagSession:
         return self.record.session_id
 
     def _reset_attempt(self) -> None:
+        # Each §4.5 attempt runs under a fresh session state: reusing one
+        # across retries would leak the failed attempt's snapshot pins and
+        # shadow reads into the retry's (different) execution.
         self.state = SessionState.create(self.level)
         self.protocol = self.scheduler._make_protocol(self.level)
         self.results: Dict[str, Any] = {}
@@ -330,6 +371,20 @@ class DagSession:
         for name in self.dag.sources:
             self._schedule(name, base)
 
+    def drive(self) -> ExecutionResult:
+        """Fire this session's private engine until the session resolves.
+
+        How ``call`` and an engine-less ``call_dag`` stay synchronous.  A
+        session that exhausts its retries raises out of here, as does an
+        application error.  ``step()``, never ``run()``: the caller may
+        itself be an event of the cluster's shared engine, and a nested
+        ``run`` would be counted as a second run by anything observing it.
+        """
+        step = self.engine.step
+        while not self.done and step():
+            pass
+        return self.result
+
     def _schedule(self, name: str, at_ms: float) -> None:
         if name in self._scheduled:
             return
@@ -347,9 +402,7 @@ class DagSession:
             # re-executes the DAG when the scheduler restarts.
             return
         try:
-            value, branch, thread = self.scheduler._dispatch_function(
-                self.dag, name, self.results, self.function_args,
-                self.fork_join, self.ctx, self.state, self.protocol)
+            value, branch, thread = self.scheduler._dispatch_function(self, name)
         except (ExecutorFailedError, StorageOverloadError) as exc:
             # A dead executor and a saturated storage replica set get the
             # same §4.5 treatment: the attempt fails, the session pays the
@@ -357,6 +410,13 @@ class DagSession:
             # so one overloaded key cannot unwind a whole driver run.
             self._retry(reason=f"{type(exc).__name__}: {exc}")
             return
+        except Exception as exc:
+            # An application error is not retried: release the attempt and
+            # close the session so it does not stay journaled as in flight,
+            # then let the error reach the caller.
+            self._abandon_attempt(f"{type(exc).__name__}: {exc}")
+            self._fail(exc)
+            raise
         self.results[name] = value
         self.fork_join.complete(name, branch.clock.now_ms)
         self.branches.append(branch)
@@ -389,22 +449,13 @@ class DagSession:
         return True
 
     def _retry(self, reason: str = "executor failure") -> None:
-        scheduler = self.scheduler
-        # Release order matters: the failed attempt's snapshots and shadow
-        # reads must be gone *before* any path below can resolve the caller's
-        # future — the retry runs under a fresh execution id, and the tests
-        # assert on_error observers never see leaked snapshots.
-        scheduler._release_session(self.state, self.protocol)
-        journal = scheduler.journal
-        journal.record_attempt_failure(self.record, reason)
-        journal.record_retry(self.record)
-        self._close_attempt_span(reason, "retry_of")
-        if self.record.retries > scheduler.max_retries:
+        """§4.5: the whole DAG re-executes after a timeout, up to ``max_retries``."""
+        self._abandon_attempt(reason)
+        retries = self.scheduler.journal.record_retry(self.record)
+        if retries > self.scheduler.max_retries:
             error = DagExecutionError(
-                f"DAG {self.dag.name!r} failed after {self.record.retries} attempts")
-            self.done = True
-            self.error = error
-            journal.close(self.record, SESSION_FAILED)
+                f"DAG {self.dag.name!r} failed after {retries} attempts")
+            self._fail(error)
             if self.on_error is not None:
                 # Deliver the failure to this session's owner; other sessions
                 # sharing the engine keep running (raising here would abort
@@ -412,9 +463,7 @@ class DagSession:
                 self.on_error(error)
                 return
             raise error
-        self.ctx.charge("cloudburst", "fault_timeout", scheduler.fault_timeout_ms)
-        self._reset_attempt()
-        self.engine.at(self.ctx.clock.now_ms, self.start)
+        self._reexecute()
 
     def recover_from_crash(self) -> None:
         """Resume this session after its owning scheduler restarted.
@@ -429,28 +478,29 @@ class DagSession:
         """
         if self.done:
             return
-        scheduler = self.scheduler
-        scheduler._release_session(self.state, self.protocol)
-        journal = scheduler.journal
-        journal.record_attempt_failure(self.record, "scheduler crash",
-                                       status=ATTEMPT_ABANDONED)
-        journal.record_recovery(self.record)
-        self._close_attempt_span("scheduler crash", "recovered_from")
+        self._abandon_attempt("scheduler crash", status=ATTEMPT_ABANDONED,
+                              relation="recovered_from")
+        self.scheduler.journal.record_recovery(self.record)
         # The session's clock froze at the crash; catch up to the engine
         # before charging the fault timeout so the fresh attempt's events
         # land in the engine's future, never its past.
         self.ctx.clock.advance_to(self.engine.now_ms)
-        self.ctx.charge("cloudburst", "fault_timeout", scheduler.fault_timeout_ms)
-        self._reset_attempt()
-        self.engine.at(self.ctx.clock.now_ms, self.start)
+        self._reexecute()
 
-    def _close_attempt_span(self, reason: str, relation: str) -> None:
-        """Finish the superseded attempt's span and remember it for linking.
+    def _abandon_attempt(self, reason: str, status: str = ATTEMPT_FAILED,
+                         relation: str = "retry_of") -> None:
+        """Release the live attempt, journal why, and finish its span.
 
-        The next attempt (retry or crash recovery) links back to it with
-        ``relation``, so the trace shows the §4.5 lineage without the failed
-        attempt becoming an ancestor of work it never caused.
+        Release comes first: the attempt's snapshots and shadow reads must be
+        gone *before* anything can resolve the caller's future — the next
+        attempt runs under a fresh execution id, and the tests assert
+        ``on_error`` observers never see leaked snapshots.  The next attempt
+        links back to the finished span with ``relation``, so the trace shows
+        the §4.5 lineage without the failed attempt becoming an ancestor of
+        work it never caused.
         """
+        self.scheduler._release_session(self.state, self.protocol)
+        self.scheduler.journal.record_attempt_failure(self.record, reason, status)
         span = self._attempt_span
         if span is None:
             return
@@ -461,6 +511,18 @@ class DagSession:
         self._attempt_span = None
         self.ctx.span = self.root_span
 
+    def _reexecute(self) -> None:
+        """Pay the §4.5 timeout and start a fresh attempt of the whole DAG."""
+        self.ctx.charge("cloudburst", "fault_timeout",
+                        self.scheduler.fault_timeout_ms)
+        self._reset_attempt()
+        self.engine.at(self.ctx.clock.now_ms, self.start)
+
+    def _fail(self, error: Exception) -> None:
+        self.done = True
+        self.error = error
+        self.scheduler.journal.close(self.record, SESSION_FAILED)
+
     # -- completion ---------------------------------------------------------------------
     def _finish(self) -> None:
         scheduler = self.scheduler
@@ -469,8 +531,7 @@ class DagSession:
         sinks = self.dag.sinks
         value = (self.results[sinks[0]] if len(sinks) == 1
                  else {sink: self.results[sink] for sink in sinks})
-        # Mirror the inline call_dag tail exactly (parity): store-to-KVS
-        # replaces the result_to_client charge, never adds to it.
+        # Store-to-KVS replaces the result_to_client charge, never adds to it.
         result_key = None
         if self.store_in_kvs:
             result_key = f"__cloudburst_results__/{self.state.execution_id}"
@@ -487,7 +548,6 @@ class DagSession:
             ctx.span = self.root_span
         latency_ms = ctx.clock.now_ms - self.start_ms
         scheduler.latency_histogram.record(latency_ms)
-        from .scheduler import ExecutionResult
         self.result = ExecutionResult(
             value=value, latency_ms=latency_ms,
             execution_id=self.state.execution_id, ctx=ctx,

@@ -194,3 +194,39 @@ class TestBuildClusterWithThreads:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             build_cluster_with_threads(0)
+
+
+class TestSynchronousRequestFailure:
+    def test_exhausted_call_counts_as_failed_and_the_run_goes_on(self):
+        # A ``call`` follows the session's one failure rule: a saturated
+        # replica set fails the attempt, pays the fault timeout and retries;
+        # exhaustion raises DagExecutionError out of the synchronous call.
+        # The driver must book that as one failed request, not let it unwind
+        # engine.run() for every other client.
+        from repro.errors import StorageOverloadError
+
+        cluster, cloud = _make_cluster()
+        cluster.schedulers[0].fault_timeout_ms = 5.0
+
+        def sometimes_overloaded(cloudburst, index):
+            if index % 4 == 0:
+                raise StorageOverloadError("hot-key", ["anna-0", "anna-1"])
+            return index
+
+        cloud.register(sometimes_overloaded, name="sometimes_overloaded")
+        driver = EngineLoadDriver(
+            cluster,
+            lambda cloud, ctx, index: cloud.call("sometimes_overloaded",
+                                                 [index], ctx=ctx),
+            clients=3, max_requests=24)
+        driver.run()
+        assert driver.issued == 24
+        assert driver.failed == 6
+        assert driver.completed == 18
+        assert cluster.abandoned_session_count() == 0
+        scheduler = cluster.schedulers[0]
+        failed = [record for record in scheduler.journal.records()
+                  if record.status == "failed"]
+        assert len(failed) == 6
+        assert all(record.retries == scheduler.max_retries + 1
+                   for record in failed)

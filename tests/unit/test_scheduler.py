@@ -4,6 +4,7 @@ import pytest
 
 from repro import CloudburstCluster, CloudburstReference
 from repro.cloudburst import Dag
+from repro.cloudburst.policy import RANDOM_PLACEMENT_POLICY
 from repro.errors import FunctionNotFoundError
 
 
@@ -143,7 +144,7 @@ class TestPlacementPolicy:
         client = cluster.connect()
         client.put("some-data", 1)
         scheduler.register_function(lambda x: x, name="reader")
-        scheduler.locality_scheduling = False
+        scheduler.placement_policy = RANDOM_PLACEMENT_POLICY
         scheduler.call("reader", [CloudburstReference("some-data")])
         assert scheduler.stats.locality_hits == 0
 
@@ -223,8 +224,6 @@ class TestPlacementPolicyPlugin:
         from repro.cloudburst.policy import PlacementPolicy
 
         class FirstThreadPolicy(PlacementPolicy):
-            uses_locality = True
-
             def pick(self, scheduler, threads, function_name, args,
                      restricted, now_ms):
                 return min(threads, key=lambda t: t.thread_id)
@@ -236,25 +235,17 @@ class TestPlacementPolicyPlugin:
         first = min(cluster.vms[0].threads, key=lambda t: t.thread_id)
         assert first.invocation_count == 5
 
-    def test_custom_policy_survives_redundant_locality_assignment(self, scheduler):
-        from repro.cloudburst.policy import (
-            PlacementPolicy,
-            RandomPlacementPolicy,
-        )
+    def test_placement_policy_is_swapped_by_plain_assignment(self, scheduler):
+        from repro.cloudburst.policy import PlacementPolicy
 
         class MyPolicy(PlacementPolicy):
-            uses_locality = True
-
             def pick(self, scheduler, threads, function_name, args,
                      restricted, now_ms):
                 return threads[0]
 
         scheduler.placement_policy = MyPolicy()
-        # Assigning the mode the policy already has keeps the custom policy
-        # (the ablation harness assigns locality_scheduling unconditionally).
-        scheduler.locality_scheduling = True
         assert isinstance(scheduler.placement_policy, MyPolicy)
-        # Actually switching modes installs the stock policy for that mode.
-        scheduler.locality_scheduling = False
-        assert isinstance(scheduler.placement_policy, RandomPlacementPolicy)
-        assert scheduler.locality_scheduling is False
+        # The attribute is the whole switch (what the scheduling ablation
+        # assigns): no property in between keeps or rewrites the policy.
+        scheduler.placement_policy = RANDOM_PLACEMENT_POLICY
+        assert scheduler.placement_policy is RANDOM_PLACEMENT_POLICY

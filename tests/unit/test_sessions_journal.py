@@ -120,19 +120,72 @@ class TestQueries:
 class TestSerialization:
     def test_to_dict_is_json_round_trippable(self):
         journal = SessionJournal("scheduler-0")
+        # A clean first-attempt completion is checkpointed: counted, not kept.
+        clean = _open(journal, name="dag-clean")
+        journal.begin_attempt(clean, "exec-0", at_ms=5.0)
+        journal.close(clean, SESSION_COMPLETED)
+        # A session that needed a retry keeps its full record for the artifact.
         record = _open(journal)
         journal.begin_attempt(record, "exec-1", at_ms=10.0)
+        journal.record_attempt_failure(record, "executor died")
+        journal.record_retry(record)
+        journal.begin_attempt(record, "exec-2", at_ms=40.0)
         journal.record_scheduled(record, "f")
         state = SessionState.create(ConsistencyLevel.LWW)
-        journal.record_completed(record, "f", 15.0, "vm-1:t0", "vm-1", state)
+        journal.record_completed(record, "f", 45.0, "vm-1:t0", "vm-1", state)
         journal.close(record, SESSION_COMPLETED)
         # Arbitrary user args must not leak into the dump — only their counts.
         _open(journal, name="dag-b", session=object())
         dump = json.loads(json.dumps(journal.to_dict()))
         assert dump["scheduler_id"] == "scheduler-0"
-        assert dump["counts"]["completed"] == 1
+        assert dump["counts"]["completed"] == 2
         assert dump["counts"]["running"] == 1
         sessions = {entry["dag_name"]: entry for entry in dump["sessions"]}
-        assert sessions["dag-a"]["attempts"][0]["placements"] == {"f": "vm-1:t0"}
+        assert set(sessions) == {"dag-a", "dag-b"}
+        assert sessions["dag-a"]["retries"] == 1
+        assert sessions["dag-a"]["attempts"][1]["placements"] == {"f": "vm-1:t0"}
         assert sessions["dag-a"]["function_arg_counts"] == {"f": 2}
         assert "function_args" not in sessions["dag-a"]
+
+
+class TestCheckpoint:
+    """close() keeps only what recovery or a fault post-mortem can need."""
+
+    def test_clean_completion_is_folded_into_the_counts(self):
+        journal = SessionJournal("s")
+        record = _open(journal)
+        journal.begin_attempt(record, "exec-1", at_ms=10.0)
+        journal.close(record, SESSION_COMPLETED)
+        assert journal.records() == []
+        assert journal.counts()[SESSION_COMPLETED] == 1
+        with pytest.raises(KeyError):
+            journal.record_for(record.session_id)
+
+    @pytest.mark.parametrize("disturb", ["retry", "recovery", "failure"])
+    def test_disturbed_sessions_keep_their_record(self, disturb):
+        journal = SessionJournal("s")
+        record = _open(journal)
+        journal.begin_attempt(record, "exec-1", at_ms=10.0)
+        if disturb == "retry":
+            journal.record_retry(record)
+        elif disturb == "recovery":
+            journal.record_recovery(record)
+        journal.close(record, SESSION_FAILED if disturb == "failure"
+                      else SESSION_COMPLETED)
+        assert journal.records() == [record]
+        assert journal.in_flight_count() == 0
+
+    def test_in_flight_queries_report_only_open_sessions(self):
+        journal = SessionJournal("s")
+        kept = []
+        for _ in range(50):
+            record = _open(journal)
+            journal.record_retry(record)
+            journal.close(record, SESSION_COMPLETED)
+            kept.append(record)
+        live_session = object()
+        live = _open(journal, session=live_session)
+        assert journal.records() == kept + [live]
+        assert journal.in_flight() == [live]
+        assert journal.in_flight_count() == 1
+        assert journal.live_sessions() == [live_session]
