@@ -50,7 +50,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Snapshot layout version; docs/BENCH_SCHEMA.md documents it and its history.
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.bench import (  # noqa: E402
@@ -313,8 +313,14 @@ def snapshot_scaling(run, thread_counts, requests_per_point, seed: int,
     started = time.time()
     result = run(thread_counts=thread_counts,
                  requests_per_point=requests_per_point, seed=seed, **kwargs)
+    wall_seconds = time.time() - started
     return {
         "requests_per_point": requests_per_point,
+        # Host speed of the whole sweep (set-up included): the ledger's
+        # wallclock trend row for the simulator itself.  Both sweeps run at
+        # full paper budget in every mode, so the row is scale-invariant.
+        "sim_requests_per_wall_s": round(
+            len(result.points) * requests_per_point / wall_seconds, 2),
         "points": [
             {
                 "threads": point.threads,
@@ -325,7 +331,7 @@ def snapshot_scaling(run, thread_counts, requests_per_point, seed: int,
             }
             for point in result.points
         ],
-        "wall_seconds": round(time.time() - started, 2),
+        "wall_seconds": round(wall_seconds, 2),
     }
 
 

@@ -572,25 +572,29 @@ class ExecutorCache:
         reads.  Dependencies that cannot be resolved from the KVS are counted
         in ``stats.causal_deps_unresolved`` instead of being dropped silently.
         """
-        worklist: List[Tuple[str, object]] = []
-        for lattice in lattices:
-            if isinstance(lattice, CausalLattice):
-                worklist.extend(lattice.dependencies.items())
+        # Each round walks the dependency dicts themselves (immutable, in
+        # insertion order): the order of ``needed`` is the order of the
+        # KVS's latency draws.
+        round_deps = [lattice.dependencies for lattice in lattices
+                      if isinstance(lattice, CausalLattice)]
         visited: Set[str] = set()
-        while worklist:
+        while round_deps:
             needed: List[str] = []
-            for dep_key, dep_clock in worklist:
-                if dep_key in visited:
-                    continue
-                visited.add(dep_key)
-                local = self._data.get(dep_key)
-                if local is not None and isinstance(local, CausalLattice):
-                    local_clock = local.vector_clock
-                    if local_clock.dominates_or_equal(dep_clock) or \
-                            local_clock.concurrent_with(dep_clock):
+            for dependencies in round_deps:
+                for dep_key, dep_clock in dependencies.items():
+                    if dep_key in visited:
                         continue
-                needed.append(dep_key)
-            worklist = []
+                    visited.add(dep_key)
+                    local = self._data.get(dep_key)
+                    if isinstance(local, CausalLattice):
+                        # Concurrent-or-newer: anything but strictly older
+                        # (usually the very clock object the value recorded).
+                        local_clock = local.vector_clock
+                        if local_clock is dep_clock or \
+                                not dep_clock.dominates(local_clock):
+                            continue
+                    needed.append(dep_key)
+            round_deps = []
             if not needed:
                 break
             fetched = self.kvs.multi_get(needed, ctx)
@@ -602,7 +606,7 @@ class ExecutorCache:
                 self.stats.causal_dep_fetches += 1
                 self._store(dep_key, value)
                 if isinstance(value, CausalLattice):
-                    worklist.extend(value.dependencies.items())
+                    round_deps.append(value.dependencies)
 
     def violates_causal_cut(self) -> List[Tuple[str, str]]:
         """Pairs (key, dependency) where the cut property does not hold.
@@ -624,8 +628,8 @@ class ExecutorCache:
                     violations.append((key, dep_key))
                     continue
                 local_clock = local.vector_clock
-                if not (local_clock.dominates_or_equal(dep_clock)
-                        or local_clock.concurrent_with(dep_clock)):
+                if not (local_clock is dep_clock
+                        or not dep_clock.dominates(local_clock)):
                     violations.append((key, dep_key))
         return violations
 

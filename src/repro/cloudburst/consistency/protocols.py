@@ -138,12 +138,22 @@ class ConsistencyProtocol:
     @staticmethod
     def _track_dependencies(state: SessionState, cache: ExecutorCache,
                             value: CausalLattice) -> None:
-        """Merge a causally wrapped value's dependency set into the session's."""
+        """Merge a causally wrapped value's dependency set into the session's.
+
+        The session owns its entries, so a known dependency is updated in
+        place; ``cache_id`` is always rewritten — it names the upstream a
+        later constrained read fetches from.
+        """
+        dependencies = state.dependencies
+        cache_id = cache.cache_id
         for dep_key, dep_clock in value.dependencies.items():
-            existing = state.dependencies.get(dep_key)
-            merged_clock = dep_clock if existing is None else existing.clock.merge(dep_clock)
-            state.dependencies[dep_key] = DependencyEntry(dep_key, merged_clock,
-                                                          cache.cache_id)
+            existing = dependencies.get(dep_key)
+            if existing is None:
+                dependencies[dep_key] = DependencyEntry(dep_key, dep_clock, cache_id)
+                continue
+            if existing.clock is not dep_clock:
+                existing.clock = existing.clock.merge(dep_clock)
+            existing.cache_id = cache_id
 
 
 class LWWProtocol(ConsistencyProtocol):
@@ -373,15 +383,14 @@ def _causally_valid(cache_version, required) -> bool:
     """True when a locally cached version may be served (Algorithm 2's valid()).
 
     The local version must be concurrent with or dominate the version required
-    by the session (the snapshot read upstream or a shipped dependency).
+    by the session (the snapshot read upstream or a shipped dependency) —
+    of the four clock relations only "older" fails.
     """
     if cache_version is None:
         return False
     if not isinstance(cache_version, VectorClock) or not isinstance(required, VectorClock):
         return cache_version == required
-    return (cache_version == required
-            or cache_version.dominates(required)
-            or cache_version.concurrent_with(required))
+    return cache_version is required or not required.dominates(cache_version)
 
 
 class ObservingProtocol(ConsistencyProtocol):

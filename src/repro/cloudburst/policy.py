@@ -107,11 +107,12 @@ class LocalityPlacementPolicy(PlacementPolicy):
                          now_ms: Optional[float]):
         """The executor whose VM cache holds the most referenced keys."""
         index = scheduler.kvs.cache_index
+        # caches_for copies the index's set: look each reference up once.
+        holders = [index.caches_for(ref.key) for ref in references]
         scores: List[Tuple[int, str, object]] = []
         for thread in threads:
             cache_id = thread.vm.cache.cache_id
-            cached = sum(1 for ref in references
-                         if cache_id in index.caches_for(ref.key))
+            cached = sum(1 for caches in holders if cache_id in caches)
             scores.append((cached, thread.thread_id, thread))
         scores.sort(key=lambda item: (-item[0], item[1]))
         for cached, _, thread in scores:

@@ -22,12 +22,19 @@ class Lattice(ABC):
 
     Subclasses must implement :meth:`merge` (the join) and :meth:`reveal`
     (extract the user-visible Python value).  ``merge`` must never mutate
-    either operand; it returns a new lattice.
+    either operand; it returns a lattice value-equal to the least upper
+    bound, which may be one of the operands themselves.  Lattices are
+    immutable once built, so callers just store what ``merge`` returns and
+    must not rely on getting a fresh object.
     """
 
     @abstractmethod
     def merge(self: L, other: L) -> L:
-        """Return the least upper bound of ``self`` and ``other``."""
+        """Return the least upper bound of ``self`` and ``other``.
+
+        The result ``==`` the join; it is ``self`` or ``other`` whenever
+        that operand already equals it.
+        """
 
     @abstractmethod
     def reveal(self) -> Any:

@@ -32,7 +32,17 @@ Sibling = Tuple[VectorClock, Any]
 
 
 class CausalLattice(Lattice):
-    """A causally versioned value (multi-value register plus dependency set)."""
+    """A causally versioned value (multi-value register plus dependency set).
+
+    ``dependencies`` is insertion-ordered and never mutated after
+    construction (lattices may share one dict).  The order is part of the
+    simulated timeline: the cache's cut repair walks it to build the key list
+    of its KVS ``multi_get``, which is the order of the latency model's
+    random draws.  A join therefore keeps "mine, in my order, then the other
+    side's new keys in its order", and :meth:`merge` returns ``self`` when
+    nothing changed but never ``other`` merely because it is value-equal
+    (equality sorts the dependencies, iteration does not).
+    """
 
     __slots__ = ("dependencies", "_siblings", "_clock", "_meta_bytes",
                  "_total_bytes")
@@ -46,24 +56,83 @@ class CausalLattice(Lattice):
         else:
             candidate = [(vector_clock or VectorClock(), value)]
         self._siblings: Tuple[Sibling, ...] = _prune(candidate)
-        # Derived quantities, computed on first use.  Safe to cache: the
-        # lattice is immutable (every mutation-shaped API — merge,
-        # with_dependency — returns a new instance) and nothing may mutate
-        # ``dependencies`` in place.  The causal protocols consult
-        # vector_clock/metadata_bytes/size_bytes on every read, which made
-        # re-deriving them the single hottest path in a fig12 profile.
+        # Derived quantities, computed on first use (merge's fast path fills
+        # them in from its operands).  Safe to cache: the lattice is
+        # immutable (no API — merge, with_dependency — writes to an existing
+        # instance) and nothing may mutate ``dependencies`` in place.  The
+        # causal protocols consult vector_clock/metadata_bytes/size_bytes on
+        # every read, which made re-deriving them the single hottest path in
+        # a fig12 profile.
         self._clock: Optional[VectorClock] = None
         self._meta_bytes: Optional[int] = None
         self._total_bytes: Optional[int] = None
 
     # -- lattice interface ---------------------------------------------------
     def merge(self, other: "CausalLattice") -> "CausalLattice":
+        if other is self:
+            return self
         other = self._check_type(other)
-        merged_deps = dict(self.dependencies)
+        # Dependencies: mine in my order, then the other side's new keys in
+        # its order (see the class docstring); copied on the first change.
+        mine = self.dependencies
+        merged_deps = mine
+        added_bytes = 0
         for key, clock in other.dependencies.items():
-            merged_deps[key] = merged_deps[key].merge(clock) if key in merged_deps else clock
-        return CausalLattice(dependencies=merged_deps,
-                             siblings=list(self._siblings) + list(other._siblings))
+            existing = mine.get(key)
+            if existing is clock:
+                continue
+            if existing is None:
+                joined = clock
+                added_bytes += len(key.encode("utf-8")) + clock.size_bytes()
+            else:
+                joined = existing.merge(clock)
+                if joined is existing:
+                    continue
+                added_bytes += joined.size_bytes() - existing.size_bytes()
+            if merged_deps is mine:
+                merged_deps = dict(mine)
+            merged_deps[key] = joined
+        winner = self._sole_surviving_side(other)
+        if winner is None:
+            return CausalLattice(dependencies=merged_deps,
+                                 siblings=self._siblings + other._siblings)
+        if winner is self and merged_deps is mine:
+            return self
+        # (Returning ``other`` when it is value-equal would reorder the
+        # dependency dict, so the join is built in my order instead.)
+        winner_clock = winner._siblings[0][0]
+        merged = object.__new__(CausalLattice)
+        merged.dependencies = merged_deps
+        merged._siblings = winner._siblings
+        merged._clock = winner_clock
+        # Sizes carry through instead of re-walking the payload: the winner's
+        # clock and payload bytes as they are, my dependency bytes plus what
+        # the loop above added or raised.
+        my_deps_bytes = self.metadata_bytes() - self._siblings[0][0].size_bytes()
+        merged._meta_bytes = winner_clock.size_bytes() + my_deps_bytes + added_bytes
+        merged._total_bytes = merged._meta_bytes + (
+            winner.size_bytes() - winner.metadata_bytes())
+        return merged
+
+    def _sole_surviving_side(self, other: "CausalLattice") -> Optional["CausalLattice"]:
+        """The operand whose single version survives the join by itself.
+
+        ``None`` sends :meth:`merge` to the general :func:`_prune` sweep:
+        several siblings on either side, concurrent clocks, or equal clocks
+        with unequal payloads (the tie break orders those by ``repr``).
+        """
+        if len(self._siblings) != 1 or len(other._siblings) != 1:
+            return None
+        (my_clock, my_value), (their_clock, their_value) = (
+            self._siblings[0], other._siblings[0])
+        if my_clock is their_clock or my_clock == their_clock:
+            same = my_value is their_value or _values_equal(my_value, their_value)
+            return self if same else None
+        if my_clock.dominates(their_clock):
+            return self
+        if their_clock.dominates(my_clock):
+            return other
+        return None
 
     def reveal(self) -> Any:
         """Return one version via a deterministic tie break (§5.2)."""

@@ -20,10 +20,14 @@ class VectorClock(Lattice):
     Causal-mode runs create and merge these at every read and write, which
     made clock construction/merge the top of the fig12 profile.  Hence the
     internal fast paths: a trusted constructor for entries that are already
-    validated (merge/increment outputs can only contain positive ints), merge
-    short-circuits on an empty operand (returning an existing clock is safe —
-    clocks are immutable), and the derived quantities (``size_bytes``, the
-    sorted identity tuple) are computed once per instance.
+    validated (merge/increment outputs can only contain positive ints);
+    ``merge`` returns an operand whenever the join is value-equal to it
+    (same object, empty operand, nothing raised, or everything raised to the
+    other side — safe because clocks are immutable) and allocates only when
+    an entry is actually raised; ``dominates`` is one pass over the other
+    clock's entries with a length check first; and the derived quantities
+    (``size_bytes``, the sorted identity tuple) are computed once per
+    instance.
     """
 
     __slots__ = ("_entries", "_size", "_ident")
@@ -55,6 +59,8 @@ class VectorClock(Lattice):
 
     # -- lattice interface -------------------------------------------------
     def merge(self, other: "VectorClock") -> "VectorClock":
+        if other is self:
+            return self
         other = self._check_type(other)
         mine = self._entries
         theirs = other._entries
@@ -64,11 +70,23 @@ class VectorClock(Lattice):
             return self
         if not mine:
             return other
-        merged = dict(mine)
-        get = merged.get
+        # Almost every join in a causal run is value-equal to an operand, so
+        # the merged dict is allocated only once an entry is actually raised.
+        merged = None
+        covers_mine = True  # theirs >= mine on every node theirs names
+        get = mine.get
         for node, clock in theirs.items():
-            if get(node, 0) < clock:
+            held = get(node, 0)
+            if held < clock:
+                if merged is None:
+                    merged = dict(mine)
                 merged[node] = clock
+            elif held > clock:
+                covers_mine = False
+        if merged is None:
+            return self
+        if covers_mine and len(merged) == len(theirs):
+            return other
         return VectorClock._trusted(merged)
 
     def reveal(self) -> Dict[str, int]:
@@ -86,14 +104,22 @@ class VectorClock(Lattice):
 
     def dominates(self, other: "VectorClock") -> bool:
         """True when ``self`` >= ``other`` in every entry and > in at least one."""
-        at_least_equal = all(
-            self.get(node) >= clock for node, clock in other._entries.items()
-        )
-        strictly_greater = any(
-            self.get(node) > other.get(node)
-            for node in set(self._entries) | set(other._entries)
-        )
-        return at_least_equal and strictly_greater
+        mine = self._entries
+        theirs = other._entries
+        # Entries are strictly positive, so a longer clock names a node the
+        # shorter one lacks: it cannot be dominated, and a shorter clock
+        # whose every entry is matched is strictly below.
+        if len(theirs) > len(mine):
+            return False
+        strictly_greater = len(mine) > len(theirs)
+        get = mine.get
+        for node, clock in theirs.items():
+            held = get(node, 0)
+            if held < clock:
+                return False
+            if held > clock:
+                strictly_greater = True
+        return strictly_greater
 
     def dominates_or_equal(self, other: "VectorClock") -> bool:
         return self == other or self.dominates(other)

@@ -23,7 +23,7 @@ from repro.bench.ledger import (
 
 
 def make_payload(engine=500_000.0, fig10=1_500.0, fig12=8_000.0, fig7=110.0,
-                 scale="quick", seed=0):
+                 scale="quick", seed=0, fig12_host=400.0):
     return {
         "schema": 7,
         "scale": scale,
@@ -37,6 +37,7 @@ def make_payload(engine=500_000.0, fig10=1_500.0, fig12=8_000.0, fig7=110.0,
             ],
         },
         "figure12_retwis_scaling": {
+            "sim_requests_per_wall_s": fig12_host,
             "points": [{"threads": 160, "requests_per_s": fig12}],
         },
         "figure7_autoscaling": {"requests_per_s": fig7},
@@ -176,6 +177,25 @@ class TestTrendErrors:
         errors, checks = trend_errors(make_payload(engine=100.0), ledger)
         assert errors == []
         assert checks["engine_throughput/events_per_sec"]["window"] == 0
+        ledger.close()
+
+    def test_fig12_host_speed_is_a_wallclock_row_across_scales(self, ledger_path):
+        # Simulated requests per wall-second of the fig12 sweep: judged only
+        # against this ledger's own runs, whatever their scale (fig12 runs
+        # the full budget in every mode).
+        metric = "figure12_retwis_scaling/sim_requests_per_wall_s"
+        ledger = BenchLedger(ledger_path)
+        ledger.append_run(make_payload(fig12_host=9_999.0), seeded=True)
+        errors, checks = trend_errors(make_payload(fig12_host=400.0), ledger)
+        assert errors == [] and checks[metric]["window"] == 0
+        for _ in range(3):
+            ledger.append_run(make_payload(fig12_host=400.0, scale="reduced"))
+        errors, checks = trend_errors(
+            make_payload(fig12_host=300.0, scale="quick"), ledger)
+        assert checks[metric]["kind"] == "wallclock"
+        assert checks[metric]["ok"] is False and metric in errors[0]
+        errors, _ = trend_errors(make_payload(fig12_host=1_000.0), ledger)
+        assert errors == []
         ledger.close()
 
     def test_deterministic_history_includes_seeded_rows(self, ledger_path):
