@@ -13,7 +13,8 @@ from repro.bench import run_figure11
 
 def test_figure11_retwis(bench_once):
     experiment = bench_once(run_figure11, requests=scale(2000), user_count=1000,
-                            seed_tweets=5000, executor_vms=4, flush_every=40, seed=0)
+                            seed_tweets=5000, executor_vms=4,
+                            propagation_interval_ms=200.0, seed=0)
     emit("Figure 11: Retwis request latency", experiment.comparison.as_table())
     emit("Figure 11: anomaly rates (timeline requests showing a reply without "
          "its original)", "\n".join([

@@ -298,8 +298,7 @@ def snapshot_figure7(seed: int, scale: str, tracer=None) -> dict:
         "capacity_timeline": sim.capacity_timeline,
         "latency": _summary(sim.latencies),
         "storage": experiment.storage_stats,
-        "storage_node_timeline": (experiment.storage_autoscaler.node_count_timeline
-                                  if experiment.storage_autoscaler else []),
+        "storage_node_timeline": list(experiment.storage_node_timeline),
         # The §4.4 loop's own accounting (publish ticks, scale events, pin
         # migrations); gated by figure7_controlplane_errors in CI.
         "controlplane": (experiment.control_plane.snapshot()
@@ -452,13 +451,13 @@ def main(argv=None) -> int:
           f"{engine_micro['sim_ms_per_wall_ms']}x real time under "
           f"recurring ticks; floor {engine_micro['floor_events_per_sec']:,.0f}")
 
-    print("figure 5 (data locality, engine-attached storage)...", flush=True)
+    print("figure 5 (data locality, queueing storage nodes)...", flush=True)
     fig5 = snapshot_figure5(args.seed, fig5_requests)
     for label, point in fig5["sizes"].items():
         hot = point["Cloudburst (Hot)"]["median_ms"]
         cold = point["Cloudburst (Cold)"]["median_ms"]
         print(f"  fig5 @{label}: hot={hot:.2f}ms cold={cold:.2f}ms")
-    print("figure 6 (gossip vs gather, engine-attached storage)...", flush=True)
+    print("figure 6 (gossip vs gather, queueing storage nodes)...", flush=True)
     fig6 = snapshot_figure6(args.seed, fig6_repetitions)
     for system, stats in fig6["systems"].items():
         print(f"  fig6 {system:24s} median={stats['median_ms']:.2f}ms")

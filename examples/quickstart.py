@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Quickstart: the paper's Table 1 client API, futures-first, end to end.
 
-Every invocation returns a ``CloudburstFuture``.  On the default sequential
-backend the future arrives already resolved; attach a discrete-event engine
-and ``call_dag`` returns *before* the DAG executes — resolution is driven by
-engine events, and ``future.get()`` advances virtual time until the result
-appears.
+Every invocation returns a ``CloudburstFuture``.  The cluster runs on one
+discrete-event engine: ``call`` executes in the caller's request context, so
+its future arrives resolved; ``call_dag`` returns *before* the DAG executes —
+resolution is driven by engine events, and ``future.get()`` advances virtual
+time until the result appears.
 
 Run with::
 
@@ -13,7 +13,6 @@ Run with::
 """
 
 from repro import CloudburstCluster, CloudburstReference, ConsistencyLevel
-from repro.sim import Engine
 
 
 def main() -> None:
@@ -40,27 +39,22 @@ def main() -> None:
     cloud.register(lambda x: x + 1, name="increment")
     cloud.register_dag("composition", ["increment", "square"],
                        [("increment", "square")])
-    # call_dag always returns a future; without an engine it is already
-    # resolved, so .value / .result() never block here.
+    # call_dag returns a *pending* future; .get() / .result() / .value block
+    # by advancing virtual time until the DAG's engine events have run.
     result = cloud.call_dag("composition", {"increment": [4]}).result()
     print(f"square(increment(4)) = {result.value}  "
           f"[simulated latency: {result.latency_ms:.2f} ms]")
 
-    # --- the same DAG on the engine backend ----------------------------------
-    # With an engine attached the DAG runs as discrete events: call_dag
-    # returns a *pending* future immediately, and many in-flight DAGs
-    # interleave on one virtual timeline.
-    engine = Engine()
-    cluster.attach_engine(engine)
+    # Many in-flight DAGs interleave on the cluster's one virtual timeline.
     futures = [cloud.call_dag("composition", {"increment": [n]}) for n in range(3)]
-    print("pending before the engine runs:",
+    print("pending before virtual time advances:",
           [f.is_ready() for f in futures])             # -> [False, False, False]
     futures[0].add_done_callback(
         lambda f: print("  callback: first DAG resolved ->", f.get()))
-    # get() advances virtual time until the result key appears (bounded by
+    # get() advances virtual time until the result appears (bounded by
     # timeout_ms); resolving the last future drains the earlier ones too.
     print("results:", [f.get(timeout_ms=10_000.0) for f in futures])
-    cluster.detach_engine()
+    print(f"virtual time now: {cluster.engine.now_ms:.2f} ms")
 
     # --- delete_dag (Table 1) -------------------------------------------------
     cloud.delete_dag("composition")

@@ -18,17 +18,18 @@ from repro.sim import LatencyRecorder
 from repro.workloads import SocialWorkloadGenerator
 
 
-def run_mode(level, graph, requests, flush_every=40):
+def run_mode(level, graph, requests, propagation_interval_ms=200.0):
+    # Anna pushes key updates to the caches every 200 ms of virtual time;
+    # between rounds a cache may serve a stale version, which is where the
+    # anomalies come from.
     cluster = CloudburstCluster(executor_vms=3, consistency=level,
-                                anna_propagation=AnnaCluster.PROPAGATE_PERIODIC)
+                                anna_propagation=AnnaCluster.PROPAGATE_PERIODIC,
+                                propagation_interval_ms=propagation_interval_ms)
     app = RetwisOnCloudburst(cluster, consistency=level)
     app.load_graph(graph)
-    cluster.kvs.flush_updates()
     recorder = LatencyRecorder(label=f"Cloudburst ({level.short_name})")
-    for index, request in enumerate(requests):
+    for request in requests:
         recorder.record(app.execute(request))
-        if (index + 1) % flush_every == 0:
-            cluster.kvs.flush_updates()
     return recorder, app.stats
 
 

@@ -47,12 +47,11 @@ class StorageAutoscalerReport:
 class StorageAutoscaler:
     """Periodic policy engine for the Anna storage tier.
 
-    On the synchronous path callers invoke :meth:`tick` by hand; with a
-    discrete-event engine the autoscaler runs as a recurring engine event
-    (:meth:`attach_engine`, usually wired through
+    Runs as a recurring event on the storage cluster's engine (armed by
     ``AnnaCluster.set_autoscaler``), evaluating the policy every interval of
-    *virtual* time.  Add/remove-node decisions rebalance the hash ring
-    through the cluster's migration path, so shard state follows membership.
+    *virtual* time; :meth:`tick` is also callable by hand.  Add/remove-node
+    decisions rebalance the hash ring through the cluster's migration path,
+    so shard state follows membership.
     """
 
     def __init__(self, cluster: AnnaCluster,
@@ -67,16 +66,17 @@ class StorageAutoscaler:
         #: analogue of the compute driver's capacity timeline.
         self.node_count_timeline: List[Tuple[float, int]] = []
 
-    # -- engine attachment -------------------------------------------------------
-    def attach_engine(self, engine, interval_ms: float = 5_000.0) -> None:
+    # -- lifecycle ---------------------------------------------------------------
+    def start(self, interval_ms: float = 5_000.0) -> None:
         """Run :meth:`tick` as a recurring engine event on virtual time."""
         if interval_ms <= 0:
             raise ValueError("autoscaler interval must be positive")
-        self.detach_engine()
+        self.stop()
+        engine = self.cluster.engine
         self._engine_event = engine.every(
             interval_ms, lambda: self.tick(now_ms=engine.now_ms))
 
-    def detach_engine(self) -> None:
+    def stop(self) -> None:
         if self._engine_event is not None:
             self._engine_event.cancel()
             self._engine_event = None

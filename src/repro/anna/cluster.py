@@ -14,17 +14,16 @@ a laptop-scale reimplementation with the properties Cloudburst relies on:
   only the affected shard of the key space.
 
 Latency: every remote ``get``/``put`` issued with a request context charges
-one Anna round trip (network model) plus the target node's deterministic
-service time for the tier holding the key.  On the synchronous path that is
-the whole story; with a discrete-event engine attached, storage nodes are
-first-class engine participants — each charged operation additionally waits
-in the target node's bounded FIFO work queue, a put lands on *one* replica
-(the first whose queue has room: multi-master, quorum-of-1) and reaches the
-rest through periodic anti-entropy gossip on virtual time, and a put that
-finds every replica's queue full fails fast with ``StorageOverloadError``.
-Background traffic (gossip, asynchronous cache write-backs, rebalancing)
-never occupies the work queues and charges nothing, matching the paper's
-treatment of replication as asynchronous and free for the caller.
+one Anna round trip (network model), the target node's deterministic service
+time for the tier holding the key, and the time it waits in that node's
+bounded FIFO work queue: storage nodes are first-class participants of the
+cluster's discrete-event engine.  A put lands on *one* replica (the first
+whose queue has room: multi-master, quorum-of-1) and reaches the rest through
+periodic anti-entropy gossip on virtual time; a put that finds every
+replica's queue full fails fast with ``StorageOverloadError``.  Background
+traffic (gossip, asynchronous cache write-backs, rebalancing) never occupies
+the work queues and charges nothing, matching the paper's treatment of
+replication as asynchronous and free for the caller.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from ..errors import KeyNotFoundError, StorageOverloadError
 from ..lattices import Lattice, LWWLattice, TimestampGenerator
-from ..sim import (LatencyModel, RequestContext, ingress_overflow_ms,
+from ..sim import (Engine, LatencyModel, RequestContext, ingress_overflow_ms,
                    run_overlapped)
 from .hash_ring import HashRing
 from .index import KeyCacheIndex
@@ -44,8 +43,7 @@ from .storage_node import DEFAULT_NODE_QUEUE_BOUND, StorageNode, StorageServiceM
 UpdateListener = Callable[[str, Lattice], None]
 
 #: Default virtual-time period of the anti-entropy gossip round that carries
-#: writes from the replica that accepted them to the rest of the replica set
-#: while an engine is attached.
+#: writes from the replica that accepted them to the rest of the replica set.
 DEFAULT_GOSSIP_INTERVAL_MS = 25.0
 
 
@@ -53,9 +51,10 @@ class AnnaCluster:
     """A cluster of Anna storage nodes behind a consistent-hash ring."""
 
     #: Update propagation modes: "immediate" pushes key updates to caches on
-    #: every put; "periodic" queues them until ``flush_updates`` is called,
-    #: which is how the real Anna behaves (§4.2) and is what lets caches serve
-    #: stale data between propagation rounds.
+    #: every put; "periodic" queues them until the next ``flush_updates``
+    #: round (every ``propagation_interval_ms`` of virtual time), which is how
+    #: the real Anna behaves (§4.2) and is what lets caches serve stale data
+    #: between propagation rounds.
     PROPAGATE_IMMEDIATE = "immediate"
     PROPAGATE_PERIODIC = "periodic"
 
@@ -69,7 +68,8 @@ class AnnaCluster:
                  node_queue_bound: Optional[int] = DEFAULT_NODE_QUEUE_BOUND,
                  gossip_interval_ms: float = DEFAULT_GOSSIP_INTERVAL_MS,
                  durable_path: Optional[Union[str, Path]] = None,
-                 tracer=None):
+                 tracer=None,
+                 engine: Optional[Engine] = None):
         if node_count <= 0:
             raise ValueError("node_count must be positive")
         if replication_factor <= 0:
@@ -90,27 +90,28 @@ class AnnaCluster:
         self.storage_service = storage_service or StorageServiceModel()
         self.node_queue_bound = node_queue_bound
         self.propagation_mode = propagation_mode
-        #: Virtual-time period of the engine-driven propagation tick.  Only
-        #: meaningful in periodic mode with an engine attached; replaces the
-        #: hand-rolled "flush every N requests" counters the consistency
-        #: benchmarks used to run.
+        #: Virtual-time period of the propagation round in periodic mode
+        #: (zero: only explicit ``flush_updates`` calls propagate).
         self.propagation_interval_ms = float(propagation_interval_ms)
-        #: Virtual-time period of replica anti-entropy gossip (engine only).
-        #: Zero disables gossip, falling back to instant write fan-out even
-        #: while an engine is attached.
+        #: Virtual-time period of replica anti-entropy gossip.  Zero runs the
+        #: round inside every put.
         self.gossip_interval_ms = float(gossip_interval_ms)
-        self._engine = None
-        self._flush_event = None
-        self._gossip_event = None
+        #: The discrete-event engine the storage nodes live on, for the
+        #: cluster's whole lifetime (a ``CloudburstCluster`` hands in its own).
+        self.engine = engine or Engine()
+        if (propagation_mode == self.PROPAGATE_PERIODIC
+                and self.propagation_interval_ms > 0):
+            self.engine.every(self.propagation_interval_ms, self.flush_updates)
+        if self.gossip_interval_ms > 0:
+            self.engine.every(self.gossip_interval_ms, self.run_gossip_round)
         self._autoscaler = None
-        self._autoscaler_interval_ms = 5_000.0
         self._pending_updates: List[str] = []
         #: Keys written at a node but not yet gossiped to its peer replicas.
         self._dirty: Dict[str, set] = {}
         self.gossip_rounds = 0
         self.gossip_key_exchanges = 0
-        # Lifetime counters carried over from retired nodes and reset queues,
-        # so scale-downs and engine detach don't erase a run's storage costs.
+        # Lifetime counters carried over from retired nodes, so scale-downs
+        # don't erase their storage costs.
         self._retired_queue_busy_ms = 0.0
         self._retired_rejections = 0
         self._retired_read_redirects = 0
@@ -312,14 +313,11 @@ class AnnaCluster:
             count_access: bool = True) -> Lattice:
         """Merge ``value`` into ``key``'s replica set.
 
-        Synchronous path (no engine): the merge is applied to every replica
-        inline and the caller — if it supplied a request context — is charged
-        one network round trip plus the primary's service time.
-
-        Engine path: the put lands on the *first replica whose work queue has
-        room* (multi-master, quorum-of-1), waits out that node's queue, and
-        is marked dirty so the periodic anti-entropy gossip carries it to the
-        remaining replicas on virtual time.  If every replica's queue is full
+        The put lands on the *first replica whose work queue has room*
+        (multi-master, quorum-of-1), waits out that node's queue, and is
+        marked dirty so the periodic anti-entropy gossip carries it to the
+        remaining replicas on virtual time (``gossip_interval_ms=0``: the
+        round runs before this returns).  If every replica's queue is full
         the put fails with :class:`~repro.errors.StorageOverloadError`.
         Uncharged puts (``ctx=None`` — asynchronous cache write-backs) are
         background traffic: they land on the primary without queueing.
@@ -334,42 +332,20 @@ class AnnaCluster:
         if ctx is not None:
             self.latency_model.charge(ctx, "anna", "put", size_bytes=value.size_bytes())
         owners = self._owners(key)
-        if self._engine is not None and self.gossip_interval_ms > 0:
-            merged = self._put_engine(key, value, ctx, owners, count_access)
+        if ctx is None:
+            target = owners[0]
         else:
-            merged = self._put_fanout(key, value, ctx, owners, count_access)
+            target = self._first_available(key, owners, ctx.clock.now_ms)
+        node = self._nodes[target]
+        self._serve(node, key, ctx, size_bytes=value.size_bytes(),
+                    fresh=not node.contains(key))
+        merged = node.put(key, value, now_ms=self._op_time(ctx),
+                          count_access=count_access)
+        self._dirty.setdefault(target, set()).add(key)
+        if self.gossip_interval_ms <= 0:
+            self.run_gossip_round()
         if propagate:
             self._propagate_update(key, merged, exclude=originating_cache)
-        return merged
-
-    def _put_fanout(self, key: str, value: Lattice, ctx: Optional[RequestContext],
-                    owners: List[str], count_access: bool = True) -> Lattice:
-        """Instant write fan-out: every replica merges inline.
-
-        This is the synchronous path, and also the engine path when gossip is
-        disabled (``gossip_interval_ms=0``).  In the latter case the bounded
-        queues still backpressure with the same contract as the quorum-of-1
-        path: the caller is charged at the first replica whose queue has
-        room, and only a put that finds *every* replica saturated rejects.
-        """
-        charged = owners[0]
-        if self._engine is not None and ctx is not None:
-            charged = self._first_available(key, owners, ctx.clock.now_ms)
-        merged: Optional[Lattice] = None
-        for owner in owners:
-            node = self._nodes[owner]
-            if owner == charged:
-                self._serve(node, key, ctx, size_bytes=value.size_bytes(),
-                            fresh=not node.contains(key))
-                merged = node.put(key, value, now_ms=self._op_time(ctx),
-                                  count_access=count_access)
-            else:
-                # Replication is system traffic: one client put is one write,
-                # whichever propagation mode carries it to the other replicas
-                # (otherwise fan-out and gossip report R-times different load
-                # to the hot-key and autoscaling policies).
-                node.put(key, value, count_access=False)
-        assert merged is not None
         return merged
 
     def _first_available(self, key: str, owners: List[str], at_ms: float) -> str:
@@ -387,28 +363,13 @@ class AnnaCluster:
             self._nodes[owner].rejections += 1
         raise StorageOverloadError(key, owners)
 
-    def _put_engine(self, key: str, value: Lattice, ctx: Optional[RequestContext],
-                    owners: List[str], count_access: bool = True) -> Lattice:
-        """Quorum-of-1 engine write: one replica now, the rest via gossip."""
-        if ctx is None:
-            target = owners[0]
-        else:
-            target = self._first_available(key, owners, ctx.clock.now_ms)
-        node = self._nodes[target]
-        self._serve(node, key, ctx, size_bytes=value.size_bytes(),
-                    fresh=not node.contains(key))
-        merged = node.put(key, value, now_ms=self._op_time(ctx),
-                          count_access=count_access)
-        self._dirty.setdefault(target, set()).add(key)
-        return merged
-
     def get(self, key: str, ctx: Optional[RequestContext] = None) -> Lattice:
         """Read ``key`` from its replica set (one charged round trip).
 
         The read is served by the first replica in ring order that holds the
-        key; on the engine path a replica whose work queue is full is skipped
-        in favour of a less-loaded one (reads redirect, writes reject), and
-        the chosen node's queueing delay is charged to the caller.
+        key; a replica whose work queue is full is skipped in favour of a
+        less-loaded one (reads redirect, writes reject), and the chosen
+        node's queueing delay is charged to the caller.
         """
         owners = self._owners(key)
         holders = [owner for owner in owners if self._nodes[owner].contains(key)]
@@ -419,7 +380,7 @@ class AnnaCluster:
                            self.storage_service.service_ms(StorageNode.MEMORY_TIER))
             raise KeyNotFoundError(key)
         target = holders[0]
-        if self._engine is not None and ctx is not None:
+        if ctx is not None:
             at_ms = ctx.clock.now_ms
             skipped = []
             for owner in holders:
@@ -445,10 +406,8 @@ class AnnaCluster:
                size_bytes: int = 0, fresh: bool = False) -> None:
         """Charge one operation's queueing delay and service time at ``node``.
 
-        Queueing only exists on the engine path (and only for charged
-        requests); the deterministic service time is charged on both paths so
-        a one-client engine run reproduces the synchronous accounting
-        sample-for-sample.
+        Uncharged requests (``ctx=None``) are background traffic and neither
+        queue nor pay.
         """
         if ctx is None:
             return
@@ -457,14 +416,13 @@ class AnnaCluster:
             tier = StorageNode.MEMORY_TIER
         service_ms = self.storage_service.service_ms(tier, size_bytes)
         span = ctx.span
-        if self._engine is not None:
-            start = node.work_queue.reserve(ctx.clock.now_ms, service_ms)
-            wait_ms = start - ctx.clock.now_ms
-            if wait_ms > 0:
-                if span is not None:
-                    span.child("kvs_queue", "anna", ctx.clock.now_ms,
-                               node=node.node_id).finish(ctx.clock.now_ms + wait_ms)
-                ctx.charge("anna", "queue", wait_ms)
+        start = node.work_queue.reserve(ctx.clock.now_ms, service_ms)
+        wait_ms = start - ctx.clock.now_ms
+        if wait_ms > 0:
+            if span is not None:
+                span.child("kvs_queue", "anna", ctx.clock.now_ms,
+                           node=node.node_id).finish(ctx.clock.now_ms + wait_ms)
+            ctx.charge("anna", "queue", wait_ms)
         service_span = None
         if span is not None:
             service_span = span.child("kvs_service", "anna", ctx.clock.now_ms,
@@ -635,83 +593,16 @@ class AnnaCluster:
             if listener is not None:
                 listener(key, value)
 
-    # -- engine attachment: queueing, gossip, propagation, autoscaling ----------------
-    def attach_engine(self, engine) -> None:
-        """Make the storage nodes first-class discrete-event participants.
-
-        While attached:
-
-        * charged ``get``/``put`` requests wait in the target node's bounded
-          FIFO work queue, so storage latency reflects real node contention;
-        * puts land on one replica and reach the rest through the periodic
-          anti-entropy gossip round (``gossip_interval_ms`` of virtual time);
-        * in periodic propagation mode with a positive
-          ``propagation_interval_ms``, a recurring engine event calls
-          :meth:`flush_updates` every interval, so cache staleness windows
-          emerge from the shared timeline;
-        * an attached :class:`~repro.anna.autoscaler.StorageAutoscaler`
-          (see :meth:`set_autoscaler`) ticks as a recurring engine event.
-        """
-        self.detach_engine()
-        self._engine = engine
-        self._reset_work_queues()
-        if (self.propagation_mode == self.PROPAGATE_PERIODIC
-                and self.propagation_interval_ms > 0):
-            self._flush_event = engine.every(self.propagation_interval_ms,
-                                             self.flush_updates)
-        if self.gossip_interval_ms > 0:
-            self._gossip_event = engine.every(self.gossip_interval_ms,
-                                              self.run_gossip_round)
-        if self._autoscaler is not None:
-            self._autoscaler.attach_engine(engine, self._autoscaler_interval_ms)
-
-    def detach_engine(self) -> None:
-        """Back to the synchronous path (instant fan-out, no queueing).
-
-        Any writes still awaiting gossip are propagated in a final
-        anti-entropy sweep so the cluster detaches fully replicated, and the
-        node work queues forget the run's reservations (sequential request
-        clocks restart at zero, so leftovers would read as saturation).
-        """
-        if self._flush_event is not None:
-            self._flush_event.cancel()
-        if self._gossip_event is not None:
-            self._gossip_event.cancel()
-        if self._autoscaler is not None:
-            self._autoscaler.detach_engine()
-        # A replica still partitioned at detach would make the drain loop
-        # below spin forever (its dirty keys requeue every round), so any
-        # injected partition heals first — detaching means the run is over.
-        self.heal_all_partitions()
-        while self._dirty:
-            self.run_gossip_round()
-        self._engine = None
-        self._flush_event = None
-        self._gossip_event = None
-        self._reset_work_queues()
-
-    def _reset_work_queues(self) -> None:
-        """Forget queue reservations, folding their busy time into the totals."""
-        for node in self._nodes.values():
-            self._retired_queue_busy_ms += node.work_queue.busy_ms
-            node.work_queue.reset()
-
-    @property
-    def engine(self):
-        return self._engine
-
+    # -- storage autoscaling ------------------------------------------------------------
     def set_autoscaler(self, autoscaler, interval_ms: float = 5_000.0) -> None:
-        """Attach a storage autoscaler that ticks as a recurring engine event."""
-        if interval_ms <= 0:
-            raise ValueError("autoscaler interval must be positive")
+        """Run a storage autoscaler's policy tick every ``interval_ms``."""
+        self.clear_autoscaler()
+        autoscaler.start(interval_ms)
         self._autoscaler = autoscaler
-        self._autoscaler_interval_ms = float(interval_ms)
-        if self._engine is not None:
-            autoscaler.attach_engine(self._engine, self._autoscaler_interval_ms)
 
     def clear_autoscaler(self) -> None:
         if self._autoscaler is not None:
-            self._autoscaler.detach_engine()
+            self._autoscaler.stop()
         self._autoscaler = None
 
     # -- anti-entropy gossip ------------------------------------------------------------
@@ -731,9 +622,9 @@ class AnnaCluster:
         on the next round.
         """
         gossip_span = None
-        if self.tracer is not None and self._engine is not None:
+        if self.tracer is not None:
             gossip_span = self.tracer.start_background(
-                "gossip_round", "anna", self._engine.now_ms)
+                "gossip_round", "anna", self.engine.now_ms)
         dirty, self._dirty = self._dirty, {}
         exchanged = 0
         for node_id in sorted(dirty):
@@ -760,7 +651,7 @@ class AnnaCluster:
         self.gossip_key_exchanges += exchanged
         if gossip_span is not None:
             gossip_span.annotate("key_exchanges", exchanged)
-            gossip_span.finish(self._engine.now_ms)
+            gossip_span.finish(self.engine.now_ms)
         return exchanged
 
     def partition_node(self, node_id: str) -> None:
@@ -781,15 +672,6 @@ class AnnaCluster:
         if node_id not in self._nodes:
             raise KeyError(f"unknown storage node: {node_id!r}")
         self._nodes[node_id].partitioned = False
-
-    def heal_all_partitions(self) -> int:
-        """Reconnect every partitioned replica; returns how many were healed."""
-        healed = 0
-        for node in self._nodes.values():
-            if node.partitioned:
-                node.partitioned = False
-                healed += 1
-        return healed
 
     def partitioned_nodes(self) -> List[str]:
         return sorted(node_id for node_id, node in self._nodes.items()
@@ -842,6 +724,6 @@ class AnnaCluster:
             sum(node.read_redirects for node in self._nodes.values())
 
     def total_queue_busy_ms(self) -> float:
-        """Cumulative work-queue service time, surviving resets and removals."""
+        """Cumulative work-queue service time, surviving node removals."""
         return self._retired_queue_busy_ms + \
             sum(node.work_queue.busy_ms for node in self._nodes.values())

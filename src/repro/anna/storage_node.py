@@ -6,13 +6,13 @@ a disk tier for cold data (Anna's tiered autoscaling, [86]).  Puts merge the
 incoming lattice into whatever the node already stores, which is what makes
 Anna multi-master and coordination free.
 
-Since the storage tier moved onto the discrete-event engine, every node also
-carries a bounded FIFO :class:`~repro.sim.engine.WorkQueue` and a
+Every node also carries a bounded FIFO
+:class:`~repro.sim.engine.ReservationQueue` and a
 :class:`StorageServiceModel` describing how long one operation occupies the
 node's server (memory tier vs the much slower disk tier).  The queue is only
-consulted for *charged* client requests on the engine-driven path; background
-traffic — replica gossip, asynchronous cache write-backs — never occupies it,
-matching the paper's treatment of replication as free for the caller.
+consulted for *charged* client requests; background traffic — replica gossip,
+asynchronous cache write-backs — never occupies it, matching the paper's
+treatment of replication as free for the caller.
 
 The disk tier has two implementations: the default in-process dict, and —
 when a :class:`~repro.durable.SqliteColdTier` is attached — a real WAL-mode
@@ -44,9 +44,8 @@ class StorageServiceModel:
     """Deterministic per-operation service time at one storage node.
 
     ``latency = base + size_bytes / bandwidth`` for the tier holding the key.
-    Deliberately jitter-free: the sequential cross-check requires the engine
-    path and the synchronous path to charge identical service times, so all
-    randomness stays in the network-latency model.
+    Deliberately jitter-free: all randomness stays in the network-latency
+    model, so a node's queue placements depend on arrival order alone.
     """
 
     memory_base_ms: float = 0.02

@@ -99,11 +99,10 @@ class GossipAggregation:
         """Run one aggregation until every actor is within ``target_error``.
 
         ``ctx`` threads an externally owned request context through the run —
-        the engine-driven Figure 6 harness uses this to place repetitions on
-        the shared virtual timeline instead of a fresh zero-based clock.
+        the Figure 6 harness uses this to place concurrent repetitions on the
+        cluster's timeline; without one the run is a client operation of its
+        own (:meth:`~repro.cloudburst.cluster.CloudburstCluster.request`).
         """
-        ctx = ctx or RequestContext()
-        start = ctx.clock.now_ms
         values = list(metrics) if metrics is not None else [
             self.rng.uniform(0.0, 100.0) for _ in range(self.actor_count)]
         if len(values) != self.actor_count:
@@ -115,11 +114,13 @@ class GossipAggregation:
             for i in range(self.actor_count)
         ]
         rounds = 0
-        while rounds < max_rounds:
-            rounds += 1
-            self._run_round(actors, ctx)
-            if self._converged(actors, true_mean, target_error):
-                break
+        with self.cluster.request(ctx) as ctx:
+            start = ctx.clock.now_ms
+            while rounds < max_rounds:
+                rounds += 1
+                self._run_round(actors, ctx)
+                if self._converged(actors, true_mean, target_error):
+                    break
         estimate = sum(a.estimate for a in actors) / len(actors)
         return AggregationResult(estimate=estimate, true_mean=true_mean,
                                  rounds=rounds, latency_ms=ctx.clock.now_ms - start)
@@ -190,14 +191,17 @@ class GatherAggregation:
 
     def run(self, metrics: Optional[Sequence[float]] = None,
             ctx: Optional[RequestContext] = None) -> AggregationResult:
-        ctx = ctx or RequestContext()
-        start = ctx.clock.now_ms
         values = list(metrics) if metrics is not None else [
             self.rng.uniform(0.0, 100.0) for _ in range(self.actor_count)]
         true_mean = sum(values) / len(values)
         if self.backend == self.BACKEND_CLOUDBURST:
-            estimate = self._run_on_cloudburst(values, ctx)
+            with self.cluster.request(ctx) as ctx:
+                start = ctx.clock.now_ms
+                estimate = self._run_on_cloudburst(values, ctx)
         else:
+            # The simulated baselines have no timeline of their own.
+            ctx = ctx or RequestContext()
+            start = ctx.clock.now_ms
             estimate = self._run_on_lambda(values, ctx)
         return AggregationResult(estimate=estimate, true_mean=true_mean, rounds=1,
                                  latency_ms=ctx.clock.now_ms - start)
@@ -208,7 +212,7 @@ class GatherAggregation:
         Each actor's publish is one local cache put; the cache's write-back to
         Anna is asynchronous (uncharged background traffic, as everywhere else
         in the reproduction), so only the charged leader reads below contend at
-        the storage nodes' work queues on the engine-driven path.
+        the storage nodes' work queues.
         """
         kvs = self.cluster.kvs
         branches = []

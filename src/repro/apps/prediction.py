@@ -127,9 +127,9 @@ class PredictionDeployment:
     def serve_future(self, image: np.ndarray, ctx=None):
         """Invoke the pipeline; returns the invocation's CloudburstFuture.
 
-        On an engine-attached cluster the future is pending (the DAG stages
-        run as engine events); resolve it with ``future.get()`` or subscribe
-        with ``future.add_done_callback`` — the load drivers do the latter.
+        The future is pending (the DAG stages run as engine events); resolve
+        it with ``future.get()`` or subscribe with
+        ``future.add_done_callback`` — the load drivers do the latter.
         """
         return self.client.call_dag(PIPELINE_DAG, {"cb_resize": [image]}, ctx=ctx)
 

@@ -291,8 +291,8 @@ class RetwisOnCloudburst:
                    reply_to: Optional[str] = None,
                    ctx: Optional[RequestContext] = None) -> Tuple[Dict, float]:
         tweet_id = f"t{next(self._tweet_ids)}"
-        # Single-function invocations resolve within the caller's context on
-        # both backends, so the returned future never blocks here.
+        # Single-function invocations resolve within the caller's context,
+        # so the returned future never blocks here.
         result = self.client.call("retwis_post_tweet",
                                   [author, tweet_id, text, reply_to],
                                   consistency=self.consistency, ctx=ctx).result()

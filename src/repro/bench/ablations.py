@@ -87,6 +87,12 @@ def run_caching_ablation(requests: int = 200, size_label: str = "800KB",
     return comparison
 
 
+#: How long the hot-key ablation keeps a hot VM's threads occupied: longer
+#: than the hop from the client to the scheduler's placement decision,
+#: shorter than one request, so the next request finds the VM free again.
+_HOT_VM_BUSY_MS = 1.0
+
+
 @dataclass
 class ReplicationAblation:
     """How widely a hot key gets replicated with and without backpressure."""
@@ -116,13 +122,16 @@ def run_hot_key_replication_ablation(requests: int = 300, executor_vms: int = 6,
         for index in range(requests):
             if backpressure:
                 # Saturate whichever VM currently caches the hot key so the
-                # scheduler's overload avoidance kicks in.
+                # scheduler's overload avoidance kicks in: every one of its
+                # threads is busy with other work while this call is placed.
+                now_ms = cluster.engine.now_ms
                 for vm in cluster.vms:
                     if vm.cache.contains("hot-key"):
-                        vm.inflight = len(vm.threads)
-            result = cloud.call("touch_hot", [reference])
-            for vm in cluster.vms:
-                vm.inflight = 0
+                        for thread in vm.threads:
+                            busy_from = thread.work_queue.admit(now_ms)
+                            thread.work_queue.release(
+                                busy_from + _HOT_VM_BUSY_MS)
+            cloud.call("touch_hot", [reference])
             if index % 20 == 0:
                 cluster.publish_all_metrics()
         counts[backpressure] = sum(
@@ -137,8 +146,6 @@ def run_hot_key_replication_ablation(requests: int = 300, executor_vms: int = 6,
 
 def run_messaging_ablation(messages: int = 500, seed: int = 0) -> ComparisonResult:
     """Direct TCP messaging vs falling back to the Anna inbox."""
-    from ..sim import RequestContext
-
     comparison = ComparisonResult(title="Ablation: direct messaging vs Anna inbox")
     for label, reachable in (("Direct TCP", True), ("Anna inbox fallback", False)):
         cluster = CloudburstCluster(executor_vms=2, seed=seed)
@@ -148,10 +155,11 @@ def run_messaging_ablation(messages: int = 500, seed: int = 0) -> ComparisonResu
             cluster.router.mark_unreachable(receiver.thread_id)
         recorder = LatencyRecorder(label=label)
         for index in range(messages):
-            ctx = RequestContext()
-            cluster.router.send(sender.thread_id, receiver.thread_id,
-                                f"ping-{index}", ctx)
-            cluster.router.recv(receiver.thread_id, ctx)
-            recorder.record(ctx.clock.now_ms)
+            with cluster.request() as ctx:
+                start_ms = ctx.clock.now_ms
+                cluster.router.send(sender.thread_id, receiver.thread_id,
+                                    f"ping-{index}", ctx)
+                cluster.router.recv(receiver.thread_id, ctx)
+            recorder.record(ctx.clock.now_ms - start_ms)
         comparison.add(recorder)
     return comparison

@@ -103,7 +103,7 @@ class ScalingResult:
 
 def _scaling_sweep(title: str, thread_counts: Sequence[int], clients_for,
                    requests_per_point: int, point_runner) -> ScalingResult:
-    """Engine-driven sweep: each point runs real requests on a fresh cluster.
+    """Thread-count sweep: each point runs real requests on a fresh cluster.
 
     ``point_runner(threads, clients, requests)`` must return a
     :class:`~repro.sim.SimulationResult` produced by driving concurrent
@@ -192,8 +192,14 @@ class RetwisExperiment:
 
 def run_figure11(requests: int = 2_000, user_count: int = 1_000,
                  seed_tweets: int = 5_000, executor_vms: int = 4,
-                 flush_every: int = 25, seed: int = 0) -> RetwisExperiment:
-    """Cloudburst (LWW), Cloudburst (causal) and Retwis-over-Redis."""
+                 propagation_interval_ms: float = 200.0,
+                 seed: int = 0) -> RetwisExperiment:
+    """Cloudburst (LWW), Cloudburst (causal) and Retwis-over-Redis.
+
+    One closed-loop client per system.  Anna propagates key updates to the
+    caches every ``propagation_interval_ms`` of virtual time; between rounds
+    caches serve stale versions, which is where the anomalies come from.
+    """
     comparison = ComparisonResult(title="Figure 11: Retwis request latency")
     generator = SocialWorkloadGenerator(user_count=user_count,
                                         seed_tweet_count=seed_tweets, seed=seed)
@@ -206,15 +212,13 @@ def run_figure11(requests: int = 2_000, user_count: int = 1_000,
                           ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL)):
         cluster = CloudburstCluster(
             executor_vms=executor_vms, consistency=level, seed=seed,
-            anna_propagation=AnnaCluster.PROPAGATE_PERIODIC)
+            anna_propagation=AnnaCluster.PROPAGATE_PERIODIC,
+            propagation_interval_ms=propagation_interval_ms)
         app = RetwisOnCloudburst(cluster, consistency=level)
         app.load_graph(graph)
-        cluster.kvs.flush_updates()
         recorder = LatencyRecorder(label=label)
-        for index, request in enumerate(requests_stream):
+        for request in requests_stream:
             recorder.record(app.execute(request))
-            if flush_every and (index + 1) % flush_every == 0:
-                cluster.kvs.flush_updates()
         comparison.add(recorder)
         anomaly_rates[label] = app.stats.anomaly_rate
 

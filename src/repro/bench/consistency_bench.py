@@ -7,15 +7,13 @@ its result to one of the keys the DAG read.  Figure 8 measures per-DAG latency
 system under last-writer-wins and counts the anomalies each stricter level
 would have prevented.
 
-Both experiments run **engine-driven** by default: many concurrent
-``CloudburstClient``s issue DAGs through the public futures-first API
-(``cloud.call_dag`` returns a :class:`CloudburstFuture` whose resolution is
-driven by engine events) on one shared discrete-event timeline, and Anna's
-update propagation is a periodic engine event
-(``propagation_interval_ms``).  Staleness windows and anomaly counts
-therefore emerge from genuine interleaving of in-flight sessions — not from
-the old hand-rolled "flush every N requests" counter, which is kept only as
-the sequential cross-check path (``driver="sequential"``).
+Both experiments run many concurrent ``CloudburstClient``s that issue DAGs
+through the public futures-first API (``cloud.call_dag`` returns a
+:class:`CloudburstFuture` whose resolution is driven by engine events) on the
+cluster's discrete-event timeline, and Anna's update propagation is a
+periodic engine event (``propagation_interval_ms``).  Staleness windows and
+anomaly counts therefore emerge from genuine interleaving of in-flight
+sessions on virtual time.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from ..sim import LatencyRecorder, RandomSource, median, percentile
 from ..workloads.dags import ConsistencyWorkload
 from .harness import ComparisonResult, EngineLoadDriver
 
-#: Default virtual-time period of Anna's engine-driven update propagation.
+#: Default virtual-time period of Anna's update propagation.
 #: Plays the role the paper's periodic cache-update gossip plays: between two
 #: ticks, caches serve stale data, which is the window in which the §6.2
 #: anomalies arise.
@@ -73,49 +71,19 @@ def _build_workload(level: ConsistencyLevel, dag_count: int, populated_keys: int
     return cluster, client, workload, dags
 
 
-def _run_level_sequential(level: ConsistencyLevel, dag_count: int, requests: int,
-                          populated_keys: int, executor_vms: int, seed: int,
-                          anomaly_tracker: Optional[AnomalyTracker] = None,
-                          propagation_flush_every: int = 0) -> Dict[str, object]:
-    """Drive the §6.2 workload one request at a time (the cross-check path).
-
-    Kept for comparison against the engine-driven driver: one sequential
-    client, staleness faked by flushing Anna's pending updates every
-    ``propagation_flush_every`` requests.
-    """
-    propagation = (AnnaCluster.PROPAGATE_PERIODIC if propagation_flush_every
-                   else AnnaCluster.PROPAGATE_IMMEDIATE)
-    cluster, client, workload, dags = _build_workload(
-        level, dag_count, populated_keys, executor_vms, seed, anomaly_tracker,
-        propagation)
-    recorder = LatencyRecorder(label=level.short_name)
-    rng = RandomSource(seed).spawn("dag-choice")
-    for index in range(requests):
-        dag = rng.choice(dags)
-        function_args, _ = workload.sample_request(dag)
-        # Sequential backend: the future arrives already resolved.
-        result = client.call_dag(dag.name, function_args, consistency=level).result()
-        # Figure 8 normalises latency by the depth of the DAG.
-        recorder.record(result.latency_ms / dag.longest_path_length())
-        if propagation_flush_every and (index + 1) % propagation_flush_every == 0:
-            cluster.kvs.flush_updates()
-    return {"cluster": cluster, "recorder": recorder, "workload": workload}
-
-
-def _run_level_engine(level: ConsistencyLevel, dag_count: int, requests: int,
-                      populated_keys: int, executor_vms: int, seed: int,
-                      clients: int = DEFAULT_CLIENTS,
-                      propagation_interval_ms: float = DEFAULT_PROPAGATION_INTERVAL_MS,
-                      anomaly_tracker: Optional[AnomalyTracker] = None
-                      ) -> Dict[str, object]:
+def _run_level(level: ConsistencyLevel, dag_count: int, requests: int,
+               populated_keys: int, executor_vms: int, seed: int,
+               clients: int = DEFAULT_CLIENTS,
+               propagation_interval_ms: float = DEFAULT_PROPAGATION_INTERVAL_MS,
+               anomaly_tracker: Optional[AnomalyTracker] = None
+               ) -> Dict[str, object]:
     """Drive the §6.2 workload with concurrent clients on the engine.
 
     ``clients`` closed-loop ``CloudburstClient``s issue DAGs through
-    ``cloud.call_dag``, which on the engine backend returns a pending
-    :class:`CloudburstFuture` and decomposes the DAG into engine events —
-    in-flight sessions interleave their cache and snapshot accesses, and Anna
-    propagates updates on a periodic ``propagation_interval_ms`` engine tick
-    rather than a per-request flush counter.
+    ``cloud.call_dag``, which returns a pending :class:`CloudburstFuture`
+    and decomposes the DAG into engine events — in-flight sessions
+    interleave their cache and snapshot accesses, and Anna propagates
+    updates on a periodic ``propagation_interval_ms`` engine tick.
     """
     propagation = (AnnaCluster.PROPAGATE_PERIODIC if propagation_interval_ms > 0
                    else AnnaCluster.PROPAGATE_IMMEDIATE)
@@ -149,56 +117,6 @@ def _run_level_engine(level: ConsistencyLevel, dag_count: int, requests: int,
             "simulation": simulation}
 
 
-def _resolve_driver_knobs(driver: str, clients: Optional[int],
-                          propagation_interval_ms: Optional[float],
-                          flush_every: Optional[int],
-                          default_clients: int):
-    """Apply per-driver defaults and reject knobs the driver would ignore.
-
-    ``flush_every`` only exists on the sequential cross-check path and
-    ``clients``/``propagation_interval_ms`` only on the engine path; silently
-    discarding a knob the caller set would change the meaning of their run.
-    """
-    if driver == "engine":
-        if flush_every is not None:
-            raise ValueError(
-                "flush_every only applies to driver='sequential'; the engine "
-                "driver propagates on propagation_interval_ms of virtual time")
-        return (default_clients if clients is None else clients,
-                DEFAULT_PROPAGATION_INTERVAL_MS if propagation_interval_ms is None
-                else propagation_interval_ms,
-                0)
-    if driver == "sequential":
-        if clients is not None or propagation_interval_ms is not None:
-            raise ValueError(
-                "clients/propagation_interval_ms only apply to driver='engine'; "
-                "the sequential driver is one client with flush_every staleness")
-        return 1, 0.0, (10 if flush_every is None else flush_every)
-    raise ValueError(f"unknown consistency driver {driver!r}")
-
-
-def _run_level(level: ConsistencyLevel, dag_count: int, requests: int,
-               populated_keys: int, executor_vms: int, seed: int,
-               anomaly_tracker: Optional[AnomalyTracker] = None,
-               driver: str = "engine",
-               clients: int = DEFAULT_CLIENTS,
-               propagation_interval_ms: float = DEFAULT_PROPAGATION_INTERVAL_MS,
-               propagation_flush_every: int = 0) -> Dict[str, object]:
-    if driver == "engine":
-        return _run_level_engine(
-            level, dag_count=dag_count, requests=requests,
-            populated_keys=populated_keys, executor_vms=executor_vms, seed=seed,
-            clients=clients, propagation_interval_ms=propagation_interval_ms,
-            anomaly_tracker=anomaly_tracker)
-    if driver == "sequential":
-        return _run_level_sequential(
-            level, dag_count=dag_count, requests=requests,
-            populated_keys=populated_keys, executor_vms=executor_vms, seed=seed,
-            anomaly_tracker=anomaly_tracker,
-            propagation_flush_every=propagation_flush_every)
-    raise ValueError(f"unknown consistency driver {driver!r}")
-
-
 def _metadata_overhead(cluster: CloudburstCluster, key_prefix: str = "cw-",
                        sample_limit: int = 2_000) -> MetadataOverhead:
     """Sample per-key causal metadata sizes from Anna after the run."""
@@ -224,34 +142,26 @@ def _metadata_overhead(cluster: CloudburstCluster, key_prefix: str = "cw-",
 def run_figure8(requests_per_level: int = 2_000, dag_count: int = 100,
                 populated_keys: int = 2_000, executor_vms: int = 5,
                 seed: int = 0,
-                driver: str = "engine",
-                clients: Optional[int] = None,
-                propagation_interval_ms: Optional[float] = None,
-                flush_every: Optional[int] = None,
+                clients: int = DEFAULT_CLIENTS,
+                propagation_interval_ms: float = DEFAULT_PROPAGATION_INTERVAL_MS,
                 levels: Sequence[ConsistencyLevel] = tuple(ConsistencyLevel)
                 ) -> ConsistencyLatencyResult:
     """Per-DAG latency (normalised by DAG depth) under each consistency level.
 
-    Engine-driven by default: ``clients`` concurrent sessions per level with
-    Anna propagating updates every ``propagation_interval_ms`` of virtual
-    time.  The staleness between ticks is what forces the distributed session
-    protocols to take their remote-fetch slow paths and therefore what
-    separates the tail latencies in this figure.  ``driver="sequential"``
-    keeps the old one-request-at-a-time cross-check (staleness from
-    ``flush_every``).
+    ``clients`` concurrent sessions per level with Anna propagating updates
+    every ``propagation_interval_ms`` of virtual time.  The staleness between
+    ticks is what forces the distributed session protocols to take their
+    remote-fetch slow paths and therefore what separates the tail latencies
+    in this figure.
     """
-    clients, propagation_interval_ms, flush_every = _resolve_driver_knobs(
-        driver, clients, propagation_interval_ms, flush_every,
-        default_clients=DEFAULT_CLIENTS)
     comparison = ComparisonResult(
         title="Figure 8: DAG latency by consistency level (normalised by DAG depth)")
     overheads: Dict[str, MetadataOverhead] = {}
     for offset, level in enumerate(levels):
         outcome = _run_level(level, dag_count=dag_count, requests=requests_per_level,
                              populated_keys=populated_keys, executor_vms=executor_vms,
-                             seed=seed + offset, driver=driver, clients=clients,
-                             propagation_interval_ms=propagation_interval_ms,
-                             propagation_flush_every=flush_every)
+                             seed=seed + offset, clients=clients,
+                             propagation_interval_ms=propagation_interval_ms)
         comparison.add(outcome["recorder"])
         if level.is_causal:
             overheads[level.short_name] = _metadata_overhead(outcome["cluster"])
@@ -261,26 +171,20 @@ def run_figure8(requests_per_level: int = 2_000, dag_count: int = 100,
 def run_table2(executions: int = 4_000, dag_count: int = 100,
                populated_keys: int = 1_000, executor_vms: int = 5,
                seed: int = 0,
-               driver: str = "engine",
-               clients: Optional[int] = None,
-               propagation_interval_ms: Optional[float] = None,
-               flush_every: Optional[int] = None) -> AnomalyReport:
+               clients: int = 2 * DEFAULT_CLIENTS,
+               propagation_interval_ms: float = DEFAULT_PROPAGATION_INTERVAL_MS
+               ) -> AnomalyReport:
     """Run the workload under LWW and count would-be anomalies per level.
 
-    Engine-driven by default: the anomalies come from genuinely concurrent
-    sessions interleaving on shared caches, with the staleness window set by
+    The anomalies come from genuinely concurrent sessions interleaving on
+    shared caches, with the staleness window set by
     ``propagation_interval_ms`` (a wider window raises the counts).  The
     paper observes 904 SK / +35 MK / +104 DSC / 46 DSRR anomalies over 4,000
-    executions.  ``driver="sequential"`` keeps the old one-client cross-check
-    whose staleness comes from flushing every ``flush_every`` requests.
+    executions.
     """
-    clients, propagation_interval_ms, flush_every = _resolve_driver_knobs(
-        driver, clients, propagation_interval_ms, flush_every,
-        default_clients=2 * DEFAULT_CLIENTS)
     tracker = AnomalyTracker()
     _run_level(ConsistencyLevel.LWW, dag_count=dag_count, requests=executions,
                populated_keys=populated_keys, executor_vms=executor_vms, seed=seed,
-               anomaly_tracker=tracker, driver=driver, clients=clients,
-               propagation_interval_ms=propagation_interval_ms,
-               propagation_flush_every=flush_every)
+               anomaly_tracker=tracker, clients=clients,
+               propagation_interval_ms=propagation_interval_ms)
     return tracker.report

@@ -147,11 +147,14 @@ def _run_fault_class(fault: str, seed: int, request_count: int, clients: int,
     driver = EngineLoadDriver(cluster, request, clients=clients,
                               max_requests=request_count,
                               label=f"fault-{fault}")
-    plane.attach(driver.engine)
+    # The fault schedule counts from the plane's start: start it where the
+    # run will start.
+    cluster.settle()
+    plane.start()
     try:
         simulation = driver.run()
     finally:
-        plane.detach()
+        plane.stop()
 
     report = tracker.report
     result: Dict[str, Any] = {

@@ -1,20 +1,20 @@
 """Shared benchmark plumbing: load drivers and result tables.
 
-Two request drivers live here:
-
-* :func:`run_closed_loop` — the sequential driver used by the latency
-  figures: one client, one request at a time, per-request virtual clocks.
+* :func:`run_closed_loop` — a plain loop of requests, one after another.  It
+  measures the simulated baselines (each request on a fresh zero-based
+  clock) and top-level Cloudburst loops, which ride the cluster's clock:
+  every ``cloud.call`` starts where the previous one completed.
 * :class:`EngineLoadDriver` — the multi-client driver used by the throughput
-  and consistency figures (7, 8, 10, 12, Table 2): the driver constructs one
-  :class:`~repro.cloudburst.client.CloudburstClient` per simulated client and
-  every request goes through the *public* futures-first API
-  (``cloud.call``/``cloud.call_dag``) on the shared discrete-event engine.
-  Contention flows through the actual scheduler placement policy, executor
-  work queues, caches and Anna — not through a synthetic service-time model —
-  and completion is delivered through ``future.add_done_callback``, so
-  stateful DAG sessions genuinely interleave their cache and snapshot
-  accesses on one timeline.
-
+  and consistency figures (5, 6, 7, 8, 10, 12, Table 2): the driver
+  constructs one :class:`~repro.cloudburst.client.CloudburstClient` per
+  simulated client and every request goes through the *public*
+  futures-first API (``cloud.call``/``cloud.call_dag``) on the cluster's
+  discrete-event engine.  Contention flows through the actual scheduler
+  placement policy, executor work queues, caches and Anna — not through a
+  synthetic service-time model — and completion is delivered through
+  ``future.add_done_callback``, so stateful DAG sessions genuinely
+  interleave their cache and snapshot accesses on one timeline.
+  ``clients=1`` is the same closed loop a plain top-level loop runs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from ..cloudburst.controlplane import ComputeControlPlane
 from ..cloudburst.references import CloudburstFuture
 from ..errors import DagExecutionError, StorageOverloadError
 from ..sim import (
-    Engine,
     LatencyRecorder,
     LatencySummary,
     RequestContext,
@@ -39,7 +38,7 @@ from ..sim.stats import build_throughput_curve
 
 def run_closed_loop(label: str, request_fn: Callable[[int], float],
                     requests: int) -> LatencyRecorder:
-    """Issue ``requests`` sequential requests; ``request_fn`` returns latency (ms)."""
+    """Issue ``requests`` requests one after another; ``request_fn`` returns latency (ms)."""
     recorder = LatencyRecorder(label=label)
     for index in range(requests):
         recorder.record(request_fn(index))
@@ -50,9 +49,9 @@ def run_closed_loop(label: str, request_fn: Callable[[int], float],
 #: ``cloud`` is the issuing client's own ``CloudburstClient`` and ``ctx`` is a
 #: request context whose clock starts at the arrival's virtual time.  Return
 #: the :class:`CloudburstFuture` of the invocation (the driver subscribes to
-#: its completion — on an engine backend a DAG future resolves via later
-#: engine events) or None for work that completes synchronously on ``ctx``
-#: (the driver then reads the end time off the context clock).
+#: its completion — a DAG future resolves via later engine events) or None
+#: for work that completes synchronously on ``ctx`` (the driver then reads
+#: the end time off the context clock).
 DriverRequestFn = Callable[["object", RequestContext, int], Optional[CloudburstFuture]]
 
 
@@ -62,7 +61,7 @@ class EngineLoadDriver:
     A thin multi-client wrapper over the public client API: the driver
     constructs one :class:`CloudburstClient` per simulated client and each
     request issues through ``cloud.call``/``cloud.call_dag``, never through
-    scheduler internals.  Every client lives on one shared
+    scheduler internals.  Every client lives on the cluster's
     :class:`~repro.sim.engine.Engine` timeline.  A request issued at virtual
     time *t* gets a context whose clock starts at *t*; the scheduler places
     it with the executor-queue occupancy of that moment, and the executor
@@ -82,13 +81,19 @@ class EngineLoadDriver:
     :class:`~repro.cloudburst.controlplane.ComputeControlPlane` and the full
     §4.4 loop (periodic metric publishes, KVS aggregation, scale decisions,
     pin migration) runs as recurring engine events alongside the workload.
+
+    A run starts wherever the cluster's virtual time stands once it has
+    settled (see :meth:`run`); ``start_ms``, ``stop_ms`` and
+    ``max_duration_ms`` count from there, and so does everything the
+    returned :class:`SimulationResult` reports.  Settling fires whatever is
+    already queued on the engine, so anything meant to happen *during* the
+    run is scheduled from the run itself (a control plane, the first request).
     """
 
     def __init__(self, cluster, request_fn: DriverRequestFn, *,
                  clients: int = 1,
                  mode: str = "closed",
                  arrival_rate_per_s: float = 0.0,
-                 think_time_ms: float = 0.0,
                  start_ms: float = 0.0,
                  stop_ms: Optional[float] = None,
                  max_requests: Optional[int] = None,
@@ -115,7 +120,6 @@ class EngineLoadDriver:
         self.clients = clients
         self.mode = mode
         self.arrival_rate_per_s = arrival_rate_per_s
-        self.think_time_ms = think_time_ms
         self.start_ms = start_ms
         self.stop_ms = stop_ms
         self.max_requests = max_requests
@@ -131,8 +135,9 @@ class EngineLoadDriver:
         self.record_charges = record_charges
         self.label = label
         self._rng = cluster.rng.spawn("load-driver")
-
-        self.engine = Engine()
+        self.engine = cluster.engine
+        #: Virtual time the run started at (set by :meth:`run`).
+        self.started_ms = 0.0
         #: ``keep_latency_samples=False`` records completions into a log-scale
         #: histogram instead of a flat list (O(1) memory at paper-scale sweep
         #: volumes); ``summary()`` then reads bucket-interpolated percentiles.
@@ -148,6 +153,9 @@ class EngineLoadDriver:
         #: Requests currently in flight (issued, future not yet resolved).
         self.inflight = 0
         self._last_completion_ms = 0.0
+        #: When the latest request returned to its client, failures included.
+        self._last_end_ms = 0.0
+        self._storage_before: Dict[str, float] = {}
         self._completion_buckets: Dict[int, int] = {}
         self._active: Dict[int, bool] = {}
         self._initial_capacity: Optional[int] = None
@@ -156,12 +164,24 @@ class EngineLoadDriver:
 
     # -- public API --------------------------------------------------------
     def run(self) -> SimulationResult:
+        """Run the workload to completion; the one ``Engine.run`` of a run.
+
+        The run starts once the cluster has settled
+        (:meth:`~repro.cloudburst.cluster.CloudburstCluster.settle`), on a
+        whole virtual millisecond.  Tick, boot and end-of-run times are
+        whole-millisecond offsets from the start, so they are exact in
+        floating point: events the configuration puts at the same instant
+        (the last policy tick and the end of the run, a booted VM and the
+        tick that should see it) land on the same instant and keep their
+        scheduling order, however long set-up happened to take.
+        """
         engine = self.engine
-        self.cluster.attach_engine(engine)
+        origin = self.started_ms = self.cluster.settle()
+        self._storage_before = self._storage_counters()
         if self.control_plane is not None:
             horizon = (self.max_duration_ms
                        if self.max_duration_ms != float("inf") else None)
-            self.control_plane.attach_engine(engine, horizon_ms=horizon)
+            self.control_plane.start(horizon_ms=horizon)
         try:
             # Baseline capacity is the thread count *before* the workload:
             # mid-run capacity changes without a control plane (fault
@@ -170,19 +190,25 @@ class EngineLoadDriver:
             if self.mode == "closed":
                 for client in range(self.clients):
                     self._active[client] = True
-                    engine.at(self.start_ms,
+                    engine.at(origin + self.start_ms,
                               lambda cid=client: self._client_arrival(cid))
                     if self.stop_ms is not None:
-                        engine.at(self.stop_ms,
+                        engine.at(origin + self.stop_ms,
                                   lambda cid=client: self._stop_client(cid))
             else:
-                engine.at(self.start_ms + self._interarrival_ms(),
+                self._active[-1] = True
+                engine.at(origin + self.start_ms + self._interarrival_ms(),
                           self._open_arrival)
-            engine.run(until_ms=self.max_duration_ms)
+            engine.run(until_ms=origin + self.max_duration_ms)
         finally:
+            # The engine outlives the run: arrivals still queued past
+            # ``max_duration_ms`` must find their clients gone, and a last
+            # request that completed in-line (ahead of the engine's clock)
+            # must have completed before anyone issues the next one.
+            self._active.clear()
             if self.control_plane is not None:
-                self.control_plane.detach_engine()
-            self.cluster.detach_engine()
+                self.control_plane.stop()
+            self.cluster.advance_to(self._last_end_ms)
         return self._build_result()
 
     # -- client behaviour --------------------------------------------------
@@ -201,14 +227,14 @@ class EngineLoadDriver:
         end_ms = self._issue_request(client)
         if end_ms is None:
             return  # future-driven: continuation fires from the done callback
-        # Closed loop: next request once this one returns (plus think time).
+        # Closed loop: next request once this one returns.
         self._next_arrival(client, end_ms)
 
     def _open_arrival(self) -> None:
-        if self._exhausted():
+        if not self._active.get(-1, False) or self._exhausted():
             return
         now = self.engine.now_ms
-        if self.stop_ms is None or now < self.stop_ms:
+        if self.stop_ms is None or now < self.started_ms + self.stop_ms:
             self._issue_request(client=-1)
             self.engine.at(now + self._interarrival_ms(), self._open_arrival)
 
@@ -266,31 +292,25 @@ class EngineLoadDriver:
         return None
 
     def _next_arrival(self, client: int, end_ms: float) -> None:
+        self._last_end_ms = max(self._last_end_ms, end_ms)
         if self.mode != "closed":
             return
         if not self._active.get(client, False) or self._exhausted():
             return
-        self.engine.at(end_ms + self.think_time_ms,
-                       lambda: self._client_arrival(client))
+        self.engine.at(end_ms, lambda: self._client_arrival(client))
 
     def _record_completion(self, start_ms: float, end_ms: float) -> float:
         self.latencies.record(end_ms - start_ms)
         self.completed += 1
         self._last_completion_ms = max(self._last_completion_ms, end_ms)
-        bucket = int(end_ms // self.bucket_ms)
+        bucket = int((end_ms - self.started_ms) // self.bucket_ms)
         self._completion_buckets[bucket] = self._completion_buckets.get(bucket, 0) + 1
         return end_ms
 
-    def storage_report(self) -> Dict[str, float]:
-        """What the run cost at the Anna tier (engine-attached storage nodes).
-
-        Read after :meth:`run`; all quantities are cumulative over the
-        cluster's lifetime, so diff two reports to isolate one run.
-        """
+    def _storage_counters(self) -> Dict[str, float]:
         kvs = self.cluster.kvs
         return {
-            "nodes": kvs.node_count(),
-            "queue_busy_ms": round(kvs.total_queue_busy_ms(), 3),
+            "queue_busy_ms": kvs.total_queue_busy_ms(),
             "rejections": kvs.total_rejections(),
             "read_redirects": kvs.total_read_redirects(),
             "demotions": kvs.total_demotions(),
@@ -298,21 +318,28 @@ class EngineLoadDriver:
             "gossip_key_exchanges": kvs.gossip_key_exchanges,
         }
 
+    def storage_report(self) -> Dict[str, float]:
+        """What the run cost at the Anna tier: the storage counters' growth
+        since :meth:`run` started, plus the node count now."""
+        report = {name: value - self._storage_before[name]
+                  for name, value in self._storage_counters().items()}
+        report["queue_busy_ms"] = round(report["queue_busy_ms"], 3)
+        return {"nodes": self.cluster.kvs.node_count(), **report}
+
     # -- metrics helpers ---------------------------------------------------
     def _live_thread_count(self) -> int:
         return self.cluster.live_thread_count()
 
     # -- results -----------------------------------------------------------
     def _build_result(self) -> SimulationResult:
+        origin = self.started_ms
         duration = min(self.max_duration_ms,
-                       max(self.engine.now_ms, self._last_completion_ms))
+                       max(self.engine.now_ms, self._last_completion_ms) - origin)
         if self.control_plane is not None:
-            capacity_timeline = list(self.control_plane.capacity_timeline)
+            capacity_timeline = [(at_ms - origin, capacity) for at_ms, capacity
+                                 in self.control_plane.capacity_timeline]
         else:
-            baseline = (self._initial_capacity
-                        if self._initial_capacity is not None
-                        else self._live_thread_count())
-            capacity_timeline = [(0.0, baseline)]
+            capacity_timeline = [(0.0, self._initial_capacity)]
         return SimulationResult(
             latencies=self.latencies,
             throughput_curve=build_throughput_curve(

@@ -5,23 +5,21 @@ test, drives the workload, and returns structured results that the
 ``benchmarks/`` wrappers print and that the integration tests assert on.
 Parameters default to paper-scale values but can be shrunk for fast runs.
 
-The Cloudburst sides of Figures 5 and 6 run **engine-driven** by default:
-concurrent closed-loop clients issue requests through the real stack on one
-shared discrete-event timeline with the Anna storage nodes attached as
-first-class participants — every charged KVS operation waits out the target
-node's bounded work queue, writes land on one replica and reach the rest via
-periodic anti-entropy gossip, so the locality and gossip-vs-gather numbers
-include real storage contention.  ``driver="sequential"`` keeps the old
-synchronous path as a cross-check; a 1-client engine run reproduces its
-latencies sample-for-sample (pinned by the integration tests).  The simulated
-Lambda/Redis/S3/DynamoDB baselines have no storage-node model and always run
-sequentially.
+The Cloudburst sides of Figures 5 and 6 run through
+:class:`~repro.bench.harness.EngineLoadDriver`: concurrent closed-loop
+clients issue requests through the real stack on the cluster's
+discrete-event timeline — every charged KVS operation waits out the target
+storage node's bounded work queue, writes land on one replica and reach the
+rest via periodic anti-entropy gossip, so the locality and gossip-vs-gather
+numbers include real storage contention (``clients=1`` is the uncontended
+closed loop).  The simulated Lambda/Redis/S3/DynamoDB baselines have no
+storage-node model: each of their requests runs on a fresh zero-based clock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 from ..anna import (
@@ -64,6 +62,7 @@ from .harness import (
     SweepResult,
     build_cluster_with_threads,
     run_closed_loop,
+    run_engine_closed_loop,
 )
 
 
@@ -157,61 +156,17 @@ def run_figure1(requests: int = 1000, seed: int = 0) -> ComparisonResult:
 # --------------------------------------------------------------------------------------
 # Figure 5: data locality (sum of 10 arrays, 80 KB - 80 MB total)
 # --------------------------------------------------------------------------------------
-#: Default number of concurrent closed-loop clients on the engine-driven
-#: locality/aggregation paths.  Small: Figures 5 and 6 are latency figures,
+#: Default number of concurrent closed-loop clients on the
+#: locality/aggregation figures.  Small: Figures 5 and 6 are latency figures,
 #: so the point is real (but light) storage contention, not saturation.
 DEFAULT_MICRO_CLIENTS = 3
-
-
-def _resolve_micro_driver(driver: str, clients: Optional[int],
-                          default_clients: int = DEFAULT_MICRO_CLIENTS) -> int:
-    """Per-driver defaults; reject knobs the sequential driver would ignore."""
-    if driver == "engine":
-        return default_clients if clients is None else clients
-    if driver == "sequential":
-        if clients is not None:
-            raise ValueError("clients only applies to driver='engine'; the "
-                             "sequential cross-check is one synchronous client")
-        return 1
-    raise ValueError(f"unknown microbenchmark driver {driver!r}")
-
-
-def _run_cloudburst_loop(cluster, label: str, request_fn, requests: int,
-                         driver: str, clients: int):
-    """Drive ``request_fn(cloud, ctx)`` through the chosen driver.
-
-    ``request_fn`` issues its work through the public client API (or any
-    synchronous workload driving ``ctx`` directly) and returns the
-    invocation's future, or None for synchronous work.
-
-    ``driver="engine"``: ``clients`` concurrent closed-loop clients on the
-    shared engine timeline (storage nodes attached, so KVS operations queue).
-    ``driver="sequential"``: the synchronous cross-check — one request at a
-    time on fresh zero-based clocks, storage charged service time but no
-    queueing.  A 1-client engine run reproduces it sample-for-sample.
-    """
-    if driver == "engine":
-        load = EngineLoadDriver(cluster, lambda cloud, ctx, _index: request_fn(cloud, ctx),
-                                clients=clients, max_requests=requests, label=label)
-        return load.run().latencies
-
-    sequential_client = cluster.connect(f"{label}-sequential")
-
-    def sequential_request(_index: int) -> float:
-        ctx = RequestContext()
-        request_fn(sequential_client, ctx)
-        return ctx.clock.now_ms
-
-    return run_closed_loop(label, sequential_request, requests)
 
 
 def run_figure5(requests_per_size: int = 100,
                 sizes: Sequence[str] = FIGURE5_TOTAL_SIZES,
                 seed: int = 0,
-                driver: str = "engine",
-                clients: Optional[int] = None) -> SweepResult:
+                clients: int = DEFAULT_MICRO_CLIENTS) -> SweepResult:
     """Cloudburst hot/cold caches vs Lambda over ElastiCache (Redis) and S3."""
-    clients = _resolve_micro_driver(driver, clients)
     sweep = SweepResult(title="Figure 5: data locality (sum of 10 arrays)")
     rng = RandomSource(seed)
     for label in sizes:
@@ -219,12 +174,12 @@ def run_figure5(requests_per_size: int = 100,
         requests = requests_per_size if ELEMENTS_PER_ARRAY[label] <= 100_000 \
             else max(10, requests_per_size // 5)
         sweep.add(label, _figure5_one_size(label, requests, rng.spawn(label),
-                                           driver, clients))
+                                           clients))
     return sweep
 
 
 def _figure5_one_size(label: str, requests: int, rng: RandomSource,
-                      driver: str, clients: int) -> ComparisonResult:
+                      clients: int) -> ComparisonResult:
     result = ComparisonResult(title=f"Figure 5 @ total input {label}")
     arrays = make_arrays(label, seed=rng.randint(0, 1 << 16))
     keys = LocalityWorkloadKeys.shared(label)
@@ -238,10 +193,10 @@ def _figure5_one_size(label: str, requests: int, rng: RandomSource,
     cloud.register(sum_arrays_with_library, name="sum_arrays")
     references = [CloudburstReference(key) for key in keys.keys]
 
-    def hot_request(cloud_client, ctx: RequestContext):
+    def hot_request(cloud_client, ctx: RequestContext, _index: int):
         return cloud_client.call("sum_arrays", references, ctx=ctx)
 
-    def cold_request(cloud_client, ctx: RequestContext):
+    def cold_request(cloud_client, ctx: RequestContext, _index: int):
         # Cold: every retrieval misses the executor cache and goes to Anna.
         for vm in cluster.vms:
             vm.cache.clear()
@@ -249,10 +204,11 @@ def _figure5_one_size(label: str, requests: int, rng: RandomSource,
 
     # One warm-up request so "hot" measures steady-state cache hits.
     cloud.call("sum_arrays", references)
-    result.add(_run_cloudburst_loop(cluster, "Cloudburst (Hot)", hot_request,
-                                    requests, driver, clients))
-    result.add(_run_cloudburst_loop(cluster, "Cloudburst (Cold)", cold_request,
-                                    requests, driver, clients))
+    for label, request in (("Cloudburst (Hot)", hot_request),
+                           ("Cloudburst (Cold)", cold_request)):
+        result.add(run_engine_closed_loop(
+            cluster, request, clients=clients, total_requests=requests,
+            label=label).latencies)
 
     # -- Lambda over Redis and S3 ------------------------------------------------------------
     model = LatencyModel(rng.spawn("lambda-model"))
@@ -289,16 +245,14 @@ def _figure5_one_size(label: str, requests: int, rng: RandomSource,
 # --------------------------------------------------------------------------------------
 def run_figure6(repetitions: int = 100, actor_count: int = 10,
                 seed: int = 0,
-                driver: str = "engine",
-                clients: Optional[int] = None) -> ComparisonResult:
+                clients: int = DEFAULT_MICRO_CLIENTS) -> ComparisonResult:
     """Gossip on Cloudburst vs centralized gather on Cloudburst/Redis/Dynamo/S3.
 
-    The two Cloudburst-backed algorithms run through the chosen driver (the
-    engine default puts concurrent aggregations on one timeline, with the
-    gather leader's storage reads queueing at real Anna nodes); the Lambda
-    gathers are simulated baselines and always run sequentially.
+    The two Cloudburst-backed algorithms run as concurrent aggregations on
+    the cluster's timeline, with the gather leader's storage reads queueing
+    at real Anna nodes; the Lambda gathers are simulated baselines, one
+    request at a time.
     """
-    clients = _resolve_micro_driver(driver, clients)
     result = ComparisonResult(
         title="Figure 6: distributed aggregation latency (10 actors)")
     rng = RandomSource(seed)
@@ -321,16 +275,17 @@ def run_figure6(repetitions: int = 100, actor_count: int = 10,
 
     # The aggregation protocols drive the request context directly (they are
     # not function invocations), so the request fns complete synchronously.
-    def gossip_request(_cloud, ctx: RequestContext) -> None:
+    def gossip_request(_cloud, ctx: RequestContext, _index: int) -> None:
         gossip.run(ctx=ctx)
 
-    def gather_request(_cloud, ctx: RequestContext) -> None:
+    def gather_request(_cloud, ctx: RequestContext, _index: int) -> None:
         cloudburst_gather.run(ctx=ctx)
 
-    result.add(_run_cloudburst_loop(cluster, "Cloudburst (gossip)",
-                                    gossip_request, repetitions, driver, clients))
-    result.add(_run_cloudburst_loop(cluster, "Cloudburst (gather)",
-                                    gather_request, repetitions, driver, clients))
+    for label, request in (("Cloudburst (gossip)", gossip_request),
+                           ("Cloudburst (gather)", gather_request)):
+        result.add(run_engine_closed_loop(
+            cluster, request, clients=clients, total_requests=repetitions,
+            label=label).latencies)
     for label, gather in lambda_gathers.items():
         result.add(run_closed_loop(label, lambda i, g=gather: g.run().latency_ms,
                                    repetitions))
@@ -349,8 +304,10 @@ class AutoscalingExperiment:
     initial_threads: int
     client_count: int
     #: The storage-tier policy that ticked alongside the compute autoscaler
-    #: (its ``history`` and ``node_count_timeline`` expose what it decided).
+    #: (its ``history`` exposes what it decided).
     storage_autoscaler: Optional[StorageAutoscaler] = None
+    #: ``(ms since the run started, storage nodes)`` after every storage tick.
+    storage_node_timeline: Sequence[Tuple[float, int]] = ()
     #: What the run cost at the Anna tier (``EngineLoadDriver.storage_report``:
     #: node count, queue busy time, rejections, demotions, gossip traffic).
     storage_stats: Optional[Dict[str, float]] = None
@@ -506,5 +463,9 @@ def run_figure7(initial_threads: int = 18, client_count: int = 40,
                                  initial_threads=initial_threads,
                                  client_count=client_count,
                                  storage_autoscaler=storage_scaler,
+                                 storage_node_timeline=[
+                                     (at_ms - driver.started_ms, nodes)
+                                     for at_ms, nodes
+                                     in storage_scaler.node_count_timeline],
                                  storage_stats=storage_stats,
                                  control_plane=control_plane)

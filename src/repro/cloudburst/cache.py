@@ -39,8 +39,7 @@ class CacheStats:
     upstream_fetches: int = 0
     update_pushes_received: int = 0
     snapshots_created: int = 0
-    #: Virtual time this cache's KVS fetches spent queued at storage nodes
-    #: (engine-driven runs only; zero on the synchronous path).
+    #: Virtual time this cache's KVS fetches spent queued at storage nodes.
     kvs_queue_wait_ms: float = 0.0
     #: Dependencies fetched from Anna while repairing the causal cut.
     causal_dep_fetches: int = 0
@@ -83,11 +82,9 @@ class ExecutorCache:
         # for the wasted-prefetch counter at settle time).
         self._prefetched_unread: Set[str] = set()
         # Virtual time until which this VM's ingress link is busy streaming
-        # earlier prefetched values (transfers serialize; round trips don't).
+        # the current execution's earlier prefetched values (transfers
+        # serialize; round trips don't), and that execution's id.
         self._prefetch_link_free_ms: float = 0.0
-        # Execution id of the last prefetch batch (sequential mode only):
-        # without an engine, per-request clocks are not comparable, so the
-        # link cursor resets at each new issuing execution.
         self._prefetch_last_epoch: Optional[str] = None
         # Snapshots pinned for in-flight DAGs: (execution_id, key) -> lattice.
         self._snapshots: Dict[Tuple[str, str], Lattice] = {}
@@ -255,10 +252,10 @@ class ExecutorCache:
                 raise
             return None
         if ctx is not None:
-            # Surface how much of the miss penalty was storage-node queueing
-            # (nonzero only when the cluster runs on the event engine).  Only
-            # the charges this fetch appended are scanned — a full ctx.total()
-            # would rescan the request's whole charge log on every miss.
+            # Surface how much of the miss penalty was storage-node queueing.
+            # Only the charges this fetch appended are scanned — a full
+            # ctx.total() would rescan the request's whole charge log on
+            # every miss.
             self.stats.kvs_queue_wait_ms += sum(
                 charge.latency_ms for charge in ctx.charges[mark:]
                 if charge.service == "anna" and charge.operation == "queue")
@@ -352,7 +349,7 @@ class ExecutorCache:
     #: readiness timestamp lives on) from unrelated later readers.
     PREFETCH_EPOCH_KEY = "prefetch_epoch"
 
-    def prefetch(self, keys, now_ms: float, engine=None,
+    def prefetch(self, keys, now_ms: float,
                  epoch: Optional[str] = None) -> int:
         """Start background fetches for the scheduler's DAG-reference hints.
 
@@ -371,20 +368,16 @@ class ExecutorCache:
         link (a monotone per-cache cursor): prefetching ten large arrays is
         bandwidth-bound exactly like fetching them on demand, so prefetch
         can hide round trips and scheduling hops but never invents ingress
-        bandwidth.  With an engine the landing is also a real (background)
-        event, so entries become locally visible at the right virtual time
-        even if no read ever claims them.  Returns the number of fetches
-        started.
+        bandwidth.  The landing is also a real (background) engine event, so
+        entries become locally visible at the right virtual time even if no
+        read ever claims them.  Returns the number of fetches started.
         """
         if self.closed:
             return 0
         if epoch != self._prefetch_last_epoch:
             # The link cursor serialises transfers within one issuing
-            # execution's placement burst.  A new execution starts from its
-            # own "link idle" state: in sequential mode earlier requests'
-            # clocks are not even comparable, and on the engine path the
-            # same reset keeps single-client runs identical to the
-            # sequential cross-check.  (Cross-execution link contention is
+            # execution's placement burst; a new execution starts from its
+            # own "link idle" state.  (Cross-execution link contention is
             # deliberately not modelled — see DESIGN.md DR-8.)
             self._prefetch_link_free_ms = now_ms
         self._prefetch_last_epoch = epoch
@@ -409,11 +402,9 @@ class ExecutorCache:
                     "prefetch", "cache", now_ms, node=self.cache_id)
                 if span is not None:
                     span.annotate("key", key)
-            if engine is not None:
-                engine.at(ready_ms, lambda key=key, span=span, ready=ready_ms:
-                          self._land_prefetch(key, span, ready), background=True)
-            elif span is not None:
-                span.finish(ready_ms)
+            self.kvs.engine.at(
+                ready_ms, lambda key=key, span=span, ready=ready_ms:
+                self._land_prefetch(key, span, ready), background=True)
         return started
 
     def _land_prefetch(self, key: str, span, ready_ms: float) -> None:
@@ -439,10 +430,9 @@ class ExecutorCache:
         if entry is None:
             return None
         ready_ms, value, epoch = entry
-        # Only the issuing execution's clock is comparable to ready_ms; an
-        # unrelated later reader observes the entry as already landed (the
-        # engine-path landing event and the sequential path agree on this,
-        # which is what keeps the single-client cross-check exact).
+        # Only the issuing execution pays the residual wait; an unrelated
+        # reader observes the entry as already landed (cross-execution
+        # contention is not modelled, see :meth:`prefetch`).
         same_epoch = (ctx is not None and epoch is not None and
                       ctx.metadata.get(self.PREFETCH_EPOCH_KEY) == epoch)
         if same_epoch and ready_ms > ctx.clock.now_ms:

@@ -1,24 +1,26 @@
 """The Cloudburst client (§3, Figure 2): the single invocation surface.
 
 The client is how applications interact with the platform — it implements
-the paper's Table 1 API over whichever backend the cluster runs on:
+the paper's Table 1 API:
 
 * ``put``/``get``/``delete`` move data in and out of the KVS.
 * ``register``/``register_dag``/``delete_dag`` manage functions and
   compositions on **every** scheduler the client knows about.
 * ``call``/``call_dag`` invoke them and always return a
   :class:`~repro.cloudburst.references.CloudburstFuture`.  Every invocation
-  is one :class:`~repro.cloudburst.sessions.DagSession`; the backends differ
-  in who fires its events.  On the sequential backend (and for ``call`` on
-  both) the session is driven to completion inside the call and the future
-  arrives already resolved; on an engine-attached cluster ``call_dag``
-  enqueues the session on the shared engine and returns *before* it
-  executes — resolution is delivered through ``future.add_done_callback``
-  or by ``future.get()``, which advances virtual time until the result
-  appears (with an optional timeout).  Either way the future's payload is
-  the same :class:`~repro.cloudburst.scheduler.ExecutionResult`, built by
-  the same code, so latency and anomaly accounting do not depend on the
-  backend.
+  is one :class:`~repro.cloudburst.sessions.DagSession`.  ``call`` executes
+  in the caller's request context and its future arrives already resolved;
+  ``call_dag`` enqueues the session on the cluster's engine and returns
+  *before* it executes — resolution is delivered through
+  ``future.add_done_callback`` or by ``future.get()``, which advances
+  virtual time until the result appears (with an optional timeout).
+
+Every operation runs on the cluster's one virtual timeline.  Given a ``ctx``
+it runs on that context (drivers and apps own their timelines); without one
+it starts at the engine's current time and — outside engine events, which
+cannot block — returns with the engine advanced to its completion time
+(:meth:`~repro.cloudburst.cluster.CloudburstCluster.request`), so a plain
+loop of calls is one closed-loop client.
 """
 
 from __future__ import annotations
@@ -57,20 +59,20 @@ class RegisteredFunction:
 class CloudburstClient:
     """User-facing entry point to a Cloudburst deployment (paper Table 1)."""
 
-    def __init__(self, schedulers: Sequence[Scheduler], client_id: str = "client-0",
-                 consistency: ConsistencyLevel = ConsistencyLevel.LWW,
-                 cluster=None, tracer=None):
+    def __init__(self, schedulers: Sequence[Scheduler], cluster,
+                 client_id: str = "client-0",
+                 consistency: ConsistencyLevel = ConsistencyLevel.LWW):
         if not schedulers:
             raise ValueError("a client needs at least one scheduler address")
+        self._cluster = cluster
         self._schedulers = list(schedulers)
         self._scheduler_cycle = itertools.cycle(self._schedulers)
-        self._cluster = cluster  # backend handle; None = sequential-only client
         self.client_id = client_id
         self.consistency = consistency
-        #: Optional ``repro.obs.Tracer``; when set (and sampling says yes),
-        #: each invocation gets a root span and the tiers hang children off it.
-        self.tracer = tracer if tracer is not None else (
-            getattr(cluster, "tracer", None) if cluster is not None else None)
+        #: The cluster's ``repro.obs.Tracer``, if any; when set (and sampling
+        #: says yes), each invocation gets a root span and the tiers hang
+        #: children off it.
+        self.tracer = cluster.tracer
         self._encapsulator = LatticeEncapsulator(client_id, consistency)
         self.latencies = LatencyRecorder(label=client_id)
         self.last_result: Optional[ExecutionResult] = None
@@ -82,19 +84,20 @@ class CloudburstClient:
 
     def put(self, key: str, value: Any, ctx: Optional[RequestContext] = None) -> None:
         """Store a Python object in the KVS (wrapped in the appropriate lattice)."""
-        ctx = ctx or RequestContext()
-        prior = self.kvs.get_or_none(key)
-        lattice = self._encapsulator.encapsulate(value, clock_ms=self.kvs.wall_clock_ms(),
-                                                 prior=prior)
-        self.kvs.put(key, lattice, ctx)
+        with self._cluster.request(ctx) as ctx:
+            prior = self.kvs.get_or_none(key)
+            lattice = self._encapsulator.encapsulate(
+                value, clock_ms=self.kvs.wall_clock_ms(), prior=prior)
+            self.kvs.put(key, lattice, ctx)
 
     def get(self, key: str, ctx: Optional[RequestContext] = None) -> Any:
         """Fetch a Python object from the KVS."""
-        ctx = ctx or RequestContext()
-        return LatticeEncapsulator.de_encapsulate(self.kvs.get(key, ctx))
+        with self._cluster.request(ctx) as ctx:
+            return LatticeEncapsulator.de_encapsulate(self.kvs.get(key, ctx))
 
     def delete(self, key: str, ctx: Optional[RequestContext] = None) -> bool:
-        return self.kvs.delete(key, ctx or RequestContext())
+        with self._cluster.request(ctx) as ctx:
+            return self.kvs.delete(key, ctx)
 
     # -- registration ---------------------------------------------------------------------
     def register(self, func: Callable, name: Optional[str] = None) -> RegisteredFunction:
@@ -140,17 +143,16 @@ class CloudburstClient:
         """Invoke a single registered function; returns a resolved future.
 
         Single-function invocations execute within the caller's (virtual)
-        request context on both backends, so the returned future is already
-        resolved — ``future.value`` never blocks.  ``ctx`` threads an
-        externally owned request context through the scheduler; when the
-        cluster has an engine attached and no ``ctx`` is given, the request
-        clock starts at the engine's current virtual time.
+        request context, so the returned future is already resolved —
+        ``future.value`` never blocks.  ``ctx`` threads an externally owned
+        request context through the scheduler.
         """
         scheduler = self._next_scheduler()
-        ctx, future, complete, _ = self._begin(ctx, f"call:{function_name}")
-        complete(scheduler.call(function_name, args,
-                                consistency=consistency or self.consistency,
-                                store_in_kvs=store_in_kvs, ctx=ctx))
+        with self._cluster.request(ctx) as ctx:
+            future, complete, _ = self._begin(ctx, f"call:{function_name}")
+            complete(scheduler.call(function_name, args,
+                                    consistency=consistency or self.consistency,
+                                    store_in_kvs=store_in_kvs, ctx=ctx))
         return future
 
     def call_dag(self, dag_name: str,
@@ -158,44 +160,37 @@ class CloudburstClient:
                  store_in_kvs: bool = False,
                  consistency: Optional[ConsistencyLevel] = None,
                  ctx: Optional[RequestContext] = None) -> CloudburstFuture:
-        """Invoke a registered DAG; returns a :class:`CloudburstFuture`.
+        """Invoke a registered DAG; returns a pending :class:`CloudburstFuture`.
 
-        Without an engine the DAG runs to completion inside this call and the
-        future arrives already resolved.  With an engine attached the DAG is
-        enqueued as discrete engine events and this returns *before* anything
-        executes: resolve with ``future.get(timeout_ms=...)`` (advances
-        virtual time) or subscribe with ``future.add_done_callback`` — the
-        only option from inside an engine event.  On that backend a DAG that
-        exhausts its §4.5 retries resolves the future with the
-        :class:`~repro.errors.DagExecutionError` instead of unwinding the
-        engine loop.
+        The DAG is enqueued as discrete events on the cluster's engine and
+        this returns *before* anything executes: resolve with
+        ``future.get(timeout_ms=...)`` (advances virtual time) or subscribe
+        with ``future.add_done_callback`` — the only option from inside an
+        engine event.  A DAG that exhausts its §4.5 retries, or whose
+        function raises, resolves the future with the error instead of
+        unwinding the engine loop.
         """
         scheduler = self._next_scheduler()
-        level = consistency or self.consistency
-        engine = self._engine()
-        ctx, future, complete, errored = self._begin(ctx, f"call_dag:{dag_name}")
-        if engine is None:
-            complete(scheduler.call_dag(dag_name, function_args, consistency=level,
-                                        store_in_kvs=store_in_kvs, ctx=ctx))
-        else:
-            scheduler.call_dag(dag_name, function_args, consistency=level,
-                               store_in_kvs=store_in_kvs, ctx=ctx, engine=engine,
-                               on_complete=complete, on_error=errored)
+        if ctx is None:
+            ctx = RequestContext(clock=SimClock(self._cluster.engine.now_ms))
+        future, complete, errored = self._begin(ctx, f"call_dag:{dag_name}")
+        scheduler.call_dag(dag_name, function_args,
+                           consistency=consistency or self.consistency,
+                           store_in_kvs=store_in_kvs, ctx=ctx,
+                           on_complete=complete, on_error=errored)
         return future
 
-    def _begin(self, ctx: Optional[RequestContext], name: str):
-        """Request context, root span and pending future of one invocation.
+    def _begin(self, ctx: RequestContext, name: str):
+        """Root span and pending future of one invocation on ``ctx``.
 
-        Returns ``(ctx, future, complete, errored)``; the backend calls one of
-        the two callbacks exactly once — in-line for synchronous work, from
-        the finishing engine event otherwise.
+        Returns ``(future, complete, errored)``; the scheduler calls one of
+        the two callbacks exactly once — in-line for ``call``, from the
+        finishing engine event for ``call_dag``.
         """
-        ctx = self._request_ctx(ctx)
-        if ctx is None and self.tracer is not None and self.tracer.enabled:
-            ctx = RequestContext()
         root = self._start_root_span(ctx, name)
-        future = CloudburstFuture(fetch=self._kvs_fetch,
-                                  advance=self._advance_engine)
+        future = CloudburstFuture(
+            fetch=self._kvs_fetch,
+            advance=lambda fut, timeout_ms: self._advance_engine(fut, timeout_ms, ctx))
 
         def complete(result: ExecutionResult) -> None:
             future.result_key = result.result_key
@@ -212,7 +207,7 @@ class CloudburstClient:
                 root.finish(ctx.clock.now_ms)
             future._set_exception(exc)
 
-        return ctx, future, complete, errored
+        return future, complete, errored
 
     # -- helpers -------------------------------------------------------------------------
     def reference(self, key: str) -> CloudburstReference:
@@ -225,34 +220,20 @@ class CloudburstClient:
             raise ValueError("no request has been issued yet")
         return self.last_result.latency_ms
 
-    def _engine(self):
-        """The cluster's shared discrete-event engine, if one is attached."""
-        return self._cluster.engine if self._cluster is not None else None
-
-    def _start_root_span(self, ctx: Optional[RequestContext], name: str):
+    def _start_root_span(self, ctx: RequestContext, name: str):
         """Root span for one invocation, or None (no tracer / sampled out).
 
         The span rides on ``ctx.span`` so every tier the request touches can
         attach children; a context that already carries a span (a nested
         invocation from inside a traced request) is left alone.
         """
-        if ctx is None or self.tracer is None or ctx.span is not None:
+        if self.tracer is None or ctx.span is not None:
             return None
         root = self.tracer.start_trace(name, "client", ctx.clock.now_ms,
                                        node=self.client_id)
         if root is not None:
             ctx.span = root
         return root
-
-    def _request_ctx(self, ctx: Optional[RequestContext]) -> Optional[RequestContext]:
-        if ctx is not None:
-            return ctx
-        engine = self._engine()
-        if engine is not None:
-            # Engine-backed requests start their clock at the shared virtual
-            # time instead of a fresh zero-based one.
-            return RequestContext(clock=SimClock(engine.now_ms))
-        return None
 
     def _kvs_fetch(self, key: str) -> Tuple[bool, Any]:
         stored = self.kvs.get_or_none(key)
@@ -261,17 +242,19 @@ class CloudburstClient:
         return (True, stored.reveal())
 
     def _advance_engine(self, future: CloudburstFuture,
-                        timeout_ms: Optional[float]) -> None:
+                        timeout_ms: Optional[float], ctx: RequestContext) -> None:
         """Fire engine events until ``future`` resolves or the deadline passes.
 
-        This is what makes ``future.get()`` "block" in virtual time on the
-        engine backend.  It must not be called from inside an engine event —
-        the loop cannot be re-entered — so blocking there raises immediately
-        with a pointer to ``add_done_callback``.
+        This is what makes ``future.get()`` "block" in virtual time.  A
+        future resolves at the event that finishes its session, up to a
+        network hop before the request itself completes on ``ctx``; the
+        engine is advanced over that remainder too, so a caller that blocks
+        never issues its next request before it has received this one.  It
+        must not be called from inside an engine event — the loop cannot be
+        re-entered — so blocking there raises immediately with a pointer to
+        ``add_done_callback``.
         """
-        engine = self._engine()
-        if engine is None:
-            return
+        engine = self._cluster.engine
         if engine.running:
             # A programming error, not a timeout: raising FutureTimeoutError
             # here would let timeout-tolerant callers retry forever.
@@ -283,8 +266,9 @@ class CloudburstClient:
         while not future.done():
             next_ms = engine.peek_ms()
             if next_ms is None or (deadline is not None and next_ms > deadline):
-                break
+                return
             engine.step()
+        self._cluster.advance_to(ctx.clock.now_ms)
 
     def _next_scheduler(self) -> Scheduler:
         """Round-robin over *live* schedulers (crashed ones are skipped).

@@ -13,11 +13,13 @@ by the examples, tests and benchmarks:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import math
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional
 
 from ..anna import AnnaCluster
-from ..sim import ComputeModel, LatencyModel, RandomSource
-from ..sim.engine import Engine
+from ..sim import (ComputeModel, Engine, LatencyModel, RandomSource,
+                   RequestContext, SimClock)
 from .cache import ExecutorCache
 from .client import CloudburstClient
 from .consistency.anomalies import AnomalyTracker
@@ -50,8 +52,6 @@ class CloudburstCluster:
                  monitoring_config: Optional[MonitoringConfig] = None,
                  anna_propagation: str = AnnaCluster.PROPAGATE_IMMEDIATE,
                  propagation_interval_ms: float = 0.0,
-                 anna_gossip_interval_ms: Optional[float] = None,
-                 anna_node_queue_bound: Optional[int] = None,
                  anna_memory_capacity_keys: Optional[int] = None,
                  anna_durable_path=None,
                  overload_threshold: float = OVERLOAD_THRESHOLD,
@@ -75,17 +75,14 @@ class CloudburstCluster:
         #: Scheduler-driven DAG-reference prefetch (§4.2).  False disables
         #: the placement-time cache warming (the §4.2 ablation).
         self.prefetch_references = prefetch_references
-        #: Shared discrete-event engine; None while running sequentially.
-        self.engine: Optional[Engine] = None
+        #: The one discrete-event engine of this cluster's lifetime: Anna's
+        #: storage nodes, every executor VM and every scheduler live on it.
+        self.engine = Engine()
         #: Optional ``repro.obs.Tracer`` shared by every tier.  None (the
         #: default) keeps the entire cluster on the untraced fast path.
         self.tracer = tracer
 
         anna_kwargs = {}
-        if anna_gossip_interval_ms is not None:
-            anna_kwargs["gossip_interval_ms"] = anna_gossip_interval_ms
-        if anna_node_queue_bound is not None:
-            anna_kwargs["node_queue_bound"] = anna_node_queue_bound
         if anna_memory_capacity_keys is not None:
             anna_kwargs["memory_capacity_keys"] = anna_memory_capacity_keys
         if anna_durable_path is not None:
@@ -97,7 +94,7 @@ class CloudburstCluster:
                                latency_model=self.latency_model,
                                propagation_mode=anna_propagation,
                                propagation_interval_ms=propagation_interval_ms,
-                               tracer=tracer,
+                               tracer=tracer, engine=self.engine,
                                **anna_kwargs)
         self.router = MessageRouter(self.kvs, self.latency_model)
         self.cache_registry: Dict[str, ExecutorCache] = {}
@@ -151,41 +148,65 @@ class CloudburstCluster:
             cache_registry=self.cache_registry,
             work_queue_bound=self.work_queue_bound,
         )
-        vm.engine = self.engine
         self.vms.append(vm)
         if publish_metrics:
             vm.publish_metrics()
         return vm
 
-    # -- engine attachment (multi-client benchmark drivers) ----------------------------
-    def attach_engine(self, engine: Engine) -> None:
-        """Share a discrete-event engine with every executor VM.
+    # -- the shared timeline ----------------------------------------------------------
+    @contextmanager
+    def request(self, ctx: Optional[RequestContext] = None
+                ) -> Iterator[RequestContext]:
+        """The request context of one client operation.
 
-        While attached, executor threads route invocations through their
-        bounded FIFO work queues (queueing delay becomes part of request
-        latency) and the scheduler's utilization signal reflects those
-        queues.  Work-queue state from any previous run is discarded.
+        A caller's ``ctx`` is used as it is and the engine is not moved:
+        drivers and apps own their timelines.  Without one the operation
+        starts at the engine's current virtual time and, unless it was issued
+        from inside an engine event (which cannot block), returns with the
+        engine advanced to the operation's completion time — so operations
+        issued one after another are one closed-loop client on the shared
+        timeline, with gossip, propagation and policy ticks firing between
+        them.
         """
-        self.engine = engine
-        self.kvs.attach_engine(engine)
-        for vm in self.vms:
-            vm.engine = engine
-            for thread in vm.threads:
-                thread.work_queue.reset()
+        if ctx is not None:
+            yield ctx
+            return
+        ctx = RequestContext(clock=SimClock(self.engine.now_ms))
+        try:
+            yield ctx
+        finally:
+            if not self.engine.running:
+                self.advance_to(ctx.clock.now_ms)
 
-    def detach_engine(self) -> None:
-        """Return to sequential per-request clocks (no cross-request queueing).
+    def advance_to(self, at_ms: float) -> None:
+        """Fire engine events until virtual time stands at ``at_ms``.
 
-        Work queues are cleared too: sequential request clocks restart at
-        zero, so reservations left over from the engine run would otherwise
-        read as permanent saturation to the scheduling policy.
+        ``step()``, never ``run()``: a blocked client is not a run of the
+        engine.  The marker is a foreground event — a client waiting for an
+        answer is pending work, so the recurring ticks keep firing.
         """
-        self.engine = None
-        self.kvs.detach_engine()
-        for vm in self.vms:
-            vm.engine = None
-            for thread in vm.threads:
-                thread.work_queue.reset()
+        reached: List[bool] = []
+        self.engine.at(at_ms, lambda: reached.append(True))
+        while not reached:
+            self.engine.step()
+
+    def settle(self) -> float:
+        """Let the cluster come to rest; returns the virtual time it rests at.
+
+        Fires whatever is still in flight — invocations nobody waited for,
+        the gossip and propagation round that follows the last write — until
+        the engine is idle (where the recurring ticks pause themselves), and
+        stops on the next whole millisecond.  Load-driver runs start from
+        here, so a run's rounds and policy ticks fall at whole-millisecond
+        offsets from its start however long set-up took, and replicas enter
+        it converged.
+        """
+        engine = self.engine
+        while engine.step():
+            pass
+        engine.at(math.ceil(engine.now_ms), lambda: None, background=True)
+        engine.step()
+        return engine.now_ms
 
     def scrub_pins(self, departed_thread_ids) -> None:
         """Drop function pins that refer to departed executor threads.
@@ -305,15 +326,14 @@ class CloudburstCluster:
         if client_id is None:
             client_id = f"client-{self._client_sequence}"
             self._client_sequence += 1
-        return CloudburstClient(self.schedulers, client_id=client_id,
-                                consistency=consistency or self.consistency,
-                                cluster=self, tracer=self.tracer)
+        return CloudburstClient(self.schedulers, self, client_id=client_id,
+                                consistency=consistency or self.consistency)
 
     def publish_all_metrics(self) -> None:
         """Have every alive VM publish its metrics and cached-key snapshot (§4.1).
 
-        On-demand publication, used at construction and by sequential tests;
-        engine-driven runs publish on a periodic tick instead (the
+        On-demand publication, used at construction and by tests; driver
+        runs with a control plane publish on a periodic tick instead (the
         :class:`~repro.cloudburst.controlplane.MetricsPublisher` inside
         :class:`~repro.cloudburst.controlplane.ComputeControlPlane`).
         """

@@ -14,12 +14,13 @@ The paper's control loop is a standalone system, not benchmark plumbing:
    :class:`ComputeAutoscaler`.
 
 :class:`ComputeControlPlane` composes the three and runs them as recurring
-events on a shared discrete-event engine (virtual time), so *any* workload
-driven through :class:`~repro.bench.harness.EngineLoadDriver` — not just the
-Figure 7 benchmark — executes under real autoscaling.  All control-plane
-traffic is uncharged/unqueued background load (``ctx=None``), so attaching a
-publish-only control plane changes no request's latency accounting — the
-parity tests pin that.
+events on the cluster's discrete-event engine (virtual time) between
+``start()`` and ``stop()``, so *any* workload driven through
+:class:`~repro.bench.harness.EngineLoadDriver` — not just the Figure 7
+benchmark — executes under real autoscaling.  All control-plane traffic is
+uncharged/unqueued background load (``ctx=None``), so running a publish-only
+control plane changes no request's latency accounting — the parity tests pin
+that.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class MetricsPublisher:
     """§4.1: VMs and schedulers publish metrics to Anna on a periodic tick.
 
     Replaces the on-demand ``CloudburstCluster.publish_all_metrics()`` calls:
-    while attached to an engine, every alive VM publishes its utilization /
+    while the control plane runs, every alive VM publishes its utilization /
     invocation / cached-key metrics (and its cache's key-set snapshot) every
     ``publish_interval_ms`` of virtual time, and every scheduler publishes
     its call totals.  Publishes are uncharged background traffic.
@@ -155,7 +156,6 @@ class ComputeAutoscaler:
         self.migrations: List[PinMigration] = []
         self.scale_up_events = 0
         self.threads_drained_total = 0
-        self._engine = None
         self._event = None
         self._low_ticks = 0
         self._last_arrival_total: Optional[float] = None
@@ -168,34 +168,37 @@ class ComputeAutoscaler:
         #: counter ever moves again, the scheduler routed a call to it.
         self._drained_snapshot: List[Tuple[object, int]] = []
 
-    # -- engine attachment -------------------------------------------------
-    def attach_engine(self, engine, interval_ms: float = 5_000.0,
-                      horizon_ms: Optional[float] = None) -> None:
-        """Run :meth:`tick` as a recurring engine event on virtual time."""
+    # -- lifecycle ---------------------------------------------------------
+    def start(self, interval_ms: float = 5_000.0,
+              horizon_ms: Optional[float] = None) -> None:
+        """Run :meth:`tick` as a recurring engine event on virtual time.
+
+        ``horizon_ms`` (from now) keeps the tick alive on an idle engine: see
+        :meth:`ComputeControlPlane.start`.
+        """
         if interval_ms <= 0:
             raise ValueError("autoscaler interval must be positive")
-        self.detach_engine()
-        self._engine = engine
+        self.stop()
+        engine = self.cluster.engine
         self.interval_ms = float(interval_ms)
         if not self.capacity_timeline:
             self.capacity_timeline.append(
                 (engine.now_ms, self._live_thread_count()))
-        # Seed the rate baselines from the current totals: on a reused
-        # cluster the first tick must see this run's window, not the whole
-        # lifetime of calls/invocations as one interval's delta.
+        # Seed the rate baselines from the current totals: the first tick
+        # must see this run's window, not the whole lifetime of
+        # calls/invocations as one interval's delta.
         monitoring = self.cluster.monitoring
         self._last_arrival_total = monitoring.collect_scheduler_call_total()
         self._last_completion_total = (monitoring.collect_invocation_total()
                                        + self._retired_invocations)
-        self._event = engine.every(self.interval_ms,
-                                   lambda: self.tick(engine.now_ms),
-                                   horizon_ms=horizon_ms)
+        self._event = engine.every(
+            self.interval_ms, lambda: self.tick(engine.now_ms),
+            horizon_ms=horizon_ms)
 
-    def detach_engine(self) -> None:
+    def stop(self) -> None:
         if self._event is not None:
             self._event.cancel()
             self._event = None
-        self._engine = None
 
     # -- aggregation (published KVS keys only) -----------------------------
     def aggregate(self, now_ms: float) -> Dict[str, float]:
@@ -234,7 +237,7 @@ class ComputeAutoscaler:
             report.note = decision.note
             if decision.add_threads > 0:
                 add = decision.add_threads
-                if self._engine is not None and decision.add_delay_ms > 0:
+                if decision.add_delay_ms > 0:
                     # EC2 instance startup: capacity arrives after the delay
                     # (foreground — a booting batch is real pending work).
                     # The originating tick's report is updated when the
@@ -242,7 +245,7 @@ class ComputeAutoscaler:
                     def boot(report=report, add=add):
                         report.vms_added = self.add_capacity(add)
 
-                    self._engine.at(now_ms + decision.add_delay_ms, boot)
+                    self.cluster.engine.at(now_ms + decision.add_delay_ms, boot)
                 else:
                     report.vms_added = self.add_capacity(add)
             if decision.remove_threads > 0:
@@ -267,7 +270,7 @@ class ComputeAutoscaler:
                 and report.arrival_rate_per_s
                 > self.config.backlog_ratio_threshold * report.completion_rate_per_s
                 and self.enabled):
-            report.functions_repinned = self._repin_backlogged()
+            report.functions_repinned = self.cluster.monitoring.repin_backlogged()
         self.history.append(report)
         self.node_count_timeline.append(
             (now_ms, sum(1 for vm in self.cluster.vms if vm.alive)))
@@ -277,9 +280,8 @@ class ComputeAutoscaler:
     def add_capacity(self, thread_count: int) -> int:
         """Scale up: bring new executor VMs online (cold caches, no pins).
 
-        Capped at ``config.max_vms`` alive VMs — the same ceiling the
-        sequential :meth:`MonitoringSystem.tick` enforces, so a burst that
-        outlasts the instance-startup delay cannot grow the fleet forever.
+        Capped at ``config.max_vms`` alive VMs, so a burst that outlasts the
+        instance-startup delay cannot grow the fleet forever.
         """
         per_vm = max(1, self.cluster.threads_per_vm)
         added = 0
@@ -297,7 +299,7 @@ class ComputeAutoscaler:
             # is not a scale-up event.
             self.scale_up_events += 1
             self.capacity_timeline.append(
-                (self._now_ms(), self._live_thread_count()))
+                (self.cluster.engine.now_ms, self._live_thread_count()))
         return added
 
     def drain_capacity(self, thread_count: int, now_ms: Optional[float] = None) -> int:
@@ -307,7 +309,8 @@ class ComputeAutoscaler:
         closed, metrics key deleted); partially drained VMs republish their
         metrics so the aggregate capacity stays truthful between ticks.
         """
-        now_ms = self._now_ms() if now_ms is None else now_ms
+        if now_ms is None:
+            now_ms = self.cluster.engine.now_ms
         removable = max(0, self._live_thread_count() - self.min_threads)
         count = min(thread_count, removable)
         if count <= 0:
@@ -365,11 +368,6 @@ class ComputeAutoscaler:
                     function=name, from_threads=lost, to_threads=gained,
                     shortfall=max(0, target - len(new_pins))))
 
-    def _repin_backlogged(self) -> Dict[str, int]:
-        # One implementation of the §4.4 repin rule, shared with the
-        # sequential MonitoringSystem.tick path.
-        return self.cluster.monitoring.repin_backlogged()
-
     # -- observability -----------------------------------------------------
     def calls_routed_to_drained(self) -> int:
         """Invocations that landed on a thread after it was drained (must be 0)."""
@@ -381,26 +379,24 @@ class ComputeAutoscaler:
         return [migration.as_tuple() for migration in self.migrations]
 
     # -- helpers -----------------------------------------------------------
-    def _now_ms(self) -> float:
-        return self._engine.now_ms if self._engine is not None else 0.0
-
     def _live_thread_count(self) -> int:
         return self.cluster.live_thread_count()
 
 
 class ComputeControlPlane:
-    """Publisher + monitoring aggregation + autoscaler on one engine timeline.
+    """Publisher + monitoring aggregation + autoscaler on the cluster's engine.
 
     Construct it against a cluster, hand it to
     :class:`~repro.bench.harness.EngineLoadDriver` (``control_plane=``), and
     the whole §4.4 loop runs as recurring engine events for the duration of
-    the run: metrics publish every ``publish_interval_ms`` (default: half
-    the policy interval, so every policy tick sees fresh aggregates), the
-    autoscaler ticks every ``policy_interval_ms``.
+    the run (the driver calls :meth:`start` and :meth:`stop`): metrics
+    publish every ``publish_interval_ms`` (default: half the policy
+    interval, so every policy tick sees fresh aggregates), the autoscaler
+    ticks every ``policy_interval_ms``.
 
     ``autoscaling=False`` keeps the publish/aggregate loop (observability)
-    but never actuates — attaching such a control plane changes no latency
-    sample, which is the engine-vs-sequential parity contract.
+    but never actuates — running such a control plane changes no latency
+    sample.
     """
 
     def __init__(self, cluster,
@@ -428,34 +424,31 @@ class ComputeControlPlane:
             min_threads=min_threads, grace_ticks=grace_ticks,
             enabled=autoscaling)
         self._publish_event = None
-        self._engine = None
 
-    # -- engine attachment -------------------------------------------------
-    def attach_engine(self, engine, horizon_ms: Optional[float] = None) -> None:
-        """Start the publish and policy ticks on ``engine``.
+    # -- lifecycle ---------------------------------------------------------
+    def start(self, horizon_ms: Optional[float] = None) -> None:
+        """Start the publish and policy ticks on the cluster's engine.
 
-        ``horizon_ms`` keeps both ticks alive on an idle engine up to that
-        virtual time — the autoscaler must observe the *end* of a burst
-        (zero arrivals and completions) to drain, which by definition
-        happens after the foreground work is gone.
+        ``horizon_ms`` keeps both ticks alive on an idle engine for that
+        much virtual time from now — the autoscaler must observe the *end*
+        of a burst (zero arrivals and completions) to drain, which by
+        definition happens after the foreground work is gone.
         """
-        self.detach_engine()
-        self._engine = engine
-        # Seed fresh published metrics at attach time so the first policy
-        # tick aggregates this run's state, not a previous run's.
+        self.stop()
+        engine = self.cluster.engine
+        # Seed fresh published metrics at start so the first policy tick
+        # aggregates this run's state, not a previous run's.
         self.publisher.publish()
         self._publish_event = engine.every(
             self.publish_interval_ms, self.publisher.publish,
             horizon_ms=horizon_ms)
-        self.autoscaler.attach_engine(engine, self.policy_interval_ms,
-                                      horizon_ms=horizon_ms)
+        self.autoscaler.start(self.policy_interval_ms, horizon_ms=horizon_ms)
 
-    def detach_engine(self) -> None:
+    def stop(self) -> None:
         if self._publish_event is not None:
             self._publish_event.cancel()
             self._publish_event = None
-        self.autoscaler.detach_engine()
-        self._engine = None
+        self.autoscaler.stop()
 
     # -- observability passthroughs ----------------------------------------
     @property

@@ -22,7 +22,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..anna import AnnaCluster
 from ..errors import ExecutorFailedError, FunctionNotFoundError, KeyNotFoundError
 from ..sim import ComputeModel, LatencyModel, RequestContext, WorkQueue
-from ..sim.engine import Engine
 from .cache import ExecutorCache
 from .consistency.levels import ConsistencyLevel
 from .consistency.protocols import ConsistencyProtocol, SessionState
@@ -191,10 +190,7 @@ class ExecutorThread:
         self.busy_ms = 0.0
         self.recent_latencies_ms: List[float] = []
         self.alive = True
-        #: Bounded FIFO work queue; only consulted when an event engine is
-        #: attached to the VM (the multi-client benchmark drivers).  The
-        #: sequential paths keep per-request clocks that restart at zero, so
-        #: queueing across requests would be meaningless there.
+        #: Bounded FIFO work queue every charged invocation waits in.
         self.work_queue = WorkQueue(bound=work_queue_bound, label=thread_id)
 
     # -- conveniences delegating to the VM ------------------------------------------
@@ -250,17 +246,15 @@ class ExecutorThread:
                 protocol: ConsistencyProtocol) -> Any:
         """Run one function invocation on this thread.
 
-        With an engine attached (multi-client drivers), the invocation first
-        waits in this thread's FIFO work queue: the request's virtual clock
-        advances past every reservation made by requests dispatched earlier
-        on the shared timeline, so latency reflects queueing, not just
-        service time.
+        The invocation first waits in this thread's FIFO work queue: the
+        request's virtual clock advances past every reservation made by
+        requests dispatched earlier on the shared timeline, so latency
+        reflects queueing, not just service time.
         """
         if not self.alive or not self.vm.alive:
             raise ExecutorFailedError(self.thread_id, "executor is down")
         parent_span = ctx.span if ctx is not None else None
-        queued = ctx is not None and self.vm.engine is not None
-        if queued:
+        if ctx is not None:
             arrival_ms = ctx.clock.now_ms
             service_start = self.work_queue.admit(arrival_ms)
             wait_ms = service_start - arrival_ms
@@ -278,7 +272,7 @@ class ExecutorThread:
         try:
             return self._execute_admitted(function_name, args, ctx, state, protocol)
         finally:
-            if queued:
+            if ctx is not None:
                 self.work_queue.release(ctx.clock.now_ms)
             if invoke_span is not None:
                 invoke_span.finish(ctx.clock.now_ms)
@@ -379,10 +373,8 @@ class ExecutorVM:
                                    peer_registry=cache_registry)
         self.threads: List[ExecutorThread] = []
         self.alive = True
-        self.inflight = 0
-        #: Discrete-event engine shared with the load driver, or None for the
-        #: sequential paths (set through ``CloudburstCluster.attach_engine``).
-        self.engine: Optional[Engine] = None
+        #: The cluster's discrete-event engine (the one the KVS lives on).
+        self.engine = kvs.engine
         self.work_queue_bound = work_queue_bound
         self._encapsulators: Dict[str, LatticeEncapsulator] = {}
         for index in range(threads_per_vm):
@@ -434,13 +426,13 @@ class ExecutorVM:
         return sum(thread.work_queue.depth(at_ms)
                    for thread in self.threads if thread.alive)
 
-    def utilization(self, now_ms: Optional[float] = None) -> float:
+    def utilization(self, at_ms: Optional[float] = None) -> float:
         """Fraction of this VM's compute occupied by outstanding requests.
 
-        Without a timestamp (or without an engine attached) this is the
-        legacy instantaneous in-flight counter.  With both, it reflects the
-        thread work queues: requests waiting in a bounded queue count toward
-        saturation, which is what the §4.3 backpressure policy keys off.
+        Read off the thread work queues at ``at_ms`` (default: the engine's
+        current virtual time): requests waiting in a bounded queue count
+        toward saturation, which is what the §4.3 backpressure policy keys
+        off.
 
         The denominator is the *alive* thread count: after a partial drain
         the dead threads serve nothing, and padding the denominator with
@@ -451,9 +443,9 @@ class ExecutorVM:
         alive = sum(1 for thread in self.threads if thread.alive)
         if not alive:
             return 1.0 if self.threads else 0.0
-        if now_ms is None or self.engine is None:
-            return min(1.0, self.inflight / alive)
-        return min(1.0, self.queue_depth(now_ms) / alive)
+        if at_ms is None:
+            at_ms = self.engine.now_ms
+        return min(1.0, self.queue_depth(at_ms) / alive)
 
     def cached_functions(self) -> List[str]:
         functions = set()
@@ -467,26 +459,23 @@ class ExecutorVM:
     def publish_metrics(self, ctx: Optional[RequestContext] = None) -> None:
         """Publish cached-function and load metrics to the KVS (§4.1).
 
-        With an engine attached the utilization sample is queue-aware (taken
-        at the current virtual time), so the monitoring system aggregating
-        these keys sees the same saturation signal the scheduler's
-        backpressure does; sequentially it stays the instantaneous in-flight
-        counter.  The publish itself is background traffic (``ctx=None``
-        callers are not charged and storage nodes don't queue it).
+        The utilization sample is queue-aware (taken at the current virtual
+        time), so the monitoring system aggregating these keys sees the same
+        saturation signal the scheduler's backpressure does.  The publish
+        itself is background traffic (``ctx=None`` callers are not charged
+        and storage nodes don't queue it).
         """
-        now_ms = self.engine.now_ms if self.engine is not None else None
-        alive_threads = sum(1 for t in self.threads if t.alive)
+        now_ms = self.engine.now_ms
         metrics = {
             "vm_id": self.vm_id,
             "alive": self.alive,
             "utilization": self.utilization(now_ms),
-            "queue_depth": (self.queue_depth(now_ms) if now_ms is not None
-                            else self.inflight),
-            "threads_alive": alive_threads,
+            "queue_depth": self.queue_depth(now_ms),
+            "threads_alive": sum(1 for t in self.threads if t.alive),
             "invocations": self.invocation_count(),
             "cached_functions": self.cached_functions(),
             "cached_keys": len(self.cache.cached_keys()),
-            "published_at_ms": now_ms if now_ms is not None else 0.0,
+            "published_at_ms": now_ms,
         }
         # System traffic: the periodic publish must not register as client
         # load with the hot-key or storage-autoscaling policies.

@@ -11,15 +11,16 @@ asynchronously aggregates them and feeds a policy engine.  The policy:
   Figure 7);
 * if utilization drops below 20 %, deallocate resources.
 
-Two interfaces are provided: :class:`MonitoringSystem` operates directly on a
-:class:`~repro.cloudburst.cluster.CloudburstCluster` (used by tests and the
-examples), and :class:`AutoscalingPolicy` packages the same thresholds as a
-policy function for the discrete-event simulation that regenerates Figure 7.
+Two pieces live here: :class:`MonitoringSystem` aggregates the published
+metrics of a :class:`~repro.cloudburst.cluster.CloudburstCluster` and applies
+the function-level pinning rule, and :class:`AutoscalingPolicy` packages the
+thresholds as the policy function the
+:class:`~repro.cloudburst.controlplane.ComputeAutoscaler` ticks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..errors import DagNotFoundError, SchedulingError
@@ -54,18 +55,8 @@ class MonitoringConfig:
     min_pinned_threads: int = 2
 
 
-@dataclass
-class MonitoringReport:
-    """What one monitoring tick decided."""
-
-    utilization: float = 0.0
-    vms_added: int = 0
-    vms_removed: int = 0
-    functions_repinned: Dict[str, int] = field(default_factory=dict)
-
-
 class MonitoringSystem:
-    """Aggregates executor metrics from the KVS and applies the §4.4 policy."""
+    """Aggregates executor and scheduler metrics from the KVS (§4.4)."""
 
     def __init__(self, cluster, config: Optional[MonitoringConfig] = None):
         self.cluster = cluster
@@ -200,10 +191,10 @@ class MonitoringSystem:
     def repin_backlogged(self) -> Dict[str, int]:
         """Add one pinned replica per function (arrivals outpacing completions).
 
-        Shared by :meth:`tick` and the engine-driven
-        :class:`~repro.cloudburst.controlplane.ComputeAutoscaler` so the
-        §4.4 rule has one implementation.  Capped at the live thread count,
-        and a scheduler with no live executors is skipped rather than raising.
+        Applied by the
+        :class:`~repro.cloudburst.controlplane.ComputeAutoscaler` tick.
+        Capped at the live thread count, and a scheduler with no live
+        executors is skipped rather than raising.
         """
         repinned: Dict[str, int] = {}
         for scheduler in self.cluster.schedulers:
@@ -219,44 +210,12 @@ class MonitoringSystem:
                 repinned[name] = len(scheduler.function_pins[name])
         return repinned
 
-    # -- policy -----------------------------------------------------------------------
-    def tick(self, arrival_rate_per_s: float = 0.0,
-             completion_rate_per_s: float = 0.0) -> MonitoringReport:
-        """Run one policy evaluation against the live cluster."""
-        report = MonitoringReport()
-        report.utilization = self.collect_utilization()
-        config = self.config
-
-        # Function-level pinning: backlogged DAG functions get more replicas.
-        if completion_rate_per_s > 0 and arrival_rate_per_s > 0:
-            ratio = arrival_rate_per_s / completion_rate_per_s
-            if ratio > config.backlog_ratio_threshold:
-                report.functions_repinned = self.repin_backlogged()
-
-        # Cluster-level elasticity.
-        if (report.utilization > config.scale_up_utilization
-                and len(self.cluster.vms) < config.max_vms):
-            for _ in range(config.vms_per_scale_up):
-                if len(self.cluster.vms) >= config.max_vms:
-                    break
-                self.cluster.add_vm()
-                report.vms_added += 1
-        elif (report.utilization < config.scale_down_utilization
-                and len(self.cluster.vms) > config.min_vms):
-            removable = len(self.cluster.vms) - config.min_vms
-            to_remove = min(removable, config.vms_per_scale_up)
-            for _ in range(to_remove):
-                self.cluster.remove_vm()
-                report.vms_removed += 1
-        return report
-
 
 class AutoscalingPolicy:
-    """The §4.4 policy expressed for the discrete-event simulation (Figure 7).
+    """The §4.4 cluster-level elasticity policy (Figure 7).
 
-    The simulation models executor threads as an abstract capacity pool; this
-    policy watches utilization and arrival/completion rates and decides when
-    to add VMs (after the EC2 startup delay) and when to drain capacity.
+    Watches utilization and arrival/completion rates and decides when to add
+    VMs (after the EC2 startup delay) and when to drain capacity.
     """
 
     def __init__(self, config: Optional[MonitoringConfig] = None):

@@ -27,7 +27,7 @@ schedulers.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .references import CloudburstReference, extract_references
 
@@ -38,26 +38,24 @@ class PlacementPolicy:
     ``pick`` receives the scheduler (for its RNG, overload threshold, stats
     and KVS handle), the candidate threads (already filtered to alive ones),
     whether the candidate set was restricted to pinned replicas, the
-    invocation's arguments, and the virtual time of the placement (None on
-    the sequential path).  It must return one of the scheduler's live
-    threads — usually, but not necessarily, from ``threads``.
+    invocation's arguments, and the virtual time of the placement.  It must
+    return one of the scheduler's live threads — usually, but not
+    necessarily, from ``threads``.
     """
 
     def pick(self, scheduler, threads: List, function_name: str,
-             args: Sequence, restricted: bool,
-             now_ms: Optional[float]):
+             args: Sequence, restricted: bool, now_ms: float):
         raise NotImplementedError
 
     # -- shared §4.3 backpressure helpers ----------------------------------
-    def unsaturated(self, scheduler, threads: List,
-                    now_ms: Optional[float]) -> List:
+    def unsaturated(self, scheduler, threads: List, now_ms: float) -> List:
         """Threads below the overload threshold with work-queue room."""
         return [t for t in threads
                 if t.vm.utilization(now_ms) <= scheduler.overload_threshold
-                and not (now_ms is not None and t.work_queue.is_full(now_ms))]
+                and not t.work_queue.is_full(now_ms)]
 
     def least_loaded(self, scheduler, threads: List, restricted: bool,
-                     now_ms: Optional[float]):
+                     now_ms: float):
         """Pick an unsaturated executor at random (backpressure, §4.3).
 
         Saturated executors are avoided, which is what replicates hot
@@ -70,18 +68,16 @@ class PlacementPolicy:
         if not pool and restricted:
             pool = self.unsaturated(scheduler, scheduler._live_threads(), now_ms)
         pool = pool or threads
-        if now_ms is not None:
-            # Under the event engine, prefer threads whose work queue is idle
-            # at dispatch time so parallel clients fan out across the pool;
-            # when every pinned replica is occupied, an idle thread anywhere
-            # beats queueing behind the pin (same §4.3 spill).
-            idle = [t for t in pool if not t.work_queue.busy_at(now_ms)]
-            if not idle and restricted:
-                idle = [t for t in self.unsaturated(
-                            scheduler, scheduler._live_threads(), now_ms)
-                        if not t.work_queue.busy_at(now_ms)]
-            pool = idle or pool
-        return scheduler.rng.choice(pool)
+        # Prefer threads whose work queue is idle at dispatch time so
+        # parallel clients fan out across the pool; when every pinned replica
+        # is occupied, an idle thread anywhere beats queueing behind the pin
+        # (same §4.3 spill).
+        idle = [t for t in pool if not t.work_queue.busy_at(now_ms)]
+        if not idle and restricted:
+            idle = [t for t in self.unsaturated(
+                        scheduler, scheduler._live_threads(), now_ms)
+                    if not t.work_queue.busy_at(now_ms)]
+        return scheduler.rng.choice(idle or pool)
 
 
 class LocalityPlacementPolicy(PlacementPolicy):
@@ -104,7 +100,7 @@ class LocalityPlacementPolicy(PlacementPolicy):
 
     def pick_by_locality(self, scheduler, threads,
                          references: List[CloudburstReference],
-                         now_ms: Optional[float]):
+                         now_ms: float):
         """The executor whose VM cache holds the most referenced keys."""
         index = scheduler.kvs.cache_index
         # caches_for copies the index's set: look each reference up once.
@@ -120,7 +116,7 @@ class LocalityPlacementPolicy(PlacementPolicy):
                 break
             if thread.vm.utilization(now_ms) > scheduler.overload_threshold:
                 continue
-            if now_ms is not None and thread.work_queue.busy_at(now_ms):
+            if thread.work_queue.busy_at(now_ms):
                 # Queueing behind a busy cache-holder is exactly what the
                 # §4.3 backpressure avoids: fall through so the request
                 # spills to an idle executor, replicating the hot keys there.

@@ -5,9 +5,8 @@
   invoking the function, and the scheduler uses references to make
   locality-aware placement decisions.
 * A :class:`CloudburstFuture` is what every invocation returns
-  (``client.call`` / ``client.call_dag``): a handle to a result that the
-  backend resolves — immediately on the sequential backend, via engine events
-  on an engine-attached cluster.  ``get()`` blocks (in virtual time) until
+  (``client.call`` / ``client.call_dag``): a handle to a result that events
+  on the cluster's engine resolve.  ``get()`` blocks (in virtual time) until
   the result appears, with an optional timeout.
 """
 
@@ -62,18 +61,14 @@ _UNSET = object()
 class CloudburstFuture:
     """Handle to the result of a Cloudburst invocation (paper Table 1).
 
-    Every ``client.call``/``client.call_dag`` returns one of these.  The
-    resolution is driven by the backend:
-
-    * **Sequential backend** (no engine attached): the invocation ran inline,
-      so the future arrives already resolved and ``get()`` returns without
-      blocking.
-    * **Engine backend**: the invocation was enqueued as discrete events on
-      the cluster's shared engine.  ``get(timeout_ms=...)`` *advances virtual
-      time* — firing engine events — until the result appears or the timeout
-      elapses; ``add_done_callback`` delivers the resolution without blocking
-      (the only option from inside an engine event, where the loop cannot be
-      re-entered).
+    Every ``client.call``/``client.call_dag`` returns one of these.  A
+    ``call`` ran in the caller's request context, so its future arrives
+    already resolved.  A ``call_dag`` was enqueued as discrete events on the
+    cluster's engine: ``get(timeout_ms=...)`` *advances virtual time* —
+    firing engine events — until the result appears or the timeout elapses,
+    and leaves the engine at the request's completion time;
+    ``add_done_callback`` delivers the resolution without blocking (the only
+    option from inside an engine event, where the loop cannot be re-entered).
 
     ``is_ready()`` is the non-raising probe: it polls once (including the
     backing KVS key, when the result was stored there) and never advances
@@ -88,7 +83,7 @@ class CloudburstFuture:
                  fetch: Optional[Callable[[str], Tuple[bool, Any]]] = None,
                  advance: Optional[Callable[["CloudburstFuture", Optional[float]], None]] = None):
         """``fetch`` returns ``(ready, value)`` for ``result_key``; ``advance``
-        is the backend hook that makes progress (runs engine events) until the
+        is the hook that makes progress (fires engine events) until the
         future resolves or a deadline passes."""
         self.result_key = result_key
         self._fetch = fetch
@@ -129,14 +124,12 @@ class CloudburstFuture:
     def get(self, timeout_ms: Optional[float] = None) -> Any:
         """Return the resolved value.
 
-        On an engine-backed cluster this advances virtual time (fires engine
-        events) until the result appears; ``timeout_ms`` bounds how far
-        virtual time may advance (None = until the engine drains).  On the
-        sequential backend results exist by the time the future is handed
-        out, so this returns immediately; a future that is *not* resolved
-        there raises :class:`~repro.errors.FutureTimeoutError` at once
-        (there is no time to advance).  Use :meth:`is_ready` to probe without
-        raising, and :meth:`add_done_callback` to wait without blocking.
+        Advances virtual time (fires engine events) until the result
+        appears; ``timeout_ms`` bounds how far virtual time may advance (None
+        = until the engine drains), and a future still unresolved then raises
+        :class:`~repro.errors.FutureTimeoutError`.  Use :meth:`is_ready` to
+        probe without raising, and :meth:`add_done_callback` to wait without
+        blocking.
         """
         self._wait(timeout_ms)
         if self._exception is not None:
@@ -183,7 +176,7 @@ class CloudburstFuture:
     def add_done_callback(self, fn: Callable[["CloudburstFuture"], None]) -> None:
         """Call ``fn(future)`` when the future resolves (now, if it already has).
 
-        This is how engine-driven code consumes results: callbacks fire from
+        This is how code inside engine events consumes results: callbacks fire from
         the engine event that completes the invocation, so no virtual time is
         spent waiting.  Callbacks added after resolution run immediately.
         """
@@ -192,14 +185,14 @@ class CloudburstFuture:
         else:
             self._callbacks.append(fn)
 
-    # -- backend hooks -----------------------------------------------------------------------
+    # -- resolution hooks --------------------------------------------------------------------
     def _set_result(self, result, value: Any = _UNSET) -> None:
-        """Resolve with an ExecutionResult payload (backend completion hook)."""
+        """Resolve with an ExecutionResult payload (completion hook)."""
         self._result = result
         self._settle(value=result.value if value is _UNSET else value)
 
     def _set_exception(self, exc: BaseException) -> None:
-        """Resolve with an error (backend failure hook); ``get()`` re-raises."""
+        """Resolve with an error (failure hook); ``get()`` re-raises."""
         self._exception = exc
         self._settle(value=None)
 

@@ -70,6 +70,8 @@ class Scheduler:
                  prefetch_references: bool = True):
         self.scheduler_id = scheduler_id
         self.kvs = kvs
+        #: The cluster's discrete-event engine (the one the KVS lives on).
+        self.engine = kvs.engine
         self.vms = vms  # shared, mutable list owned by the cluster
         self.dag_registry = dag_registry or DagRegistry()
         self.latency_model = latency_model or kvs.latency_model
@@ -79,7 +81,7 @@ class Scheduler:
         self.overload_threshold = overload_threshold
         self.max_retries = max_retries
         self.stats = SchedulerStats()
-        #: False while crashed (fault injection); in-flight engine sessions
+        #: False while crashed (fault injection); in-flight sessions
         #: freeze instead of executing against a dead scheduler and resume
         #: from the journal on :meth:`restart`.
         self.alive = True
@@ -187,7 +189,7 @@ class Scheduler:
         """
         removed = self.dag_registry.unregister(name)
         if removed:
-            self.kvs.delete(f"__cloudburst_dags__/{name}", ctx or RequestContext())
+            self.kvs.delete(f"__cloudburst_dags__/{name}", ctx)
         return removed
 
     def pin_function(self, name: str, replicas: int = 1,
@@ -222,9 +224,12 @@ class Scheduler:
              ctx: Optional[RequestContext] = None) -> ExecutionResult:
         """Schedule and execute a single function invocation.
 
-        Runs as a one-function session driven to completion before this
-        returns, on either backend.  Unlike a registered DAG's functions, a
-        bare call is placed over every live thread, not only its pins.
+        A bare call executes in the caller's request context: it runs as a
+        one-function session on a private engine, driven to completion
+        before this returns (the caller may itself be an event of the
+        cluster's engine, which cannot be re-entered).  Unlike a registered
+        DAG's functions it is placed over every live thread, not only its
+        pins.
         """
         dag = self._call_dags.get(function_name)
         if dag is None:
@@ -238,34 +243,28 @@ class Scheduler:
                  consistency: Optional[ConsistencyLevel] = None,
                  store_in_kvs: bool = False,
                  ctx: Optional[RequestContext] = None,
-                 engine=None,
                  on_complete: Optional[Callable[[ExecutionResult], None]] = None,
-                 on_error: Optional[Callable[[Exception], None]] = None):
-        """Schedule and execute a registered DAG.
+                 on_error: Optional[Callable[[Exception], None]] = None) -> DagSession:
+        """Schedule a registered DAG; returns its (pending) session.
 
         ``function_args`` supplies extra arguments per function; results of
         upstream functions are automatically prepended to downstream argument
         lists (§3).
 
         Every execution is a :class:`~repro.cloudburst.sessions.DagSession`:
-        each function is an engine event fired at its fork/join ready time.
-        With ``engine`` the events go on that shared engine (so concurrent
-        sessions genuinely interleave), the session is returned immediately
-        and completion is delivered to ``on_complete``/``on_error``.  Without
-        one the session gets a private engine, is driven to completion inside
-        this call, and its :class:`ExecutionResult` is returned.
+        each function is an event on the cluster's engine, fired at its
+        fork/join ready time, so concurrent sessions genuinely interleave.
+        Completion is delivered to ``on_complete``/``on_error``; outside an
+        engine event, ``session.drive()`` fires the engine until the session
+        resolves.
         """
-        if engine is None and (on_complete is not None or on_error is not None):
-            raise ValueError(
-                "on_complete/on_error need an engine backend: without one the "
-                "DAG runs to completion and call_dag returns the result directly")
         session = self._open_session(self.dag_registry.get(dag_name),
                                      function_args or {}, consistency,
-                                     store_in_kvs, ctx, engine or Engine(),
+                                     store_in_kvs, ctx, self.engine,
                                      on_complete, on_error)
         self.dag_registry.record_call(dag_name)
         self.stats.record_dag_call(dag_name)
-        return session if engine is not None else session.drive()
+        return session
 
     def _open_session(self, dag: Dag, function_args: Dict[str, Sequence[Any]],
                       consistency: Optional[ConsistencyLevel], store_in_kvs: bool,
@@ -281,7 +280,7 @@ class Scheduler:
         """
         if not self.alive:
             raise SchedulingError(f"scheduler {self.scheduler_id!r} is down")
-        ctx = ctx or RequestContext(clock=SimClock(engine.now_ms))
+        ctx = ctx or RequestContext(clock=SimClock(self.engine.now_ms))
         start_ms = ctx.clock.now_ms
         self.latency_model.charge(ctx, "cloudburst", "client_to_scheduler")
         self.latency_model.charge(ctx, "cloudburst", "schedule")
@@ -313,8 +312,7 @@ class Scheduler:
         args = ([session.results[u] for u in upstream]
                 + list(session.function_args.get(name, ())))
         pinned = self.pinned_threads(name) if session.use_pins else None
-        thread = self._pick_executor(name, args, candidates=pinned,
-                                     now_ms=ready_ms)
+        thread = self._pick_executor(name, args, ready_ms, candidates=pinned)
         # Before the fork: the prefetch stamps its epoch into ctx.metadata,
         # and the branch must inherit it to pay its own prefetch_wait.
         self._prefetch_placed_references(thread, args, ready_ms, ctx, state)
@@ -370,28 +368,22 @@ class Scheduler:
         keys = [ref.key for ref in extract_references(args)]
         if keys:
             ctx.metadata[ExecutorCache.PREFETCH_EPOCH_KEY] = state.execution_id
-            thread.cache.prefetch(keys, now_ms, engine=thread.vm.engine,
-                                  epoch=state.execution_id)
+            thread.cache.prefetch(keys, now_ms, epoch=state.execution_id)
 
     def _run_on_thread(self, thread: ExecutorThread, function_name: str,
                        args: Sequence[Any], ctx: RequestContext,
                        state: SessionState, protocol) -> Any:
-        vm = thread.vm
-        if not thread.alive or not vm.alive:
+        if not thread.alive or not thread.vm.alive:
             # Placement filters live threads, so reaching a dead one here is
             # a routing bug; the fault bench gates this counter at zero.
             self.stats.calls_routed_to_dead += 1
-        vm.inflight += 1
-        try:
-            value = thread.execute(function_name, args, ctx, state, protocol)
-        finally:
-            vm.inflight -= 1
-        return value
+        return thread.execute(function_name, args, ctx, state, protocol)
 
     # -- scheduling policy (§4.3 "Scheduling Policy") ---------------------------------------
     def _pick_executor(self, function_name: str, args: Sequence[Any],
-                       candidates: Optional[List[ExecutorThread]] = None,
-                       now_ms: Optional[float] = None) -> ExecutorThread:
+                       now_ms: float,
+                       candidates: Optional[List[ExecutorThread]] = None
+                       ) -> ExecutorThread:
         """Filter candidates to live threads, then defer to the placement policy."""
         restricted = bool(candidates)
         threads = candidates if candidates else self._live_threads()

@@ -4,11 +4,10 @@
   one-node case) decomposed into engine events.  It is the only place that
   opens an attempt, dispatches functions at their fork/join ready time,
   retries under §4.5, finalizes the consistency protocol and builds the
-  :class:`ExecutionResult`.  ``Scheduler.call_dag(engine=...)`` runs it on
-  the cluster's shared engine; ``Scheduler.call`` and an engine-less
-  ``call_dag`` run the same session on a private engine and drive it to
-  completion before returning (:meth:`DagSession.drive`).  On top of the
-  in-line retry it supports externally injected attempt failures
+  :class:`ExecutionResult`.  ``Scheduler.call_dag`` runs it on the cluster's
+  engine; ``Scheduler.call`` runs the same session on a private engine and
+  drives it to completion before returning (:meth:`DagSession.drive`).  On
+  top of the in-line retry it supports externally injected attempt failures
   (:meth:`DagSession.fail_attempt`, used by the fault plane when an executor
   VM dies mid-DAG) and crash recovery (:meth:`DagSession.recover_from_crash`,
   used by a restarted scheduler): the dead attempt's snapshots and shadow
@@ -372,13 +371,15 @@ class DagSession:
             self._schedule(name, base)
 
     def drive(self) -> ExecutionResult:
-        """Fire this session's private engine until the session resolves.
+        """Fire this session's engine until the session resolves.
 
-        How ``call`` and an engine-less ``call_dag`` stay synchronous.  A
-        session that exhausts its retries raises out of here, as does an
-        application error.  ``step()``, never ``run()``: the caller may
-        itself be an event of the cluster's shared engine, and a nested
-        ``run`` would be counted as a second run by anything observing it.
+        How ``call`` stays in-line (on its private engine), and how code
+        outside any engine event waits for a ``call_dag`` session.  Without
+        an ``on_error`` a session that exhausts its retries raises out of
+        here, as does an application error.  ``step()``, never ``run()``: the
+        caller of ``call`` may itself be an event of the cluster's engine,
+        and a nested ``run`` would be counted as a second run by anything
+        observing it.
         """
         step = self.engine.step
         while not self.done and step():
@@ -416,7 +417,7 @@ class DagSession:
             # then let the error reach the caller.
             self._abandon_attempt(f"{type(exc).__name__}: {exc}")
             self._fail(exc)
-            raise
+            return
         self.results[name] = value
         self.fork_join.complete(name, branch.clock.now_ms)
         self.branches.append(branch)
@@ -453,16 +454,9 @@ class DagSession:
         self._abandon_attempt(reason)
         retries = self.scheduler.journal.record_retry(self.record)
         if retries > self.scheduler.max_retries:
-            error = DagExecutionError(
-                f"DAG {self.dag.name!r} failed after {retries} attempts")
-            self._fail(error)
-            if self.on_error is not None:
-                # Deliver the failure to this session's owner; other sessions
-                # sharing the engine keep running (raising here would abort
-                # the whole driver run for every concurrent client).
-                self.on_error(error)
-                return
-            raise error
+            self._fail(DagExecutionError(
+                f"DAG {self.dag.name!r} failed after {retries} attempts"))
+            return
         self._reexecute()
 
     def recover_from_crash(self) -> None:
@@ -519,9 +513,19 @@ class DagSession:
         self.engine.at(self.ctx.clock.now_ms, self.start)
 
     def _fail(self, error: Exception) -> None:
+        """Close the session as failed and hand ``error`` to its owner.
+
+        With an ``on_error`` the failure is delivered there and other
+        sessions sharing the engine keep running (raising would abort the
+        whole run for every concurrent client); a session driven in-line
+        raises to its caller.
+        """
         self.done = True
         self.error = error
         self.scheduler.journal.close(self.record, SESSION_FAILED)
+        if self.on_error is None:
+            raise error
+        self.on_error(error)
 
     # -- completion ---------------------------------------------------------------------
     def _finish(self) -> None:

@@ -56,10 +56,9 @@ class DagDeletedError(DagNotFoundError):
 class FutureTimeoutError(ReproError, TimeoutError):
     """A :class:`CloudburstFuture` did not resolve within its timeout.
 
-    On an engine-backed cluster ``future.get(timeout_ms=...)`` advances
-    virtual time and raises this when the deadline passes (or the engine
-    drains) with the result key still unpopulated.  On the sequential backend
-    there is no time to advance, so a pending future raises immediately.
+    ``future.get(timeout_ms=...)`` advances virtual time and raises this
+    when the deadline passes (or the engine drains) with the future still
+    unresolved.
     """
 
     def __init__(self, result_key=None, timeout_ms=None, detail: str = ""):
@@ -108,10 +107,9 @@ class CapacityError(ReproError):
 class StorageOverloadError(ReproError):
     """Every replica's storage-node work queue rejected the request.
 
-    Raised only on the engine-driven path: bounded per-node FIFO queues push
-    back on writers instead of growing without limit, and a multi-master put
-    that finds *all* of a key's replicas saturated fails fast rather than
-    queueing unboundedly.
+    Bounded per-node FIFO queues push back on writers instead of growing
+    without limit, and a multi-master put that finds *all* of a key's
+    replicas saturated fails fast rather than queueing unboundedly.
     """
 
     def __init__(self, key: str, owners=()):

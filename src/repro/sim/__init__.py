@@ -13,7 +13,6 @@ from .engine import (
     Event,
     FifoQueue,
     ForkJoin,
-    ProcessorSharingQueue,
     ReservationQueue,
     WorkQueue,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "Event",
     "FifoQueue",
     "ForkJoin",
-    "ProcessorSharingQueue",
     "ReservationQueue",
     "WorkQueue",
     "DEFAULT_FAULT_CLASSES",

@@ -10,8 +10,9 @@ Pieces:
 * :class:`Engine` — a deterministic event loop over virtual milliseconds.
 * :class:`RecurringEvent` — a self-rescheduling periodic event (update
   propagation flushes, anti-entropy gossip, autoscaler policy ticks) that
-  pauses itself when the engine has no other work queued, so a periodic
-  background task never keeps a finished run alive.
+  pauses itself when the engine has no foreground work queued, so a periodic
+  background task never keeps a finished run alive, and resumes when
+  foreground work is scheduled again.
 * :class:`WorkQueue` — a single-server FIFO queue with *open-ended* service:
   admission fixes the start time, the caller reports the end time after
   actually executing the work.  Executor threads use one of these, which is
@@ -19,8 +20,6 @@ Pieces:
   an instantaneous counter.
 * :class:`FifoQueue` — a multi-server FIFO queue with known service times
   (an abstract capacity pool).
-* :class:`ProcessorSharingQueue` — an egalitarian processor-sharing
-  approximation for resources without FIFO semantics (e.g. a shared NIC).
 * :class:`ForkJoin` — fork/join bookkeeping for parallel DAG stages.
 
 Performance notes (the engine-throughput microbenchmark in
@@ -39,7 +38,7 @@ Performance notes (the engine-throughput microbenchmark in
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from heapq import heappop, heappush
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -83,7 +82,8 @@ class Engine:
     """
 
     __slots__ = ("_heap", "_seq", "_now_ms", "_stopped", "_running",
-                 "events_processed", "_pending", "_foreground", "_tombstones")
+                 "events_processed", "_pending", "_foreground", "_tombstones",
+                 "_paused")
 
     def __init__(self, start_ms: float = 0.0):
         # Heap entries are (at_ms, seq, Event): tuple comparison never reaches
@@ -98,6 +98,9 @@ class Engine:
         self._pending = 0
         self._foreground = 0
         self._tombstones = 0
+        #: Recurring events waiting for foreground work: the next foreground
+        #: event scheduled re-arms them.
+        self._paused: List["RecurringEvent"] = []
 
     @property
     def now_ms(self) -> float:
@@ -165,6 +168,8 @@ class Engine:
         self._pending += 1
         if not background:
             self._foreground += 1
+            if self._paused:
+                self._resume_paused()
         return event
 
     def schedule(self, delay_ms: float, fn: Callable[[], None],
@@ -180,6 +185,8 @@ class Engine:
         self._pending += 1
         if not background:
             self._foreground += 1
+            if self._paused:
+                self._resume_paused()
         return event
 
     def cancel(self, event: Event) -> None:
@@ -203,19 +210,30 @@ class Engine:
             heapq.heapify(self._heap)
             self._tombstones = 0
 
+    def _resume_paused(self) -> None:
+        """Foreground work is back: paused recurring events tick again."""
+        paused, self._paused = self._paused, []
+        for recurring in paused:
+            recurring._resume()
+
     def every(self, interval_ms: float, fn: Callable[[], None],
               horizon_ms: Optional[float] = None) -> "RecurringEvent":
         """Run ``fn`` every ``interval_ms`` of virtual time while work is queued.
 
-        The recurring event reschedules itself only while the engine has
-        *other* pending events, so periodic background ticks (propagation
-        flushes, gossip rounds, autoscaler policies) stop firing once the
-        foreground workload drains instead of spinning the loop forever.
+        A recurring event is armed only while the engine has foreground
+        events pending, so periodic background ticks (propagation flushes,
+        gossip rounds, autoscaler policies) never spin on an idle engine: one
+        created on an idle engine waits, and one that fires after the
+        foreground workload drained does not reschedule itself.  It is
+        paused, not finished — the next foreground event scheduled on the
+        engine re-arms it one interval after that moment, so a component that
+        lives as long as its engine ticks through every burst of work.
 
-        ``horizon_ms`` keeps the tick alive on an otherwise idle engine up to
-        that virtual time: control-plane policies need to observe the *end*
-        of a load burst (zero arrivals, zero completions) to decide to scale
-        down, which by definition happens after the foreground work drained.
+        ``horizon_ms`` keeps the tick armed on an otherwise idle engine for
+        that much virtual time from now: control-plane policies need to
+        observe the *end* of a load burst (zero arrivals, zero completions)
+        to decide to scale down, which by definition happens after the
+        foreground work drained.
         """
         if interval_ms <= 0:
             raise ValueError("recurring events need a positive interval")
@@ -299,12 +317,14 @@ class Engine:
 
 
 class RecurringEvent:
-    """A periodic engine event that pauses itself on an idle engine.
+    """A periodic engine event that ticks only while the engine has work.
 
     Created through :meth:`Engine.every`.  ``cancel`` stops it permanently;
     otherwise the callback fires every interval for as long as the engine has
-    other pending events when a firing completes (the same liveness rule the
-    Anna propagation tick hand-rolled before this class existed).
+    foreground events pending (or the horizon has not passed) when the event
+    is created and when each firing completes.  Whenever that is not so it
+    waits in the engine's paused list, and starts firing again one interval
+    after foreground work returns.
     """
 
     __slots__ = ("engine", "interval_ms", "fn", "cancelled", "fired", "_event",
@@ -317,25 +337,39 @@ class RecurringEvent:
         self.fn = fn
         self.cancelled = False
         self.fired = 0
-        self.horizon_ms = horizon_ms
-        self._event: Optional[Event] = engine.schedule(
-            interval_ms, self._fire, background=True)
+        #: Absolute virtual time up to which the tick survives an idle engine.
+        self.horizon_ms = (None if horizon_ms is None
+                           else engine.now_ms + horizon_ms)
+        self._event: Optional[Event] = None
+        self._arm()
 
-    def _within_horizon(self) -> bool:
-        return (self.horizon_ms is not None
-                and self.engine.now_ms + self.interval_ms <= self.horizon_ms)
+    def _arm(self) -> None:
+        """Schedule the next firing, or wait for foreground work to return."""
+        if self.cancelled:
+            return
+        engine = self.engine
+        # Slots read directly: this runs once per firing of every tick.
+        if engine._foreground > 0 or (
+                self.horizon_ms is not None
+                and engine._now_ms + self.interval_ms <= self.horizon_ms):
+            self._event = engine.schedule(
+                self.interval_ms, self._fire, background=True)
+        else:
+            self._event = None
+            engine._paused.append(self)
+
+    def _resume(self) -> None:
+        """Foreground work is back (called by the engine): tick again."""
+        if not self.cancelled:
+            self._event = self.engine.schedule(
+                self.interval_ms, self._fire, background=True)
 
     def _fire(self) -> None:
         if self.cancelled:
             return
         self.fired += 1
         self.fn()
-        if not self.cancelled and (self.engine.foreground_pending > 0
-                                   or self._within_horizon()):
-            self._event = self.engine.schedule(
-                self.interval_ms, self._fire, background=True)
-        else:
-            self._event = None
+        self._arm()
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -372,15 +406,6 @@ class WorkQueue:
         self._starts: List[float] = []
         self._ends: List[float] = []
         self._in_service_start: Optional[float] = None
-
-    def reset(self) -> None:
-        """Forget all reservations (a fresh driver run on a reused cluster)."""
-        self.next_free_ms = 0.0
-        self.busy_ms = 0.0
-        self.completed = 0
-        self._starts.clear()
-        self._ends.clear()
-        self._in_service_start = None
 
     # -- admission ---------------------------------------------------------
     def admit(self, arrival_ms: float) -> float:
@@ -482,13 +507,6 @@ class ReservationQueue:
         # Non-overlapping busy intervals, sorted (both lists share the order).
         self._starts: List[float] = []
         self._ends: List[float] = []
-
-    def reset(self) -> None:
-        """Forget all reservations (a fresh driver run on a reused cluster)."""
-        self.busy_ms = 0.0
-        self.completed = 0
-        self._starts.clear()
-        self._ends.clear()
 
     def reserve(self, arrival_ms: float, service_ms: float) -> float:
         """Book ``service_ms`` of server time; returns the start (>= arrival)."""
@@ -608,54 +626,6 @@ class FifoQueue:
 
     def utilization(self, at_ms: float) -> float:
         return self.busy_servers(at_ms) / len(self._free_at)
-
-
-class ProcessorSharingQueue:
-    """Egalitarian processor sharing, approximated at reservation time.
-
-    A job arriving while ``n`` others overlap it runs at ``capacity / (n+1)``
-    of full speed.  The stretch factor is fixed at reservation from the
-    overlap count at arrival — an approximation (true PS re-computes rates at
-    every arrival/departure) that preserves the qualitative property the
-    benchmarks need: concurrency inflates completion times smoothly instead
-    of queueing behind a FIFO.
-    """
-
-    __slots__ = ("capacity", "label", "_ends")
-
-    #: Compact the end-time history past this many entries by dropping jobs
-    #: that ended at-or-before the current arrival (an ``insort`` into an
-    #: ever-growing list was the one unbounded queue left).  Since arrivals
-    #: are non-decreasing in practice, expired end times can never overlap a
-    #: later arrival, so compaction is exactly behaviour-preserving for
-    #: ``reserve``; only jobs still running survive, and more than
-    #: ``_COMPACT_LIMIT`` of those means real concurrency, not garbage.
-    _COMPACT_LIMIT = 8192
-
-    def __init__(self, capacity: float = 1.0, label: str = ""):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = float(capacity)
-        self.label = label
-        self._ends: List[float] = []  # sorted end times of overlapping jobs
-
-    def active_at(self, at_ms: float) -> int:
-        return len(self._ends) - bisect_right(self._ends, at_ms)
-
-    def reserve(self, arrival_ms: float, demand_ms: float) -> Tuple[float, float]:
-        """Admit a job with ``demand_ms`` of work; returns ``(start, end)``."""
-        if demand_ms < 0:
-            raise ValueError("demand cannot be negative")
-        arrival = float(arrival_ms)
-        sharers = self.active_at(arrival) + 1
-        stretch = max(1.0, sharers / self.capacity)
-        end = arrival + demand_ms * stretch
-        insort(self._ends, end)
-        if len(self._ends) > self._COMPACT_LIMIT:
-            expired = bisect_right(self._ends, arrival)
-            if expired:
-                del self._ends[:expired]
-        return arrival, end
 
 
 class ForkJoin:

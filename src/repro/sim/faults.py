@@ -52,7 +52,7 @@ DEFAULT_FAULT_CLASSES: Tuple[str, ...] = (
 class FaultEvent:
     """One entry in the fault timeline: an injection or a recovery."""
 
-    at_ms: float
+    at_ms: float     # virtual ms since the fault plane started
     fault: str       # fault class, e.g. "executor_kill"
     action: str      # "inject" | "recover"
     target: str      # vm id / storage node id / scheduler id
@@ -82,11 +82,12 @@ class _FaultClass:
 class FaultPlane:
     """Inject seeded failures into a live cluster from recurring engine events.
 
-    ``attach(engine)`` starts a periodic tick; each tick draws against every
-    enabled class's private schedule and, when a class's time has come *and*
-    its guard holds (never kill the last live VM, never drop below the
-    replication factor, never crash the last scheduler), injects the fault
-    and schedules its recovery ``downtime_ms`` later as a foreground event.
+    ``start()`` begins a periodic tick on the cluster's engine; each tick
+    draws against every enabled class's private schedule and, when a class's
+    time has come *and* its guard holds (never kill the last live VM, never
+    drop below the replication factor, never crash the last scheduler),
+    injects the fault and schedules its recovery ``downtime_ms`` later as a
+    foreground event.
     At most one fault per class is outstanding at any instant, so the §4.5
     oracle's "recovered within bound" check is per-injection, not amortised.
     """
@@ -112,7 +113,9 @@ class FaultPlane:
             name: _FaultClass(name, rng.spawn(f"fault-plane/{name}"))
             for name in classes}
         self.timeline: List[FaultEvent] = []
-        self.engine = None
+        self.engine = cluster.engine
+        #: Virtual time :meth:`start` was called at; the timeline counts from it.
+        self.started_ms = 0.0
         self._tick_event = None
         self._outstanding_recoveries = 0
         self._inject: Dict[str, Callable[[_FaultClass], Optional[str]]] = {
@@ -123,24 +126,24 @@ class FaultPlane:
         }
 
     # -- lifecycle ---------------------------------------------------------------------
-    def attach(self, engine, horizon_ms: Optional[float] = None) -> None:
-        """Start the fault tick on ``engine`` (idempotent per engine run)."""
-        if self.engine is not None:
-            raise RuntimeError("fault plane is already attached")
-        self.engine = engine
+    def start(self, horizon_ms: Optional[float] = None) -> None:
+        """Start the fault tick (``horizon_ms`` from now keeps it alive on an
+        idle engine)."""
+        if self._tick_event is not None:
+            raise RuntimeError("fault plane is already running")
+        engine = self.engine
+        self.started_ms = engine.now_ms
         for fault in self._classes.values():
             fault.next_at_ms = engine.now_ms + fault.rng.exponential(
                 self.mean_interval_ms)
         self._tick_event = engine.every(self.tick_interval_ms, self._tick,
                                         horizon_ms=horizon_ms)
 
-    def detach(self) -> None:
+    def stop(self) -> None:
         """Stop the tick and force-recover anything still outstanding.
 
         Outstanding faults are recovered immediately (recorded in the
-        timeline) so the cluster handed back to sequential use is whole —
-        a still-partitioned replica would make ``detach_engine``'s gossip
-        drain loop spin forever.
+        timeline) so the cluster is whole again when the run is over.
         """
         if self._tick_event is not None:
             self._tick_event.cancel()
@@ -148,13 +151,10 @@ class FaultPlane:
         for fault in self._classes.values():
             if fault.outstanding is not None:
                 self._recover(fault)
-        self.engine = None
 
     # -- the tick ----------------------------------------------------------------------
     def _tick(self) -> None:
         engine = self.engine
-        if engine is None:
-            return
         # Inject only while the *workload* still has foreground events —
         # our own pending recoveries don't count.  Without this, the last
         # recovery's foreground event would let the tick re-arm, inject
@@ -173,22 +173,26 @@ class FaultPlane:
                     self.mean_interval_ms)
                 continue
             fault.injected += 1
-            self.timeline.append(FaultEvent(now, fault.name, "inject", target))
+            self._record(fault, "inject", target)
             self._outstanding_recoveries += 1
             # Foreground on purpose: the run cannot drain while a fault is
             # unrecovered, which is exactly the §4.5 bounded-recovery oracle.
             engine.schedule(self.downtime_ms, lambda f=fault: self._recover(f))
 
+    def _record(self, fault: _FaultClass, action: str, target: str) -> None:
+        self.timeline.append(FaultEvent(self.engine.now_ms - self.started_ms,
+                                        fault.name, action, target))
+
     def _recover(self, fault: _FaultClass) -> None:
         if fault.outstanding is None:
-            return  # already force-recovered by detach()
+            return  # already force-recovered by stop()
         target, injected_at, recover_fn = fault.outstanding
         fault.outstanding = None
         recover_fn()
-        now = self.engine.now_ms if self.engine is not None else injected_at
+        now = self.engine.now_ms
         fault.recovered += 1
         fault.max_recovery_ms = max(fault.max_recovery_ms, now - injected_at)
-        self.timeline.append(FaultEvent(now, fault.name, "recover", target))
+        self._record(fault, "recover", target)
         self._outstanding_recoveries -= 1
         fault.next_at_ms = now + fault.rng.exponential(self.mean_interval_ms)
 

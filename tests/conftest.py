@@ -28,3 +28,18 @@ def causal_cluster():
 @pytest.fixture
 def causal_client(causal_cluster):
     return causal_cluster.connect()
+
+
+@pytest.fixture
+def saturate():
+    """Occupy every thread of an executor VM from now on.
+
+    Saturation is what the work queues say it is: one reservation per thread,
+    the signal ``ExecutorVM.utilization`` and the published metrics read.
+    """
+    def saturate(vm, busy_ms: float = 60_000.0) -> None:
+        now_ms = vm.engine.now_ms
+        for thread in vm.threads:
+            thread.work_queue.release(thread.work_queue.admit(now_ms) + busy_ms)
+
+    return saturate

@@ -127,14 +127,25 @@ class TestConsistencyExperiments:
         assert report.invariant_violations() == []
         assert report.executions == 400
 
-    def test_table2_sequential_cross_check_agrees_qualitatively(self):
-        # The old single-client path (staleness from a per-request flush
-        # counter) is kept as a cross-check: weaker contention, but the same
+    def test_table2_one_client_agrees_qualitatively(self):
+        # One closed-loop client (the sequential run): weaker contention —
+        # the anomalies come from propagation staleness alone — but the same
         # qualitative ordering must hold.
         report = run_table2(executions=400, dag_count=25, populated_keys=200,
-                            executor_vms=3, driver="sequential", flush_every=8,
-                            seed=1)
+                            executor_vms=3, clients=1,
+                            propagation_interval_ms=50.0, seed=1)
         assert report.invariant_violations() == []
+        assert report.executions == 400
+
+    def test_figure8_same_seed_replays(self):
+        kwargs = dict(requests_per_level=60, dag_count=15, populated_keys=120,
+                      executor_vms=3, seed=5)
+        first = run_figure8(**kwargs)
+        second = run_figure8(**kwargs)
+        for label, recorder in first.comparison.recorders.items():
+            assert second.comparison.recorders[label].samples_ms == \
+                recorder.samples_ms, label
+        assert first.metadata_overhead == second.metadata_overhead
 
 
 class TestCaseStudies:
@@ -158,7 +169,7 @@ class TestCaseStudies:
 
     def test_figure11_orderings_and_anomalies(self):
         experiment = run_figure11(requests=250, user_count=120, seed_tweets=400,
-                                  executor_vms=3, flush_every=60, seed=1)
+                                  executor_vms=3, propagation_interval_ms=300.0, seed=1)
         comparison = experiment.comparison
         assert comparison.median("Redis") < comparison.median("Cloudburst (LWW)")
         assert comparison.median("Cloudburst (LWW)") <= \

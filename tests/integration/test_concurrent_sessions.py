@@ -1,30 +1,31 @@
-"""Integration tests for engine-driven concurrent DAG sessions (§6.2).
+"""Integration tests for concurrent DAG sessions (§6.2).
 
-These pin the acceptance properties of the futures-first engine path
+These pin the acceptance properties of the futures-first invocation path
 (``cloud.call_dag`` returning a pending :class:`CloudburstFuture` whose DAG
 runs as engine events):
 
-* a single session client reproduces the sequential ``call_dag`` accounting
-  exactly (the cross-check path);
+* a plain top-level loop of invocations and a one-client driver run are the
+  same closed loop, sample for sample;
 * concurrent sessions genuinely interleave on shared caches — the LWW
   control observes repeatable-read mismatches that the RR protocol prevents;
 * sessions never observe each other's pinned snapshots, and every session's
   snapshots are evicted at finalize even with many sessions in flight;
-* Table 2 anomaly counts are deterministic for a fixed seed under the engine
-  driver;
+* Table 2 anomaly counts are deterministic for a fixed seed;
 * scale-down closes drained VMs' caches (no dangling update listeners).
 """
 
 import pytest
 
 from repro.anna import AnnaCluster
-from repro.bench.consistency_bench import _run_level_engine, _run_level_sequential
+from repro.bench.consistency_bench import _build_workload
 from repro.bench.harness import EngineLoadDriver
 from repro.bench import run_table2
 from repro.cloudburst import CloudburstCluster, ConsistencyLevel
 from repro.cloudburst.controlplane import ComputeControlPlane
 from repro.cloudburst.monitoring import MonitoringConfig
-from repro.sim import Engine
+from repro.sim import RandomSource
+
+from one_client import one_client_driver_latencies, top_level_latencies
 
 
 def _session_cluster(level, seed=29, **kwargs):
@@ -71,24 +72,55 @@ def _drive_sessions(cluster, level, sessions=60, clients=6):
     return outcomes, concurrency
 
 
-class TestSingleClientCrossCheck:
-    @pytest.mark.parametrize("level", [
-        ConsistencyLevel.LWW,
-        ConsistencyLevel.DISTRIBUTED_SESSION_RR,
-        ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL,
-    ])
-    def test_engine_single_client_matches_sequential(self, level):
-        # With one client and immediate propagation there is no interleaving
-        # and no staleness, so the engine-driven path must reproduce the
-        # sequential call_dag latencies sample for sample.
-        sequential = _run_level_sequential(
-            level, dag_count=8, requests=40, populated_keys=100,
-            executor_vms=3, seed=4, propagation_flush_every=0)
-        engine = _run_level_engine(
-            level, dag_count=8, requests=40, populated_keys=100,
-            executor_vms=3, seed=4, clients=1, propagation_interval_ms=0.0)
-        assert engine["recorder"].samples_ms == \
-            pytest.approx(sequential["recorder"].samples_ms)
+class TestTopLevelLoopIsOneClient:
+    """With one client and immediate propagation there is no interleaving and
+    no staleness: a plain loop of blocking invocations and a ``clients=1``
+    driver run on identically seeded clusters agree sample for sample."""
+
+    REQUESTS = 40
+
+    def _dag_workload(self, level, seed=4):
+        cluster, _client, workload, dags = _build_workload(
+            level, dag_count=8, populated_keys=100, executor_vms=3, seed=seed,
+            anomaly_tracker=None, propagation=AnnaCluster.PROPAGATE_IMMEDIATE)
+        rng = RandomSource(seed).spawn("dag-choice")
+
+        def request(cloud, ctx, _index):
+            dag = rng.choice(dags)
+            function_args, _sink_key = workload.sample_request(dag)
+            return cloud.call_dag(dag.name, function_args, consistency=level,
+                                  ctx=ctx)
+
+        return cluster, request
+
+    def _call_workload(self, level, seed=4):
+        cluster = CloudburstCluster(executor_vms=3, consistency=level, seed=seed)
+        setup = cluster.connect("setup", consistency=level)
+        for index in range(10):
+            setup.put(f"key-{index}", index)
+
+        def read_write(cloudburst, key, value):
+            previous = cloudburst.get(key)
+            cloudburst.put(key, value)
+            return previous
+
+        setup.register(read_write, name="read_write")
+
+        def request(cloud, ctx, index):
+            return cloud.call("read_write", [f"key-{index % 10}", index],
+                              consistency=level, ctx=ctx)
+
+        return cluster, request
+
+    @pytest.mark.parametrize("level", list(ConsistencyLevel))
+    @pytest.mark.parametrize("invocation", ["call", "call_dag"])
+    def test_sample_for_sample(self, invocation, level):
+        build = (self._call_workload if invocation == "call"
+                 else self._dag_workload)
+        top_level = top_level_latencies(*build(level), self.REQUESTS)
+        driven = one_client_driver_latencies(*build(level), self.REQUESTS)
+        assert len(top_level) == self.REQUESTS
+        assert driven == pytest.approx(top_level, rel=1e-9)
 
 
 class TestInterleavedSessions:
@@ -132,8 +164,7 @@ class TestInterleavedSessions:
         # pins survive until B finalizes.
         cluster = _session_cluster(ConsistencyLevel.DISTRIBUTED_SESSION_RR)
         scheduler = cluster.schedulers[0]
-        engine = Engine()
-        cluster.attach_engine(engine)
+        engine = cluster.engine
         states = {}
 
         def complete_a(result):
@@ -152,14 +183,14 @@ class TestInterleavedSessions:
         args_b = {"read_key": ["shared"], "read_write": ["shared", "token-b"]}
         states["a"] = scheduler.call_dag(
             "session-dag", args_a, consistency=ConsistencyLevel.DISTRIBUTED_SESSION_RR,
-            engine=engine, on_complete=complete_a)
+            on_complete=complete_a)
         # B starts mid-way through A and finishes later (long think between
         # stages comes from queueing both sessions on two-thread VMs).
-        engine.at(0.5, lambda: states.__setitem__("b", scheduler.call_dag(
-            "session-dag", args_b,
-            consistency=ConsistencyLevel.DISTRIBUTED_SESSION_RR, engine=engine)))
+        engine.at(engine.now_ms + 0.5, lambda: states.__setitem__(
+            "b", scheduler.call_dag(
+                "session-dag", args_b,
+                consistency=ConsistencyLevel.DISTRIBUTED_SESSION_RR)))
         engine.run()
-        cluster.detach_engine()
         assert states.get("a_done")
         assert states["b"].done
         for vm in cluster.vms:
@@ -182,13 +213,9 @@ class TestSessionFailureIsolation:
     def test_retry_exhaustion_goes_to_on_error_not_engine_abort(self):
         cluster = self._flaky_cluster()
         scheduler = cluster.schedulers[0]
-        engine = Engine()
-        cluster.attach_engine(engine)
         errors = []
-        session = scheduler.call_dag(
-            "flaky-dag", engine=engine, on_error=errors.append)
-        engine.run()
-        cluster.detach_engine()
+        session = scheduler.call_dag("flaky-dag", on_error=errors.append)
+        cluster.engine.run()
         assert session.done and session.result is None
         assert len(errors) == 1
         assert "failed after" in str(errors[0])
@@ -202,12 +229,9 @@ class TestSessionFailureIsolation:
 
         cluster = self._flaky_cluster()
         cloud = cluster.connect()
-        engine = Engine()
-        cluster.attach_engine(engine)
         future = cloud.call_dag("flaky-dag")
         assert not future.done()
-        engine.run()
-        cluster.detach_engine()
+        cluster.engine.run()
         assert future.done() and not future.is_ready()
         assert isinstance(future.exception(), DagExecutionError)
         with pytest.raises(DagExecutionError):
@@ -218,12 +242,9 @@ class TestSessionFailureIsolation:
 
         cluster = self._flaky_cluster()
         scheduler = cluster.schedulers[0]
-        engine = Engine()
-        cluster.attach_engine(engine)
-        scheduler.call_dag("flaky-dag", engine=engine)
+        scheduler.call_dag("flaky-dag")
         with pytest.raises(DagExecutionError):
-            engine.run()
-        cluster.detach_engine()
+            cluster.engine.run()
 
     def _reading_flaky_cluster(self):
         from repro.cloudburst import AnomalyTracker
@@ -257,8 +278,6 @@ class TestSessionFailureIsolation:
         # from the tracker) *before* the error reaches the caller.
         cluster = self._reading_flaky_cluster()
         scheduler = cluster.schedulers[0]
-        engine = Engine()
-        cluster.attach_engine(engine)
         errors = []
         in_error_callback = {}
 
@@ -270,9 +289,8 @@ class TestSessionFailureIsolation:
             in_error_callback["tracked_reads"] = dict(
                 cluster.anomaly_tracker._reads_by_execution)
 
-        scheduler.call_dag("read-die-dag", engine=engine, on_error=on_error)
-        engine.run()
-        cluster.detach_engine()
+        scheduler.call_dag("read-die-dag", on_error=on_error)
+        cluster.engine.run()
         assert len(errors) == 1
         assert in_error_callback["snapshots"] == [0] * len(cluster.vms)
         assert in_error_callback["tracked_reads"] == {}
@@ -300,15 +318,6 @@ class TestTable2Determinism:
         report = run_table2(executions=300, dag_count=25, populated_keys=200,
                             executor_vms=3, seed=2)
         assert report.invariant_violations() == []
-
-    def test_inapplicable_driver_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            run_table2(executions=10, driver="engine", flush_every=5)
-        with pytest.raises(ValueError):
-            run_table2(executions=10, driver="sequential", clients=4)
-        with pytest.raises(ValueError):
-            run_table2(executions=10, driver="sequential",
-                       propagation_interval_ms=25.0)
 
 
 class TestScaleDownClosesCaches:

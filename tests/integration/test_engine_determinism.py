@@ -7,8 +7,9 @@ same latency samples, same event counts.  These tests pin that:
 
 * a seeded engine-driver run replays identically (event-for-event and
   sample-for-sample) across two fresh clusters;
-* the Figure 5 engine path with one client still reproduces the sequential
-  cross-check sample-for-sample;
+* the Figure 5 hot and cold request functions cost the same from a plain
+  top-level loop as from a one-client driver run, and ``run_figure5`` replays
+  for a seed;
 * ``record_charges=False`` (the load drivers' allocation-light mode) changes
   no latency sample and no engine event count — only the itemised charge log.
 """
@@ -17,7 +18,11 @@ import pytest
 
 from repro.bench import run_figure5
 from repro.bench.harness import EngineLoadDriver
-from repro.cloudburst import CloudburstCluster
+from repro.cloudburst import CloudburstCluster, CloudburstReference
+from repro.workloads.arrays import (LocalityWorkloadKeys, make_arrays,
+                                    sum_arrays_with_library)
+
+from one_client import one_client_driver_latencies, top_level_latencies
 
 
 def _cluster(seed=11):
@@ -64,21 +69,44 @@ class TestSeededReplay:
         assert first.latencies.samples_ms != second.latencies.samples_ms
 
 
+def _figure5_workload(temperature, size="8MB", seed=3):
+    """The Figure 5 Cloudburst side: ``(cluster, hot or cold request fn)``."""
+    keys = LocalityWorkloadKeys.shared(size)
+    cluster = CloudburstCluster(executor_vms=7, seed=seed)
+    cloud = cluster.connect()
+    for key, array in zip(keys.keys, make_arrays(size, seed=seed)):
+        cloud.put(key, array)
+    cloud.register(sum_arrays_with_library, name="sum_arrays")
+    references = [CloudburstReference(key) for key in keys.keys]
+    cloud.call("sum_arrays", references)  # warm one cache
+
+    def request(cloud_client, ctx, _index):
+        if temperature == "cold":
+            for vm in cluster.vms:
+                vm.cache.clear()
+        return cloud_client.call("sum_arrays", references, ctx=ctx)
+
+    return cluster, request
+
+
 class TestFigure5Parity:
-    def test_engine_single_client_matches_sequential(self):
-        # One engine client and no concurrency: the engine-driven Figure 5
-        # must reproduce the sequential cross-check sample for sample, for
-        # every system in the comparison.
-        sequential = run_figure5(requests_per_size=6, sizes=("8MB",), seed=3,
-                                 driver="sequential")
-        engine = run_figure5(requests_per_size=6, sizes=("8MB",), seed=3,
-                             driver="engine", clients=1)
-        seq_point = sequential.points["8MB"]
-        eng_point = engine.points["8MB"]
-        assert set(seq_point.recorders) == set(eng_point.recorders)
-        for system, recorder in seq_point.recorders.items():
-            assert eng_point.recorders[system].samples_ms == \
-                pytest.approx(recorder.samples_ms), system
+    @pytest.mark.parametrize("temperature", ["hot", "cold"])
+    def test_top_level_loop_matches_one_client_driver(self, temperature):
+        # One client and no concurrency: a plain loop of calls on the
+        # cluster's clock and a one-client driver run are the same closed
+        # loop, sample for sample.
+        top_level = top_level_latencies(*_figure5_workload(temperature), 6)
+        driven = one_client_driver_latencies(*_figure5_workload(temperature), 6)
+        assert driven == pytest.approx(top_level, rel=1e-9)
+
+    def test_same_seed_replays_every_system(self):
+        first = run_figure5(requests_per_size=6, sizes=("8MB",), seed=3)
+        second = run_figure5(requests_per_size=6, sizes=("8MB",), seed=3)
+        first_point, second_point = first.points["8MB"], second.points["8MB"]
+        assert set(first_point.recorders) == set(second_point.recorders)
+        for system, recorder in first_point.recorders.items():
+            assert second_point.recorders[system].samples_ms == \
+                recorder.samples_ms, system
 
 
 class TestChargeLogOptOutParity:

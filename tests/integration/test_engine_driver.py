@@ -1,11 +1,12 @@
-"""Integration tests for the engine-driven multi-client load driver.
+"""Integration tests for the multi-client load driver.
 
 These pin down the acceptance properties of the event-engine refactor, now
 expressed through the futures-first client API (the driver constructs one
 CloudburstClient per simulated client; request fns never touch a Scheduler):
 
-* a single engine-driven client reproduces the sequential path's
-  ``RequestContext`` accounting exactly;
+* a single driver client reproduces a plain top-level loop's
+  ``RequestContext`` accounting exactly, and leaves the cluster's clock where
+  its last request completed;
 * concurrency creates real queueing (latency up, throughput capacity-bound)
   through the actual scheduler -> executor -> cache -> Anna stack;
 * seeded runs are deterministic across invocations;
@@ -45,9 +46,10 @@ def _work_request(cloud, ctx, index):
 
 class TestSingleClientEquivalence:
     def test_matches_sequential_accounting(self):
-        # Two identically seeded clusters: one driven sequentially, one by a
-        # single engine client.  With one client there is never queueing, so
-        # the latency sequences must agree sample for sample.
+        # Two identically seeded clusters: one driven by a plain top-level
+        # loop, one by a single driver client.  With one client there is
+        # never queueing, so the latency sequences must agree sample for
+        # sample.
         _cluster_a, cloud_a = _make_cluster(seed=21)
         sequential = run_closed_loop(
             "sequential", lambda i: cloud_a.call("work", [i]).latency_ms, 40)
@@ -59,30 +61,34 @@ class TestSingleClientEquivalence:
         assert engine_run.latencies.samples_ms == \
             pytest.approx(sequential.samples_ms)
 
-    def test_detaches_engine_after_run(self):
-        cluster, cloud = _make_cluster(seed=5)
-        run_engine_closed_loop(
-            cluster, lambda c, ctx, index: c.call("work", [1], ctx=ctx),
-            clients=2, total_requests=10)
-        assert cluster.engine is None
-        assert all(vm.engine is None for vm in cluster.vms)
-        # Sequential use afterwards sees no stale queue state.
+    def test_top_level_call_after_a_run_meets_no_leftover_queueing(self):
+        # The driver's calls run in-line, ahead of the engine's clock; the
+        # run ends with the engine caught up to the last response, so the
+        # next request is not issued before the previous one completed (on
+        # this one-thread cluster it would queue behind it).
+        cluster, cloud = _make_cluster(seed=5, executor_vms=1, threads_per_vm=1)
+        driver = EngineLoadDriver(cluster, _work_request, clients=1,
+                                  max_requests=4)
+        simulation = driver.run()
+        assert cluster.engine.now_ms == pytest.approx(
+            driver.started_ms + simulation.duration_ms)
         result = cloud.call("work", [3]).result()
         assert result.value == 6
         assert result.ctx.total("cloudburst", "executor_queue") == 0.0
 
-    def test_detach_clears_queue_state_for_scheduling_policy(self):
-        # Regression: driver reservations left in the work queues would make
-        # every thread read as busy/full at the zero-based clocks sequential
-        # requests use, silently disabling locality scheduling afterwards.
+    def test_past_reservations_do_not_read_as_load_after_a_run(self):
+        # One monotonic clock: the run's reservations are history, so no
+        # thread reads as busy or full at the cluster's current time and
+        # locality scheduling keeps working — nothing had to be reset.
         cluster, cloud = _make_cluster(seed=31)
         run_engine_closed_loop(
             cluster, _work_request, clients=6, total_requests=60)
+        now_ms = cluster.engine.now_ms
         for vm in cluster.vms:
+            assert vm.utilization() == 0.0
             for thread in vm.threads:
-                assert not thread.work_queue.busy_at(0.0)
-                assert thread.work_queue.depth(0.0) == 0
-        # Locality scheduling still functions on the same cluster.
+                assert not thread.work_queue.busy_at(now_ms)
+                assert thread.work_queue.depth(now_ms) == 0
         cloud.put("hot", [1, 2, 3])
         cloud.register(lambda data: sum(data), name="summer")
         from repro.cloudburst import CloudburstReference

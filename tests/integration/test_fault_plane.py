@@ -99,11 +99,11 @@ class TestClusterWholeAfterRun:
                 ctx=ctx)
 
         driver = EngineLoadDriver(cluster, request, clients=6, max_requests=60)
-        plane.attach(driver.engine)
+        plane.start()
         try:
             driver.run()
         finally:
-            plane.detach()
+            plane.stop()
         assert plane.injected_count() > 0
         assert plane.recovered_count() == plane.injected_count()
         assert all(vm.alive for vm in cluster.vms)

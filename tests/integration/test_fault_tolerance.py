@@ -3,6 +3,8 @@
 import pytest
 
 from repro import CloudburstCluster
+from repro.cloudburst.controlplane import ComputeAutoscaler
+from repro.errors import SchedulingError
 
 
 @pytest.fixture
@@ -62,8 +64,10 @@ class TestExecutorFailure:
         cloud.register_dag("d", ["f"])
         for vm in cluster.vms:
             cluster.fail_vm(vm.vm_id)
-        with pytest.raises(Exception):
-            cloud.call_dag("d")
+        future = cloud.call_dag("d")  # the failure resolves the future
+        with pytest.raises(SchedulingError):
+            future.get()
+        assert cluster.abandoned_session_count() == 0
 
     def test_recovered_vm_rejoins_with_cold_cache(self, cluster, cloud):
         cloud.put("warm-key", "value")
@@ -123,11 +127,14 @@ class TestComputeElasticity:
         for thread in removed.threads:
             assert not cluster.router.is_registered(thread.thread_id)
 
-    def test_monitoring_tick_scales_compute_tier(self, cluster, cloud):
+    def test_autoscaler_tick_scales_compute_tier(self, cluster, cloud, saturate):
+        cloud.register(lambda x: x, name="echo")
+        cloud.call("echo", [1])  # arrivals: the policy never grows an unused tier
         before = len(cluster.vms)
         for vm in cluster.vms:
-            vm.inflight = len(vm.threads)
+            saturate(vm)
         cluster.publish_all_metrics()
-        report = cluster.monitoring.tick()
+        report = ComputeAutoscaler(cluster).tick(cluster.engine.now_ms)
+        cluster.engine.run()  # the new VMs come online after the boot delay
         assert report.vms_added > 0
         assert len(cluster.vms) > before

@@ -101,6 +101,17 @@ class TestEngineBackendOverManySchedulers:
         assert all(count > 0 for count in served), served
 
 
+def _crash_and_restart(cluster, crash_ms, restart_ms):
+    """From the run's first request: crash scheduler-0 once requests are in
+    flight and restart it while the run is still going, so it serves again
+    before the budget is done.  (A run starts once the cluster has settled,
+    so events queued before ``run()`` would fire before it.)"""
+    engine = cluster.engine
+    engine.schedule(crash_ms, lambda: cluster.crash_scheduler("scheduler-0"))
+    engine.schedule(restart_ms,
+                    lambda: cluster.restart_scheduler("scheduler-0"))
+
+
 class TestSchedulerFailover:
     """Scheduler crash mid-run (satellite of the fault-plane PR).
 
@@ -117,16 +128,14 @@ class TestSchedulerFailover:
         values = []
 
         def request(cloud, ctx, index):
+            if index == 0:
+                _crash_and_restart(cluster, crash_ms=2.0, restart_ms=10.0)
             future = cloud.call_dag("pipe", {"inc": [4]}, ctx=ctx)
             future.add_done_callback(lambda f: values.append(f.get()))
             return future
 
         driver = EngineLoadDriver(cluster, request, clients=CLIENTS,
                                   max_requests=48)
-        # Crash scheduler-0 once requests are in flight; restart it while the
-        # run is still going so it serves again before the budget is done.
-        driver.engine.at(2.0, lambda: cluster.crash_scheduler("scheduler-0"))
-        driver.engine.at(10.0, lambda: cluster.restart_scheduler("scheduler-0"))
         sim = driver.run()
 
         assert sim.completed_requests == 48
@@ -147,12 +156,12 @@ class TestSchedulerFailover:
         _register_pipeline(clients[0])
 
         def request(cloud, ctx, index):
+            if index == 0:
+                _crash_and_restart(cluster, crash_ms=2.0, restart_ms=8.0)
             return cloud.call_dag("pipe", {"inc": [4]}, ctx=ctx)
 
         driver = EngineLoadDriver(cluster, request, clients=CLIENTS,
                                   max_requests=36)
-        driver.engine.at(2.0, lambda: cluster.crash_scheduler("scheduler-0"))
-        driver.engine.at(8.0, lambda: cluster.restart_scheduler("scheduler-0"))
         driver.run()
         for scheduler in cluster.schedulers:
             for record in scheduler.journal.records():

@@ -1,6 +1,6 @@
 """Integration tests for the observability plane.
 
-The acceptance properties: one client call under the engine backend yields a
+The acceptance properties: one client call yields a
 *connected* causal span tree covering scheduler placement, executor queueing,
 cache traffic and Anna storage; span context survives ``fork()``, §4.5
 retries, executor kills and scheduler crash/recovery without orphaning a
@@ -17,7 +17,7 @@ from repro.cloudburst.monitoring import (
     MonitoringSystem,
 )
 from repro.obs import Tracer
-from repro.sim import Engine, FaultPlane, RandomSource
+from repro.sim import FaultPlane, RandomSource
 
 
 def _pipeline_cluster(tracer=None, seed=3, executor_vms=2,
@@ -50,15 +50,9 @@ class TestConnectedSpanTree:
         # from a background fetch — covered in test_prefetch.py).
         cluster, cloud = _pipeline_cluster(tracer=tracer,
                                            prefetch_references=False)
-        engine = Engine()
-        cluster.attach_engine(engine)
-        try:
-            future = cloud.call_dag("pipeline",
-                                    {"inc": [CloudburstReference("k1")]})
-            engine.run()
-            assert future.result().value == 12
-        finally:
-            cluster.detach_engine()
+        future = cloud.call_dag("pipeline",
+                                {"inc": [CloudburstReference("k1")]})
+        assert future.result().value == 12
 
         request_roots = [span for span in tracer.roots()
                          if not (span.attrs or {}).get("background")]
@@ -100,14 +94,7 @@ class TestConnectedSpanTree:
         cloud.register_dag("diamond", ["source", "left", "right", "join"],
                            [("source", "left"), ("source", "right"),
                             ("left", "join"), ("right", "join")])
-        engine = Engine()
-        cluster.attach_engine(engine)
-        try:
-            future = cloud.call_dag("diamond", {"source": []})
-            engine.run()
-            assert future.result().value == 32
-        finally:
-            cluster.detach_engine()
+        assert cloud.call_dag("diamond", {"source": []}).result().value == 32
 
         trace_ids = {span.trace_id for span in tracer.spans
                      if not (span.attrs or {}).get("background")}
@@ -125,15 +112,9 @@ class TestConnectedSpanTree:
     def test_rate_zero_records_nothing_end_to_end(self):
         tracer = Tracer(sample_rate=0.0)
         cluster, cloud = _pipeline_cluster(tracer=tracer)
-        engine = Engine()
-        cluster.attach_engine(engine)
-        try:
-            future = cloud.call_dag("pipeline",
-                                    {"inc": [CloudburstReference("k1")]})
-            engine.run()
-            assert future.result().value == 12
-        finally:
-            cluster.detach_engine()
+        future = cloud.call_dag("pipeline",
+                                {"inc": [CloudburstReference("k1")]})
+        assert future.result().value == 12
         assert len(tracer) == 0
 
 
@@ -154,11 +135,11 @@ def _run_under_faults(fault_class, tracer, seed, requests=60, clients=6):
 
     driver = EngineLoadDriver(cluster, request, clients=clients,
                               max_requests=requests)
-    plane.attach(driver.engine)
+    plane.start()
     try:
         driver.run()
     finally:
-        plane.detach()
+        plane.stop()
     assert plane.injected_count() > 0, "fault class never fired — vacuous"
     return cluster
 

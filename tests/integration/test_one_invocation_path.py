@@ -2,16 +2,16 @@
 
 The scheduler used to run an invocation three ways: ``call``'s own retry
 loop, an inline DAG executor, and the engine-event session.  They are one
-body now, so these tests pin what must not depend on which public method (or
-which backend) opened the session:
+body now, so these tests pin what must not depend on which public method
+opened the session (``call`` drives it in-line on a private engine,
+``call_dag`` puts it on the cluster's):
 
 * a bare ``call`` and a registered one-function DAG make the same charges,
-  reach the same session state and leave the same cache counters, on a
-  private engine and on an attached one;
+  reach the same session state and leave the same cache counters;
 * the reference-prefetch epoch reaches the first function of an attempt
   (the bug the old ``call_dag`` twin had and ``call`` did not);
-* a fork/join DAG driven to completion inside ``call_dag`` computes what the
-  shared-engine run computes;
+* a fork/join DAG computes the same result whether a blocked caller steps
+  the engine or a run drains it;
 * a killed executor leaves the same ``attempt:`` / ``retry_of`` span lineage
   whichever way the request came in;
 * an application error closes its session instead of leaving it journaled
@@ -29,7 +29,7 @@ from repro.cloudburst import (
 )
 from repro.errors import ExecutorFailedError
 from repro.obs import Tracer
-from repro.sim import Engine, RequestContext
+from repro.sim import RequestContext, SimClock
 
 
 def _one_thread_cluster(level=ConsistencyLevel.LWW, seed=3, **kwargs):
@@ -50,30 +50,21 @@ def _one_thread_cluster(level=ConsistencyLevel.LWW, seed=3, **kwargs):
     return cluster, cloud
 
 
-def _invoke(entry, backend, level):
-    """One request through ``entry`` on ``backend``; everything observable."""
+def _ctx_now(cluster):
+    return RequestContext(clock=SimClock(cluster.engine.now_ms))
+
+
+def _invoke(entry, level):
+    """One request through ``entry``; everything observable about it."""
     cluster, cloud = _one_thread_cluster(level)
     scheduler = cluster.schedulers[0]
     args = [CloudburstReference("ref"), "side"]
-    ctx = RequestContext()
-    engine = Engine() if backend == "engine" else None
-    if engine is not None:
-        cluster.attach_engine(engine)
-    try:
-        if entry == "call":
-            result = scheduler.call("work", args, consistency=level, ctx=ctx)
-        elif engine is None:
-            result = scheduler.call_dag("work-dag", {"work": args},
-                                        consistency=level, ctx=ctx)
-        else:
-            session = scheduler.call_dag("work-dag", {"work": args},
-                                         consistency=level, ctx=ctx,
-                                         engine=engine)
-            engine.run()
-            result = session.result
-    finally:
-        if engine is not None:
-            cluster.detach_engine()
+    ctx = _ctx_now(cluster)
+    if entry == "call":
+        result = scheduler.call("work", args, consistency=level, ctx=ctx)
+    else:
+        result = scheduler.call_dag("work-dag", {"work": args},
+                                    consistency=level, ctx=ctx).drive()
     return {
         "value": result.value,
         "latency_ms": result.latency_ms,
@@ -85,11 +76,10 @@ def _invoke(entry, backend, level):
 
 
 class TestCallIsAOneFunctionDag:
-    @pytest.mark.parametrize("backend", ["inline", "engine"])
     @pytest.mark.parametrize("level", list(ConsistencyLevel))
-    def test_same_value_latency_charges_session_and_cache(self, level, backend):
-        called = _invoke("call", backend, level)
-        dag = _invoke("call_dag", backend, level)
+    def test_same_value_latency_charges_session_and_cache(self, level):
+        called = _invoke("call", level)
+        dag = _invoke("call_dag", level)
         assert called["value"] == dag["value"] == 42
         assert called["charges"], "the charge log is what is being compared"
         assert called == dag
@@ -107,13 +97,13 @@ class TestCallIsAOneFunctionDag:
             cloud.register(lambda big: len(big), name="measure")
             cloud.register_dag("measure-dag", ["measure"])
             scheduler = cluster.schedulers[0]
-            ctx = RequestContext()
+            ctx = _ctx_now(cluster)
             args = [CloudburstReference("big")]
             if entry == "call":
                 result = scheduler.call("measure", args, ctx=ctx)
             else:
                 result = scheduler.call_dag("measure-dag", {"measure": args},
-                                            ctx=ctx)
+                                            ctx=ctx).drive()
             assert result.value == 200_000
             waits[entry] = (ctx.total("cache", "prefetch_wait"),
                             result.latency_ms)
@@ -148,25 +138,20 @@ def _diamond_cluster(seed=7):
     return cluster
 
 
-class TestForkJoinInline:
-    def test_diamond_inline_matches_one_client_on_an_engine(self):
-        inline = _diamond_cluster().schedulers[0].call_dag("diamond")
+class TestForkJoinWhoeverFiresTheEvents:
+    def test_diamond_stepped_by_a_blocked_caller_matches_a_run(self):
+        stepped = _diamond_cluster().schedulers[0].call_dag("diamond").drive()
 
         cluster = _diamond_cluster()
-        engine = Engine()
-        cluster.attach_engine(engine)
-        try:
-            session = cluster.schedulers[0].call_dag("diamond", engine=engine)
-            engine.run()
-        finally:
-            cluster.detach_engine()
-        on_engine = session.result
+        session = cluster.schedulers[0].call_dag("diamond")
+        cluster.engine.run()
+        drained = session.result
 
-        assert inline.value == on_engine.value == 32
+        assert stepped.value == drained.value == 32
         # The join waits for the slower branch, whoever fires the events.
-        assert inline.latency_ms == on_engine.latency_ms
-        assert inline.ctx.clock.now_ms == on_engine.ctx.clock.now_ms
-        assert inline.latency_ms > 6.0
+        assert stepped.latency_ms == drained.latency_ms
+        assert stepped.ctx.clock.now_ms == drained.ctx.clock.now_ms
+        assert stepped.latency_ms > 6.0
 
 
 def _lineage(tracer):
@@ -200,25 +185,19 @@ class TestRetryLineageIsTheSameEverywhere:
         cloud.register_dag("flaky-dag", ["flaky"])
         if entry == "call":
             future = cloud.call("flaky", [21])
-        elif entry == "inline":
-            future = cloud.call_dag("flaky-dag", {"flaky": [21]})
         else:
-            engine = Engine()
-            cluster.attach_engine(engine)
-            try:
-                future = cloud.call_dag("flaky-dag", {"flaky": [21]})
-                engine.run()
-            finally:
-                cluster.detach_engine()
+            future = cloud.call_dag("flaky-dag", {"flaky": [21]})
+            if entry == "call_dag, run":
+                cluster.engine.run()
         assert future.result().value == 42
         assert future.result().retries == 1
         assert tracer.orphan_spans() == []
         assert cluster.abandoned_session_count() == 0
         return _lineage(tracer)
 
-    def test_call_inline_dag_and_engine_dag_agree(self):
+    def test_call_blocked_dag_and_drained_dag_agree(self):
         expected = [(True, []), (False, [("retry_of", "attempt", True)])]
-        for entry in ("call", "inline", "engine"):
+        for entry in ("call", "call_dag, blocked", "call_dag, run"):
             assert self._killed_once(entry) == expected, entry
 
 

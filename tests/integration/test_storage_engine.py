@@ -1,28 +1,24 @@
-"""Integration tests for the engine-driven storage tier (Figures 5, 6, 7).
+"""Integration tests for the storage tier under the figures (5, 6, 7).
 
-The acceptance bar for putting Anna on the discrete-event engine: the
-Figure 5/6 harnesses run through engine-attached storage nodes by default,
-and a 1-client engine run reproduces the ``driver="sequential"`` synchronous
-path sample-for-sample (same pin the consistency experiments carry in
-``test_concurrent_sessions.py``).
+The Figure 5/6 harnesses run through queueing storage nodes; a plain
+top-level loop of their request functions and a one-client driver run are
+the same closed loop (the Figure 5 half of that pin lives in
+``test_engine_determinism.py``, the §6.2 half in
+``test_concurrent_sessions.py``), and every harness replays for a seed.
 """
 
 import pytest
 
+from repro.apps.gossip import GatherAggregation, GossipAggregation
 from repro.bench import run_figure5, run_figure6, run_figure7
+from repro.cloudburst import CloudburstCluster
 from repro.cloudburst.monitoring import MonitoringConfig
 
+from one_client import one_client_driver_latencies, top_level_latencies
 
-class TestFigure5EngineDriver:
-    def test_one_client_engine_matches_sequential_sample_for_sample(self):
-        kwargs = dict(requests_per_size=6, sizes=("800KB",), seed=2)
-        sequential = run_figure5(driver="sequential", **kwargs)
-        engine = run_figure5(driver="engine", clients=1, **kwargs)
-        for label in ("Cloudburst (Hot)", "Cloudburst (Cold)"):
-            assert engine.points["800KB"].recorders[label].samples_ms == \
-                pytest.approx(sequential.points["800KB"].recorders[label].samples_ms)
 
-    def test_engine_driver_is_deterministic(self):
+class TestFigure5Driver:
+    def test_same_seed_replays(self):
         kwargs = dict(requests_per_size=6, sizes=("800KB",), seed=3, clients=3)
         first = run_figure5(**kwargs)
         second = run_figure5(**kwargs)
@@ -36,31 +32,46 @@ class TestFigure5EngineDriver:
         assert at_8mb.median("Cloudburst (Hot)") < at_8mb.median("Cloudburst (Cold)")
         assert at_8mb.median("Cloudburst (Cold)") < at_8mb.median("Lambda (Redis)")
 
-    def test_rejects_clients_knob_on_sequential_driver(self):
-        with pytest.raises(ValueError):
-            run_figure5(requests_per_size=2, sizes=("80KB",), driver="sequential",
-                        clients=4)
-        with pytest.raises(ValueError):
-            run_figure5(requests_per_size=2, sizes=("80KB",), driver="bogus")
+
+def _figure6_workload(algorithm, seed=2):
+    """The Figure 6 Cloudburst side: ``(cluster, gossip or gather request fn)``."""
+    cluster = CloudburstCluster(executor_vms=4, seed=seed)
+    if algorithm == "gossip":
+        aggregation = GossipAggregation(cluster, actor_count=10, seed=seed)
+    else:
+        aggregation = GatherAggregation(GatherAggregation.BACKEND_CLOUDBURST,
+                                        actor_count=10, cluster=cluster,
+                                        seed=seed)
+
+    def request(_cloud, ctx, _index):
+        aggregation.run(ctx=ctx)
+
+    return cluster, request
 
 
-class TestFigure6EngineDriver:
-    def test_one_client_engine_matches_sequential_sample_for_sample(self):
-        sequential = run_figure6(repetitions=6, seed=2, driver="sequential")
-        engine = run_figure6(repetitions=6, seed=2, driver="engine", clients=1)
-        for label in ("Cloudburst (gossip)", "Cloudburst (gather)"):
-            assert engine.recorders[label].samples_ms == \
-                pytest.approx(sequential.recorders[label].samples_ms)
+class TestFigure6Driver:
+    @pytest.mark.parametrize("algorithm", ["gossip", "gather"])
+    def test_top_level_loop_matches_one_client_driver(self, algorithm):
+        top_level = top_level_latencies(*_figure6_workload(algorithm), 6)
+        driven = one_client_driver_latencies(*_figure6_workload(algorithm), 6)
+        assert driven == pytest.approx(top_level, rel=1e-9)
 
-    def test_lambda_baselines_identical_across_drivers(self):
-        # The simulated Lambda gathers never touch the engine; the driver
-        # knob must not change their numbers at all.
-        sequential = run_figure6(repetitions=5, seed=4, driver="sequential")
-        engine = run_figure6(repetitions=5, seed=4, driver="engine", clients=2)
+    def test_same_seed_replays(self):
+        first = run_figure6(repetitions=6, seed=2)
+        second = run_figure6(repetitions=6, seed=2)
+        assert set(first.recorders) == set(second.recorders)
+        for label, recorder in first.recorders.items():
+            assert second.recorders[label].samples_ms == recorder.samples_ms, label
+
+    def test_lambda_baselines_do_not_depend_on_the_client_count(self):
+        # The simulated Lambda gathers never touch the cluster; the number of
+        # Cloudburst clients must not change their numbers at all.
+        one = run_figure6(repetitions=5, seed=4, clients=1)
+        two = run_figure6(repetitions=5, seed=4, clients=2)
         for label in ("Lambda+Redis (gather)", "Lambda+Dynamo (gather)",
                       "Lambda+S3 (gather)"):
-            assert engine.recorders[label].samples_ms == \
-                sequential.recorders[label].samples_ms
+            assert two.recorders[label].samples_ms == \
+                one.recorders[label].samples_ms
 
 
 class TestFigure7StorageTier:
@@ -76,8 +87,10 @@ class TestFigure7StorageTier:
         assert scaler is not None
         # The policy really evaluated on virtual time while load was running.
         assert len(scaler.history) >= 2
-        ticks = [at_ms for at_ms, _count in scaler.node_count_timeline]
+        # Reported from the start of the run, like everything the run reports.
+        ticks = [at_ms for at_ms, _count in experiment.storage_node_timeline]
+        assert len(ticks) == len(scaler.node_count_timeline)
         assert ticks == sorted(ticks)
-        assert ticks[0] >= 2_500.0
+        assert ticks[0] == 2_500.0
         # The workload's Zipf head is hot enough to earn extra replicas.
         assert any(report.keys_boosted for report in scaler.history)

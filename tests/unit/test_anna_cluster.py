@@ -3,6 +3,7 @@
 import pytest
 
 from repro.anna import AnnaCluster
+from repro.anna.cluster import DEFAULT_GOSSIP_INTERVAL_MS
 from repro.errors import KeyNotFoundError
 from repro.lattices import LWWLattice, MaxIntLattice, Timestamp
 from repro.sim import LatencyModel, RequestContext
@@ -16,6 +17,13 @@ def anna():
 
 def lww(value, clock=1.0):
     return LWWLattice(Timestamp(clock, "test"), value)
+
+
+def one_gossip_interval_later(anna):
+    """Keep a client waiting on the cluster for one gossip interval."""
+    engine = anna.engine
+    engine.at(engine.now_ms + DEFAULT_GOSSIP_INTERVAL_MS, lambda: None)
+    engine.run()
 
 
 class TestAnnaBasics:
@@ -58,6 +66,8 @@ class TestAnnaBasics:
 
     def test_replication_factor_replicas(self, anna):
         anna.put("k", lww(1))
+        assert len(anna.replicas_of("k")) == 1  # quorum of one
+        one_gossip_interval_later(anna)
         assert len(anna.replicas_of("k")) == 2
 
     def test_latency_charged_for_remote_operations(self, anna):
@@ -97,7 +107,9 @@ class TestAnnaMembership:
 
     def test_boost_replication_adds_replicas(self, anna):
         anna.put("hot", lww(1))
+        one_gossip_interval_later(anna)
         baseline = len(anna.replicas_of("hot"))
+        assert baseline == 2
         anna.boost_replication("hot", extra_replicas=2)
         assert len(anna.replicas_of("hot")) == min(4, baseline + 2)
 

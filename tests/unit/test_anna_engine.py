@@ -1,10 +1,11 @@
 """Unit tests for the Anna storage tier as a discrete-event participant.
 
-Covers the engine-attached behaviours layered onto :class:`AnnaCluster`:
+An :class:`AnnaCluster` lives on one engine from construction.  Covers
 quorum-of-1 multi-master writes with anti-entropy gossip, bounded node work
-queues (backpressure + read redirect), service-time charging, membership
-rebalancing under divergent replicas, and the storage autoscaler running as a
-recurring engine event.
+queues (backpressure + read redirect), service-time charging, gossip
+partitions, membership rebalancing under divergent replicas, the lifecycle of
+the recurring rounds across idle gaps, and the storage autoscaler running as
+a recurring engine event.
 """
 
 import pytest
@@ -35,67 +36,75 @@ def make_cluster(**kwargs) -> AnnaCluster:
     return AnnaCluster(**kwargs)
 
 
+class TestEngineOwnership:
+    def test_builds_its_own_engine_by_default(self):
+        anna = make_cluster()
+        assert isinstance(anna.engine, Engine)
+        assert anna.engine.now_ms == 0.0
+
+    def test_lives_on_the_engine_it_is_given(self):
+        engine = Engine(start_ms=40.0)
+        assert make_cluster(engine=engine).engine is engine
+
+    def test_nothing_is_armed_on_an_idle_engine(self):
+        anna = make_cluster(gossip_interval_ms=25.0,
+                            propagation_mode=AnnaCluster.PROPAGATE_PERIODIC,
+                            propagation_interval_ms=50.0)
+        assert anna.engine.pending == 0
+        anna.engine.run()
+        assert anna.gossip_rounds == 0
+
+
 class TestQuorumOfOneAndGossip:
-    def test_engine_put_lands_on_one_replica_until_gossip(self):
+    def test_put_lands_on_one_replica_until_gossip(self):
         anna = make_cluster(gossip_interval_ms=25.0)
-        engine = Engine()
-        anna.attach_engine(engine)
         anna.put("k", lww("v"), ctx_at())
-        holders = [owner for owner in anna.replicas_of("k")
-                   if anna.node(owner).contains("k")]
-        assert len(holders) == 1
+        assert len(anna.replicas_of("k")) == 1
         assert anna.dirty_key_count() == 1
 
         exchanged = anna.run_gossip_round()
         assert exchanged == 1
-        holders = [owner for owner in anna.replicas_of("k")
-                   if anna.node(owner).contains("k")]
-        assert len(holders) == 2
+        assert len(anna.replicas_of("k")) == 2
         assert anna.dirty_key_count() == 0
-        anna.detach_engine()
 
     def test_gossip_merges_do_not_count_as_client_load(self):
         anna = make_cluster(gossip_interval_ms=25.0)
-        engine = Engine()
-        anna.attach_engine(engine)
         anna.put("k", lww("v"), ctx_at())
         accesses_before = anna.total_access_count()
         anna.run_gossip_round()
         assert anna.total_access_count() == accesses_before
         replicas = [anna.node(owner) for owner in anna.replicas_of("k")]
         assert sum(node.replica_merges for node in replicas) == 1
-        anna.detach_engine()
 
-    def test_detach_engine_flushes_pending_gossip(self):
+    def test_round_after_the_last_write_needs_no_drain(self):
+        # The write is the engine's last foreground event; the round already
+        # scheduled behind it still fires, replicates the write and pauses.
         anna = make_cluster(gossip_interval_ms=25.0)
-        anna.attach_engine(Engine())
-        anna.put("k", lww("v"), ctx_at())
-        assert anna.dirty_key_count() == 1
-        anna.detach_engine()
+        engine = anna.engine
+        engine.at(5.0, lambda: anna.put("k", lww("v"), ctx_at(5.0)))
+        engine.run()
         assert anna.dirty_key_count() == 0
-        for owner in anna.replicas_of("k"):
-            assert anna.node(owner).contains("k")
+        assert len(anna.replicas_of("k")) == 2
+        assert anna.gossip_rounds == 1
+        assert engine.now_ms == 25.0
+        assert engine.pending == 0
 
     def test_periodic_gossip_runs_on_virtual_time(self):
         anna = make_cluster(gossip_interval_ms=10.0)
-        engine = Engine()
-        anna.attach_engine(engine)
+        engine = anna.engine
         # Foreground work keeps the recurring gossip tick alive past 10 ms.
         engine.at(5.0, lambda: anna.put("k", lww("v"), ctx_at(5.0)))
         engine.at(30.0, lambda: None)
         engine.run()
-        assert anna.gossip_rounds >= 1
+        assert anna.gossip_rounds == 3  # the round at 30 finds no work left
         assert anna.dirty_key_count() == 0
-        anna.detach_engine()
 
-    def test_zero_gossip_interval_falls_back_to_fanout(self):
+    def test_zero_gossip_interval_runs_the_round_inside_the_put(self):
         anna = make_cluster(gossip_interval_ms=0.0)
-        anna.attach_engine(Engine())
         anna.put("k", lww("v"), ctx_at())
-        for owner in anna.replicas_of("k"):
-            assert anna.node(owner).contains("k")
+        assert len(anna.replicas_of("k")) == 2
         assert anna.dirty_key_count() == 0
-        anna.detach_engine()
+        assert anna.engine.pending == 0
 
     def test_divergent_replicas_converge_after_one_round(self):
         # Two concurrent writers land on *different* replicas (the first
@@ -105,7 +114,6 @@ class TestQuorumOfOneAndGossip:
                             node_queue_bound=1,
                             storage_service=StorageServiceModel(memory_base_ms=5.0),
                             gossip_interval_ms=25.0)
-        anna.attach_engine(Engine())
         anna.put("s", SetLattice({"a"}), ctx_at())
         anna.put("s", SetLattice({"b"}), ctx_at())
         owners = anna.replicas_of("s")
@@ -116,17 +124,43 @@ class TestQuorumOfOneAndGossip:
         anna.run_gossip_round()
         for owner in owners:
             assert anna.node(owner).peek("s").reveal() == {"a", "b"}
-        anna.detach_engine()
+
+
+class TestGossipPartitions:
+    def partitioned_write(self):
+        anna = make_cluster(node_count=3, replication_factor=2,
+                            gossip_interval_ms=10.0)
+        _accepting, peer = anna._owners("k")
+        anna.partition_node(peer)
+        anna.engine.at(1.0, lambda: anna.put("k", lww("v"), ctx_at(1.0)))
+        return anna, peer
+
+    def test_outstanding_partition_does_not_keep_the_engine_alive(self):
+        anna, peer = self.partitioned_write()
+        anna.engine.run()  # must return: the requeued key cannot re-arm the tick
+        assert anna.engine.pending == 0
+        assert anna.dirty_key_count() == 1
+        assert not anna.node(peer).contains("k")
+
+    def test_healed_partition_converges_on_the_next_round(self):
+        anna, peer = self.partitioned_write()
+        engine = anna.engine
+        engine.run()
+        anna.heal_partition(peer)
+        rounds_before = anna.gossip_rounds
+        engine.at(engine.now_ms + 1.0, lambda: None)  # work returns
+        engine.run()
+        assert anna.gossip_rounds > rounds_before
+        assert anna.dirty_key_count() == 0
+        assert anna.node(peer).peek("k").reveal() == "v"
 
 
 class TestBoundedNodeQueues:
-    def saturated_cluster(self):
-        anna = make_cluster(node_count=2, replication_factor=1,
+    def saturated_cluster(self, gossip_interval_ms: float = 25.0):
+        return make_cluster(node_count=2, replication_factor=1,
                             node_queue_bound=2,
                             storage_service=StorageServiceModel(memory_base_ms=5.0),
-                            gossip_interval_ms=25.0)
-        anna.attach_engine(Engine())
-        return anna
+                            gossip_interval_ms=gossip_interval_ms)
 
     def test_put_rejects_when_every_replica_full(self):
         anna = self.saturated_cluster()
@@ -135,7 +169,6 @@ class TestBoundedNodeQueues:
         with pytest.raises(StorageOverloadError):
             anna.put("k", lww(2), ctx_at())
         assert anna.total_rejections() == 1
-        anna.detach_engine()
 
     def test_skipped_replica_on_successful_put_is_not_a_rejection(self):
         # Regression: landing on a later replica because an earlier one was
@@ -145,11 +178,9 @@ class TestBoundedNodeQueues:
                             node_queue_bound=1,
                             storage_service=StorageServiceModel(memory_base_ms=5.0),
                             gossip_interval_ms=25.0)
-        anna.attach_engine(Engine())
         anna.put("k", lww(0), ctx_at())
         anna.put("k", lww(1), ctx_at())  # first owner busy -> lands on second
         assert anna.total_rejections() == 0
-        anna.detach_engine()
 
     def test_queue_depth_is_bounded_not_unbounded(self):
         anna = self.saturated_cluster()
@@ -164,7 +195,17 @@ class TestBoundedNodeQueues:
         assert accepted == 2
         assert anna.node(owner).work_queue.depth(0.0) <= 2
         assert anna.total_rejections() == 48
-        anna.detach_engine()
+
+    def test_past_reservations_are_history_not_load(self):
+        # One monotonic clock: a queue that was full at t=0 has room again
+        # once its reservations have ended — nothing needs resetting.
+        anna = self.saturated_cluster()
+        anna.put("k", lww(0), ctx_at())
+        anna.put("k", lww(1), ctx_at())
+        later = ctx_at(1_000.0)
+        anna.put("k", lww(2, clock=2.0), later)
+        assert later.total("anna", "queue") == 0.0
+        assert anna.total_rejections() == 0
 
     def test_waiting_writer_is_charged_queueing_delay(self):
         anna = self.saturated_cluster()
@@ -177,15 +218,14 @@ class TestBoundedNodeQueues:
         assert second.total("anna", "queue") == pytest.approx(5.0, abs=0.01)
         assert second.total("anna", "service") == pytest.approx(5.0, abs=0.01)
         assert first.total("anna", "queue") == 0.0
-        anna.detach_engine()
 
     def test_reads_redirect_to_less_loaded_replica(self):
         anna = make_cluster(node_count=3, replication_factor=2,
                             node_queue_bound=1,
                             storage_service=StorageServiceModel(memory_base_ms=5.0),
                             gossip_interval_ms=25.0)
-        anna.put("k", lww("v"))  # synchronous fan-out: every replica holds it
-        anna.attach_engine(Engine())
+        anna.put("k", lww("v"))
+        anna.run_gossip_round()  # every replica holds it
         first, second = anna.replicas_of("k")
         anna.node(first).work_queue.reserve(0.0, 5.0)  # saturate the primary
         reader = ctx_at()
@@ -197,22 +237,16 @@ class TestBoundedNodeQueues:
         assert anna.node(first).read_redirects == 1
         assert anna.node(first).rejections == 0
         assert anna.node(second).stats("k").reads == 1
-        anna.detach_engine()
 
-    def test_fanout_mode_still_backpressures_on_engine(self):
-        # gossip_interval_ms=0 keeps instant fan-out while attached; the
-        # bounded queue must still reject charged puts at a saturated primary.
-        anna = make_cluster(node_count=2, replication_factor=1,
-                            node_queue_bound=2,
-                            storage_service=StorageServiceModel(memory_base_ms=5.0),
-                            gossip_interval_ms=0.0)
-        anna.attach_engine(Engine())
+    def test_zero_gossip_interval_still_backpressures(self):
+        # gossip_interval_ms=0 replicates inside the put; the bounded queue
+        # must still reject charged puts at a saturated primary.
+        anna = self.saturated_cluster(gossip_interval_ms=0.0)
         anna.put("k", lww(0), ctx_at())
         anna.put("k", lww(1), ctx_at())
         with pytest.raises(StorageOverloadError):
             anna.put("k", lww(2), ctx_at())
         assert anna.total_rejections() == 1
-        anna.detach_engine()
 
     def test_background_writes_never_queue(self):
         anna = self.saturated_cluster()
@@ -222,11 +256,10 @@ class TestBoundedNodeQueues:
         # be rejected and does not occupy the work queue.
         merged = anna.put("k", lww(2, clock=9.0))
         assert merged.reveal() == 2
-        anna.detach_engine()
 
 
 class TestServiceCharging:
-    def test_sequential_path_charges_service_but_never_queues(self):
+    def test_uncontended_put_charges_service_but_no_queue(self):
         anna = make_cluster(storage_service=StorageServiceModel(
             memory_base_ms=0.5, memory_bandwidth_bytes_per_ms=1e9))
         ctx = ctx_at()
@@ -238,34 +271,39 @@ class TestServiceCharging:
         model = StorageServiceModel()
         assert model.service_ms("disk", 1024) > model.service_ms("memory", 1024)
 
-    def test_one_client_engine_run_matches_sequential_charges(self):
-        def run(with_engine: bool):
-            anna = make_cluster(gossip_interval_ms=25.0)
-            engine = Engine()
-            if with_engine:
-                anna.attach_engine(engine)
-            charges = []
-            clock = 0.0
-            for index in range(20):
-                ctx = ctx_at(clock)
-                anna.put(f"k{index % 5}", lww(index, clock=index), ctx)
-                anna.get(f"k{index % 5}", ctx)
-                charges.append(ctx.clock.now_ms - clock)
-                clock += 10.0
-            if with_engine:
-                anna.detach_engine()
-            return charges
+    def test_one_client_pays_round_trips_and_service_only(self):
+        # A client that waits for each answer before sending the next request
+        # never meets its own reservations: every iteration costs the same
+        # two round trips plus two service slots, and nothing queues.
+        anna = make_cluster(gossip_interval_ms=25.0)
+        costs = []
+        clock = 0.0
+        for index in range(20):
+            ctx = ctx_at(clock)
+            anna.put(f"k{index % 5}", lww(index, clock=index), ctx)
+            anna.get(f"k{index % 5}", ctx)
+            assert ctx.total("anna", "queue") == 0.0
+            costs.append(ctx.clock.now_ms - clock)
+            clock = ctx.clock.now_ms
+        assert costs == pytest.approx([costs[0]] * 20)
 
-        assert run(False) == pytest.approx(run(True))
+    def test_busy_time_survives_node_removal(self):
+        anna = make_cluster(node_count=3, replication_factor=2,
+                            storage_service=StorageServiceModel(memory_base_ms=2.0))
+        for index in range(12):
+            anna.put(f"k{index}", lww(index), ctx_at(index * 10.0))
+        busy = anna.total_queue_busy_ms()
+        assert busy == pytest.approx(12 * 2.0, rel=1e-3)
+        anna.remove_node(anna.node_ids[0])
+        assert anna.total_queue_busy_ms() == pytest.approx(busy)
 
 
-class TestRebalanceUnderEngine:
+class TestRebalanceUnderLoad:
     def test_add_node_migrates_dirty_state_without_loss(self):
         anna = make_cluster(node_count=3, replication_factor=2,
                             node_queue_bound=1,
                             storage_service=StorageServiceModel(memory_base_ms=5.0),
                             gossip_interval_ms=25.0)
-        anna.attach_engine(Engine())
         # Staggered writes (bound=1, 5 ms service): no two collide at a node.
         for index in range(40):
             anna.put(f"k{index}", SetLattice({f"v{index}"}), ctx_at(index * 10.0))
@@ -280,20 +318,16 @@ class TestRebalanceUnderEngine:
         for index in range(40):
             assert anna.get(f"k{index}").reveal() == {f"v{index}"}
         assert anna.get("shared").reveal() == {"a", "b"}
-        anna.detach_engine()
 
     def test_remove_node_preserves_ungossiped_writes(self):
         anna = make_cluster(node_count=3, replication_factor=2,
                             gossip_interval_ms=25.0)
-        anna.attach_engine(Engine())
         anna.put("k", lww("fresh", clock=5.0), ctx_at())
-        holder = next(owner for owner in anna.replicas_of("k")
-                      if anna.node(owner).contains("k"))
+        holder, = anna.replicas_of("k")
         # The accepting replica leaves before gossip ever ran: its write must
         # reach the remaining owners through the departure drain.
         anna.remove_node(holder)
         assert anna.get("k").reveal() == "fresh"
-        anna.detach_engine()
 
     def test_add_node_merges_replica_copies_not_first_copy_wins(self):
         # Regression: an ex-owner can keep a stale copy of a key whose
@@ -327,6 +361,53 @@ class TestRebalanceUnderEngine:
         assert anna.total_access_count() <= before
 
 
+def write_burst(anna: AnnaCluster, start_ms: float, writes: int = 20) -> None:
+    """Schedule ``writes`` puts, 2 ms apart from ``start_ms``, and run them."""
+    for index in range(writes):
+        at_ms = start_ms + 2.0 * index
+        anna.engine.at(at_ms, lambda i=index, at=at_ms: anna.put(
+            f"burst-{start_ms}-{i}", lww(i, clock=at), ctx_at(at)))
+    anna.engine.run()
+
+
+class TestRoundsResumeAfterIdle:
+    """The recurring rounds of a lifetime engine tick in every burst of work.
+
+    At the parent commit a recurring event that fired on an idle engine was
+    gone for good; only the per-run re-attach hid it.
+    """
+
+    def test_second_burst_is_gossiped_too(self):
+        anna = make_cluster(gossip_interval_ms=25.0)
+        write_burst(anna, 0.0)
+        rounds_after_first = anna.gossip_rounds
+        assert rounds_after_first > 0
+        assert anna.dirty_key_count() == 0
+
+        write_burst(anna, anna.engine.now_ms + 500.0)
+        assert anna.gossip_rounds > rounds_after_first
+        assert anna.dirty_key_count() == 0
+        assert anna.engine.pending == 0
+
+    def test_periodic_propagation_drains_in_both_bursts(self):
+        anna = make_cluster(propagation_mode=AnnaCluster.PROPAGATE_PERIODIC,
+                            propagation_interval_ms=10.0)
+        write_burst(anna, 0.0)
+        assert anna.pending_update_count() == 0
+        write_burst(anna, anna.engine.now_ms + 500.0)
+        assert anna.pending_update_count() == 0
+
+    def test_autoscaler_set_once_ticks_in_both_bursts(self):
+        anna = make_cluster()
+        scaler = StorageAutoscaler(anna)
+        anna.set_autoscaler(scaler, interval_ms=10.0)
+        write_burst(anna, 0.0)
+        ticks_after_first = len(scaler.history)
+        assert ticks_after_first > 0
+        write_burst(anna, anna.engine.now_ms + 500.0)
+        assert len(scaler.history) > ticks_after_first
+
+
 class TestStorageAutoscalerOnEngine:
     def test_tick_runs_as_recurring_engine_event(self):
         anna = make_cluster(gossip_interval_ms=25.0)
@@ -334,8 +415,7 @@ class TestStorageAutoscalerOnEngine:
             scale_up_accesses_per_node=5.0, scale_down_accesses_per_node=0.0,
             hot_key_threshold=8, hot_key_extra_replicas=1, max_nodes=8))
         anna.set_autoscaler(scaler, interval_ms=20.0)
-        engine = Engine()
-        anna.attach_engine(engine)
+        engine = anna.engine
 
         def burst(at_ms):
             ctx = ctx_at(at_ms)
@@ -345,7 +425,6 @@ class TestStorageAutoscalerOnEngine:
         for at_ms in range(0, 100, 10):
             engine.at(float(at_ms), lambda at=at_ms: burst(float(at)))
         engine.run()
-        anna.detach_engine()
 
         assert len(scaler.history) >= 2
         assert any(report.nodes_added for report in scaler.history)
@@ -354,15 +433,13 @@ class TestStorageAutoscalerOnEngine:
         # Boosted replication really widened the replica set.
         assert len(anna.replicas_of("hot")) > 2
 
-    def test_detach_engine_stops_the_tick(self):
+    def test_clear_autoscaler_stops_the_tick(self):
         anna = make_cluster()
         scaler = StorageAutoscaler(anna)
         anna.set_autoscaler(scaler, interval_ms=10.0)
-        engine = Engine()
-        anna.attach_engine(engine)
-        anna.detach_engine()
-        engine.at(5.0, lambda: None)
-        engine.run(until_ms=100.0)
+        anna.clear_autoscaler()
+        anna.engine.at(5.0, lambda: None)
+        anna.engine.run(until_ms=100.0)
         assert scaler.history == []
 
     def test_set_autoscaler_rejects_bad_interval(self):

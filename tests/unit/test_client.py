@@ -9,7 +9,6 @@ from repro.errors import (
     DagNotFoundError,
     KeyNotFoundError,
 )
-from repro.sim import Engine
 
 
 @pytest.fixture
@@ -23,9 +22,9 @@ def cloud(cluster):
 
 
 class TestClientConstruction:
-    def test_requires_schedulers(self):
+    def test_requires_schedulers(self, cluster):
         with pytest.raises(ValueError):
-            CloudburstClient([])
+            CloudburstClient([], cluster)
 
     def test_connect_assigns_unique_ids(self, cluster):
         a = cluster.connect()
@@ -92,15 +91,6 @@ class TestDagCalls:
         result = cloud.call_dag("pipeline", {"inc": [4]})
         assert result.value == 50
 
-    def test_call_dag_returns_resolved_future_on_sequential_backend(self, cloud):
-        cloud.register(lambda x: x - 1, name="dec")
-        cloud.register_dag("decrement", ["dec"])
-        future = cloud.call_dag("decrement", {"dec": [10]})
-        assert isinstance(future, CloudburstFuture)
-        assert future.is_ready()           # inline execution: already resolved
-        assert future.get() == 9
-        assert future.result().latency_ms > 0
-
     def test_store_in_kvs_stores_dag_result(self, cloud):
         cloud.register(lambda x: x - 1, name="dec")
         cloud.register_dag("decrement", ["dec"])
@@ -163,7 +153,7 @@ class TestDeleteDag:
         assert not cluster.kvs.contains("__cloudburst_dags__/echo-dag")
 
 
-class TestEngineBackedFutures:
+class TestDagFutures:
     def _register(self, cluster):
         cloud = cluster.connect()
         cloud.register(lambda x: x + 1, name="inc")
@@ -173,91 +163,102 @@ class TestEngineBackedFutures:
 
     def test_call_dag_returns_pending_future_before_execution(self, cluster):
         cloud = self._register(cluster)
-        engine = Engine()
-        cluster.attach_engine(engine)
-        try:
-            future = cloud.call_dag("pipeline", {"inc": [4]})
-            assert not future.is_ready()   # returned before the DAG executed
-            assert future.get() == 50      # get() advances virtual time
-            assert engine.now_ms > 0
-        finally:
-            cluster.detach_engine()
+        issued_at = cluster.engine.now_ms
+        future = cloud.call_dag("pipeline", {"inc": [4]})
+        assert isinstance(future, CloudburstFuture)
+        assert not future.is_ready()   # returned before the DAG executed
+        assert future.get() == 50      # get() advances virtual time
+        assert cluster.engine.now_ms > issued_at
+        assert future.result().latency_ms > 0
+
+    def test_blocking_leaves_the_engine_at_the_completion_time(self, cluster):
+        # The future resolves at the event that finishes the session, a
+        # network hop before the client has the answer; a blocked caller must
+        # not be able to send its next request before it received this one.
+        cloud = self._register(cluster)
+        engine = cluster.engine
+        for index in range(5):
+            issued_at = engine.now_ms
+            result = cloud.call_dag("pipeline", {"inc": [index]}).result()
+            assert engine.now_ms == result.ctx.clock.now_ms
+            assert engine.now_ms == pytest.approx(issued_at + result.latency_ms)
+        issued_at = engine.now_ms
+        result = cloud.call("inc", [1]).result()
+        assert engine.now_ms == result.ctx.clock.now_ms
+        assert engine.now_ms == pytest.approx(issued_at + result.latency_ms)
+        cloud.put("k", 1)
+        assert engine.now_ms > result.ctx.clock.now_ms
+
+    def test_caller_owned_context_never_moves_the_engine(self, cluster):
+        from repro.sim import RequestContext, SimClock
+
+        cloud = self._register(cluster)
+        engine = cluster.engine
+        ctx = RequestContext(clock=SimClock(engine.now_ms))
+        cloud.put("k", 1, ctx=ctx)
+        assert cloud.call("inc", [1], ctx=ctx).value == 2
+        assert ctx.clock.now_ms > engine.now_ms == 0.0
 
     def test_add_done_callback_fires_from_engine_events(self, cluster):
         cloud = self._register(cluster)
-        engine = Engine()
-        cluster.attach_engine(engine)
         seen = []
-        try:
-            future = cloud.call_dag("pipeline", {"inc": [4]})
-            future.add_done_callback(lambda f: seen.append(f.get()))
-            assert seen == []
-            engine.run()
-            assert seen == [50]
-        finally:
-            cluster.detach_engine()
+        future = cloud.call_dag("pipeline", {"inc": [4]})
+        future.add_done_callback(lambda f: seen.append(f.get()))
+        assert seen == []
+        cluster.engine.run()
+        assert seen == [50]
 
     def test_get_timeout_leaves_future_pending(self, cluster):
         from repro.errors import FutureTimeoutError
 
         cloud = self._register(cluster)
-        engine = Engine()
-        cluster.attach_engine(engine)
-        try:
-            future = cloud.call_dag("pipeline", {"inc": [4]})
-            # The first charge alone (client_to_scheduler) exceeds 1 ns of
-            # virtual time, so nothing can resolve within the deadline.
-            with pytest.raises(FutureTimeoutError):
-                future.get(timeout_ms=1e-6)
-            assert not future.done()
-            assert future.get() == 50      # a later unbounded get succeeds
-        finally:
-            cluster.detach_engine()
+        future = cloud.call_dag("pipeline", {"inc": [4]})
+        # The first charge alone (client_to_scheduler) exceeds 1 ns of
+        # virtual time, so nothing can resolve within the deadline.
+        with pytest.raises(FutureTimeoutError):
+            future.get(timeout_ms=1e-6)
+        assert not future.done()
+        assert future.get() == 50      # a later unbounded get succeeds
 
     def test_exception_probe_never_blocks_or_raises(self, cluster):
         cloud = self._register(cluster)
-        engine = Engine()
-        cluster.attach_engine(engine)
-        try:
-            future = cloud.call_dag("pipeline", {"inc": [4]})
-            assert future.exception() is None      # pending: no advance, no raise
-            assert not future.done()               # the probe spent no time
-            assert engine.now_ms == 0.0
-            assert future.get() == 50
-            assert future.exception() is None      # resolved successfully
-        finally:
-            cluster.detach_engine()
+        issued_at = cluster.engine.now_ms
+        future = cloud.call_dag("pipeline", {"inc": [4]})
+        assert future.exception() is None      # pending: no advance, no raise
+        assert not future.done()               # the probe spent no time
+        assert cluster.engine.now_ms == issued_at
+        assert future.get() == 50
+        assert future.exception() is None      # resolved successfully
+
+    def test_failed_dag_resolves_the_future_with_the_error(self, cluster):
+        cloud = cluster.connect()
+
+        def boom(x):
+            raise RuntimeError("application error")
+
+        cloud.register(boom, name="boom")
+        cloud.register_dag("boom-dag", ["boom"])
+        future = cloud.call_dag("boom-dag", {"boom": [1]})  # does not raise
+        assert future.exception() is None                   # still pending
+        with pytest.raises(RuntimeError, match="application error"):
+            future.get()
+        assert isinstance(future.exception(), RuntimeError)
+        assert cluster.abandoned_session_count() == 0
 
     def test_blocking_inside_an_engine_event_is_a_programming_error(self, cluster):
         cloud = self._register(cluster)
-        engine = Engine()
-        cluster.attach_engine(engine)
+        engine = cluster.engine
         caught = []
-        try:
-            future = cloud.call_dag("pipeline", {"inc": [4]})
+        future = cloud.call_dag("pipeline", {"inc": [4]})
 
-            def block_from_event():
-                try:
-                    future.get(timeout_ms=10.0)
-                except Exception as error:  # noqa: BLE001 - recording the type
-                    caught.append(error)
+        def block_from_event():
+            try:
+                future.get(timeout_ms=10.0)
+            except Exception as error:  # noqa: BLE001 - recording the type
+                caught.append(error)
 
-            engine.at(0.0, block_from_event)
-            engine.run()
-        finally:
-            cluster.detach_engine()
+        engine.at(0.0, block_from_event)
+        engine.run()
         # RuntimeError, not FutureTimeoutError: a timeout-tolerant caller must
         # not mistake the reentrancy violation for "not ready yet".
         assert caught and isinstance(caught[0], RuntimeError)
-
-    def test_engine_store_in_kvs_populates_result_key(self, cluster):
-        cloud = self._register(cluster)
-        engine = Engine()
-        cluster.attach_engine(engine)
-        try:
-            future = cloud.call_dag("pipeline", {"inc": [4]}, store_in_kvs=True)
-            assert future.get() == 50
-            assert future.result_key is not None
-            assert cloud.kvs.get_plain(future.result_key) == 50
-        finally:
-            cluster.detach_engine()

@@ -59,13 +59,13 @@ class TestMetricsPublisher:
 
 
 class TestMonitoringAggregation:
-    def test_dead_vm_excluded_even_with_stale_metrics_key(self):
+    def test_dead_vm_excluded_even_with_stale_metrics_key(self, saturate):
         # Regression: collect_utilization used to average over every roster
         # entry, so a drained VM (stale key or zero ghost) deflated the mean
         # right after a scale-down and delayed the next scale-up.
         cluster = make_cluster(executor_vms=2)
         live, dead = cluster.vms
-        live.inflight = len(live.threads)  # saturated
+        saturate(live)
         cluster.publish_all_metrics()
         dead.alive = False
         # Plant a stale metrics key claiming the dead VM is idle.
@@ -102,7 +102,7 @@ class TestMonitoringAggregation:
         scheduler.register_function(lambda x: x * 2, name="b")
         scheduler.register_dag(Dag.chain("ab", ["a", "b"]))
         for i in range(3):
-            scheduler.call_dag("ab", {"a": [i]})
+            scheduler.call_dag("ab", {"a": [i]}).drive()
         # Live-stats fallback path.
         assert cluster.monitoring.collect_scheduler_call_total() == 6
         # Published path (dag_calls_by_name payload).
@@ -133,7 +133,7 @@ class TestPinScrubbing:
     def test_pinned_function_remains_callable_after_drain(self):
         cluster, scheduler = self._pinned_cluster()
         cluster.drain_vm(cluster.vms[-1])
-        result = scheduler.call_dag("inc-dag", {"inc": [41]})
+        result = scheduler.call_dag("inc-dag", {"inc": [41]}).drive()
         assert result.value == 42
         # And re-pinning tops up with *live* replicas, not stale ids.
         pins = scheduler.pin_function("inc", replicas=4)
@@ -214,20 +214,18 @@ class TestComputeAutoscalerActuation:
 
 
 class TestRateBaselines:
-    def test_attach_seeds_baselines_on_reused_cluster(self):
-        # Regression: a fresh autoscaler attached to a cluster that already
+    def test_start_seeds_baselines_on_reused_cluster(self):
+        # Regression: a fresh autoscaler started on a cluster that already
         # served traffic used to report the whole lifetime of calls as one
         # interval's delta on its first tick (suppressing the zero-load
         # drain and spuriously triggering backlog repinning).
-        from repro.sim import Engine
-
         cluster = make_cluster()
         scheduler = cluster.schedulers[0]
         scheduler.register_function(lambda x: x, name="f")
         for i in range(20):
             scheduler.call("f", [i])
         autoscaler = ComputeAutoscaler(cluster)
-        autoscaler.attach_engine(Engine(), interval_ms=1_000.0)
+        autoscaler.start(interval_ms=1_000.0)
         report = autoscaler.tick(1_000.0)
         assert report.arrival_rate_per_s == 0.0
         assert report.completion_rate_per_s == 0.0

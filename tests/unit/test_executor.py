@@ -43,12 +43,17 @@ class TestExecutorVM:
         for thread in vm.threads:
             assert vm.router.is_registered(thread.thread_id)
 
-    def test_utilization_tracks_inflight(self, vm):
+    def test_utilization_is_queue_depth_over_alive_threads(self, vm):
         assert vm.utilization() == 0.0
-        vm.inflight = 2
-        assert vm.utilization() == pytest.approx(2 / 3)
-        vm.inflight = 10
-        assert vm.utilization() == 1.0
+        for thread in vm.threads[:2]:
+            thread.work_queue.release(thread.work_queue.admit(0.0) + 10.0)
+        assert vm.utilization(5.0) == pytest.approx(2 / 3)
+        assert vm.utilization() == pytest.approx(2 / 3)  # default: engine time
+        assert vm.utilization(10.0) == 0.0  # the reservations have ended
+        for _ in range(4):
+            for thread in vm.threads:
+                thread.work_queue.release(thread.work_queue.admit(20.0) + 10.0)
+        assert vm.utilization(20.0) == 1.0  # capped: 12 queued on 3 threads
 
     def test_pick_thread_prefers_least_loaded(self, vm):
         vm.threads[0].invocation_count = 5

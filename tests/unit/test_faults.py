@@ -8,12 +8,16 @@ are enabled — the schedules replay sample-for-sample across processes.
 
 import pytest
 
-from repro.sim import DEFAULT_FAULT_CLASSES, FaultEvent, FaultPlane, RandomSource
+from repro.sim import (DEFAULT_FAULT_CLASSES, Engine, FaultEvent, FaultPlane,
+                       RandomSource)
 
 
 class _ClusterStub:
-    """FaultPlane only touches the cluster when injecting; construction
-    and schedule-drawing never do."""
+    """FaultPlane takes the cluster's engine and otherwise only touches the
+    cluster when injecting; construction and schedule-drawing never do."""
+
+    def __init__(self):
+        self.engine = Engine()
 
 
 def _plane(seed, **kwargs):
@@ -91,14 +95,23 @@ class TestReporting:
         assert event.to_dict() == {"at_ms": 12.5, "fault": "executor_kill",
                                    "action": "inject", "target": "vm-3"}
 
-    def test_double_attach_rejected(self):
-        from repro.sim import Engine
-
+    def test_double_start_rejected(self):
         plane = _plane(5)
-        engine = Engine()
-        plane.attach(engine)
+        plane.start()
         with pytest.raises(RuntimeError):
-            plane.attach(engine)
-        plane.detach()
-        plane.attach(engine)  # re-attach after detach is fine
-        plane.detach()
+            plane.start()
+        plane.stop()
+        plane.start()  # starting again after stop is fine
+        plane.stop()
+
+    def test_timeline_counts_from_the_start_of_the_plane(self):
+        plane = _plane(5)
+        plane.engine.run(until_ms=250.0)
+        plane.start()
+        assert plane.started_ms == 250.0
+        fault = plane._classes["executor_kill"]
+        fault.outstanding = ("vm-0", plane.engine.now_ms, lambda: None)
+        plane.engine.run(until_ms=262.5)
+        plane.stop()  # force-recovers the outstanding fault
+        assert plane.timeline == [
+            FaultEvent(12.5, "executor_kill", "recover", "vm-0")]

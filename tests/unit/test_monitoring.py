@@ -14,43 +14,15 @@ class TestMonitoringSystem:
         assert metrics["thread_count"] == 6
         assert 0.0 <= metrics["utilization"] <= 1.0
 
-    def test_scale_up_when_utilization_high(self):
-        config = MonitoringConfig(vms_per_scale_up=2, max_vms=10)
-        cluster = CloudburstCluster(executor_vms=2, seed=1, monitoring_config=config)
-        for vm in cluster.vms:
-            vm.inflight = len(vm.threads)
-        cluster.publish_all_metrics()
-        report = cluster.monitoring.tick()
-        assert report.vms_added == 2
-        assert len(cluster.vms) == 4
-
-    def test_scale_down_when_idle(self):
-        config = MonitoringConfig(vms_per_scale_up=1, min_vms=1)
-        cluster = CloudburstCluster(executor_vms=3, seed=1, monitoring_config=config)
-        cluster.publish_all_metrics()
-        report = cluster.monitoring.tick()
-        assert report.vms_removed == 1
-        assert len(cluster.vms) == 2
-
-    def test_scale_up_respects_max_vms(self):
-        config = MonitoringConfig(vms_per_scale_up=5, max_vms=3)
-        cluster = CloudburstCluster(executor_vms=3, seed=1, monitoring_config=config)
-        for vm in cluster.vms:
-            vm.inflight = len(vm.threads)
-        cluster.publish_all_metrics()
-        report = cluster.monitoring.tick()
-        assert report.vms_added == 0
-
-    def test_backlog_triggers_function_repinning(self):
-        # Disable idle scale-down so the repinning decision is observed alone.
-        config = MonitoringConfig(scale_down_utilization=0.0)
-        cluster = CloudburstCluster(executor_vms=3, seed=1, monitoring_config=config)
+    def test_backlog_repinning_adds_a_replica_per_function(self):
+        cluster = CloudburstCluster(executor_vms=3, seed=1)
         scheduler = cluster.schedulers[0]
         scheduler.register_function(lambda: 1, name="hot")
         scheduler.pin_function("hot", replicas=1)
         before = len(scheduler.function_pins["hot"])
-        cluster.monitoring.tick(arrival_rate_per_s=100.0, completion_rate_per_s=10.0)
-        assert len(scheduler.function_pins["hot"]) > before
+        repinned = cluster.monitoring.repin_backlogged()
+        assert len(scheduler.function_pins["hot"]) == before + 1
+        assert repinned == {"hot": before + 1}
 
 
 class TestAutoscalingPolicy:

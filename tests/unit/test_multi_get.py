@@ -28,7 +28,7 @@ from repro.lattices import (
     Timestamp,
     VectorClock,
 )
-from repro.sim import Engine, LatencyModel, RequestContext, SimClock
+from repro.sim import LatencyModel, RequestContext, SimClock
 
 
 def lww(value, clock=1.0, node="n"):
@@ -142,7 +142,6 @@ class TestOverlapCharging:
                          storage_service=StorageServiceModel(memory_base_ms=5.0))
         anna.put("a", lww("v"))
         anna.put("b", lww("v"))
-        anna.attach_engine(Engine())
         cache = make_cache(anna)
         ctx = ctx_at()
         cache.multi_get(["a", "b"], ctx)
@@ -150,7 +149,6 @@ class TestOverlapCharging:
         # and waits out the remainder of its 5 ms service slot.
         assert ctx.total("anna", "queue") == pytest.approx(5.0 - 0.03, abs=0.05)
         assert ctx.total("anna", "service") == pytest.approx(10.0, abs=0.05)
-        anna.detach_engine()
 
     def test_read_redirect_parity_with_single_key(self):
         # A saturated primary redirects batched reads exactly as it does
@@ -162,7 +160,7 @@ class TestOverlapCharging:
                                  memory_base_ms=5.0),
                              gossip_interval_ms=25.0)
             anna.put("k", lww("v"))
-            anna.attach_engine(Engine())
+            anna.run_gossip_round()  # every replica holds it
             first, _ = anna.replicas_of("k")
             anna.node(first).work_queue.reserve(0.0, 5.0)
             return anna, first
@@ -173,12 +171,10 @@ class TestOverlapCharging:
         cache.multi_get(["k"], batched)
         assert anna.node(first).read_redirects == 1
         assert batched.total("anna", "queue") == 0.0
-        anna.detach_engine()
 
         anna, first = build()
         single = anna.get("k", ctx_at())
         assert anna.node(first).read_redirects == 1
-        anna.detach_engine()
 
 
 class TestBatchOfOne:

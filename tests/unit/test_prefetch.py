@@ -25,7 +25,7 @@ from repro.cloudburst import (
     ExecutorCache,
 )
 from repro.lattices import LWWLattice, Timestamp
-from repro.sim import Engine, LatencyModel, RequestContext, SimClock
+from repro.sim import LatencyModel, RequestContext, SimClock
 
 
 def lww(value, clock=1.0, node="n"):
@@ -102,13 +102,12 @@ class TestPrefetchWarmsReads:
             pytest.approx(2 * transfer + cost.mean_ms(
                 cache.kvs.peek("c").size_bytes()), rel=0.01)
 
-    def test_engine_lands_prefetch_as_background_event(self):
+    def test_prefetch_lands_as_a_background_engine_event(self):
         cache = make_cache()
         cache.kvs.put("k", lww("v"))
-        engine = Engine()
-        cache.prefetch(["k"], now_ms=0.0, engine=engine, epoch="e1")
+        cache.prefetch(["k"], now_ms=0.0, epoch="e1")
         assert not cache.contains("k")
-        engine.run()
+        cache.kvs.engine.run()
         assert cache.contains("k")
         # The landed entry still credits the prefetch on first read.
         cache.get_or_fetch("k", ctx_at(10_000.0))
@@ -125,9 +124,8 @@ class TestWastedAccounting:
         cache = make_cache()
         for key in ("a", "b", "c"):
             cache.kvs.put(key, lww("v"))
-        engine = Engine()
-        cache.prefetch(["a", "b", "c"], now_ms=0.0, engine=engine, epoch="e1")
-        engine.run()
+        cache.prefetch(["a", "b", "c"], now_ms=0.0, epoch="e1")
+        cache.kvs.engine.run()
         cache.get_or_fetch("a", ctx_at(10_000.0))  # one read, two wasted
         assert cache.settle_prefetch_accounting() == 2
         assert cache.stats.prefetch_hits == 1

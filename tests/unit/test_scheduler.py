@@ -55,10 +55,10 @@ class TestRegistration:
     def test_reregistration_refreshes_pinned_thread_copies(self, scheduler, cluster):
         scheduler.register_function(lambda x: x + 1, name="f")
         scheduler.register_dag(Dag.chain("f-dag", ["f"]))
-        assert scheduler.call_dag("f-dag", {"f": [1]}).value == 2
+        assert scheduler.call_dag("f-dag", {"f": [1]}).drive().value == 2
         scheduler.register_function(lambda x: x + 50, name="f")
         # The pinned executor threads serve the new body, not the stale pin.
-        assert scheduler.call_dag("f-dag", {"f": [1]}).value == 51
+        assert scheduler.call_dag("f-dag", {"f": [1]}).drive().value == 51
         for thread in scheduler.pinned_threads("f"):
             assert thread._function_cache["f"](1) == 51
 
@@ -102,7 +102,7 @@ class TestDagCalls:
         scheduler.register_function(lambda x: x + 1, name="inc")
         scheduler.register_function(lambda x: x * x, name="square")
         scheduler.register_dag(Dag.chain("comp", ["inc", "square"]))
-        result = scheduler.call_dag("comp", {"inc": [4]})
+        result = scheduler.call_dag("comp", {"inc": [4]}).drive()
         assert result.value == 25
 
     def test_fan_out_dag_returns_all_sinks(self, scheduler):
@@ -111,7 +111,7 @@ class TestDagCalls:
         scheduler.register_function(lambda x: x * 2, name="right")
         scheduler.register_dag(Dag("fan", ["root", "left", "right"],
                                    [("root", "left"), ("root", "right")]))
-        result = scheduler.call_dag("fan", {"root": [10]})
+        result = scheduler.call_dag("fan", {"root": [10]}).drive()
         assert result.value == {"left": 11, "right": 20}
 
     def test_dag_call_counts_tracked(self, scheduler):

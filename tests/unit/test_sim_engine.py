@@ -6,7 +6,6 @@ from repro.sim import (
     Engine,
     FifoQueue,
     ForkJoin,
-    ProcessorSharingQueue,
     ReservationQueue,
     WorkQueue,
 )
@@ -189,13 +188,55 @@ class TestPendingCounters:
 
 
 class TestRecurringEvent:
-    def test_pauses_on_idle_engine_without_horizon(self):
+    def test_never_fires_on_an_idle_engine(self):
         engine = Engine()
         fired = []
         engine.every(10.0, lambda: fired.append(engine.now_ms))
+        assert engine.pending == 0
         engine.run()
-        # Nothing else queued: the tick fires once and pauses itself.
-        assert fired == [10.0]
+        assert fired == []
+
+    def test_ticks_while_foreground_work_is_pending_then_pauses(self):
+        engine = Engine()
+        fired = []
+        engine.at(35.0, lambda: None)
+        engine.every(10.0, lambda: fired.append(engine.now_ms))
+        engine.run()
+        # The firing after the work drained finds nothing pending and does
+        # not reschedule: the run ends instead of spinning.
+        assert fired == [10.0, 20.0, 30.0, 40.0]
+        assert engine.pending == 0
+
+    def test_resumes_one_interval_after_foreground_work_returns(self):
+        engine = Engine()
+        fired = []
+        engine.every(10.0, lambda: fired.append(engine.now_ms))
+        engine.at(15.0, lambda: None)
+        engine.run()
+        assert fired == [10.0, 20.0]
+        # Idle gap, then a second burst on the same engine.
+        engine.run(until_ms=100.0)
+        assert fired == [10.0, 20.0]
+        engine.at(125.0, lambda: None)
+        engine.run()
+        assert fired == [10.0, 20.0, 110.0, 120.0, 130.0]
+
+    def test_background_events_do_not_wake_a_paused_tick(self):
+        engine = Engine()
+        fired = []
+        engine.every(10.0, lambda: fired.append(engine.now_ms))
+        engine.at(50.0, lambda: None, background=True)
+        engine.run()
+        assert fired == []
+
+    def test_cancelled_while_paused_stays_cancelled(self):
+        engine = Engine()
+        fired = []
+        recurring = engine.every(10.0, lambda: fired.append(engine.now_ms))
+        recurring.cancel()
+        engine.at(35.0, lambda: None)
+        engine.run()
+        assert fired == []
 
     def test_horizon_keeps_ticking_on_idle_engine(self):
         engine = Engine()
@@ -273,15 +314,6 @@ class TestWorkQueue:
         assert queue.busy_between(5.0, 25.0) == 10.0
         assert queue.busy_between(12.0, 18.0) == 0.0
 
-    def test_reset_clears_reservations(self):
-        queue = WorkQueue()
-        queue.admit(0.0)
-        queue.release(10.0)
-        queue.reset()
-        assert queue.next_free_ms == 0.0
-        assert queue.depth(0.0) == 0
-        assert queue.admit(0.0) == 0.0
-
 
 class TestReservationQueue:
     def test_idle_server_starts_immediately(self):
@@ -331,14 +363,6 @@ class TestReservationQueue:
     def test_bound_must_be_positive(self):
         with pytest.raises(ValueError):
             ReservationQueue(bound=0)
-
-    def test_reset_clears_reservations(self):
-        queue = ReservationQueue()
-        queue.reserve(0.0, 10.0)
-        queue.reset()
-        assert queue.depth(0.0) == 0
-        assert queue.busy_ms == 0.0
-        assert queue.reserve(0.0, 5.0) == 0.0
 
     def test_busy_at_tracks_last_reservation(self):
         queue = ReservationQueue()
@@ -425,46 +449,6 @@ class TestFifoQueue:
         assert queue.servers == 3
         # New servers become free at now_ms, not at 0.
         assert queue.reserve(5.0, 1.0) == (20.0, 21.0)
-
-
-class TestProcessorSharingQueue:
-    def test_lone_job_runs_at_full_speed(self):
-        queue = ProcessorSharingQueue()
-        assert queue.reserve(0.0, 10.0) == (0.0, 10.0)
-
-    def test_concurrency_stretches_service(self):
-        queue = ProcessorSharingQueue()
-        queue.reserve(0.0, 100.0)
-        start, end = queue.reserve(0.0, 10.0)
-        assert start == 0.0
-        assert end == 20.0  # two sharers -> half speed
-
-    def test_capacity_absorbs_sharers(self):
-        queue = ProcessorSharingQueue(capacity=2.0)
-        queue.reserve(0.0, 100.0)
-        _, end = queue.reserve(0.0, 10.0)
-        assert end == 10.0  # 2 sharers over capacity 2 -> full speed
-
-    def test_end_history_is_compacted(self):
-        queue = ProcessorSharingQueue()
-        total = ProcessorSharingQueue._COMPACT_LIMIT + 10
-        for index in range(total):
-            queue.reserve(index * 10.0, 1.0)  # never overlapping
-        assert len(queue._ends) <= ProcessorSharingQueue._COMPACT_LIMIT
-        # Recent overlap is still counted after compaction.
-        last_arrival = (total - 1) * 10.0
-        _, end = queue.reserve(last_arrival + 0.5, 10.0)
-        assert end == last_arrival + 0.5 + 20.0  # shares with the last job
-
-    def test_compaction_never_drops_active_jobs(self):
-        # Compaction drops only expired end times (end <= arrival), so jobs
-        # still running always survive — sharer counts stay exact no matter
-        # how long the queue runs.
-        queue = ProcessorSharingQueue(capacity=1e12)  # no stretch blow-up
-        limit = ProcessorSharingQueue._COMPACT_LIMIT
-        for index in range(limit + 100):
-            queue.reserve(float(index), 1e6)  # all still active at the end
-        assert queue.active_at(float(limit + 100)) == limit + 100
 
 
 class TestForkJoin:
