@@ -5,7 +5,7 @@ invocation requests to it; before each invocation it retrieves and
 deserializes the requested function (caching it for repeated execution) and
 transparently resolves KVS-reference arguments in parallel through the
 VM-local cache; after each DAG function it triggers the downstream functions.
-Executors publish metrics (cached functions, utilization, recent latencies)
+Executors publish metrics (cached functions, utilization, queue depth)
 to the KVS for the schedulers and the monitoring system.
 
 Executor *threads* are packed into executor *VMs*; every VM hosts one cache
@@ -186,9 +186,11 @@ class ExecutorThread:
         self.thread_id = thread_id
         self.vm = vm
         self._function_cache: Dict[str, Callable] = {}
+        #: Cached body -> whether it takes the ``cloudburst`` API object
+        #: first; decided once, when the body enters ``_function_cache``.
+        self._takes_library: Dict[Callable, bool] = {}
         self.invocation_count = 0
         self.busy_ms = 0.0
-        self.recent_latencies_ms: List[float] = []
         self.alive = True
         #: Bounded FIFO work queue every charged invocation waits in.
         self.work_queue = WorkQueue(bound=work_queue_bound, label=thread_id)
@@ -230,7 +232,15 @@ class ExecutorThread:
         """Cache a function body locally (deserialization happens once)."""
         if func is None:
             func = self._fetch_function(name, ctx)
+        self._cache_function(name, func)
+
+    def _cache_function(self, name: str, func: Callable) -> None:
         self._function_cache[name] = func
+        try:
+            first = next(iter(inspect.signature(func).parameters), None)
+        except (TypeError, ValueError):
+            first = None
+        self._takes_library[func] = first == "cloudburst"
 
     def _fetch_function(self, name: str, ctx: Optional[RequestContext]) -> Callable:
         stored = self.kvs.get_or_none(function_key(name), ctx)
@@ -287,10 +297,13 @@ class ExecutorThread:
         func = self._function_cache.get(function_name)
         if func is None:
             func = self._fetch_function(function_name, ctx)
-            self._function_cache[function_name] = func
+            self._cache_function(function_name, func)
         resolved_args = self._resolve_references(args, ctx, state, protocol)
-        library = UserLibrary(self, ctx, state, protocol)
-        result = self._call(func, library, resolved_args)
+        # The API object is injected only if the function asks for it.
+        if self._takes_library[func]:
+            result = func(UserLibrary(self, ctx, state, protocol), *resolved_args)
+        else:
+            result = func(*resolved_args)
         declared_compute = getattr(func, "_cloudburst_compute_ms", 0.0)
         if ctx is not None and declared_compute:
             ctx.charge("compute", "user_function",
@@ -299,9 +312,6 @@ class ExecutorThread:
         if ctx is not None:
             elapsed = ctx.clock.now_ms - start_ms
             self.busy_ms += elapsed
-            self.recent_latencies_ms.append(elapsed)
-            if len(self.recent_latencies_ms) > 256:
-                self.recent_latencies_ms.pop(0)
         return result
 
     def _resolve_references(self, args: Sequence[Any], ctx: Optional[RequestContext],
@@ -329,17 +339,6 @@ class ExecutorThread:
             resolved[index] = LatticeEncapsulator.de_encapsulate(lattice)
         return resolved
 
-    @staticmethod
-    def _call(func: Callable, library: UserLibrary, args: List[Any]) -> Any:
-        """Invoke the user function, injecting the API object if requested."""
-        try:
-            parameters = list(inspect.signature(func).parameters)
-        except (TypeError, ValueError):
-            parameters = []
-        if parameters and parameters[0] == "cloudburst":
-            return func(library, *args)
-        return func(*args)
-
     # -- metrics ------------------------------------------------------------------------
     def utilization(self, window_ms: float) -> float:
         if window_ms <= 0:
@@ -348,7 +347,6 @@ class ExecutorThread:
 
     def reset_window(self) -> None:
         self.busy_ms = 0.0
-        self.recent_latencies_ms.clear()
 
 
 class ExecutorVM:
@@ -426,13 +424,14 @@ class ExecutorVM:
         return sum(thread.work_queue.depth(at_ms)
                    for thread in self.threads if thread.alive)
 
-    def utilization(self, at_ms: Optional[float] = None) -> float:
-        """Fraction of this VM's compute occupied by outstanding requests.
+    def load(self, at_ms: float) -> Tuple[float, List[ExecutorThread]]:
+        """The §4.3 backpressure signal at ``at_ms``: ``(utilization, full)``.
 
-        Read off the thread work queues at ``at_ms`` (default: the engine's
-        current virtual time): requests waiting in a bounded queue count
-        toward saturation, which is what the §4.3 backpressure policy keys
-        off.
+        One pass over the threads, one queue-depth read each.  ``utilization``
+        is the fraction of this VM's compute occupied by outstanding
+        requests: requests waiting in a bounded queue count toward
+        saturation, which is what the backpressure policy keys off.  ``full``
+        lists the threads whose bounded work queue has no room.
 
         The denominator is the *alive* thread count: after a partial drain
         the dead threads serve nothing, and padding the denominator with
@@ -440,12 +439,23 @@ class ExecutorVM:
         the control plane (a VM with no live threads is saturated by
         definition).
         """
-        alive = sum(1 for thread in self.threads if thread.alive)
+        alive = depth = 0
+        full: List[ExecutorThread] = []
+        for thread in self.threads:
+            queue = thread.work_queue
+            queued = queue.depth(at_ms)
+            if thread.alive:
+                alive += 1
+                depth += queued
+            if queue.bound is not None and queued >= queue.bound:
+                full.append(thread)
         if not alive:
-            return 1.0 if self.threads else 0.0
-        if at_ms is None:
-            at_ms = self.engine.now_ms
-        return min(1.0, self.queue_depth(at_ms) / alive)
+            return (1.0 if self.threads else 0.0), full
+        return min(1.0, depth / alive), full
+
+    def utilization(self, at_ms: Optional[float] = None) -> float:
+        """:meth:`load`'s utilization (default: at the engine's current time)."""
+        return self.load(self.engine.now_ms if at_ms is None else at_ms)[0]
 
     def cached_functions(self) -> List[str]:
         functions = set()

@@ -27,9 +27,65 @@ schedulers.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .references import CloudburstReference, extract_references
+
+
+class LoadView:
+    """Executor load as one placement sees it, each number read at most once.
+
+    Built for ``now_ms`` inside a policy's ``pick`` and dropped when it
+    returns: nothing here outlives a placement.  A VM's
+    :meth:`~repro.cloudburst.executor.ExecutorVM.load` (one queue-depth read
+    per thread) is taken the first time one of its threads is asked about,
+    and the §4.3 spill pool is one pass over the VM roster, made at most once.
+    """
+
+    __slots__ = ("scheduler", "now_ms", "_vm_loads", "_spill_pool")
+
+    def __init__(self, scheduler, now_ms: float):
+        self.scheduler = scheduler
+        self.now_ms = now_ms
+        self._vm_loads: Dict[object, Tuple[bool, List]] = {}
+        self._spill_pool: Optional[List] = None
+
+    def vm_load(self, vm) -> Tuple[bool, List]:
+        """``(overloaded, full)``: whether ``vm`` is above the overload
+        threshold, and its threads whose work queue has no room."""
+        read = self._vm_loads.get(vm)
+        if read is None:
+            utilization, full = vm.load(self.now_ms)
+            read = self._vm_loads[vm] = (
+                utilization > self.scheduler.overload_threshold, full)
+        return read
+
+    def unsaturated(self, threads: List) -> List:
+        """Threads below the overload threshold with work-queue room."""
+        pool = []
+        for thread in threads:
+            overloaded, full = self.vm_load(thread.vm)
+            if not overloaded and thread not in full:
+                pool.append(thread)
+        return pool
+
+    def spill_pool(self) -> List:
+        """Every live unsaturated thread, in VM roster order (the §4.3 spill)."""
+        pool = self._spill_pool
+        if pool is None:
+            pool = self._spill_pool = []
+            for vm in self.scheduler.vms:
+                if vm.alive:
+                    overloaded, full = self.vm_load(vm)
+                    if not overloaded:
+                        pool.extend([t for t in vm.threads
+                                     if t.alive and t not in full])
+        return pool
+
+    def idle(self, threads: List) -> List:
+        """Threads whose work queue is idle at dispatch time."""
+        now_ms = self.now_ms
+        return [t for t in threads if not t.work_queue.busy_at(now_ms)]
 
 
 class PlacementPolicy:
@@ -40,22 +96,16 @@ class PlacementPolicy:
     whether the candidate set was restricted to pinned replicas, the
     invocation's arguments, and the virtual time of the placement.  It must
     return one of the scheduler's live threads — usually, but not
-    necessarily, from ``threads``.
+    necessarily, from ``threads``.  A policy that consults executor load
+    builds one :class:`LoadView` per ``pick`` and reads everything from it.
     """
 
     def pick(self, scheduler, threads: List, function_name: str,
              args: Sequence, restricted: bool, now_ms: float):
         raise NotImplementedError
 
-    # -- shared §4.3 backpressure helpers ----------------------------------
-    def unsaturated(self, scheduler, threads: List, now_ms: float) -> List:
-        """Threads below the overload threshold with work-queue room."""
-        return [t for t in threads
-                if t.vm.utilization(now_ms) <= scheduler.overload_threshold
-                and not t.work_queue.is_full(now_ms)]
-
-    def least_loaded(self, scheduler, threads: List, restricted: bool,
-                     now_ms: float):
+    # -- shared §4.3 backpressure helper -----------------------------------
+    def least_loaded(self, threads: List, restricted: bool, load: LoadView):
         """Pick an unsaturated executor at random (backpressure, §4.3).
 
         Saturated executors are avoided, which is what replicates hot
@@ -64,20 +114,18 @@ class PlacementPolicy:
         chosen executor fetches and caches the function itself, replicating
         hot functions under load.
         """
-        pool = self.unsaturated(scheduler, threads, now_ms)
+        pool = load.unsaturated(threads)
         if not pool and restricted:
-            pool = self.unsaturated(scheduler, scheduler._live_threads(), now_ms)
+            pool = load.spill_pool()
         pool = pool or threads
         # Prefer threads whose work queue is idle at dispatch time so
         # parallel clients fan out across the pool; when every pinned replica
         # is occupied, an idle thread anywhere beats queueing behind the pin
         # (same §4.3 spill).
-        idle = [t for t in pool if not t.work_queue.busy_at(now_ms)]
+        idle = load.idle(pool)
         if not idle and restricted:
-            idle = [t for t in self.unsaturated(
-                        scheduler, scheduler._live_threads(), now_ms)
-                    if not t.work_queue.busy_at(now_ms)]
-        return scheduler.rng.choice(idle or pool)
+            idle = load.idle(load.spill_pool())
+        return load.scheduler.rng.choice(idle or pool)
 
 
 class LocalityPlacementPolicy(PlacementPolicy):
@@ -89,33 +137,39 @@ class LocalityPlacementPolicy(PlacementPolicy):
     """
 
     def pick(self, scheduler, threads, function_name, args, restricted, now_ms):
+        load = LoadView(scheduler, now_ms)
         references = extract_references(args)
         if references:
-            chosen = self.pick_by_locality(scheduler, threads, references, now_ms)
+            chosen = self.pick_by_locality(threads, references, load)
             if chosen is not None:
                 scheduler.stats.locality_hits += 1
                 return chosen
             scheduler.stats.locality_misses += 1
-        return self.least_loaded(scheduler, threads, restricted, now_ms)
+        return self.least_loaded(threads, restricted, load)
 
-    def pick_by_locality(self, scheduler, threads,
+    def pick_by_locality(self, threads,
                          references: List[CloudburstReference],
-                         now_ms: float):
+                         load: LoadView):
         """The executor whose VM cache holds the most referenced keys."""
-        index = scheduler.kvs.cache_index
-        # caches_for copies the index's set: look each reference up once.
-        holders = [index.caches_for(ref.key) for ref in references]
-        scores: List[Tuple[int, str, object]] = []
+        index = load.scheduler.kvs.cache_index
+        # One tally per cache, from the holder sets; only threads whose VM
+        # cache holds a referenced key are ranked.
+        scores: Dict[str, int] = {}
+        for reference in references:
+            for cache_id in index.caches_for(reference.key):
+                scores[cache_id] = scores.get(cache_id, 0) + 1
+        if not scores:
+            return None
+        ranked = []
         for thread in threads:
-            cache_id = thread.vm.cache.cache_id
-            cached = sum(1 for caches in holders if cache_id in caches)
-            scores.append((cached, thread.thread_id, thread))
-        scores.sort(key=lambda item: (-item[0], item[1]))
-        for cached, _, thread in scores:
-            if cached <= 0:
-                break
-            if thread.vm.utilization(now_ms) > scheduler.overload_threshold:
-                continue
+            cached = scores.get(thread.vm.cache.cache_id)
+            if cached:
+                ranked.append((-cached, thread.thread_id, thread))
+        ranked.sort(key=lambda item: item[:2])
+        now_ms = load.now_ms
+        for _, _, thread in ranked:
+            if load.vm_load(thread.vm)[0]:
+                continue  # its VM is above the overload threshold
             if thread.work_queue.busy_at(now_ms):
                 # Queueing behind a busy cache-holder is exactly what the
                 # §4.3 backpressure avoids: fall through so the request
@@ -134,7 +188,7 @@ class RandomPlacementPolicy(PlacementPolicy):
     """
 
     def pick(self, scheduler, threads, function_name, args, restricted, now_ms):
-        return self.least_loaded(scheduler, threads, restricted, now_ms)
+        return self.least_loaded(threads, restricted, LoadView(scheduler, now_ms))
 
 
 #: Shared default instances (policies carry no per-scheduler state).

@@ -214,8 +214,14 @@ class Scheduler:
         return list(pins)
 
     def pinned_threads(self, name: str) -> List[ExecutorThread]:
-        by_id = {thread.thread_id: thread for thread in self._live_threads()}
-        return [by_id[tid] for tid in self.function_pins.get(name, []) if tid in by_id]
+        """The live threads ``name`` is pinned on, in pin order."""
+        pins = self.function_pins.get(name)
+        if not pins:
+            return []
+        wanted = set(pins)
+        live = {thread.thread_id: thread for thread in self._live_threads()
+                if thread.thread_id in wanted}
+        return [live[tid] for tid in pins if tid in live]
 
     # -- invocation (§3: a request is a DAG; one function is the one-node case) ------------
     def call(self, function_name: str, args: Sequence[Any] = (),
@@ -399,12 +405,8 @@ class Scheduler:
 
     # -- helpers ----------------------------------------------------------------------------
     def _live_threads(self) -> List[ExecutorThread]:
-        threads: List[ExecutorThread] = []
-        for vm in self.vms:
-            if not vm.alive:
-                continue
-            threads.extend(t for t in vm.threads if t.alive)
-        return threads
+        return [thread for vm in self.vms if vm.alive
+                for thread in vm.threads if thread.alive]
 
     def _cache_registry(self) -> Dict[str, Any]:
         return {vm.cache.cache_id: vm.cache for vm in self.vms}

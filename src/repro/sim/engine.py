@@ -436,10 +436,12 @@ class WorkQueue:
 
     def depth(self, at_ms: float) -> int:
         """Items in service or reserved to run after ``at_ms`` (queue depth)."""
-        pending = len(self._ends) - bisect_right(self._ends, at_ms)
-        if self._in_service_start is not None:
-            pending += 1
-        return pending
+        in_service = 0 if self._in_service_start is None else 1
+        # ``next_free_ms`` is the last recorded end: a server free by
+        # ``at_ms`` has no reservation past it, whatever its history holds.
+        if self.next_free_ms <= at_ms:
+            return in_service
+        return len(self._ends) - bisect_right(self._ends, at_ms) + in_service
 
     def is_full(self, at_ms: float) -> bool:
         return self.bound is not None and self.depth(at_ms) >= self.bound

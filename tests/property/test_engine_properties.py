@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_placement
 from repro.sim import Engine, FifoQueue, WorkQueue
 
 
@@ -97,6 +98,35 @@ def test_work_queue_is_fifo_and_non_overlapping(jobs):
         assert s2 >= e1  # FIFO: next job starts after the previous ends
     assert queue.completed == len(intervals)
     assert queue.busy_ms == sum(e - s for s, e in intervals)
+
+
+@given(st.lists(st.tuples(
+    st.floats(min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 0.5, 3.0, 40.0]),
+), max_size=12), st.lists(st.floats(min_value=-1.0, max_value=700.0, allow_nan=False)))
+@settings(max_examples=120, deadline=None)
+def test_work_queue_depth_equals_the_bisect_definition(jobs, probes):
+    """``depth`` answers from ``next_free_ms`` when the server is free by the
+    query time; it must still be the count of reservations ending after it,
+    plus the item in service — for arrivals in any order, zero-length items,
+    and queries before, at and after every boundary, admitted or released."""
+    queue = WorkQueue()
+    boundaries = [0.0]
+
+    def check():
+        for at_ms in probes + boundaries + [queue.next_free_ms]:
+            for probe in (at_ms - 1e-9, at_ms, at_ms + 1e-9):
+                assert queue.depth(probe) == reference_placement.depth(queue, probe)
+                assert queue.is_full(probe) == reference_placement.is_full(queue, probe)
+
+    check()
+    for arrival, service in jobs:
+        start = queue.admit(arrival)
+        boundaries.append(start)
+        check()  # one item in service
+        queue.release(start + service)
+        boundaries.append(start + service)
+        check()
 
 
 @given(st.integers(min_value=1, max_value=5),

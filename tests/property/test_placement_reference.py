@@ -1,0 +1,189 @@
+"""Placement by placement, the shipped policies equal the parent's bodies.
+
+DR-13 made one placement cost one pass over the VMs (``LoadView``), scored
+caches instead of threads in ``pick_by_locality`` and gave ``WorkQueue.depth``
+an O(1) answer for a free server.  None of it may change a decision: for any
+load state both policies must return the thread the reference bodies in
+``tests/reference_placement.py`` return, draw from ``scheduler.rng`` the same
+number of times and count the same locality hits and misses.  The structural
+test at the end pins the *shape*: one spilled placement reads each thread's
+depth once and each VM's load once, so the quadratic loop cannot come back
+behind a green differential test.
+"""
+
+from hypothesis import example, given, settings, strategies as st
+
+import reference_placement as reference
+from repro.cloudburst import (
+    CloudburstCluster,
+    CloudburstReference,
+    ExecutorVM,
+    LocalityPlacementPolicy,
+    RandomPlacementPolicy,
+)
+from repro.sim import RandomSource, WorkQueue
+
+KEYS = ["k0", "k1", "k2", "k3"]
+
+#: One thread's queue: (gap before the item, its service time) per released
+#: item, back to back when the gap is 0 — a backed-up queue is several items
+#: reserved past ``now``.
+_HISTORY = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.0, 1.0, 5.0]), st.sampled_from([0.5, 2.0, 8.0])),
+    max_size=6)
+
+_THREAD = st.fixed_dictionaries({
+    "history": _HISTORY,
+    "in_service": st.sampled_from([False, False, False, True]),  # admitted, not released
+    "alive": st.sampled_from([True, True, True, False]),
+})
+
+_VM = st.fixed_dictionaries({
+    "threads": st.lists(_THREAD, min_size=1, max_size=4),
+    "alive": st.sampled_from([True, True, True, False]),
+    "holds": st.sets(st.sampled_from(KEYS)),
+})
+
+_STATE = st.fixed_dictionaries({
+    "vms": st.lists(_VM, min_size=1, max_size=5),
+    "bound": st.sampled_from([None, 1, 2, 16]),
+    "threshold": st.sampled_from([0.0, 0.34, 0.70, 1.0]),
+    # Before, inside and after the histories above (at most 6 * 13 ms long).
+    "now_ms": st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 5.0, 8.0, 13.0, 40.0, 100.0]),
+    "references": st.lists(st.sampled_from(KEYS), max_size=4),
+    #: None: unrestricted (every live thread); else picks pins by index,
+    #: in this order, dead ones included (``_pick_executor`` filters them).
+    "pins": st.one_of(st.none(), st.lists(st.integers(0, 19), min_size=1, max_size=4)),
+    "ghost_holds": st.sets(st.sampled_from(KEYS)),
+    "seed": st.integers(0, 2**16),
+})
+
+
+def _build(state):
+    """A cluster in the drawn load state and the candidates to place over."""
+    threads_per_vm = max(len(vm["threads"]) for vm in state["vms"])
+    cluster = CloudburstCluster(
+        executor_vms=len(state["vms"]), threads_per_vm=threads_per_vm,
+        anna_nodes=2, seed=1, work_queue_bound=state["bound"],
+        overload_threshold=state["threshold"])
+    index = cluster.kvs.cache_index
+    for vm, drawn in zip(cluster.vms, state["vms"]):
+        del vm.threads[len(drawn["threads"]):]
+        for thread, spec in zip(vm.threads, drawn["threads"]):
+            at_ms = 0.0
+            for gap_ms, service_ms in spec["history"]:
+                at_ms = thread.work_queue.admit(at_ms + gap_ms) + service_ms
+                thread.work_queue.release(at_ms)
+            if spec["in_service"]:
+                thread.work_queue.admit(at_ms)
+        if not drawn["alive"]:
+            vm.fail()
+        for thread, spec in zip(vm.threads, drawn["threads"]):
+            if not spec["alive"]:
+                thread.alive = False  # a drained thread on a live VM
+        index.ingest_snapshot(vm.cache.cache_id, drawn["holds"])
+    # A cache that publishes keys but hosts no candidate thread.
+    index.ingest_snapshot("cache-departed", state["ghost_holds"])
+    everyone = [thread for vm in cluster.vms for thread in vm.threads]
+    candidates = None
+    if state["pins"] is not None:
+        candidates = [everyone[pin % len(everyone)] for pin in state["pins"]]
+    return cluster, candidates
+
+
+def _place(state, policy):
+    """One ``_pick_executor`` under ``policy``: what it chose and what it left."""
+    cluster, candidates = _build(state)
+    scheduler = cluster.schedulers[0]
+    scheduler.placement_policy = policy
+    scheduler.rng = RandomSource(state["seed"])
+    args = [CloudburstReference(key) for key in state["references"]] + [7]
+    if not scheduler._live_threads():
+        return None
+    chosen = scheduler._pick_executor("f", args, state["now_ms"], candidates=candidates)
+    return (chosen.thread_id, scheduler.rng._rng.getstate(),
+            scheduler.stats.locality_hits, scheduler.stats.locality_misses)
+
+
+def _idle_vm(*holds):
+    return {"threads": [{"history": [], "in_service": False, "alive": True}],
+            "alive": True, "holds": set(holds)}
+
+
+#: The later VM holds more of the referenced keys (one of them referenced
+#: twice): the score, not the thread id, must rank it first.
+_SCORE_OUTRANKS_THREAD_ID = {
+    "vms": [_idle_vm("k1"), _idle_vm("k0", "k2")], "bound": 16, "threshold": 0.70,
+    "now_ms": 5.0, "references": ["k0", "k0", "k1"], "pins": None,
+    "ghost_holds": {"k0", "k1", "k2"}, "seed": 0}
+
+
+@given(_STATE)
+@example(_SCORE_OUTRANKS_THREAD_ID)
+@example({**_SCORE_OUTRANKS_THREAD_ID, "references": ["k1", "k0", "k2"]})
+@settings(max_examples=600, deadline=None)
+def test_locality_policy_places_like_the_reference(state):
+    assert (_place(state, LocalityPlacementPolicy())
+            == _place(state, reference.ReferenceLocalityPolicy()))
+
+
+@given(_STATE)
+@settings(max_examples=200, deadline=None)
+def test_random_policy_places_like_the_reference(state):
+    assert (_place(state, RandomPlacementPolicy())
+            == _place(state, reference.ReferenceRandomPolicy()))
+
+
+@given(_STATE)
+@settings(max_examples=150, deadline=None)
+def test_vm_load_reads_like_the_reference(state):
+    cluster, _ = _build(state)
+    now_ms = state["now_ms"]
+    for vm in cluster.vms:
+        utilization, full = vm.load(now_ms)
+        assert utilization == reference.utilization(vm, now_ms) == vm.utilization(now_ms)
+        assert full == [t for t in vm.threads if reference.is_full(t.work_queue, now_ms)]
+        assert vm.queue_depth(now_ms) == sum(
+            reference.depth(t.work_queue, now_ms) for t in vm.threads if t.alive)
+
+
+def test_a_spilled_placement_reads_each_queue_and_each_vm_once(monkeypatch):
+    """One pin, busy: the placement spills over all N live threads.
+
+    The parent re-summed a VM's queues for every thread on it, twice (the
+    unsaturated pool and the idle filter): 3 * 2 * N depth reads plus the
+    ``is_full`` reads.  Pinned here, with counting wrappers and no timing:
+    at most N + |candidates| depth reads and one load computation per VM.
+    """
+    cluster = CloudburstCluster(executor_vms=6, threads_per_vm=3, seed=3)
+    scheduler = cluster.schedulers[0]
+    live = scheduler._live_threads()
+    pin = live[4]
+    pin.work_queue.release(pin.work_queue.admit(0.0) + 50.0)
+    # History on every queue, so a depth read past the end would bisect.
+    for thread in live:
+        if thread is not pin:
+            thread.work_queue.release(thread.work_queue.admit(0.0) + 1.0)
+
+    reads = {"depth": 0, "load": {}}
+    depth, load = WorkQueue.depth, ExecutorVM.load
+
+    def counted_depth(queue, at_ms):
+        reads["depth"] += 1
+        return depth(queue, at_ms)
+
+    def counted_load(vm, at_ms):
+        reads["load"][vm.vm_id] = reads["load"].get(vm.vm_id, 0) + 1
+        return load(vm, at_ms)
+
+    monkeypatch.setattr(WorkQueue, "depth", counted_depth)
+    monkeypatch.setattr(ExecutorVM, "load", counted_load)
+
+    for policy in (LocalityPlacementPolicy(), RandomPlacementPolicy()):
+        reads["depth"], reads["load"] = 0, {}
+        scheduler.placement_policy = policy
+        chosen = scheduler._pick_executor("f", [1], 10.0, candidates=[pin])
+        assert chosen is not pin and not chosen.work_queue.busy_at(10.0)  # it spilled
+        assert reads["depth"] <= len(live) + 1
+        assert set(reads["load"]) == {vm.vm_id for vm in cluster.vms}
+        assert set(reads["load"].values()) == {1}

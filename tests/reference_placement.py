@@ -1,0 +1,140 @@
+"""The placement code DR-13 replaced, kept as the reference.
+
+A placement now builds one ``LoadView``: each VM's load is read at most once,
+the §4.3 spill pool is one pass over the VM roster, ``pick_by_locality``
+tallies a score per cache id, and ``WorkQueue.depth`` answers an idle queue
+without a bisect.  All of that is host-only: the chosen thread, the state
+``scheduler.rng`` is left in and the locality counters must be exactly what
+these bodies — copied from the parent commit — produce.  They call each other
+as plain functions, so nothing here runs the shipped load reads.
+``tests/property/test_placement_reference.py`` compares placement by
+placement; ``tests/integration/test_host_only_placement.py`` patches them in
+with :func:`patch_in` and compares a whole seeded run.
+"""
+
+from bisect import bisect_right
+from typing import List, Tuple
+
+from repro.cloudburst import (
+    ExecutorVM,
+    LocalityPlacementPolicy,
+    PlacementPolicy,
+    RandomPlacementPolicy,
+    Scheduler,
+)
+from repro.cloudburst.references import extract_references
+from repro.sim import WorkQueue
+
+
+# -- load reads ----------------------------------------------------------------
+def depth(queue: WorkQueue, at_ms: float) -> int:
+    """``WorkQueue.depth``: a bisect over the queue's whole history."""
+    pending = len(queue._ends) - bisect_right(queue._ends, at_ms)
+    if queue._in_service_start is not None:
+        pending += 1
+    return pending
+
+
+def is_full(queue: WorkQueue, at_ms: float) -> bool:
+    return queue.bound is not None and depth(queue, at_ms) >= queue.bound
+
+
+def utilization(vm: ExecutorVM, at_ms=None) -> float:
+    """``ExecutorVM.utilization``: one pass to count, one to sum depths."""
+    alive = sum(1 for thread in vm.threads if thread.alive)
+    if not alive:
+        return 1.0 if vm.threads else 0.0
+    if at_ms is None:
+        at_ms = vm.engine.now_ms
+    queued = sum(depth(thread.work_queue, at_ms)
+                 for thread in vm.threads if thread.alive)
+    return min(1.0, queued / alive)
+
+
+# -- the scheduler's thread lists -----------------------------------------------
+def live_threads(scheduler) -> List:
+    threads: List = []
+    for vm in scheduler.vms:
+        if not vm.alive:
+            continue
+        threads.extend(t for t in vm.threads if t.alive)
+    return threads
+
+
+def pinned_threads(scheduler, name: str) -> List:
+    by_id = {thread.thread_id: thread for thread in live_threads(scheduler)}
+    return [by_id[tid] for tid in scheduler.function_pins.get(name, []) if tid in by_id]
+
+
+# -- §4.3 backpressure: utilization re-summed for every thread --------------------
+def unsaturated(scheduler, threads: List, now_ms: float) -> List:
+    return [t for t in threads
+            if utilization(t.vm, now_ms) <= scheduler.overload_threshold
+            and not is_full(t.work_queue, now_ms)]
+
+
+def least_loaded(scheduler, threads: List, restricted: bool, now_ms: float):
+    pool = unsaturated(scheduler, threads, now_ms)
+    if not pool and restricted:
+        pool = unsaturated(scheduler, live_threads(scheduler), now_ms)
+    pool = pool or threads
+    idle = [t for t in pool if not t.work_queue.busy_at(now_ms)]
+    if not idle and restricted:
+        idle = [t for t in unsaturated(scheduler, live_threads(scheduler), now_ms)
+                if not t.work_queue.busy_at(now_ms)]
+    return scheduler.rng.choice(idle or pool)
+
+
+# -- §4.2 locality: every candidate thread scored against every holder set -------
+def pick_by_locality(scheduler, threads, references, now_ms: float):
+    index = scheduler.kvs.cache_index
+    holders = [index.caches_for(ref.key) for ref in references]
+    scores: List[Tuple[int, str, object]] = []
+    for thread in threads:
+        cache_id = thread.vm.cache.cache_id
+        cached = sum(1 for caches in holders if cache_id in caches)
+        scores.append((cached, thread.thread_id, thread))
+    scores.sort(key=lambda item: (-item[0], item[1]))
+    for cached, _, thread in scores:
+        if cached <= 0:
+            break
+        if utilization(thread.vm, now_ms) > scheduler.overload_threshold:
+            continue
+        if thread.work_queue.busy_at(now_ms):
+            continue
+        return thread
+    return None
+
+
+# -- the two shipped policies, on the bodies above --------------------------------
+def locality_pick(self, scheduler, threads, function_name, args, restricted, now_ms):
+    references = extract_references(args)
+    if references:
+        chosen = pick_by_locality(scheduler, threads, references, now_ms)
+        if chosen is not None:
+            scheduler.stats.locality_hits += 1
+            return chosen
+        scheduler.stats.locality_misses += 1
+    return least_loaded(scheduler, threads, restricted, now_ms)
+
+
+def random_pick(self, scheduler, threads, function_name, args, restricted, now_ms):
+    return least_loaded(scheduler, threads, restricted, now_ms)
+
+
+class ReferenceLocalityPolicy(PlacementPolicy):
+    pick = locality_pick
+
+
+class ReferenceRandomPolicy(PlacementPolicy):
+    pick = random_pick
+
+
+def patch_in(monkeypatch) -> None:
+    """Run the system on the reference placement until the test ends."""
+    monkeypatch.setattr(LocalityPlacementPolicy, "pick", locality_pick)
+    monkeypatch.setattr(RandomPlacementPolicy, "pick", random_pick)
+    monkeypatch.setattr(Scheduler, "pinned_threads", pinned_threads)
+    monkeypatch.setattr(Scheduler, "_live_threads", live_threads)
+    monkeypatch.setattr(ExecutorVM, "utilization", utilization)
+    monkeypatch.setattr(WorkQueue, "depth", depth)

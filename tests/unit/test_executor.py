@@ -1,5 +1,8 @@
 """Unit tests for executor VMs, threads and the user-facing library."""
 
+import functools
+import inspect
+
 import pytest
 
 from repro.anna import AnnaCluster
@@ -107,6 +110,39 @@ class TestFunctionExecution:
         ctx = RequestContext()
         run(thread, "f", ctx=ctx)
         assert ctx.count("cloudburst", "deserialize_function") == 0
+
+    def test_api_object_injection_is_decided_when_the_body_is_cached(
+            self, vm, anna, monkeypatch):
+        """Once per cached body — by pin, by first fetch and by a pin that
+        overwrites it — never per invocation; a ``functools.wraps`` wrapper
+        (the perf tracer's) resolves to the signature it wraps."""
+        signatures = []
+        signature = inspect.signature
+        monkeypatch.setattr(inspect, "signature",
+                            lambda func: signatures.append(func) or signature(func))
+
+        def wants_api(cloudburst, x):
+            return (cloudburst.get_id(), x)
+
+        @functools.wraps(wants_api)
+        def traced(*args, **kwargs):
+            return wants_api(*args, **kwargs)
+
+        thread = vm.threads[0]
+        anna.put_plain(function_key("fetched"), traced)
+        thread.pin_function("pinned", lambda x: x + 1)
+        for _ in range(3):
+            assert run(thread, "fetched", [7]) == (thread.thread_id, 7)
+            assert run(thread, "pinned", [7]) == 8
+        assert len(signatures) == 2
+
+        thread.pin_function("pinned", wants_api)  # re-registration overwrites
+        assert run(thread, "pinned", [7]) == (thread.thread_id, 7)
+        with pytest.raises(ValueError):
+            signature(int)
+        anna.put_plain(function_key("int"), int)  # no signature: a plain call
+        assert run(thread, "int", ["42"]) == 42
+        assert len(signatures) == 4
 
     def test_declared_compute_cost_is_charged(self, vm, anna):
         @simulated_compute(50.0)
