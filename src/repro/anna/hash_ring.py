@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 
 def stable_hash(value: str) -> int:
@@ -28,11 +28,14 @@ class HashRing:
         self._ring: List[int] = []
         self._owners: Dict[int, str] = {}
         self._members: Dict[str, List[int]] = {}
+        #: ``(key, count) -> owners`` for the current membership.
+        self._owners_memo: Dict[Tuple[str, int], Tuple[str, ...]] = {}
 
     # -- membership ---------------------------------------------------------
     def add_node(self, node_id: str) -> None:
         if node_id in self._members:
             raise ValueError(f"node already on ring: {node_id!r}")
+        self._owners_memo.clear()
         points = []
         for replica in range(self.virtual_nodes):
             point = stable_hash(f"{node_id}#{replica}")
@@ -48,6 +51,7 @@ class HashRing:
         points = self._members.pop(node_id, None)
         if points is None:
             raise KeyError(f"node not on ring: {node_id!r}")
+        self._owners_memo.clear()
         for point in points:
             del self._owners[point]
             index = bisect.bisect_left(self._ring, point)
@@ -69,7 +73,19 @@ class HashRing:
 
         The first element is the primary replica; the rest are the successors
         on the ring (Anna's replication scheme for k-fault tolerance).
+
+        Every Anna operation asks this, so the answer is remembered until the
+        membership next changes (the caller gets its own list each time).  The
+        memo holds one entry per distinct ``(key, count)`` asked about, which
+        is bounded by the keys the store has ever been asked for.
         """
+        memo_key = (key, count)
+        found = self._owners_memo.get(memo_key)
+        if found is None:
+            found = self._owners_memo[memo_key] = tuple(self._walk(key, count))
+        return list(found)
+
+    def _walk(self, key: str, count: int) -> List[str]:
         if not self._members:
             raise ValueError("hash ring has no nodes")
         count = min(count, len(self._members))

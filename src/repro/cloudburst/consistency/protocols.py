@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set
+from typing import Any, ClassVar, Dict, Optional, Set
 
 from ...errors import ConsistencyError, KeyNotFoundError
 from ...lattices import CausalLattice, Lattice, VectorClock
@@ -41,6 +41,10 @@ class ReadSetEntry:
     key: str
     version: Any  # Timestamp (LWW/RR) or VectorClock (causal levels)
     cache_id: str
+    #: :func:`_shipped_bytes`, set on the instance once asked (the entry is
+    #: never changed).  Not a field: a session that never leaves its first
+    #: executor never asks, and its entries are built without it.
+    _shipped: ClassVar[Optional[int]] = None
 
 
 @dataclass
@@ -50,6 +54,18 @@ class DependencyEntry:
     key: str
     clock: VectorClock
     cache_id: str
+    #: As on :class:`ReadSetEntry`; whoever replaces ``clock`` resets it.
+    _shipped: ClassVar[Optional[int]] = None
+
+
+def _shipped_bytes(entry, version) -> int:
+    """Bytes ``entry`` adds to the metadata shipped downstream, remembered on
+    it: the walk below runs at every hop, over mostly the same entries."""
+    size = entry._shipped
+    if size is None:
+        size = entry._shipped = len(entry.key.encode("utf-8")) + 16 + (
+            version.size_bytes() if isinstance(version, VectorClock) else 8)
+    return size
 
 
 @dataclass
@@ -79,16 +95,11 @@ class SessionState:
         """
         if not self.level.ships_read_set:
             return 0
-        total = 0
-        for entry in self.read_set.values():
-            total += len(entry.key.encode("utf-8")) + 16
-            if isinstance(entry.version, VectorClock):
-                total += entry.version.size_bytes()
-            else:
-                total += 8
+        total = sum(_shipped_bytes(entry, entry.version)
+                    for entry in self.read_set.values())
         if self.level == ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL:
-            for dep in self.dependencies.values():
-                total += len(dep.key.encode("utf-8")) + 16 + dep.clock.size_bytes()
+            total += sum(_shipped_bytes(dep, dep.clock)
+                         for dep in self.dependencies.values())
         return total
 
 
@@ -153,6 +164,7 @@ class ConsistencyProtocol:
                 continue
             if existing.clock is not dep_clock:
                 existing.clock = existing.clock.merge(dep_clock)
+                existing._shipped = None
             existing.cache_id = cache_id
 
 

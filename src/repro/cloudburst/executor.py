@@ -16,6 +16,7 @@ c5.2xlarge VM).
 from __future__ import annotations
 
 import inspect
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -42,6 +43,32 @@ DEFAULT_WORK_QUEUE_BOUND = 16
 
 def function_key(name: str) -> str:
     return FUNCTION_KEY_PREFIX + name
+
+
+#: Function body -> whether it takes the ``cloudburst`` API object first.
+#: ``inspect.signature`` is slow, so it is asked once per function object,
+#: not per thread or per invocation; the keys are weak, so a body nothing
+#: holds any more is forgotten (with whatever it closes over).
+_TAKES_LIBRARY: "weakref.WeakKeyDictionary[Callable, bool]" = weakref.WeakKeyDictionary()
+
+
+def _names_library_first(func: Callable) -> bool:
+    try:
+        first = next(iter(inspect.signature(func).parameters), None)
+    except (TypeError, ValueError):
+        first = None
+    return first == "cloudburst"
+
+
+def takes_library(func: Callable) -> bool:
+    """Whether ``func`` names its first parameter ``cloudburst`` (Table 1)."""
+    try:
+        takes = _TAKES_LIBRARY.get(func)
+        if takes is None:
+            takes = _TAKES_LIBRARY[func] = _names_library_first(func)
+    except TypeError:  # ``str.upper`` and its like take no weak reference
+        takes = _names_library_first(func)
+    return takes
 
 
 def simulated_compute(duration_ms: float) -> Callable[[Callable], Callable]:
@@ -186,9 +213,6 @@ class ExecutorThread:
         self.thread_id = thread_id
         self.vm = vm
         self._function_cache: Dict[str, Callable] = {}
-        #: Cached body -> whether it takes the ``cloudburst`` API object
-        #: first; decided once, when the body enters ``_function_cache``.
-        self._takes_library: Dict[Callable, bool] = {}
         self.invocation_count = 0
         self.busy_ms = 0.0
         self.alive = True
@@ -232,15 +256,7 @@ class ExecutorThread:
         """Cache a function body locally (deserialization happens once)."""
         if func is None:
             func = self._fetch_function(name, ctx)
-        self._cache_function(name, func)
-
-    def _cache_function(self, name: str, func: Callable) -> None:
         self._function_cache[name] = func
-        try:
-            first = next(iter(inspect.signature(func).parameters), None)
-        except (TypeError, ValueError):
-            first = None
-        self._takes_library[func] = first == "cloudburst"
 
     def _fetch_function(self, name: str, ctx: Optional[RequestContext]) -> Callable:
         stored = self.kvs.get_or_none(function_key(name), ctx)
@@ -297,10 +313,10 @@ class ExecutorThread:
         func = self._function_cache.get(function_name)
         if func is None:
             func = self._fetch_function(function_name, ctx)
-            self._cache_function(function_name, func)
+            self._function_cache[function_name] = func
         resolved_args = self._resolve_references(args, ctx, state, protocol)
         # The API object is injected only if the function asks for it.
-        if self._takes_library[func]:
+        if takes_library(func):
             result = func(UserLibrary(self, ctx, state, protocol), *resolved_args)
         else:
             result = func(*resolved_args)
@@ -427,11 +443,14 @@ class ExecutorVM:
     def load(self, at_ms: float) -> Tuple[float, List[ExecutorThread]]:
         """The §4.3 backpressure signal at ``at_ms``: ``(utilization, full)``.
 
-        One pass over the threads, one queue-depth read each.  ``utilization``
-        is the fraction of this VM's compute occupied by outstanding
-        requests: requests waiting in a bounded queue count toward
-        saturation, which is what the backpressure policy keys off.  ``full``
-        lists the threads whose bounded work queue has no room.
+        One pass over the threads, one queue-depth read per *busy* queue (an
+        idle one holds nothing and a bound is positive, so it adds no depth
+        and is never full).  ``utilization`` is the fraction of this VM's
+        compute occupied by outstanding requests: requests waiting in a
+        bounded queue count toward saturation, which is what the backpressure
+        policy keys off.  ``full`` lists the threads whose bounded work queue
+        has no room.  The queues themselves are asked every time — work can
+        be admitted to one without going through this VM.
 
         The denominator is the *alive* thread count: after a partial drain
         the dead threads serve nothing, and padding the denominator with
@@ -442,16 +461,18 @@ class ExecutorVM:
         alive = depth = 0
         full: List[ExecutorThread] = []
         for thread in self.threads:
-            queue = thread.work_queue
-            queued = queue.depth(at_ms)
             if thread.alive:
                 alive += 1
-                depth += queued
-            if queue.bound is not None and queued >= queue.bound:
-                full.append(thread)
+            queue = thread.work_queue
+            if queue.busy_at(at_ms):
+                queued = queue.depth(at_ms)
+                if thread.alive:
+                    depth += queued
+                if queue.bound is not None and queued >= queue.bound:
+                    full.append(thread)
         if not alive:
             return (1.0 if self.threads else 0.0), full
-        return min(1.0, depth / alive), full
+        return (1.0 if depth >= alive else depth / alive), full
 
     def utilization(self, at_ms: Optional[float] = None) -> float:
         """:meth:`load`'s utilization (default: at the engine's current time)."""

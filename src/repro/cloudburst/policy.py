@@ -77,9 +77,13 @@ class LoadView:
             for vm in self.scheduler.vms:
                 if vm.alive:
                     overloaded, full = self.vm_load(vm)
-                    if not overloaded:
+                    if overloaded:
+                        continue
+                    if full:
                         pool.extend([t for t in vm.threads
                                      if t.alive and t not in full])
+                    else:
+                        pool.extend([t for t in vm.threads if t.alive])
         return pool
 
     def idle(self, threads: List) -> List:

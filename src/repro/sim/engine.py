@@ -431,7 +431,11 @@ class WorkQueue:
 
     # -- metrics -----------------------------------------------------------
     def busy_at(self, at_ms: float) -> bool:
-        """Whether the server has reserved work at (or beyond) ``at_ms``."""
+        """Whether the server has reserved work at (or beyond) ``at_ms``.
+
+        ``not busy_at(t)`` implies ``depth(t) == 0``: load readers ask this
+        first and skip the depth of an idle queue.
+        """
         return self.next_free_ms > at_ms or self._in_service_start is not None
 
     def depth(self, at_ms: float) -> int:

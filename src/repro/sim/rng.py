@@ -7,8 +7,10 @@ single integer seed makes an entire experiment reproducible.
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
+from bisect import bisect_left
 from typing import List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -62,8 +64,6 @@ class RandomSource:
         """Log-normal draw parameterised by its median (not its mu)."""
         if median <= 0:
             raise ValueError("median of a lognormal must be positive")
-        import math
-
         return math.exp(self._rng.gauss(math.log(median), sigma))
 
     def exponential(self, mean: float) -> float:
@@ -111,11 +111,5 @@ class ZipfGenerator:
         return [self.next() for _ in range(count)]
 
     def _bisect(self, point: float) -> int:
-        low, high = 0, self.n_items - 1
-        while low < high:
-            mid = (low + high) // 2
-            if self._cumulative[mid] < point:
-                low = mid + 1
-            else:
-                high = mid
-        return low
+        """First index whose cumulative weight reaches ``point``."""
+        return min(bisect_left(self._cumulative, point), self.n_items - 1)

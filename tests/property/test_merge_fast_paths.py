@@ -9,10 +9,12 @@ shared clock objects, the same lattice on both sides, equal clocks with
 unequal payloads, dominated, concurrent and multi-sibling versions.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_lattices as reference
-from repro.lattices import CausalLattice, VectorClock
+from repro.cloudburst import ConsistencyLevel
+from repro.cloudburst.consistency.protocols import ConsistencyProtocol, SessionState
+from repro.lattices import CausalLattice, LWWLattice, Timestamp, VectorClock
 from test_lattice_properties import vector_clocks
 
 
@@ -131,3 +133,65 @@ def test_causal_merge_result_merges_on_like_the_reference(pair):
     assert onward == expected
     assert list(onward.dependencies) == list(expected.dependencies)
     assert onward.size_bytes() == expected.size_bytes()
+
+
+# -- the session's shipped metadata (DR-14) ----------------------------------------
+class _Cache:
+    def __init__(self, cache_id):
+        self.cache_id = cache_id
+
+
+@st.composite
+def session_histories(draw):
+    """Reads and dependency merges of one session, with a size asked now and then.
+
+    Keys repeat (a re-read replaces the read-set entry; a known dependency has
+    its clock merged in place, which is where a remembered size goes stale),
+    names differ in encoded length, and clocks come from one pool so a merge
+    often returns the clock the entry already holds.
+    """
+    clocks = st.sampled_from(draw(clock_pools()))
+    keys = st.sampled_from(["k", "key-1", "clé-2", "ключ"])
+    read = st.tuples(st.just("read"), keys, st.one_of(
+        st.builds(CausalLattice, clocks, st.just("v")),
+        st.builds(LWWLattice, st.builds(Timestamp, st.floats(0, 9), st.just("n")),
+                  st.just("v"))))
+    track = st.tuples(st.just("track"), st.just(None), st.builds(
+        lambda dependencies: CausalLattice(VectorClock({"w": 1}), "v",
+                                           dependencies=dependencies),
+        st.dictionaries(keys, clocks, max_size=3)))
+    ask = st.tuples(st.just("ask"), st.none(), st.none())
+    return draw(st.lists(st.one_of(read, track, ask), max_size=25))
+
+
+def _depends_on(**dependencies):
+    return ("track", None, CausalLattice(VectorClock({"w": 1}), "v",
+                                         dependencies=dependencies))
+
+
+_ASK = ("ask", None, None)
+DSC = ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL
+
+
+@settings(max_examples=300, deadline=None)
+@given(session_histories(),
+       st.sampled_from([DSC, DSC, ConsistencyLevel.DISTRIBUTED_SESSION_RR,
+                        ConsistencyLevel.LWW]))
+# A known dependency's clock grows by a node after its size was remembered.
+@example([_depends_on(k=VectorClock({"a": 1})), _ASK,
+          _depends_on(k=VectorClock({"b": 1})), _ASK], DSC)
+# A re-read replaces the entry: a longer clock under the same key.
+@example([("read", "k", CausalLattice(VectorClock({"a": 1}), "v")), _ASK,
+          ("read", "k", CausalLattice(VectorClock({"a": 2, "b": 1}), "v")), _ASK], DSC)
+def test_remembered_entry_sizes_equal_the_walking_metadata_bytes(history, level):
+    state = SessionState.create(level)
+    for step, (op, key, value) in enumerate(history):
+        cache = _Cache(f"cache-{step % 2}")
+        if op == "read":
+            ConsistencyProtocol._pin_version(state, cache, key, value)
+        elif op == "track":
+            ConsistencyProtocol._track_dependencies(state, cache, value)
+        else:
+            assert state.metadata_bytes() == reference.session_metadata_bytes(state)
+    assert state.metadata_bytes() == reference.session_metadata_bytes(state)
+    assert state.metadata_bytes() == reference.session_metadata_bytes(state)  # and again

@@ -9,6 +9,13 @@ number of times and count the same locality hits and misses.  The structural
 test at the end pins the *shape*: one spilled placement reads each thread's
 depth once and each VM's load once, so the quadratic loop cannot come back
 behind a green differential test.
+
+DR-14 cut the spill further — ``ExecutorVM.load`` asks a queue for its depth
+only when ``busy_at`` says it holds something, ``LoadView.spill_pool`` filters
+through ``full`` only where something is full — under one more invariant: the
+VM keeps no copy of queue state, because work reaches a queue without passing
+through its VM (``bench/ablations.py`` admits directly).  Every queue here is
+loaded that way, so a mirror would read stale in each differential test.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -19,8 +26,10 @@ from repro.cloudburst import (
     CloudburstReference,
     ExecutorVM,
     LocalityPlacementPolicy,
+    PlacementPolicy,
     RandomPlacementPolicy,
 )
+from repro.cloudburst.policy import LoadView
 from repro.sim import RandomSource, WorkQueue
 
 KEYS = ["k0", "k1", "k2", "k3"]
@@ -134,17 +143,84 @@ def test_random_policy_places_like_the_reference(state):
             == _place(state, reference.ReferenceRandomPolicy()))
 
 
+def _thread(history=(), in_service=False, alive=True):
+    return {"history": list(history), "in_service": in_service, "alive": alive}
+
+
+#: One VM holding every kind of thread ``load`` tells apart at ``now_ms`` 5
+#: under bound 2: idle with no history, idle with a finished item, busy with
+#: room, busy and full, full *and* dead (in ``full``, not in the utilization),
+#: in service only (depth 1 with ``next_free_ms`` in the past).
+_EVERY_THREAD_MIX = {
+    "vms": [
+        {"threads": [_thread(), _thread([(0.0, 2.0)]), _thread([(0.0, 8.0)]),
+                     _thread([(0.0, 8.0), (0.0, 8.0)])],
+         "alive": True, "holds": set()},
+        {"threads": [_thread([(0.0, 8.0), (0.0, 8.0)], alive=False),
+                     _thread([(0.0, 0.5)], in_service=True), _thread(alive=False)],
+         "alive": True, "holds": set()},
+        {"threads": [_thread([(0.0, 8.0)], alive=False)], "alive": True, "holds": set()},
+        {"threads": [_thread([(0.0, 8.0)]), _thread()], "alive": False, "holds": set()},
+    ],
+    "bound": 2, "threshold": 0.70, "now_ms": 5.0, "references": [], "pins": [0],
+    "ghost_holds": set(), "seed": 0}
+
+
 @given(_STATE)
+@example(_EVERY_THREAD_MIX)
+@example({**_EVERY_THREAD_MIX, "bound": 1})
+@example({**_EVERY_THREAD_MIX, "bound": None, "threshold": 1.0})
 @settings(max_examples=150, deadline=None)
 def test_vm_load_reads_like_the_reference(state):
     cluster, _ = _build(state)
     now_ms = state["now_ms"]
     for vm in cluster.vms:
         utilization, full = vm.load(now_ms)
+        assert (utilization, full) == reference.load(vm, now_ms)
         assert utilization == reference.utilization(vm, now_ms) == vm.utilization(now_ms)
         assert full == [t for t in vm.threads if reference.is_full(t.work_queue, now_ms)]
         assert vm.queue_depth(now_ms) == sum(
             reference.depth(t.work_queue, now_ms) for t in vm.threads if t.alive)
+        # What lets ``load`` skip an idle queue.
+        for queue in (t.work_queue for t in vm.threads):
+            if not queue.busy_at(now_ms):
+                assert queue.depth(now_ms) == 0 and not queue.is_full(now_ms)
+
+
+@given(_STATE)
+@example(_EVERY_THREAD_MIX)
+@example({**_EVERY_THREAD_MIX, "bound": 1})
+@settings(max_examples=150, deadline=None)
+def test_spill_pool_is_the_reference_pool_in_the_same_order(state):
+    cluster, _ = _build(state)
+    view = LoadView(cluster.schedulers[0], state["now_ms"])
+    assert view.spill_pool() == reference.spill_pool(view)
+    assert view.spill_pool() is view.spill_pool()  # one pass per placement
+
+
+def test_load_asks_the_queues_every_time():
+    """No VM-side mirror: work admitted straight to a queue shows at once."""
+    cluster = CloudburstCluster(executor_vms=2, threads_per_vm=3, seed=3,
+                                work_queue_bound=2)
+    vm = cluster.vms[0]
+    first, second, _ = vm.threads
+    assert vm.load(0.0) == (0.0, [])
+    first.work_queue.admit(0.0)  # in service, never released through the VM
+    assert vm.load(0.0) == reference.load(vm, 0.0) == (1 / 3, [])
+    second.work_queue.release(second.work_queue.admit(0.0) + 4.0)
+    second.work_queue.release(second.work_queue.admit(0.0) + 4.0)
+    assert vm.load(1.0) == reference.load(vm, 1.0) == (1.0, [second])
+    assert vm.load(9.0) == reference.load(vm, 9.0) == (1 / 3, [])
+    # ...and the next placement sees it: the only idle thread of the VM.
+    scheduler = cluster.schedulers[0]
+    scheduler.vms = [vm]
+    assert scheduler._pick_executor("f", [1], 1.0) is vm.threads[2]
+
+
+def test_each_shipped_policy_defines_its_own_pick():
+    """``benchmarks/perf/trace.py`` wraps ``vars(cls)["pick"]`` (DR-13)."""
+    for policy in (LocalityPlacementPolicy, RandomPlacementPolicy):
+        assert vars(policy)["pick"] is not PlacementPolicy.pick
 
 
 def test_a_spilled_placement_reads_each_queue_and_each_vm_once(monkeypatch):
@@ -153,23 +229,28 @@ def test_a_spilled_placement_reads_each_queue_and_each_vm_once(monkeypatch):
     The parent re-summed a VM's queues for every thread on it, twice (the
     unsaturated pool and the idle filter): 3 * 2 * N depth reads plus the
     ``is_full`` reads.  Pinned here, with counting wrappers and no timing:
-    at most N + |candidates| depth reads and one load computation per VM.
+    one load computation per VM and, since DR-14, a depth read for each busy
+    queue and for no other.
     """
     cluster = CloudburstCluster(executor_vms=6, threads_per_vm=3, seed=3)
     scheduler = cluster.schedulers[0]
     live = scheduler._live_threads()
     pin = live[4]
     pin.work_queue.release(pin.work_queue.admit(0.0) + 50.0)
-    # History on every queue, so a depth read past the end would bisect.
+    # History on every queue, so a depth read past the end would bisect; two
+    # more busy at placement time, one of them only in service.
     for thread in live:
         if thread is not pin:
             thread.work_queue.release(thread.work_queue.admit(0.0) + 1.0)
+    live[9].work_queue.release(live[9].work_queue.admit(5.0) + 20.0)
+    live[13].work_queue.admit(5.0)
+    busy = {pin.work_queue, live[9].work_queue, live[13].work_queue}
 
-    reads = {"depth": 0, "load": {}}
+    reads = {"depth": [], "load": {}}
     depth, load = WorkQueue.depth, ExecutorVM.load
 
     def counted_depth(queue, at_ms):
-        reads["depth"] += 1
+        reads["depth"].append(queue)
         return depth(queue, at_ms)
 
     def counted_load(vm, at_ms):
@@ -180,10 +261,10 @@ def test_a_spilled_placement_reads_each_queue_and_each_vm_once(monkeypatch):
     monkeypatch.setattr(ExecutorVM, "load", counted_load)
 
     for policy in (LocalityPlacementPolicy(), RandomPlacementPolicy()):
-        reads["depth"], reads["load"] = 0, {}
+        reads["depth"], reads["load"] = [], {}
         scheduler.placement_policy = policy
         chosen = scheduler._pick_executor("f", [1], 10.0, candidates=[pin])
         assert chosen is not pin and not chosen.work_queue.busy_at(10.0)  # it spilled
-        assert reads["depth"] <= len(live) + 1
+        assert len(reads["depth"]) == len(busy) and set(reads["depth"]) == busy
         assert set(reads["load"]) == {vm.vm_id for vm in cluster.vms}
         assert set(reads["load"].values()) == {1}

@@ -12,7 +12,7 @@ the parent commit — produce.  ``tests/property/test_merge_fast_paths.py`` comp
 
 from typing import List, Set, Tuple
 
-from repro.cloudburst import ExecutorCache
+from repro.cloudburst import ConsistencyLevel, ExecutorCache
 from repro.cloudburst.consistency import protocols
 from repro.cloudburst.consistency.protocols import DependencyEntry
 from repro.lattices import CausalLattice, VectorClock
@@ -85,6 +85,24 @@ def track_dependencies(state, cache, value) -> None:
                                                       cache.cache_id)
 
 
+def session_metadata_bytes(state) -> int:
+    """``SessionState.metadata_bytes`` before DR-14: every key re-encoded and
+    every clock re-asked at each hop, nothing kept on the entries."""
+    if not state.level.ships_read_set:
+        return 0
+    total = 0
+    for entry in state.read_set.values():
+        total += len(entry.key.encode("utf-8")) + 16
+        if isinstance(entry.version, VectorClock):
+            total += entry.version.size_bytes()
+        else:
+            total += 8
+    if state.level == ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL:
+        for dep in state.dependencies.values():
+            total += len(dep.key.encode("utf-8")) + 16 + dep.clock.size_bytes()
+    return total
+
+
 def ensure_causal_cut(self: ExecutorCache, lattices, ctx=None) -> None:
     """``ExecutorCache.ensure_causal_cut``: the copied ``(key, clock)`` worklist."""
     worklist: List[Tuple[str, object]] = []
@@ -127,3 +145,4 @@ def patch_in(monkeypatch) -> None:
     monkeypatch.setattr(protocols.ConsistencyProtocol, "_track_dependencies",
                         staticmethod(track_dependencies))
     monkeypatch.setattr(ExecutorCache, "ensure_causal_cut", ensure_causal_cut)
+    monkeypatch.setattr(protocols.SessionState, "metadata_bytes", session_metadata_bytes)

@@ -10,6 +10,10 @@ as plain functions, so nothing here runs the shipped load reads.
 ``tests/property/test_placement_reference.py`` compares placement by
 placement; ``tests/integration/test_host_only_placement.py`` patches them in
 with :func:`patch_in` and compares a whole seeded run.
+
+DR-14 then made ``ExecutorVM.load`` ask only busy queues for their depth and
+``LoadView.spill_pool`` skip the ``full`` filter for a VM with nothing full;
+the bodies those replaced are :func:`load` and :func:`spill_pool` below.
 """
 
 from bisect import bisect_right
@@ -22,6 +26,7 @@ from repro.cloudburst import (
     RandomPlacementPolicy,
     Scheduler,
 )
+from repro.cloudburst.policy import LoadView
 from repro.cloudburst.references import extract_references
 from repro.sim import WorkQueue
 
@@ -49,6 +54,35 @@ def utilization(vm: ExecutorVM, at_ms=None) -> float:
     queued = sum(depth(thread.work_queue, at_ms)
                  for thread in vm.threads if thread.alive)
     return min(1.0, queued / alive)
+
+
+def load(vm: ExecutorVM, at_ms: float) -> Tuple[float, List]:
+    """``ExecutorVM.load`` before DR-14: one depth read per thread, idle or not."""
+    alive = queued_total = 0
+    full: List = []
+    for thread in vm.threads:
+        queue = thread.work_queue
+        queued = depth(queue, at_ms)
+        if thread.alive:
+            alive += 1
+            queued_total += queued
+        if queue.bound is not None and queued >= queue.bound:
+            full.append(thread)
+    if not alive:
+        return (1.0 if vm.threads else 0.0), full
+    return min(1.0, queued_total / alive), full
+
+
+def spill_pool(view: LoadView) -> List:
+    """``LoadView.spill_pool`` before DR-14: every thread filtered through
+    ``full``, on :func:`load` above, nothing memoised."""
+    pool: List = []
+    for vm in view.scheduler.vms:
+        if vm.alive:
+            utilization, full = load(vm, view.now_ms)
+            if not utilization > view.scheduler.overload_threshold:
+                pool.extend([t for t in vm.threads if t.alive and t not in full])
+    return pool
 
 
 # -- the scheduler's thread lists -----------------------------------------------
@@ -137,4 +171,5 @@ def patch_in(monkeypatch) -> None:
     monkeypatch.setattr(Scheduler, "pinned_threads", pinned_threads)
     monkeypatch.setattr(Scheduler, "_live_threads", live_threads)
     monkeypatch.setattr(ExecutorVM, "utilization", utilization)
+    monkeypatch.setattr(ExecutorVM, "load", load)
     monkeypatch.setattr(WorkQueue, "depth", depth)

@@ -111,11 +111,11 @@ class TestFunctionExecution:
         run(thread, "f", ctx=ctx)
         assert ctx.count("cloudburst", "deserialize_function") == 0
 
-    def test_api_object_injection_is_decided_when_the_body_is_cached(
+    def test_api_object_injection_is_decided_once_per_function_object(
             self, vm, anna, monkeypatch):
-        """Once per cached body — by pin, by first fetch and by a pin that
-        overwrites it — never per invocation; a ``functools.wraps`` wrapper
-        (the perf tracer's) resolves to the signature it wraps."""
+        """Once per body — pinned, fetched or pinned over another — never per
+        invocation and never per thread; a ``functools.wraps`` wrapper (the
+        perf tracer's) resolves to the signature it wraps."""
         signatures = []
         signature = inspect.signature
         monkeypatch.setattr(inspect, "signature",
@@ -143,6 +143,19 @@ class TestFunctionExecution:
         anna.put_plain(function_key("int"), int)  # no signature: a plain call
         assert run(thread, "int", ["42"]) == 42
         assert len(signatures) == 4
+
+        # ...and once per function *object*: the other threads that fetch or
+        # pin the same bodies ask nothing more.
+        for other in vm.threads[1:]:
+            other.pin_function("pinned", wants_api)
+            assert run(other, "fetched", [7]) == (other.thread_id, 7)
+            assert run(other, "pinned", [7]) == (other.thread_id, 7)
+        assert len(signatures) == 4
+
+    def test_a_body_that_takes_no_weak_reference_still_runs(self, vm, anna):
+        anna.put_plain(function_key("upper"), str.upper)  # a method descriptor
+        for thread in vm.threads:
+            assert run(thread, "upper", ["abc"]) == "ABC"
 
     def test_declared_compute_cost_is_charged(self, vm, anna):
         @simulated_compute(50.0)

@@ -88,6 +88,33 @@ class TestHashRingPlacement:
             else:
                 assert self.ring.primary(key) != "node-0"
 
+    def test_remembered_owners_are_dropped_when_a_node_joins(self):
+        keys = [f"key-{i}" for i in range(300)]
+        for key in keys:
+            self.ring.owners(key, 2)  # remembered under four nodes
+        self.ring.add_node("node-new")
+        fresh = HashRing(virtual_nodes=64)
+        for node in self.ring.nodes:
+            fresh.add_node(node)
+        assert [self.ring.owners(k, 2) for k in keys] == [fresh.owners(k, 2) for k in keys]
+        assert any("node-new" in self.ring.owners(k, 2) for k in keys)
+
+    def test_remembered_owners_are_dropped_when_a_node_leaves(self):
+        keys = [f"key-{i}" for i in range(300)]
+        assert any("node-2" in self.ring.owners(k, 2) for k in keys)
+        self.ring.remove_node("node-2")
+        assert not any("node-2" in self.ring.owners(k, 2) for k in keys)
+        assert all(len(self.ring.owners(k, 10)) == 3 for k in keys)
+
+    def test_callers_may_mutate_the_list_they_get(self):
+        owners = self.ring.owners("some-key", 3)
+        expected = list(owners)
+        owners.reverse()
+        owners.append("ghost")
+        again = self.ring.owners("some-key", 3)
+        assert again == expected and again is not owners
+        assert self.ring.owners("some-key", 1) == expected[:1]
+
 
 class TestOwnedBy:
     def setup_method(self):

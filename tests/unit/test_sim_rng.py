@@ -1,8 +1,22 @@
 """Unit tests for the seeded random source and the Zipfian generator."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import RandomSource, ZipfGenerator
+
+
+def _loop_bisect(zipf: ZipfGenerator, point: float) -> int:
+    """``ZipfGenerator._bisect`` as it was before DR-14: the hand-written
+    search the ``bisect_left`` body must agree with on every point."""
+    low, high = 0, zipf.n_items - 1
+    while low < high:
+        mid = (low + high) // 2
+        if zipf._cumulative[mid] < point:
+            low = mid + 1
+        else:
+            high = mid
+    return low
 
 
 class TestRandomSource:
@@ -90,3 +104,23 @@ class TestZipfGenerator:
         zipf = ZipfGenerator(10, 1.0, RandomSource(5))
         key = zipf.next_key("mykey")
         assert key.startswith("mykey-")
+
+
+    @given(n_items=st.integers(1, 400),
+           coefficient=st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+           points=st.lists(st.floats(0.0, 1.0), max_size=30), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_inverse_cdf_lookup_matches_the_old_loop(self, n_items, coefficient,
+                                                     points, data):
+        zipf = ZipfGenerator(n_items, coefficient)
+        # Exact CDF values sit on the `<` / `>=` edge of the search; a point
+        # past the end (``random()`` never draws one) clamps to the last rank.
+        ranks = data.draw(st.lists(st.integers(0, n_items - 1), max_size=10))
+        for point in [0.0, 1.0, 1.5, *points, *(zipf._cumulative[r] for r in ranks)]:
+            assert zipf._bisect(point) == _loop_bisect(zipf, point)
+
+    def test_seeded_draws_match_the_old_loop(self):
+        zipf = ZipfGenerator(1_000, 1.0, RandomSource(6))
+        twin = RandomSource(6)
+        assert zipf.draw(2_000) == [_loop_bisect(zipf, twin.random())
+                                    for _ in range(2_000)]
