@@ -1,26 +1,17 @@
 """Shared configuration for the benchmark harness.
 
-Each benchmark regenerates one table or figure from the paper's §6.  The
-experiments are deterministic (seeded virtual-time simulations), so a single
-round per benchmark is sufficient; pytest-benchmark is used for orchestration
-and for reporting each experiment's harness runtime.
+``bench_figures.py`` regenerates every table and figure of the paper's §6 at
+full scale.  The experiments are deterministic (seeded virtual-time
+simulations), so a single round per benchmark is sufficient; pytest-benchmark
+is used for orchestration and for reporting each experiment's harness
+runtime.
 
 Run with::
 
     pytest benchmarks/ --benchmark-only
-
-Scale knobs: the ``REPRO_BENCH_SCALE`` environment variable multiplies request
-counts (default 1.0; use e.g. 2.0 for longer, smoother runs).
 """
 
-import os
-
 import pytest
-
-
-def scale(value: int, minimum: int = 1) -> int:
-    factor = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-    return max(minimum, int(value * factor))
 
 
 @pytest.fixture

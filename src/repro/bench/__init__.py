@@ -12,8 +12,6 @@ from .casestudies import (
     RetwisExperiment,
     ScalingPoint,
     ScalingResult,
-    measure_prediction_service_time,
-    measure_retwis_service_time,
     run_figure9,
     run_figure10,
     run_figure11,
@@ -55,7 +53,6 @@ from .ledger import (
 )
 from .microbenchmarks import (
     AutoscalingExperiment,
-    measure_autoscaling_service_time,
     run_figure1,
     run_figure5,
     run_figure6,
@@ -72,8 +69,6 @@ __all__ = [
     "RetwisExperiment",
     "ScalingPoint",
     "ScalingResult",
-    "measure_prediction_service_time",
-    "measure_retwis_service_time",
     "run_figure9",
     "run_figure10",
     "run_figure11",
@@ -103,7 +98,6 @@ __all__ = [
     "fault_recovery_errors",
     "run_fault_recovery",
     "AutoscalingExperiment",
-    "measure_autoscaling_service_time",
     "run_figure1",
     "run_figure5",
     "run_figure6",

@@ -5,7 +5,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..anna import AnnaCluster
 from ..apps.prediction import (
@@ -92,14 +92,6 @@ class ScalingResult:
     title: str
     points: List[ScalingPoint] = field(default_factory=list)
 
-    def throughput_curve(self) -> List[Tuple[int, float]]:
-        return [(p.threads, p.throughput_per_s) for p in self.points]
-
-    def as_rows(self) -> List[List[object]]:
-        return [[p.threads, p.clients, f"{p.throughput_per_s:.1f}",
-                 f"{p.median_ms:.2f}", f"{p.p95_ms:.2f}", f"{p.p99_ms:.2f}"]
-                for p in self.points]
-
 
 def _scaling_sweep(title: str, thread_counts: Sequence[int], clients_for,
                    requests_per_point: int, point_runner) -> ScalingResult:
@@ -124,18 +116,6 @@ def _scaling_sweep(title: str, thread_counts: Sequence[int], clients_for,
             p99_ms=summary.p99_ms,
         ))
     return result
-
-
-def measure_prediction_service_time(samples: int = 60, seed: int = 0,
-                                    image_side: int = 512) -> List[float]:
-    """Per-request service time of the Cloudburst prediction pipeline."""
-    cluster = CloudburstCluster(executor_vms=2, threads_per_vm=3, seed=seed)
-    deployment = deploy_on_cloudburst(cluster)
-    image = make_image(side=image_side, seed=seed)
-    deployment.serve(image)
-    recorder = run_closed_loop("prediction-service-time",
-                               lambda i: deployment.serve(image)[1], samples)
-    return recorder.samples_ms
 
 
 def run_figure10(thread_counts: Sequence[int] = (10, 20, 40, 80, 160),
@@ -235,22 +215,6 @@ def run_figure11(requests: int = 2_000, user_count: int = 1_000,
         anomaly_rate_causal=anomaly_rates["Cloudburst (Causal)"],
         requests_per_system=requests,
     )
-
-
-def measure_retwis_service_time(samples: int = 300, seed: int = 0,
-                                user_count: int = 200,
-                                seed_tweets: int = 1_000) -> List[float]:
-    """Per-request service time of the causal-mode Retwis deployment."""
-    generator = SocialWorkloadGenerator(user_count=user_count,
-                                        seed_tweet_count=seed_tweets, seed=seed)
-    graph = generator.build_graph()
-    cluster = CloudburstCluster(
-        executor_vms=3, consistency=ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL,
-        seed=seed)
-    app = RetwisOnCloudburst(cluster)
-    app.load_graph(graph)
-    stream = generator.request_stream(samples)
-    return [app.execute(request) for request in stream]
 
 
 def run_figure12(thread_counts: Sequence[int] = (10, 20, 40, 80, 160),

@@ -20,19 +20,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..cloudburst.controlplane import ComputeControlPlane
 from ..cloudburst.references import CloudburstFuture
 from ..errors import DagExecutionError, StorageOverloadError
-from ..sim import (
-    LatencyRecorder,
-    LatencySummary,
-    RequestContext,
-    SimClock,
-    SimulationResult,
-    format_table,
-)
+from ..sim import LatencyRecorder, RequestContext, SimClock, SimulationResult
 from ..sim.stats import build_throughput_curve
 
 
@@ -56,7 +49,7 @@ DriverRequestFn = Callable[["object", RequestContext, int], Optional[CloudburstF
 
 
 class EngineLoadDriver:
-    """Concurrent open/closed-loop clients over a real Cloudburst cluster.
+    """Concurrent closed-loop clients over a real Cloudburst cluster.
 
     A thin multi-client wrapper over the public client API: the driver
     constructs one :class:`CloudburstClient` per simulated client and each
@@ -92,8 +85,6 @@ class EngineLoadDriver:
 
     def __init__(self, cluster, request_fn: DriverRequestFn, *,
                  clients: int = 1,
-                 mode: str = "closed",
-                 arrival_rate_per_s: float = 0.0,
                  start_ms: float = 0.0,
                  stop_ms: Optional[float] = None,
                  max_requests: Optional[int] = None,
@@ -103,12 +94,8 @@ class EngineLoadDriver:
                  record_charges: bool = True,
                  keep_latency_samples: bool = True,
                  label: str = "engine-driver"):
-        if mode not in ("closed", "open"):
-            raise ValueError(f"unknown driver mode {mode!r}")
-        if mode == "closed" and clients <= 0:
+        if clients <= 0:
             raise ValueError("a closed-loop driver needs at least one client")
-        if mode == "open" and arrival_rate_per_s <= 0:
-            raise ValueError("an open-loop driver needs a positive arrival rate")
         if max_requests is None and max_duration_ms == float("inf") and stop_ms is None:
             raise ValueError("driver needs max_requests, max_duration_ms or stop_ms")
         if (control_plane is not None and control_plane.autoscaling
@@ -118,8 +105,6 @@ class EngineLoadDriver:
         self.cluster = cluster
         self.request_fn = request_fn
         self.clients = clients
-        self.mode = mode
-        self.arrival_rate_per_s = arrival_rate_per_s
         self.start_ms = start_ms
         self.stop_ms = stop_ms
         self.max_requests = max_requests
@@ -134,7 +119,6 @@ class EngineLoadDriver:
         #: of ChargeRecords.
         self.record_charges = record_charges
         self.label = label
-        self._rng = cluster.rng.spawn("load-driver")
         self.engine = cluster.engine
         #: Virtual time the run started at (set by :meth:`run`).
         self.started_ms = 0.0
@@ -187,18 +171,13 @@ class EngineLoadDriver:
             # mid-run capacity changes without a control plane (fault
             # injection, manual drains) must not rewrite the run's baseline.
             self._initial_capacity = self._live_thread_count()
-            if self.mode == "closed":
-                for client in range(self.clients):
-                    self._active[client] = True
-                    engine.at(origin + self.start_ms,
-                              lambda cid=client: self._client_arrival(cid))
-                    if self.stop_ms is not None:
-                        engine.at(origin + self.stop_ms,
-                                  lambda cid=client: self._stop_client(cid))
-            else:
-                self._active[-1] = True
-                engine.at(origin + self.start_ms + self._interarrival_ms(),
-                          self._open_arrival)
+            for client in range(self.clients):
+                self._active[client] = True
+                engine.at(origin + self.start_ms,
+                          lambda cid=client: self._client_arrival(cid))
+                if self.stop_ms is not None:
+                    engine.at(origin + self.stop_ms,
+                              lambda cid=client: self._stop_client(cid))
             engine.run(until_ms=origin + self.max_duration_ms)
         finally:
             # The engine outlives the run: arrivals still queued past
@@ -216,8 +195,7 @@ class EngineLoadDriver:
         """This simulated client's own CloudburstClient (created on demand)."""
         cloud = self._clients.get(client)
         if cloud is None:
-            suffix = "open" if client < 0 else str(client)
-            cloud = self.cluster.connect(f"{self.label}-client-{suffix}")
+            cloud = self.cluster.connect(f"{self.label}-client-{client}")
             self._clients[client] = cloud
         return cloud
 
@@ -229,18 +207,6 @@ class EngineLoadDriver:
             return  # future-driven: continuation fires from the done callback
         # Closed loop: next request once this one returns.
         self._next_arrival(client, end_ms)
-
-    def _open_arrival(self) -> None:
-        if not self._active.get(-1, False) or self._exhausted():
-            return
-        now = self.engine.now_ms
-        if self.stop_ms is None or now < self.started_ms + self.stop_ms:
-            self._issue_request(client=-1)
-            self.engine.at(now + self._interarrival_ms(), self._open_arrival)
-
-    def _interarrival_ms(self) -> float:
-        mean_ms = 1000.0 / self.arrival_rate_per_s
-        return self._rng.exponential(mean_ms)
 
     def _stop_client(self, client: int) -> None:
         self._active[client] = False
@@ -293,8 +259,6 @@ class EngineLoadDriver:
 
     def _next_arrival(self, client: int, end_ms: float) -> None:
         self._last_end_ms = max(self._last_end_ms, end_ms)
-        if self.mode != "closed":
-            return
         if not self._active.get(client, False) or self._exhausted():
             return
         self.engine.at(end_ms, lambda: self._client_arrival(client))
@@ -360,24 +324,10 @@ def run_engine_closed_loop(cluster, request_fn: DriverRequestFn, *,
                            keep_latency_samples: bool = True) -> SimulationResult:
     """Closed-loop clients through the real stack until a request budget."""
     driver = EngineLoadDriver(
-        cluster, request_fn, clients=clients, mode="closed",
+        cluster, request_fn, clients=clients,
         max_requests=total_requests, throughput_bucket_ms=throughput_bucket_ms,
         record_charges=record_charges,
         keep_latency_samples=keep_latency_samples, label=label)
-    return driver.run()
-
-
-def run_engine_open_loop(cluster, request_fn: DriverRequestFn, *,
-                         arrival_rate_per_s: float, duration_ms: float,
-                         label: str = "engine-open-loop",
-                         throughput_bucket_ms: float = 1_000.0,
-                         record_charges: bool = True) -> SimulationResult:
-    """Poisson open-loop arrivals through the real stack for a fixed window."""
-    driver = EngineLoadDriver(
-        cluster, request_fn, mode="open", arrival_rate_per_s=arrival_rate_per_s,
-        stop_ms=duration_ms, max_duration_ms=duration_ms,
-        throughput_bucket_ms=throughput_bucket_ms,
-        record_charges=record_charges, label=label)
     return driver.run()
 
 
@@ -410,45 +360,12 @@ class ComparisonResult:
 
     title: str
     recorders: Dict[str, LatencyRecorder] = field(default_factory=dict)
-    notes: List[str] = field(default_factory=list)
 
     def add(self, recorder: LatencyRecorder) -> None:
         self.recorders[recorder.label] = recorder
 
-    def summary(self, label: str) -> LatencySummary:
-        return self.recorders[label].summary()
-
-    def summaries(self) -> Dict[str, LatencySummary]:
-        return {label: recorder.summary() for label, recorder in self.recorders.items()}
-
     def median(self, label: str) -> float:
-        return self.summary(label).median_ms
-
-    def p99(self, label: str) -> float:
-        return self.summary(label).p99_ms
-
-    def speedup(self, faster: str, slower: str, percentile: str = "median_ms") -> float:
-        """How many times faster ``faster`` is than ``slower`` at a percentile."""
-        fast = getattr(self.summary(faster), percentile)
-        slow = getattr(self.summary(slower), percentile)
-        return slow / fast if fast > 0 else float("inf")
-
-    def as_table(self) -> str:
-        headers = ["system", "n", "median (ms)", "p95 (ms)", "p99 (ms)"]
-        rows = []
-        for label, summary in self.summaries().items():
-            rows.append([
-                label,
-                summary.count,
-                f"{summary.median_ms:.2f}",
-                f"{summary.p95_ms:.2f}",
-                f"{summary.p99_ms:.2f}",
-            ])
-        rows.sort(key=lambda row: float(row[2]))
-        table = format_table(headers, rows, title=self.title)
-        if self.notes:
-            table += "\n" + "\n".join(f"  note: {note}" for note in self.notes)
-        return table
+        return self.recorders[label].summary().median_ms
 
 
 @dataclass
@@ -460,10 +377,3 @@ class SweepResult:
 
     def add(self, point: str, result: ComparisonResult) -> None:
         self.points[point] = result
-
-    def as_table(self) -> str:
-        sections = [self.title]
-        for point, result in self.points.items():
-            sections.append("")
-            sections.append(result.as_table())
-        return "\n".join(sections)

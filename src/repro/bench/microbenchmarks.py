@@ -1,9 +1,9 @@
 """Mechanism microbenchmarks: Figures 1, 5, 6 and 7 (§6.1).
 
 Each ``run_figure*`` function is self-contained: it builds the systems under
-test, drives the workload, and returns structured results that the
-``benchmarks/`` wrappers print and that the integration tests assert on.
-Parameters default to paper-scale values but can be shrunk for fast runs.
+test, drives the workload, and returns structured results that the figure
+registry (:mod:`repro.bench.figures`) records, gates and prints.  Parameters
+default to paper-scale values; the registry declares the smaller budgets.
 
 The Cloudburst sides of Figures 5 and 6 run through
 :class:`~repro.bench.harness.EngineLoadDriver`: concurrent closed-loop
@@ -19,7 +19,7 @@ storage-node model: each of their requests runs on a fresh zero-based clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 
 from ..anna import (
@@ -320,13 +320,6 @@ class AutoscalingExperiment:
         return max((p.requests_per_s for p in self.simulation.throughput_curve),
                    default=0.0)
 
-    def throughput_at_minute(self, minute: float) -> float:
-        best = 0.0
-        for point in self.simulation.throughput_curve:
-            if point.time_s <= minute * 60.0:
-                best = point.requests_per_s
-        return best
-
 
 def _sleep_workload_function(cloudburst, key_a, key_b, write_key):
     """The Figure 7 workload: sleep 50 ms, read two Zipf keys, write a third.
@@ -341,26 +334,6 @@ def _sleep_workload_function(cloudburst, key_a, key_b, write_key):
     digest = f"{str(a)[:16]}/{str(b)[:16]}"
     cloudburst.put(write_key.key if hasattr(write_key, "key") else write_key, digest)
     return True
-
-
-def measure_autoscaling_service_time(samples: int = 200, key_count: int = 10_000,
-                                     seed: int = 0) -> List[float]:
-    """Measure the Figure 7 workload's per-request service time on a live cluster."""
-    cluster = CloudburstCluster(executor_vms=2, seed=seed)
-    cloud = cluster.connect()
-    zipf = ZipfGenerator(key_count, 1.0, RandomSource(seed).spawn("keys"))
-    for index in range(min(2_000, key_count)):
-        cloud.put(f"autoscale-{index}", index)
-    cloud.register(_sleep_workload_function, name="sleep_workload")
-
-    def request(i: int) -> float:
-        a = f"autoscale-{zipf.next() % 2_000}"
-        b = f"autoscale-{zipf.next() % 2_000}"
-        w = f"autoscale-{zipf.next() % 2_000}"
-        return cloud.call("sleep_workload", [a, b, w]).latency_ms
-
-    recorder = run_closed_loop("service-time", request, samples)
-    return recorder.samples_ms
 
 
 def run_figure7(initial_threads: int = 18, client_count: int = 40,

@@ -11,7 +11,6 @@ from .clock import ChargeRecord, RequestContext, SimClock
 from .engine import (
     Engine,
     Event,
-    FifoQueue,
     ForkJoin,
     ReservationQueue,
     WorkQueue,
@@ -38,7 +37,6 @@ __all__ = [
     "SimClock",
     "Engine",
     "Event",
-    "FifoQueue",
     "ForkJoin",
     "ReservationQueue",
     "WorkQueue",

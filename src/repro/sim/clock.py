@@ -97,7 +97,7 @@ class RequestContext:
 
     ``record_charges=False`` drops the itemised log (structural queries return
     empty/zero) while keeping the clock and ``elapsed_ms`` byte-identical —
-    the cheap mode the closed/open-loop load drivers run in, where thousands
+    the cheap mode the closed-loop load driver runs in, where thousands
     of requests only ever read their latency total.
 
     ``span`` carries the request's current trace span (``repro.obs``), or

@@ -18,12 +18,10 @@ Pieces:
   actually executing the work.  Executor threads use one of these, which is
   what turns ``ExecutorVM.utilization()`` into a queueing signal instead of
   an instantaneous counter.
-* :class:`FifoQueue` — a multi-server FIFO queue with known service times
-  (an abstract capacity pool).
 * :class:`ForkJoin` — fork/join bookkeeping for parallel DAG stages.
 
-Performance notes (the engine-throughput microbenchmark in
-``benchmarks/bench_engine_micro.py`` gates all of this):
+Performance notes (the ``engine_throughput`` section of
+``benchmarks/run_all.py`` gates all of this):
 
 * The heap holds ``(at_ms, seq, event)`` tuples, so heap sift comparisons
   stay in C tuple comparison instead of calling ``Event.__lt__``.
@@ -554,84 +552,6 @@ class ReservationQueue:
     def busy_at(self, at_ms: float) -> bool:
         """Whether the server has reserved work at (or beyond) ``at_ms``."""
         return bool(self._ends) and self._ends[-1] > at_ms
-
-
-class FifoQueue:
-    """Multi-server FIFO queue with service times known at reservation.
-
-    This is the abstract capacity pool behind the timeline simulation: a
-    reservation picks the earliest-free server, so arrivals processed in time
-    order receive FIFO service.  Capacity can change between reservations
-    (autoscaling); existing reservations are never revoked.
-
-    Server selection keeps a heap of ``(free_at, index)`` — O(log servers)
-    per reservation instead of a ``min()`` scan over every server, which the
-    profile showed dominating wide-pool timeline sweeps.
-    """
-
-    __slots__ = ("label", "completed", "busy_ms", "_free_at", "_free_heap")
-
-    def __init__(self, servers: int, label: str = ""):
-        if servers <= 0:
-            raise ValueError("a FIFO queue needs at least one server")
-        self.label = label
-        self._free_at: List[float] = [0.0] * servers
-        # One entry per server; ties break on the lower index, exactly like
-        # the min() scan this replaces.
-        self._free_heap: List[Tuple[float, int]] = [
-            (0.0, index) for index in range(servers)]
-        self.completed = 0
-        self.busy_ms = 0.0
-
-    @property
-    def servers(self) -> int:
-        return len(self._free_at)
-
-    def set_servers(self, servers: int, now_ms: float = 0.0) -> None:
-        """Grow or shrink capacity; shrinking drops the latest-free servers."""
-        if servers <= 0:
-            raise ValueError("a FIFO queue needs at least one server")
-        current = len(self._free_at)
-        if servers > current:
-            for index in range(current, servers):
-                self._free_at.append(now_ms)
-                heapq.heappush(self._free_heap, (now_ms, index))
-        else:
-            self._free_at.sort()
-            del self._free_at[servers:]
-            # Indices changed wholesale; rebuild the heap (resizes are rare).
-            self._free_heap = [(free, index)
-                               for index, free in enumerate(self._free_at)]
-            heapq.heapify(self._free_heap)
-
-    def reserve(self, arrival_ms: float, service_ms: float) -> Tuple[float, float]:
-        """Reserve the earliest-free server; returns ``(start, end)``."""
-        if service_ms < 0:
-            raise ValueError("service time cannot be negative")
-        free_at = self._free_at
-        heap = self._free_heap
-        while True:
-            free, index = heap[0]
-            # Each live server has exactly one current heap entry; anything
-            # else is a stale leftover from a resize — drop and retry.
-            if index < len(free_at) and free == free_at[index]:
-                break
-            heappop(heap)
-        start = float(arrival_ms)
-        if start < free:
-            start = free
-        end = start + float(service_ms)
-        free_at[index] = end
-        heapq.heapreplace(heap, (end, index))
-        self.completed += 1
-        self.busy_ms += float(service_ms)
-        return start, end
-
-    def busy_servers(self, at_ms: float) -> int:
-        return sum(1 for free in self._free_at if free > at_ms)
-
-    def utilization(self, at_ms: float) -> float:
-        return self.busy_servers(at_ms) / len(self._free_at)
 
 
 class ForkJoin:

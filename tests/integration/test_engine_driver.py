@@ -20,7 +20,6 @@ from repro.bench.harness import (
     build_cluster_with_threads,
     run_closed_loop,
     run_engine_closed_loop,
-    run_engine_open_loop,
 )
 from repro.cloudburst import CloudburstCluster
 from repro.cloudburst.controlplane import ComputeControlPlane
@@ -146,17 +145,6 @@ class TestDeterminism:
             self._drive(14).latencies.samples_ms
 
 
-class TestOpenLoop:
-    def test_poisson_arrivals_complete(self):
-        cluster, _ = _make_cluster(seed=17)
-        sim = run_engine_open_loop(cluster, _work_request,
-                                   arrival_rate_per_s=100.0,
-                                   duration_ms=2_000.0)
-        # ~200 arrivals expected over 2 s at 100/s.
-        assert 120 < sim.completed_requests < 300
-        assert sim.latencies.summary().median_ms > 0
-
-
 class TestDriverAutoscaling:
     def test_policy_adds_real_vms_and_drains(self):
         cluster, _ = _make_cluster(seed=23, executor_vms=2)
@@ -180,9 +168,6 @@ class TestDriverAutoscaling:
         cluster, _ = _make_cluster(seed=3)
         with pytest.raises(ValueError):
             EngineLoadDriver(cluster, lambda c, ctx, i: None, clients=0)
-        with pytest.raises(ValueError):
-            EngineLoadDriver(cluster, lambda c, ctx, i: None, mode="open",
-                             arrival_rate_per_s=0.0)
         with pytest.raises(ValueError):
             EngineLoadDriver(cluster, lambda c, ctx, i: None, clients=1)
         with pytest.raises(ValueError):

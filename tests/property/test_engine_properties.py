@@ -1,11 +1,10 @@
 """Property tests for the discrete-event engine: determinism and queue laws."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_placement
-from repro.sim import Engine, FifoQueue, WorkQueue
+from repro.sim import Engine, WorkQueue
 
 
 def _replay(times):
@@ -127,28 +126,3 @@ def test_work_queue_depth_equals_the_bisect_definition(jobs, probes):
         queue.release(start + service)
         boundaries.append(start + service)
         check()
-
-
-@given(st.integers(min_value=1, max_value=5),
-       st.lists(st.tuples(
-           st.floats(min_value=0.0, max_value=1e4, allow_nan=False,
-                     allow_infinity=False),
-           st.floats(min_value=0.0, max_value=1e3, allow_nan=False,
-                     allow_infinity=False),
-       ), max_size=40))
-@settings(max_examples=60, deadline=None)
-def test_fifo_queue_conserves_work_and_respects_arrivals(servers, jobs):
-    queue = FifoQueue(servers=servers)
-    total_service = 0.0
-    grants = []
-    for arrival, service in sorted(jobs, key=lambda job: job[0]):
-        start, end = queue.reserve(arrival, service)
-        assert start >= arrival
-        assert end - start == pytest.approx(service)
-        grants.append((start, end))
-        total_service += service
-    assert queue.busy_ms == pytest.approx(total_service)
-    # No instant ever has more overlapping reservations than servers.
-    for probe, _ in grants:
-        overlapping = sum(1 for s, e in grants if s <= probe < e)
-        assert overlapping <= servers

@@ -37,7 +37,7 @@ def make_payload(engine=500_000.0, fig10=1_500.0, fig12=8_000.0, fig7=110.0,
             ],
         },
         "figure12_retwis_scaling": {
-            "sim_requests_per_wall_s": fig12_host,
+            "sim_requests_per_cpu_s": fig12_host,
             "points": [{"threads": 160, "requests_per_s": fig12}],
         },
         "figure7_autoscaling": {"requests_per_s": fig7},
@@ -180,10 +180,10 @@ class TestTrendErrors:
         ledger.close()
 
     def test_fig12_host_speed_is_a_wallclock_row_across_scales(self, ledger_path):
-        # Simulated requests per wall-second of the fig12 sweep: judged only
+        # Simulated requests per CPU-second of the fig12 sweep: judged only
         # against this ledger's own runs, whatever their scale (fig12 runs
         # the full budget in every mode).
-        metric = "figure12_retwis_scaling/sim_requests_per_wall_s"
+        metric = "figure12_retwis_scaling/sim_requests_per_cpu_s"
         ledger = BenchLedger(ledger_path)
         ledger.append_run(make_payload(fig12_host=9_999.0), seeded=True)
         errors, checks = trend_errors(make_payload(fig12_host=400.0), ledger)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     Engine,
-    FifoQueue,
     ForkJoin,
     ReservationQueue,
     WorkQueue,
@@ -382,73 +381,6 @@ class TestReservationQueue:
         # Recent contention still queues correctly after compaction.
         last_start = (total - 1) * 10.0
         assert queue.reserve(last_start, 1.0) == last_start + 1.0
-
-
-class TestFifoQueue:
-    def test_parallel_servers(self):
-        queue = FifoQueue(servers=2)
-        assert queue.reserve(0.0, 10.0) == (0.0, 10.0)
-        assert queue.reserve(0.0, 10.0) == (0.0, 10.0)
-        # Third arrival waits for the earliest-free server.
-        assert queue.reserve(0.0, 10.0) == (10.0, 20.0)
-
-    def test_busy_servers_and_utilization(self):
-        queue = FifoQueue(servers=4)
-        queue.reserve(0.0, 10.0)
-        queue.reserve(0.0, 20.0)
-        assert queue.busy_servers(5.0) == 2
-        assert queue.utilization(5.0) == 0.5
-        assert queue.busy_servers(15.0) == 1
-
-    def test_capacity_changes(self):
-        queue = FifoQueue(servers=1)
-        queue.reserve(0.0, 10.0)
-        queue.set_servers(2, now_ms=0.0)
-        assert queue.reserve(0.0, 10.0) == (0.0, 10.0)
-        queue.set_servers(1, now_ms=10.0)
-        assert queue.servers == 1
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            FifoQueue(servers=0)
-        with pytest.raises(ValueError):
-            FifoQueue(servers=1).reserve(0.0, -1.0)
-
-    def test_selection_matches_min_scan(self):
-        # The (free_at, index) heap must pick exactly the server a min() scan
-        # over all servers would have picked (including the lower-index tie
-        # break), or capacity sweeps stop being replayable.
-        import random
-
-        rng = random.Random(7)
-        heap_queue = FifoQueue(servers=5)
-        free_at = [0.0] * 5
-        for step in range(300):
-            arrival = step * 0.7
-            service = rng.choice([0.0, 1.0, 3.5, 12.0])
-            index = min(range(len(free_at)), key=lambda i: (free_at[i], i))
-            expected_start = max(arrival, free_at[index])
-            free_at[index] = expected_start + service
-            assert heap_queue.reserve(arrival, service) == (
-                expected_start, expected_start + service)
-
-    def test_shrink_drops_latest_free_servers(self):
-        queue = FifoQueue(servers=3)
-        queue.reserve(0.0, 10.0)   # server busy until 10
-        queue.reserve(0.0, 50.0)   # server busy until 50
-        queue.set_servers(2, now_ms=0.0)
-        # The latest-free server (busy until 50) was dropped: the two
-        # remaining free up at 0 and 10.
-        assert queue.reserve(0.0, 1.0) == (0.0, 1.0)
-        assert queue.reserve(0.0, 1.0) == (1.0, 2.0)
-
-    def test_grow_then_reserve_uses_new_server(self):
-        queue = FifoQueue(servers=1)
-        queue.reserve(0.0, 100.0)
-        queue.set_servers(3, now_ms=20.0)
-        assert queue.servers == 3
-        # New servers become free at now_ms, not at 0.
-        assert queue.reserve(5.0, 1.0) == (20.0, 21.0)
 
 
 class TestForkJoin:
