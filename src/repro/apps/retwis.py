@@ -27,9 +27,10 @@ the missing original — anomalies are prevented at the cost of extra reads.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..baselines import SimulatedRedis
 from ..cloudburst import CloudburstCluster, CloudburstReference, ConsistencyLevel
@@ -57,6 +58,15 @@ def posts_key(name: str) -> str:
 
 def tweet_key(tweet_id: str) -> str:
     return f"retwis/tweet/{tweet_id}"
+
+
+def newest_tweet_ids(id_groups: Iterable[Iterable[str]]) -> List[str]:
+    """The ``TIMELINE_LENGTH`` largest distinct ids across ``id_groups``, largest first.
+
+    ``heapq.nlargest`` over the union is ``sorted(union, reverse=True)[:n]``
+    (distinct ids have no ties) without sorting every followee's posts.
+    """
+    return heapq.nlargest(TIMELINE_LENGTH, set().union(*id_groups))
 
 
 # -- the six Cloudburst functions -------------------------------------------------------------
@@ -169,8 +179,7 @@ def cb_get_timeline(cloudburst, user: str, following=None) -> Dict[str, object]:
                 observed_posts[post_key_owner[key]].update(value or [])
     except Exception:
         pass
-    tweet_ids = sorted({tid for ids in observed_posts.values() for tid in ids},
-                       reverse=True)[:TIMELINE_LENGTH]
+    tweet_ids = newest_tweet_ids(observed_posts.values())
     records: Dict[str, Dict] = {}
     try:
         fetched = cloudburst.get_many([tweet_key(tid) for tid in tweet_ids])
@@ -396,9 +405,8 @@ class RetwisOnRedis:
         post_keys = [posts_key(f) for f in following if self.redis.contains(posts_key(f))]
         if post_keys:
             # The webserver pipelines the followee reads into one MGET.
-            for posts in self.redis.mget(post_keys, ctx):
-                tweet_ids.extend(posts or [])
-        tweet_ids = sorted(set(tweet_ids), reverse=True)[:TIMELINE_LENGTH]
+            tweet_ids = newest_tweet_ids(
+                posts or () for posts in self.redis.mget(post_keys, ctx))
         keys = [tweet_key(tid) for tid in tweet_ids if self.redis.contains(tweet_key(tid))]
         if keys:
             self.redis.mget(keys, ctx)
