@@ -36,8 +36,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.bench.harness import (  # noqa: E402
+    EngineLoadDriver,
     build_cluster_with_threads,
-    run_engine_closed_loop,
 )
 from repro.cloudburst import ConsistencyLevel  # noqa: E402
 from repro.obs import Tracer  # noqa: E402
@@ -72,10 +72,10 @@ def run_point(threads: int, requests: int, seed: int, warm: bool,
     def request(_cloud, ctx, index):
         app.execute(stream[index], ctx=ctx)
 
-    sim = run_engine_closed_loop(
-        cluster, request, clients=threads, total_requests=requests,
+    sim = EngineLoadDriver(
+        cluster, request, clients=threads, max_requests=requests,
         label=f"diagnose-{'warm' if warm else 'cold'}-{threads}t",
-        record_charges=False, keep_latency_samples=False)
+        record_charges=False, keep_latency_samples=False).run()
     return sim, tracer
 
 

@@ -6,8 +6,10 @@ Records each entry of the figure registry (``repro.bench.figures``: Figures
 engine microbenchmark and the tracing plane's self-check) into
 ``BENCH_throughput.json`` and prints its table, so successive PRs have a
 trajectory to compare against.  Everything runs the real Cloudburst stack
-under the discrete-event engine; each section also records the wall-clock
-runtime of its harness.
+under the discrete-event engine; each entry's first section also records
+the wall-clock runtime of its harness.  Entries that write files (the fig 7
+span dump and Chrome trace, the fault matrix's session journals) write them
+next to ``--output``.
 
 The run is also the regression gate CI runs on every push: it exits nonzero
 when any entry's gate fails (paper orderings, scaling ratios, the Table 2
@@ -38,7 +40,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Snapshot layout version; docs/BENCH_SCHEMA.md documents it and its history.
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.bench import apply_ledger, figures  # noqa: E402

@@ -701,9 +701,6 @@ class AnnaCluster:
         return len(self._pending_updates)
 
     # -- introspection ------------------------------------------------------------------
-    def load_by_node(self) -> Dict[str, int]:
-        return {node_id: node.key_count() for node_id, node in self._nodes.items()}
-
     def total_access_count(self) -> int:
         total = 0
         for node in self._nodes.values():

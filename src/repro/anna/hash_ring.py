@@ -115,10 +115,3 @@ class HashRing:
         if node_id not in self._members:
             raise KeyError(f"node not on ring: {node_id!r}")
         return [key for key in keys if node_id in self.owners(key, count)]
-
-    def assignment_counts(self, keys: Sequence[str]) -> Dict[str, int]:
-        """How many of ``keys`` map to each node (used by balance tests)."""
-        counts = {node: 0 for node in self._members}
-        for key in keys:
-            counts[self.primary(key)] += 1
-        return counts

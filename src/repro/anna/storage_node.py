@@ -114,23 +114,6 @@ class StorageNode:
         #: through :meth:`~repro.anna.cluster.AnnaCluster.partition_node`.
         self.partitioned = False
 
-    def observability_summary(self) -> Dict[str, float]:
-        """Per-node load counters for trace dumps and the fig12 diagnosis.
-
-        Pure reads of state the node already maintains — safe to call
-        mid-run without perturbing queues or access statistics.
-        """
-        return {
-            "keys_memory": len(self._memory),
-            "keys_disk": self.disk_key_count(),
-            "queue_busy_ms": self.work_queue.busy_ms,
-            "queue_completed": self.work_queue.completed,
-            "rejections": self.rejections,
-            "read_redirects": self.read_redirects,
-            "replica_merges": self.replica_merges,
-            "demotions": self.demotions,
-        }
-
     # -- storage operations ----------------------------------------------------
     def put(self, key: str, value: Lattice, now_ms: float = 0.0,
             count_access: bool = True) -> Lattice:

@@ -1,17 +1,16 @@
-"""Benchmark harness: one entry point per table/figure in the paper's §6."""
+"""Benchmark harness: one entry point per table/figure in the paper's §6.
+
+Every ``run_*`` returns plain data: its ``BENCH_throughput.json`` section(s).
+"""
 
 from .ablations import (
-    ReplicationAblation,
-    SchedulingAblation,
+    run_ablations,
     run_caching_ablation,
     run_hot_key_replication_ablation,
     run_messaging_ablation,
     run_scheduling_ablation,
 )
 from .casestudies import (
-    RetwisExperiment,
-    ScalingPoint,
-    ScalingResult,
     run_figure9,
     run_figure10,
     run_figure11,
@@ -24,8 +23,6 @@ from .enginebench import (
     run_engine_micro,
 )
 from .consistency_bench import (
-    ConsistencyLatencyResult,
-    MetadataOverhead,
     run_figure8,
     run_table2,
 )
@@ -35,9 +32,7 @@ from .faultbench import (
     run_fault_recovery,
 )
 from .harness import (
-    ComparisonResult,
     EngineLoadDriver,
-    SweepResult,
     run_closed_loop,
 )
 from .ledger import (
@@ -52,7 +47,6 @@ from .ledger import (
     trend_errors,
 )
 from .microbenchmarks import (
-    AutoscalingExperiment,
     run_figure1,
     run_figure5,
     run_figure6,
@@ -60,15 +54,11 @@ from .microbenchmarks import (
 )
 
 __all__ = [
-    "ReplicationAblation",
-    "SchedulingAblation",
+    "run_ablations",
     "run_caching_ablation",
     "run_hot_key_replication_ablation",
     "run_messaging_ablation",
     "run_scheduling_ablation",
-    "RetwisExperiment",
-    "ScalingPoint",
-    "ScalingResult",
     "run_figure9",
     "run_figure10",
     "run_figure11",
@@ -77,13 +67,9 @@ __all__ = [
     "PRE_PR_BASELINE",
     "engine_throughput_errors",
     "run_engine_micro",
-    "ConsistencyLatencyResult",
-    "MetadataOverhead",
     "run_figure8",
     "run_table2",
-    "ComparisonResult",
     "EngineLoadDriver",
-    "SweepResult",
     "run_closed_loop",
     "DEFAULT_LEDGER_NAME",
     "TREND_GATES",
@@ -97,7 +83,6 @@ __all__ = [
     "FAULT_CLASSES",
     "fault_recovery_errors",
     "run_fault_recovery",
-    "AutoscalingExperiment",
     "run_figure1",
     "run_figure5",
     "run_figure6",

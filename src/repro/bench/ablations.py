@@ -7,33 +7,38 @@ individual mechanisms the paper's design rests on:
 * executor-local caches vs always reading from Anna,
 * backpressure-driven hot-key replication,
 * direct TCP messaging vs the Anna-inbox fallback.
+
+Each ``run_*_ablation`` returns its part of the ``ablations`` snapshot
+section; :func:`run_ablations` runs all four and returns the section.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from ..cloudburst import CloudburstCluster, CloudburstReference
 from ..cloudburst.policy import DEFAULT_PLACEMENT_POLICY, RANDOM_PLACEMENT_POLICY
 from ..sim import LatencyRecorder
 from ..workloads.arrays import LocalityWorkloadKeys, make_arrays, sum_arrays_with_library
-from .harness import ComparisonResult, run_closed_loop
+from .harness import run_closed_loop, systems
 
 
-@dataclass
-class SchedulingAblation:
-    """Locality-aware vs random placement."""
-
-    comparison: ComparisonResult
-    hit_rate_locality: float
-    hit_rate_random: float
+def run_ablations(seed: int, scheduling: dict, caching: dict,
+                  hot_key_replication: dict, messaging: dict) -> dict:
+    """Every ablation with its own keyword arguments; the ``ablations`` section."""
+    return {"ablations": {
+        "scheduling": run_scheduling_ablation(seed=seed, **scheduling),
+        "caching": run_caching_ablation(seed=seed, **caching),
+        "hot_key_replication": run_hot_key_replication_ablation(
+            seed=seed, **hot_key_replication),
+        "messaging": run_messaging_ablation(seed=seed, **messaging),
+    }}
 
 
 def run_scheduling_ablation(requests: int = 200, size_label: str = "800KB",
-                            executor_vms: int = 7, seed: int = 0) -> SchedulingAblation:
+                            executor_vms: int = 7, seed: int = 0) -> dict:
     """Same reference-heavy workload with and without locality scheduling."""
-    comparison = ComparisonResult(title="Ablation: locality-aware vs random scheduling")
+    recorders = []
     hit_rates: Dict[str, float] = {}
     for label, policy in (("Locality scheduling", DEFAULT_PLACEMENT_POLICY),
                           ("Random placement", RANDOM_PLACEMENT_POLICY)):
@@ -52,20 +57,16 @@ def run_scheduling_ablation(requests: int = 200, size_label: str = "800KB",
             scheduler.placement_policy = policy
         references = [CloudburstReference(key) for key in keys.keys]
         cloud.call("sum_arrays", references)  # warm one cache
-        comparison.add(run_closed_loop(
+        recorders.append(run_closed_loop(
             label, lambda i: cloud.call("sum_arrays", references).latency_ms, requests))
         hit_rates[label] = cluster.cache_hit_rate()
-    return SchedulingAblation(
-        comparison=comparison,
-        hit_rate_locality=hit_rates["Locality scheduling"],
-        hit_rate_random=hit_rates["Random placement"],
-    )
+    return {"systems": systems(*recorders), "hit_rate": hit_rates}
 
 
 def run_caching_ablation(requests: int = 200, size_label: str = "800KB",
-                         seed: int = 0) -> ComparisonResult:
+                         seed: int = 0) -> dict:
     """Executor-local caches on vs off (every read forced through Anna)."""
-    comparison = ComparisonResult(title="Ablation: executor-local caches on vs off")
+    recorders = []
     for label, caches_enabled in (("Caches enabled", True), ("Caches disabled", False)):
         cluster = CloudburstCluster(executor_vms=3, seed=seed)
         cloud = cluster.connect()
@@ -83,8 +84,8 @@ def run_caching_ablation(requests: int = 200, size_label: str = "800KB",
                     vm.cache.clear()
             return cloud.call("sum_arrays", references).latency_ms
 
-        comparison.add(run_closed_loop(label, request, requests))
-    return comparison
+        recorders.append(run_closed_loop(label, request, requests))
+    return {"systems": systems(*recorders)}
 
 
 #: How long the hot-key ablation keeps a hot VM's threads occupied: longer
@@ -93,26 +94,18 @@ def run_caching_ablation(requests: int = 200, size_label: str = "800KB",
 _HOT_VM_BUSY_MS = 1.0
 
 
-@dataclass
-class ReplicationAblation:
-    """How widely a hot key gets replicated with and without backpressure."""
-
-    caches_with_hot_key_backpressure: int
-    caches_with_hot_key_no_backpressure: int
-    total_caches: int
-
-
 def run_hot_key_replication_ablation(requests: int = 300, executor_vms: int = 6,
-                                     seed: int = 0) -> ReplicationAblation:
+                                     seed: int = 0) -> dict:
     """Backpressure-driven replication of a hot key across executor caches.
 
     With the overload threshold in place, the scheduler diverts requests away
     from the saturated executor that first cached the hot key; the newly
     chosen executors fetch and cache it, raising its replication factor.
+    Reports how many caches hold the key with and without backpressure.
     """
-    counts: Dict[bool, int] = {}
+    counts: Dict[str, int] = {}
     total = 0
-    for backpressure in (True, False):
+    for label, backpressure in (("backpressure", True), ("no_backpressure", False)):
         cluster = CloudburstCluster(executor_vms=executor_vms, seed=seed)
         cloud = cluster.connect()
         cloud.put("hot-key", list(range(256)))
@@ -134,19 +127,15 @@ def run_hot_key_replication_ablation(requests: int = 300, executor_vms: int = 6,
             cloud.call("touch_hot", [reference])
             if index % 20 == 0:
                 cluster.publish_all_metrics()
-        counts[backpressure] = sum(
+        counts[label] = sum(
             1 for vm in cluster.vms if vm.cache.contains("hot-key"))
         total = len(cluster.vms)
-    return ReplicationAblation(
-        caches_with_hot_key_backpressure=counts[True],
-        caches_with_hot_key_no_backpressure=counts[False],
-        total_caches=total,
-    )
+    return {"caches_with_hot_key": counts, "total_caches": total}
 
 
-def run_messaging_ablation(messages: int = 500, seed: int = 0) -> ComparisonResult:
+def run_messaging_ablation(messages: int = 500, seed: int = 0) -> dict:
     """Direct TCP messaging vs falling back to the Anna inbox."""
-    comparison = ComparisonResult(title="Ablation: direct messaging vs Anna inbox")
+    recorders = []
     for label, reachable in (("Direct TCP", True), ("Anna inbox fallback", False)):
         cluster = CloudburstCluster(executor_vms=2, seed=seed)
         threads = [t for vm in cluster.vms for t in vm.threads]
@@ -161,5 +150,5 @@ def run_messaging_ablation(messages: int = 500, seed: int = 0) -> ComparisonResu
                                     f"ping-{index}", ctx)
                 cluster.router.recv(receiver.thread_id, ctx)
             recorder.record(ctx.clock.now_ms - start_ms)
-        comparison.add(recorder)
-    return comparison
+        recorders.append(recorder)
+    return {"systems": systems(*recorders)}

@@ -1,11 +1,13 @@
 """Case-study experiments: prediction serving (Figures 9, 10) and Retwis
 (Figures 11, 12) from §6.3.
+
+Each ``run_figure*`` returns its snapshot section as ``{name: section}``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+import time
+from typing import Dict, Sequence
 
 from ..anna import AnnaCluster
 from ..apps.prediction import (
@@ -24,22 +26,16 @@ from ..sim import (
     SimulationResult,
 )
 from ..workloads.social import SocialWorkloadGenerator
-from .harness import (
-    ComparisonResult,
-    build_cluster_with_threads,
-    run_closed_loop,
-    run_engine_closed_loop,
-)
+from .harness import EngineLoadDriver, build_cluster_with_threads, run_closed_loop, systems
 
 
 # --------------------------------------------------------------------------------------
 # Figure 9: prediction-serving latency across platforms
 # --------------------------------------------------------------------------------------
 def run_figure9(requests: int = 50, seed: int = 0,
-                image_side: int = 512) -> ComparisonResult:
-    """Cloudburst vs native Python, SageMaker, Lambda (mock) and Lambda (actual)."""
-    result = ComparisonResult(
-        title="Figure 9: prediction-serving latency (3-stage MobileNet-style pipeline)")
+                image_side: int = 512) -> dict:
+    """Cloudburst vs native Python, SageMaker, Lambda (mock) and Lambda
+    (actual), serving the 3-stage MobileNet-style pipeline."""
     image = make_image(side=image_side, seed=seed)
 
     cluster = CloudburstCluster(executor_vms=1, threads_per_vm=3, seed=seed)
@@ -50,7 +46,7 @@ def run_figure9(requests: int = 50, seed: int = 0,
         _, latency = deployment.serve(image)
         return latency
 
-    result.add(run_closed_loop("Cloudburst", cloudburst_request, requests))
+    recorders = [run_closed_loop("Cloudburst", cloudburst_request, requests)]
 
     baselines = PredictionBaselines(LatencyModel(RandomSource(seed).spawn("figure9")))
 
@@ -59,42 +55,20 @@ def run_figure9(requests: int = 50, seed: int = 0,
         runner(image, ctx)
         return ctx.clock.now_ms
 
-    result.add(run_closed_loop(
-        "Python", lambda i: measure(baselines.run_python, i), requests))
-    result.add(run_closed_loop(
-        "AWS Sagemaker", lambda i: measure(baselines.run_sagemaker, i), requests))
-    result.add(run_closed_loop(
-        "Lambda (Mock)", lambda i: measure(baselines.run_lambda_mock, i), requests))
-    result.add(run_closed_loop(
-        "Lambda (Actual)", lambda i: measure(baselines.run_lambda_actual, i), requests))
-    return result
+    for label, runner in (("Python", baselines.run_python),
+                          ("AWS Sagemaker", baselines.run_sagemaker),
+                          ("Lambda (Mock)", baselines.run_lambda_mock),
+                          ("Lambda (Actual)", baselines.run_lambda_actual)):
+        recorders.append(run_closed_loop(
+            label, lambda i, runner=runner: measure(runner, i), requests))
+    return {"figure9_prediction": {"systems": systems(*recorders)}}
 
 
 # --------------------------------------------------------------------------------------
 # Figures 10 and 12: throughput/latency scaling with executor thread count
 # --------------------------------------------------------------------------------------
-@dataclass
-class ScalingPoint:
-    """One point on a scaling curve."""
-
-    threads: int
-    clients: int
-    throughput_per_s: float
-    median_ms: float
-    p95_ms: float
-    p99_ms: float
-
-
-@dataclass
-class ScalingResult:
-    """A full scaling sweep (Figure 10 or 12)."""
-
-    title: str
-    points: List[ScalingPoint] = field(default_factory=list)
-
-
-def _scaling_sweep(title: str, thread_counts: Sequence[int], clients_for,
-                   requests_per_point: int, point_runner) -> ScalingResult:
+def _scaling_sweep(name: str, thread_counts: Sequence[int], clients_for,
+                   requests_per_point: int, point_runner) -> dict:
     """Thread-count sweep: each point runs real requests on a fresh cluster.
 
     ``point_runner(threads, clients, requests)`` must return a
@@ -102,25 +76,29 @@ def _scaling_sweep(title: str, thread_counts: Sequence[int], clients_for,
     clients through the public ``cloud.call``/``cloud.call_dag`` API — there
     is no synthetic service-time model anywhere on this path.
     """
-    result = ScalingResult(title=title)
+    cpu = time.process_time()
+    points = []
     for threads in thread_counts:
         clients = max(1, clients_for(threads))
         sim: SimulationResult = point_runner(threads, clients, requests_per_point)
         summary = sim.latencies.summary()
-        result.points.append(ScalingPoint(
-            threads=threads,
-            clients=clients,
-            throughput_per_s=sim.overall_throughput_per_s,
-            median_ms=summary.median_ms,
-            p95_ms=summary.p95_ms,
-            p99_ms=summary.p99_ms,
-        ))
-    return result
+        points.append({"threads": threads, "clients": clients,
+                       "requests_per_s": round(sim.overall_throughput_per_s, 2),
+                       "median_ms": round(summary.median_ms, 3),
+                       "p99_ms": round(summary.p99_ms, 3)})
+    cpu = time.process_time() - cpu
+    return {name: {
+        "requests_per_point": requests_per_point,
+        # Host speed of the sweep (cluster set-up included) in simulated
+        # requests per CPU-second: the ledger's trend row for the simulator.
+        "sim_requests_per_cpu_s": round(len(points) * requests_per_point / cpu, 2),
+        "points": points,
+    }}
 
 
 def run_figure10(thread_counts: Sequence[int] = (10, 20, 40, 80, 160),
                  requests_per_point: int = 2_000, seed: int = 0,
-                 image_side: int = 512) -> ScalingResult:
+                 image_side: int = 512) -> dict:
     """Prediction-serving scaling: clients = threads / 3 (three functions/request).
 
     Every point deploys the real three-stage pipeline on a cluster with that
@@ -143,13 +121,13 @@ def run_figure10(thread_counts: Sequence[int] = (10, 20, 40, 80, 160),
 
         # The sweep consumes only the summary percentiles, so completions go
         # into the O(1)-memory latency histogram, not a per-request list.
-        return run_engine_closed_loop(
-            cluster, request, clients=clients, total_requests=requests,
+        return EngineLoadDriver(
+            cluster, request, clients=clients, max_requests=requests,
             label=f"figure10-{threads}t", record_charges=False,
-            keep_latency_samples=False)
+            keep_latency_samples=False).run()
 
     return _scaling_sweep(
-        title="Figure 10: prediction-serving scaling",
+        "figure10_prediction_scaling",
         thread_counts=thread_counts,
         clients_for=lambda threads: threads // 3,
         requests_per_point=requests_per_point,
@@ -160,27 +138,18 @@ def run_figure10(thread_counts: Sequence[int] = (10, 20, 40, 80, 160),
 # --------------------------------------------------------------------------------------
 # Figure 11: Retwis latency and anomaly prevention
 # --------------------------------------------------------------------------------------
-@dataclass
-class RetwisExperiment:
-    """Figure 11's output: latency comparison plus anomaly rates."""
-
-    comparison: ComparisonResult
-    anomaly_rate_lww: float
-    anomaly_rate_causal: float
-    requests_per_system: int
-
-
 def run_figure11(requests: int = 2_000, user_count: int = 1_000,
                  seed_tweets: int = 5_000, executor_vms: int = 4,
                  propagation_interval_ms: float = 200.0,
-                 seed: int = 0) -> RetwisExperiment:
-    """Cloudburst (LWW), Cloudburst (causal) and Retwis-over-Redis.
+                 seed: int = 0) -> dict:
+    """Cloudburst (LWW), Cloudburst (causal) and Retwis-over-Redis: request
+    latency, and each Cloudburst mode's anomaly rate.
 
     One closed-loop client per system.  Anna propagates key updates to the
     caches every ``propagation_interval_ms`` of virtual time; between rounds
     caches serve stale versions, which is where the anomalies come from.
     """
-    comparison = ComparisonResult(title="Figure 11: Retwis request latency")
+    recorders = []
     generator = SocialWorkloadGenerator(user_count=user_count,
                                         seed_tweet_count=seed_tweets, seed=seed)
     graph = generator.build_graph()
@@ -199,7 +168,7 @@ def run_figure11(requests: int = 2_000, user_count: int = 1_000,
         recorder = LatencyRecorder(label=label)
         for request in requests_stream:
             recorder.record(app.execute(request))
-        comparison.add(recorder)
+        recorders.append(recorder)
         anomaly_rates[label] = app.stats.anomaly_rate
 
     redis_app = RetwisOnRedis(LatencyModel(RandomSource(seed).spawn("redis")))
@@ -207,19 +176,14 @@ def run_figure11(requests: int = 2_000, user_count: int = 1_000,
     recorder = LatencyRecorder(label="Redis")
     for request in requests_stream:
         recorder.record(redis_app.execute(request))
-    comparison.add(recorder)
-
-    return RetwisExperiment(
-        comparison=comparison,
-        anomaly_rate_lww=anomaly_rates["Cloudburst (LWW)"],
-        anomaly_rate_causal=anomaly_rates["Cloudburst (Causal)"],
-        requests_per_system=requests,
-    )
+    recorders.append(recorder)
+    return {"figure11_retwis": {"systems": systems(*recorders),
+                                "anomaly_rate": anomaly_rates}}
 
 
 def run_figure12(thread_counts: Sequence[int] = (10, 20, 40, 80, 160),
                  requests_per_point: int = 5_000, seed: int = 0,
-                 user_count: int = 200, seed_tweets: int = 1_000) -> ScalingResult:
+                 user_count: int = 200, seed_tweets: int = 1_000) -> dict:
     """Retwis scaling in causal mode: clients = executor threads.
 
     Every point loads the social graph onto a causal-mode cluster with that
@@ -250,13 +214,13 @@ def run_figure12(thread_counts: Sequence[int] = (10, 20, 40, 80, 160),
             app.execute(stream[index], ctx=ctx)
 
         # Summary-only consumer: histogram-backed recording (see figure 10).
-        return run_engine_closed_loop(
-            cluster, request, clients=clients, total_requests=requests,
+        return EngineLoadDriver(
+            cluster, request, clients=clients, max_requests=requests,
             label=f"figure12-{threads}t", record_charges=False,
-            keep_latency_samples=False)
+            keep_latency_samples=False).run()
 
     return _scaling_sweep(
-        title="Figure 12: Retwis scaling (causal mode)",
+        "figure12_retwis_scaling",
         thread_counts=thread_counts,
         clients_for=lambda threads: threads,
         requests_per_point=requests_per_point,

@@ -18,15 +18,14 @@ sessions on virtual time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..anna import AnnaCluster
-from ..cloudburst import AnomalyReport, AnomalyTracker, CloudburstCluster, ConsistencyLevel
+from ..cloudburst import AnomalyTracker, CloudburstCluster, ConsistencyLevel
 from ..lattices import CausalLattice
 from ..sim import LatencyRecorder, RandomSource, median, percentile
 from ..workloads.dags import ConsistencyWorkload
-from .harness import ComparisonResult, EngineLoadDriver
+from .harness import EngineLoadDriver, systems
 
 #: Default virtual-time period of Anna's update propagation.
 #: Plays the role the paper's periodic cache-update gossip plays: between two
@@ -36,24 +35,6 @@ DEFAULT_PROPAGATION_INTERVAL_MS = 50.0
 
 #: Default number of concurrent closed-loop session clients.
 DEFAULT_CLIENTS = 4
-
-
-@dataclass
-class MetadataOverhead:
-    """Per-key causal metadata sizes (§6.2.1: median 624 B, p99 7.1 KB)."""
-
-    median_bytes: float = 0.0
-    p99_bytes: float = 0.0
-    max_bytes: float = 0.0
-    sampled_keys: int = 0
-
-
-@dataclass
-class ConsistencyLatencyResult:
-    """Figure 8's output: per-level latency plus causal metadata overheads."""
-
-    comparison: ComparisonResult
-    metadata_overhead: Dict[str, MetadataOverhead] = field(default_factory=dict)
 
 
 def _build_workload(level: ConsistencyLevel, dag_count: int, populated_keys: int,
@@ -76,7 +57,7 @@ def _run_level(level: ConsistencyLevel, dag_count: int, requests: int,
                clients: int = DEFAULT_CLIENTS,
                propagation_interval_ms: float = DEFAULT_PROPAGATION_INTERVAL_MS,
                anomaly_tracker: Optional[AnomalyTracker] = None
-               ) -> Dict[str, object]:
+               ) -> Tuple[CloudburstCluster, LatencyRecorder]:
     """Drive the §6.2 workload with concurrent clients on the engine.
 
     ``clients`` closed-loop ``CloudburstClient``s issue DAGs through
@@ -110,16 +91,15 @@ def _run_level(level: ConsistencyLevel, dag_count: int, requests: int,
         future.add_done_callback(record)
         return future
 
-    driver = EngineLoadDriver(cluster, request, clients=clients,
-                              max_requests=requests, label=level.short_name)
-    simulation = driver.run()
-    return {"cluster": cluster, "recorder": recorder, "workload": workload,
-            "simulation": simulation}
+    EngineLoadDriver(cluster, request, clients=clients, max_requests=requests,
+                     label=level.short_name).run()
+    return cluster, recorder
 
 
 def _metadata_overhead(cluster: CloudburstCluster, key_prefix: str = "cw-",
-                       sample_limit: int = 2_000) -> MetadataOverhead:
-    """Sample per-key causal metadata sizes from Anna after the run."""
+                       sample_limit: int = 2_000) -> Dict[str, float]:
+    """Median and p99 per-key causal metadata bytes in Anna after the run
+    (§6.2.1: median 624 B, p99 7.1 KB)."""
     sizes: List[int] = []
     for key in cluster.kvs.keys():
         if not key.startswith(key_prefix):
@@ -130,13 +110,8 @@ def _metadata_overhead(cluster: CloudburstCluster, key_prefix: str = "cw-",
         if len(sizes) >= sample_limit:
             break
     if not sizes:
-        return MetadataOverhead()
-    return MetadataOverhead(
-        median_bytes=median(sizes),
-        p99_bytes=percentile(sizes, 99.0),
-        max_bytes=float(max(sizes)),
-        sampled_keys=len(sizes),
-    )
+        return {"median": 0.0, "p99": 0.0}
+    return {"median": round(median(sizes), 1), "p99": round(percentile(sizes, 99.0), 1)}
 
 
 def run_figure8(requests_per_level: int = 2_000, dag_count: int = 100,
@@ -145,7 +120,7 @@ def run_figure8(requests_per_level: int = 2_000, dag_count: int = 100,
                 clients: int = DEFAULT_CLIENTS,
                 propagation_interval_ms: float = DEFAULT_PROPAGATION_INTERVAL_MS,
                 levels: Sequence[ConsistencyLevel] = tuple(ConsistencyLevel)
-                ) -> ConsistencyLatencyResult:
+                ) -> dict:
     """Per-DAG latency (normalised by DAG depth) under each consistency level.
 
     ``clients`` concurrent sessions per level with Anna propagating updates
@@ -154,18 +129,23 @@ def run_figure8(requests_per_level: int = 2_000, dag_count: int = 100,
     remote-fetch slow paths and therefore what separates the tail latencies
     in this figure.
     """
-    comparison = ComparisonResult(
-        title="Figure 8: DAG latency by consistency level (normalised by DAG depth)")
-    overheads: Dict[str, MetadataOverhead] = {}
+    recorders = []
+    overheads: Dict[str, Dict[str, float]] = {}
     for offset, level in enumerate(levels):
-        outcome = _run_level(level, dag_count=dag_count, requests=requests_per_level,
-                             populated_keys=populated_keys, executor_vms=executor_vms,
-                             seed=seed + offset, clients=clients,
-                             propagation_interval_ms=propagation_interval_ms)
-        comparison.add(outcome["recorder"])
+        cluster, recorder = _run_level(
+            level, dag_count=dag_count, requests=requests_per_level,
+            populated_keys=populated_keys, executor_vms=executor_vms,
+            seed=seed + offset, clients=clients,
+            propagation_interval_ms=propagation_interval_ms)
+        recorders.append(recorder)
         if level.is_causal:
-            overheads[level.short_name] = _metadata_overhead(outcome["cluster"])
-    return ConsistencyLatencyResult(comparison=comparison, metadata_overhead=overheads)
+            overheads[level.short_name] = _metadata_overhead(cluster)
+    return {"figure8_consistency": {
+        "clients": clients,
+        "propagation_interval_ms": propagation_interval_ms,
+        "levels": systems(*recorders),
+        "metadata_overhead_bytes": overheads,
+    }}
 
 
 def run_table2(executions: int = 4_000, dag_count: int = 100,
@@ -173,7 +153,7 @@ def run_table2(executions: int = 4_000, dag_count: int = 100,
                seed: int = 0,
                clients: int = 2 * DEFAULT_CLIENTS,
                propagation_interval_ms: float = DEFAULT_PROPAGATION_INTERVAL_MS
-               ) -> AnomalyReport:
+               ) -> dict:
     """Run the workload under LWW and count would-be anomalies per level.
 
     The anomalies come from genuinely concurrent sessions interleaving on
@@ -187,4 +167,14 @@ def run_table2(executions: int = 4_000, dag_count: int = 100,
                populated_keys=populated_keys, executor_vms=executor_vms, seed=seed,
                anomaly_tracker=tracker, clients=clients,
                propagation_interval_ms=propagation_interval_ms)
-    return tracker.report
+    report = tracker.report
+    return {"table2_anomalies": {
+        "clients": clients,
+        "propagation_interval_ms": propagation_interval_ms,
+        "executions": report.executions,
+        "anomalies": report.as_row(),
+        "multi_key_additional": report.multi_key_additional,
+        "distributed_session_additional": report.distributed_session_additional,
+        # Single source of truth: AnomalyReport.invariant_violations (§6.2.2).
+        "invariant_violations": report.invariant_violations(),
+    }}

@@ -101,7 +101,6 @@ def _run_fault_class(fault: str, seed: int, request_count: int, clients: int,
                      seed_tweet_count: int, mean_interval_ms: float,
                      downtime_ms: float, tick_interval_ms: float,
                      propagation_interval_ms: float,
-                     include_journals: bool,
                      durable_dir: Optional[Union[str, Path]] = None,
                      memory_capacity_keys: Optional[int] = None) -> Dict[str, Any]:
     """One LWW retwis run with a single fault class enabled."""
@@ -157,7 +156,7 @@ def _run_fault_class(fault: str, seed: int, request_count: int, clients: int,
         plane.stop()
 
     report = tracker.report
-    result: Dict[str, Any] = {
+    return {
         "fault": fault,
         "requests": driver.issued,
         "completed": driver.completed,
@@ -179,11 +178,10 @@ def _run_fault_class(fault: str, seed: int, request_count: int, clients: int,
         "timeline_signature": [list(entry)
                                for entry in plane.timeline_signature()],
         "durable": cluster.kvs.durable_stats(),
+        # Per-session state transitions of every scheduler: the figure
+        # registry moves them out of the snapshot into their own file.
+        "journals": [scheduler.journal.to_dict() for scheduler in cluster.schedulers],
     }
-    if include_journals:
-        result["journals"] = [scheduler.journal.to_dict()
-                              for scheduler in cluster.schedulers]
-    return result
 
 
 def run_fault_recovery(seed: int = 7, request_count: int = 160,
@@ -196,7 +194,6 @@ def run_fault_recovery(seed: int = 7, request_count: int = 160,
                        propagation_interval_ms: float = 50.0,
                        fault_classes: Sequence[str] = FAULT_CLASSES,
                        determinism_check: bool = True,
-                       include_journals: bool = False,
                        durable_dir: Optional[Union[str, Path]] = None,
                        memory_capacity_keys: Optional[int] = None) -> Dict[str, Any]:
     """Run retwis under each fault class; returns the ``fault_recovery`` section.
@@ -204,7 +201,9 @@ def run_fault_recovery(seed: int = 7, request_count: int = 160,
     Each class gets its own seeded run (seed offset per class so schedules
     never alias); ``determinism_check`` re-runs the first class with the same
     seed and asserts the fault timeline *and* the anomaly counters replay
-    identically — the bench-gate check for the seeded fault schedules.
+    identically — the bench-gate check for the seeded fault schedules.  Each
+    class entry also carries its schedulers' session ``journals``, which the
+    figure registry writes to ``BENCH_fault_journals.json``, not the snapshot.
 
     ``durable_dir`` switches the storage nodes onto real SQLite/WAL cold
     tiers (one fresh database per fault class under that directory) and turns
@@ -218,7 +217,7 @@ def run_fault_recovery(seed: int = 7, request_count: int = 160,
             fault, class_seed, request_count, clients, executor_vms,
             scheduler_count, user_count, seed_tweet_count, mean_interval_ms,
             downtime_ms, tick_interval_ms, propagation_interval_ms,
-            include_journals, durable_dir=durable_dir,
+            durable_dir=durable_dir,
             memory_capacity_keys=memory_capacity_keys)
 
     classes: Dict[str, Dict[str, Any]] = {}

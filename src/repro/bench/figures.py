@@ -1,11 +1,11 @@
 """The paper's evaluation (§6) as data: each snapshot section declared once.
 
 A :class:`Figure` holds everything about one experiment: the ``run_*``
-function and its keyword arguments at each scale, the builder that turns the
-result into ``BENCH_throughput.json`` sections, the gate those sections must
-pass, and the table printed for them — with the paper's own numbers beside
-the measured ones.  :data:`FIGURES` is the whole evaluation; three callers
-read it and declare nothing of their own:
+function and its keyword arguments at each scale, the gate its
+``BENCH_throughput.json`` sections must pass, and the table printed for them
+— with the paper's own numbers beside the measured ones.  Every run returns
+its sections itself, as ``{name: section}``.  :data:`FIGURES` is the whole
+evaluation; three callers read it and declare nothing of their own:
 
 * ``benchmarks/run_all.py`` records every entry at ``quick``, ``reduced``
   or ``full`` into the snapshot and exits nonzero on :func:`gate_errors`;
@@ -22,6 +22,7 @@ without running anything.  Section layouts are documented in
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,12 +31,7 @@ from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 from ..cloudburst.monitoring import MonitoringConfig
 from ..obs import Tracer, write_chrome_trace, write_span_dump
 from ..sim import format_table
-from .ablations import (
-    run_caching_ablation,
-    run_hot_key_replication_ablation,
-    run_messaging_ablation,
-    run_scheduling_ablation,
-)
+from .ablations import run_ablations
 from .casestudies import run_figure9, run_figure10, run_figure11, run_figure12
 from .consistency_bench import run_figure8, run_table2
 from .enginebench import engine_throughput_errors, run_engine_micro
@@ -53,39 +49,28 @@ Payload = Dict[str, Any]
 
 
 @dataclass(frozen=True)
-class Run:
-    """What a section builder knows besides the result it is given.
-
-    ``wall_seconds`` is the reported leaf (rounded); ``cpu_s`` is the
-    process CPU time of the run, which host-speed rows divide by.
-    """
-
-    kwargs: Dict[str, Any]
-    wall_seconds: float
-    cpu_s: float
-    out_dir: Path
-
-
-@dataclass(frozen=True)
 class Figure:
     """One experiment of §6 and the snapshot section(s) it produces.
 
-    ``budgets`` and ``limits`` map a scale to the run's keyword arguments and
-    the gate's thresholds; the key ``"*"`` stands for every scale not named.
+    ``run(seed=..., **kwargs)`` returns exactly ``sections``.  ``budgets``
+    and ``limits`` map a scale to the run's keyword arguments and the gate's
+    thresholds; the key ``"*"`` stands for every scale not named.
     ``common`` holds the keyword arguments every scale shares unless its
     budget overrides them.  ``notes`` follow the printed table (see
-    :meth:`table`).
+    :meth:`table`).  ``files`` names what the run writes next to the
+    snapshot; a run that writes files is also given the snapshot's
+    directory as ``out_dir``.
     """
 
     title: str
     sections: Tuple[str, ...]
-    run: Callable[..., Any]
-    build: Callable[[Any, Run], Payload]
+    run: Callable[..., Payload]
     gate: Callable[[Payload, Dict[str, Any]], List[str]]
     budgets: Mapping[str, Mapping[str, Any]]
     notes: Tuple[Any, ...] = ()
     common: Mapping[str, Any] = field(default_factory=dict)
     limits: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
+    files: Tuple[str, ...] = ()
 
     def kwargs(self, scale: str) -> Dict[str, Any]:
         return {**self.common, **_at(self.budgets, scale)}
@@ -95,12 +80,15 @@ class Figure:
         return {**self.kwargs(scale), **_at(self.limits, scale)}
 
     def record(self, scale: str, seed: int, out_dir: Path) -> Payload:
-        """Run the experiment at ``scale``; returns its snapshot sections."""
+        """Run the experiment at ``scale``; returns its snapshot sections,
+        the first stamped with the run's ``wall_seconds``."""
         kwargs = self.kwargs(scale)
-        wall, cpu = time.time(), time.process_time()
-        result = self.run(seed=seed, **kwargs)
-        return self.build(result, Run(kwargs, round(time.time() - wall, 2),
-                                      time.process_time() - cpu, Path(out_dir)))
+        if self.files:
+            kwargs["out_dir"] = Path(out_dir)
+        started = time.time()
+        sections = self.run(seed=seed, **kwargs)
+        sections[self.sections[0]]["wall_seconds"] = round(time.time() - started, 2)
+        return sections
 
     def errors(self, payload: Payload, scale: str) -> List[str]:
         return self.gate(payload, self.params(scale))
@@ -135,17 +123,7 @@ def _at(per_scale: Mapping[str, Mapping[str, Any]], scale: str) -> Mapping[str, 
     return per_scale.get(scale, per_scale.get("*", {}))
 
 
-# -- shared pieces of builders, gates and tables ------------------------------------
-def _summary(recorder) -> dict:
-    stats = recorder.summary()
-    return {"count": stats.count, "median_ms": round(stats.median_ms, 3),
-            "p99_ms": round(stats.p99_ms, 3)}
-
-
-def _systems(comparison) -> dict:
-    return {label: _summary(recorder) for label, recorder in comparison.recorders.items()}
-
-
+# -- shared pieces of gates and tables ----------------------------------------------
 def _medians(systems: dict) -> Dict[str, float]:
     return {name: stats["median_ms"] for name, stats in systems.items()}
 
@@ -189,14 +167,6 @@ def _lookup(node: dict, path: str) -> dict:
     return node
 
 
-def _comparison_section(name: str, **extra) -> Callable[[Any, Run], Payload]:
-    """Builder for a run that returns one ``ComparisonResult``."""
-    def build(result, run: Run) -> Payload:
-        return {name: {**extra, "systems": _systems(result),
-                       "wall_seconds": run.wall_seconds}}
-    return build
-
-
 # -- Figure 1: function composition ---------------------------------------------------
 def _figure1_errors(payload: Payload, params: dict) -> List[str]:
     m = _medians(payload["figure1_composition"]["systems"])
@@ -212,14 +182,6 @@ def _figure1_errors(payload: Payload, params: dict) -> List[str]:
 # -- Figure 5: data locality ----------------------------------------------------------
 _HOT, _COLD, _REDIS, _S3 = ("Cloudburst (Hot)", "Cloudburst (Cold)",
                             "Lambda (Redis)", "Lambda (S3)")
-
-
-def _figure5_section(sweep, run: Run) -> Payload:
-    return {"figure5_locality": {
-        "driver": "engine",
-        "sizes": {label: _systems(point) for label, point in sweep.points.items()},
-        "wall_seconds": run.wall_seconds,
-    }}
 
 
 def _figure5_errors(payload: Payload, params: dict) -> List[str]:
@@ -245,55 +207,29 @@ def _figure6_errors(payload: Payload, params: dict) -> List[str]:
 
 
 # -- Figure 7: autoscaling, and the observability plane riding on its tracer ----------
-def _run_figure7(seed: int, sample_rate: float, **kwargs):
+_SPAN_DUMP, _CHROME_TRACE = "BENCH_spans_fig7.json", "BENCH_trace_fig7.json"
+
+
+def _run_figure7(seed: int, out_dir: Path, sample_rate: float, **kwargs) -> Payload:
     # Sampling is deterministic error diffusion and spans never charge the
     # virtual clocks, so the traced run's latencies are the ones gated.
     tracer = Tracer(sample_rate=sample_rate)
-    return run_figure7(seed=seed, tracer=tracer, **kwargs), tracer
-
-
-def _figure7_section(result, run: Run) -> Payload:
-    experiment, tracer = result
-    sim = experiment.simulation
-    overhead = experiment.index_overhead
-    section = {
-        "initial_threads": experiment.initial_threads,
-        "clients": experiment.client_count,
-        "requests_per_s": round(sim.overall_throughput_per_s, 2),
-        "peak_requests_per_s": round(experiment.peak_throughput_per_s, 2),
-        "completed_requests": sim.completed_requests,
-        "capacity_timeline": sim.capacity_timeline,
-        "throughput_curve": [[p.time_s, p.requests_per_s, p.allocated_threads]
-                             for p in sim.throughput_curve],
-        "latency": _summary(sim.latencies),
-        "storage": experiment.storage_stats,
-        "storage_node_timeline": list(experiment.storage_node_timeline),
-        "controlplane": (experiment.control_plane.snapshot()
-                         if experiment.control_plane else None),
-        # §6.1.4: per-key cache-index overhead on a live 8-cache cluster.
-        "index_overhead": {"median_bytes": overhead.median_bytes,
-                           "p99_bytes": overhead.p99_bytes,
-                           "max_bytes": overhead.max_bytes,
-                           "tracked_keys": overhead.tracked_keys},
-        "wall_seconds": run.wall_seconds,
-    }
-    trace_ids = tracer.trace_ids()
-    span_path = write_span_dump(
-        run.out_dir / "BENCH_spans_fig7.json", tracer,
-        meta={"source": "figure7", "sample_rate": tracer.sample_rate,
-              "traces": len(trace_ids)})
-    chrome_path = write_chrome_trace(run.out_dir / "BENCH_trace_fig7.json", tracer)
-    observability = {
+    sections = run_figure7(seed=seed, tracer=tracer, **kwargs)
+    traces = len(tracer.trace_ids())
+    write_span_dump(out_dir / _SPAN_DUMP, tracer, meta={
+        "source": "figure7", "sample_rate": tracer.sample_rate, "traces": traces})
+    write_chrome_trace(out_dir / _CHROME_TRACE, tracer)
+    sections["observability"] = {
         "source": "figure7",
         "sample_rate": tracer.sample_rate,
-        "traces": len(trace_ids),
+        "traces": traces,
         "spans": len(tracer),
         "orphan_spans": len(tracer.orphan_spans()),
         "tiers": sorted(tracer.tiers()),
-        "span_dump": span_path.name,
-        "chrome_trace": chrome_path.name,
+        "span_dump": _SPAN_DUMP,
+        "chrome_trace": _CHROME_TRACE,
     }
-    return {"figure7_autoscaling": section, "observability": observability}
+    return sections
 
 
 def _figure7_errors(payload: Payload, params: dict) -> List[str]:
@@ -338,18 +274,6 @@ def _figure7_errors(payload: Payload, params: dict) -> List[str]:
 
 
 # -- Figure 8 and Table 2: consistency levels -----------------------------------------
-def _figure8_section(result, run: Run) -> Payload:
-    return {"figure8_consistency": {
-        "clients": run.kwargs["clients"],
-        "propagation_interval_ms": run.kwargs["propagation_interval_ms"],
-        "levels": _systems(result.comparison),
-        "metadata_overhead_bytes": {
-            level: {"median": round(oh.median_bytes, 1), "p99": round(oh.p99_bytes, 1)}
-            for level, oh in result.metadata_overhead.items()},
-        "wall_seconds": run.wall_seconds,
-    }}
-
-
 def _figure8_errors(payload: Payload, params: dict) -> List[str]:
     fig8 = payload["figure8_consistency"]
     medians = _medians(fig8["levels"]).values()
@@ -361,20 +285,6 @@ def _figure8_errors(payload: Payload, params: dict) -> List[str]:
         ("MK p99 >= 0.8x SK p99", p99["MK"] >= p99["SK"] * 0.8),
         ("DSC metadata p99 >= its median", dsc["p99"] >= dsc["median"]),
     ])
-
-
-def _table2_section(report, run: Run) -> Payload:
-    return {"table2_anomalies": {
-        "clients": run.kwargs["clients"],
-        "propagation_interval_ms": run.kwargs["propagation_interval_ms"],
-        "executions": report.executions,
-        "anomalies": report.as_row(),
-        "multi_key_additional": report.multi_key_additional,
-        "distributed_session_additional": report.distributed_session_additional,
-        # Single source of truth: AnomalyReport.invariant_violations (§6.2.2).
-        "invariant_violations": report.invariant_violations(),
-        "wall_seconds": run.wall_seconds,
-    }}
 
 
 def _table2_errors(payload: Payload, params: dict) -> List[str]:
@@ -397,15 +307,6 @@ def _figure9_errors(payload: Payload, params: dict) -> List[str]:
 _LWW, _CAUSAL = "Cloudburst (LWW)", "Cloudburst (Causal)"
 
 
-def _figure11_section(result, run: Run) -> Payload:
-    return {"figure11_retwis": {
-        "systems": _systems(result.comparison),
-        "anomaly_rate": {_LWW: result.anomaly_rate_lww,
-                         _CAUSAL: result.anomaly_rate_causal},
-        "wall_seconds": run.wall_seconds,
-    }}
-
-
 def _figure11_errors(payload: Payload, params: dict) -> List[str]:
     fig11 = payload["figure11_retwis"]
     m, rate = _medians(fig11["systems"]), fig11["anomaly_rate"]
@@ -417,23 +318,6 @@ def _figure11_errors(payload: Payload, params: dict) -> List[str]:
 
 # -- Figures 10 and 12: scaling sweeps ------------------------------------------------
 _THREAD_COUNTS = (10, 20, 40, 80, 160)
-
-
-def _scaling_section(name: str) -> Callable[[Any, Run], Payload]:
-    def build(result, run: Run) -> Payload:
-        requests = run.kwargs["requests_per_point"]
-        return {name: {
-            "requests_per_point": requests,
-            # Host speed of the whole sweep (set-up included) in simulated
-            # requests per CPU-second: the ledger's trend row for the simulator.
-            "sim_requests_per_cpu_s": round(len(result.points) * requests / run.cpu_s, 2),
-            "points": [{"threads": p.threads, "clients": p.clients,
-                        "requests_per_s": round(p.throughput_per_s, 2),
-                        "median_ms": round(p.median_ms, 3), "p99_ms": round(p.p99_ms, 3)}
-                       for p in result.points],
-            "wall_seconds": run.wall_seconds,
-        }}
-    return build
 
 
 def _scaling_errors(name: str, label: str) -> Callable[[Payload, dict], List[str]]:
@@ -457,31 +341,6 @@ def _scaling_errors(name: str, label: str) -> Callable[[Payload, dict], List[str
 
 
 # -- Ablations of DESIGN.md's choices (not paper figures) -----------------------------
-def _run_ablations(seed: int, scheduling: dict, caching: dict,
-                   hot_key_replication: dict, messaging: dict):
-    return (run_scheduling_ablation(seed=seed, **scheduling),
-            run_caching_ablation(seed=seed, **caching),
-            run_hot_key_replication_ablation(seed=seed, **hot_key_replication),
-            run_messaging_ablation(seed=seed, **messaging))
-
-
-def _ablations_section(result, run: Run) -> Payload:
-    scheduling, caching, replication, messaging = result
-    return {"ablations": {
-        "scheduling": {"systems": _systems(scheduling.comparison),
-                       "hit_rate": {"Locality scheduling": scheduling.hit_rate_locality,
-                                    "Random placement": scheduling.hit_rate_random}},
-        "caching": {"systems": _systems(caching)},
-        "hot_key_replication": {
-            "caches_with_hot_key": {
-                "backpressure": replication.caches_with_hot_key_backpressure,
-                "no_backpressure": replication.caches_with_hot_key_no_backpressure},
-            "total_caches": replication.total_caches},
-        "messaging": {"systems": _systems(messaging)},
-        "wall_seconds": run.wall_seconds,
-    }}
-
-
 def _ablations_errors(payload: Payload, params: dict) -> List[str]:
     section = payload["ablations"]
     hits = section["scheduling"]["hit_rate"]
@@ -500,12 +359,16 @@ def _ablations_errors(payload: Payload, params: dict) -> List[str]:
 
 
 # -- §4.5 fault recovery --------------------------------------------------------------
-def _run_fault_recovery(seed: int, **kwargs):
-    return run_fault_recovery(seed=seed + 7, **kwargs)
+_JOURNALS = "BENCH_fault_journals.json"
 
 
-def _fault_section(section, run: Run) -> Payload:
-    return {"fault_recovery": {**section, "wall_seconds": run.wall_seconds}}
+def _run_fault_recovery(seed: int, out_dir: Path, **kwargs) -> Payload:
+    section = run_fault_recovery(seed=seed + 7, **kwargs)
+    # Every scheduler's per-session state transitions, for whoever debugs a
+    # failed oracle: which DAGs were in flight and where their attempts ran.
+    journals = {fault: entry.pop("journals") for fault, entry in section["classes"].items()}
+    (out_dir / _JOURNALS).write_text(json.dumps(journals, indent=2, sort_keys=True) + "\n")
+    return {"fault_recovery": section}
 
 
 # -- the engine microbenchmark --------------------------------------------------------
@@ -534,7 +397,7 @@ _FIG7_SMALL = dict(initial_threads=6, client_count=12, load_duration_s=20.0,
 FIGURES: Tuple[Figure, ...] = (
     Figure(
         "Figure 1 (function composition)", ("figure1_composition",),
-        run_figure1, _comparison_section("figure1_composition"), _figure1_errors,
+        run_figure1, _figure1_errors,
         budgets={"smoke": dict(requests=40), "*": dict(requests=1_000)},
         notes=(("systems", "Cloudburst", "Dask", "comparable"),
                ("systems", "Cloudburst", "SAND", "~10x"),
@@ -543,7 +406,7 @@ FIGURES: Tuple[Figure, ...] = (
                "paper: Cloudburst 1-3 orders of magnitude ahead of commercial FaaS")),
     Figure(
         "Figure 5 (data locality, queueing storage nodes)", ("figure5_locality",),
-        run_figure5, _figure5_section, _figure5_errors,
+        run_figure5, _figure5_errors,
         common=dict(sizes=("8MB", "80MB")),
         budgets={"smoke": dict(requests_per_size=8), "quick": dict(requests_per_size=8),
                  "reduced": dict(requests_per_size=20),
@@ -555,8 +418,7 @@ FIGURES: Tuple[Figure, ...] = (
                ("sizes/80MB", _HOT, _S3, "~24x @80MB"))),
     Figure(
         "Figure 6 (gossip vs gather, queueing storage nodes)", ("figure6_aggregation",),
-        run_figure6, _comparison_section("figure6_aggregation", driver="engine"),
-        _figure6_errors,
+        run_figure6, _figure6_errors,
         budgets={"smoke": dict(repetitions=8), "quick": dict(repetitions=10),
                  "reduced": dict(repetitions=30), "full": dict(repetitions=100)},
         notes=(("systems", _GATHER, "Lambda+Redis (gather)", "~22x"),
@@ -566,7 +428,7 @@ FIGURES: Tuple[Figure, ...] = (
     Figure(
         "Figure 7 (autoscaling, engine-driven control plane, traced)",
         ("figure7_autoscaling", "observability"),
-        _run_figure7, _figure7_section, _figure7_errors,
+        _run_figure7, _figure7_errors, files=(_SPAN_DUMP, _CHROME_TRACE),
         common=dict(sample_rate=0.02),
         budgets={"smoke": _FIG7_SMALL, "reduced": _FIG7_SMALL, "full": {},
                  "quick": dict(
@@ -585,7 +447,7 @@ FIGURES: Tuple[Figure, ...] = (
                "scale); cache index median 24 B, p99 1.3 KB on 120 caches (this run: 8)",)),
     Figure(
         "Figure 8 (consistency latency, engine-driven sessions)", ("figure8_consistency",),
-        run_figure8, _figure8_section, _figure8_errors,
+        run_figure8, _figure8_errors,
         common=dict(clients=4, propagation_interval_ms=50.0),
         budgets={
             "smoke": dict(requests_per_level=300, dag_count=25, populated_keys=400,
@@ -600,15 +462,14 @@ FIGURES: Tuple[Figure, ...] = (
                "causal metadata median 624 B, p99 7.1 KB",)),
     Figure(
         "Figure 9 (prediction serving across platforms)", ("figure9_prediction",),
-        run_figure9, _comparison_section("figure9_prediction"), _figure9_errors,
+        run_figure9, _figure9_errors,
         budgets={"smoke": dict(requests=8, image_side=256), "*": dict(requests=50)},
         notes=(("systems", "Python", "Cloudburst", "~1.07x"),
                ("systems", "Cloudburst", "AWS Sagemaker", "~1.6x"),
                ("systems", "Cloudburst", "Lambda (Actual)", "~5x"))),
     Figure(
         "Figure 10 (prediction scaling)", ("figure10_prediction_scaling",),
-        run_figure10, _scaling_section("figure10_prediction_scaling"),
-        _scaling_errors("figure10_prediction_scaling", "fig10"),
+        run_figure10, _scaling_errors("figure10_prediction_scaling", "fig10"),
         budgets={"smoke": dict(thread_counts=(12, 48), requests_per_point=200),
                  "*": dict(thread_counts=_THREAD_COUNTS, requests_per_point=2_000)},
         limits={"smoke": dict(speedups={48: 2.5}, spread=1.5),
@@ -616,7 +477,7 @@ FIGURES: Tuple[Figure, ...] = (
         notes=("paper: throughput near-linear in threads, latency roughly flat",)),
     Figure(
         "Figure 11 (Retwis latency and anomalies)", ("figure11_retwis",),
-        run_figure11, _figure11_section, _figure11_errors,
+        run_figure11, _figure11_errors,
         budgets={
             "smoke": dict(requests=250, user_count=120, seed_tweets=400, executor_vms=3,
                           propagation_interval_ms=300.0),
@@ -630,8 +491,7 @@ FIGURES: Tuple[Figure, ...] = (
                ">60% of LWW timelines show a reply without its original, causal none",)),
     Figure(
         "Figure 12 (Retwis scaling, causal mode)", ("figure12_retwis_scaling",),
-        run_figure12, _scaling_section("figure12_retwis_scaling"),
-        _scaling_errors("figure12_retwis_scaling", "fig12"),
+        run_figure12, _scaling_errors("figure12_retwis_scaling", "fig12"),
         budgets={"smoke": dict(thread_counts=(10, 40), requests_per_point=400,
                                user_count=120, seed_tweets=400),
                  "*": dict(thread_counts=_THREAD_COUNTS, requests_per_point=5_000)},
@@ -640,7 +500,7 @@ FIGURES: Tuple[Figure, ...] = (
         notes=("paper: near-linear, ~30% below ideal at 160 threads; latency +~60%",)),
     Figure(
         "Table 2 (anomaly counts, engine-driven sessions)", ("table2_anomalies",),
-        run_table2, _table2_section, _table2_errors,
+        run_table2, _table2_errors,
         common=dict(clients=8, propagation_interval_ms=50.0),
         budgets={
             "smoke": dict(executions=400, dag_count=25, populated_keys=200, executor_vms=3),
@@ -652,7 +512,7 @@ FIGURES: Tuple[Figure, ...] = (
         notes=("paper (4,000 executions): LWW 0, SK 904, MK 939, DSC 1043, DSRR 46",)),
     Figure(
         "Ablations (locality, caches, hot-key replication, messaging)", ("ablations",),
-        _run_ablations, _ablations_section, _ablations_errors,
+        run_ablations, _ablations_errors,
         budgets={
             "smoke": dict(scheduling=dict(requests=40, size_label="800KB", executor_vms=5),
                           caching=dict(requests=30, size_label="800KB"),
@@ -663,8 +523,9 @@ FIGURES: Tuple[Figure, ...] = (
                       messaging=dict(messages=500))}),
     Figure(
         "Fault recovery (Retwis under injected failures, §4.5 oracle)", ("fault_recovery",),
-        _run_fault_recovery, _fault_section,
+        _run_fault_recovery,
         lambda payload, params: fault_recovery_errors(payload.get("fault_recovery")),
+        files=(_JOURNALS,),
         # Seed 1 + 7's default 20 ms fault schedule never crashes a scheduler
         # with a DAG in flight (a vacuous run fails the oracle): smoke doubles
         # the fault rate.
@@ -673,8 +534,7 @@ FIGURES: Tuple[Figure, ...] = (
                  "reduced": dict(request_count=200), "full": dict(request_count=400)}),
     Figure(
         "Engine microbenchmark (events/sec floor)", ("engine_throughput",),
-        lambda seed: run_engine_micro(), lambda section, run: {"engine_throughput": section},
-        _engine_errors,
+        lambda seed: {"engine_throughput": run_engine_micro()}, _engine_errors,
         budgets={"*": {}},
         limits={"smoke": dict(host_floors=False), "*": dict(host_floors=True)}),
 )

@@ -1,9 +1,11 @@
-"""Shared benchmark plumbing: load drivers and result tables.
+"""Shared benchmark plumbing: load drivers and latency summaries.
 
 * :func:`run_closed_loop` — a plain loop of requests, one after another.  It
   measures the simulated baselines (each request on a fresh zero-based
   clock) and top-level Cloudburst loops, which ride the cluster's clock:
   every ``cloud.call`` starts where the previous one completed.
+  :func:`systems` turns recorders into the ``{system: latency summary}``
+  dict a snapshot section reports.
 * :class:`EngineLoadDriver` — the multi-client driver used by the throughput
   and consistency figures (5, 6, 7, 8, 10, 12, Table 2): the driver
   constructs one :class:`~repro.cloudburst.client.CloudburstClient` per
@@ -19,7 +21,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from ..cloudburst.controlplane import ComputeControlPlane
@@ -36,6 +37,18 @@ def run_closed_loop(label: str, request_fn: Callable[[int], float],
     for index in range(requests):
         recorder.record(request_fn(index))
     return recorder
+
+
+def latency_summary(recorder: LatencyRecorder) -> dict:
+    """A recorder as a snapshot leaf: request count, median and p99 (ms)."""
+    stats = recorder.summary()
+    return {"count": stats.count, "median_ms": round(stats.median_ms, 3),
+            "p99_ms": round(stats.p99_ms, 3)}
+
+
+def systems(*recorders: LatencyRecorder) -> dict:
+    """``{label: latency_summary}`` — a section's comparison of systems."""
+    return {recorder.label: latency_summary(recorder) for recorder in recorders}
 
 
 #: Signature of a driver request: ``(cloud, ctx, request_index)`` where
@@ -76,8 +89,8 @@ class EngineLoadDriver:
     pin migration) runs as recurring engine events alongside the workload.
 
     A run starts wherever the cluster's virtual time stands once it has
-    settled (see :meth:`run`); ``start_ms``, ``stop_ms`` and
-    ``max_duration_ms`` count from there, and so does everything the
+    settled (see :meth:`run`); ``stop_ms`` and ``max_duration_ms`` count
+    from there, and so does everything the
     returned :class:`SimulationResult` reports.  Settling fires whatever is
     already queued on the engine, so anything meant to happen *during* the
     run is scheduled from the run itself (a control plane, the first request).
@@ -85,7 +98,6 @@ class EngineLoadDriver:
 
     def __init__(self, cluster, request_fn: DriverRequestFn, *,
                  clients: int = 1,
-                 start_ms: float = 0.0,
                  stop_ms: Optional[float] = None,
                  max_requests: Optional[int] = None,
                  max_duration_ms: float = float("inf"),
@@ -105,7 +117,6 @@ class EngineLoadDriver:
         self.cluster = cluster
         self.request_fn = request_fn
         self.clients = clients
-        self.start_ms = start_ms
         self.stop_ms = stop_ms
         self.max_requests = max_requests
         self.max_duration_ms = max_duration_ms
@@ -173,8 +184,7 @@ class EngineLoadDriver:
             self._initial_capacity = self._live_thread_count()
             for client in range(self.clients):
                 self._active[client] = True
-                engine.at(origin + self.start_ms,
-                          lambda cid=client: self._client_arrival(cid))
+                engine.at(origin, lambda cid=client: self._client_arrival(cid))
                 if self.stop_ms is not None:
                     engine.at(origin + self.stop_ms,
                               lambda cid=client: self._stop_client(cid))
@@ -316,21 +326,6 @@ class EngineLoadDriver:
         )
 
 
-def run_engine_closed_loop(cluster, request_fn: DriverRequestFn, *,
-                           clients: int, total_requests: int,
-                           label: str = "engine-closed-loop",
-                           throughput_bucket_ms: float = 1_000.0,
-                           record_charges: bool = True,
-                           keep_latency_samples: bool = True) -> SimulationResult:
-    """Closed-loop clients through the real stack until a request budget."""
-    driver = EngineLoadDriver(
-        cluster, request_fn, clients=clients,
-        max_requests=total_requests, throughput_bucket_ms=throughput_bucket_ms,
-        record_charges=record_charges,
-        keep_latency_samples=keep_latency_samples, label=label)
-    return driver.run()
-
-
 def build_cluster_with_threads(total_threads: int, threads_per_vm: int = 3,
                                cluster_factory=None, **cluster_kwargs):
     """Build a cluster with an exact executor-thread total.
@@ -352,28 +347,3 @@ def build_cluster_with_threads(total_threads: int, threads_per_vm: int = 3,
     if remainder:
         cluster.add_vm(threads=remainder)
     return cluster
-
-
-@dataclass
-class ComparisonResult:
-    """Latency recorders for several systems under one workload."""
-
-    title: str
-    recorders: Dict[str, LatencyRecorder] = field(default_factory=dict)
-
-    def add(self, recorder: LatencyRecorder) -> None:
-        self.recorders[recorder.label] = recorder
-
-    def median(self, label: str) -> float:
-        return self.recorders[label].summary().median_ms
-
-
-@dataclass
-class SweepResult:
-    """Results of a parameter sweep (one ComparisonResult per sweep point)."""
-
-    title: str
-    points: Dict[str, ComparisonResult] = field(default_factory=dict)
-
-    def add(self, point: str, result: ComparisonResult) -> None:
-        self.points[point] = result

@@ -1,9 +1,10 @@
 """Mechanism microbenchmarks: Figures 1, 5, 6 and 7 (§6.1).
 
 Each ``run_figure*`` function is self-contained: it builds the systems under
-test, drives the workload, and returns structured results that the figure
-registry (:mod:`repro.bench.figures`) records, gates and prints.  Parameters
-default to paper-scale values; the registry declares the smaller budgets.
+test, drives the workload, and returns its ``BENCH_throughput.json`` section
+as ``{name: section}``, which the figure registry (:mod:`repro.bench.figures`)
+records, gates and prints.  Parameters default to paper-scale values; the
+registry declares the smaller budgets.
 
 The Cloudburst sides of Figures 5 and 6 run through
 :class:`~repro.bench.harness.EngineLoadDriver`: concurrent closed-loop
@@ -18,15 +19,9 @@ storage-node model: each of their requests runs on a fresh zero-based clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-
-from ..anna import (
-    IndexOverhead,
-    StorageAutoscaler,
-    StorageAutoscalerConfig,
-)
+from ..anna import StorageAutoscaler, StorageAutoscalerConfig
 from ..apps.gossip import GatherAggregation, GossipAggregation
 from ..baselines import (
     DaskCluster,
@@ -41,13 +36,7 @@ from ..baselines import (
 from ..cloudburst import CloudburstCluster, CloudburstReference
 from ..cloudburst.controlplane import ComputeControlPlane
 from ..cloudburst.monitoring import MonitoringConfig
-from ..sim import (
-    LatencyModel,
-    RandomSource,
-    RequestContext,
-    SimulationResult,
-    ZipfGenerator,
-)
+from ..sim import LatencyModel, RandomSource, RequestContext, ZipfGenerator
 from ..workloads.arrays import (
     ELEMENTS_PER_ARRAY,
     FIGURE5_TOTAL_SIZES,
@@ -57,12 +46,11 @@ from ..workloads.arrays import (
     sum_arrays_with_library,
 )
 from .harness import (
-    ComparisonResult,
     EngineLoadDriver,
-    SweepResult,
     build_cluster_with_threads,
+    latency_summary,
     run_closed_loop,
-    run_engine_closed_loop,
+    systems,
 )
 
 
@@ -77,10 +65,12 @@ def _square(x: int) -> int:
     return x * x
 
 
-def run_figure1(requests: int = 1000, seed: int = 0) -> ComparisonResult:
-    """square(increment(x)) on Cloudburst, Dask, SAND, Lambda variants, Step Functions."""
-    result = ComparisonResult(title="Figure 1: function composition latency "
-                                    "(median / p99 over serial requests)")
+def run_figure1(requests: int = 1000, seed: int = 0) -> dict:
+    """square(increment(x)) on Cloudburst, Dask, SAND, Lambda variants, Step Functions.
+
+    Median / p99 over serial requests, per platform.
+    """
+    recorders = []
     rng = RandomSource(seed)
     shared_model = LatencyModel(rng.spawn("baselines"))
 
@@ -92,10 +82,10 @@ def run_figure1(requests: int = 1000, seed: int = 0) -> ComparisonResult:
     cloud.register_dag("composition", ["increment", "square"],
                        [("increment", "square")])
 
-    result.add(run_closed_loop(
+    recorders.append(run_closed_loop(
         "Cloudburst", lambda i: cloud.call_dag(
             "composition", {"increment": [i]}, store_in_kvs=True).latency_ms, requests))
-    result.add(run_closed_loop(
+    recorders.append(run_closed_loop(
         "CB (Single)", lambda i: cloud.call(
             "square", [i], store_in_kvs=True).latency_ms, requests))
 
@@ -109,7 +99,7 @@ def run_figure1(requests: int = 1000, seed: int = 0) -> ComparisonResult:
         dask.run_pipeline(["increment", "square"], i, ctx)
         return ctx.clock.now_ms
 
-    result.add(run_closed_loop("Dask", dask_request, requests))
+    recorders.append(run_closed_loop("Dask", dask_request, requests))
 
     sand = SandPlatform(shared_model, rng=rng.spawn("sand"))
     sand.register(_increment, "increment")
@@ -120,7 +110,7 @@ def run_figure1(requests: int = 1000, seed: int = 0) -> ComparisonResult:
         sand.run_pipeline(["increment", "square"], i, ctx)
         return ctx.clock.now_ms
 
-    result.add(run_closed_loop("SAND", sand_request, requests))
+    recorders.append(run_closed_loop("SAND", sand_request, requests))
 
     # -- AWS Lambda variants --------------------------------------------------------------
     platform = SimulatedLambda(shared_model, rng=rng.spawn("lambda"))
@@ -138,19 +128,19 @@ def run_figure1(requests: int = 1000, seed: int = 0) -> ComparisonResult:
         runner(["increment", "square"], i, ctx)
         return ctx.clock.now_ms
 
-    result.add(run_closed_loop(
+    recorders.append(run_closed_loop(
         "Lambda", lambda i: lambda_request(direct.run_direct, i), requests))
-    result.add(run_closed_loop(
+    recorders.append(run_closed_loop(
         "Lambda (Single)", lambda i: lambda_request(
             lambda fns, arg, ctx: platform.invoke("square", (arg,), ctx), i), requests))
-    result.add(run_closed_loop(
+    recorders.append(run_closed_loop(
         "Lambda + S3", lambda i: lambda_request(via_s3.run_through_storage, i), requests))
-    result.add(run_closed_loop(
+    recorders.append(run_closed_loop(
         "Lambda + Dynamo",
         lambda i: lambda_request(via_dynamo.run_through_storage, i), requests))
-    result.add(run_closed_loop(
+    recorders.append(run_closed_loop(
         "Step Functions", lambda i: lambda_request(step_functions.execute, i), requests))
-    return result
+    return {"figure1_composition": {"systems": systems(*recorders)}}
 
 
 # --------------------------------------------------------------------------------------
@@ -165,22 +155,22 @@ DEFAULT_MICRO_CLIENTS = 3
 def run_figure5(requests_per_size: int = 100,
                 sizes: Sequence[str] = FIGURE5_TOTAL_SIZES,
                 seed: int = 0,
-                clients: int = DEFAULT_MICRO_CLIENTS) -> SweepResult:
-    """Cloudburst hot/cold caches vs Lambda over ElastiCache (Redis) and S3."""
-    sweep = SweepResult(title="Figure 5: data locality (sum of 10 arrays)")
+                clients: int = DEFAULT_MICRO_CLIENTS) -> dict:
+    """Cloudburst hot/cold caches vs Lambda over ElastiCache (Redis) and S3,
+    the sum of 10 arrays at each total input size."""
     rng = RandomSource(seed)
+    by_size = {}
     for label in sizes:
         # Large inputs need fewer repetitions to keep runtime reasonable.
         requests = requests_per_size if ELEMENTS_PER_ARRAY[label] <= 100_000 \
             else max(10, requests_per_size // 5)
-        sweep.add(label, _figure5_one_size(label, requests, rng.spawn(label),
-                                           clients))
-    return sweep
+        by_size[label] = _figure5_one_size(label, requests, rng.spawn(label), clients)
+    return {"figure5_locality": {"driver": "engine", "sizes": by_size}}
 
 
 def _figure5_one_size(label: str, requests: int, rng: RandomSource,
-                      clients: int) -> ComparisonResult:
-    result = ComparisonResult(title=f"Figure 5 @ total input {label}")
+                      clients: int) -> dict:
+    recorders = []
     arrays = make_arrays(label, seed=rng.randint(0, 1 << 16))
     keys = LocalityWorkloadKeys.shared(label)
     elements = sum(int(a.size) for a in arrays)
@@ -206,9 +196,9 @@ def _figure5_one_size(label: str, requests: int, rng: RandomSource,
     cloud.call("sum_arrays", references)
     for label, request in (("Cloudburst (Hot)", hot_request),
                            ("Cloudburst (Cold)", cold_request)):
-        result.add(run_engine_closed_loop(
-            cluster, request, clients=clients, total_requests=requests,
-            label=label).latencies)
+        recorders.append(EngineLoadDriver(
+            cluster, request, clients=clients, max_requests=requests,
+            label=label).run().latencies)
 
     # -- Lambda over Redis and S3 ------------------------------------------------------------
     model = LatencyModel(rng.spawn("lambda-model"))
@@ -233,11 +223,11 @@ def _figure5_one_size(label: str, requests: int, rng: RandomSource,
         platform.invoke("sum_arrays", fetched, ctx, payload_bytes=0)
         return ctx.clock.now_ms
 
-    result.add(run_closed_loop(
+    recorders.append(run_closed_loop(
         "Lambda (Redis)", lambda i: lambda_storage_request(redis, i), requests))
-    result.add(run_closed_loop(
+    recorders.append(run_closed_loop(
         "Lambda (S3)", lambda i: lambda_storage_request(s3, i), requests))
-    return result
+    return systems(*recorders)
 
 
 # --------------------------------------------------------------------------------------
@@ -245,7 +235,7 @@ def _figure5_one_size(label: str, requests: int, rng: RandomSource,
 # --------------------------------------------------------------------------------------
 def run_figure6(repetitions: int = 100, actor_count: int = 10,
                 seed: int = 0,
-                clients: int = DEFAULT_MICRO_CLIENTS) -> ComparisonResult:
+                clients: int = DEFAULT_MICRO_CLIENTS) -> dict:
     """Gossip on Cloudburst vs centralized gather on Cloudburst/Redis/Dynamo/S3.
 
     The two Cloudburst-backed algorithms run as concurrent aggregations on
@@ -253,8 +243,7 @@ def run_figure6(repetitions: int = 100, actor_count: int = 10,
     at real Anna nodes; the Lambda gathers are simulated baselines, one
     request at a time.
     """
-    result = ComparisonResult(
-        title="Figure 6: distributed aggregation latency (10 actors)")
+    recorders = []
     rng = RandomSource(seed)
     cluster = CloudburstCluster(executor_vms=4, threads_per_vm=3, seed=seed)
     gossip = GossipAggregation(cluster, actor_count=actor_count, seed=seed)
@@ -283,44 +272,18 @@ def run_figure6(repetitions: int = 100, actor_count: int = 10,
 
     for label, request in (("Cloudburst (gossip)", gossip_request),
                            ("Cloudburst (gather)", gather_request)):
-        result.add(run_engine_closed_loop(
-            cluster, request, clients=clients, total_requests=repetitions,
-            label=label).latencies)
+        recorders.append(EngineLoadDriver(
+            cluster, request, clients=clients, max_requests=repetitions,
+            label=label).run().latencies)
     for label, gather in lambda_gathers.items():
-        result.add(run_closed_loop(label, lambda i, g=gather: g.run().latency_ms,
-                                   repetitions))
-    return result
+        recorders.append(run_closed_loop(label, lambda i, g=gather: g.run().latency_ms,
+                                         repetitions))
+    return {"figure6_aggregation": {"driver": "engine", "systems": systems(*recorders)}}
 
 
 # --------------------------------------------------------------------------------------
 # Figure 7: autoscaling responsiveness
 # --------------------------------------------------------------------------------------
-@dataclass
-class AutoscalingExperiment:
-    """Everything reported for Figure 7."""
-
-    simulation: SimulationResult
-    index_overhead: IndexOverhead
-    initial_threads: int
-    client_count: int
-    #: The storage-tier policy that ticked alongside the compute autoscaler
-    #: (its ``history`` exposes what it decided).
-    storage_autoscaler: Optional[StorageAutoscaler] = None
-    #: ``(ms since the run started, storage nodes)`` after every storage tick.
-    storage_node_timeline: Sequence[Tuple[float, int]] = ()
-    #: What the run cost at the Anna tier (``EngineLoadDriver.storage_report``:
-    #: node count, queue busy time, rejections, demotions, gossip traffic).
-    storage_stats: Optional[Dict[str, float]] = None
-    #: The compute-tier control plane that produced the autoscaling timeline
-    #: (publish ticks, policy history, §4.4 pin-migration log).
-    control_plane: Optional[ComputeControlPlane] = None
-
-    @property
-    def peak_throughput_per_s(self) -> float:
-        return max((p.requests_per_s for p in self.simulation.throughput_curve),
-                   default=0.0)
-
-
 def _sleep_workload_function(cloudburst, key_a, key_b, write_key):
     """The Figure 7 workload: sleep 50 ms, read two Zipf keys, write a third.
 
@@ -344,7 +307,7 @@ def run_figure7(initial_threads: int = 18, client_count: int = 40,
                 storage_config: Optional[StorageAutoscalerConfig] = None,
                 key_count: int = 2_000,
                 seed: int = 0,
-                tracer=None) -> AutoscalingExperiment:
+                tracer=None) -> dict:
     """Reproduce the Figure 7 timeline: load spike, stepwise scale-up, drain.
 
     Unlike the paper's 180-thread/400-client deployment, the default scale is
@@ -413,8 +376,26 @@ def run_figure7(initial_threads: int = 18, client_count: int = 40,
         throughput_bucket_ms=max(1_000.0, total_duration_s * 1000.0 / 60.0),
         label="figure7",
     )
-    sim_result = driver.run()
-    storage_stats = driver.storage_report()
+    sim = driver.run()
+    section = {
+        "initial_threads": initial_threads,
+        "clients": client_count,
+        "requests_per_s": round(sim.overall_throughput_per_s, 2),
+        "peak_requests_per_s": round(max(
+            (p.requests_per_s for p in sim.throughput_curve), default=0.0), 2),
+        "completed_requests": sim.completed_requests,
+        "capacity_timeline": sim.capacity_timeline,
+        "throughput_curve": [[p.time_s, p.requests_per_s, p.allocated_threads]
+                             for p in sim.throughput_curve],
+        "latency": latency_summary(sim.latencies),
+        # What the run cost at the Anna tier: node count, queue busy time,
+        # rejections, demotions, gossip traffic.
+        "storage": driver.storage_report(),
+        # (ms since the run started, storage nodes) after every storage tick.
+        "storage_node_timeline": [(at_ms - driver.started_ms, nodes) for at_ms, nodes
+                                  in storage_scaler.node_count_timeline],
+        "controlplane": control_plane.snapshot(),
+    }
 
     # Per-key cache-index overhead (§6.1.4), measured on a live cluster where
     # many caches hold overlapping Zipfian key sets.
@@ -432,13 +413,8 @@ def run_figure7(initial_threads: int = 18, client_count: int = 40,
                 continue
         vm.cache.publish_cached_keys()
     overhead = index_cluster.kvs.cache_index.overhead()
-    return AutoscalingExperiment(simulation=sim_result, index_overhead=overhead,
-                                 initial_threads=initial_threads,
-                                 client_count=client_count,
-                                 storage_autoscaler=storage_scaler,
-                                 storage_node_timeline=[
-                                     (at_ms - driver.started_ms, nodes)
-                                     for at_ms, nodes
-                                     in storage_scaler.node_count_timeline],
-                                 storage_stats=storage_stats,
-                                 control_plane=control_plane)
+    section["index_overhead"] = {"median_bytes": overhead.median_bytes,
+                                 "p99_bytes": overhead.p99_bytes,
+                                 "max_bytes": overhead.max_bytes,
+                                 "tracked_keys": overhead.tracked_keys}
+    return {"figure7_autoscaling": section}

@@ -274,17 +274,6 @@ class CloudburstCluster:
         self.scrub_pins(vm.thread_ids())
         self._forget_metrics(vm)
 
-    def fail_vm(self, vm_id: str) -> ExecutorVM:
-        """Fault injection: kill a VM mid-flight (its cache contents are lost)."""
-        vm = self.vm(vm_id)
-        vm.fail()
-        return vm
-
-    def recover_vm(self, vm_id: str) -> ExecutorVM:
-        vm = self.vm(vm_id)
-        vm.recover()
-        return vm
-
     def vm(self, vm_id: str) -> ExecutorVM:
         for vm in self.vms:
             if vm.vm_id == vm_id:

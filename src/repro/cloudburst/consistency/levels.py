@@ -62,14 +62,6 @@ class ConsistencyLevel(enum.Enum):
             ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL: "DSC",
         }[self]
 
-    @classmethod
-    def from_string(cls, name: str) -> "ConsistencyLevel":
-        normalized = name.strip().lower()
-        for level in cls:
-            if normalized in (level.value, level.short_name.lower(), level.name.lower()):
-                return level
-        raise ValueError(f"unknown consistency level: {name!r}")
-
 
 #: The order used by Table 2 ("the causal levels are increasingly strict").
 CAUSAL_STRICTNESS_ORDER = (

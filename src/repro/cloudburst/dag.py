@@ -67,19 +67,6 @@ class Dag:
         sources = {edge.source for edge in self.edges}
         return [fn for fn in self.functions if fn not in sources]
 
-    @property
-    def is_linear(self) -> bool:
-        """True for a simple chain f1 -> f2 -> ... -> fn (used by RR, §5.1)."""
-        if len(self.functions) <= 1:
-            return True
-        return (
-            len(self.sources) == 1
-            and len(self.sinks) == 1
-            and all(len(self.downstream_of(fn)) <= 1 for fn in self.functions)
-            and all(len(self.upstream_of(fn)) <= 1 for fn in self.functions)
-            and len(self.edges) == len(self.functions) - 1
-        )
-
     def topological_order(self) -> List[str]:
         """Kahn's algorithm; raises if the graph has a cycle."""
         in_degree = {fn: 0 for fn in self.functions}

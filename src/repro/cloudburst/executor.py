@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import inspect
 import weakref
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..anna import AnnaCluster
@@ -85,15 +84,6 @@ def simulated_compute(duration_ms: float) -> Callable[[Callable], Callable]:
         return func
 
     return decorate
-
-
-@dataclass
-class InvocationRecord:
-    """Bookkeeping for one finished invocation (feeds executor metrics)."""
-
-    function_name: str
-    latency_ms: float
-    utilization_sample: float
 
 
 class UserLibrary:
@@ -426,13 +416,6 @@ class ExecutorVM:
 
     def thread_ids(self) -> List[str]:
         return [thread.thread_id for thread in self.threads]
-
-    def pick_thread(self, rng=None) -> ExecutorThread:
-        """Least-loaded thread on this VM (ties broken deterministically)."""
-        candidates = [t for t in self.threads if t.alive]
-        if not candidates:
-            raise ExecutorFailedError(self.vm_id, "no live threads")
-        return min(candidates, key=lambda t: (t.invocation_count, t.thread_id))
 
     # -- metrics (§4.1: executors publish these to the KVS) ------------------------------
     def queue_depth(self, at_ms: float) -> int:

@@ -116,10 +116,6 @@ class MonitoringSystem:
         """Total invocations across alive VMs, from the published metrics."""
         return self.collect_compute_aggregates()["invocation_total"]
 
-    def collect_capacity_threads(self) -> int:
-        """Live executor threads across alive VMs, from the published metrics."""
-        return int(self.collect_compute_aggregates()["capacity_threads"])
-
     def _call_units(self, scheduler, function_calls: float,
                     dag_calls_by_name: Dict[str, int]) -> float:
         """Arrivals in *function-execution units*, comparable with the

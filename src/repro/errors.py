@@ -100,10 +100,6 @@ class ConsistencyError(ReproError):
     """A consistency-protocol invariant could not be satisfied."""
 
 
-class CapacityError(ReproError):
-    """The cluster has no free resources for the requested operation."""
-
-
 class StorageOverloadError(ReproError):
     """Every replica's storage-node work queue rejected the request.
 

@@ -121,16 +121,6 @@ class VectorClock(Lattice):
                 strictly_greater = True
         return strictly_greater
 
-    def dominates_or_equal(self, other: "VectorClock") -> bool:
-        return self == other or self.dominates(other)
-
-    def concurrent_with(self, other: "VectorClock") -> bool:
-        return (
-            self != other
-            and not self.dominates(other)
-            and not other.dominates(self)
-        )
-
     def happened_before(self, other: "VectorClock") -> bool:
         """True when ``self`` -> ``other`` in Lamport's happens-before order."""
         return other.dominates(self)

@@ -267,9 +267,6 @@ class Tracer:
             totals[key] = totals.get(key, 0.0) + span.duration_ms
         return totals
 
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        return [span.to_dict() for span in self.spans]
-
     def clear(self) -> None:
         """Drop retained spans (ids keep counting, so dumps stay unambiguous)."""
         self.spans = []

@@ -448,19 +448,6 @@ class WorkQueue:
     def is_full(self, at_ms: float) -> bool:
         return self.bound is not None and self.depth(at_ms) >= self.bound
 
-    def busy_between(self, start_ms: float, end_ms: float) -> float:
-        """Total reserved-busy time overlapping ``[start_ms, end_ms]``."""
-        if end_ms <= start_ms:
-            return 0.0
-        low = bisect_right(self._ends, start_ms)
-        busy = 0.0
-        for index in range(low, len(self._starts)):
-            s = self._starts[index]
-            if s >= end_ms:
-                break
-            busy += min(self._ends[index], end_ms) - max(s, start_ms)
-        return busy
-
 
 class ReservationQueue:
     """Single-server queue for known service times and out-of-order arrivals.

@@ -151,10 +151,6 @@ class LatencyModel:
         except KeyError:
             raise KeyError(f"no latency profile for {service}.{operation}") from None
 
-    def override(self, service: str, operation: str, cost: OperationCost) -> None:
-        """Replace one operation's cost (used by ablation benchmarks)."""
-        self._costs[(service, operation)] = cost
-
     def sample_ms(self, service: str, operation: str, size_bytes: int = 0) -> float:
         """Draw one latency sample for the given operation."""
         cost = self.cost(service, operation)
@@ -183,13 +179,6 @@ class ComputeModel:
     per_element_ns: float = 4.0
     rng: RandomSource = field(default_factory=lambda: RandomSource(11))
     jitter_sigma: float = 0.05
-
-    def array_sum_ms(self, total_elements: int) -> float:
-        """Cost of summing ``total_elements`` float64 values."""
-        mean = total_elements * self.per_element_ns / 1e6
-        if mean <= 0:
-            return 0.0
-        return self.rng.lognormal(mean, self.jitter_sigma)
 
     def fixed_ms(self, mean_ms: float, jitter_sigma: Optional[float] = None) -> float:
         """Cost of a fixed-duration computation such as a 50 ms sleep."""

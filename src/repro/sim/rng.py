@@ -104,9 +104,6 @@ class ZipfGenerator:
         point = self._rng.random()
         return self._bisect(point)
 
-    def next_key(self, prefix: str = "key") -> str:
-        return f"{prefix}-{self.next()}"
-
     def draw(self, count: int) -> List[int]:
         return [self.next() for _ in range(count)]
 

@@ -65,12 +65,6 @@ class LocalityWorkloadKeys:
     keys: List[str]
 
     @classmethod
-    def for_request(cls, label: str, request_index: int,
-                    count: int = ARRAYS_PER_REQUEST) -> "LocalityWorkloadKeys":
-        keys = [f"locality/{label}/req{request_index}/array{i}" for i in range(count)]
-        return cls(label=label, keys=keys)
-
-    @classmethod
     def shared(cls, label: str, count: int = ARRAYS_PER_REQUEST) -> "LocalityWorkloadKeys":
         """The hot configuration: every request reads the same arrays."""
         keys = [f"locality/{label}/shared/array{i}" for i in range(count)]

@@ -99,10 +99,6 @@ class ConsistencyWorkload:
         self._available_keys = len(written)
         return written
 
-    def register_functions(self, client: CloudburstClient) -> None:
-        client.register(string_manipulation, name=self.STAGE_FUNCTION)
-        client.register(sink_write, name=self.SINK_FUNCTION)
-
     def generate_dags(self, client: Optional[CloudburstClient] = None) -> List[Dag]:
         """Register ``dag_count`` random linear DAGs of length 2-5."""
         dags: List[Dag] = []

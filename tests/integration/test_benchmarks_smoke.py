@@ -1,12 +1,14 @@
 """Every registry entry at ``smoke`` scale, gated by the same clauses as CI.
 
 ``repro.bench.figures`` declares each experiment once — budgets per scale,
-section builder, gate, table.  Here every entry runs at its ``smoke``
+gate, table; each run returns its own sections.  Here every entry runs at its ``smoke``
 budget with ``SMOKE_SEED`` and must pass its gate at that scale; the
 assertions are orderings ("who wins") and ratios rather than absolute
 numbers.  The determinism and one-client checks below are not gates of any
 single snapshot section, so they stay as tests of their own.
 """
+
+import json
 
 import pytest
 
@@ -21,6 +23,21 @@ def test_gate_holds_at_smoke_scale(figure, tmp_path):
     assert sorted(sections) == sorted(figure.sections)
     assert figure.table(sections)
     assert figure.errors(sections, "smoke") == []
+    for name in figure.files:
+        assert (tmp_path / name).is_file(), name
+
+
+class TestFaultJournals:
+    def test_journals_are_written_beside_the_snapshot_not_into_it(self, tmp_path):
+        figure = next(f for f in FIGURES if f.sections == ("fault_recovery",))
+        classes = figure.record("smoke", SMOKE_SEED, tmp_path)["fault_recovery"]["classes"]
+        assert all("journals" not in entry for entry in classes.values())
+        journals = json.loads((tmp_path / "BENCH_fault_journals.json").read_text())
+        assert sorted(journals) == sorted(classes)
+        for fault, per_scheduler in journals.items():
+            assert per_scheduler, fault
+            # Every journaled session reached a terminal state.
+            assert all(journal["counts"]["running"] == 0 for journal in per_scheduler)
 
 
 class TestFigure7Shape:
@@ -34,12 +51,7 @@ class TestFigure7Shape:
                           vms_per_scale_up=1, node_startup_delay_ms=5_000.0,
                           max_vms=6),
                       seed=3)
-        first = run_figure7(**kwargs)
-        second = run_figure7(**kwargs)
-        assert first.simulation.latencies.samples_ms == \
-            second.simulation.latencies.samples_ms
-        assert first.simulation.capacity_timeline == \
-            second.simulation.capacity_timeline
+        assert run_figure7(**kwargs) == run_figure7(**kwargs)
 
 
 class TestConsistencyExperiments:
@@ -47,18 +59,13 @@ class TestConsistencyExperiments:
         # One closed-loop client (the sequential run): weaker contention —
         # the anomalies come from propagation staleness alone — but the same
         # qualitative ordering must hold.
-        report = run_table2(executions=400, dag_count=25, populated_keys=200,
-                            executor_vms=3, clients=1,
-                            propagation_interval_ms=50.0, seed=1)
-        assert report.invariant_violations() == []
-        assert report.executions == 400
+        section = run_table2(executions=400, dag_count=25, populated_keys=200,
+                             executor_vms=3, clients=1,
+                             propagation_interval_ms=50.0, seed=1)["table2_anomalies"]
+        assert section["invariant_violations"] == []
+        assert section["executions"] == 400
 
     def test_figure8_same_seed_replays(self):
         kwargs = dict(requests_per_level=60, dag_count=15, populated_keys=120,
                       executor_vms=3, seed=5)
-        first = run_figure8(**kwargs)
-        second = run_figure8(**kwargs)
-        for label, recorder in first.comparison.recorders.items():
-            assert second.comparison.recorders[label].samples_ms == \
-                recorder.samples_ms, label
-        assert first.metadata_overhead == second.metadata_overhead
+        assert run_figure8(**kwargs) == run_figure8(**kwargs)

@@ -17,7 +17,6 @@ import pytest
 from repro.bench.harness import (
     EngineLoadDriver,
     run_closed_loop,
-    run_engine_closed_loop,
 )
 from repro.cloudburst import CloudburstCluster
 from repro.cloudburst.controlplane import ComputeControlPlane

@@ -19,7 +19,6 @@ from repro.bench.harness import (
     EngineLoadDriver,
     build_cluster_with_threads,
     run_closed_loop,
-    run_engine_closed_loop,
 )
 from repro.cloudburst import CloudburstCluster
 from repro.cloudburst.controlplane import ComputeControlPlane
@@ -54,8 +53,8 @@ class TestSingleClientEquivalence:
             "sequential", lambda i: cloud_a.call("work", [i]).latency_ms, 40)
 
         cluster_b, _cloud_b = _make_cluster(seed=21)
-        engine_run = run_engine_closed_loop(
-            cluster_b, _work_request, clients=1, total_requests=40)
+        engine_run = EngineLoadDriver(
+            cluster_b, _work_request, clients=1, max_requests=40).run()
 
         assert engine_run.latencies.samples_ms == \
             pytest.approx(sequential.samples_ms)
@@ -80,8 +79,8 @@ class TestSingleClientEquivalence:
         # thread reads as busy or full at the cluster's current time and
         # locality scheduling keeps working — nothing had to be reset.
         cluster, cloud = _make_cluster(seed=31)
-        run_engine_closed_loop(
-            cluster, _work_request, clients=6, total_requests=60)
+        EngineLoadDriver(
+            cluster, _work_request, clients=6, max_requests=60).run()
         now_ms = cluster.engine.now_ms
         for vm in cluster.vms:
             assert vm.utilization() == 0.0
@@ -102,11 +101,11 @@ class TestSingleClientEquivalence:
 class TestContention:
     def test_oversubscription_queues_and_caps_throughput(self):
         cluster, _ = _make_cluster(seed=7, executor_vms=1, threads_per_vm=2)
-        light = run_engine_closed_loop(cluster, _work_request, clients=1,
-                                       total_requests=60)
+        light = EngineLoadDriver(cluster, _work_request, clients=1,
+                                 max_requests=60).run()
         cluster2, _ = _make_cluster(seed=7, executor_vms=1, threads_per_vm=2)
-        heavy = run_engine_closed_loop(cluster2, _work_request, clients=8,
-                                       total_requests=60)
+        heavy = EngineLoadDriver(cluster2, _work_request, clients=8,
+                                 max_requests=60).run()
         # 8 clients over 2 threads: latency inflates with queueing delay...
         assert heavy.latencies.summary().median_ms > \
             2 * light.latencies.summary().median_ms
@@ -124,15 +123,15 @@ class TestContention:
             waits.append(future.ctx.total("cloudburst", "executor_queue"))
             return future
 
-        run_engine_closed_loop(cluster, request, clients=4, total_requests=20)
+        EngineLoadDriver(cluster, request, clients=4, max_requests=20).run()
         assert any(wait > 0 for wait in waits)
 
 
 class TestDeterminism:
     def _drive(self, seed):
         cluster, _ = _make_cluster(seed=seed, executor_vms=2)
-        return run_engine_closed_loop(cluster, _work_request, clients=6,
-                                      total_requests=80)
+        return EngineLoadDriver(cluster, _work_request, clients=6,
+                                max_requests=80).run()
 
     def test_same_seed_identical_latency_sequence(self):
         first = self._drive(13)

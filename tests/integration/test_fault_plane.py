@@ -24,7 +24,7 @@ def _run(fault, seed=11, request_count=80):
         fault, seed, request_count=request_count, clients=8, executor_vms=4,
         scheduler_count=2, user_count=20, seed_tweet_count=100,
         mean_interval_ms=15.0, downtime_ms=8.0, tick_interval_ms=4.0,
-        propagation_interval_ms=50.0, include_journals=True)
+        propagation_interval_ms=50.0)
 
 
 class TestEveryFaultClassRecovers:

@@ -26,7 +26,7 @@ class TestExecutorFailure:
         pinned_thread_id = scheduler.function_pins["double"][0]
         victim_vm = next(vm for vm in cluster.vms
                          if pinned_thread_id in vm.thread_ids())
-        cluster.fail_vm(victim_vm.vm_id)
+        victim_vm.fail()
         result = cloud.call_dag("doubling", {"double": [21]})
         assert result.value == 42
         assert result.retries == 0
@@ -40,7 +40,7 @@ class TestExecutorFailure:
             if state["failures_left"] > 0:
                 state["failures_left"] -= 1
                 # Simulate the executor's VM dying mid-invocation.
-                cluster.fail_vm(cloudburst.get_id().split(":")[0])
+                cluster.vm(cloudburst.get_id().split(":")[0]).fail()
                 from repro.errors import ExecutorFailedError
 
                 raise ExecutorFailedError(cloudburst.get_id(), "chaos")
@@ -56,14 +56,14 @@ class TestExecutorFailure:
 
     def test_single_function_call_retries_on_failure(self, cluster, cloud):
         cloud.register(lambda: "alive", name="probe")
-        cluster.fail_vm(cluster.vms[0].vm_id)
+        cluster.vms[0].fail()
         assert cloud.call("probe").value == "alive"
 
     def test_unrecoverable_when_every_executor_is_down(self, cluster, cloud):
         cloud.register(lambda: 1, name="f")
         cloud.register_dag("d", ["f"])
         for vm in cluster.vms:
-            cluster.fail_vm(vm.vm_id)
+            vm.fail()
         future = cloud.call_dag("d")  # the failure resolves the future
         with pytest.raises(SchedulingError):
             future.get()
@@ -74,8 +74,8 @@ class TestExecutorFailure:
         cloud.register(lambda x: x, name="echo")
         victim = cluster.vms[0]
         victim.cache.get_or_fetch("warm-key")
-        cluster.fail_vm(victim.vm_id)
-        cluster.recover_vm(victim.vm_id)
+        victim.fail()
+        victim.recover()
         assert victim.alive
         assert not victim.cache.contains("warm-key")
         assert cloud.call("echo", [1]).value == 1
@@ -83,7 +83,7 @@ class TestExecutorFailure:
     def test_storage_survives_compute_failures(self, cluster, cloud):
         cloud.put("durable", {"important": True})
         for vm in cluster.vms:
-            cluster.fail_vm(vm.vm_id)
+            vm.fail()
         assert cloud.get("durable") == {"important": True}
 
 
@@ -92,9 +92,9 @@ class TestMessagingFaultPaths:
         threads = [t for vm in cluster.vms for t in vm.threads]
         sender, receiver = threads[0], threads[-1]
         receiver_vm = receiver.vm
-        cluster.fail_vm(receiver_vm.vm_id)
+        receiver_vm.fail()
         assert not cluster.router.send(sender.thread_id, receiver.thread_id, "urgent")
-        cluster.recover_vm(receiver_vm.vm_id)
+        receiver_vm.recover()
         assert cluster.router.recv(receiver.thread_id) == ["urgent"]
 
 

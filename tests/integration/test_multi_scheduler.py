@@ -10,7 +10,7 @@ the engine backend.
 
 import pytest
 
-from repro.bench.harness import run_engine_closed_loop
+from repro.bench.harness import EngineLoadDriver
 from repro.cloudburst import CloudburstCluster
 from repro.errors import DagDeletedError
 
@@ -92,8 +92,8 @@ class TestEngineBackendOverManySchedulers:
             future.add_done_callback(lambda f: values.append(f.get()))
             return future
 
-        sim = run_engine_closed_loop(cluster, request, clients=CLIENTS,
-                                     total_requests=36)
+        sim = EngineLoadDriver(cluster, request, clients=CLIENTS,
+                               max_requests=36).run()
         assert sim.completed_requests == 36
         assert values == [15] * 36
         served = [s.stats.calls_per_dag.get("pipe", 0)
@@ -122,8 +122,6 @@ class TestSchedulerFailover:
     """
 
     def test_crash_and_restart_loses_no_requests(self, cluster, clients):
-        from repro.bench.harness import EngineLoadDriver
-
         _register_pipeline(clients[0])
         values = []
 
@@ -151,8 +149,6 @@ class TestSchedulerFailover:
         assert cluster.abandoned_session_count() == 0
 
     def test_untouched_sessions_apply_exactly_once(self, cluster, clients):
-        from repro.bench.harness import EngineLoadDriver
-
         _register_pipeline(clients[0])
 
         def request(cloud, ctx, index):

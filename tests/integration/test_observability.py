@@ -10,7 +10,7 @@ are byte-identical with tracing fully on, fully off, or attached at rate 0.
 
 import pytest
 
-from repro.bench.harness import EngineLoadDriver, run_engine_closed_loop
+from repro.bench.harness import EngineLoadDriver
 from repro.cloudburst import CloudburstCluster, CloudburstReference
 from repro.cloudburst.monitoring import (
     SCHEDULER_METRICS_PREFIX,
@@ -189,8 +189,8 @@ class TestTracingNeverChargesClocks:
             return cloud.call_dag(
                 "pipeline", {"inc": [CloudburstReference("k1")]}, ctx=ctx)
 
-        return run_engine_closed_loop(cluster, request, clients=4,
-                                      total_requests=40)
+        return EngineLoadDriver(cluster, request, clients=4,
+                                max_requests=40).run()
 
     def test_latency_samples_byte_identical_on_off_and_rate_zero(self):
         baseline = self._drive(tracer=None)

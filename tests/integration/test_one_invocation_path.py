@@ -177,7 +177,7 @@ class TestRetryLineageIsTheSameEverywhere:
             if not killed:
                 vm_id = cloudburst.get_id().split(":")[0]
                 killed.append(vm_id)
-                cluster.fail_vm(vm_id)
+                cluster.vm(vm_id).fail()
                 raise ExecutorFailedError(cloudburst.get_id(), "chaos")
             return x * 2
 

@@ -20,17 +20,14 @@ from one_client import one_client_driver_latencies, top_level_latencies
 class TestFigure5Driver:
     def test_same_seed_replays(self):
         kwargs = dict(requests_per_size=6, sizes=("800KB",), seed=3, clients=3)
-        first = run_figure5(**kwargs)
-        second = run_figure5(**kwargs)
-        for label in ("Cloudburst (Hot)", "Cloudburst (Cold)"):
-            assert first.points["800KB"].recorders[label].samples_ms == \
-                second.points["800KB"].recorders[label].samples_ms
+        assert run_figure5(**kwargs) == run_figure5(**kwargs)
 
     def test_concurrent_clients_still_satisfy_paper_ordering(self):
         sweep = run_figure5(requests_per_size=8, sizes=("8MB",), seed=1, clients=4)
-        at_8mb = sweep.points["8MB"]
-        assert at_8mb.median("Cloudburst (Hot)") < at_8mb.median("Cloudburst (Cold)")
-        assert at_8mb.median("Cloudburst (Cold)") < at_8mb.median("Lambda (Redis)")
+        median = {system: stats["median_ms"] for system, stats
+                  in sweep["figure5_locality"]["sizes"]["8MB"].items()}
+        assert median["Cloudburst (Hot)"] < median["Cloudburst (Cold)"]
+        assert median["Cloudburst (Cold)"] < median["Lambda (Redis)"]
 
 
 def _figure6_workload(algorithm, seed=2):
@@ -57,40 +54,31 @@ class TestFigure6Driver:
         assert driven == pytest.approx(top_level, rel=1e-9)
 
     def test_same_seed_replays(self):
-        first = run_figure6(repetitions=6, seed=2)
-        second = run_figure6(repetitions=6, seed=2)
-        assert set(first.recorders) == set(second.recorders)
-        for label, recorder in first.recorders.items():
-            assert second.recorders[label].samples_ms == recorder.samples_ms, label
+        assert run_figure6(repetitions=6, seed=2) == run_figure6(repetitions=6, seed=2)
 
     def test_lambda_baselines_do_not_depend_on_the_client_count(self):
         # The simulated Lambda gathers never touch the cluster; the number of
         # Cloudburst clients must not change their numbers at all.
-        one = run_figure6(repetitions=5, seed=4, clients=1)
-        two = run_figure6(repetitions=5, seed=4, clients=2)
+        one = run_figure6(repetitions=5, seed=4, clients=1)["figure6_aggregation"]
+        two = run_figure6(repetitions=5, seed=4, clients=2)["figure6_aggregation"]
         for label in ("Lambda+Redis (gather)", "Lambda+Dynamo (gather)",
                       "Lambda+S3 (gather)"):
-            assert two.recorders[label].samples_ms == \
-                one.recorders[label].samples_ms
+            assert two["systems"][label] == one["systems"][label]
 
 
 class TestFigure7StorageTier:
     def test_storage_autoscaler_ticks_on_the_shared_timeline(self):
-        experiment = run_figure7(
+        section = run_figure7(
             initial_threads=6, client_count=12,
             load_duration_s=10.0, total_duration_s=15.0,
             policy_interval_ms=2_500.0,
             monitoring_config=MonitoringConfig(
                 vms_per_scale_up=1, node_startup_delay_ms=5_000.0, max_vms=6),
-            seed=1)
-        scaler = experiment.storage_autoscaler
-        assert scaler is not None
-        # The policy really evaluated on virtual time while load was running.
-        assert len(scaler.history) >= 2
-        # Reported from the start of the run, like everything the run reports.
-        ticks = [at_ms for at_ms, _count in experiment.storage_node_timeline]
-        assert len(ticks) == len(scaler.node_count_timeline)
+            seed=1)["figure7_autoscaling"]
+        # One (ms since the run started, nodes) entry per storage tick: the
+        # policy really evaluated on virtual time while load was running,
+        # reported from the start of the run like everything the run reports.
+        ticks = [at_ms for at_ms, _count in section["storage_node_timeline"]]
+        assert len(ticks) >= 2
         assert ticks == sorted(ticks)
         assert ticks[0] == 2_500.0
-        # The workload's Zipf head is hot enough to earn extra replicas.
-        assert any(report.keys_boosted for report in scaler.history)

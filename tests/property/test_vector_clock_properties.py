@@ -13,18 +13,18 @@ clocks = st.builds(
 
 @settings(max_examples=100, deadline=None)
 @given(clocks, clocks)
-def test_exactly_one_ordering_relation_holds(a, b):
-    """For any two clocks: equal, a<b, b<a, or concurrent — exactly one."""
-    relations = [a == b, a.dominates(b), b.dominates(a), a.concurrent_with(b)]
-    assert sum(bool(r) for r in relations) == 1
+def test_at_most_one_ordering_relation_holds(a, b):
+    """For any two clocks: equal, a<b or b<a — at most one (else concurrent)."""
+    relations = [a == b, a.dominates(b), b.dominates(a)]
+    assert sum(bool(r) for r in relations) <= 1
 
 
 @settings(max_examples=100, deadline=None)
 @given(clocks, clocks)
 def test_merge_is_least_upper_bound(a, b):
     merged = a.merge(b)
-    assert merged.dominates_or_equal(a)
-    assert merged.dominates_or_equal(b)
+    assert merged == a or merged.dominates(a)
+    assert merged == b or merged.dominates(b)
     # Least: no entry exceeds the pairwise maximum.
     for node, value in merged.reveal().items():
         assert value == max(a.get(node), b.get(node))
@@ -33,15 +33,14 @@ def test_merge_is_least_upper_bound(a, b):
 @settings(max_examples=100, deadline=None)
 @given(clocks, clocks, clocks)
 def test_dominance_is_transitive(a, b, c):
-    if a.dominates_or_equal(b) and b.dominates_or_equal(c):
-        assert a.dominates_or_equal(c)
+    if a.dominates(b) and b.dominates(c):
+        assert a.dominates(c)
 
 
 @settings(max_examples=100, deadline=None)
 @given(clocks)
 def test_dominance_is_irreflexive(a):
     assert not a.dominates(a)
-    assert a.dominates_or_equal(a)
 
 
 @settings(max_examples=100, deadline=None)

@@ -47,6 +47,10 @@ class TestOneDeclaration:
         assert sorted(p.name for p in (REPO_ROOT / "benchmarks").glob("bench_*.py")) == [
             "bench_figures.py"]
 
+    def test_the_fault_matrix_is_a_registry_entry(self):
+        # Its CI run and journal dump are the fault_recovery entry's record.
+        assert not (REPO_ROOT / "benchmarks" / "run_fault_matrix.py").exists()
+
     def test_registry_sections_are_the_documented_sections(self):
         history = _SCHEMA_DOC.index("## Schema version history")
         headings = re.findall(r"^## (.+)$", _SCHEMA_DOC[:history], flags=re.MULTILINE)
@@ -58,6 +62,29 @@ class TestOneDeclaration:
     def test_unknown_scale_is_rejected(self):
         with pytest.raises(ValueError):
             FIGURES[0].kwargs("huge")
+
+
+class TestRecord:
+    """``Figure.record`` with each entry's run replaced by one that echoes its call."""
+
+    @pytest.mark.parametrize("figure", FIGURES, ids=[f.sections[0] for f in FIGURES])
+    def test_record_returns_the_run_sections_with_wall_seconds_on_the_first(
+            self, figure, tmp_path):
+        calls = []
+
+        def run(seed, **kwargs):
+            calls.append((seed, kwargs))
+            return {name: {"name": name} for name in figure.sections}
+
+        sections = dataclasses.replace(figure, run=run).record("smoke", 3, tmp_path)
+        assert list(sections) == list(figure.sections)
+        first, *rest = figure.sections
+        assert set(sections[first]) == {"name", "wall_seconds"}
+        assert all(sections[name] == {"name": name} for name in rest)
+        expected = figure.kwargs("smoke")
+        if figure.files:
+            expected["out_dir"] = tmp_path
+        assert calls == [(3, expected)]
 
 
 def _stats(median_ms: float, p99_ms: float = None) -> dict:
@@ -388,8 +415,7 @@ def _canned(monkeypatch, payload: dict) -> None:
     """Every registry entry returns its slice of ``payload`` instead of running."""
     def stub(figure):
         sections = {name: copy.deepcopy(payload[name]) for name in figure.sections}
-        return dataclasses.replace(figure, run=lambda seed, **kwargs: None,
-                                   build=lambda result, run: sections)
+        return dataclasses.replace(figure, run=lambda seed, **kwargs: sections)
 
     monkeypatch.setattr(figures, "FIGURES", tuple(stub(f) for f in FIGURES))
 

@@ -1,7 +1,5 @@
 """Unit tests for the consistency-level enum."""
 
-import pytest
-
 from repro.cloudburst import ConsistencyLevel
 from repro.cloudburst.consistency import CAUSAL_STRICTNESS_ORDER
 
@@ -29,24 +27,6 @@ class TestLevelProperties:
         names = [level.short_name for level in ConsistencyLevel]
         assert len(names) == len(set(names))
         assert "LWW" in names and "DSC" in names
-
-
-class TestFromString:
-    @pytest.mark.parametrize("name,expected", [
-        ("lww", ConsistencyLevel.LWW),
-        ("LWW", ConsistencyLevel.LWW),
-        ("dsrr", ConsistencyLevel.DISTRIBUTED_SESSION_RR),
-        ("sk", ConsistencyLevel.SINGLE_KEY_CAUSAL),
-        ("mk", ConsistencyLevel.MULTI_KEY_CAUSAL),
-        ("dsc", ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL),
-        ("distributed_session_causal", ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL),
-    ])
-    def test_parsing(self, name, expected):
-        assert ConsistencyLevel.from_string(name) == expected
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError):
-            ConsistencyLevel.from_string("serializable")
 
 
 class TestStrictnessOrder:

@@ -89,7 +89,7 @@ class TestMonitoringAggregation:
         cluster.publish_all_metrics()
         monitoring = cluster.monitoring
         assert monitoring.collect_invocation_total() == 5
-        assert monitoring.collect_capacity_threads() == 4
+        assert monitoring.collect_compute_aggregates()["capacity_threads"] == 4
         assert monitoring.collect_scheduler_call_total() == 5
 
     def test_dag_calls_weighed_in_function_units(self):

@@ -33,7 +33,6 @@ class TestDagValidation:
 class TestDagStructure:
     def test_chain_constructor(self):
         dag = Dag.chain("pipeline", ["a", "b", "c"])
-        assert dag.is_linear
         assert dag.sources == ["a"]
         assert dag.sinks == ["c"]
         assert dag.topological_order() == ["a", "b", "c"]
@@ -41,14 +40,13 @@ class TestDagStructure:
 
     def test_single_function_dag(self):
         dag = Dag("single", ["only"])
-        assert dag.is_linear
         assert dag.sources == dag.sinks == ["only"]
         assert dag.longest_path_length() == 1
 
-    def test_fan_out_is_not_linear(self):
+    def test_fan_out_has_one_source_and_two_sinks(self):
         dag = Dag("fan", ["root", "left", "right"],
                   [("root", "left"), ("root", "right")])
-        assert not dag.is_linear
+        assert dag.sources == ["root"]
         assert sorted(dag.sinks) == ["left", "right"]
         assert dag.downstream_of("root") == ["left", "right"]
         assert dag.upstream_of("left") == ["root"]

@@ -58,10 +58,6 @@ class TestExecutorVM:
                 thread.work_queue.release(thread.work_queue.admit(20.0) + 10.0)
         assert vm.utilization(20.0) == 1.0  # capped: 12 queued on 3 threads
 
-    def test_pick_thread_prefers_least_loaded(self, vm):
-        vm.threads[0].invocation_count = 5
-        assert vm.pick_thread() is not vm.threads[0]
-
     def test_fail_and_recover(self, vm, anna):
         vm.cache.put("k", LWWLattice(Timestamp(1.0, "n"), "v"))
         vm.fail()

@@ -213,8 +213,8 @@ class TestDistributedSessionCausal:
         # Downstream function on cache-b must not read the stale l.
         value = protocol.read(cache_b, "l", None, state)
         clock = value.vector_clock
-        assert clock.dominates_or_equal(VectorClock({"w": 2})) or \
-            clock.concurrent_with(VectorClock({"w": 2}))
+        # Equal, newer or concurrent: anything the dependency does not dominate.
+        assert not VectorClock({"w": 2}).dominates(clock)
         assert value.reveal() == "l-new"
 
     def test_valid_local_version_served_without_fetch(self, anna, cache_a, cache_b):

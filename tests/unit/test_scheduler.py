@@ -164,7 +164,7 @@ class TestPlacementPolicy:
 
     def test_dead_vm_never_selected(self, cluster, scheduler):
         scheduler.register_function(lambda: "ok", name="f")
-        cluster.fail_vm(cluster.vms[0].vm_id)
+        cluster.vms[0].fail()
         for _ in range(5):
             assert scheduler.call("f").value == "ok"
 

@@ -303,15 +303,15 @@ class TestWorkQueue:
         with pytest.raises(RuntimeError):
             WorkQueue().release(1.0)
 
-    def test_busy_between_overlap(self):
+    def test_depth_and_busy_time_across_disjoint_runs(self):
         queue = WorkQueue()
         queue.admit(0.0)
         queue.release(10.0)
         queue.admit(20.0)
         queue.release(30.0)
-        assert queue.busy_between(0.0, 30.0) == 20.0
-        assert queue.busy_between(5.0, 25.0) == 10.0
-        assert queue.busy_between(12.0, 18.0) == 0.0
+        assert queue.busy_ms == 20.0
+        assert queue.completed == 2
+        assert [queue.depth(t) for t in (5.0, 12.0, 25.0, 30.0)] == [2, 1, 1, 0]
 
 
 class TestReservationQueue:

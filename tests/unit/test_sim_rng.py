@@ -100,11 +100,6 @@ class TestZipfGenerator:
         counts = [draws.count(i) for i in range(10)]
         assert min(counts) > 500
 
-    def test_next_key_uses_prefix(self):
-        zipf = ZipfGenerator(10, 1.0, RandomSource(5))
-        key = zipf.next_key("mykey")
-        assert key.startswith("mykey-")
-
 
     @given(n_items=st.integers(1, 400),
            coefficient=st.sampled_from([0.0, 0.5, 1.0, 1.5]),
