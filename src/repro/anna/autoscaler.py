@@ -4,7 +4,7 @@ Anna responds to workload changes by (1) growing and shrinking the storage
 cluster, (2) selectively replicating frequently-accessed ("hot") keys, and
 (3) moving cold data from the memory tier to the disk tier ([86], summarised
 in §2.2 of the Cloudburst paper).  The Cloudburst compute tier has its own,
-separate autoscaler (:mod:`repro.cloudburst.monitoring`); this one only
+separate autoscaler (:mod:`repro.cloudburst.controlplane`); this one only
 manages storage.
 """
 

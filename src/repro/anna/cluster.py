@@ -204,18 +204,23 @@ class AnnaCluster:
                 node.put(key, merged, count_access=False)
         return node_id
 
-    def remove_node(self, node_id: str) -> None:
-        """Remove a node, re-homing its data onto the remaining replicas."""
+    def _retire(self, node_id: str, verb: str) -> StorageNode:
+        """Take a node off the ring, keeping its counters in the cluster totals."""
         if node_id not in self._nodes:
             raise KeyError(f"unknown storage node: {node_id!r}")
         if len(self._nodes) == 1:
-            raise ValueError("cannot remove the last storage node")
+            raise ValueError(f"cannot {verb} the last storage node")
         departing = self._nodes.pop(node_id)
         self._ring.remove_node(node_id)
         self._retired_queue_busy_ms += departing.work_queue.busy_ms
         self._retired_rejections += departing.rejections
         self._retired_read_redirects += departing.read_redirects
         self._retired_demotions += departing.demotions
+        return departing
+
+    def remove_node(self, node_id: str) -> None:
+        """Remove a node, re-homing its data onto the remaining replicas."""
+        departing = self._retire(node_id, "remove")
         # The departing node's copies reach every current replica directly,
         # so its not-yet-gossiped writes cannot be lost.
         self._dirty.pop(node_id, None)
@@ -240,16 +245,7 @@ class AnnaCluster:
         costs a replica, never acknowledged data.  Returns the number of
         durable cold keys left behind on disk.
         """
-        if node_id not in self._nodes:
-            raise KeyError(f"unknown storage node: {node_id!r}")
-        if len(self._nodes) == 1:
-            raise ValueError("cannot crash the last storage node")
-        departing = self._nodes.pop(node_id)
-        self._ring.remove_node(node_id)
-        self._retired_queue_busy_ms += departing.work_queue.busy_ms
-        self._retired_rejections += departing.rejections
-        self._retired_read_redirects += departing.read_redirects
-        self._retired_demotions += departing.demotions
+        departing = self._retire(node_id, "crash")
         for key in sorted(self._dirty.pop(node_id, set())):
             value = departing.peek(key)
             if value is None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
-from ..cloudburst.monitoring import MonitoringConfig
+from ..cloudburst.controlplane import MonitoringConfig
 from ..obs import Tracer, write_chrome_trace, write_span_dump
 from ..sim import format_table
 from .ablations import run_ablations

@@ -110,10 +110,8 @@ class EngineLoadDriver:
             raise ValueError("a closed-loop driver needs at least one client")
         if max_requests is None and max_duration_ms == float("inf") and stop_ms is None:
             raise ValueError("driver needs max_requests, max_duration_ms or stop_ms")
-        if (control_plane is not None and control_plane.autoscaling
-                and max_duration_ms == float("inf")):
-            raise ValueError("an autoscaling control plane needs a finite "
-                             "max_duration_ms")
+        if control_plane is not None and max_duration_ms == float("inf"):
+            raise ValueError("a control plane needs a finite max_duration_ms")
         self.cluster = cluster
         self.request_fn = request_fn
         self.clients = clients

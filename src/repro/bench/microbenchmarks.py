@@ -34,8 +34,7 @@ from ..baselines import (
     StepFunctions,
 )
 from ..cloudburst import CloudburstCluster, CloudburstReference
-from ..cloudburst.controlplane import ComputeControlPlane
-from ..cloudburst.monitoring import MonitoringConfig
+from ..cloudburst.controlplane import ComputeControlPlane, MonitoringConfig
 from ..sim import LatencyModel, RandomSource, RequestContext, ZipfGenerator
 from ..workloads.arrays import (
     ELEMENTS_PER_ARRAY,
@@ -326,8 +325,7 @@ def run_figure7(initial_threads: int = 18, client_count: int = 40,
         max_vms=30,
     )
     cluster = build_cluster_with_threads(
-        initial_threads, threads_per_vm=config.threads_per_vm, seed=seed,
-        tracer=tracer)
+        initial_threads, seed=seed, tracer=tracer)
     cloud = cluster.connect()
     zipf = ZipfGenerator(key_count, 1.0, RandomSource(seed).spawn("keys"))
     populated = min(2_000, key_count)
@@ -360,13 +358,11 @@ def run_figure7(initial_threads: int = 18, client_count: int = 40,
         return cloud_client.call("sleep_workload", [a, b, w], ctx=ctx)
 
     # The real §4.4 loop: executors publish metrics to Anna on a recurring
-    # engine tick, the monitoring system aggregates those published keys
-    # (alive VMs only), and the autoscaler actuates add_vm after the EC2
-    # startup delay / drains threads with pin migration.
+    # engine tick, the control plane aggregates those published keys (alive
+    # VMs only) and actuates add_vm after the EC2 startup delay / drains
+    # threads with pin migration.
     control_plane = ComputeControlPlane(
-        cluster, config=config,
-        policy_interval_ms=policy_interval_ms,
-        min_threads=config.min_pinned_threads)
+        cluster, config=config, policy_interval_ms=policy_interval_ms)
     driver = EngineLoadDriver(
         cluster, request,
         clients=client_count,

@@ -17,16 +17,15 @@ from .consistency import (
     make_protocol,
 )
 from .controlplane import (
-    ComputeAutoscaler,
+    AutoscalerDecision,
     ComputeControlPlane,
     ControlPlaneReport,
-    MetricsPublisher,
+    MonitoringConfig,
     PinMigration,
 )
 from .dag import Dag, DagEdge, DagRegistry
 from .executor import ExecutorThread, ExecutorVM, UserLibrary, simulated_compute
 from .messaging import MessageRouter
-from .monitoring import AutoscalingPolicy, MonitoringConfig, MonitoringSystem
 from .policy import (
     LocalityPlacementPolicy,
     PlacementPolicy,
@@ -55,13 +54,10 @@ __all__ = [
     "UserLibrary",
     "simulated_compute",
     "MessageRouter",
-    "AutoscalingPolicy",
-    "MonitoringConfig",
-    "MonitoringSystem",
-    "ComputeAutoscaler",
+    "AutoscalerDecision",
     "ComputeControlPlane",
     "ControlPlaneReport",
-    "MetricsPublisher",
+    "MonitoringConfig",
     "PinMigration",
     "PlacementPolicy",
     "LocalityPlacementPolicy",

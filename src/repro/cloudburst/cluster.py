@@ -1,9 +1,9 @@
 """Cluster assembly: everything in Figure 3 wired together.
 
 A :class:`CloudburstCluster` owns the Anna KVS, the executor VMs (threads +
-VM-local caches), the message router, one or more schedulers and the
-monitoring system, and hands out clients.  It is the single entry point used
-by the examples, tests and benchmarks:
+VM-local caches), the message router and one or more schedulers, and hands
+out clients.  It is the single entry point used by the examples, tests and
+benchmarks:
 
     cluster = CloudburstCluster(executor_vms=3)
     cloud = cluster.connect()
@@ -31,7 +31,6 @@ from .executor import (
     ExecutorVM,
 )
 from .messaging import MessageRouter
-from .monitoring import MonitoringConfig, MonitoringSystem
 from .scheduler import DEFAULT_FAULT_TIMEOUT_MS, OVERLOAD_THRESHOLD, Scheduler
 
 
@@ -49,7 +48,6 @@ class CloudburstCluster:
                  latency_model: Optional[LatencyModel] = None,
                  compute_model: Optional[ComputeModel] = None,
                  anomaly_tracker: Optional[AnomalyTracker] = None,
-                 monitoring_config: Optional[MonitoringConfig] = None,
                  anna_propagation: str = AnnaCluster.PROPAGATE_IMMEDIATE,
                  propagation_interval_ms: float = 0.0,
                  anna_memory_capacity_keys: Optional[int] = None,
@@ -121,7 +119,6 @@ class CloudburstCluster:
             )
             self.schedulers.append(scheduler)
 
-        self.monitoring = MonitoringSystem(self, monitoring_config)
         self._client_sequence = 0
         self.publish_all_metrics()
 
@@ -226,7 +223,7 @@ class CloudburstCluster:
     def _forget_metrics(self, vm: ExecutorVM) -> None:
         """Remove a departed VM's published metrics key from Anna.
 
-        The monitoring system aggregates alive VMs only, but leaving the key
+        The control plane aggregates alive VMs only, but leaving the key
         behind would still hand stale data to anything reading the metrics
         prefix directly.
         """
@@ -322,9 +319,8 @@ class CloudburstCluster:
         """Have every alive VM publish its metrics and cached-key snapshot (§4.1).
 
         On-demand publication, used at construction and by tests; driver
-        runs with a control plane publish on a periodic tick instead (the
-        :class:`~repro.cloudburst.controlplane.MetricsPublisher` inside
-        :class:`~repro.cloudburst.controlplane.ComputeControlPlane`).
+        runs with a control plane publish on a periodic tick instead
+        (:meth:`~repro.cloudburst.controlplane.ComputeControlPlane.publish`).
         """
         for vm in self.vms:
             if vm.alive:

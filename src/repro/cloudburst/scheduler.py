@@ -16,7 +16,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..anna import AnnaCluster
 from ..errors import FunctionNotFoundError, SchedulingError
 from ..lattices import SetLattice
-from ..obs import LatencyHistogram
 from ..sim import Engine, LatencyModel, RandomSource, RequestContext, SimClock
 from .consistency.levels import ConsistencyLevel
 from .consistency.protocols import ObservingProtocol, SessionState, make_protocol
@@ -102,10 +101,6 @@ class Scheduler:
         #: function name -> the unregistered one-node DAG :meth:`call` runs.
         self._call_dags: Dict[str, Dag] = {}
         self.anomaly_tracker = anomaly_tracker
-        #: Request latencies this scheduler completed (virtual ms).  The
-        #: control plane publishes its percentile summary to Anna on every
-        #: metrics tick — the tail-latency signal an SLO autoscaler consumes.
-        self.latency_histogram = LatencyHistogram(label=scheduler_id)
 
     # -- lifecycle: crash / restart (§4.5 fault injection) ------------------------------
     def crash(self) -> None:

@@ -551,7 +551,6 @@ class DagSession:
             self._attempt_span = None
             ctx.span = self.root_span
         latency_ms = ctx.clock.now_ms - self.start_ms
-        scheduler.latency_histogram.record(latency_ms)
         self.result = ExecutionResult(
             value=value, latency_ms=latency_ms,
             execution_id=self.state.execution_id, ctx=ctx,

@@ -1,8 +1,8 @@
 """Observability plane: causal tracing, histogram metrics, trace exporters.
 
 The sensing layer over the discrete-event reproduction: per-request span
-trees (``tracing``), counters/gauges/log-scale latency histograms
-(``metrics``), and JSON / Chrome trace-event exporters (``export``).
+trees (``tracing``), a log-scale latency histogram (``metrics``), and
+JSON / Chrome trace-event exporters (``export``).
 Everything in here is deterministic (counter ids, error-diffusion sampling,
 virtual timestamps only) and zero-cost when disabled — see each module's
 docstring for the contract.
@@ -14,12 +14,7 @@ from .export import (
     write_chrome_trace,
     write_span_dump,
 )
-from .metrics import (
-    Counter,
-    Gauge,
-    LatencyHistogram,
-    MetricsRegistry,
-)
+from .metrics import LatencyHistogram
 from .tracing import (
     Tracer,
     TraceSpan,
@@ -30,10 +25,7 @@ __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
     "write_span_dump",
-    "Counter",
-    "Gauge",
     "LatencyHistogram",
-    "MetricsRegistry",
     "Tracer",
     "TraceSpan",
 ]

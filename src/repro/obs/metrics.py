@@ -1,8 +1,8 @@
-"""Histogram-based metrics: counters, gauges, log-scale latency histograms.
+"""The log-scale latency histogram behind compact latency recorders.
 
-The bench harness used to keep every request latency in a flat list and
-re-sort it per percentile query; the control plane had no latency signal at
-all.  :class:`LatencyHistogram` replaces both: fixed log-spaced buckets give
+Keeping every request latency in a flat list and re-sorting it per
+percentile query costs memory at paper-scale sweep volumes.
+:class:`LatencyHistogram` replaces that: fixed log-spaced buckets give
 O(1) recording and O(buckets) percentile readout at any request volume, with
 ``count``/``sum``/``min``/``max`` tracked exactly and quantiles interpolated
 inside the owning bucket (clamped to the exact min/max, so p0 and p100 are
@@ -17,49 +17,9 @@ leave enabled in seeded benchmark runs.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
-__all__ = ["Counter", "Gauge", "LatencyHistogram", "MetricsRegistry"]
-
-
-class Counter:
-    """A monotonically increasing count (requests served, cache misses, ...)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> float:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease (by {amount})")
-        self.value += amount
-        return self.value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name!r}, {self.value})"
-
-
-class Gauge:
-    """A point-in-time value (queue depth, live threads, heap size)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> float:
-        self.value = float(value)
-        return self.value
-
-    def add(self, delta: float) -> float:
-        self.value += delta
-        return self.value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Gauge({self.name!r}, {self.value})"
+__all__ = ["LatencyHistogram"]
 
 
 #: Default histogram geometry: first bucket upper bound (ms) and per-bucket
@@ -123,30 +83,7 @@ class LatencyHistogram:
         else:
             self.counts[index] += 1
 
-    def extend(self, samples_ms: List[float]) -> None:
-        for sample in samples_ms:
-            self.record(sample)
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Fold another histogram in (geometries must match)."""
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different buckets")
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self.overflow += other.overflow
-        self.count += other.count
-        self.sum_ms += other.sum_ms
-        if other.min_ms is not None:
-            self.min_ms = (other.min_ms if self.min_ms is None
-                           else min(self.min_ms, other.min_ms))
-        if other.max_ms is not None:
-            self.max_ms = (other.max_ms if self.max_ms is None
-                           else max(self.max_ms, other.max_ms))
-
     # -- readouts ---------------------------------------------------------------
-    def __len__(self) -> int:
-        return self.count
-
     @property
     def mean_ms(self) -> float:
         return self.sum_ms / self.count if self.count else 0.0
@@ -182,58 +119,6 @@ class LatencyHistogram:
         # Rank lands in the overflow bucket: everything there is <= max.
         return self.max_ms
 
-    def summary(self) -> Dict[str, Any]:
-        """The compact form bench snapshots store instead of sample lists."""
-        return {
-            "label": self.label,
-            "count": self.count,
-            "mean_ms": self.mean_ms,
-            "p50_ms": self.percentile(50),
-            "p95_ms": self.percentile(95),
-            "p99_ms": self.percentile(99),
-            "min_ms": self.min_ms if self.min_ms is not None else 0.0,
-            "max_ms": self.max_ms if self.max_ms is not None else 0.0,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"LatencyHistogram({self.label!r}, count={self.count}, "
                 f"p99={self.percentile(99):.3f}ms)")
-
-
-class MetricsRegistry:
-    """Named counters/gauges/histograms, exportable as one nested dict."""
-
-    def __init__(self):
-        self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
-        self.histograms: Dict[str, LatencyHistogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        counter = self.counters.get(name)
-        if counter is None:
-            counter = self.counters[name] = Counter(name)
-        return counter
-
-    def gauge(self, name: str) -> Gauge:
-        gauge = self.gauges.get(name)
-        if gauge is None:
-            gauge = self.gauges[name] = Gauge(name)
-        return gauge
-
-    def histogram(self, name: str, **kwargs: Any) -> LatencyHistogram:
-        histogram = self.histograms.get(name)
-        if histogram is None:
-            histogram = self.histograms[name] = LatencyHistogram(
-                label=name, **kwargs)
-        return histogram
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "counters": {name: counter.value
-                         for name, counter in sorted(self.counters.items())},
-            "gauges": {name: gauge.value
-                       for name, gauge in sorted(self.gauges.items())},
-            "histograms": {name: histogram.summary()
-                           for name, histogram in
-                           sorted(self.histograms.items())},
-        }

@@ -20,7 +20,6 @@ from .latency import ComputeModel, DEFAULT_COSTS, LatencyModel, OperationCost
 from .overlap import ingress_overflow_ms, run_overlapped
 from .rng import RandomSource, ZipfGenerator
 from .stats import (
-    AutoscalerDecision,
     LatencyRecorder,
     LatencySummary,
     SimulationResult,
@@ -58,6 +57,5 @@ __all__ = [
     "mean",
     "median",
     "percentile",
-    "AutoscalerDecision",
     "SimulationResult",
 ]

@@ -137,14 +137,6 @@ class LatencyRecorder:
             max_ms=max(self.samples_ms),
         )
 
-    def merge(self, other: "LatencyRecorder") -> "LatencyRecorder":
-        if self._histogram is not None or other._histogram is not None:
-            raise ValueError("cannot merge histogram-backed recorders; "
-                             "merge their histograms instead")
-        merged = LatencyRecorder(label=self.label)
-        merged.samples_ms = list(self.samples_ms) + list(other.samples_ms)
-        return merged
-
 
 @dataclass
 class ThroughputPoint:
@@ -192,20 +184,6 @@ def build_throughput_curve(completion_buckets: Dict[int, int],
             allocated_nodes=max(1, math.ceil(capacity / per_node)),
         ))
     return curve
-
-
-@dataclass
-class AutoscalerDecision:
-    """What an autoscaling policy wants the cluster to do at one tick."""
-
-    add_threads: int = 0
-    remove_threads: int = 0
-    add_delay_ms: float = 0.0
-    note: str = ""
-    #: Scale-downs marked urgent (load disappeared entirely) skip the compute
-    #: control plane's grace period; ordinary low-utilization scale-downs must
-    #: repeat for a few consecutive ticks before they actuate.
-    urgent: bool = False
 
 
 @dataclass

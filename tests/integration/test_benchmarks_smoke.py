@@ -14,7 +14,7 @@ import pytest
 
 from repro.bench import run_figure7, run_figure8, run_table2
 from repro.bench.figures import FIGURES, SMOKE_SEED
-from repro.cloudburst.monitoring import MonitoringConfig
+from repro.cloudburst.controlplane import MonitoringConfig
 
 
 @pytest.mark.parametrize("figure", FIGURES, ids=lambda figure: figure.sections[0])

@@ -22,7 +22,7 @@ from repro.bench.harness import EngineLoadDriver
 from repro.bench import run_table2
 from repro.cloudburst import CloudburstCluster, ConsistencyLevel
 from repro.cloudburst.controlplane import ComputeControlPlane
-from repro.cloudburst.monitoring import MonitoringConfig
+from repro.cloudburst.controlplane import MonitoringConfig
 from repro.sim import RandomSource
 
 from one_client import one_client_driver_latencies, top_level_latencies
@@ -350,8 +350,7 @@ class TestScaleDownClosesCaches:
             cluster, lambda cloud, ctx, index: cloud.call("work", [index], ctx=ctx),
             clients=12, stop_ms=6_000.0, max_duration_ms=10_000.0,
             control_plane=ComputeControlPlane(
-                cluster, config=config, policy_interval_ms=1_000.0,
-                min_threads=2))
+                cluster, config=config, policy_interval_ms=1_000.0))
         driver.run()
         drained = [vm for vm in cluster.vms
                    if not any(thread.alive for thread in vm.threads)]

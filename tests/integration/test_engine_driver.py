@@ -22,7 +22,7 @@ from repro.bench.harness import (
 )
 from repro.cloudburst import CloudburstCluster
 from repro.cloudburst.controlplane import ComputeControlPlane
-from repro.cloudburst.monitoring import MonitoringConfig
+from repro.cloudburst.controlplane import MIN_PINNED_THREADS, MonitoringConfig
 
 
 def _make_cluster(seed=11, executor_vms=2, threads_per_vm=3):
@@ -154,14 +154,13 @@ class TestDriverAutoscaling:
             cluster, _work_request, clients=20,
             stop_ms=10_000.0, max_duration_ms=15_000.0,
             control_plane=ComputeControlPlane(
-                cluster, config=config, policy_interval_ms=1_000.0,
-                min_threads=config.min_pinned_threads))
+                cluster, config=config, policy_interval_ms=1_000.0))
         sim = driver.run()
         capacities = [capacity for _, capacity in sim.capacity_timeline]
         assert capacities[0] == 6
         assert max(capacities) > 6          # scale-up really added VMs
         assert len(cluster.vms) > 2
-        assert capacities[-1] == config.min_pinned_threads  # drained
+        assert capacities[-1] == MIN_PINNED_THREADS  # drained
 
     def test_invalid_configuration_rejected(self):
         cluster, _ = _make_cluster(seed=3)

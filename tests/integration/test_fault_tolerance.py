@@ -3,7 +3,7 @@
 import pytest
 
 from repro import CloudburstCluster
-from repro.cloudburst.controlplane import ComputeAutoscaler
+from repro.cloudburst.controlplane import ComputeControlPlane
 from repro.errors import SchedulingError
 
 
@@ -133,8 +133,9 @@ class TestComputeElasticity:
         before = len(cluster.vms)
         for vm in cluster.vms:
             saturate(vm)
-        cluster.publish_all_metrics()
-        report = ComputeAutoscaler(cluster).tick(cluster.engine.now_ms)
+        plane = ComputeControlPlane(cluster)
+        plane.publish()
+        report = plane.tick(cluster.engine.now_ms)
         cluster.engine.run()  # the new VMs come online after the boot delay
         assert report.vms_added > 0
         assert len(cluster.vms) > before

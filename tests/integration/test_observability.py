@@ -8,14 +8,8 @@ single span; and tracing never touches a clock — seeded latency timelines
 are byte-identical with tracing fully on, fully off, or attached at rate 0.
 """
 
-import pytest
-
 from repro.bench.harness import EngineLoadDriver
 from repro.cloudburst import CloudburstCluster, CloudburstReference
-from repro.cloudburst.monitoring import (
-    SCHEDULER_METRICS_PREFIX,
-    MonitoringSystem,
-)
 from repro.obs import Tracer
 from repro.sim import FaultPlane, RandomSource
 
@@ -199,42 +193,6 @@ class TestTracingNeverChargesClocks:
         assert fully_on.latencies.samples_ms == baseline.latencies.samples_ms
         assert rate_zero.latencies.samples_ms == baseline.latencies.samples_ms
         assert fully_on.duration_ms == baseline.duration_ms
-
-
-class TestTailLatencyPublication:
-    def test_scheduler_histogram_reaches_monitoring_via_anna(self):
-        cluster, cloud = _pipeline_cluster(seed=5)
-        for index in range(20):
-            assert cloud.call("inc", [index]).result().value == index + 1
-        # The publisher writes each scheduler's histogram summary to its
-        # metrics key; reads must not skew storage access statistics.
-        from repro.cloudburst.controlplane import MetricsPublisher
-
-        def total_accesses():
-            return sum(stats.accesses
-                       for node in cluster.kvs._nodes.values()
-                       for stats in node._stats.values())
-
-        before = total_accesses()
-        MetricsPublisher(cluster).publish()
-        scheduler = cluster.schedulers[0]
-        published = cluster.kvs.peek(
-            SCHEDULER_METRICS_PREFIX + scheduler.scheduler_id).reveal()
-        assert published["latency"]["count"] == 20
-        assert published["latency"]["p99_ms"] >= published["latency"]["p50_ms"]
-        assert total_accesses() == before
-
-        aggregated = MonitoringSystem(cluster).collect_tail_latency()
-        assert aggregated["count"] == 20
-        assert aggregated["p99_ms"] == \
-            pytest.approx(published["latency"]["p99_ms"])
-
-    def test_collect_tail_latency_falls_back_to_live_histograms(self):
-        cluster, cloud = _pipeline_cluster(seed=6)
-        cloud.call("inc", [1]).result()
-        # Nothing published yet: the aggregate still sees the live histogram.
-        aggregated = MonitoringSystem(cluster).collect_tail_latency()
-        assert aggregated["count"] == 1
 
 
 class TestTracingOverheadScenario:

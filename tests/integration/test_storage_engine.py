@@ -12,7 +12,7 @@ import pytest
 from repro.apps.gossip import GatherAggregation, GossipAggregation
 from repro.bench import run_figure5, run_figure6, run_figure7
 from repro.cloudburst import CloudburstCluster
-from repro.cloudburst.monitoring import MonitoringConfig
+from repro.cloudburst.controlplane import MonitoringConfig
 
 from one_client import one_client_driver_latencies, top_level_latencies
 

@@ -1,30 +1,22 @@
-"""Unit tests for counters, gauges and the log-scale latency histogram."""
+"""Unit tests for the log-scale latency histogram."""
 
 import pytest
 
-from repro.obs import Counter, Gauge, LatencyHistogram, MetricsRegistry
+from repro.obs import LatencyHistogram
 from repro.sim import LatencyRecorder
 
 
-class TestCounterAndGauge:
-    def test_counter_monotonic(self):
-        counter = Counter("requests")
-        assert counter.inc() == 1.0
-        assert counter.inc(2.5) == 3.5
-        with pytest.raises(ValueError):
-            counter.inc(-1.0)
-
-    def test_gauge_set_and_add(self):
-        gauge = Gauge("queue_depth")
-        assert gauge.set(4) == 4.0
-        assert gauge.add(-1.5) == 2.5
+def histogram_of(samples, **kwargs):
+    histogram = LatencyHistogram(label="t", **kwargs)
+    for sample in samples:
+        histogram.record(sample)
+    return histogram
 
 
 class TestLatencyHistogram:
     def test_exact_count_sum_min_max(self):
-        histogram = LatencyHistogram(label="t")
         samples = [0.5, 3.0, 3.0, 120.0, 0.02]
-        histogram.extend(samples)
+        histogram = histogram_of(samples)
         assert histogram.count == len(samples)
         assert histogram.sum_ms == pytest.approx(sum(samples))
         assert histogram.min_ms == 0.02
@@ -34,16 +26,13 @@ class TestLatencyHistogram:
     def test_percentiles_within_bucket_growth_error(self):
         # Uniform 1..1000 ms: each interpolated quantile must land within
         # the documented ~10% relative error of the exact value.
-        histogram = LatencyHistogram(label="uniform")
-        exact = [float(value) for value in range(1, 1001)]
-        histogram.extend(exact)
+        histogram = histogram_of(float(value) for value in range(1, 1001))
         for pct, true_value in ((50, 500.5), (95, 950.05), (99, 990.01)):
             estimate = histogram.percentile(pct)
             assert estimate == pytest.approx(true_value, rel=0.10)
 
     def test_percentile_clamped_to_observed_range(self):
-        histogram = LatencyHistogram(label="two")
-        histogram.extend([10.0, 10.0, 10.0])
+        histogram = histogram_of([10.0, 10.0, 10.0])
         # All mass in one bucket: interpolation cannot escape [min, max].
         for pct in (1, 50, 99):
             assert histogram.min_ms <= histogram.percentile(pct) <= \
@@ -52,54 +41,28 @@ class TestLatencyHistogram:
         assert histogram.percentile(100) == 10.0
 
     def test_overflow_bucket_reports_exact_max(self):
-        histogram = LatencyHistogram(label="of", buckets=4)
-        histogram.extend([0.005, 1e9])
+        histogram = histogram_of([0.005, 1e9], buckets=4)
         assert histogram.overflow == 1
         assert histogram.percentile(99) == 1e9
 
     def test_empty_histogram_is_safe(self):
         histogram = LatencyHistogram(label="empty")
+        assert histogram.count == 0
         assert histogram.percentile(99) == 0.0
-        summary = histogram.summary()
-        assert summary["count"] == 0
-        assert summary["p99_ms"] == 0.0
-
-    def test_merge_requires_matching_geometry(self):
-        left = LatencyHistogram(label="l")
-        right = LatencyHistogram(label="r")
-        left.extend([1.0, 2.0])
-        right.extend([3.0])
-        left.merge(right)
-        assert left.count == 3
-        assert left.max_ms == 3.0
-        with pytest.raises(ValueError):
-            left.merge(LatencyHistogram(label="odd", buckets=7))
+        assert histogram.mean_ms == 0.0
+        assert histogram.min_ms is None and histogram.max_ms is None
 
     def test_rejects_negative_samples(self):
         with pytest.raises(ValueError):
             LatencyHistogram(label="neg").record(-1.0)
 
-
-class TestMetricsRegistry:
-    def test_named_instruments_are_singletons(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
-        assert registry.gauge("g") is registry.gauge("g")
-        assert registry.histogram("h") is registry.histogram("h")
-
-    def test_as_dict_snapshot(self):
-        registry = MetricsRegistry()
-        registry.counter("requests").inc(3)
-        registry.gauge("depth").set(2)
-        registry.histogram("latency").record(5.0)
-        snapshot = registry.as_dict()
-        assert snapshot["counters"] == {"requests": 3.0}
-        assert snapshot["gauges"] == {"depth": 2.0}
-        assert snapshot["histograms"]["latency"]["count"] == 1
+    def test_rejects_degenerate_geometry(self):
+        with pytest.raises(ValueError):
+            LatencyHistogram(label="flat", growth=1.0)
 
 
 class TestHistogramBackedRecorder:
-    """satellite (f): LatencyRecorder(keep_samples=False) drops sample lists."""
+    """LatencyRecorder(keep_samples=False) drops sample lists."""
 
     def test_summary_matches_exact_within_bucket_error(self):
         samples = [float(value) for value in range(1, 501)]
@@ -117,13 +80,3 @@ class TestHistogramBackedRecorder:
         for field in ("median_ms", "p95_ms", "p99_ms"):
             assert getattr(compact_summary, field) == pytest.approx(
                 getattr(exact_summary, field), rel=0.10)
-
-    def test_merge_refuses_histogram_backed(self):
-        compact = LatencyRecorder(label="compact", keep_samples=False)
-        compact.record(1.0)
-        other = LatencyRecorder(label="exact")
-        other.record(2.0)
-        with pytest.raises(ValueError):
-            compact.merge(other)
-        with pytest.raises(ValueError):
-            other.merge(compact)

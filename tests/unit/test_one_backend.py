@@ -64,16 +64,18 @@ def _write_request(cloud, ctx, index):
 
 
 class TestTwoRunsOnOneCluster:
-    def test_both_complete_gossip_and_report_from_their_own_start(self):
+    def test_both_complete_gossip_and_report_from_their_own_start(self, monkeypatch):
         cluster = _write_cluster()
         kvs, engine = cluster.kvs, cluster.engine
         runs = []
         for _ in range(2):
+            # A control plane that publishes and aggregates but never acts.
+            plane = ComputeControlPlane(cluster, policy_interval_ms=50.0)
+            monkeypatch.setattr(plane, "decide", lambda now_ms, metrics: None)
             driver = EngineLoadDriver(
                 cluster, _write_request, clients=3, max_requests=30,
-                throughput_bucket_ms=50.0,
-                control_plane=ComputeControlPlane(
-                    cluster, autoscaling=False, policy_interval_ms=50.0))
+                max_duration_ms=400.0, throughput_bucket_ms=50.0,
+                control_plane=plane)
             runs.append((driver, driver.run(), driver.storage_report()))
             # Every request's write reached both replicas inside the run:
             # the round behind the last write fired, no drain loop needed.

@@ -62,15 +62,6 @@ class TestLatencyRecorder:
         with pytest.raises(ValueError):
             LatencyRecorder(label="empty").summary()
 
-    def test_merge_combines_samples(self):
-        a = LatencyRecorder(label="a")
-        a.extend([1.0, 2.0])
-        b = LatencyRecorder(label="b")
-        b.extend([3.0])
-        merged = a.merge(b)
-        assert len(merged) == 3
-        assert merged.label == "a"
-
     def test_summary_as_dict_and_str(self):
         recorder = LatencyRecorder(label="fmt")
         recorder.extend([1.0, 2.0, 3.0])
