@@ -12,11 +12,11 @@ from .autoscaler import (
     StorageAutoscalerReport,
     hot_key_report,
 )
-from .cluster import DEFAULT_GOSSIP_INTERVAL_MS, AnnaCluster
+from .cluster import GOSSIP_INTERVAL_MS, AnnaCluster
 from .hash_ring import HashRing, stable_hash
 from .index import IndexOverhead, KeyCacheIndex
 from .storage_node import (
-    DEFAULT_NODE_QUEUE_BOUND,
+    ColdTier,
     KeyStats,
     StorageNode,
     StorageServiceModel,
@@ -24,8 +24,8 @@ from .storage_node import (
 
 __all__ = [
     "AnnaCluster",
-    "DEFAULT_GOSSIP_INTERVAL_MS",
-    "DEFAULT_NODE_QUEUE_BOUND",
+    "ColdTier",
+    "GOSSIP_INTERVAL_MS",
     "StorageServiceModel",
     "HashRing",
     "stable_hash",

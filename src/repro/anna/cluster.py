@@ -37,14 +37,17 @@ from ..sim import (Engine, LatencyModel, RequestContext, ingress_overflow_ms,
                    run_overlapped)
 from .hash_ring import HashRing
 from .index import KeyCacheIndex
-from .storage_node import DEFAULT_NODE_QUEUE_BOUND, StorageNode, StorageServiceModel
+from .storage_node import StorageNode, StorageServiceModel
 
 #: Callback signature for asynchronous update propagation to caches.
 UpdateListener = Callable[[str, Lattice], None]
 
-#: Default virtual-time period of the anti-entropy gossip round that carries
-#: writes from the replica that accepted them to the rest of the replica set.
-DEFAULT_GOSSIP_INTERVAL_MS = 25.0
+#: Virtual-time period of the anti-entropy gossip round that carries writes
+#: from the replica that accepted them to the rest of the replica set.
+GOSSIP_INTERVAL_MS = 25.0
+
+#: How long one operation occupies a storage node's server, per tier.
+STORAGE_SERVICE = StorageServiceModel()
 
 
 class AnnaCluster:
@@ -60,13 +63,9 @@ class AnnaCluster:
 
     def __init__(self, node_count: int = 4, replication_factor: int = 2,
                  latency_model: Optional[LatencyModel] = None,
-                 virtual_nodes: int = 64,
                  memory_capacity_keys: int = 1_000_000,
                  propagation_mode: str = PROPAGATE_IMMEDIATE,
                  propagation_interval_ms: float = 0.0,
-                 storage_service: Optional[StorageServiceModel] = None,
-                 node_queue_bound: Optional[int] = DEFAULT_NODE_QUEUE_BOUND,
-                 gossip_interval_ms: float = DEFAULT_GOSSIP_INTERVAL_MS,
                  durable_path: Optional[Union[str, Path]] = None,
                  tracer=None,
                  engine: Optional[Engine] = None):
@@ -78,8 +77,6 @@ class AnnaCluster:
             raise ValueError(f"unknown propagation mode: {propagation_mode!r}")
         if propagation_interval_ms < 0:
             raise ValueError("propagation_interval_ms cannot be negative")
-        if gossip_interval_ms < 0:
-            raise ValueError("gossip_interval_ms cannot be negative")
         self.latency_model = latency_model or LatencyModel()
         #: Observability tracer (``repro.obs.Tracer``) used for background
         #: spans (gossip rounds); request spans ride on ``ctx.span`` and need
@@ -87,23 +84,17 @@ class AnnaCluster:
         self.tracer = tracer
         self.replication_factor = replication_factor
         self.memory_capacity_keys = memory_capacity_keys
-        self.storage_service = storage_service or StorageServiceModel()
-        self.node_queue_bound = node_queue_bound
         self.propagation_mode = propagation_mode
         #: Virtual-time period of the propagation round in periodic mode
         #: (zero: only explicit ``flush_updates`` calls propagate).
         self.propagation_interval_ms = float(propagation_interval_ms)
-        #: Virtual-time period of replica anti-entropy gossip.  Zero runs the
-        #: round inside every put.
-        self.gossip_interval_ms = float(gossip_interval_ms)
         #: The discrete-event engine the storage nodes live on, for the
         #: cluster's whole lifetime (a ``CloudburstCluster`` hands in its own).
         self.engine = engine or Engine()
         if (propagation_mode == self.PROPAGATE_PERIODIC
                 and self.propagation_interval_ms > 0):
             self.engine.every(self.propagation_interval_ms, self.flush_updates)
-        if self.gossip_interval_ms > 0:
-            self.engine.every(self.gossip_interval_ms, self.run_gossip_round)
+        self.engine.every(GOSSIP_INTERVAL_MS, self.run_gossip_round)
         self._autoscaler = None
         self._pending_updates: List[str] = []
         #: Keys written at a node but not yet gossiped to its peer replicas.
@@ -127,7 +118,7 @@ class AnnaCluster:
         self.cold_crashes = 0
         self.cold_keys_at_crash = 0
         self.cold_keys_recovered = 0
-        self._ring = HashRing(virtual_nodes=virtual_nodes)
+        self._ring = HashRing()
         self._nodes: Dict[str, StorageNode] = {}
         self._node_sequence = 0
         self._cache_index = KeyCacheIndex()
@@ -172,12 +163,8 @@ class AnnaCluster:
 
             cold_tier = SqliteColdTier(self.durable_path, node_id)
         node = StorageNode(node_id, memory_capacity_keys=self.memory_capacity_keys,
-                           service_model=self.storage_service,
-                           queue_bound=self.node_queue_bound,
                            cold_tier=cold_tier)
-        if cold_tier is not None:
-            recovered = node.recover_cold_set()
-            self.cold_keys_recovered += recovered
+        self.cold_keys_recovered += node.recover_cold_set()
         all_keys = set()
         for other in self._nodes.values():
             all_keys.update(other.keys())
@@ -227,23 +214,22 @@ class AnnaCluster:
         for key, value in departing.drain().items():
             for owner in self._owners(key):
                 self._nodes[owner].put(key, value, count_access=False)
-        if departing.cold_tier is not None:
-            # Graceful decommission: drain() already emptied the table, so a
-            # later node reusing this id starts from a clean cold set.
-            departing.cold_tier.close()
+        # Graceful decommission: drain() already emptied the cold tier, so a
+        # later node reusing this id starts from a clean cold set.
+        departing.cold_tier.close()
 
     def crash_node(self, node_id: str) -> int:
         """Kill a storage node without the graceful drain (fault injection).
 
         The node's volatile memory tier and access statistics are lost with
-        it, but its durable cold tier — when one is attached — stays on disk
+        it.  So is the in-process cold tier; a durable one stays on disk
         under the same node id, so :meth:`restart_node` recovers the cold set
         from the database instead of refetching it.  Writes the node had
         accepted but not yet gossiped are delivered to the surviving
         replicas: the repro models anti-entropy pushes as already emitted
         when the write was acknowledged (see ``DESIGN.md``, DR-5), so a crash
         costs a replica, never acknowledged data.  Returns the number of
-        durable cold keys left behind on disk.
+        cold keys the node held when it crashed.
         """
         departing = self._retire(node_id, "crash")
         for key in sorted(self._dirty.pop(node_id, set())):
@@ -254,10 +240,9 @@ class AnnaCluster:
                 survivor = self._nodes.get(owner)
                 if survivor is not None:
                     survivor.put(key, value, count_access=False)
-        cold_left = departing.disk_key_count() if departing.cold_tier else 0
+        cold_left = departing.disk_key_count()
         departing.forget_volatile()
-        if departing.cold_tier is not None:
-            departing.cold_tier.close()
+        departing.cold_tier.close()
         self.cold_crashes += 1
         self.cold_keys_at_crash += cold_left
         return cold_left
@@ -284,7 +269,9 @@ class AnnaCluster:
         """Durable-tier accounting for the bench sections and the §4.5 oracle."""
         return {
             "enabled": self.durable_path is not None,
-            "path": str(self.durable_path) if self.durable_path else None,
+            # The file name only: the directory is the host's, and the
+            # section must not depend on it.
+            "path": self.durable_path.name if self.durable_path else None,
             "crashes": self.cold_crashes,
             "cold_keys_at_crash": self.cold_keys_at_crash,
             "cold_keys_recovered": self.cold_keys_recovered,
@@ -312,8 +299,7 @@ class AnnaCluster:
         The put lands on the *first replica whose work queue has room*
         (multi-master, quorum-of-1), waits out that node's queue, and is
         marked dirty so the periodic anti-entropy gossip carries it to the
-        remaining replicas on virtual time (``gossip_interval_ms=0``: the
-        round runs before this returns).  If every replica's queue is full
+        remaining replicas on virtual time.  If every replica's queue is full
         the put fails with :class:`~repro.errors.StorageOverloadError`.
         Uncharged puts (``ctx=None`` — asynchronous cache write-backs) are
         background traffic: they land on the primary without queueing.
@@ -338,8 +324,6 @@ class AnnaCluster:
         merged = node.put(key, value, now_ms=self._op_time(ctx),
                           count_access=count_access)
         self._dirty.setdefault(target, set()).add(key)
-        if self.gossip_interval_ms <= 0:
-            self.run_gossip_round()
         if propagate:
             self._propagate_update(key, merged, exclude=originating_cache)
         return merged
@@ -373,7 +357,7 @@ class AnnaCluster:
             if ctx is not None:
                 self.latency_model.charge(ctx, "anna", "get", size_bytes=0)
                 ctx.charge("anna", "service",
-                           self.storage_service.service_ms(StorageNode.MEMORY_TIER))
+                           STORAGE_SERVICE.service_ms(StorageNode.MEMORY_TIER))
             raise KeyNotFoundError(key)
         target = holders[0]
         if ctx is not None:
@@ -410,7 +394,7 @@ class AnnaCluster:
         tier = node.tier_of(key) or StorageNode.MEMORY_TIER
         if fresh:
             tier = StorageNode.MEMORY_TIER
-        service_ms = self.storage_service.service_ms(tier, size_bytes)
+        service_ms = STORAGE_SERVICE.service_ms(tier, size_bytes)
         span = ctx.span
         start = node.work_queue.reserve(ctx.clock.now_ms, service_ms)
         wait_ms = start - ctx.clock.now_ms

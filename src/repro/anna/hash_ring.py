@@ -11,6 +11,9 @@ import bisect
 import hashlib
 from typing import Dict, List, Sequence, Tuple
 
+#: Points each node places on the ring.
+VIRTUAL_NODES = 64
+
 
 def stable_hash(value: str) -> int:
     """A deterministic 64-bit hash (Python's builtin ``hash`` is salted)."""
@@ -21,10 +24,7 @@ def stable_hash(value: str) -> int:
 class HashRing:
     """Consistent-hash ring with virtual nodes."""
 
-    def __init__(self, virtual_nodes: int = 64):
-        if virtual_nodes <= 0:
-            raise ValueError("virtual_nodes must be positive")
-        self.virtual_nodes = virtual_nodes
+    def __init__(self):
         self._ring: List[int] = []
         self._owners: Dict[int, str] = {}
         self._members: Dict[str, List[int]] = {}
@@ -37,7 +37,7 @@ class HashRing:
             raise ValueError(f"node already on ring: {node_id!r}")
         self._owners_memo.clear()
         points = []
-        for replica in range(self.virtual_nodes):
+        for replica in range(VIRTUAL_NODES):
             point = stable_hash(f"{node_id}#{replica}")
             # Extremely unlikely collision: probe linearly until free.
             while point in self._owners:

@@ -7,36 +7,68 @@ incoming lattice into whatever the node already stores, which is what makes
 Anna multi-master and coordination free.
 
 Every node also carries a bounded FIFO
-:class:`~repro.sim.engine.ReservationQueue` and a
-:class:`StorageServiceModel` describing how long one operation occupies the
-node's server (memory tier vs the much slower disk tier).  The queue is only
-consulted for *charged* client requests; background traffic — replica gossip,
-asynchronous cache write-backs — never occupies it, matching the paper's
-treatment of replication as free for the caller.
+:class:`~repro.sim.engine.ReservationQueue`, consulted only for *charged*
+client requests; background traffic — replica gossip, asynchronous cache
+write-backs — never occupies it, matching the paper's treatment of
+replication as free for the caller.  How long one operation occupies the
+node's server (memory tier vs the much slower disk tier) is
+:class:`StorageServiceModel`, which the cluster charges.
 
-The disk tier has two implementations: the default in-process dict, and —
-when a :class:`~repro.durable.SqliteColdTier` is attached — a real WAL-mode
-SQLite table that survives node crashes.  Either way the *timing* of disk
-operations comes solely from :class:`StorageServiceModel`, so attaching a
-durable tier never perturbs the virtual timeline.
+The disk tier is a :class:`ColdTier`: the default keeps its lattices in
+process, and :class:`~repro.durable.SqliteColdTier` writes every change
+through to a WAL-mode SQLite table that survives node crashes.  Either way
+the *timing* of disk operations comes solely from
+:class:`StorageServiceModel`, so a durable tier never perturbs the virtual
+timeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from ..errors import KeyNotFoundError
 from ..lattices import Lattice
 from ..sim.engine import ReservationQueue
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from ..durable import SqliteColdTier
+#: Bound on a storage node's work queue.  Large enough that the benchmark
+#: workloads queue (latency) before they reject (errors); small enough that
+#: a hot node saturates instead of buffering work forever.
+NODE_QUEUE_BOUND = 128
 
-#: Default bound on a storage node's work queue.  Large enough that the
-#: benchmark workloads queue (latency) before they reject (errors); small
-#: enough that a hot node saturates instead of buffering work forever.
-DEFAULT_NODE_QUEUE_BOUND = 128
+
+class ColdTier(dict):
+    """A storage node's disk tier: key -> lattice, read as a plain dict.
+
+    A node changes it only through :meth:`write` and :meth:`remove`, which
+    report each change to :meth:`_persist`.  This class is the default tier:
+    it persists nothing, so its lattices live and die with the process.
+    :class:`~repro.durable.SqliteColdTier` overrides :meth:`_persist` to
+    write each change through to SQLite, and fills itself from the table
+    when it opens.
+    """
+
+    #: Last-access times of the keys found when the tier opened (a durable
+    #: tier's recovered cold set); none for an in-process tier.
+    recovered_access_ms: Mapping[str, float] = MappingProxyType({})
+
+    def write(self, key: str, value: Lattice, last_access_ms: float = 0.0) -> None:
+        self[key] = value
+        self._persist(key, value, last_access_ms)
+
+    def remove(self, key: str) -> Optional[Lattice]:
+        value = self.pop(key, None)
+        if value is not None:
+            self._persist(key, None)
+        return value
+
+    def _persist(self, key: str, value: Optional[Lattice],
+                 last_access_ms: float = 0.0) -> None:
+        """Record one change (``value`` None: ``key`` was removed)."""
+
+    def close(self) -> None:
+        """Release the backing store (an in-process tier holds none)."""
 
 
 @dataclass(frozen=True)
@@ -79,24 +111,18 @@ class StorageNode:
     DISK_TIER = "disk"
 
     def __init__(self, node_id: str, memory_capacity_keys: int = 1_000_000,
-                 service_model: Optional[StorageServiceModel] = None,
-                 queue_bound: Optional[int] = DEFAULT_NODE_QUEUE_BOUND,
-                 cold_tier: Optional["SqliteColdTier"] = None):
+                 cold_tier: Optional[ColdTier] = None):
         self.node_id = node_id
         self.memory_capacity_keys = memory_capacity_keys
-        self.service_model = service_model or StorageServiceModel()
-        #: Optional durable backend for the disk tier.  When set, demotions
-        #: serialise into SQLite and the in-process ``_disk`` dict stays
-        #: empty; when None, the disk tier is the plain dict as before.
-        self.cold_tier = cold_tier
+        #: The disk tier (in process unless the cluster has a durable path).
+        self.cold_tier = ColdTier() if cold_tier is None else cold_tier
         #: Bounded single-server queue serialising charged client operations
         #: when the cluster runs on a discrete-event engine.  Storage ops
         #: arrive at private request-clock times that interleave across
         #: callbacks, so the queue backfills idle gaps instead of assuming
         #: timestamp-ordered arrivals (see :class:`ReservationQueue`).
-        self.work_queue = ReservationQueue(bound=queue_bound, label=node_id)
+        self.work_queue = ReservationQueue(bound=NODE_QUEUE_BOUND, label=node_id)
         self._memory: Dict[str, Lattice] = {}
-        self._disk: Dict[str, Lattice] = {}
         self._stats: Dict[str, KeyStats] = {}
         #: Keys pushed from memory to disk (autoscaler cold-data demotion or
         #: capacity pressure on insert).
@@ -129,19 +155,18 @@ class StorageNode:
         existing = self._memory.get(key)
         tier = self.MEMORY_TIER
         if existing is None:
-            on_disk = self._disk_peek(key)
+            on_disk = self.cold_tier.get(key)
             if on_disk is not None:
                 existing = on_disk
                 tier = self.DISK_TIER
         if existing is None:
-            # Fresh key: make room in the memory tier before inserting.
-            # O(n) min scan, not coldest_memory_keys (which copies + sorts the
-            # whole tier) — this runs on every fresh put once at capacity.
+            # Fresh key: make room in the memory tier before inserting, with
+            # an O(n) min scan — this runs on every fresh put once at capacity.
             while self._memory and len(self._memory) >= self.memory_capacity_keys:
                 self.demote(min(self._memory, key=self._last_access_ms))
         merged = value if existing is None else existing.merge(value)
         if tier == self.DISK_TIER:
-            self._disk_store(key, merged, now_ms)
+            self.cold_tier.write(key, merged, now_ms)
         else:
             self._memory[key] = merged
         if count_access:
@@ -155,7 +180,7 @@ class StorageNode:
     def get(self, key: str, now_ms: float = 0.0) -> Lattice:
         value = self._memory.get(key)
         if value is None:
-            value = self._disk_peek(key)
+            value = self.cold_tier.get(key)
         if value is None:
             raise KeyNotFoundError(key)
         stats = self._stats.setdefault(key, KeyStats())
@@ -167,118 +192,56 @@ class StorageNode:
         """Read without access accounting (rebalancing, gossip, system reads)."""
         value = self._memory.get(key)
         if value is None:
-            value = self._disk_peek(key)
+            value = self.cold_tier.get(key)
         return value
 
     def delete(self, key: str) -> bool:
         removed = self._memory.pop(key, None) is not None
-        if self.cold_tier is not None:
-            removed = self.cold_tier.delete(key) or removed
-        else:
-            removed = (self._disk.pop(key, None) is not None) or removed
+        removed = self.cold_tier.remove(key) is not None or removed
         self._stats.pop(key, None)
         return removed
 
     def contains(self, key: str) -> bool:
-        return key in self._memory or self._disk_contains(key)
+        return key in self._memory or key in self.cold_tier
 
     def tier_of(self, key: str) -> Optional[str]:
         if key in self._memory:
             return self.MEMORY_TIER
-        if self._disk_contains(key):
+        if key in self.cold_tier:
             return self.DISK_TIER
         return None
-
-    # -- the disk tier's two backends (in-process dict vs durable SQLite) --------
-    def _disk_peek(self, key: str) -> Optional[Lattice]:
-        if self.cold_tier is not None:
-            return self.cold_tier.get(key)
-        return self._disk.get(key)
-
-    def _disk_contains(self, key: str) -> bool:
-        if self.cold_tier is not None:
-            return self.cold_tier.contains(key)
-        return key in self._disk
-
-    def _disk_store(self, key: str, value: Lattice, now_ms: float = 0.0) -> None:
-        if self.cold_tier is not None:
-            self.cold_tier.put(key, value, last_access_ms=now_ms)
-        else:
-            self._disk[key] = value
-
-    def _disk_pop(self, key: str) -> Optional[Lattice]:
-        if self.cold_tier is not None:
-            return self.cold_tier.pop(key)
-        return self._disk.pop(key, None)
 
     # -- tier management ---------------------------------------------------------
     def demote(self, key: str) -> bool:
         """Move a key from the memory tier to the disk tier.
 
-        With a durable cold tier attached the value is *merged* into any
-        existing on-disk copy (after a crash/restart the table may already
-        hold an older version of the key) and committed before this returns.
+        A key lives in one tier at a time (a put merges into whichever holds
+        it), so the value moves as it is.
         """
         if key not in self._memory:
             return False
-        value = self._memory.pop(key)
-        if self.cold_tier is not None:
-            self.cold_tier.merge(key, value,
-                                 last_access_ms=self._last_access_ms(key))
-        else:
-            self._disk[key] = value
+        self.cold_tier.write(key, self._memory.pop(key), self._last_access_ms(key))
         self.demotions += 1
         return True
-
-    def promote(self, key: str) -> bool:
-        """Move a key from the disk tier to the memory tier.
-
-        The disk copy is merged into any memory-resident copy by the normal
-        lattice rules — for causal values a vector-clock merge — so a write
-        that raced the demotion is never clobbered by the promotion.
-        """
-        value = self._disk_pop(key)
-        if value is None:
-            return False
-        existing = self._memory.get(key)
-        self._memory[key] = value if existing is None else existing.merge(value)
-        return True
-
-    def over_memory_capacity(self) -> bool:
-        return len(self._memory) > self.memory_capacity_keys
 
     def _last_access_ms(self, key: str) -> float:
         stats = self._stats.get(key)
         return stats.last_access_ms if stats is not None else 0.0
 
-    def coldest_memory_keys(self, count: int) -> List[str]:
-        """The ``count`` least-recently-accessed keys in the memory tier."""
-        in_memory = [key for key in self._memory]
-        in_memory.sort(key=self._last_access_ms)
-        return in_memory[:count]
-
     # -- introspection ------------------------------------------------------------
     def keys(self) -> Iterable[str]:
         yield from self._memory
-        if self.cold_tier is not None:
-            yield from self.cold_tier.keys()
-        else:
-            yield from self._disk
+        yield from self.cold_tier
 
     def key_count(self) -> int:
-        return len(self._memory) + self.disk_key_count()
-
-    def memory_key_count(self) -> int:
-        return len(self._memory)
+        return len(self._memory) + len(self.cold_tier)
 
     def memory_keys(self) -> Iterable[str]:
         """Keys currently resident in the memory tier (demotion candidates)."""
         yield from self._memory
 
     def disk_key_count(self) -> int:
-        if self.cold_tier is not None:
-            return self.cold_tier.key_count()
-        return len(self._disk)
+        return len(self.cold_tier)
 
     def stats(self, key: str) -> KeyStats:
         return self._stats.setdefault(key, KeyStats())
@@ -290,51 +253,39 @@ class StorageNode:
     def drain(self) -> Dict[str, Lattice]:
         """Return and clear all stored data (graceful node removal).
 
-        A drain empties the durable cold tier too: the node is being
+        A drain empties the cold tier too, durable or not: the node is being
         decommissioned and its data re-homed, so leaving rows behind would
         leak them into a later node reusing the same id.  Crashes go through
-        :meth:`forget_volatile` instead, which is the path that *keeps* the
-        cold set on disk.
+        :meth:`forget_volatile` instead, which is the path that *keeps* a
+        durable cold set on disk.
         """
         everything = dict(self._memory)
-        if self.cold_tier is not None:
-            for key, value in self.cold_tier.items():
-                existing = everything.get(key)
-                everything[key] = (value if existing is None
-                                   else existing.merge(value))
-            self.cold_tier.clear()
-        else:
-            everything.update(self._disk)
-            self._disk.clear()
+        for key in list(self.cold_tier):
+            everything[key] = self.cold_tier.remove(key)
         self._memory.clear()
         self._stats.clear()
         return everything
 
-    # -- crash/restart (durable tier only) ----------------------------------------
+    # -- crash/restart ------------------------------------------------------------
     def forget_volatile(self) -> None:
         """Crash semantics: lose the memory tier and access statistics.
 
-        The durable cold tier is deliberately untouched — its rows stay on
-        disk under this node's table for a restarted node to recover.
+        The cold tier is left to its own persistence: a durable one keeps its
+        rows on disk under this node's table for a restarted node to recover.
         """
         self._memory.clear()
         self._stats.clear()
 
     def recover_cold_set(self) -> int:
-        """Restore per-key statistics for the durable cold set after a restart.
+        """Restore the access times of the cold set the tier found on disk.
 
         The cold *data* never left the database; what a crash loses is the
         in-memory access bookkeeping the autoscaler's cold-age policy reads.
-        Returns the number of durable keys found (0 without a cold tier).
+        Returns the number of keys found (0 for an in-process tier).
         """
-        if self.cold_tier is None:
-            return 0
-        recovered = 0
-        for key, last_access in self.cold_tier.access_times().items():
-            stats = self._stats.setdefault(key, KeyStats())
-            stats.last_access_ms = max(stats.last_access_ms, last_access)
-            recovered += 1
-        return recovered
+        for key, last_access in self.cold_tier.recovered_access_ms.items():
+            self.stats(key).last_access_ms = last_access
+        return len(self.cold_tier.recovered_access_ms)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"StorageNode({self.node_id!r}, memory={len(self._memory)}, "

@@ -73,14 +73,12 @@ class GossipAggregation:
     """Push-sum gossip over Cloudburst executor threads (send/recv API)."""
 
     def __init__(self, cluster: CloudburstCluster, actor_count: int = 10,
-                 seed: int = 5,
-                 round_processing_ms: float = GOSSIP_ROUND_PROCESSING_MS):
+                 seed: int = 5):
         if actor_count <= 0:
             raise ValueError("actor_count must be positive")
         self.cluster = cluster
         self.actor_count = actor_count
         self.rng = RandomSource(seed)
-        self.round_processing_ms = round_processing_ms
         self.router = cluster.router
         # Each actor runs as a function invocation pinned to an executor thread;
         # its unique ID is advertised through a well-known KVS key so peers can
@@ -138,7 +136,7 @@ class GossipAggregation:
             # One direct message per actor per round (the send API).
             self.cluster.latency_model.charge(branch, "cloudburst", "direct_message",
                                               size_bytes=16)
-            branch.charge("compute", "gossip_round", self.round_processing_ms)
+            branch.charge("compute", "gossip_round", GOSSIP_ROUND_PROCESSING_MS)
             peer.inbox.append(half)
             branches.append(branch)
         for actor in actors:

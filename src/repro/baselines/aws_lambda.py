@@ -3,8 +3,8 @@
 The model captures what the paper attributes to Lambda: a per-invocation
 overhead of up to ~20 ms (heavy tailed), no inbound network connections (so
 functions can only communicate through storage or by argument/result
-passing), bandwidth-limited payload transfer, and an occasional cold start.
-User functions execute for real.
+passing), and bandwidth-limited payload transfer.  Every invocation is warm: no
+figure draws cold starts.  User functions execute for real.
 """
 
 from __future__ import annotations
@@ -12,19 +12,15 @@ from __future__ import annotations
 from typing import Any, Callable, Optional, Sequence
 
 from ..lattices.base import estimate_size
-from ..sim import LatencyModel, RandomSource, RequestContext
+from ..sim import LatencyModel, RequestContext
 from .storage import SimulatedStorageService
 
 
 class SimulatedLambda:
-    """A pool of Lambda functions with warm/cold start behaviour."""
+    """A pool of warm Lambda functions."""
 
-    def __init__(self, latency_model: Optional[LatencyModel] = None,
-                 rng: Optional[RandomSource] = None,
-                 cold_start_probability: float = 0.0):
+    def __init__(self, latency_model: Optional[LatencyModel] = None):
         self.latency_model = latency_model or LatencyModel()
-        self.rng = rng or RandomSource(31)
-        self.cold_start_probability = cold_start_probability
         self._functions = {}
         self.invocation_count = 0
 
@@ -39,9 +35,6 @@ class SimulatedLambda:
         """One Lambda invocation: overhead + payload transfer + user code."""
         func = self._functions[name]
         if ctx is not None:
-            if (self.cold_start_probability > 0
-                    and self.rng.random() < self.cold_start_probability):
-                self.latency_model.charge(ctx, "lambda", "cold_start")
             self.latency_model.charge(ctx, "lambda", "invoke")
             size = payload_bytes if payload_bytes is not None else \
                 sum(estimate_size(a) for a in args)

@@ -19,6 +19,10 @@ from typing import Any, Callable, Dict, Optional, Sequence
 from ..lattices.base import estimate_size
 from ..sim import LatencyModel, RandomSource, RequestContext
 
+#: How often two composed SAND functions share a host (local message bus)
+#: rather than crossing hosts (global bus).
+SAND_SAME_HOST_PROBABILITY = 0.85
+
 
 class _FunctionRegistry:
     """Shared function storage for the simulated platforms."""
@@ -44,11 +48,9 @@ class SandPlatform(_FunctionRegistry):
     """SAND: low-latency composition via a hierarchical message bus."""
 
     def __init__(self, latency_model: Optional[LatencyModel] = None,
-                 same_host_probability: float = 0.85,
                  rng: Optional[RandomSource] = None):
         super().__init__()
         self.latency_model = latency_model or LatencyModel()
-        self.same_host_probability = same_host_probability
         self.rng = rng or RandomSource(41)
 
     def run_pipeline(self, functions: Sequence[str], argument: Any,
@@ -61,7 +63,7 @@ class SandPlatform(_FunctionRegistry):
                     # The request enters the platform once (HTTP front end +
                     # sandbox dispatch).
                     self.latency_model.charge(ctx, "sand", "invoke")
-                elif self.rng.random() < self.same_host_probability:
+                elif self.rng.random() < SAND_SAME_HOST_PROBABILITY:
                     # Composed functions usually share a host and talk over the
                     # local message bus...
                     self.latency_model.charge(ctx, "sand", "local_bus")

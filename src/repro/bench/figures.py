@@ -360,15 +360,39 @@ def _ablations_errors(payload: Payload, params: dict) -> List[str]:
 
 # -- §4.5 fault recovery --------------------------------------------------------------
 _JOURNALS = "BENCH_fault_journals.json"
+#: The durable row: ``storage_drop`` as crash/restart over SQLite cold tiers,
+#: with a memory tier small enough that every crash finds keys on disk.  Its
+#: databases live in this directory beside the snapshot.
+_DURABLE_ROW = "durable_storage_drop"
+_DURABLE_DIR = "BENCH_fault_durable"
+_DURABLE_MEMORY_KEYS = 40
 
 
 def _run_fault_recovery(seed: int, out_dir: Path, **kwargs) -> Payload:
     section = run_fault_recovery(seed=seed + 7, **kwargs)
+    durable_dir = out_dir / _DURABLE_DIR
+    durable_dir.mkdir(exist_ok=True)
+    durable = run_fault_recovery(
+        seed=seed + 7, durable_dir=durable_dir, memory_capacity_keys=_DURABLE_MEMORY_KEYS,
+        fault_classes=("storage_drop",), **kwargs)
     # Every scheduler's per-session state transitions, for whoever debugs a
     # failed oracle: which DAGs were in flight and where their attempts ran.
     journals = {fault: entry.pop("journals") for fault, entry in section["classes"].items()}
+    journals.update({f"{_DURABLE_ROW}/{fault}": entry.pop("journals")
+                     for fault, entry in durable["classes"].items()})
     (out_dir / _JOURNALS).write_text(json.dumps(journals, indent=2, sort_keys=True) + "\n")
+    section[_DURABLE_ROW] = durable
     return {"fault_recovery": section}
+
+
+def _fault_recovery_errors(payload: Payload, params: dict) -> List[str]:
+    """The §4.5 oracle over the fault matrix and, unchanged, its durable row."""
+    section = payload.get("fault_recovery")
+    errors = fault_recovery_errors(section)
+    if section:
+        errors += [f"{_DURABLE_ROW}: {error}"
+                   for error in fault_recovery_errors(section.get(_DURABLE_ROW))]
+    return errors
 
 
 # -- the engine microbenchmark --------------------------------------------------------
@@ -523,8 +547,7 @@ FIGURES: Tuple[Figure, ...] = (
                       messaging=dict(messages=500))}),
     Figure(
         "Fault recovery (Retwis under injected failures, §4.5 oracle)", ("fault_recovery",),
-        _run_fault_recovery,
-        lambda payload, params: fault_recovery_errors(payload.get("fault_recovery")),
+        _run_fault_recovery, _fault_recovery_errors,
         files=(_JOURNALS,),
         # Seed 1 + 7's default 20 ms fault schedule never crashes a scheduler
         # with a DAG in flight (a vacuous run fails the oracle): smoke doubles

@@ -112,7 +112,7 @@ def run_figure1(requests: int = 1000, seed: int = 0) -> dict:
     recorders.append(run_closed_loop("SAND", sand_request, requests))
 
     # -- AWS Lambda variants --------------------------------------------------------------
-    platform = SimulatedLambda(shared_model, rng=rng.spawn("lambda"))
+    platform = SimulatedLambda(shared_model)
     platform.register(_increment, "increment")
     platform.register(_square, "square")
     s3 = SimulatedS3(shared_model)
@@ -201,7 +201,7 @@ def _figure5_one_size(label: str, requests: int, rng: RandomSource,
 
     # -- Lambda over Redis and S3 ------------------------------------------------------------
     model = LatencyModel(rng.spawn("lambda-model"))
-    platform = SimulatedLambda(model, rng=rng.spawn("lambda"))
+    platform = SimulatedLambda(model)
     redis = SimulatedRedis(model)
     s3 = SimulatedS3(model)
     for key, array in zip(keys.keys, arrays):

@@ -25,13 +25,12 @@ from .client import CloudburstClient
 from .consistency.anomalies import AnomalyTracker
 from .consistency.levels import ConsistencyLevel
 from .dag import DagRegistry
-from .executor import (
-    DEFAULT_WORK_QUEUE_BOUND,
-    EXECUTOR_METRICS_PREFIX,
-    ExecutorVM,
-)
+from .executor import EXECUTOR_METRICS_PREFIX, ExecutorVM
 from .messaging import MessageRouter
-from .scheduler import DEFAULT_FAULT_TIMEOUT_MS, OVERLOAD_THRESHOLD, Scheduler
+from .scheduler import DEFAULT_FAULT_TIMEOUT_MS, Scheduler
+
+#: Replicas of every Anna key (k-fault tolerance, §2.2).
+ANNA_REPLICATION = 2
 
 
 class CloudburstCluster:
@@ -42,19 +41,15 @@ class CloudburstCluster:
                  threads_per_vm: int = 3,
                  scheduler_count: int = 1,
                  anna_nodes: int = 4,
-                 anna_replication: int = 2,
                  consistency: ConsistencyLevel = ConsistencyLevel.LWW,
                  seed: int = 0,
                  latency_model: Optional[LatencyModel] = None,
-                 compute_model: Optional[ComputeModel] = None,
                  anomaly_tracker: Optional[AnomalyTracker] = None,
                  anna_propagation: str = AnnaCluster.PROPAGATE_IMMEDIATE,
                  propagation_interval_ms: float = 0.0,
                  anna_memory_capacity_keys: Optional[int] = None,
                  anna_durable_path=None,
-                 overload_threshold: float = OVERLOAD_THRESHOLD,
                  fault_timeout_ms: float = DEFAULT_FAULT_TIMEOUT_MS,
-                 work_queue_bound: Optional[int] = DEFAULT_WORK_QUEUE_BOUND,
                  tracer=None,
                  prefetch_references: bool = True):
         if executor_vms <= 0:
@@ -63,13 +58,11 @@ class CloudburstCluster:
             raise ValueError("scheduler_count must be positive")
         self.rng = RandomSource(seed)
         self.latency_model = latency_model or LatencyModel(self.rng.spawn("latency"))
-        self.compute_model = compute_model or ComputeModel(rng=self.rng.spawn("compute"))
+        self.compute_model = ComputeModel(rng=self.rng.spawn("compute"))
         self.consistency = consistency
         self.threads_per_vm = threads_per_vm
         self.anomaly_tracker = anomaly_tracker
-        self.overload_threshold = overload_threshold
         self.fault_timeout_ms = fault_timeout_ms
-        self.work_queue_bound = work_queue_bound
         #: Scheduler-driven DAG-reference prefetch (§4.2).  False disables
         #: the placement-time cache warming (the §4.2 ablation).
         self.prefetch_references = prefetch_references
@@ -88,7 +81,7 @@ class CloudburstCluster:
             # persist and storage_drop faults crash/restart instead of
             # drain/rejoin (see repro.durable).
             anna_kwargs["durable_path"] = anna_durable_path
-        self.kvs = AnnaCluster(node_count=anna_nodes, replication_factor=anna_replication,
+        self.kvs = AnnaCluster(node_count=anna_nodes, replication_factor=ANNA_REPLICATION,
                                latency_model=self.latency_model,
                                propagation_mode=anna_propagation,
                                propagation_interval_ms=propagation_interval_ms,
@@ -113,7 +106,6 @@ class CloudburstCluster:
                 rng=self.rng.spawn(f"scheduler-{index}"),
                 default_consistency=consistency,
                 fault_timeout_ms=fault_timeout_ms,
-                overload_threshold=overload_threshold,
                 anomaly_tracker=anomaly_tracker,
                 prefetch_references=prefetch_references,
             )
@@ -143,7 +135,6 @@ class CloudburstCluster:
             compute_model=self.compute_model,
             consistency_level=self.consistency,
             cache_registry=self.cache_registry,
-            work_queue_bound=self.work_queue_bound,
         )
         self.vms.append(vm)
         if publish_metrics:
@@ -205,52 +196,6 @@ class CloudburstCluster:
         engine.step()
         return engine.now_ms
 
-    def scrub_pins(self, departed_thread_ids) -> None:
-        """Drop function pins that refer to departed executor threads.
-
-        Shared by :meth:`remove_vm` and :meth:`drain_vm` (the latter used to
-        leave stale pins behind, so a drained VM's thread ids kept counting
-        toward a function's replica quota while serving nothing).  The §4.4
-        control plane migrates pins to survivors *before* scrubbing; callers
-        that deallocate without a control plane just scrub.
-        """
-        departed = set(departed_thread_ids)
-        for scheduler in self.schedulers:
-            for name, pins in scheduler.function_pins.items():
-                scheduler.function_pins[name] = [p for p in pins
-                                                 if p not in departed]
-
-    def _forget_metrics(self, vm: ExecutorVM) -> None:
-        """Remove a departed VM's published metrics key from Anna.
-
-        The control plane aggregates alive VMs only, but leaving the key
-        behind would still hand stale data to anything reading the metrics
-        prefix directly.
-        """
-        self.kvs.delete(EXECUTOR_METRICS_PREFIX + vm.vm_id)
-
-    def remove_vm(self, vm_id: Optional[str] = None) -> ExecutorVM:
-        """Deallocate an executor VM (the last one by default)."""
-        if not self.vms:
-            raise ValueError("no executor VMs to remove")
-        if vm_id is None:
-            vm = self.vms.pop()
-        else:
-            matches = [v for v in self.vms if v.vm_id == vm_id]
-            if not matches:
-                raise KeyError(f"unknown VM: {vm_id!r}")
-            vm = matches[0]
-            self.vms.remove(vm)
-        for thread in vm.threads:
-            self.router.unregister_thread(thread.thread_id)
-        # close() deregisters the Anna update listener, drops the cache's
-        # index entries and removes it from the shared peer registry
-        # (self.cache_registry) — a removed VM must stop receiving pushes.
-        vm.cache.close()
-        self.scrub_pins(vm.thread_ids())
-        self._forget_metrics(vm)
-        return vm
-
     def drain_vm(self, vm: ExecutorVM) -> None:
         """Deactivate a VM at scale-down without removing it from the roster.
 
@@ -258,9 +203,11 @@ class CloudburstCluster:
         has no live threads its cache must be closed — otherwise drained VMs
         keep receiving Anna's update pushes and leak peer-registry entries
         for as long as the cluster lives.  Pins onto the drained threads are
-        scrubbed (same helper as :meth:`remove_vm`): stale pin entries used
-        to satisfy replica quotas while routing nowhere, so a pinned
-        function silently lost its replicas at every drain.
+        dropped: stale pin entries used to satisfy replica quotas while
+        routing nowhere, so a pinned function silently lost its replicas at
+        every drain (the §4.4 control plane migrates pins to survivors
+        first).  The VM's published metrics key goes too, so nothing reading
+        the metrics prefix sees a departed VM.
         """
         vm.alive = False
         for thread in vm.threads:
@@ -268,8 +215,12 @@ class CloudburstCluster:
                 thread.alive = False
                 self.router.mark_unreachable(thread.thread_id)
         vm.cache.close()
-        self.scrub_pins(vm.thread_ids())
-        self._forget_metrics(vm)
+        departed = set(vm.thread_ids())
+        for scheduler in self.schedulers:
+            for name, pins in scheduler.function_pins.items():
+                scheduler.function_pins[name] = [p for p in pins
+                                                 if p not in departed]
+        self.kvs.delete(EXECUTOR_METRICS_PREFIX + vm.vm_id)
 
     def vm(self, vm_id: str) -> ExecutorVM:
         for vm in self.vms:
@@ -278,26 +229,6 @@ class CloudburstCluster:
         raise KeyError(f"unknown VM: {vm_id!r}")
 
     # -- scheduler faults (§4.5) ---------------------------------------------------------
-    def scheduler(self, scheduler_id: str) -> Scheduler:
-        for candidate in self.schedulers:
-            if candidate.scheduler_id == scheduler_id:
-                return candidate
-        raise KeyError(f"unknown scheduler: {scheduler_id!r}")
-
-    def crash_scheduler(self, scheduler_id: str) -> Scheduler:
-        """Fault injection: crash a scheduler; its in-flight sessions freeze.
-
-        Clients fail over to the surviving schedulers; the crashed one's
-        journaled sessions are recovered by :meth:`restart_scheduler`.
-        """
-        scheduler = self.scheduler(scheduler_id)
-        scheduler.crash()
-        return scheduler
-
-    def restart_scheduler(self, scheduler_id: str) -> int:
-        """Restart a crashed scheduler; returns sessions recovered from its journal."""
-        return self.scheduler(scheduler_id).restart()
-
     def live_schedulers(self) -> List[Scheduler]:
         return [scheduler for scheduler in self.schedulers if scheduler.alive]
 
@@ -326,9 +257,6 @@ class CloudburstCluster:
             if vm.alive:
                 vm.publish_metrics()
 
-    def total_threads(self) -> int:
-        return sum(len(vm.threads) for vm in self.vms if vm.alive)
-
     def live_thread_count(self) -> int:
         """Alive threads on alive VMs — the capacity signal every layer shares
         (scheduler placement, the compute autoscaler, the load driver)."""
@@ -346,6 +274,6 @@ class CloudburstCluster:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CloudburstCluster(vms={len(self.vms)}, "
-                f"threads={self.total_threads()}, "
+                f"threads={self.live_thread_count()}, "
                 f"schedulers={len(self.schedulers)}, "
                 f"anna_nodes={self.kvs.node_count()})")

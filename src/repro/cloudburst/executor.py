@@ -34,10 +34,10 @@ FUNCTION_KEY_PREFIX = "__cloudburst_functions__/"
 FUNCTION_LIST_KEY = "__cloudburst_function_list__"
 EXECUTOR_METRICS_PREFIX = "__cloudburst_executor_metrics__/"
 
-#: Default bound on each executor thread's work queue.  A thread whose queue
+#: Bound on each executor thread's work queue.  A thread whose queue
 #: is full reads as fully utilized, which is what pushes the scheduler's
 #: backpressure to spill hot functions onto other executors.
-DEFAULT_WORK_QUEUE_BOUND = 16
+WORK_QUEUE_BOUND = 16
 
 
 def function_key(name: str) -> str:
@@ -198,8 +198,7 @@ class UserLibrary:
 class ExecutorThread:
     """One executor worker thread."""
 
-    def __init__(self, thread_id: str, vm: "ExecutorVM",
-                 work_queue_bound: Optional[int] = DEFAULT_WORK_QUEUE_BOUND):
+    def __init__(self, thread_id: str, vm: "ExecutorVM"):
         self.thread_id = thread_id
         self.vm = vm
         self._function_cache: Dict[str, Callable] = {}
@@ -207,7 +206,7 @@ class ExecutorThread:
         self.busy_ms = 0.0
         self.alive = True
         #: Bounded FIFO work queue every charged invocation waits in.
-        self.work_queue = WorkQueue(bound=work_queue_bound, label=thread_id)
+        self.work_queue = WorkQueue(bound=WORK_QUEUE_BOUND, label=thread_id)
 
     # -- conveniences delegating to the VM ------------------------------------------
     @property
@@ -363,8 +362,7 @@ class ExecutorVM:
                  latency_model: Optional[LatencyModel] = None,
                  compute_model: Optional[ComputeModel] = None,
                  consistency_level: ConsistencyLevel = ConsistencyLevel.LWW,
-                 cache_registry: Optional[Dict[str, ExecutorCache]] = None,
-                 work_queue_bound: Optional[int] = DEFAULT_WORK_QUEUE_BOUND):
+                 cache_registry: Optional[Dict[str, ExecutorCache]] = None):
         if threads_per_vm <= 0:
             raise ValueError("threads_per_vm must be positive")
         self.vm_id = vm_id
@@ -379,11 +377,9 @@ class ExecutorVM:
         self.alive = True
         #: The cluster's discrete-event engine (the one the KVS lives on).
         self.engine = kvs.engine
-        self.work_queue_bound = work_queue_bound
         self._encapsulators: Dict[str, LatticeEncapsulator] = {}
         for index in range(threads_per_vm):
-            thread = ExecutorThread(f"{vm_id}:{index}", self,
-                                    work_queue_bound=work_queue_bound)
+            thread = ExecutorThread(f"{vm_id}:{index}", self)
             self.threads.append(thread)
             router.register_thread(thread.thread_id)
 
@@ -410,9 +406,6 @@ class ExecutorVM:
             encapsulator = LatticeEncapsulator(thread_id, self.consistency_level)
             self._encapsulators[thread_id] = encapsulator
         return encapsulator
-
-    def thread(self, index: int) -> ExecutorThread:
-        return self.threads[index]
 
     def thread_ids(self) -> List[str]:
         return [thread.thread_id for thread in self.threads]

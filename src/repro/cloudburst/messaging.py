@@ -71,11 +71,6 @@ class MessageRouter:
         self._unreachable.discard(thread_id)
         return address
 
-    def unregister_thread(self, thread_id: str) -> None:
-        self._addresses.pop(thread_id, None)
-        self._queues.pop(thread_id, None)
-        self._unreachable.discard(thread_id)
-
     def mark_unreachable(self, thread_id: str) -> None:
         """Simulate a thread whose TCP endpoint cannot be reached."""
         self._unreachable.add(thread_id)

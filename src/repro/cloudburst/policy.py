@@ -18,8 +18,7 @@ Two policies ship with the reproduction:
   scheduling ablation: same backpressure, no locality).
 
 Custom policies subclass :class:`PlacementPolicy` and override
-:meth:`~PlacementPolicy.pick`; schedulers take one via the
-``placement_policy`` constructor parameter or by assigning
+:meth:`~PlacementPolicy.pick`; a scheduler takes one by assigning
 ``scheduler.placement_policy``.  Policies are stateless with respect to the
 scheduler (they receive it per call), so one instance can serve many
 schedulers.
@@ -30,6 +29,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .references import CloudburstReference, extract_references
+
+#: Executors above this utilization are avoided by the scheduling policy (§4.3).
+OVERLOAD_THRESHOLD = 0.70
 
 
 class LoadView:
@@ -57,7 +59,7 @@ class LoadView:
         if read is None:
             utilization, full = vm.load(self.now_ms)
             read = self._vm_loads[vm] = (
-                utilization > self.scheduler.overload_threshold, full)
+                utilization > OVERLOAD_THRESHOLD, full)
         return read
 
     def unsaturated(self, threads: List) -> List:
@@ -95,7 +97,7 @@ class LoadView:
 class PlacementPolicy:
     """Strategy interface: choose an executor thread for one invocation.
 
-    ``pick`` receives the scheduler (for its RNG, overload threshold, stats
+    ``pick`` receives the scheduler (for its RNG, stats
     and KVS handle), the candidate threads (already filtered to alive ones),
     whether the candidate set was restricted to pinned replicas, the
     invocation's arguments, and the virtual time of the placement.  It must

@@ -26,9 +26,6 @@ from .references import extract_references
 from .sessions import DagSession, ExecutionResult, SessionJournal
 from .policy import DEFAULT_PLACEMENT_POLICY, PlacementPolicy
 
-#: Executors above this utilization are avoided by the scheduling policy (§4.3).
-OVERLOAD_THRESHOLD = 0.70
-
 #: How long the platform waits before re-executing a DAG whose executor died (§4.5).
 DEFAULT_FAULT_TIMEOUT_MS = 5_000.0
 
@@ -62,10 +59,7 @@ class Scheduler:
                  rng: Optional[RandomSource] = None,
                  default_consistency: ConsistencyLevel = ConsistencyLevel.LWW,
                  fault_timeout_ms: float = DEFAULT_FAULT_TIMEOUT_MS,
-                 overload_threshold: float = OVERLOAD_THRESHOLD,
-                 max_retries: int = 2,
                  anomaly_tracker=None,
-                 placement_policy: Optional[PlacementPolicy] = None,
                  prefetch_references: bool = True):
         self.scheduler_id = scheduler_id
         self.kvs = kvs
@@ -77,8 +71,6 @@ class Scheduler:
         self.rng = rng or RandomSource(23)
         self.default_consistency = default_consistency
         self.fault_timeout_ms = fault_timeout_ms
-        self.overload_threshold = overload_threshold
-        self.max_retries = max_retries
         self.stats = SchedulerStats()
         #: False while crashed (fault injection); in-flight sessions
         #: freeze instead of executing against a dead scheduler and resume
@@ -87,10 +79,9 @@ class Scheduler:
         #: Durable per-session status transitions (§4.5 recovery source).
         self.journal = SessionJournal(scheduler_id)
         #: Pluggable placement policy (§4.2-§4.3): how this scheduler turns
-        #: published cache/load metadata into an executor choice.  See
-        #: :mod:`repro.cloudburst.policy`.
-        self.placement_policy: PlacementPolicy = (
-            placement_policy or DEFAULT_PLACEMENT_POLICY)
+        #: published cache/load metadata into an executor choice.  The §4.3
+        #: ablation assigns another; see :mod:`repro.cloudburst.policy`.
+        self.placement_policy: PlacementPolicy = DEFAULT_PLACEMENT_POLICY
         #: §4.2: at placement time, forward the placed function's
         #: ``CloudburstReference`` keys to the chosen VM's cache so it starts
         #: warming before the invoke arrives.  Policy knob; False disables.

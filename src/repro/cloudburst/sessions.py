@@ -56,6 +56,10 @@ ATTEMPT_ABANDONED = "abandoned"
 FUNCTION_SCHEDULED = "scheduled"
 FUNCTION_COMPLETED = "completed"
 
+#: §4.5: how many times a DAG re-executes after executor failures before the
+#: session fails.
+MAX_RETRIES = 2
+
 
 @dataclass
 class ExecutionResult:
@@ -450,10 +454,10 @@ class DagSession:
         return True
 
     def _retry(self, reason: str = "executor failure") -> None:
-        """§4.5: the whole DAG re-executes after a timeout, up to ``max_retries``."""
+        """§4.5: the whole DAG re-executes after a timeout, up to :data:`MAX_RETRIES` times."""
         self._abandon_attempt(reason)
         retries = self.scheduler.journal.record_retry(self.record)
-        if retries > self.scheduler.max_retries:
+        if retries > MAX_RETRIES:
             self._fail(DagExecutionError(
                 f"DAG {self.dag.name!r} failed after {retries} attempts"))
             return

@@ -1,27 +1,27 @@
 """A durable SQLite cold tier for Anna storage nodes.
 
-Until this module existed, a :class:`~repro.anna.storage_node.StorageNode`'s
-disk tier was a latency formula over an in-process dict: demotions landed
-nowhere real, and a "crashed" node trivially kept its cold data because the
-dict died only when the Python object did.  :class:`SqliteColdTier` makes the
-cold tier a real database — one WAL-mode SQLite file shared by the cluster,
-one table per storage node — so node crash/restart is finally testable:
+A :class:`~repro.anna.storage_node.StorageNode`'s default disk tier is an
+in-process :class:`~repro.anna.storage_node.ColdTier`: demotions land nowhere
+real, and a crashed node loses its cold set with its memory tier.
+:class:`SqliteColdTier` makes the cold tier a real database — one WAL-mode
+SQLite file shared by the cluster, one table per storage node — so node
+crash/restart is testable:
 
-* a **demotion** serialises the lattice (pickle — the payload must come back
-  byte-identical) into the node's table, alongside its vector clock (JSON,
-  queryable) and last-access time;
-* a **promotion** reads the row back, deletes it, and the caller merges it
-  into the memory tier by the normal lattice rules — for causal values that
-  is a vector-clock merge, so a concurrent write that raced the demotion is
-  retained as a sibling instead of clobbered;
+* every **write** to the tier (a demotion, or a put merging into a
+  disk-resident key) serialises the lattice (pickle — the payload must come
+  back byte-identical) into the node's table, alongside its vector clock
+  (JSON, queryable) and last-access time, and is committed before it returns;
+* a **remove** deletes the row;
 * a **crash** loses the volatile memory tier but not the table; a restarted
-  node under the same id re-opens the same table and finds its cold set
-  exactly where it left it.
+  node under the same id re-opens the same table and reads its cold set back
+  from the stored bytes.
 
-Virtual-time determinism is unaffected: the simulation still charges disk
-operations through :class:`~repro.anna.storage_node.StorageServiceModel`, and
-nothing in the timeline reads the database's wall-clock timestamps.  SQLite
-here is *storage*, never a clock.
+Reads are served from the lattices the tier holds in process, which are the
+ones it last committed.  Virtual-time determinism is unaffected: the
+simulation still charges disk operations through
+:class:`~repro.anna.storage_node.StorageServiceModel`, and nothing in the
+timeline reads the database's wall-clock timestamps.  SQLite here is
+*storage*, never a clock.
 
 Schema and pragmas follow the production idiom in SNIPPETS.md (snippets 1-2):
 WAL journal mode, ``synchronous=NORMAL``, a generous busy timeout, explicit
@@ -37,8 +37,9 @@ import re
 import sqlite3
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
+from ..anna.storage_node import ColdTier
 from ..lattices import Lattice
 
 #: Version of the on-disk layout, recorded in the ``meta`` table.
@@ -73,17 +74,18 @@ def _vector_clock_json(value: Lattice) -> str:
     return json.dumps(reveal(), sort_keys=True)
 
 
-class SqliteColdTier:
+class SqliteColdTier(ColdTier):
     """One storage node's durable cold tier: a table in a shared WAL database.
 
-    Every handle owns its own connection in autocommit mode — each demotion
-    is committed when it returns, which is the whole point of a durable tier.
+    Every handle owns its own connection in autocommit mode — each change is
+    committed when it returns, which is the whole point of a durable tier.
     The payload column stores the pickled lattice verbatim; recovery after a
     crash must reproduce it byte-for-byte (tested), so nothing ever rewrites
-    a row except a newer merge of the same key.
+    a row except a newer write of the same key.
     """
 
     def __init__(self, path: Union[str, Path], node_id: str):
+        super().__init__()
         self.path = Path(path)
         self.node_id = node_id
         self.table = _table_name(node_id)
@@ -91,6 +93,14 @@ class SqliteColdTier:
         for pragma in _PRAGMAS:
             self._conn.execute(pragma)
         self._create_schema()
+        rows = self._conn.execute(
+            f"SELECT key, payload, last_access_ms FROM {self.table} "
+            "ORDER BY last_access_ms, key").fetchall()
+        recovered: Dict[str, float] = {}
+        for key, payload, last_access_ms in rows:
+            self[key] = pickle.loads(payload)
+            recovered[key] = float(last_access_ms)
+        self.recovered_access_ms = recovered
 
     def _create_schema(self) -> None:
         self._conn.execute(
@@ -118,9 +128,12 @@ class SqliteColdTier:
             f"CREATE INDEX IF NOT EXISTS idx_{self.table}_last_access "
             f"ON {self.table} (last_access_ms)")
 
-    # -- writes ------------------------------------------------------------------
-    def put(self, key: str, value: Lattice, last_access_ms: float = 0.0) -> None:
-        """Serialise ``value`` for ``key``, replacing any existing row."""
+    def _persist(self, key: str, value: Optional[Lattice],
+                 last_access_ms: float = 0.0) -> None:
+        """Commit one change: the row for ``key`` replaced, or deleted."""
+        if value is None:
+            self._conn.execute(f"DELETE FROM {self.table} WHERE key = ?", (key,))
+            return
         self._conn.execute(
             f"INSERT OR REPLACE INTO {self.table} "
             "(key, payload, lattice_type, vector_clock, size_bytes,"
@@ -129,87 +142,6 @@ class SqliteColdTier:
              _vector_clock_json(value), value.size_bytes(),
              float(last_access_ms), _utc_now_iso()))
 
-    def merge(self, key: str, value: Lattice,
-              last_access_ms: float = 0.0) -> Lattice:
-        """Merge ``value`` into any existing durable copy of ``key``.
-
-        This is the demotion path: after a crash/restart the table may
-        already hold an older (or concurrent) version of the key, and the
-        lattice merge — a vector-clock merge for causal values — is what
-        keeps both histories instead of clobbering one.
-        """
-        existing = self.get(key)
-        merged = value if existing is None else existing.merge(value)
-        self.put(key, merged, last_access_ms=last_access_ms)
-        return merged
-
-    def delete(self, key: str) -> bool:
-        cursor = self._conn.execute(
-            f"DELETE FROM {self.table} WHERE key = ?", (key,))
-        return cursor.rowcount > 0
-
-    def clear(self) -> None:
-        self._conn.execute(f"DELETE FROM {self.table}")
-
-    # -- reads -------------------------------------------------------------------
-    def get(self, key: str) -> Optional[Lattice]:
-        row = self._conn.execute(
-            f"SELECT payload FROM {self.table} WHERE key = ?", (key,)).fetchone()
-        if row is None:
-            return None
-        return pickle.loads(row[0])
-
-    def pop(self, key: str) -> Optional[Lattice]:
-        """Read and delete ``key`` (the promotion path)."""
-        value = self.get(key)
-        if value is not None:
-            self.delete(key)
-        return value
-
-    def raw_payload(self, key: str) -> Optional[bytes]:
-        """The stored pickle bytes, for byte-identical recovery checks."""
-        row = self._conn.execute(
-            f"SELECT payload FROM {self.table} WHERE key = ?", (key,)).fetchone()
-        return None if row is None else bytes(row[0])
-
-    def vector_clock(self, key: str) -> Optional[Dict[str, int]]:
-        """The stored vector-clock column (``{}`` for non-causal values)."""
-        row = self._conn.execute(
-            f"SELECT vector_clock FROM {self.table} WHERE key = ?",
-            (key,)).fetchone()
-        return None if row is None else json.loads(row[0])
-
-    def contains(self, key: str) -> bool:
-        row = self._conn.execute(
-            f"SELECT 1 FROM {self.table} WHERE key = ?", (key,)).fetchone()
-        return row is not None
-
-    def keys(self) -> List[str]:
-        rows = self._conn.execute(
-            f"SELECT key FROM {self.table} ORDER BY key").fetchall()
-        return [row[0] for row in rows]
-
-    def key_count(self) -> int:
-        row = self._conn.execute(f"SELECT COUNT(*) FROM {self.table}").fetchone()
-        return int(row[0])
-
-    def items(self) -> Iterator[Tuple[str, Lattice]]:
-        rows = self._conn.execute(
-            f"SELECT key, payload FROM {self.table} ORDER BY key").fetchall()
-        for key, payload in rows:
-            yield key, pickle.loads(payload)
-
-    def access_times(self) -> Dict[str, float]:
-        """Per-key last-access times, coldest first (restart recovery)."""
-        rows = self._conn.execute(
-            f"SELECT key, last_access_ms FROM {self.table} "
-            "ORDER BY last_access_ms, key").fetchall()
-        return {key: float(ms) for key, ms in rows}
-
-    # -- lifecycle ---------------------------------------------------------------
     def close(self) -> None:
         """Release the connection; the table stays on disk (crash path)."""
         self._conn.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SqliteColdTier({str(self.path)!r}, node={self.node_id!r})"

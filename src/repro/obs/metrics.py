@@ -6,7 +6,7 @@ percentile query costs memory at paper-scale sweep volumes.
 O(1) recording and O(buckets) percentile readout at any request volume, with
 ``count``/``sum``/``min``/``max`` tracked exactly and quantiles interpolated
 inside the owning bucket (clamped to the exact min/max, so p0 and p100 are
-exact).  At the default resolution (24 buckets per decade) the relative
+exact).  At its resolution (24 buckets per decade) the relative
 quantile error is bounded by the bucket growth factor, about 10%.
 
 Like everything under ``repro.obs``, recording never touches a clock or an
@@ -22,22 +22,12 @@ from typing import List, Optional
 __all__ = ["LatencyHistogram"]
 
 
-#: Default histogram geometry: first bucket upper bound (ms) and per-bucket
-#: growth.  ``1.1`` ~= 24 buckets/decade; 180 buckets span 0.01 ms .. ~300 s,
-#: wider than any latency this simulation produces.
-DEFAULT_FIRST_BOUND_MS = 0.01
-DEFAULT_GROWTH = 1.1
-DEFAULT_BUCKETS = 180
-
-
-def _log_bounds(first_bound_ms: float, growth: float,
-                buckets: int) -> List[float]:
-    bounds = []
-    bound = first_bound_ms
-    for _ in range(buckets):
-        bounds.append(bound)
-        bound *= growth
-    return bounds
+#: Histogram geometry: first bucket upper bound (ms) and per-bucket growth.
+#: ``1.1`` ~= 24 buckets/decade; 180 buckets span 0.01 ms .. ~300 s, wider
+#: than any latency this simulation produces.
+FIRST_BOUND_MS = 0.01
+GROWTH = 1.1
+BUCKETS = 180
 
 
 class LatencyHistogram:
@@ -51,16 +41,14 @@ class LatencyHistogram:
     __slots__ = ("label", "bounds", "counts", "overflow", "count",
                  "sum_ms", "min_ms", "max_ms")
 
-    def __init__(self, label: str = "",
-                 first_bound_ms: float = DEFAULT_FIRST_BOUND_MS,
-                 growth: float = DEFAULT_GROWTH,
-                 buckets: int = DEFAULT_BUCKETS):
-        if first_bound_ms <= 0 or growth <= 1.0 or buckets < 1:
-            raise ValueError("histogram needs first_bound_ms > 0, growth > 1, "
-                             "buckets >= 1")
+    def __init__(self, label: str = ""):
         self.label = label
-        self.bounds = _log_bounds(first_bound_ms, growth, buckets)
-        self.counts = [0] * buckets
+        self.bounds: List[float] = []
+        bound = FIRST_BOUND_MS
+        for _ in range(BUCKETS):
+            self.bounds.append(bound)
+            bound *= GROWTH
+        self.counts = [0] * BUCKETS
         self.overflow = 0
         self.count = 0
         self.sum_ms = 0.0

@@ -226,8 +226,7 @@ class FaultPlane:
         if not candidates:
             return None
         node_id = fault.rng.choice(candidates)
-        has_durable = getattr(kvs, "has_durable_tier", None)
-        if has_durable is not None and has_durable():
+        if kvs.has_durable_tier():
             # Durable cold tier attached: a drop is a *crash* — the memory
             # tier dies with the node, the SQLite cold set stays on disk, and
             # recovery re-opens it (the restart path §4.5 actually exercises).

@@ -91,7 +91,6 @@ DEFAULT_COSTS: Dict[Tuple[str, str], OperationCost] = {
     # synchronous HTTP call and serialises when fanning out to many functions.
     ("lambda", "dispatch"): OperationCost(18.0, jitter_sigma=0.30),
     ("lambda", "warm_start"): OperationCost(6.0, jitter_sigma=0.35),
-    ("lambda", "cold_start"): OperationCost(180.0, jitter_sigma=0.35),
     # Data transfer into/out of a Lambda function is bandwidth constrained.
     ("lambda", "payload"): OperationCost(0.3, 35_000.0, jitter_sigma=0.25),
     # -- AWS Step Functions -----------------------------------------------

@@ -49,16 +49,10 @@ class RandomSource:
             raise ValueError("cannot choose from an empty sequence")
         return self._rng.choice(list(items))
 
-    def sample(self, items: Sequence[T], k: int) -> List[T]:
-        return self._rng.sample(list(items), k)
-
     def shuffle(self, items: List[T]) -> List[T]:
         shuffled = list(items)
         self._rng.shuffle(shuffled)
         return shuffled
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self._rng.gauss(mu, sigma)
 
     def lognormal(self, median: float, sigma: float) -> float:
         """Log-normal draw parameterised by its median (not its mu)."""

@@ -16,6 +16,13 @@ from typing import Dict, List, Optional, Tuple
 from ..cloudburst import CloudburstClient, CloudburstReference, Dag
 from ..sim import RandomSource, ZipfGenerator
 
+#: The §6.2 workload's shape: linear DAGs of 2-5 functions, each function
+#: reading two KVS references, over keys named ``cw-<index>``.
+MIN_DAG_LENGTH = 2
+MAX_DAG_LENGTH = 5
+REFS_PER_FUNCTION = 2
+KEY_PREFIX = "cw"
+
 
 def string_manipulation(cloudburst, *args) -> str:
     """The paper's per-function work: a simple string manipulation.
@@ -49,13 +56,6 @@ class GeneratedDag:
     dag: Dag
     reference_keys: Dict[str, List[str]] = field(default_factory=dict)
 
-    @property
-    def all_keys(self) -> List[str]:
-        keys: List[str] = []
-        for per_function in self.reference_keys.values():
-            keys.extend(per_function)
-        return keys
-
 
 class ConsistencyWorkload:
     """Generator and driver for the §6.2 workload."""
@@ -65,15 +65,9 @@ class ConsistencyWorkload:
     SINK_FUNCTION = "consistency_sink"
 
     def __init__(self, key_count: int = 1_000_000, dag_count: int = 250,
-                 min_length: int = 2, max_length: int = 5,
-                 zipf_coefficient: float = 1.0, refs_per_function: int = 2,
-                 seed: int = 7, key_prefix: str = "cw"):
+                 zipf_coefficient: float = 1.0, seed: int = 7):
         self.key_count = key_count
         self.dag_count = dag_count
-        self.min_length = min_length
-        self.max_length = max_length
-        self.refs_per_function = refs_per_function
-        self.key_prefix = key_prefix
         self.rng = RandomSource(seed)
         self.zipf = ZipfGenerator(key_count, zipf_coefficient, self.rng.spawn("zipf"))
         # Until populate() runs, assume the whole key space is available.
@@ -81,7 +75,7 @@ class ConsistencyWorkload:
 
     # -- setup ------------------------------------------------------------------------
     def key_name(self, index: int) -> str:
-        return f"{self.key_prefix}-{index}"
+        return f"{KEY_PREFIX}-{index}"
 
     def populate(self, client: CloudburstClient, populated_keys: int = 2_000) -> List[str]:
         """Pre-populate a subset of the key space with 8-byte payloads.
@@ -103,7 +97,7 @@ class ConsistencyWorkload:
         """Register ``dag_count`` random linear DAGs of length 2-5."""
         dags: List[Dag] = []
         for index in range(self.dag_count):
-            length = self.rng.randint(self.min_length, self.max_length)
+            length = self.rng.randint(MIN_DAG_LENGTH, MAX_DAG_LENGTH)
             functions = [f"dag{index}_stage{stage}" for stage in range(length)]
             # Each DAG node is an alias of the shared stage/sink functions.
             if client is not None:
@@ -129,7 +123,7 @@ class ConsistencyWorkload:
         order = dag.topological_order()
         for name in order:
             refs = [CloudburstReference(self.key_name(self._sample_key_index()))
-                    for _ in range(self.refs_per_function)]
+                    for _ in range(REFS_PER_FUNCTION)]
             read_keys.extend(ref.key for ref in refs)
             function_args[name] = list(refs)
         sink_key = self.rng.choice(read_keys)

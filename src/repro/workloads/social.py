@@ -14,6 +14,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..sim import RandomSource, ZipfGenerator
 
+#: Share of seed and live tweets that reply to an earlier tweet.
+REPLY_FRACTION = 0.5
+
 
 @dataclass
 class SocialGraph:
@@ -47,13 +50,12 @@ class SocialWorkloadGenerator:
     """Builds the graph and the request stream used by Figures 11 and 12."""
 
     def __init__(self, user_count: int = 1_000, followees_per_user: int = 50,
-                 seed_tweet_count: int = 5_000, reply_fraction: float = 0.5,
+                 seed_tweet_count: int = 5_000,
                  zipf_coefficient: float = 1.5, write_fraction: float = 0.10,
                  seed: int = 13):
         self.user_count = user_count
         self.followees_per_user = min(followees_per_user, max(1, user_count - 1))
         self.seed_tweet_count = seed_tweet_count
-        self.reply_fraction = reply_fraction
         self.write_fraction = write_fraction
         self.rng = RandomSource(seed)
         self.popularity = ZipfGenerator(user_count, zipf_coefficient,
@@ -84,7 +86,7 @@ class SocialWorkloadGenerator:
         originals: List[str] = []
         for index in range(self.seed_tweet_count):
             author = self.user_name(self.popularity.next())
-            if originals and self.rng.random() < self.reply_fraction:
+            if originals and self.rng.random() < REPLY_FRACTION:
                 parent = self.rng.choice(originals)
                 text = f"reply-{index} to ({parent})"
                 tweets.append((author, text, parent))
@@ -103,7 +105,7 @@ class SocialWorkloadGenerator:
                 self._tweet_sequence += 1
                 text = f"live-tweet-{self._tweet_sequence} from {user}"
                 reply_to = None
-                if self.rng.random() < self.reply_fraction:
+                if self.rng.random() < REPLY_FRACTION:
                     reply_to = f"some earlier tweet #{self.rng.randint(0, 999)}"
                 requests.append(RetwisRequest(kind="post", user=user, text=text,
                                               reply_to=reply_to))

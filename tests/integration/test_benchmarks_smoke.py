@@ -30,10 +30,14 @@ def test_gate_holds_at_smoke_scale(figure, tmp_path):
 class TestFaultJournals:
     def test_journals_are_written_beside_the_snapshot_not_into_it(self, tmp_path):
         figure = next(f for f in FIGURES if f.sections == ("fault_recovery",))
-        classes = figure.record("smoke", SMOKE_SEED, tmp_path)["fault_recovery"]["classes"]
-        assert all("journals" not in entry for entry in classes.values())
+        section = figure.record("smoke", SMOKE_SEED, tmp_path)["fault_recovery"]
+        classes = section["classes"]
+        durable_classes = section["durable_storage_drop"]["classes"]
+        assert all("journals" not in entry
+                   for entry in [*classes.values(), *durable_classes.values()])
         journals = json.loads((tmp_path / "BENCH_fault_journals.json").read_text())
-        assert sorted(journals) == sorted(classes)
+        assert sorted(journals) == sorted(
+            [*classes, *(f"durable_storage_drop/{fault}" for fault in durable_classes)])
         for fault, per_scheduler in journals.items():
             assert per_scheduler, fault
             # Every journaled session reached a terminal state.

@@ -23,6 +23,7 @@ from repro.bench import run_table2
 from repro.cloudburst import CloudburstCluster, ConsistencyLevel
 from repro.cloudburst.controlplane import ComputeControlPlane
 from repro.cloudburst.controlplane import MonitoringConfig
+from repro.cloudburst.sessions import MAX_RETRIES
 from repro.sim import RandomSource
 
 from one_client import one_client_driver_latencies, top_level_latencies
@@ -219,7 +220,7 @@ class TestSessionFailureIsolation:
         assert session.done and session.result is None
         assert len(errors) == 1
         assert "failed after" in str(errors[0])
-        assert session.retries == scheduler.max_retries + 1
+        assert session.retries == MAX_RETRIES + 1
         # Every abandoned attempt released its session state.
         for vm in cluster.vms:
             assert vm.cache.snapshot_count() == 0
@@ -320,17 +321,17 @@ class TestTable2Determinism:
 
 
 class TestScaleDownClosesCaches:
-    def test_remove_vm_closes_cache(self):
+    def test_drain_vm_closes_cache(self):
         cluster = CloudburstCluster(executor_vms=2, threads_per_vm=2, seed=3)
         vm = cluster.vms[-1]
         survivor = cluster.vms[0]
         client = cluster.connect()
         client.put("k", "v1")
         vm.cache.get_or_fetch("k")
-        cluster.remove_vm(vm.vm_id)
+        cluster.drain_vm(vm)
         assert vm.cache.closed
         assert vm.cache.cache_id not in cluster.cache_registry
-        # Subsequent writes no longer push updates into the removed cache.
+        # Subsequent writes no longer push updates into the drained cache.
         client.put("k", "v2")
         assert vm.cache.stats.update_pushes_received == 0
         assert survivor.cache.cache_id in cluster.cache_registry

@@ -61,7 +61,7 @@ class TestStatefulFunctions:
         fetches = sum(
             1 for vm in cluster.vms for thread in vm.threads
             if thread.has_function("echo"))
-        assert fetches <= cluster.total_threads()
+        assert fetches <= cluster.live_thread_count()
 
     def test_direct_communication_between_invocations(self, cluster, cloud):
         def advertise(cloudburst, mailbox_key):

@@ -23,6 +23,7 @@ from repro.bench.harness import (
 from repro.cloudburst import CloudburstCluster
 from repro.cloudburst.controlplane import ComputeControlPlane
 from repro.cloudburst.controlplane import MIN_PINNED_THREADS, MonitoringConfig
+from repro.cloudburst.sessions import MAX_RETRIES
 
 
 def _make_cluster(seed=11, executor_vms=2, threads_per_vm=3):
@@ -178,7 +179,7 @@ class TestBuildClusterWithThreads:
     def test_exact_totals(self):
         for total in (1, 2, 3, 4, 10):
             cluster = build_cluster_with_threads(total, threads_per_vm=3, seed=1)
-            assert cluster.total_threads() == total
+            assert cluster.live_thread_count() == total
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -217,5 +218,5 @@ class TestSynchronousRequestFailure:
         failed = [record for record in scheduler.journal.records()
                   if record.status == "failed"]
         assert len(failed) == 6
-        assert all(record.retries == scheduler.max_retries + 1
+        assert all(record.retries == MAX_RETRIES + 1
                    for record in failed)

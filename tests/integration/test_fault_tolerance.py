@@ -99,13 +99,13 @@ class TestMessagingFaultPaths:
 
 
 class TestComputeElasticity:
-    def test_add_and_remove_vms_preserve_function_availability(self, cluster, cloud):
+    def test_add_and_drain_vms_preserve_function_availability(self, cluster, cloud):
         cloud.register(lambda x: x + 1, name="inc")
         cloud.register_dag("inc-dag", ["inc"])
         cluster.add_vm()
         cluster.add_vm()
         assert cloud.call_dag("inc-dag", {"inc": [1]}).value == 2
-        cluster.remove_vm()
+        cluster.drain_vm(cluster.vms[-1])
         assert cloud.call_dag("inc-dag", {"inc": [2]}).value == 3
 
     def test_new_vm_reads_functions_from_kvs(self, cluster, cloud):
@@ -121,11 +121,14 @@ class TestComputeElasticity:
                                           make_protocol(ConsistencyLevel.LWW))
         assert value == 21
 
-    def test_removing_vm_unregisters_cache_and_threads(self, cluster):
-        removed = cluster.remove_vm()
-        assert removed.cache.cache_id not in cluster.kvs.cache_index.tracked_caches()
-        for thread in removed.threads:
-            assert not cluster.router.is_registered(thread.thread_id)
+    def test_draining_vm_unregisters_cache_and_cuts_off_threads(self, cluster):
+        drained = cluster.vms[-1]
+        cluster.drain_vm(drained)
+        assert drained.cache.cache_id not in cluster.kvs.cache_index.tracked_caches()
+        sender = cluster.vms[0].threads[0].thread_id
+        for thread in drained.threads:
+            assert not thread.alive
+            assert not cluster.router.send(sender, thread.thread_id, "ping")
 
     def test_autoscaler_tick_scales_compute_tier(self, cluster, cloud, saturate):
         cloud.register(lambda x: x, name="echo")

@@ -32,7 +32,7 @@ def _generator(write_fraction=0.2):
 def _cloudburst_run():
     generator = _generator()
     cluster = build_cluster_with_threads(
-        24, threads_per_vm=3, seed=SEED, anna_nodes=1, anna_replication=1,
+        24, threads_per_vm=3, seed=SEED, anna_nodes=1,
         consistency=ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL)
     app = RetwisOnCloudburst(cluster)
     app.load_graph(generator.build_graph())

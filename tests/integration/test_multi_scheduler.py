@@ -107,9 +107,9 @@ def _crash_and_restart(cluster, crash_ms, restart_ms):
     before the budget is done.  (A run starts once the cluster has settled,
     so events queued before ``run()`` would fire before it.)"""
     engine = cluster.engine
-    engine.schedule(crash_ms, lambda: cluster.crash_scheduler("scheduler-0"))
-    engine.schedule(restart_ms,
-                    lambda: cluster.restart_scheduler("scheduler-0"))
+    scheduler = cluster.schedulers[0]
+    engine.schedule(crash_ms, scheduler.crash)
+    engine.schedule(restart_ms, scheduler.restart)
 
 
 class TestSchedulerFailover:
@@ -138,7 +138,7 @@ class TestSchedulerFailover:
 
         assert sim.completed_requests == 48
         assert values == [15] * 48
-        crashed = cluster.scheduler("scheduler-0")
+        crashed = cluster.schedulers[0]
         assert crashed.alive
         # The restart resumed (not dropped) whatever the crash abandoned.
         assert crashed.journal.recovered_sessions > 0
@@ -170,6 +170,6 @@ class TestSchedulerFailover:
 
         _register_pipeline(clients[0])
         for scheduler in cluster.schedulers:
-            cluster.crash_scheduler(scheduler.scheduler_id)
+            scheduler.crash()
         with pytest.raises(SchedulingError):
             clients[0].call("inc", [1])

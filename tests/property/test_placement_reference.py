@@ -18,6 +18,9 @@ through its VM (``bench/ablations.py`` admits directly).  Every queue here is
 loaded that way, so a mirror would read stale in each differential test.
 """
 
+from contextlib import ExitStack
+from unittest import mock
+
 from hypothesis import example, given, settings, strategies as st
 
 import reference_placement as reference
@@ -68,13 +71,26 @@ _STATE = st.fixed_dictionaries({
 })
 
 
+def _drawn_limits(state):
+    """The drawn work-queue bound and overload threshold, patched in.
+
+    Entered inside each example: hypothesis runs a function-scoped fixture
+    once per test, not once per example.
+    """
+    limits = ExitStack()
+    limits.enter_context(mock.patch("repro.cloudburst.executor.WORK_QUEUE_BOUND",
+                                    state["bound"]))
+    limits.enter_context(mock.patch("repro.cloudburst.policy.OVERLOAD_THRESHOLD",
+                                    state["threshold"]))
+    return limits
+
+
 def _build(state):
     """A cluster in the drawn load state and the candidates to place over."""
     threads_per_vm = max(len(vm["threads"]) for vm in state["vms"])
     cluster = CloudburstCluster(
         executor_vms=len(state["vms"]), threads_per_vm=threads_per_vm,
-        anna_nodes=2, seed=1, work_queue_bound=state["bound"],
-        overload_threshold=state["threshold"])
+        anna_nodes=2, seed=1)
     index = cluster.kvs.cache_index
     for vm, drawn in zip(cluster.vms, state["vms"]):
         del vm.threads[len(drawn["threads"]):]
@@ -132,15 +148,17 @@ _SCORE_OUTRANKS_THREAD_ID = {
 @example({**_SCORE_OUTRANKS_THREAD_ID, "references": ["k1", "k0", "k2"]})
 @settings(max_examples=600, deadline=None)
 def test_locality_policy_places_like_the_reference(state):
-    assert (_place(state, LocalityPlacementPolicy())
-            == _place(state, reference.ReferenceLocalityPolicy()))
+    with _drawn_limits(state):
+        assert (_place(state, LocalityPlacementPolicy())
+                == _place(state, reference.ReferenceLocalityPolicy()))
 
 
 @given(_STATE)
 @settings(max_examples=200, deadline=None)
 def test_random_policy_places_like_the_reference(state):
-    assert (_place(state, RandomPlacementPolicy())
-            == _place(state, reference.ReferenceRandomPolicy()))
+    with _drawn_limits(state):
+        assert (_place(state, RandomPlacementPolicy())
+                == _place(state, reference.ReferenceRandomPolicy()))
 
 
 def _thread(history=(), in_service=False, alive=True):
@@ -172,7 +190,8 @@ _EVERY_THREAD_MIX = {
 @example({**_EVERY_THREAD_MIX, "bound": None, "threshold": 1.0})
 @settings(max_examples=150, deadline=None)
 def test_vm_load_reads_like_the_reference(state):
-    cluster, _ = _build(state)
+    with _drawn_limits(state):
+        cluster, _ = _build(state)
     now_ms = state["now_ms"]
     for vm in cluster.vms:
         utilization, full = vm.load(now_ms)
@@ -192,16 +211,17 @@ def test_vm_load_reads_like_the_reference(state):
 @example({**_EVERY_THREAD_MIX, "bound": 1})
 @settings(max_examples=150, deadline=None)
 def test_spill_pool_is_the_reference_pool_in_the_same_order(state):
-    cluster, _ = _build(state)
-    view = LoadView(cluster.schedulers[0], state["now_ms"])
-    assert view.spill_pool() == reference.spill_pool(view)
-    assert view.spill_pool() is view.spill_pool()  # one pass per placement
+    with _drawn_limits(state):
+        cluster, _ = _build(state)
+        view = LoadView(cluster.schedulers[0], state["now_ms"])
+        assert view.spill_pool() == reference.spill_pool(view)
+        assert view.spill_pool() is view.spill_pool()  # one pass per placement
 
 
 def test_load_asks_the_queues_every_time():
     """No VM-side mirror: work admitted straight to a queue shows at once."""
-    cluster = CloudburstCluster(executor_vms=2, threads_per_vm=3, seed=3,
-                                work_queue_bound=2)
+    with mock.patch("repro.cloudburst.executor.WORK_QUEUE_BOUND", 2):
+        cluster = CloudburstCluster(executor_vms=2, threads_per_vm=3, seed=3)
     vm = cluster.vms[0]
     first, second, _ = vm.threads
     assert vm.load(0.0) == (0.0, [])

@@ -26,6 +26,7 @@ from repro.cloudburst import (
     RandomPlacementPolicy,
     Scheduler,
 )
+from repro.cloudburst import policy
 from repro.cloudburst.policy import LoadView
 from repro.cloudburst.references import extract_references
 from repro.sim import WorkQueue
@@ -80,7 +81,7 @@ def spill_pool(view: LoadView) -> List:
     for vm in view.scheduler.vms:
         if vm.alive:
             utilization, full = load(vm, view.now_ms)
-            if not utilization > view.scheduler.overload_threshold:
+            if not utilization > policy.OVERLOAD_THRESHOLD:
                 pool.extend([t for t in vm.threads if t.alive and t not in full])
     return pool
 
@@ -103,7 +104,7 @@ def pinned_threads(scheduler, name: str) -> List:
 # -- §4.3 backpressure: utilization re-summed for every thread --------------------
 def unsaturated(scheduler, threads: List, now_ms: float) -> List:
     return [t for t in threads
-            if utilization(t.vm, now_ms) <= scheduler.overload_threshold
+            if utilization(t.vm, now_ms) <= policy.OVERLOAD_THRESHOLD
             and not is_full(t.work_queue, now_ms)]
 
 
@@ -132,7 +133,7 @@ def pick_by_locality(scheduler, threads, references, now_ms: float):
     for cached, _, thread in scores:
         if cached <= 0:
             break
-        if utilization(thread.vm, now_ms) > scheduler.overload_threshold:
+        if utilization(thread.vm, now_ms) > policy.OVERLOAD_THRESHOLD:
             continue
         if thread.work_queue.busy_at(now_ms):
             continue

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.anna import AnnaCluster
-from repro.anna.cluster import DEFAULT_GOSSIP_INTERVAL_MS
+from repro.anna.cluster import GOSSIP_INTERVAL_MS
 from repro.errors import KeyNotFoundError
 from repro.lattices import LWWLattice, MaxIntLattice, Timestamp
 from repro.sim import LatencyModel, RequestContext
@@ -22,7 +22,7 @@ def lww(value, clock=1.0):
 def one_gossip_interval_later(anna):
     """Keep a client waiting on the cluster for one gossip interval."""
     engine = anna.engine
-    engine.at(engine.now_ms + DEFAULT_GOSSIP_INTERVAL_MS, lambda: None)
+    engine.at(engine.now_ms + GOSSIP_INTERVAL_MS, lambda: None)
     engine.run()
 
 

@@ -16,6 +16,8 @@ from repro.anna import (
     StorageAutoscalerConfig,
     StorageServiceModel,
 )
+from repro.anna import cluster as anna_cluster
+from repro.anna import storage_node
 from repro.errors import StorageOverloadError
 from repro.lattices import LWWLattice, SetLattice, Timestamp
 from repro.sim import Engine, LatencyModel, RequestContext, SimClock
@@ -27,6 +29,29 @@ def lww(value, clock=1.0):
 
 def ctx_at(now_ms: float = 0.0) -> RequestContext:
     return RequestContext(clock=SimClock(now_ms))
+
+
+@pytest.fixture
+def anna_constants(monkeypatch):
+    """Set Anna's module constants for one test (before building the cluster).
+
+    ``memory_base_ms`` (and ``bandwidth``) replace the storage service model
+    the cluster charges, ``queue_bound`` every new node's work-queue bound and
+    ``gossip_interval_ms`` the anti-entropy period a new cluster arms.
+    """
+    def set_constants(queue_bound=None, memory_base_ms=None, bandwidth=None,
+                      gossip_interval_ms=None):
+        if queue_bound is not None:
+            monkeypatch.setattr(storage_node, "NODE_QUEUE_BOUND", queue_bound)
+        if memory_base_ms is not None:
+            service = StorageServiceModel(memory_base_ms=memory_base_ms)
+            if bandwidth is not None:
+                service = StorageServiceModel(memory_base_ms=memory_base_ms,
+                                              memory_bandwidth_bytes_per_ms=bandwidth)
+            monkeypatch.setattr(anna_cluster, "STORAGE_SERVICE", service)
+        if gossip_interval_ms is not None:
+            monkeypatch.setattr(anna_cluster, "GOSSIP_INTERVAL_MS", gossip_interval_ms)
+    return set_constants
 
 
 def make_cluster(**kwargs) -> AnnaCluster:
@@ -47,8 +72,7 @@ class TestEngineOwnership:
         assert make_cluster(engine=engine).engine is engine
 
     def test_nothing_is_armed_on_an_idle_engine(self):
-        anna = make_cluster(gossip_interval_ms=25.0,
-                            propagation_mode=AnnaCluster.PROPAGATE_PERIODIC,
+        anna = make_cluster(propagation_mode=AnnaCluster.PROPAGATE_PERIODIC,
                             propagation_interval_ms=50.0)
         assert anna.engine.pending == 0
         anna.engine.run()
@@ -57,7 +81,7 @@ class TestEngineOwnership:
 
 class TestQuorumOfOneAndGossip:
     def test_put_lands_on_one_replica_until_gossip(self):
-        anna = make_cluster(gossip_interval_ms=25.0)
+        anna = make_cluster()
         anna.put("k", lww("v"), ctx_at())
         assert len(anna.replicas_of("k")) == 1
         assert anna.dirty_key_count() == 1
@@ -68,7 +92,7 @@ class TestQuorumOfOneAndGossip:
         assert anna.dirty_key_count() == 0
 
     def test_gossip_merges_do_not_count_as_client_load(self):
-        anna = make_cluster(gossip_interval_ms=25.0)
+        anna = make_cluster()
         anna.put("k", lww("v"), ctx_at())
         accesses_before = anna.total_access_count()
         anna.run_gossip_round()
@@ -79,7 +103,7 @@ class TestQuorumOfOneAndGossip:
     def test_round_after_the_last_write_needs_no_drain(self):
         # The write is the engine's last foreground event; the round already
         # scheduled behind it still fires, replicates the write and pauses.
-        anna = make_cluster(gossip_interval_ms=25.0)
+        anna = make_cluster()
         engine = anna.engine
         engine.at(5.0, lambda: anna.put("k", lww("v"), ctx_at(5.0)))
         engine.run()
@@ -89,8 +113,9 @@ class TestQuorumOfOneAndGossip:
         assert engine.now_ms == 25.0
         assert engine.pending == 0
 
-    def test_periodic_gossip_runs_on_virtual_time(self):
-        anna = make_cluster(gossip_interval_ms=10.0)
+    def test_periodic_gossip_runs_on_virtual_time(self, anna_constants):
+        anna_constants(gossip_interval_ms=10.0)
+        anna = make_cluster()
         engine = anna.engine
         # Foreground work keeps the recurring gossip tick alive past 10 ms.
         engine.at(5.0, lambda: anna.put("k", lww("v"), ctx_at(5.0)))
@@ -99,21 +124,12 @@ class TestQuorumOfOneAndGossip:
         assert anna.gossip_rounds == 3  # the round at 30 finds no work left
         assert anna.dirty_key_count() == 0
 
-    def test_zero_gossip_interval_runs_the_round_inside_the_put(self):
-        anna = make_cluster(gossip_interval_ms=0.0)
-        anna.put("k", lww("v"), ctx_at())
-        assert len(anna.replicas_of("k")) == 2
-        assert anna.dirty_key_count() == 0
-        assert anna.engine.pending == 0
-
-    def test_divergent_replicas_converge_after_one_round(self):
+    def test_divergent_replicas_converge_after_one_round(self, anna_constants):
         # Two concurrent writers land on *different* replicas (the first
         # replica's bounded queue is busy when the second write arrives) and
         # the set lattice merges both elements after one gossip exchange.
-        anna = make_cluster(node_count=3, replication_factor=2,
-                            node_queue_bound=1,
-                            storage_service=StorageServiceModel(memory_base_ms=5.0),
-                            gossip_interval_ms=25.0)
+        anna_constants(queue_bound=1, memory_base_ms=5.0)
+        anna = make_cluster(node_count=3, replication_factor=2)
         anna.put("s", SetLattice({"a"}), ctx_at())
         anna.put("s", SetLattice({"b"}), ctx_at())
         owners = anna.replicas_of("s")
@@ -127,9 +143,12 @@ class TestQuorumOfOneAndGossip:
 
 
 class TestGossipPartitions:
+    @pytest.fixture(autouse=True)
+    def ten_ms_gossip(self, anna_constants):
+        anna_constants(gossip_interval_ms=10.0)
+
     def partitioned_write(self):
-        anna = make_cluster(node_count=3, replication_factor=2,
-                            gossip_interval_ms=10.0)
+        anna = make_cluster(node_count=3, replication_factor=2)
         _accepting, peer = anna._owners("k")
         anna.partition_node(peer)
         anna.engine.at(1.0, lambda: anna.put("k", lww("v"), ctx_at(1.0)))
@@ -156,11 +175,18 @@ class TestGossipPartitions:
 
 
 class TestBoundedNodeQueues:
-    def saturated_cluster(self, gossip_interval_ms: float = 25.0):
-        return make_cluster(node_count=2, replication_factor=1,
-                            node_queue_bound=2,
-                            storage_service=StorageServiceModel(memory_base_ms=5.0),
-                            gossip_interval_ms=gossip_interval_ms)
+    @pytest.fixture(autouse=True)
+    def slow_memory_tier(self, anna_constants):
+        anna_constants(memory_base_ms=5.0)
+        self.anna_constants = anna_constants
+
+    def saturated_cluster(self):
+        self.anna_constants(queue_bound=2)
+        return make_cluster(node_count=2, replication_factor=1)
+
+    def one_slot_cluster(self):
+        self.anna_constants(queue_bound=1)
+        return make_cluster(node_count=3, replication_factor=2)
 
     def test_put_rejects_when_every_replica_full(self):
         anna = self.saturated_cluster()
@@ -174,10 +200,7 @@ class TestBoundedNodeQueues:
         # Regression: landing on a later replica because an earlier one was
         # busy used to count a rejection at the skipped node, inflating the
         # bench's storage.rejections for puts that succeeded.
-        anna = make_cluster(node_count=3, replication_factor=2,
-                            node_queue_bound=1,
-                            storage_service=StorageServiceModel(memory_base_ms=5.0),
-                            gossip_interval_ms=25.0)
+        anna = self.one_slot_cluster()
         anna.put("k", lww(0), ctx_at())
         anna.put("k", lww(1), ctx_at())  # first owner busy -> lands on second
         assert anna.total_rejections() == 0
@@ -220,10 +243,7 @@ class TestBoundedNodeQueues:
         assert first.total("anna", "queue") == 0.0
 
     def test_reads_redirect_to_less_loaded_replica(self):
-        anna = make_cluster(node_count=3, replication_factor=2,
-                            node_queue_bound=1,
-                            storage_service=StorageServiceModel(memory_base_ms=5.0),
-                            gossip_interval_ms=25.0)
+        anna = self.one_slot_cluster()
         anna.put("k", lww("v"))
         anna.run_gossip_round()  # every replica holds it
         first, second = anna.replicas_of("k")
@@ -238,16 +258,6 @@ class TestBoundedNodeQueues:
         assert anna.node(first).rejections == 0
         assert anna.node(second).stats("k").reads == 1
 
-    def test_zero_gossip_interval_still_backpressures(self):
-        # gossip_interval_ms=0 replicates inside the put; the bounded queue
-        # must still reject charged puts at a saturated primary.
-        anna = self.saturated_cluster(gossip_interval_ms=0.0)
-        anna.put("k", lww(0), ctx_at())
-        anna.put("k", lww(1), ctx_at())
-        with pytest.raises(StorageOverloadError):
-            anna.put("k", lww(2), ctx_at())
-        assert anna.total_rejections() == 1
-
     def test_background_writes_never_queue(self):
         anna = self.saturated_cluster()
         anna.put("k", lww(0), ctx_at())
@@ -259,9 +269,9 @@ class TestBoundedNodeQueues:
 
 
 class TestServiceCharging:
-    def test_uncontended_put_charges_service_but_no_queue(self):
-        anna = make_cluster(storage_service=StorageServiceModel(
-            memory_base_ms=0.5, memory_bandwidth_bytes_per_ms=1e9))
+    def test_uncontended_put_charges_service_but_no_queue(self, anna_constants):
+        anna_constants(memory_base_ms=0.5, bandwidth=1e9)
+        anna = make_cluster()
         ctx = ctx_at()
         anna.put("k", lww("v"), ctx)
         assert ctx.total("anna", "service") == pytest.approx(0.5, rel=1e-3)
@@ -275,7 +285,7 @@ class TestServiceCharging:
         # A client that waits for each answer before sending the next request
         # never meets its own reservations: every iteration costs the same
         # two round trips plus two service slots, and nothing queues.
-        anna = make_cluster(gossip_interval_ms=25.0)
+        anna = make_cluster()
         costs = []
         clock = 0.0
         for index in range(20):
@@ -287,9 +297,9 @@ class TestServiceCharging:
             clock = ctx.clock.now_ms
         assert costs == pytest.approx([costs[0]] * 20)
 
-    def test_busy_time_survives_node_removal(self):
-        anna = make_cluster(node_count=3, replication_factor=2,
-                            storage_service=StorageServiceModel(memory_base_ms=2.0))
+    def test_busy_time_survives_node_removal(self, anna_constants):
+        anna_constants(memory_base_ms=2.0)
+        anna = make_cluster(node_count=3, replication_factor=2)
         for index in range(12):
             anna.put(f"k{index}", lww(index), ctx_at(index * 10.0))
         busy = anna.total_queue_busy_ms()
@@ -299,11 +309,9 @@ class TestServiceCharging:
 
 
 class TestRebalanceUnderLoad:
-    def test_add_node_migrates_dirty_state_without_loss(self):
-        anna = make_cluster(node_count=3, replication_factor=2,
-                            node_queue_bound=1,
-                            storage_service=StorageServiceModel(memory_base_ms=5.0),
-                            gossip_interval_ms=25.0)
+    def test_add_node_migrates_dirty_state_without_loss(self, anna_constants):
+        anna_constants(queue_bound=1, memory_base_ms=5.0)
+        anna = make_cluster(node_count=3, replication_factor=2)
         # Staggered writes (bound=1, 5 ms service): no two collide at a node.
         for index in range(40):
             anna.put(f"k{index}", SetLattice({f"v{index}"}), ctx_at(index * 10.0))
@@ -320,8 +328,7 @@ class TestRebalanceUnderLoad:
         assert anna.get("shared").reveal() == {"a", "b"}
 
     def test_remove_node_preserves_ungossiped_writes(self):
-        anna = make_cluster(node_count=3, replication_factor=2,
-                            gossip_interval_ms=25.0)
+        anna = make_cluster(node_count=3, replication_factor=2)
         anna.put("k", lww("fresh", clock=5.0), ctx_at())
         holder, = anna.replicas_of("k")
         # The accepting replica leaves before gossip ever ran: its write must
@@ -378,7 +385,7 @@ class TestRoundsResumeAfterIdle:
     """
 
     def test_second_burst_is_gossiped_too(self):
-        anna = make_cluster(gossip_interval_ms=25.0)
+        anna = make_cluster()
         write_burst(anna, 0.0)
         rounds_after_first = anna.gossip_rounds
         assert rounds_after_first > 0
@@ -410,7 +417,7 @@ class TestRoundsResumeAfterIdle:
 
 class TestStorageAutoscalerOnEngine:
     def test_tick_runs_as_recurring_engine_event(self):
-        anna = make_cluster(gossip_interval_ms=25.0)
+        anna = make_cluster()
         scaler = StorageAutoscaler(anna, StorageAutoscalerConfig(
             scale_up_accesses_per_node=5.0, scale_down_accesses_per_node=0.0,
             hot_key_threshold=8, hot_key_extra_replicas=1, max_nodes=8))

@@ -114,16 +114,6 @@ class TestSimulatedLambda:
         assert ctx.count("lambda", "invoke") == 1
         assert platform.invocation_count == 1
 
-    def test_cold_starts_add_latency(self, model):
-        warm = SimulatedLambda(model, cold_start_probability=0.0)
-        cold = SimulatedLambda(model, rng=RandomSource(1), cold_start_probability=1.0)
-        for platform in (warm, cold):
-            platform.register(lambda: None, "noop")
-        warm_ctx, cold_ctx = RequestContext(), RequestContext()
-        warm.invoke("noop", (), warm_ctx)
-        cold.invoke("noop", (), cold_ctx)
-        assert cold_ctx.clock.now_ms > warm_ctx.clock.now_ms + 100
-
     def test_direct_composition_chains_results(self, model):
         platform = SimulatedLambda(model)
         platform.register(lambda x: x + 1, "inc")

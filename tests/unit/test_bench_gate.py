@@ -131,10 +131,18 @@ def _fault_entry(fault: str, injected: int = 3) -> dict:
 
 def good_fault_recovery() -> dict:
     classes = ("executor_kill", "storage_drop", "gossip_partition", "scheduler_crash")
+    durable_entry = {**_fault_entry("storage_drop"),
+                     "durable": {"enabled": True, "crashes": 3, "cold_keys_at_crash": 300,
+                                 "cold_keys_recovered": 300}}
     return {"seed": 14, "fault_classes": list(classes),
             "classes": {fault: _fault_entry(fault) for fault in classes},
             "determinism": {"fault": "executor_kill", "timeline_match": True,
                             "anomalies_match": True},
+            "durable_storage_drop": {
+                "seed": 14, "fault_classes": ["storage_drop"], "durable": True,
+                "classes": {"storage_drop": durable_entry},
+                "determinism": {"fault": "storage_drop", "timeline_match": True,
+                                "anomalies_match": True}},
             "wall_seconds": 1.0}
 
 
@@ -359,6 +367,14 @@ BREAKAGES = [
     ("quick", ("fault_recovery", "classes", "storage_drop", "durable"),
      {"enabled": True, "cold_keys_at_crash": 0, "cold_keys_recovered": 0, "crashes": 1},
      "empty cold set"),
+    ("quick", ("fault_recovery", "durable_storage_drop"), "<deleted>",
+     "durable_storage_drop: fault_recovery: section missing"),
+    ("quick", ("fault_recovery", "durable_storage_drop", "classes", "storage_drop", "durable",
+               "cold_keys_recovered"), 299,
+     "durable_storage_drop: fault_recovery[storage_drop]: 300 cold key(s)"),
+    ("quick", ("fault_recovery", "durable_storage_drop", "classes", "storage_drop", "durable",
+               "cold_keys_at_crash"), 0,
+     "durable_storage_drop: fault_recovery[storage_drop]: nodes crashed with an empty"),
     ("quick", ("fault_recovery", "determinism", "timeline_match"), False,
      "fault timeline is not seed-deterministic"),
     ("quick", ("fault_recovery", "determinism", "anomalies_match"), False,

@@ -246,7 +246,7 @@ class TestPinScrubbing:
 
     def test_drain_vm_scrubs_pins(self):
         # Regression: drain_vm used to leave the drained VM's thread ids in
-        # scheduler.function_pins (only remove_vm scrubbed them), so stale
+        # scheduler.function_pins, so stale
         # entries kept satisfying replica quotas while routing nowhere.
         cluster, scheduler = self._pinned_cluster()
         victim = cluster.vms[-1]
@@ -264,13 +264,6 @@ class TestPinScrubbing:
         live_ids = {t.thread_id for t in scheduler._live_threads()}
         assert set(pins) <= live_ids
         assert len(pins) == 4
-
-    def test_remove_vm_still_scrubs(self):
-        cluster, scheduler = self._pinned_cluster()
-        victim = cluster.vms[-1]
-        departed = set(victim.thread_ids())
-        cluster.remove_vm(victim.vm_id)
-        assert not departed & set(scheduler.function_pins["inc"])
 
 
 class TestActuation:

@@ -1,11 +1,12 @@
 """Unit tests for the SQLite cold tier and its StorageNode integration.
 
-The durable tier's contract (see DESIGN.md, DR-5): demotions commit the
-pickled lattice to a WAL database, promotions merge back by the normal
-lattice rules, and a crash (``forget_volatile`` + reopening the file) hands a
+The durable tier's contract (see DESIGN.md, DR-5 and DR-19): every write to
+the tier commits the pickled lattice to a WAL database, every remove deletes
+its row, and a crash (``forget_volatile`` + reopening the file) hands a
 restarted node its cold set byte-for-byte.
 """
 
+import json
 import pickle
 import sqlite3
 
@@ -29,6 +30,22 @@ def db_path(tmp_path):
     return tmp_path / "cold.sqlite"
 
 
+def stored(db_path, tier, key, column="payload"):
+    """One column of ``key``'s committed row, read with a separate connection."""
+    conn = sqlite3.connect(str(db_path))
+    try:
+        row = conn.execute(f"SELECT {column} FROM {tier.table} WHERE key = ?",
+                           (key,)).fetchone()
+    finally:
+        conn.close()
+    return None if row is None else row[0]
+
+
+def stored_vector_clock(db_path, tier, key):
+    text = stored(db_path, tier, key, "vector_clock")
+    return None if text is None else json.loads(text)
+
+
 class TestSqliteColdTier:
     def test_wal_mode_and_schema_version(self, db_path):
         tier = SqliteColdTier(db_path, "node-0")
@@ -40,93 +57,77 @@ class TestSqliteColdTier:
         conn.close()
         tier.close()
 
-    def test_put_get_roundtrip(self, db_path):
+    def test_write_commits_and_a_reopen_reads_it_back(self, db_path):
         tier = SqliteColdTier(db_path, "node-0")
-        tier.put("k", lww("hello"), last_access_ms=42.0)
-        value = tier.get("k")
-        assert value.reveal() == "hello"
-        assert tier.contains("k")
-        assert tier.keys() == ["k"]
-        assert tier.key_count() == 1
-        assert tier.access_times() == {"k": 42.0}
-        tier.close()
-
-    def test_rows_survive_close_and_reopen_byte_identically(self, db_path):
-        tier = SqliteColdTier(db_path, "node-0")
-        original = causal("v1", a=3, b=1)
-        tier.put("k", original)
-        before = tier.raw_payload("k")
+        tier.write("k", lww("hello"), last_access_ms=42.0)
+        assert tier["k"].reveal() == "hello"
+        assert list(tier) == ["k"] and len(tier) == 1
+        assert stored(db_path, tier, "k", "last_access_ms") == 42.0
         tier.close()
 
         reopened = SqliteColdTier(db_path, "node-0")
-        assert reopened.raw_payload("k") == before
+        assert reopened["k"].reveal() == "hello"
+        assert dict(reopened.recovered_access_ms) == {"k": 42.0}
+        reopened.close()
+
+    def test_rows_survive_close_and_reopen_byte_identically(self, db_path):
+        tier = SqliteColdTier(db_path, "node-0")
+        tier.write("k", causal("v1", a=3, b=1))
+        before = stored(db_path, tier, "k")
+        tier.close()
+
+        reopened = SqliteColdTier(db_path, "node-0")
+        assert stored(db_path, reopened, "k") == before
         assert pickle.loads(before).reveal() == "v1"
+        assert reopened["k"].reveal() == "v1"
         reopened.close()
 
     def test_vector_clock_column_is_queryable(self, db_path):
         tier = SqliteColdTier(db_path, "node-0")
-        tier.put("c", causal("v", a=2, b=5))
-        tier.put("plain", lww("v"))
-        assert tier.vector_clock("c") == {"a": 2, "b": 5}
-        assert tier.vector_clock("plain") == {}
-        assert tier.vector_clock("ghost") is None
+        tier.write("c", causal("v", a=2, b=5))
+        tier.write("plain", lww("v"))
+        assert stored_vector_clock(db_path, tier, "c") == {"a": 2, "b": 5}
+        assert stored_vector_clock(db_path, tier, "plain") == {}
+        assert stored_vector_clock(db_path, tier, "ghost") is None
         tier.close()
 
-    def test_merge_retains_concurrent_siblings(self, db_path):
-        # A concurrent write raced the demotion: the on-disk merge must keep
-        # both versions as siblings, and the joined clock covers both.
+    def test_remove_deletes_the_row(self, db_path):
         tier = SqliteColdTier(db_path, "node-0")
-        tier.put("k", causal("from-a", a=1))
-        merged = tier.merge("k", causal("from-b", b=1))
-        assert len(merged.siblings) == 2
-        assert tier.vector_clock("k") == {"a": 1, "b": 1}
-        stored = tier.get("k")
-        assert set(stored.concurrent_values) == {"from-a", "from-b"}
-        tier.close()
-
-    def test_merge_dominating_clock_replaces(self, db_path):
-        tier = SqliteColdTier(db_path, "node-0")
-        tier.put("k", causal("old", a=1))
-        merged = tier.merge("k", causal("new", a=2))
-        assert len(merged.siblings) == 1
-        assert merged.reveal() == "new"
-        tier.close()
-
-    def test_pop_reads_and_deletes(self, db_path):
-        tier = SqliteColdTier(db_path, "node-0")
-        tier.put("k", lww("v"))
-        assert tier.pop("k").reveal() == "v"
-        assert not tier.contains("k")
-        assert tier.pop("k") is None
+        tier.write("k", lww("v"))
+        assert tier.remove("k").reveal() == "v"
+        assert "k" not in tier
+        assert tier.remove("k") is None
+        assert stored(db_path, tier, "k") is None
         tier.close()
 
     def test_per_node_tables_are_isolated(self, db_path):
         # One shared database file, one table per node id.
         a = SqliteColdTier(db_path, "node-a")
         b = SqliteColdTier(db_path, "node-b")
-        a.put("k", lww("from-a"))
-        assert not b.contains("k")
-        b.put("k", lww("from-b"))
-        assert a.get("k").reveal() == "from-a"
-        assert b.get("k").reveal() == "from-b"
+        a.write("k", lww("from-a"))
+        assert "k" not in b
+        b.write("k", lww("from-b"))
         a.close()
         b.close()
+        assert SqliteColdTier(db_path, "node-a")["k"].reveal() == "from-a"
+        assert SqliteColdTier(db_path, "node-b")["k"].reveal() == "from-b"
 
     def test_hostile_node_ids_become_safe_table_names(self, db_path):
         tier = SqliteColdTier(db_path, 'x"; DROP TABLE meta; --')
-        tier.put("k", lww("v"))
-        assert tier.get("k").reveal() == "v"
+        tier.write("k", lww("v"))
+        assert stored(db_path, tier, "k") is not None
         conn = sqlite3.connect(str(db_path))
         assert conn.execute("SELECT COUNT(*) FROM meta").fetchone()[0] == 2
         conn.close()
         tier.close()
 
-    def test_access_times_order_coldest_first(self, db_path):
+    def test_recovered_access_times_order_coldest_first(self, db_path):
         tier = SqliteColdTier(db_path, "node-0")
-        tier.put("warm", lww(1), last_access_ms=300.0)
-        tier.put("cold", lww(2), last_access_ms=10.0)
-        assert list(tier.access_times()) == ["cold", "warm"]
+        tier.write("warm", lww(1), last_access_ms=300.0)
+        tier.write("cold", lww(2), last_access_ms=10.0)
         tier.close()
+        assert list(SqliteColdTier(db_path, "node-0").recovered_access_ms) == \
+            ["cold", "warm"]
 
 
 class TestStorageNodeWithColdTier:
@@ -141,8 +142,8 @@ class TestStorageNodeWithColdTier:
         node.put("b", lww(2), now_ms=2.0)
         node.put("c", lww(3), now_ms=3.0)  # evicts coldest ("a") to disk
         assert node.tier_of("a") == StorageNode.DISK_TIER
-        assert tier.contains("a")
-        assert node.memory_key_count() == 2
+        assert stored(db_path, tier, "a") is not None
+        assert len(list(node.memory_keys())) == 2
         assert node.key_count() == 3
         assert node.demotions == 1
         node.cold_tier.close()
@@ -153,21 +154,8 @@ class TestStorageNodeWithColdTier:
         node.demote("k")
         node.put("k", causal("v2", a=2))
         assert node.tier_of("k") == StorageNode.DISK_TIER
-        assert tier.get("k").reveal() == "v2"
-        assert tier.vector_clock("k") == {"a": 2}
-        node.cold_tier.close()
-
-    def test_promotion_merges_into_memory_copy(self, db_path):
-        # Demote, then a fresh memory-tier write races the cold copy; the
-        # promotion must merge rather than clobber either side.
-        node, tier = self._node(db_path, capacity=10)
-        node.put("k", causal("cold-version", a=1))
-        node.demote("k")
-        node._memory["k"] = causal("hot-version", b=1)
-        assert node.promote("k")
-        merged = node.get("k")
-        assert set(merged.concurrent_values) == {"cold-version", "hot-version"}
-        assert not tier.contains("k")
+        assert pickle.loads(stored(db_path, tier, "k")).reveal() == "v2"
+        assert stored_vector_clock(db_path, tier, "k") == {"a": 2}
         node.cold_tier.close()
 
     def test_delete_removes_from_both_tiers(self, db_path):
@@ -176,7 +164,7 @@ class TestStorageNodeWithColdTier:
         node.demote("k")
         assert node.delete("k")
         assert not node.contains("k")
-        assert not tier.contains("k")
+        assert stored(db_path, tier, "k") is None
         node.cold_tier.close()
 
     def test_drain_empties_the_durable_table(self, db_path):
@@ -186,15 +174,15 @@ class TestStorageNodeWithColdTier:
         node.demote("cold")
         drained = node.drain()
         assert set(drained) == {"mem", "cold"}
-        assert tier.key_count() == 0
         node.cold_tier.close()
+        assert len(SqliteColdTier(db_path, "s1")) == 0
 
     def test_crash_keeps_cold_set_and_restart_recovers_it(self, db_path):
         node, tier = self._node(db_path, capacity=10)
         node.put("hot", lww("gone"), now_ms=5.0)
         node.put("cold", causal("kept", a=1), now_ms=7.0)
         node.demote("cold")
-        payload_before = tier.raw_payload("cold")
+        payload_before = stored(db_path, tier, "cold")
 
         node.forget_volatile()
         node.cold_tier.close()
@@ -204,8 +192,9 @@ class TestStorageNodeWithColdTier:
         assert restarted.recover_cold_set() == 1
         assert restarted.tier_of("cold") == StorageNode.DISK_TIER
         assert restarted.tier_of("hot") is None  # volatile tier died
-        assert restarted.cold_tier.raw_payload("cold") == payload_before
+        assert stored(db_path, restarted.cold_tier, "cold") == payload_before
         assert restarted.stats("cold").last_access_ms == 7.0
+        assert restarted.peek("cold").reveal() == "kept"
         restarted.cold_tier.close()
 
     def test_without_cold_tier_disk_dict_still_works(self):

@@ -16,10 +16,6 @@ class TestStableHash:
 
 
 class TestHashRingMembership:
-    def test_rejects_nonpositive_virtual_nodes(self):
-        with pytest.raises(ValueError):
-            HashRing(virtual_nodes=0)
-
     def test_add_and_contains(self):
         ring = HashRing()
         ring.add_node("n1")
@@ -48,7 +44,7 @@ class TestHashRingMembership:
 
 class TestHashRingPlacement:
     def setup_method(self):
-        self.ring = HashRing(virtual_nodes=64)
+        self.ring = HashRing()
         for index in range(4):
             self.ring.add_node(f"node-{index}")
 
@@ -95,7 +91,7 @@ class TestHashRingPlacement:
         for key in keys:
             self.ring.owners(key, 2)  # remembered under four nodes
         self.ring.add_node("node-new")
-        fresh = HashRing(virtual_nodes=64)
+        fresh = HashRing()
         for node in self.ring.nodes:
             fresh.add_node(node)
         assert [self.ring.owners(k, 2) for k in keys] == [fresh.owners(k, 2) for k in keys]
@@ -120,7 +116,7 @@ class TestHashRingPlacement:
 
 class TestOwnedBy:
     def setup_method(self):
-        self.ring = HashRing(virtual_nodes=64)
+        self.ring = HashRing()
         for index in range(4):
             self.ring.add_node(f"node-{index}")
         self.keys = [f"key-{i}" for i in range(500)]

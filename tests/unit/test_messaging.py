@@ -28,10 +28,6 @@ class TestRegistration:
         assert address == router.address_of("t3")
         assert router.is_registered("t3")
 
-    def test_unregister(self, router):
-        router.unregister_thread("t2")
-        assert not router.is_registered("t2")
-
     def test_recv_from_unknown_thread_raises(self, router):
         with pytest.raises(MessagingError):
             router.recv("ghost")

@@ -21,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.anna import AnnaCluster, StorageServiceModel
+from repro.anna import cluster as anna_cluster
+from repro.anna import storage_node
 from repro.cloudburst import ExecutorCache
 from repro.lattices import (
     CausalLattice,
@@ -134,12 +136,13 @@ class TestOverlapCharging:
         expected = 2 * cache.kvs.get("a").size_bytes() / bandwidth
         assert ingress == pytest.approx(expected, rel=0.01)
 
-    def test_storage_queue_charges_land_under_overlap(self):
+    def test_storage_queue_charges_land_under_overlap(self, monkeypatch):
         # Two batch members on the same storage node serialize in its
         # reservation queue: the second fetch is charged a real queue wait
         # even though the batch overlaps in virtual time.
-        anna = make_anna(node_count=1, replication_factor=1,
-                         storage_service=StorageServiceModel(memory_base_ms=5.0))
+        monkeypatch.setattr(anna_cluster, "STORAGE_SERVICE",
+                            StorageServiceModel(memory_base_ms=5.0))
+        anna = make_anna(node_count=1, replication_factor=1)
         anna.put("a", lww("v"))
         anna.put("b", lww("v"))
         cache = make_cache(anna)
@@ -150,15 +153,15 @@ class TestOverlapCharging:
         assert ctx.total("anna", "queue") == pytest.approx(5.0 - 0.03, abs=0.05)
         assert ctx.total("anna", "service") == pytest.approx(10.0, abs=0.05)
 
-    def test_read_redirect_parity_with_single_key(self):
+    def test_read_redirect_parity_with_single_key(self, monkeypatch):
         # A saturated primary redirects batched reads exactly as it does
         # single-key reads.
+        monkeypatch.setattr(anna_cluster, "STORAGE_SERVICE",
+                            StorageServiceModel(memory_base_ms=5.0))
+        monkeypatch.setattr(storage_node, "NODE_QUEUE_BOUND", 1)
+
         def build():
-            anna = make_anna(node_count=3, replication_factor=2,
-                             node_queue_bound=1,
-                             storage_service=StorageServiceModel(
-                                 memory_base_ms=5.0),
-                             gossip_interval_ms=25.0)
+            anna = make_anna(node_count=3, replication_factor=2)
             anna.put("k", lww("v"))
             anna.run_gossip_round()  # every replica holds it
             first, _ = anna.replicas_of("k")

@@ -1,5 +1,7 @@
 """Unit tests for the function scheduler (placement policy, registration)."""
 
+from unittest import mock
+
 import pytest
 
 from repro import CloudburstCluster, CloudburstReference
@@ -179,24 +181,21 @@ class TestFaultHandling:
 
 
 class TestConstructorParameters:
-    def test_overload_threshold_and_fault_timeout_are_parameters(self):
+    def test_fault_timeout_is_a_parameter(self):
         cluster = CloudburstCluster(executor_vms=2, threads_per_vm=2, seed=3,
-                                    overload_threshold=0.5,
                                     fault_timeout_ms=1_234.0)
-        scheduler = cluster.schedulers[0]
-        assert scheduler.overload_threshold == 0.5
-        assert scheduler.fault_timeout_ms == 1_234.0
+        assert cluster.schedulers[0].fault_timeout_ms == 1_234.0
 
     def test_overload_threshold_zero_still_schedules(self):
         # Threshold 0 marks every executor saturated; the policy must fall
         # back to the full pool instead of failing.
-        cluster = CloudburstCluster(executor_vms=2, threads_per_vm=2, seed=3,
-                                    overload_threshold=0.0)
+        cluster = CloudburstCluster(executor_vms=2, threads_per_vm=2, seed=3)
         scheduler = cluster.schedulers[0]
         scheduler.register_function(lambda x: x + 1, name="inc")
         for vm in cluster.vms:
             vm.inflight = len(vm.threads)
-        assert scheduler.call("inc", [1]).value == 2
+        with mock.patch("repro.cloudburst.policy.OVERLOAD_THRESHOLD", 0.0):
+            assert scheduler.call("inc", [1]).value == 2
 
     def test_fault_timeout_charged_on_retry(self):
         from repro.errors import ExecutorFailedError

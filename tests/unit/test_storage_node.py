@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import KeyNotFoundError
 from repro.lattices import LWWLattice, MaxIntLattice, Timestamp
-from repro.anna import StorageNode
+from repro.anna import ColdTier, StorageNode
 
 
 def lww(value, clock=1.0, node="n"):
@@ -56,14 +56,23 @@ class TestTiering:
         node.put("k", lww("v"))
         assert node.tier_of("k") == StorageNode.MEMORY_TIER
 
-    def test_demote_and_promote(self):
+    def test_demote_moves_key_to_disk(self):
         node = StorageNode("s1")
         node.put("k", lww("v"))
         assert node.demote("k")
         assert node.tier_of("k") == StorageNode.DISK_TIER
         assert node.get("k").reveal() == "v"
-        assert node.promote("k")
-        assert node.tier_of("k") == StorageNode.MEMORY_TIER
+        assert list(node.memory_keys()) == []
+
+    def test_in_process_cold_tier_is_a_dict_behind_write_and_remove(self):
+        tier = ColdTier()
+        node = StorageNode("s1", cold_tier=tier)
+        node.put("k", lww("v"), now_ms=4.0)
+        node.demote("k")
+        assert dict(tier) == {"k": node.peek("k")}
+        assert node.delete("k")
+        assert tier == {} and tier.remove("k") is None
+        assert not tier.recovered_access_ms
 
     def test_demote_missing_key_is_false(self):
         assert not StorageNode("s1").demote("ghost")
@@ -84,8 +93,7 @@ class TestTiering:
         node.put("k0", lww(0), now_ms=1.0)
         node.put("k1", lww(1), now_ms=2.0)
         node.put("k2", lww(2), now_ms=3.0)
-        assert not node.over_memory_capacity()
-        assert node.memory_key_count() == 2
+        assert len(list(node.memory_keys())) == 2
         assert node.demotions == 1
         # The coldest key moved to disk; nothing was lost.
         assert node.tier_of("k0") == StorageNode.DISK_TIER
@@ -96,7 +104,7 @@ class TestTiering:
         node = StorageNode("s1", memory_capacity_keys=3)
         for index in range(20):
             node.put(f"k{index}", lww(index), now_ms=float(index))
-        assert node.memory_key_count() == 3
+        assert len(list(node.memory_keys())) == 3
         assert node.key_count() == 20
         assert node.demotions == 17
 
@@ -108,14 +116,16 @@ class TestTiering:
         node.put("b", MaxIntLattice(1), now_ms=2.0)
         node.put("a", MaxIntLattice(5), now_ms=3.0)  # merge, not a fresh insert
         assert node.demotions == 0
-        assert node.memory_key_count() == 2
+        assert len(list(node.memory_keys())) == 2
 
-    def test_coldest_memory_keys_ordered_by_access_time(self):
-        node = StorageNode("s1")
+    def test_capacity_demotes_the_least_recently_accessed_key(self):
+        node = StorageNode("s1", memory_capacity_keys=2)
         node.put("old", lww(1), now_ms=1.0)
         node.put("new", lww(2), now_ms=100.0)
         node.get("old", now_ms=500.0)
-        assert node.coldest_memory_keys(1) == ["new"]
+        node.put("fresh", lww(3), now_ms=600.0)
+        assert node.tier_of("new") == StorageNode.DISK_TIER
+        assert node.tier_of("old") == StorageNode.MEMORY_TIER
 
 
 class TestStats:
