@@ -33,7 +33,8 @@ def main() -> None:
     print("result:", sq(reference))                    # -> 4 (reads 'key' from the KVS)
 
     future = sq(3, store_in_kvs=True)                  # a CloudburstFuture
-    print("result:", future.get())                     # -> 9 (backed by a KVS key)
+    print("result:", future.get())                     # -> 9 (also written to the KVS)
+    print("from the KVS:", cloud.get(future.result_key))  # -> 9 (under future.result_key)
 
     # --- function composition as a DAG ---------------------------------------
     cloud.register(lambda x: x + 1, name="increment")

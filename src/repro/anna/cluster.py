@@ -37,7 +37,7 @@ from ..sim import (Engine, LatencyModel, RequestContext, ingress_overflow_ms,
                    run_overlapped)
 from .hash_ring import HashRing
 from .index import KeyCacheIndex
-from .storage_node import StorageNode, StorageServiceModel
+from .storage_node import MEMORY_CAPACITY_KEYS, StorageNode, StorageServiceModel
 
 #: Callback signature for asynchronous update propagation to caches.
 UpdateListener = Callable[[str, Lattice], None]
@@ -63,12 +63,11 @@ class AnnaCluster:
 
     def __init__(self, node_count: int = 4, replication_factor: int = 2,
                  latency_model: Optional[LatencyModel] = None,
-                 memory_capacity_keys: int = 1_000_000,
+                 memory_capacity_keys: int = MEMORY_CAPACITY_KEYS,
                  propagation_mode: str = PROPAGATE_IMMEDIATE,
                  propagation_interval_ms: float = 0.0,
                  durable_path: Optional[Union[str, Path]] = None,
-                 tracer=None,
-                 engine: Optional[Engine] = None):
+                 tracer=None):
         if node_count <= 0:
             raise ValueError("node_count must be positive")
         if replication_factor <= 0:
@@ -89,8 +88,8 @@ class AnnaCluster:
         #: (zero: only explicit ``flush_updates`` calls propagate).
         self.propagation_interval_ms = float(propagation_interval_ms)
         #: The discrete-event engine the storage nodes live on, for the
-        #: cluster's whole lifetime (a ``CloudburstCluster`` hands in its own).
-        self.engine = engine or Engine()
+        #: cluster's whole lifetime (a ``CloudburstCluster`` runs on it too).
+        self.engine = Engine()
         if (propagation_mode == self.PROPAGATE_PERIODIC
                 and self.propagation_interval_ms > 0):
             self.engine.every(self.propagation_interval_ms, self.flush_updates)
@@ -292,8 +291,7 @@ class AnnaCluster:
 
     # -- data path -----------------------------------------------------------------
     def put(self, key: str, value: Lattice, ctx: Optional[RequestContext] = None,
-            propagate: bool = True, originating_cache: str = "",
-            count_access: bool = True) -> Lattice:
+            originating_cache: str = "", count_access: bool = True) -> Lattice:
         """Merge ``value`` into ``key``'s replica set.
 
         The put lands on the *first replica whose work queue has room*
@@ -324,8 +322,7 @@ class AnnaCluster:
         merged = node.put(key, value, now_ms=self._op_time(ctx),
                           count_access=count_access)
         self._dirty.setdefault(target, set()).add(key)
-        if propagate:
-            self._propagate_update(key, merged, exclude=originating_cache)
+        self._propagate_update(key, merged, exclude=originating_cache)
         return merged
 
     def _first_available(self, key: str, owners: List[str], at_ms: float) -> str:
@@ -411,9 +408,10 @@ class AnnaCluster:
         if service_span is not None:
             service_span.finish(ctx.clock.now_ms)
 
-    @staticmethod
-    def _op_time(ctx: Optional[RequestContext]) -> float:
-        return ctx.clock.now_ms if ctx is not None else 0.0
+    def _op_time(self, ctx: Optional[RequestContext]) -> float:
+        """When an operation touches its key: the request's time, or the
+        engine's for a background operation (a cache write-back)."""
+        return ctx.clock.now_ms if ctx is not None else self.engine.now_ms
 
     def get_or_none(self, key: str, ctx: Optional[RequestContext] = None) -> Optional[Lattice]:
         try:
@@ -499,7 +497,7 @@ class AnnaCluster:
 
     # -- convenience: plain-value metadata stored as LWW lattices --------------------
     def put_plain(self, key: str, value, ctx: Optional[RequestContext] = None,
-                  clock_ms: float = 0.0, count_access: bool = True) -> Lattice:
+                  count_access: bool = True) -> Lattice:
         """Wrap a bare Python value in an LWW lattice and store it.
 
         Cloudburst system metadata (function bodies, DAG topologies, executor
@@ -508,7 +506,7 @@ class AnnaCluster:
         ``count_access=False`` marks system traffic (recurring metric
         publishes) that must not skew the storage-load statistics.
         """
-        timestamp = self._timestamps.next(max(clock_ms, self.wall_clock_ms()))
+        timestamp = self._timestamps.next(self.wall_clock_ms())
         return self.put(key, LWWLattice(timestamp, value), ctx,
                         count_access=count_access)
 

@@ -37,6 +37,10 @@ from ..sim.engine import ReservationQueue
 #: a hot node saturates instead of buffering work forever.
 NODE_QUEUE_BOUND = 128
 
+#: Keys a memory tier holds before a fresh key demotes the least recently
+#: used one to disk (large enough that only a capped run ever demotes).
+MEMORY_CAPACITY_KEYS = 1_000_000
+
 
 class ColdTier(dict):
     """A storage node's disk tier: key -> lattice, read as a plain dict.
@@ -110,7 +114,7 @@ class StorageNode:
     MEMORY_TIER = "memory"
     DISK_TIER = "disk"
 
-    def __init__(self, node_id: str, memory_capacity_keys: int = 1_000_000,
+    def __init__(self, node_id: str, memory_capacity_keys: int = MEMORY_CAPACITY_KEYS,
                  cold_tier: Optional[ColdTier] = None):
         self.node_id = node_id
         self.memory_capacity_keys = memory_capacity_keys

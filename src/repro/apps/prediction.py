@@ -43,9 +43,9 @@ def make_image(side: int = 512, seed: int = 0) -> np.ndarray:
     return rng.random((side, side, 3), dtype=np.float64)
 
 
-def make_model_weights(seed: int = 1) -> Dict[str, np.ndarray]:
+def make_model_weights() -> Dict[str, np.ndarray]:
     """Mock MobileNet weights: a feature projection plus a classifier head."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1)
     return {
         "conv": rng.standard_normal((3, 8)) * 0.1,
         "classifier": rng.standard_normal((8, LABEL_COUNT)) * 0.1,
@@ -127,14 +127,14 @@ class PredictionDeployment:
     cluster: CloudburstCluster
     client: CloudburstClient
 
-    def serve_future(self, image: np.ndarray, ctx=None):
+    def serve_future(self, image: np.ndarray):
         """Invoke the pipeline; returns the invocation's CloudburstFuture.
 
         The future is pending (the DAG stages run as engine events); resolve
         it with ``future.get()`` or subscribe with
-        ``future.add_done_callback`` — the load drivers do the latter.
+        ``future.add_done_callback``.
         """
-        return self.client.call_dag(PIPELINE_DAG, {"cb_resize": [image]}, ctx=ctx)
+        return self.client.call_dag(PIPELINE_DAG, {"cb_resize": [image]})
 
     def serve(self, image: np.ndarray) -> Tuple[Dict[str, object], float]:
         """Serve one prediction to completion; returns (prediction, latency ms)."""
@@ -142,12 +142,10 @@ class PredictionDeployment:
         return result.value, result.latency_ms
 
 
-def deploy_on_cloudburst(cluster: CloudburstCluster,
-                         weights: Optional[Dict[str, np.ndarray]] = None
-                         ) -> PredictionDeployment:
+def deploy_on_cloudburst(cluster: CloudburstCluster) -> PredictionDeployment:
     """Register the three pipeline stages and the DAG on a cluster."""
     client = cluster.connect("prediction-client")
-    client.put(MODEL_KEY, weights or make_model_weights())
+    client.put(MODEL_KEY, make_model_weights())
     client.register(_cb_resize, name="cb_resize")
     client.register(_cb_model, name="cb_model")
     client.register(_cb_render, name="cb_render")
@@ -160,10 +158,9 @@ def deploy_on_cloudburst(cluster: CloudburstCluster,
 class PredictionBaselines:
     """The Figure 9 comparison points: Python, SageMaker, Lambda mock/actual."""
 
-    def __init__(self, latency_model: Optional[LatencyModel] = None,
-                 weights: Optional[Dict[str, np.ndarray]] = None):
+    def __init__(self, latency_model: Optional[LatencyModel] = None):
         self.latency_model = latency_model or LatencyModel()
-        self.weights = weights or make_model_weights()
+        self.weights = make_model_weights()
         self._stage_names = ["resize", "model", "render"]
 
         self.python = NativePython(self.latency_model)

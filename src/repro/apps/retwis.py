@@ -353,7 +353,7 @@ class RetwisOnCloudburst:
 class RetwisOnRedis:
     """The serverful baseline: webservers talking directly to Redis."""
 
-    def __init__(self, latency_model: Optional[LatencyModel] = None, seed: int = 17):
+    def __init__(self, latency_model: Optional[LatencyModel] = None):
         self.redis = SimulatedRedis(latency_model or LatencyModel())
         self._tweet_ids = itertools.count(1_000_000)
         self.stats = RetwisStats()

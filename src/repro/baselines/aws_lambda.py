@@ -66,8 +66,7 @@ class LambdaComposition:
         return value
 
     def run_through_storage(self, functions: Sequence[str], argument: Any,
-                            ctx: Optional[RequestContext] = None,
-                            key_prefix: str = "lambda-pipeline") -> Any:
+                            ctx: Optional[RequestContext] = None) -> Any:
         """Lambda (S3)/(Dynamo): arguments pass through the Lambda API as in the
         direct variant, but the pipeline's result is stored in the storage
         service (the configuration measured in Figure 1)."""
@@ -76,7 +75,7 @@ class LambdaComposition:
         value = argument
         for name in functions:
             value = self.platform.invoke(name, (value,), ctx)
-        self.storage.put(f"{key_prefix}/result", value, ctx)
+        self.storage.put("lambda-pipeline/result", value, ctx)
         return value
 
 

@@ -24,7 +24,7 @@ from ..anna import AnnaCluster
 from ..cloudburst import AnomalyTracker, CloudburstCluster, ConsistencyLevel
 from ..lattices import CausalLattice
 from ..sim import LatencyRecorder, RandomSource, median, percentile
-from ..workloads.dags import ConsistencyWorkload
+from ..workloads.dags import KEY_PREFIX, ConsistencyWorkload
 from .harness import EngineLoadDriver, systems
 
 #: Default virtual-time period of Anna's update propagation.
@@ -96,18 +96,18 @@ def _run_level(level: ConsistencyLevel, dag_count: int, requests: int,
     return cluster, recorder
 
 
-def _metadata_overhead(cluster: CloudburstCluster, key_prefix: str = "cw-",
-                       sample_limit: int = 2_000) -> Dict[str, float]:
+def _metadata_overhead(cluster: CloudburstCluster) -> Dict[str, float]:
     """Median and p99 per-key causal metadata bytes in Anna after the run
-    (§6.2.1: median 624 B, p99 7.1 KB)."""
+    (§6.2.1: median 624 B, p99 7.1 KB), over at most the first 2,000
+    workload keys."""
     sizes: List[int] = []
     for key in cluster.kvs.keys():
-        if not key.startswith(key_prefix):
+        if not key.startswith(f"{KEY_PREFIX}-"):
             continue
         lattice = cluster.kvs.get_or_none(key)
         if isinstance(lattice, CausalLattice):
             sizes.append(lattice.metadata_bytes())
-        if len(sizes) >= sample_limit:
+        if len(sizes) >= 2_000:
             break
     if not sizes:
         return {"median": 0.0, "p99": 0.0}

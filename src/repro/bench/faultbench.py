@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..anna import AnnaCluster
+from ..anna.storage_node import MEMORY_CAPACITY_KEYS
 from ..apps.retwis import cb_get_timeline, cb_post_tweet, user_key
 from ..cloudburst import AnomalyTracker, CloudburstCluster, ConsistencyLevel
 from ..sim import DEFAULT_FAULT_CLASSES, FaultPlane, RandomSource
@@ -58,7 +59,7 @@ def _build_cluster(seed: int, executor_vms: int, scheduler_count: int,
                    user_count: int, seed_tweet_count: int,
                    propagation_interval_ms: float,
                    durable_path: Optional[Path] = None,
-                   memory_capacity_keys: Optional[int] = None):
+                   memory_capacity_keys: int = MEMORY_CAPACITY_KEYS):
     """A retwis-loaded LWW cluster with the DAG wrappers registered."""
     from ..apps.retwis import RetwisOnCloudburst
 
@@ -102,7 +103,7 @@ def _run_fault_class(fault: str, seed: int, request_count: int, clients: int,
                      downtime_ms: float, tick_interval_ms: float,
                      propagation_interval_ms: float,
                      durable_dir: Optional[Union[str, Path]] = None,
-                     memory_capacity_keys: Optional[int] = None) -> Dict[str, Any]:
+                     memory_capacity_keys: int = MEMORY_CAPACITY_KEYS) -> Dict[str, Any]:
     """One LWW retwis run with a single fault class enabled."""
     durable_path: Optional[Path] = None
     if durable_dir is not None:
@@ -195,7 +196,7 @@ def run_fault_recovery(seed: int = 7, request_count: int = 160,
                        fault_classes: Sequence[str] = FAULT_CLASSES,
                        determinism_check: bool = True,
                        durable_dir: Optional[Union[str, Path]] = None,
-                       memory_capacity_keys: Optional[int] = None) -> Dict[str, Any]:
+                       memory_capacity_keys: int = MEMORY_CAPACITY_KEYS) -> Dict[str, Any]:
     """Run retwis under each fault class; returns the ``fault_recovery`` section.
 
     Each class gets its own seeded run (seed offset per class so schedules

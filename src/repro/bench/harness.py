@@ -325,7 +325,7 @@ class EngineLoadDriver:
 
 
 def build_cluster_with_threads(total_threads: int, threads_per_vm: int = 3,
-                               cluster_factory=None, **cluster_kwargs):
+                               **cluster_kwargs):
     """Build a cluster with an exact executor-thread total.
 
     Thread counts that are not multiples of the VM size get one smaller
@@ -333,15 +333,14 @@ def build_cluster_with_threads(total_threads: int, threads_per_vm: int = 3,
     """
     if total_threads <= 0:
         raise ValueError("total_threads must be positive")
-    if cluster_factory is None:
-        from ..cloudburst import CloudburstCluster
-        cluster_factory = CloudburstCluster
+    from ..cloudburst import CloudburstCluster
+
     full_vms, remainder = divmod(total_threads, threads_per_vm)
     if full_vms == 0:
-        return cluster_factory(executor_vms=1, threads_per_vm=remainder,
-                               **cluster_kwargs)
-    cluster = cluster_factory(executor_vms=full_vms, threads_per_vm=threads_per_vm,
-                              **cluster_kwargs)
+        return CloudburstCluster(executor_vms=1, threads_per_vm=remainder,
+                                 **cluster_kwargs)
+    cluster = CloudburstCluster(executor_vms=full_vms, threads_per_vm=threads_per_vm,
+                                **cluster_kwargs)
     if remainder:
         cluster.add_vm(threads=remainder)
     return cluster

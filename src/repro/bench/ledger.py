@@ -265,16 +265,13 @@ class BenchLedger:
         params.append(int(limit))
         return [float(row[0]) for row in self._conn.execute(query, params)]
 
-    def trend_rows(self, scale: Optional[str] = None,
-                   window: int = TREND_WINDOW) -> List[Dict[str, Any]]:
-        """Per-gate history summaries for the ``--report`` table."""
+    def trend_rows(self, window: int = TREND_WINDOW) -> List[Dict[str, Any]]:
+        """Per-gate history summaries for the ``--report`` table (every scale)."""
         rows = []
         for gate in TREND_GATES:
-            values = self.history(
-                gate.metric,
-                scale=None if gate.scale_invariant else scale,
-                include_seeded=(gate.kind != "wallclock"),
-                limit=window)
+            values = self.history(gate.metric,
+                                  include_seeded=(gate.kind != "wallclock"),
+                                  limit=window)
             rows.append({
                 "metric": gate.metric,
                 "kind": gate.kind,
@@ -290,14 +287,14 @@ class BenchLedger:
 
 # -- the trend gate ------------------------------------------------------------------
 def trend_errors(payload: Dict[str, Any], ledger: BenchLedger,
-                 window: int = TREND_WINDOW,
-                 tolerance: float = TREND_TOLERANCE,
                  ) -> Tuple[List[str], Dict[str, Dict[str, Any]]]:
     """Check the payload's trend metrics against the ledger's history.
 
     Returns ``(errors, checks)``: the gate errors (a metric more than
     ``tolerance`` below the median of its window) and the per-metric detail
-    recorded in the snapshot's ``ledger`` section.  An empty window passes —
+    recorded in the snapshot's ``ledger`` section.  The window is the last
+    ``TREND_WINDOW`` runs and the tolerance ``TREND_TOLERANCE``.  An empty
+    window passes —
     the first run on a fresh ledger has nothing to regress against.  The
     check is one-sided on purpose: an *improvement* must never fail CI.
     """
@@ -312,7 +309,7 @@ def trend_errors(payload: Dict[str, Any], ledger: BenchLedger,
             gate.metric,
             scale=None if gate.scale_invariant else payload.get("scale"),
             include_seeded=(gate.kind != "wallclock"),
-            limit=window)
+            limit=TREND_WINDOW)
         check: Dict[str, Any] = {
             "kind": gate.kind,
             "value": value,
@@ -323,12 +320,12 @@ def trend_errors(payload: Dict[str, Any], ledger: BenchLedger,
         if history:
             window_median = median(history)
             check["median"] = window_median
-            floor = (1.0 - tolerance) * window_median
+            floor = (1.0 - TREND_TOLERANCE) * window_median
             if value < floor:
                 check["ok"] = False
                 errors.append(
                     f"ledger[{gate.metric}]: {value:.2f} is more than "
-                    f"{tolerance:.0%} below the median {window_median:.2f} of "
+                    f"{TREND_TOLERANCE:.0%} below the median {window_median:.2f} of "
                     f"the last {len(history)} run(s)")
         checks[gate.metric] = check
     return errors, checks
@@ -337,8 +334,6 @@ def trend_errors(payload: Dict[str, Any], ledger: BenchLedger,
 def apply_ledger(payload: Dict[str, Any], fixed_errors: Sequence[str],
                  ledger_path: Union[str, Path],
                  seed_snapshot: Optional[Union[str, Path]] = None,
-                 window: int = TREND_WINDOW,
-                 tolerance: float = TREND_TOLERANCE,
                  ) -> Tuple[Dict[str, Any], List[str]]:
     """Seed/append the ledger and run the trend gate for one bench run.
 
@@ -351,8 +346,8 @@ def apply_ledger(payload: Dict[str, Any], fixed_errors: Sequence[str],
     section: Dict[str, Any] = {
         "path": str(ledger_path),
         "schema_version": SCHEMA_VERSION,
-        "window": window,
-        "tolerance": tolerance,
+        "window": TREND_WINDOW,
+        "tolerance": TREND_TOLERANCE,
         "ledger_ok": True,
         "seeded_from": None,
         "warning": None,
@@ -371,8 +366,7 @@ def apply_ledger(payload: Dict[str, Any], fixed_errors: Sequence[str],
             seeded_id = ledger.seed_from_snapshot(seed_snapshot)
             if seeded_id is not None:
                 section["seeded_from"] = str(seed_snapshot)
-        errors, checks = trend_errors(payload, ledger,
-                                      window=window, tolerance=tolerance)
+        errors, checks = trend_errors(payload, ledger)
         section["trend"] = checks
         section["trend_gate_ok"] = not errors
         # Record the run *after* the trend check, so the window never

@@ -25,8 +25,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..anna import AnnaCluster
 from ..errors import ConsistencyError, KeyNotFoundError
 from ..lattices import CausalLattice, Lattice
-from ..sim import (LatencyModel, RequestContext, ingress_overflow_ms,
-                   run_overlapped)
+from ..sim import RequestContext, ingress_overflow_ms, run_overlapped
 
 
 @dataclass
@@ -66,11 +65,10 @@ class ExecutorCache:
     """The VM-local mutable cache colocated with function executors."""
 
     def __init__(self, cache_id: str, kvs: AnnaCluster,
-                 latency_model: Optional[LatencyModel] = None,
                  peer_registry: Optional[Dict[str, "ExecutorCache"]] = None):
         self.cache_id = cache_id
         self.kvs = kvs
-        self.latency_model = latency_model or kvs.latency_model
+        self.latency_model = kvs.latency_model
         self.closed = False
         self._data: Dict[str, Lattice] = {}
         # Scheduler-driven reference prefetches that have not landed yet:

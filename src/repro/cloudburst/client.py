@@ -26,7 +26,7 @@ loop of calls is one closed-loop client.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..errors import SchedulingError
 from ..sim import LatencyRecorder, RequestContext, SimClock
@@ -35,6 +35,9 @@ from .dag import Dag
 from .references import CloudburstFuture, CloudburstReference
 from .scheduler import ExecutionResult, Scheduler
 from .serialization import LatticeEncapsulator
+
+if TYPE_CHECKING:
+    from .cluster import CloudburstCluster
 
 
 class RegisteredFunction:
@@ -59,13 +62,12 @@ class RegisteredFunction:
 class CloudburstClient:
     """User-facing entry point to a Cloudburst deployment (paper Table 1)."""
 
-    def __init__(self, schedulers: Sequence[Scheduler], cluster,
-                 client_id: str = "client-0",
-                 consistency: ConsistencyLevel = ConsistencyLevel.LWW):
-        if not schedulers:
-            raise ValueError("a client needs at least one scheduler address")
+    def __init__(self, cluster: "CloudburstCluster", client_id: str,
+                 consistency: ConsistencyLevel):
         self._cluster = cluster
-        self._schedulers = list(schedulers)
+        self.kvs = cluster.kvs
+        #: The cluster's schedulers, in the order the round-robin visits them.
+        self._schedulers = cluster.schedulers
         self._scheduler_cycle = itertools.cycle(self._schedulers)
         self.client_id = client_id
         self.consistency = consistency
@@ -78,10 +80,6 @@ class CloudburstClient:
         self.last_result: Optional[ExecutionResult] = None
 
     # -- KVS access --------------------------------------------------------------------
-    @property
-    def kvs(self):
-        return self._schedulers[0].kvs
-
     def put(self, key: str, value: Any, ctx: Optional[RequestContext] = None) -> None:
         """Store a Python object in the KVS (wrapped in the appropriate lattice)."""
         with self._cluster.request(ctx) as ctx:
@@ -189,7 +187,6 @@ class CloudburstClient:
         """
         root = self._start_root_span(ctx, name)
         future = CloudburstFuture(
-            fetch=self._kvs_fetch,
             advance=lambda fut, timeout_ms: self._advance_engine(fut, timeout_ms, ctx))
 
         def complete(result: ExecutionResult) -> None:
@@ -234,12 +231,6 @@ class CloudburstClient:
         if root is not None:
             ctx.span = root
         return root
-
-    def _kvs_fetch(self, key: str) -> Tuple[bool, Any]:
-        stored = self.kvs.get_or_none(key)
-        if stored is None:
-            return (False, None)
-        return (True, stored.reveal())
 
     def _advance_engine(self, future: CloudburstFuture,
                         timeout_ms: Optional[float], ctx: RequestContext) -> None:

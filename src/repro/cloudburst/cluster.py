@@ -18,8 +18,8 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
 from ..anna import AnnaCluster
-from ..sim import (ComputeModel, Engine, LatencyModel, RandomSource,
-                   RequestContext, SimClock)
+from ..anna.storage_node import MEMORY_CAPACITY_KEYS
+from ..sim import ComputeModel, LatencyModel, RandomSource, RequestContext, SimClock
 from .cache import ExecutorCache
 from .client import CloudburstClient
 from .consistency.anomalies import AnomalyTracker
@@ -47,7 +47,7 @@ class CloudburstCluster:
                  anomaly_tracker: Optional[AnomalyTracker] = None,
                  anna_propagation: str = AnnaCluster.PROPAGATE_IMMEDIATE,
                  propagation_interval_ms: float = 0.0,
-                 anna_memory_capacity_keys: Optional[int] = None,
+                 anna_memory_capacity_keys: int = MEMORY_CAPACITY_KEYS,
                  anna_durable_path=None,
                  fault_timeout_ms: float = DEFAULT_FAULT_TIMEOUT_MS,
                  tracer=None,
@@ -66,28 +66,22 @@ class CloudburstCluster:
         #: Scheduler-driven DAG-reference prefetch (§4.2).  False disables
         #: the placement-time cache warming (the §4.2 ablation).
         self.prefetch_references = prefetch_references
-        #: The one discrete-event engine of this cluster's lifetime: Anna's
-        #: storage nodes, every executor VM and every scheduler live on it.
-        self.engine = Engine()
         #: Optional ``repro.obs.Tracer`` shared by every tier.  None (the
         #: default) keeps the entire cluster on the untraced fast path.
         self.tracer = tracer
-
-        anna_kwargs = {}
-        if anna_memory_capacity_keys is not None:
-            anna_kwargs["memory_capacity_keys"] = anna_memory_capacity_keys
-        if anna_durable_path is not None:
-            # Real SQLite/WAL cold tier behind the storage nodes; demotions
-            # persist and storage_drop faults crash/restart instead of
-            # drain/rejoin (see repro.durable).
-            anna_kwargs["durable_path"] = anna_durable_path
+        # A durable path puts a real SQLite/WAL cold tier behind the storage
+        # nodes: demotions persist, and storage_drop faults crash/restart
+        # instead of drain/rejoin (see repro.durable).
         self.kvs = AnnaCluster(node_count=anna_nodes, replication_factor=ANNA_REPLICATION,
                                latency_model=self.latency_model,
+                               memory_capacity_keys=anna_memory_capacity_keys,
                                propagation_mode=anna_propagation,
                                propagation_interval_ms=propagation_interval_ms,
-                               tracer=tracer, engine=self.engine,
-                               **anna_kwargs)
-        self.router = MessageRouter(self.kvs, self.latency_model)
+                               durable_path=anna_durable_path, tracer=tracer)
+        #: The one discrete-event engine of this cluster's lifetime: Anna's
+        #: storage nodes, every executor VM and every scheduler live on it.
+        self.engine = self.kvs.engine
+        self.router = MessageRouter(self.kvs)
         self.cache_registry: Dict[str, ExecutorCache] = {}
         self.vms: List[ExecutorVM] = []
         self._vm_sequence = 0
@@ -95,27 +89,14 @@ class CloudburstCluster:
             self.add_vm(publish_metrics=False)
 
         self.dag_registry = DagRegistry()
-        self.schedulers: List[Scheduler] = []
-        for index in range(scheduler_count):
-            scheduler = Scheduler(
-                scheduler_id=f"scheduler-{index}",
-                kvs=self.kvs,
-                vms=self.vms,
-                dag_registry=self.dag_registry,
-                latency_model=self.latency_model,
-                rng=self.rng.spawn(f"scheduler-{index}"),
-                default_consistency=consistency,
-                fault_timeout_ms=fault_timeout_ms,
-                anomaly_tracker=anomaly_tracker,
-                prefetch_references=prefetch_references,
-            )
-            self.schedulers.append(scheduler)
+        self.schedulers = [Scheduler(self, f"scheduler-{index}")
+                           for index in range(scheduler_count)]
 
         self._client_sequence = 0
         self.publish_all_metrics()
 
     # -- compute-tier membership ------------------------------------------------------
-    def add_vm(self, vm_id: Optional[str] = None, publish_metrics: bool = True,
+    def add_vm(self, publish_metrics: bool = True,
                threads: Optional[int] = None) -> ExecutorVM:
         """Add one executor VM (threads + local cache) to the cluster.
 
@@ -123,19 +104,8 @@ class CloudburstCluster:
         totals that are not multiples of the VM size can be built exactly
         (the scaling sweeps use 10, 20, ... threads over 3-thread VMs).
         """
-        if vm_id is None:
-            vm_id = f"vm-{self._vm_sequence}"
-            self._vm_sequence += 1
-        vm = ExecutorVM(
-            vm_id=vm_id,
-            kvs=self.kvs,
-            router=self.router,
-            threads_per_vm=threads or self.threads_per_vm,
-            latency_model=self.latency_model,
-            compute_model=self.compute_model,
-            consistency_level=self.consistency,
-            cache_registry=self.cache_registry,
-        )
+        vm = ExecutorVM(self, f"vm-{self._vm_sequence}", threads or self.threads_per_vm)
+        self._vm_sequence += 1
         self.vms.append(vm)
         if publish_metrics:
             vm.publish_metrics()
@@ -243,8 +213,7 @@ class CloudburstCluster:
         if client_id is None:
             client_id = f"client-{self._client_sequence}"
             self._client_sequence += 1
-        return CloudburstClient(self.schedulers, self, client_id=client_id,
-                                consistency=consistency or self.consistency)
+        return CloudburstClient(self, client_id, consistency or self.consistency)
 
     def publish_all_metrics(self) -> None:
         """Have every alive VM publish its metrics and cached-key snapshot (§4.1).

@@ -25,7 +25,7 @@ Anomaly definitions (matching §6.2.2):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from ...lattices import CausalLattice, Lattice, VectorClock
 from ..serialization import LatticeEncapsulator
@@ -134,9 +134,9 @@ class AnomalyTracker:
             self.report.single_key += 1
 
     def observe_write(self, execution_id: str, cache_id: str, key: str,
-                      lattice: Lattice, writer_id: Optional[str] = None) -> None:
+                      lattice: Lattice) -> None:
         version = LatticeEncapsulator.version_of(lattice)
-        writer = writer_id or f"writer-{cache_id}"
+        writer = f"writer-{cache_id}"
         reads = self._reads_by_execution.get(execution_id, [])
         # The write causally depends on every version this session read so far.
         dependencies: Dict[str, VectorClock] = {}

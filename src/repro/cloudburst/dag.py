@@ -117,13 +117,11 @@ class DagRegistry:
 
     def __init__(self):
         self._dags: Dict[str, Dag] = {}
-        self._call_counts: Dict[str, int] = {}
         self._deleted: set = set()
 
     def register(self, dag: Dag) -> None:
         self._dags[dag.name] = dag
         self._deleted.discard(dag.name)  # re-registering a deleted name revives it
-        self._call_counts.setdefault(dag.name, 0)
 
     def unregister(self, name: str) -> bool:
         """Remove a DAG (paper Table 1 ``delete_dag``); True if it was present.
@@ -154,9 +152,3 @@ class DagRegistry:
 
     def names(self) -> List[str]:
         return sorted(self._dags)
-
-    def record_call(self, name: str) -> None:
-        self._call_counts[name] = self._call_counts.get(name, 0) + 1
-
-    def call_count(self, name: str) -> int:
-        return self._call_counts.get(name, 0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import inspect
 import weakref
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..anna import AnnaCluster
 from ..errors import ExecutorFailedError, FunctionNotFoundError, KeyNotFoundError
@@ -28,6 +28,9 @@ from .consistency.protocols import ConsistencyProtocol, SessionState
 from .messaging import MessageRouter
 from .references import CloudburstReference
 from .serialization import LatticeEncapsulator
+
+if TYPE_CHECKING:
+    from .cluster import CloudburstCluster
 
 #: Anna key prefixes for Cloudburst system metadata.
 FUNCTION_KEY_PREFIX = "__cloudburst_functions__/"
@@ -203,8 +206,9 @@ class ExecutorThread:
         self.vm = vm
         self._function_cache: Dict[str, Callable] = {}
         self.invocation_count = 0
-        self.busy_ms = 0.0
         self.alive = True
+        #: Wraps this thread's writes; LWW timestamps carry its id (§5.2).
+        self.encapsulator = LatticeEncapsulator(thread_id, vm.consistency_level)
         #: Bounded FIFO work queue every charged invocation waits in.
         self.work_queue = WorkQueue(bound=WORK_QUEUE_BOUND, label=thread_id)
 
@@ -228,10 +232,6 @@ class ExecutorThread:
     @property
     def compute_model(self) -> ComputeModel:
         return self.vm.compute_model
-
-    @property
-    def encapsulator(self) -> LatticeEncapsulator:
-        return self.vm.encapsulator_for(self.thread_id)
 
     # -- function management ------------------------------------------------------------
     def has_function(self, name: str) -> bool:
@@ -296,7 +296,6 @@ class ExecutorThread:
     def _execute_admitted(self, function_name: str, args: Sequence[Any],
                           ctx: Optional[RequestContext], state: SessionState,
                           protocol: ConsistencyProtocol) -> Any:
-        start_ms = ctx.clock.now_ms if ctx is not None else 0.0
         if ctx is not None:
             self.latency_model.charge(ctx, "cloudburst", "invoke")
         func = self._function_cache.get(function_name)
@@ -314,9 +313,6 @@ class ExecutorThread:
             ctx.charge("compute", "user_function",
                        self.compute_model.fixed_ms(declared_compute))
         self.invocation_count += 1
-        if ctx is not None:
-            elapsed = ctx.clock.now_ms - start_ms
-            self.busy_ms += elapsed
         return result
 
     def _resolve_references(self, args: Sequence[Any], ctx: Optional[RequestContext],
@@ -344,44 +340,29 @@ class ExecutorThread:
             resolved[index] = LatticeEncapsulator.de_encapsulate(lattice)
         return resolved
 
-    # -- metrics ------------------------------------------------------------------------
-    def utilization(self, window_ms: float) -> float:
-        if window_ms <= 0:
-            return 0.0
-        return min(1.0, self.busy_ms / window_ms)
-
-    def reset_window(self) -> None:
-        self.busy_ms = 0.0
-
 
 class ExecutorVM:
     """A function-execution VM: several worker threads plus one local cache."""
 
-    def __init__(self, vm_id: str, kvs: AnnaCluster, router: MessageRouter,
-                 threads_per_vm: int = 3,
-                 latency_model: Optional[LatencyModel] = None,
-                 compute_model: Optional[ComputeModel] = None,
-                 consistency_level: ConsistencyLevel = ConsistencyLevel.LWW,
-                 cache_registry: Optional[Dict[str, ExecutorCache]] = None):
+    def __init__(self, cluster: "CloudburstCluster", vm_id: str, threads_per_vm: int):
         if threads_per_vm <= 0:
             raise ValueError("threads_per_vm must be positive")
         self.vm_id = vm_id
-        self.kvs = kvs
-        self.router = router
-        self.latency_model = latency_model or kvs.latency_model
-        self.compute_model = compute_model or ComputeModel()
-        self.consistency_level = consistency_level
-        self.cache = ExecutorCache(f"cache-{vm_id}", kvs, self.latency_model,
-                                   peer_registry=cache_registry)
+        # The shared parts of the deployment, read once from the cluster.
+        self.kvs = cluster.kvs
+        self.engine = cluster.engine
+        self.router = cluster.router
+        self.latency_model = cluster.latency_model
+        self.compute_model = cluster.compute_model
+        self.consistency_level = cluster.consistency
+        self.cache = ExecutorCache(f"cache-{vm_id}", self.kvs,
+                                   peer_registry=cluster.cache_registry)
         self.threads: List[ExecutorThread] = []
         self.alive = True
-        #: The cluster's discrete-event engine (the one the KVS lives on).
-        self.engine = kvs.engine
-        self._encapsulators: Dict[str, LatticeEncapsulator] = {}
         for index in range(threads_per_vm):
             thread = ExecutorThread(f"{vm_id}:{index}", self)
             self.threads.append(thread)
-            router.register_thread(thread.thread_id)
+            self.router.register_thread(thread.thread_id)
 
     # -- lifecycle ------------------------------------------------------------------
     def fail(self) -> None:
@@ -400,13 +381,6 @@ class ExecutorVM:
             self.router.mark_reachable(thread.thread_id)
 
     # -- helpers -----------------------------------------------------------------------
-    def encapsulator_for(self, thread_id: str) -> LatticeEncapsulator:
-        encapsulator = self._encapsulators.get(thread_id)
-        if encapsulator is None:
-            encapsulator = LatticeEncapsulator(thread_id, self.consistency_level)
-            self._encapsulators[thread_id] = encapsulator
-        return encapsulator
-
     def thread_ids(self) -> List[str]:
         return [thread.thread_id for thread in self.threads]
 

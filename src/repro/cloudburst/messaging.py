@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..anna import AnnaCluster
 from ..errors import MessagingError
 from ..lattices import SetLattice
-from ..sim import LatencyModel, RequestContext
+from ..sim import RequestContext
 
 
 def inbox_key(thread_id: str) -> str:
@@ -49,9 +49,9 @@ class MessageRouter:
     executor, which exercises the Anna-inbox fallback path.
     """
 
-    def __init__(self, kvs: AnnaCluster, latency_model: Optional[LatencyModel] = None):
+    def __init__(self, kvs: AnnaCluster):
         self.kvs = kvs
-        self.latency_model = latency_model or kvs.latency_model
+        self.latency_model = kvs.latency_model
         self._queues: Dict[str, List[Envelope]] = {}
         self._addresses: Dict[str, Tuple[str, int]] = {}
         self._unreachable: Set[str] = set()

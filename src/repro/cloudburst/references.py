@@ -12,7 +12,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional
 
 from ..errors import FutureTimeoutError
 
@@ -55,9 +55,6 @@ def extract_references(args: Iterable[Any]) -> List[CloudburstReference]:
     return found
 
 
-_UNSET = object()
-
-
 class CloudburstFuture:
     """Handle to the result of a Cloudburst invocation (paper Table 1).
 
@@ -70,44 +67,35 @@ class CloudburstFuture:
     ``add_done_callback`` delivers the resolution without blocking (the only
     option from inside an engine event, where the loop cannot be re-entered).
 
-    ``is_ready()`` is the non-raising probe: it polls once (including the
-    backing KVS key, when the result was stored there) and never advances
-    time.  ``get()`` returns the invocation's *value*; ``result()`` returns
-    the full :class:`~repro.cloudburst.scheduler.ExecutionResult` payload
-    (latency, retries, session state).  Failed invocations re-raise their
-    error from ``get()``/``result()``; ``exception()`` inspects it without
-    raising.
+    ``is_ready()`` is the non-raising probe and never advances time.
+    ``get()`` returns the invocation's *value*; ``result()`` returns the full
+    :class:`~repro.cloudburst.scheduler.ExecutionResult` payload (latency,
+    retries, session state).  Failed invocations re-raise their error from
+    ``get()``/``result()``; ``exception()`` inspects it without raising.
+    With ``store_in_kvs`` the value is also written to the KVS under
+    ``result_key``, which is set when the future resolves.
     """
 
-    def __init__(self, result_key: Optional[str] = None,
-                 fetch: Optional[Callable[[str], Tuple[bool, Any]]] = None,
-                 advance: Optional[Callable[["CloudburstFuture", Optional[float]], None]] = None):
-        """``fetch`` returns ``(ready, value)`` for ``result_key``; ``advance``
-        is the hook that makes progress (fires engine events) until the
-        future resolves or a deadline passes."""
-        self.result_key = result_key
-        self._fetch = fetch
+    def __init__(self, advance: Optional[
+            Callable[["CloudburstFuture", Optional[float]], None]] = None):
+        """``advance`` is the hook that makes progress (fires engine events)
+        until the future resolves or a deadline passes."""
+        self.result_key: Optional[str] = None
         self._advance = advance
         self._done = False
         self._value: Any = None
-        self._result = None  # the ExecutionResult payload, when there is one
+        self._result = None  # the ExecutionResult payload
         self._exception: Optional[BaseException] = None
         self._callbacks: List[Callable[["CloudburstFuture"], None]] = []
 
     # -- probes (never advance time, never raise) ---------------------------------------
     def done(self) -> bool:
         """True once the future has an outcome — a value *or* an error."""
-        if self._done:
-            return True
-        if self._fetch is not None and self.result_key is not None:
-            ready, value = self._fetch(self.result_key)
-            if ready:
-                self._settle(value=value)
         return self._done
 
     def is_ready(self) -> bool:
         """True when ``get()`` would return a value without blocking."""
-        return self.done() and self._exception is None
+        return self._done and self._exception is None
 
     def exception(self) -> Optional[BaseException]:
         """The invocation's error, or None — a non-raising, non-blocking probe.
@@ -117,7 +105,6 @@ class CloudburstFuture:
         distinguish).  Use ``get()``/``result()`` to block until an outcome
         exists.
         """
-        self.done()  # single poll, settles fetch-backed futures
         return self._exception
 
     # -- blocking access -----------------------------------------------------------------
@@ -141,9 +128,6 @@ class CloudburstFuture:
         self._wait(timeout_ms)
         if self._exception is not None:
             raise self._exception
-        if self._result is None:
-            raise ValueError(
-                "this future carries no ExecutionResult payload (KVS-only future)")
         return self._result
 
     # -- ExecutionResult conveniences ------------------------------------------------------
@@ -180,16 +164,16 @@ class CloudburstFuture:
         the engine event that completes the invocation, so no virtual time is
         spent waiting.  Callbacks added after resolution run immediately.
         """
-        if self.done():
+        if self._done:
             fn(self)
         else:
             self._callbacks.append(fn)
 
     # -- resolution hooks --------------------------------------------------------------------
-    def _set_result(self, result, value: Any = _UNSET) -> None:
+    def _set_result(self, result) -> None:
         """Resolve with an ExecutionResult payload (completion hook)."""
         self._result = result
-        self._settle(value=result.value if value is _UNSET else value)
+        self._settle(value=result.value)
 
     def _set_exception(self, exc: BaseException) -> None:
         """Resolve with an error (failure hook); ``get()`` re-raises."""
@@ -207,12 +191,12 @@ class CloudburstFuture:
             fn(self)
 
     def _wait(self, timeout_ms: Optional[float]) -> None:
-        if self.done():
+        if self._done:
             return
         if self._advance is not None:
             self._advance(self, timeout_ms)
-        if not self.done():
-            raise FutureTimeoutError(self.result_key, timeout_ms)
+        if not self._done:
+            raise FutureTimeoutError(timeout_ms)
 
     def __repr__(self) -> str:
         if not self._done:

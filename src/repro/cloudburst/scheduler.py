@@ -11,20 +11,22 @@ the hot keys themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..anna import AnnaCluster
 from ..errors import FunctionNotFoundError, SchedulingError
 from ..lattices import SetLattice
-from ..sim import Engine, LatencyModel, RandomSource, RequestContext, SimClock
+from ..sim import RequestContext, SimClock
 from .consistency.levels import ConsistencyLevel
 from .consistency.protocols import ObservingProtocol, SessionState, make_protocol
-from .dag import Dag, DagRegistry
+from .dag import Dag
 from .cache import ExecutorCache
-from .executor import ExecutorThread, ExecutorVM, FUNCTION_LIST_KEY, function_key
+from .executor import ExecutorThread, FUNCTION_LIST_KEY, function_key
 from .references import extract_references
 from .sessions import DagSession, ExecutionResult, SessionJournal
 from .policy import DEFAULT_PLACEMENT_POLICY, PlacementPolicy
+
+if TYPE_CHECKING:
+    from .cluster import CloudburstCluster
 
 #: How long the platform waits before re-executing a DAG whose executor died (§4.5).
 DEFAULT_FAULT_TIMEOUT_MS = 5_000.0
@@ -53,24 +55,21 @@ class SchedulerStats:
 class Scheduler:
     """One Cloudburst scheduler (the system runs several, independently)."""
 
-    def __init__(self, scheduler_id: str, kvs: AnnaCluster, vms: List[ExecutorVM],
-                 dag_registry: Optional[DagRegistry] = None,
-                 latency_model: Optional[LatencyModel] = None,
-                 rng: Optional[RandomSource] = None,
-                 default_consistency: ConsistencyLevel = ConsistencyLevel.LWW,
-                 fault_timeout_ms: float = DEFAULT_FAULT_TIMEOUT_MS,
-                 anomaly_tracker=None,
-                 prefetch_references: bool = True):
+    def __init__(self, cluster: "CloudburstCluster", scheduler_id: str):
         self.scheduler_id = scheduler_id
-        self.kvs = kvs
-        #: The cluster's discrete-event engine (the one the KVS lives on).
-        self.engine = kvs.engine
-        self.vms = vms  # shared, mutable list owned by the cluster
-        self.dag_registry = dag_registry or DagRegistry()
-        self.latency_model = latency_model or kvs.latency_model
-        self.rng = rng or RandomSource(23)
-        self.default_consistency = default_consistency
-        self.fault_timeout_ms = fault_timeout_ms
+        # The shared parts of the deployment, read once from the cluster.
+        self.kvs = cluster.kvs
+        self.engine = cluster.engine
+        self.vms = cluster.vms  # the cluster's roster, not a copy
+        self.dag_registry = cluster.dag_registry
+        self.latency_model = cluster.latency_model
+        self.rng = cluster.rng.spawn(scheduler_id)
+        self.default_consistency = cluster.consistency
+        self.fault_timeout_ms = cluster.fault_timeout_ms
+        #: ``cache_id -> cache`` for every open cache: the registry the caches
+        #: serve upstream fetches through, and where a session's snapshots
+        #: are evicted when it finalizes.
+        self.cache_registry = cluster.cache_registry
         self.stats = SchedulerStats()
         #: False while crashed (fault injection); in-flight sessions
         #: freeze instead of executing against a dead scheduler and resume
@@ -85,13 +84,13 @@ class Scheduler:
         #: §4.2: at placement time, forward the placed function's
         #: ``CloudburstReference`` keys to the chosen VM's cache so it starts
         #: warming before the invoke arrives.  Policy knob; False disables.
-        self.prefetch_references = prefetch_references
+        self.prefetch_references = cluster.prefetch_references
         self.functions: Dict[str, Callable] = {}
         #: function name -> executor thread ids the function is pinned on.
         self.function_pins: Dict[str, List[str]] = {}
         #: function name -> the unregistered one-node DAG :meth:`call` runs.
         self._call_dags: Dict[str, Dag] = {}
-        self.anomaly_tracker = anomaly_tracker
+        self.anomaly_tracker = cluster.anomaly_tracker
 
     # -- lifecycle: crash / restart (§4.5 fault injection) ------------------------------
     def crash(self) -> None:
@@ -227,7 +226,7 @@ class Scheduler:
         if dag is None:
             dag = self._call_dags[function_name] = Dag(function_name, [function_name])
         session = self._open_session(dag, {function_name: args}, consistency,
-                                     store_in_kvs, ctx, Engine(), use_pins=False)
+                                     store_in_kvs, ctx, inline=True)
         self.stats.record_function_call(function_name)
         return session.drive()
 
@@ -252,18 +251,16 @@ class Scheduler:
         """
         session = self._open_session(self.dag_registry.get(dag_name),
                                      function_args or {}, consistency,
-                                     store_in_kvs, ctx, self.engine,
-                                     on_complete, on_error)
-        self.dag_registry.record_call(dag_name)
+                                     store_in_kvs, ctx, on_complete, on_error)
         self.stats.record_dag_call(dag_name)
         return session
 
     def _open_session(self, dag: Dag, function_args: Dict[str, Sequence[Any]],
                       consistency: Optional[ConsistencyLevel], store_in_kvs: bool,
-                      ctx: Optional[RequestContext], engine: Engine,
+                      ctx: Optional[RequestContext],
                       on_complete: Optional[Callable[[ExecutionResult], None]] = None,
                       on_error: Optional[Callable[[Exception], None]] = None,
-                      use_pins: bool = True) -> DagSession:
+                      inline: bool = False) -> DagSession:
         """Charge the client→scheduler hop and start a journaled session.
 
         The one entry every invocation takes.  The session is journaled
@@ -280,9 +277,9 @@ class Scheduler:
             ctx.span.child("schedule", "scheduler", start_ms,
                            node=self.scheduler_id).finish(ctx.clock.now_ms)
         session = DagSession(self, dag, function_args, ctx, start_ms,
-                             consistency or self.default_consistency, engine,
+                             consistency or self.default_consistency,
                              on_complete, on_error, store_in_kvs=store_in_kvs,
-                             use_pins=use_pins)
+                             inline=inline)
         session.start()
         return session
 
@@ -303,7 +300,7 @@ class Scheduler:
         ready_ms = session.fork_join.ready_at(upstream)
         args = ([session.results[u] for u in upstream]
                 + list(session.function_args.get(name, ())))
-        pinned = self.pinned_threads(name) if session.use_pins else None
+        pinned = None if session.inline else self.pinned_threads(name)
         thread = self._pick_executor(name, args, ready_ms, candidates=pinned)
         # Before the fork: the prefetch stamps its epoch into ctx.metadata,
         # and the branch must inherit it to pay its own prefetch_wait.
@@ -394,9 +391,6 @@ class Scheduler:
         return [thread for vm in self.vms if vm.alive
                 for thread in vm.threads if thread.alive]
 
-    def _cache_registry(self) -> Dict[str, Any]:
-        return {vm.cache.cache_id: vm.cache for vm in self.vms}
-
     def _make_protocol(self, level: ConsistencyLevel):
         protocol = make_protocol(level)
         if self.anomaly_tracker is not None:
@@ -409,6 +403,6 @@ class Scheduler:
 
     def _release_session(self, state: SessionState, protocol) -> None:
         """Release an abandoned attempt's snapshots and shadow bookkeeping."""
-        protocol.finalize(state, self._cache_registry())
+        protocol.finalize(state, self.cache_registry)
         if self.anomaly_tracker is not None:
             self.anomaly_tracker.abandon_execution(state.execution_id)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from ..errors import DagExecutionError, ExecutorFailedError, StorageOverloadError
-from ..sim import ForkJoin, RequestContext
+from ..sim import Engine, ForkJoin, RequestContext
 from .consistency.levels import ConsistencyLevel
 from .consistency.protocols import SessionState
 
@@ -297,28 +297,29 @@ class DagSession:
     future, and a crashed scheduler resumes the session from the journal on
     restart.
 
-    ``use_pins`` is the one input on which the public entry points differ: a
-    registered DAG's functions are placed on their pinned threads
-    (``call_dag``), a bare function over every live thread (``call``).
+    ``inline`` is the one input on which the public entry points differ.
+    ``call`` runs inline: on a private engine, placed over every live
+    thread.  ``call_dag`` does not: on the cluster's engine, placed on the
+    function's pinned threads.
     """
 
     def __init__(self, scheduler: "Scheduler", dag: "Dag",
                  function_args: Dict[str, Sequence[Any]], ctx: RequestContext,
-                 start_ms: float, level: ConsistencyLevel, engine,
+                 start_ms: float, level: ConsistencyLevel,
                  on_complete: Optional[Callable[[ExecutionResult], None]],
                  on_error: Optional[Callable[[Exception], None]] = None,
-                 store_in_kvs: bool = False, use_pins: bool = True):
+                 store_in_kvs: bool = False, inline: bool = False):
         self.scheduler = scheduler
         self.dag = dag
         self.function_args = function_args
         self.ctx = ctx
         self.start_ms = start_ms
         self.level = level
-        self.engine = engine
+        self.engine = Engine() if inline else scheduler.engine
         self.on_complete = on_complete
         self.on_error = on_error
         self.store_in_kvs = store_in_kvs
-        self.use_pins = use_pins
+        self.inline = inline
         self.done = False
         self.result: Optional[ExecutionResult] = None
         self.error: Optional[Exception] = None
@@ -546,7 +547,7 @@ class DagSession:
             scheduler.kvs.put_plain(result_key, value, ctx)
         else:
             scheduler.latency_model.charge(ctx, "cloudburst", "result_to_client")
-        self.protocol.finalize(self.state, scheduler._cache_registry())
+        self.protocol.finalize(self.state, scheduler.cache_registry)
         scheduler._complete_anomaly_tracking(self.state)
         self.done = True
         scheduler.journal.close(self.record, SESSION_COMPLETED)

@@ -61,17 +61,11 @@ class FutureTimeoutError(ReproError, TimeoutError):
     unresolved.
     """
 
-    def __init__(self, result_key=None, timeout_ms=None, detail: str = ""):
-        parts = ["future did not resolve"]
-        if result_key:
-            parts.append(f"for result key {result_key!r}")
+    def __init__(self, timeout_ms=None):
+        message = "future did not resolve"
         if timeout_ms is not None:
-            parts.append(f"within {timeout_ms:g} ms of virtual time")
-        message = " ".join(parts)
-        if detail:
-            message = f"{message}: {detail}"
+            message += f" within {timeout_ms:g} ms of virtual time"
         super().__init__(message)
-        self.result_key = result_key
         self.timeout_ms = timeout_ms
 
 

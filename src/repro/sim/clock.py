@@ -111,21 +111,18 @@ class RequestContext:
                  "_elapsed_ms", "_start_ms")
 
     def __init__(self, clock: Optional[SimClock] = None,
-                 charges: Optional[List[ChargeRecord]] = None,
                  metadata: Optional[Dict[str, object]] = None,
                  record_charges: bool = True,
                  span: Optional[object] = None):
         self.clock = clock if clock is not None else SimClock()
-        self.charges: List[ChargeRecord] = charges if charges is not None else []
+        self.charges: List[ChargeRecord] = []
         self.metadata: Dict[str, object] = metadata if metadata is not None else {}
         self.record_charges = record_charges
         #: Current trace span (``repro.obs.TraceSpan``) or None when untraced.
         self.span = span
-        self._elapsed_ms = (sum(charge.latency_ms for charge in self.charges)
-                            if self.charges else 0.0)
+        self._elapsed_ms = 0.0
         # Time of the first charge (even an unlogged one); None until then.
-        self._start_ms: Optional[float] = (self.charges[0].at_ms
-                                           if self.charges else None)
+        self._start_ms: Optional[float] = None
 
     @property
     def start_ms(self) -> float:

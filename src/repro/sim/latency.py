@@ -179,9 +179,8 @@ class ComputeModel:
     rng: RandomSource = field(default_factory=lambda: RandomSource(11))
     jitter_sigma: float = 0.05
 
-    def fixed_ms(self, mean_ms: float, jitter_sigma: Optional[float] = None) -> float:
+    def fixed_ms(self, mean_ms: float) -> float:
         """Cost of a fixed-duration computation such as a 50 ms sleep."""
         if mean_ms <= 0:
             return 0.0
-        sigma = self.jitter_sigma if jitter_sigma is None else jitter_sigma
-        return self.rng.lognormal(mean_ms, sigma)
+        return self.rng.lognormal(mean_ms, self.jitter_sigma)

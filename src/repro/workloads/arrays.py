@@ -29,19 +29,18 @@ ELEMENTS_PER_ARRAY = {
 ARRAYS_PER_REQUEST = 10
 
 
-def make_arrays(label: str, count: int = ARRAYS_PER_REQUEST,
-                seed: int = 0) -> List[np.ndarray]:
+def make_arrays(label: str, seed: int = 0) -> List[np.ndarray]:
     """Create the input arrays for one request at the given size label."""
     if label not in ELEMENTS_PER_ARRAY:
         raise ValueError(f"unknown size label {label!r}; expected one of "
                          f"{sorted(ELEMENTS_PER_ARRAY)}")
     elements = ELEMENTS_PER_ARRAY[label]
     rng = np.random.default_rng(seed)
-    return [rng.random(elements) for _ in range(count)]
+    return [rng.random(elements) for _ in range(ARRAYS_PER_REQUEST)]
 
 
-def total_bytes(label: str, count: int = ARRAYS_PER_REQUEST) -> int:
-    return ELEMENTS_PER_ARRAY[label] * 8 * count
+def total_bytes(label: str) -> int:
+    return ELEMENTS_PER_ARRAY[label] * 8 * ARRAYS_PER_REQUEST
 
 
 def sum_arrays(*arrays: np.ndarray) -> float:
@@ -65,7 +64,7 @@ class LocalityWorkloadKeys:
     keys: List[str]
 
     @classmethod
-    def shared(cls, label: str, count: int = ARRAYS_PER_REQUEST) -> "LocalityWorkloadKeys":
+    def shared(cls, label: str) -> "LocalityWorkloadKeys":
         """The hot configuration: every request reads the same arrays."""
-        keys = [f"locality/{label}/shared/array{i}" for i in range(count)]
+        keys = [f"locality/{label}/shared/array{i}" for i in range(ARRAYS_PER_REQUEST)]
         return cls(label=label, keys=keys)

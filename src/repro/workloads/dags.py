@@ -17,7 +17,10 @@ from ..cloudburst import CloudburstClient, CloudburstReference, Dag
 from ..sim import RandomSource, ZipfGenerator
 
 #: The §6.2 workload's shape: linear DAGs of 2-5 functions, each function
-#: reading two KVS references, over keys named ``cw-<index>``.
+#: reading two KVS references drawn Zipf(1.0) from 1 M keys named
+#: ``cw-<index>``.
+KEY_COUNT = 1_000_000
+ZIPF_COEFFICIENT = 1.0
 MIN_DAG_LENGTH = 2
 MAX_DAG_LENGTH = 5
 REFS_PER_FUNCTION = 2
@@ -64,14 +67,12 @@ class ConsistencyWorkload:
     STAGE_FUNCTION = "consistency_stage"
     SINK_FUNCTION = "consistency_sink"
 
-    def __init__(self, key_count: int = 1_000_000, dag_count: int = 250,
-                 zipf_coefficient: float = 1.0, seed: int = 7):
-        self.key_count = key_count
+    def __init__(self, dag_count: int = 250, seed: int = 7):
         self.dag_count = dag_count
         self.rng = RandomSource(seed)
-        self.zipf = ZipfGenerator(key_count, zipf_coefficient, self.rng.spawn("zipf"))
+        self.zipf = ZipfGenerator(KEY_COUNT, ZIPF_COEFFICIENT, self.rng.spawn("zipf"))
         # Until populate() runs, assume the whole key space is available.
-        self._available_keys = key_count
+        self._available_keys = KEY_COUNT
 
     # -- setup ------------------------------------------------------------------------
     def key_name(self, index: int) -> str:
@@ -86,7 +87,7 @@ class ConsistencyWorkload:
         populated head are written on demand by the workload itself.
         """
         written = []
-        for index in range(min(populated_keys, self.key_count)):
+        for index in range(min(populated_keys, KEY_COUNT)):
             key = self.key_name(index)
             client.put(key, f"value-{index:08d}")
             written.append(key)

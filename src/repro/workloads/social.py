@@ -17,6 +17,9 @@ from ..sim import RandomSource, ZipfGenerator
 #: Share of seed and live tweets that reply to an earlier tweet.
 REPLY_FRACTION = 0.5
 
+#: Skew of the follow graph: followees are drawn Zipf(1.5) over the users.
+ZIPF_COEFFICIENT = 1.5
+
 
 @dataclass
 class SocialGraph:
@@ -50,15 +53,14 @@ class SocialWorkloadGenerator:
     """Builds the graph and the request stream used by Figures 11 and 12."""
 
     def __init__(self, user_count: int = 1_000, followees_per_user: int = 50,
-                 seed_tweet_count: int = 5_000,
-                 zipf_coefficient: float = 1.5, write_fraction: float = 0.10,
+                 seed_tweet_count: int = 5_000, write_fraction: float = 0.10,
                  seed: int = 13):
         self.user_count = user_count
         self.followees_per_user = min(followees_per_user, max(1, user_count - 1))
         self.seed_tweet_count = seed_tweet_count
         self.write_fraction = write_fraction
         self.rng = RandomSource(seed)
-        self.popularity = ZipfGenerator(user_count, zipf_coefficient,
+        self.popularity = ZipfGenerator(user_count, ZIPF_COEFFICIENT,
                                         self.rng.spawn("popularity"))
         self._tweet_sequence = 0
 

@@ -67,10 +67,6 @@ class TestEngineOwnership:
         assert isinstance(anna.engine, Engine)
         assert anna.engine.now_ms == 0.0
 
-    def test_lives_on_the_engine_it_is_given(self):
-        engine = Engine(start_ms=40.0)
-        assert make_cluster(engine=engine).engine is engine
-
     def test_nothing_is_armed_on_an_idle_engine(self):
         anna = make_cluster(propagation_mode=AnnaCluster.PROPAGATE_PERIODIC,
                             propagation_interval_ms=50.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import CloudburstCluster, CloudburstReference
-from repro.cloudburst import CloudburstClient, CloudburstFuture
+from repro.cloudburst import CloudburstFuture
 from repro.errors import (
     DagDeletedError,
     DagNotFoundError,
@@ -22,9 +22,11 @@ def cloud(cluster):
 
 
 class TestClientConstruction:
-    def test_requires_schedulers(self, cluster):
+    def test_requires_schedulers(self):
+        # A client reads the cluster's schedulers, so the cluster is where
+        # an empty roster is refused.
         with pytest.raises(ValueError):
-            CloudburstClient([], cluster)
+            CloudburstCluster(scheduler_count=0)
 
     def test_connect_assigns_unique_ids(self, cluster):
         a = cluster.connect()

@@ -78,14 +78,6 @@ class TestDagRegistry:
         with pytest.raises(DagNotFoundError):
             DagRegistry().get("ghost")
 
-    def test_call_counting(self):
-        registry = DagRegistry()
-        registry.register(Dag.chain("p", ["f"]))
-        registry.record_call("p")
-        registry.record_call("p")
-        assert registry.call_count("p") == 2
-        assert registry.call_count("other") == 0
-
     def test_unregister_distinguishes_deleted_from_unknown(self):
         from repro.errors import DagDeletedError
 

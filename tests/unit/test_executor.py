@@ -5,12 +5,11 @@ import inspect
 
 import pytest
 
-from repro.anna import AnnaCluster
 from repro.cloudburst import (
+    CloudburstCluster,
     CloudburstReference,
     ConsistencyLevel,
     ExecutorVM,
-    MessageRouter,
     simulated_compute,
 )
 from repro.cloudburst.consistency.protocols import SessionState, make_protocol
@@ -21,14 +20,19 @@ from repro.sim import LatencyModel, RequestContext
 
 
 @pytest.fixture
-def anna():
-    return AnnaCluster(node_count=2, latency_model=LatencyModel(jitter_enabled=False))
+def cluster():
+    return CloudburstCluster(executor_vms=1, threads_per_vm=3, anna_nodes=2,
+                             latency_model=LatencyModel(jitter_enabled=False))
 
 
 @pytest.fixture
-def vm(anna):
-    router = MessageRouter(anna)
-    return ExecutorVM("vm-0", anna, router, threads_per_vm=3)
+def anna(cluster):
+    return cluster.kvs
+
+
+@pytest.fixture
+def vm(cluster):
+    return cluster.vms[0]
 
 
 def run(thread, name, args=(), level=ConsistencyLevel.LWW, ctx=None):
@@ -38,9 +42,9 @@ def run(thread, name, args=(), level=ConsistencyLevel.LWW, ctx=None):
 
 
 class TestExecutorVM:
-    def test_rejects_nonpositive_threads(self, anna):
+    def test_rejects_nonpositive_threads(self, cluster):
         with pytest.raises(ValueError):
-            ExecutorVM("bad", anna, MessageRouter(anna), threads_per_vm=0)
+            ExecutorVM(cluster, "bad", 0)
 
     def test_threads_registered_with_router(self, vm):
         for thread in vm.threads:
@@ -168,14 +172,6 @@ class TestFunctionExecution:
         ctx = RequestContext()
         run(vm.threads[0], "f", ctx=ctx)
         assert ctx.count("cloudburst", "invoke") == 1
-
-    def test_utilization_window(self, vm, anna):
-        anna.put_plain(function_key("f"), lambda: None)
-        ctx = RequestContext()
-        run(vm.threads[0], "f", ctx=ctx)
-        assert vm.threads[0].utilization(window_ms=1_000.0) > 0.0
-        vm.threads[0].reset_window()
-        assert vm.threads[0].utilization(window_ms=1_000.0) == 0.0
 
 
 class TestUserLibrary:

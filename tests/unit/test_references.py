@@ -1,5 +1,7 @@
 """Unit tests for KVS references and futures."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cloudburst import CloudburstFuture, CloudburstReference, extract_references
@@ -38,49 +40,41 @@ class TestExtractReferences:
         assert extract_references([1, "two", {"three": 3}]) == []
 
 
+def _result(value):
+    """A stand-in ExecutionResult: the future reads only its ``value``."""
+    return SimpleNamespace(value=value, latency_ms=1.5)
+
+
 class TestCloudburstFuture:
-    def test_resolves_when_backend_has_value(self):
-        future = CloudburstFuture("result-key", lambda key: (True, 42))
+    def test_completion_hook_resolves_value_and_payload(self):
+        future = CloudburstFuture()
+        assert not future.done() and not future.is_ready()
+        payload = _result(42)
+        future._set_result(payload)
         assert future.is_ready()
         assert future.get() == 42
+        assert future.result() is payload
+        assert future.latency_ms == 1.5
 
-    def test_pending_until_backend_ready(self):
-        state = {"ready": False}
-
-        def fetch(key):
-            return (state["ready"], "done" if state["ready"] else None)
-
-        future = CloudburstFuture("k", fetch)
-        assert not future.is_ready()   # non-raising probe
-        with pytest.raises(FutureTimeoutError):
-            future.get()               # no backend to advance: raises at once
-        state["ready"] = True
-        assert future.get() == "done"
-
-    def test_value_is_cached_after_resolution(self):
-        calls = []
-
-        def fetch(key):
-            calls.append(key)
-            return (True, 1)
-
-        future = CloudburstFuture("k", fetch)
-        assert future.get() == 1
-        assert future.get() == 1
-        assert len(calls) == 1
+    def test_pending_without_a_backend_raises_at_once(self):
+        future = CloudburstFuture()
+        with pytest.raises(FutureTimeoutError) as raised:
+            future.get(timeout_ms=5.0)   # nothing to advance: raises at once
+        assert raised.value.timeout_ms == 5.0
+        assert future.result_key is None
 
     def test_get_timeout_advances_through_the_backend_hook(self):
         # The advance hook is the engine pump; here a stub "engine" resolves
         # the future only when asked to make progress.
         def advance(future, timeout_ms):
-            future._settle(value="pumped")
+            future._set_result(_result("pumped"))
 
-        future = CloudburstFuture("k", advance=advance)
+        future = CloudburstFuture(advance=advance)
         assert not future.done()
         assert future.get(timeout_ms=10.0) == "pumped"
 
     def test_failed_future_reraises_on_get_and_exposes_exception(self):
-        future = CloudburstFuture("k")
+        future = CloudburstFuture()
         boom = RuntimeError("session failed")
         future._set_exception(boom)
         assert future.done()
@@ -88,28 +82,24 @@ class TestCloudburstFuture:
         assert future.exception() is boom
         with pytest.raises(RuntimeError):
             future.get()
+        with pytest.raises(RuntimeError):
+            future.result()
 
     def test_done_callbacks_fire_at_resolution_and_immediately_after(self):
-        future = CloudburstFuture("k")
+        future = CloudburstFuture()
         seen = []
         future.add_done_callback(lambda f: seen.append("first"))
         assert seen == []
-        future._settle(value=1)
+        future._set_result(_result(1))
         assert seen == ["first"]
         future.add_done_callback(lambda f: seen.append("late"))
         assert seen == ["first", "late"]  # post-resolution subscriber runs now
 
-    def test_result_requires_an_execution_payload(self):
-        future = CloudburstFuture("k", lambda key: (True, 5))
-        assert future.get() == 5
-        with pytest.raises(ValueError):
-            future.result()            # KVS-only future has no ExecutionResult
-
     def test_repr_shows_state(self):
-        future = CloudburstFuture("k", lambda key: (True, 1))
+        future = CloudburstFuture()
         assert "pending" in repr(future)
-        future.get()
+        future._set_result(_result(1))
         assert "ready" in repr(future)
-        failed = CloudburstFuture("k2")
+        failed = CloudburstFuture()
         failed._set_exception(ValueError("nope"))
         assert "failed" in repr(failed)

@@ -13,6 +13,7 @@ from repro.workloads import (
     sum_arrays,
     total_bytes,
 )
+from repro.workloads import dags
 from repro.workloads.dags import sink_write, string_manipulation
 
 
@@ -55,8 +56,9 @@ class TestConsistencyWorkload:
         assert library.written[0] == "target-key"
         assert library.written[1] == result
 
-    def test_sample_request_reads_then_sink_writes_a_read_key(self):
-        workload = ConsistencyWorkload(key_count=100, dag_count=5, seed=1)
+    def test_sample_request_reads_then_sink_writes_a_read_key(self, monkeypatch):
+        monkeypatch.setattr(dags, "KEY_COUNT", 100)
+        workload = ConsistencyWorkload(dag_count=5, seed=1)
         from repro.cloudburst import Dag
 
         dag = Dag.chain("d", ["f1", "f2", "f3"])
@@ -68,13 +70,14 @@ class TestConsistencyWorkload:
         assert function_args["f3"][-1] == sink_key
 
     def test_key_sampling_respects_populated_range(self):
-        workload = ConsistencyWorkload(key_count=1_000_000, dag_count=1, seed=2)
+        workload = ConsistencyWorkload(dag_count=1, seed=2)
         workload._available_keys = 50
         indices = {workload._sample_key_index() for _ in range(500)}
         assert all(index < 50 for index in indices)
 
-    def test_zipf_skew_in_sampling(self):
-        workload = ConsistencyWorkload(key_count=1_000, dag_count=1, seed=3)
+    def test_zipf_skew_in_sampling(self, monkeypatch):
+        monkeypatch.setattr(dags, "KEY_COUNT", 1_000)
+        workload = ConsistencyWorkload(dag_count=1, seed=3)
         draws = [workload._sample_key_index() for _ in range(2_000)]
         assert draws.count(0) > draws.count(500)
 
@@ -111,8 +114,8 @@ class TestSocialWorkload:
         assert all(request.kind in ("post", "timeline") for request in stream)
 
     def test_popular_users_receive_more_follows(self):
-        generator = SocialWorkloadGenerator(user_count=100, followees_per_user=10,
-                                            zipf_coefficient=1.5, seed=5)
+        # Follows are drawn Zipf(social.ZIPF_COEFFICIENT = 1.5) over the users.
+        generator = SocialWorkloadGenerator(user_count=100, followees_per_user=10, seed=5)
         graph = generator.build_graph()
         follower_counts = [len(graph.followers_of(user)) for user in graph.users]
         assert max(follower_counts) > 3 * (sum(follower_counts) / len(follower_counts))
