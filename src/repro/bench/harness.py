@@ -122,8 +122,7 @@ class EngineLoadDriver:
         self.bucket_ms = throughput_bucket_ms
         #: When False, request contexts skip the itemised charge log (the
         #: latency samples are parity-pinned identical; only the structural
-        #: per-charge breakdown — and stats derived from it, like the cache's
-        #: kvs_queue_wait_ms — go empty).  Large sweeps use this: a driver
+        #: per-charge breakdown goes empty).  Large sweeps use this: a driver
         #: that only reads latency totals has no reason to allocate millions
         #: of ChargeRecords.
         self.record_charges = record_charges

@@ -38,8 +38,6 @@ class CacheStats:
     upstream_fetches: int = 0
     update_pushes_received: int = 0
     snapshots_created: int = 0
-    #: Virtual time this cache's KVS fetches spent queued at storage nodes.
-    kvs_queue_wait_ms: float = 0.0
     #: Dependencies fetched from Anna while repairing the causal cut.
     causal_dep_fetches: int = 0
     #: Dependencies the cut maintenance could not resolve (absent from the
@@ -229,7 +227,6 @@ class ExecutorCache:
                         ctx: Optional[RequestContext]) -> Optional[Lattice]:
         """One cold read from Anna; a key Anna does not hold maps to None."""
         self.stats.misses += 1
-        mark = len(ctx.charges) if ctx is not None else 0
         # On a miss the storage fetch nests under a cache_miss span, so trace
         # trees show exactly which Anna node (and how much queueing) each cold
         # read paid for.
@@ -250,13 +247,6 @@ class ExecutorCache:
                 raise
             return None
         if ctx is not None:
-            # Surface how much of the miss penalty was storage-node queueing.
-            # Only the charges this fetch appended are scanned — a full
-            # ctx.total() would rescan the request's whole charge log on
-            # every miss.
-            self.stats.kvs_queue_wait_ms += sum(
-                charge.latency_ms for charge in ctx.charges[mark:]
-                if charge.service == "anna" and charge.operation == "queue")
             self.latency_model.charge(ctx, "cache", "get", size_bytes=value.size_bytes())
         self._store(key, value)
         if miss_span is not None:
@@ -342,11 +332,6 @@ class ExecutorCache:
             self.stats.update_pushes_received += 1
 
     # -- scheduler-driven reference prefetch (§4.2) ---------------------------------
-    #: ``RequestContext.metadata`` key carrying the issuing execution's id,
-    #: so promote-on-read can tell the issuing request (whose clock the
-    #: readiness timestamp lives on) from unrelated later readers.
-    PREFETCH_EPOCH_KEY = "prefetch_epoch"
-
     def prefetch(self, keys, now_ms: float,
                  epoch: Optional[str] = None) -> int:
         """Start background fetches for the scheduler's DAG-reference hints.
@@ -432,7 +417,7 @@ class ExecutorCache:
         # reader observes the entry as already landed (cross-execution
         # contention is not modelled, see :meth:`prefetch`).
         same_epoch = (ctx is not None and epoch is not None and
-                      ctx.metadata.get(self.PREFETCH_EPOCH_KEY) == epoch)
+                      ctx.prefetch_epoch == epoch)
         if same_epoch and ready_ms > ctx.clock.now_ms:
             ctx.charge("cache", "prefetch_wait", ready_ms - ctx.clock.now_ms)
         self.stats.prefetch_hits += 1

@@ -29,7 +29,7 @@ import itertools
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..errors import SchedulingError
-from ..sim import LatencyRecorder, RequestContext, SimClock
+from ..sim import RequestContext, SimClock
 from .consistency.levels import ConsistencyLevel
 from .dag import Dag
 from .references import CloudburstFuture, CloudburstReference
@@ -76,7 +76,6 @@ class CloudburstClient:
         #: children off it.
         self.tracer = cluster.tracer
         self._encapsulator = LatticeEncapsulator(client_id, consistency)
-        self.latencies = LatencyRecorder(label=client_id)
         self.last_result: Optional[ExecutionResult] = None
 
     # -- KVS access --------------------------------------------------------------------
@@ -195,7 +194,6 @@ class CloudburstClient:
                 root.annotate("latency_ms", result.latency_ms)
                 root.finish(ctx.clock.now_ms)
             self.last_result = result
-            self.latencies.record(result.latency_ms)
             future._set_result(result)
 
         def errored(exc: BaseException) -> None:

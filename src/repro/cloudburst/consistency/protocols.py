@@ -22,7 +22,6 @@ different caches:
 
 from __future__ import annotations
 
-import uuid
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Optional, Set
 
@@ -70,7 +69,11 @@ def _shipped_bytes(entry, version) -> int:
 
 @dataclass
 class SessionState:
-    """Consistency metadata carried along a DAG execution."""
+    """Consistency metadata carried along a DAG execution.
+
+    ``execution_id`` is the journal's id of the attempt this state belongs to
+    (:meth:`~repro.cloudburst.sessions.SessionJournal.begin_attempt`).
+    """
 
     execution_id: str
     level: ConsistencyLevel
@@ -80,11 +83,6 @@ class SessionState:
     reads: int = 0
     writes: int = 0
     upstream_fetches: int = 0
-
-    @classmethod
-    def create(cls, level: ConsistencyLevel,
-               execution_id: Optional[str] = None) -> "SessionState":
-        return cls(execution_id=execution_id or uuid.uuid4().hex, level=level)
 
     def metadata_bytes(self) -> int:
         """Approximate size of the metadata shipped to a downstream executor.

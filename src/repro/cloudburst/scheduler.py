@@ -19,7 +19,6 @@ from ..sim import RequestContext, SimClock
 from .consistency.levels import ConsistencyLevel
 from .consistency.protocols import ObservingProtocol, SessionState, make_protocol
 from .dag import Dag
-from .cache import ExecutorCache
 from .executor import ExecutorThread, FUNCTION_LIST_KEY, function_key
 from .references import extract_references
 from .sessions import DagSession, ExecutionResult, SessionJournal
@@ -287,27 +286,27 @@ class Scheduler:
                            ) -> Tuple[Any, RequestContext, ExecutorThread]:
         """Place and run one function of ``session`` at its fork/join ready time.
 
-        Branch timing rides on the engine's :class:`~repro.sim.engine.ForkJoin`
-        primitive: the function forks a branch context at the moment its
-        upstream branches finish and its executor is picked with the
-        utilization it will have *at that moment*, so two siblings forked at
-        the same ready time queue against the same executor pool.  Returns
-        ``(value, branch_context, thread)``; the thread feeds the session
-        journal's placement record.
+        Branch timing is read from the session's journal record: the
+        function forks a branch context at the moment its upstream branches
+        finished (:meth:`AttemptRecord.ready_at`) and its executor is picked
+        with the utilization it will have *at that moment*, so two siblings
+        forked at the same ready time queue against the same executor pool.
+        Returns ``(value, branch_context, thread)``; the thread feeds the
+        session journal's placement record.
         """
         dag, ctx, state = session.dag, session.ctx, session.state
         upstream = dag.upstream_of(name)
-        ready_ms = session.fork_join.ready_at(upstream)
+        ready_ms = session.attempt.ready_at(upstream)
         args = ([session.results[u] for u in upstream]
-                + list(session.function_args.get(name, ())))
+                + list(session.record.function_args.get(name, ())))
         pinned = None if session.inline else self.pinned_threads(name)
         thread = self._pick_executor(name, args, ready_ms, candidates=pinned)
-        # Before the fork: the prefetch stamps its epoch into ctx.metadata,
+        # Before the fork: the prefetch stamps its epoch into the context,
         # and the branch must inherit it to pay its own prefetch_wait.
         self._prefetch_placed_references(thread, args, ready_ms, ctx, state)
         branch = RequestContext(clock=SimClock(ready_ms),
-                                metadata=dict(ctx.metadata),
                                 record_charges=ctx.record_charges)
+        branch.prefetch_epoch = ctx.prefetch_epoch
         function_span = None
         if ctx.span is not None:
             # One child span per function, started at its fork/join ready
@@ -356,7 +355,7 @@ class Scheduler:
             return
         keys = [ref.key for ref in extract_references(args)]
         if keys:
-            ctx.metadata[ExecutorCache.PREFETCH_EPOCH_KEY] = state.execution_id
+            ctx.prefetch_epoch = state.execution_id
             thread.cache.prefetch(keys, now_ms, epoch=state.execution_id)
 
     def _run_on_thread(self, thread: ExecutorThread, function_name: str,

@@ -25,6 +25,10 @@
   it closes; sessions with a retry, a recovery or a failure keep their full
   record.  ``to_dict`` renders the journal as plain JSON-compatible data —
   the fault bench uploads it as a CI artifact.
+
+The record is a session's only copy of its state, fork/join readiness
+included, and its ids are counted (``<scheduler>/session-<n>/attempt-<k>``),
+never drawn, so two runs of one seed journal and trace the same ids.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from ..errors import DagExecutionError, ExecutorFailedError, StorageOverloadError
-from ..sim import Engine, ForkJoin, RequestContext
+from ..sim import Engine, RequestContext
 from .consistency.levels import ConsistencyLevel
 from .consistency.protocols import SessionState
 
@@ -96,6 +100,10 @@ class AttemptRecord:
     def uses_vm(self, vm_id: str) -> bool:
         return vm_id in self.vms_used
 
+    def ready_at(self, upstream: Sequence[str]) -> float:
+        """The attempt's start joined with ``upstream``'s finish times."""
+        return max([self.started_ms, *(self.finish_ms[name] for name in upstream)])
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "execution_id": self.execution_id,
@@ -121,7 +129,7 @@ class SessionRecord:
 
     session_id: str
     dag_name: str
-    level: str
+    level: ConsistencyLevel
     store_in_kvs: bool
     start_ms: float
     function_args: Dict[str, Sequence[Any]] = field(default_factory=dict)
@@ -141,7 +149,7 @@ class SessionRecord:
         return {
             "session_id": self.session_id,
             "dag_name": self.dag_name,
-            "level": self.level,
+            "level": self.level.name,
             "store_in_kvs": self.store_in_kvs,
             "start_ms": self.start_ms,
             "function_arg_counts": {name: len(list(args))
@@ -187,30 +195,27 @@ class SessionJournal:
         session_id = f"{self.scheduler_id}/session-{self._sequence}"
         self._sequence += 1
         record = SessionRecord(session_id=session_id, dag_name=dag_name,
-                               level=level.name, store_in_kvs=store_in_kvs,
+                               level=level, store_in_kvs=store_in_kvs,
                                start_ms=start_ms,
                                function_args=dict(function_args))
         self._records[session_id] = record
         self._sessions[session_id] = session
         return record
 
-    def begin_attempt(self, record: SessionRecord, execution_id: str,
-                      at_ms: float) -> AttemptRecord:
-        attempt = AttemptRecord(execution_id=execution_id, started_ms=at_ms)
+    def begin_attempt(self, record: SessionRecord, at_ms: float) -> AttemptRecord:
+        attempt = AttemptRecord(
+            execution_id=f"{record.session_id}/attempt-{len(record.attempts)}",
+            started_ms=at_ms)
         record.attempts.append(attempt)
         return attempt
 
     def record_scheduled(self, record: SessionRecord, name: str) -> None:
-        attempt = record.current_attempt()
-        if attempt is not None:
-            attempt.function_status[name] = FUNCTION_SCHEDULED
+        record.attempts[-1].function_status[name] = FUNCTION_SCHEDULED
 
     def record_completed(self, record: SessionRecord, name: str,
                          finish_ms: float, thread_id: str, vm_id: str,
                          state: SessionState) -> None:
-        attempt = record.current_attempt()
-        if attempt is None:
-            return
+        attempt = record.attempts[-1]
         attempt.function_status[name] = FUNCTION_COMPLETED
         attempt.finish_ms[name] = finish_ms
         attempt.placements[name] = thread_id
@@ -220,10 +225,9 @@ class SessionJournal:
 
     def record_attempt_failure(self, record: SessionRecord, reason: str,
                                status: str = ATTEMPT_FAILED) -> None:
-        attempt = record.current_attempt()
-        if attempt is not None:
-            attempt.status = status
-            attempt.failure = reason
+        attempt = record.attempts[-1]
+        attempt.status = status
+        attempt.failure = reason
 
     def record_retry(self, record: SessionRecord) -> int:
         record.retries += 1
@@ -311,14 +315,10 @@ class DagSession:
                  store_in_kvs: bool = False, inline: bool = False):
         self.scheduler = scheduler
         self.dag = dag
-        self.function_args = function_args
         self.ctx = ctx
-        self.start_ms = start_ms
-        self.level = level
         self.engine = Engine() if inline else scheduler.engine
         self.on_complete = on_complete
         self.on_error = on_error
-        self.store_in_kvs = store_in_kvs
         self.inline = inline
         self.done = False
         self.result: Optional[ExecutionResult] = None
@@ -345,19 +345,22 @@ class DagSession:
     def session_id(self) -> str:
         return self.record.session_id
 
+    @property
+    def attempt(self) -> AttemptRecord:
+        """The live attempt's record: what is scheduled, what finished when."""
+        return self.record.attempts[-1]
+
     def _reset_attempt(self) -> None:
         # Each §4.5 attempt runs under a fresh session state: reusing one
         # across retries would leak the failed attempt's snapshot pins and
         # shadow reads into the retry's (different) execution.
-        self.state = SessionState.create(self.level)
-        self.protocol = self.scheduler._make_protocol(self.level)
+        attempt = self.scheduler.journal.begin_attempt(self.record,
+                                                       self.ctx.clock.now_ms)
+        level = self.record.level
+        self.state = SessionState(attempt.execution_id, level)
+        self.protocol = self.scheduler._make_protocol(level)
         self.results: Dict[str, Any] = {}
         self.branches: List[RequestContext] = []
-        self.remaining = len(self.dag.functions)
-        self.fork_join = ForkJoin(base_ms=self.ctx.clock.now_ms)
-        self._scheduled: set = set()
-        self.scheduler.journal.begin_attempt(self.record, self.state.execution_id,
-                                             self.ctx.clock.now_ms)
         if self.root_span is not None:
             span = self.root_span.child(
                 f"attempt:{self.dag.name}", "scheduler", self.ctx.clock.now_ms,
@@ -371,9 +374,8 @@ class DagSession:
             self.ctx.span = span
 
     def start(self) -> None:
-        base = self.ctx.clock.now_ms
         for name in self.dag.sources:
-            self._schedule(name, base)
+            self._schedule(name, self.attempt.started_ms)
 
     def drive(self) -> ExecutionResult:
         """Fire this session's engine until the session resolves.
@@ -392,15 +394,14 @@ class DagSession:
         return self.result
 
     def _schedule(self, name: str, at_ms: float) -> None:
-        if name in self._scheduled:
+        attempt = self.attempt
+        if name in attempt.function_status:
             return
-        self._scheduled.add(name)
         self.scheduler.journal.record_scheduled(self.record, name)
-        attempt = self.state
         self.engine.at(at_ms, lambda: self._run_function(name, attempt))
 
-    def _run_function(self, name: str, attempt: SessionState) -> None:
-        if attempt is not self.state or self.done:
+    def _run_function(self, name: str, attempt: AttemptRecord) -> None:
+        if attempt is not self.attempt or self.done:
             return  # stale event from an attempt that failed and restarted
         if not self.scheduler.alive:
             # The owning scheduler crashed with this event queued.  The
@@ -424,17 +425,16 @@ class DagSession:
             self._fail(exc)
             return
         self.results[name] = value
-        self.fork_join.complete(name, branch.clock.now_ms)
         self.branches.append(branch)
-        self.remaining -= 1
         self.scheduler.journal.record_completed(
             self.record, name, branch.clock.now_ms, thread.thread_id,
             thread.vm.vm_id, self.state)
+        finished = attempt.finish_ms
         for downstream in self.dag.downstream_of(name):
             gates = self.dag.upstream_of(downstream)
-            if all(u in self.results for u in gates):
-                self._schedule(downstream, self.fork_join.ready_at(gates))
-        if self.remaining == 0:
+            if all(u in finished for u in gates):
+                self._schedule(downstream, attempt.ready_at(gates))
+        if len(finished) == len(self.dag.functions):
             self._finish()
 
     # -- failure paths ------------------------------------------------------------------
@@ -542,7 +542,7 @@ class DagSession:
                  else {sink: self.results[sink] for sink in sinks})
         # Store-to-KVS replaces the result_to_client charge, never adds to it.
         result_key = None
-        if self.store_in_kvs:
+        if self.record.store_in_kvs:
             result_key = f"__cloudburst_results__/{self.state.execution_id}"
             scheduler.kvs.put_plain(result_key, value, ctx)
         else:
@@ -555,7 +555,7 @@ class DagSession:
             self._attempt_span.finish(ctx.clock.now_ms)
             self._attempt_span = None
             ctx.span = self.root_span
-        latency_ms = ctx.clock.now_ms - self.start_ms
+        latency_ms = ctx.clock.now_ms - self.record.start_ms
         self.result = ExecutionResult(
             value=value, latency_ms=latency_ms,
             execution_id=self.state.execution_id, ctx=ctx,

@@ -19,8 +19,10 @@ Design constraints, in priority order:
   attribute check per site.
 * **Deterministic.**  Span and trace ids come from plain counters; sampling
   is an error-diffusion accumulator, not an RNG; every timestamp is virtual
-  (``clock.now_ms``), never wall time.  Two seeded runs produce byte-identical
-  span dumps.
+  (``clock.now_ms``), never wall time; the execution ids spans carry are
+  the session journal's counted attempt ids.  Two seeded runs produce
+  byte-identical span dumps (``TestSeededRunsAreReproducible`` in
+  ``tests/integration/test_observability.py``).
 * **Never a clock.**  Creating or finishing a span must not charge latency —
   seeded bench timelines stay byte-identical with tracing fully on
   (asserted by the determinism suite).

@@ -11,7 +11,6 @@ from .clock import ChargeRecord, RequestContext, SimClock
 from .engine import (
     Engine,
     Event,
-    ForkJoin,
     ReservationQueue,
     WorkQueue,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "SimClock",
     "Engine",
     "Event",
-    "ForkJoin",
     "ReservationQueue",
     "WorkQueue",
     "DEFAULT_FAULT_CLASSES",

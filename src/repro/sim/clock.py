@@ -107,16 +107,17 @@ class RequestContext:
     timing is byte-identical traced or not.
     """
 
-    __slots__ = ("clock", "charges", "metadata", "record_charges", "span",
+    __slots__ = ("clock", "charges", "prefetch_epoch", "record_charges", "span",
                  "_elapsed_ms", "_start_ms")
 
     def __init__(self, clock: Optional[SimClock] = None,
-                 metadata: Optional[Dict[str, object]] = None,
                  record_charges: bool = True,
                  span: Optional[object] = None):
         self.clock = clock if clock is not None else SimClock()
         self.charges: List[ChargeRecord] = []
-        self.metadata: Dict[str, object] = metadata if metadata is not None else {}
+        #: Execution id of the scheduler prefetch this request issued, or
+        #: None: only that execution pays a residual ``prefetch_wait`` (§4.2).
+        self.prefetch_epoch: Optional[str] = None
         self.record_charges = record_charges
         #: Current trace span (``repro.obs.TraceSpan``) or None when untraced.
         self.span = span
@@ -186,10 +187,11 @@ class RequestContext:
         stays attached to the request's span tree; dispatchers that want a
         per-branch child span set ``branch.span`` to one after forking.
         """
-        return RequestContext(clock=self.clock.copy(),
-                              metadata=dict(self.metadata),
-                              record_charges=self.record_charges,
-                              span=self.span)
+        branch = RequestContext(clock=self.clock.copy(),
+                                record_charges=self.record_charges,
+                                span=self.span)
+        branch.prefetch_epoch = self.prefetch_epoch
+        return branch
 
     def join(self, branches: List["RequestContext"]) -> None:
         """Join parallel branches: advance to the slowest branch's clock."""

@@ -18,7 +18,6 @@ Pieces:
   actually executing the work.  Executor threads use one of these, which is
   what turns ``ExecutorVM.utilization()`` into a queueing signal instead of
   an instantaneous counter.
-* :class:`ForkJoin` — fork/join bookkeeping for parallel DAG stages.
 
 Performance notes (the ``engine_throughput`` section of
 ``benchmarks/run_all.py`` gates all of this):
@@ -38,7 +37,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 
 class Event:
@@ -79,7 +78,7 @@ class Engine:
     property the determinism tests assert on.
     """
 
-    __slots__ = ("_heap", "_seq", "_now_ms", "_stopped", "_running",
+    __slots__ = ("_heap", "_seq", "_now_ms", "_running",
                  "events_processed", "_pending", "_foreground", "_tombstones",
                  "_paused")
 
@@ -89,7 +88,6 @@ class Engine:
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._now_ms = float(start_ms)
-        self._stopped = False
         self._running = False
         self.events_processed = 0
         # O(1) accounting, maintained by at()/cancel() and the fire loops.
@@ -237,10 +235,6 @@ class Engine:
             raise ValueError("recurring events need a positive interval")
         return RecurringEvent(self, float(interval_ms), fn, horizon_ms=horizon_ms)
 
-    def stop(self) -> None:
-        """Stop the current :meth:`run` after the in-flight event returns."""
-        self._stopped = True
-
     # -- execution ---------------------------------------------------------
     def step(self) -> bool:
         """Fire the next event; returns False when the queue is empty."""
@@ -264,12 +258,10 @@ class Engine:
             return True
         return False
 
-    def run(self, until_ms: Optional[float] = None,
-            max_events: Optional[int] = None) -> int:
+    def run(self, until_ms: Optional[float] = None) -> int:
         """Drain the event queue.
 
-        Stops when the queue empties, when :meth:`stop` is called, after
-        ``max_events`` firings, or when the next event lies beyond
+        Stops when the queue empties, or when the next event lies beyond
         ``until_ms`` — in which case virtual time advances *to* ``until_ms``
         and the remaining events stay queued.
         """
@@ -278,16 +270,12 @@ class Engine:
                 "Engine.run() is not reentrant: an engine event tried to drain "
                 "the loop it is running on (block with future.add_done_callback "
                 "instead of future.get() inside engine events)")
-        self._stopped = False
         fired = 0
         heap = self._heap
         pop = heappop
-        bounded = max_events is not None
         self._running = True
         try:
-            while heap and not self._stopped:
-                if bounded and fired >= max_events:
-                    return fired
+            while heap:
                 head = heap[0]
                 event = head[2]
                 if event.cancelled:
@@ -309,7 +297,7 @@ class Engine:
                 fired += 1
         finally:
             self._running = False
-        if until_ms is not None and until_ms != float("inf") and not self._stopped:
+        if until_ms is not None and until_ms != float("inf"):
             self._now_ms = max(self._now_ms, float(until_ms))
         return fired
 
@@ -587,45 +575,3 @@ class ReservationQueue:
     def busy_at(self, at_ms: float) -> bool:
         """Whether the server has reserved work at (or beyond) ``at_ms``."""
         return bool(self._ends) and self._ends[-1] > at_ms
-
-
-class ForkJoin:
-    """Fork/join bookkeeping for parallel branches of one request.
-
-    A DAG execution forks a branch per function: each branch becomes ready
-    when all its upstream branches finish (``ready_at``), and the request
-    joins at the slowest sink (``join``).  Extracted from the scheduler's
-    hand-rolled per-branch clock bookkeeping so any layer can fork work onto
-    the engine's timeline.
-    """
-
-    __slots__ = ("base_ms", "_finish_ms")
-
-    def __init__(self, base_ms: float = 0.0):
-        self.base_ms = float(base_ms)
-        self._finish_ms: Dict[str, float] = {}
-
-    def ready_at(self, dependencies: Iterable[str]) -> float:
-        """When a branch gated on ``dependencies`` may start."""
-        ready = self.base_ms
-        for name in dependencies:
-            try:
-                ready = max(ready, self._finish_ms[name])
-            except KeyError:
-                raise KeyError(f"fork/join dependency {name!r} has not completed")
-        return ready
-
-    def complete(self, name: str, end_ms: float) -> None:
-        if name in self._finish_ms:
-            raise ValueError(f"branch {name!r} completed twice")
-        self._finish_ms[name] = float(end_ms)
-
-    @property
-    def completed(self) -> List[str]:
-        return list(self._finish_ms)
-
-    def join(self) -> float:
-        """The join time: when the slowest completed branch finished."""
-        if not self._finish_ms:
-            return self.base_ms
-        return max(self._finish_ms.values())

@@ -116,7 +116,7 @@ class TestComputeElasticity:
         from repro.cloudburst.consistency.protocols import SessionState, make_protocol
         from repro.cloudburst import ConsistencyLevel
 
-        state = SessionState.create(ConsistencyLevel.LWW)
+        state = SessionState("exec-0", ConsistencyLevel.LWW)
         value = new_vm.threads[0].execute("triple", [7], None, state,
                                           make_protocol(ConsistencyLevel.LWW))
         assert value == 21

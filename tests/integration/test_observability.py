@@ -10,7 +10,8 @@ are byte-identical with tracing fully on, fully off, or attached at rate 0.
 
 from repro.bench.harness import EngineLoadDriver
 from repro.cloudburst import CloudburstCluster, CloudburstReference
-from repro.obs import Tracer
+from repro.errors import ExecutorFailedError
+from repro.obs import Tracer, spans_to_json
 from repro.sim import FaultPlane, RandomSource
 
 
@@ -193,6 +194,46 @@ class TestTracingNeverChargesClocks:
         assert fully_on.latencies.samples_ms == baseline.latencies.samples_ms
         assert rate_zero.latencies.samples_ms == baseline.latencies.samples_ms
         assert fully_on.duration_ms == baseline.duration_ms
+
+
+class TestSeededRunsAreReproducible:
+    """Two runs of one seed dump the same spans and the same journals.
+
+    Execution ids are the journal's attempt ids, derived from the scheduler
+    and session sequence, so nothing in either dump is drawn at random.
+    """
+
+    def _retried_once(self):
+        tracer = Tracer(sample_rate=1.0)
+        cluster, cloud = _pipeline_cluster(tracer=tracer, seed=11)
+        failed = []
+
+        def flaky(cloudburst, value):
+            if not failed:
+                failed.append(cloudburst.get_id())
+                raise ExecutorFailedError(cloudburst.get_id(), "forced retry")
+            return value - 1
+
+        cloud.register(flaky, name="flaky")
+        cloud.register_dag("retried", ["inc", "flaky"], [("inc", "flaky")])
+        future = cloud.call_dag("retried", {"inc": [CloudburstReference("k1")]})
+        assert future.result().value == 5
+        assert future.result().retries == 1
+        return (spans_to_json(tracer),
+                [scheduler.journal.to_dict() for scheduler in cluster.schedulers])
+
+    def test_span_dump_and_journals_repeat_for_a_seed(self):
+        first_spans, first_journals = self._retried_once()
+        second_spans, second_journals = self._retried_once()
+        assert first_spans == second_spans
+        assert first_journals == second_journals
+        attempts = [attempt["execution_id"]
+                    for journal in first_journals
+                    for session in journal["sessions"]
+                    for attempt in session["attempts"]]
+        assert len(attempts) == 2
+        assert [execution_id.rsplit("/", 1)[1] for execution_id in attempts] \
+            == ["attempt-0", "attempt-1"]
 
 
 class TestTracingOverheadScenario:

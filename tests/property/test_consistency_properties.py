@@ -56,7 +56,7 @@ def test_repeatable_read_invariant(schedule):
     for key in KEYS:
         anna.put(key, LWWLattice(Timestamp(0.0, "seed"), f"{key}-v0"))
     protocol = RepeatableReadProtocol()
-    state = SessionState.create(level)
+    state = SessionState("exec-0", level)
     expected = {}  # key -> value the session must keep seeing
 
     for step in schedule:
@@ -91,7 +91,7 @@ def test_distributed_session_causal_invariant(schedule):
     for key in KEYS:
         anna.put(key, CausalLattice(VectorClock({"seed": 1}), f"{key}-v0"))
     protocol = DistributedSessionCausalProtocol()
-    state = SessionState.create(level)
+    state = SessionState("exec-0", level)
     external_counter = [1]
 
     for step in schedule:

@@ -184,7 +184,7 @@ DSC = ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL
 @example([("read", "k", CausalLattice(VectorClock({"a": 1}), "v")), _ASK,
           ("read", "k", CausalLattice(VectorClock({"a": 2, "b": 1}), "v")), _ASK], DSC)
 def test_remembered_entry_sizes_equal_the_walking_metadata_bytes(history, level):
-    state = SessionState.create(level)
+    state = SessionState("exec-0", level)
     for step, (op, key, value) in enumerate(history):
         cache = _Cache(f"cache-{step % 2}")
         if op == "read":

@@ -75,7 +75,6 @@ class TestFunctionCalls:
         noop()
         noop()
         assert cloud.last_latency_ms > 0
-        assert len(cloud.latencies) == 2
 
     def test_calls_round_robin_across_schedulers(self, cluster, cloud):
         noop = cloud.register(lambda: None, name="noop")

@@ -2,6 +2,7 @@
 
 import functools
 import inspect
+import itertools
 
 import pytest
 
@@ -35,8 +36,11 @@ def vm(cluster):
     return cluster.vms[0]
 
 
+_EXECUTION_IDS = (f"exec-{n}" for n in itertools.count())
+
+
 def run(thread, name, args=(), level=ConsistencyLevel.LWW, ctx=None):
-    state = SessionState.create(level)
+    state = SessionState(next(_EXECUTION_IDS), level)
     protocol = make_protocol(level)
     return thread.execute(name, args, ctx, state, protocol)
 

@@ -34,8 +34,7 @@ def lww(value, clock=1.0, node="n"):
 
 def ctx_at(now_ms: float = 0.0, epoch=None) -> RequestContext:
     ctx = RequestContext(clock=SimClock(now_ms))
-    if epoch is not None:
-        ctx.metadata[ExecutorCache.PREFETCH_EPOCH_KEY] = epoch
+    ctx.prefetch_epoch = epoch
     return ctx
 
 

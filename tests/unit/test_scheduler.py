@@ -116,6 +116,34 @@ class TestDagCalls:
         result = scheduler.call_dag("fan", {"root": [10]}).drive()
         assert result.value == {"left": 11, "right": 20}
 
+    def test_diamond_dag_joins_on_the_attempt_record(self, scheduler):
+        scheduler.register_function(lambda x: x, name="root")
+        scheduler.register_function(lambda x: x + 1, name="left")
+        scheduler.register_function(lambda x: x * 2, name="right")
+        scheduler.register_function(lambda a, b: a + b, name="sink")
+        scheduler.register_dag(Dag("diamond", ["root", "left", "right", "sink"],
+                                   [("root", "left"), ("root", "right"),
+                                    ("left", "sink"), ("right", "sink")]))
+        session = scheduler.call_dag("diamond", {"root": [10]})
+        result = session.drive()
+        assert result.value == 31
+        # The attempt record is the session's only progress state: every
+        # function has a finish time, and the sink ran after both branches.
+        finished = session.attempt.finish_ms
+        assert set(finished) == {"root", "left", "right", "sink"}
+        assert finished["sink"] >= session.attempt.ready_at(["left", "right"])
+        assert result.execution_id == session.attempt.execution_id \
+            == f"{session.session_id}/attempt-0"
+
+    def test_stored_result_key_names_the_attempt(self, scheduler, cluster):
+        scheduler.register_function(lambda x: x + 1, name="inc")
+        scheduler.register_dag(Dag.chain("one", ["inc"]))
+        session = scheduler.call_dag("one", {"inc": [1]}, store_in_kvs=True)
+        result = session.drive()
+        assert result.result_key == \
+            f"__cloudburst_results__/{session.session_id}/attempt-0"
+        assert cluster.kvs.get_plain(result.result_key) == 2
+
     def test_dag_call_counts_tracked(self, scheduler):
         scheduler.register_function(lambda x: x, name="f")
         scheduler.register_dag(Dag.chain("d", ["f"]))

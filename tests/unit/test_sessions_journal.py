@@ -44,11 +44,11 @@ class TestLifecycle:
     def test_attempt_transitions(self):
         journal = SessionJournal("s")
         record = _open(journal)
-        attempt = journal.begin_attempt(record, "exec-1", at_ms=10.0)
+        attempt = journal.begin_attempt(record, at_ms=10.0)
         assert attempt.status == ATTEMPT_IN_FLIGHT
         journal.record_scheduled(record, "f")
         assert attempt.function_status["f"] == FUNCTION_SCHEDULED
-        state = SessionState.create(ConsistencyLevel.LWW)
+        state = SessionState("s/session-0/attempt-0", ConsistencyLevel.LWW)
         state.caches_involved.add("cache-1")
         journal.record_completed(record, "f", finish_ms=22.5,
                                  thread_id="vm-0:t1", vm_id="vm-0", state=state)
@@ -62,24 +62,27 @@ class TestLifecycle:
     def test_failure_retry_and_close(self):
         journal = SessionJournal("s")
         record = _open(journal)
-        journal.begin_attempt(record, "exec-1", at_ms=10.0)
+        journal.begin_attempt(record, at_ms=10.0)
         journal.record_attempt_failure(record, "executor died")
         assert record.current_attempt().status == ATTEMPT_FAILED
         assert record.current_attempt().failure == "executor died"
         assert journal.record_retry(record) == 1
-        journal.begin_attempt(record, "exec-2", at_ms=40.0)
+        journal.begin_attempt(record, at_ms=40.0)
         journal.close(record, SESSION_COMPLETED)
         assert record.status == SESSION_COMPLETED
         assert record.current_attempt().status == ATTEMPT_COMPLETED
         assert journal.in_flight_count() == 0
         # Failed attempts keep their failed status in the history.
         assert record.attempts[0].status == ATTEMPT_FAILED
+        # Attempt ids are derived from the session id, never drawn.
+        assert [a.execution_id for a in record.attempts] == [
+            "s/session-0/attempt-0", "s/session-0/attempt-1"]
 
     def test_crash_recovery_transitions(self):
         journal = SessionJournal("s")
         session = object()
         record = _open(journal, session=session)
-        journal.begin_attempt(record, "exec-1", at_ms=10.0)
+        journal.begin_attempt(record, at_ms=10.0)
         journal.record_attempt_failure(record, "scheduler crash",
                                        status=ATTEMPT_ABANDONED)
         journal.record_recovery(record)
@@ -97,6 +100,48 @@ class TestLifecycle:
         journal.close(record, SESSION_FAILED)
         assert journal.live_sessions() == []
         assert journal.counts()[SESSION_FAILED] == 1
+
+
+class TestReadiness:
+    """Fork/join readiness is read from the attempt record, not kept beside it."""
+
+    def _complete(self, journal, record, name, finish_ms):
+        journal.record_scheduled(record, name)
+        journal.record_completed(record, name, finish_ms, "vm-0:t0", "vm-0",
+                                 SessionState("s/session-0/attempt-0",
+                                              ConsistencyLevel.LWW))
+
+    def test_diamond_joins_at_the_slowest_upstream(self):
+        journal = SessionJournal("s")
+        record = _open(journal)
+        attempt = journal.begin_attempt(record, at_ms=100.0)
+        assert attempt.ready_at([]) == 100.0
+        self._complete(journal, record, "source", 110.0)
+        assert attempt.ready_at(["source"]) == 110.0
+        self._complete(journal, record, "left", 150.0)
+        self._complete(journal, record, "right", 130.0)
+        assert attempt.ready_at(["left", "right"]) == 150.0
+        # A finish time before the attempt started never pulls readiness back.
+        assert attempt.ready_at([]) == 100.0
+
+    def test_unfinished_upstream_raises(self):
+        journal = SessionJournal("s")
+        record = _open(journal)
+        attempt = journal.begin_attempt(record, at_ms=0.0)
+        journal.record_scheduled(record, "ghost")
+        assert "ghost" in attempt.function_status
+        with pytest.raises(KeyError):
+            attempt.ready_at(["ghost"])
+
+    def test_a_retry_starts_from_an_empty_attempt(self):
+        journal = SessionJournal("s")
+        record = _open(journal)
+        first = journal.begin_attempt(record, at_ms=0.0)
+        self._complete(journal, record, "f", 5.0)
+        retry = journal.begin_attempt(record, at_ms=40.0)
+        assert first.finish_ms == {"f": 5.0}
+        assert retry.function_status == {} and retry.finish_ms == {}
+        assert retry.ready_at([]) == 40.0
 
 
 class TestQueries:
@@ -122,16 +167,16 @@ class TestSerialization:
         journal = SessionJournal("scheduler-0")
         # A clean first-attempt completion is checkpointed: counted, not kept.
         clean = _open(journal, name="dag-clean")
-        journal.begin_attempt(clean, "exec-0", at_ms=5.0)
+        journal.begin_attempt(clean, at_ms=5.0)
         journal.close(clean, SESSION_COMPLETED)
         # A session that needed a retry keeps its full record for the artifact.
         record = _open(journal)
-        journal.begin_attempt(record, "exec-1", at_ms=10.0)
+        journal.begin_attempt(record, at_ms=10.0)
         journal.record_attempt_failure(record, "executor died")
         journal.record_retry(record)
-        journal.begin_attempt(record, "exec-2", at_ms=40.0)
+        journal.begin_attempt(record, at_ms=40.0)
         journal.record_scheduled(record, "f")
-        state = SessionState.create(ConsistencyLevel.LWW)
+        state = SessionState("s/session-0/attempt-0", ConsistencyLevel.LWW)
         journal.record_completed(record, "f", 45.0, "vm-1:t0", "vm-1", state)
         journal.close(record, SESSION_COMPLETED)
         # Arbitrary user args must not leak into the dump — only their counts.
@@ -145,6 +190,7 @@ class TestSerialization:
         assert sessions["dag-a"]["retries"] == 1
         assert sessions["dag-a"]["attempts"][1]["placements"] == {"f": "vm-1:t0"}
         assert sessions["dag-a"]["function_arg_counts"] == {"f": 2}
+        assert sessions["dag-a"]["level"] == "LWW"
         assert "function_args" not in sessions["dag-a"]
 
 
@@ -154,7 +200,7 @@ class TestCheckpoint:
     def test_clean_completion_is_folded_into_the_counts(self):
         journal = SessionJournal("s")
         record = _open(journal)
-        journal.begin_attempt(record, "exec-1", at_ms=10.0)
+        journal.begin_attempt(record, at_ms=10.0)
         journal.close(record, SESSION_COMPLETED)
         assert journal.records() == []
         assert journal.counts()[SESSION_COMPLETED] == 1
@@ -165,7 +211,7 @@ class TestCheckpoint:
     def test_disturbed_sessions_keep_their_record(self, disturb):
         journal = SessionJournal("s")
         record = _open(journal)
-        journal.begin_attempt(record, "exec-1", at_ms=10.0)
+        journal.begin_attempt(record, at_ms=10.0)
         if disturb == "retry":
             journal.record_retry(record)
         elif disturb == "recovery":

@@ -74,6 +74,16 @@ class TestRequestContext:
         assert branch.clock.now_ms == pytest.approx(5.0)
         assert branch.charges == []
 
+    def test_fork_carries_the_prefetch_epoch(self):
+        ctx = RequestContext()
+        assert ctx.prefetch_epoch is None
+        ctx.prefetch_epoch = "s/session-0/attempt-0"
+        branch = ctx.fork()
+        assert branch.prefetch_epoch == "s/session-0/attempt-0"
+        # The branch owns its slot: a later prefetch on it never leaks back.
+        branch.prefetch_epoch = "s/session-1/attempt-0"
+        assert ctx.prefetch_epoch == "s/session-0/attempt-0"
+
     def test_join_advances_to_slowest_branch(self):
         ctx = RequestContext()
         ctx.charge("cloudburst", "schedule", 1.0)

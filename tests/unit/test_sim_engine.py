@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     Engine,
-    ForkJoin,
     ReservationQueue,
     WorkQueue,
 )
@@ -60,14 +59,6 @@ class TestEngine:
         assert fired == [1]
         assert engine.now_ms == 10.0
         assert engine.pending == 1
-
-    def test_stop_halts_processing(self):
-        engine = Engine()
-        fired = []
-        engine.at(1.0, lambda: (fired.append(1), engine.stop()))
-        engine.at(2.0, lambda: fired.append(2))
-        engine.run()
-        assert fired == [1]
 
     def test_events_scheduled_while_running(self):
         engine = Engine()
@@ -175,15 +166,6 @@ class TestPendingCounters:
         assert engine.peek_ms() == 5.0
         engine.run()
         assert engine.peek_ms() is None
-
-    def test_run_max_events_stops_early(self):
-        engine = Engine()
-        fired = []
-        for i in range(5):
-            engine.at(float(i), lambda i=i: fired.append(i))
-        assert engine.run(max_events=2) == 2
-        assert fired == [0, 1]
-        assert engine.pending == 3
 
 
 class TestRecurringEvent:
@@ -381,29 +363,3 @@ class TestReservationQueue:
         # Recent contention still queues correctly after compaction.
         last_start = (total - 1) * 10.0
         assert queue.reserve(last_start, 1.0) == last_start + 1.0
-
-
-class TestForkJoin:
-    def test_diamond_join_at_slowest_branch(self):
-        fork_join = ForkJoin(base_ms=100.0)
-        assert fork_join.ready_at([]) == 100.0
-        fork_join.complete("source", 110.0)
-        assert fork_join.ready_at(["source"]) == 110.0
-        fork_join.complete("left", 150.0)
-        fork_join.complete("right", 130.0)
-        assert fork_join.ready_at(["left", "right"]) == 150.0
-        fork_join.complete("sink", 160.0)
-        assert fork_join.join() == 160.0
-
-    def test_unknown_dependency_raises(self):
-        with pytest.raises(KeyError):
-            ForkJoin().ready_at(["ghost"])
-
-    def test_double_complete_raises(self):
-        fork_join = ForkJoin()
-        fork_join.complete("a", 1.0)
-        with pytest.raises(ValueError):
-            fork_join.complete("a", 2.0)
-
-    def test_empty_join_is_base(self):
-        assert ForkJoin(base_ms=7.0).join() == 7.0
