@@ -33,8 +33,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from ..errors import KeyNotFoundError, StorageOverloadError
 from ..lattices import Lattice, LWWLattice, TimestampGenerator
-from ..sim import (Engine, LatencyModel, RequestContext, ingress_overflow_ms,
-                   run_overlapped)
+from ..sim import Engine, LatencyModel, RequestContext, run_overlapped
 from .hash_ring import HashRing
 from .index import KeyCacheIndex
 from .storage_node import MEMORY_CAPACITY_KEYS, StorageNode, StorageServiceModel
@@ -420,7 +419,7 @@ class AnnaCluster:
             return None
 
     def multi_get(self, keys: Iterable[str],
-                  ctx: Optional[RequestContext] = None) -> Dict[str, Optional[Lattice]]:
+                  ctx: RequestContext) -> Dict[str, Optional[Lattice]]:
         """Read a batch of keys with overlapped charging (§4.2 async fetches).
 
         Every sub-read goes through the exact single-key :meth:`get` path —
@@ -436,11 +435,11 @@ class AnnaCluster:
         like :meth:`get` and maps to None rather than raising.
         """
         unique = list(dict.fromkeys(keys))
-        parent_span = ctx.span if ctx is not None else None
+        parent_span = ctx.span
 
-        def run_one(key: str, branch: Optional[RequestContext]) -> Optional[Lattice]:
-            if branch is None or branch is ctx or parent_span is None:
-                # Batch of one (or uncharged/untraced): the single-key path.
+        def run_one(key: str, branch: RequestContext) -> Optional[Lattice]:
+            if branch is ctx or parent_span is None:
+                # Batch of one (or untraced): the single-key path.
                 return self.get_or_none(key, branch)
             fetch_span = parent_span.child("fetch", "anna",
                                            branch.clock.now_ms).annotate("key", key)
@@ -450,18 +449,10 @@ class AnnaCluster:
             finally:
                 fetch_span.finish(branch.clock.now_ms)
 
-        def dispatch(parent: RequestContext) -> None:
-            self.latency_model.charge(parent, "anna", "multi_get_dispatch")
-
-        values = run_overlapped(ctx, unique, run_one, dispatch)
-        if ctx is not None and len(unique) > 1:
-            # Responses beyond the largest stream serially into the caller's
-            # ingress link (overlap hides round trips, not bandwidth).
-            extra_ms = ingress_overflow_ms(
-                [value.size_bytes() for value in values if value is not None],
-                self.latency_model.cost("anna", "get").bandwidth_bytes_per_ms)
-            if extra_ms > 0:
-                ctx.charge("anna", "ingress", extra_ms)
+        values = run_overlapped(
+            ctx, unique, run_one, self.latency_model,
+            "anna", "multi_get_dispatch", "anna",
+            lambda value: 0 if value is None else value.size_bytes())
         return dict(zip(unique, values))
 
     def peek(self, key: str) -> Optional[Lattice]:

@@ -29,21 +29,20 @@ class SimulatedLambda:
         self._functions[name] = func
         return name
 
-    def invoke(self, name: str, args: Sequence[Any] = (),
-               ctx: Optional[RequestContext] = None,
+    def invoke(self, name: str, args: Sequence[Any],
+               ctx: RequestContext,
                payload_bytes: Optional[int] = None) -> Any:
         """One Lambda invocation: overhead + payload transfer + user code."""
         func = self._functions[name]
-        if ctx is not None:
-            self.latency_model.charge(ctx, "lambda", "invoke")
-            size = payload_bytes if payload_bytes is not None else \
-                sum(estimate_size(a) for a in args)
-            if size:
-                self.latency_model.charge(ctx, "lambda", "payload", size_bytes=size)
+        self.latency_model.charge(ctx, "lambda", "invoke")
+        size = payload_bytes if payload_bytes is not None else \
+            sum(estimate_size(a) for a in args)
+        if size:
+            self.latency_model.charge(ctx, "lambda", "payload", size_bytes=size)
         self.invocation_count += 1
         result = func(*args)
         declared_compute = getattr(func, "_cloudburst_compute_ms", 0.0)
-        if ctx is not None and declared_compute:
+        if declared_compute:
             ctx.charge("compute", "user_function", declared_compute)
         return result
 
@@ -57,7 +56,7 @@ class LambdaComposition:
         self.storage = storage
 
     def run_direct(self, functions: Sequence[str], argument: Any,
-                   ctx: Optional[RequestContext] = None) -> Any:
+                   ctx: RequestContext) -> Any:
         """Lambda (Direct): each function returns its result to the caller,
         which passes it to the next function through the user-facing API."""
         value = argument
@@ -66,7 +65,7 @@ class LambdaComposition:
         return value
 
     def run_through_storage(self, functions: Sequence[str], argument: Any,
-                            ctx: Optional[RequestContext] = None) -> Any:
+                            ctx: RequestContext) -> Any:
         """Lambda (S3)/(Dynamo): arguments pass through the Lambda API as in the
         direct variant, but the pipeline's result is stored in the storage
         service (the configuration measured in Figure 1)."""
@@ -94,12 +93,10 @@ class StepFunctions:
         self.latency_model = latency_model or platform.latency_model
 
     def execute(self, functions: Sequence[str], argument: Any,
-                ctx: Optional[RequestContext] = None) -> Any:
-        if ctx is not None:
-            self.latency_model.charge(ctx, "stepfunctions", "start_execution")
+                ctx: RequestContext) -> Any:
+        self.latency_model.charge(ctx, "stepfunctions", "start_execution")
         value = argument
         for name in functions:
-            if ctx is not None:
-                self.latency_model.charge(ctx, "stepfunctions", "transition")
+            self.latency_model.charge(ctx, "stepfunctions", "transition")
             value = self.platform.invoke(name, (value,), ctx)
         return value

@@ -38,9 +38,9 @@ class _FunctionRegistry:
     def get(self, name: str) -> Callable:
         return self._functions[name]
 
-    def _charge_compute(self, func: Callable, ctx: Optional[RequestContext]) -> None:
+    def _charge_compute(self, func: Callable, ctx: RequestContext) -> None:
         declared = getattr(func, "_cloudburst_compute_ms", 0.0)
-        if ctx is not None and declared:
+        if declared:
             ctx.charge("compute", "user_function", declared)
 
 
@@ -54,24 +54,23 @@ class SandPlatform(_FunctionRegistry):
         self.rng = rng or RandomSource(41)
 
     def run_pipeline(self, functions: Sequence[str], argument: Any,
-                     ctx: Optional[RequestContext] = None) -> Any:
+                     ctx: RequestContext) -> Any:
         value = argument
         for index, name in enumerate(functions):
             func = self.get(name)
-            if ctx is not None:
-                if index == 0:
-                    # The request enters the platform once (HTTP front end +
-                    # sandbox dispatch).
-                    self.latency_model.charge(ctx, "sand", "invoke")
-                elif self.rng.random() < SAND_SAME_HOST_PROBABILITY:
-                    # Composed functions usually share a host and talk over the
-                    # local message bus...
-                    self.latency_model.charge(ctx, "sand", "local_bus")
-                    self.latency_model.charge(ctx, "sand", "invoke")
-                else:
-                    # ... but occasionally cross hosts via the global bus.
-                    self.latency_model.charge(ctx, "sand", "global_bus")
-                    self.latency_model.charge(ctx, "sand", "invoke")
+            if index == 0:
+                # The request enters the platform once (HTTP front end +
+                # sandbox dispatch).
+                self.latency_model.charge(ctx, "sand", "invoke")
+            elif self.rng.random() < SAND_SAME_HOST_PROBABILITY:
+                # Composed functions usually share a host and talk over the
+                # local message bus...
+                self.latency_model.charge(ctx, "sand", "local_bus")
+                self.latency_model.charge(ctx, "sand", "invoke")
+            else:
+                # ... but occasionally cross hosts via the global bus.
+                self.latency_model.charge(ctx, "sand", "global_bus")
+                self.latency_model.charge(ctx, "sand", "invoke")
             value = func(value)
             self._charge_compute(func, ctx)
         return value
@@ -85,17 +84,15 @@ class DaskCluster(_FunctionRegistry):
         self.latency_model = latency_model or LatencyModel()
 
     def run_pipeline(self, functions: Sequence[str], argument: Any,
-                     ctx: Optional[RequestContext] = None) -> Any:
+                     ctx: RequestContext) -> Any:
         value = argument
         for name in functions:
             func = self.get(name)
-            if ctx is not None:
-                self.latency_model.charge(ctx, "dask", "submit")
+            self.latency_model.charge(ctx, "dask", "submit")
             value = func(value)
             self._charge_compute(func, ctx)
-        if ctx is not None:
-            self.latency_model.charge(ctx, "dask", "gather",
-                                      size_bytes=estimate_size(value))
+        self.latency_model.charge(ctx, "dask", "gather",
+                                  size_bytes=estimate_size(value))
         return value
 
 
@@ -107,16 +104,14 @@ class SageMaker(_FunctionRegistry):
         self.latency_model = latency_model or LatencyModel()
 
     def invoke_endpoint(self, functions: Sequence[str], argument: Any,
-                        ctx: Optional[RequestContext] = None) -> Any:
+                        ctx: RequestContext) -> Any:
         value = argument
-        if ctx is not None:
-            self.latency_model.charge(ctx, "sagemaker", "http_overhead",
-                                      size_bytes=estimate_size(argument))
+        self.latency_model.charge(ctx, "sagemaker", "http_overhead",
+                                  size_bytes=estimate_size(argument))
         for name in functions:
             func = self.get(name)
-            if ctx is not None:
-                # Each pipeline stage is its own container behind the endpoint.
-                self.latency_model.charge(ctx, "sagemaker", "container_hop")
+            # Each pipeline stage is its own container behind the endpoint.
+            self.latency_model.charge(ctx, "sagemaker", "container_hop")
             value = func(value)
             self._charge_compute(func, ctx)
         return value
@@ -130,12 +125,11 @@ class NativePython(_FunctionRegistry):
         self.latency_model = latency_model or LatencyModel()
 
     def run_pipeline(self, functions: Sequence[str], argument: Any,
-                     ctx: Optional[RequestContext] = None) -> Any:
+                     ctx: RequestContext) -> Any:
         value = argument
         for name in functions:
             func = self.get(name)
-            if ctx is not None:
-                self.latency_model.charge(ctx, "python", "call")
+            self.latency_model.charge(ctx, "python", "call")
             value = func(value)
             self._charge_compute(func, ctx)
         return value

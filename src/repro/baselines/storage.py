@@ -12,8 +12,7 @@ from typing import Any, Dict, List, Optional
 
 from ..errors import KeyNotFoundError
 from ..lattices.base import estimate_size
-from ..sim import (LatencyModel, RequestContext, ingress_overflow_ms,
-                   run_overlapped)
+from ..sim import LatencyModel, RequestContext, run_overlapped
 
 
 class SimulatedStorageService:
@@ -28,21 +27,20 @@ class SimulatedStorageService:
         self.put_count = 0
 
     def put(self, key: str, value: Any, ctx: Optional[RequestContext] = None) -> None:
+        """Store ``value``; without a ``ctx`` it is a preload, charged to no one."""
         if ctx is not None:
             self.latency_model.charge(ctx, self.service_name, "put",
                                       size_bytes=estimate_size(value))
         self._data[key] = value
         self.put_count += 1
 
-    def get(self, key: str, ctx: Optional[RequestContext] = None) -> Any:
+    def get(self, key: str, ctx: RequestContext) -> Any:
         if key not in self._data:
-            if ctx is not None:
-                self.latency_model.charge(ctx, self.service_name, "get", size_bytes=0)
+            self.latency_model.charge(ctx, self.service_name, "get", size_bytes=0)
             raise KeyNotFoundError(key)
         value = self._data[key]
-        if ctx is not None:
-            self.latency_model.charge(ctx, self.service_name, "get",
-                                      size_bytes=estimate_size(value))
+        self.latency_model.charge(ctx, self.service_name, "get",
+                                  size_bytes=estimate_size(value))
         self.get_count += 1
         return value
 
@@ -86,19 +84,18 @@ class SimulatedRedis(SimulatedStorageService):
     Writes are serialized at the master.  When several writers publish in the
     same round (the gather baseline in §6.1.3), each write queues behind the
     previous ones; ``contention`` tells the model how many writes are queued
-    ahead of this one.
+    ahead of this one (a charged write only: preloads pass no ``ctx``).
     """
 
     service_name = "redis"
 
     def put(self, key: str, value: Any, ctx: Optional[RequestContext] = None,
             contention: int = 0) -> None:
-        if ctx is not None and contention > 0:
-            for _ in range(contention):
-                self.latency_model.charge(ctx, "redis", "queue_delay")
+        for _ in range(contention):
+            self.latency_model.charge(ctx, "redis", "queue_delay")
         super().put(key, value, ctx)
 
-    def mget(self, keys: List[str], ctx: Optional[RequestContext] = None) -> List[Any]:
+    def mget(self, keys: List[str], ctx: RequestContext) -> List[Any]:
         """Pipelined MGET with overlapped charging.
 
         Charge model — the same one Cloudburst's batched read plane uses
@@ -109,30 +106,19 @@ class SimulatedRedis(SimulatedStorageService):
         and the caller pays ``(N-1)`` serial ``redis.mget_dispatch`` charges
         plus the *max* of the per-key round trips rather than their sum —
         plus the ingress-bandwidth overflow for every response beyond the
-        largest (:func:`repro.sim.ingress_overflow_ms`), since batching
-        overlaps round trips but not the client NIC.  A batch of one is
-        byte-identical to :meth:`get`.
+        largest, since batching overlaps round trips but not the client NIC.
+        A batch of one is byte-identical to :meth:`get`.
         """
         missing = [key for key in keys if key not in self._data]
         if missing:
             raise KeyNotFoundError(missing[0])
 
-        def run_one(key: str, branch: Optional[RequestContext]) -> Any:
+        def run_one(key: str, branch: RequestContext) -> Any:
             value = self._data[key]
             self.get_count += 1
-            if branch is not None:
-                self.latency_model.charge(branch, "redis", "get",
-                                          size_bytes=estimate_size(value))
+            self.latency_model.charge(branch, "redis", "get",
+                                      size_bytes=estimate_size(value))
             return value
 
-        def dispatch(parent: RequestContext) -> None:
-            self.latency_model.charge(parent, "redis", "mget_dispatch")
-
-        values = run_overlapped(ctx, keys, run_one, dispatch)
-        if ctx is not None and len(keys) > 1:
-            extra_ms = ingress_overflow_ms(
-                [estimate_size(value) for value in values],
-                self.latency_model.cost("redis", "get").bandwidth_bytes_per_ms)
-            if extra_ms > 0:
-                ctx.charge("redis", "ingress", extra_ms)
-        return values
+        return run_overlapped(ctx, keys, run_one, self.latency_model,
+                              "redis", "mget_dispatch", "redis", estimate_size)

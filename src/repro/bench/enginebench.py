@@ -19,9 +19,9 @@ dependence in the simulated workload itself):
   ticks (10k firings) riding alongside a foreground chain: the control-plane
   shape that made ``foreground_pending`` the hot spot (each firing used to
   scan the whole heap).
-* ``charge_log`` — :class:`RequestContext` latency charges with an
-  ``elapsed_ms`` read per charge: per-charge accounting cost, with and
-  without the itemised charge log.
+* ``charge_log`` — :class:`RequestContext` latency charges with a clock
+  read per charge: per-charge accounting cost, with and without the
+  itemised charge log.
 * ``reservation_queue`` — :class:`ReservationQueue` out-of-order
   reservations: the mid-array insert cost the tentpole asked to measure.
 * ``multi_get`` — cold :meth:`ExecutorCache.multi_get` batches of 1/8/64
@@ -167,19 +167,19 @@ def bench_recurring_ticks(recurring: int = 500, firings_per_tick: int = 20,
 
 def bench_charge_log(contexts: int = 2_000, charges_per_context: int = 60,
                      record_charges: bool = True) -> Dict[str, float]:
-    """Per-charge accounting with an ``elapsed_ms`` read after every charge.
+    """Per-charge accounting with a latency read after every charge.
 
     This is the executor/cache/Anna accounting pattern: charge a latency,
-    read the running total.  Re-summing the charge log made ``elapsed_ms``
-    O(charges) per read before the optimization pass.
+    read how far the request's clock has moved since it started.
     """
     total = 0.0
     for index in range(contexts):
-        ctx = RequestContext(clock=SimClock(float(index)),
+        start_ms = float(index)
+        ctx = RequestContext(clock=SimClock(start_ms),
                              record_charges=record_charges)
         for charge in range(charges_per_context):
             ctx.charge("bench", "op", 0.25)
-            total += ctx.elapsed_ms
+            total += ctx.clock.now_ms - start_ms
     return {"charges": float(contexts * charges_per_context),
             "checksum": round(total, 3)}
 

@@ -404,7 +404,8 @@ def run_figure7(initial_threads: int = 18, client_count: int = 40,
         for _ in range(400):
             key = f"idx-{zipf.next() % 1_000}"
             try:
-                vm.cache.get_or_fetch(key)
+                with index_cluster.request() as ctx:
+                    vm.cache.get_or_fetch(key, ctx)
             except Exception:
                 continue
         vm.cache.publish_cached_keys()

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..anna import AnnaCluster
 from ..errors import ConsistencyError, KeyNotFoundError
 from ..lattices import CausalLattice, Lattice
-from ..sim import RequestContext, ingress_overflow_ms, run_overlapped
+from ..sim import RequestContext, run_overlapped
 
 
 @dataclass
@@ -106,14 +106,14 @@ class ExecutorCache:
             return None
         return LatticeEncapsulator.version_of(local)
 
-    def get_or_fetch(self, key: str, ctx: Optional[RequestContext] = None) -> Lattice:
+    def get_or_fetch(self, key: str, ctx: RequestContext) -> Lattice:
         """Single-key :meth:`multi_get` without cut repair; raises when absent."""
         value = self.multi_get((key,), ctx, repair_cut=False)[key]
         if value is None:
             raise KeyNotFoundError(key)
         return value
 
-    def multi_get(self, keys, ctx: Optional[RequestContext] = None,
+    def multi_get(self, keys, ctx: RequestContext,
                   repair_cut: bool = True) -> Dict[str, Optional[Lattice]]:
         """The cache's one read: hits in one IPC round trip, misses overlapped.
 
@@ -155,24 +155,23 @@ class ExecutorCache:
                 hits.append(local)
         if hits:
             self.stats.hits += len(hits)
-            if ctx is not None:
-                hit_span = None
-                if ctx.span is not None:
-                    hit_span = ctx.span.child(
-                        "cache_hit", "cache", ctx.clock.now_ms,
-                        node=self.cache_id).annotate("batch", len(hits))
-                self.latency_model.charge(
-                    ctx, "cache", "multi_get",
-                    size_bytes=sum(value.size_bytes() for value in hits))
-                if len(hits) > 1:
-                    # One IPC round trip amortises the per-get protocol
-                    # overhead, but the cache still looks up and marshals
-                    # every entry (deterministic per-key service time).
-                    ctx.charge("cache", "multi_get_key",
-                               (len(hits) - 1) * self.latency_model.cost(
-                                   "cache", "multi_get_key").base_ms)
-                if hit_span is not None:
-                    hit_span.finish(ctx.clock.now_ms)
+            hit_span = None
+            if ctx.span is not None:
+                hit_span = ctx.span.child(
+                    "cache_hit", "cache", ctx.clock.now_ms,
+                    node=self.cache_id).annotate("batch", len(hits))
+            self.latency_model.charge(
+                ctx, "cache", "multi_get",
+                size_bytes=sum(value.size_bytes() for value in hits))
+            if len(hits) > 1:
+                # One IPC round trip amortises the per-get protocol
+                # overhead, but the cache still looks up and marshals
+                # every entry (deterministic per-key service time).
+                ctx.charge("cache", "multi_get_key",
+                           (len(hits) - 1) * self.latency_model.cost(
+                               "cache", "multi_get_key").base_ms)
+            if hit_span is not None:
+                hit_span.finish(ctx.clock.now_ms)
         if missing:
             results.update(self._fetch_misses(missing, ctx))
         if repair_cut:
@@ -185,16 +184,17 @@ class ExecutorCache:
                     results[key] = self._data[key]
         return results
 
-    def _fetch_misses(self, keys: List[str], ctx: Optional[RequestContext]
+    def _fetch_misses(self, keys: List[str], ctx: RequestContext
                       ) -> Dict[str, Optional[Lattice]]:
         """Fetch cache misses from Anna with overlapped charging.
 
         A batch of one runs directly on ``ctx`` (no fork, no dispatch
         charge); larger batches fork a context per key under a ``multi_get``
         parent span, paying the serial per-key dispatch cost plus the max
-        fetch latency.
+        fetch latency, and the VM's ingress link the bytes beyond the
+        largest response.
         """
-        parent_span = ctx.span if ctx is not None else None
+        parent_span = ctx.span
         batch_span = None
         if parent_span is not None and len(keys) > 1:
             batch_span = parent_span.child("multi_get", "cache", ctx.clock.now_ms,
@@ -202,21 +202,11 @@ class ExecutorCache:
                                                "misses", len(keys))
             ctx.span = batch_span
 
-        def dispatch(parent: RequestContext) -> None:
-            self.latency_model.charge(parent, "anna", "multi_get_dispatch")
-
         try:
-            values = run_overlapped(ctx, keys, self._fetch_one_miss, dispatch)
-            if ctx is not None and len(keys) > 1:
-                # Overlap hides round-trip latency, not the VM's ingress
-                # link: responses beyond the largest still stream in
-                # serially (deterministic, no RNG draw).
-                extra_ms = ingress_overflow_ms(
-                    [value.size_bytes() for value in values
-                     if value is not None],
-                    self.latency_model.cost("anna", "get").bandwidth_bytes_per_ms)
-                if extra_ms > 0:
-                    ctx.charge("cache", "ingress", extra_ms)
+            values = run_overlapped(
+                ctx, keys, self._fetch_one_miss, self.latency_model,
+                "anna", "multi_get_dispatch", "cache",
+                lambda value: 0 if value is None else value.size_bytes())
         finally:
             if batch_span is not None:
                 batch_span.finish(ctx.clock.now_ms)
@@ -224,13 +214,13 @@ class ExecutorCache:
         return dict(zip(keys, values))
 
     def _fetch_one_miss(self, key: str,
-                        ctx: Optional[RequestContext]) -> Optional[Lattice]:
+                        ctx: RequestContext) -> Optional[Lattice]:
         """One cold read from Anna; a key Anna does not hold maps to None."""
         self.stats.misses += 1
         # On a miss the storage fetch nests under a cache_miss span, so trace
         # trees show exactly which Anna node (and how much queueing) each cold
         # read paid for.
-        parent_span = ctx.span if ctx is not None else None
+        parent_span = ctx.span
         miss_span = None
         if parent_span is not None:
             miss_span = parent_span.child("cache_miss", "cache", ctx.clock.now_ms,
@@ -246,23 +236,21 @@ class ExecutorCache:
             if not isinstance(exc, KeyNotFoundError):
                 raise
             return None
-        if ctx is not None:
-            self.latency_model.charge(ctx, "cache", "get", size_bytes=value.size_bytes())
+        self.latency_model.charge(ctx, "cache", "get", size_bytes=value.size_bytes())
         self._store(key, value)
         if miss_span is not None:
             miss_span.finish(ctx.clock.now_ms)
             ctx.span = parent_span
         return value
 
-    def put(self, key: str, value: Lattice, ctx: Optional[RequestContext] = None) -> Lattice:
+    def put(self, key: str, value: Lattice, ctx: RequestContext) -> Lattice:
         """Apply an executor's write.
 
         The cache updates its local copy, acknowledges the request (one IPC
         charge) and pushes the update to Anna asynchronously — the Anna merge
         happens but costs the caller nothing, matching §4.2.
         """
-        if ctx is not None:
-            self.latency_model.charge(ctx, "cache", "put", size_bytes=value.size_bytes())
+        self.latency_model.charge(ctx, "cache", "put", size_bytes=value.size_bytes())
         merged = self._store(key, value)
         self.stats.puts += 1
         # Asynchronous write-back to the KVS (not charged to the request).
@@ -402,7 +390,7 @@ class ExecutorCache:
         self._prefetched_unread.add(key)
 
     def _from_prefetch(self, key: str,
-                       ctx: Optional[RequestContext]) -> Optional[Lattice]:
+                       ctx: RequestContext) -> Optional[Lattice]:
         """Promote an in-flight prefetched value on first read, if any.
 
         A read that beats the modelled completion time is charged only the
@@ -416,9 +404,8 @@ class ExecutorCache:
         # Only the issuing execution pays the residual wait; an unrelated
         # reader observes the entry as already landed (cross-execution
         # contention is not modelled, see :meth:`prefetch`).
-        same_epoch = (ctx is not None and epoch is not None and
-                      ctx.prefetch_epoch == epoch)
-        if same_epoch and ready_ms > ctx.clock.now_ms:
+        if (epoch is not None and ctx.prefetch_epoch == epoch
+                and ready_ms > ctx.clock.now_ms):
             ctx.charge("cache", "prefetch_wait", ready_ms - ctx.clock.now_ms)
         self.stats.prefetch_hits += 1
         return self._store(key, value)
@@ -475,7 +462,7 @@ class ExecutorCache:
         return len(self._snapshots)
 
     def fetch_from_upstream(self, upstream_cache_id: str, execution_id: str, key: str,
-                            ctx: Optional[RequestContext] = None,
+                            ctx: RequestContext,
                             expected_version=None) -> Lattice:
         """Fetch the exact version snapshot held by an upstream cache.
 
@@ -510,17 +497,16 @@ class ExecutorCache:
                 f"upstream cache {upstream_cache_id!r} no longer holds {key!r} "
                 f"for execution {execution_id!r}"
             )
-        if ctx is not None:
-            fetch_span = None
-            if ctx.span is not None:
-                fetch_span = ctx.span.child(
-                    "fetch_from_upstream", "cache", ctx.clock.now_ms,
-                    node=self.cache_id).annotate("key", key).annotate(
-                        "upstream", upstream_cache_id)
-            self.latency_model.charge(ctx, "cache", "fetch_from_upstream",
-                                      size_bytes=value.size_bytes())
-            if fetch_span is not None:
-                fetch_span.finish(ctx.clock.now_ms)
+        fetch_span = None
+        if ctx.span is not None:
+            fetch_span = ctx.span.child(
+                "fetch_from_upstream", "cache", ctx.clock.now_ms,
+                node=self.cache_id).annotate("key", key).annotate(
+                    "upstream", upstream_cache_id)
+        self.latency_model.charge(ctx, "cache", "fetch_from_upstream",
+                                  size_bytes=value.size_bytes())
+        if fetch_span is not None:
+            fetch_span.finish(ctx.clock.now_ms)
         self.stats.upstream_fetches += 1
         # Cache the fetched version locally so repeated reads within this DAG hit.
         self._store(key, value)
@@ -528,7 +514,7 @@ class ExecutorCache:
 
     # -- bolt-on causal cut maintenance (§5.3) ----------------------------------------
     def ensure_causal_cut(self, lattices: List[Lattice],
-                          ctx: Optional[RequestContext] = None) -> None:
+                          ctx: RequestContext) -> None:
         """Make the local cache a causal cut that includes ``lattices``.
 
         For every dependency ``l -> k`` of the given causally wrapped values,

@@ -109,7 +109,7 @@ class ConsistencyProtocol:
 
     level = ConsistencyLevel.LWW
 
-    def read(self, cache: ExecutorCache, key: str, ctx: Optional[RequestContext],
+    def read(self, cache: ExecutorCache, key: str, ctx: RequestContext,
              state: SessionState) -> Lattice:
         """Read one key; raises :class:`KeyNotFoundError` when it is absent."""
         found = self.read_many(cache, (key,), ctx, state)
@@ -118,13 +118,13 @@ class ConsistencyProtocol:
         return found[key]
 
     def read_many(self, cache: ExecutorCache, keys,
-                  ctx: Optional[RequestContext],
+                  ctx: RequestContext,
                   state: SessionState) -> Dict[str, Lattice]:
         """Read a batch of keys; missing keys are omitted from the result."""
         raise NotImplementedError
 
     def write(self, cache: ExecutorCache, key: str, lattice: Lattice,
-              ctx: Optional[RequestContext], state: SessionState) -> Lattice:
+              ctx: RequestContext, state: SessionState) -> Lattice:
         raise NotImplementedError
 
     def finalize(self, state: SessionState,

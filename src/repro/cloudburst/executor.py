@@ -98,7 +98,7 @@ class UserLibrary:
     ``recv`` direct messaging and its own unique invocation ID.
     """
 
-    def __init__(self, executor: "ExecutorThread", ctx: Optional[RequestContext],
+    def __init__(self, executor: "ExecutorThread", ctx: RequestContext,
                  state: SessionState, protocol: ConsistencyProtocol):
         self._executor = executor
         self._ctx = ctx
@@ -185,7 +185,7 @@ class UserLibrary:
     # -- extras used by applications and benchmarks ------------------------------------
     def simulate_compute(self, duration_ms: float) -> None:
         """Charge ``duration_ms`` of simulated CPU time to this request."""
-        if self._ctx is not None and duration_ms > 0:
+        if duration_ms > 0:
             cost = self._executor.compute_model.fixed_ms(duration_ms)
             self._ctx.charge("compute", "user_function", cost)
 
@@ -257,7 +257,7 @@ class ExecutorThread:
 
     # -- invocation ----------------------------------------------------------------------
     def execute(self, function_name: str, args: Sequence[Any],
-                ctx: Optional[RequestContext], state: SessionState,
+                ctx: RequestContext, state: SessionState,
                 protocol: ConsistencyProtocol) -> Any:
         """Run one function invocation on this thread.
 
@@ -268,16 +268,15 @@ class ExecutorThread:
         """
         if not self.alive or not self.vm.alive:
             raise ExecutorFailedError(self.thread_id, "executor is down")
-        parent_span = ctx.span if ctx is not None else None
-        if ctx is not None:
-            arrival_ms = ctx.clock.now_ms
-            service_start = self.work_queue.admit(arrival_ms)
-            wait_ms = service_start - arrival_ms
-            if wait_ms > 0:
-                ctx.charge("cloudburst", "executor_queue", wait_ms)
-                if parent_span is not None:
-                    parent_span.child("executor_queue", "executor", arrival_ms,
-                                      node=self.thread_id).finish(service_start)
+        parent_span = ctx.span
+        arrival_ms = ctx.clock.now_ms
+        service_start = self.work_queue.admit(arrival_ms)
+        wait_ms = service_start - arrival_ms
+        if wait_ms > 0:
+            ctx.charge("cloudburst", "executor_queue", wait_ms)
+            if parent_span is not None:
+                parent_span.child("executor_queue", "executor", arrival_ms,
+                                  node=self.thread_id).finish(service_start)
         invoke_span = None
         if parent_span is not None:
             invoke_span = parent_span.child(
@@ -287,17 +286,15 @@ class ExecutorThread:
         try:
             return self._execute_admitted(function_name, args, ctx, state, protocol)
         finally:
-            if ctx is not None:
-                self.work_queue.release(ctx.clock.now_ms)
+            self.work_queue.release(ctx.clock.now_ms)
             if invoke_span is not None:
                 invoke_span.finish(ctx.clock.now_ms)
                 ctx.span = parent_span
 
     def _execute_admitted(self, function_name: str, args: Sequence[Any],
-                          ctx: Optional[RequestContext], state: SessionState,
+                          ctx: RequestContext, state: SessionState,
                           protocol: ConsistencyProtocol) -> Any:
-        if ctx is not None:
-            self.latency_model.charge(ctx, "cloudburst", "invoke")
+        self.latency_model.charge(ctx, "cloudburst", "invoke")
         func = self._function_cache.get(function_name)
         if func is None:
             func = self._fetch_function(function_name, ctx)
@@ -309,13 +306,13 @@ class ExecutorThread:
         else:
             result = func(*resolved_args)
         declared_compute = getattr(func, "_cloudburst_compute_ms", 0.0)
-        if ctx is not None and declared_compute:
+        if declared_compute:
             ctx.charge("compute", "user_function",
                        self.compute_model.fixed_ms(declared_compute))
         self.invocation_count += 1
         return result
 
-    def _resolve_references(self, args: Sequence[Any], ctx: Optional[RequestContext],
+    def _resolve_references(self, args: Sequence[Any], ctx: RequestContext,
                             state: SessionState,
                             protocol: ConsistencyProtocol) -> List[Any]:
         """Resolve KVS reference arguments before invoking the function.

@@ -15,7 +15,7 @@ stateless FaaS platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from ..anna import AnnaCluster
 from ..errors import MessagingError
@@ -97,7 +97,7 @@ class MessageRouter:
 
     # -- data path --------------------------------------------------------------------
     def send(self, sender_id: str, recipient_id: str, payload: Any,
-             ctx: Optional[RequestContext] = None) -> bool:
+             ctx: RequestContext) -> bool:
         """Send a message; returns True if delivered over the direct path."""
         self._sequence += 1
         envelope = Envelope(sender=sender_id, payload=payload, sequence=self._sequence)
@@ -105,9 +105,8 @@ class MessageRouter:
         reachable = (recipient_id in self._addresses
                      and recipient_id not in self._unreachable)
         if reachable:
-            if ctx is not None:
-                self.latency_model.charge(ctx, "cloudburst", "direct_message",
-                                          size_bytes=size)
+            self.latency_model.charge(ctx, "cloudburst", "direct_message",
+                                      size_bytes=size)
             self._queues[recipient_id].append(envelope)
             return True
         # Fallback: write to the recipient's inbox key in Anna (§3).
@@ -116,7 +115,7 @@ class MessageRouter:
         self._inbox_pending.add(recipient_id)
         return False
 
-    def recv(self, thread_id: str, ctx: Optional[RequestContext] = None) -> List[Any]:
+    def recv(self, thread_id: str, ctx: RequestContext) -> List[Any]:
         """Return every outstanding message for ``thread_id`` in delivery order.
 
         Direct-queue messages and Anna-inbox fallback messages are merged in
@@ -129,17 +128,16 @@ class MessageRouter:
         envelopes = list(self._queues.get(thread_id, []))
         if envelopes:
             self._queues[thread_id] = []
-            if ctx is not None:
-                total = sum(_payload_size(e.payload) for e in envelopes)
-                self.latency_model.charge(ctx, "cloudburst", "direct_message",
-                                          size_bytes=total)
+            total = sum(_payload_size(e.payload) for e in envelopes)
+            self.latency_model.charge(ctx, "cloudburst", "direct_message",
+                                      size_bytes=total)
         if thread_id in self._inbox_pending or not envelopes:
             self._inbox_pending.discard(thread_id)
             envelopes.extend(self._read_inbox(thread_id, ctx))
         envelopes.sort(key=lambda e: e.sequence)
         return [e.payload for e in envelopes]
 
-    def _read_inbox(self, thread_id: str, ctx: Optional[RequestContext]) -> List[Envelope]:
+    def _read_inbox(self, thread_id: str, ctx: RequestContext) -> List[Envelope]:
         stored = self.kvs.get_or_none(inbox_key(thread_id), ctx)
         if stored is None:
             return []

@@ -16,7 +16,7 @@ from .engine import (
 )
 from .faults import DEFAULT_FAULT_CLASSES, FaultEvent, FaultPlane
 from .latency import ComputeModel, DEFAULT_COSTS, LatencyModel, OperationCost
-from .overlap import ingress_overflow_ms, run_overlapped
+from .overlap import run_overlapped
 from .rng import RandomSource, ZipfGenerator
 from .stats import (
     LatencyRecorder,
@@ -44,7 +44,6 @@ __all__ = [
     "DEFAULT_COSTS",
     "LatencyModel",
     "OperationCost",
-    "ingress_overflow_ms",
     "run_overlapped",
     "RandomSource",
     "ZipfGenerator",

@@ -4,21 +4,26 @@ Every Cloudburst request in this reproduction carries a :class:`SimClock`.
 Instead of sleeping or measuring wall time, components *charge* the clock the
 latency an operation would have cost in the paper's AWS deployment (network
 hops, storage round trips, Lambda invocation overhead, model compute, ...).
-At the end of the request the clock's elapsed time is the request latency.
+A request's latency is its clock at the end minus its clock at the start.
 
 This keeps benchmarks deterministic and fast while preserving the *structure*
 of each protocol: a protocol that performs one extra round trip is charged one
 extra round trip.
 
+Every data-plane call below the scheduler takes the :class:`RequestContext`
+of the request it runs for, as a required argument (DESIGN.md DR-22).  Only
+background traffic — gossip, cache write-backs, metric publishes, function
+pinning, storage preloads — runs with ``ctx=None``, and only the few entry
+points that serve it accept that.
+
 Charge accounting is allocation-light (the engine microbenchmark's
 ``charge_log`` scenario gates it): :class:`ChargeRecord` is a ``__slots__``
-class, ``elapsed_ms`` is a running accumulator instead of a re-sum over the
-log, and load drivers that only need latency totals can construct contexts
-with ``record_charges=False`` to skip the itemised log entirely.  The opt-out
-is parity-pinned: a charge-log-on run must produce latency samples identical
-to a charge-log-off run (asserted by the determinism suite) — only the
-*structural* queries (``charges``, ``count``, ``total``, ``breakdown``) go
-empty, never the timing.
+class, a charge does only clock and log work, and load drivers that only need
+latency totals can construct contexts with ``record_charges=False`` to skip
+the itemised log entirely.  The opt-out is parity-pinned: a charge-log-on run
+must produce latency samples identical to a charge-log-off run (asserted by
+the determinism suite) — only the *structural* queries (``charges``,
+``count``, ``total``, ``breakdown``) go empty, never the timing.
 """
 
 from __future__ import annotations
@@ -95,10 +100,14 @@ class RequestContext:
     ("this request performed exactly one remote version fetch") rather than on
     opaque latency totals.
 
+    A request's latency is read off its clock: the charges advance it, and
+    a join moves it to the slowest branch.  The context keeps no second
+    running total.
+
     ``record_charges=False`` drops the itemised log (structural queries return
-    empty/zero) while keeping the clock and ``elapsed_ms`` byte-identical —
-    the cheap mode the closed-loop load driver runs in, where thousands
-    of requests only ever read their latency total.
+    empty/zero) while keeping the clock byte-identical — the cheap mode the
+    closed-loop load driver runs in, where thousands of requests only ever
+    read their latency.
 
     ``span`` carries the request's current trace span (``repro.obs``), or
     None when the request is untraced — which is the common case, so every
@@ -107,8 +116,7 @@ class RequestContext:
     timing is byte-identical traced or not.
     """
 
-    __slots__ = ("clock", "charges", "prefetch_epoch", "record_charges", "span",
-                 "_elapsed_ms", "_start_ms")
+    __slots__ = ("clock", "charges", "prefetch_epoch", "record_charges", "span")
 
     def __init__(self, clock: Optional[SimClock] = None,
                  record_charges: bool = True,
@@ -121,20 +129,6 @@ class RequestContext:
         self.record_charges = record_charges
         #: Current trace span (``repro.obs.TraceSpan``) or None when untraced.
         self.span = span
-        self._elapsed_ms = 0.0
-        # Time of the first charge (even an unlogged one); None until then.
-        self._start_ms: Optional[float] = None
-
-    @property
-    def start_ms(self) -> float:
-        if self._start_ms is None:
-            return self.clock.now_ms
-        return self._start_ms
-
-    @property
-    def elapsed_ms(self) -> float:
-        """Total latency charged to this request so far (O(1) accumulator)."""
-        return self._elapsed_ms
 
     def charge(self, service: str, operation: str, latency_ms: float) -> float:
         """Record a latency charge and advance the clock."""
@@ -144,12 +138,9 @@ class RequestContext:
             )
         latency_ms = float(latency_ms)
         clock = self.clock
-        if self._start_ms is None:
-            self._start_ms = clock.now_ms
         if self.record_charges:
             self.charges.append(
                 ChargeRecord(service, operation, latency_ms, clock.now_ms))
-        self._elapsed_ms += latency_ms
         clock.advance(latency_ms)
         return latency_ms
 
@@ -198,9 +189,6 @@ class RequestContext:
         for branch in branches:
             if branch.charges:
                 self.charges.extend(branch.charges)
-            if self._start_ms is None and branch._start_ms is not None:
-                self._start_ms = branch._start_ms
-            self._elapsed_ms += branch._elapsed_ms
         if branches:
             slowest = max(branch.clock.now_ms for branch in branches)
             self.clock.advance_to(slowest)

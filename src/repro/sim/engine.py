@@ -379,7 +379,7 @@ class WorkQueue:
     """
 
     __slots__ = ("bound", "label", "next_free_ms", "busy_ms", "completed",
-                 "_starts", "_ends", "_in_service_start")
+                 "_ends", "_in_service_start")
 
     def __init__(self, bound: Optional[int] = None, label: str = ""):
         if bound is not None and bound <= 0:
@@ -389,7 +389,6 @@ class WorkQueue:
         self.next_free_ms = 0.0
         self.busy_ms = 0.0
         self.completed = 0
-        self._starts: List[float] = []
         self._ends: List[float] = []
         self._in_service_start: Optional[float] = None
 
@@ -412,7 +411,6 @@ class WorkQueue:
         self.next_free_ms = max(self.next_free_ms, end)
         self.busy_ms += end - start
         self.completed += 1
-        self._starts.append(start)
         self._ends.append(end)
 
     # -- metrics -----------------------------------------------------------

@@ -8,99 +8,96 @@ there the *server-side* work still lands on each storage node's queue, while
 the *caller* only waits for the slowest response plus a small per-request
 dispatch cost.
 
-:func:`run_overlapped` is the one shared implementation of that charge model,
-used by ``ExecutorCache.multi_get``, ``AnnaCluster.multi_get`` and the Redis
-baseline's ``mget`` so batch semantics stay comparable across tiers:
+:func:`run_overlapped` is the one implementation of that charge model, used
+by ``ExecutorCache.multi_get``, ``AnnaCluster.multi_get`` and the Redis
+baseline's ``mget`` so batch semantics stay comparable across tiers.  The
+callers name only the tier they read from, its dispatch operation and the
+service their ingress charge is booked to; every charge of the model is made
+here:
 
 * every item runs on a :meth:`~repro.sim.RequestContext.fork` of the caller's
   context, so per-item charges (queue waits, service times) are sampled and
   recorded exactly as in the sequential path;
-* items after the first optionally pay a ``dispatch`` charge *on the caller*
-  before their branch forks — dispatching N requests onto the NIC is still a
-  serial act, so batching costs ``(N-1) * dispatch + max(item latencies)``
-  rather than ``sum(item latencies)``;
+* items after the first pay the tier's dispatch charge *on the caller* before
+  their branch forks — dispatching N requests onto the NIC is still a serial
+  act, so batching costs ``(N-1) * dispatch + max(item latencies)`` rather
+  than ``sum(item latencies)``;
 * :meth:`~repro.sim.RequestContext.join` then advances the caller's clock to
-  the *max* branch completion and folds every branch's charge log back in.
+  the *max* branch completion and folds every branch's charge log back in;
+* overlap hides round-trip *latency*, not the receiver's ingress bandwidth:
+  N responses totalling S bytes still take ``S / bandwidth`` to stream into
+  one NIC no matter how well their round trips overlap.  After the join the
+  caller pays an ``ingress`` charge for everything *beyond* the largest
+  response (whose own transfer the join's max already covers).  This is what
+  keeps the fig5 cold path bandwidth-bound (ten 8 MB arrays cannot arrive
+  10x faster by batching) while the fig12 regime of many tiny values
+  collapses to a single round trip.
 
-A batch of one is run directly on the caller's context — no fork, no
-dispatch — so it is byte-identical (same RNG draws, same charge log) to the
-pre-existing single-key path.  ``fork()`` consumes no RNG, and ``run_one`` is
-invoked in item order, so the RNG stream of a batched run is the same as the
-equivalent sequential loop's: only the *clock arithmetic* differs.
-
-Overlap hides round-trip *latency*, not the receiver's ingress bandwidth: N
-responses totalling S bytes still take ``S / bandwidth`` to stream into one
-NIC no matter how well their round trips overlap.  Callers therefore charge
-:func:`ingress_overflow_ms` after the join — the transfer time of everything
-*beyond* the largest response (whose own transfer the join's max already
-covers).  This is what keeps the fig5 cold path bandwidth-bound (ten 8 MB
-arrays cannot arrive 10x faster by batching) while the fig12 regime of many
-tiny values collapses to a single round trip.
+The caller's context is required: a batch always runs for a request
+(DESIGN.md DR-22).  A batch of one is run directly on the caller's context —
+no fork, no dispatch, no ingress charge — so it is byte-identical (same RNG
+draws, same charge log) to the single-key path.  ``fork()`` consumes no RNG,
+and ``run_one`` is invoked in item order, so the RNG stream of a batched run
+is the same as the equivalent sequential loop's: only the *clock arithmetic*
+differs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Sequence, TypeVar
 
 from .clock import RequestContext
+from .latency import LatencyModel
 
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
 
 
 def run_overlapped(
-    ctx: Optional[RequestContext],
+    ctx: RequestContext,
     items: Sequence[ItemT],
-    run_one: Callable[[ItemT, Optional[RequestContext]], ResultT],
-    dispatch: Optional[Callable[[RequestContext], None]] = None,
+    run_one: Callable[[ItemT, RequestContext], ResultT],
+    latency_model: LatencyModel,
+    service: str,
+    dispatch: str,
+    ingress: str,
+    size_of: Callable[[ResultT], int],
 ) -> List[ResultT]:
     """Run ``run_one(item, branch_ctx)`` for every item with overlap charging.
 
     Args:
-        ctx: the caller's request context (may be None for uncharged paths,
-            in which case items simply run in order with ``None`` contexts).
+        ctx: the request context of the request the batch runs for.
         items: the batch, in dispatch order.
         run_one: performs one item's work, charging the context it is given.
             Exceptions propagate — partial-failure semantics belong to the
             caller (most callers map failures to ``None`` inside ``run_one``).
-        dispatch: optional per-item serial dispatch cost, charged on the
-            *caller's* context for every item after the first (the first
-            item's dispatch is indistinguishable from the call itself, which
-            keeps a batch of one identical to the unbatched path).
+        latency_model: prices the dispatch and ingress charges.
+        service: the tier every item reads from.  Its ``dispatch`` operation
+            is charged on the caller for every item after the first, and its
+            ``get`` bandwidth prices the ingress overflow.
+        ingress: the service the ingress overflow is charged to, as
+            ``(ingress, "ingress")``.
+        size_of: the payload size of one result in bytes.
 
     Returns:
         ``run_one``'s results in item order.
     """
-    if not items:
-        return []
-    if ctx is None:
-        return [run_one(item, None) for item in items]
-    if len(items) == 1:
+    if len(items) <= 1:
         # Byte-parity contract: a batch of one IS the single-key path.
-        return [run_one(items[0], ctx)]
+        return [run_one(item, ctx) for item in items]
     results: List[ResultT] = []
     branches: List[RequestContext] = []
     for index, item in enumerate(items):
-        if index > 0 and dispatch is not None:
-            dispatch(ctx)
+        if index > 0:
+            latency_model.charge(ctx, service, dispatch)
         branch = ctx.fork()
         branches.append(branch)
         results.append(run_one(item, branch))
     ctx.join(branches)
-    return results
-
-
-def ingress_overflow_ms(sizes: Sequence[int],
-                        bandwidth_bytes_per_ms: Optional[float]) -> float:
-    """Serial ingress time owed for a batch beyond the slowest response.
-
-    The join's max already includes the largest response's own transfer
-    time; every other response still has to stream through the same ingress
-    link, so the caller owes ``(sum(sizes) - max(sizes)) / bandwidth``.
-    Zero for empty or singleton batches (preserving batch-of-one parity)
-    and when the operation's cost carries no bandwidth term.
-    """
-    if len(sizes) <= 1 or not bandwidth_bytes_per_ms:
-        return 0.0
+    # Deterministic, no RNG draw: the bytes beyond the largest response.
+    sizes = [size_of(result) for result in results]
     overflow = sum(sizes) - max(sizes)
-    return overflow / bandwidth_bytes_per_ms if overflow > 0 else 0.0
+    bandwidth = latency_model.cost(service, "get").bandwidth_bytes_per_ms
+    if overflow > 0 and bandwidth:
+        ctx.charge(ingress, "ingress", overflow / bandwidth)
+    return results

@@ -51,23 +51,6 @@ class LatencySummary:
     min_ms: float
     max_ms: float
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean_ms": self.mean_ms,
-            "median_ms": self.median_ms,
-            "p95_ms": self.p95_ms,
-            "p99_ms": self.p99_ms,
-            "min_ms": self.min_ms,
-            "max_ms": self.max_ms,
-        }
-
-    def __str__(self) -> str:
-        return (
-            f"{self.label:<28s} n={self.count:<6d} median={self.median_ms:9.2f}ms "
-            f"p95={self.p95_ms:9.2f}ms p99={self.p99_ms:9.2f}ms"
-        )
-
 
 @dataclass
 class LatencyRecorder:

@@ -327,7 +327,8 @@ class TestScaleDownClosesCaches:
         survivor = cluster.vms[0]
         client = cluster.connect()
         client.put("k", "v1")
-        vm.cache.get_or_fetch("k")
+        with cluster.request() as ctx:
+            vm.cache.get_or_fetch("k", ctx)
         cluster.drain_vm(vm)
         assert vm.cache.closed
         assert vm.cache.cache_id not in cluster.cache_registry

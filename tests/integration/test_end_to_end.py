@@ -76,7 +76,8 @@ class TestStatefulFunctions:
         cloud.register(send_to, name="send_to")
         advertiser_id = cloud.call("advertise", ["mailbox"]).value
         assert cloud.call("send_to", ["mailbox", "hello"]).value is True
-        assert cluster.router.recv(advertiser_id) == ["hello"]
+        with cluster.request() as ctx:
+            assert cluster.router.recv(advertiser_id, ctx) == ["hello"]
 
 
 class TestLocalityAndCaching:

@@ -73,7 +73,8 @@ class TestExecutorFailure:
         cloud.put("warm-key", "value")
         cloud.register(lambda x: x, name="echo")
         victim = cluster.vms[0]
-        victim.cache.get_or_fetch("warm-key")
+        with cluster.request() as ctx:
+            victim.cache.get_or_fetch("warm-key", ctx)
         victim.fail()
         victim.recover()
         assert victim.alive
@@ -93,9 +94,12 @@ class TestMessagingFaultPaths:
         sender, receiver = threads[0], threads[-1]
         receiver_vm = receiver.vm
         receiver_vm.fail()
-        assert not cluster.router.send(sender.thread_id, receiver.thread_id, "urgent")
+        with cluster.request() as ctx:
+            assert not cluster.router.send(sender.thread_id, receiver.thread_id,
+                                           "urgent", ctx)
         receiver_vm.recover()
-        assert cluster.router.recv(receiver.thread_id) == ["urgent"]
+        with cluster.request() as ctx:
+            assert cluster.router.recv(receiver.thread_id, ctx) == ["urgent"]
 
 
 class TestComputeElasticity:
@@ -117,8 +121,9 @@ class TestComputeElasticity:
         from repro.cloudburst import ConsistencyLevel
 
         state = SessionState("exec-0", ConsistencyLevel.LWW)
-        value = new_vm.threads[0].execute("triple", [7], None, state,
-                                          make_protocol(ConsistencyLevel.LWW))
+        with cluster.request() as ctx:
+            value = new_vm.threads[0].execute(
+                "triple", [7], ctx, state, make_protocol(ConsistencyLevel.LWW))
         assert value == 21
 
     def test_draining_vm_unregisters_cache_and_cuts_off_threads(self, cluster):
@@ -128,7 +133,8 @@ class TestComputeElasticity:
         sender = cluster.vms[0].threads[0].thread_id
         for thread in drained.threads:
             assert not thread.alive
-            assert not cluster.router.send(sender, thread.thread_id, "ping")
+            with cluster.request() as ctx:
+                assert not cluster.router.send(sender, thread.thread_id, "ping", ctx)
 
     def test_autoscaler_tick_scales_compute_tier(self, cluster, cloud, saturate):
         cloud.register(lambda x: x, name="echo")

@@ -19,7 +19,7 @@ from repro.cloudburst.consistency.protocols import (
     SessionState,
 )
 from repro.lattices import CausalLattice, LWWLattice, Timestamp, VectorClock
-from repro.sim import LatencyModel
+from repro.sim import LatencyModel, RequestContext
 
 KEYS = ["k0", "k1", "k2"]
 
@@ -57,6 +57,7 @@ def test_repeatable_read_invariant(schedule):
         anna.put(key, LWWLattice(Timestamp(0.0, "seed"), f"{key}-v0"))
     protocol = RepeatableReadProtocol()
     state = SessionState("exec-0", level)
+    ctx = RequestContext()  # the session's one request
     expected = {}  # key -> value the session must keep seeing
 
     for step in schedule:
@@ -67,7 +68,7 @@ def test_repeatable_read_invariant(schedule):
                                      f"{key}-ext-{external_clock[0]}"))
         elif step[0] == "read":
             _, key, cache_index = step
-            value = protocol.read(caches[cache_index], key, None, state)
+            value = protocol.read(caches[cache_index], key, ctx, state)
             revealed = value.reveal()
             if key in expected:
                 assert revealed == expected[key], \
@@ -79,7 +80,7 @@ def test_repeatable_read_invariant(schedule):
             external_clock[0] += 1.0
             lattice = encapsulators[cache_index].encapsulate(
                 f"{key}-session-{external_clock[0]}", clock_ms=external_clock[0])
-            merged = protocol.write(caches[cache_index], key, lattice, None, state)
+            merged = protocol.write(caches[cache_index], key, lattice, ctx, state)
             expected[key] = merged.reveal()
 
 
@@ -92,6 +93,7 @@ def test_distributed_session_causal_invariant(schedule):
         anna.put(key, CausalLattice(VectorClock({"seed": 1}), f"{key}-v0"))
     protocol = DistributedSessionCausalProtocol()
     state = SessionState("exec-0", level)
+    ctx = RequestContext()  # the session's one request
     external_counter = [1]
 
     for step in schedule:
@@ -104,7 +106,7 @@ def test_distributed_session_causal_invariant(schedule):
                                         f"{key}-ext-{external_counter[0]}"))
         elif step[0] == "read":
             _, key, cache_index = step
-            value = protocol.read(caches[cache_index], key, None, state)
+            value = protocol.read(caches[cache_index], key, ctx, state)
             assert isinstance(value, CausalLattice)
             # Causal invariant: the version read is never strictly older than
             # any version of this key in the session's dependency set.
@@ -121,7 +123,7 @@ def test_distributed_session_causal_invariant(schedule):
             }
             lattice = encapsulators[cache_index].encapsulate(
                 f"{key}-session", prior=prior, dependencies=dependencies, key=key)
-            protocol.write(caches[cache_index], key, lattice, None, state)
+            protocol.write(caches[cache_index], key, lattice, ctx, state)
 
     # After any schedule, every cache the session touched can be made a causal
     # cut again (the bolt-on property is repairable from the KVS).

@@ -76,7 +76,7 @@ class TestAnnaBasics:
         anna.get("k", ctx)
         assert ctx.count("anna", "put") == 1
         assert ctx.count("anna", "get") == 1
-        assert ctx.elapsed_ms > 0
+        assert ctx.clock.now_ms > 0
 
 
 class TestAnnaMembership:

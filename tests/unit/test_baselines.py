@@ -34,7 +34,7 @@ class TestSimulatedStorage:
 
     def test_missing_key_raises(self, model):
         with pytest.raises(KeyNotFoundError):
-            SimulatedS3(model).get("ghost")
+            SimulatedS3(model).get("ghost", RequestContext())
 
     def test_dynamodb_enforces_item_limit(self, model):
         dynamo = SimulatedDynamoDB(model)
@@ -82,6 +82,14 @@ class TestSimulatedStorage:
         assert ctx.clock.now_ms >= max(get_latencies)
         assert ctx.clock.now_ms <= max(get_latencies) + serial + 1e-9
         assert ctx.clock.now_ms < sum(get_latencies)
+        # A 3-key batch, in full: dispatches on the caller, each branch's
+        # round trip, then the ingress tail after the join.
+        ctx = RequestContext()
+        redis.mget(["k0", "k1", "k2"], ctx)
+        assert [(c.service, c.operation) for c in ctx.charges] == [
+            ("redis", "mget_dispatch"), ("redis", "mget_dispatch"),
+            ("redis", "get"), ("redis", "get"), ("redis", "get"),
+            ("redis", "ingress")]
 
     def test_redis_mget_batch_of_one_matches_get(self, model):
         charges = []
@@ -137,7 +145,7 @@ class TestSimulatedLambda:
         platform = SimulatedLambda(model)
         platform.register(lambda x: x, "f")
         with pytest.raises(ValueError):
-            LambdaComposition(platform).run_through_storage(["f"], 1)
+            LambdaComposition(platform).run_through_storage(["f"], 1, RequestContext())
 
 
 class TestStepFunctionsAndOtherPlatforms:

@@ -32,7 +32,7 @@ def lww(value, clock=1.0, node="n"):
 class TestBasicDataPath:
     def test_get_or_fetch_missing_raises(self, cache):
         with pytest.raises(KeyNotFoundError):
-            cache.get_or_fetch("ghost")
+            cache.get_or_fetch("ghost", RequestContext())
 
     def test_get_or_fetch_miss_goes_to_anna(self, cache, anna):
         anna.put("k", lww("v"))
@@ -45,7 +45,7 @@ class TestBasicDataPath:
 
     def test_get_or_fetch_hit_stays_local(self, cache, anna):
         anna.put("k", lww("v"))
-        cache.get_or_fetch("k")
+        cache.get_or_fetch("k", RequestContext())
         ctx = RequestContext()
         cache.get_or_fetch("k", ctx)
         assert ctx.count("anna", "get") == 0
@@ -62,33 +62,33 @@ class TestBasicDataPath:
         assert ctx.count("anna", "put") == 0
 
     def test_put_merges_with_existing(self, cache):
-        cache.put("k", lww("old", clock=1.0))
-        cache.put("k", lww("new", clock=2.0))
+        cache.put("k", lww("old", clock=1.0), RequestContext())
+        cache.put("k", lww("new", clock=2.0), RequestContext())
         assert cache.get_local("k").reveal() == "new"
 
     def test_evict_and_clear_update_index(self, cache, anna):
-        cache.put("k", lww("v"))
+        cache.put("k", lww("v"), RequestContext())
         assert "cache-a" in anna.cache_index.caches_for("k")
         cache.evict("k")
         assert "cache-a" not in anna.cache_index.caches_for("k")
-        cache.put("x", lww(1))
+        cache.put("x", lww(1), RequestContext())
         cache.clear()
         assert cache.cached_keys() == []
 
     def test_hit_rate(self, cache, anna):
         anna.put("k", lww("v"))
-        cache.get_or_fetch("k")
-        cache.get_or_fetch("k")
+        cache.get_or_fetch("k", RequestContext())
+        cache.get_or_fetch("k", RequestContext())
         assert cache.stats.hit_rate == pytest.approx(0.5)
 
     def test_not_found_read_is_counted_as_a_miss(self, cache, anna):
         # Regression: a failed lookup used to raise without touching
         # stats.misses, inflating hit_rate.
         anna.put("k", lww("v"))
-        cache.get_or_fetch("k")   # miss (fetched), then...
-        cache.get_or_fetch("k")   # ...hit
+        cache.get_or_fetch("k", RequestContext())   # miss (fetched), then...
+        cache.get_or_fetch("k", RequestContext())   # ...hit
         with pytest.raises(KeyNotFoundError):
-            cache.get_or_fetch("ghost")
+            cache.get_or_fetch("ghost", RequestContext())
         assert cache.stats.misses == 2
         assert cache.stats.hits == 1
         assert cache.stats.hit_rate == pytest.approx(1 / 3)
@@ -96,12 +96,12 @@ class TestBasicDataPath:
 
 class TestFreshness:
     def test_publish_cached_keys_feeds_index(self, cache, anna):
-        cache.put("a", lww(1))
+        cache.put("a", lww(1), RequestContext())
         cache.publish_cached_keys()
         assert "cache-a" in anna.cache_index.caches_for("a")
 
     def test_receive_update_merges_newer_value(self, cache):
-        cache.put("k", lww("old", clock=1.0))
+        cache.put("k", lww("old", clock=1.0), RequestContext())
         cache.receive_update("k", lww("new", clock=5.0))
         assert cache.get_local("k").reveal() == "new"
         assert cache.stats.update_pushes_received == 1
@@ -111,9 +111,9 @@ class TestFreshness:
         assert not cache.contains("ghost")
 
     def test_anna_propagates_updates_to_holding_cache(self, cache, anna):
-        cache.put("k", lww("v1", clock=1.0))
+        cache.put("k", lww("v1", clock=1.0), RequestContext())
         other = ExecutorCache("cache-b", anna, peer_registry={})
-        other.put("k", lww("v2", clock=9.0))
+        other.put("k", lww("v2", clock=9.0), RequestContext())
         # cache-a held "k", so Anna pushed the newer version to it.
         assert cache.get_local("k").reveal() == "v2"
 
@@ -146,18 +146,21 @@ class TestSnapshotsAndUpstreamFetch:
     def test_fetch_from_upstream_falls_back_to_live_copy(self, anna, peers):
         upstream = ExecutorCache("up", anna, peer_registry=peers)
         downstream = ExecutorCache("down", anna, peer_registry=peers)
-        upstream.put("k", lww("live"))
-        assert downstream.fetch_from_upstream("up", "exec-1", "k").reveal() == "live"
+        upstream.put("k", lww("live"), RequestContext())
+        value = downstream.fetch_from_upstream("up", "exec-1", "k", RequestContext())
+        assert value.reveal() == "live"
 
     def test_fetch_from_unknown_upstream_raises(self, cache):
         with pytest.raises(ConsistencyError):
-            cache.fetch_from_upstream("ghost-cache", "exec-1", "k")
+            cache.fetch_from_upstream("ghost-cache", "exec-1", "k",
+                                      RequestContext())
 
     def test_fetch_missing_key_raises(self, anna, peers):
         ExecutorCache("up", anna, peer_registry=peers)
         downstream = ExecutorCache("down", anna, peer_registry=peers)
         with pytest.raises(ConsistencyError):
-            downstream.fetch_from_upstream("up", "exec-1", "missing")
+            downstream.fetch_from_upstream("up", "exec-1", "missing",
+                                           RequestContext())
 
 
 class TestCausalCut:
@@ -166,18 +169,18 @@ class TestCausalCut:
         anna.put("dep", dep)
         value = CausalLattice(VectorClock({"w": 2}), "value",
                               dependencies={"dep": VectorClock({"w": 1})})
-        cache.ensure_causal_cut([value])
+        cache.ensure_causal_cut([value], RequestContext())
         assert cache.contains("dep")
         assert cache.violates_causal_cut() == []
 
     def test_ensure_causal_cut_refreshes_stale_dependency(self, cache, anna):
         stale = CausalLattice(VectorClock({"w": 1}), "stale")
-        cache.put("dep", stale)
+        cache.put("dep", stale, RequestContext())
         fresh = CausalLattice(VectorClock({"w": 5}), "fresh")
         anna.put("dep", fresh)
         value = CausalLattice(VectorClock({"x": 1}), "v",
                               dependencies={"dep": VectorClock({"w": 5})})
-        cache.ensure_causal_cut([value])
+        cache.ensure_causal_cut([value], RequestContext())
         held = cache.get_local("dep").vector_clock
         assert held == VectorClock({"w": 5}) or held.dominates(VectorClock({"w": 5}))
 
@@ -188,7 +191,7 @@ class TestCausalCut:
         assert ("k", "dep") in cache.violates_causal_cut()
 
     def test_non_causal_values_are_ignored(self, cache):
-        cache.ensure_causal_cut([lww("x")])
+        cache.ensure_causal_cut([lww("x")], RequestContext())
         assert cache.violates_causal_cut() == []
 
     def test_violates_causal_cut_reports_missing_dependency(self, cache):
@@ -219,7 +222,7 @@ class TestCausalCut:
                 dependencies={f"dep-{i - 1}": clocks[i - 1]}))
         head = CausalLattice(VectorClock({"h": 1}), "head",
                              dependencies={f"dep-{depth - 1}": clocks[depth - 1]})
-        cache.ensure_causal_cut([head])
+        cache.ensure_causal_cut([head], RequestContext())
         assert all(cache.contains(f"dep-{i}") for i in range(depth))
         assert cache.violates_causal_cut() == []
         assert cache.stats.causal_dep_fetches == depth
@@ -231,13 +234,13 @@ class TestCausalCut:
                                     dependencies={"a": VectorClock({"w": 1})}))
         head = CausalLattice(VectorClock({"h": 1}), "head",
                              dependencies={"a": VectorClock({"w": 1})})
-        cache.ensure_causal_cut([head])  # must not loop forever
+        cache.ensure_causal_cut([head], RequestContext())  # must not loop forever
         assert cache.contains("a") and cache.contains("b")
 
     def test_ensure_causal_cut_counts_unresolved_dependencies(self, cache):
         head = CausalLattice(VectorClock({"h": 1}), "head",
                              dependencies={"nowhere": VectorClock({"w": 3})})
-        cache.ensure_causal_cut([head])
+        cache.ensure_causal_cut([head], RequestContext())
         assert cache.stats.causal_deps_unresolved == 1
         # And storing the head now reports the hole as a violation.
         cache._data["head"] = head
@@ -248,12 +251,12 @@ class TestClose:
     def test_close_deregisters_listener_and_peer_entry(self, anna, peers):
         cache = ExecutorCache("cache-x", anna, peer_registry=peers)
         other = ExecutorCache("cache-y", anna, peer_registry=peers)
-        cache.put("k", lww("v1", clock=1.0))
+        cache.put("k", lww("v1", clock=1.0), RequestContext())
         cache.close()
         assert "cache-x" not in peers
         assert "cache-x" not in anna.cache_index.caches_for("k")
         # A newer write no longer reaches the closed cache.
-        other.put("k", lww("v2", clock=9.0))
+        other.put("k", lww("v2", clock=9.0), RequestContext())
         assert cache.stats.update_pushes_received == 0
         assert not cache.contains("k")
 
@@ -268,7 +271,7 @@ class TestClose:
         upstream.create_snapshot("exec-1", "k", lww("pinned"))
         upstream.close()
         with pytest.raises(ConsistencyError):
-            downstream.fetch_from_upstream("up", "exec-1", "k")
+            downstream.fetch_from_upstream("up", "exec-1", "k", RequestContext())
 
     def test_fallback_rejects_mismatched_live_version(self, anna, peers):
         # With many sessions in flight, the upstream's live copy may have been
@@ -277,13 +280,14 @@ class TestClose:
         upstream = ExecutorCache("up", anna, peer_registry=peers)
         downstream = ExecutorCache("down", anna, peer_registry=peers)
         pinned = lww("pinned", clock=1.0)
-        upstream.put("k", pinned)
+        upstream.put("k", pinned, RequestContext())
         expected = Timestamp(1.0, "n")
         upstream.evict_snapshots("exec-1")  # no snapshot pinned at all
         assert downstream.fetch_from_upstream(
-            "up", "exec-1", "k", expected_version=expected).reveal() == "pinned"
+            "up", "exec-1", "k", RequestContext(),
+            expected_version=expected).reveal() == "pinned"
         # Another session advances the live copy; the fallback must now fail.
-        upstream.put("k", lww("advanced", clock=5.0))
+        upstream.put("k", lww("advanced", clock=5.0), RequestContext())
         with pytest.raises(ConsistencyError):
-            downstream.fetch_from_upstream("up", "exec-2", "k",
+            downstream.fetch_from_upstream("up", "exec-2", "k", RequestContext(),
                                            expected_version=expected)

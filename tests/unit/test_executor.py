@@ -42,7 +42,7 @@ _EXECUTION_IDS = (f"exec-{n}" for n in itertools.count())
 def run(thread, name, args=(), level=ConsistencyLevel.LWW, ctx=None):
     state = SessionState(next(_EXECUTION_IDS), level)
     protocol = make_protocol(level)
-    return thread.execute(name, args, ctx, state, protocol)
+    return thread.execute(name, args, ctx or RequestContext(), state, protocol)
 
 
 class TestExecutorVM:
@@ -67,7 +67,7 @@ class TestExecutorVM:
         assert vm.utilization(20.0) == 1.0  # capped: 12 queued on 3 threads
 
     def test_fail_and_recover(self, vm, anna):
-        vm.cache.put("k", LWWLattice(Timestamp(1.0, "n"), "v"))
+        vm.cache.put("k", LWWLattice(Timestamp(1.0, "n"), "v"), RequestContext())
         vm.fail()
         assert not vm.alive
         assert all(not t.alive for t in vm.threads)

@@ -30,7 +30,7 @@ class TestRegistration:
 
     def test_recv_from_unknown_thread_raises(self, router):
         with pytest.raises(MessagingError):
-            router.recv("ghost")
+            router.recv("ghost", RequestContext())
 
 
 class TestDirectPath:
@@ -45,11 +45,11 @@ class TestDirectPath:
 
     def test_messages_delivered_in_order(self, router):
         for index in range(5):
-            router.send("t1", "t2", index)
-        assert router.recv("t2") == [0, 1, 2, 3, 4]
+            router.send("t1", "t2", index, RequestContext())
+        assert router.recv("t2", RequestContext()) == [0, 1, 2, 3, 4]
 
     def test_recv_with_no_messages_returns_empty(self, router):
-        assert router.recv("t2") == []
+        assert router.recv("t2", RequestContext()) == []
 
 
 class TestInboxFallback:
@@ -64,43 +64,44 @@ class TestInboxFallback:
 
     def test_recv_drains_inbox_when_local_queue_empty(self, router):
         router.mark_unreachable("t2")
-        router.send("t1", "t2", "first")
-        router.send("t1", "t2", "second")
+        router.send("t1", "t2", "first", RequestContext())
+        router.send("t1", "t2", "second", RequestContext())
         router.mark_reachable("t2")
-        assert router.recv("t2") == ["first", "second"]
+        assert router.recv("t2", RequestContext()) == ["first", "second"]
 
     def test_inbox_messages_not_redelivered(self, router):
         router.mark_unreachable("t2")
-        router.send("t1", "t2", "once")
-        assert router.recv("t2") == ["once"]
-        assert router.recv("t2") == []
+        router.send("t1", "t2", "once", RequestContext())
+        assert router.recv("t2", RequestContext()) == ["once"]
+        assert router.recv("t2", RequestContext()) == []
 
     def test_unregistered_recipient_also_falls_back(self, router, anna):
-        assert not router.send("t1", "t999", "to-nowhere")
+        assert not router.send("t1", "t999", "to-nowhere", RequestContext())
         assert anna.contains(inbox_key("t999"))
 
     def test_mixed_backlog_merged_in_send_order(self, router):
         # Interleave direct and inbox-fallback deliveries: recv must merge
         # both sources into one sequence-ordered batch.
-        router.send("t1", "t2", "direct-1")
+        router.send("t1", "t2", "direct-1", RequestContext())
         router.mark_unreachable("t2")
-        router.send("t1", "t2", "inbox-2")
+        router.send("t1", "t2", "inbox-2", RequestContext())
         router.mark_reachable("t2")
-        router.send("t1", "t2", "direct-3")
+        router.send("t1", "t2", "direct-3", RequestContext())
         router.mark_unreachable("t2")
-        router.send("t1", "t2", "inbox-4")
+        router.send("t1", "t2", "inbox-4", RequestContext())
         router.mark_reachable("t2")
-        assert router.recv("t2") == ["direct-1", "inbox-2", "direct-3", "inbox-4"]
-        assert router.recv("t2") == []
+        assert router.recv("t2", RequestContext()) == [
+            "direct-1", "inbox-2", "direct-3", "inbox-4"]
+        assert router.recv("t2", RequestContext()) == []
 
     def test_inbox_not_reread_after_drain(self, router, anna):
         router.mark_unreachable("t2")
-        router.send("t1", "t2", "offline")
+        router.send("t1", "t2", "offline", RequestContext())
         router.mark_reachable("t2")
-        assert router.recv("t2") == ["offline"]
+        assert router.recv("t2", RequestContext()) == ["offline"]
         # A later recv with direct traffic does not re-deliver inbox content.
-        router.send("t1", "t2", "direct")
-        assert router.recv("t2") == ["direct"]
+        router.send("t1", "t2", "direct", RequestContext())
+        assert router.recv("t2", RequestContext()) == ["direct"]
 
 
 class TestAddressMapping:

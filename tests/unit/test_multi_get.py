@@ -61,8 +61,8 @@ class TestHitMissPartition:
         cache = make_cache()
         for key in ("a", "b", "c", "d"):
             cache.kvs.put(key, lww(key.upper()))
-        cache.get_or_fetch("a")
-        cache.get_or_fetch("b")
+        cache.get_or_fetch("a", ctx_at())
+        cache.get_or_fetch("b", ctx_at())
         hits_before = cache.stats.hits
         ctx = ctx_at()
         result = cache.multi_get(["a", "b", "c", "d", "ghost"], ctx)
@@ -135,6 +135,16 @@ class TestOverlapCharging:
             "anna", "get").bandwidth_bytes_per_ms
         expected = 2 * cache.kvs.get("a").size_bytes() / bandwidth
         assert ingress == pytest.approx(expected, rel=0.01)
+        # The whole charge sequence: two serial dispatches on the caller,
+        # then each branch's log in key order ("c" queues behind "a" on
+        # their shared node), then the ingress tail after the join.
+        branch = [("anna", "get"), ("anna", "service"), ("cache", "get")]
+        assert [(c.service, c.operation) for c in ctx.charges] == [
+            ("anna", "multi_get_dispatch"), ("anna", "multi_get_dispatch"),
+            *branch, *branch,
+            ("anna", "get"), ("anna", "queue"), ("anna", "service"),
+            ("cache", "get"),
+            ("cache", "ingress")]
 
     def test_storage_queue_charges_land_under_overlap(self, monkeypatch):
         # Two batch members on the same storage node serialize in its
@@ -202,7 +212,7 @@ class TestBatchOfOne:
     def test_warm_batch_of_one_is_one_ipc_charge(self):
         cache = make_cache()
         cache.kvs.put("k", lww("v"))
-        cache.multi_get(["k"])
+        cache.multi_get(["k"], ctx_at())
         ctx = ctx_at()
         assert cache.get_or_fetch("k", ctx).reveal() == "v"
         assert [(r.service, r.operation) for r in ctx.charges] == [
@@ -213,12 +223,20 @@ class TestAnnaMultiGet:
     def test_multi_get_returns_values_and_none(self):
         anna = make_anna()
         anna.put("a", lww("A"))
+        anna.put("b", lww("B"))
         ctx = ctx_at()
-        result = anna.multi_get(["a", "ghost"], ctx)
+        result = anna.multi_get(["a", "b", "ghost"], ctx)
         assert result["a"].reveal() == "A"
+        assert result["b"].reveal() == "B"
         assert result["ghost"] is None
-        assert ctx.count("anna", "get") == 2
-        assert ctx.count("anna", "multi_get_dispatch") == 1
+        # Dispatches on the caller, one round trip per branch (the missing
+        # key pays its not-found trip too), then the ingress tail.
+        assert [(c.service, c.operation) for c in ctx.charges] == [
+            ("anna", "multi_get_dispatch"), ("anna", "multi_get_dispatch"),
+            ("anna", "get"), ("anna", "service"),
+            ("anna", "get"), ("anna", "service"),
+            ("anna", "get"), ("anna", "service"),
+            ("anna", "ingress")]
 
     def test_batch_of_one_matches_get_or_none(self):
         charge_logs = []

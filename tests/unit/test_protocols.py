@@ -81,7 +81,7 @@ class TestReadIsTheBatchOfOne:
                 anna.put("k", lww("k-v"))
         ctx = RequestContext(clock=SimClock(0.0))
         if scenario == "hit":
-            cache.multi_get(["k"], repair_cut=False)
+            cache.multi_get(["k"], RequestContext(), repair_cut=False)
         elif scenario == "prefetched":
             cache.prefetch(["k"], now_ms=0.0, epoch="exec")
             ctx.prefetch_epoch = "exec"
@@ -120,8 +120,8 @@ class TestLWWProtocol:
         protocol = LWWProtocol()
         state = SessionState("exec", ConsistencyLevel.LWW)
         anna.put("k", lww("v"))
-        assert protocol.read(cache_a, "k", None, state).reveal() == "v"
-        protocol.write(cache_a, "k", lww("v2", clock=2.0), None, state)
+        assert protocol.read(cache_a, "k", RequestContext(), state).reveal() == "v"
+        protocol.write(cache_a, "k", lww("v2", clock=2.0), RequestContext(), state)
         assert anna.get("k").reveal() == "v2"
         assert state.reads == 1 and state.writes == 1
         assert state.metadata_bytes() == 0
@@ -132,7 +132,7 @@ class TestRepeatableRead:
         protocol = RepeatableReadProtocol()
         state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_RR)
         anna.put("k", lww("v1"))
-        protocol.read(cache_a, "k", None, state)
+        protocol.read(cache_a, "k", RequestContext(), state)
         assert "k" in state.read_set
         assert cache_a.get_snapshot(state.execution_id, "k") is not None
 
@@ -141,10 +141,10 @@ class TestRepeatableRead:
         protocol = RepeatableReadProtocol()
         state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_RR)
         anna.put("k", lww("v1", clock=1.0))
-        first = protocol.read(cache_a, "k", None, state)
+        first = protocol.read(cache_a, "k", RequestContext(), state)
         # A newer version lands in Anna and in cache-b before the downstream read.
         anna.put("k", lww("v2", clock=9.0))
-        cache_b.get_or_fetch("k")
+        cache_b.get_or_fetch("k", RequestContext())
         ctx = RequestContext()
         second = protocol.read(cache_b, "k", ctx, state)
         assert second.reveal() == first.reveal() == "v1"
@@ -155,25 +155,25 @@ class TestRepeatableRead:
         protocol = RepeatableReadProtocol()
         state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_RR)
         anna.put("k", lww("v1", clock=1.0))
-        protocol.read(cache_a, "k", None, state)
-        cache_b.get_or_fetch("k")  # same version everywhere
-        protocol.read(cache_b, "k", None, state)
+        protocol.read(cache_a, "k", RequestContext(), state)
+        cache_b.get_or_fetch("k", RequestContext())  # same version everywhere
+        protocol.read(cache_b, "k", RequestContext(), state)
         assert state.upstream_fetches == 0
 
     def test_write_within_dag_visible_to_later_reads(self, anna, cache_a, cache_b):
         protocol = RepeatableReadProtocol()
         state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_RR)
         anna.put("k", lww("v1", clock=1.0))
-        protocol.read(cache_a, "k", None, state)
-        protocol.write(cache_a, "k", lww("updated", clock=2.0), None, state)
-        later = protocol.read(cache_b, "k", None, state)
+        protocol.read(cache_a, "k", RequestContext(), state)
+        protocol.write(cache_a, "k", lww("updated", clock=2.0), RequestContext(), state)
+        later = protocol.read(cache_b, "k", RequestContext(), state)
         assert later.reveal() == "updated"
 
     def test_finalize_evicts_snapshots(self, anna, cache_a, peers):
         protocol = RepeatableReadProtocol()
         state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_RR)
         anna.put("k", lww("v"))
-        protocol.read(cache_a, "k", None, state)
+        protocol.read(cache_a, "k", RequestContext(), state)
         protocol.finalize(state, peers)
         assert cache_a.snapshot_count() == 0
 
@@ -181,7 +181,7 @@ class TestRepeatableRead:
         protocol = RepeatableReadProtocol()
         state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_RR)
         anna.put("k", lww("v"))
-        protocol.read(cache_a, "k", None, state)
+        protocol.read(cache_a, "k", RequestContext(), state)
         assert state.metadata_bytes() > 0
 
 
@@ -191,7 +191,7 @@ class TestMultiKeyCausal:
         state = SessionState("exec", ConsistencyLevel.MULTI_KEY_CAUSAL)
         anna.put("dep", causal("dep-v", {"w": 1}))
         anna.put("k", causal("k-v", {"w": 2}, deps={"dep": VectorClock({"w": 1})}))
-        protocol.read(cache_a, "k", None, state)
+        protocol.read(cache_a, "k", RequestContext(), state)
         assert cache_a.contains("dep")
         assert cache_a.violates_causal_cut() == []
         assert "dep" in state.dependencies
@@ -203,15 +203,15 @@ class TestDistributedSessionCausal:
         state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL)
         # cache-b holds a stale version of "l".
         anna.put("l", causal("l-old", {"w": 1}))
-        cache_b.get_or_fetch("l")
+        cache_b.get_or_fetch("l", RequestContext())
         # A newer l and a k that depends on it land in Anna.
         anna.put("l", causal("l-new", {"w": 2}))
         anna.put("k", causal("k-v", {"x": 1}, deps={"l": VectorClock({"w": 2})}))
         # Upstream function (cache-a) reads k, shipping the dependency on l@w:2.
-        protocol.read(cache_a, "k", None, state)
+        protocol.read(cache_a, "k", RequestContext(), state)
         assert "l" in state.dependencies
         # Downstream function on cache-b must not read the stale l.
-        value = protocol.read(cache_b, "l", None, state)
+        value = protocol.read(cache_b, "l", RequestContext(), state)
         clock = value.vector_clock
         # Equal, newer or concurrent: anything the dependency does not dominate.
         assert not VectorClock({"w": 2}).dominates(clock)
@@ -221,8 +221,8 @@ class TestDistributedSessionCausal:
         protocol = DistributedSessionCausalProtocol()
         state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL)
         anna.put("k", causal("v", {"w": 5}))
-        protocol.read(cache_a, "k", None, state)
-        cache_b.get_or_fetch("k")
+        protocol.read(cache_a, "k", RequestContext(), state)
+        cache_b.get_or_fetch("k", RequestContext())
         ctx = RequestContext()
         protocol.read(cache_b, "k", ctx, state)
         assert state.upstream_fetches == 0
@@ -231,18 +231,18 @@ class TestDistributedSessionCausal:
         protocol = DistributedSessionCausalProtocol()
         state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL)
         anna.put("k", causal("v1", {"w": 1}))
-        protocol.read(cache_a, "k", None, state)
+        protocol.read(cache_a, "k", RequestContext(), state)
         new_version = causal("v2", {"w": 1, "me": 1})
-        protocol.write(cache_a, "k", new_version, None, state)
+        protocol.write(cache_a, "k", new_version, RequestContext(), state)
         assert state.read_set["k"].version.get("me") == 1
 
     def test_dsc_metadata_larger_than_rr(self, anna, cache_a):
         anna.put("dep", causal("d", {"w": 1}))
         anna.put("k", causal("v", {"w": 2}, deps={"dep": VectorClock({"w": 1})}))
         dsc_state = SessionState("exec-dsc", ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL)
-        DistributedSessionCausalProtocol().read(cache_a, "k", None, dsc_state)
+        DistributedSessionCausalProtocol().read(cache_a, "k", RequestContext(), dsc_state)
         rr_state = SessionState("exec-rr", ConsistencyLevel.DISTRIBUTED_SESSION_RR)
-        RepeatableReadProtocol().read(cache_a, "k", None, rr_state)
+        RepeatableReadProtocol().read(cache_a, "k", RequestContext(), rr_state)
         assert dsc_state.metadata_bytes() > rr_state.metadata_bytes()
 
 
@@ -260,8 +260,8 @@ class TestObservingProtocol:
         protocol = ObservingProtocol(LWWProtocol(), Recorder())
         state = SessionState("exec", ConsistencyLevel.LWW)
         anna.put("k", lww("v"))
-        protocol.read(cache_a, "k", None, state)
-        protocol.write(cache_a, "k", lww("v2", clock=2.0), None, state)
+        protocol.read(cache_a, "k", RequestContext(), state)
+        protocol.write(cache_a, "k", lww("v2", clock=2.0), RequestContext(), state)
         assert ("read", "cache-a", "k") in events
         assert ("write", "cache-a", "k") in events
         assert protocol.level == ConsistencyLevel.LWW

@@ -43,7 +43,6 @@ class TestRequestContext:
         ctx.charge("anna", "get", 1.5)
         ctx.charge("cache", "get", 0.2)
         assert ctx.clock.now_ms == pytest.approx(1.7)
-        assert ctx.elapsed_ms == pytest.approx(1.7)
         assert len(ctx.charges) == 2
 
     def test_charge_rejects_negative(self):
@@ -102,22 +101,22 @@ class TestRequestContext:
         ctx.join([])
         assert ctx.clock.now_ms == pytest.approx(1.0)
 
-    def test_elapsed_accumulator_matches_charge_log(self):
+    def test_clock_matches_charge_log(self):
         ctx = RequestContext()
         for index in range(50):
             ctx.charge("anna", "get", 0.1 * index)
-            # elapsed_ms is a running accumulator; it must agree with a
-            # re-sum of the itemised log at every step.
-            assert ctx.elapsed_ms == pytest.approx(
+            # The clock is the request's only running total; it must agree
+            # with a re-sum of the itemised log at every step.
+            assert ctx.clock.now_ms == pytest.approx(
                 sum(charge.latency_ms for charge in ctx.charges))
 
-    def test_start_ms_is_first_charge_time(self):
+    def test_charges_are_stamped_at_the_clock(self):
         ctx = RequestContext(clock=SimClock(100.0))
-        assert ctx.start_ms == 100.0  # no charges yet: current time
         ctx.clock.advance_to(120.0)
         ctx.charge("anna", "get", 5.0)
         ctx.charge("anna", "get", 5.0)
-        assert ctx.start_ms == 120.0
+        assert [charge.at_ms for charge in ctx.charges] == [120.0, 125.0]
+        assert ctx.clock.now_ms == 130.0
 
 
 class TestRecordChargesOptOut:
@@ -130,8 +129,6 @@ class TestRecordChargesOptOut:
             ctx.charge("anna", "get", 1.5)
             ctx.charge("cache", "get", 0.25)
         assert unlogged.clock.now_ms == logged.clock.now_ms
-        assert unlogged.elapsed_ms == logged.elapsed_ms
-        assert unlogged.start_ms == logged.start_ms
         assert unlogged.charges == []
         assert unlogged.count("anna") == 0
         assert unlogged.total("anna") == 0.0
@@ -150,7 +147,7 @@ class TestRecordChargesOptOut:
         branch.charge("anna", "get", 2.0)
         assert branch.charges == []
 
-    def test_join_sums_unlogged_branch_elapsed(self):
+    def test_join_of_unlogged_branches_moves_the_clock(self):
         ctx = RequestContext(record_charges=False)
         ctx.charge("cloudburst", "schedule", 1.0)
         fast, slow = ctx.fork(), ctx.fork()
@@ -158,5 +155,4 @@ class TestRecordChargesOptOut:
         slow.charge("anna", "get", 10.0)
         ctx.join([fast, slow])
         assert ctx.clock.now_ms == pytest.approx(11.0)
-        assert ctx.elapsed_ms == pytest.approx(12.0)
         assert ctx.charges == []

@@ -62,13 +62,6 @@ class TestLatencyRecorder:
         with pytest.raises(ValueError):
             LatencyRecorder(label="empty").summary()
 
-    def test_summary_as_dict_and_str(self):
-        recorder = LatencyRecorder(label="fmt")
-        recorder.extend([1.0, 2.0, 3.0])
-        summary = recorder.summary()
-        assert set(summary.as_dict()) >= {"median_ms", "p99_ms", "count"}
-        assert "fmt" in str(summary)
-
 
 class TestFormatTable:
     def test_renders_headers_rows_and_title(self):
