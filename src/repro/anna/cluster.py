@@ -391,21 +391,19 @@ class AnnaCluster:
         if fresh:
             tier = StorageNode.MEMORY_TIER
         service_ms = STORAGE_SERVICE.service_ms(tier, size_bytes)
-        span = ctx.span
-        start = node.work_queue.reserve(ctx.clock.now_ms, service_ms)
-        wait_ms = start - ctx.clock.now_ms
+        traced = ctx.span is not None
+        arrival_ms = ctx.clock.now_ms
+        wait_ms = node.work_queue.reserve(arrival_ms, service_ms) - arrival_ms
         if wait_ms > 0:
-            if span is not None:
-                span.child("kvs_queue", "anna", ctx.clock.now_ms,
-                           node=node.node_id).finish(ctx.clock.now_ms + wait_ms)
             ctx.charge("anna", "queue", wait_ms)
-        service_span = None
-        if span is not None:
-            service_span = span.child("kvs_service", "anna", ctx.clock.now_ms,
-                                      node=node.node_id).annotate("storage_tier", tier)
+            if traced:
+                ctx.record_span("kvs_queue", "anna", arrival_ms,
+                                node=node.node_id)
+        service_start = ctx.clock.now_ms
         ctx.charge("anna", "service", service_ms)
-        if service_span is not None:
-            service_span.finish(ctx.clock.now_ms)
+        if traced:
+            ctx.record_span("kvs_service", "anna", service_start,
+                            node=node.node_id, storage_tier=tier)
 
     def _op_time(self, ctx: Optional[RequestContext]) -> float:
         """When an operation touches its key: the request's time, or the
@@ -435,19 +433,16 @@ class AnnaCluster:
         like :meth:`get` and maps to None rather than raising.
         """
         unique = list(dict.fromkeys(keys))
-        parent_span = ctx.span
 
         def run_one(key: str, branch: RequestContext) -> Optional[Lattice]:
-            if branch is ctx or parent_span is None:
+            if branch is ctx or branch.span is None:
                 # Batch of one (or untraced): the single-key path.
                 return self.get_or_none(key, branch)
-            fetch_span = parent_span.child("fetch", "anna",
-                                           branch.clock.now_ms).annotate("key", key)
-            branch.span = fetch_span
+            branch.open_span("fetch", "anna", key=key)
             try:
                 return self.get_or_none(key, branch)
             finally:
-                fetch_span.finish(branch.clock.now_ms)
+                branch.close_span()
 
         values = run_overlapped(
             ctx, unique, run_one, self.latency_model,
@@ -590,10 +585,6 @@ class AnnaCluster:
         nothing is dropped, so healing the partition converges the replicas
         on the next round.
         """
-        gossip_span = None
-        if self.tracer is not None:
-            gossip_span = self.tracer.start_background(
-                "gossip_round", "anna", self.engine.now_ms)
         dirty, self._dirty = self._dirty, {}
         exchanged = 0
         for node_id in sorted(dirty):
@@ -618,9 +609,11 @@ class AnnaCluster:
                     exchanged += 1
         self.gossip_rounds += 1
         self.gossip_key_exchanges += exchanged
-        if gossip_span is not None:
-            gossip_span.annotate("key_exchanges", exchanged)
-            gossip_span.finish(self.engine.now_ms)
+        if self.tracer is not None:
+            # A round takes no virtual time, and nothing in it traces.
+            now_ms = self.engine.now_ms
+            self.tracer.record_background("gossip_round", "anna", now_ms, now_ms,
+                                          key_exchanges=exchanged)
         return exchanged
 
     def partition_node(self, node_id: str) -> None:

@@ -45,8 +45,9 @@ scenarios' ``wall_seconds`` keys keep their name for the snapshot layout.
 
 from __future__ import annotations
 
+import statistics
 import time
-from typing import Callable, Dict
+from typing import Callable, Dict, List
 
 from ..sim import Engine, RequestContext, SimClock
 from ..sim.engine import ReservationQueue
@@ -246,15 +247,21 @@ def bench_multi_get(rounds: int = 30,
 
 
 def bench_tracing_overhead(requests: int = 8_000, sites_per_request: int = 12,
-                           repeats: int = 3) -> Dict[str, float]:
+                           pairs: int = 7) -> Dict[str, float]:
     """Dispatch throughput with tracing instrumentation present but disabled.
 
     Each event charges ``sites_per_request`` latencies the way the real
     instrumentation points do — a ``ctx.charge`` with a ``span is not None``
     guard next to it.  The *bare* variant runs the identical loop without the
     guards; the ratio is the whole cost of carrying the observability plane
-    while it is off.  Best-of-``repeats`` on both sides to shed scheduler
-    noise; the tracer runs at ``sample_rate=0``, so no span is ever created.
+    while it is off.  The tracer runs at ``sample_rate=0``, so no span is
+    ever created.
+
+    ``pairs`` bare/guarded pairs run back to back, alternating which goes
+    first, and the overhead is the median of the per-pair guarded/bare
+    ratios: host drift between two separate blocks of loops would read as
+    overhead.  ``bare_seconds`` and ``guarded_seconds`` are the median loop
+    times of each side.
     """
     from ..obs import Tracer
 
@@ -291,10 +298,14 @@ def bench_tracing_overhead(requests: int = 8_000, sites_per_request: int = 12,
         engine.run()
         return time.process_time() - started
 
-    bare_s = min(run_once(guarded=False) for _ in range(repeats))
-    guarded_s = min(run_once(guarded=True) for _ in range(repeats))
-    overhead_pct = (max(0.0, guarded_s - bare_s) / bare_s * 100.0
-                    if bare_s > 0 else 0.0)
+    bare: List[float] = []
+    guarded: List[float] = []
+    for index in range(pairs):
+        for is_guarded in ((False, True) if index % 2 == 0 else (True, False)):
+            (guarded if is_guarded else bare).append(run_once(is_guarded))
+    ratio = statistics.median(g / b for g, b in zip(guarded, bare) if b > 0)
+    bare_s, guarded_s = statistics.median(bare), statistics.median(guarded)
+    overhead_pct = max(0.0, ratio - 1.0) * 100.0
     return {
         "events": float(requests),
         "sites_per_request": float(sites_per_request),

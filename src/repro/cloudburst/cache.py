@@ -155,11 +155,10 @@ class ExecutorCache:
                 hits.append(local)
         if hits:
             self.stats.hits += len(hits)
-            hit_span = None
-            if ctx.span is not None:
-                hit_span = ctx.span.child(
-                    "cache_hit", "cache", ctx.clock.now_ms,
-                    node=self.cache_id).annotate("batch", len(hits))
+            traced = ctx.span is not None
+            if traced:
+                ctx.open_span("cache_hit", "cache", self.cache_id,
+                              batch=len(hits))
             self.latency_model.charge(
                 ctx, "cache", "multi_get",
                 size_bytes=sum(value.size_bytes() for value in hits))
@@ -170,8 +169,8 @@ class ExecutorCache:
                 ctx.charge("cache", "multi_get_key",
                            (len(hits) - 1) * self.latency_model.cost(
                                "cache", "multi_get_key").base_ms)
-            if hit_span is not None:
-                hit_span.finish(ctx.clock.now_ms)
+            if traced:
+                ctx.close_span()
         if missing:
             results.update(self._fetch_misses(missing, ctx))
         if repair_cut:
@@ -194,23 +193,17 @@ class ExecutorCache:
         fetch latency, and the VM's ingress link the bytes beyond the
         largest response.
         """
-        parent_span = ctx.span
-        batch_span = None
-        if parent_span is not None and len(keys) > 1:
-            batch_span = parent_span.child("multi_get", "cache", ctx.clock.now_ms,
-                                           node=self.cache_id).annotate(
-                                               "misses", len(keys))
-            ctx.span = batch_span
-
+        batched = len(keys) > 1 and ctx.span is not None
+        if batched:
+            ctx.open_span("multi_get", "cache", self.cache_id, misses=len(keys))
         try:
             values = run_overlapped(
                 ctx, keys, self._fetch_one_miss, self.latency_model,
                 "anna", "multi_get_dispatch", "cache",
                 lambda value: 0 if value is None else value.size_bytes())
         finally:
-            if batch_span is not None:
-                batch_span.finish(ctx.clock.now_ms)
-                ctx.span = parent_span
+            if batched:
+                ctx.close_span()
         return dict(zip(keys, values))
 
     def _fetch_one_miss(self, key: str,
@@ -220,27 +213,21 @@ class ExecutorCache:
         # On a miss the storage fetch nests under a cache_miss span, so trace
         # trees show exactly which Anna node (and how much queueing) each cold
         # read paid for.
-        parent_span = ctx.span
-        miss_span = None
-        if parent_span is not None:
-            miss_span = parent_span.child("cache_miss", "cache", ctx.clock.now_ms,
-                                          node=self.cache_id).annotate("key", key)
-            ctx.span = miss_span
+        traced = ctx.span is not None
+        if traced:
+            ctx.open_span("cache_miss", "cache", self.cache_id, key=key)
         try:
             value = self.kvs.get(key, ctx)
         except Exception as exc:
-            if miss_span is not None:
-                miss_span.annotate("error", True)
-                miss_span.finish(ctx.clock.now_ms)
-                ctx.span = parent_span
+            if traced:
+                ctx.close_span(error=True)
             if not isinstance(exc, KeyNotFoundError):
                 raise
             return None
         self.latency_model.charge(ctx, "cache", "get", size_bytes=value.size_bytes())
         self._store(key, value)
-        if miss_span is not None:
-            miss_span.finish(ctx.clock.now_ms)
-            ctx.span = parent_span
+        if traced:
+            ctx.close_span()
         return value
 
     def put(self, key: str, value: Lattice, ctx: RequestContext) -> Lattice:
@@ -367,22 +354,16 @@ class ExecutorCache:
             self._prefetch_inflight[key] = (ready_ms, value, epoch)
             self.stats.prefetches_issued += 1
             started += 1
-            span = None
             if self.kvs.tracer is not None:
-                span = self.kvs.tracer.start_background(
-                    "prefetch", "cache", now_ms, node=self.cache_id)
-                if span is not None:
-                    span.annotate("key", key)
-            self.kvs.engine.at(
-                ready_ms, lambda key=key, span=span, ready=ready_ms:
-                self._land_prefetch(key, span, ready), background=True)
+                self.kvs.tracer.record_background(
+                    "prefetch", "cache", now_ms, ready_ms, self.cache_id, key=key)
+            self.kvs.engine.at(ready_ms, lambda key=key: self._land_prefetch(key),
+                               background=True)
         return started
 
-    def _land_prefetch(self, key: str, span, ready_ms: float) -> None:
+    def _land_prefetch(self, key: str) -> None:
         """Engine event: a background fetch completes and enters the cache."""
         entry = self._prefetch_inflight.pop(key, None)
-        if span is not None:
-            span.finish(ready_ms)
         if entry is None or self.closed:
             return  # already promoted by a read, or the VM left the cluster
         _ready_ms, value, _epoch = entry
@@ -497,16 +478,13 @@ class ExecutorCache:
                 f"upstream cache {upstream_cache_id!r} no longer holds {key!r} "
                 f"for execution {execution_id!r}"
             )
-        fetch_span = None
-        if ctx.span is not None:
-            fetch_span = ctx.span.child(
-                "fetch_from_upstream", "cache", ctx.clock.now_ms,
-                node=self.cache_id).annotate("key", key).annotate(
-                    "upstream", upstream_cache_id)
+        fetch_start = ctx.clock.now_ms
         self.latency_model.charge(ctx, "cache", "fetch_from_upstream",
                                   size_bytes=value.size_bytes())
-        if fetch_span is not None:
-            fetch_span.finish(ctx.clock.now_ms)
+        if ctx.span is not None:
+            ctx.record_span("fetch_from_upstream", "cache", fetch_start,
+                            node=self.cache_id, key=key,
+                            upstream=upstream_cache_id)
         self.stats.upstream_fetches += 1
         # Cache the fetched version locally so repeated reads within this DAG hit.
         self._store(key, value)

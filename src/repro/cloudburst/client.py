@@ -182,9 +182,14 @@ class CloudburstClient:
 
         Returns ``(future, complete, errored)``; the scheduler calls one of
         the two callbacks exactly once — in-line for ``call``, from the
-        finishing engine event for ``call_dag``.
+        finishing engine event for ``call_dag``.  Either closes the root, so
+        the next invocation on ``ctx`` starts a trace of its own.
         """
-        root = self._start_root_span(ctx, name)
+        root = None
+        if self.tracer is not None and ctx.span is None:
+            # A nested invocation (ctx already traced) joins the outer trace.
+            root = ctx.span = self.tracer.start_trace(
+                name, "client", ctx.clock.now_ms, node=self.client_id)
         future = CloudburstFuture(
             advance=lambda fut, timeout_ms: self._advance_engine(fut, timeout_ms, ctx))
 
@@ -192,14 +197,13 @@ class CloudburstClient:
             future.result_key = result.result_key
             if root is not None:
                 root.annotate("latency_ms", result.latency_ms)
-                root.finish(ctx.clock.now_ms)
+                ctx.close_span()
             self.last_result = result
             future._set_result(result)
 
         def errored(exc: BaseException) -> None:
             if root is not None:
-                root.annotate("error", type(exc).__name__)
-                root.finish(ctx.clock.now_ms)
+                ctx.close_span(error=type(exc).__name__)
             future._set_exception(exc)
 
         return future, complete, errored
@@ -214,21 +218,6 @@ class CloudburstClient:
         if self.last_result is None:
             raise ValueError("no request has been issued yet")
         return self.last_result.latency_ms
-
-    def _start_root_span(self, ctx: RequestContext, name: str):
-        """Root span for one invocation, or None (no tracer / sampled out).
-
-        The span rides on ``ctx.span`` so every tier the request touches can
-        attach children; a context that already carries a span (a nested
-        invocation from inside a traced request) is left alone.
-        """
-        if self.tracer is None or ctx.span is not None:
-            return None
-        root = self.tracer.start_trace(name, "client", ctx.clock.now_ms,
-                                       node=self.client_id)
-        if root is not None:
-            ctx.span = root
-        return root
 
     def _advance_engine(self, future: CloudburstFuture,
                         timeout_ms: Optional[float], ctx: RequestContext) -> None:

@@ -268,28 +268,23 @@ class ExecutorThread:
         """
         if not self.alive or not self.vm.alive:
             raise ExecutorFailedError(self.thread_id, "executor is down")
-        parent_span = ctx.span
+        traced = ctx.span is not None
         arrival_ms = ctx.clock.now_ms
         service_start = self.work_queue.admit(arrival_ms)
         wait_ms = service_start - arrival_ms
         if wait_ms > 0:
             ctx.charge("cloudburst", "executor_queue", wait_ms)
-            if parent_span is not None:
-                parent_span.child("executor_queue", "executor", arrival_ms,
-                                  node=self.thread_id).finish(service_start)
-        invoke_span = None
-        if parent_span is not None:
-            invoke_span = parent_span.child(
-                f"invoke:{function_name}", "executor", ctx.clock.now_ms,
-                node=self.thread_id)
-            ctx.span = invoke_span
+            if traced:
+                ctx.record_span("executor_queue", "executor", arrival_ms,
+                                service_start, self.thread_id)
+        if traced:
+            ctx.open_span(f"invoke:{function_name}", "executor", self.thread_id)
         try:
             return self._execute_admitted(function_name, args, ctx, state, protocol)
         finally:
             self.work_queue.release(ctx.clock.now_ms)
-            if invoke_span is not None:
-                invoke_span.finish(ctx.clock.now_ms)
-                ctx.span = parent_span
+            if traced:
+                ctx.close_span()
 
     def _execute_admitted(self, function_name: str, args: Sequence[Any],
                           ctx: RequestContext, state: SessionState,

@@ -273,8 +273,8 @@ class Scheduler:
         self.latency_model.charge(ctx, "cloudburst", "client_to_scheduler")
         self.latency_model.charge(ctx, "cloudburst", "schedule")
         if ctx.span is not None:
-            ctx.span.child("schedule", "scheduler", start_ms,
-                           node=self.scheduler_id).finish(ctx.clock.now_ms)
+            ctx.record_span("schedule", "scheduler", start_ms,
+                            node=self.scheduler_id)
         session = DagSession(self, dag, function_args, ctx, start_ms,
                              consistency or self.default_consistency,
                              on_complete, on_error, store_in_kvs=store_in_kvs,
@@ -304,18 +304,13 @@ class Scheduler:
         # Before the fork: the prefetch stamps its epoch into the context,
         # and the branch must inherit it to pay its own prefetch_wait.
         self._prefetch_placed_references(thread, args, ready_ms, ctx, state)
-        branch = RequestContext(clock=SimClock(ready_ms),
-                                record_charges=ctx.record_charges)
-        branch.prefetch_epoch = ctx.prefetch_epoch
-        function_span = None
-        if ctx.span is not None:
+        branch = ctx.fork(at_ms=ready_ms)
+        traced = branch.span is not None
+        if traced:
             # One child span per function, started at its fork/join ready
-            # time; the executor/cache/storage spans nest under it via the
-            # branch context.
-            function_span = ctx.span.child(
-                f"function:{name}", "scheduler", ready_ms,
-                node=self.scheduler_id).annotate("thread", thread.thread_id)
-            branch.span = function_span
+            # time; the executor/cache/storage spans nest under it.
+            branch.open_span(f"function:{name}", "scheduler", self.scheduler_id,
+                             thread=thread.thread_id)
         if not upstream:
             self.latency_model.charge(branch, "cloudburst", "scheduler_to_executor")
         else:
@@ -326,12 +321,11 @@ class Scheduler:
             value = self._run_on_thread(thread, name, args, branch, state,
                                         session.protocol)
         except Exception:
-            if function_span is not None:
-                function_span.annotate("error", True)
-                function_span.finish(branch.clock.now_ms)
+            if traced:
+                branch.close_span(error=True)
             raise
-        if function_span is not None:
-            function_span.finish(branch.clock.now_ms)
+        if traced:
+            branch.close_span()
         return value, branch, thread
 
     def _prefetch_placed_references(self, thread: ExecutorThread,

@@ -34,7 +34,8 @@ never drawn, so two runs of one seed journal and trace the same ids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    TYPE_CHECKING)
 
 from ..errors import DagExecutionError, ExecutorFailedError, StorageOverloadError
 from ..sim import Engine, RequestContext
@@ -323,14 +324,15 @@ class DagSession:
         self.done = False
         self.result: Optional[ExecutionResult] = None
         self.error: Optional[Exception] = None
-        #: The request's root span (or None when untraced).  Each §4.5
-        #: attempt gets its own child span under it; a superseded attempt is
-        #: *linked* from its successor ("retry_of" / "recovered_from"), never
-        #: parented — the failed span is finished, not an ancestor.
+        #: The request's span (or None when untraced).  Each §4.5 attempt
+        #: opens its own child span under it on ``ctx``, so the live attempt
+        #: is ``ctx.span``; a superseded attempt is *linked* from its
+        #: successor, never parented — the failed span is finished, not an
+        #: ancestor.
         self.root_span = ctx.span
-        self._attempt_span = None
-        self._superseded_span = None
-        self._superseded_relation = "retry_of"
+        #: ``(relation, span_id)`` of the attempt the next one supersedes:
+        #: "retry_of" or "recovered_from".
+        self._superseded: Optional[Tuple[str, int]] = None
         self.record = scheduler.journal.open(
             dag_name=dag.name, function_args=function_args, level=level,
             store_in_kvs=store_in_kvs, start_ms=start_ms, session=self)
@@ -362,16 +364,13 @@ class DagSession:
         self.results: Dict[str, Any] = {}
         self.branches: List[RequestContext] = []
         if self.root_span is not None:
-            span = self.root_span.child(
-                f"attempt:{self.dag.name}", "scheduler", self.ctx.clock.now_ms,
-                node=self.scheduler.scheduler_id).annotate(
-                    "execution_id", self.state.execution_id)
-            if self._superseded_span is not None:
-                span.link(self._superseded_relation,
-                          self._superseded_span.span_id)
-            self._attempt_span = span
             # Function dispatches parent their spans under the live attempt.
-            self.ctx.span = span
+            span = self.ctx.open_span(
+                f"attempt:{self.dag.name}", "scheduler",
+                self.scheduler.scheduler_id,
+                execution_id=self.state.execution_id)
+            if self._superseded is not None:
+                span.link(*self._superseded)
 
     def start(self) -> None:
         for name in self.dag.sources:
@@ -500,15 +499,10 @@ class DagSession:
         """
         self.scheduler._release_session(self.state, self.protocol)
         self.scheduler.journal.record_attempt_failure(self.record, reason, status)
-        span = self._attempt_span
-        if span is None:
-            return
-        span.annotate("error", reason)
-        span.finish(self.ctx.clock.now_ms)
-        self._superseded_span = span
-        self._superseded_relation = relation
-        self._attempt_span = None
-        self.ctx.span = self.root_span
+        ctx = self.ctx
+        if ctx.span is not self.root_span:
+            self._superseded = (relation, ctx.span.span_id)
+            ctx.close_span(error=reason)
 
     def _reexecute(self) -> None:
         """Pay the §4.5 timeout and start a fresh attempt of the whole DAG."""
@@ -551,10 +545,8 @@ class DagSession:
         scheduler._complete_anomaly_tracking(self.state)
         self.done = True
         scheduler.journal.close(self.record, SESSION_COMPLETED)
-        if self._attempt_span is not None:
-            self._attempt_span.finish(ctx.clock.now_ms)
-            self._attempt_span = None
-            ctx.span = self.root_span
+        if ctx.span is not self.root_span:
+            ctx.close_span()
         latency_ms = ctx.clock.now_ms - self.record.start_ms
         self.result = ExecutionResult(
             value=value, latency_ms=latency_ms,

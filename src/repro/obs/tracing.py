@@ -11,12 +11,12 @@ is finished, not an ancestor).
 
 Design constraints, in priority order:
 
-* **Zero-cost when disabled.**  The span context rides on
-  ``RequestContext.span``; every instrumentation point guards with
-  ``if ctx.span is not None`` — the same shape as the parity-pinned
-  ``record_charges=False`` opt-out.  A tracer at ``sample_rate=0`` never
-  creates a root span, so the entire instrumented path degenerates to one
-  attribute check per site.
+* **Zero-cost when disabled.**  The current span rides on
+  ``RequestContext.span``, its only holder: ``ctx.open_span``/``close_span``
+  bracket a group span and ``ctx.record_span`` adds a leaf after its charge.
+  Each site checks ``ctx.span is not None`` once, so a tracer at
+  ``sample_rate=0`` (which never creates a root) costs one attribute check
+  per site.
 * **Deterministic.**  Span and trace ids come from plain counters; sampling
   is an error-diffusion accumulator, not an RNG; every timestamp is virtual
   (``clock.now_ms``), never wall time; the execution ids spans carry are
@@ -30,7 +30,7 @@ Design constraints, in priority order:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["TraceSpan", "Tracer"]
 
@@ -44,16 +44,18 @@ class TraceSpan:
     :meth:`link` edges instead, so the tree stays a tree.
     """
 
-    __slots__ = ("tracer", "trace_id", "span_id", "parent_id", "name",
-                 "tier", "node", "start_ms", "end_ms", "attrs", "links")
+    __slots__ = ("tracer", "trace_id", "span_id", "parent", "parent_id",
+                 "name", "tier", "node", "start_ms", "end_ms", "attrs", "links",
+                 "_children_end_ms")
 
     def __init__(self, tracer: "Tracer", trace_id: int, span_id: int,
-                 parent_id: Optional[int], name: str, tier: str,
+                 parent: Optional["TraceSpan"], name: str, tier: str,
                  start_ms: float, node: Optional[str] = None):
         self.tracer = tracer
         self.trace_id = trace_id
         self.span_id = span_id
-        self.parent_id = parent_id
+        self.parent = parent
+        self.parent_id = None if parent is None else parent.span_id
         self.name = name
         self.tier = tier
         self.node = node
@@ -61,6 +63,7 @@ class TraceSpan:
         self.end_ms: Optional[float] = None
         self.attrs: Optional[Dict[str, Any]] = None
         self.links: Optional[List[Tuple[str, int]]] = None
+        self._children_end_ms = self.start_ms
 
     # -- building the tree ------------------------------------------------------
     def child(self, name: str, tier: str, start_ms: float,
@@ -84,8 +87,13 @@ class TraceSpan:
         return self
 
     def finish(self, end_ms: float) -> "TraceSpan":
-        """Close the span at ``end_ms`` (virtual).  Never moves time backwards."""
-        self.end_ms = max(float(end_ms), self.start_ms)
+        """Close the span at ``end_ms`` (virtual), but never before its start
+        or a child that already finished (a failed attempt closes at its
+        session's clock, behind its functions' branch clocks)."""
+        self.end_ms = end = max(float(end_ms), self._children_end_ms)
+        parent = self.parent
+        if parent is not None and end > parent._children_end_ms:
+            parent._children_end_ms = end
         return self
 
     # -- reads ------------------------------------------------------------------
@@ -166,10 +174,13 @@ class Tracer:
         return self._new_span(trace_id, None, name, tier, start_ms, node)
 
     def start_span(self, name: str, tier: str, start_ms: float,
-                   parent: TraceSpan, node: Optional[str] = None) -> TraceSpan:
+                   parent: TraceSpan, node: Optional[str] = None,
+                   attrs: Optional[Dict[str, Any]] = None) -> TraceSpan:
         """Child span under ``parent`` (callers guard on parent being set)."""
-        return self._new_span(parent.trace_id, parent.span_id, name, tier,
-                              start_ms, node)
+        span = self._new_span(parent.trace_id, parent, name, tier, start_ms,
+                              node)
+        span.attrs = attrs or None
+        return span
 
     def start_background(self, name: str, tier: str, start_ms: float,
                          node: Optional[str] = None) -> Optional[TraceSpan]:
@@ -187,10 +198,19 @@ class Tracer:
         span.annotate("background", True)
         return span
 
-    def _new_span(self, trace_id: int, parent_id: Optional[int], name: str,
+    def record_background(self, name: str, tier: str, start_ms: float,
+                          end_ms: float, node: Optional[str] = None,
+                          **attrs: Any) -> None:
+        """A finished background span (a prefetch, a gossip round)."""
+        span = self.start_background(name, tier, start_ms, node)
+        if span is not None:
+            span.attrs.update(attrs)
+            span.finish(end_ms)
+
+    def _new_span(self, trace_id: int, parent: Optional[TraceSpan], name: str,
                   tier: str, start_ms: float,
                   node: Optional[str]) -> TraceSpan:
-        span = TraceSpan(self, trace_id, self._next_span_id, parent_id,
+        span = TraceSpan(self, trace_id, self._next_span_id, parent,
                          name, tier, start_ms, node=node)
         self._next_span_id += 1
         self.spans.append(span)
@@ -272,10 +292,6 @@ class Tracer:
     def clear(self) -> None:
         """Drop retained spans (ids keep counting, so dumps stay unambiguous)."""
         self.spans = []
-
-    def extend(self, spans: Iterable[TraceSpan]) -> None:
-        """Adopt spans recorded elsewhere (merging per-run tracers for export)."""
-        self.spans.extend(spans)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Tracer(sample_rate={self.sample_rate}, "

@@ -109,11 +109,12 @@ class RequestContext:
     closed-loop load driver runs in, where thousands of requests only ever
     read their latency.
 
-    ``span`` carries the request's current trace span (``repro.obs``), or
-    None when the request is untraced — which is the common case, so every
-    instrumentation point guards with ``ctx.span is not None`` and tracing
-    costs one attribute check when off.  Spans never charge the clock, so
-    timing is byte-identical traced or not.
+    ``span`` is the request's current trace span (``repro.obs``), or None
+    when the request is untraced, the common case; the context is its only
+    holder.  The span calls below expect a traced context, so each site
+    checks ``span`` once inline and tracing costs one attribute check when
+    off.  Spans never charge the clock: timing is byte-identical traced or
+    not.
     """
 
     __slots__ = ("clock", "charges", "prefetch_epoch", "record_charges", "span")
@@ -144,6 +145,30 @@ class RequestContext:
         clock.advance(latency_ms)
         return latency_ms
 
+    def open_span(self, name: str, tier: str, node: Optional[str] = None,
+                  **attrs: object) -> object:
+        """Start a child of the current span at the clock and make it current."""
+        self.span = self.span.tracer.start_span(
+            name, tier, self.clock.now_ms, self.span, node, attrs)
+        return self.span
+
+    def close_span(self, error: Optional[object] = None) -> None:
+        """Finish the current span at the clock; its parent becomes current."""
+        span = self.span
+        if error is not None:
+            span.annotate("error", error)
+        span.finish(self.clock.now_ms)
+        self.span = span.parent
+
+    def record_span(self, name: str, tier: str, start_ms: float,
+                    end_ms: Optional[float] = None, node: Optional[str] = None,
+                    **attrs: object) -> None:
+        """Record a finished leaf under the current span, after the charge
+        that defines it: ``start_ms`` to ``end_ms`` (default: the clock)."""
+        self.span.tracer.start_span(name, tier, start_ms, self.span, node,
+                                    attrs).finish(
+            self.clock.now_ms if end_ms is None else end_ms)
+
     def charges_for(self, service: str, operation: Optional[str] = None) -> List[ChargeRecord]:
         """Return charges filtered by service (and optionally operation)."""
         return [
@@ -167,18 +192,18 @@ class RequestContext:
             totals[key] = totals.get(key, 0.0) + charge.latency_ms
         return totals
 
-    def fork(self) -> "RequestContext":
-        """Create a child context sharing the current virtual time.
+    def fork(self, at_ms: Optional[float] = None) -> "RequestContext":
+        """Create a child context at the current virtual time (or ``at_ms``).
 
         Used when a DAG fans out: parallel branches each get their own context
         starting at the parent's current time; the parent later joins on the
         maximum of the branch clocks.
 
         The trace span is carried across the fork, so work done on a branch
-        stays attached to the request's span tree; dispatchers that want a
-        per-branch child span set ``branch.span`` to one after forking.
+        stays attached to the request's span tree.
         """
-        branch = RequestContext(clock=self.clock.copy(),
+        clock = self.clock.copy() if at_ms is None else SimClock(at_ms)
+        branch = RequestContext(clock=clock,
                                 record_charges=self.record_charges,
                                 span=self.span)
         branch.prefetch_epoch = self.prefetch_epoch

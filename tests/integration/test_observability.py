@@ -12,7 +12,7 @@ from repro.bench.harness import EngineLoadDriver
 from repro.cloudburst import CloudburstCluster, CloudburstReference
 from repro.errors import ExecutorFailedError
 from repro.obs import Tracer, spans_to_json
-from repro.sim import FaultPlane, RandomSource
+from repro.sim import FaultPlane, RandomSource, RequestContext, SimClock
 
 
 def _pipeline_cluster(tracer=None, seed=3, executor_vms=2,
@@ -176,6 +176,47 @@ class TestSpansSurviveFaults:
         assert cluster.abandoned_session_count() == 0
 
 
+    def test_every_span_lies_inside_its_parent(self):
+        # A failed attempt is closed at its session's clock, which stays at
+        # the attempt's start while its functions run on branch contexts:
+        # the attempt span must still cover the function spans it parents.
+        for fault_class in ("executor_kill", "scheduler_crash"):
+            tracer = Tracer(sample_rate=1.0)
+            _run_under_faults(fault_class, tracer, seed=3)
+            assert _links(tracer, "retry_of") + _links(tracer, "recovered_from")
+            by_id = {span.span_id: span for span in tracer.spans}
+            outside = [span for span in tracer.spans
+                       if span.parent_id is not None
+                       and not (by_id[span.parent_id].start_ms <= span.start_ms
+                                and span.end_ms <= by_id[span.parent_id].end_ms)]
+            assert outside == [], (fault_class, outside)
+
+
+class TestReusedContext:
+    def test_each_call_on_one_context_gets_its_own_trace(self):
+        tracer = Tracer(sample_rate=1.0)
+        cluster = CloudburstCluster(executor_vms=1, tracer=tracer, seed=1)
+        cloud = cluster.connect()
+        cloud.register(lambda x: x + 1, name="inc")
+        ctx = RequestContext(clock=SimClock(cluster.engine.now_ms))
+        first = len(tracer)
+        cloud.call("inc", [1], ctx=ctx)
+        first_spans = tracer.spans[first:]
+        second = len(tracer)
+        cloud.call("inc", [2], ctx=ctx)
+        second_spans = tracer.spans[second:]
+
+        assert ctx.span is None
+        roots = [span for span in tracer.roots()
+                 if not (span.attrs or {}).get("background")]
+        assert [root.name for root in roots] == ["call:inc", "call:inc"]
+        for root, spans in zip(roots, (first_spans, second_spans)):
+            assert {span.trace_id for span in spans} == {root.trace_id}
+            assert all(root.start_ms <= span.start_ms
+                       and span.end_ms <= root.end_ms for span in spans)
+        assert roots[0].end_ms <= roots[1].start_ms
+
+
 class TestTracingNeverChargesClocks:
     def _drive(self, tracer, seed=13):
         cluster, _cloud = _pipeline_cluster(tracer=tracer, seed=seed)
@@ -241,7 +282,7 @@ class TestTracingOverheadScenario:
         from repro.bench.enginebench import bench_tracing_overhead
 
         result = bench_tracing_overhead(requests=400, sites_per_request=6,
-                                        repeats=1)
+                                        pairs=1)
         assert result["spans_created"] == 0.0
         assert result["events"] == 400.0
         assert result["bare_seconds"] > 0.0

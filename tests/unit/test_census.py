@@ -1,0 +1,39 @@
+"""The ``src/`` census ratchet (``benchmarks/census.py``).
+
+The committed tree sits at or below every ceiling in
+``benchmarks/census.json``, and a tree with one more defaulted constructor
+parameter is caught by two rows.
+"""
+
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_census", REPO_ROOT / "benchmarks" / "census.py")
+census = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(census)
+
+
+def test_every_row_has_a_ceiling_and_the_tree_is_at_or_below_it():
+    ceilings = json.loads(census.CEILINGS.read_text())
+    assert set(ceilings) == {key for key, _label, _count in census.ROWS}
+    assert census.main(["--check"]) == 0
+
+
+def test_an_added_defaulted_option_rises_above_the_ratchet(tmp_path):
+    for part in ("src", "benchmarks", "examples"):
+        shutil.copytree(REPO_ROOT / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    tracing = tmp_path / "src" / "repro" / "obs" / "tracing.py"
+    source = tracing.read_text()
+    signature = "def __init__(self, sample_rate: float = 1.0):"
+    assert signature in source
+    tracing.write_text(source.replace(
+        signature, "def __init__(self, sample_rate: float = 1.0, retain: bool = True):"))
+
+    before, after = census.census(REPO_ROOT), census.census(tmp_path)
+    assert after["constructor_options"] == before["constructor_options"] + 1
+    assert after["unset_options"] == before["unset_options"] + 1

@@ -141,9 +141,9 @@ class TestQueries:
         tracer, root, _schedule, invoke = self._build()
         # Adopt only a child into a fresh tracer: its parent is now unknown.
         merged = Tracer()
-        merged.extend([invoke])
+        merged.spans.append(invoke)
         assert merged.orphan_spans() == [invoke]
-        merged.extend([root])
+        merged.spans.append(root)
         # invoke's parent is root, which is now present.
         assert [s.span_id for s in merged.orphan_spans()] == []
 
