@@ -2,11 +2,12 @@
 """The ``src/`` census, and the ratchet that stops it from rising.
 
 Each row counts one shape the project has deleted a second mechanism for
-(DESIGN.md DR-12 and DR-18 to DR-23):
+(DESIGN.md DR-12 and DR-18 to DR-24):
 
 * lines under ``src/`` matching a pattern: a test for a missing engine, an
   attach/detach method, an uncharged-context branch, an optional request
-  context, and a hand-built trace span (outside ``repro/obs/``);
+  context, a hidden default context, and a hand-built trace span (outside
+  ``repro/obs/``);
 * constructor options: every ``__init__`` parameter (``self`` excluded) plus
   every field of a ``*Config`` class under ``src/``, read with ``ast``;
 * unset options: the defaulted parameters no call outside ``tests/`` passes,
@@ -92,6 +93,8 @@ ROWS: List[Tuple[str, str, Callable[[Path], int]]] = [
      _matching_lines(r"ctx is (not )?None")),
     ("optional_request_context", r"`Optional\[RequestContext\]`",
      _matching_lines(r"Optional\[RequestContext\]")),
+    ("default_context", r"`ctx or RequestContext\(`",
+     _matching_lines(r"ctx or RequestContext\(")),
     ("constructor_options", "`__init__` parameters + `*Config` fields",
      constructor_options),
     ("unset_options", "`reachability.py --options` (unset options)",

@@ -21,9 +21,9 @@ cluster's discrete-event engine.  A put lands on *one* replica (the first
 whose queue has room: multi-master, quorum-of-1) and reaches the rest through
 periodic anti-entropy gossip on virtual time; a put that finds every
 replica's queue full fails fast with ``StorageOverloadError``.  Background
-traffic (gossip, asynchronous cache write-backs, rebalancing) never occupies
-the work queues and charges nothing, matching the paper's treatment of
-replication as asynchronous and free for the caller.
+traffic (gossip, rebalancing, and the ``background_*`` calls of cache
+write-backs) never occupies the work queues and charges nothing, matching
+the paper's treatment of replication as asynchronous and free for the caller.
 """
 
 from __future__ import annotations
@@ -289,37 +289,38 @@ class AnnaCluster:
         return len(self._nodes)
 
     # -- data path -----------------------------------------------------------------
-    def put(self, key: str, value: Lattice, ctx: Optional[RequestContext] = None,
-            originating_cache: str = "", count_access: bool = True) -> Lattice:
-        """Merge ``value`` into ``key``'s replica set.
+    def put(self, key: str, value: Lattice, ctx: RequestContext) -> Lattice:
+        """Merge ``value`` into ``key``'s replica set for a request.
 
         The put lands on the *first replica whose work queue has room*
         (multi-master, quorum-of-1), waits out that node's queue, and is
         marked dirty so the periodic anti-entropy gossip carries it to the
         remaining replicas on virtual time.  If every replica's queue is full
         the put fails with :class:`~repro.errors.StorageOverloadError`.
-        Uncharged puts (``ctx=None`` — asynchronous cache write-backs) are
-        background traffic: they land on the primary without queueing.
-
-        ``count_access=False`` marks the put as system traffic (periodic
-        metric publishes): it must not register as client load with the
-        hot-key or storage-autoscaling policies.
         """
-        if not isinstance(value, Lattice):
-            raise TypeError("Anna stores lattices; wrap plain values first "
-                            "(see repro.cloudburst.serialization)")
-        if ctx is not None:
-            self.latency_model.charge(ctx, "anna", "put", size_bytes=value.size_bytes())
-        owners = self._owners(key)
-        if ctx is None:
-            target = owners[0]
-        else:
-            target = self._first_available(key, owners, ctx.clock.now_ms)
+        self.latency_model.charge(ctx, "anna", "put", size_bytes=value.size_bytes())
+        target = self._first_available(key, self._owners(key), ctx.clock.now_ms)
         node = self._nodes[target]
         self._serve(node, key, ctx, size_bytes=value.size_bytes(),
                     fresh=not node.contains(key))
-        merged = node.put(key, value, now_ms=self._op_time(ctx),
-                          count_access=count_access)
+        return self._merge(target, key, value, ctx.clock.now_ms)
+
+    def background_put(self, key: str, value: Lattice, originating_cache: str = "",
+                       count_access: bool = True) -> Lattice:
+        """A write no request waits for (a cache write-back, a registration):
+        it lands on the primary at the engine's time, uncharged and unqueued.
+        ``count_access=False`` keeps system traffic (metric publishes) out of
+        the hot-key and storage-autoscaling load statistics."""
+        return self._merge(self._owners(key)[0], key, value, self.engine.now_ms,
+                           originating_cache, count_access)
+
+    def _merge(self, target: str, key: str, value: Lattice, now_ms: float,
+               originating_cache: str = "", count_access: bool = True) -> Lattice:
+        if not isinstance(value, Lattice):
+            raise TypeError("Anna stores lattices; wrap plain values first "
+                            "(see repro.cloudburst.serialization)")
+        merged = self._nodes[target].put(key, value, now_ms=now_ms,
+                                         count_access=count_access)
         self._dirty.setdefault(target, set()).add(key)
         self._propagate_update(key, merged, exclude=originating_cache)
         return merged
@@ -339,7 +340,7 @@ class AnnaCluster:
             self._nodes[owner].rejections += 1
         raise StorageOverloadError(key, owners)
 
-    def get(self, key: str, ctx: Optional[RequestContext] = None) -> Lattice:
+    def get(self, key: str, ctx: RequestContext) -> Lattice:
         """Read ``key`` from its replica set (one charged round trip).
 
         The read is served by the first replica in ring order that holds the
@@ -347,46 +348,46 @@ class AnnaCluster:
         less-loaded one (reads redirect, writes reject), and the chosen
         node's queueing delay is charged to the caller.
         """
-        owners = self._owners(key)
-        holders = [owner for owner in owners if self._nodes[owner].contains(key)]
+        holders = [owner for owner in self._owners(key)
+                   if self._nodes[owner].contains(key)]
         if not holders:
-            if ctx is not None:
-                self.latency_model.charge(ctx, "anna", "get", size_bytes=0)
-                ctx.charge("anna", "service",
-                           STORAGE_SERVICE.service_ms(StorageNode.MEMORY_TIER))
+            self.latency_model.charge(ctx, "anna", "get", size_bytes=0)
+            ctx.charge("anna", "service",
+                       STORAGE_SERVICE.service_ms(StorageNode.MEMORY_TIER))
             raise KeyNotFoundError(key)
         target = holders[0]
-        if ctx is not None:
-            at_ms = ctx.clock.now_ms
-            skipped = []
-            for owner in holders:
-                if not self._nodes[owner].work_queue.is_full(at_ms):
-                    target = owner
-                    break
-                skipped.append(owner)
-            else:
-                skipped = []  # every holder full: fall back to ring order
-            # A skipped holder is a redirect, not a rejection — the read still
-            # succeeds at the chosen replica (writes reject, reads redirect).
-            for owner in skipped:
-                self._nodes[owner].read_redirects += 1
+        at_ms = ctx.clock.now_ms
+        skipped = []
+        for owner in holders:
+            if not self._nodes[owner].work_queue.is_full(at_ms):
+                target = owner
+                break
+            skipped.append(owner)
+        else:
+            skipped = []  # every holder full: fall back to ring order
+        # A skipped holder is a redirect, not a rejection — the read still
+        # succeeds at the chosen replica (writes reject, reads redirect).
+        for owner in skipped:
+            self._nodes[owner].read_redirects += 1
         node = self._nodes[target]
         value = node.peek(key)
         assert value is not None
-        if ctx is not None:
-            self.latency_model.charge(ctx, "anna", "get", size_bytes=value.size_bytes())
+        self.latency_model.charge(ctx, "anna", "get", size_bytes=value.size_bytes())
         self._serve(node, key, ctx, size_bytes=value.size_bytes())
-        return node.get(key, now_ms=self._op_time(ctx))
+        return node.get(key, now_ms=ctx.clock.now_ms)
 
-    def _serve(self, node: StorageNode, key: str, ctx: Optional[RequestContext],
+    def background_get(self, key: str) -> Optional[Lattice]:
+        """An uncharged, unqueued read at the engine's time (None if absent);
+        unlike :meth:`peek` it counts as an access to the key."""
+        for owner in self._owners(key):
+            node = self._nodes[owner]
+            if node.contains(key):
+                return node.get(key, now_ms=self.engine.now_ms)
+        return None
+
+    def _serve(self, node: StorageNode, key: str, ctx: RequestContext,
                size_bytes: int = 0, fresh: bool = False) -> None:
-        """Charge one operation's queueing delay and service time at ``node``.
-
-        Uncharged requests (``ctx=None``) are background traffic and neither
-        queue nor pay.
-        """
-        if ctx is None:
-            return
+        """Charge one operation's queueing delay and service time at ``node``."""
         tier = node.tier_of(key) or StorageNode.MEMORY_TIER
         if fresh:
             tier = StorageNode.MEMORY_TIER
@@ -405,12 +406,7 @@ class AnnaCluster:
             ctx.record_span("kvs_service", "anna", service_start,
                             node=node.node_id, storage_tier=tier)
 
-    def _op_time(self, ctx: Optional[RequestContext]) -> float:
-        """When an operation touches its key: the request's time, or the
-        engine's for a background operation (a cache write-back)."""
-        return ctx.clock.now_ms if ctx is not None else self.engine.now_ms
-
-    def get_or_none(self, key: str, ctx: Optional[RequestContext] = None) -> Optional[Lattice]:
+    def get_or_none(self, key: str, ctx: RequestContext) -> Optional[Lattice]:
         try:
             return self.get(key, ctx)
         except KeyNotFoundError:
@@ -458,9 +454,11 @@ class AnnaCluster:
                 return value
         return None
 
-    def delete(self, key: str, ctx: Optional[RequestContext] = None) -> bool:
-        if ctx is not None:
-            self.latency_model.charge(ctx, "anna", "put", size_bytes=0)
+    def delete(self, key: str, ctx: RequestContext) -> bool:
+        self.latency_model.charge(ctx, "anna", "put", size_bytes=0)
+        return self.background_delete(key)
+
+    def background_delete(self, key: str) -> bool:
         deleted = False
         for node in self._nodes.values():
             deleted = node.delete(key) or deleted
@@ -482,21 +480,16 @@ class AnnaCluster:
         return len(self.keys())
 
     # -- convenience: plain-value metadata stored as LWW lattices --------------------
-    def put_plain(self, key: str, value, ctx: Optional[RequestContext] = None,
-                  count_access: bool = True) -> Lattice:
-        """Wrap a bare Python value in an LWW lattice and store it.
+    def plain(self, value) -> LWWLattice:
+        """Wrap a bare Python value in an LWW lattice stamped now.
 
         Cloudburst system metadata (function bodies, DAG topologies, executor
-        statistics) uses this path; user data goes through the lattice
+        statistics) uses this; user data goes through the lattice
         encapsulation layer in :mod:`repro.cloudburst.serialization`.
-        ``count_access=False`` marks system traffic (recurring metric
-        publishes) that must not skew the storage-load statistics.
         """
-        timestamp = self._timestamps.next(self.wall_clock_ms())
-        return self.put(key, LWWLattice(timestamp, value), ctx,
-                        count_access=count_access)
+        return LWWLattice(self._timestamps.next(self.wall_clock_ms()), value)
 
-    def get_plain(self, key: str, ctx: Optional[RequestContext] = None):
+    def get_plain(self, key: str, ctx: RequestContext):
         return self.get(key, ctx).reveal()
 
     # -- replica placement ----------------------------------------------------------
@@ -530,11 +523,8 @@ class AnnaCluster:
     def cache_index(self) -> KeyCacheIndex:
         return self._cache_index
 
-    def ingest_cached_keys(self, cache_id: str, cached_keys: Iterable[str],
-                           ctx: Optional[RequestContext] = None) -> None:
+    def ingest_cached_keys(self, cache_id: str, cached_keys: Iterable[str]) -> None:
         """Accept a cache's periodic key-set snapshot (asynchronous for callers)."""
-        if ctx is not None:
-            self.latency_model.charge(ctx, "anna", "metadata")
         self._cache_index.ingest_snapshot(cache_id, cached_keys)
 
     def register_update_listener(self, cache_id: str, listener: UpdateListener) -> None:

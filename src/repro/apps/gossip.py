@@ -88,7 +88,7 @@ class GossipAggregation:
             raise ValueError("the cluster has no executor threads")
         self.actor_threads = [threads[i % len(threads)] for i in range(actor_count)]
         membership = [t.thread_id for t in self.actor_threads]
-        cluster.kvs.put_plain("gossip/membership", membership)
+        cluster.kvs.background_put("gossip/membership", cluster.kvs.plain(membership))
 
     def run(self, metrics: Optional[Sequence[float]] = None,
             max_rounds: int = 1000,
@@ -217,7 +217,7 @@ class GatherAggregation:
         for index, value in enumerate(values):
             branch = ctx.fork()
             self.cluster.latency_model.charge(branch, "cache", "put", size_bytes=8)
-            kvs.put_plain(f"gather/metric-{index}", value)
+            kvs.background_put(f"gather/metric-{index}", kvs.plain(value))
             branches.append(branch)
         ctx.join(branches)
         total = 0.0

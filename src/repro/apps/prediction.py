@@ -167,7 +167,7 @@ class PredictionBaselines:
         self.sagemaker = SageMaker(self.latency_model)
         self.lambda_platform = SimulatedLambda(self.latency_model)
         self.s3 = SimulatedS3(self.latency_model)
-        self.s3.put("model-weights", self.weights)
+        self.s3.preload("model-weights", self.weights)
 
         for platform in (self.python, self.sagemaker):
             platform.register(resize_image, "resize")

@@ -361,28 +361,27 @@ class RetwisOnRedis:
     # -- data loading -----------------------------------------------------------------------
     def load_graph(self, graph: SocialGraph) -> None:
         for name in graph.users:
-            self.redis.put(user_key(name), {"name": name})
-            self.redis.put(followers_key(name), graph.followers_of(name))
-            self.redis.put(following_key(name), graph.follows.get(name, []))
-            self.redis.put(posts_key(name), [])
+            self.redis.preload(user_key(name), {"name": name})
+            self.redis.preload(followers_key(name), graph.followers_of(name))
+            self.redis.preload(following_key(name), graph.follows.get(name, []))
+            self.redis.preload(posts_key(name), [])
         posts: Dict[str, List[str]] = {name: [] for name in graph.users}
         text_to_id: Dict[str, str] = {}
         for author, text, parent_text in graph.seed_tweets:
             tweet_id = f"t{next(self._tweet_ids)}"
             parent_id = text_to_id.get(parent_text) if parent_text else None
-            self.redis.put(tweet_key(tweet_id), {
+            self.redis.preload(tweet_key(tweet_id), {
                 "id": tweet_id, "author": author, "text": text, "parent": parent_id,
             })
             posts[author].append(tweet_id)
             text_to_id[text] = tweet_id
         for author, ids in posts.items():
             if ids:
-                self.redis.put(posts_key(author), ids)
+                self.redis.preload(posts_key(author), ids)
 
     # -- request execution --------------------------------------------------------------------
     def post_tweet(self, author: str, text: str, reply_to: Optional[str] = None,
-                   ctx: Optional[RequestContext] = None) -> float:
-        ctx = ctx or RequestContext()
+                   *, ctx: RequestContext) -> float:
         start = ctx.clock.now_ms
         tweet_id = f"t{next(self._tweet_ids)}"
         if reply_to is not None and self.redis.contains(tweet_key(reply_to)):
@@ -397,8 +396,7 @@ class RetwisOnRedis:
         self.stats.posts += 1
         return ctx.clock.now_ms - start
 
-    def get_timeline(self, user: str, ctx: Optional[RequestContext] = None) -> float:
-        ctx = ctx or RequestContext()
+    def get_timeline(self, user: str, ctx: RequestContext) -> float:
         start = ctx.clock.now_ms
         following = list(self.redis.get(following_key(user), ctx) or [])
         tweet_ids: List[str] = []
@@ -416,5 +414,6 @@ class RetwisOnRedis:
 
     def execute(self, request: RetwisRequest) -> float:
         if request.kind == "post":
-            return self.post_tweet(request.user, request.text or "")
-        return self.get_timeline(request.user)
+            return self.post_tweet(request.user, request.text or "",
+                                   ctx=RequestContext())
+        return self.get_timeline(request.user, RequestContext())

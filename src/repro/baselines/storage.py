@@ -26,11 +26,14 @@ class SimulatedStorageService:
         self.get_count = 0
         self.put_count = 0
 
-    def put(self, key: str, value: Any, ctx: Optional[RequestContext] = None) -> None:
-        """Store ``value``; without a ``ctx`` it is a preload, charged to no one."""
-        if ctx is not None:
-            self.latency_model.charge(ctx, self.service_name, "put",
-                                      size_bytes=estimate_size(value))
+    def put(self, key: str, value: Any, ctx: RequestContext) -> None:
+        """Store ``value`` for a request, charging the service's put."""
+        self.latency_model.charge(ctx, self.service_name, "put",
+                                  size_bytes=estimate_size(value))
+        self.preload(key, value)
+
+    def preload(self, key: str, value: Any) -> None:
+        """Store ``value`` before any request runs, charged to no one."""
         self._data[key] = value
         self.put_count += 1
 
@@ -70,12 +73,12 @@ class SimulatedDynamoDB(SimulatedStorageService):
     service_name = "dynamodb"
     MAX_ITEM_BYTES = 400 * 1024
 
-    def put(self, key: str, value: Any, ctx: Optional[RequestContext] = None) -> None:
+    def preload(self, key: str, value: Any) -> None:
         if estimate_size(value) > self.MAX_ITEM_BYTES:
             raise ValueError(
                 f"DynamoDB item limit exceeded ({estimate_size(value)} bytes > "
                 f"{self.MAX_ITEM_BYTES})")
-        super().put(key, value, ctx)
+        super().preload(key, value)
 
 
 class SimulatedRedis(SimulatedStorageService):
@@ -84,12 +87,12 @@ class SimulatedRedis(SimulatedStorageService):
     Writes are serialized at the master.  When several writers publish in the
     same round (the gather baseline in §6.1.3), each write queues behind the
     previous ones; ``contention`` tells the model how many writes are queued
-    ahead of this one (a charged write only: preloads pass no ``ctx``).
+    ahead of this one.
     """
 
     service_name = "redis"
 
-    def put(self, key: str, value: Any, ctx: Optional[RequestContext] = None,
+    def put(self, key: str, value: Any, ctx: RequestContext,
             contention: int = 0) -> None:
         for _ in range(contention):
             self.latency_model.charge(ctx, "redis", "queue_delay")

@@ -104,7 +104,7 @@ def _metadata_overhead(cluster: CloudburstCluster) -> Dict[str, float]:
     for key in cluster.kvs.keys():
         if not key.startswith(f"{KEY_PREFIX}-"):
             continue
-        lattice = cluster.kvs.get_or_none(key)
+        lattice = cluster.kvs.background_get(key)
         if isinstance(lattice, CausalLattice):
             sizes.append(lattice.metadata_bytes())
         if len(sizes) >= 2_000:

@@ -225,7 +225,7 @@ def bench_multi_get(rounds: int = 30,
         cache = ExecutorCache(f"bench-{size}", anna, peer_registry={})
         keys = [f"k{index}" for index in range(size)]
         for key in keys:
-            anna.put(key, LWWLattice(Timestamp(1.0, "bench"), "v"))
+            anna.background_put(key, LWWLattice(Timestamp(1.0, "bench"), "v"))
         virtual_ms = now_ms = 0.0
         for _ in range(rounds):
             for key in keys:

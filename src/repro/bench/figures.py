@@ -18,13 +18,20 @@ Gates read only the snapshot payload and the scale's parameters (run
 keyword arguments plus limits), so a canned payload exercises every clause
 without running anything.  Section layouts are documented in
 ``docs/BENCH_SCHEMA.md``.
+
+``python -m repro.bench.figures --compare PARENT.json CHANGE.json`` compares
+two snapshots leaf by leaf with ``==``, skipping the leaves each entry
+declares as host-clock measurements (:func:`compare_snapshots`).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import sys
 import time
 from dataclasses import dataclass, field
+from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
@@ -59,7 +66,9 @@ class Figure:
     budget overrides them.  ``notes`` follow the printed table (see
     :meth:`table`).  ``files`` names what the run writes next to the
     snapshot; a run that writes files is also given the snapshot's
-    directory as ``out_dir``.
+    directory as ``out_dir``.  ``host_leaves`` are ``fnmatch`` patterns, below
+    each section, of the leaves the host's clock measures; with the
+    ``wall_seconds`` :meth:`record` stamps, ``--compare`` skips them.
     """
 
     title: str
@@ -71,6 +80,11 @@ class Figure:
     common: Mapping[str, Any] = field(default_factory=dict)
     limits: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
     files: Tuple[str, ...] = ()
+    host_leaves: Tuple[str, ...] = ()
+
+    def host_patterns(self) -> List[str]:
+        return [f"{self.sections[0]}/wall_seconds"] + [
+            f"{section}/{leaf}" for section in self.sections for leaf in self.host_leaves]
 
     def kwargs(self, scale: str) -> Dict[str, Any]:
         return {**self.common, **_at(self.budgets, scale)}
@@ -498,6 +512,7 @@ FIGURES: Tuple[Figure, ...] = (
                  "*": dict(thread_counts=_THREAD_COUNTS, requests_per_point=2_000)},
         limits={"smoke": dict(speedups={48: 2.5}, spread=1.5),
                 "*": dict(speedups={160: 8.0}, spread=2.5)},
+        host_leaves=("sim_requests_per_cpu_s",),
         notes=("paper: throughput near-linear in threads, latency roughly flat",)),
     Figure(
         "Figure 11 (Retwis latency and anomalies)", ("figure11_retwis",),
@@ -521,6 +536,7 @@ FIGURES: Tuple[Figure, ...] = (
                  "*": dict(thread_counts=_THREAD_COUNTS, requests_per_point=5_000)},
         limits={"smoke": dict(speedups={40: 2.2}, spread=3.5),
                 "*": dict(speedups={160: 6.0, 40: 2.0}, spread=3.5)},
+        host_leaves=("sim_requests_per_cpu_s",),
         notes=("paper: near-linear, ~30% below ideal at 160 threads; latency +~60%",)),
     Figure(
         "Table 2 (anomaly counts, engine-driven sessions)", ("table2_anomalies",),
@@ -559,10 +575,60 @@ FIGURES: Tuple[Figure, ...] = (
         "Engine microbenchmark (events/sec floor)", ("engine_throughput",),
         lambda seed: {"engine_throughput": run_engine_micro()}, _engine_errors,
         budgets={"*": {}},
-        limits={"smoke": dict(host_floors=False), "*": dict(host_floors=True)}),
+        limits={"smoke": dict(host_floors=False), "*": dict(host_floors=True)},
+        host_leaves=("*_per_sec", "sim_ms_per_wall_ms", "speedup_vs_pre_pr",
+                     "tracing_overhead_pct", "scenarios/*/wall_seconds",
+                     "scenarios/tracing_overhead/*_seconds",
+                     "scenarios/tracing_overhead/overhead_pct")),
 )
 
 
 def gate_errors(payload: Payload, scale: str) -> List[str]:
     """Every invariant the bench snapshot gates CI on, as error strings."""
     return [error for figure in FIGURES for error in figure.errors(payload, scale)]
+
+
+# -- comparing two snapshots ----------------------------------------------------------
+def _leaves(node: Any, path: str, out: Dict[str, Any]) -> Dict[str, Any]:
+    """Every leaf below ``node`` by path: dicts by key, lists by index."""
+    if isinstance(node, (dict, list)) and node:
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            _leaves(value, f"{path}/{key}", out)
+    else:
+        out[path] = node
+    return out
+
+
+def compare_snapshots(parent: Payload, change: Payload) -> List[str]:
+    """Each seeded leaf that moved (by ``==``), and each leaf or section on one
+    side only; the registry's host-clock leaves are skipped."""
+    host = [pattern for figure in FIGURES for pattern in figure.host_patterns()]
+    lines = [f"section only in {side}: {name}" for side, one, other
+             in (("parent", parent, change), ("change", change, parent))
+             for name in sorted(one.keys() - other.keys())]
+    for name in sorted(parent.keys() & change.keys()):
+        before, after = _leaves(parent[name], name, {}), _leaves(change[name], name, {})
+        for path in sorted(before.keys() | after.keys()):
+            if any(fnmatchcase(path, pattern) for pattern in host):
+                continue
+            if path not in after:
+                lines.append(f"only in parent: {path} = {before[path]!r}")
+            elif path not in before:
+                lines.append(f"only in change: {path} = {after[path]!r}")
+            elif before[path] != after[path]:
+                lines.append(f"moved: {path}: {before[path]!r} -> {after[path]!r}")
+    return lines
+
+
+def main(argv: Sequence[str]) -> int:
+    parser = argparse.ArgumentParser(description="Compare two bench snapshots.")
+    parser.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"), required=True)
+    parent, change = (json.loads(Path(path).read_text())
+                      for path in parser.parse_args(argv).compare)
+    lines = compare_snapshots(parent, change)
+    print("\n".join(lines + [f"{len(lines)} difference(s) outside the host-clock leaves"]))
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

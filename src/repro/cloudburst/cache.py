@@ -241,7 +241,7 @@ class ExecutorCache:
         merged = self._store(key, value)
         self.stats.puts += 1
         # Asynchronous write-back to the KVS (not charged to the request).
-        self.kvs.put(key, value, ctx=None, originating_cache=self.cache_id)
+        self.kvs.background_put(key, value, originating_cache=self.cache_id)
         return merged
 
     def contains(self, key: str) -> bool:
@@ -294,9 +294,9 @@ class ExecutorCache:
         return merged
 
     # -- freshness: keyset publication and update propagation (§4.2) ---------------
-    def publish_cached_keys(self, ctx: Optional[RequestContext] = None) -> None:
+    def publish_cached_keys(self) -> None:
         """Periodically publish a snapshot of cached keys to Anna's index."""
-        self.kvs.ingest_cached_keys(self.cache_id, self.cached_keys(), ctx)
+        self.kvs.ingest_cached_keys(self.cache_id, self.cached_keys())
 
     def receive_update(self, key: str, value: Lattice) -> None:
         """Anna pushes an update for a key this cache holds; merge it in."""
@@ -412,22 +412,22 @@ class ExecutorCache:
 
     # -- version snapshots for the distributed-session protocols (§5.3) -------------
     def create_snapshot(self, execution_id: str, key: str, value: Lattice,
-                        ctx: Optional[RequestContext] = None,
-                        overwrite: bool = False) -> None:
+                        overwrite: bool = False) -> bool:
         """Pin the exact version returned to a DAG's first read of ``key``.
 
         ``overwrite`` replaces an existing snapshot; the session protocols use
         it when the DAG itself writes the key, so later functions see the
         DAG's most recent update rather than the originally pinned version.
+        Returns whether a snapshot was pinned; the caller whose request pays
+        for it charges ``cache.snapshot``.
         """
         snapshot_key = (execution_id, key)
         if snapshot_key in self._snapshots and not overwrite:
-            return
-        if ctx is not None:
-            self.latency_model.charge(ctx, "cache", "snapshot")
+            return False
         self._snapshots[snapshot_key] = value
         self._snapshot_keys_by_execution.setdefault(execution_id, set()).add(key)
         self.stats.snapshots_created += 1
+        return True
 
     def get_snapshot(self, execution_id: str, key: str) -> Optional[Lattice]:
         return self._snapshots.get((execution_id, key))

@@ -82,7 +82,7 @@ class CloudburstClient:
     def put(self, key: str, value: Any, ctx: Optional[RequestContext] = None) -> None:
         """Store a Python object in the KVS (wrapped in the appropriate lattice)."""
         with self._cluster.request(ctx) as ctx:
-            prior = self.kvs.get_or_none(key)
+            prior = self.kvs.background_get(key)
             lattice = self._encapsulator.encapsulate(
                 value, clock_ms=self.kvs.wall_clock_ms(), prior=prior)
             self.kvs.put(key, lattice, ctx)

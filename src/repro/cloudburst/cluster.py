@@ -190,7 +190,7 @@ class CloudburstCluster:
             for name, pins in scheduler.function_pins.items():
                 scheduler.function_pins[name] = [p for p in pins
                                                  if p not in departed]
-        self.kvs.delete(EXECUTOR_METRICS_PREFIX + vm.vm_id)
+        self.kvs.background_delete(EXECUTOR_METRICS_PREFIX + vm.vm_id)
 
     def vm(self, vm_id: str) -> ExecutorVM:
         for vm in self.vms:

@@ -205,7 +205,8 @@ class RepeatableReadProtocol(ConsistencyProtocol):
                     # version is fine (Algorithm 1, line 9); pin it as the
                     # session's snapshot.
                     value = cache.get_or_fetch(key, ctx)
-                    cache.create_snapshot(state.execution_id, key, value, ctx)
+                    if cache.create_snapshot(state.execution_id, key, value):
+                        cache.latency_model.charge(ctx, "cache", "snapshot")
                     self._pin_version(state, cache, key, value)
                 else:
                     value = self._read_pinned(cache, entry, ctx, state)

@@ -9,7 +9,8 @@ flap capacity), pins a backlogged function onto more executors, and
 go dark (§4.4).  Both ticks are recurring events on the cluster's engine,
 so any workload driven through :class:`~repro.bench.harness.EngineLoadDriver`
 runs under real autoscaling.  Control-plane traffic is uncharged background
-load (``ctx=None``): a plane whose policy never acts changes no latency.
+load (``AnnaCluster.background_put``/``background_delete``, which take no
+request context): a plane whose policy never acts changes no latency.
 """
 
 from __future__ import annotations
@@ -173,11 +174,12 @@ class ComputeControlPlane:
     def publish(self) -> None:
         """One publish tick: alive VMs' metrics plus scheduler call totals."""
         self.cluster.publish_all_metrics()
+        kvs = self.cluster.kvs
         for scheduler in self.cluster.schedulers:
             stats = scheduler.stats
-            self.cluster.kvs.put_plain(
+            kvs.background_put(
                 SCHEDULER_METRICS_PREFIX + scheduler.scheduler_id,
-                {
+                kvs.plain({
                     "scheduler_id": scheduler.scheduler_id,
                     "function_calls": sum(stats.calls_per_function.values()),
                     "dag_calls": sum(stats.calls_per_dag.values()),
@@ -185,7 +187,7 @@ class ComputeControlPlane:
                     # DAG call as k units of arriving work (comparable with
                     # the executors' invocation totals).
                     "dag_calls_by_name": dict(stats.calls_per_dag),
-                },
+                }),
                 count_access=False)
         self.published_ticks += 1
 

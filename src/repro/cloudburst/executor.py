@@ -240,19 +240,20 @@ class ExecutorThread:
     def cached_functions(self) -> List[str]:
         return sorted(self._function_cache)
 
-    def pin_function(self, name: str, func: Optional[Callable] = None,
-                     ctx: Optional[RequestContext] = None) -> None:
-        """Cache a function body locally (deserialization happens once)."""
+    def pin_function(self, name: str, func: Optional[Callable] = None) -> None:
+        """Cache a function body locally (fetched uncharged: pinning is background)."""
         if func is None:
-            func = self._fetch_function(name, ctx)
+            stored = self.kvs.background_get(function_key(name))
+            if stored is None:
+                raise FunctionNotFoundError(name)
+            func = stored.reveal()
         self._function_cache[name] = func
 
-    def _fetch_function(self, name: str, ctx: Optional[RequestContext]) -> Callable:
+    def _fetch_function(self, name: str, ctx: RequestContext) -> Callable:
         stored = self.kvs.get_or_none(function_key(name), ctx)
         if stored is None:
             raise FunctionNotFoundError(name)
-        if ctx is not None:
-            self.latency_model.charge(ctx, "cloudburst", "deserialize_function")
+        self.latency_model.charge(ctx, "cloudburst", "deserialize_function")
         return stored.reveal()
 
     # -- invocation ----------------------------------------------------------------------
@@ -429,14 +430,14 @@ class ExecutorVM:
     def invocation_count(self) -> int:
         return sum(thread.invocation_count for thread in self.threads)
 
-    def publish_metrics(self, ctx: Optional[RequestContext] = None) -> None:
+    def publish_metrics(self) -> None:
         """Publish cached-function and load metrics to the KVS (§4.1).
 
         The utilization sample is queue-aware (taken at the current virtual
         time), so the monitoring system aggregating these keys sees the same
         saturation signal the scheduler's backpressure does.  The publish
-        itself is background traffic (``ctx=None`` callers are not charged
-        and storage nodes don't queue it).
+        itself is background traffic (``AnnaCluster.background_put``: no
+        one is charged and storage nodes don't queue it).
         """
         now_ms = self.engine.now_ms
         metrics = {
@@ -452,9 +453,9 @@ class ExecutorVM:
         }
         # System traffic: the periodic publish must not register as client
         # load with the hot-key or storage-autoscaling policies.
-        self.kvs.put_plain(EXECUTOR_METRICS_PREFIX + self.vm_id, metrics, ctx,
-                           count_access=False)
-        self.cache.publish_cached_keys(ctx)
+        self.kvs.background_put(EXECUTOR_METRICS_PREFIX + self.vm_id,
+                                self.kvs.plain(metrics), count_access=False)
+        self.cache.publish_cached_keys()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ExecutorVM({self.vm_id!r}, threads={len(self.threads)}, alive={self.alive})"

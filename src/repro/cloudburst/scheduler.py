@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence,
 
 from ..errors import FunctionNotFoundError, SchedulingError
 from ..lattices import SetLattice
-from ..sim import RequestContext, SimClock
+from ..sim import RequestContext
 from .consistency.levels import ConsistencyLevel
 from .consistency.protocols import ObservingProtocol, SessionState, make_protocol
 from .dag import Dag
@@ -125,44 +125,44 @@ class Scheduler:
         return resumed
 
     # -- registration (§4.3 "Scheduling Mechanisms") -----------------------------------
-    def register_function(self, func: Callable, name: Optional[str] = None,
-                          ctx: Optional[RequestContext] = None) -> str:
+    def register_function(self, func: Callable, name: Optional[str] = None) -> str:
         """Store a function in Anna and add it to the registered-function list.
 
         Re-registering an existing name *overwrites* it everywhere the old
         body could still be served from: Anna (the source of truth new
         executors fetch from) and every executor thread that already pinned
         the previous body — otherwise a stale pinned copy would keep running
-        on exactly the threads the name is routed to.
+        on exactly the threads the name is routed to.  Registration is
+        background traffic: its Anna writes are uncharged.
         """
         name = name or func.__name__
         self.functions[name] = func
-        self.kvs.put_plain(function_key(name), func, ctx)
-        self.kvs.put(FUNCTION_LIST_KEY, SetLattice({name}), ctx)
+        self.kvs.background_put(function_key(name), self.kvs.plain(func))
+        self.kvs.background_put(FUNCTION_LIST_KEY, SetLattice({name}))
         for vm in self.vms:
             for thread in vm.threads:
                 if thread.has_function(name):
-                    thread.pin_function(name, func, ctx)
+                    thread.pin_function(name, func)
         return name
 
-    def register_dag(self, dag: Dag, ctx: Optional[RequestContext] = None,
-                     replicas_per_function: int = 1) -> None:
+    def register_dag(self, dag: Dag, replicas_per_function: int = 1) -> None:
         """Verify the DAG's functions exist, pin them on executors, persist it."""
         for name in dag.functions:
             if not self.kvs.contains(function_key(name)):
                 raise FunctionNotFoundError(name)
         self.dag_registry.register(dag)
         for name in dag.functions:
-            self.pin_function(name, replicas=replicas_per_function, ctx=ctx)
+            self.pin_function(name, replicas=replicas_per_function)
         # DAG topologies are the scheduler's only persistent metadata (§4.3).
         topology = {
             "name": dag.name,
             "functions": list(dag.functions),
             "edges": [(edge.source, edge.target) for edge in dag.edges],
         }
-        self.kvs.put_plain(f"__cloudburst_dags__/{dag.name}", topology, ctx)
+        self.kvs.background_put(f"__cloudburst_dags__/{dag.name}",
+                                self.kvs.plain(topology))
 
-    def delete_dag(self, name: str, ctx: Optional[RequestContext] = None) -> bool:
+    def delete_dag(self, name: str) -> bool:
         """Remove a registered DAG (paper Table 1 ``delete_dag``).
 
         Later ``call_dag`` invocations of the name raise
@@ -173,11 +173,10 @@ class Scheduler:
         """
         removed = self.dag_registry.unregister(name)
         if removed:
-            self.kvs.delete(f"__cloudburst_dags__/{name}", ctx)
+            self.kvs.background_delete(f"__cloudburst_dags__/{name}")
         return removed
 
-    def pin_function(self, name: str, replicas: int = 1,
-                     ctx: Optional[RequestContext] = None) -> List[str]:
+    def pin_function(self, name: str, replicas: int = 1) -> List[str]:
         """Cache ``name`` on ``replicas`` executor threads (monitoring adds more)."""
         pins = self.function_pins.setdefault(name, [])
         live_threads = self._live_threads()
@@ -187,13 +186,13 @@ class Scheduler:
             [t for t in live_threads if t.thread_id not in pins])
         needed = max(0, replicas - len(pins))
         for thread in candidates[:needed]:
-            thread.pin_function(name, self.functions.get(name), ctx)
+            thread.pin_function(name, self.functions.get(name))
             pins.append(thread.thread_id)
         # Ensure at least one pin exists even if every thread was already pinned
         # for some other caller (or replicas == 0 was requested).
         if not pins:
             thread = self.rng.choice(live_threads)
-            thread.pin_function(name, self.functions.get(name), ctx)
+            thread.pin_function(name, self.functions.get(name))
             pins.append(thread.thread_id)
         return list(pins)
 
@@ -210,8 +209,8 @@ class Scheduler:
     # -- invocation (§3: a request is a DAG; one function is the one-node case) ------------
     def call(self, function_name: str, args: Sequence[Any] = (),
              consistency: Optional[ConsistencyLevel] = None,
-             store_in_kvs: bool = False,
-             ctx: Optional[RequestContext] = None) -> ExecutionResult:
+             store_in_kvs: bool = False, *,
+             ctx: RequestContext) -> ExecutionResult:
         """Schedule and execute a single function invocation.
 
         A bare call executes in the caller's request context: it runs as a
@@ -231,8 +230,8 @@ class Scheduler:
 
     def call_dag(self, dag_name: str, function_args: Optional[Dict[str, Sequence[Any]]] = None,
                  consistency: Optional[ConsistencyLevel] = None,
-                 store_in_kvs: bool = False,
-                 ctx: Optional[RequestContext] = None,
+                 store_in_kvs: bool = False, *,
+                 ctx: RequestContext,
                  on_complete: Optional[Callable[[ExecutionResult], None]] = None,
                  on_error: Optional[Callable[[Exception], None]] = None) -> DagSession:
         """Schedule a registered DAG; returns its (pending) session.
@@ -256,7 +255,7 @@ class Scheduler:
 
     def _open_session(self, dag: Dag, function_args: Dict[str, Sequence[Any]],
                       consistency: Optional[ConsistencyLevel], store_in_kvs: bool,
-                      ctx: Optional[RequestContext],
+                      ctx: RequestContext,
                       on_complete: Optional[Callable[[ExecutionResult], None]] = None,
                       on_error: Optional[Callable[[Exception], None]] = None,
                       inline: bool = False) -> DagSession:
@@ -268,7 +267,6 @@ class Scheduler:
         """
         if not self.alive:
             raise SchedulingError(f"scheduler {self.scheduler_id!r} is down")
-        ctx = ctx or RequestContext(clock=SimClock(self.engine.now_ms))
         start_ms = ctx.clock.now_ms
         self.latency_model.charge(ctx, "cloudburst", "client_to_scheduler")
         self.latency_model.charge(ctx, "cloudburst", "schedule")

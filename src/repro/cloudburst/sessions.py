@@ -538,7 +538,7 @@ class DagSession:
         result_key = None
         if self.record.store_in_kvs:
             result_key = f"__cloudburst_results__/{self.state.execution_id}"
-            scheduler.kvs.put_plain(result_key, value, ctx)
+            scheduler.kvs.put(result_key, scheduler.kvs.plain(value), ctx)
         else:
             scheduler.latency_model.charge(ctx, "cloudburst", "result_to_client")
         self.protocol.finalize(self.state, scheduler.cache_registry)

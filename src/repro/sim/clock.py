@@ -10,11 +10,11 @@ This keeps benchmarks deterministic and fast while preserving the *structure*
 of each protocol: a protocol that performs one extra round trip is charged one
 extra round trip.
 
-Every data-plane call below the scheduler takes the :class:`RequestContext`
-of the request it runs for, as a required argument (DESIGN.md DR-22).  Only
-background traffic — gossip, cache write-backs, metric publishes, function
-pinning, storage preloads — runs with ``ctx=None``, and only the few entry
-points that serve it accept that.
+Every request-path call takes the :class:`RequestContext` of the request it
+runs for, as a required argument (DESIGN.md DR-22, DR-24).  Background
+traffic — gossip, cache write-backs, metric publishes, function pinning,
+storage preloads — takes its own calls (``AnnaCluster.background_*``,
+``SimulatedStorageService.preload``), which take no context at all.
 
 Charge accounting is allocation-light (the engine microbenchmark's
 ``charge_log`` scenario gates it): :class:`ChargeRecord` is a ``__slots__``

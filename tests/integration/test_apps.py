@@ -88,7 +88,7 @@ class TestRetwis:
         from repro.apps.retwis import tweet_key
         from repro.lattices import CausalLattice
 
-        stored = cluster.kvs.get(tweet_key(reply["id"]))
+        stored = cluster.kvs.background_get(tweet_key(reply["id"]))
         assert isinstance(stored, CausalLattice)
         assert tweet_key(original["id"]) in stored.dependencies
 

@@ -26,6 +26,7 @@ from repro.cloudburst.controlplane import MonitoringConfig
 from repro.cloudburst.sessions import MAX_RETRIES
 from repro.sim import RandomSource
 
+from engine_time import at_engine_time
 from one_client import one_client_driver_latencies, top_level_latencies
 
 
@@ -184,13 +185,14 @@ class TestInterleavedSessions:
         args_b = {"read_key": ["shared"], "read_write": ["shared", "token-b"]}
         states["a"] = scheduler.call_dag(
             "session-dag", args_a, consistency=ConsistencyLevel.DISTRIBUTED_SESSION_RR,
-            on_complete=complete_a)
+            on_complete=complete_a, ctx=at_engine_time(scheduler))
         # B starts mid-way through A and finishes later (long think between
         # stages comes from queueing both sessions on two-thread VMs).
         engine.at(engine.now_ms + 0.5, lambda: states.__setitem__(
             "b", scheduler.call_dag(
                 "session-dag", args_b,
-                consistency=ConsistencyLevel.DISTRIBUTED_SESSION_RR)))
+                consistency=ConsistencyLevel.DISTRIBUTED_SESSION_RR,
+                ctx=at_engine_time(scheduler))))
         engine.run()
         assert states.get("a_done")
         assert states["b"].done
@@ -215,7 +217,8 @@ class TestSessionFailureIsolation:
         cluster = self._flaky_cluster()
         scheduler = cluster.schedulers[0]
         errors = []
-        session = scheduler.call_dag("flaky-dag", on_error=errors.append)
+        session = scheduler.call_dag("flaky-dag", on_error=errors.append,
+                                     ctx=at_engine_time(scheduler))
         cluster.engine.run()
         assert session.done and session.result is None
         assert len(errors) == 1
@@ -243,7 +246,7 @@ class TestSessionFailureIsolation:
 
         cluster = self._flaky_cluster()
         scheduler = cluster.schedulers[0]
-        scheduler.call_dag("flaky-dag")
+        scheduler.call_dag("flaky-dag", ctx=at_engine_time(scheduler))
         with pytest.raises(DagExecutionError):
             cluster.engine.run()
 
@@ -290,7 +293,7 @@ class TestSessionFailureIsolation:
             in_error_callback["tracked_reads"] = dict(
                 cluster.anomaly_tracker._reads_by_execution)
 
-        scheduler.call_dag("read-die-dag", on_error=on_error)
+        scheduler.call_dag("read-die-dag", on_error=on_error, ctx=at_engine_time(scheduler))
         cluster.engine.run()
         assert len(errors) == 1
         assert in_error_callback["snapshots"] == [0] * len(cluster.vms)
@@ -303,7 +306,7 @@ class TestSessionFailureIsolation:
         cluster = self._reading_flaky_cluster()
         scheduler = cluster.schedulers[0]
         with pytest.raises(DagExecutionError):
-            scheduler.call("read_then_die")
+            scheduler.call("read_then_die", ctx=at_engine_time(scheduler))
         self._assert_no_leaked_session_state(cluster)
 
 class TestTable2Determinism:

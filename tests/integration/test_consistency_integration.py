@@ -111,8 +111,8 @@ class TestCausalSessionAcrossExecutors:
                                        ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL)
         writer_b = LatticeEncapsulator("writer-b",
                                        ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL)
-        cluster.kvs.put("doc", writer_a.encapsulate("version-from-a"))
-        cluster.kvs.put("doc", writer_b.encapsulate("version-from-b"))
+        cluster.kvs.background_put("doc", writer_a.encapsulate("version-from-a"))
+        cluster.kvs.background_put("doc", writer_b.encapsulate("version-from-b"))
 
         def read_all(cloudburst, key):
             return cloudburst.get_all_versions(key)

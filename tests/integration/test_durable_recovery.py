@@ -37,7 +37,7 @@ class TestClusterCrashRestart:
     def test_crash_then_restart_recovers_every_demoted_key(self, tmp_path):
         cluster = self._cluster(tmp_path)
         for i in range(40):
-            cluster.put(f"key-{i:02d}", lww(i, clock=float(i + 1)))
+            cluster.background_put(f"key-{i:02d}", lww(i, clock=float(i + 1)))
 
         victim = cluster.node_ids[0]
         node = cluster.node(victim)
@@ -59,12 +59,12 @@ class TestClusterCrashRestart:
 
         # No acknowledged write is lost anywhere in the cluster.
         for i in range(40):
-            assert cluster.get(f"key-{i:02d}").reveal() == i
+            assert cluster.background_get(f"key-{i:02d}").reveal() == i
 
     def test_durable_stats_track_crash_and_recovery(self, tmp_path):
         cluster = self._cluster(tmp_path)
         for i in range(30):
-            cluster.put(f"key-{i:02d}", lww(i))
+            cluster.background_put(f"key-{i:02d}", lww(i))
         victim = cluster.node_ids[0]
         cluster.crash_node(victim)
         cluster.restart_node(victim)
@@ -89,14 +89,14 @@ class TestClusterCrashRestart:
         cluster = AnnaCluster(node_count=3, replication_factor=2,
                               memory_capacity_keys=4)
         for i in range(40):
-            cluster.put(f"key-{i:02d}", lww(i, clock=float(i + 1)))
+            cluster.background_put(f"key-{i:02d}", lww(i, clock=float(i + 1)))
         victim = cluster.node_ids[0]
         assert cluster.crash_node(victim) > 0
         assert cluster.restart_node(victim) == 0
         stats = cluster.durable_stats()
         assert stats["cold_keys_recovered"] < stats["cold_keys_at_crash"]
         for i in range(40):
-            assert cluster.get(f"key-{i:02d}").reveal() == i
+            assert cluster.background_get(f"key-{i:02d}").reveal() == i
 
 
 class TestDurableFaultMatrix:

@@ -31,6 +31,8 @@ from repro.errors import ExecutorFailedError
 from repro.obs import Tracer
 from repro.sim import RequestContext, SimClock
 
+from engine_time import at_engine_time
+
 
 def _one_thread_cluster(level=ConsistencyLevel.LWW, seed=3, **kwargs):
     """1 VM x 1 thread: pinned and unpinned placement pick the same thread."""
@@ -140,10 +142,12 @@ def _diamond_cluster(seed=7):
 
 class TestForkJoinWhoeverFiresTheEvents:
     def test_diamond_stepped_by_a_blocked_caller_matches_a_run(self):
-        stepped = _diamond_cluster().schedulers[0].call_dag("diamond").drive()
+        scheduler = _diamond_cluster().schedulers[0]
+        stepped = scheduler.call_dag("diamond", ctx=at_engine_time(scheduler)).drive()
 
         cluster = _diamond_cluster()
-        session = cluster.schedulers[0].call_dag("diamond")
+        scheduler = cluster.schedulers[0]
+        session = scheduler.call_dag("diamond", ctx=at_engine_time(scheduler))
         cluster.engine.run()
         drained = session.result
 
@@ -216,7 +220,7 @@ class TestApplicationErrorsCloseTheSession:
         cloud.register(read_then_raise, name="boom")
         scheduler = cluster.schedulers[0]
         with pytest.raises(ValueError, match="application bug"):
-            scheduler.call("boom")
+            scheduler.call("boom", ctx=at_engine_time(scheduler))
         assert cluster.abandoned_session_count() == 0
         assert cluster.vms[0].cache.snapshot_count() == 0
         counts = scheduler.journal.counts()

@@ -54,7 +54,7 @@ def test_repeatable_read_invariant(schedule):
     anna, caches, encapsulators = build_environment(level)
     external_clock = [0.0]
     for key in KEYS:
-        anna.put(key, LWWLattice(Timestamp(0.0, "seed"), f"{key}-v0"))
+        anna.background_put(key, LWWLattice(Timestamp(0.0, "seed"), f"{key}-v0"))
     protocol = RepeatableReadProtocol()
     state = SessionState("exec-0", level)
     ctx = RequestContext()  # the session's one request
@@ -64,7 +64,7 @@ def test_repeatable_read_invariant(schedule):
         if step[0] == "external_write":
             _, key = step
             external_clock[0] += 1.0
-            anna.put(key, LWWLattice(Timestamp(external_clock[0], "external"),
+            anna.background_put(key, LWWLattice(Timestamp(external_clock[0], "external"),
                                      f"{key}-ext-{external_clock[0]}"))
         elif step[0] == "read":
             _, key, cache_index = step
@@ -90,7 +90,7 @@ def test_distributed_session_causal_invariant(schedule):
     level = ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL
     anna, caches, encapsulators = build_environment(level)
     for key in KEYS:
-        anna.put(key, CausalLattice(VectorClock({"seed": 1}), f"{key}-v0"))
+        anna.background_put(key, CausalLattice(VectorClock({"seed": 1}), f"{key}-v0"))
     protocol = DistributedSessionCausalProtocol()
     state = SessionState("exec-0", level)
     ctx = RequestContext()  # the session's one request
@@ -100,9 +100,9 @@ def test_distributed_session_causal_invariant(schedule):
         if step[0] == "external_write":
             _, key = step
             external_counter[0] += 1
-            prior = anna.get_or_none(key)
+            prior = anna.background_get(key)
             base = prior.vector_clock if isinstance(prior, CausalLattice) else VectorClock()
-            anna.put(key, CausalLattice(base.increment("external"),
+            anna.background_put(key, CausalLattice(base.increment("external"),
                                         f"{key}-ext-{external_counter[0]}"))
         elif step[0] == "read":
             _, key, cache_index = step
@@ -129,6 +129,6 @@ def test_distributed_session_causal_invariant(schedule):
     # cut again (the bolt-on property is repairable from the KVS).
     for cache in caches:
         for violation_key, _dep in cache.violates_causal_cut():
-            fresh = anna.get_or_none(violation_key)
+            fresh = anna.background_get(violation_key)
             if fresh is not None:
                 cache.receive_update(violation_key, fresh)

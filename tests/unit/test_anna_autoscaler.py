@@ -23,9 +23,9 @@ class TestScaleUpAndDown:
         config = StorageAutoscalerConfig(scale_up_accesses_per_node=10,
                                          scale_down_accesses_per_node=0)
         scaler = StorageAutoscaler(anna, config)
-        anna.put("k", lww(1))
+        anna.background_put("k", lww(1))
         for _ in range(50):
-            anna.get("k")
+            anna.background_get("k")
         report = scaler.tick()
         assert report.nodes_added == 1
         assert anna.node_count() == 3
@@ -52,9 +52,9 @@ class TestScaleUpAndDown:
         config = StorageAutoscalerConfig(scale_up_accesses_per_node=1,
                                          max_nodes=2, scale_down_accesses_per_node=0)
         scaler = StorageAutoscaler(anna, config)
-        anna.put("k", lww(1))
+        anna.background_put("k", lww(1))
         for _ in range(100):
-            anna.get("k")
+            anna.background_get("k")
         assert scaler.tick().nodes_added == 0
 
     def test_window_accounting_resets_between_ticks(self):
@@ -62,9 +62,9 @@ class TestScaleUpAndDown:
         config = StorageAutoscalerConfig(scale_up_accesses_per_node=20,
                                          scale_down_accesses_per_node=0)
         scaler = StorageAutoscaler(anna, config)
-        anna.put("k", lww(1))
+        anna.background_put("k", lww(1))
         for _ in range(100):
-            anna.get("k")
+            anna.background_get("k")
         first = scaler.tick()
         second = scaler.tick()
         assert first.accesses_per_node > second.accesses_per_node
@@ -78,9 +78,9 @@ class TestHotKeysAndTiering:
                                          scale_up_accesses_per_node=1e9,
                                          scale_down_accesses_per_node=0)
         scaler = StorageAutoscaler(anna, config)
-        anna.put("hot", lww(1))
+        anna.background_put("hot", lww(1))
         for _ in range(20):
-            anna.get("hot")
+            anna.background_get("hot")
         report = scaler.tick()
         assert "hot" in report.keys_boosted
         assert len(anna.replicas_of("hot")) >= 2
@@ -91,7 +91,7 @@ class TestHotKeysAndTiering:
                                          scale_up_accesses_per_node=1e9,
                                          scale_down_accesses_per_node=0)
         scaler = StorageAutoscaler(anna, config)
-        anna.put("cold", lww(1))
+        anna.background_put("cold", lww(1))
         report = scaler.tick(now_ms=10_000.0)
         assert report.keys_demoted >= 1
         node = anna.node(anna.replicas_of("cold")[0])
@@ -103,7 +103,7 @@ class TestHotKeysAndTiering:
                                          scale_up_accesses_per_node=1e9,
                                          scale_down_accesses_per_node=0)
         scaler = StorageAutoscaler(anna, config)
-        anna.put("warm", lww(1))
+        anna.background_put("warm", lww(1))
         report = scaler.tick(now_ms=10.0)
         assert report.keys_demoted == 0
 
@@ -111,10 +111,10 @@ class TestHotKeysAndTiering:
 class TestHotKeyReport:
     def test_ranks_by_access_count(self):
         anna = make_cluster(2)
-        anna.put("a", lww(1))
-        anna.put("b", lww(2))
+        anna.background_put("a", lww(1))
+        anna.background_put("b", lww(2))
         for _ in range(5):
-            anna.get("a")
-        anna.get("b")
+            anna.background_get("a")
+        anna.background_get("b")
         report = hot_key_report(anna, top_n=1)
         assert list(report) == ["a"]

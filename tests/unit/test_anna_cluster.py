@@ -37,35 +37,36 @@ class TestAnnaBasics:
 
     def test_put_rejects_non_lattice(self, anna):
         with pytest.raises(TypeError):
-            anna.put("k", 42)
+            anna.background_put("k", 42)
 
     def test_put_get_roundtrip(self, anna):
-        anna.put("k", lww("value"))
-        assert anna.get("k").reveal() == "value"
+        anna.background_put("k", lww("value"))
+        assert anna.background_get("k").reveal() == "value"
         assert anna.contains("k")
 
     def test_get_missing_raises_and_get_or_none_returns_none(self, anna):
         with pytest.raises(KeyNotFoundError):
-            anna.get("ghost")
-        assert anna.get_or_none("ghost") is None
+            anna.get("ghost", RequestContext())
+        assert anna.get_or_none("ghost", RequestContext()) is None
+        assert anna.background_get("ghost") is None
 
     def test_put_merges_lattices(self, anna):
-        anna.put("c", MaxIntLattice(5))
-        anna.put("c", MaxIntLattice(2))
-        assert anna.get("c").reveal() == 5
+        anna.background_put("c", MaxIntLattice(5))
+        anna.background_put("c", MaxIntLattice(2))
+        assert anna.background_get("c").reveal() == 5
 
     def test_plain_value_helpers_wrap_in_lww(self, anna):
-        anna.put_plain("meta", {"a": 1})
-        assert anna.get_plain("meta") == {"a": 1}
-        assert isinstance(anna.get("meta"), LWWLattice)
+        anna.background_put("meta", anna.plain({"a": 1}))
+        assert anna.background_get("meta").reveal() == {"a": 1}
+        assert isinstance(anna.background_get("meta"), LWWLattice)
 
     def test_delete(self, anna):
-        anna.put("k", lww(1))
-        assert anna.delete("k")
+        anna.background_put("k", lww(1))
+        assert anna.background_delete("k")
         assert not anna.contains("k")
 
     def test_replication_factor_replicas(self, anna):
-        anna.put("k", lww(1))
+        anna.background_put("k", lww(1))
         assert len(anna.replicas_of("k")) == 1  # quorum of one
         one_gossip_interval_later(anna)
         assert len(anna.replicas_of("k")) == 2
@@ -82,18 +83,18 @@ class TestAnnaBasics:
 class TestAnnaMembership:
     def test_add_node_preserves_data(self, anna):
         for index in range(50):
-            anna.put(f"k{index}", lww(index))
+            anna.background_put(f"k{index}", lww(index))
         anna.add_node()
         for index in range(50):
-            assert anna.get(f"k{index}").reveal() == index
+            assert anna.background_get(f"k{index}").reveal() == index
         assert anna.node_count() == 5
 
     def test_remove_node_preserves_data(self, anna):
         for index in range(50):
-            anna.put(f"k{index}", lww(index))
+            anna.background_put(f"k{index}", lww(index))
         anna.remove_node(anna.node_ids[0])
         for index in range(50):
-            assert anna.get(f"k{index}").reveal() == index
+            assert anna.background_get(f"k{index}").reveal() == index
         assert anna.node_count() == 3
 
     def test_cannot_remove_last_node(self):
@@ -106,7 +107,7 @@ class TestAnnaMembership:
             anna.remove_node("ghost")
 
     def test_boost_replication_adds_replicas(self, anna):
-        anna.put("hot", lww(1))
+        anna.background_put("hot", lww(1))
         one_gossip_interval_later(anna)
         baseline = len(anna.replicas_of("hot"))
         assert baseline == 2
@@ -127,14 +128,14 @@ class TestCacheIndexAndPropagation:
         received = []
         anna.register_update_listener("cache-1", lambda k, v: received.append((k, v.reveal())))
         anna.ingest_cached_keys("cache-1", ["k"])
-        anna.put("k", lww("fresh", clock=9.0))
+        anna.background_put("k", lww("fresh", clock=9.0))
         assert received == [("k", "fresh")]
 
     def test_propagation_skips_caches_without_the_key(self, anna):
         received = []
         anna.register_update_listener("cache-1", lambda k, v: received.append(k))
         anna.ingest_cached_keys("cache-1", ["other"])
-        anna.put("k", lww("fresh"))
+        anna.background_put("k", lww("fresh"))
         assert received == []
 
     def test_periodic_propagation_defers_until_flush(self):
@@ -142,7 +143,7 @@ class TestCacheIndexAndPropagation:
         received = []
         anna.register_update_listener("cache-1", lambda k, v: received.append(k))
         anna.ingest_cached_keys("cache-1", ["k"])
-        anna.put("k", lww("v1"))
+        anna.background_put("k", lww("v1"))
         assert received == []
         assert anna.pending_update_count() == 1
         flushed = anna.flush_updates()

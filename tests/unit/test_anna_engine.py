@@ -240,7 +240,7 @@ class TestBoundedNodeQueues:
 
     def test_reads_redirect_to_less_loaded_replica(self):
         anna = self.one_slot_cluster()
-        anna.put("k", lww("v"))
+        anna.background_put("k", lww("v"))
         anna.run_gossip_round()  # every replica holds it
         first, second = anna.replicas_of("k")
         anna.node(first).work_queue.reserve(0.0, 5.0)  # saturate the primary
@@ -254,14 +254,51 @@ class TestBoundedNodeQueues:
         assert anna.node(first).rejections == 0
         assert anna.node(second).stats("k").reads == 1
 
-    def test_background_writes_never_queue(self):
+    @pytest.mark.parametrize("background", [
+        lambda anna: anna.background_put("k", lww(2, clock=9.0)),
+        lambda anna: anna.background_get("k"),
+        lambda anna: anna.background_delete("other"),
+    ], ids=["background_put", "background_get", "background_delete"])
+    def test_background_traffic_never_queues(self, background):
+        def charged_read(with_background):
+            anna = self.saturated_cluster()
+            anna.background_put("other", lww("o"))
+            anna.put("k", lww(0), ctx_at())
+            anna.put("k", lww(1), ctx_at())
+            busy_ms = anna.total_queue_busy_ms()
+            if with_background:
+                # Background traffic (a cache write-back, a prior-version
+                # read, a metadata clean-up) cannot be rejected, charges no
+                # one and does not occupy the work queue.
+                background(anna)
+            assert anna.total_queue_busy_ms() == busy_ms
+            reader = ctx_at()
+            anna.get("k", reader)
+            return ([(c.service, c.operation, c.latency_ms) for c in reader.charges],
+                    reader.clock.now_ms)
+
+        alone = charged_read(with_background=False)
+        assert ("anna", "queue") in [charge[:2] for charge in alone[0]]
+        assert charged_read(with_background=True) == alone
+
+    def test_a_background_write_cannot_be_rejected(self):
         anna = self.saturated_cluster()
         anna.put("k", lww(0), ctx_at())
         anna.put("k", lww(1), ctx_at())
-        # An uncharged write-back (ctx=None) is background traffic: it cannot
-        # be rejected and does not occupy the work queue.
-        merged = anna.put("k", lww(2, clock=9.0))
+        merged = anna.background_put("k", lww(2, clock=9.0))
         assert merged.reveal() == 2
+
+    def test_a_background_read_stamps_the_access(self):
+        anna = make_cluster()
+        anna.background_put("k", lww("v"))
+        node = anna.node(anna.replicas_of("k")[0])
+        anna.engine.at(40.0, lambda: None)
+        anna.engine.run(until_ms=40.0)
+        assert anna.background_get("k").reveal() == "v"
+        assert node.stats("k").reads == 1
+        assert node.stats("k").accesses == 2
+        assert node.stats("k").last_access_ms == 40.0
+        assert anna.background_get("ghost") is None
 
 
 class TestServiceCharging:
@@ -320,8 +357,8 @@ class TestRebalanceUnderLoad:
         migrated = anna.node(new_node).key_count()
         assert migrated > 0
         for index in range(40):
-            assert anna.get(f"k{index}").reveal() == {f"v{index}"}
-        assert anna.get("shared").reveal() == {"a", "b"}
+            assert anna.background_get(f"k{index}").reveal() == {f"v{index}"}
+        assert anna.background_get("shared").reveal() == {"a", "b"}
 
     def test_remove_node_preserves_ungossiped_writes(self):
         anna = make_cluster(node_count=3, replication_factor=2)
@@ -330,24 +367,24 @@ class TestRebalanceUnderLoad:
         # The accepting replica leaves before gossip ever ran: its write must
         # reach the remaining owners through the departure drain.
         anna.remove_node(holder)
-        assert anna.get("k").reveal() == "fresh"
+        assert anna.background_get("k").reveal() == "fresh"
 
     def test_add_node_merges_replica_copies_not_first_copy_wins(self):
         # Regression: an ex-owner can keep a stale copy of a key whose
         # ownership migrated away from it; seeding a new node from whichever
         # node iterates first used to resurrect that stale version.
         anna = make_cluster(node_count=2, replication_factor=1)
-        anna.put("k", lww("v0", clock=1.0))
+        anna.background_put("k", lww("v0", clock=1.0))
         # Grow the ring until ownership of "k" moves off every original holder.
         original_holders = set(anna.replicas_of("k"))
         for _ in range(6):
             anna.add_node()
-        anna.put("k", lww("v1", clock=2.0))
+        anna.background_put("k", lww("v1", clock=2.0))
         # Keep adding nodes: every new owner must observe the newest write,
         # no matter which stale ex-owner copies happen to linger.
         for _ in range(4):
             anna.add_node()
-            assert anna.get("k").reveal() == "v1"
+            assert anna.background_get("k").reveal() == "v1"
         assert original_holders  # the scenario really exercised migration
 
     def test_migration_does_not_inflate_access_stats(self):

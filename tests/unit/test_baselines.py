@@ -39,8 +39,8 @@ class TestSimulatedStorage:
     def test_dynamodb_enforces_item_limit(self, model):
         dynamo = SimulatedDynamoDB(model)
         with pytest.raises(ValueError):
-            dynamo.put("big", b"x" * (500 * 1024))
-        dynamo.put("small", b"x" * 1024)
+            dynamo.preload("big", b"x" * (500 * 1024))
+        dynamo.preload("small", b"x" * 1024)
         assert dynamo.contains("small")
 
     def test_s3_slower_than_dynamo_slower_than_redis(self, model):
@@ -66,7 +66,7 @@ class TestSimulatedStorage:
     def test_redis_mget_overlaps_per_key_charges(self, model):
         redis = SimulatedRedis(model)
         for index in range(5):
-            redis.put(f"k{index}", index)
+            redis.preload(f"k{index}", index)
         ctx = RequestContext()
         values = redis.mget([f"k{index}" for index in range(5)], ctx)
         assert values == [0, 1, 2, 3, 4]
@@ -95,7 +95,7 @@ class TestSimulatedStorage:
         charges = []
         for use_mget in (False, True):
             redis = SimulatedRedis(model)
-            redis.put("k", "v")
+            redis.preload("k", "v")
             ctx = RequestContext()
             if use_mget:
                 assert redis.mget(["k"], ctx) == ["v"]
@@ -107,7 +107,7 @@ class TestSimulatedStorage:
 
     def test_delete_and_keys(self, model):
         redis = SimulatedRedis(model)
-        redis.put("a", 1)
+        redis.preload("a", 1)
         assert redis.keys() == ["a"]
         assert redis.delete("a")
         assert not redis.delete("a")

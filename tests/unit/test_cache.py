@@ -35,7 +35,7 @@ class TestBasicDataPath:
             cache.get_or_fetch("ghost", RequestContext())
 
     def test_get_or_fetch_miss_goes_to_anna(self, cache, anna):
-        anna.put("k", lww("v"))
+        anna.background_put("k", lww("v"))
         ctx = RequestContext()
         value = cache.get_or_fetch("k", ctx)
         assert value.reveal() == "v"
@@ -44,7 +44,7 @@ class TestBasicDataPath:
         assert cache.contains("k")
 
     def test_get_or_fetch_hit_stays_local(self, cache, anna):
-        anna.put("k", lww("v"))
+        anna.background_put("k", lww("v"))
         cache.get_or_fetch("k", RequestContext())
         ctx = RequestContext()
         cache.get_or_fetch("k", ctx)
@@ -56,7 +56,7 @@ class TestBasicDataPath:
         ctx = RequestContext()
         cache.put("k", lww("v"), ctx)
         assert cache.get_local("k").reveal() == "v"
-        assert anna.get("k").reveal() == "v"
+        assert anna.background_get("k").reveal() == "v"
         # Write-back is asynchronous: only the IPC put is charged.
         assert ctx.count("cache", "put") == 1
         assert ctx.count("anna", "put") == 0
@@ -76,7 +76,7 @@ class TestBasicDataPath:
         assert cache.cached_keys() == []
 
     def test_hit_rate(self, cache, anna):
-        anna.put("k", lww("v"))
+        anna.background_put("k", lww("v"))
         cache.get_or_fetch("k", RequestContext())
         cache.get_or_fetch("k", RequestContext())
         assert cache.stats.hit_rate == pytest.approx(0.5)
@@ -84,7 +84,7 @@ class TestBasicDataPath:
     def test_not_found_read_is_counted_as_a_miss(self, cache, anna):
         # Regression: a failed lookup used to raise without touching
         # stats.misses, inflating hit_rate.
-        anna.put("k", lww("v"))
+        anna.background_put("k", lww("v"))
         cache.get_or_fetch("k", RequestContext())   # miss (fetched), then...
         cache.get_or_fetch("k", RequestContext())   # ...hit
         with pytest.raises(KeyNotFoundError):
@@ -166,7 +166,7 @@ class TestSnapshotsAndUpstreamFetch:
 class TestCausalCut:
     def test_ensure_causal_cut_fetches_missing_dependency(self, cache, anna):
         dep = CausalLattice(VectorClock({"w": 1}), "dep-value")
-        anna.put("dep", dep)
+        anna.background_put("dep", dep)
         value = CausalLattice(VectorClock({"w": 2}), "value",
                               dependencies={"dep": VectorClock({"w": 1})})
         cache.ensure_causal_cut([value], RequestContext())
@@ -177,7 +177,7 @@ class TestCausalCut:
         stale = CausalLattice(VectorClock({"w": 1}), "stale")
         cache.put("dep", stale, RequestContext())
         fresh = CausalLattice(VectorClock({"w": 5}), "fresh")
-        anna.put("dep", fresh)
+        anna.background_put("dep", fresh)
         value = CausalLattice(VectorClock({"x": 1}), "v",
                               dependencies={"dep": VectorClock({"w": 5})})
         cache.ensure_causal_cut([value], RequestContext())
@@ -215,9 +215,9 @@ class TestCausalCut:
         # hops, leaving the tail of long dependency chains unrepaired.
         depth = 12
         clocks = {i: VectorClock({"w": i + 1}) for i in range(depth)}
-        anna.put("dep-0", CausalLattice(clocks[0], "v0"))
+        anna.background_put("dep-0", CausalLattice(clocks[0], "v0"))
         for i in range(1, depth):
-            anna.put(f"dep-{i}", CausalLattice(
+            anna.background_put(f"dep-{i}", CausalLattice(
                 clocks[i], f"v{i}",
                 dependencies={f"dep-{i - 1}": clocks[i - 1]}))
         head = CausalLattice(VectorClock({"h": 1}), "head",
@@ -228,9 +228,9 @@ class TestCausalCut:
         assert cache.stats.causal_dep_fetches == depth
 
     def test_ensure_causal_cut_terminates_on_cyclic_dependencies(self, cache, anna):
-        anna.put("a", CausalLattice(VectorClock({"w": 1}), "a-v",
+        anna.background_put("a", CausalLattice(VectorClock({"w": 1}), "a-v",
                                     dependencies={"b": VectorClock({"w": 1})}))
-        anna.put("b", CausalLattice(VectorClock({"w": 1}), "b-v",
+        anna.background_put("b", CausalLattice(VectorClock({"w": 1}), "b-v",
                                     dependencies={"a": VectorClock({"w": 1})}))
         head = CausalLattice(VectorClock({"h": 1}), "head",
                              dependencies={"a": VectorClock({"w": 1})})

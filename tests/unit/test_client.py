@@ -98,7 +98,7 @@ class TestDagCalls:
         future = cloud.call_dag("decrement", {"dec": [10]}, store_in_kvs=True)
         assert future.get() == 9
         assert future.result_key is not None
-        assert cloud.kvs.get_plain(future.result_key) == 9
+        assert cloud.kvs.background_get(future.result_key).reveal() == 9
 
 
 class TestRegisterOverwrite:

@@ -25,6 +25,8 @@ from repro.cloudburst.controlplane import (
 )
 from repro.cloudburst.executor import EXECUTOR_METRICS_PREFIX
 
+from engine_time import at_engine_time
+
 
 def make_cluster(executor_vms=3, threads_per_vm=2, seed=3):
     return CloudburstCluster(executor_vms=executor_vms,
@@ -66,16 +68,16 @@ class TestPublish:
         cluster = make_cluster()
         scheduler = cluster.schedulers[0]
         scheduler.register_function(lambda x: x, name="f")
-        scheduler.call("f", [1])
-        scheduler.call("f", [2])
+        scheduler.call("f", [1], ctx=at_engine_time(scheduler))
+        scheduler.call("f", [2], ctx=at_engine_time(scheduler))
         plane = ComputeControlPlane(cluster)
         plane.publish()
         vm = cluster.vms[0]
-        published = cluster.kvs.get_plain(EXECUTOR_METRICS_PREFIX + vm.vm_id)
+        published = cluster.kvs.background_get(EXECUTOR_METRICS_PREFIX + vm.vm_id).reveal()
         assert published["vm_id"] == vm.vm_id
         assert published["threads_alive"] == 2
-        sched_stats = cluster.kvs.get_plain(
-            SCHEDULER_METRICS_PREFIX + scheduler.scheduler_id)
+        sched_stats = cluster.kvs.background_get(
+            SCHEDULER_METRICS_PREFIX + scheduler.scheduler_id).reveal()
         assert sched_stats["function_calls"] == 2
         assert plane.published_ticks == 1
 
@@ -96,7 +98,7 @@ class TestPublish:
         scheduler = cluster.schedulers[0]
         scheduler.register_function(lambda x: x, name="f")
         for i in range(5):
-            scheduler.call("f", [i])
+            scheduler.call("f", [i], ctx=at_engine_time(scheduler))
 
         def total_accesses():
             return sum(stats.accesses
@@ -121,8 +123,8 @@ class TestAggregation:
         cluster.publish_all_metrics()
         dead.alive = False
         # Plant a stale metrics key claiming the dead VM is idle.
-        cluster.kvs.put_plain(EXECUTOR_METRICS_PREFIX + dead.vm_id,
-                              {"vm_id": dead.vm_id, "utilization": 0.0})
+        cluster.kvs.background_put(EXECUTOR_METRICS_PREFIX + dead.vm_id,
+                              cluster.kvs.plain({"vm_id": dead.vm_id, "utilization": 0.0}))
         metrics = ComputeControlPlane(cluster).aggregate()
         assert metrics["utilization"] == pytest.approx(1.0)
 
@@ -136,7 +138,7 @@ class TestAggregation:
         scheduler = cluster.schedulers[0]
         scheduler.register_function(lambda x: x, name="f")
         for i in range(5):
-            scheduler.call("f", [i])
+            scheduler.call("f", [i], ctx=at_engine_time(scheduler))
         plane = ComputeControlPlane(cluster, policy_interval_ms=1_000.0)
         plane.publish()
         metrics = plane.aggregate()
@@ -151,7 +153,7 @@ class TestAggregation:
         scheduler = cluster.schedulers[0]
         scheduler.register_function(lambda x: x, name="f")
         for i in range(5):
-            scheduler.call("f", [i])
+            scheduler.call("f", [i], ctx=at_engine_time(scheduler))
         metrics = ComputeControlPlane(cluster).aggregate()
         assert metrics["arrival_rate_per_s"] == 0.0
         assert metrics["completion_rate_per_s"] == 0.0
@@ -166,7 +168,7 @@ class TestAggregation:
         scheduler.register_function(lambda x: x * 2, name="b")
         scheduler.register_dag(Dag.chain("ab", ["a", "b"]))
         for i in range(3):
-            scheduler.call_dag("ab", {"a": [i]}).drive()
+            scheduler.call_dag("ab", {"a": [i]}, ctx=at_engine_time(scheduler)).drive()
         plane = ComputeControlPlane(cluster, policy_interval_ms=1_000.0)
         plane.publish()
         metrics = plane.aggregate()
@@ -257,7 +259,7 @@ class TestPinScrubbing:
     def test_pinned_function_remains_callable_after_drain(self):
         cluster, scheduler = self._pinned_cluster()
         cluster.drain_vm(cluster.vms[-1])
-        result = scheduler.call_dag("inc-dag", {"inc": [41]}).drive()
+        result = scheduler.call_dag("inc-dag", {"inc": [41]}, ctx=at_engine_time(scheduler)).drive()
         assert result.value == 42
         # And re-pinning tops up with *live* replicas, not stale ids.
         pins = scheduler.pin_function("inc", replicas=4)
@@ -314,7 +316,7 @@ class TestActuation:
         plane = ComputeControlPlane(cluster)
         assert plane.drain_capacity(3) == 2
         for i in range(10):
-            scheduler.call("f", [i])
+            scheduler.call("f", [i], ctx=at_engine_time(scheduler))
         assert plane.calls_routed_to_drained() == 0
 
     def test_fully_drained_vm_keeps_completion_totals(self):
@@ -322,7 +324,7 @@ class TestActuation:
         scheduler = cluster.schedulers[0]
         scheduler.register_function(lambda x: x, name="f")
         for i in range(8):
-            scheduler.call("f", [i])
+            scheduler.call("f", [i], ctx=at_engine_time(scheduler))
         plane = ComputeControlPlane(cluster)
         plane.publish()
         plane.aggregate()
@@ -345,7 +347,7 @@ class TestRateBaselines:
         scheduler = cluster.schedulers[0]
         scheduler.register_function(lambda x: x, name="f")
         for i in range(20):
-            scheduler.call("f", [i])
+            scheduler.call("f", [i], ctx=at_engine_time(scheduler))
         plane = ComputeControlPlane(cluster, policy_interval_ms=1_000.0)
         plane.start()
         report = plane.tick(1_000.0)

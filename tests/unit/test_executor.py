@@ -78,14 +78,14 @@ class TestExecutorVM:
 
     def test_publish_metrics_writes_to_kvs(self, vm, anna):
         vm.publish_metrics()
-        metrics = anna.get_plain(EXECUTOR_METRICS_PREFIX + "vm-0")
+        metrics = anna.background_get(EXECUTOR_METRICS_PREFIX + "vm-0").reveal()
         assert metrics["vm_id"] == "vm-0"
         assert metrics["alive"] is True
 
 
 class TestFunctionExecution:
     def test_executes_plain_function(self, vm, anna):
-        anna.put_plain(function_key("double"), lambda x: x * 2)
+        anna.background_put(function_key("double"), anna.plain(lambda x: x * 2))
         thread = vm.threads[0]
         assert run(thread, "double", [21]) == 42
         assert thread.invocation_count == 1
@@ -96,19 +96,19 @@ class TestFunctionExecution:
             run(vm.threads[0], "missing", [])
 
     def test_dead_executor_raises(self, vm, anna):
-        anna.put_plain(function_key("f"), lambda: 1)
+        anna.background_put(function_key("f"), anna.plain(lambda: 1))
         vm.fail()
         with pytest.raises(ExecutorFailedError):
             run(vm.threads[0], "f")
 
     def test_references_resolved_before_invocation(self, vm, anna):
-        anna.put_plain("data", 10)
-        anna.put_plain(function_key("add"), lambda a, b: a + b)
+        anna.background_put("data", anna.plain(10))
+        anna.background_put(function_key("add"), anna.plain(lambda a, b: a + b))
         result = run(vm.threads[0], "add", [CloudburstReference("data"), 5])
         assert result == 15
 
     def test_pin_function_avoids_refetch(self, vm, anna):
-        anna.put_plain(function_key("f"), lambda: "pinned")
+        anna.background_put(function_key("f"), anna.plain(lambda: "pinned"))
         thread = vm.threads[0]
         thread.pin_function("f")
         ctx = RequestContext()
@@ -133,7 +133,7 @@ class TestFunctionExecution:
             return wants_api(*args, **kwargs)
 
         thread = vm.threads[0]
-        anna.put_plain(function_key("fetched"), traced)
+        anna.background_put(function_key("fetched"), anna.plain(traced))
         thread.pin_function("pinned", lambda x: x + 1)
         for _ in range(3):
             assert run(thread, "fetched", [7]) == (thread.thread_id, 7)
@@ -144,7 +144,7 @@ class TestFunctionExecution:
         assert run(thread, "pinned", [7]) == (thread.thread_id, 7)
         with pytest.raises(ValueError):
             signature(int)
-        anna.put_plain(function_key("int"), int)  # no signature: a plain call
+        anna.background_put(function_key("int"), anna.plain(int))  # no signature: a plain call
         assert run(thread, "int", ["42"]) == 42
         assert len(signatures) == 4
 
@@ -157,7 +157,7 @@ class TestFunctionExecution:
         assert len(signatures) == 4
 
     def test_a_body_that_takes_no_weak_reference_still_runs(self, vm, anna):
-        anna.put_plain(function_key("upper"), str.upper)  # a method descriptor
+        anna.background_put(function_key("upper"), anna.plain(str.upper))  # a method descriptor
         for thread in vm.threads:
             assert run(thread, "upper", ["abc"]) == "ABC"
 
@@ -166,13 +166,13 @@ class TestFunctionExecution:
         def slow():
             return "done"
 
-        anna.put_plain(function_key("slow"), slow)
+        anna.background_put(function_key("slow"), anna.plain(slow))
         ctx = RequestContext()
         run(vm.threads[0], "slow", ctx=ctx)
         assert ctx.total("compute", "user_function") > 30.0
 
     def test_invoke_overhead_charged(self, vm, anna):
-        anna.put_plain(function_key("f"), lambda: None)
+        anna.background_put(function_key("f"), anna.plain(lambda: None))
         ctx = RequestContext()
         run(vm.threads[0], "f", ctx=ctx)
         assert ctx.count("cloudburst", "invoke") == 1
@@ -187,7 +187,7 @@ class TestUserLibrary:
             cloudburst.delete(key)
             return value, identity
 
-        anna.put_plain(function_key("stateful"), stateful)
+        anna.background_put(function_key("stateful"), anna.plain(stateful))
         thread = vm.threads[1]
         value, identity = run(thread, "stateful", ["state-key"])
         assert value == {"count": 1}
@@ -201,8 +201,8 @@ class TestUserLibrary:
         def receiver(cloudburst):
             return cloudburst.recv()
 
-        anna.put_plain(function_key("sender"), sender)
-        anna.put_plain(function_key("receiver"), receiver)
+        anna.background_put(function_key("sender"), anna.plain(sender))
+        anna.background_put(function_key("receiver"), anna.plain(receiver))
         t0, t1 = vm.threads[0], vm.threads[1]
         assert run(t0, "sender", [t1.thread_id]) is True
         assert run(t1, "receiver") == ["ping"]
@@ -212,7 +212,7 @@ class TestUserLibrary:
             cloudburst.simulate_compute(25.0)
             return True
 
-        anna.put_plain(function_key("busy"), busy)
+        anna.background_put(function_key("busy"), anna.plain(busy))
         ctx = RequestContext()
         run(vm.threads[0], "busy", ctx=ctx)
         assert ctx.total("compute", "user_function") > 10.0
@@ -221,7 +221,7 @@ class TestUserLibrary:
         def introspect(cloudburst):
             return cloudburst.consistency_level, cloudburst.execution_id
 
-        anna.put_plain(function_key("introspect"), introspect)
+        anna.background_put(function_key("introspect"), anna.plain(introspect))
         level, execution_id = run(vm.threads[0], "introspect",
                                   level=ConsistencyLevel.LWW)
         assert level == ConsistencyLevel.LWW

@@ -60,7 +60,7 @@ class TestHitMissPartition:
     def test_hits_and_misses_partition(self):
         cache = make_cache()
         for key in ("a", "b", "c", "d"):
-            cache.kvs.put(key, lww(key.upper()))
+            cache.kvs.background_put(key, lww(key.upper()))
         cache.get_or_fetch("a", ctx_at())
         cache.get_or_fetch("b", ctx_at())
         hits_before = cache.stats.hits
@@ -82,7 +82,7 @@ class TestHitMissPartition:
 
     def test_duplicates_collapse(self):
         cache = make_cache()
-        cache.kvs.put("k", lww("v"))
+        cache.kvs.background_put("k", lww("v"))
         ctx = ctx_at()
         result = cache.multi_get(["k", "k", "k"], ctx)
         assert list(result) == ["k"]
@@ -103,14 +103,14 @@ class TestOverlapCharging:
         cache = make_cache()
         keys = [f"k{i}" for i in range(8)]
         for key in keys:
-            cache.kvs.put(key, lww("v"))
+            cache.kvs.background_put(key, lww("v"))
         batched = ctx_at()
         cache.multi_get(list(keys), batched)
 
         sequential = ctx_at()
         fresh = make_cache()
         for key in keys:
-            fresh.kvs.put(key, lww("v"))
+            fresh.kvs.background_put(key, lww("v"))
         for key in keys:
             fresh.get_or_fetch(key, sequential)
 
@@ -125,7 +125,7 @@ class TestOverlapCharging:
         cache = make_cache()
         big = "x" * 500_000
         for key in ("a", "b", "c"):
-            cache.kvs.put(key, lww(big))
+            cache.kvs.background_put(key, lww(big))
         ctx = ctx_at()
         cache.multi_get(["a", "b", "c"], ctx)
         # Three ~0.5 MB responses into one NIC: two of them stream after the
@@ -133,7 +133,7 @@ class TestOverlapCharging:
         ingress = ctx.total("cache", "ingress")
         bandwidth = cache.latency_model.cost(
             "anna", "get").bandwidth_bytes_per_ms
-        expected = 2 * cache.kvs.get("a").size_bytes() / bandwidth
+        expected = 2 * cache.kvs.background_get("a").size_bytes() / bandwidth
         assert ingress == pytest.approx(expected, rel=0.01)
         # The whole charge sequence: two serial dispatches on the caller,
         # then each branch's log in key order ("c" queues behind "a" on
@@ -153,8 +153,8 @@ class TestOverlapCharging:
         monkeypatch.setattr(anna_cluster, "STORAGE_SERVICE",
                             StorageServiceModel(memory_base_ms=5.0))
         anna = make_anna(node_count=1, replication_factor=1)
-        anna.put("a", lww("v"))
-        anna.put("b", lww("v"))
+        anna.background_put("a", lww("v"))
+        anna.background_put("b", lww("v"))
         cache = make_cache(anna)
         ctx = ctx_at()
         cache.multi_get(["a", "b"], ctx)
@@ -172,7 +172,7 @@ class TestOverlapCharging:
 
         def build():
             anna = make_anna(node_count=3, replication_factor=2)
-            anna.put("k", lww("v"))
+            anna.background_put("k", lww("v"))
             anna.run_gossip_round()  # every replica holds it
             first, _ = anna.replicas_of("k")
             anna.node(first).work_queue.reserve(0.0, 5.0)
@@ -197,7 +197,7 @@ class TestBatchOfOne:
         for through_cache in (True, False):
             anna = AnnaCluster(node_count=4, replication_factor=2,
                                latency_model=LatencyModel())
-            anna.put("k", lww("v"))
+            anna.background_put("k", lww("v"))
             ctx = ctx_at()
             if through_cache:
                 cache = ExecutorCache("cache-a", anna, peer_registry={})
@@ -211,7 +211,7 @@ class TestBatchOfOne:
 
     def test_warm_batch_of_one_is_one_ipc_charge(self):
         cache = make_cache()
-        cache.kvs.put("k", lww("v"))
+        cache.kvs.background_put("k", lww("v"))
         cache.multi_get(["k"], ctx_at())
         ctx = ctx_at()
         assert cache.get_or_fetch("k", ctx).reveal() == "v"
@@ -222,8 +222,8 @@ class TestBatchOfOne:
 class TestAnnaMultiGet:
     def test_multi_get_returns_values_and_none(self):
         anna = make_anna()
-        anna.put("a", lww("A"))
-        anna.put("b", lww("B"))
+        anna.background_put("a", lww("A"))
+        anna.background_put("b", lww("B"))
         ctx = ctx_at()
         result = anna.multi_get(["a", "b", "ghost"], ctx)
         assert result["a"].reveal() == "A"
@@ -243,7 +243,7 @@ class TestAnnaMultiGet:
         for use_batch in (False, True):
             anna = AnnaCluster(node_count=4, replication_factor=2,
                                latency_model=LatencyModel())
-            anna.put("a", lww("A"))
+            anna.background_put("a", lww("A"))
             ctx = ctx_at()
             if use_batch:
                 anna.multi_get(["a"], ctx)
@@ -306,7 +306,7 @@ class TestCausalCutProperty:
         anna = AnnaCluster(node_count=2, replication_factor=1,
                            latency_model=LatencyModel(jitter_enabled=False))
         for key, lattice in stored.items():
-            anna.put(key, lattice)
+            anna.background_put(key, lattice)
         cache = ExecutorCache("cache-a", anna, peer_registry={})
         for key, lattice in stale.items():
             cache._store(key, lattice)

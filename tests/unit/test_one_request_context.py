@@ -2,8 +2,9 @@
 
 Below the scheduler, each call that does work for a request takes that
 request's context as a required argument; the uncharged twins only tests
-reached are gone.  ``ctx=None`` stays only on the entry points that serve
-background traffic.  The context itself keeps only what is read: the clock,
+reached are gone.  Background traffic takes its own calls, which take no
+context at all (DR-24); only a client operation still builds one when its
+caller passes none.  The context itself keeps only what is read: the clock,
 the charge log, the span and the prefetch epoch.
 """
 
@@ -12,6 +13,7 @@ import inspect
 import pytest
 
 from repro.anna import AnnaCluster
+from repro.apps.retwis import RetwisOnRedis
 from repro.baselines import (
     DaskCluster,
     LambdaComposition,
@@ -23,7 +25,8 @@ from repro.baselines import (
     SimulatedStorageService,
     StepFunctions,
 )
-from repro.cloudburst import CloudburstCluster, ExecutorCache, ExecutorThread
+from repro.cloudburst import (CloudburstCluster, ExecutorCache, ExecutorThread,
+                              ExecutorVM, Scheduler)
 from repro.cloudburst.consistency import protocols
 from repro.cloudburst.executor import UserLibrary
 from repro.cloudburst.messaging import MessageRouter
@@ -68,20 +71,38 @@ REQUEST_ENTRY_POINTS = [
     SageMaker.invoke_endpoint,
     NativePython.run_pipeline,
     SimulatedStorageService.get,
+    SimulatedStorageService.put,
+    SimulatedRedis.put,
     SimulatedRedis.mget,
-]
-
-#: The entry points whose ``ctx=None`` is background traffic.
-BACKGROUND_ENTRY_POINTS = [
     AnnaCluster.get,
     AnnaCluster.put,
-    AnnaCluster.put_plain,
     AnnaCluster.get_or_none,
+    AnnaCluster.get_plain,
     AnnaCluster.delete,
-    SimulatedStorageService.put,
+    ExecutorThread._fetch_function,
+    Scheduler.call,
+    Scheduler.call_dag,
+    Scheduler._open_session,
+    RetwisOnRedis.post_tweet,
+    RetwisOnRedis.get_timeline,
+]
+
+#: Background traffic takes its own calls, none of which takes a context.
+BACKGROUND_CALLS = [
+    AnnaCluster.background_put,
+    AnnaCluster.background_get,
+    AnnaCluster.background_delete,
+    AnnaCluster.plain,
+    AnnaCluster.ingest_cached_keys,
+    SimulatedStorageService.preload,
     ExecutorCache.create_snapshot,
     ExecutorCache.publish_cached_keys,
-    CloudburstCluster.request,
+    ExecutorThread.pin_function,
+    ExecutorVM.publish_metrics,
+    Scheduler.register_function,
+    Scheduler.register_dag,
+    Scheduler.delete_dag,
+    Scheduler.pin_function,
 ]
 
 
@@ -97,10 +118,16 @@ class TestEveryDataPlaneCallCarriesItsRequest:
         assert ctx.default is inspect.Parameter.empty
         assert "Optional" not in str(ctx.annotation)
 
-    @pytest.mark.parametrize("entry_point", BACKGROUND_ENTRY_POINTS,
+    @pytest.mark.parametrize("call", BACKGROUND_CALLS,
                              ids=lambda f: f.__qualname__)
-    def test_background_entry_points_keep_their_none(self, entry_point):
-        assert _ctx_parameter(entry_point).default is None
+    def test_background_calls_take_no_context(self, call):
+        assert "ctx" not in inspect.signature(call).parameters
+
+    def test_only_client_operations_build_a_context(self):
+        # The one entry that still defaults its context: a client operation
+        # issued without one starts at the engine's time.
+        assert _ctx_parameter(CloudburstCluster.request).default is None
+        assert not hasattr(AnnaCluster, "put_plain")
 
 
 class TestTheContextKeepsOnlyWhatIsRead:

@@ -114,7 +114,7 @@ class TestBackgroundAccessTime:
         while not reached:
             anna.engine.step()
         # A cache's asynchronous write-back: no request context.
-        anna.put("A", _lww("a2", 3.0))
+        anna.background_put("A", _lww("a2", 3.0))
         assert node.stats("A").last_access_ms == 100.0
         # A fresh key fills the tier: the coldest resident key is B (t=50).
         anna.put("C", _lww("c1", 4.0), RequestContext(clock=SimClock(110.0)))

@@ -47,7 +47,7 @@ def make_cache() -> ExecutorCache:
 class TestPrefetchWarmsReads:
     def test_issue_charges_nothing_and_read_pays_residual_only(self):
         cache = make_cache()
-        cache.kvs.put("k", lww("v"))
+        cache.kvs.background_put("k", lww("v"))
         started = cache.prefetch(["k"], now_ms=0.0, epoch="e1")
         assert started == 1
         assert cache.stats.prefetches_issued == 1
@@ -66,7 +66,7 @@ class TestPrefetchWarmsReads:
 
     def test_read_after_completion_is_free(self):
         cache = make_cache()
-        cache.kvs.put("k", lww("v"))
+        cache.kvs.background_put("k", lww("v"))
         cache.prefetch(["k"], now_ms=0.0, epoch="e1")
         ctx = ctx_at(10_000.0, epoch="e1")
         cache.get_or_fetch("k", ctx)
@@ -77,7 +77,7 @@ class TestPrefetchWarmsReads:
         # A different execution's clock is not comparable to the issuer's
         # readiness timestamp: it must never be charged a residual wait.
         cache = make_cache()
-        cache.kvs.put("k", lww("v"))
+        cache.kvs.background_put("k", lww("v"))
         cache.prefetch(["k"], now_ms=500.0, epoch="e1")
         ctx = ctx_at(0.0, epoch="e2")
         cache.get_or_fetch("k", ctx)
@@ -90,7 +90,7 @@ class TestPrefetchWarmsReads:
         cache = make_cache()
         big = "x" * 1_000_000
         for key in ("a", "b", "c"):
-            cache.kvs.put(key, lww(big))
+            cache.kvs.background_put(key, lww(big))
         cache.prefetch(["a", "b", "c"], now_ms=0.0, epoch="e1")
         cost = cache.latency_model.cost("anna", "get")
         transfer = cost.mean_ms(cache.kvs.peek("a").size_bytes()) - cost.base_ms
@@ -103,7 +103,7 @@ class TestPrefetchWarmsReads:
 
     def test_prefetch_lands_as_a_background_engine_event(self):
         cache = make_cache()
-        cache.kvs.put("k", lww("v"))
+        cache.kvs.background_put("k", lww("v"))
         cache.prefetch(["k"], now_ms=0.0, epoch="e1")
         assert not cache.contains("k")
         cache.kvs.engine.run()
@@ -122,7 +122,7 @@ class TestWastedAccounting:
     def test_unread_prefetches_count_as_wasted(self):
         cache = make_cache()
         for key in ("a", "b", "c"):
-            cache.kvs.put(key, lww("v"))
+            cache.kvs.background_put(key, lww("v"))
         cache.prefetch(["a", "b", "c"], now_ms=0.0, epoch="e1")
         cache.kvs.engine.run()
         cache.get_or_fetch("a", ctx_at(10_000.0))  # one read, two wasted
@@ -134,7 +134,7 @@ class TestWastedAccounting:
 
     def test_inflight_never_landed_counts_as_wasted(self):
         cache = make_cache()
-        cache.kvs.put("k", lww("v"))
+        cache.kvs.background_put("k", lww("v"))
         cache.prefetch(["k"], now_ms=0.0, epoch="e1")  # no engine, never read
         assert cache.settle_prefetch_accounting() == 1
         assert cache.stats.prefetch_wasted == 1

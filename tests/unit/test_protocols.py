@@ -74,11 +74,11 @@ class TestReadIsTheBatchOfOne:
         protocol = protocol_factory()
         if scenario != "missing":
             if protocol.level.is_causal:
-                anna.put("dep", causal("dep-v", {"w": 1}))
-                anna.put("k", causal("k-v", {"w": 2},
+                anna.background_put("dep", causal("dep-v", {"w": 1}))
+                anna.background_put("k", causal("k-v", {"w": 2},
                                      deps={"dep": VectorClock({"w": 1})}))
             else:
-                anna.put("k", lww("k-v"))
+                anna.background_put("k", lww("k-v"))
         ctx = RequestContext(clock=SimClock(0.0))
         if scenario == "hit":
             cache.multi_get(["k"], RequestContext(), repair_cut=False)
@@ -119,10 +119,10 @@ class TestLWWProtocol:
     def test_read_write_through_cache(self, anna, cache_a):
         protocol = LWWProtocol()
         state = SessionState("exec", ConsistencyLevel.LWW)
-        anna.put("k", lww("v"))
+        anna.background_put("k", lww("v"))
         assert protocol.read(cache_a, "k", RequestContext(), state).reveal() == "v"
         protocol.write(cache_a, "k", lww("v2", clock=2.0), RequestContext(), state)
-        assert anna.get("k").reveal() == "v2"
+        assert anna.background_get("k").reveal() == "v2"
         assert state.reads == 1 and state.writes == 1
         assert state.metadata_bytes() == 0
 
@@ -131,7 +131,7 @@ class TestRepeatableRead:
     def test_first_read_pins_snapshot(self, anna, cache_a):
         protocol = RepeatableReadProtocol()
         state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_RR)
-        anna.put("k", lww("v1"))
+        anna.background_put("k", lww("v1"))
         protocol.read(cache_a, "k", RequestContext(), state)
         assert "k" in state.read_set
         assert cache_a.get_snapshot(state.execution_id, "k") is not None
@@ -140,10 +140,10 @@ class TestRepeatableRead:
             self, anna, cache_a, cache_b):
         protocol = RepeatableReadProtocol()
         state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_RR)
-        anna.put("k", lww("v1", clock=1.0))
+        anna.background_put("k", lww("v1", clock=1.0))
         first = protocol.read(cache_a, "k", RequestContext(), state)
         # A newer version lands in Anna and in cache-b before the downstream read.
-        anna.put("k", lww("v2", clock=9.0))
+        anna.background_put("k", lww("v2", clock=9.0))
         cache_b.get_or_fetch("k", RequestContext())
         ctx = RequestContext()
         second = protocol.read(cache_b, "k", ctx, state)
@@ -154,7 +154,7 @@ class TestRepeatableRead:
     def test_matching_version_served_locally(self, anna, cache_a, cache_b):
         protocol = RepeatableReadProtocol()
         state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_RR)
-        anna.put("k", lww("v1", clock=1.0))
+        anna.background_put("k", lww("v1", clock=1.0))
         protocol.read(cache_a, "k", RequestContext(), state)
         cache_b.get_or_fetch("k", RequestContext())  # same version everywhere
         protocol.read(cache_b, "k", RequestContext(), state)
@@ -163,7 +163,7 @@ class TestRepeatableRead:
     def test_write_within_dag_visible_to_later_reads(self, anna, cache_a, cache_b):
         protocol = RepeatableReadProtocol()
         state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_RR)
-        anna.put("k", lww("v1", clock=1.0))
+        anna.background_put("k", lww("v1", clock=1.0))
         protocol.read(cache_a, "k", RequestContext(), state)
         protocol.write(cache_a, "k", lww("updated", clock=2.0), RequestContext(), state)
         later = protocol.read(cache_b, "k", RequestContext(), state)
@@ -172,7 +172,7 @@ class TestRepeatableRead:
     def test_finalize_evicts_snapshots(self, anna, cache_a, peers):
         protocol = RepeatableReadProtocol()
         state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_RR)
-        anna.put("k", lww("v"))
+        anna.background_put("k", lww("v"))
         protocol.read(cache_a, "k", RequestContext(), state)
         protocol.finalize(state, peers)
         assert cache_a.snapshot_count() == 0
@@ -180,7 +180,7 @@ class TestRepeatableRead:
     def test_metadata_bytes_positive_once_reads_exist(self, anna, cache_a):
         protocol = RepeatableReadProtocol()
         state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_RR)
-        anna.put("k", lww("v"))
+        anna.background_put("k", lww("v"))
         protocol.read(cache_a, "k", RequestContext(), state)
         assert state.metadata_bytes() > 0
 
@@ -189,8 +189,8 @@ class TestMultiKeyCausal:
     def test_read_maintains_causal_cut(self, anna, cache_a):
         protocol = MultiKeyCausalProtocol()
         state = SessionState("exec", ConsistencyLevel.MULTI_KEY_CAUSAL)
-        anna.put("dep", causal("dep-v", {"w": 1}))
-        anna.put("k", causal("k-v", {"w": 2}, deps={"dep": VectorClock({"w": 1})}))
+        anna.background_put("dep", causal("dep-v", {"w": 1}))
+        anna.background_put("k", causal("k-v", {"w": 2}, deps={"dep": VectorClock({"w": 1})}))
         protocol.read(cache_a, "k", RequestContext(), state)
         assert cache_a.contains("dep")
         assert cache_a.violates_causal_cut() == []
@@ -202,11 +202,11 @@ class TestDistributedSessionCausal:
         protocol = DistributedSessionCausalProtocol()
         state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL)
         # cache-b holds a stale version of "l".
-        anna.put("l", causal("l-old", {"w": 1}))
+        anna.background_put("l", causal("l-old", {"w": 1}))
         cache_b.get_or_fetch("l", RequestContext())
         # A newer l and a k that depends on it land in Anna.
-        anna.put("l", causal("l-new", {"w": 2}))
-        anna.put("k", causal("k-v", {"x": 1}, deps={"l": VectorClock({"w": 2})}))
+        anna.background_put("l", causal("l-new", {"w": 2}))
+        anna.background_put("k", causal("k-v", {"x": 1}, deps={"l": VectorClock({"w": 2})}))
         # Upstream function (cache-a) reads k, shipping the dependency on l@w:2.
         protocol.read(cache_a, "k", RequestContext(), state)
         assert "l" in state.dependencies
@@ -220,7 +220,7 @@ class TestDistributedSessionCausal:
     def test_valid_local_version_served_without_fetch(self, anna, cache_a, cache_b):
         protocol = DistributedSessionCausalProtocol()
         state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL)
-        anna.put("k", causal("v", {"w": 5}))
+        anna.background_put("k", causal("v", {"w": 5}))
         protocol.read(cache_a, "k", RequestContext(), state)
         cache_b.get_or_fetch("k", RequestContext())
         ctx = RequestContext()
@@ -230,15 +230,15 @@ class TestDistributedSessionCausal:
     def test_writes_update_read_set_with_new_clock(self, anna, cache_a):
         protocol = DistributedSessionCausalProtocol()
         state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL)
-        anna.put("k", causal("v1", {"w": 1}))
+        anna.background_put("k", causal("v1", {"w": 1}))
         protocol.read(cache_a, "k", RequestContext(), state)
         new_version = causal("v2", {"w": 1, "me": 1})
         protocol.write(cache_a, "k", new_version, RequestContext(), state)
         assert state.read_set["k"].version.get("me") == 1
 
     def test_dsc_metadata_larger_than_rr(self, anna, cache_a):
-        anna.put("dep", causal("d", {"w": 1}))
-        anna.put("k", causal("v", {"w": 2}, deps={"dep": VectorClock({"w": 1})}))
+        anna.background_put("dep", causal("d", {"w": 1}))
+        anna.background_put("k", causal("v", {"w": 2}, deps={"dep": VectorClock({"w": 1})}))
         dsc_state = SessionState("exec-dsc", ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL)
         DistributedSessionCausalProtocol().read(cache_a, "k", RequestContext(), dsc_state)
         rr_state = SessionState("exec-rr", ConsistencyLevel.DISTRIBUTED_SESSION_RR)
@@ -259,7 +259,7 @@ class TestObservingProtocol:
 
         protocol = ObservingProtocol(LWWProtocol(), Recorder())
         state = SessionState("exec", ConsistencyLevel.LWW)
-        anna.put("k", lww("v"))
+        anna.background_put("k", lww("v"))
         protocol.read(cache_a, "k", RequestContext(), state)
         protocol.write(cache_a, "k", lww("v2", clock=2.0), RequestContext(), state)
         assert ("read", "cache-a", "k") in events

@@ -9,6 +9,8 @@ from repro.cloudburst import Dag
 from repro.cloudburst.policy import RANDOM_PLACEMENT_POLICY
 from repro.errors import FunctionNotFoundError
 
+from engine_time import at_engine_time
+
 
 @pytest.fixture
 def cluster():
@@ -26,7 +28,7 @@ class TestRegistration:
         from repro.cloudburst.executor import FUNCTION_LIST_KEY, function_key
 
         assert cluster.kvs.contains(function_key("identity"))
-        assert "identity" in cluster.kvs.get(FUNCTION_LIST_KEY).reveal()
+        assert "identity" in cluster.kvs.background_get(FUNCTION_LIST_KEY).reveal()
 
     def test_register_dag_requires_functions(self, scheduler):
         with pytest.raises(FunctionNotFoundError):
@@ -50,17 +52,19 @@ class TestRegistration:
         scheduler.register_function(lambda x: x, name="a")
         scheduler.register_function(lambda x: x, name="b")
         scheduler.register_dag(Dag.chain("pipeline", ["a", "b"]))
-        topology = cluster.kvs.get_plain("__cloudburst_dags__/pipeline")
+        topology = cluster.kvs.background_get("__cloudburst_dags__/pipeline").reveal()
         assert topology["functions"] == ["a", "b"]
         assert topology["edges"] == [("a", "b")]
 
     def test_reregistration_refreshes_pinned_thread_copies(self, scheduler, cluster):
         scheduler.register_function(lambda x: x + 1, name="f")
         scheduler.register_dag(Dag.chain("f-dag", ["f"]))
-        assert scheduler.call_dag("f-dag", {"f": [1]}).drive().value == 2
+        ctx = at_engine_time(scheduler)
+        assert scheduler.call_dag("f-dag", {"f": [1]}, ctx=ctx).drive().value == 2
         scheduler.register_function(lambda x: x + 50, name="f")
         # The pinned executor threads serve the new body, not the stale pin.
-        assert scheduler.call_dag("f-dag", {"f": [1]}).drive().value == 51
+        ctx = at_engine_time(scheduler)
+        assert scheduler.call_dag("f-dag", {"f": [1]}, ctx=ctx).drive().value == 51
         for thread in scheduler.pinned_threads("f"):
             assert thread._function_cache["f"](1) == 51
 
@@ -73,7 +77,7 @@ class TestRegistration:
         assert scheduler.delete_dag("gone") is False  # already deleted: no-op
         assert not cluster.kvs.contains("__cloudburst_dags__/gone")
         with pytest.raises(DagDeletedError):
-            scheduler.call_dag("gone")
+            scheduler.call_dag("gone", ctx=at_engine_time(scheduler))
         with pytest.raises(DagNotFoundError):
             scheduler.delete_dag("never-was")
 
@@ -81,21 +85,21 @@ class TestRegistration:
 class TestSingleFunctionCalls:
     def test_call_returns_value_and_latency(self, scheduler):
         scheduler.register_function(lambda x: x * x, name="square")
-        result = scheduler.call("square", [6])
+        result = scheduler.call("square", [6], ctx=at_engine_time(scheduler))
         assert result.value == 36
         assert result.latency_ms > 0
         assert result.retries == 0
 
     def test_store_in_kvs_returns_result_key(self, scheduler, cluster):
         scheduler.register_function(lambda x: x + 1, name="inc")
-        result = scheduler.call("inc", [1], store_in_kvs=True)
+        result = scheduler.call("inc", [1], store_in_kvs=True, ctx=at_engine_time(scheduler))
         assert result.result_key is not None
-        assert cluster.kvs.get_plain(result.result_key) == 2
+        assert cluster.kvs.background_get(result.result_key).reveal() == 2
 
     def test_call_statistics_recorded(self, scheduler):
         scheduler.register_function(lambda: None, name="noop")
-        scheduler.call("noop")
-        scheduler.call("noop")
+        scheduler.call("noop", ctx=at_engine_time(scheduler))
+        scheduler.call("noop", ctx=at_engine_time(scheduler))
         assert scheduler.stats.calls_per_function["noop"] == 2
 
 
@@ -104,7 +108,7 @@ class TestDagCalls:
         scheduler.register_function(lambda x: x + 1, name="inc")
         scheduler.register_function(lambda x: x * x, name="square")
         scheduler.register_dag(Dag.chain("comp", ["inc", "square"]))
-        result = scheduler.call_dag("comp", {"inc": [4]}).drive()
+        result = scheduler.call_dag("comp", {"inc": [4]}, ctx=at_engine_time(scheduler)).drive()
         assert result.value == 25
 
     def test_fan_out_dag_returns_all_sinks(self, scheduler):
@@ -113,7 +117,7 @@ class TestDagCalls:
         scheduler.register_function(lambda x: x * 2, name="right")
         scheduler.register_dag(Dag("fan", ["root", "left", "right"],
                                    [("root", "left"), ("root", "right")]))
-        result = scheduler.call_dag("fan", {"root": [10]}).drive()
+        result = scheduler.call_dag("fan", {"root": [10]}, ctx=at_engine_time(scheduler)).drive()
         assert result.value == {"left": 11, "right": 20}
 
     def test_diamond_dag_joins_on_the_attempt_record(self, scheduler):
@@ -124,7 +128,7 @@ class TestDagCalls:
         scheduler.register_dag(Dag("diamond", ["root", "left", "right", "sink"],
                                    [("root", "left"), ("root", "right"),
                                     ("left", "sink"), ("right", "sink")]))
-        session = scheduler.call_dag("diamond", {"root": [10]})
+        session = scheduler.call_dag("diamond", {"root": [10]}, ctx=at_engine_time(scheduler))
         result = session.drive()
         assert result.value == 31
         # The attempt record is the session's only progress state: every
@@ -138,16 +142,17 @@ class TestDagCalls:
     def test_stored_result_key_names_the_attempt(self, scheduler, cluster):
         scheduler.register_function(lambda x: x + 1, name="inc")
         scheduler.register_dag(Dag.chain("one", ["inc"]))
-        session = scheduler.call_dag("one", {"inc": [1]}, store_in_kvs=True)
+        session = scheduler.call_dag("one", {"inc": [1]}, store_in_kvs=True,
+                                     ctx=at_engine_time(scheduler))
         result = session.drive()
         assert result.result_key == \
             f"__cloudburst_results__/{session.session_id}/attempt-0"
-        assert cluster.kvs.get_plain(result.result_key) == 2
+        assert cluster.kvs.background_get(result.result_key).reveal() == 2
 
     def test_dag_call_counts_tracked(self, scheduler):
         scheduler.register_function(lambda x: x, name="f")
         scheduler.register_dag(Dag.chain("d", ["f"]))
-        scheduler.call_dag("d", {"f": [1]})
+        scheduler.call_dag("d", {"f": [1]}, ctx=at_engine_time(scheduler))
         assert scheduler.stats.calls_per_dag["d"] == 1
 
 
@@ -158,10 +163,10 @@ class TestPlacementPolicy:
         scheduler.register_function(lambda data: sum(data), name="summer")
         reference = CloudburstReference("hot-data")
         # First call caches the key somewhere; later calls should go back there.
-        scheduler.call("summer", [reference])
+        scheduler.call("summer", [reference], ctx=at_engine_time(scheduler))
         target_vm = next(vm for vm in cluster.vms if vm.cache.contains("hot-data"))
         for _ in range(5):
-            scheduler.call("summer", [reference])
+            scheduler.call("summer", [reference], ctx=at_engine_time(scheduler))
         assert cluster.cache_hit_rate() > 0.5
         assert scheduler.stats.locality_hits >= 1
         # The data should not have spread to every VM when one unsaturated
@@ -174,7 +179,7 @@ class TestPlacementPolicy:
         client.put("some-data", 1)
         scheduler.register_function(lambda x: x, name="reader")
         scheduler.placement_policy = RANDOM_PLACEMENT_POLICY
-        scheduler.call("reader", [CloudburstReference("some-data")])
+        scheduler.call("reader", [CloudburstReference("some-data")], ctx=at_engine_time(scheduler))
         assert scheduler.stats.locality_hits == 0
 
     def test_overloaded_vm_is_avoided(self, cluster, scheduler):
@@ -182,10 +187,10 @@ class TestPlacementPolicy:
         client.put("k", 1)
         scheduler.register_function(lambda x: x, name="reader")
         reference = CloudburstReference("k")
-        scheduler.call("reader", [reference])
+        scheduler.call("reader", [reference], ctx=at_engine_time(scheduler))
         holder = next(vm for vm in cluster.vms if vm.cache.contains("k"))
         holder.inflight = len(holder.threads)  # saturate it
-        result = scheduler.call("reader", [reference])
+        result = scheduler.call("reader", [reference], ctx=at_engine_time(scheduler))
         chosen_vm_caches = [vm for vm in cluster.vms
                             if vm.cache.contains("k") and vm is not holder]
         # Backpressure: the request went elsewhere, replicating the hot key.
@@ -195,7 +200,7 @@ class TestPlacementPolicy:
         scheduler.register_function(lambda: "ok", name="f")
         cluster.vms[0].fail()
         for _ in range(5):
-            assert scheduler.call("f").value == "ok"
+            assert scheduler.call("f", ctx=at_engine_time(scheduler)).value == "ok"
 
 
 class TestFaultHandling:
@@ -204,7 +209,7 @@ class TestFaultHandling:
         for vm in cluster.vms:
             vm.fail()
         with pytest.raises(Exception):
-            scheduler.call("f")
+            scheduler.call("f", ctx=at_engine_time(scheduler))
 
 
 class TestConstructorParameters:
@@ -222,7 +227,7 @@ class TestConstructorParameters:
         for vm in cluster.vms:
             vm.inflight = len(vm.threads)
         with mock.patch("repro.cloudburst.policy.OVERLOAD_THRESHOLD", 0.0):
-            assert scheduler.call("inc", [1]).value == 2
+            assert scheduler.call("inc", [1], ctx=at_engine_time(scheduler)).value == 2
 
     def test_fault_timeout_charged_on_retry(self):
         from repro.errors import ExecutorFailedError
@@ -257,7 +262,7 @@ class TestPlacementPolicyPlugin:
         scheduler.placement_policy = FirstThreadPolicy()
         scheduler.register_function(lambda x: x, name="f")
         for i in range(5):
-            scheduler.call("f", [i])
+            scheduler.call("f", [i], ctx=at_engine_time(scheduler))
         first = min(cluster.vms[0].threads, key=lambda t: t.thread_id)
         assert first.invocation_count == 5
 
