@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the benchmark, as one command.
+
+    python benchmarks/pairs.py PARENT_REF                       # predict_dag, ten pairs
+    python benchmarks/pairs.py PARENT_REF --workload retwis_read --pairs 6
+
+The committed trees of ``PARENT_REF`` and ``HEAD`` are exported with ``git
+archive`` into a temporary directory, as ``benchmarks/census.py --report``
+exports its base.
+Each pair runs ``benchmarks/perf/run.py --workload W --seed 0 --seconds 10``
+once in each checkout; the parent goes first in even pairs and the change in
+odd ones, so a drift in the host's speed lands on both sides.
+
+The report is the host-speed protocol of ROADMAP item 5: each pair's ratio of
+``sim_req_per_host_s`` (change / parent), the change's wins, both medians and
+the parent's quartile distance, then the median of every other end-to-end
+metric on each side, with the parent's quartile distance.  Virtual-time
+results repeat exactly for a seed, so the command exits 1 if any ``virt_*``
+metric differs between the sides, or if a run fails its own checks.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+from typing import Dict, List, Sequence, Tuple
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+#: The metric a host-speed claim names; higher is better.
+HOST_METRIC = "sim_req_per_host_s"
+
+Metrics = Dict[str, float]
+
+
+def export(ref: str, dest: Path) -> Path:
+    """The committed tree of ``ref``, extracted under ``dest``."""
+    archive = subprocess.run(["git", "archive", ref], cwd=REPO_ROOT,
+                             capture_output=True, check=True).stdout
+    dest.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest
+
+
+def run_side(checkout: Path, workload: str) -> Tuple[Metrics, bool]:
+    """One benchmark run in ``checkout``: its metric values and whether it passed."""
+    done = subprocess.run(
+        [sys.executable, "benchmarks/perf/run.py", "--workload", workload,
+         "--seed", "0", "--seconds", "10"],
+        cwd=checkout, capture_output=True, text=True)
+    if not done.stdout.strip():
+        sys.stderr.write(done.stderr)
+        return {}, False
+    result = json.loads(done.stdout.strip().split("\n")[-1])
+    values = {name: metric["value"] for name, metric in result["metrics"].items()}
+    return values, done.returncode == 0 and result["correct"]
+
+
+def order(pair: int) -> Tuple[str, str]:
+    """Which side runs first in pair number ``pair`` (counted from 0)."""
+    return ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+
+
+def quartile_distance(values: Sequence[float]) -> float:
+    """Third minus first quartile, by linear interpolation."""
+    if len(values) < 2:
+        return 0.0
+    first, _, third = statistics.quantiles(values, n=4, method="inclusive")
+    return third - first
+
+
+def summarize(pairs: Sequence[Tuple[Metrics, Metrics]]) -> dict:
+    """The protocol's numbers for ``(parent, change)`` metric values per pair."""
+    parent = [p[HOST_METRIC] for p, _ in pairs]
+    change = [c[HOST_METRIC] for _, c in pairs]
+    parent_median, change_median = statistics.median(parent), statistics.median(change)
+    spread = quartile_distance(parent)
+    names = [name for name in pairs[0][0] if name != HOST_METRIC]
+    return {
+        "ratios": [c / p for p, c in zip(parent, change)],
+        "wins": sum(1 for p, c in zip(parent, change) if c > p),
+        "parent_median": parent_median,
+        "change_median": change_median,
+        "parent_quartile_distance": spread,
+        "beats_spread": change_median - parent_median > spread,
+        "medians": {name: (statistics.median(p[name] for p, _ in pairs),
+                           statistics.median(c[name] for _, c in pairs),
+                           quartile_distance([p[name] for p, _ in pairs]))
+                    for name in names},
+        "virt_differs": sorted({name for p, c in pairs for name in p
+                                if name.startswith("virt_") and p[name] != c.get(name)}),
+    }
+
+
+def report(summary: dict, workload: str) -> str:
+    pairs = len(summary["ratios"])
+    lines = [f"{workload}: {pairs} alternating pairs, {HOST_METRIC} change / parent"]
+    lines += [f"  pair {index:>2}: x{ratio:.3f}"
+              for index, ratio in enumerate(summary["ratios"], start=1)]
+    lines += [
+        f"  wins: {summary['wins']}/{pairs}",
+        f"  medians: parent {summary['parent_median']:.1f}, "
+        f"change {summary['change_median']:.1f} "
+        f"(x{summary['change_median'] / summary['parent_median']:.3f})",
+        f"  parent quartile distance: {summary['parent_quartile_distance']:.1f} "
+        f"({'beaten' if summary['beats_spread'] else 'NOT beaten'} by the median gain)",
+    ]
+    for name, (parent, change, spread) in summary["medians"].items():
+        lines.append(f"  {name:<22} parent {parent:.6g} (quartile distance "
+                     f"{spread:.3g})  change {change:.6g}  x{change / parent:.4f}")
+    if summary["virt_differs"]:
+        lines.append(f"  VIRTUAL RESULTS DIFFER: {', '.join(summary['virt_differs'])}")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", metavar="PARENT_REF")
+    parser.add_argument("--workload", default="predict_dag")
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+
+    failed = 0
+    pairs: List[Tuple[Metrics, Metrics]] = []
+    with tempfile.TemporaryDirectory() as scratch:
+        checkouts = {"parent": export(args.parent, Path(scratch) / "parent"),
+                     "change": export("HEAD", Path(scratch) / "change")}
+        for pair in range(args.pairs):
+            values = {}
+            for side in order(pair):
+                values[side], passed = run_side(checkouts[side], args.workload)
+                failed += not passed
+            if not (values["parent"] and values["change"]):
+                break
+            pairs.append((values["parent"], values["change"]))
+            ratio = values["change"][HOST_METRIC] / values["parent"][HOST_METRIC]
+            print(f"pair {pair + 1}/{args.pairs}: x{ratio:.3f}", file=sys.stderr)
+    if not pairs:
+        print("no pair completed", file=sys.stderr)
+        return 1
+    summary = summarize(pairs)
+    print(report(summary, args.workload))
+    if failed:
+        print(f"  {failed} run(s) failed their own checks")
+    return 1 if failed or summary["virt_differs"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,7 +25,7 @@ from .client import CloudburstClient
 from .consistency.anomalies import AnomalyTracker
 from .consistency.levels import ConsistencyLevel
 from .dag import DagRegistry
-from .executor import EXECUTOR_METRICS_PREFIX, ExecutorVM
+from .executor import EXECUTOR_METRICS_PREFIX, ExecutorThread, ExecutorVM
 from .messaging import MessageRouter
 from .scheduler import DEFAULT_FAULT_TIMEOUT_MS, Scheduler
 
@@ -84,6 +84,10 @@ class CloudburstCluster:
         self.router = MessageRouter(self.kvs)
         self.cache_registry: Dict[str, ExecutorCache] = {}
         self.vms: List[ExecutorVM] = []
+        #: ``thread_id -> thread`` over the whole roster, dead threads too:
+        #: threads are only created with their VM, and the roster never
+        #: shrinks, so this is filled in :meth:`add_vm` and nowhere else.
+        self.threads_by_id: Dict[str, ExecutorThread] = {}
         self._vm_sequence = 0
         for _ in range(executor_vms):
             self.add_vm(publish_metrics=False)
@@ -107,6 +111,8 @@ class CloudburstCluster:
         vm = ExecutorVM(self, f"vm-{self._vm_sequence}", threads or self.threads_per_vm)
         self._vm_sequence += 1
         self.vms.append(vm)
+        for thread in vm.threads:
+            self.threads_by_id[thread.thread_id] = thread
         if publish_metrics:
             vm.publish_metrics()
         return vm

@@ -40,8 +40,11 @@ class LoadView:
     Built for ``now_ms`` inside a policy's ``pick`` and dropped when it
     returns: nothing here outlives a placement.  A VM's
     :meth:`~repro.cloudburst.executor.ExecutorVM.load` (one queue-depth read
-    per thread) is taken the first time one of its threads is asked about,
-    and the §4.3 spill pool is one pass over the VM roster, made at most once.
+    per busy thread) is taken the first time one of its threads is asked
+    about, and the §4.3 spill pool is one pass over the VM roster, made at
+    most once.  The pool's idle part, which a spilled placement draws from,
+    is its own pass (:meth:`idle_spill_pool`) that reads a load only where
+    the answer could differ.
     """
 
     __slots__ = ("scheduler", "now_ms", "_vm_loads", "_spill_pool")
@@ -93,6 +96,50 @@ class LoadView:
         now_ms = self.now_ms
         return [t for t in threads if not t.work_queue.busy_at(now_ms)]
 
+    def idle_spill_pool(self) -> List:
+        """``idle(spill_pool())`` in one pass, each live queue asked once.
+
+        An idle thread is never full (a bound is positive), so the pool is
+        every idle live thread whose VM is not overloaded, in roster order.
+        A VM with no idle live thread adds nothing whatever its load; one
+        whose live threads are all idle has utilization 0, so neither needs
+        its load.  Only a VM holding both sums the depths of its busy live
+        queues — unless this placement already read its load — and applies
+        :meth:`~repro.cloudburst.executor.ExecutorVM.load`'s own test.
+        """
+        now_ms = self.now_ms
+        pool, busy = [], []
+        for vm in self.scheduler.vms:
+            if not vm.alive:
+                continue
+            # The VM's idle live threads go into the pool as they are found
+            # and come back out if its busy live queues overload it.
+            start = len(pool)
+            for thread in vm.threads:
+                if thread.alive:
+                    queue = thread.work_queue
+                    if queue.busy_at(now_ms):
+                        busy.append(queue)
+                    else:
+                        pool.append(thread)
+            if busy:
+                idle = len(pool) - start
+                if idle:
+                    read = self._vm_loads.get(vm)
+                    if read is None:
+                        depth = 0
+                        for queue in busy:
+                            depth += queue.depth(now_ms)
+                        alive = idle + len(busy)
+                        overloaded = (1.0 if depth >= alive
+                                      else depth / alive) > OVERLOAD_THRESHOLD
+                    else:
+                        overloaded = read[0]
+                    if overloaded:
+                        del pool[start:]
+                busy = []
+        return pool
+
 
 class PlacementPolicy:
     """Strategy interface: choose an executor thread for one invocation.
@@ -119,19 +166,23 @@ class PlacementPolicy:
         is saturated the choice spills onto the wider compute tier — the
         chosen executor fetches and caches the function itself, replicating
         hot functions under load.
+
+        Unrestricted, ``threads`` is the scheduler's whole live roster in
+        roster order (what ``_pick_executor`` passes), so its unsaturated
+        pool *is* the spill pool.
         """
-        pool = load.unsaturated(threads)
-        if not pool and restricted:
-            pool = load.spill_pool()
-        pool = pool or threads
-        # Prefer threads whose work queue is idle at dispatch time so
-        # parallel clients fan out across the pool; when every pinned replica
-        # is occupied, an idle thread anywhere beats queueing behind the pin
-        # (same §4.3 spill).
-        idle = load.idle(pool)
-        if not idle and restricted:
-            idle = load.idle(load.spill_pool())
-        return load.scheduler.rng.choice(idle or pool)
+        pool = idle = None
+        if restricted:
+            # Prefer threads whose work queue is idle at dispatch time so
+            # parallel clients fan out across the pool.
+            pool = load.unsaturated(threads)
+            idle = load.idle(pool)
+        if not idle:
+            # When every pinned replica is occupied, an idle thread anywhere
+            # beats queueing behind the pin (same §4.3 spill).
+            idle = load.idle_spill_pool()
+        return load.scheduler.rng.choice(
+            idle or pool or load.spill_pool() or load.idle(threads) or threads)
 
 
 class LocalityPlacementPolicy(PlacementPolicy):

@@ -20,13 +20,12 @@ from ..errors import FutureTimeoutError
 class CloudburstReference:
     """A reference to a KVS key, resolved by the runtime at invocation time."""
 
-    __slots__ = ("key", "deserialize")
+    __slots__ = ("key",)
 
-    def __init__(self, key: str, deserialize: bool = True):
+    def __init__(self, key: str):
         if not key:
             raise ValueError("a CloudburstReference needs a non-empty key")
         self.key = key
-        self.deserialize = deserialize
 
     def __repr__(self) -> str:
         return f"CloudburstReference({self.key!r})"
@@ -34,10 +33,10 @@ class CloudburstReference:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CloudburstReference):
             return NotImplemented
-        return self.key == other.key and self.deserialize == other.deserialize
+        return self.key == other.key
 
     def __hash__(self) -> int:
-        return hash((self.key, self.deserialize))
+        return hash(self.key)
 
 
 def extract_references(args: Iterable[Any]) -> List[CloudburstReference]:

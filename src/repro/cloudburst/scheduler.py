@@ -60,6 +60,7 @@ class Scheduler:
         self.kvs = cluster.kvs
         self.engine = cluster.engine
         self.vms = cluster.vms  # the cluster's roster, not a copy
+        self.threads_by_id = cluster.threads_by_id  # ditto, keyed by thread id
         self.dag_registry = cluster.dag_registry
         self.latency_model = cluster.latency_model
         self.rng = cluster.rng.spawn(scheduler_id)
@@ -198,13 +199,12 @@ class Scheduler:
 
     def pinned_threads(self, name: str) -> List[ExecutorThread]:
         """The live threads ``name`` is pinned on, in pin order."""
-        pins = self.function_pins.get(name)
-        if not pins:
-            return []
-        wanted = set(pins)
-        live = {thread.thread_id: thread for thread in self._live_threads()
-                if thread.thread_id in wanted}
-        return [live[tid] for tid in pins if tid in live]
+        pinned = []
+        for thread_id in self.function_pins.get(name, ()):
+            thread = self.threads_by_id.get(thread_id)
+            if thread is not None and thread.alive and thread.vm.alive:
+                pinned.append(thread)
+        return pinned
 
     # -- invocation (§3: a request is a DAG; one function is the one-node case) ------------
     def call(self, function_name: str, args: Sequence[Any] = (),
@@ -365,13 +365,11 @@ class Scheduler:
                        candidates: Optional[List[ExecutorThread]] = None
                        ) -> ExecutorThread:
         """Filter candidates to live threads, then defer to the placement policy."""
-        restricted = bool(candidates)
-        threads = candidates if candidates else self._live_threads()
-        threads = [t for t in threads if t.alive and t.vm.alive]
-        if not threads:
-            # Fall back to any live executor (e.g. all pinned replicas died).
+        threads = [t for t in candidates or () if t.alive and t.vm.alive]
+        restricted = bool(threads)
+        if not restricted:
+            # Any live executor (also when every pinned replica died).
             threads = self._live_threads()
-            restricted = False
         if not threads:
             raise SchedulingError("no live executors available")
         return self.placement_policy.pick(self, threads, function_name, args,

@@ -45,9 +45,13 @@ class RandomSource:
         return self._rng.random()
 
     def choice(self, items: Sequence[T]) -> T:
+        """One uniform pick; a list or tuple is indexed as it is, not copied
+        (``random.Random.choice`` draws an index, so the pick is the same)."""
         if not items:
             raise ValueError("cannot choose from an empty sequence")
-        return self._rng.choice(list(items))
+        if not isinstance(items, (list, tuple)):
+            items = list(items)
+        return self._rng.choice(items)
 
     def shuffle(self, items: List[T]) -> List[T]:
         shuffled = list(items)

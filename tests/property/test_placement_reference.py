@@ -18,10 +18,11 @@ through its VM (``bench/ablations.py`` admits directly).  Every queue here is
 loaded that way, so a mirror would read stale in each differential test.
 """
 
+from collections import Counter
 from contextlib import ExitStack
 from unittest import mock
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 import reference_placement as reference
 from repro.cloudburst import (
@@ -31,6 +32,7 @@ from repro.cloudburst import (
     LocalityPlacementPolicy,
     PlacementPolicy,
     RandomPlacementPolicy,
+    Scheduler,
 )
 from repro.cloudburst.policy import LoadView
 from repro.sim import RandomSource, WorkQueue
@@ -218,6 +220,65 @@ def test_spill_pool_is_the_reference_pool_in_the_same_order(state):
         assert view.spill_pool() is view.spill_pool()  # one pass per placement
 
 
+#: Pins naming a drained thread, a thread on a failed VM and a busy live
+#: thread: only the last is a candidate, and it is busy, so the placement
+#: spills past the cache holder on the failed VM.
+_PINS_ON_DEAD_THREADS = {
+    "vms": [
+        {"threads": [_thread(alive=False), _thread([(0.0, 8.0)]), _thread()],
+         "alive": True, "holds": {"k0"}},
+        {"threads": [_thread(), _thread()], "alive": False, "holds": {"k0"}},
+        {"threads": [_thread(), _thread([(0.0, 8.0)])], "alive": True, "holds": set()},
+    ],
+    "bound": 16, "threshold": 0.70, "now_ms": 5.0, "references": ["k0"],
+    "pins": [0, 3, 1], "ghost_holds": set(), "seed": 0}
+
+#: Unrestricted, every VM above the threshold while some threads are idle:
+#: the unsaturated pool is empty, so the draw is over the idle threads.
+_EVERY_VM_OVERLOADED = {
+    "vms": [
+        {"threads": [_thread([(0.0, 8.0)]), _thread()], "alive": True, "holds": {"k0"}},
+        {"threads": [_thread([(0.0, 8.0), (0.0, 8.0)]), _thread([(0.0, 8.0)])],
+         "alive": True, "holds": set()},
+    ],
+    "bound": 16, "threshold": 0.34, "now_ms": 5.0, "references": ["k0"],
+    "pins": None, "ghost_holds": set(), "seed": 0}
+
+#: A VM whose depth equals its live threads sits at utilization 1.0, which
+#: is not above a threshold of 1.0: its idle thread is in the spill pool.
+_SATURATED_AT_THRESHOLD_ONE = {
+    "vms": [
+        {"threads": [_thread([(0.0, 8.0)])], "alive": True, "holds": set()},
+        {"threads": [_thread([(0.0, 8.0), (0.0, 8.0)]), _thread()],
+         "alive": True, "holds": set()},
+    ],
+    "bound": None, "threshold": 1.0, "now_ms": 5.0, "references": [],
+    "pins": [0], "ghost_holds": set(), "seed": 5}
+
+
+@given(_STATE)
+@example(_PINS_ON_DEAD_THREADS)
+@example({**_PINS_ON_DEAD_THREADS, "pins": [0, 3]})  # every pin dead
+@example(_EVERY_VM_OVERLOADED)
+@example({**_EVERY_VM_OVERLOADED, "threshold": 0.0, "references": []})
+@example(_SATURATED_AT_THRESHOLD_ONE)
+@example({**_SATURATED_AT_THRESHOLD_ONE, "pins": None})
+@settings(phases=[Phase.explicit], deadline=None)
+def test_both_policies_place_like_the_reference_at_the_edges(state):
+    """The spill's one pass, the unrestricted path that shares it and the
+    candidate filter, on the states DR-25 turns on; each compares the chosen
+    thread, the RNG state and the locality counts with the parent's."""
+    with _drawn_limits(state):
+        for shipped, parent in ((LocalityPlacementPolicy(),
+                                 reference.ReferenceLocalityPolicy()),
+                                (RandomPlacementPolicy(),
+                                 reference.ReferenceRandomPolicy())):
+            placed = _place(state, shipped)
+            with mock.patch.object(Scheduler, "_pick_executor",
+                                   reference.pick_executor):
+                assert placed == _place(state, parent)
+
+
 def test_load_asks_the_queues_every_time():
     """No VM-side mirror: work admitted straight to a queue shows at once."""
     with mock.patch("repro.cloudburst.executor.WORK_QUEUE_BOUND", 2):
@@ -248,9 +309,14 @@ def test_a_spilled_placement_reads_each_queue_and_each_vm_once(monkeypatch):
 
     The parent re-summed a VM's queues for every thread on it, twice (the
     unsaturated pool and the idle filter): 3 * 2 * N depth reads plus the
-    ``is_full`` reads.  Pinned here, with counting wrappers and no timing:
-    one load computation per VM and, since DR-14, a depth read for each busy
-    queue and for no other.
+    ``is_full`` reads.  DR-13/14 cut that to one load computation per VM and
+    a depth read per busy queue.  Since DR-25 the spill's idle pool is one
+    pass that asks each live queue ``busy_at`` once and reads a load only
+    where it could matter: a depth for each busy live queue on a VM that also
+    has an idle live thread, and for no other queue; ``ExecutorVM.load`` only
+    for the pinned VM the unsaturated test already read.  Pinned here with
+    counting wrappers and no timing, for the pinned and the unrestricted
+    placement.
     """
     cluster = CloudburstCluster(executor_vms=6, threads_per_vm=3, seed=3)
     scheduler = cluster.schedulers[0]
@@ -264,27 +330,49 @@ def test_a_spilled_placement_reads_each_queue_and_each_vm_once(monkeypatch):
             thread.work_queue.release(thread.work_queue.admit(0.0) + 1.0)
     live[9].work_queue.release(live[9].work_queue.admit(5.0) + 20.0)
     live[13].work_queue.admit(5.0)
-    busy = {pin.work_queue, live[9].work_queue, live[13].work_queue}
+    # A VM with no idle thread adds nothing, and a drained thread is never
+    # asked: neither may cost a depth read.
+    for thread in live[15:18] + [live[8]]:
+        thread.work_queue.release(thread.work_queue.admit(5.0) + 20.0)
+    live[8].alive = False
+    live = scheduler._live_threads()
+    mixed_busy = [pin.work_queue, live[8].work_queue, live[12].work_queue]
+    assert [q.label for q in mixed_busy] == ["vm-1:1", "vm-3:0", "vm-4:1"]
 
-    reads = {"depth": [], "load": {}}
-    depth, load = WorkQueue.depth, ExecutorVM.load
+    reads = {"busy_at": Counter(), "depth": Counter(), "load": Counter()}
+    busy_at, depth, load = WorkQueue.busy_at, WorkQueue.depth, ExecutorVM.load
+
+    def counted_busy_at(queue, at_ms):
+        reads["busy_at"][queue] += 1
+        return busy_at(queue, at_ms)
 
     def counted_depth(queue, at_ms):
-        reads["depth"].append(queue)
+        reads["depth"][queue] += 1
         return depth(queue, at_ms)
 
     def counted_load(vm, at_ms):
-        reads["load"][vm.vm_id] = reads["load"].get(vm.vm_id, 0) + 1
+        reads["load"][vm.vm_id] += 1
         return load(vm, at_ms)
 
+    monkeypatch.setattr(WorkQueue, "busy_at", counted_busy_at)
     monkeypatch.setattr(WorkQueue, "depth", counted_depth)
     monkeypatch.setattr(ExecutorVM, "load", counted_load)
 
+    each_live_queue = Counter(thread.work_queue for thread in live)
     for policy in (LocalityPlacementPolicy(), RandomPlacementPolicy()):
-        reads["depth"], reads["load"] = [], {}
         scheduler.placement_policy = policy
-        chosen = scheduler._pick_executor("f", [1], 10.0, candidates=[pin])
-        assert chosen is not pin and not chosen.work_queue.busy_at(10.0)  # it spilled
-        assert len(reads["depth"]) == len(busy) and set(reads["depth"]) == busy
-        assert set(reads["load"]) == {vm.vm_id for vm in cluster.vms}
-        assert set(reads["load"].values()) == {1}
+        for candidates in ([pin], None):
+            for counter in reads.values():
+                counter.clear()
+            chosen = scheduler._pick_executor("f", [1], 10.0, candidates=candidates)
+            assert chosen is not pin and not busy_at(chosen.work_queue, 10.0)  # it spilled
+            assert reads["depth"] == Counter(mixed_busy)
+            if candidates is None:
+                assert reads["busy_at"] == each_live_queue
+                assert reads["load"] == Counter()
+            else:
+                # Beyond the pass: the pinned VM's load read (three queues)
+                # and the idle filter over the unsaturated pin.
+                assert reads["busy_at"] == each_live_queue + Counter(
+                    [t.work_queue for t in pin.vm.threads] + [pin.work_queue])
+                assert reads["load"] == Counter({pin.vm.vm_id: 1})

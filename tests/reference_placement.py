@@ -14,6 +14,11 @@ with :func:`patch_in` and compares a whole seeded run.
 DR-14 then made ``ExecutorVM.load`` ask only busy queues for their depth and
 ``LoadView.spill_pool`` skip the ``full`` filter for a VM with nothing full;
 the bodies those replaced are :func:`load` and :func:`spill_pool` below.
+
+DR-25 resolves pins through the cluster's thread-id map, takes the spill's
+idle pool in one pass and builds the live roster once per placement; the
+parent's :func:`pinned_threads`, :func:`least_loaded` and
+:func:`pick_executor` below are what it must agree with.
 """
 
 from bisect import bisect_right
@@ -29,6 +34,7 @@ from repro.cloudburst import (
 from repro.cloudburst import policy
 from repro.cloudburst.policy import LoadView
 from repro.cloudburst.references import extract_references
+from repro.errors import SchedulingError
 from repro.sim import WorkQueue
 
 
@@ -101,6 +107,20 @@ def pinned_threads(scheduler, name: str) -> List:
     return [by_id[tid] for tid in scheduler.function_pins.get(name, []) if tid in by_id]
 
 
+def pick_executor(self, function_name, args, now_ms, candidates=None):
+    """``Scheduler._pick_executor`` before DR-25: the live roster re-filtered."""
+    restricted = bool(candidates)
+    threads = candidates if candidates else self._live_threads()
+    threads = [t for t in threads if t.alive and t.vm.alive]
+    if not threads:
+        threads = self._live_threads()
+        restricted = False
+    if not threads:
+        raise SchedulingError("no live executors available")
+    return self.placement_policy.pick(self, threads, function_name, args,
+                                      restricted, now_ms)
+
+
 # -- §4.3 backpressure: utilization re-summed for every thread --------------------
 def unsaturated(scheduler, threads: List, now_ms: float) -> List:
     return [t for t in threads
@@ -170,6 +190,7 @@ def patch_in(monkeypatch) -> None:
     monkeypatch.setattr(LocalityPlacementPolicy, "pick", locality_pick)
     monkeypatch.setattr(RandomPlacementPolicy, "pick", random_pick)
     monkeypatch.setattr(Scheduler, "pinned_threads", pinned_threads)
+    monkeypatch.setattr(Scheduler, "_pick_executor", pick_executor)
     monkeypatch.setattr(Scheduler, "_live_threads", live_threads)
     monkeypatch.setattr(ExecutorVM, "utilization", utilization)
     monkeypatch.setattr(ExecutorVM, "load", load)

@@ -1,0 +1,60 @@
+"""The alternating-pairs summary (``benchmarks/pairs.py``) on canned numbers."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", REPO_ROOT / "benchmarks" / "pairs.py")
+pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(pairs)
+
+VIRTUAL = {"virt_throughput_rps": 249.8, "virt_latency_p50_ms": 208.7}
+
+
+def _side(host, setup_s=0.01, **virtual):
+    return {"sim_req_per_host_s": host, "setup_s": setup_s, **VIRTUAL, **virtual}
+
+
+def test_sides_alternate_which_goes_first():
+    assert [pairs.order(n) for n in range(3)] == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change")]
+
+
+def test_summary_counts_wins_medians_and_the_parents_spread():
+    parent = [700.0, 800.0, 600.0, 900.0]
+    change = [1000.0, 790.0, 900.0, 1100.0]
+    summary = pairs.summarize([(_side(p), _side(c, setup_s=0.02))
+                               for p, c in zip(parent, change)])
+    assert summary["ratios"] == pytest.approx([10 / 7, 0.9875, 1.5, 11 / 9])
+    assert summary["wins"] == 3
+    assert summary["parent_median"] == 750.0
+    assert summary["change_median"] == 950.0
+    # Inclusive quartiles of 600, 700, 800, 900: 675 and 825.
+    assert summary["parent_quartile_distance"] == pytest.approx(150.0)
+    assert summary["beats_spread"]
+    assert summary["medians"]["setup_s"] == (0.01, 0.02, 0.0)
+    assert "sim_req_per_host_s" not in summary["medians"]
+    assert summary["virt_differs"] == []
+    report = pairs.report(summary, "predict_dag")
+    assert "wins: 3/4" in report and "beaten" in report
+
+
+def test_a_gain_inside_the_parents_spread_is_not_a_claim():
+    summary = pairs.summarize([(_side(p), _side(p + 10.0))
+                               for p in (500.0, 700.0, 900.0)])
+    assert summary["wins"] == 3
+    assert summary["parent_quartile_distance"] == pytest.approx(200.0)
+    assert not summary["beats_spread"]
+    assert "NOT beaten" in pairs.report(summary, "retwis_read")
+
+
+def test_any_virtual_difference_is_reported():
+    summary = pairs.summarize([
+        (_side(800.0), _side(900.0)),
+        (_side(800.0), _side(900.0, virt_latency_p50_ms=208.8)),
+    ])
+    assert summary["virt_differs"] == ["virt_latency_p50_ms"]
+    assert "VIRTUAL RESULTS DIFFER: virt_latency_p50_ms" in pairs.report(summary, "w")

@@ -9,6 +9,7 @@ from repro.cloudburst import Dag
 from repro.cloudburst.policy import RANDOM_PLACEMENT_POLICY
 from repro.errors import FunctionNotFoundError
 
+import reference_placement as reference
 from engine_time import at_engine_time
 
 
@@ -201,6 +202,33 @@ class TestPlacementPolicy:
         cluster.vms[0].fail()
         for _ in range(5):
             assert scheduler.call("f", ctx=at_engine_time(scheduler)).value == "ok"
+
+
+class TestPinnedThreads:
+    """Pins resolve through the cluster's ``thread_id -> thread`` map."""
+
+    def test_pins_follow_the_roster_as_it_grows_fails_and_drains(self, cluster, scheduler):
+        old = cluster.vms[0].threads[1]
+        vm = cluster.add_vm()  # mid-run: the map learns its threads
+        new = vm.threads[0]
+        scheduler.function_pins["f"] = [new.thread_id, "vm-unknown:0", old.thread_id]
+
+        def resolved():
+            shipped = scheduler.pinned_threads("f")
+            assert shipped == reference.pinned_threads(scheduler, "f")
+            return shipped
+
+        assert resolved() == [new, old]
+        vm.fail()
+        assert resolved() == [old]
+        vm.recover()
+        assert resolved() == [new, old]
+        old.alive = False  # a drained thread on a live VM
+        assert resolved() == [new]
+        cluster.drain_vm(vm)
+        assert scheduler.function_pins["f"] == ["vm-unknown:0", old.thread_id]
+        assert resolved() == []
+        assert scheduler.pinned_threads("never-pinned") == []
 
 
 class TestFaultHandling:

@@ -1,5 +1,7 @@
 """Unit tests for the seeded random source and the Zipfian generator."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,6 +47,20 @@ class TestRandomSource:
         rng = RandomSource(0)
         items = ["a", "b", "c"]
         assert rng.choice(items) in items
+
+    @pytest.mark.parametrize("items", [
+        ["a", "b", "c", "d", "e"],
+        ("a", "b", "c", "d", "e"),
+        dict.fromkeys("abcde").keys(),
+    ], ids=["list", "tuple", "keys-view"])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**16])
+    def test_choice_draws_as_random_choice_of_a_copy(self, items, seed):
+        """Indexing a sequence in place picks what a copy would, and leaves
+        the generator in the same state."""
+        ours, theirs = RandomSource(seed), random.Random(seed)
+        for _ in range(3):
+            assert ours.choice(items) == theirs.choice(list(items))
+        assert ours._rng.getstate() == theirs.getstate()
 
     def test_shuffle_returns_permutation_without_mutating(self):
         rng = RandomSource(5)
