@@ -3,6 +3,8 @@
 
     python benchmarks/pairs.py PARENT_REF                       # predict_dag, ten pairs
     python benchmarks/pairs.py PARENT_REF --workload retwis_read --pairs 6
+    python benchmarks/pairs.py PARENT_REF --workload retwis_read --workload predict_dag
+    python benchmarks/pairs.py PARENT_REF --workload all       # BENCHMARK.json's four
 
 The committed trees of ``PARENT_REF`` and ``HEAD`` are exported with ``git
 archive`` into a temporary directory, as ``benchmarks/census.py --report``
@@ -14,9 +16,11 @@ odd ones, so a drift in the host's speed lands on both sides.
 The report is the host-speed protocol of ROADMAP item 5: each pair's ratio of
 ``sim_req_per_host_s`` (change / parent), the change's wins, both medians and
 the parent's quartile distance, then the median of every other end-to-end
-metric on each side, with the parent's quartile distance.  Virtual-time
-results repeat exactly for a seed, so the command exits 1 if any ``virt_*``
-metric differs between the sides, or if a run fails its own checks.
+metric on each side, with the parent's quartile distance — one report per
+workload, the workloads paired one after another.  Virtual-time results
+repeat exactly for a seed, so the command exits 1 if any ``virt_*`` metric
+of any workload differs between the sides, or if any run fails its own
+checks.
 """
 
 from __future__ import annotations
@@ -35,8 +39,26 @@ from typing import Dict, List, Sequence, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 #: The metric a host-speed claim names; higher is better.
 HOST_METRIC = "sim_req_per_host_s"
+DEFAULT_WORKLOAD = "predict_dag"
 
 Metrics = Dict[str, float]
+Pair = Tuple[Metrics, Metrics]
+
+
+def benchmark_workloads() -> List[str]:
+    """The workloads ``BENCHMARK.json`` declares, in its order."""
+    declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    return [workload["name"] for workload in declared["workloads"]]
+
+
+def workloads(requested: Sequence[str]) -> List[str]:
+    """The workloads to pair, in order, each once; ``all`` is BENCHMARK.json's."""
+    names: List[str] = []
+    for name in requested or [DEFAULT_WORKLOAD]:
+        for workload in benchmark_workloads() if name == "all" else [name]:
+            if workload not in names:
+                names.append(workload)
+    return names
 
 
 def export(ref: str, dest: Path) -> Path:
@@ -76,7 +98,7 @@ def quartile_distance(values: Sequence[float]) -> float:
     return third - first
 
 
-def summarize(pairs: Sequence[Tuple[Metrics, Metrics]]) -> dict:
+def summarize(pairs: Sequence[Pair]) -> dict:
     """The protocol's numbers for ``(parent, change)`` metric values per pair."""
     parent = [p[HOST_METRIC] for p, _ in pairs]
     change = [c[HOST_METRIC] for _, c in pairs]
@@ -120,36 +142,58 @@ def report(summary: dict, workload: str) -> str:
     return "\n".join(lines)
 
 
+def run_pairs(checkouts: Dict[str, Path], workload: str,
+              count: int) -> Tuple[List[Pair], int]:
+    """``count`` alternating pairs of ``workload``: the pairs, and failed runs."""
+    failed = 0
+    pairs: List[Pair] = []
+    for pair in range(count):
+        values = {}
+        for side in order(pair):
+            values[side], passed = run_side(checkouts[side], workload)
+            failed += not passed
+        if not (values["parent"] and values["change"]):
+            break
+        pairs.append((values["parent"], values["change"]))
+        ratio = values["change"][HOST_METRIC] / values["parent"][HOST_METRIC]
+        print(f"{workload} pair {pair + 1}/{count}: x{ratio:.3f}", file=sys.stderr)
+    return pairs, failed
+
+
+def verdict(results: Dict[str, Tuple[List[Pair], int]]) -> Tuple[str, int]:
+    """One report per workload, and the exit code over all of them."""
+    reports, bad = [], False
+    for workload, (pairs, failed) in results.items():
+        if not pairs:
+            reports.append(f"{workload}: no pair completed")
+            bad = True
+            continue
+        summary = summarize(pairs)
+        text = report(summary, workload)
+        if failed:
+            text += f"\n  {failed} run(s) failed their own checks"
+        reports.append(text)
+        bad = bad or bool(failed) or bool(summary["virt_differs"])
+    return "\n\n".join(reports), int(bad)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", metavar="PARENT_REF")
-    parser.add_argument("--workload", default="predict_dag")
+    parser.add_argument("--workload", action="append", dest="workloads", metavar="W",
+                        help=f"repeatable; 'all' is BENCHMARK.json's workloads "
+                             f"(default: {DEFAULT_WORKLOAD})")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
 
-    failed = 0
-    pairs: List[Tuple[Metrics, Metrics]] = []
     with tempfile.TemporaryDirectory() as scratch:
         checkouts = {"parent": export(args.parent, Path(scratch) / "parent"),
                      "change": export("HEAD", Path(scratch) / "change")}
-        for pair in range(args.pairs):
-            values = {}
-            for side in order(pair):
-                values[side], passed = run_side(checkouts[side], args.workload)
-                failed += not passed
-            if not (values["parent"] and values["change"]):
-                break
-            pairs.append((values["parent"], values["change"]))
-            ratio = values["change"][HOST_METRIC] / values["parent"][HOST_METRIC]
-            print(f"pair {pair + 1}/{args.pairs}: x{ratio:.3f}", file=sys.stderr)
-    if not pairs:
-        print("no pair completed", file=sys.stderr)
-        return 1
-    summary = summarize(pairs)
-    print(report(summary, args.workload))
-    if failed:
-        print(f"  {failed} run(s) failed their own checks")
-    return 1 if failed or summary["virt_differs"] else 0
+        results = {workload: run_pairs(checkouts, workload, args.pairs)
+                   for workload in workloads(args.workloads)}
+    text, code = verdict(results)
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from .casestudies import (
 )
 from .enginebench import (
     FLOOR_EVENTS_PER_SEC,
-    PRE_PR_BASELINE,
     engine_throughput_errors,
     run_engine_micro,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "run_figure11",
     "run_figure12",
     "FLOOR_EVENTS_PER_SEC",
-    "PRE_PR_BASELINE",
     "engine_throughput_errors",
     "run_engine_micro",
     "run_figure8",

@@ -31,11 +31,9 @@ dependence in the simulated workload itself):
 
 The headline ``events_per_sec`` aggregates the three engine-loop scenarios
 (total events fired / total seconds); the per-primitive scenarios are
-reported alongside.  ``PRE_PR_BASELINE`` pins the numbers measured on the
-pre-optimization engine (PR 5 state) on the same machine class, and
-``FLOOR_EVENTS_PER_SEC`` is the regression gate: dropping below it means the
-optimization win has been lost entirely (the floor sits below the pre-PR
-baseline to absorb slower CI hardware).
+reported alongside.  ``FLOOR_EVENTS_PER_SEC`` is the regression gate:
+dropping below it means the engine's optimization win has been lost
+entirely (the floor leaves headroom for slower CI hardware).
 
 Every scenario is timed on the process CPU clock (``time.process_time``): a
 busy neighbour stretches wall time but not the CPU seconds the loop itself
@@ -51,21 +49,6 @@ from typing import Callable, Dict, List
 
 from ..sim import Engine, RequestContext, SimClock
 from ..sim.engine import ReservationQueue
-
-#: Measured on the pre-optimization engine (PR 5 state, commit 6d0b48d) with
-#: this exact harness on the same machine class that recorded the current
-#: ``BENCH_throughput.json``.  The acceptance bar for the optimization pass is
-#: ``events_per_sec >= 2 * PRE_PR_BASELINE["events_per_sec"]``; the JSON
-#: section carries both numbers so the ratio is auditable.
-PRE_PR_BASELINE: Dict[str, float] = {
-    "events_per_sec": 137501.4,        # 238,701 events / 1.736 s
-    "event_dispatch_per_sec": 225898.0,
-    "cancel_churn_per_sec": 103082.0,
-    "recurring_ticks_per_sec": 53703.0,
-    "sim_ms_per_wall_ms": 1.05,        # recurring_ticks: 210 sim-ms / 199 wall-ms
-    "charge_log_charges_per_sec": 298633.0,
-    "reservation_queue_per_sec": 579529.0,
-}
 
 #: Regression-gate floor for the headline events/sec.  Falling below this
 #: means the engine is no faster than before the optimization pass (with
@@ -348,15 +331,11 @@ def run_engine_micro() -> Dict[str, object]:
     multi_get_wall = multi_get["wall_seconds"]
     multi_get_keys_per_sec = round(
         multi_get["events"] / multi_get_wall if multi_get_wall > 0 else 0.0, 1)
-    baseline = PRE_PR_BASELINE.get("events_per_sec", 0.0)
     return {
         "schema": 3,
         "events_per_sec": round(events_per_sec, 1),
         "sim_ms_per_wall_ms": round(sim_ms_per_wall_ms, 1),
         "scenarios": scenarios,
-        "baseline_pre_pr": dict(PRE_PR_BASELINE),
-        "speedup_vs_pre_pr": (round(events_per_sec / baseline, 2)
-                              if baseline > 0 else None),
         "floor_events_per_sec": FLOOR_EVENTS_PER_SEC,
         "multi_get_keys_per_sec": multi_get_keys_per_sec,
         "multi_get_floor_keys_per_sec": MULTI_GET_FLOOR_KEYS_PER_SEC,

@@ -194,7 +194,7 @@ class EngineLoadDriver:
             self._active.clear()
             if self.control_plane is not None:
                 self.control_plane.stop()
-            self.cluster.advance_to(self._last_end_ms)
+            self.engine.advance_to(self._last_end_ms)
         return self._build_result()
 
     # -- client behaviour --------------------------------------------------

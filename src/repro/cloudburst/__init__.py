@@ -32,8 +32,9 @@ from .policy import (
     RandomPlacementPolicy,
 )
 from .references import CloudburstFuture, CloudburstReference, extract_references
-from .scheduler import ExecutionResult, Scheduler
+from .scheduler import Scheduler
 from .serialization import LatticeEncapsulator
+from .sessions import ExecutionResult
 
 __all__ = [
     "CacheStats",

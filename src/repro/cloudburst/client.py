@@ -8,10 +8,12 @@ the paper's Table 1 API:
   compositions on **every** scheduler the client knows about.
 * ``call``/``call_dag`` invoke them and always return a
   :class:`~repro.cloudburst.references.CloudburstFuture`.  Every invocation
-  is one :class:`~repro.cloudburst.sessions.DagSession`.  ``call`` executes
-  in the caller's request context and its future arrives already resolved;
-  ``call_dag`` enqueues the session on the cluster's engine and returns
-  *before* it executes — resolution is delivered through
+  is one :class:`~repro.cloudburst.sessions.DagSession`, and the future
+  returned is the session's own: the session resolves it, and the client
+  only subscribes the callback that closes the invocation's root span.
+  ``call`` executes in the caller's request context and its future arrives
+  already resolved; ``call_dag`` enqueues the session on the cluster's
+  engine and returns *before* it executes — resolution is delivered through
   ``future.add_done_callback`` or by ``future.get()``, which advances
   virtual time until the result appears (with an optional timeout).
 
@@ -33,10 +35,11 @@ from ..sim import RequestContext, SimClock
 from .consistency.levels import ConsistencyLevel
 from .dag import Dag
 from .references import CloudburstFuture, CloudburstReference
-from .scheduler import ExecutionResult, Scheduler
+from .scheduler import Scheduler
 from .serialization import LatticeEncapsulator
 
 if TYPE_CHECKING:
+    from .sessions import DagSession
     from .cluster import CloudburstCluster
 
 
@@ -76,7 +79,7 @@ class CloudburstClient:
         #: children off it.
         self.tracer = cluster.tracer
         self._encapsulator = LatticeEncapsulator(client_id, consistency)
-        self.last_result: Optional[ExecutionResult] = None
+        self._last_latency_ms: Optional[float] = None
 
     # -- KVS access --------------------------------------------------------------------
     def put(self, key: str, value: Any, ctx: Optional[RequestContext] = None) -> None:
@@ -141,16 +144,15 @@ class CloudburstClient:
 
         Single-function invocations execute within the caller's (virtual)
         request context, so the returned future is already resolved —
-        ``future.value`` never blocks.  ``ctx`` threads an externally owned
-        request context through the scheduler.
+        ``future.value`` never blocks, and a function that raised re-raises
+        from it.  ``ctx`` threads an externally owned request context through
+        the scheduler.
         """
         scheduler = self._next_scheduler()
         with self._cluster.request(ctx) as ctx:
-            future, complete, _ = self._begin(ctx, f"call:{function_name}")
-            complete(scheduler.call(function_name, args,
-                                    consistency=consistency or self.consistency,
-                                    store_in_kvs=store_in_kvs, ctx=ctx))
-        return future
+            return self._invoke(ctx, f"call:{function_name}", lambda: scheduler.call(
+                function_name, args, consistency=consistency or self.consistency,
+                store_in_kvs=store_in_kvs, ctx=ctx))
 
     def call_dag(self, dag_name: str,
                  function_args: Optional[Dict[str, Sequence[Any]]] = None,
@@ -170,43 +172,43 @@ class CloudburstClient:
         scheduler = self._next_scheduler()
         if ctx is None:
             ctx = RequestContext(clock=SimClock(self._cluster.engine.now_ms))
-        future, complete, errored = self._begin(ctx, f"call_dag:{dag_name}")
-        scheduler.call_dag(dag_name, function_args,
-                           consistency=consistency or self.consistency,
-                           store_in_kvs=store_in_kvs, ctx=ctx,
-                           on_complete=complete, on_error=errored)
-        return future
+        return self._invoke(ctx, f"call_dag:{dag_name}", lambda: scheduler.call_dag(
+            dag_name, function_args, consistency=consistency or self.consistency,
+            store_in_kvs=store_in_kvs, ctx=ctx))
 
-    def _begin(self, ctx: RequestContext, name: str):
-        """Root span and pending future of one invocation on ``ctx``.
+    def _invoke(self, ctx: RequestContext, name: str,
+                open_session: Callable[[], DagSession]) -> CloudburstFuture:
+        """Open one invocation's session on ``ctx`` and return its future.
 
-        Returns ``(future, complete, errored)``; the scheduler calls one of
-        the two callbacks exactly once — in-line for ``call``, from the
-        finishing engine event for ``call_dag``.  Either closes the root, so
-        the next invocation on ``ctx`` starts a trace of its own.
+        A traced invocation gets a root span (a nested one — ``ctx`` already
+        traced — joins the outer trace), closed by the done-callback
+        subscribed here before the future leaves the client, so before any
+        caller's callback: with ``latency_ms`` on success, ``error=<type
+        name>`` on failure — or at once when no session opens (an unknown or
+        deleted DAG).  The next invocation on ``ctx`` starts its own trace.
         """
         root = None
         if self.tracer is not None and ctx.span is None:
-            # A nested invocation (ctx already traced) joins the outer trace.
             root = ctx.span = self.tracer.start_trace(
                 name, "client", ctx.clock.now_ms, node=self.client_id)
-        future = CloudburstFuture(
-            advance=lambda fut, timeout_ms: self._advance_engine(fut, timeout_ms, ctx))
-
-        def complete(result: ExecutionResult) -> None:
-            future.result_key = result.result_key
-            if root is not None:
-                root.annotate("latency_ms", result.latency_ms)
-                ctx.close_span()
-            self.last_result = result
-            future._set_result(result)
-
-        def errored(exc: BaseException) -> None:
+        try:
+            future = open_session().future
+        except Exception as exc:
             if root is not None:
                 ctx.close_span(error=type(exc).__name__)
-            future._set_exception(exc)
+            raise
 
-        return future, complete, errored
+        def settled(future: CloudburstFuture) -> None:
+            error = future.exception()
+            if error is None:
+                self._last_latency_ms = future.result().latency_ms
+                if root is not None:
+                    root.annotate("latency_ms", self._last_latency_ms)
+            if root is not None:
+                ctx.close_span(error=None if error is None else type(error).__name__)
+
+        future.add_done_callback(settled)
+        return future
 
     # -- helpers -------------------------------------------------------------------------
     def reference(self, key: str) -> CloudburstReference:
@@ -215,38 +217,10 @@ class CloudburstClient:
 
     @property
     def last_latency_ms(self) -> float:
-        if self.last_result is None:
+        """Latency of the last invocation of this client that succeeded."""
+        if self._last_latency_ms is None:
             raise ValueError("no request has been issued yet")
-        return self.last_result.latency_ms
-
-    def _advance_engine(self, future: CloudburstFuture,
-                        timeout_ms: Optional[float], ctx: RequestContext) -> None:
-        """Fire engine events until ``future`` resolves or the deadline passes.
-
-        This is what makes ``future.get()`` "block" in virtual time.  A
-        future resolves at the event that finishes its session, up to a
-        network hop before the request itself completes on ``ctx``; the
-        engine is advanced over that remainder too, so a caller that blocks
-        never issues its next request before it has received this one.  It
-        must not be called from inside an engine event — the loop cannot be
-        re-entered — so blocking there raises immediately with a pointer to
-        ``add_done_callback``.
-        """
-        engine = self._cluster.engine
-        if engine.running:
-            # A programming error, not a timeout: raising FutureTimeoutError
-            # here would let timeout-tolerant callers retry forever.
-            raise RuntimeError(
-                "cannot block on a future from inside an engine event (the "
-                "loop is not reentrant); use future.add_done_callback(...) "
-                "instead")
-        deadline = None if timeout_ms is None else engine.now_ms + timeout_ms
-        while not future.done():
-            next_ms = engine.peek_ms()
-            if next_ms is None or (deadline is not None and next_ms > deadline):
-                return
-            engine.step()
-        self._cluster.advance_to(ctx.clock.now_ms)
+        return self._last_latency_ms
 
     def _next_scheduler(self) -> Scheduler:
         """Round-robin over *live* schedulers (crashed ones are skipped).

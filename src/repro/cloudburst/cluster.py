@@ -140,19 +140,7 @@ class CloudburstCluster:
             yield ctx
         finally:
             if not self.engine.running:
-                self.advance_to(ctx.clock.now_ms)
-
-    def advance_to(self, at_ms: float) -> None:
-        """Fire engine events until virtual time stands at ``at_ms``.
-
-        ``step()``, never ``run()``: a blocked client is not a run of the
-        engine.  The marker is a foreground event — a client waiting for an
-        answer is pending work, so the recurring ticks keep firing.
-        """
-        reached: List[bool] = []
-        self.engine.at(at_ms, lambda: reached.append(True))
-        while not reached:
-            self.engine.step()
+                self.engine.advance_to(ctx.clock.now_ms)
 
     def settle(self) -> float:
         """Let the cluster come to rest; returns the virtual time it rests at.

@@ -5,9 +5,11 @@
   invoking the function, and the scheduler uses references to make
   locality-aware placement decisions.
 * A :class:`CloudburstFuture` is what every invocation returns
-  (``client.call`` / ``client.call_dag``): a handle to a result that events
-  on the cluster's engine resolve.  ``get()`` blocks (in virtual time) until
-  the result appears, with an optional timeout.
+  (``client.call`` / ``client.call_dag``): the one handle to its outcome.
+  The invocation's :class:`~repro.cloudburst.sessions.DagSession` creates it
+  and is the only code that resolves it; ``get()`` blocks (in virtual time)
+  through the session's wait until the outcome appears, with an optional
+  timeout.
 """
 
 from __future__ import annotations
@@ -72,20 +74,24 @@ class CloudburstFuture:
     retries, session state).  Failed invocations re-raise their error from
     ``get()``/``result()``; ``exception()`` inspects it without raising.
     With ``store_in_kvs`` the value is also written to the KVS under
-    ``result_key``, which is set when the future resolves.
+    ``result_key``, read from the payload once the future resolves.
     """
 
     def __init__(self, advance: Optional[
             Callable[["CloudburstFuture", Optional[float]], None]] = None):
         """``advance`` is the hook that makes progress (fires engine events)
-        until the future resolves or a deadline passes."""
-        self.result_key: Optional[str] = None
+        until the future resolves or a deadline passes; it is dropped when
+        the future settles."""
         self._advance = advance
         self._done = False
-        self._value: Any = None
         self._result = None  # the ExecutionResult payload
         self._exception: Optional[BaseException] = None
         self._callbacks: List[Callable[["CloudburstFuture"], None]] = []
+
+    @property
+    def result_key(self) -> Optional[str]:
+        """The KVS key a ``store_in_kvs`` result was written under (else None)."""
+        return None if self._result is None else self._result.result_key
 
     # -- probes (never advance time, never raise) ---------------------------------------
     def done(self) -> bool:
@@ -117,10 +123,7 @@ class CloudburstFuture:
         probe without raising, and :meth:`add_done_callback` to wait without
         blocking.
         """
-        self._wait(timeout_ms)
-        if self._exception is not None:
-            raise self._exception
-        return self._value
+        return self.result(timeout_ms).value
 
     def result(self, timeout_ms: Optional[float] = None):
         """The full :class:`ExecutionResult` payload (blocking like ``get``)."""
@@ -172,19 +175,18 @@ class CloudburstFuture:
     def _set_result(self, result) -> None:
         """Resolve with an ExecutionResult payload (completion hook)."""
         self._result = result
-        self._settle(value=result.value)
+        self._settle()
 
     def _set_exception(self, exc: BaseException) -> None:
         """Resolve with an error (failure hook); ``get()`` re-raises."""
         self._exception = exc
-        self._settle(value=None)
+        self._settle()
 
-    def _settle(self, value: Any) -> None:
-        if self._done:
-            return
-        if self._exception is None:
-            self._value = value
+    def _settle(self) -> None:
+        # The hook holds the session that resolved us: drop it, so a settled
+        # future does not keep its finished session alive.
         self._done = True
+        self._advance = None
         callbacks, self._callbacks = self._callbacks, []
         for fn in callbacks:
             fn(self)

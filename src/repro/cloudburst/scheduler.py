@@ -21,7 +21,7 @@ from .consistency.protocols import ObservingProtocol, SessionState, make_protoco
 from .dag import Dag
 from .executor import ExecutorThread, FUNCTION_LIST_KEY, function_key
 from .references import extract_references
-from .sessions import DagSession, ExecutionResult, SessionJournal
+from .sessions import DagSession, SessionJournal
 from .policy import DEFAULT_PLACEMENT_POLICY, PlacementPolicy
 
 if TYPE_CHECKING:
@@ -210,15 +210,15 @@ class Scheduler:
     def call(self, function_name: str, args: Sequence[Any] = (),
              consistency: Optional[ConsistencyLevel] = None,
              store_in_kvs: bool = False, *,
-             ctx: RequestContext) -> ExecutionResult:
-        """Schedule and execute a single function invocation.
+             ctx: RequestContext) -> DagSession:
+        """Schedule and execute a single function invocation; returns its session.
 
         A bare call executes in the caller's request context: it runs as a
-        one-function session on a private engine, driven to completion
-        before this returns (the caller may itself be an event of the
-        cluster's engine, which cannot be re-entered).  Unlike a registered
-        DAG's functions it is placed over every live thread, not only its
-        pins.
+        one-function session on a private engine, which the session's wait
+        fires before this returns (the caller may itself be an event of the
+        cluster's engine, which cannot be re-entered), so ``session.future``
+        is resolved.  Unlike a registered DAG's functions it is placed over
+        every live thread, not only its pins.
         """
         dag = self._call_dags.get(function_name)
         if dag is None:
@@ -226,14 +226,13 @@ class Scheduler:
         session = self._open_session(dag, {function_name: args}, consistency,
                                      store_in_kvs, ctx, inline=True)
         self.stats.record_function_call(function_name)
-        return session.drive()
+        session.wait()
+        return session
 
     def call_dag(self, dag_name: str, function_args: Optional[Dict[str, Sequence[Any]]] = None,
                  consistency: Optional[ConsistencyLevel] = None,
                  store_in_kvs: bool = False, *,
-                 ctx: RequestContext,
-                 on_complete: Optional[Callable[[ExecutionResult], None]] = None,
-                 on_error: Optional[Callable[[Exception], None]] = None) -> DagSession:
+                 ctx: RequestContext) -> DagSession:
         """Schedule a registered DAG; returns its (pending) session.
 
         ``function_args`` supplies extra arguments per function; results of
@@ -243,22 +242,19 @@ class Scheduler:
         Every execution is a :class:`~repro.cloudburst.sessions.DagSession`:
         each function is an event on the cluster's engine, fired at its
         fork/join ready time, so concurrent sessions genuinely interleave.
-        Completion is delivered to ``on_complete``/``on_error``; outside an
-        engine event, ``session.drive()`` fires the engine until the session
-        resolves.
+        The outcome resolves ``session.future``: subscribe with
+        ``add_done_callback``, or block outside any engine event with
+        ``get()``/``result()``.
         """
         session = self._open_session(self.dag_registry.get(dag_name),
                                      function_args or {}, consistency,
-                                     store_in_kvs, ctx, on_complete, on_error)
+                                     store_in_kvs, ctx)
         self.stats.record_dag_call(dag_name)
         return session
 
     def _open_session(self, dag: Dag, function_args: Dict[str, Sequence[Any]],
                       consistency: Optional[ConsistencyLevel], store_in_kvs: bool,
-                      ctx: RequestContext,
-                      on_complete: Optional[Callable[[ExecutionResult], None]] = None,
-                      on_error: Optional[Callable[[Exception], None]] = None,
-                      inline: bool = False) -> DagSession:
+                      ctx: RequestContext, inline: bool = False) -> DagSession:
         """Charge the client→scheduler hop and start a journaled session.
 
         The one entry every invocation takes.  The session is journaled
@@ -275,8 +271,7 @@ class Scheduler:
                             node=self.scheduler_id)
         session = DagSession(self, dag, function_args, ctx, start_ms,
                              consistency or self.default_consistency,
-                             on_complete, on_error, store_in_kvs=store_in_kvs,
-                             inline=inline)
+                             store_in_kvs=store_in_kvs, inline=inline)
         session.start()
         return session
 

@@ -4,9 +4,14 @@
   one-node case) decomposed into engine events.  It is the only place that
   opens an attempt, dispatches functions at their fork/join ready time,
   retries under §4.5, finalizes the consistency protocol and builds the
-  :class:`ExecutionResult`.  ``Scheduler.call_dag`` runs it on the cluster's
-  engine; ``Scheduler.call`` runs the same session on a private engine and
-  drives it to completion before returning (:meth:`DagSession.drive`).  On
+  :class:`ExecutionResult`.  It owns its invocation's
+  :class:`~repro.cloudburst.references.CloudburstFuture` and is the only code
+  that resolves it: with the result when the last function finishes, with
+  the error when the session fails — no engine event raises an invocation's
+  failure.  The future's wait is the session's (:meth:`DagSession.wait`):
+  ``Scheduler.call_dag`` runs the session on the cluster's engine, which a
+  blocking ``get()`` steps; ``Scheduler.call`` runs it on a private engine
+  and waits before returning, so its future is resolved on return.  On
   top of the in-line retry it supports externally injected attempt failures
   (:meth:`DagSession.fail_attempt`, used by the fault plane when an executor
   VM dies mid-DAG) and crash recovery (:meth:`DagSession.recover_from_crash`,
@@ -34,13 +39,13 @@ never drawn, so two runs of one seed journal and trace the same ids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    TYPE_CHECKING)
+from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..errors import DagExecutionError, ExecutorFailedError, StorageOverloadError
 from ..sim import Engine, RequestContext
 from .consistency.levels import ConsistencyLevel
 from .consistency.protocols import SessionState
+from .references import CloudburstFuture
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scheduler imports us)
     from .dag import Dag
@@ -294,13 +299,12 @@ class DagSession:
 
     Each function runs in its own engine event at its fork/join ready time,
     so sessions sharing an engine interleave their cache accesses in the
-    order virtual time dictates; a session on a private engine
-    (:meth:`drive`) fires the same events back to back.  Every status
-    transition is appended to the owning scheduler's
-    :class:`SessionJournal`; failed attempts release their session state
-    (snapshots, shadow reads) *before* anything can resolve the caller's
-    future, and a crashed scheduler resumes the session from the journal on
-    restart.
+    order virtual time dictates; a session on a private engine fires the
+    same events back to back in :meth:`wait`.  Every status transition is
+    appended to the owning scheduler's :class:`SessionJournal`; failed
+    attempts release their session state (snapshots, shadow reads) *before*
+    :attr:`future` resolves, and a crashed scheduler resumes the session from
+    the journal on restart.
 
     ``inline`` is the one input on which the public entry points differ.
     ``call`` runs inline: on a private engine, placed over every live
@@ -311,19 +315,16 @@ class DagSession:
     def __init__(self, scheduler: "Scheduler", dag: "Dag",
                  function_args: Dict[str, Sequence[Any]], ctx: RequestContext,
                  start_ms: float, level: ConsistencyLevel,
-                 on_complete: Optional[Callable[[ExecutionResult], None]],
-                 on_error: Optional[Callable[[Exception], None]] = None,
                  store_in_kvs: bool = False, inline: bool = False):
         self.scheduler = scheduler
         self.dag = dag
         self.ctx = ctx
         self.engine = Engine() if inline else scheduler.engine
-        self.on_complete = on_complete
-        self.on_error = on_error
         self.inline = inline
-        self.done = False
-        self.result: Optional[ExecutionResult] = None
-        self.error: Optional[Exception] = None
+        #: The invocation's one outcome; only :meth:`_finish` and
+        #: :meth:`_fail` resolve it.
+        self.future = CloudburstFuture(
+            advance=lambda _future, timeout_ms: self.wait(timeout_ms))
         #: The request's span (or None when untraced).  Each §4.5 attempt
         #: opens its own child span under it on ``ctx``, so the live attempt
         #: is ``ctx.span``; a superseded attempt is *linked* from its
@@ -376,21 +377,35 @@ class DagSession:
         for name in self.dag.sources:
             self._schedule(name, self.attempt.started_ms)
 
-    def drive(self) -> ExecutionResult:
-        """Fire this session's engine until the session resolves.
+    def wait(self, timeout_ms: Optional[float] = None) -> None:
+        """Fire this session's engine until :attr:`future` resolves.
 
-        How ``call`` stays in-line (on its private engine), and how code
-        outside any engine event waits for a ``call_dag`` session.  Without
-        an ``on_error`` a session that exhausts its retries raises out of
-        here, as does an application error.  ``step()``, never ``run()``: the
-        caller of ``call`` may itself be an event of the cluster's engine,
-        and a nested ``run`` would be counted as a second run by anything
-        observing it.
+        The only loop that blocks on a session: how ``call`` stays in-line
+        (on its private engine), and what ``future.get()`` runs for a
+        ``call_dag``.  It stops early when no event is left within
+        ``timeout_ms``.  ``step()``, never ``run()``: the caller of ``call``
+        may itself be an event of the cluster's engine, and a nested ``run``
+        would count as a second run.  A ``call_dag`` resolves up to a network
+        hop before its request completes on ``ctx``, so the cluster's engine
+        then catches up to ``ctx``: a caller that blocks never issues its
+        next request before it has received this one.
         """
-        step = self.engine.step
-        while not self.done and step():
-            pass
-        return self.result
+        engine, future = self.engine, self.future
+        if engine.running:
+            # A programming error, not a timeout: raising FutureTimeoutError
+            # here would let timeout-tolerant callers retry forever.
+            raise RuntimeError(
+                "cannot block on a future from inside an engine event (the "
+                "loop is not reentrant); use future.add_done_callback(...) "
+                "instead")
+        deadline = None if timeout_ms is None else engine.now_ms + timeout_ms
+        while not future.done():
+            next_ms = engine.peek_ms()
+            if next_ms is None or (deadline is not None and next_ms > deadline):
+                return
+            engine.step()
+        if not self.inline:
+            engine.advance_to(self.ctx.clock.now_ms)
 
     def _schedule(self, name: str, at_ms: float) -> None:
         attempt = self.attempt
@@ -400,7 +415,7 @@ class DagSession:
         self.engine.at(at_ms, lambda: self._run_function(name, attempt))
 
     def _run_function(self, name: str, attempt: AttemptRecord) -> None:
-        if attempt is not self.attempt or self.done:
+        if attempt is not self.attempt or self.future.done():
             return  # stale event from an attempt that failed and restarted
         if not self.scheduler.alive:
             # The owning scheduler crashed with this event queued.  The
@@ -412,14 +427,14 @@ class DagSession:
         except (ExecutorFailedError, StorageOverloadError) as exc:
             # A dead executor and a saturated storage replica set get the
             # same §4.5 treatment: the attempt fails, the session pays the
-            # fault timeout and retries; exhausted retries go to ``on_error``
-            # so one overloaded key cannot unwind a whole driver run.
+            # fault timeout and retries; exhausted retries resolve the future
+            # with the error, so one overloaded key cannot unwind a driver run.
             self._retry(reason=f"{type(exc).__name__}: {exc}")
             return
         except Exception as exc:
             # An application error is not retried: release the attempt and
             # close the session so it does not stay journaled as in flight,
-            # then let the error reach the caller.
+            # then resolve the future with the error.
             self._abandon_attempt(f"{type(exc).__name__}: {exc}")
             self._fail(exc)
             return
@@ -446,7 +461,7 @@ class DagSession:
         retry machinery as an :class:`ExecutorFailedError` raised in-line.
         Returns True when a retry (or terminal failure) was triggered.
         """
-        if self.done:
+        if self.future.done():
             return False
         if not self.scheduler.alive:
             return False  # the crash-recovery path owns this session
@@ -474,7 +489,7 @@ class DagSession:
         executor failures, and a control-plane restart must not turn every
         in-flight session it recovers into a terminal failure.
         """
-        if self.done:
+        if self.future.done():
             return
         self._abandon_attempt("scheduler crash", status=ATTEMPT_ABANDONED,
                               relation="recovered_from")
@@ -491,9 +506,9 @@ class DagSession:
 
         Release comes first: the attempt's snapshots and shadow reads must be
         gone *before* anything can resolve the caller's future — the next
-        attempt runs under a fresh execution id, and the tests assert
-        ``on_error`` observers never see leaked snapshots.  The next attempt
-        links back to the finished span with ``relation``, so the trace shows
+        attempt runs under a fresh execution id, and the tests assert that
+        the future's done-callbacks never see leaked snapshots.  The next
+        attempt links back to the finished span with ``relation``, so the trace shows
         the §4.5 lineage without the failed attempt becoming an ancestor of
         work it never caused.
         """
@@ -512,19 +527,13 @@ class DagSession:
         self.engine.at(self.ctx.clock.now_ms, self.start)
 
     def _fail(self, error: Exception) -> None:
-        """Close the session as failed and hand ``error`` to its owner.
+        """Close the session as failed and resolve the future with ``error``.
 
-        With an ``on_error`` the failure is delivered there and other
-        sessions sharing the engine keep running (raising would abort the
-        whole run for every concurrent client); a session driven in-line
-        raises to its caller.
+        Never a raise: other sessions sharing the engine keep running, and
+        ``get()``/``result()`` re-raise the error to whoever waits.
         """
-        self.done = True
-        self.error = error
         self.scheduler.journal.close(self.record, SESSION_FAILED)
-        if self.on_error is None:
-            raise error
-        self.on_error(error)
+        self.future._set_exception(error)
 
     # -- completion ---------------------------------------------------------------------
     def _finish(self) -> None:
@@ -543,15 +552,11 @@ class DagSession:
             scheduler.latency_model.charge(ctx, "cloudburst", "result_to_client")
         self.protocol.finalize(self.state, scheduler.cache_registry)
         scheduler._complete_anomaly_tracking(self.state)
-        self.done = True
         scheduler.journal.close(self.record, SESSION_COMPLETED)
         if ctx.span is not self.root_span:
             ctx.close_span()
-        latency_ms = ctx.clock.now_ms - self.record.start_ms
-        self.result = ExecutionResult(
-            value=value, latency_ms=latency_ms,
+        self.future._set_result(ExecutionResult(
+            value=value, latency_ms=ctx.clock.now_ms - self.record.start_ms,
             execution_id=self.state.execution_id, ctx=ctx,
             retries=self.record.retries, result_key=result_key,
-            session=self.state)
-        if self.on_complete is not None:
-            self.on_complete(self.result)
+            session=self.state))

@@ -258,6 +258,18 @@ class Engine:
             return True
         return False
 
+    def advance_to(self, at_ms: float) -> None:
+        """Fire events until virtual time stands at ``at_ms``.
+
+        ``step()``, never ``run()``: a blocked client is not a run of the
+        engine.  The marker is a foreground event — a client waiting for an
+        answer is pending work, so the recurring ticks keep firing.
+        """
+        reached: List[bool] = []
+        self.at(at_ms, lambda: reached.append(True))
+        while not reached:
+            self.step()
+
     def run(self, until_ms: Optional[float] = None) -> int:
         """Drain the event queue.
 

@@ -169,7 +169,8 @@ class TestInterleavedSessions:
         engine = cluster.engine
         states = {}
 
-        def complete_a(result):
+        def complete_a(future):
+            result = future.result()
             states["a_done"] = True
             for vm in cluster.vms:
                 assert vm.cache.get_snapshot(result.execution_id, "shared") is None
@@ -185,7 +186,8 @@ class TestInterleavedSessions:
         args_b = {"read_key": ["shared"], "read_write": ["shared", "token-b"]}
         states["a"] = scheduler.call_dag(
             "session-dag", args_a, consistency=ConsistencyLevel.DISTRIBUTED_SESSION_RR,
-            on_complete=complete_a, ctx=at_engine_time(scheduler))
+            ctx=at_engine_time(scheduler))
+        states["a"].future.add_done_callback(complete_a)
         # B starts mid-way through A and finishes later (long think between
         # stages comes from queueing both sessions on two-thread VMs).
         engine.at(engine.now_ms + 0.5, lambda: states.__setitem__(
@@ -195,7 +197,7 @@ class TestInterleavedSessions:
                 ctx=at_engine_time(scheduler))))
         engine.run()
         assert states.get("a_done")
-        assert states["b"].done
+        assert states["b"].future.done()
         for vm in cluster.vms:
             assert vm.cache.snapshot_count() == 0
 
@@ -213,14 +215,14 @@ class TestSessionFailureIsolation:
         cloud.register_dag("flaky-dag", ["flaky"])
         return cluster
 
-    def test_retry_exhaustion_goes_to_on_error_not_engine_abort(self):
+    def test_retry_exhaustion_resolves_the_future_not_engine_abort(self):
         cluster = self._flaky_cluster()
         scheduler = cluster.schedulers[0]
         errors = []
-        session = scheduler.call_dag("flaky-dag", on_error=errors.append,
-                                     ctx=at_engine_time(scheduler))
+        session = scheduler.call_dag("flaky-dag", ctx=at_engine_time(scheduler))
+        session.future.add_done_callback(lambda f: errors.append(f.exception()))
         cluster.engine.run()
-        assert session.done and session.result is None
+        assert session.future.done() and not session.future.is_ready()
         assert len(errors) == 1
         assert "failed after" in str(errors[0])
         assert session.retries == MAX_RETRIES + 1
@@ -241,14 +243,26 @@ class TestSessionFailureIsolation:
         with pytest.raises(DagExecutionError):
             future.get()
 
-    def test_without_on_error_the_failure_raises(self):
+    def test_unobserved_failure_lets_the_run_finish_beside_a_healthy_session(self):
+        # No engine event raises an invocation's failure: nobody subscribes
+        # to the failing session, yet engine.run() drains and a concurrent
+        # healthy session completes; the error waits on the failed future.
         from repro.errors import DagExecutionError
 
         cluster = self._flaky_cluster()
+        cluster.connect().register(lambda x: x + 1, name="inc")
+        cluster.connect().register_dag("inc-dag", ["inc"])
         scheduler = cluster.schedulers[0]
-        scheduler.call_dag("flaky-dag", ctx=at_engine_time(scheduler))
-        with pytest.raises(DagExecutionError):
-            cluster.engine.run()
+        failed = scheduler.call_dag("flaky-dag", ctx=at_engine_time(scheduler))
+        healthy = scheduler.call_dag("inc-dag", {"inc": [41]},
+                                     ctx=at_engine_time(scheduler))
+        cluster.engine.run()
+        assert healthy.future.get() == 42
+        error = failed.future.exception()
+        assert isinstance(error, DagExecutionError)
+        with pytest.raises(DagExecutionError) as raised:
+            failed.future.result()
+        assert raised.value is error
 
     def _reading_flaky_cluster(self):
         from repro.cloudburst import AnomalyTracker
@@ -293,7 +307,8 @@ class TestSessionFailureIsolation:
             in_error_callback["tracked_reads"] = dict(
                 cluster.anomaly_tracker._reads_by_execution)
 
-        scheduler.call_dag("read-die-dag", on_error=on_error, ctx=at_engine_time(scheduler))
+        scheduler.call_dag("read-die-dag", ctx=at_engine_time(scheduler)
+                           ).future.add_done_callback(lambda f: on_error(f.exception()))
         cluster.engine.run()
         assert len(errors) == 1
         assert in_error_callback["snapshots"] == [0] * len(cluster.vms)
@@ -306,7 +321,7 @@ class TestSessionFailureIsolation:
         cluster = self._reading_flaky_cluster()
         scheduler = cluster.schedulers[0]
         with pytest.raises(DagExecutionError):
-            scheduler.call("read_then_die", ctx=at_engine_time(scheduler))
+            scheduler.call("read_then_die", ctx=at_engine_time(scheduler)).future.result()
         self._assert_no_leaked_session_state(cluster)
 
 class TestTable2Determinism:

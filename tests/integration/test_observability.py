@@ -8,9 +8,12 @@ single span; and tracing never touches a clock — seeded latency timelines
 are byte-identical with tracing fully on, fully off, or attached at rate 0.
 """
 
+import pytest
+
 from repro.bench.harness import EngineLoadDriver
 from repro.cloudburst import CloudburstCluster, CloudburstReference
-from repro.errors import ExecutorFailedError
+from repro.errors import (DagDeletedError, DagExecutionError, DagNotFoundError,
+                          ExecutorFailedError, FunctionNotFoundError)
 from repro.obs import Tracer, spans_to_json
 from repro.sim import FaultPlane, RandomSource, RequestContext, SimClock
 
@@ -190,6 +193,47 @@ class TestSpansSurviveFaults:
                        and not (by_id[span.parent_id].start_ms <= span.start_ms
                                 and span.end_ms <= by_id[span.parent_id].end_ms)]
             assert outside == [], (fault_class, outside)
+
+
+class TestFailedInvocationsCloseTheirRoot:
+    """Every failed invocation closes its client root with the error's type,
+    whether its session resolved the future with the error or no session
+    opened at all (the DAG lookup raised)."""
+
+    @pytest.mark.parametrize("entry, target, error", [
+        ("call", "boom", ValueError),
+        ("call", "dying", DagExecutionError),
+        ("call", "never-registered", FunctionNotFoundError),
+        ("call_dag", "boom-dag", ValueError),
+        ("call_dag", "no-such-dag", DagNotFoundError),
+        ("call_dag", "deleted-dag", DagDeletedError),
+    ])
+    def test_root_ends_with_the_error(self, entry, target, error):
+        tracer = Tracer(sample_rate=1.0)
+        cluster = CloudburstCluster(executor_vms=2, threads_per_vm=2, seed=5,
+                                    tracer=tracer)
+        cloud = cluster.connect()
+
+        def boom(cloudburst):
+            raise ValueError("application bug")
+
+        def dying(cloudburst):
+            raise ExecutorFailedError(cloudburst.get_id(), "injected fault")
+
+        cloud.register(boom, name="boom")
+        cloud.register(dying, name="dying")
+        cloud.register_dag("boom-dag", ["boom"])
+        cloud.register_dag("deleted-dag", ["boom"])
+        cloud.delete_dag("deleted-dag")
+
+        invoke = cloud.call if entry == "call" else cloud.call_dag
+        with pytest.raises(error):
+            invoke(target).get()
+        assert tracer.unfinished_spans() == []
+        assert tracer.orphan_spans() == []
+        (root,) = [span for span in tracer.spans if span.tier == "client"]
+        assert root.name == f"{entry}:{target}"
+        assert root.attrs["error"] == error.__name__
 
 
 class TestReusedContext:

@@ -63,10 +63,11 @@ def _invoke(entry, level):
     args = [CloudburstReference("ref"), "side"]
     ctx = _ctx_now(cluster)
     if entry == "call":
-        result = scheduler.call("work", args, consistency=level, ctx=ctx)
+        result = scheduler.call("work", args, consistency=level,
+                                ctx=ctx).future.result()
     else:
         result = scheduler.call_dag("work-dag", {"work": args},
-                                    consistency=level, ctx=ctx).drive()
+                                    consistency=level, ctx=ctx).future.result()
     return {
         "value": result.value,
         "latency_ms": result.latency_ms,
@@ -102,10 +103,10 @@ class TestCallIsAOneFunctionDag:
             ctx = _ctx_now(cluster)
             args = [CloudburstReference("big")]
             if entry == "call":
-                result = scheduler.call("measure", args, ctx=ctx)
+                result = scheduler.call("measure", args, ctx=ctx).future.result()
             else:
                 result = scheduler.call_dag("measure-dag", {"measure": args},
-                                            ctx=ctx).drive()
+                                            ctx=ctx).future.result()
             assert result.value == 200_000
             waits[entry] = (ctx.total("cache", "prefetch_wait"),
                             result.latency_ms)
@@ -143,13 +144,13 @@ def _diamond_cluster(seed=7):
 class TestForkJoinWhoeverFiresTheEvents:
     def test_diamond_stepped_by_a_blocked_caller_matches_a_run(self):
         scheduler = _diamond_cluster().schedulers[0]
-        stepped = scheduler.call_dag("diamond", ctx=at_engine_time(scheduler)).drive()
+        stepped = scheduler.call_dag("diamond", ctx=at_engine_time(scheduler)).future.result()
 
         cluster = _diamond_cluster()
         scheduler = cluster.schedulers[0]
         session = scheduler.call_dag("diamond", ctx=at_engine_time(scheduler))
         cluster.engine.run()
-        drained = session.result
+        drained = session.future.result()
 
         assert stepped.value == drained.value == 32
         # The join waits for the slower branch, whoever fires the events.
@@ -220,7 +221,7 @@ class TestApplicationErrorsCloseTheSession:
         cloud.register(read_then_raise, name="boom")
         scheduler = cluster.schedulers[0]
         with pytest.raises(ValueError, match="application bug"):
-            scheduler.call("boom", ctx=at_engine_time(scheduler))
+            scheduler.call("boom", ctx=at_engine_time(scheduler)).future.result()
         assert cluster.abandoned_session_count() == 0
         assert cluster.vms[0].cache.snapshot_count() == 0
         counts = scheduler.journal.counts()

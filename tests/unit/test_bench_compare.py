@@ -14,7 +14,7 @@ from repro.bench import figures
 
 def _snapshot():
     return {
-        "schema": 13,
+        "schema": 14,
         "figure10_prediction_scaling": {
             "wall_seconds": 6.1,
             "sim_requests_per_cpu_s": 1650.9,
@@ -25,7 +25,6 @@ def _snapshot():
             "wall_seconds": 1.9,
             "events_per_sec": 312395.0,
             "sim_ms_per_wall_ms": 6.6,
-            "speedup_vs_pre_pr": 2.27,
             "tracing_overhead_pct": 1.6,
             "scenarios": {
                 "charge_log": {"wall_seconds": 0.15, "charges_per_sec": 7.8e5,
@@ -60,7 +59,7 @@ def test_moved_host_leaves_exit_zero(tmp_path, capsys):
     change["figure10_prediction_scaling"]["sim_requests_per_cpu_s"] = 1.0
     engine = change["engine_throughput"]
     for leaf in ("wall_seconds", "events_per_sec", "sim_ms_per_wall_ms",
-                 "speedup_vs_pre_pr", "tracing_overhead_pct"):
+                 "tracing_overhead_pct"):
         engine[leaf] += 1
     engine["scenarios"]["charge_log"]["wall_seconds"] = 3.0
     engine["scenarios"]["charge_log"]["charges_per_sec"] = 1.0

@@ -108,7 +108,7 @@ def good_controlplane() -> dict:
 def good_engine_throughput() -> dict:
     return {
         "events_per_sec": 350_000.0, "floor_events_per_sec": 100_000.0,
-        "speedup_vs_pre_pr": 2.5, "sim_ms_per_wall_ms": 8.0,
+        "sim_ms_per_wall_ms": 8.0,
         "multi_get_keys_per_sec": 50_000.0, "multi_get_floor_keys_per_sec": 5_000.0,
         "multi_get_overlap_ratio": 20.0, "multi_get_min_overlap_ratio": 8.0,
         "tracing_overhead_pct": 1.0, "tracing_overhead_max_pct": 10.0,
@@ -174,7 +174,7 @@ def good_payload(scale: str = "quick") -> dict:
                                "max_bytes": 192.0, "tracked_keys": 700},
             "controlplane": good_controlplane()},
         "observability": {"source": "figure7", "sample_rate": 0.05, "traces": 600,
-                          "spans": 1_000, "orphan_spans": 0,
+                          "spans": 1_000, "orphan_spans": 0, "unfinished_spans": 0,
                           "tiers": ["anna", "cache", "client", "executor", "scheduler"]},
         "figure8_consistency": {
             "levels": {"LWW": _stats(1.4, 2.5), "SK": _stats(1.4, 2.3),
@@ -287,6 +287,7 @@ BREAKAGES = [
      "drained executor threads"),
     ("quick", ("observability", "traces"), 0, "produce traces"),
     ("quick", ("observability", "orphan_spans"), 2, "orphan"),
+    ("quick", ("observability", "unfinished_spans"), 1, "no unfinished span"),
     ("quick", ("observability", "tiers"), ["client", "scheduler", "executor"],
      "spans on every tier (missing ['anna', 'cache'])"),
     ("quick", ("figure8_consistency", "levels", "DSC", "median_ms"), 5.0,

@@ -168,7 +168,8 @@ class TestAggregation:
         scheduler.register_function(lambda x: x * 2, name="b")
         scheduler.register_dag(Dag.chain("ab", ["a", "b"]))
         for i in range(3):
-            scheduler.call_dag("ab", {"a": [i]}, ctx=at_engine_time(scheduler)).drive()
+            scheduler.call_dag("ab", {"a": [i]},
+                               ctx=at_engine_time(scheduler)).future.result()
         plane = ComputeControlPlane(cluster, policy_interval_ms=1_000.0)
         plane.publish()
         metrics = plane.aggregate()
@@ -259,7 +260,8 @@ class TestPinScrubbing:
     def test_pinned_function_remains_callable_after_drain(self):
         cluster, scheduler = self._pinned_cluster()
         cluster.drain_vm(cluster.vms[-1])
-        result = scheduler.call_dag("inc-dag", {"inc": [41]}, ctx=at_engine_time(scheduler)).drive()
+        result = scheduler.call_dag("inc-dag", {"inc": [41]},
+                                    ctx=at_engine_time(scheduler)).future.result()
         assert result.value == 42
         # And re-pinning tops up with *live* replicas, not stale ids.
         pins = scheduler.pin_function("inc", replicas=4)

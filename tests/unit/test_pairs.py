@@ -58,3 +58,27 @@ def test_any_virtual_difference_is_reported():
     ])
     assert summary["virt_differs"] == ["virt_latency_p50_ms"]
     assert "VIRTUAL RESULTS DIFFER: virt_latency_p50_ms" in pairs.report(summary, "w")
+
+
+def test_workloads_default_repeat_and_all():
+    assert pairs.workloads(None) == ["predict_dag"]
+    assert pairs.workloads(["retwis_read", "predict_dag", "retwis_read"]) == [
+        "retwis_read", "predict_dag"]
+    everything = pairs.workloads(["all"])
+    assert everything == ["retwis_read", "retwis_write", "predict_dag", "session_dags"]
+    assert pairs.workloads(["predict_dag", "all"])[0] == "predict_dag"
+    assert sorted(pairs.workloads(["predict_dag", "all"])) == sorted(everything)
+
+
+def test_verdict_reports_every_workload_and_fails_on_any_of_them():
+    clean = [(_side(800.0), _side(820.0))] * 3
+    text, code = pairs.verdict({"retwis_read": (clean, 0), "predict_dag": (clean, 0)})
+    assert code == 0
+    assert text.index("retwis_read:") < text.index("predict_dag:")
+    moved = [(_side(800.0), _side(820.0, virt_throughput_rps=249.9))]
+    text, code = pairs.verdict({"retwis_read": (clean, 0), "session_dags": (moved, 0)})
+    assert code == 1 and "VIRTUAL RESULTS DIFFER: virt_throughput_rps" in text
+    text, code = pairs.verdict({"retwis_write": (clean, 1), "predict_dag": (clean, 0)})
+    assert code == 1 and "1 run(s) failed their own checks" in text
+    text, code = pairs.verdict({"predict_dag": ([], 2)})
+    assert code == 1 and "predict_dag: no pair completed" in text

@@ -41,8 +41,8 @@ class TestExtractReferences:
 
 
 def _result(value):
-    """A stand-in ExecutionResult: the future reads only its ``value``."""
-    return SimpleNamespace(value=value, latency_ms=1.5)
+    """A stand-in ExecutionResult: the future reads its ``value`` and ``result_key``."""
+    return SimpleNamespace(value=value, latency_ms=1.5, result_key=None)
 
 
 class TestCloudburstFuture:

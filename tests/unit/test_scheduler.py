@@ -61,11 +61,11 @@ class TestRegistration:
         scheduler.register_function(lambda x: x + 1, name="f")
         scheduler.register_dag(Dag.chain("f-dag", ["f"]))
         ctx = at_engine_time(scheduler)
-        assert scheduler.call_dag("f-dag", {"f": [1]}, ctx=ctx).drive().value == 2
+        assert scheduler.call_dag("f-dag", {"f": [1]}, ctx=ctx).future.get() == 2
         scheduler.register_function(lambda x: x + 50, name="f")
         # The pinned executor threads serve the new body, not the stale pin.
         ctx = at_engine_time(scheduler)
-        assert scheduler.call_dag("f-dag", {"f": [1]}, ctx=ctx).drive().value == 51
+        assert scheduler.call_dag("f-dag", {"f": [1]}, ctx=ctx).future.get() == 51
         for thread in scheduler.pinned_threads("f"):
             assert thread._function_cache["f"](1) == 51
 
@@ -86,14 +86,15 @@ class TestRegistration:
 class TestSingleFunctionCalls:
     def test_call_returns_value_and_latency(self, scheduler):
         scheduler.register_function(lambda x: x * x, name="square")
-        result = scheduler.call("square", [6], ctx=at_engine_time(scheduler))
+        result = scheduler.call("square", [6], ctx=at_engine_time(scheduler)).future.result()
         assert result.value == 36
         assert result.latency_ms > 0
         assert result.retries == 0
 
     def test_store_in_kvs_returns_result_key(self, scheduler, cluster):
         scheduler.register_function(lambda x: x + 1, name="inc")
-        result = scheduler.call("inc", [1], store_in_kvs=True, ctx=at_engine_time(scheduler))
+        result = scheduler.call("inc", [1], store_in_kvs=True,
+                                ctx=at_engine_time(scheduler)).future.result()
         assert result.result_key is not None
         assert cluster.kvs.background_get(result.result_key).reveal() == 2
 
@@ -109,7 +110,8 @@ class TestDagCalls:
         scheduler.register_function(lambda x: x + 1, name="inc")
         scheduler.register_function(lambda x: x * x, name="square")
         scheduler.register_dag(Dag.chain("comp", ["inc", "square"]))
-        result = scheduler.call_dag("comp", {"inc": [4]}, ctx=at_engine_time(scheduler)).drive()
+        result = scheduler.call_dag("comp", {"inc": [4]},
+                                    ctx=at_engine_time(scheduler)).future.result()
         assert result.value == 25
 
     def test_fan_out_dag_returns_all_sinks(self, scheduler):
@@ -118,7 +120,8 @@ class TestDagCalls:
         scheduler.register_function(lambda x: x * 2, name="right")
         scheduler.register_dag(Dag("fan", ["root", "left", "right"],
                                    [("root", "left"), ("root", "right")]))
-        result = scheduler.call_dag("fan", {"root": [10]}, ctx=at_engine_time(scheduler)).drive()
+        result = scheduler.call_dag("fan", {"root": [10]},
+                                    ctx=at_engine_time(scheduler)).future.result()
         assert result.value == {"left": 11, "right": 20}
 
     def test_diamond_dag_joins_on_the_attempt_record(self, scheduler):
@@ -130,7 +133,7 @@ class TestDagCalls:
                                    [("root", "left"), ("root", "right"),
                                     ("left", "sink"), ("right", "sink")]))
         session = scheduler.call_dag("diamond", {"root": [10]}, ctx=at_engine_time(scheduler))
-        result = session.drive()
+        result = session.future.result()
         assert result.value == 31
         # The attempt record is the session's only progress state: every
         # function has a finish time, and the sink ran after both branches.
@@ -145,7 +148,7 @@ class TestDagCalls:
         scheduler.register_dag(Dag.chain("one", ["inc"]))
         session = scheduler.call_dag("one", {"inc": [1]}, store_in_kvs=True,
                                      ctx=at_engine_time(scheduler))
-        result = session.drive()
+        result = session.future.result()
         assert result.result_key == \
             f"__cloudburst_results__/{session.session_id}/attempt-0"
         assert cluster.kvs.background_get(result.result_key).reveal() == 2
@@ -191,7 +194,8 @@ class TestPlacementPolicy:
         scheduler.call("reader", [reference], ctx=at_engine_time(scheduler))
         holder = next(vm for vm in cluster.vms if vm.cache.contains("k"))
         holder.inflight = len(holder.threads)  # saturate it
-        result = scheduler.call("reader", [reference], ctx=at_engine_time(scheduler))
+        result = scheduler.call("reader", [reference],
+                                ctx=at_engine_time(scheduler)).future.result()
         chosen_vm_caches = [vm for vm in cluster.vms
                             if vm.cache.contains("k") and vm is not holder]
         # Backpressure: the request went elsewhere, replicating the hot key.
@@ -201,7 +205,7 @@ class TestPlacementPolicy:
         scheduler.register_function(lambda: "ok", name="f")
         cluster.vms[0].fail()
         for _ in range(5):
-            assert scheduler.call("f", ctx=at_engine_time(scheduler)).value == "ok"
+            assert scheduler.call("f", ctx=at_engine_time(scheduler)).future.get() == "ok"
 
 
 class TestPinnedThreads:
@@ -237,7 +241,7 @@ class TestFaultHandling:
         for vm in cluster.vms:
             vm.fail()
         with pytest.raises(Exception):
-            scheduler.call("f", ctx=at_engine_time(scheduler))
+            scheduler.call("f", ctx=at_engine_time(scheduler)).future.result()
 
 
 class TestConstructorParameters:
@@ -255,7 +259,7 @@ class TestConstructorParameters:
         for vm in cluster.vms:
             vm.inflight = len(vm.threads)
         with mock.patch("repro.cloudburst.policy.OVERLOAD_THRESHOLD", 0.0):
-            assert scheduler.call("inc", [1], ctx=at_engine_time(scheduler)).value == 2
+            assert scheduler.call("inc", [1], ctx=at_engine_time(scheduler)).future.get() == 2
 
     def test_fault_timeout_charged_on_retry(self):
         from repro.errors import ExecutorFailedError
@@ -271,7 +275,7 @@ class TestConstructorParameters:
         scheduler.register_function(dying, name="dying")
         ctx = RequestContext()
         with pytest.raises(Exception):
-            scheduler.call("dying", ctx=ctx)
+            scheduler.call("dying", ctx=ctx).future.result()
         # Every retry waited the configured fault timeout.
         charges = ctx.charges_for("cloudburst", "fault_timeout")
         assert charges
