@@ -2,7 +2,7 @@
 """The ``src/`` census, and the ratchet that stops it from rising.
 
 Each row counts one shape the project has deleted a second mechanism for
-(DESIGN.md DR-12 and DR-18 to DR-24):
+(DESIGN.md DR-12, DR-18 to DR-24 and DR-27):
 
 * lines under ``src/`` matching a pattern: a test for a missing engine, an
   attach/detach method, an uncharged-context branch, an optional request
@@ -11,7 +11,10 @@ Each row counts one shape the project has deleted a second mechanism for
 * constructor options: every ``__init__`` parameter (``self`` excluded) plus
   every field of a ``*Config`` class under ``src/``, read with ``ast``;
 * unset options: the defaulted parameters no call outside ``tests/`` passes,
-  as ``benchmarks/reachability.py --options`` of the same tree counts them.
+  as ``benchmarks/reachability.py --options`` of the same tree counts them;
+* private scheduler calls: lines under ``src/`` that reach into a
+  scheduler's private members (``scheduler._x``) — a DAG session asks the
+  scheduler only for its public placement calls.
 
 ``benchmarks/census.json`` holds each row's ceiling.  ``--check`` fails when
 a count rises above its ceiling; raising a ceiling is an edit to that file,
@@ -103,6 +106,8 @@ ROWS: List[Tuple[str, str, Callable[[Path], int]]] = [
      " outside `repro/obs/`",
      _matching_lines(r"span is (not )?None|\.child\(|\.finish\(",
                      exclude=("src/repro/obs/",))),
+    ("private_scheduler_calls", r"`scheduler\._[a-z]`",
+     _matching_lines(r"scheduler\._[a-z]")),
 ]
 
 

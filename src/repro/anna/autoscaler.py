@@ -15,6 +15,14 @@ from typing import Dict, List, Optional, Tuple
 
 from .cluster import AnnaCluster
 
+#: Policy values no caller selects (tests patch them): the node floor, the
+#: replicas a hot key gains, the age (virtual ms) at which an untouched key
+#: is demoted to disk, and how many keys :func:`hot_key_report` ranks.
+MIN_NODES = 1
+HOT_KEY_EXTRA_REPLICAS = 2
+COLD_KEY_AGE_MS = 300_000.0
+HOT_KEY_REPORT_SIZE = 10
+
 
 @dataclass
 class StorageAutoscalerConfig:
@@ -24,13 +32,9 @@ class StorageAutoscalerConfig:
     scale_up_accesses_per_node: float = 5_000.0
     #: Remove a node when mean accesses per node per tick falls below this value.
     scale_down_accesses_per_node: float = 500.0
-    min_nodes: int = 1
     max_nodes: int = 64
     #: Keys accessed at least this many times per tick get extra replicas.
     hot_key_threshold: int = 1_000
-    hot_key_extra_replicas: int = 2
-    #: Demote keys untouched for this long (ms of virtual time) to disk.
-    cold_key_age_ms: float = 300_000.0
 
 
 @dataclass
@@ -96,13 +100,13 @@ class StorageAutoscaler:
             self.cluster.add_node()
             report.nodes_added = 1
         elif (report.accesses_per_node < self.config.scale_down_accesses_per_node
-                and node_count > self.config.min_nodes):
+                and node_count > MIN_NODES):
             self.cluster.remove_node(self.cluster.node_ids[-1])
             report.nodes_removed = 1
 
         # 2. Selective replication of hot keys.
         for key in self.cluster.hot_keys(min_accesses=self.config.hot_key_threshold):
-            self.cluster.boost_replication(key, self.config.hot_key_extra_replicas)
+            self.cluster.boost_replication(key, HOT_KEY_EXTRA_REPLICAS)
             report.keys_boosted.append(key)
 
         # 3. Cold-data demotion to the disk tier.
@@ -121,18 +125,18 @@ class StorageAutoscaler:
             # the disk tier is a durable SqliteColdTier.
             for key in list(node.memory_keys()):
                 age = now_ms - node.stats(key).last_access_ms
-                if age > self.config.cold_key_age_ms:
+                if age > COLD_KEY_AGE_MS:
                     if node.demote(key):
                         demoted += 1
         return demoted
 
 
-def hot_key_report(cluster: AnnaCluster, top_n: int = 10) -> Dict[str, int]:
-    """Convenience helper: the most-accessed keys across the cluster."""
+def hot_key_report(cluster: AnnaCluster) -> Dict[str, int]:
+    """The :data:`HOT_KEY_REPORT_SIZE` most-accessed keys across the cluster."""
     accesses: Dict[str, int] = {}
     for node_id in cluster.node_ids:
         node = cluster.node(node_id)
         for key in node.keys():
             accesses[key] = accesses.get(key, 0) + node.stats(key).accesses
     ranked = sorted(accesses.items(), key=lambda item: item[1], reverse=True)
-    return dict(ranked[:top_n])
+    return dict(ranked[:HOT_KEY_REPORT_SIZE])

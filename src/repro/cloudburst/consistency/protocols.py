@@ -72,17 +72,23 @@ class SessionState:
     """Consistency metadata carried along a DAG execution.
 
     ``execution_id`` is the journal's id of the attempt this state belongs to
-    (:meth:`~repro.cloudburst.sessions.SessionJournal.begin_attempt`).
+    (:meth:`~repro.cloudburst.sessions.SessionJournal.begin_attempt`);
+    ``protocol`` is the attempt's: every read and write goes through it, and
+    it closes the attempt (:meth:`ConsistencyProtocol.finalize`).
     """
 
     execution_id: str
-    level: ConsistencyLevel
+    protocol: "ConsistencyProtocol" = field(compare=False)
     read_set: Dict[str, ReadSetEntry] = field(default_factory=dict)
     dependencies: Dict[str, DependencyEntry] = field(default_factory=dict)
     caches_involved: Set[str] = field(default_factory=set)
     reads: int = 0
     writes: int = 0
     upstream_fetches: int = 0
+
+    @property
+    def level(self) -> ConsistencyLevel:
+        return self.protocol.level
 
     def metadata_bytes(self) -> int:
         """Approximate size of the metadata shipped to a downstream executor.
@@ -127,9 +133,9 @@ class ConsistencyProtocol:
               ctx: RequestContext, state: SessionState) -> Lattice:
         raise NotImplementedError
 
-    def finalize(self, state: SessionState,
-                 caches: Dict[str, ExecutorCache]) -> None:
-        """Sink-side cleanup: notify upstream caches the DAG completed."""
+    def finalize(self, state: SessionState, caches: Dict[str, ExecutorCache],
+                 completed: bool) -> None:
+        """Close an attempt, ``completed`` or abandoned: evict its snapshots."""
         for cache_id in state.caches_involved:
             cache = caches.get(cache_id)
             if cache is not None:
@@ -427,8 +433,12 @@ class ObservingProtocol(ConsistencyProtocol):
         self.tracker.observe_write(state.execution_id, cache.cache_id, key, lattice)
         return merged
 
-    def finalize(self, state, caches):
-        self.inner.finalize(state, caches)
+    def finalize(self, state, caches, completed):
+        self.inner.finalize(state, caches, completed)
+        if completed:
+            self.tracker.complete_execution(state.execution_id)
+        else:
+            self.tracker.abandon_execution(state.execution_id)
 
 
 _PROTOCOLS = {

@@ -423,8 +423,8 @@ class ComputeControlPlane:
         executors is skipped rather than raising.
         """
         repinned: Dict[str, int] = {}
+        live = self.cluster.live_thread_count()
         for scheduler in self.cluster.schedulers:
-            live = len(scheduler._live_threads())
             for name in list(scheduler.function_pins):
                 before = len(scheduler.function_pins[name])
                 if before >= live:

@@ -24,7 +24,7 @@ from ..errors import ExecutorFailedError, FunctionNotFoundError, KeyNotFoundErro
 from ..sim import ComputeModel, LatencyModel, RequestContext, WorkQueue
 from .cache import ExecutorCache
 from .consistency.levels import ConsistencyLevel
-from .consistency.protocols import ConsistencyProtocol, SessionState
+from .consistency.protocols import SessionState
 from .messaging import MessageRouter
 from .references import CloudburstReference
 from .serialization import LatticeEncapsulator
@@ -99,11 +99,11 @@ class UserLibrary:
     """
 
     def __init__(self, executor: "ExecutorThread", ctx: RequestContext,
-                 state: SessionState, protocol: ConsistencyProtocol):
+                 state: SessionState):
         self._executor = executor
         self._ctx = ctx
         self._state = state
-        self._protocol = protocol
+        self._protocol = state.protocol
 
     # -- KVS access (Table 1: get / put / delete) -----------------------------------
     def get(self, key: str) -> Any:
@@ -258,9 +258,8 @@ class ExecutorThread:
 
     # -- invocation ----------------------------------------------------------------------
     def execute(self, function_name: str, args: Sequence[Any],
-                ctx: RequestContext, state: SessionState,
-                protocol: ConsistencyProtocol) -> Any:
-        """Run one function invocation on this thread.
+                ctx: RequestContext, state: SessionState) -> Any:
+        """Run one function invocation on this thread, under ``state``'s protocol.
 
         The invocation first waits in this thread's FIFO work queue: the
         request's virtual clock advances past every reservation made by
@@ -281,24 +280,23 @@ class ExecutorThread:
         if traced:
             ctx.open_span(f"invoke:{function_name}", "executor", self.thread_id)
         try:
-            return self._execute_admitted(function_name, args, ctx, state, protocol)
+            return self._execute_admitted(function_name, args, ctx, state)
         finally:
             self.work_queue.release(ctx.clock.now_ms)
             if traced:
                 ctx.close_span()
 
     def _execute_admitted(self, function_name: str, args: Sequence[Any],
-                          ctx: RequestContext, state: SessionState,
-                          protocol: ConsistencyProtocol) -> Any:
+                          ctx: RequestContext, state: SessionState) -> Any:
         self.latency_model.charge(ctx, "cloudburst", "invoke")
         func = self._function_cache.get(function_name)
         if func is None:
             func = self._fetch_function(function_name, ctx)
             self._function_cache[function_name] = func
-        resolved_args = self._resolve_references(args, ctx, state, protocol)
+        resolved_args = self._resolve_references(args, ctx, state)
         # The API object is injected only if the function asks for it.
         if takes_library(func):
-            result = func(UserLibrary(self, ctx, state, protocol), *resolved_args)
+            result = func(UserLibrary(self, ctx, state), *resolved_args)
         else:
             result = func(*resolved_args)
         declared_compute = getattr(func, "_cloudburst_compute_ms", 0.0)
@@ -309,8 +307,7 @@ class ExecutorThread:
         return result
 
     def _resolve_references(self, args: Sequence[Any], ctx: RequestContext,
-                            state: SessionState,
-                            protocol: ConsistencyProtocol) -> List[Any]:
+                            state: SessionState) -> List[Any]:
         """Resolve KVS reference arguments before invoking the function.
 
         The paper resolves references in parallel (§4.2): with several
@@ -324,7 +321,7 @@ class ExecutorThread:
         if not ref_indices:
             return resolved
         keys = [args[index].key for index in ref_indices]
-        found = protocol.read_many(self.cache, keys, ctx, state)
+        found = state.protocol.read_many(self.cache, keys, ctx, state)
         for index in ref_indices:
             key = args[index].key
             lattice = found.get(key)

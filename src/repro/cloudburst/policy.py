@@ -168,7 +168,7 @@ class PlacementPolicy:
         hot functions under load.
 
         Unrestricted, ``threads`` is the scheduler's whole live roster in
-        roster order (what ``_pick_executor`` passes), so its unsaturated
+        roster order (what ``pick_executor`` passes), so its unsaturated
         pool *is* the spill pool.
         """
         pool = idle = None

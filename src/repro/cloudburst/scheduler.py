@@ -1,26 +1,27 @@
 """Function schedulers (§4.3).
 
-Schedulers handle function/DAG registration and invocation requests.  They
-make heuristic placement decisions from metadata reported by executors:
+Schedulers handle function/DAG registration, invocation requests and
+crash/restart.  They make one decision per function, which executor runs it
+(:meth:`Scheduler.pick_executor`), from metadata reported by executors:
 cached key sets (for data locality) and executor load (for backpressure).
 Hot data and functions end up replicated across executors because the
 scheduler avoids saturated nodes, and the newly chosen nodes fetch and cache
-the hot keys themselves.
+the hot keys themselves.  Running an invocation is its
+:class:`~repro.cloudburst.sessions.DagSession`'s: the session dispatches each
+function, retries, and closes every attempt.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import FunctionNotFoundError, SchedulingError
 from ..lattices import SetLattice
 from ..sim import RequestContext
 from .consistency.levels import ConsistencyLevel
-from .consistency.protocols import ObservingProtocol, SessionState, make_protocol
 from .dag import Dag
 from .executor import ExecutorThread, FUNCTION_LIST_KEY, function_key
-from .references import extract_references
 from .sessions import DagSession, SessionJournal
 from .policy import DEFAULT_PLACEMENT_POLICY, PlacementPolicy
 
@@ -113,9 +114,8 @@ class Scheduler:
     def recover_sessions(self) -> int:
         """Resume every in-flight DAG session recorded in the journal.
 
-        Each dead attempt's snapshots and shadow reads are released through
-        the normal ``_release_session``/``abandon_execution`` path and the
-        DAG re-executes (§4.5 at-least-once).  Sessions the journal already
+        Each session closes its dead attempt as abandoned (snapshots evicted,
+        shadow reads dropped) and the DAG re-executes (§4.5 at-least-once).  Sessions the journal already
         saw complete are *not* resumed — re-running them would double-apply
         their sink writes.
         """
@@ -275,91 +275,13 @@ class Scheduler:
         session.start()
         return session
 
-    def _dispatch_function(self, session: DagSession, name: str
-                           ) -> Tuple[Any, RequestContext, ExecutorThread]:
-        """Place and run one function of ``session`` at its fork/join ready time.
-
-        Branch timing is read from the session's journal record: the
-        function forks a branch context at the moment its upstream branches
-        finished (:meth:`AttemptRecord.ready_at`) and its executor is picked
-        with the utilization it will have *at that moment*, so two siblings
-        forked at the same ready time queue against the same executor pool.
-        Returns ``(value, branch_context, thread)``; the thread feeds the
-        session journal's placement record.
-        """
-        dag, ctx, state = session.dag, session.ctx, session.state
-        upstream = dag.upstream_of(name)
-        ready_ms = session.attempt.ready_at(upstream)
-        args = ([session.results[u] for u in upstream]
-                + list(session.record.function_args.get(name, ())))
-        pinned = None if session.inline else self.pinned_threads(name)
-        thread = self._pick_executor(name, args, ready_ms, candidates=pinned)
-        # Before the fork: the prefetch stamps its epoch into the context,
-        # and the branch must inherit it to pay its own prefetch_wait.
-        self._prefetch_placed_references(thread, args, ready_ms, ctx, state)
-        branch = ctx.fork(at_ms=ready_ms)
-        traced = branch.span is not None
-        if traced:
-            # One child span per function, started at its fork/join ready
-            # time; the executor/cache/storage spans nest under it.
-            branch.open_span(f"function:{name}", "scheduler", self.scheduler_id,
-                             thread=thread.thread_id)
-        if not upstream:
-            self.latency_model.charge(branch, "cloudburst", "scheduler_to_executor")
-        else:
-            # Downstream trigger ships the session's consistency metadata.
-            self.latency_model.charge(branch, "cloudburst", "dag_trigger",
-                                      size_bytes=state.metadata_bytes())
-        try:
-            value = self._run_on_thread(thread, name, args, branch, state,
-                                        session.protocol)
-        except Exception:
-            if traced:
-                branch.close_span(error=True)
-            raise
-        if traced:
-            branch.close_span()
-        return value, branch, thread
-
-    def _prefetch_placed_references(self, thread: ExecutorThread,
-                                    args: Sequence[Any], now_ms: float,
-                                    ctx: RequestContext,
-                                    state: SessionState) -> None:
-        """Ship a placed function's reference keys ahead to its VM's cache.
-
-        The paper's schedulers forward DAG reference metadata with the
-        placement decision so the target cache fetches asynchronously and the
-        invoke — one executor hop later — finds warm entries (§4.2).  The
-        prefetch is background traffic: it charges nothing to this request
-        and draws no RNG, so disabling the knob changes no charge stream.
-
-        The execution id is stamped into the request context (and so into
-        every branch forked from it) as the prefetch *epoch*: only reads by
-        this execution — whose clock the readiness timestamps live on — pay
-        the residual ``prefetch_wait``; later executions see landed entries.
-        """
-        if not self.prefetch_references:
-            return
-        keys = [ref.key for ref in extract_references(args)]
-        if keys:
-            ctx.prefetch_epoch = state.execution_id
-            thread.cache.prefetch(keys, now_ms, epoch=state.execution_id)
-
-    def _run_on_thread(self, thread: ExecutorThread, function_name: str,
-                       args: Sequence[Any], ctx: RequestContext,
-                       state: SessionState, protocol) -> Any:
-        if not thread.alive or not thread.vm.alive:
-            # Placement filters live threads, so reaching a dead one here is
-            # a routing bug; the fault bench gates this counter at zero.
-            self.stats.calls_routed_to_dead += 1
-        return thread.execute(function_name, args, ctx, state, protocol)
-
     # -- scheduling policy (§4.3 "Scheduling Policy") ---------------------------------------
-    def _pick_executor(self, function_name: str, args: Sequence[Any],
-                       now_ms: float,
-                       candidates: Optional[List[ExecutorThread]] = None
-                       ) -> ExecutorThread:
-        """Filter candidates to live threads, then defer to the placement policy."""
+    def pick_executor(self, function_name: str, args: Sequence[Any],
+                      now_ms: float,
+                      candidates: Optional[List[ExecutorThread]] = None
+                      ) -> ExecutorThread:
+        """The one decision per function: live ``candidates`` (else every live
+        thread) handed to the placement policy at ``now_ms``."""
         threads = [t for t in candidates or () if t.alive and t.vm.alive]
         restricted = bool(threads)
         if not restricted:
@@ -374,19 +296,3 @@ class Scheduler:
     def _live_threads(self) -> List[ExecutorThread]:
         return [thread for vm in self.vms if vm.alive
                 for thread in vm.threads if thread.alive]
-
-    def _make_protocol(self, level: ConsistencyLevel):
-        protocol = make_protocol(level)
-        if self.anomaly_tracker is not None:
-            protocol = ObservingProtocol(protocol, self.anomaly_tracker)
-        return protocol
-
-    def _complete_anomaly_tracking(self, state: SessionState) -> None:
-        if self.anomaly_tracker is not None:
-            self.anomaly_tracker.complete_execution(state.execution_id)
-
-    def _release_session(self, state: SessionState, protocol) -> None:
-        """Release an abandoned attempt's snapshots and shadow bookkeeping."""
-        protocol.finalize(state, self.cache_registry)
-        if self.anomaly_tracker is not None:
-            self.anomaly_tracker.abandon_execution(state.execution_id)

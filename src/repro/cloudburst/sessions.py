@@ -2,8 +2,9 @@
 
 * :class:`DagSession` — one execution of a DAG (a single function is the
   one-node case) decomposed into engine events.  It is the only place that
-  opens an attempt, dispatches functions at their fork/join ready time,
-  retries under §4.5, finalizes the consistency protocol and builds the
+  opens an attempt, dispatches functions at their fork/join ready time (the
+  scheduler only picks each function's executor), retries under §4.5, closes
+  every attempt by finalizing its consistency protocol and builds the
   :class:`ExecutionResult`.  It owns its invocation's
   :class:`~repro.cloudburst.references.CloudburstFuture` and is the only code
   that resolves it: with the result when the last function finishes, with
@@ -15,10 +16,10 @@
   top of the in-line retry it supports externally injected attempt failures
   (:meth:`DagSession.fail_attempt`, used by the fault plane when an executor
   VM dies mid-DAG) and crash recovery (:meth:`DagSession.recover_from_crash`,
-  used by a restarted scheduler): the dead attempt's snapshots and shadow
-  reads are released through ``_release_session`` / ``abandon_execution``
-  and the whole DAG re-executes, so a scheduler restart leaves **zero**
-  abandoned sessions.
+  used by a restarted scheduler): the dead attempt is closed like any other
+  (:meth:`DagSession._close_attempt` evicts its snapshots and drops its
+  shadow reads) and the whole DAG re-executes, so a scheduler restart leaves
+  **zero** abandoned sessions.
 
 * :class:`SessionJournal` — one per scheduler.  Sessions append status
   transitions (attempt started, function scheduled/completed, attempt
@@ -44,11 +45,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 from ..errors import DagExecutionError, ExecutorFailedError, StorageOverloadError
 from ..sim import Engine, RequestContext
 from .consistency.levels import ConsistencyLevel
-from .consistency.protocols import SessionState
-from .references import CloudburstFuture
+from .consistency.protocols import ObservingProtocol, SessionState, make_protocol
+from .references import CloudburstFuture, extract_references
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scheduler imports us)
     from .dag import Dag
+    from .executor import ExecutorThread
     from .scheduler import Scheduler
 
 #: Session lifecycle states recorded in the journal.
@@ -191,8 +193,6 @@ class SessionJournal:
         self._sessions: Dict[str, "DagSession"] = {}
         self._sequence = 0
         self._clean_completions = 0
-        #: Sessions resumed by a scheduler restart (monotonic, survives closes).
-        self.recovered_sessions = 0
 
     # -- transitions appended by the scheduler / its sessions --------------------------
     def open(self, dag_name: str, function_args: Dict[str, Sequence[Any]],
@@ -230,10 +230,11 @@ class SessionJournal:
         attempt.caches_involved = sorted(state.caches_involved)
 
     def record_attempt_failure(self, record: SessionRecord, reason: str,
-                               status: str = ATTEMPT_FAILED) -> None:
+                               status: str, state: SessionState) -> None:
         attempt = record.attempts[-1]
         attempt.status = status
         attempt.failure = reason
+        attempt.caches_involved = sorted(state.caches_involved)
 
     def record_retry(self, record: SessionRecord) -> int:
         record.retries += 1
@@ -241,7 +242,6 @@ class SessionJournal:
 
     def record_recovery(self, record: SessionRecord) -> None:
         record.recoveries += 1
-        self.recovered_sessions += 1
 
     def close(self, record: SessionRecord, status: str) -> None:
         record.status = status
@@ -255,15 +255,14 @@ class SessionJournal:
             self._clean_completions += 1
 
     # -- queries -----------------------------------------------------------------------
-    def record_for(self, session_id: str) -> SessionRecord:
-        return self._records[session_id]
+    @property
+    def recovered_sessions(self) -> int:
+        """Sessions resumed by a restart (:meth:`close` keeps every such record)."""
+        return sum(record.recoveries for record in self._records.values())
 
     def records(self) -> List[SessionRecord]:
         """Every record the journal still holds (see :meth:`close`)."""
         return list(self._records.values())
-
-    def in_flight(self) -> List[SessionRecord]:
-        return [self._records[session_id] for session_id in self._sessions]
 
     def in_flight_count(self) -> int:
         return len(self._sessions)
@@ -301,10 +300,11 @@ class DagSession:
     so sessions sharing an engine interleave their cache accesses in the
     order virtual time dictates; a session on a private engine fires the
     same events back to back in :meth:`wait`.  Every status transition is
-    appended to the owning scheduler's :class:`SessionJournal`; failed
-    attempts release their session state (snapshots, shadow reads) *before*
-    :attr:`future` resolves, and a crashed scheduler resumes the session from
-    the journal on restart.
+    appended to the owning scheduler's :class:`SessionJournal`; every attempt
+    is closed once (:meth:`_close_attempt`), releasing its session state
+    (snapshots, shadow reads) *before* :attr:`future` resolves, and a crashed
+    scheduler resumes the session from the journal on restart.  The
+    scheduler is asked only where each function runs.
 
     ``inline`` is the one input on which the public entry points differ.
     ``call`` runs inline: on a private engine, placed over every live
@@ -357,18 +357,18 @@ class DagSession:
         # Each §4.5 attempt runs under a fresh session state: reusing one
         # across retries would leak the failed attempt's snapshot pins and
         # shadow reads into the retry's (different) execution.
-        attempt = self.scheduler.journal.begin_attempt(self.record,
-                                                       self.ctx.clock.now_ms)
-        level = self.record.level
-        self.state = SessionState(attempt.execution_id, level)
-        self.protocol = self.scheduler._make_protocol(level)
+        scheduler = self.scheduler
+        attempt = scheduler.journal.begin_attempt(self.record, self.ctx.clock.now_ms)
+        protocol = make_protocol(self.record.level)
+        if scheduler.anomaly_tracker is not None:
+            protocol = ObservingProtocol(protocol, scheduler.anomaly_tracker)
+        self.state = SessionState(attempt.execution_id, protocol)
         self.results: Dict[str, Any] = {}
         self.branches: List[RequestContext] = []
         if self.root_span is not None:
             # Function dispatches parent their spans under the live attempt.
             span = self.ctx.open_span(
-                f"attempt:{self.dag.name}", "scheduler",
-                self.scheduler.scheduler_id,
+                f"attempt:{self.dag.name}", "scheduler", scheduler.scheduler_id,
                 execution_id=self.state.execution_id)
             if self._superseded is not None:
                 span.link(*self._superseded)
@@ -423,7 +423,7 @@ class DagSession:
             # re-executes the DAG when the scheduler restarts.
             return
         try:
-            value, branch, thread = self.scheduler._dispatch_function(self, name)
+            value, branch, thread = self._dispatch(name)
         except (ExecutorFailedError, StorageOverloadError) as exc:
             # A dead executor and a saturated storage replica set get the
             # same §4.5 treatment: the attempt fails, the session pays the
@@ -432,10 +432,10 @@ class DagSession:
             self._retry(reason=f"{type(exc).__name__}: {exc}")
             return
         except Exception as exc:
-            # An application error is not retried: release the attempt and
-            # close the session so it does not stay journaled as in flight,
-            # then resolve the future with the error.
-            self._abandon_attempt(f"{type(exc).__name__}: {exc}")
+            # An application error is not retried: close the attempt and
+            # the session so it does not stay journaled as in flight, then
+            # resolve the future with the error.
+            self._close_attempt(f"{type(exc).__name__}: {exc}")
             self._fail(exc)
             return
         self.results[name] = value
@@ -450,6 +450,77 @@ class DagSession:
                 self._schedule(downstream, attempt.ready_at(gates))
         if len(finished) == len(self.dag.functions):
             self._finish()
+
+    def _dispatch(self, name: str) -> Tuple[Any, RequestContext, "ExecutorThread"]:
+        """Place and run function ``name`` at its fork/join ready time.
+
+        Branch timing is read from the journal record: the function forks a
+        branch context at the moment its upstream branches finished
+        (:meth:`AttemptRecord.ready_at`) and the scheduler picks its executor
+        with the utilization it will have *at that moment*, so two siblings
+        forked at the same ready time queue against the same executor pool.
+        Returns ``(value, branch_context, thread)``; the thread feeds the
+        journal's placement record.
+        """
+        scheduler, ctx, state = self.scheduler, self.ctx, self.state
+        charge = scheduler.latency_model.charge
+        upstream = self.dag.upstream_of(name)
+        ready_ms = self.attempt.ready_at(upstream)
+        args = ([self.results[u] for u in upstream]
+                + list(self.record.function_args.get(name, ())))
+        pinned = None if self.inline else scheduler.pinned_threads(name)
+        thread = scheduler.pick_executor(name, args, ready_ms, candidates=pinned)
+        # Before the fork: the prefetch stamps its epoch into the context,
+        # and the branch must inherit it to pay its own prefetch_wait.
+        self._prefetch_references(thread, args, ready_ms)
+        branch = ctx.fork(at_ms=ready_ms)
+        traced = branch.span is not None
+        if traced:
+            # One child span per function, started at its fork/join ready
+            # time; the executor/cache/storage spans nest under it.
+            branch.open_span(f"function:{name}", "scheduler",
+                             scheduler.scheduler_id, thread=thread.thread_id)
+        if not upstream:
+            charge(branch, "cloudburst", "scheduler_to_executor")
+        else:
+            # Downstream trigger ships the session's consistency metadata.
+            charge(branch, "cloudburst", "dag_trigger", size_bytes=state.metadata_bytes())
+        if not thread.alive or not thread.vm.alive:
+            # Placement filters live threads, so reaching a dead one here is
+            # a routing bug; the fault bench gates this counter at zero.
+            scheduler.stats.calls_routed_to_dead += 1
+        try:
+            value = thread.execute(name, args, branch, state)
+        except Exception:
+            if traced:
+                branch.close_span(error=True)
+            raise
+        if traced:
+            branch.close_span()
+        return value, branch, thread
+
+    def _prefetch_references(self, thread: "ExecutorThread",
+                             args: Sequence[Any], now_ms: float) -> None:
+        """Ship a placed function's reference keys ahead to its VM's cache.
+
+        The paper's schedulers forward DAG reference metadata with the
+        placement decision so the target cache fetches asynchronously and the
+        invoke — one executor hop later — finds warm entries (§4.2).  The
+        prefetch is background traffic: it charges nothing to this request
+        and draws no RNG, so disabling the knob changes no charge stream.
+
+        The execution id is stamped into the request context (and so into
+        every branch forked from it) as the prefetch *epoch*: only reads by
+        this execution — whose clock the readiness timestamps live on — pay
+        the residual ``prefetch_wait``; later executions see landed entries.
+        """
+        if not self.scheduler.prefetch_references:
+            return
+        keys = [ref.key for ref in extract_references(args)]
+        if keys:
+            execution_id = self.state.execution_id
+            self.ctx.prefetch_epoch = execution_id
+            thread.cache.prefetch(keys, now_ms, epoch=execution_id)
 
     # -- failure paths ------------------------------------------------------------------
     def fail_attempt(self, reason: str = "fault injection") -> bool:
@@ -470,7 +541,7 @@ class DagSession:
 
     def _retry(self, reason: str = "executor failure") -> None:
         """§4.5: the whole DAG re-executes after a timeout, up to :data:`MAX_RETRIES` times."""
-        self._abandon_attempt(reason)
+        self._close_attempt(reason)
         retries = self.scheduler.journal.record_retry(self.record)
         if retries > MAX_RETRIES:
             self._fail(DagExecutionError(
@@ -481,9 +552,8 @@ class DagSession:
     def recover_from_crash(self) -> None:
         """Resume this session after its owning scheduler restarted.
 
-        The dead attempt is released through the normal
-        ``_release_session``/``abandon_execution`` path (snapshots evicted,
-        shadow reads dropped) and the DAG re-executes from the journal's
+        The dead attempt is closed as abandoned (snapshots evicted, shadow
+        reads dropped) and the DAG re-executes from the journal's
         topology and arguments.  A restart charges the §4.5 fault timeout but
         does *not* burn the retry budget: that budget guards against repeated
         executor failures, and a control-plane restart must not turn every
@@ -491,8 +561,8 @@ class DagSession:
         """
         if self.future.done():
             return
-        self._abandon_attempt("scheduler crash", status=ATTEMPT_ABANDONED,
-                              relation="recovered_from")
+        self._close_attempt("scheduler crash", status=ATTEMPT_ABANDONED,
+                            relation="recovered_from")
         self.scheduler.journal.record_recovery(self.record)
         # The session's clock froze at the crash; catch up to the engine
         # before charging the fault timeout so the fresh attempt's events
@@ -500,24 +570,31 @@ class DagSession:
         self.ctx.clock.advance_to(self.engine.now_ms)
         self._reexecute()
 
-    def _abandon_attempt(self, reason: str, status: str = ATTEMPT_FAILED,
-                         relation: str = "retry_of") -> None:
-        """Release the live attempt, journal why, and finish its span.
+    def _close_attempt(self, failure: Optional[str] = None,
+                       status: str = ATTEMPT_FAILED,
+                       relation: str = "retry_of") -> None:
+        """The one exit of every attempt: finalize, journal, finish its span.
 
-        Release comes first: the attempt's snapshots and shadow reads must be
-        gone *before* anything can resolve the caller's future — the next
-        attempt runs under a fresh execution id, and the tests assert that
-        the future's done-callbacks never see leaked snapshots.  The next
-        attempt links back to the finished span with ``relation``, so the trace shows
-        the §4.5 lineage without the failed attempt becoming an ancestor of
-        work it never caused.
+        No ``failure`` means the attempt completed (and the session with
+        it); otherwise it is abandoned with ``status``.  Finalizing comes
+        first: the attempt's snapshots and shadow reads must be gone *before*
+        anything can resolve the caller's future — the tests assert that the
+        future's done-callbacks never see leaked snapshots.  The next attempt
+        links back to an abandoned one's finished span with ``relation``, so
+        the trace shows the §4.5 lineage without the failed attempt becoming
+        an ancestor of work it never caused.
         """
-        self.scheduler._release_session(self.state, self.protocol)
-        self.scheduler.journal.record_attempt_failure(self.record, reason, status)
-        ctx = self.ctx
+        state, scheduler, ctx = self.state, self.scheduler, self.ctx
+        state.protocol.finalize(state, scheduler.cache_registry, failure is None)
+        if failure is None:
+            scheduler.journal.close(self.record, SESSION_COMPLETED)
+        else:
+            scheduler.journal.record_attempt_failure(self.record, failure,
+                                                     status, state)
         if ctx.span is not self.root_span:
-            self._superseded = (relation, ctx.span.span_id)
-            ctx.close_span(error=reason)
+            if failure is not None:
+                self._superseded = (relation, ctx.span.span_id)
+            ctx.close_span(error=failure)
 
     def _reexecute(self) -> None:
         """Pay the §4.5 timeout and start a fresh attempt of the whole DAG."""
@@ -550,11 +627,7 @@ class DagSession:
             scheduler.kvs.put(result_key, scheduler.kvs.plain(value), ctx)
         else:
             scheduler.latency_model.charge(ctx, "cloudburst", "result_to_client")
-        self.protocol.finalize(self.state, scheduler.cache_registry)
-        scheduler._complete_anomaly_tracking(self.state)
-        scheduler.journal.close(self.record, SESSION_COMPLETED)
-        if ctx.span is not self.root_span:
-            ctx.close_span()
+        self._close_attempt()
         self.future._set_result(ExecutionResult(
             value=value, latency_ms=ctx.clock.now_ms - self.record.start_ms,
             execution_id=self.state.execution_id, ctx=ctx,

@@ -245,13 +245,9 @@ class Tracer:
     def unfinished_spans(self) -> List[TraceSpan]:
         return [span for span in self.spans if span.end_ms is None]
 
-    def tiers(self, trace_id: Optional[int] = None) -> List[str]:
-        """Distinct tiers touched (by one trace, or overall), in first-seen order."""
-        seen: Dict[str, None] = {}
-        for span in self.spans:
-            if trace_id is None or span.trace_id == trace_id:
-                seen.setdefault(span.tier, None)
-        return list(seen)
+    def tiers(self) -> List[str]:
+        """Distinct tiers touched, in first-seen order."""
+        return list(dict.fromkeys(span.tier for span in self.spans))
 
     def children_of(self, span: TraceSpan) -> List[TraceSpan]:
         return [candidate for candidate in self.spans

@@ -120,10 +120,9 @@ class TestComputeElasticity:
         from repro.cloudburst.consistency.protocols import SessionState, make_protocol
         from repro.cloudburst import ConsistencyLevel
 
-        state = SessionState("exec-0", ConsistencyLevel.LWW)
+        state = SessionState("exec-0", make_protocol(ConsistencyLevel.LWW))
         with cluster.request() as ctx:
-            value = new_vm.threads[0].execute(
-                "triple", [7], ctx, state, make_protocol(ConsistencyLevel.LWW))
+            value = new_vm.threads[0].execute("triple", [7], ctx, state)
         assert value == 21
 
     def test_draining_vm_unregisters_cache_and_cuts_off_threads(self, cluster):

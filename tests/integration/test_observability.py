@@ -57,7 +57,7 @@ class TestConnectedSpanTree:
         assert len(request_roots) == 1
         trace_id = request_roots[0].trace_id
         # One connected tree: every tier, no orphans, everything closed.
-        assert set(tracer.tiers(trace_id)) == \
+        assert {span.tier for span in tracer.spans_for(trace_id)} == \
             {"client", "scheduler", "executor", "cache", "anna"}
         assert tracer.orphan_spans() == []
         assert tracer.unfinished_spans() == []

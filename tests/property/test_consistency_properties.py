@@ -56,7 +56,7 @@ def test_repeatable_read_invariant(schedule):
     for key in KEYS:
         anna.background_put(key, LWWLattice(Timestamp(0.0, "seed"), f"{key}-v0"))
     protocol = RepeatableReadProtocol()
-    state = SessionState("exec-0", level)
+    state = SessionState("exec-0", protocol)
     ctx = RequestContext()  # the session's one request
     expected = {}  # key -> value the session must keep seeing
 
@@ -92,7 +92,7 @@ def test_distributed_session_causal_invariant(schedule):
     for key in KEYS:
         anna.background_put(key, CausalLattice(VectorClock({"seed": 1}), f"{key}-v0"))
     protocol = DistributedSessionCausalProtocol()
-    state = SessionState("exec-0", level)
+    state = SessionState("exec-0", protocol)
     ctx = RequestContext()  # the session's one request
     external_counter = [1]
 

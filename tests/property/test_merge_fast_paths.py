@@ -13,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference_lattices as reference
 from repro.cloudburst import ConsistencyLevel
-from repro.cloudburst.consistency.protocols import ConsistencyProtocol, SessionState
+from repro.cloudburst.consistency.protocols import (
+    ConsistencyProtocol, SessionState, make_protocol)
 from repro.lattices import CausalLattice, LWWLattice, Timestamp, VectorClock
 from test_lattice_properties import vector_clocks
 
@@ -184,7 +185,7 @@ DSC = ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL
 @example([("read", "k", CausalLattice(VectorClock({"a": 1}), "v")), _ASK,
           ("read", "k", CausalLattice(VectorClock({"a": 2, "b": 1}), "v")), _ASK], DSC)
 def test_remembered_entry_sizes_equal_the_walking_metadata_bytes(history, level):
-    state = SessionState("exec-0", level)
+    state = SessionState("exec-0", make_protocol(level))
     for step, (op, key, value) in enumerate(history):
         cache = _Cache(f"cache-{step % 2}")
         if op == "read":

@@ -66,7 +66,7 @@ _STATE = st.fixed_dictionaries({
     "now_ms": st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 5.0, 8.0, 13.0, 40.0, 100.0]),
     "references": st.lists(st.sampled_from(KEYS), max_size=4),
     #: None: unrestricted (every live thread); else picks pins by index,
-    #: in this order, dead ones included (``_pick_executor`` filters them).
+    #: in this order, dead ones included (``pick_executor`` filters them).
     "pins": st.one_of(st.none(), st.lists(st.integers(0, 19), min_size=1, max_size=4)),
     "ghost_holds": st.sets(st.sampled_from(KEYS)),
     "seed": st.integers(0, 2**16),
@@ -119,7 +119,7 @@ def _build(state):
 
 
 def _place(state, policy):
-    """One ``_pick_executor`` under ``policy``: what it chose and what it left."""
+    """One ``pick_executor`` under ``policy``: what it chose and what it left."""
     cluster, candidates = _build(state)
     scheduler = cluster.schedulers[0]
     scheduler.placement_policy = policy
@@ -127,7 +127,7 @@ def _place(state, policy):
     args = [CloudburstReference(key) for key in state["references"]] + [7]
     if not scheduler._live_threads():
         return None
-    chosen = scheduler._pick_executor("f", args, state["now_ms"], candidates=candidates)
+    chosen = scheduler.pick_executor("f", args, state["now_ms"], candidates=candidates)
     return (chosen.thread_id, scheduler.rng._rng.getstate(),
             scheduler.stats.locality_hits, scheduler.stats.locality_misses)
 
@@ -274,7 +274,7 @@ def test_both_policies_place_like_the_reference_at_the_edges(state):
                                 (RandomPlacementPolicy(),
                                  reference.ReferenceRandomPolicy())):
             placed = _place(state, shipped)
-            with mock.patch.object(Scheduler, "_pick_executor",
+            with mock.patch.object(Scheduler, "pick_executor",
                                    reference.pick_executor):
                 assert placed == _place(state, parent)
 
@@ -295,7 +295,7 @@ def test_load_asks_the_queues_every_time():
     # ...and the next placement sees it: the only idle thread of the VM.
     scheduler = cluster.schedulers[0]
     scheduler.vms = [vm]
-    assert scheduler._pick_executor("f", [1], 1.0) is vm.threads[2]
+    assert scheduler.pick_executor("f", [1], 1.0) is vm.threads[2]
 
 
 def test_each_shipped_policy_defines_its_own_pick():
@@ -364,7 +364,7 @@ def test_a_spilled_placement_reads_each_queue_and_each_vm_once(monkeypatch):
         for candidates in ([pin], None):
             for counter in reads.values():
                 counter.clear()
-            chosen = scheduler._pick_executor("f", [1], 10.0, candidates=candidates)
+            chosen = scheduler.pick_executor("f", [1], 10.0, candidates=candidates)
             assert chosen is not pin and not busy_at(chosen.work_queue, 10.0)  # it spilled
             assert reads["depth"] == Counter(mixed_busy)
             if candidates is None:

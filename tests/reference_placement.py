@@ -108,7 +108,7 @@ def pinned_threads(scheduler, name: str) -> List:
 
 
 def pick_executor(self, function_name, args, now_ms, candidates=None):
-    """``Scheduler._pick_executor`` before DR-25: the live roster re-filtered."""
+    """``Scheduler.pick_executor`` before DR-25: the live roster re-filtered."""
     restricted = bool(candidates)
     threads = candidates if candidates else self._live_threads()
     threads = [t for t in threads if t.alive and t.vm.alive]
@@ -190,7 +190,7 @@ def patch_in(monkeypatch) -> None:
     monkeypatch.setattr(LocalityPlacementPolicy, "pick", locality_pick)
     monkeypatch.setattr(RandomPlacementPolicy, "pick", random_pick)
     monkeypatch.setattr(Scheduler, "pinned_threads", pinned_threads)
-    monkeypatch.setattr(Scheduler, "_pick_executor", pick_executor)
+    monkeypatch.setattr(Scheduler, "pick_executor", pick_executor)
     monkeypatch.setattr(Scheduler, "_live_threads", live_threads)
     monkeypatch.setattr(ExecutorVM, "utilization", utilization)
     monkeypatch.setattr(ExecutorVM, "load", load)

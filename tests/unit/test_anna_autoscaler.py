@@ -1,5 +1,6 @@
 """Unit tests for the storage-tier autoscaler."""
 
+from repro.anna import autoscaler
 from repro.anna import (
     AnnaCluster,
     StorageAutoscaler,
@@ -30,19 +31,20 @@ class TestScaleUpAndDown:
         assert report.nodes_added == 1
         assert anna.node_count() == 3
 
-    def test_scale_down_when_idle(self):
+    def test_scale_down_when_idle(self, monkeypatch):
+        monkeypatch.setattr(autoscaler, "MIN_NODES", 2)
         anna = make_cluster(3)
         config = StorageAutoscalerConfig(scale_up_accesses_per_node=1e9,
-                                         scale_down_accesses_per_node=10,
-                                         min_nodes=2)
+                                         scale_down_accesses_per_node=10)
         scaler = StorageAutoscaler(anna, config)
         report = scaler.tick()
         assert report.nodes_removed == 1
         assert anna.node_count() == 2
 
-    def test_scale_down_respects_min_nodes(self):
+    def test_scale_down_respects_min_nodes(self, monkeypatch):
+        monkeypatch.setattr(autoscaler, "MIN_NODES", 1)
         anna = make_cluster(1)
-        scaler = StorageAutoscaler(anna, StorageAutoscalerConfig(min_nodes=1))
+        scaler = StorageAutoscaler(anna, StorageAutoscalerConfig())
         report = scaler.tick()
         assert report.nodes_removed == 0
         assert anna.node_count() == 1
@@ -71,10 +73,10 @@ class TestScaleUpAndDown:
 
 
 class TestHotKeysAndTiering:
-    def test_hot_keys_get_extra_replicas(self):
+    def test_hot_keys_get_extra_replicas(self, monkeypatch):
+        monkeypatch.setattr(autoscaler, "HOT_KEY_EXTRA_REPLICAS", 2)
         anna = make_cluster(4)
         config = StorageAutoscalerConfig(hot_key_threshold=10,
-                                         hot_key_extra_replicas=2,
                                          scale_up_accesses_per_node=1e9,
                                          scale_down_accesses_per_node=0)
         scaler = StorageAutoscaler(anna, config)
@@ -85,10 +87,10 @@ class TestHotKeysAndTiering:
         assert "hot" in report.keys_boosted
         assert len(anna.replicas_of("hot")) >= 2
 
-    def test_cold_keys_demoted_to_disk(self):
+    def test_cold_keys_demoted_to_disk(self, monkeypatch):
+        monkeypatch.setattr(autoscaler, "COLD_KEY_AGE_MS", 1_000.0)
         anna = make_cluster(1)
-        config = StorageAutoscalerConfig(cold_key_age_ms=1_000.0,
-                                         scale_up_accesses_per_node=1e9,
+        config = StorageAutoscalerConfig(scale_up_accesses_per_node=1e9,
                                          scale_down_accesses_per_node=0)
         scaler = StorageAutoscaler(anna, config)
         anna.background_put("cold", lww(1))
@@ -97,10 +99,10 @@ class TestHotKeysAndTiering:
         node = anna.node(anna.replicas_of("cold")[0])
         assert node.tier_of("cold") == node.DISK_TIER
 
-    def test_recently_used_keys_stay_in_memory(self):
+    def test_recently_used_keys_stay_in_memory(self, monkeypatch):
+        monkeypatch.setattr(autoscaler, "COLD_KEY_AGE_MS", 1_000_000.0)
         anna = make_cluster(1)
-        config = StorageAutoscalerConfig(cold_key_age_ms=1_000_000.0,
-                                         scale_up_accesses_per_node=1e9,
+        config = StorageAutoscalerConfig(scale_up_accesses_per_node=1e9,
                                          scale_down_accesses_per_node=0)
         scaler = StorageAutoscaler(anna, config)
         anna.background_put("warm", lww(1))
@@ -109,12 +111,13 @@ class TestHotKeysAndTiering:
 
 
 class TestHotKeyReport:
-    def test_ranks_by_access_count(self):
+    def test_ranks_by_access_count(self, monkeypatch):
+        monkeypatch.setattr(autoscaler, "HOT_KEY_REPORT_SIZE", 1)
         anna = make_cluster(2)
         anna.background_put("a", lww(1))
         anna.background_put("b", lww(2))
         for _ in range(5):
             anna.background_get("a")
         anna.background_get("b")
-        report = hot_key_report(anna, top_n=1)
+        report = hot_key_report(anna)
         assert list(report) == ["a"]

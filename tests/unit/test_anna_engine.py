@@ -16,6 +16,7 @@ from repro.anna import (
     StorageAutoscalerConfig,
     StorageServiceModel,
 )
+from repro.anna import autoscaler
 from repro.anna import cluster as anna_cluster
 from repro.anna import storage_node
 from repro.errors import StorageOverloadError
@@ -449,11 +450,12 @@ class TestRoundsResumeAfterIdle:
 
 
 class TestStorageAutoscalerOnEngine:
-    def test_tick_runs_as_recurring_engine_event(self):
+    def test_tick_runs_as_recurring_engine_event(self, monkeypatch):
+        monkeypatch.setattr(autoscaler, "HOT_KEY_EXTRA_REPLICAS", 1)
         anna = make_cluster()
         scaler = StorageAutoscaler(anna, StorageAutoscalerConfig(
             scale_up_accesses_per_node=5.0, scale_down_accesses_per_node=0.0,
-            hot_key_threshold=8, hot_key_extra_replicas=1, max_nodes=8))
+            hot_key_threshold=8, max_nodes=8))
         anna.set_autoscaler(scaler, interval_ms=20.0)
         engine = anna.engine
 

@@ -40,9 +40,8 @@ _EXECUTION_IDS = (f"exec-{n}" for n in itertools.count())
 
 
 def run(thread, name, args=(), level=ConsistencyLevel.LWW, ctx=None):
-    state = SessionState(next(_EXECUTION_IDS), level)
-    protocol = make_protocol(level)
-    return thread.execute(name, args, ctx or RequestContext(), state, protocol)
+    state = SessionState(next(_EXECUTION_IDS), make_protocol(level))
+    return thread.execute(name, args, ctx or RequestContext(), state)
 
 
 class TestExecutorVM:

@@ -116,8 +116,10 @@ class TestQueries:
         assert tracer.unfinished_spans() == []
         assert set(s.span_id for s in tracer.children_of(root)) == \
             {schedule.span_id, invoke.span_id}
-        assert tracer.tiers(root.trace_id) == \
+        assert list(dict.fromkeys(
+            span.tier for span in tracer.spans_for(root.trace_id))) == \
             ["client", "scheduler", "executor", "anna"]
+        assert tracer.tiers() == ["client", "scheduler", "executor", "anna"]
 
     def test_span_tree_nests_children(self):
         tracer, root, _schedule, invoke = self._build()

@@ -85,7 +85,7 @@ class TestReadIsTheBatchOfOne:
         elif scenario == "prefetched":
             cache.prefetch(["k"], now_ms=0.0, epoch="exec")
             ctx.prefetch_epoch = "exec"
-        state = SessionState("exec", protocol.level)
+        state = SessionState("exec", protocol)
         if batched:
             value = protocol.read_many(cache, ["k"], ctx, state).get("k")
         else:
@@ -118,7 +118,7 @@ class TestReadIsTheBatchOfOne:
 class TestLWWProtocol:
     def test_read_write_through_cache(self, anna, cache_a):
         protocol = LWWProtocol()
-        state = SessionState("exec", ConsistencyLevel.LWW)
+        state = SessionState("exec", protocol)
         anna.background_put("k", lww("v"))
         assert protocol.read(cache_a, "k", RequestContext(), state).reveal() == "v"
         protocol.write(cache_a, "k", lww("v2", clock=2.0), RequestContext(), state)
@@ -130,7 +130,7 @@ class TestLWWProtocol:
 class TestRepeatableRead:
     def test_first_read_pins_snapshot(self, anna, cache_a):
         protocol = RepeatableReadProtocol()
-        state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_RR)
+        state = SessionState("exec", protocol)
         anna.background_put("k", lww("v1"))
         protocol.read(cache_a, "k", RequestContext(), state)
         assert "k" in state.read_set
@@ -139,7 +139,7 @@ class TestRepeatableRead:
     def test_downstream_mismatch_fetches_exact_version_from_upstream(
             self, anna, cache_a, cache_b):
         protocol = RepeatableReadProtocol()
-        state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_RR)
+        state = SessionState("exec", protocol)
         anna.background_put("k", lww("v1", clock=1.0))
         first = protocol.read(cache_a, "k", RequestContext(), state)
         # A newer version lands in Anna and in cache-b before the downstream read.
@@ -153,7 +153,7 @@ class TestRepeatableRead:
 
     def test_matching_version_served_locally(self, anna, cache_a, cache_b):
         protocol = RepeatableReadProtocol()
-        state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_RR)
+        state = SessionState("exec", protocol)
         anna.background_put("k", lww("v1", clock=1.0))
         protocol.read(cache_a, "k", RequestContext(), state)
         cache_b.get_or_fetch("k", RequestContext())  # same version everywhere
@@ -162,7 +162,7 @@ class TestRepeatableRead:
 
     def test_write_within_dag_visible_to_later_reads(self, anna, cache_a, cache_b):
         protocol = RepeatableReadProtocol()
-        state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_RR)
+        state = SessionState("exec", protocol)
         anna.background_put("k", lww("v1", clock=1.0))
         protocol.read(cache_a, "k", RequestContext(), state)
         protocol.write(cache_a, "k", lww("updated", clock=2.0), RequestContext(), state)
@@ -171,15 +171,15 @@ class TestRepeatableRead:
 
     def test_finalize_evicts_snapshots(self, anna, cache_a, peers):
         protocol = RepeatableReadProtocol()
-        state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_RR)
+        state = SessionState("exec", protocol)
         anna.background_put("k", lww("v"))
         protocol.read(cache_a, "k", RequestContext(), state)
-        protocol.finalize(state, peers)
+        protocol.finalize(state, peers, completed=True)
         assert cache_a.snapshot_count() == 0
 
     def test_metadata_bytes_positive_once_reads_exist(self, anna, cache_a):
         protocol = RepeatableReadProtocol()
-        state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_RR)
+        state = SessionState("exec", protocol)
         anna.background_put("k", lww("v"))
         protocol.read(cache_a, "k", RequestContext(), state)
         assert state.metadata_bytes() > 0
@@ -188,7 +188,7 @@ class TestRepeatableRead:
 class TestMultiKeyCausal:
     def test_read_maintains_causal_cut(self, anna, cache_a):
         protocol = MultiKeyCausalProtocol()
-        state = SessionState("exec", ConsistencyLevel.MULTI_KEY_CAUSAL)
+        state = SessionState("exec", protocol)
         anna.background_put("dep", causal("dep-v", {"w": 1}))
         anna.background_put("k", causal("k-v", {"w": 2}, deps={"dep": VectorClock({"w": 1})}))
         protocol.read(cache_a, "k", RequestContext(), state)
@@ -200,7 +200,7 @@ class TestMultiKeyCausal:
 class TestDistributedSessionCausal:
     def test_dependency_forces_fresh_read_on_other_cache(self, anna, cache_a, cache_b):
         protocol = DistributedSessionCausalProtocol()
-        state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL)
+        state = SessionState("exec", protocol)
         # cache-b holds a stale version of "l".
         anna.background_put("l", causal("l-old", {"w": 1}))
         cache_b.get_or_fetch("l", RequestContext())
@@ -219,7 +219,7 @@ class TestDistributedSessionCausal:
 
     def test_valid_local_version_served_without_fetch(self, anna, cache_a, cache_b):
         protocol = DistributedSessionCausalProtocol()
-        state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL)
+        state = SessionState("exec", protocol)
         anna.background_put("k", causal("v", {"w": 5}))
         protocol.read(cache_a, "k", RequestContext(), state)
         cache_b.get_or_fetch("k", RequestContext())
@@ -229,7 +229,7 @@ class TestDistributedSessionCausal:
 
     def test_writes_update_read_set_with_new_clock(self, anna, cache_a):
         protocol = DistributedSessionCausalProtocol()
-        state = SessionState("exec", ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL)
+        state = SessionState("exec", protocol)
         anna.background_put("k", causal("v1", {"w": 1}))
         protocol.read(cache_a, "k", RequestContext(), state)
         new_version = causal("v2", {"w": 1, "me": 1})
@@ -239,9 +239,11 @@ class TestDistributedSessionCausal:
     def test_dsc_metadata_larger_than_rr(self, anna, cache_a):
         anna.background_put("dep", causal("d", {"w": 1}))
         anna.background_put("k", causal("v", {"w": 2}, deps={"dep": VectorClock({"w": 1})}))
-        dsc_state = SessionState("exec-dsc", ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL)
+        dsc_state = SessionState(
+            "exec-dsc", make_protocol(ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL))
         DistributedSessionCausalProtocol().read(cache_a, "k", RequestContext(), dsc_state)
-        rr_state = SessionState("exec-rr", ConsistencyLevel.DISTRIBUTED_SESSION_RR)
+        rr_state = SessionState(
+            "exec-rr", make_protocol(ConsistencyLevel.DISTRIBUTED_SESSION_RR))
         RepeatableReadProtocol().read(cache_a, "k", RequestContext(), rr_state)
         assert dsc_state.metadata_bytes() > rr_state.metadata_bytes()
 
@@ -258,7 +260,7 @@ class TestObservingProtocol:
                 events.append(("write", cache_id, key))
 
         protocol = ObservingProtocol(LWWProtocol(), Recorder())
-        state = SessionState("exec", ConsistencyLevel.LWW)
+        state = SessionState("exec", protocol)
         anna.background_put("k", lww("v"))
         protocol.read(cache_a, "k", RequestContext(), state)
         protocol.write(cache_a, "k", lww("v2", clock=2.0), RequestContext(), state)

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.cloudburst import ConsistencyLevel
-from repro.cloudburst.consistency.protocols import SessionState
+from repro.cloudburst.consistency.protocols import SessionState, make_protocol
 from repro.cloudburst.sessions import (
     ATTEMPT_ABANDONED,
     ATTEMPT_COMPLETED,
@@ -24,6 +24,12 @@ from repro.cloudburst.sessions import (
     SESSION_RUNNING,
     SessionJournal,
 )
+
+
+def _state(caches=()):
+    state = SessionState("s/session-0/attempt-0", make_protocol(ConsistencyLevel.LWW))
+    state.caches_involved.update(caches)
+    return state
 
 
 def _open(journal, name="dag-a", session=None):
@@ -48,8 +54,7 @@ class TestLifecycle:
         assert attempt.status == ATTEMPT_IN_FLIGHT
         journal.record_scheduled(record, "f")
         assert attempt.function_status["f"] == FUNCTION_SCHEDULED
-        state = SessionState("s/session-0/attempt-0", ConsistencyLevel.LWW)
-        state.caches_involved.add("cache-1")
+        state = _state(["cache-1"])
         journal.record_completed(record, "f", finish_ms=22.5,
                                  thread_id="vm-0:t1", vm_id="vm-0", state=state)
         assert attempt.function_status["f"] == FUNCTION_COMPLETED
@@ -63,7 +68,8 @@ class TestLifecycle:
         journal = SessionJournal("s")
         record = _open(journal)
         journal.begin_attempt(record, at_ms=10.0)
-        journal.record_attempt_failure(record, "executor died")
+        journal.record_attempt_failure(record, "executor died", ATTEMPT_FAILED,
+                                       _state())
         assert record.current_attempt().status == ATTEMPT_FAILED
         assert record.current_attempt().failure == "executor died"
         assert journal.record_retry(record) == 1
@@ -78,13 +84,21 @@ class TestLifecycle:
         assert [a.execution_id for a in record.attempts] == [
             "s/session-0/attempt-0", "s/session-0/attempt-1"]
 
+    def test_a_failed_attempt_names_every_cache_it_touched(self):
+        journal = SessionJournal("s")
+        record = _open(journal)
+        journal.begin_attempt(record, at_ms=10.0)
+        journal.record_attempt_failure(record, "ValueError: boom", ATTEMPT_FAILED,
+                                       _state(["cache-b", "cache-a"]))
+        assert record.current_attempt().caches_involved == ["cache-a", "cache-b"]
+
     def test_crash_recovery_transitions(self):
         journal = SessionJournal("s")
         session = object()
         record = _open(journal, session=session)
         journal.begin_attempt(record, at_ms=10.0)
         journal.record_attempt_failure(record, "scheduler crash",
-                                       status=ATTEMPT_ABANDONED)
+                                       ATTEMPT_ABANDONED, _state())
         journal.record_recovery(record)
         assert record.current_attempt().status == ATTEMPT_ABANDONED
         assert record.recoveries == 1
@@ -108,8 +122,7 @@ class TestReadiness:
     def _complete(self, journal, record, name, finish_ms):
         journal.record_scheduled(record, name)
         journal.record_completed(record, name, finish_ms, "vm-0:t0", "vm-0",
-                                 SessionState("s/session-0/attempt-0",
-                                              ConsistencyLevel.LWW))
+                                 _state())
 
     def test_diamond_joins_at_the_slowest_upstream(self):
         journal = SessionJournal("s")
@@ -154,12 +167,8 @@ class TestQueries:
         assert counts[SESSION_COMPLETED] == 1
         assert counts[SESSION_FAILED] == 1
         assert counts[SESSION_RUNNING] == 1
-        assert journal.in_flight() == [c]
-
-    def test_record_for_unknown_session_raises(self):
-        journal = SessionJournal("s")
-        with pytest.raises(KeyError):
-            journal.record_for("s/session-99")
+        assert [record for record in journal.records()
+                if record.status == SESSION_RUNNING] == [c]
 
 
 class TestSerialization:
@@ -172,11 +181,12 @@ class TestSerialization:
         # A session that needed a retry keeps its full record for the artifact.
         record = _open(journal)
         journal.begin_attempt(record, at_ms=10.0)
-        journal.record_attempt_failure(record, "executor died")
+        journal.record_attempt_failure(record, "executor died", ATTEMPT_FAILED,
+                                       _state())
         journal.record_retry(record)
         journal.begin_attempt(record, at_ms=40.0)
         journal.record_scheduled(record, "f")
-        state = SessionState("s/session-0/attempt-0", ConsistencyLevel.LWW)
+        state = _state()
         journal.record_completed(record, "f", 45.0, "vm-1:t0", "vm-1", state)
         journal.close(record, SESSION_COMPLETED)
         # Arbitrary user args must not leak into the dump — only their counts.
@@ -204,8 +214,8 @@ class TestCheckpoint:
         journal.close(record, SESSION_COMPLETED)
         assert journal.records() == []
         assert journal.counts()[SESSION_COMPLETED] == 1
-        with pytest.raises(KeyError):
-            journal.record_for(record.session_id)
+        assert record.session_id not in {kept.session_id
+                                         for kept in journal.records()}
 
     @pytest.mark.parametrize("disturb", ["retry", "recovery", "failure"])
     def test_disturbed_sessions_keep_their_record(self, disturb):
@@ -220,6 +230,8 @@ class TestCheckpoint:
                       else SESSION_COMPLETED)
         assert journal.records() == [record]
         assert journal.in_flight_count() == 0
+        # A closed session's recovery still counts: its record is kept.
+        assert journal.recovered_sessions == (disturb == "recovery")
 
     def test_in_flight_queries_report_only_open_sessions(self):
         journal = SessionJournal("s")
@@ -232,6 +244,7 @@ class TestCheckpoint:
         live_session = object()
         live = _open(journal, session=live_session)
         assert journal.records() == kept + [live]
-        assert journal.in_flight() == [live]
+        assert [record for record in journal.records()
+                if record.status == SESSION_RUNNING] == [live]
         assert journal.in_flight_count() == 1
         assert journal.live_sessions() == [live_session]
