@@ -2,7 +2,7 @@
 """The ``src/`` census, and the ratchet that stops it from rising.
 
 Each row counts one shape the project has deleted a second mechanism for
-(DESIGN.md DR-12, DR-18 to DR-24 and DR-27):
+(DESIGN.md DR-12, DR-18 to DR-24, DR-27 and DR-28):
 
 * lines under ``src/`` matching a pattern: a test for a missing engine, an
   attach/detach method, an uncharged-context branch, an optional request
@@ -12,6 +12,10 @@ Each row counts one shape the project has deleted a second mechanism for
   every field of a ``*Config`` class under ``src/``, read with ``ast``;
 * unset options: the defaulted parameters no call outside ``tests/`` passes,
   as ``benchmarks/reachability.py --options`` of the same tree counts them;
+* uncalled lines: the lines of the functions under ``src/`` that the
+  figure registry at smoke scale and ``benchmarks/perf``'s workloads never
+  call, as ``benchmarks/reachability.py --summary`` of the same tree counts
+  them (DR-28; it runs both, so ``--check`` takes about a minute);
 * private scheduler calls: lines under ``src/`` that reach into a
   scheduler's private members (``scheduler._x``) — a DAG session asks the
   scheduler only for its public placement calls.
@@ -78,12 +82,19 @@ def constructor_options(tree: Path) -> int:
     return total
 
 
-def unset_options(tree: Path) -> int:
-    output = subprocess.run(
-        [sys.executable, str(tree / "benchmarks" / "reachability.py"),
-         "--options", "--summary"],
-        capture_output=True, text=True, check=True).stdout
-    return int(re.search(r"unset options: (\d+)", output).group(1))
+def _reachability_total(pattern: str, *flags: str) -> Callable[[Path], int]:
+    """The number ``pattern`` captures in ``reachability.py [flags] --summary``
+    of the same tree."""
+    regex = re.compile(pattern)
+
+    def count(tree: Path) -> int:
+        output = subprocess.run(
+            [sys.executable, str(tree / "benchmarks" / "reachability.py"),
+             *flags, "--summary"],
+            capture_output=True, text=True, check=True).stdout
+        return int(regex.search(output).group(1))
+
+    return count
 
 
 #: ``(key in census.json, label, count)``, in report order.
@@ -101,7 +112,9 @@ ROWS: List[Tuple[str, str, Callable[[Path], int]]] = [
     ("constructor_options", "`__init__` parameters + `*Config` fields",
      constructor_options),
     ("unset_options", "`reachability.py --options` (unset options)",
-     unset_options),
+     _reachability_total(r"unset options: (\d+)", "--options")),
+    ("uncalled_lines", "`reachability.py` (lines of functions never called)",
+     _reachability_total(r"uncalled: \d+ of \d+ functions, (\d+) lines")),
     ("span_sites", r"span sites: `span is (not )?None|\.child\(|\.finish\(`"
      " outside `repro/obs/`",
      _matching_lines(r"span is (not )?None|\.child\(|\.finish\(",

@@ -10,8 +10,12 @@ from __future__ import annotations
 import math
 import random
 import zlib
+from array import array
 from bisect import bisect_left
+from itertools import repeat
 from typing import List, Optional, Sequence, TypeVar
+
+import numpy as np
 
 T = TypeVar("T")
 
@@ -76,26 +80,34 @@ class ZipfGenerator:
     Uses the inverse-CDF method over precomputed cumulative weights, matching
     the skewed key-access patterns used in the paper's §6.1.4, §6.2 and §6.3
     experiments (coefficients 1.0 and 1.5).
+
+    The table is built in one vectorised pass that equals the scalar loop
+    ``1.0 / (rank + 1) ** coefficient``, ``+=`` bit for bit (DESIGN.md
+    DR-28): each power is Python's own ``pow`` (numpy's ``power`` can differ
+    in the last bit), numpy's division rounds as Python's does, and both the
+    total and the running sum are ``np.add.accumulate``, which adds left to
+    right as the loop did (``np.sum`` adds pairwise).  The table is kept as
+    packed doubles, 8 bytes an entry.
     """
 
     def __init__(self, n_items: int, coefficient: float = 1.0,
                  rng: Optional[RandomSource] = None):
         if n_items <= 0:
             raise ValueError("n_items must be positive")
-        if coefficient < 0:
+        if not coefficient >= 0:  # also rejects NaN
             raise ValueError("zipf coefficient must be non-negative")
         self.n_items = int(n_items)
         self.coefficient = float(coefficient)
         self._rng = rng or RandomSource(0)
-        weights = [1.0 / ((rank + 1) ** self.coefficient) for rank in range(self.n_items)]
-        total = sum(weights)
-        cumulative = []
-        running = 0.0
-        for weight in weights:
-            running += weight / total
-            cumulative.append(running)
-        cumulative[-1] = 1.0
-        self._cumulative = cumulative
+        weights = np.fromiter(
+            map(pow, range(1, self.n_items + 1), repeat(self.coefficient)),
+            np.float64, self.n_items)
+        np.divide(1.0, weights, out=weights)
+        running = np.add.accumulate(weights)
+        np.divide(weights, running[-1], out=weights)  # running[-1]: the total
+        np.add.accumulate(weights, out=running)
+        running[-1] = 1.0
+        self._cumulative = array("d", running.tobytes())
 
     def next(self) -> int:
         """Draw one item index; rank 0 is the hottest item."""

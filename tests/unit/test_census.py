@@ -34,6 +34,7 @@ def test_an_added_defaulted_option_rises_above_the_ratchet(tmp_path):
     tracing.write_text(source.replace(
         signature, "def __init__(self, sample_rate: float = 1.0, retain: bool = True):"))
 
-    before, after = census.census(REPO_ROOT), census.census(tmp_path)
-    assert after["constructor_options"] == before["constructor_options"] + 1
-    assert after["unset_options"] == before["unset_options"] + 1
+    # Only the two rows read here: ``uncalled_lines`` runs the benchmarks.
+    for key, _label, count in census.ROWS:
+        if key in ("constructor_options", "unset_options"):
+            assert count(tmp_path) == count(REPO_ROOT) + 1, key

@@ -1,6 +1,8 @@
 """Unit tests for the seeded random source and the Zipfian generator."""
 
+import math
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,31 @@ def _loop_bisect(zipf: ZipfGenerator, point: float) -> int:
         else:
             high = mid
     return low
+
+
+def _loop_table(n_items: int, coefficient: float) -> list:
+    """``ZipfGenerator``'s inverse CDF as the scalar loop built it before
+    DR-28: the table the vectorised pass must equal bit for bit.  The total
+    is a left-to-right ``+=``, which is what the loop's ``sum()`` did up to
+    Python 3.11 (3.12's ``sum()`` of floats compensates)."""
+    weights = [1.0 / ((rank + 1) ** coefficient) for rank in range(n_items)]
+    total = 0.0
+    for weight in weights:
+        total += weight
+    cumulative = []
+    running = 0.0
+    for weight in weights:
+        running += weight / total
+        cumulative.append(running)
+    cumulative[-1] = 1.0
+    return cumulative
+
+
+def _loop_draws(n_items: int, coefficient: float, seed: int, count: int) -> list:
+    """Seeded draws over ``_loop_table``, looked up as ``_bisect`` does."""
+    table, rng = _loop_table(n_items, coefficient), RandomSource(seed)
+    return [min(bisect_left(table, rng.random()), n_items - 1)
+            for _ in range(count)]
 
 
 class TestRandomSource:
@@ -90,6 +117,8 @@ class TestZipfGenerator:
             ZipfGenerator(0)
         with pytest.raises(ValueError):
             ZipfGenerator(10, coefficient=-1.0)
+        with pytest.raises(ValueError):
+            ZipfGenerator(10, coefficient=math.nan)
 
     def test_draws_within_range(self):
         zipf = ZipfGenerator(100, 1.0, RandomSource(1))
@@ -135,3 +164,21 @@ class TestZipfGenerator:
         twin = RandomSource(6)
         assert zipf.draw(2_000) == [_loop_bisect(zipf, twin.random())
                                     for _ in range(2_000)]
+
+    @pytest.mark.parametrize("n_items", [1, 2, 200, 777, 5_000])
+    @pytest.mark.parametrize("coefficient", [0.0, 0.5, 0.99, 1.0, 1.5])
+    def test_table_equals_the_scalar_loop(self, n_items, coefficient):
+        zipf = ZipfGenerator(n_items, coefficient)
+        assert zipf._cumulative.typecode == "d"
+        assert list(zipf._cumulative) == _loop_table(n_items, coefficient)
+
+    def test_million_key_table_equals_the_scalar_loop(self):
+        """§6.2's shape, where a pairwise total would move the table."""
+        zipf = ZipfGenerator(1_000_000, 1.0)
+        assert list(zipf._cumulative) == _loop_table(1_000_000, 1.0)
+
+    @pytest.mark.parametrize("n_items, coefficient", [
+        (1_000_000, 1.0), (200, 1.5), (5_000, 1.0), (777, 0.5), (1, 1.0)])
+    def test_seeded_draws_equal_the_scalar_loop(self, n_items, coefficient):
+        zipf = ZipfGenerator(n_items, coefficient, RandomSource(9))
+        assert zipf.draw(2_000) == _loop_draws(n_items, coefficient, 9, 2_000)
