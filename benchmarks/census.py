@@ -2,7 +2,7 @@
 """The ``src/`` census, and the ratchet that stops it from rising.
 
 Each row counts one shape the project has deleted a second mechanism for
-(DESIGN.md DR-12, DR-18 to DR-24, DR-27 and DR-28):
+(DESIGN.md DR-12, DR-18 to DR-24 and DR-27 to DR-29):
 
 * lines under ``src/`` matching a pattern: a test for a missing engine, an
   attach/detach method, an uncharged-context branch, an optional request
@@ -18,7 +18,10 @@ Each row counts one shape the project has deleted a second mechanism for
   them (DR-28; it runs both, so ``--check`` takes about a minute);
 * private scheduler calls: lines under ``src/`` that reach into a
   scheduler's private members (``scheduler._x``) — a DAG session asks the
-  scheduler only for its public placement calls.
+  scheduler only for its public placement calls;
+* record writes: assignments and augmented assignments, read with ``ast``,
+  to a field of a ``SessionRecord`` or ``AttemptRecord`` (or to a subscript
+  of one) outside ``cloudburst/journal.py`` — ``advance`` is the one writer.
 
 ``benchmarks/census.json`` holds each row's ceiling.  ``--check`` fails when
 a count rises above its ceiling; raising a ceiling is an edit to that file,
@@ -82,6 +85,49 @@ def constructor_options(tree: Path) -> int:
     return total
 
 
+#: The one module allowed to write a session record (DESIGN.md DR-29).
+RECORD_CORE = "src/repro/cloudburst/journal.py"
+#: Names a session record or attempt record is held under: ``record``,
+#: ``self.attempt``, ``record.attempts[-1]``, ``current_attempt()``.
+_RECORD_OWNER = re.compile(r"(record|attempt)s?$")
+
+
+def record_writes(tree: Path) -> int:
+    """Assignments and augmented assignments to a ``SessionRecord`` or
+    ``AttemptRecord`` field, or to a subscript of one, outside the core."""
+    parsed = {path: ast.parse(path.read_text(), filename=str(path))
+              for path in sorted((tree / "src").rglob("*.py"))}
+    fields = {item.target.id for module in parsed.values() for node in module.body
+              if isinstance(node, ast.ClassDef)
+              and node.name in ("SessionRecord", "AttemptRecord")
+              for item in node.body if isinstance(item, ast.AnnAssign)}
+
+    def held_as_record(expr: ast.AST) -> bool:
+        while isinstance(expr, (ast.Subscript, ast.Call)):
+            expr = expr.value if isinstance(expr, ast.Subscript) else expr.func
+        name = expr.id if isinstance(expr, ast.Name) else getattr(expr, "attr", "")
+        return bool(_RECORD_OWNER.search(name))
+
+    def writes(target: ast.AST) -> int:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return sum(writes(element) for element in target.elts)
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        return int(isinstance(target, ast.Attribute) and target.attr in fields
+                   and held_as_record(target.value))
+
+    total = 0
+    for path, module in parsed.items():
+        if path.relative_to(tree).as_posix() == RECORD_CORE:
+            continue
+        for node in ast.walk(module):
+            if isinstance(node, ast.Assign):
+                total += sum(writes(target) for target in node.targets)
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                total += writes(node.target)
+    return total
+
+
 def _reachability_total(pattern: str, *flags: str) -> Callable[[Path], int]:
     """The number ``pattern`` captures in ``reachability.py [flags] --summary``
     of the same tree."""
@@ -121,6 +167,8 @@ ROWS: List[Tuple[str, str, Callable[[Path], int]]] = [
                      exclude=("src/repro/obs/",))),
     ("private_scheduler_calls", r"`scheduler\._[a-z]`",
      _matching_lines(r"scheduler\._[a-z]")),
+    ("record_writes", "writes to a session/attempt record field outside "
+     "`cloudburst/journal.py`", record_writes),
 ]
 
 

@@ -72,7 +72,7 @@ class SessionState:
     """Consistency metadata carried along a DAG execution.
 
     ``execution_id`` is the journal's id of the attempt this state belongs to
-    (:meth:`~repro.cloudburst.sessions.SessionJournal.begin_attempt`);
+    (its ``begin`` event, :func:`~repro.cloudburst.journal.advance`);
     ``protocol`` is the attempt's: every read and write goes through it, and
     it closes the attempt (:meth:`ConsistencyProtocol.finalize`).
     """

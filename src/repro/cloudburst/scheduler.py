@@ -22,7 +22,8 @@ from ..sim import RequestContext
 from .consistency.levels import ConsistencyLevel
 from .dag import Dag
 from .executor import ExecutorThread, FUNCTION_LIST_KEY, function_key
-from .sessions import DagSession, SessionJournal
+from .journal import SessionJournal
+from .sessions import DagSession
 from .policy import DEFAULT_PLACEMENT_POLICY, PlacementPolicy
 
 if TYPE_CHECKING:
@@ -106,24 +107,17 @@ class Scheduler:
     def restart(self) -> int:
         """Bring a crashed scheduler back and recover its in-flight DAGs.
 
-        Returns the number of sessions resumed from the journal.
+        Each session closes its dead attempt as abandoned (snapshots evicted,
+        shadow reads dropped) and the DAG re-executes (§4.5 at-least-once).
+        Sessions the journal already saw complete are *not* resumed —
+        re-running them would double-apply their sink writes.  Returns the
+        number of sessions resumed from the journal.
         """
         self.alive = True
-        return self.recover_sessions()
-
-    def recover_sessions(self) -> int:
-        """Resume every in-flight DAG session recorded in the journal.
-
-        Each session closes its dead attempt as abandoned (snapshots evicted,
-        shadow reads dropped) and the DAG re-executes (§4.5 at-least-once).  Sessions the journal already
-        saw complete are *not* resumed — re-running them would double-apply
-        their sink writes.
-        """
-        resumed = 0
-        for session in self.journal.live_sessions():
+        sessions = self.journal.live_sessions()
+        for session in sessions:
             session.recover_from_crash()
-            resumed += 1
-        return resumed
+        return len(sessions)
 
     # -- registration (§4.3 "Scheduling Mechanisms") -----------------------------------
     def register_function(self, func: Callable, name: Optional[str] = None) -> str:

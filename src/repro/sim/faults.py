@@ -5,12 +5,12 @@ are *real* — a killed VM must surface as the same :class:`ExecutorFailedError`
 the retry machinery already handles, a dropped storage replica must re-home
 its keys through the consistent-hash ring, a partitioned replica must stall
 anti-entropy without losing updates, and a crashed scheduler must strand its
-in-flight sessions until ``restart()`` replays them from the
-:class:`~repro.cloudburst.sessions.SessionJournal`.  :class:`FaultPlane`
+in-flight sessions until ``restart()`` re-executes each from its record in
+the :class:`~repro.cloudburst.journal.SessionJournal`.  :class:`FaultPlane`
 drives all four from a recurring engine event with per-class seeded schedules:
 
-* ``executor_kill`` — ``ExecutorVM.fail()`` mid-DAG; sessions whose current
-  attempt ran on the victim are failed through ``DagSession.fail_attempt``.
+* ``executor_kill`` — ``ExecutorVM.fail()`` mid-DAG; each session whose current
+  attempt ran on the victim gets a ``fail`` event (``DagSession.fail_attempt``).
 * ``storage_drop`` — ``AnnaCluster.remove_node`` (keys re-home), later
   rejoined under the same node id; with a durable SQLite cold tier attached
   it becomes ``crash_node``/``restart_node`` — the memory tier is lost and

@@ -13,7 +13,7 @@ import pytest
 from repro.cloudburst import CloudburstCluster
 from repro.cloudburst.consistency.anomalies import AnomalyTracker
 from repro.cloudburst.consistency.protocols import ObservingProtocol
-from repro.cloudburst.sessions import (
+from repro.cloudburst.journal import (
     ATTEMPT_ABANDONED,
     ATTEMPT_COMPLETED,
     ATTEMPT_FAILED,
@@ -166,3 +166,34 @@ def test_a_failed_attempt_names_the_cache_it_read_on():
     # Release evicted the attempt's session state on this cache; the record
     # says so (it used to list only the caches of completed functions).
     assert attempt.caches_involved == [cluster.vms[0].cache.cache_id]
+
+
+def test_no_function_of_a_closed_session_is_dispatched(cluster, cloud):
+    """``bad`` fails the session while its sibling ``good`` is still queued at
+    the same ready time; the queued event must not run ``good``."""
+    ran = []
+
+    def bad(cloudburst, x):
+        ran.append("bad")
+        raise ValueError("application bug")
+
+    def good(cloudburst, x):
+        ran.append("good")
+        return x
+
+    cloud.register(lambda cloudburst: 1, name="src")
+    cloud.register(bad, name="bad")
+    cloud.register(good, name="good")
+    cloud.register_dag("fan-out", ["src", "bad", "good"],
+                       [("src", "bad"), ("src", "good")])
+    before = cluster.total_invocations()
+    future = cloud.call_dag("fan-out")
+    with pytest.raises(ValueError):
+        future.get()
+    cluster.settle()
+    assert ran == ["bad"]
+    # Only src counts: an invocation is counted when its function returns.
+    assert cluster.total_invocations() - before == 1
+    (record,) = cluster.schedulers[0].journal.records()
+    assert record.attempts[0].function_status == {
+        "src": "completed", "bad": "scheduled", "good": "scheduled"}

@@ -23,7 +23,7 @@ from repro.bench import run_table2
 from repro.cloudburst import CloudburstCluster, ConsistencyLevel
 from repro.cloudburst.controlplane import ComputeControlPlane
 from repro.cloudburst.controlplane import MonitoringConfig
-from repro.cloudburst.sessions import MAX_RETRIES
+from repro.cloudburst.journal import MAX_RETRIES
 from repro.sim import RandomSource
 
 from engine_time import at_engine_time

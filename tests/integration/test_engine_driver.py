@@ -23,7 +23,7 @@ from repro.bench.harness import (
 from repro.cloudburst import CloudburstCluster
 from repro.cloudburst.controlplane import ComputeControlPlane
 from repro.cloudburst.controlplane import MIN_PINNED_THREADS, MonitoringConfig
-from repro.cloudburst.sessions import MAX_RETRIES
+from repro.cloudburst.journal import MAX_RETRIES
 
 
 def _make_cluster(seed=11, executor_vms=2, threads_per_vm=3):

@@ -1,8 +1,9 @@
 """The ``src/`` census ratchet (``benchmarks/census.py``).
 
 The committed tree sits at or below every ceiling in
-``benchmarks/census.json``, and a tree with one more defaulted constructor
-parameter is caught by two rows.
+``benchmarks/census.json``, a tree with one more defaulted constructor
+parameter is caught by two rows, and a session record written outside the
+journal's ``advance`` is caught by the ``record_writes`` row.
 """
 
 import importlib.util
@@ -38,3 +39,19 @@ def test_an_added_defaulted_option_rises_above_the_ratchet(tmp_path):
     for key, _label, count in census.ROWS:
         if key in ("constructor_options", "unset_options"):
             assert count(tmp_path) == count(REPO_ROOT) + 1, key
+
+
+def test_a_record_write_outside_the_core_rises_above_the_ratchet(tmp_path):
+    shutil.copytree(REPO_ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    sessions = tmp_path / "src" / "repro" / "cloudburst" / "sessions.py"
+    source = sessions.read_text()
+    anchor = '        self._step(("crash", self.state.caches_involved))\n'
+    assert anchor in source
+    sessions.write_text(source.replace(
+        anchor, anchor + "        self.record.retries += 1\n"))
+
+    ceiling = json.loads(census.CEILINGS.read_text())["record_writes"]
+    assert census.record_writes(REPO_ROOT) <= ceiling
+    assert census.record_writes(tmp_path) == census.record_writes(REPO_ROOT) + 1
+    assert census.record_writes(tmp_path) > ceiling

@@ -1,41 +1,58 @@
 """Unit tests for the session journal (§4.5 durable DAG-session state).
 
-The journal is the explicit, serializable home of what used to be closure
-state inside the scheduler's engine-DAG path: per-attempt status, placements,
-resource holdings, retry budget.  These tests pin its transition semantics
-and the JSON round-trip the CI fault artifact depends on.
+Every transition is an event driven through
+:meth:`~repro.cloudburst.journal.SessionJournal.apply` (and so
+:func:`~repro.cloudburst.journal.advance`), with no engine.  These tests pin
+the transition semantics, the effects each event returns and the JSON
+round-trip the CI fault artifact depends on.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.cloudburst import ConsistencyLevel
-from repro.cloudburst.consistency.protocols import SessionState, make_protocol
-from repro.cloudburst.sessions import (
+import repro.cloudburst.journal as journal_module
+from repro.cloudburst import ConsistencyLevel, Dag
+from repro.cloudburst.journal import (
     ATTEMPT_ABANDONED,
     ATTEMPT_COMPLETED,
     ATTEMPT_FAILED,
     ATTEMPT_IN_FLIGHT,
     FUNCTION_COMPLETED,
     FUNCTION_SCHEDULED,
+    MAX_RETRIES,
     SESSION_COMPLETED,
     SESSION_FAILED,
     SESSION_RUNNING,
     SessionJournal,
 )
+from repro.errors import DagExecutionError, ExecutorFailedError
+
+ONE = Dag("dag-a", ["f"])
+DIAMOND = Dag("diamond", ["source", "left", "right", "sink"],
+              [("source", "left"), ("source", "right"),
+               ("left", "sink"), ("right", "sink")])
 
 
-def _state(caches=()):
-    state = SessionState("s/session-0/attempt-0", make_protocol(ConsistencyLevel.LWW))
-    state.caches_involved.update(caches)
-    return state
+def _open(journal, name="dag-a", session=None, at_ms=10.0):
+    record = journal.open(dag_name=name, function_args={"f": [1, 2]},
+                          level=ConsistencyLevel.LWW, store_in_kvs=False,
+                          start_ms=10.0, session=session or object())
+    journal.apply(record, ONE, ("begin", at_ms))
+    return record
 
 
-def _open(journal, name="dag-a", session=None):
-    return journal.open(dag_name=name, function_args={"f": [1, 2]},
-                        level=ConsistencyLevel.LWW, store_in_kvs=False,
-                        start_ms=10.0, session=session or object())
+def _done(journal, record, name, finish_ms, dag=ONE, vm="vm-0", caches=()):
+    return journal.apply(record, dag, (
+        "done", record.current_attempt().execution_id, name, finish_ms,
+        f"{vm}:t0", vm, caches))
+
+
+def _fail(journal, record, reason="executor died", error=None, caches=()):
+    return journal.apply(record, ONE, (
+        "fail", record.current_attempt().execution_id, reason, error, caches))
 
 
 class TestLifecycle:
@@ -50,16 +67,15 @@ class TestLifecycle:
     def test_attempt_transitions(self):
         journal = SessionJournal("s")
         record = _open(journal)
-        attempt = journal.begin_attempt(record, at_ms=10.0)
+        attempt = record.current_attempt()
         assert attempt.status == ATTEMPT_IN_FLIGHT
-        journal.record_scheduled(record, "f")
+        assert journal.apply(record, ONE, ("start",)) == [("run", "f", 10.0)]
         assert attempt.function_status["f"] == FUNCTION_SCHEDULED
-        state = _state(["cache-1"])
-        journal.record_completed(record, "f", finish_ms=22.5,
-                                 thread_id="vm-0:t1", vm_id="vm-0", state=state)
+        effects = _done(journal, record, "f", 22.5, vm="vm-0", caches={"cache-1"})
+        assert effects == [("close", None, None), ("resolve", None)]
         assert attempt.function_status["f"] == FUNCTION_COMPLETED
         assert attempt.finish_ms["f"] == 22.5
-        assert attempt.placements["f"] == "vm-0:t1"
+        assert attempt.placements["f"] == "vm-0:t0"
         assert attempt.vms_used == ["vm-0"]
         assert attempt.caches_involved == ["cache-1"]
         assert record.uses_vm("vm-0") and not record.uses_vm("vm-9")
@@ -67,14 +83,14 @@ class TestLifecycle:
     def test_failure_retry_and_close(self):
         journal = SessionJournal("s")
         record = _open(journal)
-        journal.begin_attempt(record, at_ms=10.0)
-        journal.record_attempt_failure(record, "executor died", ATTEMPT_FAILED,
-                                       _state())
+        assert _fail(journal, record) == [("close", "executor died", "retry_of"),
+                                          ("retry",)]
         assert record.current_attempt().status == ATTEMPT_FAILED
         assert record.current_attempt().failure == "executor died"
-        assert journal.record_retry(record) == 1
-        journal.begin_attempt(record, at_ms=40.0)
-        journal.close(record, SESSION_COMPLETED)
+        assert record.retries == 1
+        journal.apply(record, ONE, ("begin", 40.0))
+        journal.apply(record, ONE, ("start",))
+        _done(journal, record, "f", 45.0)
         assert record.status == SESSION_COMPLETED
         assert record.current_attempt().status == ATTEMPT_COMPLETED
         assert journal.in_flight_count() == 0
@@ -87,19 +103,17 @@ class TestLifecycle:
     def test_a_failed_attempt_names_every_cache_it_touched(self):
         journal = SessionJournal("s")
         record = _open(journal)
-        journal.begin_attempt(record, at_ms=10.0)
-        journal.record_attempt_failure(record, "ValueError: boom", ATTEMPT_FAILED,
-                                       _state(["cache-b", "cache-a"]))
+        _fail(journal, record, "ValueError: boom", ValueError("boom"),
+              {"cache-b", "cache-a"})
         assert record.current_attempt().caches_involved == ["cache-a", "cache-b"]
 
     def test_crash_recovery_transitions(self):
         journal = SessionJournal("s")
         session = object()
         record = _open(journal, session=session)
-        journal.begin_attempt(record, at_ms=10.0)
-        journal.record_attempt_failure(record, "scheduler crash",
-                                       ATTEMPT_ABANDONED, _state())
-        journal.record_recovery(record)
+        effects = journal.apply(record, ONE, ("crash", ()))
+        assert effects == [("close", "scheduler crash", "recovered_from"),
+                           ("catch_up",), ("retry",)]
         assert record.current_attempt().status == ATTEMPT_ABANDONED
         assert record.recoveries == 1
         assert journal.recovered_sessions == 1
@@ -111,58 +125,131 @@ class TestLifecycle:
     def test_failed_close_removes_live_session(self):
         journal = SessionJournal("s")
         record = _open(journal)
-        journal.close(record, SESSION_FAILED)
+        error = ValueError("boom")
+        assert _fail(journal, record, "ValueError: boom", error) == [
+            ("close", "ValueError: boom", "retry_of"), ("resolve", error)]
         assert journal.live_sessions() == []
         assert journal.counts()[SESSION_FAILED] == 1
+
+
+class TestRetryBudget:
+    """The §4.5 budget: retryable failures only, and crashes spend none."""
+
+    def test_the_budget_is_spent_then_the_session_fails(self):
+        journal = SessionJournal("s")
+        record = _open(journal)
+        for retry in range(1, MAX_RETRIES + 1):
+            effects = _fail(journal, record, error=ExecutorFailedError("vm died"))
+            assert effects[-1] == ("retry",) and record.retries == retry
+            journal.apply(record, ONE, ("begin", 10.0 * retry))
+        effects = _fail(journal, record)
+        assert effects[0] == ("close", "executor died", "retry_of")
+        assert effects[1][0] == "resolve"
+        assert isinstance(effects[1][1], DagExecutionError)
+        assert str(effects[1][1]) == (
+            f"DAG 'dag-a' failed after {MAX_RETRIES + 1} attempts")
+        assert record.status == SESSION_FAILED
+
+    def test_an_application_error_is_not_retried(self):
+        journal = SessionJournal("s")
+        record = _open(journal)
+        effects = _fail(journal, record, error=KeyError("x"))
+        assert [effect[0] for effect in effects] == ["close", "resolve"]
+        assert record.retries == 0 and record.status == SESSION_FAILED
+
+    def test_crashes_spend_no_retry(self):
+        journal = SessionJournal("s")
+        record = _open(journal)
+        for crash in range(MAX_RETRIES + 3):
+            journal.apply(record, ONE, ("crash", ()))
+            journal.apply(record, ONE, ("begin", 10.0 + crash))
+        assert record.retries == 0 and record.recoveries == MAX_RETRIES + 3
+        assert _fail(journal, record)[-1] == ("retry",)
+
+
+class TestStaleEvents:
+    def test_events_of_a_superseded_attempt_change_nothing(self):
+        journal = SessionJournal("s")
+        record = _open(journal)
+        journal.apply(record, ONE, ("start",))
+        old = record.current_attempt().execution_id
+        _fail(journal, record)
+        journal.apply(record, ONE, ("begin", 40.0))
+        before = record.to_dict()
+        assert journal.apply(record, ONE, ("done", old, "f", 5.0, "t", "vm", ())) == []
+        assert journal.apply(record, ONE, ("fail", old, "late", None, ())) == []
+        assert record.to_dict() == before
+
+    def test_a_closed_session_takes_no_event(self):
+        journal = SessionJournal("s")
+        record = _open(journal)
+        _fail(journal, record, "ValueError: boom", ValueError("boom"))
+        before = record.to_dict()
+        live = record.current_attempt().execution_id
+        for event in [("begin", 1.0), ("start",), ("crash", ()),
+                      ("fail", live, "again", None, ()),
+                      ("done", live, "f", 1.0, "t", "vm", ())]:
+            assert journal.apply(record, ONE, event) == []
+        assert record.to_dict() == before
+
+    def test_a_second_start_and_an_unscheduled_done_yield_nothing(self):
+        journal = SessionJournal("s")
+        record = _open(journal)
+        assert _done(journal, record, "f", 1.0) == []
+        assert journal.apply(record, ONE, ("start",)) == [("run", "f", 10.0)]
+        assert journal.apply(record, ONE, ("start",)) == []
+        assert journal.apply(record, ONE, ("begin", 20.0)) == []
+        assert len(record.attempts) == 1
 
 
 class TestReadiness:
     """Fork/join readiness is read from the attempt record, not kept beside it."""
 
-    def _complete(self, journal, record, name, finish_ms):
-        journal.record_scheduled(record, name)
-        journal.record_completed(record, name, finish_ms, "vm-0:t0", "vm-0",
-                                 _state())
-
     def test_diamond_joins_at_the_slowest_upstream(self):
         journal = SessionJournal("s")
-        record = _open(journal)
-        attempt = journal.begin_attempt(record, at_ms=100.0)
+        record = _open(journal, at_ms=100.0)
+        attempt = record.current_attempt()
         assert attempt.ready_at([]) == 100.0
-        self._complete(journal, record, "source", 110.0)
-        assert attempt.ready_at(["source"]) == 110.0
-        self._complete(journal, record, "left", 150.0)
-        self._complete(journal, record, "right", 130.0)
+        assert journal.apply(record, DIAMOND, ("start",)) == [("run", "source", 100.0)]
+        assert _done(journal, record, "source", 110.0, DIAMOND) == [
+            ("run", "left", 110.0), ("run", "right", 110.0)]
+        assert _done(journal, record, "left", 150.0, DIAMOND) == []
+        assert _done(journal, record, "right", 130.0, DIAMOND) == [("run", "sink", 150.0)]
         assert attempt.ready_at(["left", "right"]) == 150.0
         # A finish time before the attempt started never pulls readiness back.
         assert attempt.ready_at([]) == 100.0
 
     def test_unfinished_upstream_raises(self):
         journal = SessionJournal("s")
-        record = _open(journal)
-        attempt = journal.begin_attempt(record, at_ms=0.0)
-        journal.record_scheduled(record, "ghost")
-        assert "ghost" in attempt.function_status
+        record = _open(journal, at_ms=0.0)
+        journal.apply(record, ONE, ("start",))
+        attempt = record.current_attempt()
+        assert "f" in attempt.function_status
         with pytest.raises(KeyError):
-            attempt.ready_at(["ghost"])
+            attempt.ready_at(["f"])
 
     def test_a_retry_starts_from_an_empty_attempt(self):
         journal = SessionJournal("s")
-        record = _open(journal)
-        first = journal.begin_attempt(record, at_ms=0.0)
-        self._complete(journal, record, "f", 5.0)
-        retry = journal.begin_attempt(record, at_ms=40.0)
-        assert first.finish_ms == {"f": 5.0}
+        record = _open(journal, at_ms=0.0)
+        first = record.current_attempt()
+        journal.apply(record, DIAMOND, ("start",))
+        _done(journal, record, "source", 5.0, DIAMOND)
+        _fail(journal, record)
+        journal.apply(record, DIAMOND, ("begin", 40.0))
+        retry = record.current_attempt()
+        assert first.finish_ms == {"source": 5.0}
         assert retry.function_status == {} and retry.finish_ms == {}
         assert retry.ready_at([]) == 40.0
+        assert journal.apply(record, DIAMOND, ("start",)) == [("run", "source", 40.0)]
 
 
 class TestQueries:
     def test_counts_and_in_flight(self):
         journal = SessionJournal("s")
         a, b, c = _open(journal), _open(journal), _open(journal)
-        journal.close(a, SESSION_COMPLETED)
-        journal.close(b, SESSION_FAILED)
+        journal.apply(a, ONE, ("start",))
+        _done(journal, a, "f", 11.0)
+        _fail(journal, b, "ValueError: boom", ValueError("boom"))
         counts = journal.counts()
         assert counts[SESSION_COMPLETED] == 1
         assert counts[SESSION_FAILED] == 1
@@ -175,20 +262,15 @@ class TestSerialization:
     def test_to_dict_is_json_round_trippable(self):
         journal = SessionJournal("scheduler-0")
         # A clean first-attempt completion is checkpointed: counted, not kept.
-        clean = _open(journal, name="dag-clean")
-        journal.begin_attempt(clean, at_ms=5.0)
-        journal.close(clean, SESSION_COMPLETED)
+        clean = _open(journal, name="dag-clean", at_ms=5.0)
+        journal.apply(clean, ONE, ("start",))
+        _done(journal, clean, "f", 6.0)
         # A session that needed a retry keeps its full record for the artifact.
         record = _open(journal)
-        journal.begin_attempt(record, at_ms=10.0)
-        journal.record_attempt_failure(record, "executor died", ATTEMPT_FAILED,
-                                       _state())
-        journal.record_retry(record)
-        journal.begin_attempt(record, at_ms=40.0)
-        journal.record_scheduled(record, "f")
-        state = _state()
-        journal.record_completed(record, "f", 45.0, "vm-1:t0", "vm-1", state)
-        journal.close(record, SESSION_COMPLETED)
+        _fail(journal, record)
+        journal.apply(record, ONE, ("begin", 40.0))
+        journal.apply(record, ONE, ("start",))
+        _done(journal, record, "f", 45.0, vm="vm-1")
         # Arbitrary user args must not leak into the dump — only their counts.
         _open(journal, name="dag-b", session=object())
         dump = json.loads(json.dumps(journal.to_dict()))
@@ -202,16 +284,19 @@ class TestSerialization:
         assert sessions["dag-a"]["function_arg_counts"] == {"f": 2}
         assert sessions["dag-a"]["level"] == "LWW"
         assert "function_args" not in sessions["dag-a"]
+        assert list(sessions["dag-a"]["attempts"][0]) == [
+            "execution_id", "started_ms", "status", "function_status",
+            "finish_ms", "placements", "vms_used", "caches_involved", "failure"]
 
 
 class TestCheckpoint:
-    """close() keeps only what recovery or a fault post-mortem can need."""
+    """apply() keeps only what recovery or a fault post-mortem can need."""
 
     def test_clean_completion_is_folded_into_the_counts(self):
         journal = SessionJournal("s")
         record = _open(journal)
-        journal.begin_attempt(record, at_ms=10.0)
-        journal.close(record, SESSION_COMPLETED)
+        journal.apply(record, ONE, ("start",))
+        _done(journal, record, "f", 11.0)
         assert journal.records() == []
         assert journal.counts()[SESSION_COMPLETED] == 1
         assert record.session_id not in {kept.session_id
@@ -221,13 +306,16 @@ class TestCheckpoint:
     def test_disturbed_sessions_keep_their_record(self, disturb):
         journal = SessionJournal("s")
         record = _open(journal)
-        journal.begin_attempt(record, at_ms=10.0)
-        if disturb == "retry":
-            journal.record_retry(record)
-        elif disturb == "recovery":
-            journal.record_recovery(record)
-        journal.close(record, SESSION_FAILED if disturb == "failure"
-                      else SESSION_COMPLETED)
+        if disturb == "failure":
+            _fail(journal, record, "ValueError: boom", ValueError("boom"))
+        else:
+            if disturb == "retry":
+                _fail(journal, record)
+            else:
+                journal.apply(record, ONE, ("crash", ()))
+            journal.apply(record, ONE, ("begin", 40.0))
+            journal.apply(record, ONE, ("start",))
+            _done(journal, record, "f", 45.0)
         assert journal.records() == [record]
         assert journal.in_flight_count() == 0
         # A closed session's recovery still counts: its record is kept.
@@ -238,8 +326,10 @@ class TestCheckpoint:
         kept = []
         for _ in range(50):
             record = _open(journal)
-            journal.record_retry(record)
-            journal.close(record, SESSION_COMPLETED)
+            _fail(journal, record)
+            journal.apply(record, ONE, ("begin", 40.0))
+            journal.apply(record, ONE, ("start",))
+            _done(journal, record, "f", 45.0)
             kept.append(record)
         live_session = object()
         live = _open(journal, session=live_session)
@@ -248,3 +338,39 @@ class TestCheckpoint:
                 if record.status == SESSION_RUNNING] == [live]
         assert journal.in_flight_count() == 1
         assert journal.live_sessions() == [live_session]
+
+    def test_a_twice_recovered_session_counts_twice(self):
+        journal = SessionJournal("s")
+        record = _open(journal)
+        for at_ms in (20.0, 30.0):
+            journal.apply(record, ONE, ("crash", ()))
+            journal.apply(record, ONE, ("begin", at_ms))
+        assert journal.recovered_sessions == 2
+        assert journal.counts()["recovered"] == 2
+
+
+def test_the_core_imports_nothing_that_runs():
+    """The journal names nothing from the simulator, tracing, the scheduler,
+    the protocols or the cache: it is driven without an engine."""
+    forbidden = ("repro.sim", "repro.obs", "repro.cloudburst.scheduler",
+                 "repro.cloudburst.consistency.protocols", "repro.cloudburst.cache")
+    tree = ast.parse(Path(journal_module.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # resolve ``from ..x import y`` against the package
+                package = "repro.cloudburst".split(".")
+                base = ".".join(package[:len(package) - node.level + 1]
+                                + ([base] if base else []))
+            imported += [base] + [f"{base}.{alias.name}" for alias in node.names]
+    assert imported, "the test must see the module's imports"
+    assert not [name for name in imported
+                if any(name == bad or name.startswith(bad + ".")
+                       for bad in forbidden)]
+    # The relative imports resolve to what the module really imports.
+    assert "repro.errors" in imported
+    assert "repro.cloudburst.consistency.levels" in imported
+
