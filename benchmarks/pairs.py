@@ -13,9 +13,11 @@ Each pair runs ``benchmarks/perf/run.py --workload W --seed 0 --seconds 10``
 once in each checkout; the parent goes first in even pairs and the change in
 odd ones, so a drift in the host's speed lands on both sides.
 
-The report is the host-speed protocol of ROADMAP item 5: each pair's ratio of
-``sim_req_per_host_s`` (change / parent), the change's wins, both medians and
-the parent's quartile distance, then the median of every other end-to-end
+The report is the host-speed protocol of ROADMAP item 5, for every host
+metric ``BENCHMARK.json`` declares (``sim_req_per_host_s``, ``setup_s``,
+``peak_rss_mb``): each pair's ratio (change / parent), the change's wins
+(higher or lower, as the metric's ``better`` says), both medians and the
+parent's quartile distance; then the median of every other end-to-end
 metric on each side, with the parent's quartile distance — one report per
 workload, the workloads paired one after another.  Virtual-time results
 repeat exactly for a seed, so the command exits 1 if any ``virt_*`` metric
@@ -45,10 +47,21 @@ Metrics = Dict[str, float]
 Pair = Tuple[Metrics, Metrics]
 
 
+def _declared() -> dict:
+    return json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+
+
 def benchmark_workloads() -> List[str]:
     """The workloads ``BENCHMARK.json`` declares, in its order."""
-    declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
-    return [workload["name"] for workload in declared["workloads"]]
+    return [workload["name"] for workload in _declared()["workloads"]]
+
+
+def host_metrics() -> Dict[str, bool]:
+    """Each host end-to-end metric ``BENCHMARK.json`` declares, in its
+    order: whether higher is better."""
+    return {metric["name"]: metric["better"] == "higher"
+            for metric in _declared()["end_to_end"]
+            if not metric["name"].startswith("virt_")}
 
 
 def workloads(requested: Sequence[str]) -> List[str]:
@@ -98,20 +111,38 @@ def quartile_distance(values: Sequence[float]) -> float:
     return third - first
 
 
-def summarize(pairs: Sequence[Pair]) -> dict:
-    """The protocol's numbers for ``(parent, change)`` metric values per pair."""
-    parent = [p[HOST_METRIC] for p, _ in pairs]
-    change = [c[HOST_METRIC] for _, c in pairs]
+def compare(parent: Sequence[float], change: Sequence[float], higher: bool) -> dict:
+    """One host metric over the pairs: per-pair ratios (change / parent), the
+    change's wins, both medians, the parent's quartile distance, and
+    whether the median gain exceeds it (``higher``: higher is better)."""
     parent_median, change_median = statistics.median(parent), statistics.median(change)
     spread = quartile_distance(parent)
-    names = [name for name in pairs[0][0] if name != HOST_METRIC]
+    gain = change_median - parent_median if higher else parent_median - change_median
     return {
         "ratios": [c / p for p, c in zip(parent, change)],
-        "wins": sum(1 for p, c in zip(parent, change) if c > p),
+        "wins": sum(1 for p, c in zip(parent, change) if (c > p if higher else c < p)),
         "parent_median": parent_median,
         "change_median": change_median,
         "parent_quartile_distance": spread,
-        "beats_spread": change_median - parent_median > spread,
+        "beats_spread": gain > spread,
+    }
+
+
+def summarize(pairs: Sequence[Pair]) -> dict:
+    """The protocol's numbers for ``(parent, change)`` metric values per pair.
+
+    The top level is the claimed metric's :func:`compare`; ``host`` holds
+    every host metric's; ``medians`` every metric's but the claimed one.
+    """
+    def sides(name):
+        return [p[name] for p, _ in pairs], [c[name] for _, c in pairs]
+
+    host = {name: compare(*sides(name), higher)
+            for name, higher in host_metrics().items() if name in pairs[0][0]}
+    names = [name for name in pairs[0][0] if name != HOST_METRIC]
+    return {
+        **host[HOST_METRIC],
+        "host": host,
         "medians": {name: (statistics.median(p[name] for p, _ in pairs),
                            statistics.median(c[name] for _, c in pairs),
                            quartile_distance([p[name] for p, _ in pairs]))
@@ -123,20 +154,24 @@ def summarize(pairs: Sequence[Pair]) -> dict:
 
 def report(summary: dict, workload: str) -> str:
     pairs = len(summary["ratios"])
-    lines = [f"{workload}: {pairs} alternating pairs, {HOST_METRIC} change / parent"]
-    lines += [f"  pair {index:>2}: x{ratio:.3f}"
-              for index, ratio in enumerate(summary["ratios"], start=1)]
-    lines += [
-        f"  wins: {summary['wins']}/{pairs}",
-        f"  medians: parent {summary['parent_median']:.1f}, "
-        f"change {summary['change_median']:.1f} "
-        f"(x{summary['change_median'] / summary['parent_median']:.3f})",
-        f"  parent quartile distance: {summary['parent_quartile_distance']:.1f} "
-        f"({'beaten' if summary['beats_spread'] else 'NOT beaten'} by the median gain)",
-    ]
+    lines = [f"{workload}: {pairs} alternating pairs, change / parent"]
+    for name, host in summary["host"].items():
+        lines.append(f"  {name} ({'higher' if host_metrics()[name] else 'lower'} "
+                     f"is better):")
+        lines += [f"    pair {index:>2}: x{ratio:.3f}"
+                  for index, ratio in enumerate(host["ratios"], start=1)]
+        lines += [
+            f"    wins: {host['wins']}/{pairs}",
+            f"    medians: parent {host['parent_median']:.6g}, "
+            f"change {host['change_median']:.6g} "
+            f"(x{host['change_median'] / host['parent_median']:.3f})",
+            f"    parent quartile distance: {host['parent_quartile_distance']:.3g} "
+            f"({'beaten' if host['beats_spread'] else 'NOT beaten'} by the median gain)",
+        ]
     for name, (parent, change, spread) in summary["medians"].items():
-        lines.append(f"  {name:<22} parent {parent:.6g} (quartile distance "
-                     f"{spread:.3g})  change {change:.6g}  x{change / parent:.4f}")
+        if name not in summary["host"]:
+            lines.append(f"  {name:<22} parent {parent:.6g} (quartile distance "
+                         f"{spread:.3g})  change {change:.6g}  x{change / parent:.4f}")
     if summary["virt_differs"]:
         lines.append(f"  VIRTUAL RESULTS DIFFER: {', '.join(summary['virt_differs'])}")
     return "\n".join(lines)

@@ -244,7 +244,9 @@ def bench_tracing_overhead(requests: int = 8_000, sites_per_request: int = 12,
     first, and the overhead is the median of the per-pair guarded/bare
     ratios: host drift between two separate blocks of loops would read as
     overhead.  ``bare_seconds`` and ``guarded_seconds`` are the median loop
-    times of each side.
+    times of each side.  One untimed bare/guarded pair runs first: in a
+    fresh process the first loops read up to 20% apart while the
+    interpreter warms, and later ones read 0-2% (DESIGN.md DR-30).
     """
     from ..obs import Tracer
 
@@ -281,6 +283,8 @@ def bench_tracing_overhead(requests: int = 8_000, sites_per_request: int = 12,
         engine.run()
         return time.process_time() - started
 
+    run_once(False)
+    run_once(True)
     bare: List[float] = []
     guarded: List[float] = []
     for index in range(pairs):

@@ -27,6 +27,7 @@ from .consistency.levels import ConsistencyLevel
 from .dag import DagRegistry
 from .executor import EXECUTOR_METRICS_PREFIX, ExecutorThread, ExecutorVM
 from .messaging import MessageRouter
+from .policy import IdleRoster
 from .scheduler import DEFAULT_FAULT_TIMEOUT_MS, Scheduler
 
 #: Replicas of every Anna key (k-fault tolerance, §2.2).
@@ -88,6 +89,9 @@ class CloudburstCluster:
         #: threads are only created with their VM, and the roster never
         #: shrinks, so this is filled in :meth:`add_vm` and nowhere else.
         self.threads_by_id: Dict[str, ExecutorThread] = {}
+        #: The live threads and the §4.3 spill's idle pool, kept by every
+        #: queue write and ``alive`` write (``policy.IdleRoster``).
+        self.roster = IdleRoster()
         self._vm_sequence = 0
         for _ in range(executor_vms):
             self.add_vm(publish_metrics=False)
@@ -113,6 +117,7 @@ class CloudburstCluster:
         self.vms.append(vm)
         for thread in vm.threads:
             self.threads_by_id[thread.thread_id] = thread
+        self.roster.add_vm(vm)
         if publish_metrics:
             vm.publish_metrics()
         return vm
@@ -223,8 +228,7 @@ class CloudburstCluster:
     def live_thread_count(self) -> int:
         """Alive threads on alive VMs — the capacity signal every layer shares
         (scheduler placement, the compute autoscaler, the load driver)."""
-        return sum(1 for vm in self.vms if vm.alive
-                   for thread in vm.threads if thread.alive)
+        return len(self.roster.live)
 
     def total_invocations(self) -> int:
         return sum(vm.invocation_count() for vm in self.vms)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import inspect
 import weakref
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..anna import AnnaCluster
@@ -206,11 +207,20 @@ class ExecutorThread:
         self.vm = vm
         self._function_cache: Dict[str, Callable] = {}
         self.invocation_count = 0
-        self.alive = True
+        self._alive = True
         #: Wraps this thread's writes; LWW timestamps carry its id (§5.2).
         self.encapsulator = LatticeEncapsulator(thread_id, vm.consistency_level)
         #: Bounded FIFO work queue every charged invocation waits in.
         self.work_queue = WorkQueue(bound=WORK_QUEUE_BOUND, label=thread_id)
+
+    def _set_alive(self, alive: bool) -> None:
+        self._alive = alive
+        if self.vm.roster is not None:
+            self.vm.roster.refresh(self.vm)
+
+    #: False once drained or failed.  Every write reaches the cluster's idle
+    #: roster, whoever makes it; the read is a C-level getter.
+    alive = property(attrgetter("_alive"), _set_alive)
 
     # -- conveniences delegating to the VM ------------------------------------------
     @property
@@ -348,11 +358,21 @@ class ExecutorVM:
         self.cache = ExecutorCache(f"cache-{vm_id}", self.kvs,
                                    peer_registry=cluster.cache_registry)
         self.threads: List[ExecutorThread] = []
-        self.alive = True
+        self._alive = True
+        #: The cluster's idle roster, once it holds this VM (``add_vm``).
+        self.roster = None
         for index in range(threads_per_vm):
             thread = ExecutorThread(f"{vm_id}:{index}", self)
             self.threads.append(thread)
             self.router.register_thread(thread.thread_id)
+
+    def _set_alive(self, alive: bool) -> None:
+        self._alive = alive
+        if self.roster is not None:
+            self.roster.refresh(self)
+
+    #: Like :attr:`ExecutorThread.alive`: every write reaches the roster.
+    alive = property(attrgetter("_alive"), _set_alive)
 
     # -- lifecycle ------------------------------------------------------------------
     def fail(self) -> None:

@@ -26,12 +26,217 @@ schedulers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_left, bisect_right, insort
+from math import inf
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .references import CloudburstReference, extract_references
 
 #: Executors above this utilization are avoided by the scheduling policy (§4.3).
 OVERLOAD_THRESHOLD = 0.70
+
+
+class IdleRoster:
+    """The §4.3 spill's idle pool, kept by the writes that change it.
+
+    One per cluster.  :meth:`add_vm` fills it in roster order — VM order,
+    then thread order; a thread's index in that order is its *position* —
+    and two kinds of write feed it, nothing else: each executor thread's
+    :class:`~repro.sim.WorkQueue` tells it of every ``admit`` and
+    ``release`` (the queue's ``watcher``), and every ``alive`` write of a
+    thread or a VM calls :meth:`refresh`.  What it keeps is a function of
+    those writes and of ``now_ms``:
+
+    * ``live`` — the live threads (alive, on an alive VM), in roster order;
+    * ``idle`` — the live threads whose queue is idle at ``now_ms``, in
+      roster order;
+    * every queue not in service, sorted by ``(next_free_ms, position)``;
+    * the queues in service;
+    * each queue's second-latest end, sorted the same way;
+    * each VM's live and idle counts, and the VMs that hold both a busy
+      and an idle live thread, grouped by their ``(busy, live)`` counts.
+
+    A placement at ``now_ms`` moves the roster to that time, forward or
+    back, flipping only the threads whose queue frees between the two
+    times (:meth:`idle_pool`).  Nothing a placement derives is kept.
+    """
+
+    def __init__(self):
+        #: Live threads, in roster order; ``_live_at`` holds their positions.
+        self.live: List = []
+        self._live_at: List[int] = []
+        #: Live threads idle at ``now_ms``, in roster order.
+        self.idle: List = []
+        self._idle_at: List[int] = []
+        self.now_ms = 0.0
+        # By position: the thread, whether it is live, its queue's last end
+        # (``next_free_ms``) and second-latest end (None below two ends).
+        self._threads: List = []
+        self._live_flags: List[bool] = []
+        self._free_ms: List[float] = []
+        self._second_ms: List[Optional[float]] = []
+        self._positions: Dict[object, int] = {}  # work queue -> position
+        self._spans: Dict[object, range] = {}  # VM -> its threads' positions
+        # Sorted ``(end, position)``: each queue not in service by its last
+        # end, each queue with two ends by its second-latest one.
+        self._free: List[Tuple[float, int]] = []
+        self._second: List[Tuple[float, int]] = []
+        self._in_service: Set[int] = set()
+        # By VM: live and idle live threads; the VMs with both busy and idle
+        # live threads under their ``(busy, live)`` counts.
+        self._live_count: Dict[object, int] = {}
+        self._idle_count: Dict[object, int] = {}
+        self._mix: Dict[object, Optional[Tuple[int, int]]] = {}
+        self._mixed: Dict[Tuple[int, int], Set[object]] = {}
+
+    # -- the writes ---------------------------------------------------------
+    def add_vm(self, vm) -> None:
+        """Append a newly built VM's threads (their queues are fresh)."""
+        first = len(self._threads)
+        for position, thread in enumerate(vm.threads, start=first):
+            queue = thread.work_queue
+            self._threads.append(thread)
+            self._live_flags.append(False)
+            self._free_ms.append(queue.next_free_ms)
+            self._second_ms.append(None)
+            self._positions[queue] = position
+            insort(self._free, (queue.next_free_ms, position))
+            queue.watcher = self
+        self._spans[vm] = range(first, len(self._threads))
+        self._live_count[vm] = self._idle_count[vm] = 0
+        self._mix[vm] = None
+        vm.roster = self
+        self.refresh(vm)
+
+    def refresh(self, vm) -> None:
+        """Re-read the liveness of ``vm`` and its threads after an ``alive`` write."""
+        vm_alive = vm.alive
+        for position in self._spans[vm]:
+            live = vm_alive and self._threads[position].alive
+            if live == self._live_flags[position]:
+                continue
+            self._live_flags[position] = live
+            index = bisect_left(self._live_at, position)
+            if live:
+                self._live_at.insert(index, position)
+                self.live.insert(index, self._threads[position])
+                self._live_count[vm] += 1
+            else:
+                del self._live_at[index], self.live[index]
+                self._live_count[vm] -= 1
+            if (position not in self._in_service
+                    and self._free_ms[position] <= self.now_ms):  # idle
+                self._flip(position, live)
+            else:
+                self._regroup(vm)
+
+    def admitted(self, queue) -> None:
+        """``queue`` admitted an item: it is in service, so busy at any time."""
+        position = self._positions[queue]
+        free_ms = self._free_ms[position]
+        del self._free[bisect_left(self._free, (free_ms, position))]
+        if self._live_flags[position] and free_ms <= self.now_ms:
+            self._flip(position, False)
+        self._in_service.add(position)
+
+    def released(self, queue) -> None:
+        """``queue`` released its item: it is free from its new last end."""
+        position = self._positions[queue]
+        self._in_service.remove(position)
+        prior_ms = self._free_ms[position]
+        free_ms = self._free_ms[position] = queue.next_free_ms
+        insort(self._free, (free_ms, position))
+        if queue.completed > 1:  # ``prior_ms`` is the end before this one
+            second = self._second
+            second_ms = self._second_ms[position]
+            if second_ms is not None:
+                del second[bisect_left(second, (second_ms, position))]
+            self._second_ms[position] = prior_ms
+            insort(second, (prior_ms, position))
+        if self._live_flags[position] and free_ms <= self.now_ms:
+            self._flip(position, True)
+
+    # -- the read -----------------------------------------------------------
+    def idle_pool(self, load: "LoadView") -> List:
+        """Every idle live thread at ``load.now_ms`` whose VM is not
+        overloaded, in roster order: ``idle`` itself when no VM is.
+
+        A VM is overloaded exactly when ``(1.0 if depth >= alive else
+        depth / alive) > OVERLOAD_THRESHOLD`` (:meth:`ExecutorVM.load
+        <repro.cloudburst.executor.ExecutorVM.load>`), ``depth`` summed over
+        its busy live queues.  Only a VM with an idle live thread matters,
+        so ``busy < alive``; and each busy queue holds at least one item, so
+        ``depth >= busy``.  Where no queue of the VM holds two items at
+        ``now_ms``, ``depth`` *is* ``busy`` and the counts decide.  A queue
+        holds two exactly when its second-latest end is after ``now_ms``, or
+        it is in service and its last end is; only such a queue's VM has
+        its load read, through ``load``, under the same test.  The returned
+        list is the roster's own when nothing is excluded: read it before
+        the next queue write.
+        """
+        now_ms = load.now_ms
+        self._move(now_ms)
+        excluded: Set[object] = set()
+        for (busy, alive), vms in self._mixed.items():
+            if vms and busy / alive > OVERLOAD_THRESHOLD:
+                excluded |= vms
+        second = self._second
+        deep = []
+        if second and second[-1][0] > now_ms:
+            deep = [position for _, position
+                    in second[bisect_right(second, (now_ms, inf)):]]
+        if self._in_service:
+            deep += [position for position in self._in_service
+                     if self._threads[position].work_queue.next_free_ms > now_ms]
+        for position in deep:
+            vm = self._threads[position].vm
+            if (self._live_flags[position] and self._idle_count[vm]
+                    and vm not in excluded and load.vm_load(vm)[0]):
+                excluded.add(vm)
+        if not excluded:
+            return self.idle
+        return [thread for thread in self.idle if thread.vm not in excluded]
+
+    # -- upkeep -------------------------------------------------------------
+    def _move(self, now_ms: float) -> None:
+        """Take ``idle`` at ``now_ms``: flip the live queues that free between."""
+        then_ms = self.now_ms
+        if now_ms == then_ms:
+            return
+        self.now_ms = now_ms
+        free, live = self._free, self._live_flags
+        later = now_ms > then_ms
+        low, high = (then_ms, now_ms) if later else (now_ms, then_ms)
+        for _, position in free[bisect_right(free, (low, inf)):
+                                bisect_right(free, (high, inf))]:
+            if live[position]:
+                self._flip(position, later)
+
+    def _flip(self, position: int, idle: bool) -> None:
+        """A live thread turns idle (or busy) at ``now_ms``."""
+        thread = self._threads[position]
+        index = bisect_left(self._idle_at, position)
+        if idle:
+            self._idle_at.insert(index, position)
+            self.idle.insert(index, thread)
+            self._idle_count[thread.vm] += 1
+        else:
+            del self._idle_at[index], self.idle[index]
+            self._idle_count[thread.vm] -= 1
+        self._regroup(thread.vm)
+
+    def _regroup(self, vm) -> None:
+        """File ``vm`` under its ``(busy, live)`` counts if it is mixed."""
+        alive, idle = self._live_count[vm], self._idle_count[vm]
+        busy = alive - idle
+        mix = (busy, alive) if busy and idle else None
+        old = self._mix[vm]
+        if mix != old:
+            if old is not None:
+                self._mixed[old].discard(vm)
+            if mix is not None:
+                self._mixed.setdefault(mix, set()).add(vm)
+            self._mix[vm] = mix
 
 
 class LoadView:
@@ -43,8 +248,8 @@ class LoadView:
     per busy thread) is taken the first time one of its threads is asked
     about, and the §4.3 spill pool is one pass over the VM roster, made at
     most once.  The pool's idle part, which a spilled placement draws from,
-    is its own pass (:meth:`idle_spill_pool`) that reads a load only where
-    the answer could differ.
+    is the cluster's :class:`IdleRoster` (:meth:`idle_spill_pool`), which
+    reads a load only where the answer could differ.
     """
 
     __slots__ = ("scheduler", "now_ms", "_vm_loads", "_spill_pool")
@@ -97,48 +302,10 @@ class LoadView:
         return [t for t in threads if not t.work_queue.busy_at(now_ms)]
 
     def idle_spill_pool(self) -> List:
-        """``idle(spill_pool())`` in one pass, each live queue asked once.
-
-        An idle thread is never full (a bound is positive), so the pool is
-        every idle live thread whose VM is not overloaded, in roster order.
-        A VM with no idle live thread adds nothing whatever its load; one
-        whose live threads are all idle has utilization 0, so neither needs
-        its load.  Only a VM holding both sums the depths of its busy live
-        queues — unless this placement already read its load — and applies
-        :meth:`~repro.cloudburst.executor.ExecutorVM.load`'s own test.
-        """
-        now_ms = self.now_ms
-        pool, busy = [], []
-        for vm in self.scheduler.vms:
-            if not vm.alive:
-                continue
-            # The VM's idle live threads go into the pool as they are found
-            # and come back out if its busy live queues overload it.
-            start = len(pool)
-            for thread in vm.threads:
-                if thread.alive:
-                    queue = thread.work_queue
-                    if queue.busy_at(now_ms):
-                        busy.append(queue)
-                    else:
-                        pool.append(thread)
-            if busy:
-                idle = len(pool) - start
-                if idle:
-                    read = self._vm_loads.get(vm)
-                    if read is None:
-                        depth = 0
-                        for queue in busy:
-                            depth += queue.depth(now_ms)
-                        alive = idle + len(busy)
-                        overloaded = (1.0 if depth >= alive
-                                      else depth / alive) > OVERLOAD_THRESHOLD
-                    else:
-                        overloaded = read[0]
-                    if overloaded:
-                        del pool[start:]
-                busy = []
-        return pool
+        """``idle(spill_pool())``: every idle live thread whose VM is not
+        overloaded, in roster order, as the cluster's :class:`IdleRoster`
+        keeps it (an idle thread is never full: a bound is positive)."""
+        return self.scheduler.roster.idle_pool(self)
 
 
 class PlacementPolicy:

@@ -63,6 +63,7 @@ class Scheduler:
         self.engine = cluster.engine
         self.vms = cluster.vms  # the cluster's roster, not a copy
         self.threads_by_id = cluster.threads_by_id  # ditto, keyed by thread id
+        self.roster = cluster.roster  # its live threads and idle pool
         self.dag_registry = cluster.dag_registry
         self.latency_model = cluster.latency_model
         self.rng = cluster.rng.spawn(scheduler_id)
@@ -288,5 +289,5 @@ class Scheduler:
 
     # -- helpers ----------------------------------------------------------------------------
     def _live_threads(self) -> List[ExecutorThread]:
-        return [thread for vm in self.vms if vm.alive
-                for thread in vm.threads if thread.alive]
+        """The roster's own list of live threads, in roster order (read only)."""
+        return self.roster.live

@@ -388,10 +388,15 @@ class WorkQueue:
     Because callers execute synchronously between ``admit`` and ``release``,
     per-queue busy intervals are appended in non-decreasing order, which keeps
     every metric query a binary search.
+
+    ``watcher``, when set, is told of every ``admit`` and ``release``
+    (``watcher.admitted(queue)`` / ``watcher.released(queue)``, after the
+    queue has changed): an executor thread's queue tells the cluster's
+    idle roster (``repro.cloudburst.policy.IdleRoster``).
     """
 
     __slots__ = ("bound", "label", "next_free_ms", "busy_ms", "completed",
-                 "_ends", "_in_service_start")
+                 "watcher", "_ends", "_in_service_start")
 
     def __init__(self, bound: Optional[int] = None, label: str = ""):
         if bound is not None and bound <= 0:
@@ -401,6 +406,7 @@ class WorkQueue:
         self.next_free_ms = 0.0
         self.busy_ms = 0.0
         self.completed = 0
+        self.watcher = None
         self._ends: List[float] = []
         self._in_service_start: Optional[float] = None
 
@@ -411,6 +417,8 @@ class WorkQueue:
             raise RuntimeError(f"work queue {self.label!r} admitted re-entrantly")
         start = max(float(arrival_ms), self.next_free_ms)
         self._in_service_start = start
+        if self.watcher is not None:
+            self.watcher.admitted(self)
         return start
 
     def release(self, end_ms: float) -> None:
@@ -424,6 +432,8 @@ class WorkQueue:
         self.busy_ms += end - start
         self.completed += 1
         self._ends.append(end)
+        if self.watcher is not None:
+            self.watcher.released(self)
 
     # -- metrics -----------------------------------------------------------
     def busy_at(self, at_ms: float) -> bool:

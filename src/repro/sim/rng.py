@@ -103,11 +103,14 @@ class ZipfGenerator:
             map(pow, range(1, self.n_items + 1), repeat(self.coefficient)),
             np.float64, self.n_items)
         np.divide(1.0, weights, out=weights)
-        running = np.add.accumulate(weights)
+        # The running sums are built in the table's own buffer: no second
+        # array, and no copy of one.
+        self._cumulative = array("d", bytes(8 * self.n_items))
+        running = np.frombuffer(self._cumulative, np.float64)
+        np.add.accumulate(weights, out=running)
         np.divide(weights, running[-1], out=weights)  # running[-1]: the total
         np.add.accumulate(weights, out=running)
         running[-1] = 1.0
-        self._cumulative = array("d", running.tobytes())
 
     def next(self) -> int:
         """Draw one item index; rank 0 is the hottest item."""

@@ -6,9 +6,10 @@ an O(1) answer for a free server.  None of it may change a decision: for any
 load state both policies must return the thread the reference bodies in
 ``tests/reference_placement.py`` return, draw from ``scheduler.rng`` the same
 number of times and count the same locality hits and misses.  The structural
-test at the end pins the *shape*: one spilled placement reads each thread's
-depth once and each VM's load once, so the quadratic loop cannot come back
-behind a green differential test.
+test at the end pins the *shape*: a spilled placement reads only queues
+written since the previous placement, and a VM's load only where a queue of
+depth two or more could tip it, so the walk over every thread cannot come
+back behind a green differential test.
 
 DR-14 cut the spill further — ``ExecutorVM.load`` asks a queue for its depth
 only when ``busy_at`` says it holds something, ``LoadView.spill_pool`` filters
@@ -16,6 +17,11 @@ through ``full`` only where something is full — under one more invariant: the
 VM keeps no copy of queue state, because work reaches a queue without passing
 through its VM (``bench/ablations.py`` admits directly).  Every queue here is
 loaded that way, so a mirror would read stale in each differential test.
+
+DR-30 keeps the spill's idle pool in the cluster's ``IdleRoster``, which the
+queues themselves feed on every ``admit`` and ``release``; each drawn state
+is built through the public API (``add_vm(threads=n)``), so the roster holds
+exactly the drawn threads.
 """
 
 from collections import Counter
@@ -88,14 +94,19 @@ def _drawn_limits(state):
 
 
 def _build(state):
-    """A cluster in the drawn load state and the candidates to place over."""
-    threads_per_vm = max(len(vm["threads"]) for vm in state["vms"])
+    """A cluster in the drawn load state and the candidates to place over.
+
+    Each VM is built with its drawn thread count (``add_vm(threads=n)``),
+    so the cluster's idle roster holds exactly the drawn threads.
+    """
+    first, *rest = state["vms"]
     cluster = CloudburstCluster(
-        executor_vms=len(state["vms"]), threads_per_vm=threads_per_vm,
+        executor_vms=1, threads_per_vm=len(first["threads"]),
         anna_nodes=2, seed=1)
+    for drawn in rest:
+        cluster.add_vm(threads=len(drawn["threads"]))
     index = cluster.kvs.cache_index
     for vm, drawn in zip(cluster.vms, state["vms"]):
-        del vm.threads[len(drawn["threads"]):]
         for thread, spec in zip(vm.threads, drawn["threads"]):
             at_ms = 0.0
             for gap_ms, service_ms in spec["history"]:
@@ -282,7 +293,7 @@ def test_both_policies_place_like_the_reference_at_the_edges(state):
 def test_load_asks_the_queues_every_time():
     """No VM-side mirror: work admitted straight to a queue shows at once."""
     with mock.patch("repro.cloudburst.executor.WORK_QUEUE_BOUND", 2):
-        cluster = CloudburstCluster(executor_vms=2, threads_per_vm=3, seed=3)
+        cluster = CloudburstCluster(executor_vms=1, threads_per_vm=3, seed=3)
     vm = cluster.vms[0]
     first, second, _ = vm.threads
     assert vm.load(0.0) == (0.0, [])
@@ -294,7 +305,6 @@ def test_load_asks_the_queues_every_time():
     assert vm.load(9.0) == reference.load(vm, 9.0) == (1 / 3, [])
     # ...and the next placement sees it: the only idle thread of the VM.
     scheduler = cluster.schedulers[0]
-    scheduler.vms = [vm]
     assert scheduler.pick_executor("f", [1], 1.0) is vm.threads[2]
 
 
@@ -304,41 +314,54 @@ def test_each_shipped_policy_defines_its_own_pick():
         assert vars(policy)["pick"] is not PlacementPolicy.pick
 
 
-def test_a_spilled_placement_reads_each_queue_and_each_vm_once(monkeypatch):
-    """One pin, busy: the placement spills over all N live threads.
+def _touched_spill(policy):
+    """A 22-thread cluster placed once at 10 ms, then written to; returns
+    ``(scheduler, pin, touched queues, the VMs holding a depth-2 queue)``.
 
-    The parent re-summed a VM's queues for every thread on it, twice (the
-    unsaturated pool and the idle filter): 3 * 2 * N depth reads plus the
-    ``is_full`` reads.  DR-13/14 cut that to one load computation per VM and
-    a depth read per busy queue.  Since DR-25 the spill's idle pool is one
-    pass that asks each live queue ``busy_at`` once and reads a load only
-    where it could matter: a depth for each busy live queue on a VM that also
-    has an idle live thread, and for no other queue; ``ExecutorVM.load`` only
-    for the pinned VM the unsaturated test already read.  Pinned here with
-    counting wrappers and no timing, for the pinned and the unrestricted
-    placement.
+    Every queue ends an item at 1 ms before the first placement.  After it,
+    at 12 ms: the pin is busy and its VM's other threads finished short
+    items; vm-3 holds two reservations on one thread (utilization 2/3,
+    kept); vm-4 has one thread in service with a later reservation and one
+    busy (utilization 1.0, dropped though only two of three are busy); the
+    4-thread vm-6 has three busy threads (3/4 > 0.7 from the counts alone)
+    and an idle one nobody touched; the other VMs are as they were.
     """
     cluster = CloudburstCluster(executor_vms=6, threads_per_vm=3, seed=3)
+    cluster.add_vm(threads=4)
     scheduler = cluster.schedulers[0]
-    live = scheduler._live_threads()
-    pin = live[4]
-    pin.work_queue.release(pin.work_queue.admit(0.0) + 50.0)
-    # History on every queue, so a depth read past the end would bisect; two
-    # more busy at placement time, one of them only in service.
-    for thread in live:
-        if thread is not pin:
-            thread.work_queue.release(thread.work_queue.admit(0.0) + 1.0)
-    live[9].work_queue.release(live[9].work_queue.admit(5.0) + 20.0)
-    live[13].work_queue.admit(5.0)
-    # A VM with no idle thread adds nothing, and a drained thread is never
-    # asked: neither may cost a depth read.
-    for thread in live[15:18] + [live[8]]:
-        thread.work_queue.release(thread.work_queue.admit(5.0) + 20.0)
-    live[8].alive = False
-    live = scheduler._live_threads()
-    mixed_busy = [pin.work_queue, live[8].work_queue, live[12].work_queue]
-    assert [q.label for q in mixed_busy] == ["vm-1:1", "vm-3:0", "vm-4:1"]
+    scheduler.placement_policy = policy
+    for thread in scheduler._live_threads():
+        thread.work_queue.release(thread.work_queue.admit(0.0) + 1.0)
+    scheduler.pick_executor("f", [1], 10.0)  # the previous placement
 
+    def item(thread, start_ms, end_ms):
+        thread.work_queue.release(thread.work_queue.admit(start_ms) + end_ms - start_ms)
+        return thread.work_queue
+
+    vm = {v.vm_id: v.threads for v in cluster.vms}
+    pin = vm["vm-1"][1]
+    touched = {item(pin, 10.0, 60.0), item(vm["vm-1"][0], 10.0, 11.0),
+               item(vm["vm-1"][2], 10.0, 11.0)}
+    touched |= {item(vm["vm-3"][0], 10.0, 15.0), item(vm["vm-3"][0], 15.0, 20.0),
+                item(vm["vm-3"][1], 10.0, 11.0), item(vm["vm-3"][2], 10.0, 11.0)}
+    touched |= {item(vm["vm-4"][0], 10.0, 14.0), item(vm["vm-4"][1], 10.0, 13.0),
+                item(vm["vm-4"][2], 10.0, 11.0)}
+    vm["vm-4"][0].work_queue.admit(12.0)  # in service, a reservation to 14
+    touched |= {item(thread, 10.0, 30.0) for thread in vm["vm-6"][:3]}
+    return scheduler, pin, touched, [cluster.vm("vm-3"), cluster.vm("vm-4")]
+
+
+def test_a_spilled_placement_reads_only_queues_written_since_the_last_one(monkeypatch):
+    """One pin, busy: the placement spills over the cluster's idle roster.
+
+    Since DR-30 the roster keeps the idle pool from the queue writes, so a
+    spilled placement asks ``busy_at`` and ``depth`` of no queue that has
+    not been admitted or released since the previous placement, and calls
+    ``ExecutorVM.load`` only on a VM that holds a queue of depth 2 or more
+    (plus, when pinned, the pinned VM's own read).  Pinned with counting
+    wrappers and no timing, for the pinned and the unrestricted placement
+    under both policies; the pool drawn from is the one-pass oracle's.
+    """
     reads = {"busy_at": Counter(), "depth": Counter(), "load": Counter()}
     busy_at, depth, load = WorkQueue.busy_at, WorkQueue.depth, ExecutorVM.load
 
@@ -351,28 +374,30 @@ def test_a_spilled_placement_reads_each_queue_and_each_vm_once(monkeypatch):
         return depth(queue, at_ms)
 
     def counted_load(vm, at_ms):
-        reads["load"][vm.vm_id] += 1
+        reads["load"][vm] += 1
         return load(vm, at_ms)
 
-    monkeypatch.setattr(WorkQueue, "busy_at", counted_busy_at)
-    monkeypatch.setattr(WorkQueue, "depth", counted_depth)
-    monkeypatch.setattr(ExecutorVM, "load", counted_load)
-
-    each_live_queue = Counter(thread.work_queue for thread in live)
     for policy in (LocalityPlacementPolicy(), RandomPlacementPolicy()):
-        scheduler.placement_policy = policy
-        for candidates in ([pin], None):
-            for counter in reads.values():
-                counter.clear()
-            chosen = scheduler.pick_executor("f", [1], 10.0, candidates=candidates)
-            assert chosen is not pin and not busy_at(chosen.work_queue, 10.0)  # it spilled
-            assert reads["depth"] == Counter(mixed_busy)
-            if candidates is None:
-                assert reads["busy_at"] == each_live_queue
-                assert reads["load"] == Counter()
-            else:
-                # Beyond the pass: the pinned VM's load read (three queues)
-                # and the idle filter over the unsaturated pin.
-                assert reads["busy_at"] == each_live_queue + Counter(
-                    [t.work_queue for t in pin.vm.threads] + [pin.work_queue])
-                assert reads["load"] == Counter({pin.vm.vm_id: 1})
+        for pinned in (True, False):
+            scheduler, pin, touched, deep = _touched_spill(policy)
+            with monkeypatch.context() as patched:
+                patched.setattr(WorkQueue, "busy_at", counted_busy_at)
+                patched.setattr(WorkQueue, "depth", counted_depth)
+                patched.setattr(ExecutorVM, "load", counted_load)
+                for counter in reads.values():
+                    counter.clear()
+                chosen = scheduler.pick_executor(
+                    "f", [1], 12.0, candidates=[pin] if pinned else None)
+            assert chosen is not pin and not busy_at(chosen.work_queue, 12.0)  # it spilled
+            assert set(reads["busy_at"]) | set(reads["depth"]) <= touched
+            loaded = deep + [pin.vm] if pinned else deep
+            assert reads["load"] == Counter(loaded)
+            # Exactly the loads' reads, and the pinned pool's idle filter.
+            queues = [t.work_queue for vm in loaded for t in vm.threads]
+            assert reads["busy_at"] == Counter(queues + ([pin.work_queue] if pinned else []))
+            assert reads["depth"] == Counter(q for q in queues if busy_at(q, 12.0))
+            view = LoadView(scheduler, 12.0)
+            oracle = reference.idle_spill_pool(view)
+            assert view.idle_spill_pool() == oracle
+            # Not the pin, vm-3's doubly reserved thread, vm-4 or vm-6.
+            assert chosen in oracle and len(oracle) == 22 - 1 - 1 - 3 - 4

@@ -19,6 +19,11 @@ DR-25 resolves pins through the cluster's thread-id map, takes the spill's
 idle pool in one pass and builds the live roster once per placement; the
 parent's :func:`pinned_threads`, :func:`least_loaded` and
 :func:`pick_executor` below are what it must agree with.
+
+DR-30 keeps the idle pool and the live roster in the cluster's
+``IdleRoster``, fed by every queue write and ``alive`` write; the one pass
+it replaced is :func:`idle_spill_pool`, the oracle the roster must equal,
+list for list.
 """
 
 from bisect import bisect_right
@@ -89,6 +94,46 @@ def spill_pool(view: LoadView) -> List:
             utilization, full = load(vm, view.now_ms)
             if not utilization > policy.OVERLOAD_THRESHOLD:
                 pool.extend([t for t in vm.threads if t.alive and t not in full])
+    return pool
+
+
+def idle_spill_pool(view: LoadView) -> List:
+    """``LoadView.idle_spill_pool`` before DR-30: one walk of the VM roster.
+
+    Each live queue is asked ``busy_at`` once; a VM with both idle and busy
+    live threads sums the depths of its busy live queues (or reuses a load
+    the placement already read) and drops its idle threads if that
+    overloads it.
+    """
+    now_ms = view.now_ms
+    pool, busy = [], []
+    for vm in view.scheduler.vms:
+        if not vm.alive:
+            continue
+        start = len(pool)
+        for thread in vm.threads:
+            if thread.alive:
+                queue = thread.work_queue
+                if queue.busy_at(now_ms):
+                    busy.append(queue)
+                else:
+                    pool.append(thread)
+        if busy:
+            idle = len(pool) - start
+            if idle:
+                read = view._vm_loads.get(vm)
+                if read is None:
+                    depth = 0
+                    for queue in busy:
+                        depth += queue.depth(now_ms)
+                    alive = idle + len(busy)
+                    overloaded = (1.0 if depth >= alive
+                                  else depth / alive) > policy.OVERLOAD_THRESHOLD
+                else:
+                    overloaded = read[0]
+                if overloaded:
+                    del pool[start:]
+            busy = []
     return pool
 
 

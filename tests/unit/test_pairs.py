@@ -82,3 +82,37 @@ def test_verdict_reports_every_workload_and_fails_on_any_of_them():
     assert code == 1 and "1 run(s) failed their own checks" in text
     text, code = pairs.verdict({"predict_dag": ([], 2)})
     assert code == 1 and "predict_dag: no pair completed" in text
+
+
+def test_every_host_metric_gets_ratios_wins_and_the_parents_spread():
+    """``setup_s`` and ``peak_rss_mb`` are lower-is-better: a win is a
+    smaller reading, and the gain is the parent's median minus the
+    change's."""
+    assert pairs.host_metrics() == {
+        "sim_req_per_host_s": True, "setup_s": False, "peak_rss_mb": False}
+    setups = [(0.010, 0.008), (0.012, 0.013), (0.011, 0.007), (0.013, 0.009)]
+    rss = [(47.8, 47.9), (47.8, 47.9), (47.9, 47.9), (47.7, 47.8)]
+    summary = pairs.summarize([
+        ({**_side(800.0, setup_s=ps), "peak_rss_mb": pr},
+         {**_side(820.0, setup_s=cs), "peak_rss_mb": cr})
+        for (ps, cs), (pr, cr) in zip(setups, rss)])
+    assert list(summary["host"]) == ["sim_req_per_host_s", "setup_s", "peak_rss_mb"]
+    assert summary["host"]["sim_req_per_host_s"]["wins"] == summary["wins"] == 4
+    setup = summary["host"]["setup_s"]
+    assert setup["ratios"] == pytest.approx([0.8, 13 / 12, 7 / 11, 9 / 13])
+    assert setup["wins"] == 3
+    assert setup["parent_median"] == pytest.approx(0.0115)
+    assert setup["change_median"] == pytest.approx(0.0085)
+    # Inclusive quartiles of 0.010, 0.011, 0.012, 0.013: 0.01075 and 0.01225.
+    assert setup["parent_quartile_distance"] == pytest.approx(0.0015)
+    assert setup["beats_spread"]  # 0.003 lower, beyond 0.0015
+    peak = summary["host"]["peak_rss_mb"]
+    assert peak["wins"] == 0 and not peak["beats_spread"]
+    assert peak["ratios"] == pytest.approx([47.9 / 47.8, 47.9 / 47.8, 1.0, 47.8 / 47.7])
+    report = pairs.report(summary, "predict_dag")
+    for name in ("sim_req_per_host_s (higher", "setup_s (lower", "peak_rss_mb (lower"):
+        assert name in report
+    assert report.count("wins: ") == 3 and "wins: 3/4" in report and "wins: 0/4" in report
+    assert report.count("    pair  4: x") == 3
+    assert report.count("(beaten by the median gain)") == 2
+    assert report.count("(NOT beaten by the median gain)") == 1
