@@ -39,18 +39,19 @@ from __future__ import annotations
 
 import argparse
 import ast
-import io
 import json
 import re
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CEILINGS = Path(__file__).resolve().parent / "census.json"
+sys.path.insert(0, str(CEILINGS.parent))
+
+from pairs import export  # noqa: E402
 
 
 def _matching_lines(pattern: str, exclude: Tuple[str, ...] = ()
@@ -178,12 +179,8 @@ def census(tree: Path) -> Dict[str, int]:
 
 def _base_census(base: str) -> Dict[str, int]:
     """The census of commit ``base``, counted in a scratch export of it."""
-    archive = subprocess.run(["git", "archive", base], cwd=REPO_ROOT,
-                             capture_output=True, check=True).stdout
     with tempfile.TemporaryDirectory() as scratch:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(scratch, filter="data")
-        return census(Path(scratch))
+        return census(export(base, Path(scratch) / "base"))
 
 
 def main(argv=None) -> int:

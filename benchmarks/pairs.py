@@ -7,8 +7,8 @@
     python benchmarks/pairs.py PARENT_REF --workload all       # BENCHMARK.json's four
 
 The committed trees of ``PARENT_REF`` and ``HEAD`` are exported with ``git
-archive`` into a temporary directory, as ``benchmarks/census.py --report``
-exports its base.
+archive`` into a temporary directory (:func:`export`, which
+``benchmarks/census.py --report`` uses for its base too).
 Each pair runs ``benchmarks/perf/run.py --workload W --seed 0 --seconds 10``
 once in each checkout; the parent goes first in even pairs and the change in
 odd ones, so a drift in the host's speed lands on both sides.

@@ -2,8 +2,8 @@
 """Run every paper figure and emit a machine-readable snapshot.
 
 Records each entry of the figure registry (``repro.bench.figures``: Figures
-1 and 5–12, Table 2, the design ablations, the §4.5 fault matrix, the
-engine microbenchmark and the tracing plane's self-check) into
+1 and 5–12, Table 2, the design ablations, the §4.5 fault matrix and the
+tracing plane's self-check) into
 ``BENCH_throughput.json`` and prints its table, so successive PRs have a
 trajectory to compare against.  Everything runs the real Cloudburst stack
 under the discrete-event engine; each entry's first section also records
@@ -13,14 +13,19 @@ next to ``--output``.
 
 The run is also the regression gate CI runs on every push: it exits nonzero
 when any entry's gate fails (paper orderings, scaling ratios, the Table 2
-invariants, the §4.4 control plane, the §4.5 oracle, the engine floors — the
-registry holds each clause once).  On top of those fixed thresholds, every
-run is appended to the historical bench ledger (``bench_ledger.sqlite``, see
-``repro.bench.ledger``) and trend-gated against its own history: key
-throughput metrics must stay within 15% of the median of the last five
-recorded runs.  An empty ledger is seeded from the committed snapshot; a
-corrupt or missing one degrades to the fixed thresholds with a warning.
-Section-by-section schema documentation lives in ``docs/BENCH_SCHEMA.md``.
+invariants, the §4.4 control plane, the §4.5 oracle — the registry holds
+each clause once).  On top of those fixed thresholds, every run is appended
+to the historical bench ledger (``bench_ledger.sqlite``, see
+``repro.bench.ledger``) and trend-gated against its own history: the seeded
+160-thread and fig 7 throughputs must stay within 15% of the median of the
+last five recorded runs.  An empty ledger is seeded from the committed
+snapshot; a corrupt or missing one degrades to the fixed thresholds with a
+warning.  Every gate reads seeded values only, so the exit code depends on
+seed, scale and code, never on the host's speed: the host-clock leaves
+(``wall_seconds``, the sweeps' ``sim_requests_per_cpu_s``) are reported and
+recorded, and host speed is measured by ``benchmarks/perf`` (paired across
+commits by ``benchmarks/pairs.py``).  Section-by-section schema
+documentation lives in ``docs/BENCH_SCHEMA.md``.
 
 Usage::
 
@@ -40,7 +45,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Snapshot layout version; docs/BENCH_SCHEMA.md documents it and its history.
-SCHEMA_VERSION = 14
+SCHEMA_VERSION = 15
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.bench import apply_ledger, figures  # noqa: E402

@@ -16,11 +16,6 @@ from .casestudies import (
     run_figure11,
     run_figure12,
 )
-from .enginebench import (
-    FLOOR_EVENTS_PER_SEC,
-    engine_throughput_errors,
-    run_engine_micro,
-)
 from .consistency_bench import (
     run_figure8,
     run_table2,
@@ -62,9 +57,6 @@ __all__ = [
     "run_figure10",
     "run_figure11",
     "run_figure12",
-    "FLOOR_EVENTS_PER_SEC",
-    "engine_throughput_errors",
-    "run_engine_micro",
     "run_figure8",
     "run_table2",
     "EngineLoadDriver",

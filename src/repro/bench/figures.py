@@ -41,7 +41,6 @@ from ..sim import format_table
 from .ablations import run_ablations
 from .casestudies import run_figure9, run_figure10, run_figure11, run_figure12
 from .consistency_bench import run_figure8, run_table2
-from .enginebench import engine_throughput_errors, run_engine_micro
 from .faultbench import fault_recovery_errors, run_fault_recovery
 from .microbenchmarks import run_figure1, run_figure5, run_figure6, run_figure7
 
@@ -411,23 +410,6 @@ def _fault_recovery_errors(payload: Payload, params: dict) -> List[str]:
     return errors
 
 
-# -- the engine microbenchmark --------------------------------------------------------
-#: The section's host-time floors.  The tier-1 smoke run drops them and keeps
-#: only what the code fixes (overlap ratio, span-free tracing, charge parity).
-_HOST_FLOORS = ("floor_events_per_sec", "multi_get_floor_keys_per_sec",
-                "tracing_overhead_max_pct")
-
-
-def _engine_errors(payload: Payload, params: dict) -> List[str]:
-    section = payload["engine_throughput"]
-    scenarios = section["scenarios"]
-    if not params["host_floors"]:
-        section = {key: value for key, value in section.items() if key not in _HOST_FLOORS}
-    return engine_throughput_errors(section) + _failed("engine_throughput", [
-        ("the unlogged charge path to compute what the logged one does",
-         scenarios["charge_log"]["checksum"] == scenarios["charge_log_unlogged"]["checksum"])])
-
-
 # -- the registry ---------------------------------------------------------------------
 _FIG7_SMALL = dict(initial_threads=6, client_count=12, load_duration_s=20.0,
                    total_duration_s=30.0, policy_interval_ms=2_500.0,
@@ -573,14 +555,6 @@ FIGURES: Tuple[Figure, ...] = (
         budgets={"smoke": dict(request_count=120, mean_interval_ms=10.0),
                  "quick": dict(request_count=120),
                  "reduced": dict(request_count=200), "full": dict(request_count=400)}),
-    Figure(
-        "Engine microbenchmark (events/sec floor)", ("engine_throughput",),
-        lambda seed: {"engine_throughput": run_engine_micro()}, _engine_errors,
-        budgets={"*": {}},
-        limits={"smoke": dict(host_floors=False), "*": dict(host_floors=True)},
-        host_leaves=("*_per_sec", "sim_ms_per_wall_ms", "tracing_overhead_pct",
-                     "scenarios/*/wall_seconds", "scenarios/tracing_overhead/*_seconds",
-                     "scenarios/tracing_overhead/overhead_pct")),
 )
 
 

@@ -6,24 +6,17 @@ ever tripping a constant.  This module treats the benchmark history itself
 as a first-class dataset (WAL-mode SQLite, schema and indexes per the
 SNIPPETS.md idiom): each ``run_all.py`` invocation appends its sections, its
 flattened numeric samples, and its gate outcome to ``bench_ledger.sqlite``,
-and the gate gains *trend* checks against that history — e.g. "engine
-events/s must stay within 15% of the median of the last 5 runs".
+and the gate gains *trend* checks against that history — e.g. "fig12's
+160-thread throughput must stay within 15% of the median of the last 5 runs".
 
-Two kinds of trend metric, because they fail differently:
-
-* **deterministic** metrics (virtual-time throughputs such as the fig10/12
-  160-thread points) depend only on seed and budget — same seed, same value.
-  A deviation beyond tolerance means the *simulation* changed, which is
-  exactly what a silent semantic regression looks like.
-* **wallclock** metrics (``engine_throughput.events_per_sec``, and
-  ``figure12_retwis_scaling.sim_requests_per_cpu_s`` — simulated requests
-  per CPU-second of the whole fig12 sweep, the simulator's host speed on
-  its most expensive figure) depend on the host.  Both are timed on the
-  process CPU clock, so a busy neighbour does not read as a regression.
-  They are compared only against history recorded on the same ledger
-  (seeded snapshot rows are excluded — a committed snapshot was produced on
-  different hardware), so CI machines are never judged by a laptop's
-  numbers.
+Every trend metric is seed-pinned: a virtual-time throughput (the fig10/fig12
+160-thread points, fig7's request rate) that depends only on seed, scale and
+code — same seed, same value.  A deviation beyond tolerance means the
+*simulation* changed, which is exactly what a silent semantic regression
+looks like, and the committed snapshot's row is history like any other.
+The ledger records host-clock leaves too (``wall_seconds``, fig10/fig12's
+``sim_requests_per_cpu_s``) but gates none of them: host speed has one
+ruler, ``benchmarks/perf`` (``benchmarks/pairs.py`` pairs two commits on it).
 
 Degradation contract: a missing ledger simply starts a new history, and a
 corrupt one prints a warning and falls back to fixed-threshold gating — the
@@ -70,17 +63,14 @@ _PRAGMAS = (
 
 @dataclass(frozen=True)
 class TrendGate:
-    """One history-aware gate: a metric path plus how to window its history.
+    """One history-aware gate: a seed-pinned metric and its history window.
 
-    ``kind`` is "deterministic" (seed-pinned virtual-time metric; seeded
-    snapshot rows count as history) or "wallclock" (host-dependent; seeded
-    rows are excluded).  ``scale_invariant`` metrics run at the same budget
-    in every ``run_all.py`` mode, so their history spans scales; the rest
-    compare only against runs recorded at the same scale label.
+    ``scale_invariant`` metrics run at the same budget in every
+    ``run_all.py`` mode, so their history spans scales; the rest compare
+    only against runs recorded at the same scale label.
     """
 
     metric: str
-    kind: str
     scale_invariant: bool = True
 
 
@@ -88,14 +78,9 @@ class TrendGate:
 #: full paper budgets in every mode (hence scale-invariant); fig7's request
 #: rate depends on the mode's burst length, so it only compares like to like.
 TREND_GATES: Tuple[TrendGate, ...] = (
-    TrendGate("engine_throughput/events_per_sec", "wallclock"),
-    TrendGate("figure12_retwis_scaling/sim_requests_per_cpu_s", "wallclock"),
-    TrendGate("figure10_prediction_scaling/threads_160/requests_per_s",
-              "deterministic"),
-    TrendGate("figure12_retwis_scaling/threads_160/requests_per_s",
-              "deterministic"),
-    TrendGate("figure7_autoscaling/requests_per_s", "deterministic",
-              scale_invariant=False),
+    TrendGate("figure10_prediction_scaling/threads_160/requests_per_s"),
+    TrendGate("figure12_retwis_scaling/threads_160/requests_per_s"),
+    TrendGate("figure7_autoscaling/requests_per_s", scale_invariant=False),
 )
 
 
@@ -231,9 +216,10 @@ class BenchLedger:
     def seed_from_snapshot(self, snapshot_path: Union[str, Path]) -> Optional[int]:
         """Seed an empty history from a committed bench snapshot, if readable.
 
-        The seeded row is flagged so wallclock trend windows can exclude it
-        (the snapshot was recorded on different hardware).  Returns the run
-        id, or None when the snapshot is missing or unparsable.
+        The row is flagged ``seeded`` (it was recorded elsewhere, perhaps on
+        other hardware); the trend windows count it like any run, since they
+        read only seed-pinned metrics.  Returns the run id, or None when the
+        snapshot is missing or unparsable.
         """
         path = Path(snapshot_path)
         try:
@@ -250,7 +236,6 @@ class BenchLedger:
         return int(row[0])
 
     def history(self, metric: str, scale: Optional[str] = None,
-                include_seeded: bool = True,
                 limit: int = TREND_WINDOW) -> List[float]:
         """The metric's most-recent historical values, newest first."""
         query = ("SELECT s.value FROM samples s JOIN runs r"
@@ -259,8 +244,6 @@ class BenchLedger:
         if scale is not None:
             query += " AND r.scale = ?"
             params.append(scale)
-        if not include_seeded:
-            query += " AND r.seeded = 0"
         query += " ORDER BY s.run_id DESC LIMIT ?"
         params.append(int(limit))
         return [float(row[0]) for row in self._conn.execute(query, params)]
@@ -269,12 +252,9 @@ class BenchLedger:
         """Per-gate history summaries for the ``--report`` table (every scale)."""
         rows = []
         for gate in TREND_GATES:
-            values = self.history(gate.metric,
-                                  include_seeded=(gate.kind != "wallclock"),
-                                  limit=window)
+            values = self.history(gate.metric, limit=window)
             rows.append({
                 "metric": gate.metric,
-                "kind": gate.kind,
                 "window": len(values),
                 "latest": values[0] if values else None,
                 "median": median(values) if values else None,
@@ -308,10 +288,8 @@ def trend_errors(payload: Dict[str, Any], ledger: BenchLedger,
         history = ledger.history(
             gate.metric,
             scale=None if gate.scale_invariant else payload.get("scale"),
-            include_seeded=(gate.kind != "wallclock"),
             limit=TREND_WINDOW)
         check: Dict[str, Any] = {
-            "kind": gate.kind,
             "value": value,
             "window": len(history),
             "median": None,
@@ -392,8 +370,7 @@ def apply_ledger(payload: Dict[str, Any], fixed_errors: Sequence[str],
 def format_report(ledger: BenchLedger, window: int = TREND_WINDOW) -> str:
     """The windowed trend table ``--report`` prints into the CI job log."""
     lines = [f"bench ledger: {ledger.path} ({ledger.run_count()} run(s) recorded)"]
-    header = (f"{'metric':58s} {'kind':13s} {'n':>2s} "
-              f"{'median':>12s} {'latest':>12s}")
+    header = f"{'metric':58s} {'n':>2s} {'median':>12s} {'latest':>12s}"
     lines.append(header)
     lines.append("-" * len(header))
     for row in ledger.trend_rows(window=window):
@@ -401,8 +378,8 @@ def format_report(ledger: BenchLedger, window: int = TREND_WINDOW) -> str:
                        else f"{row['median']:12.2f}")
         latest_text = ("-" if row["latest"] is None
                        else f"{row['latest']:12.2f}")
-        lines.append(f"{row['metric']:58s} {row['kind']:13s} "
-                     f"{row['window']:2d} {median_text:>12s} {latest_text:>12s}")
+        lines.append(f"{row['metric']:58s} {row['window']:2d} "
+                     f"{median_text:>12s} {latest_text:>12s}")
     return "\n".join(lines)
 
 

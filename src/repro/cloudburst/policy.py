@@ -27,6 +27,7 @@ schedulers.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from itertools import repeat
 from math import inf
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -91,22 +92,37 @@ class IdleRoster:
 
     # -- the writes ---------------------------------------------------------
     def add_vm(self, vm) -> None:
-        """Append a newly built VM's threads (their queues are fresh)."""
+        """Append a newly built VM's threads, filed in one step.
+
+        A new VM and its threads are alive, and their queues are fresh: none
+        in service, each free from 0 ms, so idle at any ``now_ms`` a
+        placement can ask about.  Their positions come after every other,
+        so each list kept in roster order grows at its end, the VM's run of
+        ``_free`` goes in with one slice, and the VM is not mixed.
+        """
+        threads = vm.threads
+        count = len(threads)
         first = len(self._threads)
-        for position, thread in enumerate(vm.threads, start=first):
-            queue = thread.work_queue
-            self._threads.append(thread)
-            self._live_flags.append(False)
-            self._free_ms.append(queue.next_free_ms)
-            self._second_ms.append(None)
-            self._positions[queue] = position
-            insort(self._free, (queue.next_free_ms, position))
+        positions = range(first, first + count)
+        queues = [thread.work_queue for thread in threads]
+        for queue in queues:
             queue.watcher = self
-        self._spans[vm] = range(first, len(self._threads))
-        self._live_count[vm] = self._idle_count[vm] = 0
+        self._positions.update(zip(queues, positions))
+        free_ms = queues[0].next_free_ms
+        self._threads += threads
+        self._live_flags += [True] * count
+        self._free_ms += [free_ms] * count
+        self._second_ms += [None] * count
+        at = bisect_left(self._free, (free_ms, first))
+        self._free[at:at] = zip(repeat(free_ms), positions)
+        self._live_at += positions
+        self._idle_at += positions
+        self.live += threads
+        self.idle += threads
+        self._spans[vm] = positions
+        self._live_count[vm] = self._idle_count[vm] = count
         self._mix[vm] = None
         vm.roster = self
-        self.refresh(vm)
 
     def refresh(self, vm) -> None:
         """Re-read the liveness of ``vm`` and its threads after an ``alive`` write."""

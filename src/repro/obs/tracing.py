@@ -249,10 +249,6 @@ class Tracer:
         """Distinct tiers touched, in first-seen order."""
         return list(dict.fromkeys(span.tier for span in self.spans))
 
-    def children_of(self, span: TraceSpan) -> List[TraceSpan]:
-        return [candidate for candidate in self.spans
-                if candidate.parent_id == span.span_id]
-
     def span_tree(self, trace_id: int) -> List[Dict[str, Any]]:
         """The trace's spans as nested dicts (roots first), for evidence dumps."""
         by_parent: Dict[Optional[int], List[TraceSpan]] = {}

@@ -19,14 +19,15 @@ Pieces:
   what turns ``ExecutorVM.utilization()`` into a queueing signal instead of
   an instantaneous counter.
 
-Performance notes (the ``engine_throughput`` section of
-``benchmarks/run_all.py`` gates all of this):
+Performance notes (``benchmarks/perf`` times the engine under each of its
+workloads):
 
-* The heap holds ``(at_ms, seq, event)`` tuples, so heap sift comparisons
-  stay in C tuple comparison instead of calling ``Event.__lt__``.
-* ``pending``/``foreground_pending`` are push/pop/cancel-maintained counters
-  (they used to scan the whole heap — O(heap) per ``RecurringEvent`` firing,
-  which made control-plane ticks quadratic at paper scale).
+* The heap holds ``(at_ms, seq, event)`` tuples with a unique ``seq``, so heap
+  sift comparisons stay in C tuple comparison and never reach an ``Event``.
+* The pending counts (``stats()["pending"]``, ``foreground_pending``) are
+  push/pop/cancel-maintained counters (they used to scan the whole heap —
+  O(heap) per ``RecurringEvent`` firing, which made control-plane ticks
+  quadratic at paper scale).
 * Cancelled events are lazy-deleted tombstones; the heap compacts when more
   than half of it is tombstones, so a cancel-heavy workload cannot grow the
   heap unboundedly.
@@ -60,9 +61,6 @@ class Event:
         self.fn = fn
         self.cancelled = False
         self.background = background
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.at_ms, self.seq) < (other.at_ms, other.seq)
 
 
 #: Compact the heap's cancelled tombstones only past this count (small heaps
@@ -120,11 +118,6 @@ class Engine:
         return heap[0][0] if heap else None
 
     @property
-    def pending(self) -> int:
-        """Live (uncancelled) events queued; an O(1) maintained counter."""
-        return self._pending
-
-    @property
     def foreground_pending(self) -> int:
         """Pending events that represent real work (not maintenance ticks).
 
@@ -172,7 +165,7 @@ class Engine:
                  background: bool = False) -> Event:
         """Schedule ``fn`` after a relative delay (negative delays clamp)."""
         # Inlined at(): one Python frame per scheduled event, not two — this
-        # is the hottest entry point in the engine microbenchmark.
+        # is the engine's hottest entry point.
         delay_ms = float(delay_ms)
         at_ms = self._now_ms + delay_ms if delay_ms > 0.0 else self._now_ms
         seq = self._seq = self._seq + 1

@@ -135,14 +135,17 @@ DEFAULT_COSTS: Dict[Tuple[str, str], OperationCost] = {
 class LatencyModel:
     """Samples operation latencies and charges them to request contexts."""
 
+    #: Every sample draws its operation's lognormal jitter.  No caller turns
+    #: it off; a test that pins exact charges uses a subclass that does
+    #: (``tests/jitter_free.py``).
+    jitter_enabled = True
+
     def __init__(self, rng: Optional[RandomSource] = None,
-                 costs: Optional[Dict[Tuple[str, str], OperationCost]] = None,
-                 jitter_enabled: bool = True):
+                 costs: Optional[Dict[Tuple[str, str], OperationCost]] = None):
         self._rng = rng or RandomSource(7)
         self._costs = dict(DEFAULT_COSTS)
         if costs:
             self._costs.update(costs)
-        self.jitter_enabled = jitter_enabled
 
     def cost(self, service: str, operation: str) -> OperationCost:
         try:

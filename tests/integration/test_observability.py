@@ -320,14 +320,3 @@ class TestSeededRunsAreReproducible:
         assert [execution_id.rsplit("/", 1)[1] for execution_id in attempts] \
             == ["attempt-0", "attempt-1"]
 
-
-class TestTracingOverheadScenario:
-    def test_disabled_tracing_measured_and_span_free(self):
-        from repro.bench.enginebench import bench_tracing_overhead
-
-        result = bench_tracing_overhead(requests=400, sites_per_request=6,
-                                        pairs=1)
-        assert result["spans_created"] == 0.0
-        assert result["events"] == 400.0
-        assert result["bare_seconds"] > 0.0
-        assert result["guarded_seconds"] > 0.0

@@ -11,6 +11,7 @@ actual protocol implementations and check the §5.1 invariants:
 
 from hypothesis import given, settings, strategies as st
 
+from jitter_free import JitterFreeLatencyModel
 from repro.anna import AnnaCluster
 from repro.cloudburst import ConsistencyLevel, ExecutorCache, LatticeEncapsulator
 from repro.cloudburst.consistency.protocols import (
@@ -19,7 +20,7 @@ from repro.cloudburst.consistency.protocols import (
     SessionState,
 )
 from repro.lattices import CausalLattice, LWWLattice, Timestamp, VectorClock
-from repro.sim import LatencyModel, RequestContext
+from repro.sim import RequestContext
 
 KEYS = ["k0", "k1", "k2"]
 
@@ -39,7 +40,7 @@ steps = st.lists(
 
 def build_environment(level):
     anna = AnnaCluster(node_count=2, replication_factor=1,
-                       latency_model=LatencyModel(jitter_enabled=False),
+                       latency_model=JitterFreeLatencyModel(),
                        propagation_mode=AnnaCluster.PROPAGATE_PERIODIC)
     peers = {}
     caches = [ExecutorCache(f"cache-{i}", anna, peer_registry=peers) for i in range(3)]

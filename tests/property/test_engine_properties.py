@@ -68,12 +68,12 @@ def test_pending_counters_match_brute_force(ops):
         elif op == 3:
             engine.step()
         live = [entry[2] for entry in engine._heap if not entry[2].cancelled]
-        assert engine.pending == len(live)
+        assert engine.stats()["pending"] == len(live)
         assert engine.foreground_pending == sum(
             1 for event in live if not event.background)
-        assert engine.pending >= 0 and engine.foreground_pending >= 0
+        assert engine.stats()["pending"] >= 0 and engine.foreground_pending >= 0
     engine.run()
-    assert engine.pending == 0
+    assert engine.stats()["pending"] == 0
     assert engine.foreground_pending == 0
 
 

@@ -11,6 +11,11 @@ thresholds {0.0, 0.34, 0.70, 1.0} and queue bounds {None, 1, 2}.  After
 every step the roster's pool must equal the walk it replaced
 (``reference_placement.idle_spill_pool``), list for list and in order, and
 its live threads must equal the walk's live roster.
+
+The one-step ``add_vm`` (DR-31) is also compared, field for field, with the
+parent's, which filed each thread through ``refresh``
+(``reference_placement.add_vm_by_refresh``), after histories that leave
+queues busy, in service, dead or drained and the roster moved either way.
 """
 
 from unittest import mock
@@ -18,9 +23,11 @@ from unittest import mock
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+import pytest
+
 import reference_placement as reference
 from repro.cloudburst import CloudburstCluster
-from repro.cloudburst.policy import LoadView
+from repro.cloudburst.policy import IdleRoster, LoadView
 
 #: Item boundaries and placement times share one small grid, so ends land
 #: exactly on placement times as often as before and after them.
@@ -160,3 +167,65 @@ def test_an_item_in_service_behind_a_reservation_counts_twice():
     view = LoadView(cluster.schedulers[0], 0.0)
     assert vm.load(0.0)[0] == 1.0
     assert view.idle_spill_pool() == reference.idle_spill_pool(view) == cluster.vms[0].threads
+
+
+def _fields(roster):
+    """Every field of the roster, threads, queues and VMs by their ids."""
+    ids = lambda threads: [thread.thread_id for thread in threads]  # noqa: E731
+    by_vm = lambda counts: {vm.vm_id: value for vm, value in counts.items()}  # noqa: E731
+    return {
+        "live": ids(roster.live), "idle": ids(roster.idle), "now_ms": roster.now_ms,
+        "live_at": roster._live_at, "idle_at": roster._idle_at,
+        "threads": ids(roster._threads), "live_flags": roster._live_flags,
+        "free_ms": roster._free_ms, "second_ms": roster._second_ms,
+        "positions": sorted((queue.label, at) for queue, at in roster._positions.items()),
+        "spans": by_vm(roster._spans), "free": roster._free, "second": roster._second,
+        "in_service": sorted(roster._in_service),
+        "live_count": by_vm(roster._live_count), "idle_count": by_vm(roster._idle_count),
+        "mix": by_vm(roster._mix),
+        "mixed": {key: sorted(vm.vm_id for vm in vms)
+                  for key, vms in roster._mixed.items() if vms},
+    }
+
+
+def _move(cluster, now_ms):
+    LoadView(cluster.schedulers[0], now_ms).idle_spill_pool()
+
+
+def _busy(cluster):
+    """Items ending at 0, 5 and 8 ms, one left in service, the roster at 3 ms:
+    the new VM's run of ``_free`` lands between ends at and after its own."""
+    threads = [thread for vm in cluster.vms for thread in vm.threads]
+    for thread, end in zip(threads, (0.0, 5.0, 8.0, 0.0, 5.0)):
+        thread.work_queue.release(thread.work_queue.admit(0.0) + end)
+    threads[5].work_queue.admit(1.0)
+    _move(cluster, 3.0)
+
+
+def _moved_back(cluster):
+    _busy(cluster)
+    _move(cluster, 9.0)
+    _move(cluster, 2.0)
+
+
+def _dead_and_drained(cluster):
+    _busy(cluster)
+    cluster.vms[0].fail()
+    cluster.vms[1].threads[0].alive = False
+    cluster.drain_vm(cluster.vms[2])
+
+
+@pytest.mark.parametrize("history", [lambda cluster: None, _busy, _moved_back,
+                                     _dead_and_drained],
+                         ids=["fresh", "busy", "moved-back", "dead-and-drained"])
+def test_one_step_add_vm_files_like_a_refresh(monkeypatch, history):
+    def grown(add_vm):
+        cluster = CloudburstCluster(executor_vms=3, threads_per_vm=3, anna_nodes=2, seed=0)
+        history(cluster)
+        with monkeypatch.context() as patched:
+            patched.setattr(IdleRoster, "add_vm", add_vm)
+            for size in (2, 4):
+                cluster.add_vm(publish_metrics=False, threads=size)
+        return _fields(cluster.roster)
+
+    assert grown(IdleRoster.add_vm) == grown(reference.add_vm_by_refresh)

@@ -24,9 +24,14 @@ DR-30 keeps the idle pool and the live roster in the cluster's
 ``IdleRoster``, fed by every queue write and ``alive`` write; the one pass
 it replaced is :func:`idle_spill_pool`, the oracle the roster must equal,
 list for list.
+
+DR-31 files a fresh VM into the roster in one step; :func:`add_vm_by_refresh`
+is the parent's ``IdleRoster.add_vm``, which sent each thread through the
+general ``refresh`` path, and the roster it leaves must equal the shipped
+one's field for field.
 """
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from typing import List, Tuple
 
 from repro.cloudburst import (
@@ -135,6 +140,25 @@ def idle_spill_pool(view: LoadView) -> List:
                     del pool[start:]
             busy = []
     return pool
+
+
+def add_vm_by_refresh(self, vm) -> None:
+    """``IdleRoster.add_vm`` before DR-31: each thread filed by ``refresh``."""
+    first = len(self._threads)
+    for position, thread in enumerate(vm.threads, start=first):
+        queue = thread.work_queue
+        self._threads.append(thread)
+        self._live_flags.append(False)
+        self._free_ms.append(queue.next_free_ms)
+        self._second_ms.append(None)
+        self._positions[queue] = position
+        insort(self._free, (queue.next_free_ms, position))
+        queue.watcher = self
+    self._spans[vm] = range(first, len(self._threads))
+    self._live_count[vm] = self._idle_count[vm] = 0
+    self._mix[vm] = None
+    vm.roster = self
+    self.refresh(vm)
 
 
 # -- the scheduler's thread lists -----------------------------------------------

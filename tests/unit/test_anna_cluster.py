@@ -2,17 +2,18 @@
 
 import pytest
 
+from jitter_free import JitterFreeLatencyModel
 from repro.anna import AnnaCluster
 from repro.anna.cluster import GOSSIP_INTERVAL_MS
 from repro.errors import KeyNotFoundError
 from repro.lattices import LWWLattice, MaxIntLattice, Timestamp
-from repro.sim import LatencyModel, RequestContext
+from repro.sim import RequestContext
 
 
 @pytest.fixture
 def anna():
     return AnnaCluster(node_count=4, replication_factor=2,
-                       latency_model=LatencyModel(jitter_enabled=False))
+                       latency_model=JitterFreeLatencyModel())
 
 
 def lww(value, clock=1.0):

@@ -10,6 +10,7 @@ a recurring engine event.
 
 import pytest
 
+from jitter_free import JitterFreeLatencyModel
 from repro.anna import (
     AnnaCluster,
     StorageAutoscaler,
@@ -21,7 +22,7 @@ from repro.anna import cluster as anna_cluster
 from repro.anna import storage_node
 from repro.errors import StorageOverloadError
 from repro.lattices import LWWLattice, SetLattice, Timestamp
-from repro.sim import Engine, LatencyModel, RequestContext, SimClock
+from repro.sim import Engine, RequestContext, SimClock
 
 
 def lww(value, clock=1.0):
@@ -58,7 +59,7 @@ def anna_constants(monkeypatch):
 def make_cluster(**kwargs) -> AnnaCluster:
     kwargs.setdefault("node_count", 4)
     kwargs.setdefault("replication_factor", 2)
-    kwargs.setdefault("latency_model", LatencyModel(jitter_enabled=False))
+    kwargs.setdefault("latency_model", JitterFreeLatencyModel())
     return AnnaCluster(**kwargs)
 
 
@@ -71,7 +72,7 @@ class TestEngineOwnership:
     def test_nothing_is_armed_on_an_idle_engine(self):
         anna = make_cluster(propagation_mode=AnnaCluster.PROPAGATE_PERIODIC,
                             propagation_interval_ms=50.0)
-        assert anna.engine.pending == 0
+        assert anna.engine.stats()["pending"] == 0
         anna.engine.run()
         assert anna.gossip_rounds == 0
 
@@ -108,7 +109,7 @@ class TestQuorumOfOneAndGossip:
         assert len(anna.replicas_of("k")) == 2
         assert anna.gossip_rounds == 1
         assert engine.now_ms == 25.0
-        assert engine.pending == 0
+        assert engine.stats()["pending"] == 0
 
     def test_periodic_gossip_runs_on_virtual_time(self, anna_constants):
         anna_constants(gossip_interval_ms=10.0)
@@ -154,7 +155,7 @@ class TestGossipPartitions:
     def test_outstanding_partition_does_not_keep_the_engine_alive(self):
         anna, peer = self.partitioned_write()
         anna.engine.run()  # must return: the requeued key cannot re-arm the tick
-        assert anna.engine.pending == 0
+        assert anna.engine.stats()["pending"] == 0
         assert anna.dirty_key_count() == 1
         assert not anna.node(peer).contains("k")
 
@@ -428,7 +429,7 @@ class TestRoundsResumeAfterIdle:
         write_burst(anna, anna.engine.now_ms + 500.0)
         assert anna.gossip_rounds > rounds_after_first
         assert anna.dirty_key_count() == 0
-        assert anna.engine.pending == 0
+        assert anna.engine.stats()["pending"] == 0
 
     def test_periodic_propagation_drains_in_both_bursts(self):
         anna = make_cluster(propagation_mode=AnnaCluster.PROPAGATE_PERIODIC,

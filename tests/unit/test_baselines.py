@@ -2,6 +2,7 @@
 
 import pytest
 
+from jitter_free import JitterFreeLatencyModel
 from repro.baselines import (
     DaskCluster,
     LambdaComposition,
@@ -15,12 +16,12 @@ from repro.baselines import (
     StepFunctions,
 )
 from repro.errors import KeyNotFoundError
-from repro.sim import LatencyModel, RandomSource, RequestContext
+from repro.sim import RandomSource, RequestContext
 
 
 @pytest.fixture
 def model():
-    return LatencyModel(jitter_enabled=False)
+    return JitterFreeLatencyModel()
 
 
 class TestSimulatedStorage:

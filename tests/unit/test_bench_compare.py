@@ -21,17 +21,10 @@ def _snapshot():
             "points": [{"threads": 10, "requests_per_s": 120.5},
                        {"threads": 20, "requests_per_s": 240.0}],
         },
-        "engine_throughput": {
-            "wall_seconds": 1.9,
-            "events_per_sec": 312395.0,
-            "sim_ms_per_wall_ms": 6.6,
-            "tracing_overhead_pct": 1.6,
-            "scenarios": {
-                "charge_log": {"wall_seconds": 0.15, "charges_per_sec": 7.8e5,
-                               "checksum": 42.0},
-                "tracing_overhead": {"bare_seconds": 0.05, "guarded_seconds": 0.06,
-                                     "overhead_pct": 1.6, "spans_created": 0.0},
-            },
+        "figure12_retwis_scaling": {
+            "wall_seconds": 36.2,
+            "sim_requests_per_cpu_s": 699.0,
+            "points": [{"threads": 160, "requests_per_s": 22222.0, "p99_ms": 22.08}],
         },
         "table2_anomalies": {"anomalies": {"LWW": 0, "SK": 3033}, "levels": []},
     }
@@ -57,14 +50,8 @@ def test_moved_host_leaves_exit_zero(tmp_path, capsys):
     change = _snapshot()
     change["figure10_prediction_scaling"]["wall_seconds"] = 9.9
     change["figure10_prediction_scaling"]["sim_requests_per_cpu_s"] = 1.0
-    engine = change["engine_throughput"]
-    for leaf in ("wall_seconds", "events_per_sec", "sim_ms_per_wall_ms",
-                 "tracing_overhead_pct"):
-        engine[leaf] += 1
-    engine["scenarios"]["charge_log"]["wall_seconds"] = 3.0
-    engine["scenarios"]["charge_log"]["charges_per_sec"] = 1.0
-    for leaf in ("bare_seconds", "guarded_seconds", "overhead_pct"):
-        engine["scenarios"]["tracing_overhead"][leaf] = 7.0
+    change["figure12_retwis_scaling"]["wall_seconds"] = 99.0
+    change["figure12_retwis_scaling"]["sim_requests_per_cpu_s"] = 1.0
     code, out = _run(tmp_path, capsys, _snapshot(), change)
     assert code == 0, out
 
@@ -74,8 +61,8 @@ def test_moved_host_leaves_exit_zero(tmp_path, capsys):
      "moved: table2_anomalies/anomalies/SK: 3033 -> 3034"),
     (lambda p: p["figure10_prediction_scaling"]["points"][1].update(requests_per_s=1.0),
      "moved: figure10_prediction_scaling/points/1/requests_per_s: 240.0 -> 1.0"),
-    (lambda p: p["engine_throughput"]["scenarios"]["charge_log"].update(checksum=0.0),
-     "moved: engine_throughput/scenarios/charge_log/checksum: 42.0 -> 0.0"),
+    (lambda p: p["figure12_retwis_scaling"]["points"][0].update(p99_ms=9.6),
+     "moved: figure12_retwis_scaling/points/0/p99_ms: 22.08 -> 9.6"),
     (lambda p: p["table2_anomalies"]["anomalies"].pop("LWW"),
      "only in parent: table2_anomalies/anomalies/LWW = 0"),
     (lambda p: p["figure10_prediction_scaling"]["points"].pop(),

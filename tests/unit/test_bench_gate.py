@@ -14,6 +14,7 @@ import dataclasses
 import importlib.util
 import json
 import re
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import pytest
@@ -105,19 +106,6 @@ def good_controlplane() -> dict:
             "min_threads": 2}
 
 
-def good_engine_throughput() -> dict:
-    return {
-        "events_per_sec": 350_000.0, "floor_events_per_sec": 100_000.0,
-        "sim_ms_per_wall_ms": 8.0,
-        "multi_get_keys_per_sec": 50_000.0, "multi_get_floor_keys_per_sec": 5_000.0,
-        "multi_get_overlap_ratio": 20.0, "multi_get_min_overlap_ratio": 8.0,
-        "tracing_overhead_pct": 1.0, "tracing_overhead_max_pct": 10.0,
-        "scenarios": {"charge_log": {"checksum": 12.5},
-                      "charge_log_unlogged": {"checksum": 12.5},
-                      "tracing_overhead": {"spans_created": 0.0}},
-    }
-
-
 def _fault_entry(fault: str, injected: int = 3) -> dict:
     return {
         "fault": fault, "requests": 200, "completed": 200, "failed": 0,
@@ -147,10 +135,12 @@ def good_fault_recovery() -> dict:
 
 
 def good_payload(scale: str = "quick") -> dict:
-    """One snapshot that passes every registry gate at ``scale``."""
+    """One snapshot that passes every registry gate at ``scale``, with the
+    host-clock leaves a recorded run carries (``wall_seconds`` on each
+    entry's first section, the sweeps' ``sim_requests_per_cpu_s``)."""
     executions = next(f for f in FIGURES if "table2_anomalies" in f.sections
                       ).kwargs(scale)["executions"]
-    return {
+    payload = {
         "figure1_composition": {"systems": {
             "Cloudburst": _stats(2.0), "Dask": _stats(2.5), "SAND": _stats(20.0),
             "Lambda": _stats(30.0), "Lambda + Dynamo": _stats(60.0),
@@ -185,14 +175,14 @@ def good_payload(scale: str = "quick") -> dict:
             "Python": _stats(100.0), "Cloudburst": _stats(115.0),
             "AWS Sagemaker": _stats(180.0), "Lambda (Mock)": _stats(300.0),
             "Lambda (Actual)": _stats(1_100.0)}},
-        "figure10_prediction_scaling": {"points": [
+        "figure10_prediction_scaling": {"sim_requests_per_cpu_s": 1_600.0, "points": [
             _point(10, 100.0, 200.0), _point(12, 120.0, 202.0), _point(48, 480.0, 205.0),
             _point(160, 1_500.0, 210.0)]},
         "figure11_retwis": {
             "systems": {"Redis": _stats(3.7), "Cloudburst (LWW)": _stats(4.4),
                         "Cloudburst (Causal)": _stats(4.6)},
             "anomaly_rate": {"Cloudburst (LWW)": 0.3, "Cloudburst (Causal)": 0.0}},
-        "figure12_retwis_scaling": {"points": [
+        "figure12_retwis_scaling": {"sim_requests_per_cpu_s": 700.0, "points": [
             _point(10, 100.0, 5.0), _point(40, 300.0, 5.2), _point(160, 1_500.0, 6.4)]},
         "table2_anomalies": {"invariant_violations": [], "executions": executions},
         "ablations": {
@@ -208,8 +198,10 @@ def good_payload(scale: str = "quick") -> dict:
             "messaging": {"systems": {"Direct TCP": _stats(0.6),
                                       "Anna inbox fallback": _stats(2.0)}}},
         "fault_recovery": good_fault_recovery(),
-        "engine_throughput": good_engine_throughput(),
     }
+    for figure in FIGURES:
+        payload[figure.sections[0]].setdefault("wall_seconds", 2.0)
+    return payload
 
 
 @pytest.mark.parametrize("scale", SCALES)
@@ -380,14 +372,6 @@ BREAKAGES = [
      "fault timeline is not seed-deterministic"),
     ("quick", ("fault_recovery", "determinism", "anomalies_match"), False,
      "anomaly counters are not seed-deterministic"),
-    ("quick", ("engine_throughput", "events_per_sec"), 50_000.0, "fell below the"),
-    ("quick", ("engine_throughput", "multi_get_keys_per_sec"), 1_000.0, "fork/join"),
-    ("smoke", ("engine_throughput", "multi_get_overlap_ratio"), 2.0, "overlap ratio"),
-    ("quick", ("engine_throughput", "tracing_overhead_pct"), 12.0, "zero-cost-when-off"),
-    ("smoke", ("engine_throughput", "scenarios", "tracing_overhead", "spans_created"), 3.0,
-     "span(s); tracing is not off"),
-    ("smoke", ("engine_throughput", "scenarios", "charge_log_unlogged", "checksum"), 12.0,
-     "unlogged charge path"),
 ]
 
 
@@ -417,14 +401,31 @@ def test_scaling_sweep_missing_a_gated_point_is_flagged():
     assert "fig10: scaling sweep missing the 160-thread point" in gate_errors(payload, "quick")
 
 
-def test_the_smoke_run_drops_only_the_host_floors():
-    # Tier-1 must not gate on host speed; the seeded engine clauses stay.
-    for scale, floors_failed in (("smoke", 0), ("quick", 3)):
-        slow = good_payload(scale)
-        slow["engine_throughput"].update(events_per_sec=50_000.0,
-                                         multi_get_keys_per_sec=1.0,
-                                         tracing_overhead_pct=50.0)
-        assert len(gate_errors(slow, scale)) == floors_failed
+def _scale_host_leaves(node, path: str, patterns, factor: float) -> list:
+    """Multiply each leaf below ``node`` whose path matches a host-clock
+    pattern by ``factor``; returns the paths scaled."""
+    scaled = []
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        here = f"{path}/{key}" if path else str(key)
+        if isinstance(value, (dict, list)):
+            scaled += _scale_host_leaves(value, here, patterns, factor)
+        elif any(fnmatchcase(here, pattern) for pattern in patterns):
+            node[key] = value * factor
+            scaled.append(here)
+    return scaled
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_no_gate_reads_a_host_clock_leaf(scale):
+    # A gate's verdict depends only on seed, scale and code: a host 100x
+    # slower or faster leaves every gate where it was.
+    patterns = [pattern for figure in FIGURES for pattern in figure.host_patterns()]
+    expected = gate_errors(good_payload(scale), scale)
+    for factor in (0.01, 100.0):
+        payload = good_payload(scale)
+        scaled = _scale_host_leaves(payload, "", patterns, factor)
+        assert gate_errors(payload, scale) == expected, factor
+    assert len(scaled) >= len(FIGURES) + 2  # every stamp, both sweeps' rates
 
 
 # -- run_all.main, with the registry's harnesses replaced by canned sections ----------

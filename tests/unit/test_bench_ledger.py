@@ -1,17 +1,20 @@
 """Unit tests for the historical bench ledger and its trend gate.
 
 Pins the ledger's three contracts: runs append atomically and are queryable;
-trend checks are one-sided against a windowed median with seeded/wallclock
-exclusions; and a corrupt or missing ledger degrades to fixed-threshold
-gating with a warning rather than failing the build.
+trend checks are one-sided against a windowed median of seed-pinned metrics
+only (host-clock leaves are recorded, never gated); and a corrupt or missing
+ledger degrades to fixed-threshold gating with a warning rather than failing
+the build.
 """
 
 import json
 import sqlite3
+from pathlib import Path
 
 import pytest
 
 from repro.bench.ledger import (
+    TREND_GATES,
     TREND_TOLERANCE,
     BenchLedger,
     apply_ledger,
@@ -22,13 +25,17 @@ from repro.bench.ledger import (
 )
 
 
-def make_payload(engine=500_000.0, fig10=1_500.0, fig12=8_000.0, fig7=110.0,
+REPO_ROOT = Path(__file__).resolve().parents[2]
+FIG12 = "figure12_retwis_scaling/threads_160/requests_per_s"
+FIG12_HOST = "figure12_retwis_scaling/sim_requests_per_cpu_s"
+
+
+def make_payload(fig10=1_500.0, fig12=8_000.0, fig7=110.0,
                  scale="quick", seed=0, fig12_host=400.0):
     return {
         "schema": 7,
         "scale": scale,
         "seed": seed,
-        "engine_throughput": {"events_per_sec": engine},
         "figure10_prediction_scaling": {
             "points": [
                 {"threads": 10, "requests_per_s": fig10 / 10,
@@ -53,7 +60,7 @@ def ledger_path(tmp_path):
 class TestExtractSamples:
     def test_flattens_nested_dicts_and_booleans(self):
         samples = extract_samples(make_payload())
-        assert samples["engine_throughput/events_per_sec"] == 500_000.0
+        assert samples[FIG12_HOST] == 400.0
         assert samples["figure7_autoscaling/requests_per_s"] == 110.0
         assert samples["bench_gate_ok"] == 1.0
         assert samples["schema"] == 7.0
@@ -84,16 +91,16 @@ class TestBenchLedger:
             "SELECT message FROM gate_outcomes").fetchone() == ("boom",)
         section = conn.execute(
             "SELECT payload FROM sections WHERE section = "
-            "'engine_throughput'").fetchone()
-        assert json.loads(section[0]) == {"events_per_sec": 500_000.0}
+            "'figure7_autoscaling'").fetchone()
+        assert json.loads(section[0]) == {"requests_per_s": 110.0}
         conn.close()
         ledger.close()
 
     def test_history_is_newest_first_and_windowed(self, ledger_path):
         ledger = BenchLedger(ledger_path)
-        for engine in (100.0, 200.0, 300.0):
-            ledger.append_run(make_payload(engine=engine))
-        values = ledger.history("engine_throughput/events_per_sec", limit=2)
+        for fig12 in (100.0, 200.0, 300.0):
+            ledger.append_run(make_payload(fig12=fig12))
+        values = ledger.history(FIG12, limit=2)
         assert values == [300.0, 200.0]
         ledger.close()
 
@@ -103,15 +110,6 @@ class TestBenchLedger:
         ledger.append_run(make_payload(fig7=500.0, scale="full"))
         assert ledger.history("figure7_autoscaling/requests_per_s",
                               scale="quick") == [50.0]
-        ledger.close()
-
-    def test_history_can_exclude_seeded_rows(self, ledger_path):
-        ledger = BenchLedger(ledger_path)
-        ledger.append_run(make_payload(engine=999.0), seeded=True)
-        ledger.append_run(make_payload(engine=100.0))
-        metric = "engine_throughput/events_per_sec"
-        assert ledger.history(metric) == [100.0, 999.0]
-        assert ledger.history(metric, include_seeded=False) == [100.0]
         ledger.close()
 
     def test_seed_from_snapshot(self, ledger_path, tmp_path):
@@ -140,62 +138,47 @@ class TestTrendErrors:
         ledger = BenchLedger(ledger_path)
         errors, checks = trend_errors(make_payload(), ledger)
         assert errors == []
-        assert checks["engine_throughput/events_per_sec"]["median"] is None
+        assert checks[FIG12]["median"] is None
         ledger.close()
 
     def test_within_tolerance_passes(self, ledger_path):
         ledger = BenchLedger(ledger_path)
         for _ in range(3):
-            ledger.append_run(make_payload(engine=1_000.0))
-        errors, checks = trend_errors(make_payload(engine=900.0), ledger)
+            ledger.append_run(make_payload(fig12=1_000.0))
+        errors, checks = trend_errors(make_payload(fig12=900.0), ledger)
         assert errors == []
-        assert checks["engine_throughput/events_per_sec"]["ok"] is True
+        assert checks[FIG12]["ok"] is True
         ledger.close()
 
     def test_regression_below_tolerance_fails(self, ledger_path):
         ledger = BenchLedger(ledger_path)
         for _ in range(3):
-            ledger.append_run(make_payload(engine=1_000.0))
+            ledger.append_run(make_payload(fig12=1_000.0))
         floor = (1.0 - TREND_TOLERANCE) * 1_000.0
-        errors, checks = trend_errors(make_payload(engine=floor - 1), ledger)
+        errors, checks = trend_errors(make_payload(fig12=floor - 1), ledger)
         assert len(errors) == 1
         assert "below the median" in errors[0]
-        assert checks["engine_throughput/events_per_sec"]["ok"] is False
+        assert checks[FIG12]["ok"] is False
         ledger.close()
 
     def test_improvement_never_fails(self, ledger_path):
         ledger = BenchLedger(ledger_path)
-        ledger.append_run(make_payload(engine=1_000.0))
-        errors, _ = trend_errors(make_payload(engine=50_000.0), ledger)
+        ledger.append_run(make_payload(fig12=1_000.0))
+        errors, _ = trend_errors(make_payload(fig12=50_000.0), ledger)
         assert errors == []
         ledger.close()
 
-    def test_wallclock_history_excludes_seeded_rows(self, ledger_path):
-        # A seeded snapshot recorded on faster hardware must not fail CI.
+    def test_host_leaves_are_recorded_never_gated(self, ledger_path):
+        # fig12's simulated requests per CPU-second sits in the ledger like
+        # every numeric leaf, but a host 100x slower fails no trend check.
         ledger = BenchLedger(ledger_path)
-        ledger.append_run(make_payload(engine=1_000_000.0), seeded=True)
-        errors, checks = trend_errors(make_payload(engine=100.0), ledger)
-        assert errors == []
-        assert checks["engine_throughput/events_per_sec"]["window"] == 0
-        ledger.close()
-
-    def test_fig12_host_speed_is_a_wallclock_row_across_scales(self, ledger_path):
-        # Simulated requests per CPU-second of the fig12 sweep: judged only
-        # against this ledger's own runs, whatever their scale (fig12 runs
-        # the full budget in every mode).
-        metric = "figure12_retwis_scaling/sim_requests_per_cpu_s"
-        ledger = BenchLedger(ledger_path)
-        ledger.append_run(make_payload(fig12_host=9_999.0), seeded=True)
-        errors, checks = trend_errors(make_payload(fig12_host=400.0), ledger)
-        assert errors == [] and checks[metric]["window"] == 0
         for _ in range(3):
-            ledger.append_run(make_payload(fig12_host=400.0, scale="reduced"))
-        errors, checks = trend_errors(
-            make_payload(fig12_host=300.0, scale="quick"), ledger)
-        assert checks[metric]["kind"] == "wallclock"
-        assert checks[metric]["ok"] is False and metric in errors[0]
-        errors, _ = trend_errors(make_payload(fig12_host=1_000.0), ledger)
+            ledger.append_run(make_payload(fig12_host=400.0))
+        assert ledger.history(FIG12_HOST) == [400.0, 400.0, 400.0]
+        errors, checks = trend_errors(make_payload(fig12_host=4.0), ledger)
         assert errors == []
+        assert set(checks) == {gate.metric for gate in TREND_GATES}
+        assert FIG12_HOST not in checks
         ledger.close()
 
     def test_deterministic_history_includes_seeded_rows(self, ledger_path):
@@ -232,8 +215,20 @@ class TestApplyLedger:
         # not be compared against itself.
         section, errors = apply_ledger(make_payload(), [], ledger_path)
         assert errors == []
-        assert section["trend"][
-            "engine_throughput/events_per_sec"]["window"] == 0
+        assert section["trend"][FIG12]["window"] == 0
+
+    def test_no_trend_gate_is_vacuous_at_the_seeded_scale(self, ledger_path):
+        # A fresh ledger seeded from the committed snapshot, judging a run at
+        # that snapshot's scale: every trend gate has history to judge by.
+        snapshot_path = REPO_ROOT / "BENCH_throughput.json"
+        snapshot = json.loads(snapshot_path.read_text())
+        section, errors = apply_ledger(snapshot, [], ledger_path,
+                                       seed_snapshot=snapshot_path)
+        assert errors == []
+        assert section["seeded_from"] == str(snapshot_path)
+        windows = {metric: check["window"] for metric, check in section["trend"].items()}
+        assert sorted(windows) == sorted(gate.metric for gate in TREND_GATES)
+        assert all(window >= 1 for window in windows.values()), windows
 
     def test_corrupt_ledger_degrades_with_warning(self, tmp_path, capsys):
         corrupt = tmp_path / "corrupt.sqlite"
@@ -272,8 +267,19 @@ class TestCli:
         ledger.close()
         assert main(["--report", "--ledger", str(ledger_path)]) == 0
         out = capsys.readouterr().out
-        assert "engine_throughput/events_per_sec" in out
+        assert FIG12 in out
         assert "1 run(s) recorded" in out
+
+    def test_report_rows_are_the_trend_gates(self, ledger_path):
+        # One row per gate; a host-clock leaf is in the ledger, not the table.
+        ledger = BenchLedger(ledger_path)
+        ledger.append_run(make_payload())
+        rows = format_report(ledger).splitlines()[3:]
+        ledger.close()
+        assert [row.split()[0] for row in rows] == [gate.metric for gate in TREND_GATES]
+        assert [row.split()[1:] for row in rows] == [["1", "1500.00", "1500.00"],
+                                                     ["1", "8000.00", "8000.00"],
+                                                     ["1", "110.00", "110.00"]]
 
     def test_missing_ledger_exits_zero(self, tmp_path, capsys):
         assert main(["--report",

@@ -2,17 +2,18 @@
 
 import pytest
 
+from jitter_free import JitterFreeLatencyModel
 from repro.anna import AnnaCluster
 from repro.cloudburst import ExecutorCache
 from repro.errors import ConsistencyError, KeyNotFoundError
 from repro.lattices import CausalLattice, LWWLattice, Timestamp, VectorClock
-from repro.sim import LatencyModel, RequestContext
+from repro.sim import RequestContext
 
 
 @pytest.fixture
 def anna():
     return AnnaCluster(node_count=2, replication_factor=1,
-                       latency_model=LatencyModel(jitter_enabled=False))
+                       latency_model=JitterFreeLatencyModel())
 
 
 @pytest.fixture

@@ -3,12 +3,14 @@
 The committed tree sits at or below every ceiling in
 ``benchmarks/census.json``, a tree with one more defaulted constructor
 parameter is caught by two rows, and a session record written outside the
-journal's ``advance`` is caught by the ``record_writes`` row.
+journal's ``advance`` is caught by the ``record_writes`` row.  ``--report``
+counts its base in a ``git archive`` export made by ``pairs.export``.
 """
 
 import importlib.util
 import json
 import shutil
+import subprocess
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -55,3 +57,22 @@ def test_a_record_write_outside_the_core_rises_above_the_ratchet(tmp_path):
     assert census.record_writes(REPO_ROOT) <= ceiling
     assert census.record_writes(tmp_path) == census.record_writes(REPO_ROOT) + 1
     assert census.record_writes(tmp_path) > ceiling
+
+
+def test_the_base_is_counted_in_an_export_of_its_commit(monkeypatch):
+    # The rows are stubbed to read the tree's own ceilings file: what
+    # ``_base_census`` counts is the committed file, in a tree that is gone
+    # once it returns.
+    trees = []
+
+    def ceilings_of(tree):
+        trees.append(tree)
+        return json.loads((tree / "benchmarks" / "census.json").read_text())
+
+    monkeypatch.setattr(census, "census", ceilings_of)
+    committed = subprocess.run(["git", "show", "HEAD:benchmarks/census.json"],
+                               cwd=REPO_ROOT, capture_output=True, text=True,
+                               check=True).stdout
+    assert census._base_census("HEAD") == json.loads(committed)
+    assert census.export.__module__ == "pairs"
+    assert len(trees) == 1 and not trees[0].exists()

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from jitter_free import JitterFreeLatencyModel
 from repro.cloudburst import (
     CloudburstCluster,
     CloudburstReference,
@@ -17,13 +18,13 @@ from repro.cloudburst.consistency.protocols import SessionState, make_protocol
 from repro.cloudburst.executor import EXECUTOR_METRICS_PREFIX, function_key
 from repro.errors import ExecutorFailedError, FunctionNotFoundError
 from repro.lattices import LWWLattice, Timestamp
-from repro.sim import LatencyModel, RequestContext
+from repro.sim import RequestContext
 
 
 @pytest.fixture
 def cluster():
     return CloudburstCluster(executor_vms=1, threads_per_vm=3, anna_nodes=2,
-                             latency_model=LatencyModel(jitter_enabled=False))
+                             latency_model=JitterFreeLatencyModel())
 
 
 @pytest.fixture

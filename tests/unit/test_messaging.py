@@ -2,16 +2,17 @@
 
 import pytest
 
+from jitter_free import JitterFreeLatencyModel
 from repro.anna import AnnaCluster
 from repro.cloudburst import MessageRouter
 from repro.cloudburst.messaging import inbox_key
 from repro.errors import MessagingError
-from repro.sim import LatencyModel, RequestContext
+from repro.sim import RequestContext
 
 
 @pytest.fixture
 def anna():
-    return AnnaCluster(node_count=2, latency_model=LatencyModel(jitter_enabled=False))
+    return AnnaCluster(node_count=2, latency_model=JitterFreeLatencyModel())
 
 
 @pytest.fixture

@@ -114,8 +114,9 @@ class TestQueries:
         assert tracer.roots() == [root]
         assert tracer.orphan_spans() == []
         assert tracer.unfinished_spans() == []
-        assert set(s.span_id for s in tracer.children_of(root)) == \
-            {schedule.span_id, invoke.span_id}
+        children = tracer.span_tree(root.trace_id)[0]["children"]
+        assert [child["span_id"] for child in children] == \
+            [schedule.span_id, invoke.span_id]
         assert list(dict.fromkeys(
             span.tier for span in tracer.spans_for(root.trace_id))) == \
             ["client", "scheduler", "executor", "anna"]

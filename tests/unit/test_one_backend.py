@@ -88,7 +88,7 @@ class TestTwoRunsOnOneCluster:
             rounds = kvs.gossip_rounds
             engine.run(until_ms=engine.now_ms + 1_000.0)
             assert kvs.gossip_rounds <= rounds + 1
-            assert engine.pending == 0
+            assert engine.stats()["pending"] == 0
 
         (first, first_sim, first_storage), (second, second_sim, second_storage) = runs
         assert second.started_ms >= first.started_ms + first_sim.duration_ms + 1_000.0

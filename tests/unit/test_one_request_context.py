@@ -12,6 +12,7 @@ import inspect
 
 import pytest
 
+from jitter_free import JitterFreeLatencyModel
 from repro.anna import AnnaCluster
 from repro.apps.retwis import RetwisOnRedis
 from repro.baselines import (
@@ -30,8 +31,7 @@ from repro.cloudburst import (CloudburstCluster, ExecutorCache, ExecutorThread,
 from repro.cloudburst.consistency import protocols
 from repro.cloudburst.executor import UserLibrary
 from repro.cloudburst.messaging import MessageRouter
-from repro.sim import (LatencyModel, RequestContext, SimClock, WorkQueue,
-                       run_overlapped)
+from repro.sim import RequestContext, SimClock, WorkQueue, run_overlapped
 
 _PROTOCOLS = (
     protocols.ConsistencyProtocol,
@@ -158,7 +158,7 @@ class TestRunOverlappedChargesTheWholeModel:
 
     @staticmethod
     def _run(sizes):
-        model = LatencyModel(jitter_enabled=False)
+        model = JitterFreeLatencyModel()
         ctx = RequestContext()
 
         def run_one(size, branch):

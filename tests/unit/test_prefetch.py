@@ -18,6 +18,7 @@ Contracts under test:
 
 import pytest
 
+from jitter_free import JitterFreeLatencyModel
 from repro.anna import AnnaCluster
 from repro.cloudburst import (
     CloudburstCluster,
@@ -25,7 +26,7 @@ from repro.cloudburst import (
     ExecutorCache,
 )
 from repro.lattices import LWWLattice, Timestamp
-from repro.sim import LatencyModel, RequestContext, SimClock
+from repro.sim import RequestContext, SimClock
 
 
 def lww(value, clock=1.0, node="n"):
@@ -40,7 +41,7 @@ def ctx_at(now_ms: float = 0.0, epoch=None) -> RequestContext:
 
 def make_cache() -> ExecutorCache:
     anna = AnnaCluster(node_count=2, replication_factor=1,
-                       latency_model=LatencyModel(jitter_enabled=False))
+                       latency_model=JitterFreeLatencyModel())
     return ExecutorCache("cache-a", anna, peer_registry={})
 
 

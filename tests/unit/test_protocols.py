@@ -2,6 +2,7 @@
 
 import pytest
 
+from jitter_free import JitterFreeLatencyModel
 from repro.anna import AnnaCluster
 from repro.cloudburst import ConsistencyLevel, ExecutorCache
 from repro.cloudburst.consistency.protocols import (
@@ -22,7 +23,7 @@ from repro.sim import LatencyModel, RequestContext, SimClock
 @pytest.fixture
 def anna():
     return AnnaCluster(node_count=2, replication_factor=1,
-                       latency_model=LatencyModel(jitter_enabled=False),
+                       latency_model=JitterFreeLatencyModel(),
                        propagation_mode=AnnaCluster.PROPAGATE_PERIODIC)
 
 

@@ -58,7 +58,7 @@ class TestEngine:
         engine.run(until_ms=10.0)
         assert fired == [1]
         assert engine.now_ms == 10.0
-        assert engine.pending == 1
+        assert engine.stats()["pending"] == 1
 
     def test_events_scheduled_while_running(self):
         engine = Engine()
@@ -80,22 +80,22 @@ class TestPendingCounters:
 
     def test_counters_track_schedule_cancel_fire(self):
         engine = Engine()
-        assert engine.pending == 0
+        assert engine.stats()["pending"] == 0
         assert engine.foreground_pending == 0
         fg = engine.at(1.0, lambda: None)
         bg = engine.at(2.0, lambda: None, background=True)
-        assert engine.pending == 2
+        assert engine.stats()["pending"] == 2
         assert engine.foreground_pending == 1
         engine.cancel(bg)
-        assert engine.pending == 1
+        assert engine.stats()["pending"] == 1
         assert engine.foreground_pending == 1
         engine.step()  # fires fg
-        assert engine.pending == 0
+        assert engine.stats()["pending"] == 0
         assert engine.foreground_pending == 0
         # Cancelling after the fact must not drive the counters negative.
         engine.cancel(fg)
         engine.cancel(bg)
-        assert engine.pending == 0
+        assert engine.stats()["pending"] == 0
         assert engine.foreground_pending == 0
 
     def test_double_cancel_counts_once(self):
@@ -103,7 +103,7 @@ class TestPendingCounters:
         event = engine.at(1.0, lambda: None)
         engine.cancel(event)
         engine.cancel(event)
-        assert engine.pending == 0
+        assert engine.stats()["pending"] == 0
 
     def test_counters_agree_with_heap_contents(self):
         engine = Engine()
@@ -112,7 +112,7 @@ class TestPendingCounters:
         for event in events[::2]:
             engine.cancel(event)
         live = [entry[2] for entry in engine._heap if not entry[2].cancelled]
-        assert engine.pending == len(live)
+        assert engine.stats()["pending"] == len(live)
         assert engine.foreground_pending == sum(
             1 for event in live if not event.background)
 
@@ -125,7 +125,7 @@ class TestPendingCounters:
             events = [engine.at(float(i), lambda: None) for i in range(400)]
             for event in events:
                 engine.cancel(event)
-        assert engine.pending == 1
+        assert engine.stats()["pending"] == 1
         assert len(engine._heap) < 1200
         engine.run()
         assert keeper.fn is None  # still fired despite the churn
@@ -151,7 +151,7 @@ class TestPendingCounters:
         engine.at(2000.0, lambda: fired.append("tail"))
         engine.run()
         assert fired == ["after", "tail"]
-        assert engine.pending == 0
+        assert engine.stats()["pending"] == 0
         assert engine._tombstones == 0
         # A second run on the same engine must also work.
         engine.at(3000.0, lambda: fired.append("second"))
@@ -173,7 +173,7 @@ class TestRecurringEvent:
         engine = Engine()
         fired = []
         engine.every(10.0, lambda: fired.append(engine.now_ms))
-        assert engine.pending == 0
+        assert engine.stats()["pending"] == 0
         engine.run()
         assert fired == []
 
@@ -186,7 +186,7 @@ class TestRecurringEvent:
         # The firing after the work drained finds nothing pending and does
         # not reschedule: the run ends instead of spinning.
         assert fired == [10.0, 20.0, 30.0, 40.0]
-        assert engine.pending == 0
+        assert engine.stats()["pending"] == 0
 
     def test_resumes_one_interval_after_foreground_work_returns(self):
         engine = Engine()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from jitter_free import JitterFreeLatencyModel
 from repro.sim import ComputeModel, LatencyModel, OperationCost, RandomSource, RequestContext
 
 
@@ -22,7 +23,7 @@ class TestLatencyModel:
             LatencyModel().cost("nosuch", "op")
 
     def test_sample_without_jitter_equals_mean(self):
-        model = LatencyModel(jitter_enabled=False)
+        model = JitterFreeLatencyModel()
         assert model.sample_ms("lambda", "invoke") == \
                model.cost("lambda", "invoke").base_ms
 
@@ -33,15 +34,14 @@ class TestLatencyModel:
         assert all(s > 0 for s in samples)
 
     def test_charge_applies_to_context(self):
-        model = LatencyModel(jitter_enabled=False)
+        model = JitterFreeLatencyModel()
         ctx = RequestContext()
         charged = model.charge(ctx, "anna", "get", size_bytes=190_000)
         assert ctx.clock.now_ms == pytest.approx(charged)
         assert ctx.count("anna", "get") == 1
 
     def test_costs_argument_replaces_a_default(self):
-        model = LatencyModel(costs={("anna", "get"): OperationCost(42.0)},
-                             jitter_enabled=False)
+        model = JitterFreeLatencyModel(costs={("anna", "get"): OperationCost(42.0)})
         assert model.sample_ms("anna", "get") == 42.0
         assert model.cost("anna", "put") == LatencyModel().cost("anna", "put")
 
@@ -56,7 +56,7 @@ class TestCalibrationShape:
     """The relative calibration the paper's figures depend on."""
 
     def setup_method(self):
-        self.model = LatencyModel(jitter_enabled=False)
+        self.model = JitterFreeLatencyModel()
 
     def test_cache_ipc_is_much_cheaper_than_anna(self):
         assert self.model.sample_ms("cache", "get") * 5 < self.model.sample_ms("anna", "get")
