@@ -12,10 +12,11 @@ Each row counts one shape the project has deleted a second mechanism for
   every field of a ``*Config`` class under ``src/``, read with ``ast``;
 * unset options: the defaulted parameters no call outside ``tests/`` passes,
   as ``benchmarks/reachability.py --options`` of the same tree counts them;
-* uncalled lines: the lines of the functions under ``src/`` that the
-  figure registry at smoke scale and ``benchmarks/perf``'s workloads never
-  call, as ``benchmarks/reachability.py --summary`` of the same tree counts
-  them (DR-28; it runs both, so ``--check`` takes about a minute);
+* uncalled functions and their lines: the functions under ``src/`` that
+  the figure registry at smoke scale and ``benchmarks/perf``'s workloads
+  never call, as the one totals line of ``benchmarks/reachability.py
+  --summary`` of the same tree counts them (DR-28; it runs both, so a census
+  takes about a minute, and both rows read one run);
 * private scheduler calls: lines under ``src/`` that reach into a
   scheduler's private members (``scheduler._x``) — a DAG session asks the
   scheduler only for its public placement calls;
@@ -26,19 +27,21 @@ Each row counts one shape the project has deleted a second mechanism for
 ``benchmarks/census.json`` holds each row's ceiling.  ``--check`` fails when
 a count rises above its ceiling; raising a ceiling is an edit to that file,
 and CHANGES.md says why.  A count below its ceiling is reported, so the same
-change can lower it.
+change can lower it.  ``--report BASE --check`` prints the report and then
+checks the same head counts, so CI counts each tree once.
 
 Usage::
 
-    python benchmarks/census.py                # the counts of this tree
-    python benchmarks/census.py --check        # exit 1 above a ceiling
-    python benchmarks/census.py --report BASE  # base -> head, as markdown
+    python benchmarks/census.py                        # the counts of this tree
+    python benchmarks/census.py --check                # exit 1 above a ceiling
+    python benchmarks/census.py --report BASE [--check]  # base -> head, as markdown
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import re
 import subprocess
@@ -129,17 +132,23 @@ def record_writes(tree: Path) -> int:
     return total
 
 
+@functools.lru_cache(maxsize=None)
+def _reachability_summary(tree: Path, *flags: str) -> str:
+    """The totals line of ``reachability.py [flags] --summary`` of ``tree``,
+    run once per tree and flags however many rows read it."""
+    return subprocess.run(
+        [sys.executable, str(tree / "benchmarks" / "reachability.py"),
+         *flags, "--summary"],
+        capture_output=True, text=True, check=True).stdout.strip()
+
+
 def _reachability_total(pattern: str, *flags: str) -> Callable[[Path], int]:
     """The number ``pattern`` captures in ``reachability.py [flags] --summary``
     of the same tree."""
     regex = re.compile(pattern)
 
     def count(tree: Path) -> int:
-        output = subprocess.run(
-            [sys.executable, str(tree / "benchmarks" / "reachability.py"),
-             *flags, "--summary"],
-            capture_output=True, text=True, check=True).stdout
-        return int(regex.search(output).group(1))
+        return int(regex.search(_reachability_summary(tree, *flags)).group(1))
 
     return count
 
@@ -160,6 +169,8 @@ ROWS: List[Tuple[str, str, Callable[[Path], int]]] = [
      constructor_options),
     ("unset_options", "`reachability.py --options` (unset options)",
      _reachability_total(r"unset options: (\d+)", "--options")),
+    ("uncalled_functions", "`reachability.py` (functions never called)",
+     _reachability_total(r"uncalled: (\d+) of \d+ functions")),
     ("uncalled_lines", "`reachability.py` (lines of functions never called)",
      _reachability_total(r"uncalled: \d+ of \d+ functions, (\d+) lines")),
     ("span_sites", r"span sites: `span is (not )?None|\.child\(|\.finish\(`"
@@ -192,6 +203,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     head = census(REPO_ROOT)
     ceilings = json.loads(CEILINGS.read_text())
+    above = [key for key, _label, _count in ROWS
+             if key not in ceilings or head[key] > ceilings[key]]
 
     if args.report:
         base = _base_census(args.report)
@@ -201,25 +214,23 @@ def main(argv=None) -> int:
         for key, label, _count in ROWS:
             label = label.replace("|", "\\|")  # a pipe inside a table cell
             print(f"| {label} | {base[key]} | {head[key]} | {ceilings.get(key, '—')} |")
-        return 0
-
-    failures = 0
-    for key, label, _count in ROWS:
-        ceiling = ceilings.get(key)
-        note = ""
-        if ceiling is None:
-            note = "  (no ceiling in census.json)"
-            failures += 1
-        elif head[key] > ceiling:
-            note = f"  ABOVE its ceiling {ceiling}"
-            failures += 1
-        elif head[key] < ceiling:
-            note = f"  (ceiling {ceiling} can be lowered)"
-        print(f"{head[key]:>5}  {label}{note}")
-    if args.check and failures:
-        print(f"census: {failures} row(s) above the ratchet; lower the count, or "
-              f"raise the ceiling in {CEILINGS.relative_to(REPO_ROOT)} and say "
-              f"why in CHANGES.md", file=sys.stderr)
+        print(f"\nHead, `reachability.py --summary`: `{_reachability_summary(REPO_ROOT)}`")
+    else:
+        for key, label, _count in ROWS:
+            ceiling = ceilings.get(key)
+            note = ""
+            if ceiling is None:
+                note = "  (no ceiling in census.json)"
+            elif head[key] > ceiling:
+                note = f"  ABOVE its ceiling {ceiling}"
+            elif head[key] < ceiling:
+                note = f"  (ceiling {ceiling} can be lowered)"
+            print(f"{head[key]:>5}  {label}{note}")
+    if args.check and above:
+        print(f"census: {len(above)} row(s) above the ratchet ({', '.join(above)}); "
+              f"lower the count, or raise the ceiling in "
+              f"{CEILINGS.relative_to(REPO_ROOT)} and say why in CHANGES.md",
+              file=sys.stderr)
         return 1
     return 0
 

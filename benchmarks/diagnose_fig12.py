@@ -6,13 +6,14 @@ clusters when caches started cold.  Request totals (``RequestContext``
 charges) say latency went up but not where; this script answers *where*
 with the observability plane: it runs a reduced 160-thread retwis point
 twice — caches cold, then warmed exactly as ``run_figure12`` warms them —
-with a sampling tracer attached, aggregates the span breakdown per tier,
-and dumps the worst sampled request's full span tree as evidence.
+with a sampling tracer attached, totals span time per tier and site, and
+dumps the worst sampled request's spans as evidence.
 
 Output (``--output``, default ``fig12_trace.json`` in the working directory):
 
 * per-phase span-time breakdown by ``(tier, span name)``;
-* the worst cold-phase trace rendered as a nested span tree;
+* the worst cold-phase trace as flat span records (``parent_id`` carries
+  the tree);
 * the summary table DR-7 quotes.
 
 ``docs/evidence/fig12_starvation_trace.json`` stays as recorded at PR 10: it
@@ -86,14 +87,14 @@ def phase_report(sim, tracer) -> dict:
     numbers are the *leaf* sites — cache hits/misses, Anna queue/service,
     executor queue wait — normalized per sampled request.
     """
-    breakdown = tracer.breakdown()
-    by_site = {f"{tier}/{name}": round(duration_ms, 1)
-               for (tier, name), duration_ms in
-               sorted(breakdown.items(), key=lambda item: -item[1])}
+    totals: dict = {}
     counts: dict = {}
     for span in tracer.spans:
         site = f"{span.tier}/{span.name}"
+        totals[site] = totals.get(site, 0.0) + span.duration_ms
         counts[site] = counts.get(site, 0) + 1
+    by_site = {site: round(duration_ms, 1) for site, duration_ms in
+               sorted(totals.items(), key=lambda item: -item[1])}
     # Misses issued one-at-a-time on the foreground path (the DR-7 convoy
     # shape).  Misses under a multi_get parent overlap in virtual time and
     # occupy the thread for ~one round trip total, so they don't count.
@@ -102,9 +103,7 @@ def phase_report(sim, tracer) -> dict:
     sequential_misses = sum(
         1 for span in tracer.spans
         if span.name == "cache_miss" and span.parent_id not in multi_get_ids)
-    request_traces = [span for span in tracer.roots()
-                      if not (span.attrs or {}).get("background")] or [None]
-    traces = len([span for span in request_traces if span is not None])
+    traces = len(request_roots(tracer))
     per_request = {
         site: round(counts.get(site, 0) / max(traces, 1), 1)
         for site in ("cache/cache_miss", "cache/cache_hit",
@@ -129,17 +128,23 @@ def phase_report(sim, tracer) -> dict:
     }
 
 
-def worst_trace_tree(tracer) -> dict:
-    """The sampled request whose root span ran longest, as a nested tree."""
-    roots = [span for span in tracer.roots()
-             if span.finished and not (span.attrs or {}).get("background")]
+def request_roots(tracer) -> list:
+    """The root span of each sampled request (background roots excluded)."""
+    return [span for span in tracer.spans if span.parent_id is None
+            and not (span.attrs or {}).get("background")]
+
+
+def worst_trace(tracer) -> dict:
+    """The sampled request whose root span ran longest, as its span records."""
+    roots = [span for span in request_roots(tracer) if span.end_ms is not None]
     if not roots:
         return {}
     worst = max(roots, key=lambda span: span.duration_ms)
     return {
         "trace_id": worst.trace_id,
         "duration_ms": round(worst.duration_ms, 2),
-        "tree": tracer.span_tree(worst.trace_id),
+        "spans": [span.to_dict() for span in tracer.spans
+                  if span.trace_id == worst.trace_id],
     }
 
 
@@ -161,7 +166,7 @@ def main(argv=None) -> int:
                                 warm=warm, sample_rate=args.sample_rate)
         phases[label] = phase_report(sim, tracer)
         if label == "cold":
-            evidence = worst_trace_tree(tracer)
+            evidence = worst_trace(tracer)
         print(f"  {phases[label]['requests_per_s']} req/s, "
               f"p99={phases[label]['p99_ms']}ms, "
               f"mean invoke {phases[label]['mean_invoke_ms']}ms, "

@@ -48,7 +48,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_VERSION = 15
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.bench import apply_ledger, figures  # noqa: E402
+from repro.bench import DEFAULT_LEDGER_NAME, apply_ledger, figures  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -89,7 +89,7 @@ def main(argv=None) -> int:
         # snapshot).  A corrupt/missing ledger degrades to the fixed
         # thresholds above with a warning — see repro/bench/ledger.py.
         ledger_path = (Path(args.ledger) if args.ledger
-                       else output.parent / "bench_ledger.sqlite")
+                       else output.parent / DEFAULT_LEDGER_NAME)
         ledger_section, ledger_errors = apply_ledger(
             payload, errors, ledger_path, seed_snapshot=args.ledger_seed)
         payload["ledger"] = ledger_section

@@ -21,16 +21,10 @@ ruler, ``benchmarks/perf`` (``benchmarks/pairs.py`` pairs two commits on it).
 Degradation contract: a missing ledger simply starts a new history, and a
 corrupt one prints a warning and falls back to fixed-threshold gating — the
 trend layer must never turn an unreadable file into a failed build.
-
-CLI::
-
-    python -m repro.bench.ledger --report            # windowed trend table
-    python -m repro.bench.ledger --report --ledger path/to/bench_ledger.sqlite
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sqlite3
 import sys
@@ -41,7 +35,9 @@ from statistics import median
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 #: Version of the ledger's on-disk layout, recorded in ``ledger_meta``.
-SCHEMA_VERSION = 1
+#: Version 1 also had ``runs.seeded``, which nothing read; a version-1 file
+#: keeps working, since the column defaults to 0 on insert.
+SCHEMA_VERSION = 2
 
 #: Default name of the ledger database, created next to the bench snapshot.
 DEFAULT_LEDGER_NAME = "bench_ledger.sqlite"
@@ -152,7 +148,6 @@ class BenchLedger:
             "  payload_schema INTEGER NOT NULL,"
             "  seed INTEGER NOT NULL,"
             "  scale TEXT NOT NULL,"
-            "  seeded INTEGER NOT NULL DEFAULT 0,"
             "  gate_ok INTEGER NOT NULL)")
         conn.execute(
             "CREATE INDEX IF NOT EXISTS idx_runs_scale ON runs (scale, run_id)")
@@ -181,19 +176,18 @@ class BenchLedger:
 
     # -- writes ------------------------------------------------------------------
     def append_run(self, payload: Dict[str, Any],
-                   gate_errors: Sequence[str] = (),
-                   seeded: bool = False) -> int:
+                   gate_errors: Sequence[str] = ()) -> int:
         """Record one bench run (sections, samples, gate outcome); run id back."""
         conn = self._conn
         conn.execute("BEGIN")
         try:
             cursor = conn.execute(
                 "INSERT INTO runs (recorded_at, payload_schema, seed, scale,"
-                " seeded, gate_ok) VALUES (?, ?, ?, ?, ?, ?)",
+                " gate_ok) VALUES (?, ?, ?, ?, ?)",
                 (_utc_now_iso(), int(payload.get("schema", 0)),
                  int(payload.get("seed", 0)),
                  str(payload.get("scale", "unknown")),
-                 1 if seeded else 0, 0 if gate_errors else 1))
+                 0 if gate_errors else 1))
             run_id = cursor.lastrowid
             conn.executemany(
                 "INSERT INTO sections (run_id, section, payload) VALUES (?, ?, ?)",
@@ -216,10 +210,10 @@ class BenchLedger:
     def seed_from_snapshot(self, snapshot_path: Union[str, Path]) -> Optional[int]:
         """Seed an empty history from a committed bench snapshot, if readable.
 
-        The row is flagged ``seeded`` (it was recorded elsewhere, perhaps on
-        other hardware); the trend windows count it like any run, since they
-        read only seed-pinned metrics.  Returns the run id, or None when the
-        snapshot is missing or unparsable.
+        The row was recorded elsewhere, perhaps on other hardware; the trend
+        windows count it like any run, since they read only seed-pinned
+        metrics.  Returns the run id, or None when the snapshot is missing or
+        unparsable.
         """
         path = Path(snapshot_path)
         try:
@@ -228,7 +222,7 @@ class BenchLedger:
             return None
         if not isinstance(snapshot, dict):
             return None
-        return self.append_run(snapshot, gate_errors=(), seeded=True)
+        return self.append_run(snapshot)
 
     # -- reads -------------------------------------------------------------------
     def run_count(self) -> int:
@@ -247,19 +241,6 @@ class BenchLedger:
         query += " ORDER BY s.run_id DESC LIMIT ?"
         params.append(int(limit))
         return [float(row[0]) for row in self._conn.execute(query, params)]
-
-    def trend_rows(self, window: int = TREND_WINDOW) -> List[Dict[str, Any]]:
-        """Per-gate history summaries for the ``--report`` table (every scale)."""
-        rows = []
-        for gate in TREND_GATES:
-            values = self.history(gate.metric, limit=window)
-            rows.append({
-                "metric": gate.metric,
-                "window": len(values),
-                "latest": values[0] if values else None,
-                "median": median(values) if values else None,
-            })
-        return rows
 
     def close(self) -> None:
         self._conn.close()
@@ -364,53 +345,3 @@ def apply_ledger(payload: Dict[str, Any], fixed_errors: Sequence[str],
         return section, []
     finally:
         ledger.close()
-
-
-# -- CLI -----------------------------------------------------------------------------
-def format_report(ledger: BenchLedger, window: int = TREND_WINDOW) -> str:
-    """The windowed trend table ``--report`` prints into the CI job log."""
-    lines = [f"bench ledger: {ledger.path} ({ledger.run_count()} run(s) recorded)"]
-    header = f"{'metric':58s} {'n':>2s} {'median':>12s} {'latest':>12s}"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for row in ledger.trend_rows(window=window):
-        median_text = ("-" if row["median"] is None
-                       else f"{row['median']:12.2f}")
-        latest_text = ("-" if row["latest"] is None
-                       else f"{row['latest']:12.2f}")
-        lines.append(f"{row['metric']:58s} {row['window']:2d} "
-                     f"{median_text:>12s} {latest_text:>12s}")
-    return "\n".join(lines)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Inspect the historical bench ledger.")
-    parser.add_argument("--ledger", default=DEFAULT_LEDGER_NAME,
-                        help="path to bench_ledger.sqlite "
-                             f"(default: ./{DEFAULT_LEDGER_NAME})")
-    parser.add_argument("--window", type=int, default=TREND_WINDOW,
-                        help="trend window size (default: %(default)s)")
-    parser.add_argument("--report", action="store_true",
-                        help="print the windowed trend table")
-    args = parser.parse_args(argv)
-    path = Path(args.ledger)
-    if not path.exists():
-        print(f"bench ledger {path} does not exist yet "
-              "(run benchmarks/run_all.py to create it)", file=sys.stderr)
-        return 0
-    try:
-        ledger = BenchLedger(path)
-    except sqlite3.Error as exc:
-        print(f"WARNING: bench ledger {path} is unreadable ({exc})",
-              file=sys.stderr)
-        return 0
-    try:
-        print(format_report(ledger, window=args.window))
-    finally:
-        ledger.close()
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -18,48 +18,38 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Sequence, Union
+from typing import Any, Dict, List, Union
 
-from .tracing import Tracer, TraceSpan
+from .tracing import Tracer
 
 __all__ = ["spans_to_json", "write_span_dump", "to_chrome_trace",
            "write_chrome_trace"]
 
-SpanSource = Union[Tracer, Sequence[TraceSpan]]
-
-
-def _spans(source: SpanSource) -> List[TraceSpan]:
-    if isinstance(source, Tracer):
-        return list(source.spans)
-    return list(source)
-
-
-def spans_to_json(source: SpanSource) -> List[Dict[str, Any]]:
+def spans_to_json(tracer: Tracer) -> List[Dict[str, Any]]:
     """Span records as plain dicts (the JSON span dump's payload)."""
-    return [span.to_dict() for span in _spans(source)]
+    return [span.to_dict() for span in tracer.spans]
 
 
-def write_span_dump(path: Union[str, Path], source: SpanSource,
+def write_span_dump(path: Union[str, Path], tracer: Tracer,
                     meta: Union[Dict[str, Any], None] = None) -> Path:
     """Write ``{"meta": ..., "spans": [...]}`` to ``path``; returns the path."""
     path = Path(path)
-    payload = {"meta": meta or {}, "spans": spans_to_json(source)}
+    payload = {"meta": meta or {}, "spans": spans_to_json(tracer)}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
     return path
 
 
-def to_chrome_trace(source: SpanSource) -> Dict[str, Any]:
+def to_chrome_trace(tracer: Tracer) -> Dict[str, Any]:
     """Spans as a Chrome trace-event document (Perfetto-loadable).
 
     Process ids are assigned per tier in first-seen order and named with
     metadata events; thread ids per ``(tier, node)`` the same way, so the
     viewer groups work by tier and by node within the tier.
     """
-    spans = _spans(source)
     pid_by_tier: Dict[str, int] = {}
     tid_by_node: Dict[tuple, int] = {}
     events: List[Dict[str, Any]] = []
-    for span in spans:
+    for span in tracer.spans:
         pid = pid_by_tier.get(span.tier)
         if pid is None:
             pid = pid_by_tier[span.tier] = len(pid_by_tier) + 1
@@ -94,8 +84,8 @@ def to_chrome_trace(source: SpanSource) -> Dict[str, Any]:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(path: Union[str, Path], source: SpanSource) -> Path:
+def write_chrome_trace(path: Union[str, Path], tracer: Tracer) -> Path:
     """Write the Chrome trace-event document to ``path``; returns the path."""
     path = Path(path)
-    path.write_text(json.dumps(to_chrome_trace(source), sort_keys=True))
+    path.write_text(json.dumps(to_chrome_trace(tracer), sort_keys=True))
     return path

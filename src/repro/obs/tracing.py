@@ -66,12 +66,6 @@ class TraceSpan:
         self._children_end_ms = self.start_ms
 
     # -- building the tree ------------------------------------------------------
-    def child(self, name: str, tier: str, start_ms: float,
-              node: Optional[str] = None) -> "TraceSpan":
-        """Start a child span in the same trace (delegates to the tracer)."""
-        return self.tracer.start_span(name, tier, start_ms,
-                                      parent=self, node=node)
-
     def annotate(self, key: str, value: Any) -> "TraceSpan":
         """Attach one key/value attribute (dict allocated lazily)."""
         if self.attrs is None:
@@ -97,10 +91,6 @@ class TraceSpan:
         return self
 
     # -- reads ------------------------------------------------------------------
-    @property
-    def finished(self) -> bool:
-        return self.end_ms is not None
-
     @property
     def duration_ms(self) -> float:
         if self.end_ms is None:
@@ -141,7 +131,7 @@ class Tracer:
     exactly every fourth request, deterministically, with no RNG to disturb
     seeded workloads.  ``0.0`` disables tracing entirely; ``1.0`` traces
     everything.  Background spans (gossip rounds, autoscaler ticks) bypass
-    request sampling via :meth:`start_background` but honour ``0.0`` as a
+    request sampling via :meth:`record_background` but honour ``0.0`` as a
     global off switch.
     """
 
@@ -153,8 +143,6 @@ class Tracer:
         self._next_trace_id = 1
         self._next_span_id = 1
         self._sample_acc = 0.0
-        #: Requests that arrived while the sampler said no (for export stats).
-        self.unsampled_requests = 0
 
     @property
     def enabled(self) -> bool:
@@ -166,50 +154,41 @@ class Tracer:
         """Root span for a new request, or None when sampled out."""
         self._sample_acc += self.sample_rate
         if self._sample_acc < 1.0:
-            self.unsampled_requests += 1
             return None
         self._sample_acc -= 1.0
-        trace_id = self._next_trace_id
-        self._next_trace_id += 1
-        return self._new_span(trace_id, None, name, tier, start_ms, node)
+        return self._new_span(None, name, tier, start_ms, node)
 
     def start_span(self, name: str, tier: str, start_ms: float,
                    parent: TraceSpan, node: Optional[str] = None,
                    attrs: Optional[Dict[str, Any]] = None) -> TraceSpan:
         """Child span under ``parent`` (callers guard on parent being set)."""
-        span = self._new_span(parent.trace_id, parent, name, tier, start_ms,
-                              node)
+        span = self._new_span(parent, name, tier, start_ms, node)
         span.attrs = attrs or None
-        return span
-
-    def start_background(self, name: str, tier: str, start_ms: float,
-                         node: Optional[str] = None) -> Optional[TraceSpan]:
-        """Root span outside any request (gossip, control-plane ticks).
-
-        Background activity is not request-sampled — one gossip round is not
-        "a request" — but a ``sample_rate`` of exactly 0 still means *off*.
-        Background traces share the id space under ``trace_id`` allocation.
-        """
-        if not self.enabled:
-            return None
-        trace_id = self._next_trace_id
-        self._next_trace_id += 1
-        span = self._new_span(trace_id, None, name, tier, start_ms, node)
-        span.annotate("background", True)
         return span
 
     def record_background(self, name: str, tier: str, start_ms: float,
                           end_ms: float, node: Optional[str] = None,
                           **attrs: Any) -> None:
-        """A finished background span (a prefetch, a gossip round)."""
-        span = self.start_background(name, tier, start_ms, node)
-        if span is not None:
-            span.attrs.update(attrs)
+        """A finished root span outside any request (a prefetch, a gossip
+        round), annotated ``background`` first and then ``attrs``.
+
+        Background activity is not request-sampled — one gossip round is not
+        "a request" — but a ``sample_rate`` of exactly 0 still means *off*.
+        Background traces share the id space under ``trace_id`` allocation.
+        """
+        if self.enabled:
+            span = self._new_span(None, name, tier, start_ms, node)
+            span.attrs = {"background": True, **attrs}
             span.finish(end_ms)
 
-    def _new_span(self, trace_id: int, parent: Optional[TraceSpan], name: str,
-                  tier: str, start_ms: float,
-                  node: Optional[str]) -> TraceSpan:
+    def _new_span(self, parent: Optional[TraceSpan], name: str, tier: str,
+                  start_ms: float, node: Optional[str]) -> TraceSpan:
+        """A span under ``parent``, or the root of a new trace."""
+        if parent is None:
+            trace_id = self._next_trace_id
+            self._next_trace_id += 1
+        else:
+            trace_id = parent.trace_id
         span = TraceSpan(self, trace_id, self._next_span_id, parent,
                          name, tier, start_ms, node=node)
         self._next_span_id += 1
@@ -225,12 +204,6 @@ class Tracer:
         for span in self.spans:
             seen.setdefault(span.trace_id, None)
         return list(seen)
-
-    def spans_for(self, trace_id: int) -> List[TraceSpan]:
-        return [span for span in self.spans if span.trace_id == trace_id]
-
-    def roots(self) -> List[TraceSpan]:
-        return [span for span in self.spans if span.parent_id is None]
 
     def orphan_spans(self) -> List[TraceSpan]:
         """Spans whose parent id does not exist — a broken causal tree.
@@ -248,38 +221,6 @@ class Tracer:
     def tiers(self) -> List[str]:
         """Distinct tiers touched, in first-seen order."""
         return list(dict.fromkeys(span.tier for span in self.spans))
-
-    def span_tree(self, trace_id: int) -> List[Dict[str, Any]]:
-        """The trace's spans as nested dicts (roots first), for evidence dumps."""
-        by_parent: Dict[Optional[int], List[TraceSpan]] = {}
-        members = {span.span_id for span in self.spans
-                   if span.trace_id == trace_id}
-        for span in self.spans:
-            if span.trace_id != trace_id:
-                continue
-            parent = (span.parent_id
-                      if span.parent_id in members else None)
-            by_parent.setdefault(parent, []).append(span)
-
-        def render(span: TraceSpan) -> Dict[str, Any]:
-            record = span.to_dict()
-            children = by_parent.get(span.span_id, [])
-            if children:
-                record["children"] = [render(child) for child in children]
-            return record
-
-        return [render(span) for span in by_parent.get(None, [])]
-
-    def breakdown(self, trace_id: Optional[int] = None,
-                  ) -> Dict[Tuple[str, str], float]:
-        """Total span duration by ``(tier, name)`` — where the time went."""
-        totals: Dict[Tuple[str, str], float] = {}
-        for span in self.spans:
-            if trace_id is not None and span.trace_id != trace_id:
-                continue
-            key = (span.tier, span.name)
-            totals[key] = totals.get(key, 0.0) + span.duration_ms
-        return totals
 
     def clear(self) -> None:
         """Drop retained spans (ids keep counting, so dumps stay unambiguous)."""

@@ -4,7 +4,8 @@ Pins the ledger's three contracts: runs append atomically and are queryable;
 trend checks are one-sided against a windowed median of seed-pinned metrics
 only (host-clock leaves are recorded, never gated); and a corrupt or missing
 ledger degrades to fixed-threshold gating with a warning rather than failing
-the build.
+the build.  A ledger in the version-1 layout, with its ``runs.seeded``
+column, keeps working.
 """
 
 import json
@@ -19,8 +20,6 @@ from repro.bench.ledger import (
     BenchLedger,
     apply_ledger,
     extract_samples,
-    format_report,
-    main,
     trend_errors,
 )
 
@@ -96,6 +95,17 @@ class TestBenchLedger:
         conn.close()
         ledger.close()
 
+    def test_a_new_file_has_the_version_2_layout(self, ledger_path):
+        BenchLedger(ledger_path).close()
+        conn = sqlite3.connect(str(ledger_path))
+        columns = [row[1] for row in conn.execute("PRAGMA table_info(runs)")]
+        version = conn.execute("SELECT value FROM ledger_meta"
+                               " WHERE key = 'schema_version'").fetchone()
+        conn.close()
+        assert columns == ["run_id", "recorded_at", "payload_schema", "seed",
+                           "scale", "gate_ok"]
+        assert version == ("2",)
+
     def test_history_is_newest_first_and_windowed(self, ledger_path):
         ledger = BenchLedger(ledger_path)
         for fig12 in (100.0, 200.0, 300.0):
@@ -117,9 +127,8 @@ class TestBenchLedger:
         snapshot.write_text(json.dumps(make_payload(scale="reduced")))
         ledger = BenchLedger(ledger_path)
         assert ledger.seed_from_snapshot(snapshot) == 1
-        conn = sqlite3.connect(str(ledger_path))
-        assert conn.execute("SELECT seeded FROM runs").fetchone() == (1,)
-        conn.close()
+        assert ledger.history("figure7_autoscaling/requests_per_s",
+                              scale="reduced") == [110.0]
         ledger.close()
 
     def test_seed_from_missing_or_garbage_snapshot_is_none(self, ledger_path,
@@ -181,9 +190,12 @@ class TestTrendErrors:
         assert FIG12_HOST not in checks
         ledger.close()
 
-    def test_deterministic_history_includes_seeded_rows(self, ledger_path):
+    def test_deterministic_history_includes_seeded_rows(self, ledger_path,
+                                                        tmp_path):
+        snapshot = tmp_path / "snap.json"
+        snapshot.write_text(json.dumps(make_payload(fig10=10_000.0)))
         ledger = BenchLedger(ledger_path)
-        ledger.append_run(make_payload(fig10=10_000.0), seeded=True)
+        ledger.seed_from_snapshot(snapshot)
         errors, _ = trend_errors(make_payload(fig10=100.0), ledger)
         assert any("figure10" in e for e in errors)
         ledger.close()
@@ -230,6 +242,21 @@ class TestApplyLedger:
         assert sorted(windows) == sorted(gate.metric for gate in TREND_GATES)
         assert all(window >= 1 for window in windows.values()), windows
 
+    def test_missing_ledger_and_snapshot_start_a_new_history(self, tmp_path,
+                                                               capsys):
+        # Neither file exists yet: the run starts an unseeded history and
+        # passes, without a warning.
+        ledger_path = tmp_path / "fresh.sqlite"
+        section, errors = apply_ledger(make_payload(), [], ledger_path,
+                                       seed_snapshot=tmp_path / "nope.json")
+        assert errors == []
+        assert section["ledger_ok"] is True
+        assert section["seeded_from"] is None
+        assert section["warning"] is None
+        assert section["runs_recorded"] == 1
+        assert ledger_path.exists()
+        assert "WARNING" not in capsys.readouterr().err
+
     def test_corrupt_ledger_degrades_with_warning(self, tmp_path, capsys):
         corrupt = tmp_path / "corrupt.sqlite"
         corrupt.write_bytes(b"definitely not a sqlite database " * 8)
@@ -260,40 +287,81 @@ class TestApplyLedger:
         assert any("below the median" in m for m in messages)
 
 
-class TestCli:
-    def test_report_prints_trend_table(self, ledger_path, capsys):
-        ledger = BenchLedger(ledger_path)
-        ledger.append_run(make_payload())
-        ledger.close()
-        assert main(["--report", "--ledger", str(ledger_path)]) == 0
-        out = capsys.readouterr().out
-        assert FIG12 in out
-        assert "1 run(s) recorded" in out
+#: The version-1 layout, as a ledger written before ``runs.seeded`` went
+#: holds it.
+SCHEMA_1 = """
+CREATE TABLE ledger_meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+INSERT INTO ledger_meta (key, value) VALUES ('schema_version', '1');
+CREATE TABLE runs (
+  run_id INTEGER PRIMARY KEY AUTOINCREMENT,
+  recorded_at TEXT NOT NULL,
+  payload_schema INTEGER NOT NULL,
+  seed INTEGER NOT NULL,
+  scale TEXT NOT NULL,
+  seeded INTEGER NOT NULL DEFAULT 0,
+  gate_ok INTEGER NOT NULL);
+CREATE INDEX idx_runs_scale ON runs (scale, run_id);
+CREATE TABLE sections (
+  run_id INTEGER NOT NULL REFERENCES runs(run_id) ON DELETE CASCADE,
+  section TEXT NOT NULL,
+  payload TEXT NOT NULL,
+  PRIMARY KEY (run_id, section));
+CREATE TABLE samples (
+  run_id INTEGER NOT NULL REFERENCES runs(run_id) ON DELETE CASCADE,
+  metric TEXT NOT NULL,
+  value REAL NOT NULL,
+  PRIMARY KEY (run_id, metric));
+CREATE INDEX idx_samples_metric ON samples (metric, run_id);
+CREATE TABLE gate_outcomes (
+  run_id INTEGER NOT NULL REFERENCES runs(run_id) ON DELETE CASCADE,
+  message TEXT NOT NULL);
+"""
+FIG10 = "figure10_prediction_scaling/threads_160/requests_per_s"
 
-    def test_report_rows_are_the_trend_gates(self, ledger_path):
-        # One row per gate; a host-clock leaf is in the ledger, not the table.
-        ledger = BenchLedger(ledger_path)
-        ledger.append_run(make_payload())
-        rows = format_report(ledger).splitlines()[3:]
-        ledger.close()
-        assert [row.split()[0] for row in rows] == [gate.metric for gate in TREND_GATES]
-        assert [row.split()[1:] for row in rows] == [["1", "1500.00", "1500.00"],
-                                                     ["1", "8000.00", "8000.00"],
-                                                     ["1", "110.00", "110.00"]]
 
-    def test_missing_ledger_exits_zero(self, tmp_path, capsys):
-        assert main(["--report",
-                     "--ledger", str(tmp_path / "nope.sqlite")]) == 0
-        assert "does not exist" in capsys.readouterr().err
+class TestSchemaOneLedger:
+    @pytest.fixture
+    def schema_1_path(self, ledger_path):
+        conn = sqlite3.connect(str(ledger_path))
+        conn.executescript(SCHEMA_1)
+        conn.close()
+        return ledger_path
 
-    def test_corrupt_ledger_exits_zero(self, tmp_path, capsys):
-        corrupt = tmp_path / "corrupt.sqlite"
-        corrupt.write_bytes(b"junk junk junk junk junk junk junk " * 4)
-        assert main(["--report", "--ledger", str(corrupt)]) == 0
-        assert "WARNING" in capsys.readouterr().err
+    def _rows(self, path, query):
+        conn = sqlite3.connect(str(path))
+        rows = conn.execute(query).fetchall()
+        conn.close()
+        return rows
 
-    def test_format_report_handles_empty_ledger(self, ledger_path):
-        ledger = BenchLedger(ledger_path)
-        report = format_report(ledger)
-        assert "0 run(s) recorded" in report
+    def test_an_empty_version_1_file_seeds_appends_and_trend_checks(
+            self, schema_1_path, tmp_path):
+        snapshot = tmp_path / "snap.json"
+        snapshot.write_text(json.dumps(make_payload(fig10=10_000.0)))
+        section, errors = apply_ledger(make_payload(fig10=100.0), [],
+                                       schema_1_path, seed_snapshot=snapshot)
+        assert section["ledger_ok"] is True
+        assert section["seeded_from"] == str(snapshot)
+        assert section["runs_recorded"] == 2
+        assert section["trend"][FIG10]["window"] == 1
+        assert [e for e in errors if FIG10 in e]
+        # The file keeps its layout: the old column takes its default.
+        assert self._rows(schema_1_path, "SELECT seeded FROM runs") == [(0,), (0,)]
+        assert self._rows(schema_1_path, "SELECT value FROM ledger_meta WHERE"
+                          " key = 'schema_version'") == [("1",)]
+
+    def test_history_a_version_1_writer_recorded_is_read(self, schema_1_path):
+        conn = sqlite3.connect(str(schema_1_path))
+        conn.execute("INSERT INTO runs (recorded_at, payload_schema, seed, scale,"
+                     " seeded, gate_ok) VALUES ('then', 15, 0, 'quick', 1, 1)")
+        conn.execute("INSERT INTO samples (run_id, metric, value)"
+                     " VALUES (1, ?, 1000.0)", (FIG12,))
+        conn.commit()
+        conn.close()
+        section, errors = apply_ledger(make_payload(fig12=990.0), [],
+                                       schema_1_path, seed_snapshot=None)
+        assert errors == []
+        assert section["trend"][FIG12] == {"value": 990.0, "window": 1,
+                                           "median": 1000.0, "ok": True}
+        ledger = BenchLedger(schema_1_path)
+        assert ledger.history(FIG12) == [990.0, 1000.0]
         ledger.close()

@@ -4,7 +4,8 @@ The committed tree sits at or below every ceiling in
 ``benchmarks/census.json``, a tree with one more defaulted constructor
 parameter is caught by two rows, and a session record written outside the
 journal's ``advance`` is caught by the ``record_writes`` row.  ``--report``
-counts its base in a ``git archive`` export made by ``pairs.export``.
+counts its base in a ``git archive`` export made by ``pairs.export``, and
+``--report --check`` still checks the head counts it reported.
 """
 
 import importlib.util
@@ -76,3 +77,40 @@ def test_the_base_is_counted_in_an_export_of_its_commit(monkeypatch):
     assert census._base_census("HEAD") == json.loads(committed)
     assert census.export.__module__ == "pairs"
     assert len(trees) == 1 and not trees[0].exists()
+
+
+def test_report_with_check_still_fails_above_a_ceiling(monkeypatch, capsys):
+    # Canned counts: every row at its ceiling but one, which is one above.
+    ceilings = json.loads(census.CEILINGS.read_text())
+    head = dict(ceilings, span_sites=ceilings["span_sites"] + 1)
+    totals = "uncalled: 1 of 2 functions, 3 lines"
+    monkeypatch.setattr(census, "census", lambda tree: head)
+    monkeypatch.setattr(census, "_base_census", lambda base: ceilings)
+    monkeypatch.setattr(census, "_reachability_summary", lambda tree, *flags: totals)
+
+    assert census.main(["--report", "BASE", "--check"]) == 1
+    out, err = capsys.readouterr()
+    span_row = next(line for line in out.splitlines() if "span sites" in line)
+    assert span_row.split(" | ")[-3:] == [str(ceilings["span_sites"]),
+                                          str(head["span_sites"]),
+                                          f"{ceilings['span_sites']} |"]
+    assert totals in out
+    assert "(span_sites)" in err
+
+    monkeypatch.setattr(census, "census", lambda tree: ceilings)
+    assert census.main(["--report", "BASE", "--check"]) == 0
+
+
+def test_both_uncalled_rows_read_one_reachability_run(monkeypatch, tmp_path):
+    runs = []
+
+    def reachability(command, **_kwargs):
+        runs.append(command[2:])
+        return subprocess.CompletedProcess(
+            command, 0, stdout="uncalled: 148 of 847 functions, 572 lines\n")
+
+    monkeypatch.setattr(census.subprocess, "run", reachability)
+    rows = {key: count for key, _label, count in census.ROWS}
+    assert rows["uncalled_functions"](tmp_path) == 148
+    assert rows["uncalled_lines"](tmp_path) == 572
+    assert runs == [["--summary"]]

@@ -14,9 +14,10 @@ from repro.obs import (
 def _sample_tracer():
     tracer = Tracer()
     root = tracer.start_trace("call", "client", 0.0, node="client-0")
-    schedule = root.child("schedule", "scheduler", 1.0, node="scheduler-0")
+    schedule = tracer.start_span("schedule", "scheduler", 1.0, root,
+                                 node="scheduler-0")
     schedule.finish(2.0)
-    invoke = root.child("invoke", "executor", 2.0, node="vm-0:1")
+    invoke = tracer.start_span("invoke", "executor", 2.0, root, node="vm-0:1")
     invoke.annotate("function", "work").finish(7.0)
     root.finish(7.5)
     return tracer
@@ -37,10 +38,6 @@ class TestJsonDump:
         payload = json.loads(path.read_text())
         assert payload["meta"] == {"source": "unit"}
         assert len(payload["spans"]) == 3
-
-    def test_accepts_raw_span_lists(self):
-        tracer = _sample_tracer()
-        assert spans_to_json(list(tracer.spans)) == spans_to_json(tracer)
 
 
 class TestChromeTrace:
