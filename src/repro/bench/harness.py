@@ -315,8 +315,7 @@ class EngineLoadDriver:
             latencies=self.latencies,
             throughput_curve=build_throughput_curve(
                 self._completion_buckets, capacity_timeline,
-                self.bucket_ms, duration,
-                threads_per_node=self.cluster.threads_per_vm),
+                self.bucket_ms, duration),
             completed_requests=self.completed,
             duration_ms=duration,
             capacity_timeline=capacity_timeline,

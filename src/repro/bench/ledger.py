@@ -225,6 +225,12 @@ class BenchLedger:
         return self.append_run(snapshot)
 
     # -- reads -------------------------------------------------------------------
+    def schema_version(self) -> int:
+        """The on-disk layout version the file was created with."""
+        row = self._conn.execute("SELECT value FROM ledger_meta"
+                                 " WHERE key = 'schema_version'").fetchone()
+        return int(row[0])
+
     def run_count(self) -> int:
         row = self._conn.execute("SELECT COUNT(*) FROM runs").fetchone()
         return int(row[0])
@@ -321,6 +327,7 @@ def apply_ledger(payload: Dict[str, Any], fixed_errors: Sequence[str],
         print(f"WARNING: {section['warning']}", file=sys.stderr)
         return section, []
     try:
+        section["schema_version"] = ledger.schema_version()
         if seed_snapshot is not None and ledger.run_count() == 0:
             seeded_id = ledger.seed_from_snapshot(seed_snapshot)
             if seeded_id is not None:

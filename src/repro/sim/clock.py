@@ -16,14 +16,14 @@ traffic — gossip, cache write-backs, metric publishes, function pinning,
 storage preloads — takes its own calls (``AnnaCluster.background_*``,
 ``SimulatedStorageService.preload``), which take no context at all.
 
-Charge accounting is allocation-light (the engine microbenchmark's
-``charge_log`` scenario gates it): :class:`ChargeRecord` is a ``__slots__``
-class, a charge does only clock and log work, and load drivers that only need
-latency totals can construct contexts with ``record_charges=False`` to skip
-the itemised log entirely.  The opt-out is parity-pinned: a charge-log-on run
-must produce latency samples identical to a charge-log-off run (asserted by
-the determinism suite) — only the *structural* queries (``charges``,
-``count``, ``total``, ``breakdown``) go empty, never the timing.
+Charge accounting is allocation-light: :class:`ChargeRecord` is a
+``__slots__`` class, a charge does only clock and log work, and load drivers
+that only need latency totals can construct contexts with
+``record_charges=False`` to skip the itemised log entirely (fig 10, fig 12
+and ``benchmarks/perf`` run that way).  The opt-out is parity-pinned: a
+charge-log-on run must produce latency samples identical to a charge-log-off
+run (asserted by the determinism suite) — only the *structural* queries
+(``charges``, ``count``, ``total``, ``breakdown``) go empty, never the timing.
 """
 
 from __future__ import annotations

@@ -28,44 +28,35 @@ workloads):
   push/pop/cancel-maintained counters (they used to scan the whole heap —
   O(heap) per ``RecurringEvent`` firing, which made control-plane ticks
   quadratic at paper scale).
-* Cancelled events are lazy-deleted tombstones; the heap compacts when more
-  than half of it is tombstones, so a cancel-heavy workload cannot grow the
-  heap unboundedly.
+* A cancelled event stays in the heap until it reaches the head, where
+  ``peek_ms``/``step`` drop it.  The only canceller is a stopped recurring
+  tick, one dead entry per ``stop()``, popped within one tick interval.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
 
 class Event:
-    """A scheduled callback; cancellation is a tombstone flag.
+    """A scheduled callback.
 
     ``background`` marks housekeeping events (recurring maintenance ticks)
     that must not count as pending *work*: a run is considered drained when
     only background events remain.
 
-    ``fn`` is cleared when the event fires (releasing the closure and letting
-    :meth:`Engine.cancel` distinguish "already ran" from "still queued").
+    ``fn`` is cleared when the event fires or is cancelled (releasing the
+    closure): ``fn is None`` means the event will not fire.  The heap entry
+    holds its time and insertion order.
     """
 
-    __slots__ = ("at_ms", "seq", "fn", "cancelled", "background")
+    __slots__ = ("fn", "background")
 
-    def __init__(self, at_ms: float, seq: int, fn: Callable[[], None],
-                 background: bool = False):
-        self.at_ms = at_ms
-        self.seq = seq
+    def __init__(self, fn: Callable[[], None], background: bool = False):
         self.fn = fn
-        self.cancelled = False
         self.background = background
-
-
-#: Compact the heap's cancelled tombstones only past this count (small heaps
-#: are cheap to scan and compacting them would just add churn).
-_TOMBSTONE_COMPACT_MIN = 512
 
 
 class Engine:
@@ -77,8 +68,7 @@ class Engine:
     """
 
     __slots__ = ("_heap", "_seq", "_now_ms", "_running",
-                 "events_processed", "_pending", "_foreground", "_tombstones",
-                 "_paused")
+                 "events_processed", "_pending", "_foreground", "_paused")
 
     def __init__(self, start_ms: float = 0.0):
         # Heap entries are (at_ms, seq, Event): tuple comparison never reaches
@@ -88,10 +78,9 @@ class Engine:
         self._now_ms = float(start_ms)
         self._running = False
         self.events_processed = 0
-        # O(1) accounting, maintained by at()/cancel() and the fire loops.
+        # O(1) accounting, maintained by at(), cancel() and step().
         self._pending = 0
         self._foreground = 0
-        self._tombstones = 0
         #: Recurring events waiting for foreground work: the next foreground
         #: event scheduled re-arms them.
         self._paused: List["RecurringEvent"] = []
@@ -102,7 +91,7 @@ class Engine:
 
     @property
     def running(self) -> bool:
-        """True while an event is being fired (``run``/``step`` in progress).
+        """True while an event is being fired (``step``, alone or under ``run``).
 
         Blocking helpers (``CloudburstFuture.get``) check this: advancing
         virtual time from *inside* an engine event would re-enter the loop.
@@ -112,9 +101,8 @@ class Engine:
     def peek_ms(self) -> Optional[float]:
         """Virtual time of the next pending event, or None when drained."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
+        while heap and heap[0][2].fn is None:
             heappop(heap)
-            self._tombstones -= 1
         return heap[0][0] if heap else None
 
     @property
@@ -129,19 +117,16 @@ class Engine:
         return self._foreground
 
     def stats(self) -> Dict[str, float]:
-        """Loop-health counters for the observability exports.
+        """The engine's O(1) loop counters.
 
-        Everything here is O(1) bookkeeping the engine already maintains;
-        the bench snapshots and the trace dumps embed it so a run's event
-        volume travels with its spans.
+        No snapshot or dump embeds them: ``benchmarks/perf`` reads
+        ``events_processed``, and tests read ``pending``.
         """
         return {
             "now_ms": self._now_ms,
             "events_processed": self.events_processed,
             "pending": self._pending,
             "foreground_pending": self._foreground,
-            "heap_len": len(self._heap),
-            "tombstones": self._tombstones,
         }
 
     # -- scheduling --------------------------------------------------------
@@ -152,7 +137,7 @@ class Engine:
         if at_ms < self._now_ms:
             at_ms = self._now_ms
         seq = self._seq = self._seq + 1
-        event = Event(at_ms, seq, fn, background)
+        event = Event(fn, background)
         heappush(self._heap, (at_ms, seq, event))
         self._pending += 1
         if not background:
@@ -164,40 +149,16 @@ class Engine:
     def schedule(self, delay_ms: float, fn: Callable[[], None],
                  background: bool = False) -> Event:
         """Schedule ``fn`` after a relative delay (negative delays clamp)."""
-        # Inlined at(): one Python frame per scheduled event, not two — this
-        # is the engine's hottest entry point.
-        delay_ms = float(delay_ms)
-        at_ms = self._now_ms + delay_ms if delay_ms > 0.0 else self._now_ms
-        seq = self._seq = self._seq + 1
-        event = Event(at_ms, seq, fn, background)
-        heappush(self._heap, (at_ms, seq, event))
-        self._pending += 1
-        if not background:
-            self._foreground += 1
-            if self._paused:
-                self._resume_paused()
-        return event
+        return self.at(self._now_ms + float(delay_ms), fn, background)
 
     def cancel(self, event: Event) -> None:
-        if event.cancelled or event.fn is None:
-            return  # already cancelled, or already fired
-        event.cancelled = True
-        event.fn = None  # release the closure immediately
+        """Drop a queued event; a fired or cancelled one is left alone."""
+        if event.fn is None:
+            return
+        event.fn = None  # releases the closure; the entry is popped at the head
         self._pending -= 1
         if not event.background:
             self._foreground -= 1
-        self._tombstones += 1
-        # Lazy-deletion compaction: rebuild once tombstones dominate so a
-        # cancel-heavy workload cannot keep dead entries in the heap forever.
-        # Must compact *in place*: run()/step()/peek_ms() cache a `heap =
-        # self._heap` alias, and a cancel fired from inside an event callback
-        # would otherwise strand the running loop on the stale list.
-        if (self._tombstones > _TOMBSTONE_COMPACT_MIN
-                and self._tombstones * 2 > len(self._heap)):
-            self._heap[:] = [entry for entry in self._heap
-                             if not entry[2].cancelled]
-            heapq.heapify(self._heap)
-            self._tombstones = 0
 
     def _resume_paused(self) -> None:
         """Foreground work is back: paused recurring events tick again."""
@@ -234,15 +195,15 @@ class Engine:
         heap = self._heap
         while heap:
             at_ms, _seq, event = heappop(heap)
-            if event.cancelled:
-                self._tombstones -= 1
-                continue
+            fn = event.fn
+            if fn is None:
+                continue  # cancelled
             self._now_ms = at_ms
             self._pending -= 1
             if not event.background:
                 self._foreground -= 1
             self.events_processed += 1
-            fn, event.fn = event.fn, None
+            event.fn = None
             was_running, self._running = self._running, True
             try:
                 fn()
@@ -263,7 +224,7 @@ class Engine:
         while not reached:
             self.step()
 
-    def run(self, until_ms: Optional[float] = None) -> int:
+    def run(self, until_ms: Optional[float] = None) -> None:
         """Drain the event queue.
 
         Stops when the queue empties, or when the next event lies beyond
@@ -275,36 +236,13 @@ class Engine:
                 "Engine.run() is not reentrant: an engine event tried to drain "
                 "the loop it is running on (block with future.add_done_callback "
                 "instead of future.get() inside engine events)")
-        fired = 0
-        heap = self._heap
-        pop = heappop
-        self._running = True
-        try:
-            while heap:
-                head = heap[0]
-                event = head[2]
-                if event.cancelled:
-                    pop(heap)
-                    self._tombstones -= 1
-                    continue
-                at_ms = head[0]
-                if until_ms is not None and at_ms > until_ms:
-                    self._now_ms = max(self._now_ms, float(until_ms))
-                    return fired
-                pop(heap)
-                self._now_ms = at_ms
-                self._pending -= 1
-                if not event.background:
-                    self._foreground -= 1
-                self.events_processed += 1
-                fn, event.fn = event.fn, None
-                fn()
-                fired += 1
-        finally:
-            self._running = False
+        while True:
+            next_ms = self.peek_ms()
+            if next_ms is None or (until_ms is not None and next_ms > until_ms):
+                break
+            self.step()
         if until_ms is not None and until_ms != float("inf"):
             self._now_ms = max(self._now_ms, float(until_ms))
-        return fired
 
 
 class RecurringEvent:
@@ -318,7 +256,7 @@ class RecurringEvent:
     after foreground work returns.
     """
 
-    __slots__ = ("engine", "interval_ms", "fn", "cancelled", "fired", "_event",
+    __slots__ = ("engine", "interval_ms", "fn", "cancelled", "_event",
                  "horizon_ms")
 
     def __init__(self, engine: Engine, interval_ms: float, fn: Callable[[], None],
@@ -327,7 +265,6 @@ class RecurringEvent:
         self.interval_ms = interval_ms
         self.fn = fn
         self.cancelled = False
-        self.fired = 0
         #: Absolute virtual time up to which the tick survives an idle engine.
         self.horizon_ms = (None if horizon_ms is None
                            else engine.now_ms + horizon_ms)
@@ -358,7 +295,6 @@ class RecurringEvent:
     def _fire(self) -> None:
         if self.cancelled:
             return
-        self.fired += 1
         self.fn()
         self._arm()
 

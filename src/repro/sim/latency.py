@@ -78,8 +78,6 @@ DEFAULT_COSTS: Dict[Tuple[str, str], OperationCost] = {
     # -- Anna KVS (network round trip to a storage node) ------------------
     ("anna", "get"): OperationCost(0.95, 190_000.0, jitter_sigma=0.18),
     ("anna", "put"): OperationCost(0.95, 190_000.0, jitter_sigma=0.18),
-    ("anna", "merge"): OperationCost(0.05),
-    ("anna", "metadata"): OperationCost(0.6, jitter_sigma=0.12),
     # Serial cost of putting one more batched sub-request on the wire: the
     # caller pays (N-1) of these plus the max response time, not the sum of
     # N full round trips (see repro.sim.overlap).
@@ -90,7 +88,6 @@ DEFAULT_COSTS: Dict[Tuple[str, str], OperationCost] = {
     # Dispatching an invocation through the AWS API from a driver/leader is a
     # synchronous HTTP call and serialises when fanning out to many functions.
     ("lambda", "dispatch"): OperationCost(18.0, jitter_sigma=0.30),
-    ("lambda", "warm_start"): OperationCost(6.0, jitter_sigma=0.35),
     # Data transfer into/out of a Lambda function is bandwidth constrained.
     ("lambda", "payload"): OperationCost(0.3, 35_000.0, jitter_sigma=0.25),
     # -- AWS Step Functions -----------------------------------------------
@@ -125,10 +122,6 @@ DEFAULT_COSTS: Dict[Tuple[str, str], OperationCost] = {
     ("sagemaker", "container_hop"): OperationCost(40.0, jitter_sigma=0.25),
     # -- Plain python process (the native baseline in Figure 9) --------------
     ("python", "call"): OperationCost(0.01),
-    # -- Cluster management ---------------------------------------------------
-    # EC2 instance spin-up dominates the plateaus in Figure 7 (~2.5 minutes).
-    ("ec2", "instance_startup"): OperationCost(150_000.0, jitter_sigma=0.05),
-    ("kubernetes", "pod_start"): OperationCost(4_000.0, jitter_sigma=0.15),
 }
 
 

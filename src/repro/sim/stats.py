@@ -128,7 +128,6 @@ class ThroughputPoint:
     time_s: float
     requests_per_s: float
     allocated_threads: int
-    allocated_nodes: int
 
 
 def capacity_at(capacity_timeline: Sequence[tuple], at_ms: float) -> int:
@@ -146,8 +145,7 @@ def capacity_at(capacity_timeline: Sequence[tuple], at_ms: float) -> int:
 
 def build_throughput_curve(completion_buckets: Dict[int, int],
                            capacity_timeline: Sequence[tuple],
-                           bucket_ms: float, end_ms: float,
-                           threads_per_node: int = 3) -> List[ThroughputPoint]:
+                           bucket_ms: float, end_ms: float) -> List[ThroughputPoint]:
     """Assemble the throughput-over-time curve shared by every load driver.
 
     ``completion_buckets`` maps ``int(completion_time // bucket_ms)`` to a
@@ -156,7 +154,6 @@ def build_throughput_curve(completion_buckets: Dict[int, int],
     curve: List[ThroughputPoint] = []
     if end_ms <= 0:
         return curve
-    per_node = max(1, threads_per_node)
     for bucket in range(int(end_ms // bucket_ms) + 1):
         completions = completion_buckets.get(bucket, 0)
         capacity = capacity_at(capacity_timeline, (bucket + 1) * bucket_ms)
@@ -164,7 +161,6 @@ def build_throughput_curve(completion_buckets: Dict[int, int],
             time_s=(bucket * bucket_ms) / 1000.0,
             requests_per_s=completions / (bucket_ms / 1000.0),
             allocated_threads=capacity,
-            allocated_nodes=max(1, math.ceil(capacity / per_node)),
         ))
     return curve
 

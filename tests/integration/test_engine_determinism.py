@@ -1,9 +1,9 @@
 """Determinism and parity pins for the optimized discrete-event engine.
 
 The engine optimization pass (tuple-keyed heap, O(1) pending counters,
-tombstone compaction, heap-based FIFO server selection, allocation-light
-charge accounting) must be *observationally invisible*: same event order,
-same latency samples, same event counts.  These tests pin that:
+allocation-light charge accounting) must be *observationally invisible*:
+same event order, same latency samples, same event counts.  These tests pin
+that:
 
 * a seeded engine-driver run replays identically (event-for-event and
   sample-for-sample) across two fresh clusters;

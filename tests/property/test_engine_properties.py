@@ -41,9 +41,10 @@ def test_events_fire_in_nondecreasing_time_with_fifo_ties(times):
 
 #: One step of an interleaved schedule/cancel/fire workload: (op, operand).
 #: op 0 schedules a foreground event, 1 a background event, 2 cancels a
-#: previously created event (operand picks which), 3 fires one step.
+#: previously created event (operand picks which), 3 fires one step, 4 runs
+#: until the op's time.
 _COUNTER_OPS = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=3),
+    st.tuples(st.integers(min_value=0, max_value=4),
               st.integers(min_value=0, max_value=10_000),
               st.floats(min_value=0.0, max_value=1e4, allow_nan=False,
                         allow_infinity=False)),
@@ -55,7 +56,8 @@ _COUNTER_OPS = st.lists(
 def test_pending_counters_match_brute_force(ops):
     """pending/foreground_pending (O(1) counters) must always equal a brute
     force count over the live heap, under any interleaving of schedule,
-    cancel (including double cancels and cancels of fired events) and fire."""
+    cancel (including double cancels and cancels of fired events), fire and
+    ``run(until_ms=...)``."""
     engine = Engine()
     created = []
     for op, pick, at_ms in ops:
@@ -67,7 +69,12 @@ def test_pending_counters_match_brute_force(ops):
             engine.cancel(created[pick % len(created)])
         elif op == 3:
             engine.step()
-        live = [entry[2] for entry in engine._heap if not entry[2].cancelled]
+        elif op == 4:
+            engine.run(until_ms=at_ms)
+            assert engine.now_ms >= at_ms
+            assert not any(entry[0] <= at_ms and entry[2].fn is not None
+                           for entry in engine._heap)
+        live = [entry[2] for entry in engine._heap if entry[2].fn is not None]
         assert engine.stats()["pending"] == len(live)
         assert engine.foreground_pending == sum(
             1 for event in live if not event.background)

@@ -254,6 +254,7 @@ class TestApplyLedger:
         assert section["seeded_from"] is None
         assert section["warning"] is None
         assert section["runs_recorded"] == 1
+        assert section["schema_version"] == 2
         assert ledger_path.exists()
         assert "WARNING" not in capsys.readouterr().err
 
@@ -340,6 +341,7 @@ class TestSchemaOneLedger:
         section, errors = apply_ledger(make_payload(fig10=100.0), [],
                                        schema_1_path, seed_snapshot=snapshot)
         assert section["ledger_ok"] is True
+        assert section["schema_version"] == 1
         assert section["seeded_from"] == str(snapshot)
         assert section["runs_recorded"] == 2
         assert section["trend"][FIG10]["window"] == 1

@@ -12,6 +12,7 @@ import importlib.util
 import json
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -60,10 +61,22 @@ def test_a_record_write_outside_the_core_rises_above_the_ratchet(tmp_path):
     assert census.record_writes(tmp_path) > ceiling
 
 
-def test_the_base_is_counted_in_an_export_of_its_commit(monkeypatch):
+def test_the_base_is_counted_in_an_export_of_its_commit(monkeypatch, tmp_path):
     # The rows are stubbed to read the tree's own ceilings file: what
     # ``_base_census`` counts is the committed file, in a tree that is gone
-    # once it returns.
+    # once it returns.  The commit is made in a throwaway repository, so the
+    # test needs no git work tree around the checkout.
+    repo = tmp_path / "repo"
+    (repo / "benchmarks").mkdir(parents=True)
+    committed = {"span_sites": 1, "record_writes": 0}
+    (repo / "benchmarks" / "census.json").write_text(json.dumps(committed))
+    git = ["git", "-c", "user.name=census test", "-c", "user.email=census@test",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "benchmarks/census.json"],
+                 ["commit", "-q", "-m", "census"]):
+        subprocess.run(git + args, cwd=repo, capture_output=True, check=True)
+    (repo / "benchmarks" / "census.json").write_text("{}")  # uncommitted
+    monkeypatch.setattr(sys.modules[census.export.__module__], "REPO_ROOT", repo)
     trees = []
 
     def ceilings_of(tree):
@@ -71,10 +84,7 @@ def test_the_base_is_counted_in_an_export_of_its_commit(monkeypatch):
         return json.loads((tree / "benchmarks" / "census.json").read_text())
 
     monkeypatch.setattr(census, "census", ceilings_of)
-    committed = subprocess.run(["git", "show", "HEAD:benchmarks/census.json"],
-                               cwd=REPO_ROOT, capture_output=True, text=True,
-                               check=True).stdout
-    assert census._base_census("HEAD") == json.loads(committed)
+    assert census._base_census("HEAD") == committed
     assert census.export.__module__ == "pairs"
     assert len(trees) == 1 and not trees[0].exists()
 

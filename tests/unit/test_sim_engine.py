@@ -42,6 +42,25 @@ class TestEngine:
         engine.run()
         assert times == [10.0]
 
+    def test_negative_schedule_delay_clamps_to_now(self):
+        engine = Engine()
+        times = []
+        engine.at(10.0, lambda: engine.schedule(-4.0, lambda: times.append(engine.now_ms)))
+        engine.run()
+        assert times == [10.0]
+
+    def test_run_inside_an_event_is_rejected(self):
+        engine = Engine()
+        fired = []
+        engine.at(1.0, engine.run)
+        engine.at(2.0, lambda: fired.append(engine.now_ms))
+        with pytest.raises(RuntimeError, match="not reentrant"):
+            engine.run()
+        # The failed event is consumed and the engine stays usable.
+        assert not engine.running
+        engine.run()
+        assert fired == [2.0]
+
     def test_cancelled_events_do_not_fire(self):
         engine = Engine()
         fired = []
@@ -111,31 +130,15 @@ class TestPendingCounters:
                   for i in range(30)]
         for event in events[::2]:
             engine.cancel(event)
-        live = [entry[2] for entry in engine._heap if not entry[2].cancelled]
+        live = [entry[2] for entry in engine._heap if entry[2].fn is not None]
         assert engine.stats()["pending"] == len(live)
         assert engine.foreground_pending == sum(
             1 for event in live if not event.background)
 
-    def test_tombstone_compaction_bounds_heap(self):
-        engine = Engine()
-        keeper = engine.at(1e9, lambda: None)
-        # Far more cancellations than the compaction threshold: the heap must
-        # not retain one tombstone per cancelled event.
-        for _ in range(5):
-            events = [engine.at(float(i), lambda: None) for i in range(400)]
-            for event in events:
-                engine.cancel(event)
-        assert engine.stats()["pending"] == 1
-        assert len(engine._heap) < 1200
-        engine.run()
-        assert keeper.fn is None  # still fired despite the churn
-
-    def test_mid_run_compaction_keeps_run_loop_live(self):
-        # Regression: cancel()'s tombstone compaction used to rebind
-        # self._heap to a new list while run() held a cached alias, so a
-        # callback cancelling >_TOMBSTONE_COMPACT_MIN events stranded the
-        # running loop on the stale heap (later events never fired, counters
-        # went negative, and the next run() crashed on already-fired entries).
+    def test_mid_run_mass_cancel_keeps_run_loop_live(self):
+        # A callback cancelling many queued events mid-run: events scheduled
+        # after the cancels still fire in order, the counters return to
+        # zero, and a second run() on the same engine works.
         engine = Engine()
         fired = []
         victims = [engine.at(10.0 + i, lambda: fired.append("victim"))
@@ -144,7 +147,6 @@ class TestPendingCounters:
         def cancel_all():
             for event in victims:
                 engine.cancel(event)
-            # Scheduled after compaction: must land on the live heap.
             engine.schedule(1.0, lambda: fired.append("after"))
 
         engine.at(1.0, cancel_all)
@@ -152,8 +154,6 @@ class TestPendingCounters:
         engine.run()
         assert fired == ["after", "tail"]
         assert engine.stats()["pending"] == 0
-        assert engine._tombstones == 0
-        # A second run on the same engine must also work.
         engine.at(3000.0, lambda: fired.append("second"))
         engine.run()
         assert fired == ["after", "tail", "second"]
@@ -236,6 +236,21 @@ class TestRecurringEvent:
         engine.at(25.0, recurring.cancel)
         engine.run()
         assert fired == [10.0, 20.0]
+
+    def test_cancelled_tick_never_fires_and_leaves_no_heap_entry(self):
+        # The cancelled tick's event stays in the heap until it reaches the
+        # head; a run past its time drops it without firing it.
+        engine = Engine()
+        fired = []
+        recurring = engine.every(10.0, lambda: fired.append(engine.now_ms))
+        engine.at(5.0, lambda: None)
+        assert len(engine._heap) == 2
+        recurring.cancel()
+        assert engine.stats()["pending"] == 1
+        engine.run(until_ms=50.0)
+        assert fired == []
+        assert engine._heap == []
+        assert engine.stats()["pending"] == 0
 
 
 class TestWorkQueue:

@@ -74,9 +74,6 @@ class TestCalibrationShape:
         assert self.model.sample_ms("stepfunctions", "transition") > \
                5 * self.model.sample_ms("lambda", "invoke")
 
-    def test_ec2_startup_is_minutes(self):
-        assert self.model.sample_ms("ec2", "instance_startup") >= 60_000
-
 
 class TestComputeModel:
     def test_fixed_cost_close_to_requested(self):
