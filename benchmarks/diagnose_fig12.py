@@ -76,7 +76,7 @@ def run_point(threads: int, requests: int, seed: int, warm: bool,
     sim = EngineLoadDriver(
         cluster, request, clients=threads, max_requests=requests,
         label=f"diagnose-{'warm' if warm else 'cold'}-{threads}t",
-        record_charges=False, keep_latency_samples=False).run()
+        record_charges=False).run()
     return sim, tracer
 
 

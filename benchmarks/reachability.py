@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Which functions under ``src/`` the benchmark path never calls.
 
-One ``sys.setprofile`` pass covers what the project's figures, gates and
+One ``sys.settrace`` pass covers what the project's figures, gates and
 benchmark run:
 
 * every entry of the figure registry at ``smoke`` scale (``Figure.record``),
@@ -9,13 +9,16 @@ benchmark run:
 * ``benchmarks/perf``'s four workloads at request scale 0.05, traced (the
   host-span wrappers installed).  An untraced pass found no function the
   traced one misses (DESIGN.md DR-29), and leaving it out can only list
-  more functions as uncalled, never fewer.
+  more functions as uncalled, never fewer;
+* every ``examples/*.py``, run as ``__main__`` with its stdout dropped, so
+  only this tool's own lines reach the output.  The options census counts
+  ``examples/`` as a caller too (``CALLER_ROOTS``).
 
 Every function and method defined under ``src/`` whose code object never
 received a call event is listed by file, with its line span counted from its
-first decorator through its last line.  Nothing is gated: the totals are a
-number to read next to the diffstat (DESIGN.md DR-19 records why each
-remaining function stays).
+first decorator through its last line.  ``benchmarks/census.py`` ratchets
+the two totals (DESIGN.md DR-32), and DESIGN.md DR-19 records why each
+remaining function stays.
 
 ``--options`` is the static census of options instead (DESIGN.md DR-20):
 every defaulted parameter of a function or constructor under ``src/``, and
@@ -38,6 +41,9 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
+import io
+import runpy
 import sys
 import tempfile
 from collections import defaultdict
@@ -47,6 +53,7 @@ from typing import Dict, List, Set, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 PERF = REPO_ROOT / "benchmarks" / "perf"
+EXAMPLES = REPO_ROOT / "examples"
 sys.path.insert(0, str(SRC))
 sys.path.insert(0, str(PERF))
 
@@ -80,7 +87,8 @@ def defined_functions() -> Dict[Site, Tuple[str, int]]:
 
 
 def run_benchmark_path(workdir: Path) -> None:
-    """Everything the figures, the gates, the ledger and the benchmark call."""
+    """Everything the figures, the gates, the ledger, the benchmark and the
+    examples call."""
     from measure import run_once
     from trace import SpanRecorder
     from workloads import WORKLOADS
@@ -97,26 +105,30 @@ def run_benchmark_path(workdir: Path) -> None:
                  seed_snapshot=REPO_ROOT / "BENCH_throughput.json")
     for name in sorted(WORKLOADS):
         run_once(WORKLOADS[name], 0, PERF_SCALE, SpanRecorder())
+    for example in sorted(EXAMPLES.glob("*.py")):
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_path(str(example), run_name="__main__")
 
 
 def called_sites() -> Set[Site]:
     codes: Set = set()
 
-    def profile(frame, event, arg) -> None:
-        if event == "call":
-            codes.add(frame.f_code)
+    def record_call(frame, event, arg) -> None:
+        # A global trace function hears only "call" events, one per Python
+        # frame; returning None leaves the frame's lines untraced.
+        codes.add(frame.f_code)
 
     with tempfile.TemporaryDirectory() as workdir:
-        sys.setprofile(profile)
+        sys.settrace(record_call)
         try:
             run_benchmark_path(Path(workdir))
         finally:
-            sys.setprofile(None)
+            sys.settrace(None)
     return {(code.co_filename, code.co_firstlineno) for code in codes}
 
 
 #: Where the calls that count as a caller's choice live (``tests/`` does not).
-CALLER_ROOTS = (SRC, REPO_ROOT / "benchmarks", REPO_ROOT / "examples")
+CALLER_ROOTS = (SRC, REPO_ROOT / "benchmarks", EXAMPLES)
 
 
 def _callee_name(func: ast.AST):

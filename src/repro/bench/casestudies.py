@@ -119,12 +119,9 @@ def run_figure10(thread_counts: Sequence[int] = (10, 20, 40, 80, 160),
         def request(cloud, ctx: RequestContext, index: int):
             return cloud.call_dag(PIPELINE_DAG, {"cb_resize": [image]}, ctx=ctx)
 
-        # The sweep consumes only the summary percentiles, so completions go
-        # into the O(1)-memory latency histogram, not a per-request list.
         return EngineLoadDriver(
             cluster, request, clients=clients, max_requests=requests,
-            label=f"figure10-{threads}t", record_charges=False,
-            keep_latency_samples=False).run()
+            label=f"figure10-{threads}t", record_charges=False).run()
 
     return _scaling_sweep(
         "figure10_prediction_scaling",
@@ -213,11 +210,9 @@ def run_figure12(thread_counts: Sequence[int] = (10, 20, 40, 80, 160),
             # complete within the arrival's context (single-function calls).
             app.execute(stream[index], ctx=ctx)
 
-        # Summary-only consumer: histogram-backed recording (see figure 10).
         return EngineLoadDriver(
             cluster, request, clients=clients, max_requests=requests,
-            label=f"figure12-{threads}t", record_charges=False,
-            keep_latency_samples=False).run()
+            label=f"figure12-{threads}t", record_charges=False).run()
 
     return _scaling_sweep(
         "figure12_retwis_scaling",

@@ -94,6 +94,10 @@ class EngineLoadDriver:
     returned :class:`SimulationResult` reports.  Settling fires whatever is
     already queued on the engine, so anything meant to happen *during* the
     run is scheduled from the run itself (a control plane, the first request).
+
+    Every completion's latency is kept (``latencies.samples_ms``), so the
+    reported percentiles are exact.  ``keep_latency_samples`` stays only for
+    callers that already pass it, and it accepts only True.
     """
 
     def __init__(self, cluster, request_fn: DriverRequestFn, *,
@@ -112,6 +116,9 @@ class EngineLoadDriver:
             raise ValueError("driver needs max_requests, max_duration_ms or stop_ms")
         if control_plane is not None and max_duration_ms == float("inf"):
             raise ValueError("a control plane needs a finite max_duration_ms")
+        if keep_latency_samples is not True:
+            raise ValueError("every driver keeps exact latency samples; "
+                             "keep_latency_samples accepts only True (DESIGN.md DR-34)")
         self.cluster = cluster
         self.request_fn = request_fn
         self.clients = clients
@@ -130,12 +137,7 @@ class EngineLoadDriver:
         self.engine = cluster.engine
         #: Virtual time the run started at (set by :meth:`run`).
         self.started_ms = 0.0
-        #: ``keep_latency_samples=False`` records completions into a log-scale
-        #: histogram instead of a flat list (O(1) memory at paper-scale sweep
-        #: volumes); ``summary()`` then reads bucket-interpolated percentiles.
-        #: Only drivers whose consumers read nothing but the summary use it.
-        self.latencies = LatencyRecorder(label=label,
-                                         keep_samples=keep_latency_samples)
+        self.latencies = LatencyRecorder(label=label)
         self.issued = 0
         self.completed = 0
         #: Requests that resolved with an error (storage backpressure, a DAG

@@ -1,8 +1,7 @@
-"""Observability plane: causal tracing, histogram metrics, trace exporters.
+"""Observability plane: causal tracing and trace exporters.
 
 The sensing layer over the discrete-event reproduction: per-request span
-trees (``tracing``), a log-scale latency histogram (``metrics``), and
-JSON / Chrome trace-event exporters (``export``).
+trees (``tracing``) and JSON / Chrome trace-event exporters (``export``).
 Everything in here is deterministic (counter ids, error-diffusion sampling,
 virtual timestamps only) and zero-cost when disabled — see each module's
 docstring for the contract.
@@ -14,7 +13,6 @@ from .export import (
     write_chrome_trace,
     write_span_dump,
 )
-from .metrics import LatencyHistogram
 from .tracing import (
     Tracer,
     TraceSpan,
@@ -25,7 +23,6 @@ __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
     "write_span_dump",
-    "LatencyHistogram",
     "Tracer",
     "TraceSpan",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 def percentile(values: Sequence[float], pct: float) -> float:
@@ -56,57 +56,18 @@ class LatencySummary:
 class LatencyRecorder:
     """Accumulates per-request latencies for one labelled configuration.
 
-    ``keep_samples=False`` switches to a fixed-bucket log-scale histogram
-    (:class:`repro.obs.LatencyHistogram`) instead of the flat sample list:
-    O(1) memory at any request volume, exact count/mean/min/max, and
-    bucket-interpolated p50/p95/p99 (relative error bounded by the ~10%
-    bucket growth).  The large scaling sweeps use it — they only ever read
-    ``summary()``, so there is no reason to retain millions of floats.
+    Every sample is kept, so each percentile is exact (:func:`percentile`).
     """
 
     label: str = "unnamed"
     samples_ms: List[float] = field(default_factory=list)
-    keep_samples: bool = True
-    _histogram: Optional[object] = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.keep_samples:
-            from ..obs.metrics import LatencyHistogram
-
-            self._histogram = LatencyHistogram(label=self.label)
 
     def record(self, latency_ms: float) -> None:
         if latency_ms < 0:
             raise ValueError("latency cannot be negative")
-        if self._histogram is not None:
-            self._histogram.record(float(latency_ms))
-        else:
-            self.samples_ms.append(float(latency_ms))
-
-    def extend(self, latencies_ms: Iterable[float]) -> None:
-        for value in latencies_ms:
-            self.record(value)
-
-    def __len__(self) -> int:
-        if self._histogram is not None:
-            return self._histogram.count
-        return len(self.samples_ms)
+        self.samples_ms.append(float(latency_ms))
 
     def summary(self) -> LatencySummary:
-        if self._histogram is not None:
-            histogram = self._histogram
-            if histogram.count == 0:
-                raise ValueError(f"no samples recorded for {self.label!r}")
-            return LatencySummary(
-                label=self.label,
-                count=histogram.count,
-                mean_ms=histogram.mean_ms,
-                median_ms=histogram.percentile(50.0),
-                p95_ms=histogram.percentile(95.0),
-                p99_ms=histogram.percentile(99.0),
-                min_ms=histogram.min_ms,
-                max_ms=histogram.max_ms,
-            )
         if not self.samples_ms:
             raise ValueError(f"no samples recorded for {self.label!r}")
         return LatencySummary(

@@ -10,11 +10,15 @@ CloudburstClient per simulated client; request fns never touch a Scheduler):
 * concurrency creates real queueing (latency up, throughput capacity-bound)
   through the actual scheduler -> executor -> cache -> Anna stack;
 * seeded runs are deterministic across invocations;
-* the autoscaling path adds and drains real VMs.
+* the autoscaling path adds and drains real VMs;
+* every driver keeps exact samples, so the scaling points' percentiles are
+  exact ones.
 """
 
 import pytest
 
+from repro.bench import casestudies
+from repro.bench.figures import SMOKE_SEED
 from repro.bench.harness import (
     EngineLoadDriver,
     build_cluster_with_threads,
@@ -24,6 +28,7 @@ from repro.cloudburst import CloudburstCluster
 from repro.cloudburst.controlplane import ComputeControlPlane
 from repro.cloudburst.controlplane import MIN_PINNED_THREADS, MonitoringConfig
 from repro.cloudburst.journal import MAX_RETRIES
+from repro.sim import percentile
 
 
 def _make_cluster(seed=11, executor_vms=2, threads_per_vm=3):
@@ -173,6 +178,40 @@ class TestDriverAutoscaling:
             EngineLoadDriver(cluster, lambda c, ctx, i: None, clients=1,
                              max_requests=10,
                              control_plane=ComputeControlPlane(cluster))
+
+
+class TestExactPercentiles:
+    @pytest.mark.parametrize("keep", [False, 0, None])
+    def test_a_driver_that_would_not_keep_samples_is_refused(self, keep):
+        cluster, _ = _make_cluster(seed=3)
+        EngineLoadDriver(cluster, _work_request, max_requests=10,
+                         keep_latency_samples=True)
+        with pytest.raises(ValueError, match="DR-34"):
+            EngineLoadDriver(cluster, _work_request, max_requests=10,
+                             keep_latency_samples=keep)
+
+    @pytest.mark.parametrize("run, budget", [
+        (casestudies.run_figure10, dict(thread_counts=(12,), requests_per_point=200)),
+        (casestudies.run_figure12, dict(thread_counts=(10,), requests_per_point=400,
+                                        user_count=120, seed_tweets=400)),
+    ], ids=["figure10", "figure12"])
+    def test_a_scaling_point_reports_its_exact_percentiles(self, monkeypatch,
+                                                           run, budget):
+        results = []
+
+        class RecordingDriver(EngineLoadDriver):
+            def run(self):
+                results.append(super().run())
+                return results[-1]
+
+        monkeypatch.setattr(casestudies, "EngineLoadDriver", RecordingDriver)
+        (section,) = run(seed=SMOKE_SEED, **budget).values()
+        (point,) = section["points"]
+        (sim,) = results
+        samples = sim.latencies.samples_ms
+        assert len(samples) == budget["requests_per_point"]
+        assert point["median_ms"] == round(percentile(samples, 50), 3)
+        assert point["p99_ms"] == round(percentile(samples, 99), 3)
 
 
 class TestBuildClusterWithThreads:

@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.lattices import estimate_size
-from repro.sim import mean, median, percentile
+from repro.sim import LatencyRecorder, mean, median, percentile
 
 samples = st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
                              allow_infinity=False), min_size=1, max_size=200)
@@ -44,6 +44,21 @@ def test_percentile_scales_linearly(values, factor):
     scaled = [v * factor for v in values]
     assert percentile(scaled, 50) == __import__("pytest").approx(
         median(values) * factor, rel=1e-9, abs=1e-6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(samples)
+def test_a_recorder_summary_is_the_exact_percentiles_of_its_samples(values):
+    recorder = LatencyRecorder(label="exact")
+    for value in values:
+        recorder.record(value)
+    summary = recorder.summary()
+    assert recorder.samples_ms == values
+    assert (summary.count, summary.min_ms, summary.max_ms) == (
+        len(values), min(values), max(values))
+    assert summary.mean_ms == mean(values)
+    assert (summary.median_ms, summary.p95_ms, summary.p99_ms) == (
+        percentile(values, 50), percentile(values, 95), percentile(values, 99))
 
 
 nested_values = st.recursive(

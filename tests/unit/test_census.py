@@ -6,6 +6,8 @@ parameter is caught by two rows, and a session record written outside the
 journal's ``advance`` is caught by the ``record_writes`` row.  ``--report``
 counts its base in a ``git archive`` export made by ``pairs.export``, and
 ``--report --check`` still checks the head counts it reported.
+``reachability.py``'s dynamic pass counts what the examples call, and
+prints none of their output.
 """
 
 import importlib.util
@@ -13,6 +15,7 @@ import json
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -124,3 +127,30 @@ def test_both_uncalled_rows_read_one_reachability_run(monkeypatch, tmp_path):
     assert rows["uncalled_functions"](tmp_path) == 148
     assert rows["uncalled_lines"](tmp_path) == 572
     assert runs == [["--summary"]]
+
+
+def test_the_examples_count_as_callers_and_print_nothing(monkeypatch, tmp_path,
+                                                        capsys):
+    import repro.bench
+    from repro.bench import figures
+
+    # Loading the tool puts src/ and benchmarks/perf/ on sys.path: undo it.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "bench_reachability", REPO_ROOT / "benchmarks" / "reachability.py")
+    reachability = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reachability)
+    # Only the examples run: no registry entry, ledger or perf workload.
+    monkeypatch.setattr(figures, "FIGURES", ())
+    monkeypatch.setattr(repro.bench, "apply_ledger", lambda *args, **kwargs: None)
+    for name, attributes in (("measure", {"run_once": None}),
+                             ("trace", {"SpanRecorder": None}),
+                             ("workloads", {"WORKLOADS": {}})):
+        monkeypatch.setitem(sys.modules, name,
+                            types.SimpleNamespace(**attributes))
+    example = tmp_path / "walkthrough.py"
+    example.write_text('def walk():\n    print("a walkthrough")\n\n\n'
+                       'if __name__ == "__main__":\n    walk()\n')
+    monkeypatch.setattr(reachability, "EXAMPLES", tmp_path)
+    assert (str(example), 1) in reachability.called_sites()
+    assert capsys.readouterr().out == ""

@@ -16,7 +16,7 @@ from repro.apps.gossip import GossipAggregation
 from repro.baselines import SandPlatform, SimulatedLambda
 from repro.cloudburst import CloudburstCluster, ExecutorThread, ExecutorVM, Scheduler
 from repro.cloudburst.messaging import MessageRouter
-from repro.obs import LatencyHistogram
+from repro.sim import LatencyRecorder
 from repro.workloads.dags import ConsistencyWorkload
 from repro.workloads.social import SocialWorkloadGenerator
 
@@ -34,7 +34,6 @@ CONSTANTS = {
     SimulatedLambda: ("cold_start_probability",),
     SandPlatform: ("same_host_probability",),
     GossipAggregation: ("round_processing_ms",),
-    LatencyHistogram: ("first_bound_ms", "growth", "buckets"),
     ConsistencyWorkload: ("min_length", "max_length", "refs_per_function", "key_prefix"),
     SocialWorkloadGenerator: ("reply_fraction",),
 }
@@ -44,14 +43,15 @@ REMOVED = {
     CloudburstCluster: ("remove_vm", "total_threads", "scheduler", "crash_scheduler",
                         "restart_scheduler"),
     MessageRouter: ("unregister_thread",),
+    LatencyRecorder: ("extend", "__len__"),
     StorageNode: ("promote", "over_memory_capacity", "coldest_memory_keys",
                   "memory_key_count"),
 }
 
 
 class TestOnlyWhatACallerSelects:
-    def test_the_27_values_are_constants_not_parameters(self):
-        assert sum(len(names) for names in CONSTANTS.values()) == 27
+    def test_the_24_values_are_constants_not_parameters(self):
+        assert sum(len(names) for names in CONSTANTS.values()) == 24
         for constructor, names in CONSTANTS.items():
             parameters = inspect.signature(constructor.__init__).parameters
             assert not set(names) & set(parameters), constructor.__name__

@@ -46,7 +46,9 @@ class TestPercentile:
 class TestLatencyRecorder:
     def test_record_and_summary(self):
         recorder = LatencyRecorder(label="x")
-        recorder.extend([1.0, 2.0, 3.0, 4.0, 100.0])
+        for latency in (1.0, 2, 3.0, 4.0, 100.0):
+            recorder.record(latency)
+        assert recorder.samples_ms == [1.0, 2.0, 3.0, 4.0, 100.0]
         summary = recorder.summary()
         assert summary.count == 5
         assert summary.median_ms == 3.0
