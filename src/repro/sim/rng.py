@@ -83,11 +83,13 @@ class ZipfGenerator:
 
     The table is built in one vectorised pass that equals the scalar loop
     ``1.0 / (rank + 1) ** coefficient``, ``+=`` bit for bit (DESIGN.md
-    DR-28): each power is Python's own ``pow`` (numpy's ``power`` can differ
-    in the last bit), numpy's division rounds as Python's does, and both the
-    total and the running sum are ``np.add.accumulate``, which adds left to
-    right as the loop did (``np.sum`` adds pairwise).  The table is kept as
-    packed doubles, 8 bytes an entry.
+    DR-28): each power is Python's own ``pow`` (numpy's float ``power`` can
+    differ in the last bit), numpy's division rounds as Python's does, and
+    both the total and the running sum are ``np.add.accumulate``, which adds
+    left to right as the loop did (``np.sum`` adds pairwise).  An integral
+    coefficient whose largest power stays within 2**53 takes integer powers
+    instead (DR-35): each is exact, so it is the value ``pow`` returns.  The
+    table is kept as packed doubles, 8 bytes an entry.
     """
 
     def __init__(self, n_items: int, coefficient: float = 1.0,
@@ -99,9 +101,20 @@ class ZipfGenerator:
         self.n_items = int(n_items)
         self.coefficient = float(coefficient)
         self._rng = rng or RandomSource(0)
-        weights = np.fromiter(
-            map(pow, range(1, self.n_items + 1), repeat(self.coefficient)),
-            np.float64, self.n_items)
+        if self.coefficient.is_integer() and self.coefficient <= 53 \
+                and self.n_items ** int(self.coefficient) <= 2 ** 53:
+            # Every power is an integer a double holds exactly, which is
+            # also what ``pow`` returns for it (DESIGN.md DR-35).  The
+            # integers become doubles in their own buffer: a second array
+            # here would raise the process's peak by the table's size.
+            powers = np.arange(1, self.n_items + 1, dtype=np.int64)
+            np.power(powers, int(self.coefficient), out=powers)
+            weights = powers.view(np.float64)
+            np.copyto(weights, powers, casting="unsafe")
+        else:
+            weights = np.fromiter(
+                map(pow, range(1, self.n_items + 1), repeat(self.coefficient)),
+                np.float64, self.n_items)
         np.divide(1.0, weights, out=weights)
         # The running sums are built in the table's own buffer: no second
         # array, and no copy of one.

@@ -11,9 +11,13 @@ def percentile(values: Sequence[float], pct: float) -> float:
     """Linear-interpolation percentile (pct in [0, 100])."""
     if not values:
         raise ValueError("cannot take a percentile of an empty sequence")
+    return _sorted_percentile(sorted(values), pct)
+
+
+def _sorted_percentile(ordered: Sequence[float], pct: float) -> float:
+    """:func:`percentile` of a non-empty, already sorted sequence."""
     if not 0.0 <= pct <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {pct}")
-    ordered = sorted(values)
     if len(ordered) == 1:
         return ordered[0]
     rank = (pct / 100.0) * (len(ordered) - 1)
@@ -70,15 +74,16 @@ class LatencyRecorder:
     def summary(self) -> LatencySummary:
         if not self.samples_ms:
             raise ValueError(f"no samples recorded for {self.label!r}")
+        ordered = sorted(self.samples_ms)
         return LatencySummary(
             label=self.label,
             count=len(self.samples_ms),
             mean_ms=mean(self.samples_ms),
-            median_ms=median(self.samples_ms),
-            p95_ms=percentile(self.samples_ms, 95.0),
-            p99_ms=percentile(self.samples_ms, 99.0),
-            min_ms=min(self.samples_ms),
-            max_ms=max(self.samples_ms),
+            median_ms=_sorted_percentile(ordered, 50.0),
+            p95_ms=_sorted_percentile(ordered, 95.0),
+            p99_ms=_sorted_percentile(ordered, 99.0),
+            min_ms=ordered[0],
+            max_ms=ordered[-1],
         )
 
 

@@ -3,6 +3,7 @@
 import math
 import random
 from bisect import bisect_left
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,11 +167,31 @@ class TestZipfGenerator:
                                     for _ in range(2_000)]
 
     @pytest.mark.parametrize("n_items", [1, 2, 200, 777, 5_000])
-    @pytest.mark.parametrize("coefficient", [0.0, 0.5, 0.99, 1.0, 1.5])
+    @pytest.mark.parametrize("coefficient", [0.0, 0.5, 0.99, 1.0, 1.5, 2.0, 3.0])
     def test_table_equals_the_scalar_loop(self, n_items, coefficient):
         zipf = ZipfGenerator(n_items, coefficient)
         assert zipf._cumulative.typecode == "d"
         assert list(zipf._cumulative) == _loop_table(n_items, coefficient)
+
+    @pytest.mark.parametrize("n_items, coefficient", [
+        (300_000, 3.0), (208_064, 3.0), (3, 60.0), (5, math.inf)])
+    def test_past_the_exact_range_each_power_is_the_scalar_pow(self, n_items,
+                                                               coefficient):
+        """208_064 ** 3 is the first cube past 2**53: one rank more than the
+        closed form's exact range, so every weight is ``pow``'s again, as it
+        is for an exponent past 53 and for an infinite one."""
+        with mock.patch("repro.sim.rng.pow", side_effect=pow,
+                        create=True) as scalar_pow:
+            zipf = ZipfGenerator(n_items, coefficient)
+        assert scalar_pow.call_count == n_items
+        assert list(zipf._cumulative) == _loop_table(n_items, coefficient)
+
+    def test_the_million_key_table_at_1_0_calls_no_scalar_pow(self):
+        """§6.2's table is built from integer powers (DESIGN.md DR-35)."""
+        with mock.patch("repro.sim.rng.pow", create=True,
+                        side_effect=AssertionError("scalar pow called")):
+            zipf = ZipfGenerator(1_000_000, 1.0)
+        assert zipf._cumulative[-1] == 1.0
 
     def test_million_key_table_equals_the_scalar_loop(self):
         """§6.2's shape, where a pairwise total would move the table."""

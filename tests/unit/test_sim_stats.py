@@ -1,5 +1,7 @@
 """Unit tests for latency statistics helpers."""
 
+from unittest import mock
+
 import pytest
 
 from repro.sim import LatencyRecorder, format_table, mean, median, percentile
@@ -59,6 +61,16 @@ class TestLatencyRecorder:
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
             LatencyRecorder().record(-1.0)
+
+    def test_one_summary_sorts_the_samples_once(self):
+        recorder = LatencyRecorder(label="x")
+        for latency in (5.0, 1.0, 9.0, 3.0):
+            recorder.record(latency)
+        with mock.patch("repro.sim.stats.sorted", side_effect=sorted,
+                        create=True) as sort:
+            summary = recorder.summary()
+        assert sort.call_count == 1
+        assert (summary.min_ms, summary.median_ms, summary.max_ms) == (1.0, 4.0, 9.0)
 
     def test_summary_of_empty_recorder_raises(self):
         with pytest.raises(ValueError):
