@@ -5,12 +5,13 @@
     python benchmarks/pairs.py PARENT_REF --workload retwis_read --pairs 6
     python benchmarks/pairs.py PARENT_REF --workload retwis_read --workload predict_dag
     python benchmarks/pairs.py PARENT_REF --workload all       # BENCHMARK.json's four
+    python benchmarks/pairs.py PARENT_REF --seed 3             # an unused seed
 
 The committed trees of ``PARENT_REF`` and ``HEAD`` are exported with ``git
 archive`` into a temporary directory (:func:`export`, which
 ``benchmarks/census.py --report`` uses for its base too).
-Each pair runs ``benchmarks/perf/run.py --workload W --seed 0 --seconds 10``
-once in each checkout; the parent goes first in even pairs and the change in
+Each pair runs ``benchmarks/perf/run.py --workload W --seed N --seconds 10``
+once in each checkout (``--seed``, default 0); the parent goes first in even pairs and the change in
 odd ones, so a drift in the host's speed lands on both sides.
 
 The report is the host-speed protocol of ROADMAP item 5, for every host
@@ -84,11 +85,11 @@ def export(ref: str, dest: Path) -> Path:
     return dest
 
 
-def run_side(checkout: Path, workload: str) -> Tuple[Metrics, bool]:
+def run_side(checkout: Path, workload: str, seed: int = 0) -> Tuple[Metrics, bool]:
     """One benchmark run in ``checkout``: its metric values and whether it passed."""
     done = subprocess.run(
         [sys.executable, "benchmarks/perf/run.py", "--workload", workload,
-         "--seed", "0", "--seconds", "10"],
+         "--seed", str(seed), "--seconds", "10"],
         cwd=checkout, capture_output=True, text=True)
     if not done.stdout.strip():
         sys.stderr.write(done.stderr)
@@ -177,15 +178,15 @@ def report(summary: dict, workload: str) -> str:
     return "\n".join(lines)
 
 
-def run_pairs(checkouts: Dict[str, Path], workload: str,
-              count: int) -> Tuple[List[Pair], int]:
+def run_pairs(checkouts: Dict[str, Path], workload: str, count: int,
+              seed: int = 0) -> Tuple[List[Pair], int]:
     """``count`` alternating pairs of ``workload``: the pairs, and failed runs."""
     failed = 0
     pairs: List[Pair] = []
     for pair in range(count):
         values = {}
         for side in order(pair):
-            values[side], passed = run_side(checkouts[side], workload)
+            values[side], passed = run_side(checkouts[side], workload, seed)
             failed += not passed
         if not (values["parent"] and values["change"]):
             break
@@ -219,12 +220,14 @@ def main(argv=None) -> int:
                         help=f"repeatable; 'all' is BENCHMARK.json's workloads "
                              f"(default: {DEFAULT_WORKLOAD})")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="the seed every run.py gets (default: 0)")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as scratch:
         checkouts = {"parent": export(args.parent, Path(scratch) / "parent"),
                      "change": export("HEAD", Path(scratch) / "change")}
-        results = {workload: run_pairs(checkouts, workload, args.pairs)
+        results = {workload: run_pairs(checkouts, workload, args.pairs, args.seed)
                    for workload in workloads(args.workloads)}
     text, code = verdict(results)
     print(text)

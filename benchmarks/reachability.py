@@ -17,7 +17,7 @@ benchmark run:
 Every function and method defined under ``src/`` whose code object never
 received a call event is listed by file, with its line span counted from its
 first decorator through its last line.  ``benchmarks/census.py`` ratchets
-the two totals (DESIGN.md DR-32), and DESIGN.md DR-19 records why each
+the two totals (DESIGN.md DR-32), and DESIGN.md DR-36 records why each
 remaining function stays.
 
 ``--options`` is the static census of options instead (DESIGN.md DR-20):

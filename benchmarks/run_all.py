@@ -45,7 +45,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Snapshot layout version; docs/BENCH_SCHEMA.md documents it and its history.
-SCHEMA_VERSION = 16
+SCHEMA_VERSION = 17
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.bench import DEFAULT_LEDGER_NAME, apply_ledger, figures  # noqa: E402

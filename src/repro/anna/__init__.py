@@ -10,7 +10,6 @@ from .autoscaler import (
     StorageAutoscaler,
     StorageAutoscalerConfig,
     StorageAutoscalerReport,
-    hot_key_report,
 )
 from .cluster import GOSSIP_INTERVAL_MS, AnnaCluster
 from .hash_ring import HashRing, stable_hash
@@ -36,5 +35,4 @@ __all__ = [
     "StorageAutoscaler",
     "StorageAutoscalerConfig",
     "StorageAutoscalerReport",
-    "hot_key_report",
 ]

@@ -11,17 +11,16 @@ manages storage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .cluster import AnnaCluster
 
 #: Policy values no caller selects (tests patch them): the node floor, the
-#: replicas a hot key gains, the age (virtual ms) at which an untouched key
-#: is demoted to disk, and how many keys :func:`hot_key_report` ranks.
+#: replicas a hot key gains, and the age (virtual ms) at which an untouched
+#: key is demoted to disk.
 MIN_NODES = 1
 HOT_KEY_EXTRA_REPLICAS = 2
 COLD_KEY_AGE_MS = 300_000.0
-HOT_KEY_REPORT_SIZE = 10
 
 
 @dataclass
@@ -129,14 +128,3 @@ class StorageAutoscaler:
                     if node.demote(key):
                         demoted += 1
         return demoted
-
-
-def hot_key_report(cluster: AnnaCluster) -> Dict[str, int]:
-    """The :data:`HOT_KEY_REPORT_SIZE` most-accessed keys across the cluster."""
-    accesses: Dict[str, int] = {}
-    for node_id in cluster.node_ids:
-        node = cluster.node(node_id)
-        for key in node.keys():
-            accesses[key] = accesses.get(key, 0) + node.stats(key).accesses
-    ranked = sorted(accesses.items(), key=lambda item: item[1], reverse=True)
-    return dict(ranked[:HOT_KEY_REPORT_SIZE])

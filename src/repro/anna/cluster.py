@@ -476,9 +476,6 @@ class AnnaCluster:
             seen.update(node.keys())
         return sorted(seen)
 
-    def key_count(self) -> int:
-        return len(self.keys())
-
     # -- convenience: plain-value metadata stored as LWW lattices --------------------
     def plain(self, value) -> LWWLattice:
         """Wrap a bare Python value in an LWW lattice stamped now.
@@ -496,10 +493,6 @@ class AnnaCluster:
     def _owners(self, key: str) -> List[str]:
         extra = self._hot_key_extra_replicas.get(key, 0)
         return self._ring.owners(key, self.replication_factor + extra)
-
-    def replicas_of(self, key: str) -> List[str]:
-        return [owner for owner in self._owners(key)
-                if self._nodes[owner].contains(key)]
 
     def boost_replication(self, key: str, extra_replicas: int) -> None:
         """Selectively replicate a hot key to more storage nodes (Anna [86])."""
@@ -629,10 +622,6 @@ class AnnaCluster:
         return sorted(node_id for node_id, node in self._nodes.items()
                       if node.partitioned)
 
-    def dirty_key_count(self) -> int:
-        """Writes accepted by one replica but not yet gossiped to the rest."""
-        return sum(len(keys) for keys in self._dirty.values())
-
     def flush_updates(self) -> int:
         """Run one periodic propagation round (no-op in immediate mode).
 
@@ -648,9 +637,6 @@ class AnnaCluster:
             if value is not None:
                 self._push_update(key, value)
         return len(pending)
-
-    def pending_update_count(self) -> int:
-        return len(self._pending_updates)
 
     # -- introspection ------------------------------------------------------------------
     def total_access_count(self) -> int:

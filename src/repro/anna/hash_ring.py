@@ -57,16 +57,6 @@ class HashRing:
             index = bisect.bisect_left(self._ring, point)
             self._ring.pop(index)
 
-    @property
-    def nodes(self) -> List[str]:
-        return sorted(self._members)
-
-    def __contains__(self, node_id: str) -> bool:
-        return node_id in self._members
-
-    def __len__(self) -> int:
-        return len(self._members)
-
     # -- lookups ---------------------------------------------------------------
     def owners(self, key: str, count: int = 1) -> List[str]:
         """Return the ``count`` distinct nodes responsible for ``key``.
@@ -101,9 +91,6 @@ class HashRing:
             if index == start:
                 break
         return found
-
-    def primary(self, key: str) -> str:
-        return self.owners(key, 1)[0]
 
     def owned_by(self, keys: Sequence[str], node_id: str, count: int = 1) -> List[str]:
         """The subset of ``keys`` whose ``count``-way replica set includes ``node_id``.

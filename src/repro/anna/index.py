@@ -17,7 +17,7 @@ scheme as the key space itself; this module tracks the per-key overhead that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Set
+from typing import Dict, FrozenSet, Iterable, Set
 
 
 @dataclass
@@ -84,21 +84,6 @@ class KeyCacheIndex:
     # -- lookups -------------------------------------------------------------------
     def caches_for(self, key: str) -> FrozenSet[str]:
         return frozenset(self._key_to_caches.get(key, frozenset()))
-
-    def keys_for(self, cache_id: str) -> FrozenSet[str]:
-        return frozenset(self._cache_to_keys.get(cache_id, frozenset()))
-
-    def replication_factor(self, key: str) -> int:
-        return len(self._key_to_caches.get(key, ()))
-
-    def tracked_keys(self) -> List[str]:
-        return list(self._key_to_caches)
-
-    def tracked_caches(self) -> List[str]:
-        return list(self._cache_to_keys)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._key_to_caches
 
     # -- update propagation targets ---------------------------------------------
     def propagation_targets(self, key: str, exclude: str = "") -> FrozenSet[str]:

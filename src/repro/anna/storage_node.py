@@ -237,9 +237,6 @@ class StorageNode:
         yield from self._memory
         yield from self.cold_tier
 
-    def key_count(self) -> int:
-        return len(self._memory) + len(self.cold_tier)
-
     def memory_keys(self) -> Iterable[str]:
         """Keys currently resident in the memory tier (demotion candidates)."""
         yield from self._memory

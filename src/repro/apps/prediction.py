@@ -17,14 +17,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..baselines import (
-    LambdaComposition,
-    NativePython,
-    SageMaker,
-    SimulatedLambda,
-    SimulatedS3,
-)
-from ..cloudburst import CloudburstClient, CloudburstCluster
+from ..baselines import NativePython, SageMaker, SimulatedLambda, SimulatedS3
+from ..cloudburst import CloudburstClient, CloudburstCluster, simulated_compute
 from ..sim import LatencyModel, RequestContext
 
 #: Simulated compute cost of each stage on one c5.2xlarge core (milliseconds).
@@ -53,6 +47,7 @@ def make_model_weights() -> Dict[str, np.ndarray]:
 
 
 # -- pipeline stages (plain functions usable on every platform) --------------------------
+@simulated_compute(RESIZE_COMPUTE_MS)
 def resize_image(image: np.ndarray) -> np.ndarray:
     """Stage 1: downsample the input image to the model's input resolution."""
     side = image.shape[0]
@@ -61,9 +56,7 @@ def resize_image(image: np.ndarray) -> np.ndarray:
     return resized[:MODEL_INPUT_SIZE, :MODEL_INPUT_SIZE, :]
 
 
-resize_image._cloudburst_compute_ms = RESIZE_COMPUTE_MS
-
-
+@simulated_compute(MODEL_COMPUTE_MS)
 def run_model(resized: np.ndarray, weights: Optional[Dict[str, np.ndarray]] = None
               ) -> np.ndarray:
     """Stage 2: the mock MobileNet — pooled features through a classifier head."""
@@ -78,9 +71,7 @@ def run_model(resized: np.ndarray, weights: Optional[Dict[str, np.ndarray]] = No
     return logits
 
 
-run_model._cloudburst_compute_ms = MODEL_COMPUTE_MS
-
-
+@simulated_compute(RENDER_COMPUTE_MS)
 def render_prediction(logits: np.ndarray) -> Dict[str, object]:
     """Stage 3: combine features into the served prediction."""
     top = int(np.argmax(logits))
@@ -89,35 +80,26 @@ def render_prediction(logits: np.ndarray) -> Dict[str, object]:
     return {"label": f"class-{top:04d}", "confidence": float(probabilities[top])}
 
 
-render_prediction._cloudburst_compute_ms = RENDER_COMPUTE_MS
-
-
 # -- Cloudburst deployment -------------------------------------------------------------------
 MODEL_KEY = "prediction/mobilenet-weights"
 PIPELINE_DAG = "prediction-pipeline"
 
 
+@simulated_compute(RESIZE_COMPUTE_MS)
 def _cb_resize(image: np.ndarray) -> np.ndarray:
     return resize_image(image)
 
 
-_cb_resize._cloudburst_compute_ms = RESIZE_COMPUTE_MS
-
-
+@simulated_compute(MODEL_COMPUTE_MS)
 def _cb_model(cloudburst, resized: np.ndarray) -> np.ndarray:
     """Cloudburst stage 2: the model weights come from Anna (4 extra LOC)."""
     weights = cloudburst.get(MODEL_KEY)
     return run_model(resized, weights)
 
 
-_cb_model._cloudburst_compute_ms = MODEL_COMPUTE_MS
-
-
+@simulated_compute(RENDER_COMPUTE_MS)
 def _cb_render(logits: np.ndarray) -> Dict[str, object]:
     return render_prediction(logits)
-
-
-_cb_render._cloudburst_compute_ms = RENDER_COMPUTE_MS
 
 
 @dataclass
@@ -177,10 +159,9 @@ class PredictionBaselines:
         self.lambda_platform.register(self._model_stage, "model")
         self.lambda_platform.register(render_prediction, "render")
 
+    @simulated_compute(MODEL_COMPUTE_MS)
     def _model_stage(self, resized: np.ndarray) -> np.ndarray:
         return run_model(resized, self.weights)
-
-    _model_stage._cloudburst_compute_ms = MODEL_COMPUTE_MS
 
     # -- the four baseline request paths -------------------------------------------------
     def run_python(self, image: np.ndarray, ctx: RequestContext) -> Dict[str, object]:
@@ -192,7 +173,6 @@ class PredictionBaselines:
     def run_lambda_mock(self, image: np.ndarray, ctx: RequestContext) -> Dict[str, object]:
         """Lambda (Mock): compute isolated from data movement — results are
         passed through the Lambda API but no model/image bytes are charged."""
-        composition = LambdaComposition(self.lambda_platform)
         value: object = image
         for name in self._stage_names:
             value = self.lambda_platform.invoke(name, (value,), ctx, payload_bytes=0)

@@ -50,12 +50,6 @@ class SimulatedStorageService:
     def contains(self, key: str) -> bool:
         return key in self._data
 
-    def delete(self, key: str) -> bool:
-        return self._data.pop(key, None) is not None
-
-    def keys(self) -> List[str]:
-        return sorted(self._data)
-
 
 class SimulatedS3(SimulatedStorageService):
     """AWS S3: high per-object latency, decent streaming bandwidth."""

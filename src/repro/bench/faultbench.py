@@ -176,8 +176,6 @@ def _run_fault_class(fault: str, seed: int, request_count: int, clients: int,
             record.retries for scheduler in cluster.schedulers
             for record in scheduler.journal.records()),
         "faults": plane.snapshot(),
-        "timeline_signature": [list(entry)
-                               for entry in plane.timeline_signature()],
         "durable": cluster.kvs.durable_stats(),
         # Per-session state transitions of every scheduler: the figure
         # registry moves them out of the snapshot into their own file.
@@ -240,7 +238,7 @@ def run_fault_recovery(seed: int = 7, request_count: int = 160,
         section["determinism"] = {
             "fault": fault,
             "timeline_match":
-                replay["timeline_signature"] == first["timeline_signature"],
+                replay["faults"]["timeline"] == first["faults"]["timeline"],
             "anomalies_match": replay["anomalies"] == first["anomalies"],
         }
     return section

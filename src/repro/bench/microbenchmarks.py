@@ -33,7 +33,7 @@ from ..baselines import (
     SimulatedS3,
     StepFunctions,
 )
-from ..cloudburst import CloudburstCluster, CloudburstReference
+from ..cloudburst import CloudburstCluster, CloudburstReference, simulated_compute
 from ..cloudburst.controlplane import ComputeControlPlane, MonitoringConfig
 from ..sim import LatencyModel, RandomSource, RequestContext, ZipfGenerator
 from ..workloads.arrays import (
@@ -210,10 +210,10 @@ def _figure5_one_size(label: str, requests: int, rng: RandomSource,
 
     compute_ms = elements * 4.0 / 1e6  # same per-element cost the executors charge
 
+    @simulated_compute(compute_ms)
     def summation(*args):
         return sum_arrays(*args)
 
-    summation._cloudburst_compute_ms = compute_ms
     platform.register(summation, "sum_arrays")
 
     def lambda_storage_request(storage, i: int) -> float:

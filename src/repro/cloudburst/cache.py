@@ -53,11 +53,6 @@ class CacheStats:
     #: (mispredicted references — wasted background bandwidth).
     prefetch_wasted: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class ExecutorCache:
     """The VM-local mutable cache colocated with function executors."""
@@ -438,9 +433,6 @@ class ExecutorCache:
         for key in keys:
             self._snapshots.pop((execution_id, key), None)
         return len(keys)
-
-    def snapshot_count(self) -> int:
-        return len(self._snapshots)
 
     def fetch_from_upstream(self, upstream_cache_id: str, execution_id: str, key: str,
                             ctx: RequestContext,

@@ -34,7 +34,7 @@ from ..errors import SchedulingError
 from ..sim import RequestContext, SimClock
 from .consistency.levels import ConsistencyLevel
 from .dag import Dag
-from .references import CloudburstFuture, CloudburstReference
+from .references import CloudburstFuture
 from .scheduler import Scheduler
 from .serialization import LatticeEncapsulator
 
@@ -79,7 +79,6 @@ class CloudburstClient:
         #: children off it.
         self.tracer = cluster.tracer
         self._encapsulator = LatticeEncapsulator(client_id, consistency)
-        self._last_latency_ms: Optional[float] = None
 
     # -- KVS access --------------------------------------------------------------------
     def put(self, key: str, value: Any, ctx: Optional[RequestContext] = None) -> None:
@@ -197,31 +196,19 @@ class CloudburstClient:
             if root is not None:
                 ctx.close_span(error=type(exc).__name__)
             raise
+        if root is None:
+            return future
 
         def settled(future: CloudburstFuture) -> None:
             error = future.exception()
             if error is None:
-                self._last_latency_ms = future.result().latency_ms
-                if root is not None:
-                    root.annotate("latency_ms", self._last_latency_ms)
-            if root is not None:
-                ctx.close_span(error=None if error is None else type(error).__name__)
+                root.annotate("latency_ms", future.result().latency_ms)
+            ctx.close_span(error=None if error is None else type(error).__name__)
 
         future.add_done_callback(settled)
         return future
 
     # -- helpers -------------------------------------------------------------------------
-    def reference(self, key: str) -> CloudburstReference:
-        """Convenience constructor mirroring ``CloudburstReference(key)``."""
-        return CloudburstReference(key)
-
-    @property
-    def last_latency_ms(self) -> float:
-        """Latency of the last invocation of this client that succeeded."""
-        if self._last_latency_ms is None:
-            raise ValueError("no request has been issued yet")
-        return self._last_latency_ms
-
     def _next_scheduler(self) -> Scheduler:
         """Round-robin over *live* schedulers (crashed ones are skipped).
 

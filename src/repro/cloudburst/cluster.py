@@ -191,12 +191,6 @@ class CloudburstCluster:
                                                  if p not in departed]
         self.kvs.background_delete(EXECUTOR_METRICS_PREFIX + vm.vm_id)
 
-    def vm(self, vm_id: str) -> ExecutorVM:
-        for vm in self.vms:
-            if vm.vm_id == vm_id:
-                return vm
-        raise KeyError(f"unknown VM: {vm_id!r}")
-
     # -- scheduler faults (§4.5) ---------------------------------------------------------
     def live_schedulers(self) -> List[Scheduler]:
         return [scheduler for scheduler in self.schedulers if scheduler.alive]

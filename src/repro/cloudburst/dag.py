@@ -146,9 +146,3 @@ class DagRegistry:
             if name in self._deleted:
                 raise DagDeletedError(name) from None
             raise DagNotFoundError(name) from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._dags
-
-    def names(self) -> List[str]:
-        return sorted(self._dags)

@@ -78,9 +78,6 @@ class MessageRouter:
     def mark_reachable(self, thread_id: str) -> None:
         self._unreachable.discard(thread_id)
 
-    def is_registered(self, thread_id: str) -> bool:
-        return thread_id in self._addresses
-
     @staticmethod
     def _address_of(thread_id: str) -> Tuple[str, int]:
         """Deterministic mapping from a unique thread ID to an IP-port pair."""
@@ -91,9 +88,6 @@ class MessageRouter:
         octet4 = digest % 256
         port = 9000 + (digest % 2000)
         return (f"10.0.{octet3}.{octet4}", port)
-
-    def address_of(self, thread_id: str) -> Tuple[str, int]:
-        return self._address_of(thread_id)
 
     # -- data path --------------------------------------------------------------------
     def send(self, sender_id: str, recipient_id: str, payload: Any,
@@ -149,9 +143,6 @@ class MessageRouter:
             delivered.add(sequence)
             fresh.append(Envelope(sender=sender, payload=payload, sequence=sequence))
         return fresh
-
-    def pending_count(self, thread_id: str) -> int:
-        return len(self._queues.get(thread_id, []))
 
 
 def _payload_size(payload: Any) -> int:

@@ -142,22 +142,6 @@ class CloudburstFuture:
     def latency_ms(self) -> float:
         return self.result().latency_ms
 
-    @property
-    def execution_id(self) -> str:
-        return self.result().execution_id
-
-    @property
-    def retries(self) -> int:
-        return self.result().retries
-
-    @property
-    def ctx(self):
-        return self.result().ctx
-
-    @property
-    def session(self):
-        return self.result().session
-
     # -- completion delivery ---------------------------------------------------------------
     def add_done_callback(self, fn: Callable[["CloudburstFuture"], None]) -> None:
         """Call ``fn(future)`` when the future resolves (now, if it already has).

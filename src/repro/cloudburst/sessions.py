@@ -90,15 +90,6 @@ class DagSession:
         self._begin_attempt()
 
     @property
-    def retries(self) -> int:
-        """§4.5 retry count — owned by the journal, not closure state."""
-        return self.record.retries
-
-    @property
-    def session_id(self) -> str:
-        return self.record.session_id
-
-    @property
     def attempt(self) -> AttemptRecord:
         """The live attempt's record: what is scheduled, what finished when."""
         return self.record.attempts[-1]

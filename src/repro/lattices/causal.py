@@ -58,7 +58,7 @@ class CausalLattice(Lattice):
         self._siblings: Tuple[Sibling, ...] = _prune(candidate)
         # Derived quantities, computed on first use (merge's fast path fills
         # them in from its operands).  Safe to cache: the lattice is
-        # immutable (no API — merge, with_dependency — writes to an existing
+        # immutable (no API, merge included, writes to an existing
         # instance) and nothing may mutate ``dependencies`` in place.  The
         # causal protocols consult vector_clock/metadata_bytes/size_bytes on
         # every read, which made re-deriving them the single hottest path in
@@ -159,17 +159,8 @@ class CausalLattice(Lattice):
         return tuple(value for _, value in self._siblings)
 
     @property
-    def siblings(self) -> Tuple[Sibling, ...]:
-        return self._siblings
-
-    @property
     def is_conflicted(self) -> bool:
         return len(self._siblings) > 1
-
-    def with_dependency(self, key: str, clock: VectorClock) -> "CausalLattice":
-        deps = dict(self.dependencies)
-        deps[key] = deps[key].merge(clock) if key in deps else clock
-        return CausalLattice(dependencies=deps, siblings=self._siblings)
 
     def metadata_bytes(self) -> int:
         """Size of the causal metadata (vector clocks + dependency set).

@@ -9,7 +9,7 @@ concurrent.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .base import Lattice
 
@@ -99,9 +99,6 @@ class VectorClock(Lattice):
         entries[node_id] = entries.get(node_id, 0) + 1
         return VectorClock._trusted(entries)
 
-    def get(self, node_id: str) -> int:
-        return self._entries.get(node_id, 0)
-
     def dominates(self, other: "VectorClock") -> bool:
         """True when ``self`` >= ``other`` in every entry and > in at least one."""
         mine = self._entries
@@ -133,9 +130,6 @@ class VectorClock(Lattice):
             size = self._size = sum(
                 len(node.encode("utf-8")) + 8 for node in self._entries)
         return size
-
-    def entries(self) -> Iterable[Tuple[str, int]]:
-        return self._entries.items()
 
     def _identity(self) -> Tuple[Tuple[str, int], ...]:
         ident = self._ident

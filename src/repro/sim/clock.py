@@ -28,7 +28,7 @@ run (asserted by the determinism suite) — only the *structural* queries
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 
 class SimClock:
@@ -168,29 +168,6 @@ class RequestContext:
         self.span.tracer.start_span(name, tier, start_ms, self.span, node,
                                     attrs).finish(
             self.clock.now_ms if end_ms is None else end_ms)
-
-    def charges_for(self, service: str, operation: Optional[str] = None) -> List[ChargeRecord]:
-        """Return charges filtered by service (and optionally operation)."""
-        return [
-            charge
-            for charge in self.charges
-            if charge.service == service
-            and (operation is None or charge.operation == operation)
-        ]
-
-    def count(self, service: str, operation: Optional[str] = None) -> int:
-        return len(self.charges_for(service, operation))
-
-    def total(self, service: str, operation: Optional[str] = None) -> float:
-        return sum(charge.latency_ms for charge in self.charges_for(service, operation))
-
-    def breakdown(self) -> Dict[Tuple[str, str], float]:
-        """Aggregate charged latency by (service, operation)."""
-        totals: Dict[Tuple[str, str], float] = {}
-        for charge in self.charges:
-            key = (charge.service, charge.operation)
-            totals[key] = totals.get(key, 0.0) + charge.latency_ms
-        return totals
 
     def fork(self, at_ms: Optional[float] = None) -> "RequestContext":
         """Create a child context at the current virtual time (or ``at_ms``).

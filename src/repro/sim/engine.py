@@ -382,9 +382,6 @@ class WorkQueue:
             return in_service
         return len(self._ends) - bisect_right(self._ends, at_ms) + in_service
 
-    def is_full(self, at_ms: float) -> bool:
-        return self.bound is not None and self.depth(at_ms) >= self.bound
-
 
 class ReservationQueue:
     """Single-server queue for known service times and out-of-order arrivals.
@@ -520,7 +517,3 @@ class ReservationQueue:
 
     def is_full(self, at_ms: float) -> bool:
         return self.bound is not None and self.depth(at_ms) >= self.bound
-
-    def busy_at(self, at_ms: float) -> bool:
-        """Whether the server has reserved work at (or beyond) ``at_ms``."""
-        return bool(self._ends) and self._ends[-1] > at_ms

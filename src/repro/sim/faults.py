@@ -291,11 +291,6 @@ class FaultPlane:
         return max((fault.max_recovery_ms for fault in self._classes.values()),
                    default=0.0)
 
-    def timeline_signature(self) -> Tuple[Tuple[float, str, str, str], ...]:
-        """Hashable timeline fingerprint for seed-determinism assertions."""
-        return tuple((round(event.at_ms, 6), event.fault, event.action,
-                      event.target) for event in self.timeline)
-
     def snapshot(self) -> Dict[str, Any]:
         """JSON-compatible summary (per class and total) for the bench gate."""
         return {

@@ -130,9 +130,6 @@ class ZipfGenerator:
         point = self._rng.random()
         return self._bisect(point)
 
-    def draw(self, count: int) -> List[int]:
-        return [self.next() for _ in range(count)]
-
     def _bisect(self, point: float) -> int:
         """First index whose cumulative weight reaches ``point``."""
         return min(bisect_left(self._cumulative, point), self.n_items - 1)

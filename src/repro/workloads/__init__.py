@@ -9,7 +9,6 @@ from .arrays import (
     make_arrays,
     sum_arrays,
     sum_arrays_with_library,
-    total_bytes,
 )
 from .dags import ConsistencyWorkload, GeneratedDag, sink_write, string_manipulation
 from .social import RetwisRequest, SocialGraph, SocialWorkloadGenerator
@@ -23,7 +22,6 @@ __all__ = [
     "make_arrays",
     "sum_arrays",
     "sum_arrays_with_library",
-    "total_bytes",
     "ConsistencyWorkload",
     "GeneratedDag",
     "sink_write",

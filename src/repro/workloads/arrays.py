@@ -39,10 +39,6 @@ def make_arrays(label: str, seed: int = 0) -> List[np.ndarray]:
     return [rng.random(elements) for _ in range(ARRAYS_PER_REQUEST)]
 
 
-def total_bytes(label: str) -> int:
-    return ELEMENTS_PER_ARRAY[label] * 8 * ARRAYS_PER_REQUEST
-
-
 def sum_arrays(*arrays: np.ndarray) -> float:
     """The user function: the sum of all elements across the input arrays."""
     return float(sum(np.sum(array) for array in arrays))

@@ -27,6 +27,7 @@ from repro.cloudburst.journal import MAX_RETRIES
 from repro.sim import RandomSource
 
 from engine_time import at_engine_time
+from internals import snapshot_count
 from one_client import one_client_driver_latencies, top_level_latencies
 
 
@@ -158,7 +159,7 @@ class TestInterleavedSessions:
         assert len(outcomes) == 60
         # All sessions finalized: no cache may retain any pinned snapshot.
         for vm in cluster.vms:
-            assert vm.cache.snapshot_count() == 0
+            assert snapshot_count(vm.cache) == 0
 
     def test_finalized_session_snapshots_invisible_to_inflight_session(self):
         # Two manually staggered sessions: A finalizes while B is still in
@@ -176,7 +177,7 @@ class TestInterleavedSessions:
                 assert vm.cache.get_snapshot(result.execution_id, "shared") is None
             # B is still in flight and owns every surviving snapshot.
             b_exec = states["b"].state.execution_id
-            surviving = sum(vm.cache.snapshot_count() for vm in cluster.vms)
+            surviving = sum(snapshot_count(vm.cache) for vm in cluster.vms)
             b_pins = sum(
                 1 for vm in cluster.vms
                 if vm.cache.get_snapshot(b_exec, "shared") is not None)
@@ -199,7 +200,7 @@ class TestInterleavedSessions:
         assert states.get("a_done")
         assert states["b"].future.done()
         for vm in cluster.vms:
-            assert vm.cache.snapshot_count() == 0
+            assert snapshot_count(vm.cache) == 0
 
 
 class TestSessionFailureIsolation:
@@ -225,10 +226,10 @@ class TestSessionFailureIsolation:
         assert session.future.done() and not session.future.is_ready()
         assert len(errors) == 1
         assert "failed after" in str(errors[0])
-        assert session.retries == MAX_RETRIES + 1
+        assert session.record.retries == MAX_RETRIES + 1
         # Every abandoned attempt released its session state.
         for vm in cluster.vms:
-            assert vm.cache.snapshot_count() == 0
+            assert snapshot_count(vm.cache) == 0
 
     def test_retry_exhaustion_resolves_the_client_future_with_the_error(self):
         from repro.errors import DagExecutionError
@@ -287,7 +288,7 @@ class TestSessionFailureIsolation:
 
     def _assert_no_leaked_session_state(self, cluster):
         for vm in cluster.vms:
-            assert vm.cache.snapshot_count() == 0
+            assert snapshot_count(vm.cache) == 0
         assert cluster.anomaly_tracker._reads_by_execution == {}
 
     def test_failed_dag_attempts_leak_no_snapshots_or_shadow_reads(self):
@@ -303,7 +304,7 @@ class TestSessionFailureIsolation:
             errors.append(error)
             # The release must have happened before the future resolves.
             in_error_callback["snapshots"] = [
-                vm.cache.snapshot_count() for vm in cluster.vms]
+                snapshot_count(vm.cache) for vm in cluster.vms]
             in_error_callback["tracked_reads"] = dict(
                 cluster.anomaly_tracker._reads_by_execution)
 

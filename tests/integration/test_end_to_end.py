@@ -5,6 +5,8 @@ import pytest
 
 from repro import CloudburstCluster, CloudburstReference, ConsistencyLevel
 
+import charges
+
 
 @pytest.fixture
 def cluster():
@@ -119,7 +121,7 @@ class TestMultipleClientsAndSchedulers:
     def test_consistency_level_override_per_call(self, cloud):
         cloud.register(lambda x: x, name="echo")
         result = cloud.call("echo", [1],
-                            consistency=ConsistencyLevel.DISTRIBUTED_SESSION_RR)
+                            consistency=ConsistencyLevel.DISTRIBUTED_SESSION_RR).result()
         assert result.value == 1
         assert result.session.level == ConsistencyLevel.DISTRIBUTED_SESSION_RR
 
@@ -127,8 +129,8 @@ class TestMultipleClientsAndSchedulers:
 class TestLatencyAccounting:
     def test_latency_includes_scheduling_and_execution(self, cloud):
         cloud.register(lambda: "ok", name="noop")
-        result = cloud.call("noop")
-        breakdown = result.ctx.breakdown()
+        result = cloud.call("noop").result()
+        breakdown = charges.breakdown(result.ctx)
         assert ("cloudburst", "client_to_scheduler") in breakdown
         assert ("cloudburst", "invoke") in breakdown
         assert result.latency_ms >= sum(

@@ -30,6 +30,8 @@ from repro.cloudburst.controlplane import MIN_PINNED_THREADS, MonitoringConfig
 from repro.cloudburst.journal import MAX_RETRIES
 from repro.sim import percentile
 
+import charges
+
 
 def _make_cluster(seed=11, executor_vms=2, threads_per_vm=3):
     cluster = CloudburstCluster(executor_vms=executor_vms,
@@ -78,7 +80,7 @@ class TestSingleClientEquivalence:
             driver.started_ms + simulation.duration_ms)
         result = cloud.call("work", [3]).result()
         assert result.value == 6
-        assert result.ctx.total("cloudburst", "executor_queue") == 0.0
+        assert charges.total(result.ctx, "cloudburst", "executor_queue") == 0.0
 
     def test_past_reservations_do_not_read_as_load_after_a_run(self):
         # One monotonic clock: the run's reservations are history, so no
@@ -126,7 +128,7 @@ class TestContention:
 
         def request(cloud, ctx, index):
             future = cloud.call("work", [index], ctx=ctx)
-            waits.append(future.ctx.total("cloudburst", "executor_queue"))
+            waits.append(charges.total(future.result().ctx, "cloudburst", "executor_queue"))
             return future
 
         EngineLoadDriver(cluster, request, clients=4, max_requests=20).run()

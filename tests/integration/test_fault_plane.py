@@ -18,6 +18,8 @@ from repro.bench.faultbench import (
 )
 from repro.sim import FaultPlane, RandomSource
 
+from internals import snapshot_count
+
 
 def _run(fault, seed=11, request_count=80):
     return _run_fault_class(
@@ -62,15 +64,15 @@ class TestSeedDeterminism:
     def test_same_seed_identical_timeline_and_anomalies(self):
         first = _run("executor_kill", seed=21)
         second = _run("executor_kill", seed=21)
-        assert first["timeline_signature"] == second["timeline_signature"]
-        assert first["timeline_signature"], "no fault fired — vacuous test"
+        assert first["faults"]["timeline"] == second["faults"]["timeline"]
+        assert first["faults"]["timeline"], "no fault fired — vacuous test"
         assert first["anomalies"] == second["anomalies"]
         assert first["duration_ms"] == second["duration_ms"]
 
     def test_different_seed_differs(self):
         first = _run("executor_kill", seed=21)
         second = _run("executor_kill", seed=22)
-        assert first["timeline_signature"] != second["timeline_signature"]
+        assert first["faults"]["timeline"] != second["faults"]["timeline"]
 
 
 class TestClusterWholeAfterRun:
@@ -112,7 +114,7 @@ class TestClusterWholeAfterRun:
         assert cluster.kvs.node_count() == 4
         assert cluster.abandoned_session_count() == 0
         for vm in cluster.vms:
-            assert vm.cache.snapshot_count() == 0
+            assert snapshot_count(vm.cache) == 0
 
     def test_gate_over_reduced_section(self):
         section = run_fault_recovery(

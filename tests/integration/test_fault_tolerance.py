@@ -6,6 +6,8 @@ from repro import CloudburstCluster
 from repro.cloudburst.controlplane import ComputeControlPlane
 from repro.errors import SchedulingError
 
+import charges
+
 
 @pytest.fixture
 def cluster():
@@ -27,7 +29,7 @@ class TestExecutorFailure:
         victim_vm = next(vm for vm in cluster.vms
                          if pinned_thread_id in vm.thread_ids())
         victim_vm.fail()
-        result = cloud.call_dag("doubling", {"double": [21]})
+        result = cloud.call_dag("doubling", {"double": [21]}).result()
         assert result.value == 42
         assert result.retries == 0
 
@@ -40,7 +42,8 @@ class TestExecutorFailure:
             if state["failures_left"] > 0:
                 state["failures_left"] -= 1
                 # Simulate the executor's VM dying mid-invocation.
-                cluster.vm(cloudburst.get_id().split(":")[0]).fail()
+                vm_id = cloudburst.get_id().split(":")[0]
+                next(vm for vm in cluster.vms if vm.vm_id == vm_id).fail()
                 from repro.errors import ExecutorFailedError
 
                 raise ExecutorFailedError(cloudburst.get_id(), "chaos")
@@ -48,11 +51,11 @@ class TestExecutorFailure:
 
         cloud.register(flaky, name="flaky")
         cloud.register_dag("flaky-dag", ["flaky"])
-        result = cloud.call_dag("flaky-dag", {"flaky": [21]})
+        result = cloud.call_dag("flaky-dag", {"flaky": [21]}).result()
         assert result.value == 42
         assert result.retries == 1
         # Re-execution waits out the configurable timeout before retrying.
-        assert result.ctx.total("cloudburst", "fault_timeout") > 0
+        assert charges.total(result.ctx, "cloudburst", "fault_timeout") > 0
 
     def test_single_function_call_retries_on_failure(self, cluster, cloud):
         cloud.register(lambda: "alive", name="probe")
@@ -128,7 +131,7 @@ class TestComputeElasticity:
     def test_draining_vm_unregisters_cache_and_cuts_off_threads(self, cluster):
         drained = cluster.vms[-1]
         cluster.drain_vm(drained)
-        assert drained.cache.cache_id not in cluster.kvs.cache_index.tracked_caches()
+        assert drained.cache.cache_id not in cluster.kvs.cache_index._cache_to_keys
         sender = cluster.vms[0].threads[0].thread_id
         for thread in drained.threads:
             assert not thread.alive

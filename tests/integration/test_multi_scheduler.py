@@ -41,7 +41,7 @@ class TestSchedulerAgreement:
         for scheduler in cluster.schedulers:
             assert "inc" in scheduler.functions
             assert "triple" in scheduler.functions
-            assert "pipe" in scheduler.dag_registry
+            assert scheduler.dag_registry.get("pipe").name == "pipe"
 
     def test_identical_results_regardless_of_serving_scheduler(self, cluster, clients):
         _register_pipeline(clients[0])
@@ -145,7 +145,7 @@ class TestSchedulerFailover:
         assert crashed.stats.calls_routed_to_dead == 0
         for scheduler in cluster.schedulers:
             assert scheduler.journal.in_flight_count() == 0
-            assert "pipe" in scheduler.dag_registry  # registrations agree
+            assert scheduler.dag_registry.get("pipe").name == "pipe"  # registrations agree
         assert cluster.abandoned_session_count() == 0
 
     def test_untouched_sessions_apply_exactly_once(self, cluster, clients):

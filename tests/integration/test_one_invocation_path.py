@@ -32,6 +32,8 @@ from repro.obs import Tracer
 from repro.sim import RequestContext, SimClock
 
 from engine_time import at_engine_time
+import charges
+from internals import snapshot_count
 
 
 def _one_thread_cluster(level=ConsistencyLevel.LWW, seed=3, **kwargs):
@@ -108,7 +110,7 @@ class TestCallIsAOneFunctionDag:
                 result = scheduler.call_dag("measure-dag", {"measure": args},
                                             ctx=ctx).future.result()
             assert result.value == 200_000
-            waits[entry] = (ctx.total("cache", "prefetch_wait"),
+            waits[entry] = (charges.total(ctx, "cache", "prefetch_wait"),
                             result.latency_ms)
         assert waits["call"][0] > 1.0
         assert waits["call"] == waits["call_dag"]
@@ -182,7 +184,7 @@ class TestRetryLineageIsTheSameEverywhere:
             if not killed:
                 vm_id = cloudburst.get_id().split(":")[0]
                 killed.append(vm_id)
-                cluster.vm(vm_id).fail()
+                next(vm for vm in cluster.vms if vm.vm_id == vm_id).fail()
                 raise ExecutorFailedError(cloudburst.get_id(), "chaos")
             return x * 2
 
@@ -223,7 +225,7 @@ class TestApplicationErrorsCloseTheSession:
         with pytest.raises(ValueError, match="application bug"):
             scheduler.call("boom", ctx=at_engine_time(scheduler)).future.result()
         assert cluster.abandoned_session_count() == 0
-        assert cluster.vms[0].cache.snapshot_count() == 0
+        assert snapshot_count(cluster.vms[0].cache) == 0
         counts = scheduler.journal.counts()
         assert counts["failed"] == 1 and counts["running"] == 0
         # Application errors are not §4.5 faults: no retry, no timeout.

@@ -123,7 +123,6 @@ def test_work_queue_depth_equals_the_bisect_definition(jobs, probes):
         for at_ms in probes + boundaries + [queue.next_free_ms]:
             for probe in (at_ms - 1e-9, at_ms, at_ms + 1e-9):
                 assert queue.depth(probe) == reference_placement.depth(queue, probe)
-                assert queue.is_full(probe) == reference_placement.is_full(queue, probe)
 
     check()
     for arrival, service in jobs:

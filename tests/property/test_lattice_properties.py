@@ -137,7 +137,7 @@ def test_causal_merge_retains_or_dominates_every_sibling(values):
     merged = a.merge(b)
     merged_clock = merged.vector_clock
     for source in (a, b):
-        for clock, _value in source.siblings:
+        for clock, _value in source._siblings:
             assert merged_clock == clock or merged_clock.dominates(clock)
 
 

@@ -57,12 +57,12 @@ def causal_pairs(draw):
 
 
 def _state(lattice: CausalLattice):
-    return list(lattice.dependencies.items()), lattice.siblings
+    return list(lattice.dependencies.items()), lattice._siblings
 
 
 def _rebuilt(lattice: CausalLattice) -> CausalLattice:
     """The same value through the constructor: sizes and clock from scratch."""
-    return CausalLattice(siblings=lattice.siblings, dependencies=lattice.dependencies)
+    return CausalLattice(siblings=lattice._siblings, dependencies=lattice.dependencies)
 
 
 # -- vector clocks --------------------------------------------------------------

@@ -216,7 +216,7 @@ def test_vm_load_reads_like_the_reference(state):
         # What lets ``load`` skip an idle queue.
         for queue in (t.work_queue for t in vm.threads):
             if not queue.busy_at(now_ms):
-                assert queue.depth(now_ms) == 0 and not queue.is_full(now_ms)
+                assert queue.depth(now_ms) == 0 and not reference.is_full(queue, now_ms)
 
 
 @given(_STATE)
@@ -348,7 +348,7 @@ def _touched_spill(policy):
                 item(vm["vm-4"][2], 10.0, 11.0)}
     vm["vm-4"][0].work_queue.admit(12.0)  # in service, a reservation to 14
     touched |= {item(thread, 10.0, 30.0) for thread in vm["vm-6"][:3]}
-    return scheduler, pin, touched, [cluster.vm("vm-3"), cluster.vm("vm-4")]
+    return scheduler, pin, touched, [vm for vm in cluster.vms if vm.vm_id in ("vm-3", "vm-4")]
 
 
 def test_a_spilled_placement_reads_only_queues_written_since_the_last_one(monkeypatch):

@@ -59,7 +59,7 @@ def _coalesced(queue):
 
 
 def _observed(queue, times):
-    return [(queue.depth(t), queue.busy_at(t), queue.is_full(t)) for t in times]
+    return [(queue.depth(t), queue.is_full(t)) for t in times]
 
 
 def _drive(ops, make_queue, bound, probe_every=1):

@@ -27,7 +27,7 @@ def test_merge_is_least_upper_bound(a, b):
     assert merged == b or merged.dominates(b)
     # Least: no entry exceeds the pairwise maximum.
     for node, value in merged.reveal().items():
-        assert value == max(a.get(node), b.get(node))
+        assert value == max(a.reveal().get(node, 0), b.reveal().get(node, 0))
 
 
 @settings(max_examples=100, deadline=None)

@@ -27,7 +27,7 @@ def clock_merge(self: VectorClock, other: VectorClock) -> VectorClock:
     if len(self) == 0:
         return other
     merged = self.reveal()
-    for node, clock in other.entries():
+    for node, clock in other._entries.items():
         if merged.get(node, 0) < clock:
             merged[node] = clock
     return VectorClock(merged)
@@ -35,9 +35,10 @@ def clock_merge(self: VectorClock, other: VectorClock) -> VectorClock:
 
 def dominates(self: VectorClock, other: VectorClock) -> bool:
     """``VectorClock.dominates``: the two-expression form."""
-    at_least_equal = all(self.get(node) >= clock for node, clock in other.entries())
+    at_least_equal = all(self._entries.get(node, 0) >= clock
+                         for node, clock in other._entries.items())
     strictly_greater = any(
-        self.get(node) > other.get(node)
+        self._entries.get(node, 0) > other._entries.get(node, 0)
         for node in set(self.reveal()) | set(other.reveal()))
     return at_least_equal and strictly_greater
 
@@ -50,7 +51,7 @@ def causal_merge(self: CausalLattice, other: CausalLattice) -> CausalLattice:
         merged_deps[key] = (clock_merge(merged_deps[key], clock)
                             if key in merged_deps else clock)
     return CausalLattice(dependencies=merged_deps,
-                         siblings=list(self.siblings) + list(other.siblings))
+                         siblings=list(self._siblings) + list(other._siblings))
 
 
 # -- the old spellings of "concurrent or newer" (three sites, two forms) --------

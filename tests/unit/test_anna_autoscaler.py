@@ -5,9 +5,10 @@ from repro.anna import (
     AnnaCluster,
     StorageAutoscaler,
     StorageAutoscalerConfig,
-    hot_key_report,
 )
 from repro.lattices import LWWLattice, Timestamp
+
+from internals import replicas_of
 
 
 def lww(value, clock=1.0):
@@ -85,7 +86,7 @@ class TestHotKeysAndTiering:
             anna.background_get("hot")
         report = scaler.tick()
         assert "hot" in report.keys_boosted
-        assert len(anna.replicas_of("hot")) >= 2
+        assert len(replicas_of(anna, "hot")) >= 2
 
     def test_cold_keys_demoted_to_disk(self, monkeypatch):
         monkeypatch.setattr(autoscaler, "COLD_KEY_AGE_MS", 1_000.0)
@@ -96,7 +97,7 @@ class TestHotKeysAndTiering:
         anna.background_put("cold", lww(1))
         report = scaler.tick(now_ms=10_000.0)
         assert report.keys_demoted >= 1
-        node = anna.node(anna.replicas_of("cold")[0])
+        node = anna.node(replicas_of(anna, "cold")[0])
         assert node.tier_of("cold") == node.DISK_TIER
 
     def test_recently_used_keys_stay_in_memory(self, monkeypatch):
@@ -108,16 +109,3 @@ class TestHotKeysAndTiering:
         anna.background_put("warm", lww(1))
         report = scaler.tick(now_ms=10.0)
         assert report.keys_demoted == 0
-
-
-class TestHotKeyReport:
-    def test_ranks_by_access_count(self, monkeypatch):
-        monkeypatch.setattr(autoscaler, "HOT_KEY_REPORT_SIZE", 1)
-        anna = make_cluster(2)
-        anna.background_put("a", lww(1))
-        anna.background_put("b", lww(2))
-        for _ in range(5):
-            anna.background_get("a")
-        anna.background_get("b")
-        report = hot_key_report(anna)
-        assert list(report) == ["a"]

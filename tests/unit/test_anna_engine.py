@@ -10,6 +10,7 @@ a recurring engine event.
 
 import pytest
 
+from internals import dirty_key_count, pending_update_count, replicas_of
 from jitter_free import JitterFreeLatencyModel
 from repro.anna import (
     AnnaCluster,
@@ -23,6 +24,8 @@ from repro.anna import storage_node
 from repro.errors import StorageOverloadError
 from repro.lattices import LWWLattice, SetLattice, Timestamp
 from repro.sim import Engine, RequestContext, SimClock
+
+import charges
 
 
 def lww(value, clock=1.0):
@@ -81,13 +84,13 @@ class TestQuorumOfOneAndGossip:
     def test_put_lands_on_one_replica_until_gossip(self):
         anna = make_cluster()
         anna.put("k", lww("v"), ctx_at())
-        assert len(anna.replicas_of("k")) == 1
-        assert anna.dirty_key_count() == 1
+        assert len(replicas_of(anna, "k")) == 1
+        assert dirty_key_count(anna) == 1
 
         exchanged = anna.run_gossip_round()
         assert exchanged == 1
-        assert len(anna.replicas_of("k")) == 2
-        assert anna.dirty_key_count() == 0
+        assert len(replicas_of(anna, "k")) == 2
+        assert dirty_key_count(anna) == 0
 
     def test_gossip_merges_do_not_count_as_client_load(self):
         anna = make_cluster()
@@ -95,7 +98,7 @@ class TestQuorumOfOneAndGossip:
         accesses_before = anna.total_access_count()
         anna.run_gossip_round()
         assert anna.total_access_count() == accesses_before
-        replicas = [anna.node(owner) for owner in anna.replicas_of("k")]
+        replicas = [anna.node(owner) for owner in replicas_of(anna, "k")]
         assert sum(node.replica_merges for node in replicas) == 1
 
     def test_round_after_the_last_write_needs_no_drain(self):
@@ -105,8 +108,8 @@ class TestQuorumOfOneAndGossip:
         engine = anna.engine
         engine.at(5.0, lambda: anna.put("k", lww("v"), ctx_at(5.0)))
         engine.run()
-        assert anna.dirty_key_count() == 0
-        assert len(anna.replicas_of("k")) == 2
+        assert dirty_key_count(anna) == 0
+        assert len(replicas_of(anna, "k")) == 2
         assert anna.gossip_rounds == 1
         assert engine.now_ms == 25.0
         assert engine.stats()["pending"] == 0
@@ -120,7 +123,7 @@ class TestQuorumOfOneAndGossip:
         engine.at(30.0, lambda: None)
         engine.run()
         assert anna.gossip_rounds == 3  # the round at 30 finds no work left
-        assert anna.dirty_key_count() == 0
+        assert dirty_key_count(anna) == 0
 
     def test_divergent_replicas_converge_after_one_round(self, anna_constants):
         # Two concurrent writers land on *different* replicas (the first
@@ -130,7 +133,7 @@ class TestQuorumOfOneAndGossip:
         anna = make_cluster(node_count=3, replication_factor=2)
         anna.put("s", SetLattice({"a"}), ctx_at())
         anna.put("s", SetLattice({"b"}), ctx_at())
-        owners = anna.replicas_of("s")
+        owners = replicas_of(anna, "s")
         values = [anna.node(owner).peek("s") for owner in owners]
         assert {frozenset(v.reveal()) for v in values if v is not None} == \
             {frozenset({"a"}), frozenset({"b"})}
@@ -156,7 +159,7 @@ class TestGossipPartitions:
         anna, peer = self.partitioned_write()
         anna.engine.run()  # must return: the requeued key cannot re-arm the tick
         assert anna.engine.stats()["pending"] == 0
-        assert anna.dirty_key_count() == 1
+        assert dirty_key_count(anna) == 1
         assert not anna.node(peer).contains("k")
 
     def test_healed_partition_converges_on_the_next_round(self):
@@ -168,7 +171,7 @@ class TestGossipPartitions:
         engine.at(engine.now_ms + 1.0, lambda: None)  # work returns
         engine.run()
         assert anna.gossip_rounds > rounds_before
-        assert anna.dirty_key_count() == 0
+        assert dirty_key_count(anna) == 0
         assert anna.node(peer).peek("k").reveal() == "v"
 
 
@@ -212,7 +215,7 @@ class TestBoundedNodeQueues:
                 accepted += 1
             except StorageOverloadError:
                 pass
-        owner = anna.replicas_of("k")[0]
+        owner = replicas_of(anna, "k")[0]
         assert accepted == 2
         assert anna.node(owner).work_queue.depth(0.0) <= 2
         assert anna.total_rejections() == 48
@@ -225,7 +228,7 @@ class TestBoundedNodeQueues:
         anna.put("k", lww(1), ctx_at())
         later = ctx_at(1_000.0)
         anna.put("k", lww(2, clock=2.0), later)
-        assert later.total("anna", "queue") == 0.0
+        assert charges.total(later, "anna", "queue") == 0.0
         assert anna.total_rejections() == 0
 
     def test_waiting_writer_is_charged_queueing_delay(self):
@@ -236,22 +239,22 @@ class TestBoundedNodeQueues:
         anna.put("k", lww(1), second)
         # The second writer waited out the first's 5 ms service slot (give or
         # take the sub-microsecond skew of the preceding network charges).
-        assert second.total("anna", "queue") == pytest.approx(5.0, abs=0.01)
-        assert second.total("anna", "service") == pytest.approx(5.0, abs=0.01)
-        assert first.total("anna", "queue") == 0.0
+        assert charges.total(second, "anna", "queue") == pytest.approx(5.0, abs=0.01)
+        assert charges.total(second, "anna", "service") == pytest.approx(5.0, abs=0.01)
+        assert charges.total(first, "anna", "queue") == 0.0
 
     def test_reads_redirect_to_less_loaded_replica(self):
         anna = self.one_slot_cluster()
         anna.background_put("k", lww("v"))
         anna.run_gossip_round()  # every replica holds it
-        first, second = anna.replicas_of("k")
+        first, second = replicas_of(anna, "k")
         anna.node(first).work_queue.reserve(0.0, 5.0)  # saturate the primary
         reader = ctx_at()
         value = anna.get("k", reader)
         assert value.reveal() == "v"
         # Redirected: no queueing delay, and the skip is recorded as a
         # redirect — not a rejection, because the read still succeeded.
-        assert reader.total("anna", "queue") == 0.0
+        assert charges.total(reader, "anna", "queue") == 0.0
         assert anna.node(first).read_redirects == 1
         assert anna.node(first).rejections == 0
         assert anna.node(second).stats("k").reads == 1
@@ -293,7 +296,7 @@ class TestBoundedNodeQueues:
     def test_a_background_read_stamps_the_access(self):
         anna = make_cluster()
         anna.background_put("k", lww("v"))
-        node = anna.node(anna.replicas_of("k")[0])
+        node = anna.node(replicas_of(anna, "k")[0])
         anna.engine.at(40.0, lambda: None)
         anna.engine.run(until_ms=40.0)
         assert anna.background_get("k").reveal() == "v"
@@ -309,8 +312,8 @@ class TestServiceCharging:
         anna = make_cluster()
         ctx = ctx_at()
         anna.put("k", lww("v"), ctx)
-        assert ctx.total("anna", "service") == pytest.approx(0.5, rel=1e-3)
-        assert ctx.total("anna", "queue") == 0.0
+        assert charges.total(ctx, "anna", "service") == pytest.approx(0.5, rel=1e-3)
+        assert charges.total(ctx, "anna", "queue") == 0.0
 
     def test_disk_tier_service_slower_than_memory(self):
         model = StorageServiceModel()
@@ -327,7 +330,7 @@ class TestServiceCharging:
             ctx = ctx_at(clock)
             anna.put(f"k{index % 5}", lww(index, clock=index), ctx)
             anna.get(f"k{index % 5}", ctx)
-            assert ctx.total("anna", "queue") == 0.0
+            assert charges.total(ctx, "anna", "queue") == 0.0
             costs.append(ctx.clock.now_ms - clock)
             clock = ctx.clock.now_ms
         assert costs == pytest.approx([costs[0]] * 20)
@@ -356,7 +359,7 @@ class TestRebalanceUnderLoad:
 
         new_node = anna.add_node()
         anna.run_gossip_round()
-        migrated = anna.node(new_node).key_count()
+        migrated = len(list(anna.node(new_node).keys()))
         assert migrated > 0
         for index in range(40):
             assert anna.background_get(f"k{index}").reveal() == {f"v{index}"}
@@ -365,7 +368,7 @@ class TestRebalanceUnderLoad:
     def test_remove_node_preserves_ungossiped_writes(self):
         anna = make_cluster(node_count=3, replication_factor=2)
         anna.put("k", lww("fresh", clock=5.0), ctx_at())
-        holder, = anna.replicas_of("k")
+        holder, = replicas_of(anna, "k")
         # The accepting replica leaves before gossip ever ran: its write must
         # reach the remaining owners through the departure drain.
         anna.remove_node(holder)
@@ -378,7 +381,7 @@ class TestRebalanceUnderLoad:
         anna = make_cluster(node_count=2, replication_factor=1)
         anna.background_put("k", lww("v0", clock=1.0))
         # Grow the ring until ownership of "k" moves off every original holder.
-        original_holders = set(anna.replicas_of("k"))
+        original_holders = set(replicas_of(anna, "k"))
         for _ in range(6):
             anna.add_node()
         anna.background_put("k", lww("v1", clock=2.0))
@@ -424,20 +427,20 @@ class TestRoundsResumeAfterIdle:
         write_burst(anna, 0.0)
         rounds_after_first = anna.gossip_rounds
         assert rounds_after_first > 0
-        assert anna.dirty_key_count() == 0
+        assert dirty_key_count(anna) == 0
 
         write_burst(anna, anna.engine.now_ms + 500.0)
         assert anna.gossip_rounds > rounds_after_first
-        assert anna.dirty_key_count() == 0
+        assert dirty_key_count(anna) == 0
         assert anna.engine.stats()["pending"] == 0
 
     def test_periodic_propagation_drains_in_both_bursts(self):
         anna = make_cluster(propagation_mode=AnnaCluster.PROPAGATE_PERIODIC,
                             propagation_interval_ms=10.0)
         write_burst(anna, 0.0)
-        assert anna.pending_update_count() == 0
+        assert pending_update_count(anna) == 0
         write_burst(anna, anna.engine.now_ms + 500.0)
-        assert anna.pending_update_count() == 0
+        assert pending_update_count(anna) == 0
 
     def test_autoscaler_set_once_ticks_in_both_bursts(self):
         anna = make_cluster()
@@ -474,7 +477,7 @@ class TestStorageAutoscalerOnEngine:
         assert any("hot" in report.keys_boosted for report in scaler.history)
         assert scaler.node_count_timeline[-1][1] == anna.node_count()
         # Boosted replication really widened the replica set.
-        assert len(anna.replicas_of("hot")) > 2
+        assert len(replicas_of(anna, "hot")) > 2
 
     def test_clear_autoscaler_stops_the_tick(self):
         anna = make_cluster()

@@ -8,27 +8,27 @@ class TestSnapshots:
         index = KeyCacheIndex()
         index.ingest_snapshot("c1", ["a", "b"])
         assert index.caches_for("a") == frozenset({"c1"})
-        assert index.keys_for("c1") == frozenset({"a", "b"})
+        assert index.caches_for("b") == frozenset({"c1"})
 
     def test_new_snapshot_replaces_old(self):
         index = KeyCacheIndex()
         index.ingest_snapshot("c1", ["a", "b"])
         index.ingest_snapshot("c1", ["b", "c"])
-        assert "a" not in index
+        assert index.caches_for("a") == frozenset()
         assert index.caches_for("c") == frozenset({"c1"})
 
     def test_multiple_caches_tracked(self):
         index = KeyCacheIndex()
         index.ingest_snapshot("c1", ["a"])
         index.ingest_snapshot("c2", ["a"])
-        assert index.replication_factor("a") == 2
+        assert index.caches_for("a") == frozenset({"c1", "c2"})
 
     def test_drop_cache(self):
         index = KeyCacheIndex()
         index.ingest_snapshot("c1", ["a"])
         index.drop_cache("c1")
         assert index.caches_for("a") == frozenset()
-        assert index.tracked_caches() == []
+        assert index._cache_to_keys == {}
 
 
 class TestIncrementalEntries:
@@ -37,12 +37,12 @@ class TestIncrementalEntries:
         index.add_entry("c1", "k")
         assert index.caches_for("k") == frozenset({"c1"})
         index.remove_entry("c1", "k")
-        assert "k" not in index
+        assert index.caches_for("k") == frozenset()
 
     def test_remove_unknown_entry_is_noop(self):
         index = KeyCacheIndex()
         index.remove_entry("c1", "k")
-        assert index.tracked_keys() == []
+        assert index.overhead().tracked_keys == 0
 
 
 class TestPropagationTargets:

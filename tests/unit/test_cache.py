@@ -2,12 +2,15 @@
 
 import pytest
 
+from internals import snapshot_count
 from jitter_free import JitterFreeLatencyModel
 from repro.anna import AnnaCluster
 from repro.cloudburst import ExecutorCache
 from repro.errors import ConsistencyError, KeyNotFoundError
 from repro.lattices import CausalLattice, LWWLattice, Timestamp, VectorClock
 from repro.sim import RequestContext
+
+import charges
 
 
 @pytest.fixture
@@ -40,7 +43,7 @@ class TestBasicDataPath:
         ctx = RequestContext()
         value = cache.get_or_fetch("k", ctx)
         assert value.reveal() == "v"
-        assert ctx.count("anna", "get") == 1
+        assert charges.count(ctx, "anna", "get") == 1
         assert cache.stats.misses == 1
         assert cache.contains("k")
 
@@ -49,8 +52,8 @@ class TestBasicDataPath:
         cache.get_or_fetch("k", RequestContext())
         ctx = RequestContext()
         cache.get_or_fetch("k", ctx)
-        assert ctx.count("anna", "get") == 0
-        assert ctx.count("cache", "multi_get") == 1
+        assert charges.count(ctx, "anna", "get") == 0
+        assert charges.count(ctx, "cache", "multi_get") == 1
         assert cache.stats.hits == 1
 
     def test_put_updates_local_and_writes_back_to_anna(self, cache, anna):
@@ -59,8 +62,8 @@ class TestBasicDataPath:
         assert cache.get_local("k").reveal() == "v"
         assert anna.background_get("k").reveal() == "v"
         # Write-back is asynchronous: only the IPC put is charged.
-        assert ctx.count("cache", "put") == 1
-        assert ctx.count("anna", "put") == 0
+        assert charges.count(ctx, "cache", "put") == 1
+        assert charges.count(ctx, "anna", "put") == 0
 
     def test_put_merges_with_existing(self, cache):
         cache.put("k", lww("old", clock=1.0), RequestContext())
@@ -80,11 +83,11 @@ class TestBasicDataPath:
         anna.background_put("k", lww("v"))
         cache.get_or_fetch("k", RequestContext())
         cache.get_or_fetch("k", RequestContext())
-        assert cache.stats.hit_rate == pytest.approx(0.5)
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
 
     def test_not_found_read_is_counted_as_a_miss(self, cache, anna):
         # Regression: a failed lookup used to raise without touching
-        # stats.misses, inflating hit_rate.
+        # stats.misses, inflating the hit rate.
         anna.background_put("k", lww("v"))
         cache.get_or_fetch("k", RequestContext())   # miss (fetched), then...
         cache.get_or_fetch("k", RequestContext())   # ...hit
@@ -92,7 +95,6 @@ class TestBasicDataPath:
             cache.get_or_fetch("ghost", RequestContext())
         assert cache.stats.misses == 2
         assert cache.stats.hits == 1
-        assert cache.stats.hit_rate == pytest.approx(1 / 3)
 
 
 class TestFreshness:
@@ -124,7 +126,7 @@ class TestSnapshotsAndUpstreamFetch:
         value = lww("v")
         cache.create_snapshot("exec-1", "k", value)
         assert cache.get_snapshot("exec-1", "k") is value
-        assert cache.snapshot_count() == 1
+        assert snapshot_count(cache) == 1
         assert cache.evict_snapshots("exec-1") == 1
         assert cache.get_snapshot("exec-1", "k") is None
 
@@ -141,7 +143,7 @@ class TestSnapshotsAndUpstreamFetch:
         ctx = RequestContext()
         value = downstream.fetch_from_upstream("up", "exec-1", "k", ctx)
         assert value.reveal() == "pinned"
-        assert ctx.count("cache", "fetch_from_upstream") == 1
+        assert charges.count(ctx, "cache", "fetch_from_upstream") == 1
         assert downstream.contains("k")
 
     def test_fetch_from_upstream_falls_back_to_live_copy(self, anna, peers):

@@ -54,18 +54,10 @@ class TestCausalAccessors:
         merged = make({"a": 1}, "x").merge(make({"b": 2}, "y"))
         assert merged.vector_clock.reveal() == {"a": 1, "b": 2}
 
-    def test_with_dependency_adds_and_merges(self):
-        value = make({"a": 1}, "x")
-        first = value.with_dependency("k", VectorClock({"w": 1}))
-        second = first.with_dependency("k", VectorClock({"w": 4}))
-        assert second.dependencies["k"].reveal() == {"w": 4}
-        assert value.dependencies == {}
-
     def test_metadata_bytes_grows_with_dependencies(self):
         plain = make({"a": 1}, "x")
-        heavy = plain
-        for index in range(20):
-            heavy = heavy.with_dependency(f"dep-{index}", VectorClock({"w": index + 1}))
+        heavy = make({"a": 1}, "x", deps={f"dep-{index}": VectorClock({"w": index + 1})
+                                          for index in range(20)})
         assert heavy.metadata_bytes() > plain.metadata_bytes()
 
     def test_size_includes_value(self):

@@ -71,8 +71,6 @@ class TestDagRegistry:
         dag = Dag.chain("p", ["f", "g"])
         registry.register(dag)
         assert registry.get("p") is dag
-        assert "p" in registry
-        assert registry.names() == ["p"]
 
     def test_get_unknown_raises(self):
         with pytest.raises(DagNotFoundError):
@@ -84,7 +82,6 @@ class TestDagRegistry:
         registry = DagRegistry()
         registry.register(Dag.chain("p", ["f"]))
         assert registry.unregister("p") is True
-        assert "p" not in registry
         with pytest.raises(DagDeletedError):
             registry.get("p")
         assert registry.unregister("p") is False  # second delete: no-op

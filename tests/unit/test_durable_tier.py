@@ -144,7 +144,7 @@ class TestStorageNodeWithColdTier:
         assert node.tier_of("a") == StorageNode.DISK_TIER
         assert stored(db_path, tier, "a") is not None
         assert len(list(node.memory_keys())) == 2
-        assert node.key_count() == 3
+        assert len(list(node.keys())) == 3
         assert node.demotions == 1
         node.cold_tier.close()
 

@@ -88,7 +88,6 @@ class TestReporting:
         assert snapshot["max_recovery_ms"] == 0.0
         assert set(snapshot["classes"]) == set(DEFAULT_FAULT_CLASSES)
         assert snapshot["timeline"] == []
-        assert plane.timeline_signature() == ()
 
     def test_fault_event_to_dict(self):
         event = FaultEvent(12.5, "executor_kill", "inject", "vm-3")

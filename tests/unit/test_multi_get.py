@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from internals import replicas_of
 from jitter_free import JitterFreeLatencyModel
 from repro.anna import AnnaCluster, StorageServiceModel
 from repro.anna import cluster as anna_cluster
@@ -32,6 +33,8 @@ from repro.lattices import (
     VectorClock,
 )
 from repro.sim import LatencyModel, RequestContext, SimClock
+
+import charges
 
 
 def lww(value, clock=1.0, node="n"):
@@ -72,12 +75,12 @@ class TestHitMissPartition:
         assert cache.stats.hits == hits_before + 2
         # Two misses fetched ("c", "d"), one not-found ("ghost") — all three
         # charged an anna round trip on some branch.
-        assert ctx.count("anna", "get") == 3
+        assert charges.count(ctx, "anna", "get") == 3
         # Hits cost one batched IPC, not one cache.get per key; the two
         # fetched misses still pay their per-value IPC delivery (same body
         # as the single-key miss path).
-        assert ctx.count("cache", "multi_get") == 1
-        assert ctx.count("cache", "get") == 2
+        assert charges.count(ctx, "cache", "multi_get") == 1
+        assert charges.count(ctx, "cache", "get") == 2
         for key in ("c", "d"):
             assert cache.contains(key)
 
@@ -87,7 +90,7 @@ class TestHitMissPartition:
         ctx = ctx_at()
         result = cache.multi_get(["k", "k", "k"], ctx)
         assert list(result) == ["k"]
-        assert ctx.count("anna", "get") == 1
+        assert charges.count(ctx, "anna", "get") == 1
 
     def test_missing_key_maps_to_none_and_pays_the_not_found_round_trip(self):
         cache = make_cache()
@@ -119,11 +122,11 @@ class TestOverlapCharging:
             fresh.get_or_fetch(key, sequential)
 
         # Same per-key anna work on both paths...
-        assert batched.count("anna", "get") == sequential.count("anna", "get")
+        assert charges.count(batched, "anna", "get") == charges.count(sequential, "anna", "get")
         # ...but the batched caller's clock advances by roughly one fetch
         # plus dispatch, far below the sequential sum.
         assert batched.clock.now_ms * speedup < sequential.clock.now_ms
-        assert batched.count("anna", "multi_get_dispatch") == len(keys) - 1
+        assert charges.count(batched, "anna", "multi_get_dispatch") == len(keys) - 1
 
     def test_ingress_overflow_charged_for_large_values(self):
         cache = make_cache()
@@ -134,7 +137,7 @@ class TestOverlapCharging:
         cache.multi_get(["a", "b", "c"], ctx)
         # Three ~0.5 MB responses into one NIC: two of them stream after the
         # slowest branch finishes, so the caller owes their transfer time.
-        ingress = ctx.total("cache", "ingress")
+        ingress = charges.total(ctx, "cache", "ingress")
         bandwidth = cache.latency_model.cost(
             "anna", "get").bandwidth_bytes_per_ms
         expected = 2 * cache.kvs.background_get("a").size_bytes() / bandwidth
@@ -164,8 +167,8 @@ class TestOverlapCharging:
         cache.multi_get(["a", "b"], ctx)
         # The second branch arrives one dispatch (0.03 ms) after the first
         # and waits out the remainder of its 5 ms service slot.
-        assert ctx.total("anna", "queue") == pytest.approx(5.0 - 0.03, abs=0.05)
-        assert ctx.total("anna", "service") == pytest.approx(10.0, abs=0.05)
+        assert charges.total(ctx, "anna", "queue") == pytest.approx(5.0 - 0.03, abs=0.05)
+        assert charges.total(ctx, "anna", "service") == pytest.approx(10.0, abs=0.05)
 
     def test_read_redirect_parity_with_single_key(self, monkeypatch):
         # A saturated primary redirects batched reads exactly as it does
@@ -178,7 +181,7 @@ class TestOverlapCharging:
             anna = make_anna(node_count=3, replication_factor=2)
             anna.background_put("k", lww("v"))
             anna.run_gossip_round()  # every replica holds it
-            first, _ = anna.replicas_of("k")
+            first, _ = replicas_of(anna, "k")
             anna.node(first).work_queue.reserve(0.0, 5.0)
             return anna, first
 
@@ -187,7 +190,7 @@ class TestOverlapCharging:
         batched = ctx_at()
         cache.multi_get(["k"], batched)
         assert anna.node(first).read_redirects == 1
-        assert batched.total("anna", "queue") == 0.0
+        assert charges.total(batched, "anna", "queue") == 0.0
 
         anna, first = build()
         single = anna.get("k", ctx_at())

@@ -16,6 +16,8 @@ from repro.cloudburst import CloudburstCluster
 from repro.cloudburst.controlplane import ComputeControlPlane
 from repro.sim import Engine
 
+from internals import replicas_of
+
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: What only existed to tell two backends apart.
@@ -81,7 +83,7 @@ class TestTwoRunsOnOneCluster:
             # the round behind the last write fired, no drain loop needed.
             for index in range(30):
                 copies = [kvs.node(owner).peek(f"key-{index}")
-                          for owner in kvs.replicas_of(f"key-{index}")]
+                          for owner in replicas_of(kvs, f"key-{index}")]
                 assert len(copies) == 2 and copies[0] == copies[1]
             # An idle gap: nothing ticks through it (40 intervals long) —
             # at most the one round that was already armed fires, and pauses.

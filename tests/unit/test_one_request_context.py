@@ -33,6 +33,8 @@ from repro.cloudburst.executor import UserLibrary
 from repro.cloudburst.messaging import MessageRouter
 from repro.sim import RequestContext, SimClock, WorkQueue, run_overlapped
 
+import charges
+
 _PROTOCOLS = (
     protocols.ConsistencyProtocol,
     protocols.LWWProtocol,
@@ -176,7 +178,7 @@ class TestRunOverlappedChargesTheWholeModel:
             ("redis", "get"), ("redis", "get"), ("redis", "get"),
             ("redis", "ingress")]
         bandwidth = model.cost("redis", "get").bandwidth_bytes_per_ms
-        assert ctx.total("redis", "ingress") == pytest.approx(3_000 / bandwidth)
+        assert charges.total(ctx, "redis", "ingress") == pytest.approx(3_000 / bandwidth)
         dispatch = model.cost("redis", "mget_dispatch").base_ms
         assert ctx.clock.now_ms == pytest.approx(
             2 * dispatch + 1.0 + 3_000 / bandwidth)
@@ -189,7 +191,7 @@ class TestRunOverlappedChargesTheWholeModel:
     def test_equal_sizes_beyond_the_largest_still_stream(self):
         model, ctx = self._run([2_000, 2_000])
         bandwidth = model.cost("redis", "get").bandwidth_bytes_per_ms
-        assert ctx.total("redis", "ingress") == pytest.approx(2_000 / bandwidth)
+        assert charges.total(ctx, "redis", "ingress") == pytest.approx(2_000 / bandwidth)
 
 
 class TestTheIndexWarmUpRunsOnRequests:
@@ -202,6 +204,6 @@ class TestTheIndexWarmUpRunsOnRequests:
         before = cluster.engine.now_ms
         with cluster.request() as ctx:
             cache.get_or_fetch("k", ctx)
-        assert ctx.count("anna", "get") == 1
+        assert charges.count(ctx, "anna", "get") == 1
         assert cluster.engine.now_ms == ctx.clock.now_ms > before
         assert cache.contains("k")

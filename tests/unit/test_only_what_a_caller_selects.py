@@ -2,7 +2,7 @@
 
 Each value below was settable but set by no caller outside ``tests/``; it is
 a module constant now, read where it is used, and tests that need another
-value patch the constant.  The methods below were run only by tests and are
+value patch the constant.  The functions below were run only by tests and are
 gone, and ``StorageNode`` talks to one cold-tier object whatever backs it.
 """
 
@@ -11,12 +11,33 @@ from pathlib import Path
 
 import pytest
 
-from repro.anna import AnnaCluster, HashRing, StorageNode
+from repro.anna import AnnaCluster, HashRing, KeyCacheIndex, StorageNode, autoscaler
 from repro.apps.gossip import GossipAggregation
 from repro.baselines import SandPlatform, SimulatedLambda
-from repro.cloudburst import CloudburstCluster, ExecutorThread, ExecutorVM, Scheduler
+from repro.baselines.storage import SimulatedStorageService
+from repro.cloudburst import (
+    CacheStats,
+    CloudburstClient,
+    CloudburstCluster,
+    CloudburstFuture,
+    DagRegistry,
+    ExecutorCache,
+    ExecutorThread,
+    ExecutorVM,
+    Scheduler,
+)
 from repro.cloudburst.messaging import MessageRouter
-from repro.sim import LatencyRecorder
+from repro.cloudburst.sessions import DagSession
+from repro.lattices import CausalLattice, VectorClock
+from repro.sim import (
+    FaultPlane,
+    LatencyRecorder,
+    RequestContext,
+    ReservationQueue,
+    WorkQueue,
+    ZipfGenerator,
+)
+from repro.workloads import arrays
 from repro.workloads.dags import ConsistencyWorkload
 from repro.workloads.social import SocialWorkloadGenerator
 
@@ -38,14 +59,35 @@ CONSTANTS = {
     SocialWorkloadGenerator: ("reply_fraction",),
 }
 
-#: owner -> the methods only tests ran.
+#: owner (a class or a module) -> the functions only tests ran (DESIGN.md
+#: DR-19, DR-36).
 REMOVED = {
     CloudburstCluster: ("remove_vm", "total_threads", "scheduler", "crash_scheduler",
-                        "restart_scheduler"),
-    MessageRouter: ("unregister_thread",),
+                        "restart_scheduler", "vm"),
+    MessageRouter: ("unregister_thread", "is_registered", "address_of", "pending_count"),
     LatencyRecorder: ("extend", "__len__"),
     StorageNode: ("promote", "over_memory_capacity", "coldest_memory_keys",
-                  "memory_key_count"),
+                  "memory_key_count", "key_count"),
+    AnnaCluster: ("key_count", "replicas_of", "dirty_key_count", "pending_update_count"),
+    HashRing: ("nodes", "__contains__", "__len__", "primary"),
+    KeyCacheIndex: ("keys_for", "replication_factor", "tracked_keys", "tracked_caches",
+                    "__contains__"),
+    SimulatedStorageService: ("delete", "keys"),
+    CacheStats: ("hit_rate",),
+    ExecutorCache: ("snapshot_count",),
+    CloudburstClient: ("reference", "last_latency_ms"),
+    DagRegistry: ("__contains__", "names"),
+    CloudburstFuture: ("execution_id", "retries", "ctx", "session"),
+    DagSession: ("retries", "session_id"),
+    RequestContext: ("charges_for", "count", "total", "breakdown"),
+    WorkQueue: ("is_full",),
+    ReservationQueue: ("busy_at",),
+    ZipfGenerator: ("draw",),
+    VectorClock: ("get", "entries"),
+    CausalLattice: ("siblings", "with_dependency"),
+    FaultPlane: ("timeline_signature",),
+    autoscaler: ("hot_key_report",),
+    arrays: ("total_bytes",),
 }
 
 

@@ -1,6 +1,8 @@
 """The alternating-pairs summary (``benchmarks/pairs.py``) on canned numbers."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -116,3 +118,27 @@ def test_every_host_metric_gets_ratios_wins_and_the_parents_spread():
     assert report.count("    pair  4: x") == 3
     assert report.count("(beaten by the median gain)") == 2
     assert report.count("(NOT beaten by the median gain)") == 1
+
+
+def test_the_seed_reaches_every_run(monkeypatch, tmp_path, capsys):
+    """``--seed N`` is passed to both sides' ``run.py`` in every pair; 0 by
+    default."""
+    commands = []
+
+    def fake_run(command, cwd, capture_output, text):
+        commands.append((command, cwd))
+        metrics = {name: {"value": value} for name, value in _side(800.0).items()}
+        return subprocess.CompletedProcess(
+            command, 0, stdout=json.dumps({"metrics": metrics, "correct": True}))
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(pairs, "export", lambda ref, dest: dest)
+    assert pairs.main(["PARENT", "--pairs", "2", "--seed", "3"]) == 0
+    assert len(commands) == 4
+    assert {cwd.name for _, cwd in commands} == {"parent", "change"}
+    for command, _ in commands:
+        assert command[command.index("--seed") + 1] == "3"
+    commands.clear()
+    assert pairs.main(["PARENT", "--pairs", "1"]) == 0
+    assert [command[command.index("--seed") + 1] for command, _ in commands] == ["0", "0"]
+    assert "predict_dag: 1 alternating pairs" in capsys.readouterr().out

@@ -28,6 +28,8 @@ from repro.cloudburst import (
 from repro.lattices import LWWLattice, Timestamp
 from repro.sim import RequestContext, SimClock
 
+import charges
+
 
 def lww(value, clock=1.0, node="n"):
     return LWWLattice(Timestamp(clock, node), value)
@@ -60,8 +62,8 @@ class TestPrefetchWarmsReads:
         ctx = ctx_at(ready_ms / 2, epoch="e1")
         value = cache.get_or_fetch("k", ctx)
         assert value.reveal() == "v"
-        assert ctx.count("anna", "get") == 0
-        assert ctx.total("cache", "prefetch_wait") == \
+        assert charges.count(ctx, "anna", "get") == 0
+        assert charges.total(ctx, "cache", "prefetch_wait") == \
             pytest.approx(ready_ms / 2, abs=1e-9)
         assert cache.stats.prefetch_hits == 1
 
@@ -71,8 +73,8 @@ class TestPrefetchWarmsReads:
         cache.prefetch(["k"], now_ms=0.0, epoch="e1")
         ctx = ctx_at(10_000.0, epoch="e1")
         cache.get_or_fetch("k", ctx)
-        assert ctx.total("cache", "prefetch_wait") == 0.0
-        assert ctx.count("anna", "get") == 0
+        assert charges.total(ctx, "cache", "prefetch_wait") == 0.0
+        assert charges.count(ctx, "anna", "get") == 0
 
     def test_cross_epoch_reader_sees_entry_as_landed(self):
         # A different execution's clock is not comparable to the issuer's
@@ -82,7 +84,7 @@ class TestPrefetchWarmsReads:
         cache.prefetch(["k"], now_ms=500.0, epoch="e1")
         ctx = ctx_at(0.0, epoch="e2")
         cache.get_or_fetch("k", ctx)
-        assert ctx.total("cache", "prefetch_wait") == 0.0
+        assert charges.total(ctx, "cache", "prefetch_wait") == 0.0
         assert cache.stats.prefetch_hits == 1
 
     def test_transfers_serialize_on_the_ingress_link(self):
@@ -98,7 +100,7 @@ class TestPrefetchWarmsReads:
         # Reading the *last* key right away pays ~3 serialized transfers.
         ctx = ctx_at(0.0, epoch="e1")
         cache.get_or_fetch("c", ctx)
-        assert ctx.total("cache", "prefetch_wait") == \
+        assert charges.total(ctx, "cache", "prefetch_wait") == \
             pytest.approx(2 * transfer + cost.mean_ms(
                 cache.kvs.peek("c").size_bytes()), rel=0.01)
 

@@ -11,6 +11,7 @@ from repro.errors import FunctionNotFoundError
 
 import reference_placement as reference
 from engine_time import at_engine_time
+import charges
 
 
 @pytest.fixture
@@ -141,7 +142,7 @@ class TestDagCalls:
         assert set(finished) == {"root", "left", "right", "sink"}
         assert finished["sink"] >= session.attempt.ready_at(["left", "right"])
         assert result.execution_id == session.attempt.execution_id \
-            == f"{session.session_id}/attempt-0"
+            == f"{session.record.session_id}/attempt-0"
 
     def test_stored_result_key_names_the_attempt(self, scheduler, cluster):
         scheduler.register_function(lambda x: x + 1, name="inc")
@@ -150,7 +151,7 @@ class TestDagCalls:
                                      ctx=at_engine_time(scheduler))
         result = session.future.result()
         assert result.result_key == \
-            f"__cloudburst_results__/{session.session_id}/attempt-0"
+            f"__cloudburst_results__/{session.record.session_id}/attempt-0"
         assert cluster.kvs.background_get(result.result_key).reveal() == 2
 
     def test_dag_call_counts_tracked(self, scheduler):
@@ -277,9 +278,9 @@ class TestConstructorParameters:
         with pytest.raises(Exception):
             scheduler.call("dying", ctx=ctx).future.result()
         # Every retry waited the configured fault timeout.
-        charges = ctx.charges_for("cloudburst", "fault_timeout")
-        assert charges
-        assert all(charge.latency_ms == 777.0 for charge in charges)
+        timeouts = charges.charges_for(ctx, "cloudburst", "fault_timeout")
+        assert timeouts
+        assert all(charge.latency_ms == 777.0 for charge in timeouts)
 
 
 class TestPlacementPolicyPlugin:

@@ -34,7 +34,7 @@ class TestCausalEncapsulation:
         enc = LatticeEncapsulator("thread-1", ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL)
         lattice = enc.encapsulate("v")
         assert isinstance(lattice, CausalLattice)
-        assert lattice.vector_clock.get("thread-1") == 1
+        assert lattice.vector_clock.reveal()["thread-1"] == 1
 
     def test_prior_version_extends_clock(self):
         enc = LatticeEncapsulator("thread-1", ConsistencyLevel.DISTRIBUTED_SESSION_CAUSAL)

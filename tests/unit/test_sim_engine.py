@@ -281,15 +281,6 @@ class TestWorkQueue:
         assert queue.depth(15.0) == 1
         assert queue.depth(25.0) == 0
 
-    def test_bound_and_is_full(self):
-        queue = WorkQueue(bound=2)
-        queue.admit(0.0)
-        queue.release(10.0)
-        queue.admit(0.0)
-        queue.release(20.0)
-        assert queue.is_full(5.0)
-        assert not queue.is_full(15.0)
-
     def test_reentrant_admit_rejected(self):
         queue = WorkQueue()
         queue.admit(0.0)
@@ -359,13 +350,6 @@ class TestReservationQueue:
     def test_bound_must_be_positive(self):
         with pytest.raises(ValueError):
             ReservationQueue(bound=0)
-
-    def test_busy_at_tracks_last_reservation(self):
-        queue = ReservationQueue()
-        assert not queue.busy_at(0.0)
-        queue.reserve(0.0, 10.0)
-        assert queue.busy_at(5.0)
-        assert not queue.busy_at(10.0)
 
     def test_history_is_compacted_but_totals_survive(self):
         queue = ReservationQueue()

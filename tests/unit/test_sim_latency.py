@@ -5,6 +5,8 @@ import pytest
 from jitter_free import JitterFreeLatencyModel
 from repro.sim import ComputeModel, LatencyModel, OperationCost, RandomSource, RequestContext
 
+import charges
+
 
 class TestOperationCost:
     def test_mean_without_bandwidth_ignores_size(self):
@@ -38,7 +40,7 @@ class TestLatencyModel:
         ctx = RequestContext()
         charged = model.charge(ctx, "anna", "get", size_bytes=190_000)
         assert ctx.clock.now_ms == pytest.approx(charged)
-        assert ctx.count("anna", "get") == 1
+        assert charges.count(ctx, "anna", "get") == 1
 
     def test_costs_argument_replaces_a_default(self):
         model = JitterFreeLatencyModel(costs={("anna", "get"): OperationCost(42.0)})

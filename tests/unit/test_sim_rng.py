@@ -42,6 +42,10 @@ def _loop_table(n_items: int, coefficient: float) -> list:
     return cumulative
 
 
+def _draws(zipf: ZipfGenerator, count: int) -> list:
+    return [zipf.next() for _ in range(count)]
+
+
 def _loop_draws(n_items: int, coefficient: float, seed: int, count: int) -> list:
     """Seeded draws over ``_loop_table``, looked up as ``_bisect`` does."""
     table, rng = _loop_table(n_items, coefficient), RandomSource(seed)
@@ -123,26 +127,26 @@ class TestZipfGenerator:
 
     def test_draws_within_range(self):
         zipf = ZipfGenerator(100, 1.0, RandomSource(1))
-        draws = zipf.draw(1_000)
+        draws = _draws(zipf, 1_000)
         assert all(0 <= d < 100 for d in draws)
 
     def test_skew_favours_low_ranks(self):
         zipf = ZipfGenerator(1_000, 1.0, RandomSource(2))
-        draws = zipf.draw(5_000)
+        draws = _draws(zipf, 5_000)
         head = sum(1 for d in draws if d < 10)
         tail = sum(1 for d in draws if d >= 500)
         assert head > tail
 
     def test_higher_coefficient_is_more_skewed(self):
-        flat = ZipfGenerator(1_000, 0.5, RandomSource(3)).draw(3_000)
-        steep = ZipfGenerator(1_000, 1.5, RandomSource(3)).draw(3_000)
+        flat = _draws(ZipfGenerator(1_000, 0.5, RandomSource(3)), 3_000)
+        steep = _draws(ZipfGenerator(1_000, 1.5, RandomSource(3)), 3_000)
         head_flat = sum(1 for d in flat if d == 0)
         head_steep = sum(1 for d in steep if d == 0)
         assert head_steep > head_flat
 
     def test_zero_coefficient_is_roughly_uniform(self):
         zipf = ZipfGenerator(10, 0.0, RandomSource(4))
-        draws = zipf.draw(10_000)
+        draws = _draws(zipf, 10_000)
         counts = [draws.count(i) for i in range(10)]
         assert min(counts) > 500
 
@@ -163,8 +167,8 @@ class TestZipfGenerator:
     def test_seeded_draws_match_the_old_loop(self):
         zipf = ZipfGenerator(1_000, 1.0, RandomSource(6))
         twin = RandomSource(6)
-        assert zipf.draw(2_000) == [_loop_bisect(zipf, twin.random())
-                                    for _ in range(2_000)]
+        assert _draws(zipf, 2_000) == [_loop_bisect(zipf, twin.random())
+                                       for _ in range(2_000)]
 
     @pytest.mark.parametrize("n_items", [1, 2, 200, 777, 5_000])
     @pytest.mark.parametrize("coefficient", [0.0, 0.5, 0.99, 1.0, 1.5, 2.0, 3.0])
@@ -202,4 +206,4 @@ class TestZipfGenerator:
         (1_000_000, 1.0), (200, 1.5), (5_000, 1.0), (777, 0.5), (1, 1.0)])
     def test_seeded_draws_equal_the_scalar_loop(self, n_items, coefficient):
         zipf = ZipfGenerator(n_items, coefficient, RandomSource(9))
-        assert zipf.draw(2_000) == _loop_draws(n_items, coefficient, 9, 2_000)
+        assert _draws(zipf, 2_000) == _loop_draws(n_items, coefficient, 9, 2_000)

@@ -39,7 +39,7 @@ class TestStorageNodeBasics:
         node = StorageNode("s1")
         node.put("a", lww(1))
         node.put("b", lww(2))
-        assert node.key_count() == 2
+        assert len(list(node.keys())) == 2
         assert sorted(node.keys()) == ["a", "b"]
 
     def test_drain_clears_everything(self):
@@ -47,7 +47,7 @@ class TestStorageNodeBasics:
         node.put("a", lww(1))
         drained = node.drain()
         assert set(drained) == {"a"}
-        assert node.key_count() == 0
+        assert len(list(node.keys())) == 0
 
 
 class TestTiering:
@@ -105,7 +105,7 @@ class TestTiering:
         for index in range(20):
             node.put(f"k{index}", lww(index), now_ms=float(index))
         assert len(list(node.memory_keys())) == 3
-        assert node.key_count() == 20
+        assert len(list(node.keys())) == 20
         assert node.demotions == 17
 
     def test_merge_to_existing_key_does_not_demote(self):

@@ -18,8 +18,8 @@ class TestVectorClockBasics:
     def test_increment_is_functional(self):
         base = VectorClock()
         bumped = base.increment("node")
-        assert base.get("node") == 0
-        assert bumped.get("node") == 1
+        assert base.reveal() == {}
+        assert bumped.reveal() == {"node": 1}
 
     def test_merge_takes_pairwise_max(self):
         a = VectorClock({"x": 3, "y": 1})

@@ -11,7 +11,6 @@ from repro.workloads import (
     SocialWorkloadGenerator,
     make_arrays,
     sum_arrays,
-    total_bytes,
 )
 from repro.workloads import dags
 from repro.workloads.dags import sink_write, string_manipulation
@@ -27,7 +26,7 @@ class TestArrayWorkload:
         arrays = make_arrays("80KB")
         assert len(arrays) == ARRAYS_PER_REQUEST
         assert all(a.size == 1_000 for a in arrays)
-        assert total_bytes("80KB") == 80_000
+        assert sum(a.nbytes for a in arrays) == 80_000
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
