@@ -309,7 +309,7 @@ def apply_ledger(payload: Dict[str, Any], fixed_errors: Sequence[str],
     returned.  History must never make a build fail for being unreadable.
     """
     section: Dict[str, Any] = {
-        "path": str(ledger_path),
+        "path": Path(ledger_path).name,
         "schema_version": SCHEMA_VERSION,
         "window": TREND_WINDOW,
         "tolerance": TREND_TOLERANCE,
@@ -331,7 +331,7 @@ def apply_ledger(payload: Dict[str, Any], fixed_errors: Sequence[str],
         if seed_snapshot is not None and ledger.run_count() == 0:
             seeded_id = ledger.seed_from_snapshot(seed_snapshot)
             if seeded_id is not None:
-                section["seeded_from"] = str(seed_snapshot)
+                section["seeded_from"] = Path(seed_snapshot).name
         errors, checks = trend_errors(payload, ledger)
         section["trend"] = checks
         section["trend_gate_ok"] = not errors

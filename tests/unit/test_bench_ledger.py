@@ -219,8 +219,22 @@ class TestApplyLedger:
                                        seed_snapshot=snapshot)
         assert errors == []
         assert section["ledger_ok"] is True
-        assert section["seeded_from"] == str(snapshot)
+        assert section["seeded_from"] == "snap.json"
         assert section["runs_recorded"] == 2  # seed row + this run
+
+    def test_the_section_records_file_names_not_the_host_paths(self, tmp_path):
+        """Two checkouts' snapshots compare leaf by leaf, so the section
+        names the ledger and the seed snapshot by file name only."""
+        snapshot = tmp_path / "seed" / "BENCH_throughput.json"
+        snapshot.parent.mkdir()
+        snapshot.write_text(json.dumps(make_payload()))
+        ledger_path = tmp_path / "out" / "bench_ledger.sqlite"
+        ledger_path.parent.mkdir()
+        assert ledger_path.is_absolute() and snapshot.is_absolute()
+        section, _ = apply_ledger(make_payload(), [], ledger_path,
+                                  seed_snapshot=snapshot)
+        assert section["path"] == "bench_ledger.sqlite"
+        assert section["seeded_from"] == "BENCH_throughput.json"
 
     def test_trend_window_excludes_the_judged_run(self, ledger_path):
         # The first real run on an unseeded ledger has no history: it must
@@ -237,7 +251,7 @@ class TestApplyLedger:
         section, errors = apply_ledger(snapshot, [], ledger_path,
                                        seed_snapshot=snapshot_path)
         assert errors == []
-        assert section["seeded_from"] == str(snapshot_path)
+        assert section["seeded_from"] == "BENCH_throughput.json"
         windows = {metric: check["window"] for metric, check in section["trend"].items()}
         assert sorted(windows) == sorted(gate.metric for gate in TREND_GATES)
         assert all(window >= 1 for window in windows.values()), windows
@@ -342,7 +356,7 @@ class TestSchemaOneLedger:
                                        schema_1_path, seed_snapshot=snapshot)
         assert section["ledger_ok"] is True
         assert section["schema_version"] == 1
-        assert section["seeded_from"] == str(snapshot)
+        assert section["seeded_from"] == "snap.json"
         assert section["runs_recorded"] == 2
         assert section["trend"][FIG10]["window"] == 1
         assert [e for e in errors if FIG10 in e]

@@ -1,7 +1,9 @@
 """Unit tests for the seeded random source and the Zipfian generator."""
 
+import functools
 import math
 import random
+import tracemalloc
 from bisect import bisect_left
 from unittest import mock
 
@@ -9,26 +11,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import RandomSource, ZipfGenerator
+from repro.sim.rng import HEAD_RANKS, MARK_EVERY
 
 
 def _loop_bisect(zipf: ZipfGenerator, point: float) -> int:
     """``ZipfGenerator._bisect`` as it was before DR-14: the hand-written
-    search the ``bisect_left`` body must agree with on every point."""
+    search over the scalar loop's table that every lookup must agree with."""
+    table = _loop_table(zipf.n_items, zipf.coefficient)
     low, high = 0, zipf.n_items - 1
     while low < high:
         mid = (low + high) // 2
-        if zipf._cumulative[mid] < point:
+        if table[mid] < point:
             low = mid + 1
         else:
             high = mid
     return low
 
 
-def _loop_table(n_items: int, coefficient: float) -> list:
+@functools.lru_cache(maxsize=None)
+def _loop_table(n_items: int, coefficient: float) -> tuple:
     """``ZipfGenerator``'s inverse CDF as the scalar loop built it before
-    DR-28: the table the vectorised pass must equal bit for bit.  The total
-    is a left-to-right ``+=``, which is what the loop's ``sum()`` did up to
-    Python 3.11 (3.12's ``sum()`` of floats compensates)."""
+    DR-28: the table whose head and marks the build must equal bit for bit,
+    and whose ``bisect_left`` every lookup must equal.  The total is a
+    left-to-right ``+=``, which is what the loop's ``sum()`` did up to
+    Python 3.11 (3.12's ``sum()`` of floats compensates).  Built once per
+    shape and session; a tuple, so no test can change it for the next."""
     weights = [1.0 / ((rank + 1) ** coefficient) for rank in range(n_items)]
     total = 0.0
     for weight in weights:
@@ -39,7 +46,36 @@ def _loop_table(n_items: int, coefficient: float) -> list:
         running += weight / total
         cumulative.append(running)
     cumulative[-1] = 1.0
-    return cumulative
+    return tuple(cumulative)
+
+
+def _assert_head_and_marks_equal_the_loop(zipf: ZipfGenerator) -> None:
+    """The head is the loop table's prefix, and each mark is the loop
+    table's value at the last rank of its run (DESIGN.md DR-37)."""
+    n_items, table = zipf.n_items, _loop_table(zipf.n_items, zipf.coefficient)
+    head = min(HEAD_RANKS, n_items)
+    assert type(zipf._head) is list
+    assert zipf._head == list(table[:head])
+    assert zipf._marks.typecode == "d"
+    assert len(zipf._marks) == -(-(n_items - head) // MARK_EVERY)
+    assert list(zipf._marks) == [
+        table[min(head + MARK_EVERY * (run + 1), n_items) - 1]
+        for run in range(len(zipf._marks))]
+
+
+def _assert_lookups_equal_bisect_left(zipf: ZipfGenerator, ranks) -> None:
+    """At each ranked CDF value and at both of its neighbouring doubles, the
+    lookup is ``bisect_left`` over the loop table, clamped as ``_bisect``
+    clamps a point past 1.0."""
+    table = _loop_table(zipf.n_items, zipf.coefficient)
+    points = {0.0, 1.5}
+    for rank in ranks:
+        value = table[rank]
+        points.update((value, math.nextafter(value, 0.0),
+                       math.nextafter(value, 2.0)))
+    for point in sorted(points):
+        assert zipf._bisect(point) == \
+            min(bisect_left(table, point), zipf.n_items - 1), point
 
 
 def _draws(zipf: ZipfGenerator, count: int) -> list:
@@ -151,17 +187,18 @@ class TestZipfGenerator:
         assert min(counts) > 500
 
 
-    @given(n_items=st.integers(1, 400),
+    @given(n_items=st.integers(1, 5_000),
            coefficient=st.sampled_from([0.0, 0.5, 1.0, 1.5]),
            points=st.lists(st.floats(0.0, 1.0), max_size=30), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_inverse_cdf_lookup_matches_the_old_loop(self, n_items, coefficient,
                                                      points, data):
         zipf = ZipfGenerator(n_items, coefficient)
+        table = _loop_table(n_items, coefficient)
         # Exact CDF values sit on the `<` / `>=` edge of the search; a point
         # past the end (``random()`` never draws one) clamps to the last rank.
         ranks = data.draw(st.lists(st.integers(0, n_items - 1), max_size=10))
-        for point in [0.0, 1.0, 1.5, *points, *(zipf._cumulative[r] for r in ranks)]:
+        for point in [0.0, 1.0, 1.5, *points, *(table[r] for r in ranks)]:
             assert zipf._bisect(point) == _loop_bisect(zipf, point)
 
     def test_seeded_draws_match_the_old_loop(self):
@@ -170,12 +207,22 @@ class TestZipfGenerator:
         assert _draws(zipf, 2_000) == [_loop_bisect(zipf, twin.random())
                                        for _ in range(2_000)]
 
-    @pytest.mark.parametrize("n_items", [1, 2, 200, 777, 5_000])
+    @pytest.mark.parametrize("n_items", [
+        1, 2, 16, 17, 200, 777, 4_096, 4_097, 4_112, 5_000])
     @pytest.mark.parametrize("coefficient", [0.0, 0.5, 0.99, 1.0, 1.5, 2.0, 3.0])
-    def test_table_equals_the_scalar_loop(self, n_items, coefficient):
+    def test_head_marks_and_lookups_equal_the_scalar_loop(self, n_items,
+                                                          coefficient):
+        """4,096 and 4,097 sit on the head's edge, 4,112 ends a whole run
+        past it, and 5,000 ends a short one."""
         zipf = ZipfGenerator(n_items, coefficient)
-        assert zipf._cumulative.typecode == "d"
-        assert list(zipf._cumulative) == _loop_table(n_items, coefficient)
+        _assert_head_and_marks_equal_the_loop(zipf)
+        _assert_lookups_equal_bisect_left(zipf, range(n_items))
+
+    def test_every_lookup_of_a_steep_tail_is_bisect_left_over_the_loop_table(self):
+        """At 3.0 the running sum stops moving long before the last rank, so
+        whole runs repeat one value and a lookup must find the first."""
+        zipf = ZipfGenerator(300_000, 3.0)
+        _assert_lookups_equal_bisect_left(zipf, range(300_000))
 
     @pytest.mark.parametrize("n_items, coefficient", [
         (300_000, 3.0), (208_064, 3.0), (3, 60.0), (5, math.inf)])
@@ -183,24 +230,50 @@ class TestZipfGenerator:
                                                                coefficient):
         """208_064 ** 3 is the first cube past 2**53: one rank more than the
         closed form's exact range, so every weight is ``pow``'s again, as it
-        is for an exponent past 53 and for an infinite one."""
-        with mock.patch("repro.sim.rng.pow", side_effect=pow,
-                        create=True) as scalar_pow:
+        is for an exponent past 53 and for an infinite one.  The build
+        computes each weight twice, once for the total and once for the
+        running sums, so it calls ``pow`` twice per rank.  A plain counting
+        wrapper, not a ``Mock``: 600,000 mock calls would cost seconds."""
+        calls = []
+
+        def scalar_pow(base, exponent):
+            calls.append(base)
+            return pow(base, exponent)
+
+        with mock.patch("repro.sim.rng.pow", scalar_pow, create=True):
             zipf = ZipfGenerator(n_items, coefficient)
-        assert scalar_pow.call_count == n_items
-        assert list(zipf._cumulative) == _loop_table(n_items, coefficient)
+        assert len(calls) == 2 * n_items
+        _assert_head_and_marks_equal_the_loop(zipf)
 
     def test_the_million_key_table_at_1_0_calls_no_scalar_pow(self):
-        """§6.2's table is built from integer powers (DESIGN.md DR-35)."""
+        """§6.2's table is built, and drawn from, with integer powers
+        (DESIGN.md DR-35)."""
         with mock.patch("repro.sim.rng.pow", create=True,
                         side_effect=AssertionError("scalar pow called")):
-            zipf = ZipfGenerator(1_000_000, 1.0)
-        assert zipf._cumulative[-1] == 1.0
+            zipf = ZipfGenerator(1_000_000, 1.0, RandomSource(9))
+            _draws(zipf, 2_000)
+        assert zipf._marks[-1] == 1.0
 
-    def test_million_key_table_equals_the_scalar_loop(self):
-        """§6.2's shape, where a pairwise total would move the table."""
+    def test_million_key_head_marks_and_lookups_equal_the_scalar_loop(self):
+        """§6.2's shape, where a pairwise total would move the table; the
+        lookups at a seeded sample of its ranks."""
         zipf = ZipfGenerator(1_000_000, 1.0)
-        assert list(zipf._cumulative) == _loop_table(1_000_000, 1.0)
+        _assert_head_and_marks_equal_the_loop(zipf)
+        _assert_lookups_equal_bisect_left(
+            zipf, random.Random(37).sample(range(1_000_000), 20_000))
+
+    def test_the_million_key_generator_holds_no_table_sized_array(self):
+        """A full table is 8 MB of doubles (DESIGN.md DR-37): the generator
+        holds its head and marks, and the build no more than a chunk more."""
+        tracemalloc.start()
+        try:
+            zipf = ZipfGenerator(1_000_000, 1.0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert zipf.n_items == 1_000_000
+        assert held < 1_000_000  # bytes: 8.50 MB before DR-37
+        assert peak < 2_000_000  # 24.50 MB before DR-37
 
     @pytest.mark.parametrize("n_items, coefficient", [
         (1_000_000, 1.0), (200, 1.5), (5_000, 1.0), (777, 0.5), (1, 1.0)])
