@@ -5,7 +5,9 @@ One ``sys.settrace`` pass covers what the project's figures, gates and
 benchmark run:
 
 * every entry of the figure registry at ``smoke`` scale (``Figure.record``),
-  then ``gate_errors``, every entry's ``table`` and one ``apply_ledger`` call;
+  then ``gate_errors``, every entry's ``table``, one ``apply_ledger`` call
+  and ``figures --compare`` of the written snapshot with itself, as CI's
+  golden-file step runs it;
 * ``benchmarks/perf``'s four workloads at request scale 0.05, traced (the
   host-span wrappers installed).  An untraced pass found no function the
   traced one misses (DESIGN.md DR-29), and leaving it out can only list
@@ -43,6 +45,7 @@ import argparse
 import ast
 import contextlib
 import io
+import json
 import runpy
 import sys
 import tempfile
@@ -87,8 +90,8 @@ def defined_functions() -> Dict[Site, Tuple[str, int]]:
 
 
 def run_benchmark_path(workdir: Path) -> None:
-    """Everything the figures, the gates, the ledger, the benchmark and the
-    examples call."""
+    """Everything the figures, the gates, the ledger, the snapshot compare,
+    the benchmark and the examples call."""
     from measure import run_once
     from trace import SpanRecorder
     from workloads import WORKLOADS
@@ -101,8 +104,11 @@ def run_benchmark_path(workdir: Path) -> None:
     errors = figures.gate_errors(payload, "smoke")
     for figure in figures.FIGURES:
         figure.table(payload)
-    apply_ledger(payload, errors, workdir / "ledger.sqlite",
-                 seed_snapshot=REPO_ROOT / "BENCH_throughput.json")
+    apply_ledger(payload, errors, workdir / "ledger.sqlite")
+    snapshot = workdir / "BENCH_throughput.json"
+    snapshot.write_text(json.dumps(payload))
+    with contextlib.redirect_stdout(io.StringIO()):
+        figures.main(["--compare", str(snapshot), str(snapshot)])
     for name in sorted(WORKLOADS):
         run_once(WORKLOADS[name], 0, PERF_SCALE, SpanRecorder())
     for example in sorted(EXAMPLES.glob("*.py")):

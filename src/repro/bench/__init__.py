@@ -30,15 +30,9 @@ from .harness import (
     run_closed_loop,
 )
 from .ledger import (
-    DEFAULT_LEDGER_NAME,
-    TREND_GATES,
-    TREND_TOLERANCE,
-    TREND_WINDOW,
     BenchLedger,
-    TrendGate,
     apply_ledger,
     extract_samples,
-    trend_errors,
 )
 from .microbenchmarks import (
     run_figure1,
@@ -61,15 +55,9 @@ __all__ = [
     "run_table2",
     "EngineLoadDriver",
     "run_closed_loop",
-    "DEFAULT_LEDGER_NAME",
-    "TREND_GATES",
-    "TREND_TOLERANCE",
-    "TREND_WINDOW",
     "BenchLedger",
-    "TrendGate",
     "apply_ledger",
     "extract_samples",
-    "trend_errors",
     "FAULT_CLASSES",
     "fault_recovery_errors",
     "run_fault_recovery",

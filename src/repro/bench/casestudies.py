@@ -90,7 +90,7 @@ def _scaling_sweep(name: str, thread_counts: Sequence[int], clients_for,
     return {name: {
         "requests_per_point": requests_per_point,
         # Host speed of the sweep (cluster set-up included) in simulated
-        # requests per CPU-second: the ledger's trend row for the simulator.
+        # requests per CPU-second: a host leaf, which ``--compare`` skips.
         "sim_requests_per_cpu_s": round(len(points) * requests_per_point / cpu, 2),
         "points": points,
     }}
