@@ -1,7 +1,7 @@
 """Unit tests for the bench gate: the registry's clauses and ``run_all.main``.
 
-CI runs ``benchmarks/run_all.py --quick`` on every push and fails the build
-when the snapshot's gates break.  Every gate lives in the figure registry
+CI runs ``benchmarks/run_all.py`` (reduced, seed 0) on every push and fails
+the build when the snapshot's gates break.  Every gate lives in the figure registry
 (``repro.bench.figures``); these tests pin it without running a harness:
 a canned payload passes every gate at every scale, each breakage case below
 fails exactly the clause it names (so deleting any clause fails a test),
@@ -506,10 +506,14 @@ class TestMainLedger:
         assert str(tmp_path).encode() not in with_ledger.read_bytes()
 
 
+def _golden() -> dict:
+    return json.loads((REPO_ROOT / "BENCH_throughput.json").read_text())
+
+
 def test_the_committed_snapshot_is_a_default_run_of_this_schema():
     """The golden file CI compares against: regenerate it with
     ``python benchmarks/run_all.py`` when the schema or a section changes."""
-    golden = json.loads((REPO_ROOT / "BENCH_throughput.json").read_text())
+    golden = _golden()
     assert golden["schema"] == run_all.SCHEMA_VERSION
     assert (golden["scale"], golden["seed"], golden["bench_gate_ok"]) == (
         "reduced", 0, True)
@@ -517,3 +521,21 @@ def test_the_committed_snapshot_is_a_default_run_of_this_schema():
     header = {"schema", "seed", "scale", "consistency_invariants_ok",
               "bench_gate_ok", "gate_errors"}
     assert sorted(golden) == sorted(header | set(SECTIONS))
+
+
+@pytest.mark.parametrize("figure", FIGURES, ids=lambda f: f.sections[0])
+def test_each_entry_s_gate_holds_on_the_committed_snapshot(figure):
+    """A gate changed without regenerating the golden file fails here."""
+    assert figure.errors(_golden(), "reduced") == []
+
+
+@pytest.mark.parametrize("figure", FIGURES, ids=lambda f: f.sections[0])
+def test_each_host_leaf_pattern_names_a_leaf_of_the_committed_snapshot(figure):
+    """A host-clock leaf renamed in its run but not in ``host_leaves`` would
+    be compared exactly, and CI's golden compare would fail on host speed."""
+    golden = _golden()
+    leaves = {}
+    for section in figure.sections:
+        figures._leaves(golden[section], section, leaves)
+    for pattern in figure.host_patterns():
+        assert any(fnmatchcase(path, pattern) for path in leaves), pattern
