@@ -5,9 +5,8 @@ One ``sys.settrace`` pass covers what the project's figures, gates and
 benchmark run:
 
 * every entry of the figure registry at ``smoke`` scale (``Figure.record``),
-  then ``gate_errors``, every entry's ``table``, one ``apply_ledger`` call
-  and ``figures --compare`` of the written snapshot with itself, as CI's
-  golden-file step runs it;
+  then ``gate_errors``, every entry's ``table`` and ``figures --compare``
+  of the written snapshot with itself, as CI's golden-file step runs it;
 * ``benchmarks/perf``'s four workloads at request scale 0.05, traced (the
   host-span wrappers installed).  An untraced pass found no function the
   traced one misses (DESIGN.md DR-29), and leaving it out can only list
@@ -90,21 +89,20 @@ def defined_functions() -> Dict[Site, Tuple[str, int]]:
 
 
 def run_benchmark_path(workdir: Path) -> None:
-    """Everything the figures, the gates, the ledger, the snapshot compare,
-    the benchmark and the examples call."""
+    """Everything the figures, the gates, the snapshot compare, the
+    benchmark and the examples call."""
     from measure import run_once
     from trace import SpanRecorder
     from workloads import WORKLOADS
 
-    from repro.bench import apply_ledger, figures
+    from repro.bench import figures
 
     payload = {"seed": figures.SMOKE_SEED, "scale": "smoke"}
     for figure in figures.FIGURES:
         payload.update(figure.record("smoke", figures.SMOKE_SEED, workdir))
-    errors = figures.gate_errors(payload, "smoke")
+    figures.gate_errors(payload, "smoke")
     for figure in figures.FIGURES:
         figure.table(payload)
-    apply_ledger(payload, errors, workdir / "ledger.sqlite")
     snapshot = workdir / "BENCH_throughput.json"
     snapshot.write_text(json.dumps(payload))
     with contextlib.redirect_stdout(io.StringIO()):

@@ -27,10 +27,7 @@ sweeps' ``sim_requests_per_cpu_s``) are recorded and never compared; host
 speed is measured by ``benchmarks/perf`` (paired across commits by
 ``benchmarks/pairs.py``).
 
-With ``--ledger PATH`` the run is also appended to that historical bench
-ledger (``repro.bench.ledger``); an unreadable ledger prints a warning and
-changes neither the exit code nor the snapshot.  Section-by-section schema
-documentation lives in ``docs/BENCH_SCHEMA.md``.
+Section-by-section schema documentation lives in ``docs/BENCH_SCHEMA.md``.
 
 Usage::
 
@@ -38,7 +35,6 @@ Usage::
     python benchmarks/run_all.py --quick          # smallest scale, same gates
     python benchmarks/run_all.py --full           # benchmark-default scale
     python benchmarks/run_all.py --output out.json --seed 3
-    python benchmarks/run_all.py --ledger bench_ledger.sqlite  # also record it
 """
 
 from __future__ import annotations
@@ -50,10 +46,10 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Snapshot layout version; docs/BENCH_SCHEMA.md documents it and its history.
-SCHEMA_VERSION = 18
+SCHEMA_VERSION = 19
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.bench import apply_ledger, figures  # noqa: E402
+from repro.bench import figures  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -64,8 +60,6 @@ def main(argv=None) -> int:
                         help="run at the benchmark-default (slower) scale")
     parser.add_argument("--quick", action="store_true",
                         help="smallest scale (CI smoke); same gates")
-    parser.add_argument("--ledger", default=None,
-                        help="bench ledger database to append this run to")
     args = parser.parse_args(argv)
     if args.full and args.quick:
         parser.error("--full and --quick are mutually exclusive")
@@ -86,8 +80,6 @@ def main(argv=None) -> int:
     payload["gate_errors"] = errors
     output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {output}")
-    if args.ledger:
-        apply_ledger(payload, errors, args.ledger)
 
     if errors:
         print("BENCH GATE FAILURES:", file=sys.stderr)

@@ -7,8 +7,8 @@ a laptop-scale reimplementation with the properties Cloudburst relies on:
 * values are lattices, merged on every put (multi-master, coordination free);
 * keys are partitioned across storage nodes with consistent hashing and
   replicated ``replication_factor`` ways for k-fault tolerance;
-* the cluster ingests cached-keyset snapshots from Cloudburst caches and
-  maintains the key-to-cache index used for update propagation and
+* the cluster holds the key-to-cache index, kept by the Cloudburst caches'
+  own stores and evictions, used for update propagation and
   locality-aware scheduling (§4.2);
 * nodes can be added and removed at runtime (storage autoscaling), moving
   only the affected shard of the key space.
@@ -516,17 +516,12 @@ class AnnaCluster:
     def cache_index(self) -> KeyCacheIndex:
         return self._cache_index
 
-    def ingest_cached_keys(self, cache_id: str, cached_keys: Iterable[str]) -> None:
-        """Accept a cache's periodic key-set snapshot (asynchronous for callers)."""
-        self._cache_index.ingest_snapshot(cache_id, cached_keys)
-
     def register_update_listener(self, cache_id: str, listener: UpdateListener) -> None:
         """Register a cache's callback for asynchronous key-update propagation."""
         self._update_listeners[cache_id] = listener
 
     def unregister_update_listener(self, cache_id: str) -> None:
         self._update_listeners.pop(cache_id, None)
-        self._cache_index.drop_cache(cache_id)
 
     def _propagate_update(self, key: str, value: Lattice, exclude: str = "") -> None:
         if self.propagation_mode == self.PROPAGATE_PERIODIC:

@@ -1,9 +1,9 @@
 """Key-to-cache index (§4.2).
 
-Each Cloudburst cache periodically publishes a snapshot of its cached key set
-to Anna.  Anna ingests these snapshots and incrementally builds an index that
-maps every key to the set of caches holding it.  The index serves two
-purposes:
+An index that maps every key to the set of Cloudburst caches holding it.
+The caches' own writes keep it: a cache adds an entry as it stores a key and
+removes one as it evicts, clears or closes, so the index always equals the
+open caches' key sets.  It serves two purposes:
 
 * Anna uses it to propagate key updates to the caches that store the key, so
   caches stay fresh without polling.
@@ -17,7 +17,7 @@ scheme as the key space itself; this module tracks the per-key overhead that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Set
+from typing import Dict, FrozenSet, Set
 
 
 @dataclass
@@ -39,47 +39,19 @@ class KeyCacheIndex:
 
     def __init__(self):
         self._key_to_caches: Dict[str, Set[str]] = {}
-        self._cache_to_keys: Dict[str, Set[str]] = {}
 
-    # -- snapshot ingestion -----------------------------------------------------
-    def ingest_snapshot(self, cache_id: str, cached_keys: Iterable[str]) -> None:
-        """Replace the index's view of one cache with a fresh key-set snapshot."""
-        new_keys = set(cached_keys)
-        old_keys = self._cache_to_keys.get(cache_id, set())
-        for key in old_keys - new_keys:
-            holders = self._key_to_caches.get(key)
-            if holders is not None:
-                holders.discard(cache_id)
-                if not holders:
-                    del self._key_to_caches[key]
-        for key in new_keys - old_keys:
-            self._key_to_caches.setdefault(key, set()).add(cache_id)
-        self._cache_to_keys[cache_id] = new_keys
-
+    # -- maintenance (the caches' own writes) ------------------------------------
     def add_entry(self, cache_id: str, key: str) -> None:
-        """Incrementally record that ``cache_id`` now holds ``key``.
-
-        Caches call this as they fetch keys, between full key-set snapshots,
-        so the schedulers' locality view stays reasonably fresh.
-        """
+        """Record that ``cache_id`` now holds ``key``."""
         self._key_to_caches.setdefault(key, set()).add(cache_id)
-        self._cache_to_keys.setdefault(cache_id, set()).add(key)
 
     def remove_entry(self, cache_id: str, key: str) -> None:
-        """Record that ``cache_id`` evicted ``key``."""
+        """Record that ``cache_id`` no longer holds ``key``."""
         holders = self._key_to_caches.get(key)
         if holders is not None:
             holders.discard(cache_id)
             if not holders:
                 del self._key_to_caches[key]
-        keys = self._cache_to_keys.get(cache_id)
-        if keys is not None:
-            keys.discard(key)
-
-    def drop_cache(self, cache_id: str) -> None:
-        """Forget a cache entirely (its VM was deallocated or failed)."""
-        self.ingest_snapshot(cache_id, [])
-        self._cache_to_keys.pop(cache_id, None)
 
     # -- lookups -------------------------------------------------------------------
     def caches_for(self, key: str) -> FrozenSet[str]:

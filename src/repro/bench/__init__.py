@@ -29,11 +29,6 @@ from .harness import (
     EngineLoadDriver,
     run_closed_loop,
 )
-from .ledger import (
-    BenchLedger,
-    apply_ledger,
-    extract_samples,
-)
 from .microbenchmarks import (
     run_figure1,
     run_figure5,
@@ -55,9 +50,6 @@ __all__ = [
     "run_table2",
     "EngineLoadDriver",
     "run_closed_loop",
-    "BenchLedger",
-    "apply_ledger",
-    "extract_samples",
     "FAULT_CLASSES",
     "fault_recovery_errors",
     "run_fault_recovery",

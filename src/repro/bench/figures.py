@@ -98,9 +98,10 @@ class Figure:
         kwargs = self.kwargs(scale)
         if self.files:
             kwargs["out_dir"] = Path(out_dir)
-        started = time.time()
+        started = time.perf_counter()
         sections = self.run(seed=seed, **kwargs)
-        sections[self.sections[0]]["wall_seconds"] = round(time.time() - started, 2)
+        sections[self.sections[0]]["wall_seconds"] = round(
+            time.perf_counter() - started, 2)
         return sections
 
     def errors(self, payload: Payload, scale: str) -> List[str]:

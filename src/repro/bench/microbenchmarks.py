@@ -164,7 +164,7 @@ def run_figure5(requests_per_size: int = 100,
         requests = requests_per_size if ELEMENTS_PER_ARRAY[label] <= 100_000 \
             else max(10, requests_per_size // 5)
         by_size[label] = _figure5_one_size(label, requests, rng.spawn(label), clients)
-    return {"figure5_locality": {"driver": "engine", "sizes": by_size}}
+    return {"figure5_locality": {"sizes": by_size}}
 
 
 def _figure5_one_size(label: str, requests: int, rng: RandomSource,
@@ -277,7 +277,7 @@ def run_figure6(repetitions: int = 100, actor_count: int = 10,
     for label, gather in lambda_gathers.items():
         recorders.append(run_closed_loop(label, lambda i, g=gather: g.run().latency_ms,
                                          repetitions))
-    return {"figure6_aggregation": {"driver": "engine", "systems": systems(*recorders)}}
+    return {"figure6_aggregation": {"systems": systems(*recorders)}}
 
 
 # --------------------------------------------------------------------------------------
@@ -408,7 +408,6 @@ def run_figure7(initial_threads: int = 18, client_count: int = 40,
                     vm.cache.get_or_fetch(key, ctx)
             except Exception:
                 continue
-        vm.cache.publish_cached_keys()
     overhead = index_cluster.kvs.cache_index.overhead()
     section["index_overhead"] = {"median_bytes": overhead.median_bytes,
                                  "p99_bytes": overhead.p99_bytes,

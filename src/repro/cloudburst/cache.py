@@ -2,9 +2,9 @@
 
 Every function-execution VM runs one cache.  Executors talk to the cache over
 IPC, never directly to Anna; the cache fetches misses from Anna, absorbs
-writes locally and pushes them to Anna asynchronously, and periodically
-publishes its cached key set so Anna's key-to-cache index can propagate
-updates back to it.
+writes locally and pushes them to Anna asynchronously, and records each key it
+stores or drops in Anna's key-to-cache index, so Anna can propagate updates
+back to it.
 
 The cache also provides the building blocks the distributed-session
 consistency protocols need (§5.3):
@@ -263,36 +263,29 @@ class ExecutorCache:
         """Tear the cache down when its VM leaves the cluster (scale-down).
 
         Deregisters the Anna update listener (so a drained VM stops receiving
-        pushes), drops this cache's entries from the key-to-cache index,
+        pushes), removes this cache's entries from the key-to-cache index,
         removes it from the shared peer registry so no in-flight session
         tries to fetch snapshots from it, and frees local state.  Idempotent;
         ``stats`` survive for post-run reporting.
         """
         if self.closed:
             return
-        self.settle_prefetch_accounting()
+        self.clear()
         self.closed = True
         self.kvs.unregister_update_listener(self.cache_id)
         if self._peers.get(self.cache_id) is self:
             self._peers.pop(self.cache_id)
-        self._data.clear()
-        self._snapshots.clear()
-        self._snapshot_keys_by_execution.clear()
 
     def _store(self, key: str, value: Lattice) -> Lattice:
         existing = self._data.get(key)
         merged = value if existing is None else existing.merge(value)
         self._data[key] = merged
-        # Keep the key-to-cache index's view of this cache reasonably fresh
-        # (full snapshots still go out via publish_cached_keys).
+        # The cache's own writes keep Anna's key-to-cache index: this add,
+        # and the removes in evict, clear and close.
         self.kvs.cache_index.add_entry(self.cache_id, key)
         return merged
 
-    # -- freshness: keyset publication and update propagation (§4.2) ---------------
-    def publish_cached_keys(self) -> None:
-        """Periodically publish a snapshot of cached keys to Anna's index."""
-        self.kvs.ingest_cached_keys(self.cache_id, self.cached_keys())
-
+    # -- freshness: update propagation (§4.2) ------------------------------------
     def receive_update(self, key: str, value: Lattice) -> None:
         """Anna pushes an update for a key this cache holds; merge it in."""
         if self.closed:

@@ -209,7 +209,7 @@ class CloudburstCluster:
         return CloudburstClient(self, client_id, consistency or self.consistency)
 
     def publish_all_metrics(self) -> None:
-        """Have every alive VM publish its metrics and cached-key snapshot (§4.1).
+        """Have every alive VM publish its load and cache metrics (§4.1).
 
         On-demand publication, used at construction and by tests; driver
         runs with a control plane publish on a periodic tick instead

@@ -472,7 +472,6 @@ class ExecutorVM:
         # load with the hot-key or storage-autoscaling policies.
         self.kvs.background_put(EXECUTOR_METRICS_PREFIX + self.vm_id,
                                 self.kvs.plain(metrics), count_access=False)
-        self.cache.publish_cached_keys()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ExecutorVM({self.vm_id!r}, threads={len(self.threads)}, alive={self.alive})"

@@ -3,8 +3,8 @@
 The scheduling *mechanism* (routing an invocation to an executor thread)
 lives in :class:`~repro.cloudburst.scheduler.Scheduler`; the placement
 *policy* — which thread to route to — is pluggable and lives here.  A policy
-consumes the metadata executors publish to Anna: the key-to-cache index built
-from the caches' periodic cached-key snapshots (locality, §4.2) and the
+consumes the metadata executors keep in Anna: the key-to-cache index, which
+the caches' own stores and evictions keep (locality, §4.2), and the
 executor load signals (backpressure, §4.3).
 
 Two policies ship with the reproduction:
@@ -371,9 +371,9 @@ class PlacementPolicy:
 class LocalityPlacementPolicy(PlacementPolicy):
     """Locality-first placement with least-loaded fallback (§4.2-§4.3).
 
-    Locality decisions consume the *published* cached-key snapshots: the
-    key-to-cache index Anna builds from ``ExecutorCache.publish_cached_keys``
-    is the only signal consulted, never the caches' private state.
+    Locality decisions consume Anna's key-to-cache index, which the caches'
+    own stores and evictions keep: it is the only signal consulted, never
+    the caches' private state.
     """
 
     def pick(self, scheduler, threads, function_name, args, restricted, now_ms):

@@ -18,7 +18,7 @@ from repro.bench.faultbench import (
 )
 from repro.sim import FaultPlane, RandomSource
 
-from internals import snapshot_count
+from internals import index_holders, snapshot_count
 
 
 def _run(fault, seed=11, request_count=80):
@@ -115,6 +115,49 @@ class TestClusterWholeAfterRun:
         assert cluster.abandoned_session_count() == 0
         for vm in cluster.vms:
             assert snapshot_count(vm.cache) == 0
+
+    def test_the_key_to_cache_index_lists_exactly_the_open_caches(self):
+        # No cache re-publishes its key set: the index is kept only by each
+        # cache's stores, evictions, clears (a killed VM recovers cold) and
+        # close (a drained VM), so after kills and a drain it must still
+        # list, for every key, exactly the open caches holding it.
+        from repro.bench.harness import EngineLoadDriver
+
+        cluster, _tracker, _app, generator, _tweets = _build_cluster(
+            seed=7, executor_vms=4, scheduler_count=2, user_count=20,
+            seed_tweet_count=80, propagation_interval_ms=50.0)
+        plane = FaultPlane(cluster, RandomSource(7).spawn("fault-plane"),
+                           classes=("executor_kill",), mean_interval_ms=15.0,
+                           downtime_ms=8.0, tick_interval_ms=4.0)
+        stream = generator.request_stream(80)
+
+        def request(cloud, ctx, index):
+            req = stream[index % len(stream)]
+            return cloud.call_dag(
+                "retwis-timeline",
+                {"fb_read_profile": [req.user], "fb_timeline": [req.user]},
+                ctx=ctx)
+
+        plane.start()
+        try:
+            EngineLoadDriver(cluster, request, clients=6, max_requests=80).run()
+        finally:
+            plane.stop()
+        assert plane.recovered_count() == plane.injected_count() > 0
+        drained = cluster.vms[-1]
+        assert drained.cache.cached_keys(), "the drained cache held nothing"
+        cluster.drain_vm(drained)
+
+        expected = {}
+        for vm in cluster.vms:
+            if not vm.cache.closed:
+                for key in vm.cache.cached_keys():
+                    expected.setdefault(key, set()).add(vm.cache.cache_id)
+        holders = index_holders(cluster.kvs)
+        assert all(drained.cache.cache_id not in caches
+                   for caches in holders.values())
+        assert holders == {key: frozenset(caches)
+                           for key, caches in expected.items()}
 
     def test_gate_over_reduced_section(self):
         section = run_fault_recovery(

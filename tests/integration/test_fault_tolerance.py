@@ -7,6 +7,7 @@ from repro.cloudburst.controlplane import ComputeControlPlane
 from repro.errors import SchedulingError
 
 import charges
+from internals import index_holders
 
 
 @pytest.fixture
@@ -131,7 +132,8 @@ class TestComputeElasticity:
     def test_draining_vm_unregisters_cache_and_cuts_off_threads(self, cluster):
         drained = cluster.vms[-1]
         cluster.drain_vm(drained)
-        assert drained.cache.cache_id not in cluster.kvs.cache_index._cache_to_keys
+        assert all(drained.cache.cache_id not in holders
+                   for holders in index_holders(cluster.kvs).values())
         sender = cluster.vms[0].threads[0].thread_id
         for thread in drained.threads:
             assert not thread.alive

@@ -5,7 +5,7 @@ has yet to propagate, and what a cache still holds.  These helpers read that
 state for assertions, so the classes carry no methods only tests would call.
 """
 
-from typing import List
+from typing import Dict, FrozenSet, List
 
 from repro.anna import AnnaCluster
 from repro.cloudburst.cache import ExecutorCache
@@ -29,3 +29,9 @@ def pending_update_count(anna: AnnaCluster) -> int:
 def snapshot_count(cache: ExecutorCache) -> int:
     """Version snapshots the cache still holds for running DAGs."""
     return len(cache._snapshots)
+
+
+def index_holders(anna: AnnaCluster) -> Dict[str, FrozenSet[str]]:
+    """Every key the key-to-cache index tracks -> the caches it lists."""
+    return {key: frozenset(caches)
+            for key, caches in anna.cache_index._key_to_caches.items()}

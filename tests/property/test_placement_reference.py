@@ -119,9 +119,11 @@ def _build(state):
         for thread, spec in zip(vm.threads, drawn["threads"]):
             if not spec["alive"]:
                 thread.alive = False  # a drained thread on a live VM
-        index.ingest_snapshot(vm.cache.cache_id, drawn["holds"])
-    # A cache that publishes keys but hosts no candidate thread.
-    index.ingest_snapshot("cache-departed", state["ghost_holds"])
+        for key in drawn["holds"]:
+            index.add_entry(vm.cache.cache_id, key)
+    # A cache that the index lists but that hosts no candidate thread.
+    for key in state["ghost_holds"]:
+        index.add_entry("cache-departed", key)
     everyone = [thread for vm in cluster.vms for thread in vm.threads]
     candidates = None
     if state["pins"] is not None:

@@ -124,21 +124,21 @@ class TestAnnaMembership:
 
 
 class TestCacheIndexAndPropagation:
-    def test_ingest_cached_keys_updates_index(self, anna):
-        anna.ingest_cached_keys("cache-1", ["a", "b"])
-        assert anna.cache_index.caches_for("a") == frozenset({"cache-1"})
+    def test_the_index_starts_empty(self, anna):
+        assert anna.cache_index.caches_for("a") == frozenset()
+        assert anna.cache_index.overhead().tracked_keys == 0
 
     def test_immediate_propagation_notifies_holding_caches(self, anna):
         received = []
         anna.register_update_listener("cache-1", lambda k, v: received.append((k, v.reveal())))
-        anna.ingest_cached_keys("cache-1", ["k"])
+        anna.cache_index.add_entry("cache-1", "k")
         anna.background_put("k", lww("fresh", clock=9.0))
         assert received == [("k", "fresh")]
 
     def test_propagation_skips_caches_without_the_key(self, anna):
         received = []
         anna.register_update_listener("cache-1", lambda k, v: received.append(k))
-        anna.ingest_cached_keys("cache-1", ["other"])
+        anna.cache_index.add_entry("cache-1", "other")
         anna.background_put("k", lww("fresh"))
         assert received == []
 
@@ -146,7 +146,7 @@ class TestCacheIndexAndPropagation:
         anna = AnnaCluster(node_count=2, propagation_mode=AnnaCluster.PROPAGATE_PERIODIC)
         received = []
         anna.register_update_listener("cache-1", lambda k, v: received.append(k))
-        anna.ingest_cached_keys("cache-1", ["k"])
+        anna.cache_index.add_entry("cache-1", "k")
         anna.background_put("k", lww("v1"))
         assert received == []
         assert pending_update_count(anna) == 1
@@ -155,8 +155,10 @@ class TestCacheIndexAndPropagation:
         assert received == ["k"]
         assert pending_update_count(anna) == 0
 
-    def test_unregister_listener_drops_cache_from_index(self, anna):
-        anna.register_update_listener("cache-1", lambda k, v: None)
-        anna.ingest_cached_keys("cache-1", ["a"])
+    def test_unregistered_listener_hears_no_updates(self, anna):
+        received = []
+        anna.register_update_listener("cache-1", lambda k, v: received.append(k))
+        anna.cache_index.add_entry("cache-1", "a")
         anna.unregister_update_listener("cache-1")
-        assert anna.cache_index.caches_for("a") == frozenset()
+        anna.background_put("a", lww("fresh"))
+        assert received == []

@@ -3,32 +3,34 @@
 from repro.anna import KeyCacheIndex
 
 
-class TestSnapshots:
-    def test_ingest_snapshot_sets_membership(self):
+class TestMembership:
+    def test_add_entry_sets_membership(self):
         index = KeyCacheIndex()
-        index.ingest_snapshot("c1", ["a", "b"])
+        index.add_entry("c1", "a")
+        index.add_entry("c1", "b")
         assert index.caches_for("a") == frozenset({"c1"})
         assert index.caches_for("b") == frozenset({"c1"})
 
-    def test_new_snapshot_replaces_old(self):
+    def test_removing_one_key_keeps_the_cache_s_others(self):
         index = KeyCacheIndex()
-        index.ingest_snapshot("c1", ["a", "b"])
-        index.ingest_snapshot("c1", ["b", "c"])
+        index.add_entry("c1", "a")
+        index.add_entry("c1", "b")
+        index.remove_entry("c1", "a")
         assert index.caches_for("a") == frozenset()
-        assert index.caches_for("c") == frozenset({"c1"})
+        assert index.caches_for("b") == frozenset({"c1"})
 
     def test_multiple_caches_tracked(self):
         index = KeyCacheIndex()
-        index.ingest_snapshot("c1", ["a"])
-        index.ingest_snapshot("c2", ["a"])
+        index.add_entry("c1", "a")
+        index.add_entry("c2", "a")
         assert index.caches_for("a") == frozenset({"c1", "c2"})
 
-    def test_drop_cache(self):
+    def test_removing_one_holder_keeps_the_others(self):
         index = KeyCacheIndex()
-        index.ingest_snapshot("c1", ["a"])
-        index.drop_cache("c1")
-        assert index.caches_for("a") == frozenset()
-        assert index._cache_to_keys == {}
+        index.add_entry("c1", "a")
+        index.add_entry("c2", "a")
+        index.remove_entry("c1", "a")
+        assert index.caches_for("a") == frozenset({"c2"})
 
 
 class TestIncrementalEntries:
@@ -48,8 +50,8 @@ class TestIncrementalEntries:
 class TestPropagationTargets:
     def test_excludes_writer(self):
         index = KeyCacheIndex()
-        index.ingest_snapshot("c1", ["k"])
-        index.ingest_snapshot("c2", ["k"])
+        index.add_entry("c1", "k")
+        index.add_entry("c2", "k")
         assert index.propagation_targets("k", exclude="c1") == frozenset({"c2"})
 
     def test_untracked_key_has_no_targets(self):
@@ -65,8 +67,8 @@ class TestOverheadAccounting:
     def test_overhead_scales_with_replication(self):
         index = KeyCacheIndex()
         for cache in range(10):
-            index.ingest_snapshot(f"c{cache}", ["hot"])
-        index.ingest_snapshot("c0", ["hot", "cold"])
+            index.add_entry(f"c{cache}", "hot")
+        index.add_entry("c0", "cold")
         assert index.key_overhead_bytes("hot") == 10 * KeyCacheIndex.BYTES_PER_CACHE_ENTRY
         assert index.key_overhead_bytes("cold") == KeyCacheIndex.BYTES_PER_CACHE_ENTRY
         overhead = index.overhead()

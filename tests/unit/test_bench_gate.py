@@ -14,7 +14,6 @@ import dataclasses
 import importlib.util
 import json
 import re
-import sqlite3
 from fnmatch import fnmatchcase
 from pathlib import Path
 
@@ -145,12 +144,12 @@ def good_payload(scale: str = "quick") -> dict:
             "Cloudburst": _stats(2.0), "Dask": _stats(2.5), "SAND": _stats(20.0),
             "Lambda": _stats(30.0), "Lambda + Dynamo": _stats(60.0),
             "Lambda + S3": _stats(100.0), "Step Functions": _stats(300.0)}},
-        "figure5_locality": {"driver": "engine", "sizes": {
+        "figure5_locality": {"sizes": {
             "8MB": {"Cloudburst (Hot)": _stats(2.0), "Cloudburst (Cold)": _stats(60.0),
                     "Lambda (Redis)": _stats(120.0), "Lambda (S3)": _stats(400.0)},
             "80MB": {"Cloudburst (Hot)": _stats(50.0), "Cloudburst (Cold)": _stats(500.0),
                      "Lambda (Redis)": _stats(1_500.0), "Lambda (S3)": _stats(1_200.0)}}},
-        "figure6_aggregation": {"driver": "engine", "systems": {
+        "figure6_aggregation": {"systems": {
             "Cloudburst (gossip)": _stats(220.0), "Cloudburst (gather)": _stats(10.0),
             "Lambda+Redis (gather)": _stats(240.0), "Lambda+Dynamo (gather)": _stats(320.0),
             "Lambda+S3 (gather)": _stats(640.0)}},
@@ -468,44 +467,6 @@ class TestMainExitCode:
         assert json.loads(output.read_text())["consistency_invariants_ok"] is False
 
 
-class TestMainLedger:
-    """``--ledger PATH`` records the run and changes nothing else."""
-
-    def test_the_ledger_records_the_run_only_when_asked(self, monkeypatch, tmp_path):
-        _canned(monkeypatch, good_payload())
-        assert run_all.main(["--quick", "--output", str(tmp_path / "plain.json")]) == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.json"]
-        ledger = tmp_path / "ledger.sqlite"
-        assert run_all.main(["--quick", "--output", str(tmp_path / "bench.json"),
-                             "--ledger", str(ledger)]) == 0
-        conn = sqlite3.connect(str(ledger))
-        assert conn.execute("SELECT scale, gate_ok FROM runs").fetchall() == [
-            ("quick", 1)]
-        conn.close()
-
-    @pytest.mark.parametrize("breakage", [None, "invariant"])
-    def test_a_corrupt_ledger_changes_neither_exit_code_nor_snapshot(
-            self, monkeypatch, tmp_path, capsys, breakage):
-        payload = good_payload()
-        if breakage:
-            payload["table2_anomalies"]["invariant_violations"] = ["SK > MK cumulative"]
-        _canned(monkeypatch, payload)
-        corrupt = tmp_path / "ledger" / "bench_ledger.sqlite"
-        corrupt.parent.mkdir()
-        corrupt.write_bytes(b"definitely not a sqlite database " * 8)
-        assert corrupt.is_absolute()
-        plain, with_ledger = tmp_path / "plain.json", tmp_path / "with_ledger.json"
-        code = run_all.main(["--quick", "--output", str(plain)])
-        capsys.readouterr()
-        assert run_all.main(["--quick", "--output", str(with_ledger),
-                             "--ledger", str(corrupt)]) == code == (1 if breakage else 0)
-        assert "WARNING" in capsys.readouterr().err
-        stamps = re.compile(rb'"wall_seconds": [0-9.e-]+')
-        assert (stamps.sub(b"", with_ledger.read_bytes())
-                == stamps.sub(b"", plain.read_bytes()))
-        assert str(tmp_path).encode() not in with_ledger.read_bytes()
-
-
 def _golden() -> dict:
     return json.loads((REPO_ROOT / "BENCH_throughput.json").read_text())
 
@@ -517,7 +478,6 @@ def test_the_committed_snapshot_is_a_default_run_of_this_schema():
     assert golden["schema"] == run_all.SCHEMA_VERSION
     assert (golden["scale"], golden["seed"], golden["bench_gate_ok"]) == (
         "reduced", 0, True)
-    assert "ledger" not in golden
     header = {"schema", "seed", "scale", "consistency_invariants_ok",
               "bench_gate_ok", "gate_errors"}
     assert sorted(golden) == sorted(header | set(SECTIONS))

@@ -98,10 +98,14 @@ class TestBasicDataPath:
 
 
 class TestFreshness:
-    def test_publish_cached_keys_feeds_index(self, cache, anna):
+    def test_the_cache_s_own_writes_keep_the_index(self, cache, anna):
         cache.put("a", lww(1), RequestContext())
-        cache.publish_cached_keys()
+        cache.put("b", lww(2), RequestContext())
         assert "cache-a" in anna.cache_index.caches_for("a")
+        cache.evict("a")
+        assert "cache-a" not in anna.cache_index.caches_for("a")
+        cache.close()
+        assert "cache-a" not in anna.cache_index.caches_for("b")
 
     def test_receive_update_merges_newer_value(self, cache):
         cache.put("k", lww("old", clock=1.0), RequestContext())

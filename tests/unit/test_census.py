@@ -131,7 +131,6 @@ def test_both_uncalled_rows_read_one_reachability_run(monkeypatch, tmp_path):
 
 def test_the_examples_count_as_callers_and_print_nothing(monkeypatch, tmp_path,
                                                         capsys):
-    import repro.bench
     from repro.bench import figures
 
     # Loading the tool puts src/ and benchmarks/perf/ on sys.path: undo it.
@@ -140,9 +139,8 @@ def test_the_examples_count_as_callers_and_print_nothing(monkeypatch, tmp_path,
         "bench_reachability", REPO_ROOT / "benchmarks" / "reachability.py")
     reachability = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(reachability)
-    # Only the examples run: no registry entry, ledger or perf workload.
+    # Only the examples run: no registry entry or perf workload.
     monkeypatch.setattr(figures, "FIGURES", ())
-    monkeypatch.setattr(repro.bench, "apply_ledger", lambda *args, **kwargs: None)
     for name, attributes in (("measure", {"run_once": None}),
                              ("trace", {"SpanRecorder": None}),
                              ("workloads", {"WORKLOADS": {}})):

@@ -95,10 +95,8 @@ BACKGROUND_CALLS = [
     AnnaCluster.background_get,
     AnnaCluster.background_delete,
     AnnaCluster.plain,
-    AnnaCluster.ingest_cached_keys,
     SimulatedStorageService.preload,
     ExecutorCache.create_snapshot,
-    ExecutorCache.publish_cached_keys,
     ExecutorThread.pin_function,
     ExecutorVM.publish_metrics,
     Scheduler.register_function,
