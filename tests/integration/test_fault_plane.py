@@ -75,37 +75,44 @@ class TestSeedDeterminism:
         assert first["faults"]["timeline"] != second["faults"]["timeline"]
 
 
+def _retwis_under_faults(seed, request_count, **plane_options):
+    """A seeded Retwis timeline run with a ``FaultPlane`` armed throughout."""
+    from repro.bench.harness import EngineLoadDriver
+
+    cluster, _tracker, _app, generator, _tweets = _build_cluster(
+        seed=seed, executor_vms=4, scheduler_count=2, user_count=20,
+        seed_tweet_count=80, propagation_interval_ms=50.0)
+    plane = FaultPlane(cluster, RandomSource(seed).spawn("fault-plane"),
+                       **plane_options)
+    stream = generator.request_stream(request_count)
+
+    def request(cloud, ctx, index):
+        req = stream[index % len(stream)]
+        return cloud.call_dag(
+            "retwis-timeline",
+            {"fb_read_profile": [req.user], "fb_timeline": [req.user]},
+            ctx=ctx)
+
+    driver = EngineLoadDriver(cluster, request, clients=6,
+                              max_requests=request_count)
+    plane.start()
+    try:
+        driver.run()
+    finally:
+        plane.stop()
+    return cluster, plane
+
+
 class TestClusterWholeAfterRun:
     def test_faults_fully_unwound(self):
         # Run with every class enabled at an aggressive schedule, then check
         # the cluster handed back is whole: no dead VMs, no down schedulers,
         # no partitioned or missing storage replicas, no leaked snapshots.
-        from repro.bench.harness import EngineLoadDriver
-
-        cluster, _tracker, app, generator, _tweets = _build_cluster(
-            seed=5, executor_vms=4, scheduler_count=2, user_count=20,
-            seed_tweet_count=80, propagation_interval_ms=50.0)
         # With all four classes armed the per-class interval must leave the
         # cluster healthy most of the time, or recovery (which rightly does
         # not burn the retry budget) livelocks the workload.
-        plane = FaultPlane(cluster, RandomSource(5).spawn("fault-plane"),
-                           mean_interval_ms=40.0, downtime_ms=6.0,
-                           tick_interval_ms=3.0)
-        stream = generator.request_stream(60)
-
-        def request(cloud, ctx, index):
-            req = stream[index % len(stream)]
-            return cloud.call_dag(
-                "retwis-timeline",
-                {"fb_read_profile": [req.user], "fb_timeline": [req.user]},
-                ctx=ctx)
-
-        driver = EngineLoadDriver(cluster, request, clients=6, max_requests=60)
-        plane.start()
-        try:
-            driver.run()
-        finally:
-            plane.stop()
+        cluster, plane = _retwis_under_faults(
+            5, 60, mean_interval_ms=40.0, downtime_ms=6.0, tick_interval_ms=3.0)
         assert plane.injected_count() > 0
         assert plane.recovered_count() == plane.injected_count()
         assert all(vm.alive for vm in cluster.vms)
@@ -121,28 +128,9 @@ class TestClusterWholeAfterRun:
         # cache's stores, evictions, clears (a killed VM recovers cold) and
         # close (a drained VM), so after kills and a drain it must still
         # list, for every key, exactly the open caches holding it.
-        from repro.bench.harness import EngineLoadDriver
-
-        cluster, _tracker, _app, generator, _tweets = _build_cluster(
-            seed=7, executor_vms=4, scheduler_count=2, user_count=20,
-            seed_tweet_count=80, propagation_interval_ms=50.0)
-        plane = FaultPlane(cluster, RandomSource(7).spawn("fault-plane"),
-                           classes=("executor_kill",), mean_interval_ms=15.0,
-                           downtime_ms=8.0, tick_interval_ms=4.0)
-        stream = generator.request_stream(80)
-
-        def request(cloud, ctx, index):
-            req = stream[index % len(stream)]
-            return cloud.call_dag(
-                "retwis-timeline",
-                {"fb_read_profile": [req.user], "fb_timeline": [req.user]},
-                ctx=ctx)
-
-        plane.start()
-        try:
-            EngineLoadDriver(cluster, request, clients=6, max_requests=80).run()
-        finally:
-            plane.stop()
+        cluster, plane = _retwis_under_faults(
+            7, 80, classes=("executor_kill",), mean_interval_ms=15.0,
+            downtime_ms=8.0, tick_interval_ms=4.0)
         assert plane.recovered_count() == plane.injected_count() > 0
         drained = cluster.vms[-1]
         assert drained.cache.cached_keys(), "the drained cache held nothing"

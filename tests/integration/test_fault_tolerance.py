@@ -129,8 +129,12 @@ class TestComputeElasticity:
             value = new_vm.threads[0].execute("triple", [7], ctx, state)
         assert value == 21
 
-    def test_draining_vm_unregisters_cache_and_cuts_off_threads(self, cluster):
+    def test_draining_vm_unregisters_cache_and_cuts_off_threads(self, cluster, cloud):
         drained = cluster.vms[-1]
+        cloud.put("held", 1)
+        with cluster.request() as ctx:
+            drained.cache.get_or_fetch("held", ctx)
+        assert drained.cache.cache_id in index_holders(cluster.kvs)["held"]
         cluster.drain_vm(drained)
         assert all(drained.cache.cache_id not in holders
                    for holders in index_holders(cluster.kvs).values())
