@@ -18,7 +18,7 @@ from repro.bench.faultbench import (
 )
 from repro.sim import FaultPlane, RandomSource
 
-from internals import index_holders, snapshot_count
+from internals import holders_implied_by, index_holders, snapshot_count
 
 
 def _run(fault, seed=11, request_count=80):
@@ -136,16 +136,10 @@ class TestClusterWholeAfterRun:
         assert drained.cache.cached_keys(), "the drained cache held nothing"
         cluster.drain_vm(drained)
 
-        expected = {}
-        for vm in cluster.vms:
-            if not vm.cache.closed:
-                for key in vm.cache.cached_keys():
-                    expected.setdefault(key, set()).add(vm.cache.cache_id)
         holders = index_holders(cluster.kvs)
         assert all(drained.cache.cache_id not in caches
                    for caches in holders.values())
-        assert holders == {key: frozenset(caches)
-                           for key, caches in expected.items()}
+        assert holders == holders_implied_by(vm.cache for vm in cluster.vms)
 
     def test_gate_over_reduced_section(self):
         section = run_fault_recovery(

@@ -5,7 +5,7 @@ has yet to propagate, and what a cache still holds.  These helpers read that
 state for assertions, so the classes carry no methods only tests would call.
 """
 
-from typing import Dict, FrozenSet, List
+from typing import Dict, FrozenSet, Iterable, List
 
 from repro.anna import AnnaCluster
 from repro.cloudburst.cache import ExecutorCache
@@ -35,3 +35,13 @@ def index_holders(anna: AnnaCluster) -> Dict[str, FrozenSet[str]]:
     """Every key the key-to-cache index tracks -> the caches it lists."""
     return {key: frozenset(caches)
             for key, caches in anna.cache_index._key_to_caches.items()}
+
+
+def holders_implied_by(caches: Iterable[ExecutorCache]) -> Dict[str, FrozenSet[str]]:
+    """The index the open caches' own key sets imply: key -> the caches holding it."""
+    holders: Dict[str, set] = {}
+    for cache in caches:
+        if not cache.closed:
+            for key in cache._data:
+                holders.setdefault(key, set()).add(cache.cache_id)
+    return {key: frozenset(caches) for key, caches in holders.items()}

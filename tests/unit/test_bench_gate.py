@@ -13,7 +13,11 @@ import copy
 import dataclasses
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
+import types
 from fnmatch import fnmatchcase
 from pathlib import Path
 
@@ -85,6 +89,22 @@ class TestRecord:
         if figure.files:
             expected["out_dir"] = tmp_path
         assert calls == [(3, expected)]
+
+    def test_wall_seconds_reads_the_monotonic_clock(self, monkeypatch, tmp_path):
+        # A host clock stepped mid-run would move time.time(); perf_counter
+        # only counts up, so the stamp is the run's own duration.
+        readings = iter([100.0, 102.5])
+
+        def stepped_wall_clock():
+            raise AssertionError("wall_seconds read the steppable wall clock")
+
+        monkeypatch.setattr(figures, "time", types.SimpleNamespace(
+            perf_counter=lambda: next(readings), time=stepped_wall_clock))
+        figure = FIGURES[0]
+        run = dataclasses.replace(
+            figure, run=lambda seed, **kwargs: {name: {} for name in figure.sections})
+        sections = run.record("smoke", 0, tmp_path)
+        assert sections[figure.sections[0]]["wall_seconds"] == 2.5
 
 
 def _stats(median_ms: float, p99_ms: float = None) -> dict:
@@ -465,6 +485,30 @@ class TestMainExitCode:
         output = tmp_path / "bench.json"
         assert run_all.main(["--quick", "--output", str(output)]) == 1
         assert json.loads(output.read_text())["consistency_invariants_ok"] is False
+
+
+class TestOneRecord:
+    """The snapshot is the bench layer's one record: no ledger beside it."""
+
+    def test_a_run_writes_its_snapshot_and_nothing_beside_it(self, monkeypatch, tmp_path):
+        _canned(monkeypatch, good_payload())
+        assert run_all.main(["--quick", "--output", str(tmp_path / "bench.json")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.json"]
+
+    def test_the_ledger_option_is_an_unknown_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_all.main(["--ledger", "x"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --ledger x" in capsys.readouterr().err
+
+    def test_the_bench_layer_imports_no_sqlite3(self):
+        probe = ("import sys, repro.bench, repro.bench.figures; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+                 "('sqlite3', '_sqlite3')))")
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+        assert result.stdout.strip() == "[]"
 
 
 def _golden() -> dict:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from internals import snapshot_count
+from internals import holders_implied_by, index_holders, snapshot_count
 from jitter_free import JitterFreeLatencyModel
 from repro.anna import AnnaCluster
 from repro.cloudburst import ExecutorCache
@@ -298,3 +298,139 @@ class TestClose:
         with pytest.raises(ConsistencyError):
             downstream.fetch_from_upstream("up", "exec-2", "k", RequestContext(),
                                            expected_version=expected)
+
+
+# -- Anna's key-to-cache index is kept by the caches' own writes alone ------------
+# Nothing re-publishes a cache's key set, so every path that adds a key to a
+# cache's ``_data`` (each ``_store`` caller) or drops one (evict, clear,
+# close) must write the index itself.  Each case drives one such path on two
+# caches, ``a`` and ``b``, and names the holders the index must then list.
+def _put(cache, key, value="v", clock=1.0):
+    cache.put(key, lww(value, clock=clock), RequestContext())
+
+
+def _write(anna, a, b):
+    _put(a, "k")
+
+
+def _miss_fill(anna, a, b):
+    anna.background_put("k", lww("v"))
+    a.get_or_fetch("k", RequestContext())
+
+
+def _batched_miss_fill(anna, a, b):
+    anna.background_put("k1", lww(1))
+    anna.background_put("k2", lww(2))
+    a.multi_get(["k1", "k2"], RequestContext())
+
+
+def _not_found_read(anna, a, b):
+    assert a.multi_get(["ghost"], RequestContext()) == {"ghost": None}
+
+
+def _prefetch_landing(anna, a, b):
+    anna.background_put("k", lww("v"))
+    a.prefetch(["k"], now_ms=0.0, epoch="e1")
+    assert index_holders(anna) == {}, "an in-flight prefetch is not yet held"
+    anna.engine.run()
+
+
+def _prefetch_promoted_by_a_read(anna, a, b):
+    anna.background_put("k", lww("v"))
+    a.prefetch(["k"], now_ms=0.0, epoch="e1")
+    a.get_or_fetch("k", RequestContext())
+
+
+def _prefetch_outlived_by_its_cache(anna, a, b):
+    anna.background_put("k", lww("v"))
+    a.prefetch(["k"], now_ms=0.0, epoch="e1")
+    a.close()
+    anna.engine.run()
+
+
+def _upstream_fetch(anna, a, b):
+    _put(a, "k")
+    b.fetch_from_upstream("cache-a", "exec-1", "k", RequestContext())
+
+
+def _causal_dependency_fetch(anna, a, b):
+    anna.background_put("dep", CausalLattice(VectorClock({"w": 1}), "dep"))
+    value = CausalLattice(VectorClock({"w": 2}), "v",
+                          dependencies={"dep": VectorClock({"w": 1})})
+    a.ensure_causal_cut([value], RequestContext())
+
+
+def _evict(anna, a, b):
+    _put(a, "k1")
+    _put(a, "k2")
+    _put(b, "k1")
+    assert a.evict("k1")
+
+
+def _evict_of_an_uncached_key(anna, a, b):
+    _put(a, "k")
+    assert not a.evict("ghost")
+
+
+def _refill_after_evict(anna, a, b):
+    _put(a, "k")
+    a.evict("k")
+    a.get_or_fetch("k", RequestContext())
+
+
+def _clear(anna, a, b):
+    _put(a, "k1")
+    _put(a, "k2")
+    _put(b, "k2")
+    a.clear()
+
+
+def _close(anna, a, b):
+    _put(a, "k1")
+    _put(a, "k2")
+    _put(b, "k2")
+    a.close()
+
+
+def _pushed_update_for_an_uncached_key(anna, a, b):
+    _put(a, "k")
+    b.receive_update("k", lww("pushed", clock=5.0))
+
+
+def _a_peer_s_write_to_a_held_key(anna, a, b):
+    _put(a, "k", "v1", clock=1.0)
+    _put(b, "k", "v2", clock=9.0)
+    anna.flush_updates()
+    assert a.get_local("k").reveal() == "v2"
+
+
+INDEX_WRITERS = [
+    (_write, {"k": {"cache-a"}}),
+    (_miss_fill, {"k": {"cache-a"}}),
+    (_batched_miss_fill, {"k1": {"cache-a"}, "k2": {"cache-a"}}),
+    (_not_found_read, {}),
+    (_prefetch_landing, {"k": {"cache-a"}}),
+    (_prefetch_promoted_by_a_read, {"k": {"cache-a"}}),
+    (_prefetch_outlived_by_its_cache, {}),
+    (_upstream_fetch, {"k": {"cache-a", "cache-b"}}),
+    (_causal_dependency_fetch, {"dep": {"cache-a"}}),
+    (_evict, {"k1": {"cache-b"}, "k2": {"cache-a"}}),
+    (_evict_of_an_uncached_key, {"k": {"cache-a"}}),
+    (_refill_after_evict, {"k": {"cache-a"}}),
+    (_clear, {"k2": {"cache-b"}}),
+    (_close, {"k2": {"cache-b"}}),
+    (_pushed_update_for_an_uncached_key, {"k": {"cache-a"}}),
+    (_a_peer_s_write_to_a_held_key, {"k": {"cache-a", "cache-b"}}),
+]
+
+
+@pytest.mark.parametrize("drive, expected", INDEX_WRITERS,
+                         ids=[drive.__name__.lstrip("_") for drive, _ in INDEX_WRITERS])
+def test_the_index_lists_exactly_the_caches_holding_each_key(anna, peers, drive,
+                                                             expected):
+    a = ExecutorCache("cache-a", anna, peer_registry=peers)
+    b = ExecutorCache("cache-b", anna, peer_registry=peers)
+    drive(anna, a, b)
+    holders = index_holders(anna)
+    assert holders == {key: frozenset(caches) for key, caches in expected.items()}
+    assert holders == holders_implied_by((a, b))
